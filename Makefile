@@ -7,6 +7,7 @@
 #   make lint            # vet + doclint + drivolint (LINT_FILTER narrows analyzers)
 #   make doclint         # every internal/ package must have a package comment
 #   make chaos           # longer fault-injection soak across several seeds
+#   make bench-module-check  # vet + test + drivolint the separate bench/ module (drivobench)
 #   make bench           # run the perf-tracked benchmark set
 #   make bench-baseline  # tier1 + benches, refresh BENCH_baseline.json
 #   make bench-compare   # tier1 + benches, diff against BENCH_baseline.json
@@ -17,7 +18,7 @@
 # BENCH_FILTER ('.'' = full suite, includes slow lease-traffic sweeps),
 # BENCH_PKGS.
 
-.PHONY: check check-race tier1 race lint drivolint doclint chaos bench bench-baseline bench-compare loadtest loadtest-baseline
+.PHONY: check check-race tier1 race lint drivolint doclint chaos bench-module-check bench bench-baseline bench-compare loadtest loadtest-baseline
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
@@ -65,6 +66,13 @@ race:
 
 doclint:
 	scripts/doclint.sh
+
+# bench/ (drivobench, BENCHMARK.json's entry point) is a module of its
+# own, so `go build ./...` and `make check` at the root never compile
+# it: a core or sqlmini signature change would break it silently until
+# the next benchmark run. This is the same gate, run inside it.
+bench-module-check:
+	cd bench && go vet ./... && go test ./... && go run repro/cmd/drivolint ./...
 
 bench:
 	scripts/bench.sh run

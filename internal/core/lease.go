@@ -321,17 +321,14 @@ func (s *Server) ReleaseLeaseByID(id uint64) error {
 	return nil
 }
 
-// reapExpiredSQL and sweptLeaseIDsSQL are the two halves of the
-// lease-expiry sweep (§3.2: expired leases free their licenses; §5.4.2
-// builds per-user enforcement on that). Both carry the `expires_at <=
-// $now` window as their only indexable conjunct, so the planner seeks
-// the expired prefix of the ordered expires_at index instead of
-// scanning the lease log — at steady state the sweep touches only the
-// handful of rows that actually expired. TestHotStatementsPlanIndexed
-// pins the range plans; BenchmarkExpirySweepAt{100,10000}Leases tracks
-// flatness.
 // reapExpiredSQL is the lease-expiry sweep (§3.2: expired leases free
-// their licenses; §5.4.2 builds per-user enforcement on that).
+// their licenses; §5.4.2 builds per-user enforcement on that). The
+// `expires_at <= $now` window is its only indexable conjunct, so the
+// planner seeks the expired prefix of the ordered expires_at index
+// instead of scanning the lease log — at steady state the sweep touches
+// only the handful of rows that actually expired.
+// TestHotStatementsPlanIndexed pins the range plan;
+// BenchmarkExpirySweepAt{100,10000}Leases tracks flatness.
 const reapExpiredSQL = `UPDATE ` + LeasesTable + `
 	SET released = TRUE WHERE released = FALSE AND expires_at <= $now`
 

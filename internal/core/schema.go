@@ -63,20 +63,23 @@ var schemaDDL = []string{
 		renewals INTEGER NOT NULL
 	)`,
 	// Secondary indexes for the lease-scale hot paths. lease_id and
-	// driver_id/permission_id are PRIMARY KEYs, whose index now drives
+	// driver_id/permission_id are PRIMARY KEYs, whose index drives
 	// execution of renewals, releases, and blob point-fetches directly;
-	// the two driver_id indexes below make the §5.4.2 license-mode count
-	// and permission-by-driver lookups O(bucket) instead of O(table) at
-	// 10k+ leases. The ordered expires_at index serves the time-window
-	// statements — expiry sweeps (`expires_at <= now()`) and the license
-	// usage count (`expires_at > now()`) — as O(log n) range seeks
-	// instead of full lease-log scans. The composite
-	// (driver_id, expires_at) index serves the license-mode
-	// is-this-driver-free probe: the equality on driver_id plus the
-	// expires_at window are consumed by one index seek, so the planner
-	// runs it residual-free over exactly one driver's unexpired leases.
-	`CREATE INDEX IF NOT EXISTS leases_driver_id_idx
-		ON ` + LeasesTable + ` (driver_id)`,
+	// the driver_id index on the permission table makes
+	// permission-by-driver lookups O(bucket) instead of O(table). The
+	// ordered expires_at index serves the time-window statements —
+	// expiry sweeps (`expires_at <= now()`) and the license usage count
+	// (`expires_at > now()`) — as O(log n) range seeks instead of full
+	// lease-log scans. The composite (driver_id, expires_at) index
+	// serves the §5.4.2 license-mode is-this-driver-free probe: the
+	// equality on driver_id plus the expires_at window are consumed by
+	// one index seek, so the planner runs it residual-free over exactly
+	// one driver's unexpired leases; its driver_id prefix also serves
+	// any plain `driver_id = ?` lookup on the lease log. Every index
+	// here is maintained by every grant and renewal, so each must be
+	// read by a pinned plan (TestHotStatementsPlanIndexed); a plain
+	// hash index on leases(driver_id) was dropped for being write-only.
+	// A store created with it keeps it, unused.
 	`CREATE INDEX IF NOT EXISTS driver_permission_driver_id_idx
 		ON ` + PermissionTable + ` (driver_id)`,
 	`CREATE INDEX IF NOT EXISTS leases_expires_at_idx

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -305,11 +307,17 @@ func testImageBlob(t *testing.T, api string, ver dbver.Version) []byte {
 // silently demotes one of these to a full scan, lease traffic becomes
 // O(active leases) again and this test fails. Range-planned statements
 // pin by prefix, because Explain embeds the evaluated now() bound.
+//
+// The converse is pinned too: every secondary index the schema declares
+// must be named by at least one of these plans. Each grant and renewal
+// pays to maintain every index on the lease log, so an index no pinned
+// statement reads is a write-only cost and fails the test.
 func TestHotStatementsPlanIndexed(t *testing.T) {
 	db := sqlmini.NewDB()
 	if err := EnsureSchema(NewLocalStore(db)); err != nil {
 		t.Fatal(err)
 	}
+	var plans []string
 	for _, tc := range []struct {
 		name string
 		sql  string
@@ -358,6 +366,17 @@ func TestHotStatementsPlanIndexed(t *testing.T) {
 		}
 		if got != tc.want && !strings.HasPrefix(got, tc.want) {
 			t.Fatalf("%s plans as %q, want %q", tc.name, got, tc.want)
+		}
+		plans = append(plans, got)
+	}
+	declared := regexp.MustCompile(`CREATE INDEX IF NOT EXISTS (\w+)`)
+	for _, ddl := range SchemaStatements() {
+		m := declared.FindStringSubmatch(ddl)
+		if m == nil {
+			continue
+		}
+		if !slices.ContainsFunc(plans, func(p string) bool { return strings.Contains(p, "["+m[1]+"]") }) {
+			t.Errorf("index %s is declared but no pinned plan reads it: a write-only index", m[1])
 		}
 	}
 	// The prefix match above cannot see the plan's tail; pin the
@@ -528,5 +547,59 @@ func TestReapExpiredLeases(t *testing.T) {
 	lease, ok, err := srv.leaseByID(2)
 	if err != nil || !ok || lease.Released {
 		t.Fatalf("live lease 2 disturbed: %+v ok=%v err=%v", lease, ok, err)
+	}
+}
+
+// TestRenewalStatementAllocs pins what the engine allocates for one
+// no-change renewal — the prepared renewNoChangeSQL moving a lease's
+// expires_at, its share of deferred index GC included — over a lease
+// log with every lease on one driver. Clock-free, so a change that puts
+// per-statement key copies or bucket copies back on the renewal path
+// fails here before any benchmark is run. (The arguments are boxed
+// before counting starts; the count was 30 with copy-on-write buckets
+// and per-update key tuples.)
+func TestRenewalStatementAllocs(t *testing.T) {
+	const pinned = 22
+	db := sqlmini.NewDB()
+	store := NewLocalStore(db)
+	if err := EnsureSchema(store); err != nil {
+		t.Fatal(err)
+	}
+	const leases = 1000
+	now := time.Now()
+	var sb strings.Builder
+	sb.WriteString(`INSERT INTO ` + LeasesTable + ` (lease_id, driver_id, database,
+		user, client_id, granted_at, expires_at, released, renewals) VALUES `)
+	args := sqlmini.Args{"g": now}
+	for i := 0; i < leases; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "(%d, 1, 'prod', 'app', 'c%d', $g, $e%d, FALSE, 0)", i+1, i, i)
+		args[fmt.Sprintf("e%d", i)] = now.Add(time.Hour + time.Duration(i)*time.Millisecond)
+	}
+	if _, err := store.Exec(sb.String(), args); err != nil {
+		t.Fatal(err)
+	}
+	renew, err := db.Prepare(renewNoChangeSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 2000
+	bound := make([]sqlmini.Args, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range bound {
+		bound[i] = sqlmini.Args{"id": int64(i%leases + 1), "drv": int64(1),
+			"exp": now.Add(2*time.Hour + time.Duration(i)*time.Millisecond)}
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		res, err := renew.Exec(bound[next])
+		if err != nil || res.Affected != 1 {
+			t.Fatalf("renewal %d: affected %v, err %v", next, res, err)
+		}
+		next++
+	})
+	if got != pinned {
+		t.Fatalf("a no-change renewal allocates %v times per statement, pinned at %d", got, pinned)
 	}
 }

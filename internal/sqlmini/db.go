@@ -784,7 +784,7 @@ func (db *DB) execInsert(t *Table, st *InsertStmt, env *evalEnv, tx *undoLog, w 
 		if na := arr.append(row); na != arr {
 			t.rows.Store(na)
 		}
-		t.indexInsert(row, vals)
+		t.indexInsert(row, vals, true)
 		if tx != nil {
 			tx.recordInsert(t, row)
 		}

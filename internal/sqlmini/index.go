@@ -1,9 +1,11 @@
 package sqlmini
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Indexes. Every table with a PRIMARY KEY column keeps a hash index
@@ -21,6 +23,10 @@ import (
 //     order. Serves equality seeks in O(log n) and, through the
 //     planner, range scans — including composite plans that pin a
 //     prefix of the columns by equality and range over the next one.
+//
+// Both kinds keep the rows of one key in a rowBucket: an append-only
+// array published by length, so adding a row to a key costs O(1)
+// however many rows already share it.
 //
 // MVCC index contract: entries are inserted eagerly (INSERT, UPDATE
 // key moves, rollback re-registration) but removed lazily — a key
@@ -99,29 +105,113 @@ func tupleKey(key []Value) string {
 	return sb.String()
 }
 
-// tupleEqualAt reports whether vals projected through cols equals key
-// by Compare (NULL components never match).
-func tupleEqualAt(vals []Value, cols []int, key []Value) bool {
-	for i, ci := range cols {
-		v := vals[ci]
-		if v.IsNull() || key[i].IsNull() {
-			return false
+// tupleOf appends vals projected through cols to dst; ok=false when a
+// component is NULL (NULL tuples are not indexed — no equality or range
+// predicate matches them). Callers that only probe pass a stack buffer.
+func tupleOf(dst []Value, cols []int, vals []Value) ([]Value, bool) {
+	for _, ci := range cols {
+		if !vals[ci].isSet {
+			return nil, false
 		}
-		c, ok := Compare(v, key[i])
-		if !ok || c != 0 {
+		dst = append(dst, vals[ci])
+	}
+	return dst, true
+}
+
+// tupleEqualAt reports whether rows a and b carry the same tuple under
+// cols by Compare (NULL components never match).
+func tupleEqualAt(a, b []Value, cols []int) bool {
+	for _, ci := range cols {
+		if c, ok := comparePtr(&a[ci], &b[ci]); !ok || c != 0 {
 			return false
 		}
 	}
 	return true
 }
 
+// keyMoved reports what an update did to a row's tuple under cols:
+// whether the old and new tuples are indexed at all (no NULL
+// component) and whether the row has to change bucket. The columns are
+// compared where they sit, so a key that stayed put costs no
+// allocation. Stored values are uniformly typed per column, where
+// Compare equality and canonical-string equality (hash buckets) agree.
+func keyMoved(cols []int, oldVals, newVals []Value) (oldOK, newOK, moved bool) {
+	oldOK, newOK = true, true
+	for _, ci := range cols {
+		o, n := &oldVals[ci], &newVals[ci]
+		oldOK, newOK = oldOK && o.isSet, newOK && n.isSet
+		if c, ok := comparePtr(o, n); !ok || c != 0 {
+			moved = true
+		}
+	}
+	return oldOK, newOK, moved && (oldOK || newOK)
+}
+
+// rowBucket holds the rows filed under one key — a hash bucket or an
+// ordered-index group — in insertion order. It is an append-only array
+// published by length: the single writer (table latch held) writes the
+// slot just past the published length and then publishes a header one
+// longer, so readers, who Load a header lock-free, hold an immutable
+// prefix. No reader can hold a header covering the slot being written,
+// because a header never shrinks in place: removal copies the
+// survivors to a fresh array.
+type rowBucket struct {
+	hdr atomic.Pointer[[]*Row]
+}
+
+// load returns the published rows. The slice is immutable and its
+// capacity is clipped to its length, so a caller's append can never
+// reach the writer's unpublished slots.
+func (b *rowBucket) load() []*Row {
+	if p := b.hdr.Load(); p != nil {
+		return (*p)[:len(*p):len(*p)]
+	}
+	return nil
+}
+
+// add appends r, doubling the array when it is full. fresh says r was
+// allocated by this statement and so cannot be present; otherwise
+// (update, rollback re-registration, A→B→A key cycles, backfill) add
+// is a no-op when the bucket already holds r. Caller holds the latch.
+func (b *rowBucket) add(r *Row, fresh bool) {
+	var rows []*Row
+	if p := b.hdr.Load(); p != nil {
+		rows = *p // unclipped: the spare capacity is the writer's
+	}
+	if !fresh && slices.Contains(rows, r) {
+		return
+	}
+	if len(rows) == cap(rows) {
+		rows = append(make([]*Row, 0, max(1, 2*len(rows))), rows...)
+	}
+	rows = append(rows, r) // in place: slot len(rows) is unpublished
+	b.hdr.Store(&rows)
+}
+
+// remove drops r and reports whether the bucket held nothing else, in
+// which case it is left as it was for the caller to unlink whole.
+// Caller holds the latch.
+func (b *rowBucket) remove(r *Row) (emptied bool) {
+	rows := b.load()
+	i := slices.Index(rows, r)
+	if i < 0 {
+		return false
+	}
+	if len(rows) == 1 {
+		return true
+	}
+	rest := make([]*Row, 0, len(rows)-1)
+	rest = append(append(rest, rows[:i]...), rows[i+1:]...)
+	b.hdr.Store(&rest)
+	return false
+}
+
 // hashIndex is a concurrent non-unique hash index: a sync.Map from the
-// canonical tuple key to an immutable bucket slice. Readers Load
-// lock-free; the single writer (table latch held) replaces buckets
-// copy-on-write.
+// canonical tuple key to the key's rowBucket. Readers Load lock-free;
+// the single writer (table latch held) appends to buckets in place.
 type hashIndex struct {
 	cols []int
-	m    sync.Map // string -> []*Row (immutable)
+	m    sync.Map // string -> *rowBucket
 }
 
 func newHashIndex(cols []int) *hashIndex { return &hashIndex{cols: cols} }
@@ -132,48 +222,28 @@ func (h *hashIndex) lookup(key []Value) []*Row {
 	if !ok {
 		return nil
 	}
-	return v.([]*Row)
+	return v.(*rowBucket).load()
 }
 
-// insert adds r to key's bucket if absent. Caller holds the latch.
-func (h *hashIndex) insert(key []Value, r *Row) {
+// insert adds r to key's bucket (see rowBucket.add for fresh). Caller
+// holds the latch.
+func (h *hashIndex) insert(key []Value, r *Row, fresh bool) {
 	ks := tupleKey(key)
-	var old []*Row
 	if v, ok := h.m.Load(ks); ok {
-		old = v.([]*Row)
+		v.(*rowBucket).add(r, fresh)
+		return
 	}
-	for _, br := range old {
-		if br == r {
-			return
-		}
-	}
-	grown := make([]*Row, len(old)+1)
-	copy(grown, old)
-	grown[len(old)] = r
-	h.m.Store(ks, grown)
+	b := &rowBucket{}
+	b.add(r, true)
+	h.m.Store(ks, b)
 }
 
-// remove drops r from key's bucket. Caller holds the latch.
+// remove drops r from key's bucket, and the bucket with its last row.
+// Caller holds the latch.
 func (h *hashIndex) remove(key []Value, r *Row) {
 	ks := tupleKey(key)
-	v, ok := h.m.Load(ks)
-	if !ok {
-		return
-	}
-	old := v.([]*Row)
-	for i, br := range old {
-		if br != r {
-			continue
-		}
-		if len(old) == 1 {
-			h.m.Delete(ks)
-			return
-		}
-		rest := make([]*Row, 0, len(old)-1)
-		rest = append(rest, old[:i]...)
-		rest = append(rest, old[i+1:]...)
-		h.m.Store(ks, rest)
-		return
+	if v, ok := h.m.Load(ks); ok && v.(*rowBucket).remove(r) {
+		h.m.Delete(ks)
 	}
 }
 
@@ -181,7 +251,7 @@ func (h *hashIndex) remove(key []Value, r *Row) {
 // consistency checks.
 func (h *hashIndex) each(fn func(key string, rows []*Row)) {
 	h.m.Range(func(k, v any) bool {
-		fn(k.(string), v.([]*Row))
+		fn(k.(string), v.(*rowBucket).load())
 		return true
 	})
 }
@@ -224,42 +294,29 @@ func (ix *secondaryIndex) colNames(t *Table) []string {
 	return out
 }
 
-// keyFor projects a row's values into the index's tuple key; ok=false
-// when any component is NULL (NULL tuples are not indexed — no
-// equality or range predicate matches them).
-func (ix *secondaryIndex) keyFor(vals []Value) ([]Value, bool) {
-	key := make([]Value, len(ix.cols))
-	for i, ci := range ix.cols {
-		v := vals[ci]
-		if v.IsNull() {
-			return nil, false
-		}
-		key[i] = v
-	}
-	return key, true
-}
-
-// insertFor registers vals' key for r (no-op on a NULL component or if
-// already present). Caller holds the latch.
-func (ix *secondaryIndex) insertFor(vals []Value, r *Row) {
-	key, ok := ix.keyFor(vals)
+// insertFor registers vals' key for r (no-op on a NULL component; see
+// rowBucket.add for fresh). Caller holds the latch.
+func (ix *secondaryIndex) insertFor(vals []Value, r *Row, fresh bool) {
+	var buf [4]Value
+	key, ok := tupleOf(buf[:0], ix.cols, vals)
 	if !ok {
 		return
 	}
 	if ix.kind == IndexHash {
-		ix.hash.insert(key, r)
+		ix.hash.insert(key, r, fresh)
 		return
 	}
-	ix.skip.insert(key, r)
+	ix.skip.insert(key, r, fresh)
 	if ix.shadow != nil {
-		ix.shadow.insert(key, r)
+		ix.shadow.insert(key, r, fresh)
 	}
 }
 
 // removeFor unregisters vals' key for r. Caller holds the latch (GC
 // paths only; normal key changes are deferred via the GC queue).
 func (ix *secondaryIndex) removeFor(vals []Value, r *Row) {
-	key, ok := ix.keyFor(vals)
+	var buf [4]Value
+	key, ok := tupleOf(buf[:0], ix.cols, vals)
 	if !ok {
 		return
 	}
@@ -279,22 +336,6 @@ func (ix *secondaryIndex) lookup(key []Value) []*Row {
 		return ix.hash.lookup(key)
 	}
 	return ix.skip.lookupEqual(key, nil)
-}
-
-// sameKey reports whether two keys land in the same bucket/group, i.e.
-// no index movement is needed. Hash buckets key on the canonical
-// string; ordered groups key on Compare equality (Equal suffices for
-// uniformly typed stored values).
-func (ix *secondaryIndex) sameKey(a, b []Value) bool {
-	if ix.kind == IndexHash {
-		return tupleKey(a) == tupleKey(b)
-	}
-	for i := range a {
-		if !Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // indexOn returns the first secondary index whose leading column is
@@ -362,69 +403,53 @@ func (t *Table) addIndex(name string, cols []int, kind IndexKind) {
 	for _, r := range t.rows.Load().snapshot() {
 		for v := r.v.Load(); v != nil; v = v.prev.Load() {
 			if !v.dead {
-				ix.insertFor(v.vals, r)
+				ix.insertFor(v.vals, r, false)
 			}
 		}
 	}
 	t.storeIndexes(append(append([]*secondaryIndex{}, t.loadIndexes()...), ix))
 }
 
-// indexInsert registers a freshly inserted row in the PK and all
-// secondary indexes; caller holds the latch and has checked
-// uniqueness.
-func (t *Table) indexInsert(r *Row, vals []Value) {
-	if t.pk >= 0 {
-		if v := vals[t.pk]; !v.IsNull() {
-			t.pkIx.insert(vals[t.pk:t.pk+1], r)
-		}
+// indexInsert registers a row under vals' keys in the PK and all
+// secondary indexes. fresh marks a row this statement allocated (INSERT,
+// restore into empty indexes), which no bucket can hold yet; rollback
+// passes false to re-register values whose entries GC may or may not
+// have dropped. Caller holds the latch and has checked uniqueness.
+func (t *Table) indexInsert(r *Row, vals []Value, fresh bool) {
+	if t.pk >= 0 && vals[t.pk].isSet {
+		t.pkIx.insert(vals[t.pk:t.pk+1], r, fresh)
 	}
 	for _, ix := range t.loadIndexes() {
-		ix.insertFor(vals, r)
+		ix.insertFor(vals, r, fresh)
 	}
-}
-
-// indexEnsure re-registers a row under vals' keys if absent (rollback
-// restoring values whose entries GC may have dropped). Caller holds
-// the latch.
-func (t *Table) indexEnsure(r *Row, vals []Value) {
-	t.indexInsert(r, vals) // insert paths are add-if-absent
 }
 
 // indexUpdate registers a row's new keys after an update. Old entries
 // stay for older snapshots; each changed key enqueues a deferred
-// removal hint for GC. Caller holds the latch; c is the statement's
-// commit number.
+// removal hint for GC, which aliases the (immutable) old version's
+// values instead of copying the key out. Caller holds the latch; c is
+// the statement's commit number.
 func (t *Table) indexUpdate(r *Row, oldVals, newVals []Value, c uint64) {
 	if t.pk >= 0 {
-		oldV, newV := oldVals[t.pk], newVals[t.pk]
-		oldOK, newOK := !oldV.IsNull(), !newV.IsNull()
-		moved := oldOK != newOK || (oldOK && newOK && tupleKey(oldVals[t.pk:t.pk+1]) != tupleKey(newVals[t.pk:t.pk+1]))
-		if moved {
+		if oldOK, newOK, moved := keyMoved(t.pkIx.cols, oldVals, newVals); moved {
 			if newOK {
-				t.pkIx.insert(newVals[t.pk:t.pk+1], r)
+				t.pkIx.insert(newVals[t.pk:t.pk+1], r, false)
 			}
 			if oldOK {
-				t.gc.enqueue(gcItem{c: c, row: r, hash: t.pkIx, key: []Value{oldV}})
+				t.gc.enqueue(gcItem{c: c, row: r, hash: t.pkIx, vals: oldVals})
 			}
 		}
 	}
 	for _, ix := range t.loadIndexes() {
-		oldKey, oldOK := ix.keyFor(oldVals)
-		newKey, newOK := ix.keyFor(newVals)
-		if oldOK && newOK && ix.sameKey(oldKey, newKey) {
+		oldOK, newOK, moved := keyMoved(ix.cols, oldVals, newVals)
+		if !moved {
 			continue
 		}
 		if newOK {
-			ix.insertFor(newVals, r)
+			ix.insertFor(newVals, r, false)
 		}
 		if oldOK {
-			it := gcItem{c: c, row: r, key: oldKey}
-			if ix.kind == IndexHash {
-				it.hash = ix.hash
-			} else {
-				it.skip = ix.skip
-			}
-			t.gc.enqueue(it)
+			t.gc.enqueue(gcItem{c: c, row: r, hash: ix.hash, skip: ix.skip, vals: oldVals})
 		}
 	}
 }
@@ -470,7 +495,7 @@ func (t *Table) rebuildIndex() {
 	for _, r := range t.rows.Load().snapshot() {
 		vals := r.curVals()
 		if vals != nil {
-			t.indexInsert(r, vals)
+			t.indexInsert(r, vals, true)
 		}
 	}
 }

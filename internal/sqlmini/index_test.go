@@ -79,7 +79,7 @@ func secondaryConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
 	}
 	want := map[string]int{} // key → row count from the scan
 	for _, lr := range live {
-		key, ok := ix.keyFor(lr.vals)
+		key, ok := tupleOf(nil, ix.cols, lr.vals)
 		if !ok {
 			continue
 		}
@@ -125,7 +125,7 @@ func orderedConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
 			if vals == nil {
 				t.Fatalf("index %q: dead row left in group %v after GC", ix.name, key)
 			}
-			bk, ok := ix.keyFor(vals)
+			bk, ok := tupleOf(nil, ix.cols, vals)
 			if !ok || cmpKey(key, bk) != 0 {
 				t.Fatalf("index %q: row with key %v filed under group key %v", ix.name, bk, key)
 			}
@@ -134,7 +134,7 @@ func orderedConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
 	})
 	scan := 0
 	for _, lr := range live {
-		key, ok := ix.keyFor(lr.vals)
+		key, ok := tupleOf(nil, ix.cols, lr.vals)
 		if !ok {
 			continue
 		}

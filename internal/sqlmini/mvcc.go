@@ -187,11 +187,12 @@ type gcItem struct {
 	c   uint64
 	row *Row
 
-	// Entry-removal hint: the row may no longer need its entry under key
-	// in this index (hash or skip, matching the index kind).
+	// Entry-removal hint: the row may no longer need the entry it held in
+	// this index (hash or skip, matching the index kind) while it carried
+	// vals — the superseded version's values, aliased, never written.
 	hash *hashIndex
 	skip *skipList
-	key  []Value
+	vals []Value
 
 	// unlink: the row may be fully dead (newest version a tombstone) and
 	// eligible for physical removal from the row list and all indexes.
@@ -259,14 +260,11 @@ func (t *Table) gcPrune(r *Row, floor uint64) {
 	v.prev.Store(nil)
 }
 
-// chainHasKey reports whether any live version of r carries tuple key
-// under the index columns cols.
-func chainHasKey(r *Row, cols []int, key []Value) bool {
+// chainHasKey reports whether any live version of r carries the tuple
+// that vals has under the index columns cols.
+func chainHasKey(r *Row, cols []int, vals []Value) bool {
 	for v := r.v.Load(); v != nil; v = v.prev.Load() {
-		if v.dead {
-			continue
-		}
-		if tupleEqualAt(v.vals, cols, key) {
+		if !v.dead && tupleEqualAt(v.vals, vals, cols) {
 			return true
 		}
 	}
@@ -276,14 +274,24 @@ func chainHasKey(r *Row, cols []int, key []Value) bool {
 // gcDropEntry removes a stale index entry if no live version still
 // carries the key.
 func (t *Table) gcDropEntry(it gcItem) {
+	var cols []int
 	if it.hash != nil {
-		if !chainHasKey(it.row, it.hash.cols, it.key) {
-			it.hash.remove(it.key, it.row)
-		}
+		cols = it.hash.cols
+	} else {
+		cols = it.skip.cols
+	}
+	if chainHasKey(it.row, cols, it.vals) {
 		return
 	}
-	if !chainHasKey(it.row, it.skip.cols, it.key) {
-		it.skip.remove(it.key, it.row)
+	var buf [4]Value
+	key, ok := tupleOf(buf[:0], cols, it.vals)
+	if !ok {
+		return // a NULL tuple was never indexed: nothing to drop
+	}
+	if it.hash != nil {
+		it.hash.remove(key, it.row)
+	} else {
+		it.skip.remove(key, it.row)
 	}
 }
 

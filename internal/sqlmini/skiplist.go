@@ -1,19 +1,20 @@
 package sqlmini
 
 import (
+	"slices"
 	"sync/atomic"
 )
 
 // skipList is the ordered-index backing structure: nodes are key
 // groups (all rows whose indexed tuple compares equal), sorted by
 // tuple key. A single writer mutates it under the owning table's
-// latch; readers traverse lock-free. Node links and per-node row
-// slices are atomic pointers to immutable state: an insert links a
+// latch; readers traverse lock-free. Node links are atomic pointers
+// and each node's rows are a rowBucket (index.go): an insert links a
 // fully built node bottom-up, a removal unlinks top-down, and a row
-// change publishes a fresh rows slice — a reader mid-traversal always
-// sees a consistent (possibly slightly stale) list, which MVCC
-// execution tolerates because candidates are filtered by version
-// visibility and the statement's predicate anyway.
+// change publishes a longer or a fresh rows header — a reader
+// mid-traversal always sees a consistent (possibly slightly stale)
+// list, which MVCC execution tolerates because candidates are filtered
+// by version visibility and the statement's predicate anyway.
 //
 // Grouping invariant (inherited from the slice-based predecessor):
 // rows are grouped by Compare == 0 over the stored tuple. Stored
@@ -26,13 +27,9 @@ const skipMaxLevel = 24
 
 type skipNode struct {
 	key  []Value // immutable tuple
-	rows atomic.Pointer[[]*Row]
+	rows rowBucket
 	next []atomic.Pointer[skipNode] // len = node level
 }
-
-func (n *skipNode) loadRows() []*Row { return *n.rows.Load() }
-
-func (n *skipNode) storeRows(rs []*Row) { n.rows.Store(&rs) }
 
 type skipList struct {
 	cols []int // indexed column positions (tuple order)
@@ -68,9 +65,10 @@ func (sl *skipList) randLevel() int {
 // guarantees per-position order compatibility (orderedProbeOK), so a
 // failed Compare cannot occur between a stored key and a vetted probe;
 // it is treated as equal-rank which keeps the walk safe regardless.
+// Values are compared in place: a walk takes tens of steps.
 func cmpKey(nodeKey, probe []Value) int {
 	for i := range probe {
-		c, ok := Compare(nodeKey[i], probe[i])
+		c, ok := comparePtr(&nodeKey[i], &probe[i])
 		if !ok {
 			return 0
 		}
@@ -129,28 +127,18 @@ func (sl *skipList) predecessors(key []Value, update *[skipMaxLevel]*skipNode) {
 	}
 }
 
-// insert adds r under key, creating the group if needed. insert is a
-// no-op if the group already contains r (rollback re-registration and
-// A→B→A key cycles must not duplicate). Caller holds the latch.
-func (sl *skipList) insert(key []Value, r *Row) {
+// insert adds r under key, creating the group (with its own copy of
+// key) if needed; see rowBucket.add for fresh. Caller holds the latch.
+func (sl *skipList) insert(key []Value, r *Row, fresh bool) {
 	var update [skipMaxLevel]*skipNode
 	sl.predecessors(key, &update)
 	if n := update[0].next[0].Load(); n != nil && cmpKey(n.key, key) == 0 {
-		rows := n.loadRows()
-		for _, br := range rows {
-			if br == r {
-				return
-			}
-		}
-		grown := make([]*Row, len(rows)+1)
-		copy(grown, rows)
-		grown[len(rows)] = r
-		n.storeRows(grown)
+		n.rows.add(r, fresh)
 		return
 	}
 	lvl := sl.randLevel()
-	n := &skipNode{key: key, next: make([]atomic.Pointer[skipNode], lvl)}
-	n.storeRows([]*Row{r})
+	n := &skipNode{key: slices.Clone(key), next: make([]atomic.Pointer[skipNode], lvl)}
+	n.rows.add(r, true)
 	for i := 0; i < lvl; i++ {
 		n.next[i].Store(update[i].next[i].Load())
 	}
@@ -166,29 +154,15 @@ func (sl *skipList) remove(key []Value, r *Row) {
 	var update [skipMaxLevel]*skipNode
 	sl.predecessors(key, &update)
 	n := update[0].next[0].Load()
-	if n == nil || cmpKey(n.key, key) != 0 {
+	if n == nil || cmpKey(n.key, key) != 0 || !n.rows.remove(r) {
 		return
 	}
-	rows := n.loadRows()
-	for i, br := range rows {
-		if br != r {
-			continue
+	for lvl := len(n.next) - 1; lvl >= 0; lvl-- { // unlink top-down
+		if update[lvl].next[lvl].Load() == n {
+			update[lvl].next[lvl].Store(n.next[lvl].Load())
 		}
-		if len(rows) == 1 {
-			for lvl := len(n.next) - 1; lvl >= 0; lvl-- { // unlink top-down
-				if update[lvl].next[lvl].Load() == n {
-					update[lvl].next[lvl].Store(n.next[lvl].Load())
-				}
-			}
-			sl.size--
-			return
-		}
-		rest := make([]*Row, 0, len(rows)-1)
-		rest = append(rest, rows[:i]...)
-		rest = append(rest, rows[i+1:]...)
-		n.storeRows(rest)
-		return
 	}
+	sl.size--
 }
 
 // lookupEqual gathers the rows of every group comparing equal to probe
@@ -197,7 +171,7 @@ func (sl *skipList) remove(key []Value, r *Row) {
 // Lock-free; out is appended to and returned.
 func (sl *skipList) lookupEqual(probe []Value, out []*Row) []*Row {
 	for n := sl.seekGE(probe); n != nil && cmpKey(n.key, probe) == 0; n = n.next[0].Load() {
-		out = append(out, n.loadRows()...)
+		out = append(out, n.rows.load()...)
 	}
 	return out
 }
@@ -236,7 +210,7 @@ func (sl *skipList) rangeRows(prefix []Value, lo Value, loStrict bool, hi Value,
 				break
 			}
 		}
-		out = append(out, n.loadRows()...)
+		out = append(out, n.rows.load()...)
 	}
 	return out
 }
@@ -245,6 +219,6 @@ func (sl *skipList) rangeRows(prefix []Value, lo Value, loStrict bool, hi Value,
 // consistency checks and rebuilds.
 func (sl *skipList) each(fn func(key []Value, rows []*Row)) {
 	for n := sl.head.next[0].Load(); n != nil; n = n.next[0].Load() {
-		fn(n.key, n.loadRows())
+		fn(n.key, n.rows.load())
 	}
 }

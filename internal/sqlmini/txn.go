@@ -14,8 +14,8 @@ type undoKind int
 
 const (
 	undoInsert undoKind = iota + 1 // delete the row again
-	undoUpdate                    // restore old values
-	undoDelete                    // resurrect the row
+	undoUpdate                     // restore old values
+	undoDelete                     // resurrect the row
 )
 
 type undoEntry struct {
@@ -141,7 +141,7 @@ func (u *undoLog) applyEntries(c uint64) {
 				}
 			}
 			e.row.push(e.oldVals, c, false)
-			t.indexEnsure(e.row, e.oldVals)
+			t.indexInsert(e.row, e.oldVals, false) // GC may have dropped the entries
 			t.gc.enqueue(gcItem{c: c, row: e.row})
 		}
 	}

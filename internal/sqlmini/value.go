@@ -311,6 +311,28 @@ func Compare(a, b Value) (int, bool) {
 	}
 }
 
+// comparePtr is Compare for values that live in a slice: the index
+// walks call it at every step, and a Value is 96 bytes, so the stored
+// key and the probe are compared where they sit. Same-kind integers,
+// timestamps and strings — what index columns hold — never copy;
+// anything else takes Compare's general path.
+func comparePtr(a, b *Value) (int, bool) {
+	if !a.isSet || !b.isSet {
+		return 0, false
+	}
+	switch {
+	case intType(a.typ) && intType(b.typ):
+		return cmpInt(a.i, b.i), true
+	case a.typ == TypeTimestamp && b.typ == TypeTimestamp:
+		return a.t.Compare(b.t), true
+	case a.typ == TypeVarchar && b.typ == TypeVarchar:
+		return strings.Compare(a.s, b.s), true
+	}
+	return Compare(*a, *b)
+}
+
+func intType(t Type) bool { return t == TypeInteger || t == TypeBigint }
+
 func cmpInt(a, b int64) int {
 	switch {
 	case a < b:
