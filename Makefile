@@ -8,6 +8,7 @@
 #   make doclint         # every internal/ package must have a package comment
 #   make chaos           # longer fault-injection soak across several seeds
 #   make bench-module-check  # vet + test + drivolint the separate bench/ module (drivobench)
+#   make loc             # non-test Go code lines per package (what ROADMAP "non-test lines" means)
 #   make bench           # run the perf-tracked benchmark set
 #   make bench-baseline  # tier1 + benches, refresh BENCH_baseline.json
 #   make bench-compare   # tier1 + benches, diff against BENCH_baseline.json
@@ -18,7 +19,7 @@
 # BENCH_FILTER ('.'' = full suite, includes slow lease-traffic sweeps),
 # BENCH_PKGS.
 
-.PHONY: check check-race tier1 race lint drivolint doclint chaos bench-module-check bench bench-baseline bench-compare loadtest loadtest-baseline
+.PHONY: check check-race tier1 race lint drivolint doclint chaos bench-module-check loc bench bench-baseline bench-compare loadtest loadtest-baseline
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
@@ -73,6 +74,13 @@ doclint:
 # the next benchmark run. This is the same gate, run inside it.
 bench-module-check:
 	cd bench && go vet ./... && go test ./... && go run repro/cmd/drivolint ./...
+
+# loc prints, per package, Go lines outside _test.go files that are
+# neither blank nor comment-only, then the lease-protocol client files
+# as one group: the one count every simplicity PR's before/after claim
+# uses.
+loc:
+	scripts/loc.sh internal/core/bootloader.go internal/core/renew.go internal/core/loadclient.go
 
 bench:
 	scripts/bench.sh run

@@ -41,6 +41,17 @@ func newStackB(b *testing.B, cfg scenarios.StackConfig) *scenarios.Stack {
 	return s
 }
 
+// probe is the one-shot matchmaking check drivoctl runs: dial, one
+// DISCOVER exchange, close.
+func probe(addr string, req core.Request) (core.Offer, error) {
+	c, err := core.DialLeaseClient(addr, 5*time.Second)
+	if err != nil {
+		return core.Offer{}, err
+	}
+	defer c.Close()
+	return c.Discover(req)
+}
+
 // BenchmarkBootstrapProtocol measures the Table 3 flow end to end:
 // DISCOVER-less REQUEST → OFFER → FILE transfer → verify → load →
 // connect, per fresh bootloader.
@@ -187,7 +198,7 @@ func BenchmarkLicenseCheckAt10000Leases(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Probe(s.Drv.Addr(), req, 5*time.Second); err != nil {
+		if _, err := probe(s.Drv.Addr(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -278,7 +289,7 @@ func BenchmarkMatchmaking(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Probe(s.Drv.Addr(), req, 5*time.Second); err != nil {
+		if _, err := probe(s.Drv.Addr(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -306,7 +317,7 @@ func BenchmarkConcurrentMatchmaking(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := core.Probe(s.Drv.Addr(), req, 5*time.Second); err != nil {
+			if _, err := probe(s.Drv.Addr(), req); err != nil {
 				b.Error(err)
 				return
 			}
@@ -375,7 +386,7 @@ func BenchmarkConcurrentMixed(b *testing.B) {
 				}
 				continue
 			}
-			if _, err := core.Probe(s.Drv.Addr(), req, 5*time.Second); err != nil {
+			if _, err := probe(s.Drv.Addr(), req); err != nil {
 				b.Error(err)
 				return
 			}
@@ -818,13 +829,13 @@ func BenchmarkExternalMatchmaking(b *testing.B) {
 		ClientID:       "bench",
 	}
 	// Warm: load the catalog and fix capability detection.
-	if _, err := core.Probe(s.drv.Addr(), req, 5*time.Second); err != nil {
+	if _, err := probe(s.drv.Addr(), req); err != nil {
 		b.Fatal(err)
 	}
 	queriesBefore := s.legacy.QueriesServed()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Probe(s.drv.Addr(), req, 5*time.Second); err != nil {
+		if _, err := probe(s.drv.Addr(), req); err != nil {
 			b.Fatal(err)
 		}
 	}

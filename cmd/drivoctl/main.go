@@ -167,14 +167,19 @@ func cmdProbe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	offer, err := core.Probe(*server, core.Request{
+	c, err := core.DialLeaseClient(*server, 5*time.Second)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	offer, err := c.Discover(core.Request{
 		Database:       *database,
 		User:           *user,
 		Password:       *password,
 		API:            dbver.AnyVersionAPI(*api),
 		ClientPlatform: dbver.Platform(*platform),
 		ClientID:       "drivoctl",
-	}, 5*time.Second)
+	})
 	if err != nil {
 		return err
 	}

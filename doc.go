@@ -42,9 +42,12 @@
 // fetched lazily, only when a transfer will actually happen — DISCOVER
 // probes and renewal-no-change round trips are blob-free — and §5.4.1
 // on-demand assembly is memoized per (driver content, package set,
-// options) shape. Bootloaders keep a persistent connection to their
+// options) shape. The client side of the lease protocol lives in one
+// place, core.LeaseClient (framing, reply deadlines, poisoning on any
+// transport failure); a Bootloader keeps one such client cached to its
 // server, so the §3.2 steady-state lease traffic costs one framed round
-// trip per renewal. ConnStore deployments (the external server, §4.1.3)
+// trip per renewal, and adds only policy: discovery, failover,
+// redirect hops, install. ConnStore deployments (the external server, §4.1.3)
 // reach the same fast path over the wire: when the legacy DBMS session
 // negotiates the v2 table-versions capability, the catalog validates
 // against one generation-probe frame per request — zero SQL — and

@@ -78,13 +78,16 @@ type Bootloader struct {
 	wakeCh    chan struct{}
 	wg        sync.WaitGroup
 
-	// Cached protocol connection to the current server, reused across
+	// bootMu serializes the first bootstrap, so racing first Connects
+	// cost one REQUEST, one lease and one transfer between them.
+	bootMu sync.Mutex
+
+	// Cached lease-protocol client to the current server, reused across
 	// renewals so the steady-state lease traffic (§3.2) costs one round
 	// trip, not a dial + round trip. Guarded by connMu for the whole
-	// exchange; dropped on any transport error or dirty stream.
-	connMu      sync.Mutex
-	srvConn     *wire.Conn
-	srvConnAddr string
+	// exchange; dropped as soon as it is poisoned.
+	connMu sync.Mutex
+	srv    *LeaseClient
 
 	metMu sync.Mutex
 	met   Metrics
@@ -309,32 +312,23 @@ func (b *Bootloader) Connect(url string, props client.Props) (client.Conn, error
 
 // ensureDriver returns the installed driver, bootstrapping on first use.
 func (b *Bootloader) ensureDriver(database string) (*loadedDriver, error) {
-	b.mu.Lock()
-	if b.revoked {
-		err := b.revokeErr
-		b.mu.Unlock()
-		if err == nil {
-			err = ErrNoDriverAvailable
-		}
-		return nil, err
+	if ld, err := b.installed(); ld != nil || err != nil {
+		return ld, err
 	}
-	if b.cur != nil {
-		ld := b.cur
-		b.mu.Unlock()
-		return ld, nil
+	// Bootstrap outside b.mu but one at a time: whoever loses the race
+	// for bootMu finds the winner's driver installed and adopts it
+	// instead of taking a second lease (in license mode, a second seat).
+	b.bootMu.Lock()
+	defer b.bootMu.Unlock()
+	if ld, err := b.installed(); ld != nil || err != nil {
+		return ld, err
 	}
-	b.mu.Unlock()
-
-	// Bootstrap outside the lock; serialize concurrent first-connects.
 	ld, err := b.bootstrap(database)
 	if err != nil {
 		return nil, err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.cur != nil { // another goroutine won the race
-		return b.cur, nil
-	}
 	b.cur = ld
 	if !b.started {
 		b.started = true
@@ -346,6 +340,20 @@ func (b *Bootloader) ensureDriver(database string) (*loadedDriver, error) {
 		}
 	}
 	b.addMetric(func(m *Metrics) { m.Bootstraps++ })
+	return ld, nil
+}
+
+// installed returns the current driver, or the revocation error that
+// blocks new connections; both nil before the first bootstrap.
+func (b *Bootloader) installed() (*loadedDriver, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.revoked {
+		if b.revokeErr == nil {
+			return nil, ErrNoDriverAvailable
+		}
+		return nil, b.revokeErr
+	}
 	return b.cur, nil
 }
 
@@ -379,6 +387,16 @@ func (b *Bootloader) dialServer(addr string) (*wire.Conn, error) {
 	return wire.Dial(addr, b.dialTimeout)
 }
 
+// dialClient opens a lease-protocol client to addr; dialTimeout also
+// bounds each of its reply waits.
+func (b *Bootloader) dialClient(addr string) (*LeaseClient, error) {
+	conn, err := b.dialServer(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &LeaseClient{conn: conn, addr: addr, timeout: b.dialTimeout}, nil
+}
+
 // discover probes every configured server (the DHCP-like broadcast,
 // §3.1) and returns the address of the first one that answers with an
 // offer.
@@ -394,41 +412,15 @@ func (b *Bootloader) discover(database string) (string, error) {
 		err  error
 	}
 	ch := make(chan answer, len(b.servers))
-	req := b.request(database, 0, "").encode()
+	req := b.request(database, 0, "")
 	for _, addr := range b.servers {
 		go func(addr string) {
-			// A clean exchange over the cached renewal connection settles
-			// this server without a dial; a cached connection that turns
-			// out dead falls through to a fresh dial like any other server
-			// (DISCOVER is idempotent, so re-sending is safe).
-			if offered, used, err := b.probeCached(addr, req); used && err == nil {
-				if offered {
-					ch <- answer{addr: addr}
-				} else {
-					ch <- answer{err: fmt.Errorf("drivolution: %s declined discover", addr)}
-				}
-				return
+			c, err := b.dialClient(addr)
+			if err == nil {
+				_, err = c.Discover(req)
+				c.Close()
 			}
-			conn, err := b.dialServer(addr)
-			if err != nil {
-				ch <- answer{err: err}
-				return
-			}
-			defer conn.Close()
-			if err := conn.Send(msgDiscover, req); err != nil {
-				ch <- answer{err: err}
-				return
-			}
-			f, err := conn.RecvTimeout(b.dialTimeout)
-			if err != nil {
-				ch <- answer{err: err}
-				return
-			}
-			if f.Type != msgOffer {
-				ch <- answer{err: fmt.Errorf("drivolution: %s declined discover", addr)}
-				return
-			}
-			ch <- answer{addr: addr}
+			ch <- answer{addr, err}
 		}(addr)
 	}
 	var firstErr error
@@ -442,58 +434,6 @@ func (b *Bootloader) discover(database string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("%w: %v", ErrNoServers, firstErr)
-}
-
-// probeCached runs one DISCOVER probe over the persistent renewal
-// connection when the bootloader still holds one to addr, instead of
-// dialing a second connection to a server it is already talking to.
-// used=false means no cached connection covered addr and the caller
-// should dial. The connection is detached for the duration of the round
-// trip so connMu is never held across network I/O: a concurrent fetch
-// simply sees no cached connection and dials, rather than blocking up
-// to dialTimeout behind a slow probe. A transport failure discards the
-// connection (the next renewal redials); a clean exchange re-caches it.
-func (b *Bootloader) probeCached(addr string, req []byte) (offered, used bool, err error) {
-	b.connMu.Lock()
-	if b.srvConn == nil || b.srvConnAddr != addr {
-		b.connMu.Unlock()
-		return false, false, nil
-	}
-	conn := b.srvConn
-	b.srvConn, b.srvConnAddr = nil, ""
-	b.connMu.Unlock()
-
-	healthy := false
-	defer func() {
-		b.connMu.Lock()
-		// The stop check must happen under connMu: Close() closes stopCh
-		// before sweeping srvConn, so a defer that re-caches without
-		// observing the close is guaranteed to do so before Close's sweep
-		// acquires the lock — the sweep then finds and closes the conn.
-		stopped := false
-		select {
-		case <-b.stopCh:
-			stopped = true // Close() ran mid-probe; it cannot see a detached conn
-		default:
-		}
-		if healthy && !stopped && b.srvConn == nil {
-			b.srvConn, b.srvConnAddr = conn, addr
-		} else {
-			// Broken stream, bootloader closed, or a concurrent fetch
-			// cached a fresh connection while we probed: ours is surplus.
-			conn.Close()
-		}
-		b.connMu.Unlock()
-	}()
-	if err := conn.Send(msgDiscover, req); err != nil {
-		return false, true, err
-	}
-	f, err := conn.RecvTimeout(b.dialTimeout)
-	if err != nil {
-		return false, true, err
-	}
-	healthy = true
-	return f.Type == msgOffer, true, nil
 }
 
 // fetch performs REQUEST → OFFER → FILE_REQUEST → FILE_DATA* against one
@@ -510,7 +450,7 @@ func (b *Bootloader) fetch(addr, database string, leaseID uint64, checksum strin
 	b.connMu.Lock()
 	defer b.connMu.Unlock()
 	for hop := 0; ; hop++ {
-		offer, blob, err := b.fetchLocked(addr, database, leaseID, checksum)
+		offer, blob, err := b.fetchLocked(addr, b.request(database, leaseID, checksum))
 		var re *Redirect
 		if hop < 2 && errors.As(err, &re) && re.Addr != "" && re.Addr != addr {
 			addr = re.Addr
@@ -521,16 +461,16 @@ func (b *Bootloader) fetch(addr, database string, leaseID uint64, checksum strin
 }
 
 // fetchLocked runs one fetch against exactly one server; caller holds
-// connMu. It reuses a cached connection to addr when one is healthy; a
-// cached connection that fails mid-exchange (server restarted, idle
-// drop) is replaced by one fresh dial before the error is reported.
-func (b *Bootloader) fetchLocked(addr, database string, leaseID uint64, checksum string) (Offer, []byte, error) {
-	if b.srvConn != nil && b.srvConnAddr == addr {
-		offer, blob, err, clean, received := b.fetchOn(b.srvConn, database, leaseID, checksum)
-		if clean {
-			return offer, blob, err
-		}
-		b.dropServerConnLocked()
+// connMu. It reuses the cached client when that is connected to addr,
+// and leaves b.srv holding a client only while it is usable.
+func (b *Bootloader) fetchLocked(addr string, req Request) (Offer, []byte, error) {
+	if b.srv != nil && b.srv.addr != addr {
+		b.dropServerLocked() // failover: talking to a different server now
+	}
+	var offer Offer
+	var err error
+	if b.srv != nil {
+		offer, err = b.srv.Request(req)
 		// Retry on a fresh dial ONLY when the cached connection was
 		// dead on arrival (send failed, or the very first read hit
 		// EOF/reset without a timeout) — then the server cannot have
@@ -539,117 +479,43 @@ func (b *Bootloader) fetchLocked(addr, database string, leaseID uint64, checksum
 		// (lease created, license seat taken); re-sending would apply
 		// it twice, so surface the error and let the renewal layer's
 		// keep-driver/retry-later policy handle it.
-		var nerr net.Error
-		timedOut := errors.As(err, &nerr) && nerr.Timeout()
-		if received || timedOut {
-			return offer, blob, err
+		if err != nil && isNoReply(err) {
+			b.dropServerLocked()
 		}
-	} else if b.srvConn != nil {
-		b.dropServerConnLocked() // failover: talking to a different server now
 	}
-
-	conn, err := b.dialServer(addr)
+	if b.srv == nil {
+		if b.srv, err = b.dialClient(addr); err != nil {
+			return Offer{}, nil, err
+		}
+		offer, err = b.srv.Request(req)
+	}
+	var blob []byte
+	if err == nil && offer.HasDriver {
+		blob = make([]byte, 0, offer.Size)
+		if _, err = b.srv.fetchFile(offer.LeaseID, &blob); err != nil {
+			err = fmt.Errorf("drivolution: transfer: %w", err)
+		} else if uint32(len(blob)) != offer.Size {
+			// Every frame was well-formed, but the stream cannot be trusted.
+			err = b.srv.fail(fmt.Errorf("drivolution: transfer size mismatch: got %d, offered %d", len(blob), offer.Size))
+		} else {
+			b.addMetric(func(m *Metrics) { m.BytesFetched += int64(len(blob)) })
+		}
+	}
+	if b.srv.poisoned {
+		b.dropServerLocked()
+	}
 	if err != nil {
 		return Offer{}, nil, err
 	}
-	offer, blob, ferr, clean, _ := b.fetchOn(conn, database, leaseID, checksum)
-	if clean {
-		b.srvConn, b.srvConnAddr = conn, addr
-	} else {
-		conn.Close()
-	}
-	return offer, blob, ferr
+	return offer, blob, nil
 }
 
-// dropServerConnLocked closes the cached server connection; caller
-// holds connMu.
-func (b *Bootloader) dropServerConnLocked() {
-	if b.srvConn != nil {
-		b.srvConn.Close()
-		b.srvConn = nil
-		b.srvConnAddr = ""
+// dropServerLocked closes the cached lease client; caller holds connMu.
+func (b *Bootloader) dropServerLocked() {
+	if b.srv != nil {
+		b.srv.Close()
+		b.srv = nil
 	}
-}
-
-// fetchOn runs one REQUEST exchange over conn. clean reports whether
-// the stream is positioned on a frame boundary afterwards (a protocol
-// error from the server is a clean, complete exchange; a transport or
-// framing failure is not), i.e. whether conn is safe to reuse.
-// received reports whether any response frame arrived — once true, the
-// server definitely processed the request, so the caller must not
-// retry it elsewhere.
-func (b *Bootloader) fetchOn(conn *wire.Conn, database string, leaseID uint64, checksum string) (_ Offer, _ []byte, _ error, clean, received bool) {
-	if err := conn.Send(msgRequest, b.request(database, leaseID, checksum).encode()); err != nil {
-		return Offer{}, nil, err, false, false
-	}
-	f, err := conn.RecvTimeout(b.dialTimeout)
-	if err != nil {
-		return Offer{}, nil, err, false, false
-	}
-	switch f.Type {
-	case msgError:
-		pe, derr := decodeProtocolError(f.Payload)
-		if derr != nil {
-			return Offer{}, nil, derr, false, true
-		}
-		return Offer{}, nil, pe, true, true
-	case msgRedirect:
-		// Cluster shard routing: this member does not own the request's
-		// shard. A complete, clean exchange — the connection stays
-		// reusable (it is still the right server for DISCOVER probes).
-		re, derr := decodeRedirect(f.Payload)
-		if derr != nil {
-			return Offer{}, nil, derr, false, true
-		}
-		return Offer{}, nil, re, true, true
-	case msgOffer:
-	default:
-		return Offer{}, nil, fmt.Errorf("drivolution: unexpected frame 0x%04x", f.Type), false, true
-	}
-	offer, err := decodeOffer(f.Payload)
-	if err != nil {
-		return Offer{}, nil, err, false, true
-	}
-	if !offer.HasDriver {
-		return offer, nil, nil, true, true
-	}
-
-	if err := conn.Send(msgFileRequest, fileRequest{LeaseID: offer.LeaseID}.encode()); err != nil {
-		return Offer{}, nil, err, false, true
-	}
-	blob := make([]byte, 0, offer.Size)
-	for {
-		f, err := conn.RecvTimeout(b.dialTimeout)
-		if err != nil {
-			return Offer{}, nil, fmt.Errorf("drivolution: transfer: %w", err), false, true
-		}
-		if f.Type == msgError {
-			pe, derr := decodeProtocolError(f.Payload)
-			if derr != nil {
-				return Offer{}, nil, derr, false, true
-			}
-			return Offer{}, nil, pe, true, true
-		}
-		if f.Type != msgFileData {
-			return Offer{}, nil, fmt.Errorf("drivolution: unexpected frame 0x%04x during transfer", f.Type), false, true
-		}
-		chunk, err := decodeFileChunk(f.Payload)
-		if err != nil {
-			return Offer{}, nil, err, false, true
-		}
-		if int(chunk.Offset) != len(blob) {
-			return Offer{}, nil, fmt.Errorf("drivolution: transfer gap at offset %d", chunk.Offset), false, true
-		}
-		blob = append(blob, chunk.Data...)
-		if chunk.Last {
-			break
-		}
-	}
-	if uint32(len(blob)) != offer.Size {
-		return Offer{}, nil, fmt.Errorf("drivolution: transfer size mismatch: got %d, offered %d", len(blob), offer.Size), false, true
-	}
-	b.addMetric(func(m *Metrics) { m.BytesFetched += int64(len(blob)) })
-	return offer, blob, nil, true, true
 }
 
 // install decodes, verifies, and loads a driver blob (the paper's
@@ -720,7 +586,7 @@ func (b *Bootloader) Close() {
 	}
 	b.mu.Unlock()
 	b.connMu.Lock()
-	b.dropServerConnLocked()
+	b.dropServerLocked()
 	b.connMu.Unlock()
 	if cur != nil {
 		cur.closeAll(b, false)

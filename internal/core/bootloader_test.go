@@ -40,9 +40,8 @@ func TestBootstrapAndQuery(t *testing.T) {
 		t.Error("LeaseID = 0 after bootstrap")
 	}
 	// Server-side counters moved.
-	reqs, offers, _, transfers, bytesOut, _ := f.drv.Stats()
-	if reqs < 1 || offers < 1 || transfers != 1 || bytesOut == 0 {
-		t.Errorf("server stats: reqs=%d offers=%d transfers=%d bytes=%d", reqs, offers, transfers, bytesOut)
+	if sc := f.drv.Counters(); sc.Requests < 1 || sc.Offers < 1 || sc.Transfers != 1 || sc.BytesOut == 0 {
+		t.Errorf("server counters: %+v", sc)
 	}
 	// One lease on record.
 	leases, err := f.drv.Leases()
@@ -111,7 +110,7 @@ func TestRenewKeepsDriver(t *testing.T) {
 	b := f.bootloader(t)
 	mustConnect(t, b, f.appURL())
 
-	_, _, _, transfersBefore, _, _ := f.drv.Stats()
+	transfersBefore := f.drv.Counters().Transfers
 	if err := b.ForceRenew("prod"); err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +118,7 @@ func TestRenewKeepsDriver(t *testing.T) {
 	if m.Renewals != 1 || m.Upgrades != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	_, _, _, transfersAfter, _, _ := f.drv.Stats()
-	if transfersAfter != transfersBefore {
+	if f.drv.Counters().Transfers != transfersBefore {
 		t.Error("renewal must not re-transfer an unchanged driver")
 	}
 	leases, _ := f.drv.Leases()
@@ -460,7 +458,7 @@ func TestPushUpdates(t *testing.T) {
 	// Give the push loop a moment to subscribe.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, _, _, _, _, n := f.drv.Stats(); n >= 0 {
+		if f.drv.Counters().Notifies >= 0 {
 			break
 		}
 	}
@@ -669,71 +667,5 @@ func TestProtocolMismatchSurfacesThroughBootloader(t *testing.T) {
 	}
 	if _, err := b.Connect(f.appURL(), nil); err != nil {
 		t.Fatalf("connect after fix: %v", err)
-	}
-}
-
-// TestDiscoverReusesRenewalConn: a DISCOVER round must probe the server
-// the bootloader is already connected to over the persistent renewal
-// connection instead of dialing it a second time (ROADMAP lever a).
-func TestDiscoverReusesRenewalConn(t *testing.T) {
-	f := newFixture(t, 1)
-	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 256))
-	srv2, err := NewServer("drivolution-2", NewLocalStore(f.drv.store.(*LocalStore).DB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv2.Stop)
-
-	b := NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64,
-		[]string{f.drv.Addr(), srv2.Addr()}, f.rt,
-		WithCredentials("app", "app-pw"),
-		WithDialTimeout(time.Second))
-	t.Cleanup(b.Close)
-	mustConnect(t, b, f.appURL())
-
-	b.connMu.Lock()
-	cachedAddr := b.srvConnAddr
-	b.connMu.Unlock()
-	if cachedAddr == "" {
-		t.Fatal("no cached renewal connection after bootstrap")
-	}
-	connected := f.drv
-	if cachedAddr == srv2.Addr() {
-		connected = srv2
-	}
-	connCount := func(s *Server) int {
-		s.connsMu.Lock()
-		defer s.connsMu.Unlock()
-		return len(s.conns)
-	}
-	before := connCount(connected)
-	if _, err := b.discover("prod"); err != nil {
-		t.Fatal(err)
-	}
-	if after := connCount(connected); after != before {
-		t.Fatalf("discover opened %d extra connection(s) to the already-connected server", after-before)
-	}
-	// discover returns on the first answer, possibly before the probe
-	// goroutine has re-cached the detached connection; wait for it.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		b.connMu.Lock()
-		kept := b.srvConn != nil && b.srvConnAddr == cachedAddr
-		b.connMu.Unlock()
-		if kept {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("discover probe dropped the healthy renewal connection")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The shared connection is still positioned on a frame boundary:
-	// renewals keep working over it.
-	if err := b.ForceRenew("prod"); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -340,26 +340,10 @@ func (b *Bootloader) ReleaseLease() error {
 	if cur == nil {
 		return ErrNoDriverAvailable
 	}
-	conn, err := b.dialServer(serverAddr)
+	c, err := b.dialClient(serverAddr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	if err := conn.Send(msgRelease, releaseMsg{LeaseID: leaseID}.encode()); err != nil {
-		return err
-	}
-	f, err := conn.RecvTimeout(b.dialTimeout)
-	if err != nil {
-		return err
-	}
-	if f.Type != msgReleaseOK {
-		if f.Type == msgError {
-			pe, derr := decodeProtocolError(f.Payload)
-			if derr == nil {
-				return pe
-			}
-		}
-		return errors.New("drivolution: release failed")
-	}
-	return nil
+	defer c.Close()
+	return c.Release(leaseID)
 }

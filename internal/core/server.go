@@ -311,24 +311,16 @@ func (s *Server) Name() string { return s.name }
 // listener over the same drivers table).
 func (s *Server) Store() Store { return s.store }
 
-// Stats reports protocol counters: requests received, offers sent,
-// errors sent, file transfers completed, bytes transferred, and push
-// notifications delivered.
-func (s *Server) Stats() (requests, offers, errsSent, transfers, bytesOut, notifies int64) {
-	return s.requests.Load(), s.offers.Load(), s.errsSent.Load(),
-		s.transfers.Load(), s.bytesOut.Load(), s.notifies.Load()
-}
-
-// ServerCounters is a named snapshot of the server's protocol counters
-// — the positional Stats() plus the grant-outcome split the load
-// harness asserts on: how many offers were fresh leases, same-driver
-// renewals, and upgrade renewals.
+// ServerCounters is a named snapshot of the server's protocol counters,
+// including the grant-outcome split the load harness asserts on: how
+// many offers were fresh leases, same-driver renewals, and upgrade
+// renewals.
 type ServerCounters struct {
 	Requests   int64 // DISCOVER + REQUEST frames received
 	Offers     int64 // OFFER frames sent
 	ErrorsSent int64 // DRIVOLUTION_ERROR frames sent
-	Transfers  int64 // completed FILE_DATA streams
-	BytesOut   int64 // driver bytes transferred
+	Transfers  int64 // FILE_DATA streams sent through their last chunk
+	BytesOut   int64 // driver bytes handed to the transport
 	Notifies   int64 // push notifications delivered
 
 	// LeasesGranted counts fresh leases created (Table 3 bootstraps).
@@ -649,16 +641,17 @@ func (s *Server) handleFileRequest(conn *wire.Conn, payload []byte) {
 		chunk := fileChunk{Offset: off, Total: total, Last: end == total, Data: blob[off:end]}
 		e.Reset()
 		chunk.encodeTo(e)
-		if err := conn.Send(msgFileData, e.Bytes()); err != nil {
-			return
-		}
+		// Count before sending: a client holding the last chunk may read
+		// Counters() at once and must find its own transfer there.
 		s.bytesOut.Add(int64(end - off))
 		if chunk.Last {
-			break
+			s.transfers.Add(1)
+		}
+		if err := conn.Send(msgFileData, e.Bytes()); err != nil || chunk.Last {
+			return
 		}
 		off = end
 	}
-	s.transfers.Add(1)
 }
 
 func (s *Server) handleSubscribe(conn *wire.Conn, payload []byte) bool {

@@ -157,36 +157,43 @@ func TestPoolIntegration(t *testing.T) {
 
 // TestConcurrentFirstConnect: many goroutines race the initial
 // bootstrap; exactly one download happens and every connect succeeds.
+// In license mode (§5.4.2) a second REQUEST would be refused a seat —
+// or take another driver's — so there the racers must share the
+// winner's lease too.
 func TestConcurrentFirstConnect(t *testing.T) {
-	f := newFixture(t, 1)
-	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 64<<10))
-	b := f.bootloader(t)
+	for name, opts := range map[string][]ServerOption{"open": nil, "license mode": {WithLicenseMode()}} {
+		t.Run(name, func(t *testing.T) {
+			f := newFixture(t, 1, opts...)
+			f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 64<<10))
+			b := f.bootloader(t)
 
-	const n = 12
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func() {
-			c, err := b.Connect(f.appURL(), nil)
-			if err != nil {
-				errs <- err
-				return
+			const n = 12
+			errs := make(chan error, n)
+			for i := 0; i < n; i++ {
+				go func() {
+					c, err := b.Connect(f.appURL(), nil)
+					if err != nil {
+						errs <- err
+						return
+					}
+					_, err = c.Query("SELECT 1")
+					c.Close()
+					errs <- err
+				}()
 			}
-			_, err = c.Query("SELECT 1")
-			c.Close()
-			errs <- err
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Concurrent racers may bootstrap redundantly, but only one install
-	// wins and the count stays far below one-per-connect.
-	if m := b.Stats(); m.Bootstraps != 1 {
-		// The race guard serializes after the first winner; losers adopt
-		// the winner's driver. Allow the winner only.
-		t.Fatalf("Bootstraps = %d, want 1", m.Bootstraps)
+			for i := 0; i < n; i++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if m := b.Stats(); m.Bootstraps != 1 {
+				t.Fatalf("Bootstraps = %d, want 1", m.Bootstraps)
+			}
+			if sc := f.drv.Counters(); sc.LeasesGranted != 1 || sc.Transfers != 1 {
+				t.Fatalf("server granted %d leases and ran %d transfers for one bootloader, want 1 and 1",
+					sc.LeasesGranted, sc.Transfers)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package scenarios
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -147,44 +146,10 @@ func RunLoad(name string, cfg LoadConfig) (*LoadResult, error) {
 	}
 }
 
-// countingStore wraps a LocalStore and counts every statement crossing
-// the Store boundary — both direct Execs and executions of prepared
-// handles. Embedding keeps the LocalStore's interface upgrades
-// (GenerationStore, BatchStore) visible, so the server's catalog cache
-// and grant path behave exactly as in production; only Exec/Prepare
-// are intercepted.
-type countingStore struct {
-	*core.LocalStore
-	stmts atomic.Int64
-}
-
-func (c *countingStore) Exec(sql string, args ...any) (*sqlmini.Result, error) {
-	c.stmts.Add(1)
-	return c.LocalStore.Exec(sql, args...)
-}
-
-func (c *countingStore) Prepare(sql string) (core.Stmt, error) {
-	h, err := c.LocalStore.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &countingStmt{Stmt: h, n: &c.stmts}, nil
-}
-
-type countingStmt struct {
-	core.Stmt
-	n *atomic.Int64
-}
-
-func (s *countingStmt) Exec(args ...any) (*sqlmini.Result, error) {
-	s.n.Add(1)
-	return s.Stmt.Exec(args...)
-}
-
 // loadServer boots a Drivolution server for a load scenario and
 // returns it with its statement counter.
-func loadServer(cfg LoadConfig, opts ...core.ServerOption) (*core.Server, *countingStore, error) {
-	store := &countingStore{LocalStore: core.NewLocalStore(sqlmini.NewDB())}
+func loadServer(cfg LoadConfig, opts ...core.ServerOption) (*core.Server, *core.CountingGenerationStore, error) {
+	store := core.NewCountingGenerationStore(core.NewLocalStore(sqlmini.NewDB()))
 	opts = append([]core.ServerOption{core.WithDefaultLease(cfg.Lease)}, opts...)
 	srv, err := core.NewServer("load-drv", store, opts...)
 	if err != nil {
@@ -246,8 +211,8 @@ func rampFor(cfg LoadConfig) time.Duration {
 }
 
 // result folds a fleet report and the server-side statement count
-// (from the countingStore, or table-version deltas for the cluster
-// tier) into the persisted shape.
+// (from the CountingGenerationStore, or table-version deltas for the
+// cluster tier) into the persisted shape.
 func result(name string, cfg LoadConfig, rep workload.FleetReport, stmts int64) *LoadResult {
 	stmtRate := 0.0
 	if rep.Elapsed > 0 {
@@ -297,7 +262,7 @@ func loadSteady(cfg LoadConfig) (*LoadResult, error) {
 		return nil, err
 	}
 	rep := f.RunFor(rampFor(cfg) + cfg.Duration)
-	res := result("steady", cfg, rep, store.stmts.Load())
+	res := result("steady", cfg, rep, store.Statements())
 	if rep.Stats.Errors != 0 {
 		return res, fmt.Errorf("steady-state fleet saw %d errors: %s", rep.Stats.Errors, rep)
 	}
@@ -398,7 +363,7 @@ func loadStorm(cfg LoadConfig) (*LoadResult, error) {
 	}
 	f.Stop()
 	rep := f.Report()
-	res := result("storm", cfg, rep, store.stmts.Load())
+	res := result("storm", cfg, rep, store.Statements())
 	res.ConvergeMs = float64(converge) / float64(time.Millisecond)
 	if rep.Stats.Errors != 0 {
 		return res, fmt.Errorf("upgrade storm saw %d errors: %s", rep.Stats.Errors, rep)
@@ -470,7 +435,7 @@ func loadLicense(cfg LoadConfig) (*LoadResult, error) {
 	}
 	f.Stop()
 	rep := f.Report()
-	res := result("license", cfg, rep, store.stmts.Load())
+	res := result("license", cfg, rep, store.Statements())
 	res.PeakLicenses = peak
 	res.LicenseCap = seats
 	if peak > seats {
@@ -541,7 +506,7 @@ func loadRestart(cfg LoadConfig) (*LoadResult, error) {
 	}
 	f.Stop()
 	rep := f.Report()
-	res := result("restart", cfg, rep, store.stmts.Load())
+	res := result("restart", cfg, rep, store.Statements())
 	res.ConvergeMs = float64(converge) / float64(time.Millisecond)
 	if rep.Stats.Errors == 0 {
 		return res, fmt.Errorf("restart storm saw no errors — the outage was not exercised")

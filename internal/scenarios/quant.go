@@ -161,8 +161,7 @@ func Q2() (*Report, error) {
 			//lint:sleep-ok 2ms fixed cadence bounds the reaction-time measurement error; backoff would coarsen it
 			time.Sleep(2 * time.Millisecond)
 		}
-		reqs, _, _, _, _, _ := s.Drv.Stats()
-		return row{lease: lease, requests: reqs, reaction: reaction, push: push}, nil
+		return row{lease: lease, requests: s.Drv.Counters().Requests, reaction: reaction, push: push}, nil
 	}
 
 	for _, lease := range []time.Duration{25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
