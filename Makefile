@@ -4,9 +4,10 @@
 #   make check-race      # tier-1 under the race detector (all packages)
 #   make tier1           # build + tests only (what scripts/bench.sh gates on)
 #   make race            # grant-path packages under the race detector
-#   make lint            # vet + doclint + drivolint (LINT_FILTER narrows analyzers)
+#   make lint            # gofmt + vet + doclint + drivolint (LINT_FILTER narrows analyzers)
 #   make doclint         # every internal/ package must have a package comment
 #   make chaos           # longer fault-injection soak across several seeds
+#   make fuzz-smoke      # 20 s of native fuzzing per target (off the tier-1 path)
 #   make bench-module-check  # vet + test + drivolint the separate bench/ module (drivobench)
 #   make loc             # non-test Go code lines per package (what ROADMAP "non-test lines" means)
 #   make bench           # run the perf-tracked benchmark set
@@ -19,7 +20,7 @@
 # BENCH_FILTER ('.'' = full suite, includes slow lease-traffic sweeps),
 # BENCH_PKGS.
 
-.PHONY: check check-race tier1 race lint drivolint doclint chaos bench-module-check loc bench bench-baseline bench-compare loadtest loadtest-baseline
+.PHONY: check check-race tier1 race lint drivolint doclint chaos fuzz-smoke bench-module-check loc bench bench-baseline bench-compare loadtest loadtest-baseline
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
@@ -28,12 +29,15 @@ check: lint
 	go build ./...
 	go test ./...
 
-# lint is the static-analysis gate: go vet, the package-comment lint,
-# and the repo's own drivolint analyzer suite (cmd/drivolint). Narrow
+# lint is the static-analysis gate: gofmt (any file it would rewrite
+# fails the build), go vet, the package-comment lint, and the repo's
+# own drivolint analyzer suite (cmd/drivolint). Narrow
 # to a subset of analyzers with LINT_FILTER, a regexp over analyzer
 # names, e.g. `make lint LINT_FILTER='sqlcheck|latchorder'`.
 LINT_FILTER ?= .
 lint:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files are not formatted (run gofmt -w):" >&2; echo "$$unformatted" >&2; exit 1; fi
 	go vet ./...
 	scripts/doclint.sh
 	go run ./cmd/drivolint -filter='$(LINT_FILTER)' ./...
@@ -57,6 +61,13 @@ CHAOS_SEEDS ?= 5
 CHAOS_DURATION ?= 5s
 chaos:
 	CHAOS_DURATION=$(CHAOS_DURATION) go test -race -run 'TestChaosSoak' -count=$(CHAOS_SEEDS) -v ./internal/core/
+
+# fuzz-smoke runs each native fuzz target for FUZZ_TIME. The targets'
+# seed corpora already run inside `go test` (and so `make check`);
+# this is the short mutation run CI adds off the tier-1 path.
+FUZZ_TIME ?= 20s
+fuzz-smoke:
+	go test ./internal/driverimg -run '^$$' -fuzz=FuzzEncodedImage -fuzztime=$(FUZZ_TIME)
 
 tier1:
 	go build ./...

@@ -13,6 +13,11 @@
 // catalog replicated to every member, heartbeat-driven failover.
 // Member addresses are assigned by the kernel and logged at startup;
 // probe them with `drivoctl cluster-status -server <cluster addr>`.
+//
+// In both modes expired leases are swept once a second
+// (Server.ReapExpiredLeases): their licenses free up, their rows leave
+// the lease table and the driver blobs staged for clients that never
+// fetched them are dropped.
 package main
 
 import (
@@ -22,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"time"
 
@@ -30,6 +36,9 @@ import (
 	"repro/internal/dbver"
 	"repro/internal/driverimg"
 )
+
+// reapInterval is how often the daemon sweeps expired leases.
+const reapInterval = time.Second
 
 func main() {
 	var (
@@ -62,41 +71,76 @@ func main() {
 		runCluster(*members, *shards, *dir, *useTLS, opts)
 		return
 	}
-	srv, err := drivolution.NewServer("drivolutiond", drivolution.NewLocalStore(drivolution.NewDB()), opts...)
+	srv, stop, err := startStandalone(*addr, *dir, *useTLS, reapInterval, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *dir != "" {
-		n, err := loadDrivers(srv, *dir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("loaded %d driver image(s) from %s", n, *dir)
-	}
-
-	if *useTLS {
-		host, _, _ := splitHostPort(*addr)
-		cert, _, err := drivolution.GenerateTLSCert(host)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := srv.StartTLS(*addr, cert); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("drivolutiond serving with TLS on %s", srv.Addr())
-	} else {
-		if err := srv.Start(*addr); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("drivolutiond serving on %s", srv.Addr())
-	}
+	log.Printf("drivolutiond serving on %s (tls=%v)", srv.Addr(), *useTLS)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Print("shutting down")
-	srv.Stop()
+	stop()
+}
+
+// startStandalone assembles the standalone daemon: a server over an
+// embedded database, the driver images of dir loaded into it, a
+// listener on addr, and the reaper sweeping every reap. The returned
+// stop function ends the reaper, then the server.
+func startStandalone(addr, dir string, useTLS bool, reap time.Duration,
+	opts []drivolution.ServerOption) (*drivolution.Server, func(), error) {
+	srv, err := drivolution.NewServer("drivolutiond", drivolution.NewLocalStore(drivolution.NewDB()), opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	if dir != "" {
+		n, err := loadDrivers(srv, dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		log.Printf("loaded %d driver image(s) from %s", n, dir)
+	}
+	if useTLS {
+		host, _, _ := splitHostPort(addr)
+		cert, _, err := drivolution.GenerateTLSCert(host)
+		if err != nil {
+			return nil, nil, err
+		}
+		err = srv.StartTLS(addr, cert)
+	} else {
+		err = srv.Start(addr)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	stopReaper := reapEvery(srv, reap)
+	return srv, func() { stopReaper(); srv.Stop() }, nil
+}
+
+// reapEvery sweeps srv's expired leases once per interval until the
+// returned stop function is called; stop returns when the loop has
+// exited. A failed sweep is logged and the next tick tries again.
+func reapEvery(srv *drivolution.Server, interval time.Duration) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				if _, err := srv.ReapExpiredLeases(); err != nil {
+					log.Printf("lease sweep failed: %v", err)
+				}
+			}
+		}
+	}()
+	return func() { close(done); wg.Wait() }
 }
 
 // runCluster boots an N-member clustered control plane in this
@@ -110,6 +154,8 @@ func runCluster(members, shards int, dir string, useTLS bool, opts []drivolution
 		Members:       members,
 		Shards:        shards,
 		NamePrefix:    "drivolutiond",
+		ReapInterval:  reapInterval,
+		Logf:          log.Printf,
 		ServerOptions: func(int) []drivolution.ServerOption { return opts },
 	})
 	if err != nil {

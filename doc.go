@@ -37,12 +37,15 @@
 // two schema tables (LocalStore does; the counter lives on the embedded
 // database, so servers sharing one database invalidate each other)
 // serve steady-state grants entirely from the catalog: no SQL, no image
-// decoding, no blob materialization. Any admin mutation bumps the
-// generation and is visible to the very next grant. Driver binaries are
-// fetched lazily, only when a transfer will actually happen — DISCOVER
-// probes and renewal-no-change round trips are blob-free — and §5.4.1
-// on-demand assembly is memoized per (driver content, package set,
-// options) shape. The client side of the lease protocol lives in one
+// decoding, no blob read. Any admin mutation bumps the generation and
+// is visible to the very next grant. Each catalog entry keeps the
+// driver binary its load saw, so a grant that transfers hands out that
+// slice — a bootstrap is one statement, the lease INSERT — and the
+// image crosses the transfer path uncopied: scatter-sent from the
+// entry, read off the socket into the bootloader's one pre-sized blob,
+// decoded, checksummed and signature-checked in place (ARCHITECTURE.md,
+// "The image's byte path"). §5.4.1 on-demand assembly is memoized per
+// (driver content, package set, options) shape. The client side of the lease protocol lives in one
 // place, core.LeaseClient (framing, reply deadlines, poisoning on any
 // transport failure); a Bootloader keeps one such client cached to its
 // server, so the §3.2 steady-state lease traffic costs one framed round
@@ -72,12 +75,14 @@
 // driver_permission(driver_id), an ordered index on leases(expires_at),
 // and a composite ordered index on leases(driver_id, expires_at), and
 // the lease_id and driver_id primary keys drive execution, so renewals,
-// releases, lease lookups, blob point-fetches, the §5.4.2 license-mode
-// driver-free probe (one residual-free seek into a driver's unexpired
-// window), the license usage count (Server.LicensesInUse,
-// `expires_at > now()`), and the lease-expiry sweep
-// (Server.ReapExpiredLeases, `expires_at <= $now`)
-// are all flat or near-flat in the lease population
+// releases, lease lookups, the §5.4.2 license-mode driver-free probe
+// (one residual-free seek into a driver's unexpired window), the
+// license usage count (Server.LicensesInUse, `expires_at > now()`),
+// and the lease-expiry sweep (Server.ReapExpiredLeases: over the
+// `expires_at <= $now` window, an UPDATE releasing what expired and a
+// DELETE dropping every released row whose term is over, so the table
+// holds live leases rather than a log; drivolutiond runs it once a
+// second) are all flat or near-flat in the lease population
 // (BenchmarkLeaseRenewalAt*Leases, BenchmarkLicenseCheckAt10000Leases,
 // and BenchmarkExpirySweepAt*Leases track this at the 10k scale). The
 // planner is conservative: any WHERE shape it cannot prove equivalent —
@@ -107,14 +112,14 @@
 // working unchanged. On these rails the server's multi-statement
 // operations — driver registration, permission updates, driver
 // deletion, lease creation, and the expiry sweep — execute as single
-// atomic units; the sweep is one statement regardless of lease count
-// (staged-blob reclamation is in-memory: each pending transfer records
-// its lease expiry at staging time). ConnStore's failure contract is explicit: a statement
+// atomic units; the sweep is two statements in one batch regardless of
+// lease count (staged-blob reclamation is in-memory: each pending
+// transfer records its lease expiry at staging time). ConnStore's failure contract is explicit: a statement
 // is replayed after a redial only when it provably never executed
 // (never left the client) or is a read-only SELECT; anything else
 // surfaces ErrExecOutcomeUnknown instead of risking double-apply.
 // CountingStore pins the statement budgets in tests (renewal = 1
-// statement, reap = 1).
+// statement, bootstrap = 1, reap = 2 in one round trip).
 //
 // # Wire API v2: negotiated remote sessions
 //

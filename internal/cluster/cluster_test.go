@@ -442,3 +442,57 @@ func waitFor(t testing.TB, d time.Duration, msg string, cond func() bool) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestReplicatedReapConverges: the reaper's two statements — the sweep
+// UPDATE and the retention DELETE — carry a bound cutoff, not now(), so
+// every member that replays them deletes the same rows: after one
+// member reaps, each member's own lease table holds exactly the live
+// lease, whichever member granted what.
+func TestReplicatedReapConverges(t *testing.T) {
+	f := newTestFleet(t, testFleetConfig(3))
+	const short = 40 * time.Millisecond
+	id := seedDriver(t, f, 0, "brief", short)
+	if _, err := f.Servers[0].SetPermission(core.Permission{
+		User: "steady", DriverID: id, LeaseTime: time.Hour,
+		RenewPolicy: core.RenewUpgrade, ExpirationPolicy: core.AfterClose,
+		TransferMethod: core.TransferAny,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	grant := func(member int, user string) uint64 {
+		t.Helper()
+		lc, err := core.DialLeaseClient(f.Servers[member].Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lc.Close()
+		offer, err := lc.Request(testRequest(user, clientOwnedBy(t, f, member)))
+		if err != nil {
+			t.Fatalf("grant for %s at member %d: %v", user, member, err)
+		}
+		return offer.LeaseID
+	}
+	for member := range f.Servers {
+		grant(member, "brief")
+	}
+	live := grant(2, "steady")
+	time.Sleep(2 * short) // the short leases run out; the hour-long one does not
+
+	swept, err := f.Servers[1].ReapExpiredLeases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swept != len(f.Servers) {
+		t.Fatalf("swept %d leases, want the %d short ones", swept, len(f.Servers))
+	}
+	for i, db := range f.DBs {
+		//lint:scan-ok test introspection: the table holds one row
+		res, err := db.Query("SELECT lease_id, released FROM " + core.LeasesTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || uint64(res.Rows[0][0].Int()) != live || res.Rows[0][1].Bool() {
+			t.Fatalf("member %d holds %v after the replicated reap, want only live lease %d", i, res.Rows, live)
+		}
+	}
+}

@@ -491,12 +491,12 @@ func (b *Bootloader) fetchLocked(addr string, req Request) (Offer, []byte, error
 	}
 	var blob []byte
 	if err == nil && offer.HasDriver {
-		blob = make([]byte, 0, offer.Size)
-		if _, err = b.srv.fetchFile(offer.LeaseID, &blob); err != nil {
+		// The one image-sized allocation of a bootstrap: chunks land in
+		// it straight off the connection, and the installed image's
+		// payload and signature alias it (driverimg.Decode).
+		blob = make([]byte, offer.Size)
+		if _, err = b.srv.fetchFile(offer.LeaseID, blob); err != nil {
 			err = fmt.Errorf("drivolution: transfer: %w", err)
-		} else if uint32(len(blob)) != offer.Size {
-			// Every frame was well-formed, but the stream cannot be trusted.
-			err = b.srv.fail(fmt.Errorf("drivolution: transfer size mismatch: got %d, offered %d", len(blob), offer.Size))
 		} else {
 			b.addMetric(func(m *Metrics) { m.BytesFetched += int64(len(blob)) })
 		}
@@ -525,12 +525,17 @@ func (b *Bootloader) install(offer Offer, blob []byte, addr string) (*loadedDriv
 	if err != nil {
 		return nil, fmt.Errorf("drivolution: decode driver: %w", err)
 	}
+	// Signature and checksum are taken over the canonical bytes where
+	// they lie in blob: one ed25519 pass, one SHA-256 pass, no copy.
 	if b.trustKey != nil {
-		if err := img.Verify(b.trustKey); err != nil {
-			return nil, fmt.Errorf("drivolution: reject driver: %w", err)
+		if err := driverimg.VerifyEncoded(blob, b.trustKey); err != nil {
+			return nil, fmt.Errorf("drivolution: reject driver %s: %w", img.Manifest.ID(), err)
 		}
 	}
-	sum := img.Checksum() // canonical encoding hashed once, not per use
+	sum, err := driverimg.EncodedChecksum(blob)
+	if err != nil {
+		return nil, fmt.Errorf("drivolution: decode driver: %w", err)
+	}
 	if sum != offer.DriverChecksum {
 		return nil, fmt.Errorf("drivolution: driver checksum mismatch (offered %s, got %s)",
 			offer.DriverChecksum, sum)

@@ -24,28 +24,36 @@ import (
 // next grant. Steady-state matchmaking therefore runs zero SQL, decodes
 // zero images, and materializes zero blobs: checksums and encoded sizes
 // are precomputed at load, the date predicate of Sample code 2 is
-// re-evaluated in Go against the server clock, and the binary itself is
-// fetched lazily only when a transfer will actually happen.
+// re-evaluated in Go against the server clock, and the binary is the
+// slice the load already saw — each entry keeps it, so a grant that
+// transfers hands out the entry's bytes and reads nothing back.
 //
 // Lease state is deliberately NOT in the catalog: the license-mode
 // lease-free check (§5.4.2) stays a live query against the leases
 // table, whose churn does not bump the generation.
 
-// catalogEntry is one driver row, blob-free.
+// catalogEntry is one driver row.
 type catalogEntry struct {
-	meta     DriverRecord // BinaryCode nil; use size/checksum instead
+	meta     DriverRecord // BinaryCode nil; the binary is blob
 	checksum string
-	size     int
 	corrupt  error // non-nil when binary_code fails structural validation
-	// blobHead identifies the stored blob (&binary_code[0]) so a delta
-	// reload can prove "same bytes as last time" by pointer identity and
-	// skip re-checksumming; a replaced blob — even one reusing a freed
-	// driver_id — necessarily has a different backing array. The pointer
-	// keeps the backing array reachable, which is free while the row
-	// lives (the row holds it anyway) and, for a deleted or replaced
-	// driver, retains its old blob only until the next reload — which the
-	// deletion itself scheduled by bumping the generation.
-	blobHead *byte
+	// blob is the stored binary_code as the load's result set returned
+	// it — on LocalStore the very slice the row holds, never a copy, and
+	// read-only like it. Transfers are served from it, and a delta reload
+	// proves "same bytes as last time" by the identity of its first byte
+	// and skips re-checksumming; a replaced blob — even one reusing a
+	// freed driver_id — necessarily has a different backing array.
+	// Holding it costs nothing while the row lives (the row holds the
+	// array anyway) and, for a deleted or replaced driver, retains the
+	// old blob only until the next reload — which the deletion itself
+	// scheduled by bumping the generation.
+	blob []byte
+}
+
+// sameBlob reports whether a and b are the same stored bytes: equal
+// length over the same backing array.
+func sameBlob(a, b []byte) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
 // catalog is an immutable snapshot; a new one replaces it wholesale on
@@ -142,17 +150,13 @@ func (s *Server) loadCatalog(gen uint64, old *catalog) (*catalog, error) {
 			if err != nil {
 				return nil, err
 			}
-			ent := &catalogEntry{meta: rec, size: len(rec.BinaryCode)}
-			if ent.size > 0 {
-				ent.blobHead = &rec.BinaryCode[0]
-			}
-			if prev := old.lookup(rec.DriverID); prev != nil && prev.blobHead != nil &&
-				prev.blobHead == ent.blobHead && prev.size == ent.size {
+			ent := &catalogEntry{meta: rec, blob: rec.BinaryCode}
+			if prev := old.lookup(rec.DriverID); prev != nil && sameBlob(prev.blob, ent.blob) {
 				ent.checksum, ent.corrupt = prev.checksum, prev.corrupt
 			} else {
-				ent.checksum, ent.corrupt = driverimg.EncodedChecksum(rec.BinaryCode)
+				ent.checksum, ent.corrupt = driverimg.EncodedChecksum(ent.blob)
 			}
-			ent.meta.BinaryCode = nil // the catalog is blob-free
+			ent.meta.BinaryCode = nil
 			cat.order = append(cat.order, ent)
 			cat.byID[ent.meta.DriverID] = ent
 		}
@@ -351,16 +355,15 @@ func entryMatchesPreference(rec *DriverRecord, req Request, withPrefs bool) bool
 }
 
 // finishGrantCatalog finalizes a catalog-resolved grant. The common
-// no-rewrite case copies the precomputed checksum/size and leaves the
-// blob unmaterialized; assembly/pre-configuration requests go through
-// the assembly cache.
+// no-rewrite case takes the entry's precomputed checksum and its blob
+// as they are; assembly/pre-configuration requests go through the
+// assembly cache.
 func (s *Server) finishGrantCatalog(g *grantInfo, ent *catalogEntry, req Request, options string) *ProtocolError {
 	if ent.corrupt != nil {
 		return corruptDriverError(g.driverID, ent.corrupt)
 	}
 	if len(req.RequiredPackages) == 0 && options == "" {
-		g.checksum = ent.checksum
-		g.size = ent.size
+		g.blob, g.checksum = ent.blob, ent.checksum
 		return nil
 	}
 	return s.assembleGrant(g, ent, req, options)
@@ -439,29 +442,17 @@ func (s *Server) assemblyKeyFor(ent *catalogEntry, req Request, options string) 
 }
 
 // assembleGrant resolves an assembly/pre-configuration request through
-// the cache, materializing and rewriting the base image only on miss.
+// the cache, rewriting the entry's base image only on miss.
 func (s *Server) assembleGrant(g *grantInfo, ent *catalogEntry, req Request, options string) *ProtocolError {
 	key := s.assemblyKeyFor(ent, req, options)
 	if v, ok := s.assemblies.get(key); ok {
-		g.blob = v.blob
-		g.checksum = v.checksum
-		g.size = len(v.blob)
+		g.blob, g.checksum = v.blob, v.checksum
 		return nil
 	}
-	if perr := s.materializeBlob(g); perr != nil {
+	g.blob = ent.blob
+	if perr := s.rewriteGrant(g, req, options); perr != nil {
 		return perr
 	}
-	img, err := driverimg.Decode(g.blob)
-	if err != nil {
-		return corruptDriverError(g.driverID, err)
-	}
-	img, perr := s.rewriteImage(img, req, options)
-	if perr != nil {
-		return perr
-	}
-	g.blob = img.Encode()
-	g.size = len(g.blob)
-	g.checksum = img.Checksum()
 	s.assemblies.put(key, assembledImage{blob: g.blob, checksum: g.checksum})
 	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -257,8 +259,7 @@ func TestCatalogZeroSchemaSQLSteadyState(t *testing.T) {
 }
 
 // TestCatalogAssemblyCache: the §5.4.1 assembly of a (driver, packages)
-// shape is computed once; repeat grants are served from the cache
-// without even materializing the base blob.
+// shape is computed once; repeat grants are served from the cache.
 func TestCatalogAssemblyCache(t *testing.T) {
 	ps := driverimg.NewPackageStore()
 	ps.AddPackage("gis", []byte("gis-code"), map[string]string{"gis": "on"})
@@ -300,6 +301,67 @@ func TestCatalogAssemblyCache(t *testing.T) {
 	}
 	if g3.checksum == g2.checksum {
 		t.Fatal("stale assembly served after package re-registration")
+	}
+}
+
+// TestCatalogEntryBlobServedUntouched: a plain grant hands out the
+// catalog entry's own slice — on the embedded store, the stored
+// binary_code itself — and an assembly miss rewrites the image the
+// entry holds without a store read and without writing a byte of it.
+func TestCatalogEntryBlobServedUntouched(t *testing.T) {
+	_, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := driverimg.NewPackageStore()
+	ps.AddPackage("gis", []byte("gis-code"), map[string]string{"gis": "on"})
+	srv, st := newCatalogServer(t, WithPackages(ps), WithSigningKey(priv))
+	id, err := srv.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, perr := srv.match(catalogRequest())
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	cat, perr := srv.catalogSnapshot()
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	ent := cat.byID[id]
+	if !sameBlob(g.blob, ent.blob) {
+		t.Fatal("a plain grant carries a copy of the entry's blob, not the entry's slice")
+	}
+	pristine := bytes.Clone(ent.blob)
+
+	// Pre-configuration (permission options) plus on-demand assembly,
+	// re-signed: every rewrite the server knows, on a cache miss.
+	if _, err := srv.SetPermission(Permission{DriverID: id, DriverOptions: "fetchsize=10",
+		LeaseTime: time.Hour, RenewPolicy: RenewUpgrade, ExpirationPolicy: AfterCommit}); err != nil {
+		t.Fatal(err)
+	}
+	if _, perr := srv.match(catalogRequest()); perr != nil { // absorbs the permission reload
+		t.Fatal(perr)
+	}
+	req := catalogRequest()
+	req.RequiredPackages = []string{"gis"}
+	before := st.schemaReads.Load()
+	rewritten, perr := srv.match(req)
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if got := st.schemaReads.Load() - before; got != 0 {
+		t.Fatalf("an assembly miss read the store %d times; the entry holds the base image", got)
+	}
+	img, err := driverimg.Decode(rewritten.blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !img.Manifest.HasPackage("gis") || img.Manifest.Options["fetchsize"] != "10" {
+		t.Fatalf("rewritten manifest = %+v", img.Manifest)
+	}
+	if cur, _ := srv.catalogSnapshot(); !bytes.Equal(cur.byID[id].blob, pristine) {
+		t.Fatal("rewriting the image wrote into the catalog entry's blob")
 	}
 }
 
@@ -367,7 +429,7 @@ func TestCatalogConcurrentGrantsDuringAdminChurn(t *testing.T) {
 				g, perr := srv.match(req)
 				switch {
 				case perr == nil:
-					if g.checksum == "" || g.size == 0 {
+					if g.checksum == "" || len(g.blob) == 0 {
 						errs <- "grant without checksum/size"
 						return
 					}
@@ -466,8 +528,8 @@ func TestCatalogDeltaDriverChurn(t *testing.T) {
 		t.Fatal("surviving driver changed checksum across delta reload")
 	}
 	// The cheap proof the entry was carried, not recomputed: the blob
-	// identity pointer is the same one the previous load captured.
-	if after.byID[id1].blobHead != before.byID[id1].blobHead {
+	// is the very slice the previous load captured.
+	if !sameBlob(after.byID[id1].blob, before.byID[id1].blob) {
 		t.Fatal("surviving driver was rescanned (blob identity changed)")
 	}
 }

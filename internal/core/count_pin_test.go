@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/dbver"
+	"repro/internal/driverimg"
 	"repro/internal/sqlmini"
 )
 
@@ -55,9 +56,10 @@ func TestRenewalStatementBudget(t *testing.T) {
 	}
 }
 
-// TestReapStatementBudget: the expiry sweep is exactly ONE statement
-// (the sweep UPDATE — staged-blob reclamation is in-memory), no matter
-// how many leases exist or expire.
+// TestReapStatementBudget: the expiry sweep is exactly TWO statements
+// in ONE round trip (the sweep UPDATE and the retention DELETE, one
+// batch — staged-blob reclamation is in-memory), no matter how many
+// leases exist or expire.
 func TestReapStatementBudget(t *testing.T) {
 	for _, leases := range []int{0, 1, 500} {
 		srv, cs, db := pinFixture(t)
@@ -77,8 +79,8 @@ func TestReapStatementBudget(t *testing.T) {
 		if n != leases {
 			t.Fatalf("swept %d of %d", n, leases)
 		}
-		if got := cs.Statements(); got != 1 {
-			t.Fatalf("reap at %d leases issued %d statements, want exactly 1", leases, got)
+		if got := cs.Statements(); got != 2 {
+			t.Fatalf("reap at %d leases issued %d statements, want exactly 2", leases, got)
 		}
 		if got := cs.RoundTrips(); got != 1 {
 			t.Fatalf("reap at %d leases cost %d round trips, want 1", leases, got)
@@ -113,5 +115,70 @@ func TestReapDropsOnlyDeadPending(t *testing.T) {
 	}
 	if !liveKept {
 		t.Fatal("live lease's staged blob must survive the sweep")
+	}
+}
+
+// TestTransferStatementBudget: the grants that stage a transfer take
+// the blob from the catalog entry, not from the store. A bootstrap is
+// exactly ONE statement (the lease INSERT); an upgrade renewal is TWO
+// (the lease SELECT and the guarded UPDATE); neither reads the drivers
+// table, whose binary_code column is the image.
+func TestTransferStatementBudget(t *testing.T) {
+	reads := &countingStore{LocalStore: NewLocalStore(sqlmini.NewDB())}
+	cs := NewCountingGenerationStore(reads)
+	srv, err := NewServer("pin", cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage); err != nil {
+		t.Fatal(err)
+	}
+	staged := func(leaseID uint64) []byte {
+		srv.pendingMu.Lock()
+		defer srv.pendingMu.Unlock()
+		return srv.pending[leaseID].blob
+	}
+	// Warm the catalog, the id allocators and the prepared handles.
+	if _, perr := srv.grant(catalogRequest(), false); perr != nil {
+		t.Fatal(perr)
+	}
+
+	cs.Reset()
+	reads.schemaReads.Store(0)
+	offer, perr := srv.grant(catalogRequest(), false)
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if got, sel := cs.Statements(), reads.schemaReads.Load(); got != 1 || sel != 0 {
+		t.Fatalf("bootstrap issued %d statements, %d of them reads of the drivers table; want 1 and 0", got, sel)
+	}
+	if uint32(len(staged(offer.LeaseID))) != offer.Size || offer.Size == 0 {
+		t.Fatalf("bootstrap staged %d bytes for an offer of %d", len(staged(offer.LeaseID)), offer.Size)
+	}
+
+	if _, err := srv.AddDriver(catalogImage(dbver.V(2, 0, 0)), dbver.FormatImage); err != nil {
+		t.Fatal(err)
+	}
+	// The catalog reload AddDriver scheduled is the admin operation's
+	// cost, paid once by whoever matches next — not the renewal's.
+	if _, perr := srv.match(catalogRequest()); perr != nil {
+		t.Fatal(perr)
+	}
+	renew := catalogRequest()
+	renew.LeaseID, renew.CurrentChecksum = offer.LeaseID, offer.DriverChecksum
+	cs.Reset()
+	reads.schemaReads.Store(0)
+	up, perr := srv.grant(renew, false)
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if !up.HasDriver || up.DriverChecksum == offer.DriverChecksum {
+		t.Fatalf("renewal after AddDriver offered no upgrade: %+v", up)
+	}
+	if got, sel := cs.Statements(), reads.schemaReads.Load(); got != 2 || sel != 0 {
+		t.Fatalf("upgrade renewal issued %d statements, %d of them reads of the drivers table; want 2 and 0", got, sel)
+	}
+	if sum, err := driverimg.EncodedChecksum(staged(up.LeaseID)); err != nil || sum != up.DriverChecksum {
+		t.Fatalf("upgrade staged a blob with checksum %q (err %v), offered %q", sum, err, up.DriverChecksum)
 	}
 }

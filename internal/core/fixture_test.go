@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,7 +10,44 @@ import (
 	"repro/internal/dbver"
 	"repro/internal/driverimg"
 	"repro/internal/sqlmini"
+	"repro/internal/wire"
 )
+
+// fileChunk is one FILE_DATA frame payload as the protocol defines it,
+// built the way every other message is — field by field through
+// wire.Encoder. Production code never joins head and data in one
+// buffer (fileChunkHead); tests script frames with this and, by
+// round-tripping through decodeFileChunk, hold the head to the joined
+// encoding.
+type fileChunk struct {
+	Offset uint32
+	Total  uint32
+	Last   bool
+	Data   []byte
+}
+
+func (c fileChunk) encode() []byte {
+	e := wire.NewEncoder(fileChunkHeadLen + len(c.Data))
+	e.Uint32(c.Offset)
+	e.Uint32(c.Total)
+	e.Bool(c.Last)
+	e.Bytes32(c.Data)
+	return e.Bytes()
+}
+
+func decodeFileChunk(b []byte) (fileChunk, error) {
+	if len(b) < fileChunkHeadLen {
+		return fileChunk{}, fmt.Errorf("FILE_DATA payload of %d bytes", len(b))
+	}
+	h, err := decodeFileChunkHead(b[:fileChunkHeadLen])
+	if err != nil {
+		return fileChunk{}, err
+	}
+	if int(h.Len) != len(b)-fileChunkHeadLen {
+		return fileChunk{}, fmt.Errorf("FILE_DATA declares %d data bytes, carries %d", h.Len, len(b)-fileChunkHeadLen)
+	}
+	return fileChunk{Offset: h.Offset, Total: h.Total, Last: h.Last, Data: b[fileChunkHeadLen:]}, nil
+}
 
 // fixture wires a complete vertical slice: a target DBMS (the database
 // applications actually query), a Drivolution server (standalone, local

@@ -42,11 +42,6 @@ func (s *Server) grant(req Request, isTLS bool) (Offer, *ProtocolError) {
 		return Offer{}, perr
 	}
 
-	// A fresh lease always transfers: load the blob now (no-op when
-	// matchmaking already materialized an assembled image).
-	if perr := s.materializeBlob(g); perr != nil {
-		return Offer{}, perr
-	}
 	leaseID, err := s.newLease(req, g)
 	if err != nil {
 		return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
@@ -65,7 +60,7 @@ func (s *Server) grant(req Request, isTLS bool) (Offer, *ProtocolError) {
 		HasDriver:        true,
 		DriverChecksum:   g.checksum,
 		Format:           g.format,
-		Size:             uint32(g.size),
+		Size:             uint32(len(g.blob)),
 		ServerName:       s.name,
 	}, nil
 }
@@ -146,15 +141,6 @@ func (s *Server) renewLease(req Request, g *grantInfo, matchErr *ProtocolError) 
 	sameContent := req.CurrentChecksum != "" && req.CurrentChecksum == g.checksum
 	keep := sameContent || (g.renew == RenewKeep && lease.DriverID == g.driverID)
 
-	if !keep {
-		// An upgrade transfer is coming: load the new driver's blob
-		// before touching the lease row, so a failure leaves the lease
-		// (and the client's working driver) untouched.
-		if perr := s.materializeBlob(g); perr != nil {
-			return Offer{}, perr
-		}
-	}
-
 	// Same guarded statement as the fast path (one shared prepared
 	// handle): the released = FALSE predicate makes a sweep or release
 	// sliding in after the leaseByID read above win — extending a
@@ -188,7 +174,7 @@ func (s *Server) renewLease(req Request, g *grantInfo, matchErr *ProtocolError) 
 		ServerName:       s.name,
 	}
 	if !keep {
-		offer.Size = uint32(g.size)
+		offer.Size = uint32(len(g.blob))
 		s.stageTransfer(lease.LeaseID, g.blob, now.Add(g.leaseTime))
 		s.renewUpgrades.Add(1)
 	} else {
@@ -332,28 +318,47 @@ func (s *Server) ReleaseLeaseByID(id uint64) error {
 const reapExpiredSQL = `UPDATE ` + LeasesTable + `
 	SET released = TRUE WHERE released = FALSE AND expires_at <= $now`
 
+// purgeReapedSQL is the lease log's retention rule: a released lease
+// whose term is over is deleted. It runs right after reapExpiredSQL in
+// the same batch, so a row never outlives the sweep that expires it,
+// and it seeks the same expired prefix of the expires_at index.
+// Nothing reads such a row: licenseUsageSQL and driverLeaseFreeSQL both
+// filter expires_at > now(), a renewal answers "unknown or released"
+// whether the row is released or gone, and the catalog generation
+// counts only drivers and driver_permission. A lease released before
+// its term ends keeps its row until the term is over. $now is bound,
+// never now(), so replicas that replay the statement delete the same
+// rows. TestHotStatementsPlanIndexed pins the range plan.
+const purgeReapedSQL = `DELETE FROM ` + LeasesTable + `
+	WHERE released = TRUE AND expires_at <= $now`
+
 // ReapExpiredLeases marks every expired, still-unreleased lease as
-// released and drops any driver blob staged for it, returning how many
-// leases were swept. Expiry is otherwise enforced lazily (a renewal of
-// an expired lease re-matches); the reaper exists so license-mode
-// capacity frees up without waiting for the defaulting client, and so
-// the lease log stops accumulating phantom "live" rows.
+// released, deletes every released lease whose term is over (those it
+// just swept included), and drops any driver blob staged for a swept
+// lease, returning how many leases were swept. Expiry is otherwise
+// enforced lazily (a renewal of an expired lease re-matches); the
+// reaper exists so license-mode capacity frees up without waiting for
+// the defaulting client, and so the lease table holds live leases, not
+// a log of every lease ever granted.
 //
-// The whole sweep is ONE statement — one wire round trip on external
-// stores — regardless of how many leases exist or expire. The old
-// SELECT-then-confirm-per-id shape (N+1 statements) existed only to
-// decide which STAGED BLOBS to drop, but the pending map is
-// server-local state: each entry records its lease's expiry at staging
-// time (see pendingTransfer), so reclamation is a pure in-memory pass.
-// An entry whose recorded expiry has passed belongs to a lease this
-// sweep's UPDATE (or an earlier one, possibly by another server
+// The whole sweep is TWO statements in ONE batch — one wire round trip
+// on external stores — regardless of how many leases exist or expire.
+// Deciding which STAGED BLOBS to drop needs no read-back: the pending
+// map is server-local state and each entry records its lease's expiry
+// at staging time (see pendingTransfer), so reclamation is a pure
+// in-memory pass. An entry whose recorded expiry has passed belongs to
+// a lease this sweep (or an earlier one, possibly by another server
 // sharing the store) releases — terminally dead, since released never
 // transitions back to FALSE. An entry re-staged by a concurrent
 // upgrade renewal carries that renewal's future expiry and survives;
 // pendingMu makes the stage/reap pair atomic per entry.
 func (s *Server) ReapExpiredLeases() (int, error) {
 	now := s.clock()
-	res, err := s.exec(reapExpiredSQL, sqlmini.Args{"now": now})
+	args := []any{sqlmini.Args{"now": now}}
+	rs, err := ExecBatchOn(s.store, []Statement{
+		{SQL: reapExpiredSQL, Args: args},
+		{SQL: purgeReapedSQL, Args: args},
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -364,7 +369,7 @@ func (s *Server) ReapExpiredLeases() (int, error) {
 		}
 	}
 	s.pendingMu.Unlock()
-	return res.Affected, nil
+	return rs[0].Affected, nil
 }
 
 // leaseByID loads one lease row.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -82,25 +83,37 @@ func (c *LeaseClient) fail(err error) error {
 	return err
 }
 
-// exchange sends one message and returns the payload of its first
-// reply frame, which must be of type want (see payload). A transport
-// failure here struck before any reply frame arrived: unless it was a
-// timeout it is reported as a noReplyError.
-func (c *LeaseClient) exchange(typ uint16, payload []byte, want uint16) ([]byte, error) {
+// failNoReply poisons the client over a transport failure that struck
+// before any reply frame arrived: unless it was a timeout it is
+// reported as a noReplyError.
+func (c *LeaseClient) failNoReply(err error) error {
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		err = noReplyError{err}
+	}
+	return c.fail(err)
+}
+
+// send writes one message. A failure here struck before any reply.
+func (c *LeaseClient) send(typ uint16, payload []byte) error {
 	if c.poisoned {
-		return nil, ErrLeaseClientPoisoned
+		return ErrLeaseClientPoisoned
 	}
-	err := c.conn.Send(typ, payload)
-	var f wire.Frame
-	if err == nil {
-		f, err = c.conn.RecvTimeout(c.timeout)
+	if err := c.conn.Send(typ, payload); err != nil {
+		return c.failNoReply(err)
 	}
+	return nil
+}
+
+// exchange sends one message and returns the payload of its first
+// reply frame, which must be of type want (see payload).
+func (c *LeaseClient) exchange(typ uint16, payload []byte, want uint16) ([]byte, error) {
+	if err := c.send(typ, payload); err != nil {
+		return nil, err
+	}
+	f, err := c.conn.RecvTimeout(c.timeout)
 	if err != nil {
-		var ne net.Error
-		if !errors.As(err, &ne) || !ne.Timeout() {
-			err = noReplyError{err}
-		}
-		return nil, c.fail(err)
+		return nil, c.failNoReply(err)
 	}
 	return c.payload(f, want)
 }
@@ -169,36 +182,104 @@ func (c *LeaseClient) FetchFile(leaseID uint64) (int, error) {
 	return c.fetchFile(leaseID, nil)
 }
 
-// fetchFile runs FILE_REQUEST → FILE_DATA* and appends the chunks to
-// *dst (nil discards them), returning the byte count. Chunks must
-// arrive in order without gaps; whether the total matches what was
-// offered is the caller's check.
-func (c *LeaseClient) fetchFile(leaseID uint64, dst *[]byte) (int, error) {
-	p, err := c.exchange(msgFileRequest, fileRequest{LeaseID: leaseID}.encode(), msgFileData)
-	for got := 0; ; {
-		if err != nil {
-			return got, err
-		}
-		chunk, derr := decodeFileChunk(p)
-		if derr != nil {
-			return got, c.fail(derr)
-		}
-		if int(chunk.Offset) != got {
-			return got, c.fail(fmt.Errorf("core: transfer gap at offset %d, have %d bytes", chunk.Offset, got))
-		}
-		if dst != nil {
-			*dst = append(*dst, chunk.Data...)
-		}
-		got += len(chunk.Data)
-		if chunk.Last {
-			return got, nil
-		}
-		f, rerr := c.conn.RecvTimeout(c.timeout)
-		if rerr != nil {
-			return got, c.fail(rerr)
-		}
-		p, err = c.payload(f, msgFileData)
+// fetchFile runs FILE_REQUEST → FILE_DATA* and returns the byte count.
+// dst is the whole file's destination, sized from the Offer that
+// staged the transfer: each chunk's data is read off the connection
+// straight into its place in dst. A nil dst discards the data unread
+// and takes the file size from the first chunk. Either way the stream
+// is held to that size before any data is read (see fileSink.frame): a
+// server cannot make the client take in more than it was offered.
+func (c *LeaseClient) fetchFile(leaseID uint64, dst []byte) (int, error) {
+	if err := c.send(msgFileRequest, fileRequest{LeaseID: leaseID}.encode()); err != nil {
+		return 0, err
 	}
+	sink := fileSink{c: c, dst: dst, total: int64(len(dst))}
+	if dst == nil {
+		sink.total = -1 // learned from the first chunk
+	}
+	recv := sink.frame
+	for first := true; ; first = false {
+		sink.replied = false
+		err := c.conn.RecvBody(c.timeout, recv)
+		if err != nil {
+			var pe *ProtocolError
+			var re *Redirect
+			switch {
+			case errors.As(err, &pe), errors.As(err, &re):
+				// A clean, complete exchange: the client stays usable.
+			case first && !sink.replied:
+				err = c.failNoReply(err)
+			default:
+				err = c.fail(err)
+			}
+			return int(sink.got), err
+		}
+		if sink.last {
+			return int(sink.got), nil
+		}
+	}
+}
+
+// fileSink is the receiving end of one FILE_DATA stream.
+type fileSink struct {
+	c       *LeaseClient
+	dst     []byte // nil: discard
+	total   int64  // file size the stream is held to; -1 until known
+	got     int64
+	replied bool // a frame header arrived on the current receive
+	last    bool
+}
+
+// frame consumes one frame of the stream (wire.Conn.RecvBody's
+// callback). A FILE_DATA chunk must name the expected file size as its
+// Total, start where the previous chunk ended, end within the file,
+// and — if it is the last — complete it; only then is its data read,
+// directly into dst. Any other frame goes through the client's frame
+// classifier.
+func (s *fileSink) frame(typ uint16, size int, body io.Reader) error {
+	s.replied = true
+	if typ != msgFileData {
+		p := make([]byte, size)
+		if _, err := io.ReadFull(body, p); err != nil {
+			return fmt.Errorf("wire: read payload: %w", err)
+		}
+		_, err := s.c.payload(wire.Frame{Type: typ, Payload: p}, msgFileData)
+		return err
+	}
+	var hb [fileChunkHeadLen]byte
+	if _, err := io.ReadFull(body, hb[:]); err != nil {
+		return fmt.Errorf("core: read FILE_DATA head: %w", err)
+	}
+	h, err := decodeFileChunkHead(hb[:])
+	if err != nil {
+		return err
+	}
+	if int64(size) != fileChunkHeadLen+int64(h.Len) {
+		return fmt.Errorf("core: FILE_DATA frame of %d bytes declares %d data bytes", size, h.Len)
+	}
+	if s.total < 0 {
+		s.total = int64(h.Total)
+	}
+	switch end := int64(h.Offset) + int64(h.Len); {
+	case int64(h.Total) != s.total:
+		return fmt.Errorf("core: transfer size mismatch: chunk of a %d-byte file, offered %d", h.Total, s.total)
+	case int64(h.Offset) != s.got:
+		return fmt.Errorf("core: transfer gap or overlap: chunk at offset %d, have %d bytes", h.Offset, s.got)
+	case end > s.total:
+		return fmt.Errorf("core: transfer overruns its offer: chunk ends at byte %d of %d", end, s.total)
+	case h.Last && end < s.total:
+		return fmt.Errorf("core: transfer ended short: %d of %d bytes", end, s.total)
+	case !h.Last && h.Len == 0:
+		return fmt.Errorf("core: empty FILE_DATA chunk at offset %d", h.Offset)
+	}
+	if s.dst != nil {
+		if _, err := io.ReadFull(body, s.dst[s.got:s.got+int64(h.Len)]); err != nil {
+			return fmt.Errorf("wire: read payload: %w", err)
+		}
+	}
+	s.got += int64(h.Len)
+	s.last = h.Last
+	return nil
 }
 
 // Release gives a lease back (msgRelease, license mode §5.4.2).

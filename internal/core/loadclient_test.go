@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,6 +128,13 @@ func TestLeaseClientPoisonedByFramingFailures(t *testing.T) {
 			conn.Send(msgFileData, fileChunk{Offset: 0, Total: 12, Data: []byte("abcd")}.encode())
 			conn.Send(msgFileData, fileChunk{Offset: 8, Total: 12, Last: true, Data: []byte("ijkl")}.encode())
 		}, fetch},
+		{"transfer past its own total", func(_ net.Conn, conn *wire.Conn) {
+			conn.Send(msgFileData, fileChunk{Offset: 0, Total: 6, Data: []byte("abcd")}.encode())
+			conn.Send(msgFileData, fileChunk{Offset: 4, Total: 6, Last: true, Data: []byte("efgh")}.encode())
+		}, fetch},
+		{"transfer ended short", func(_ net.Conn, conn *wire.Conn) {
+			conn.Send(msgFileData, fileChunk{Offset: 0, Total: 12, Last: true, Data: []byte("abcd")}.encode())
+		}, fetch},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,6 +160,91 @@ func TestLeaseClientPoisonedByFramingFailures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTransferBoundedByOffer: the destination is sized from the OFFER,
+// and a stream that would not fit it exactly is refused at the chunk
+// head that says so — before a byte of that chunk's data is read, so a
+// buggy or hostile server cannot make a bootloader take in more than it
+// was offered. Every refusal poisons the client.
+func TestTransferBoundedByOffer(t *testing.T) {
+	const offered = 8
+	chunk := func(off, total uint32, last bool, data string) []byte {
+		return fileChunk{Offset: off, Total: total, Last: last, Data: []byte(data)}.encode()
+	}
+	cases := []struct {
+		name    string
+		frames  [][]byte // FILE_DATA payloads, sent in order
+		wantErr string   // "" = the transfer succeeds
+	}{
+		{"exact", [][]byte{chunk(0, 8, false, "abcd"), chunk(4, 8, true, "efgh")}, ""},
+		{"total larger than offered", [][]byte{chunk(0, 12, false, "abcd")}, "size mismatch"},
+		{"total smaller than offered", [][]byte{chunk(0, 4, true, "abcd")}, "size mismatch"},
+		{"total changes mid-stream", [][]byte{chunk(0, 8, false, "abcd"), chunk(4, 9, true, "efghi")}, "size mismatch"},
+		{"chunk overruns the offer", [][]byte{chunk(0, 8, false, "abcd"), chunk(4, 8, true, "efghij")}, "overruns"},
+		{"chunk overlaps the previous", [][]byte{chunk(0, 8, false, "abcd"), chunk(2, 8, true, "cdefgh")}, "overlap"},
+		{"gap", [][]byte{chunk(0, 8, false, "ab"), chunk(4, 8, true, "efgh")}, "gap"},
+		{"short stream", [][]byte{chunk(0, 8, false, "abcd"), chunk(4, 8, true, "ef")}, "short"},
+		{"empty chunk that is not the last", [][]byte{chunk(0, 8, false, "")}, "empty"},
+		{"head disagrees with the frame length", [][]byte{append(chunk(0, 8, true, "abcdefgh"), 'x')}, "declares"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := scriptedServer(t, func(nc net.Conn, _ <-chan struct{}) {
+				conn := wire.NewConn(nc)
+				if _, err := conn.Recv(); err != nil {
+					return
+				}
+				for _, p := range tc.frames {
+					conn.Send(msgFileData, p)
+				}
+			})
+			c := dialTestClient(t, addr, 2*time.Second)
+			dst := make([]byte, offered)
+			n, err := c.fetchFile(7, dst)
+			if tc.wantErr == "" {
+				if err != nil || n != offered || string(dst) != "abcdefgh" {
+					t.Fatalf("n=%d err=%v dst=%q, want the 8 offered bytes", n, err, dst)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want one mentioning %q", err, tc.wantErr)
+			}
+			if !c.poisoned {
+				t.Fatal("client not poisoned by a stream that broke its offer")
+			}
+		})
+	}
+
+	// The refusal comes from the head alone: a server that announces a
+	// 32 MiB chunk for an 8-byte offer and then sends none of it is
+	// refused at once, not when the reply deadline runs out.
+	t.Run("refused before the data is read", func(t *testing.T) {
+		const huge = 32 << 20
+		addr := scriptedServer(t, func(nc net.Conn, done <-chan struct{}) {
+			if _, err := wire.NewConn(nc).Recv(); err != nil {
+				return
+			}
+			e := wire.NewEncoder(32)
+			e.Uint16(wire.Magic)
+			e.Uint16(msgFileData)
+			e.Uint32(fileChunkHeadLen + huge) // the frame's payload length
+			fileChunkHead{Offset: 0, Total: huge, Last: true, Len: huge}.encodeTo(e)
+			nc.Write(e.Bytes())
+			<-done // the data never comes
+		})
+		c := dialTestClient(t, addr, 30*time.Second)
+		start := time.Now()
+		_, err := c.fetchFile(7, make([]byte, offered))
+		var ne net.Error
+		if err == nil || (errors.As(err, &ne) && ne.Timeout()) || !strings.Contains(err.Error(), "size mismatch") {
+			t.Fatalf("err = %v, want an immediate size-mismatch refusal", err)
+		}
+		if took := time.Since(start); took > 5*time.Second {
+			t.Fatalf("refusal took %v: the client waited for data it should never have read", took)
+		}
+	})
 }
 
 // TestLeaseClientNoReplyClassification pins what the bootloader's

@@ -9,16 +9,15 @@ import (
 )
 
 // grantInfo is the resolved outcome of matchmaking: which driver, under
-// which lease terms. The driver's binary is NOT necessarily loaded:
-// blob is nil until materializeBlob fetches it, which the grant flow
-// does only when a transfer will actually happen. DISCOVER probes and
-// the Table-4 renewal-no-change branch never touch the blob.
+// which lease terms. blob is the encoded image a transfer would send —
+// the catalog entry's (or assembly cache's) own slice, shared and
+// read-only; DISCOVER probes and the Table-4 renewal-no-change branch
+// carry it without reading it.
 type grantInfo struct {
 	driverID   int64
-	blob       []byte // nil = not yet materialized
+	blob       []byte
 	checksum   string
 	format     string
-	size       int // encoded blob length, known without the blob
 	leaseTime  time.Duration
 	renew      RenewPolicy
 	expiration ExpirationPolicy
@@ -79,11 +78,6 @@ const driverByIDSQL = `SELECT driver_id, api_name, api_version_major,
 	api_version_minor, platform, driver_version_major,
 	driver_version_minor, driver_version_micro, binary_code, binary_format
 FROM ` + DriversTable + ` WHERE driver_id = $id`
-
-// driverBlobSQL fetches just the binary for a transfer; the metadata
-// comes from the catalog.
-const driverBlobSQL = `SELECT binary_code FROM ` + DriversTable + `
-	WHERE driver_id = $id`
 
 // match resolves a request to a driver + lease terms, implementing the
 // paper's server logic (§4.1.1): consult the permission/distribution
@@ -163,7 +157,6 @@ func (s *Server) grantFromPermissionRow(req Request, idx map[string]int, row []s
 	g := &grantInfo{
 		driverID:   driverID,
 		blob:       rec.BinaryCode,
-		size:       len(rec.BinaryCode),
 		format:     rec.Format,
 		renew:      renew,
 		expiration: ExpirationPolicy(row[idx["expiration_policy"]].Int()),
@@ -232,7 +225,6 @@ func (s *Server) matchByPreference(req Request) (*grantInfo, *ProtocolError) {
 		g := &grantInfo{
 			driverID:   rec.DriverID,
 			blob:       rec.BinaryCode,
-			size:       len(rec.BinaryCode),
 			format:     rec.Format,
 			leaseTime:  s.defaultLease,
 			renew:      s.defaultRenew,
@@ -267,6 +259,13 @@ func (s *Server) finishGrant(g *grantInfo, req Request, options string) *Protoco
 		g.checksum = sum
 		return nil
 	}
+	return s.rewriteGrant(g, req, options)
+}
+
+// rewriteGrant replaces g's base image with the assembled and
+// pre-configured one (rewriteImage) and checksums the result. g.blob
+// itself is only read: the rewritten image is a fresh encoding.
+func (s *Server) rewriteGrant(g *grantInfo, req Request, options string) *ProtocolError {
 	img, err := driverimg.Decode(g.blob)
 	if err != nil {
 		return corruptDriverError(g.driverID, err)
@@ -276,14 +275,17 @@ func (s *Server) finishGrant(g *grantInfo, req Request, options string) *Protoco
 		return perr
 	}
 	g.blob = img.Encode()
-	g.size = len(g.blob)
-	g.checksum = img.Checksum()
+	if g.checksum, err = driverimg.EncodedChecksum(g.blob); err != nil {
+		return corruptDriverError(g.driverID, err)
+	}
 	return nil
 }
 
 // rewriteImage applies on-demand assembly and option pre-configuration
 // to a decoded base image, re-signing the result when the server has a
-// key. Shared by the SQL grant path and the catalog's assembly cache.
+// key. The base image's payload aliases the stored blob and is never
+// written: assembly copies it, and pre-configuration touches only the
+// freshly decoded option map.
 func (s *Server) rewriteImage(img *driverimg.Image, req Request, options string) (*driverimg.Image, *ProtocolError) {
 	if len(req.RequiredPackages) > 0 {
 		if s.packages == nil {
@@ -313,27 +315,6 @@ func (s *Server) rewriteImage(img *driverimg.Image, req Request, options string)
 func corruptDriverError(driverID int64, err error) *ProtocolError {
 	return &ProtocolError{Code: ErrCodeInternal,
 		Message: fmt.Sprintf("stored driver %d is corrupt: %v", driverID, err)}
-}
-
-// materializeBlob loads the driver binary for a grant resolved through
-// the catalog; called only when a transfer will actually happen. The
-// error is INTERNAL (not NO_DRIVER) so a renewal racing a DeleteDriver
-// keeps its working driver instead of revoking it.
-func (s *Server) materializeBlob(g *grantInfo) *ProtocolError {
-	if g.blob != nil {
-		return nil
-	}
-	res, err := s.exec(driverBlobSQL, sqlmini.Args{"id": g.driverID})
-	if err != nil {
-		return &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
-	}
-	if len(res.Rows) == 0 {
-		return &ProtocolError{Code: ErrCodeInternal,
-			Message: fmt.Sprintf("driver %d disappeared before transfer", g.driverID)}
-	}
-	g.blob = res.Rows[0][0].Bytes()
-	g.size = len(g.blob)
-	return nil
 }
 
 // driverByID loads one driver row.

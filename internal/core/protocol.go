@@ -288,39 +288,40 @@ func decodeFileRequest(b []byte) (fileRequest, error) {
 // chunk stream across multiple frames like the paper's FTP-like protocol.
 const transferChunkSize = 256 << 10
 
-// fileChunk is one FILE_DATA frame.
-type fileChunk struct {
+// fileChunkHead is the fixed-size front of one FILE_DATA frame: where
+// the chunk belongs in a file of Total bytes, whether it is the last
+// one, and how many data bytes follow it in the frame. Head and data
+// never share a buffer: the server sends the head next to a slice of
+// the stored blob, the client parses it and reads the data straight
+// into the image it is assembling.
+type fileChunkHead struct {
 	Offset uint32
 	Total  uint32
 	Last   bool
-	Data   []byte
+	Len    uint32 // length prefix of the data
 }
 
-func (c fileChunk) encode() []byte {
-	e := wire.NewEncoder(16 + len(c.Data))
-	c.encodeTo(e)
-	return e.Bytes()
+const fileChunkHeadLen = 4 + 4 + 1 + 4
+
+// encodeTo writes the head into a caller-owned encoder; with the data
+// bytes behind it on the wire, the frame payload reads as offset,
+// total, last flag and one length-prefixed byte field.
+func (h fileChunkHead) encodeTo(e *wire.Encoder) {
+	e.Uint32(h.Offset)
+	e.Uint32(h.Total)
+	e.Bool(h.Last)
+	e.Uint32(h.Len)
 }
 
-// encodeTo writes the chunk into a caller-owned (typically pooled)
-// encoder; the transfer loop reuses one buffer for every frame of a
-// stream.
-func (c fileChunk) encodeTo(e *wire.Encoder) {
-	e.Uint32(c.Offset)
-	e.Uint32(c.Total)
-	e.Bool(c.Last)
-	e.Bytes32(c.Data)
-}
-
-func decodeFileChunk(b []byte) (fileChunk, error) {
+func decodeFileChunkHead(b []byte) (fileChunkHead, error) {
 	d := wire.NewDecoder(b)
-	c := fileChunk{
+	h := fileChunkHead{
 		Offset: d.Uint32(),
 		Total:  d.Uint32(),
 		Last:   d.Bool(),
-		Data:   d.Bytes32(),
+		Len:    d.Uint32(),
 	}
-	return c, d.Err()
+	return h, d.Err()
 }
 
 // subscribeMsg opens a dedicated update channel for (database, api).

@@ -339,18 +339,18 @@ func TestHotStatementsPlanIndexed(t *testing.T) {
 		{"license-count", driverLeaseFreeSQL,
 			sqlmini.Args{"id": int64(1)},
 			"range scan on " + LeasesTable + "(driver_id, expires_at) [leases_driver_expires_idx] (driver_id = 1 AND expires_at > "},
-		{"driver-blob", driverBlobSQL,
-			sqlmini.Args{"id": int64(1)},
-			"point lookup on " + DriversTable + "(driver_id) [primary key]"},
 		{"permissions-by-driver", `SELECT permission_id FROM ` + PermissionTable + ` WHERE driver_id = $id`,
 			sqlmini.Args{"id": int64(1)},
 			"index lookup on " + PermissionTable + "(driver_id) [driver_permission_driver_id_idx]"},
 		// The time-window statements: the §5.4.2 license usage count and
-		// the two halves of the expiry sweep must seek the ordered
-		// expires_at index, not scan the lease log.
+		// the expiry sweep with its retention purge must seek the ordered
+		// expires_at index, not scan the lease table.
 		{"license-usage-count", licenseUsageSQL, nil,
 			"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at > "},
 		{"expiry-sweep-update", reapExpiredSQL,
+			sqlmini.Args{"now": time.Unix(1, 0)},
+			"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at <= "},
+		{"expiry-sweep-purge", purgeReapedSQL,
 			sqlmini.Args{"now": time.Unix(1, 0)},
 			"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at <= "},
 	} {
@@ -488,17 +488,20 @@ func NewServerMust(t *testing.T, store Store) *Server {
 	return srv
 }
 
-// TestReapExpiredLeases covers the lease-reaper helper: expired leases
-// flip to released (freeing their license), live ones survive, and the
-// sweep is idempotent.
+// TestReapExpiredLeases covers the lease reaper and its retention rule:
+// an expired lease is released (freeing its license) and its row is
+// gone after the very sweep that expired it, a row released earlier
+// goes once its term is over, live leases and leases released before
+// their term ended are untouched, and the sweep is idempotent.
 func TestReapExpiredLeases(t *testing.T) {
 	now := time.Now()
 	db := sqlmini.NewDB()
 	store := NewLocalStore(db)
-	if err := EnsureSchema(store); err != nil {
+	srv, err := NewServer("reaper-test", store, WithClock(func() time.Time { return now }))
+	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer("reaper-test", store)
+	drv, err := srv.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,19 +510,24 @@ func TestReapExpiredLeases(t *testing.T) {
 		if _, err := store.Exec(`INSERT INTO `+LeasesTable+`
 			(lease_id, driver_id, database, user, client_id, granted_at,
 			 expires_at, released, renewals)
-			VALUES ($id, 1, 'prod', 'app', 'c', $g, $e, $r, 0)`,
-			sqlmini.Args{"id": id, "g": now.Add(-time.Hour), "e": exp, "r": released}); err != nil {
+			VALUES ($id, $drv, 'prod', 'app', 'c', $g, $e, $r, 0)`,
+			sqlmini.Args{"id": id, "drv": drv, "g": now.Add(-time.Hour), "e": exp, "r": released}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	insert(1, now.Add(-time.Minute), false) // expired, live → swept
-	insert(2, now.Add(time.Hour), false)    // unexpired → kept
-	insert(3, now.Add(-time.Hour), true)    // expired but already released → untouched
-	insert(4, now.Add(-time.Second), false) // expired, live → swept
+	insert(11, now.Add(-time.Minute), false) // expired, live → swept and purged
+	insert(12, now.Add(time.Hour), false)    // unexpired → kept
+	insert(13, now.Add(-time.Hour), true)    // released, term over → purged
+	insert(14, now, false)                   // expires this instant → swept and purged
+	insert(15, now.Add(time.Hour), true)     // released before its term ended → kept until then
 
 	// A staged transfer for a swept lease must be dropped.
-	srv.stageTransfer(1, []byte{1, 2, 3}, now.Add(-time.Minute))
+	srv.stageTransfer(11, []byte{1, 2, 3}, now.Add(-time.Minute))
 
+	inUse, err := srv.LicensesInUse()
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := srv.ReapExpiredLeases()
 	if err != nil {
 		t.Fatal(err)
@@ -528,25 +536,48 @@ func TestReapExpiredLeases(t *testing.T) {
 		t.Fatalf("swept %d leases, want 2", n)
 	}
 	srv.pendingMu.Lock()
-	_, staged := srv.pending[1]
+	_, staged := srv.pending[11]
 	srv.pendingMu.Unlock()
 	if staged {
 		t.Fatal("reaper must drop staged transfers of swept leases")
 	}
-	inUse, err := srv.LicensesInUse()
+	// The license count never saw the expired rows, so deleting them
+	// cannot move it.
+	if after, err := srv.LicensesInUse(); err != nil || after != inUse || after != 1 {
+		t.Fatalf("licenses in use = %d (err %v) after the sweep, %d before, want 1 both times", after, err, inUse)
+	}
+	leases, err := srv.Leases()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inUse != 1 {
-		t.Fatalf("licenses in use = %d, want 1", inUse)
+	var left []uint64
+	for _, l := range leases {
+		left = append(left, l.LeaseID)
+	}
+	if !slices.Equal(left, []uint64{12, 15}) {
+		t.Fatalf("rows left after the sweep: %v, want [12 15]", left)
+	}
+	if leases[0].Released || !leases[1].Released {
+		t.Fatalf("surviving rows disturbed: %+v", leases)
 	}
 	// Idempotent: a second sweep finds nothing.
 	if n, err = srv.ReapExpiredLeases(); err != nil || n != 0 {
 		t.Fatalf("second sweep = (%d, %v), want (0, nil)", n, err)
 	}
-	lease, ok, err := srv.leaseByID(2)
-	if err != nil || !ok || lease.Released {
-		t.Fatalf("live lease 2 disturbed: %+v ok=%v err=%v", lease, ok, err)
+
+	// A renewal of a reaped lease gets the answer a released one got:
+	// on the checksum fast path (one guarded UPDATE that matches no row)
+	// and on the read-then-update path alike.
+	g, perr := srv.match(catalogRequest())
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	for _, checksum := range []string{g.checksum, "", "some-other-driver"} {
+		renew := catalogRequest()
+		renew.LeaseID, renew.CurrentChecksum = 11, checksum
+		if _, perr := srv.grant(renew, false); perr == nil || perr.Code != ErrCodeNoLease {
+			t.Fatalf("renewal of reaped lease 11 (checksum %q): %v, want NO_LEASE", checksum, perr)
+		}
 	}
 }
 

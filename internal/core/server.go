@@ -542,7 +542,7 @@ func (s *Server) handleDiscover(conn *wire.Conn, payload []byte) {
 		HasDriver:        true,
 		DriverChecksum:   g.checksum,
 		Format:           g.format,
-		Size:             uint32(g.size),
+		Size:             uint32(len(g.blob)),
 		ServerName:       s.name,
 	})
 }
@@ -631,23 +631,24 @@ func (s *Server) handleFileRequest(conn *wire.Conn, payload []byte) {
 	}
 	blob := p.blob
 	total := uint32(len(blob))
-	e := wire.GetEncoder(16 + transferChunkSize) // one framing buffer for the whole stream
-	defer wire.PutEncoder(e)
+	head := wire.GetEncoder(fileChunkHeadLen) // one head buffer for the whole stream
+	defer wire.PutEncoder(head)
 	for off := uint32(0); ; {
 		end := off + transferChunkSize
 		if end > total {
 			end = total
 		}
-		chunk := fileChunk{Offset: off, Total: total, Last: end == total, Data: blob[off:end]}
-		e.Reset()
-		chunk.encodeTo(e)
+		last := end == total
+		head.Reset()
+		fileChunkHead{Offset: off, Total: total, Last: last, Len: end - off}.encodeTo(head)
 		// Count before sending: a client holding the last chunk may read
 		// Counters() at once and must find its own transfer there.
 		s.bytesOut.Add(int64(end - off))
-		if chunk.Last {
+		if last {
 			s.transfers.Add(1)
 		}
-		if err := conn.Send(msgFileData, e.Bytes()); err != nil || chunk.Last {
+		// The chunk goes out as a slice of the stored blob, uncopied.
+		if err := conn.SendBody(msgFileData, head.Bytes(), blob[off:end]); err != nil || last {
 			return
 		}
 		off = end

@@ -117,11 +117,11 @@ func NewServer(name string, opts ...ServerOption) *Server {
 		protoMax:         ProtocolV2,
 		handshakeTimeout: faultnet.DefaultHandshakeTimeout,
 		writeTimeout:     faultnet.DefaultWriteTimeout,
-		users:         map[string]string{},
-		dbs:           map[string]*sqlmini.DB{},
-		sessions:      map[*session]struct{}{},
-		userConns:     map[string]int{},
-		logf:          func(string, ...any) {},
+		users:            map[string]string{},
+		dbs:              map[string]*sqlmini.DB{},
+		sessions:         map[*session]struct{}{},
+		userConns:        map[string]int{},
+		logf:             func(string, ...any) {},
 	}
 	for _, o := range opts {
 		o(s)

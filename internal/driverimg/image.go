@@ -112,7 +112,12 @@ func (img *Image) Encode() []byte {
 	return e.Bytes()
 }
 
-// Decode parses an encoded image.
+// Decode parses an encoded image. Payload and Signature are not copied:
+// they alias blob (capacity-clipped, so appending to one reallocates
+// rather than running into the bytes behind it), which keeps decoding
+// independent of the image size. The caller must not modify blob while
+// the image is in use, and must treat the two slices as read-only;
+// replacing them (Sign, Assemble) is fine.
 func Decode(blob []byte) (*Image, error) {
 	d := wire.NewDecoder(blob)
 	if v := d.Uint8(); v != imageVersion {
@@ -125,9 +130,12 @@ func Decode(blob []byte) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	img := &Image{Manifest: m, Payload: d.Bytes32(), Signature: d.Bytes32()}
+	img := &Image{Manifest: m, Payload: d.Bytes32View(), Signature: d.Bytes32View()}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("driverimg: decode: %w", err)
+	}
+	if n := d.Remaining(); n != 0 {
+		return nil, fmt.Errorf("driverimg: decode: %d trailing bytes", n)
 	}
 	return img, nil
 }
@@ -174,6 +182,9 @@ func decodeManifest(d *wire.Decoder) (Manifest, error) {
 	if err := d.Err(); err != nil {
 		return m, fmt.Errorf("driverimg: decode manifest: %w", err)
 	}
+	if int64(nOpts) > int64(d.Remaining())/8 { // each option is two 4-byte length prefixes at least
+		return m, fmt.Errorf("driverimg: decode manifest: option count %d exceeds remaining payload", nOpts)
+	}
 	if nOpts > 0 {
 		m.Options = make(map[string]string, nOpts)
 		for i := uint32(0); i < nOpts; i++ {
@@ -188,7 +199,11 @@ func decodeManifest(d *wire.Decoder) (Manifest, error) {
 	return m, nil
 }
 
-// canonicalBytes is the byte string covered by the signature.
+// canonicalBytes is the byte string covered by the signature. It costs
+// an image-sized copy: for an image that exists only in memory (built,
+// assembled or pre-configured, about to be signed). An encoded image is
+// checksummed and verified in place by EncodedChecksum and
+// VerifyEncoded.
 func (img *Image) canonicalBytes() []byte {
 	e := wire.NewEncoder(256 + len(img.Payload))
 	encodeManifest(e, img.Manifest)
@@ -209,15 +224,10 @@ func (img *Image) Checksum() string {
 // signature, so the checksum is a bounds-checked walk over the field
 // length prefixes plus one hash — no manifest maps, no payload copy.
 // Grant-path caches use this to checksum stored binary_code BLOBs once
-// per catalog load. The walk also validates the framing, so a blob that
-// Decode would reject errors here too.
+// per catalog load, and the bootloader to check what it downloaded. The
+// walk also validates the framing, so a blob that Decode would reject
+// errors here too.
 func EncodedChecksum(blob []byte) (string, error) {
-	if len(blob) == 0 {
-		return "", fmt.Errorf("driverimg: encoded checksum: empty blob")
-	}
-	if blob[0] != imageVersion {
-		return "", fmt.Errorf("driverimg: unsupported image version %d", blob[0])
-	}
 	end, err := canonicalEnd(blob)
 	if err != nil {
 		return "", err
@@ -226,10 +236,35 @@ func EncodedChecksum(blob []byte) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// VerifyEncoded is Image.Verify for an image still in its encoded
+// form: the signature must be a valid ed25519 signature by pub over the
+// blob's canonical byte range, which is hashed where it lies. An
+// unsigned image fails verification.
+func VerifyEncoded(blob []byte, pub ed25519.PublicKey) error {
+	end, err := canonicalEnd(blob)
+	if err != nil {
+		return err
+	}
+	sig := blob[end+4:] // past the signature's length prefix; canonicalEnd checked it fills the rest
+	if len(sig) == 0 {
+		return fmt.Errorf("driverimg: image is unsigned")
+	}
+	if !ed25519.Verify(pub, blob[1:end], sig) {
+		return fmt.Errorf("driverimg: signature verification failed")
+	}
+	return nil
+}
+
 // canonicalEnd walks an encoded image and returns the offset just past
-// the payload (the end of the signature-covered range), validating that
-// exactly one signature field follows.
+// the payload (the end of the signature-covered range), validating the
+// version byte and that exactly one signature field follows.
 func canonicalEnd(blob []byte) (int, error) {
+	if len(blob) == 0 {
+		return 0, fmt.Errorf("driverimg: encoded image: empty blob")
+	}
+	if blob[0] != imageVersion {
+		return 0, fmt.Errorf("driverimg: unsupported image version %d", blob[0])
+	}
 	w := fieldWalker{buf: blob, off: 1} // skip the version byte
 	w.skipPrefixed()                    // Kind
 	w.skipPrefixed()                    // API.Name
@@ -251,10 +286,10 @@ func canonicalEnd(blob []byte) (int, error) {
 	end := w.off
 	w.skipPrefixed() // Signature
 	if w.err != nil {
-		return 0, fmt.Errorf("driverimg: encoded checksum: %w", w.err)
+		return 0, fmt.Errorf("driverimg: encoded image: %w", w.err)
 	}
 	if w.off != len(blob) {
-		return 0, fmt.Errorf("driverimg: encoded checksum: %d trailing bytes", len(blob)-w.off)
+		return 0, fmt.Errorf("driverimg: encoded image: %d trailing bytes", len(blob)-w.off)
 	}
 	return end, nil
 }

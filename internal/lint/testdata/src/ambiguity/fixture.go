@@ -15,9 +15,9 @@ var ErrStatementNotSent = errors.New("statement not sent")
 
 type conn struct{}
 
-func (c *conn) Send(b []byte) error    { return nil }
-func (c *conn) Recv() ([]byte, error)  { return nil, nil }
-func (c *conn) Close() error           { return nil }
+func (c *conn) Send(b []byte) error   { return nil }
+func (c *conn) Recv() ([]byte, error) { return nil, nil }
+func (c *conn) Close() error          { return nil }
 
 func beforeAnyWrite(c *conn, req []byte) error {
 	if len(req) == 0 {

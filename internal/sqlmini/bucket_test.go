@@ -279,3 +279,33 @@ func TestInsertBytesFlatInBucketSize(t *testing.T) {
 		t.Fatalf("INSERT allocates %d B into a 20000-row bucket, %d B into a 200-row one: not O(1)", large, small)
 	}
 }
+
+// TestGCQueueDropsProcessedItems: a GC round must not leave the items
+// it processed sitting in the queue's backing array, where they keep
+// deleted rows and their superseded values reachable. (The lease
+// reaper deletes a second's worth of leases per sweep; the stale tail
+// held the last sweep's rows, two versions each.)
+func TestGCQueueDropsProcessedItems(t *testing.T) {
+	db := NewDB()
+	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, x INTEGER)")
+	db.MustExec("CREATE INDEX t_x ON t (x) USING ORDERED")
+	for i := 0; i < 300; i++ {
+		db.MustExec("INSERT INTO t (id, x) VALUES (?, ?)", i, i)
+	}
+	db.MustExec("UPDATE t SET x = x + 1000")
+	db.MustExec("DELETE FROM t")
+	db.gcAll()
+	tbl, err := db.lookupTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := tbl.gc.queue
+	if len(q) != 0 {
+		t.Fatalf("%d items still queued after a full GC round", len(q))
+	}
+	for i, it := range q[:cap(q)] {
+		if it.row != nil || it.vals != nil {
+			t.Fatalf("slot %d of the drained queue still references a row", i)
+		}
+	}
+}

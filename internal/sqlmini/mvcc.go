@@ -235,7 +235,13 @@ func (t *Table) gcTableLocked(floor uint64) {
 			t.gcPrune(it.row, floor)
 		}
 	}
-	g.queue = append(g.queue[:0], g.queue[i:]...)
+	// Zero the vacated tail: a processed item left in the backing array
+	// would keep its row and that row's superseded values reachable until
+	// the queue grew over it again — after a sweep that deletes a
+	// thousand leases, a thousand dead rows.
+	n := copy(g.queue, g.queue[i:])
+	clear(g.queue[n:])
+	g.queue = g.queue[:n]
 	if unlinkedAny {
 		t.compactRowsLocked()
 	}

@@ -59,7 +59,7 @@ func TestRangePlannerMatchesScan(t *testing.T) {
 		{"SELECT * FROM leases WHERE score > ? AND score < ?", []any{1, 5}},
 		{"SELECT * FROM leases WHERE score >= ? AND score <= ?", []any{2, 2}},
 		{"SELECT * FROM leases WHERE score BETWEEN ? AND ?", []any{1, 4}},
-		{"SELECT * FROM leases WHERE ? < score", []any{3}},          // reversed operands
+		{"SELECT * FROM leases WHERE ? < score", []any{3}}, // reversed operands
 		{"SELECT * FROM leases WHERE ? >= score AND ? < score", []any{5, 1}},
 		{"SELECT * FROM leases WHERE score > ? AND released = FALSE", []any{2}},
 		{"SELECT count(*) FROM leases WHERE score > ? AND note LIKE ?", []any{2, "n%"}},
@@ -132,7 +132,7 @@ func TestRangePlannerMutationsMatchScan(t *testing.T) {
 	}
 	apply("UPDATE leases SET released = TRUE WHERE expires_at <= now() AND released = FALSE")
 	apply("UPDATE leases SET released = TRUE WHERE expires_at <= now() AND released = FALSE") // second sweep: 0 rows
-	apply("UPDATE leases SET score = score + 10 WHERE score > ?", 4) // moves rows across its own index
+	apply("UPDATE leases SET score = score + 10 WHERE score > ?", 4)                          // moves rows across its own index
 	apply("UPDATE leases SET expires_at = ? WHERE score BETWEEN ? AND ?", rangeBase.Add(time.Hour), 1, 2)
 	apply("DELETE FROM leases WHERE score >= ? AND released = TRUE", 12)
 	apply("DELETE FROM leases WHERE expires_at < ?", rangeBase.Add(-20*time.Minute))

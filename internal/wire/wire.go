@@ -52,16 +52,24 @@ var (
 	ErrShortBuffer = errors.New("wire: short buffer")
 )
 
+// headerLen is the size of the fixed frame header.
+const headerLen = 8
+
+// putHeader fills hdr with the header of a frame carrying n payload bytes.
+func putHeader(hdr []byte, typ uint16, n int) {
+	binary.BigEndian.PutUint16(hdr[0:2], Magic)
+	binary.BigEndian.PutUint16(hdr[2:4], typ)
+	binary.BigEndian.PutUint32(hdr[4:8], uint32(n))
+}
+
 // WriteFrame writes one frame to w. It is not safe for concurrent use on
 // the same writer; callers serialize with their own mutex.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.Payload))
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint16(hdr[0:2], Magic)
-	binary.BigEndian.PutUint16(hdr[2:4], f.Type)
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(f.Payload)))
+	var hdr [headerLen]byte
+	putHeader(hdr[:], f.Type, len(f.Payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
 	}
@@ -77,21 +85,11 @@ func WriteFrame(w io.Writer, f Frame) error {
 // ReadFrame reads one frame from r. io.EOF is returned unwrapped when the
 // connection closes cleanly between frames.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, fmt.Errorf("wire: read header: %w", err)
+	typ, n, err := readHeader(r)
+	if err != nil {
+		return Frame{}, err
 	}
-	if m := binary.BigEndian.Uint16(hdr[0:2]); m != Magic {
-		return Frame{}, fmt.Errorf("%w: 0x%04x", ErrBadMagic, m)
-	}
-	f := Frame{Type: binary.BigEndian.Uint16(hdr[2:4])}
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n > MaxPayload {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
+	f := Frame{Type: typ}
 	if n > 0 {
 		f.Payload = make([]byte, n)
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
@@ -99,6 +97,26 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// readHeader reads and validates one frame header: the frame type and
+// the length of the payload that follows on r.
+func readHeader(r io.Reader) (typ uint16, n int, err error) {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return 0, 0, io.EOF
+		}
+		return 0, 0, fmt.Errorf("wire: read header: %w", err)
+	}
+	if m := binary.BigEndian.Uint16(hdr[0:2]); m != Magic {
+		return 0, 0, fmt.Errorf("%w: 0x%04x", ErrBadMagic, m)
+	}
+	size := binary.BigEndian.Uint32(hdr[4:8])
+	if size > MaxPayload {
+		return 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
+	}
+	return binary.BigEndian.Uint16(hdr[2:4]), int(size), nil
 }
 
 // Encoder accumulates payload fields for one frame. The zero value is
@@ -339,6 +357,20 @@ func (d *Decoder) Bytes32() []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
+}
+
+// Bytes32View consumes a length-prefixed byte slice without copying it:
+// the result aliases the decoder's buffer, with its capacity clipped to
+// its length so an append by the holder reallocates instead of writing
+// into the bytes that follow. The holder must treat it as read-only for
+// as long as anyone else reads the buffer.
+func (d *Decoder) Bytes32View() []byte {
+	n := d.Uint32()
+	if d.err != nil {
+		return nil
+	}
+	b := d.take(int(n))
+	return b[:len(b):len(b)]
 }
 
 // StringSlice consumes a count-prefixed slice of strings.

@@ -46,13 +46,13 @@ type Recorder struct {
 // keeps adjacent shards off one cache line — shards exist precisely so
 // workers don't contend.
 type recShard struct {
-	mu       sync.Mutex
-	outcomes []Outcome
-	hist     Hist // successful-request latencies
-	total    uint64
-	errors   uint64
-	retries  uint64
-	timeouts uint64
+	mu                  sync.Mutex
+	outcomes            []Outcome
+	hist                Hist // successful-request latencies
+	total               uint64
+	errors              uint64
+	retries             uint64
+	timeouts            uint64
 	firstFail, lastFail time.Time
 	_                   [64]byte
 }
