@@ -43,8 +43,9 @@
 // slice — a bootstrap is one statement, the lease INSERT — and the
 // image crosses the transfer path uncopied: scatter-sent from the
 // entry, read off the socket into the bootloader's one pre-sized blob,
-// decoded, checksummed and signature-checked in place (ARCHITECTURE.md,
-// "The image's byte path"). §5.4.1 on-demand assembly is memoized per
+// decoded, then checksummed and signature-checked in place by a single
+// SHA-256 pass — image format v2 signs that digest, not the bytes
+// (ARCHITECTURE.md, "The image format" and "The image's byte path"). §5.4.1 on-demand assembly is memoized per
 // (driver content, package set, options) shape. The client side of the lease protocol lives in one
 // place, core.LeaseClient (framing, reply deadlines, poisoning on any
 // transport failure); a Bootloader keeps one such client cached to its

@@ -525,16 +525,16 @@ func (b *Bootloader) install(offer Offer, blob []byte, addr string) (*loadedDriv
 	if err != nil {
 		return nil, fmt.Errorf("drivolution: decode driver: %w", err)
 	}
-	// Signature and checksum are taken over the canonical bytes where
-	// they lie in blob: one ed25519 pass, one SHA-256 pass, no copy.
+	// One SHA-256 pass over the canonical bytes, where they lie in blob,
+	// is both the checksum and what the signature is checked over.
+	var sum string
 	if b.trustKey != nil {
-		if err := driverimg.VerifyEncoded(blob, b.trustKey); err != nil {
-			return nil, fmt.Errorf("drivolution: reject driver %s: %w", img.Manifest.ID(), err)
-		}
+		sum, err = driverimg.VerifyEncoded(blob, b.trustKey)
+	} else {
+		sum, err = driverimg.EncodedChecksum(blob)
 	}
-	sum, err := driverimg.EncodedChecksum(blob)
 	if err != nil {
-		return nil, fmt.Errorf("drivolution: decode driver: %w", err)
+		return nil, fmt.Errorf("drivolution: reject driver %s: %w", img.Manifest.ID(), err)
 	}
 	if sum != offer.DriverChecksum {
 		return nil, fmt.Errorf("drivolution: driver checksum mismatch (offered %s, got %s)",

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/ed25519"
 	"crypto/tls"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -394,6 +395,25 @@ func TestSignedDriverVerification(t *testing.T) {
 	b2 := f2.bootloader(t, WithTrustKey(pub))
 	if _, err := b2.Connect(f2.appURL(), nil); err == nil {
 		t.Fatal("unsigned driver must be rejected by a trusting bootloader")
+	}
+
+	// A row an older server signed into the store (image format v1: the
+	// signature covers the canonical bytes themselves) still installs;
+	// the catalog serves it unchanged.
+	enc := f2.driverImage(dbver.V(1, 1, 0), 1, 256).Encode()
+	canon := enc[1 : len(enc)-4] // between the version byte and the empty signature's prefix
+	sig := ed25519.Sign(priv, canon)
+	v1 := binary.BigEndian.AppendUint32(append([]byte{1}, canon...), uint32(len(sig)))
+	if err := insertDriver(f2.drv.Store(), DriverRecord{DriverID: 1000, APIName: "JDBC", APIMajor: 3,
+		Version: dbver.V(1, 1, 0), BinaryCode: append(v1, sig...), Format: string(dbver.FormatImage)}); err != nil {
+		t.Fatal(err)
+	}
+	b3 := f2.bootloader(t, WithTrustKey(pub))
+	if _, err := b3.Connect(f2.appURL(), nil); err != nil {
+		t.Fatalf("v1-signed driver rejected: %v", err)
+	}
+	if v := b3.Version(); v != dbver.V(1, 1, 0) {
+		t.Fatalf("installed %v, want the v1-signed 1.1.0", v)
 	}
 }
 

@@ -18,6 +18,7 @@ package driverimg
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sort"
@@ -26,8 +27,19 @@ import (
 	"repro/internal/wire"
 )
 
-// imageVersion guards the serialized image format.
-const imageVersion = 1
+// imageVersion is the format Encode writes. Version 2 has version 1's
+// byte layout and changes only what the signature covers
+// (signedMessage). Version 1 images — .img files an older drivoctl
+// build wrote, rows an external store still holds — are read, verified
+// and installed, never written.
+const (
+	imageVersion   = 2
+	imageVersionV1 = 1
+)
+
+// sigDomain opens every version-2 signed message, so an image
+// signature cannot pass for a signature over anything else.
+const sigDomain = "drivolution-image\x00"
 
 // Manifest describes one driver build.
 type Manifest struct {
@@ -97,12 +109,20 @@ type Image struct {
 	// driver; assembly (§5.4.1) concatenates per-package payloads. Its
 	// size shows up in transfer benchmarks.
 	Payload []byte
-	// Signature is an ed25519 signature over the canonical encoding of
-	// (manifest, payload); empty for unsigned images.
+	// Signature is an ed25519 signature over signedMessage, which
+	// commits to the canonical encoding of (manifest, payload); empty for
+	// unsigned images.
 	Signature []byte
+
+	// version is the format Signature was made under: set by Decode and
+	// Sign, zero (imageVersion) for an image built in memory.
+	version byte
 }
 
-// Encode serializes the image into the BLOB stored in binary_code.
+// Encode serializes the image into the BLOB stored in binary_code, in
+// format version 2. A version-1 signature does not verify under it: an
+// image decoded from a version-1 blob needs Sign before it is
+// re-encoded.
 func (img *Image) Encode() []byte {
 	e := wire.NewEncoder(256 + len(img.Payload))
 	e.Uint8(imageVersion)
@@ -119,25 +139,15 @@ func (img *Image) Encode() []byte {
 // the image is in use, and must treat the two slices as read-only;
 // replacing them (Sign, Assemble) is fine.
 func Decode(blob []byte) (*Image, error) {
-	d := wire.NewDecoder(blob)
-	if v := d.Uint8(); v != imageVersion {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("driverimg: decode: %w", err)
-		}
-		return nil, fmt.Errorf("driverimg: unsupported image version %d", v)
+	if _, err := canonicalEnd(blob); err != nil { // version and framing
+		return nil, err
 	}
+	d := wire.NewDecoder(blob[1:])
 	m, err := decodeManifest(d)
 	if err != nil {
 		return nil, err
 	}
-	img := &Image{Manifest: m, Payload: d.Bytes32View(), Signature: d.Bytes32View()}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("driverimg: decode: %w", err)
-	}
-	if n := d.Remaining(); n != 0 {
-		return nil, fmt.Errorf("driverimg: decode: %d trailing bytes", n)
-	}
-	return img, nil
+	return &Image{Manifest: m, Payload: d.Bytes32View(), Signature: d.Bytes32View(), version: blob[0]}, nil
 }
 
 func encodeManifest(e *wire.Encoder, m Manifest) {
@@ -199,22 +209,42 @@ func decodeManifest(d *wire.Decoder) (Manifest, error) {
 	return m, nil
 }
 
-// canonicalBytes is the byte string covered by the signature. It costs
-// an image-sized copy: for an image that exists only in memory (built,
-// assembled or pre-configured, about to be signed). An encoded image is
-// checksummed and verified in place by EncodedChecksum and
+// digest streams the canonical encoding — the manifest, then the
+// length-prefixed payload — through SHA-256 and returns its length and
+// hash, without building it: an image that exists only in memory
+// (built, assembled, pre-configured) costs no image-sized copy. An
+// encoded image is hashed where it lies, by EncodedChecksum and
 // VerifyEncoded.
-func (img *Image) canonicalBytes() []byte {
-	e := wire.NewEncoder(256 + len(img.Payload))
+func (img *Image) digest() (int, [sha256.Size]byte) {
+	e := wire.NewEncoder(256)
 	encodeManifest(e, img.Manifest)
-	e.Bytes32(img.Payload)
-	return e.Bytes()
+	e.Uint32(uint32(len(img.Payload)))
+	h := sha256.New()
+	h.Write(e.Bytes())
+	h.Write(img.Payload)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return len(e.Bytes()) + len(img.Payload), sum
+}
+
+// signedMessage is what a version-2 signature covers: sigDomain, the
+// version byte, the canonical range's length and its SHA-256. The
+// digest commits to every canonical byte, so the signature covers
+// exactly what version 1's did (the canonical bytes themselves); the
+// bytes are hashed once instead of twice, and that one hash is also the
+// checksum.
+func signedMessage(n int, sum *[sha256.Size]byte) []byte {
+	msg := make([]byte, 0, len(sigDomain)+1+8+sha256.Size)
+	msg = append(msg, sigDomain...)
+	msg = append(msg, imageVersion)
+	msg = binary.BigEndian.AppendUint64(msg, uint64(n))
+	return append(msg, sum[:]...)
 }
 
 // Checksum returns the SHA-256 of the canonical encoding, hex-encoded;
 // used as a cheap content identity in lease bookkeeping.
 func (img *Image) Checksum() string {
-	sum := sha256.Sum256(img.canonicalBytes())
+	_, sum := img.digest()
 	return hex.EncodeToString(sum[:])
 }
 
@@ -224,9 +254,8 @@ func (img *Image) Checksum() string {
 // signature, so the checksum is a bounds-checked walk over the field
 // length prefixes plus one hash — no manifest maps, no payload copy.
 // Grant-path caches use this to checksum stored binary_code BLOBs once
-// per catalog load, and the bootloader to check what it downloaded. The
-// walk also validates the framing, so a blob that Decode would reject
-// errors here too.
+// per catalog load. The walk also validates the framing, so a blob that
+// Decode would reject errors here too.
 func EncodedChecksum(blob []byte) (string, error) {
 	end, err := canonicalEnd(blob)
 	if err != nil {
@@ -236,115 +265,76 @@ func EncodedChecksum(blob []byte) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// VerifyEncoded is Image.Verify for an image still in its encoded
-// form: the signature must be a valid ed25519 signature by pub over the
-// blob's canonical byte range, which is hashed where it lies. An
-// unsigned image fails verification.
-func VerifyEncoded(blob []byte, pub ed25519.PublicKey) error {
+// VerifyEncoded is the install check: it returns the blob's Checksum
+// once the signature is a valid ed25519 signature by pub over what the
+// blob's version covers, hashing the canonical byte range once, where
+// it lies. An unsigned image fails verification.
+func VerifyEncoded(blob []byte, pub ed25519.PublicKey) (string, error) {
 	end, err := canonicalEnd(blob)
 	if err != nil {
-		return err
+		return "", err
 	}
 	sig := blob[end+4:] // past the signature's length prefix; canonicalEnd checked it fills the rest
 	if len(sig) == 0 {
-		return fmt.Errorf("driverimg: image is unsigned")
+		return "", fmt.Errorf("driverimg: image is unsigned")
 	}
-	if !ed25519.Verify(pub, blob[1:end], sig) {
-		return fmt.Errorf("driverimg: signature verification failed")
+	canon := blob[1:end]
+	sum := sha256.Sum256(canon)
+	msg := canon // version 1 signed the canonical bytes themselves
+	if blob[0] != imageVersionV1 {
+		msg = signedMessage(len(canon), &sum)
 	}
-	return nil
+	if !ed25519.Verify(pub, msg, sig) {
+		return "", fmt.Errorf("driverimg: signature verification failed")
+	}
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // canonicalEnd walks an encoded image and returns the offset just past
 // the payload (the end of the signature-covered range), validating the
-// version byte and that exactly one signature field follows.
+// version byte and that exactly one signature field follows. Fields are
+// stepped over as views: nothing is copied or allocated.
 func canonicalEnd(blob []byte) (int, error) {
 	if len(blob) == 0 {
 		return 0, fmt.Errorf("driverimg: encoded image: empty blob")
 	}
-	if blob[0] != imageVersion {
+	if blob[0] != imageVersion && blob[0] != imageVersionV1 {
 		return 0, fmt.Errorf("driverimg: unsupported image version %d", blob[0])
 	}
-	w := fieldWalker{buf: blob, off: 1} // skip the version byte
-	w.skipPrefixed()                    // Kind
-	w.skipPrefixed()                    // API.Name
-	w.skip(8)                           // API major/minor
-	w.skipPrefixed()                    // Platform
-	w.skip(12)                          // Version major/minor/micro
-	w.skip(2)                           // ProtocolVersion
-	w.skipPrefixed()                    // PinnedURL
-	nOpts := w.count()
-	for i := uint32(0); i < nOpts && w.err == nil; i++ {
-		w.skipPrefixed() // option key
-		w.skipPrefixed() // option value
+	d := wire.NewDecoder(blob[1:])
+	d.Bytes32View() // Kind
+	d.Bytes32View() // API.Name
+	d.Uint64()      // API major/minor
+	d.Bytes32View() // Platform
+	d.Uint64()      // Version major/minor
+	d.Uint32()      // Version micro
+	d.Uint16()      // ProtocolVersion
+	d.Bytes32View() // PinnedURL
+	for n := d.Uint32(); n > 0 && d.Err() == nil; n-- {
+		d.Bytes32View() // option key
+		d.Bytes32View() // option value
 	}
-	nPkgs := w.count()
-	for i := uint32(0); i < nPkgs && w.err == nil; i++ {
-		w.skipPrefixed() // package name
+	for n := d.Uint32(); n > 0 && d.Err() == nil; n-- {
+		d.Bytes32View() // package name
 	}
-	w.skipPrefixed() // Payload
-	end := w.off
-	w.skipPrefixed() // Signature
-	if w.err != nil {
-		return 0, fmt.Errorf("driverimg: encoded image: %w", w.err)
+	d.Bytes32View() // Payload
+	end := len(blob) - d.Remaining()
+	d.Bytes32View() // Signature
+	if err := d.Err(); err != nil {
+		return 0, fmt.Errorf("driverimg: encoded image: %w", err)
 	}
-	if w.off != len(blob) {
-		return 0, fmt.Errorf("driverimg: encoded image: %d trailing bytes", len(blob)-w.off)
+	if n := d.Remaining(); n != 0 {
+		return 0, fmt.Errorf("driverimg: encoded image: %d trailing bytes", n)
 	}
 	return end, nil
 }
 
-// fieldWalker advances over wire-encoded fields without materializing
-// them; errors are sticky like wire.Decoder's.
-type fieldWalker struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (w *fieldWalker) skip(n int) {
-	if w.err != nil {
-		return
-	}
-	if w.off+n > len(w.buf) {
-		w.err = fmt.Errorf("short buffer at offset %d", w.off)
-		return
-	}
-	w.off += n
-}
-
-// count consumes a 4-byte element count.
-func (w *fieldWalker) count() uint32 {
-	if w.err != nil {
-		return 0
-	}
-	if w.off+4 > len(w.buf) {
-		w.err = fmt.Errorf("short buffer at offset %d", w.off)
-		return 0
-	}
-	n := uint32(w.buf[w.off])<<24 | uint32(w.buf[w.off+1])<<16 |
-		uint32(w.buf[w.off+2])<<8 | uint32(w.buf[w.off+3])
-	w.off += 4
-	return n
-}
-
-// skipPrefixed consumes one length-prefixed string/byte field. The
-// length is untrusted: reject anything beyond the buffer while still
-// in uint32 space, so int(n) can't go negative on 32-bit platforms and
-// slide the offset backwards.
-func (w *fieldWalker) skipPrefixed() {
-	n := w.count()
-	if w.err == nil && uint64(n) > uint64(len(w.buf)) {
-		w.err = fmt.Errorf("short buffer at offset %d", w.off)
-		return
-	}
-	w.skip(int(n))
-}
-
 // Sign signs the image with the given ed25519 private key, replacing any
-// existing signature.
+// existing signature with a version-2 one.
 func (img *Image) Sign(key ed25519.PrivateKey) {
-	img.Signature = ed25519.Sign(key, img.canonicalBytes())
+	n, sum := img.digest()
+	img.Signature = ed25519.Sign(key, signedMessage(n, &sum))
+	img.version = imageVersion
 }
 
 // Verify checks the signature against pub. Unsigned images fail
@@ -353,7 +343,19 @@ func (img *Image) Verify(pub ed25519.PublicKey) error {
 	if len(img.Signature) == 0 {
 		return fmt.Errorf("driverimg: image %s is unsigned", img.Manifest.ID())
 	}
-	if !ed25519.Verify(pub, img.canonicalBytes(), img.Signature) {
+	var ok bool
+	if img.version == imageVersionV1 {
+		// A version-1 signature covers the canonical bytes themselves,
+		// which only an encoding materializes.
+		blob := img.Encode()
+		blob[0] = imageVersionV1
+		_, err := VerifyEncoded(blob, pub)
+		ok = err == nil
+	} else {
+		n, sum := img.digest()
+		ok = ed25519.Verify(pub, signedMessage(n, &sum), img.Signature)
+	}
+	if !ok {
 		return fmt.Errorf("driverimg: signature verification failed for %s", img.Manifest.ID())
 	}
 	return nil

@@ -182,18 +182,15 @@ func TestBucketKeyCycleAndRollbackNoDuplicates(t *testing.T) {
 
 // TestBucketSurvivesUpgradeAndRestore: a many-row bucket comes through
 // the hash→ordered in-place upgrade (with the superseded hash kept fed
-// as a shadow) and through snapshot restore, and keeps appending.
+// as a shadow) and through snapshot restore, and keeps appending. The
+// upgrade's backfill files a superseded version too, and GC then drops
+// that entry like any other moved key's.
 func TestBucketSurvivesUpgradeAndRestore(t *testing.T) {
 	db := NewDB()
 	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, grp INTEGER, v INTEGER)")
 	db.MustExec("CREATE INDEX t_hash ON t (grp)")
 	fillBucket(t, db, 0, 300)
 	db.MustExec("UPDATE t SET grp = 2 WHERE id = 5")
-	// Prune row 5's grp = 1 version before the upgrade: backfill files
-	// superseded versions too, with no deferred-removal hint, so that
-	// entry would outlive GC until the row dies (as at the parent; its
-	// fix belongs in a PR of its own).
-	db.gcAll()
 	tbl, _ := db.lookupTable("t")
 	old := tbl.indexNamed("t_hash").hash
 	if err := db.EnsureOrderedIndex("t", "grp"); err != nil {
@@ -202,6 +199,13 @@ func TestBucketSurvivesUpgradeAndRestore(t *testing.T) {
 	ix := tbl.indexNamed("t_hash")
 	if ix.kind != IndexOrdered || ix.shadow != old {
 		t.Fatalf("upgrade left kind %v, shadow kept: %v", ix.kind, ix.shadow == old)
+	}
+	if n := len(bucketOf(t, db, "t_hash", 1)); n != 300 {
+		t.Fatalf("backfill filed %d rows under grp = 1, want 300 (row 5's superseded version included)", n)
+	}
+	db.gcAll()
+	if n := len(bucketOf(t, db, "t_hash", 1)); n != 299 {
+		t.Fatalf("after GC grp = 1 holds %d rows, want 299: the backfilled entry of row 5's superseded version outlived GC", n)
 	}
 	fillBucket(t, db, 300, 310)
 	if n := len(old.lookup([]Value{NewInt(1)})); n != 309 { // 300 - row 5 + 10

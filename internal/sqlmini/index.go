@@ -82,7 +82,7 @@ func (t *Table) storeIndexes(ixs []*secondaryIndex) { t.indexes.Store(&ixs) }
 // within it — except the DOUBLE zeroes, which compare equal but format
 // differently, so negative zero is folded into "0".
 func pkKey(v Value) string {
-	if v.Type() == TypeDouble && v.f == 0 {
+	if v.typ == TypeDouble && v.float() == 0 {
 		return "0"
 	}
 	return v.Str()
@@ -110,7 +110,7 @@ func tupleKey(key []Value) string {
 // predicate matches them). Callers that only probe pass a stack buffer.
 func tupleOf(dst []Value, cols []int, vals []Value) ([]Value, bool) {
 	for _, ci := range cols {
-		if !vals[ci].isSet {
+		if vals[ci].IsNull() {
 			return nil, false
 		}
 		dst = append(dst, vals[ci])
@@ -139,7 +139,7 @@ func keyMoved(cols []int, oldVals, newVals []Value) (oldOK, newOK, moved bool) {
 	oldOK, newOK = true, true
 	for _, ci := range cols {
 		o, n := &oldVals[ci], &newVals[ci]
-		oldOK, newOK = oldOK && o.isSet, newOK && n.isSet
+		oldOK, newOK = oldOK && !o.IsNull(), newOK && !n.IsNull()
 		if c, ok := comparePtr(o, n); !ok || c != 0 {
 			moved = true
 		}
@@ -396,14 +396,23 @@ func (t *Table) removeIndex(target *secondaryIndex) {
 // addIndex creates a secondary index over cols and backfills it from
 // every live version of every row — not just the current ones — so
 // readers at older snapshots can still find rows whose key has since
-// moved. Caller holds ddlMu and the table latch; name/columns are
-// validated.
+// moved. A superseded version's entry gets the deferred-removal hint
+// indexUpdate would have left, stamped with the table's watermark (no
+// earlier than the commit that superseded it, and no earlier than
+// anything queued), so GC drops it once no reader can need it. Caller
+// holds ddlMu and the table latch; name/columns are validated.
 func (t *Table) addIndex(name string, cols []int, kind IndexKind) {
 	ix := newSecondaryIndex(name, cols, kind)
+	c := t.watermark.Load()
 	for _, r := range t.rows.Load().snapshot() {
-		for v := r.v.Load(); v != nil; v = v.prev.Load() {
-			if !v.dead {
-				ix.insertFor(v.vals, r, false)
+		head := r.v.Load()
+		for v := head; v != nil; v = v.prev.Load() {
+			if v.dead {
+				continue
+			}
+			ix.insertFor(v.vals, r, false)
+			if v != head {
+				t.gc.enqueue(gcItem{c: c, row: r, hash: ix.hash, skip: ix.skip, vals: v.vals})
 			}
 		}
 	}
@@ -416,7 +425,7 @@ func (t *Table) addIndex(name string, cols []int, kind IndexKind) {
 // passes false to re-register values whose entries GC may or may not
 // have dropped. Caller holds the latch and has checked uniqueness.
 func (t *Table) indexInsert(r *Row, vals []Value, fresh bool) {
-	if t.pk >= 0 && vals[t.pk].isSet {
+	if t.pk >= 0 && !vals[t.pk].IsNull() {
 		t.pkIx.insert(vals[t.pk:t.pk+1], r, fresh)
 	}
 	for _, ix := range t.loadIndexes() {

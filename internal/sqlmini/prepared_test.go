@@ -2,7 +2,7 @@ package sqlmini
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -70,7 +70,7 @@ func TestPreparedMatchesAdhoc(t *testing.T) {
 				if gotErr != nil {
 					continue
 				}
-				if !reflect.DeepEqual(got, want) {
+				if !sameResult(got, want) {
 					t.Fatalf("%s args[%d] pass %d: prepared %+v, adhoc %+v", tc.name, i, pass, got, want)
 				}
 			}
@@ -130,7 +130,7 @@ func TestPreparedSurvivesSchemaChange(t *testing.T) {
 			t.Fatalf("%s: %v", stage, err)
 		}
 		want := db.MustExec(sql, Args{"v": int64(3)})
-		if !reflect.DeepEqual(got, want) {
+		if !sameResult(got, want) {
 			t.Fatalf("%s: prepared %+v, adhoc %+v", stage, got, want)
 		}
 	}
@@ -230,7 +230,7 @@ func TestPreparedRandomizedEquivalence(t *testing.T) {
 			if wantErr != nil {
 				t.Fatalf("step %d sql %d adhoc: %v", step, i, wantErr)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !sameResult(got, want) {
 				t.Fatalf("step %d sql %d: prepared %+v, adhoc %+v", step, i, got, want)
 			}
 		}
@@ -274,7 +274,7 @@ func TestExecBatchAtomic(t *testing.T) {
 		t.Fatal("batch with duplicate insert must fail")
 	}
 	after := db.MustExec(`SELECT count(*), max(v) FROM t`)
-	if !reflect.DeepEqual(before.Rows, after.Rows) {
+	if !sameRows(before.Rows, after.Rows) {
 		t.Fatalf("failed batch must revert: before %+v after %+v", before.Rows, after.Rows)
 	}
 
@@ -369,5 +369,21 @@ func BenchmarkPreparedVsAdhoc(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+// sameResult reports whether two results carry the same columns, count
+// and values. Not reflect.DeepEqual: a Value reaches its string or BLOB
+// bytes through a pointer, which DeepEqual follows for one byte only.
+func sameResult(a, b *Result) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return slices.Equal(a.Cols, b.Cols) && a.Affected == b.Affected && sameRows(a.Rows, b.Rows)
+}
+
+func sameRows(a, b [][]Value) bool {
+	return slices.EqualFunc(a, b, func(x, y []Value) bool {
+		return slices.EqualFunc(x, y, func(u, v Value) bool { return u.Type() == v.Type() && u.Str() == v.Str() })
 	})
 }

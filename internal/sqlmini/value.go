@@ -21,11 +21,13 @@
 package sqlmini
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Type enumerates column/value types. The set mirrors the ANSI SQL types
@@ -68,43 +70,69 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a dynamically typed SQL value. The zero Value is SQL NULL.
+// Value is a dynamically typed SQL value in 24 bytes: a type tag, one
+// word and one reference. The word holds an integer or boolean, a
+// float's bits, a timestamp's Unix nanoseconds (the zero time as
+// math.MinInt64, as wire.Encoder.Time writes it), or the length of the
+// string or BLOB whose bytes p points at. The zero Value is SQL NULL.
 type Value struct {
-	typ   Type
-	i     int64
-	f     float64
-	s     string
-	b     []byte
-	t     time.Time
-	isSet bool
+	_   [0]func() // not comparable: == would compare p, not the bytes
+	typ Type      // 0 for NULL
+	n   uint64
+	p   *byte
 }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
+// zeroTime is the word of the zero TIMESTAMP.
+const zeroTime = math.MinInt64
+
 // NewInt returns an INTEGER/BIGINT value.
-func NewInt(v int64) Value { return Value{typ: TypeBigint, i: v, isSet: true} }
+func NewInt(v int64) Value { return Value{typ: TypeBigint, n: uint64(v)} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(v float64) Value { return Value{typ: TypeDouble, f: v, isSet: true} }
+func NewFloat(v float64) Value { return Value{typ: TypeDouble, n: math.Float64bits(v)} }
 
 // NewString returns a VARCHAR value.
-func NewString(v string) Value { return Value{typ: TypeVarchar, s: v, isSet: true} }
+func NewString(v string) Value {
+	return Value{typ: TypeVarchar, n: uint64(len(v)), p: unsafe.StringData(v)}
+}
 
-// NewBytes returns a BLOB value. The slice is retained, not copied.
-func NewBytes(v []byte) Value { return Value{typ: TypeBlob, b: v, isSet: true} }
+// NewBytes returns a BLOB value. The slice is retained, not copied;
+// Bytes returns it capacity-clipped.
+func NewBytes(v []byte) Value {
+	return Value{typ: TypeBlob, n: uint64(len(v)), p: unsafe.SliceData(v)}
+}
 
-// NewTime returns a TIMESTAMP value.
-func NewTime(v time.Time) Value { return Value{typ: TypeTimestamp, t: v, isSet: true} }
+// NewTime returns a TIMESTAMP value. It holds the instant, not the
+// location, and reads back in UTC. An instant outside the int64
+// nanosecond range (before 1678 or after 2262, bar the zero time) has
+// no such form: it is kept as its RFC 3339 text, which still compares
+// with a TIMESTAMP as the time it names and which Coerce refuses to
+// store in a TIMESTAMP column — nothing wraps silently.
+func NewTime(v time.Time) Value {
+	ns := v.UnixNano()
+	switch {
+	case v.IsZero():
+		ns = zeroTime
+	case ns == zeroTime || !time.Unix(0, ns).Equal(v):
+		return NewString(v.UTC().Format(time.RFC3339Nano))
+	}
+	return Value{typ: TypeTimestamp, n: uint64(ns)}
+}
 
 // NewBool returns a BOOLEAN value.
 func NewBool(v bool) Value {
-	i := int64(0)
 	if v {
-		i = 1
+		return Value{typ: TypeBoolean, n: 1}
 	}
-	return Value{typ: TypeBoolean, i: i, isSet: true}
+	return Value{typ: TypeBoolean}
 }
+
+func (v Value) str() string    { return unsafe.String(v.p, v.n) }
+func (v Value) blob() []byte   { return unsafe.Slice(v.p, v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
 
 // FromGo converts a native Go value into a Value. Supported kinds:
 // nil, bool, integers, float64, string, []byte, time.Time, time.Duration
@@ -141,11 +169,11 @@ func FromGo(v any) (Value, error) {
 }
 
 // IsNull reports whether v is SQL NULL.
-func (v Value) IsNull() bool { return !v.isSet }
+func (v Value) IsNull() bool { return v.typ == 0 }
 
 // Type returns the value's type; NULL values report TypeNull.
 func (v Value) Type() Type {
-	if !v.isSet {
+	if v.typ == 0 {
 		return TypeNull
 	}
 	return v.typ
@@ -156,14 +184,14 @@ func (v Value) Type() Type {
 func (v Value) Int() int64 {
 	switch v.Type() {
 	case TypeInteger, TypeBigint, TypeBoolean:
-		return v.i
+		return int64(v.n)
 	case TypeDouble:
-		return int64(v.f)
+		return int64(v.float())
 	case TypeVarchar:
-		n, _ := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+		n, _ := strconv.ParseInt(strings.TrimSpace(v.str()), 10, 64)
 		return n
 	case TypeTimestamp:
-		return v.t.UnixNano()
+		return v.Time().UnixNano()
 	default:
 		return 0
 	}
@@ -173,11 +201,11 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.Type() {
 	case TypeInteger, TypeBigint, TypeBoolean:
-		return float64(v.i)
+		return float64(int64(v.n))
 	case TypeDouble:
-		return v.f
+		return v.float()
 	case TypeVarchar:
-		f, _ := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		f, _ := strconv.ParseFloat(strings.TrimSpace(v.str()), 64)
 		return f
 	default:
 		return 0
@@ -188,20 +216,20 @@ func (v Value) Float() float64 {
 func (v Value) Str() string {
 	switch v.Type() {
 	case TypeVarchar:
-		return v.s
+		return v.str()
 	case TypeInteger, TypeBigint:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case TypeBoolean:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
 	case TypeDouble:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case TypeBlob:
-		return string(v.b)
+		return string(v.blob())
 	case TypeTimestamp:
-		return v.t.UTC().Format(time.RFC3339Nano)
+		return v.Time().Format(time.RFC3339Nano)
 	default:
 		return ""
 	}
@@ -211,9 +239,9 @@ func (v Value) Str() string {
 func (v Value) Bytes() []byte {
 	switch v.Type() {
 	case TypeBlob:
-		return v.b
+		return v.blob()
 	case TypeVarchar:
-		return []byte(v.s)
+		return []byte(v.str())
 	default:
 		return nil
 	}
@@ -224,11 +252,14 @@ func (v Value) Bytes() []byte {
 func (v Value) Time() time.Time {
 	switch v.Type() {
 	case TypeTimestamp:
-		return v.t
+		if int64(v.n) == zeroTime {
+			return time.Time{}
+		}
+		fallthrough
 	case TypeInteger, TypeBigint:
-		return time.Unix(0, v.i).UTC()
+		return time.Unix(0, int64(v.n)).UTC()
 	case TypeVarchar:
-		if t, err := time.Parse(time.RFC3339Nano, v.s); err == nil {
+		if t, err := time.Parse(time.RFC3339Nano, v.str()); err == nil {
 			return t
 		}
 		return time.Time{}
@@ -241,11 +272,11 @@ func (v Value) Time() time.Time {
 func (v Value) Bool() bool {
 	switch v.Type() {
 	case TypeBoolean, TypeInteger, TypeBigint:
-		return v.i != 0
+		return v.n != 0
 	case TypeDouble:
-		return v.f != 0
+		return v.float() != 0
 	case TypeVarchar:
-		return strings.EqualFold(v.s, "true")
+		return strings.EqualFold(v.str(), "true")
 	default:
 		return false
 	}
@@ -258,9 +289,9 @@ func (v Value) String() string {
 	}
 	switch v.typ {
 	case TypeVarchar:
-		return "'" + v.s + "'"
+		return "'" + v.str() + "'"
 	case TypeBlob:
-		return fmt.Sprintf("x'%d bytes'", len(v.b))
+		return fmt.Sprintf("x'%d bytes'", v.n)
 	default:
 		return v.Str()
 	}
@@ -300,7 +331,7 @@ func Compare(a, b Value) (int, bool) {
 			return 0, true
 		}
 	case at == TypeBlob && bt == TypeBlob:
-		return strings.Compare(string(a.b), string(b.b)), true
+		return bytes.Compare(a.blob(), b.blob()), true
 	default:
 		// String-ish comparison, with numeric coercion when one side is a
 		// number literal stored as text.
@@ -311,22 +342,19 @@ func Compare(a, b Value) (int, bool) {
 	}
 }
 
-// comparePtr is Compare for values that live in a slice: the index
-// walks call it at every step, and a Value is 96 bytes, so the stored
-// key and the probe are compared where they sit. Same-kind integers,
-// timestamps and strings — what index columns hold — never copy;
-// anything else takes Compare's general path.
+// comparePtr is Compare for values that live in a slice, where the
+// index walks call it at every step: same-kind integers, timestamps
+// (their words order as the instants do, the zero time first) and
+// strings — what index columns hold — are compared where they sit, in
+// one branch; anything else takes Compare's general path.
 func comparePtr(a, b *Value) (int, bool) {
-	if !a.isSet || !b.isSet {
-		return 0, false
-	}
 	switch {
-	case intType(a.typ) && intType(b.typ):
-		return cmpInt(a.i, b.i), true
-	case a.typ == TypeTimestamp && b.typ == TypeTimestamp:
-		return a.t.Compare(b.t), true
+	case a.typ == 0 || b.typ == 0:
+		return 0, false
+	case intType(a.typ) && intType(b.typ), a.typ == TypeTimestamp && b.typ == TypeTimestamp:
+		return cmpInt(int64(a.n), int64(b.n)), true
 	case a.typ == TypeVarchar && b.typ == TypeVarchar:
-		return strings.Compare(a.s, b.s), true
+		return strings.Compare(a.str(), b.str()), true
 	}
 	return Compare(*a, *b)
 }
@@ -404,7 +432,7 @@ func Coerce(v Value, t Type) (Value, error) {
 	}
 	switch t {
 	case TypeInteger, TypeBigint:
-		return Value{typ: t, i: v.Int(), isSet: true}, nil
+		return Value{typ: t, n: uint64(v.Int())}, nil
 	case TypeDouble:
 		return NewFloat(v.Float()), nil
 	case TypeVarchar:
@@ -420,7 +448,10 @@ func Coerce(v Value, t Type) (Value, error) {
 		if ts.IsZero() && v.Type() == TypeVarchar {
 			return Null, fmt.Errorf("sqlmini: cannot parse %q as TIMESTAMP", v.Str())
 		}
-		return NewTime(ts), nil
+		if tv := NewTime(ts); tv.typ == TypeTimestamp {
+			return tv, nil
+		}
+		return Null, fmt.Errorf("sqlmini: TIMESTAMP %s is outside the representable range", ts.Format(time.RFC3339Nano))
 	case TypeBoolean:
 		return NewBool(v.Bool()), nil
 	default:

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"net"
 	"testing"
 )
 
@@ -55,42 +57,48 @@ func BenchmarkEncoderPooledMessage(b *testing.B) {
 	}
 }
 
-// BenchmarkFileChunkFraming mimics the server's FILE_DATA streaming
-// loop: one 256 KiB chunk payload framed per iteration. The pooled
-// variant is what the Drivolution transfer path uses — it must not
-// allocate a fresh payload buffer per frame.
-func BenchmarkFileChunkFraming(b *testing.B) {
-	data := bytes.Repeat([]byte{0x5A}, 256<<10)
-	b.Run("fresh-encoder", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			e := NewEncoder(16 + len(data))
-			e.Uint32(0)
-			e.Uint32(uint32(len(data)))
-			e.Bool(true)
-			e.Bytes32(data)
-			if err := WriteFrame(io.Discard, Frame{Type: 7, Payload: e.Bytes()}); err != nil {
+// BenchmarkFileChunkSendBody is the FILE_DATA path as production runs
+// it: the server scatter-sends a 13-byte chunk head and a slice of the
+// stored image (SendBody), the bootloader reads the payload straight
+// into its pre-sized blob (RecvBody), here over a pipe. Sizes are the
+// chunk sizes of drivobench's cold_bootstrap and upgrade_storm.
+func BenchmarkFileChunkSendBody(b *testing.B) {
+	for _, size := range []int{256 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			data := bytes.Repeat([]byte{0x5A}, size)
+			var head [13]byte
+			dst := make([]byte, len(head)+size)
+			client, server := net.Pipe()
+			defer client.Close()
+			defer server.Close()
+			tx, rx := NewConn(server), NewConn(client)
+			done := make(chan error, 1)
+			go func() {
+				for i := 0; i < b.N; i++ {
+					err := rx.RecvBody(0, func(_ uint16, n int, body io.Reader) error {
+						_, err := io.ReadFull(body, dst[:n])
+						return err
+					})
+					if err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tx.SendBody(7, head[:], data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := <-done; err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("pooled-encoder", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(data)))
-		e := GetEncoder(16 + len(data))
-		defer PutEncoder(e)
-		for i := 0; i < b.N; i++ {
-			e.Reset()
-			e.Uint32(0)
-			e.Uint32(uint32(len(data)))
-			e.Bool(true)
-			e.Bytes32(data)
-			if err := WriteFrame(io.Discard, Frame{Type: 7, Payload: e.Bytes()}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkDecoderTypicalMessage(b *testing.B) {

@@ -260,7 +260,7 @@ func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.off+n > len(d.buf) {
+	if n < 0 || d.off+n > len(d.buf) { // n < 0: a uint32 length past int on 32-bit platforms
 		d.err = fmt.Errorf("%w: need %d bytes at offset %d of %d",
 			ErrShortBuffer, n, d.off, len(d.buf))
 		return nil

@@ -26,7 +26,7 @@ cd "$(dirname "$0")/.."
 MODE="${1:-compare}"
 COUNT="${BENCH_COUNT:-5}"
 TIME="${BENCH_TIME:-1s}"
-FILTER="${BENCH_FILTER:-BenchmarkMatchmaking|BenchmarkLeaseRenewalNoChange|BenchmarkLeaseRenewalUpgrade|BenchmarkLeaseRenewalAt100Leases|BenchmarkLeaseRenewalAt10000Leases|BenchmarkGrantAt200LeasesOneDriver|BenchmarkGrantAt20000LeasesOneDriver|BenchmarkLicenseCheckAt10000Leases|BenchmarkExpirySweepAt100Leases|BenchmarkExpirySweepAt10000Leases|BenchmarkLicenseUsageCountAt10000Leases|BenchmarkExternalLeaseRenewal|BenchmarkExternalReapAt1000Leases|BenchmarkExternalMatchmaking|BenchmarkExternalPreparedRenewal|BenchmarkBootstrapProtocol|BenchmarkConcurrentBootstrap|BenchmarkConcurrentMatchmaking|BenchmarkConcurrentRenewal|BenchmarkConcurrentMixed|BenchmarkClusterMatchmaking|BenchmarkClusterRenewal|BenchmarkFrameRoundTrip|BenchmarkEncoder|BenchmarkDecoder|BenchmarkFileChunkFraming}"
+FILTER="${BENCH_FILTER:-BenchmarkMatchmaking|BenchmarkLeaseRenewalNoChange|BenchmarkLeaseRenewalUpgrade|BenchmarkLeaseRenewalAt100Leases|BenchmarkLeaseRenewalAt10000Leases|BenchmarkGrantAt200LeasesOneDriver|BenchmarkGrantAt20000LeasesOneDriver|BenchmarkLicenseCheckAt10000Leases|BenchmarkExpirySweepAt100Leases|BenchmarkExpirySweepAt10000Leases|BenchmarkLicenseUsageCountAt10000Leases|BenchmarkExternalLeaseRenewal|BenchmarkExternalReapAt1000Leases|BenchmarkExternalMatchmaking|BenchmarkExternalPreparedRenewal|BenchmarkBootstrapProtocol|BenchmarkConcurrentBootstrap|BenchmarkConcurrentMatchmaking|BenchmarkConcurrentRenewal|BenchmarkConcurrentMixed|BenchmarkClusterMatchmaking|BenchmarkClusterRenewal|BenchmarkFrameRoundTrip|BenchmarkEncoder|BenchmarkDecoder|BenchmarkFileChunkSendBody}"
 PKGS="${BENCH_PKGS:-. ./internal/wire ./internal/cluster}"
 CPU="${BENCH_CPU:-}"
 BASELINE="${BASELINE:-BENCH_baseline.json}"
