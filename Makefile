@@ -1,6 +1,6 @@
 # Drivolution reproduction — build/test/bench entry points.
 #
-#   make check           # the tier-1 gate: build + vet + lint + tests
+#   make check           # the tier-1 gate: build + vet + lint + tests (+ bench/ build/vet)
 #   make check-race      # tier-1 under the race detector (all packages)
 #   make tier1           # build + tests only (what scripts/bench.sh gates on)
 #   make race            # grant-path packages under the race detector
@@ -24,9 +24,12 @@
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
-# so the tree must be analyzer-clean to merge.
+# so the tree must be analyzer-clean to merge. It also compiles and
+# vets the bench/ module, so a rename in core that breaks drivobench
+# fails here rather than at the next benchmark run.
 check: lint
 	go build ./...
+	cd bench && go build -o /dev/null ./... && go vet ./...
 	go test ./...
 
 # lint is the static-analysis gate: gofmt (any file it would rewrite
@@ -81,9 +84,9 @@ doclint:
 	scripts/doclint.sh
 
 # bench/ (drivobench, BENCHMARK.json's entry point) is a module of its
-# own, so `go build ./...` and `make check` at the root never compile
-# it: a core or sqlmini signature change would break it silently until
-# the next benchmark run. This is the same gate, run inside it.
+# own, so the root `go build ./...` and `go test ./...` skip it; `make
+# check` builds and vets it, and this target adds its tests and
+# drivolint.
 bench-module-check:
 	cd bench && go vet ./... && go test ./... && go run repro/cmd/drivolint ./...
 

@@ -23,7 +23,8 @@ type (
 	// Console manages per-database drivers behind one installation
 	// (Figure 3).
 	Console = core.Console
-	// Store is where the Drivolution schema lives.
+	// Store is where the Drivolution schema lives: Exec, Prepare, an
+	// atomic ExecBatch, and the catalog's table Versions.
 	Store = core.Store
 	// LocalStore keeps the schema in an embedded database.
 	LocalStore = core.LocalStore
@@ -34,34 +35,15 @@ type (
 	// ConnStoreStats is a point-in-time view of a ConnStore's pool and
 	// remote-session health (borrows, redials, live remote handles).
 	ConnStoreStats = core.ConnStoreStats
-
-	// Store API v2: optional capability interfaces a Store may
-	// implement (LocalStore implements all three; ConnStore implements
-	// TxStore and BatchStore), plus their vocabulary. See RunAtomic,
-	// ExecBatchOn, and PrepareOn for capability-detecting adapters.
-
-	// TxStore opens transactions with atomic multi-statement semantics.
-	TxStore = core.TxStore
-	// Tx is one open transaction on a TxStore.
+	// Tx is one open transaction (LocalStore.Begin, ConnStore.Begin).
 	Tx = core.Tx
-	// StmtStore prepares reusable statement handles.
-	StmtStore = core.StmtStore
-	// Stmt is a reusable prepared-statement handle.
+	// Stmt is a reusable prepared-statement handle (Store.Prepare).
 	Stmt = core.Stmt
-	// BatchStore executes a statement list as one unit (one wire round
-	// trip / one engine-lock acquisition).
-	BatchStore = core.BatchStore
-	// OptionalGenerationStore marks stores whose generation capability
-	// is negotiated at run time (ConnStore); gate with GenerationEnabled.
-	OptionalGenerationStore = core.OptionalGenerationStore
 	// Statement is one SQL statement plus arguments, the batch unit.
 	Statement = core.Statement
 	// CountingStore counts statements/round trips crossing the storage
 	// boundary (test and CI tooling).
 	CountingStore = core.CountingStore
-	// CountingGenerationStore is CountingStore preserving the catalog
-	// fast path of generation-capable stores.
-	CountingGenerationStore = core.CountingGenerationStore
 	// Permission is a driver_permission row (Table 2).
 	Permission = core.Permission
 	// Lease is a lease-table row.
@@ -140,22 +122,8 @@ var (
 	NewConnStore = core.NewConnStore
 	// WithPoolSize bounds ConnStore's connection pool.
 	WithPoolSize = core.WithPoolSize
-	// RunAtomic runs a function transactionally on TxStore-capable
-	// stores, best-effort elsewhere.
-	RunAtomic = core.RunAtomic
-	// ExecBatchOn runs a statement list through BatchStore when
-	// available, sequentially otherwise.
-	ExecBatchOn = core.ExecBatchOn
-	// PrepareOn returns a native or Exec-backed prepared handle.
-	PrepareOn = core.PrepareOn
-	// GenerationEnabled reports whether a store serves live generation
-	// counters (static capability AND any run-time negotiation).
-	GenerationEnabled = core.GenerationEnabled
 	// NewCountingStore wraps any store with boundary counters.
 	NewCountingStore = core.NewCountingStore
-	// NewCountingGenerationStore wraps a generation-capable store with
-	// boundary counters.
-	NewCountingGenerationStore = core.NewCountingGenerationStore
 	// NewRuntime creates an empty driver runtime.
 	NewRuntime = driverimg.NewRuntime
 	// NewPackageStore creates an empty feature-package store.

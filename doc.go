@@ -95,27 +95,24 @@
 // are deltas: permission churn carries driver entries over untouched,
 // and driver churn re-hashes only blobs whose bytes actually changed.
 //
-// # Store API v2: capability interfaces
+// # The Store interface
 //
-// The storage boundary is Store (one Exec) plus optional capability
-// interfaces detected by type assertion, mirroring the GenerationStore
-// pattern: TxStore (Begin/Commit/Rollback with atomic multi-statement
-// semantics), StmtStore (Prepare returning reusable handles that carry
-// their cached AST and plan skeleton), and BatchStore (ExecBatch — one
-// wire round trip on the external store; on the embedded one the batch
-// holds every referenced table's write latch for its whole run, so it
-// is atomic and isolated). LocalStore implements all three;
-// ConnStore implements TxStore and BatchStore over a small connection
-// pool with per-transaction connection affinity (a long transaction no
-// longer head-of-line blocks unrelated statements). The RunAtomic,
-// ExecBatchOn, and PrepareOn adapters give plain-Exec stores
-// best-effort fallbacks, so third-party Store implementations keep
-// working unchanged. On these rails the server's multi-statement
-// operations — driver registration, permission updates, driver
-// deletion, lease creation, and the expiry sweep — execute as single
-// atomic units; the sweep is two statements in one batch regardless of
-// lease count (staged-blob reclamation is in-memory: each pending
-// transfer records its lease expiry at staging time). ConnStore's failure contract is explicit: a statement
+// The storage boundary is one Store interface: Exec, Prepare (reusable
+// handles carrying their cached AST and plan skeleton), ExecBatch (one
+// atomic unit — one wire round trip on the external store; on the
+// embedded one the batch holds every referenced table's write latch
+// for its whole run, so it is atomic and isolated), and Versions (the
+// drivers and permission table counters the catalog validates
+// against, plus whether the store can observe them). Three stores
+// implement it: LocalStore, ConnStore (a small connection pool; Begin
+// pins one connection per transaction), and the cluster's replicated
+// store, whose batches replicate only once they applied. The server's
+// multi-statement operations — driver registration, permission
+// updates, driver deletion, lease creation, and the expiry sweep —
+// execute as single atomic units; the sweep is two statements in one
+// batch regardless of lease count (staged-blob reclamation is
+// in-memory: each pending transfer records its lease expiry at staging
+// time). ConnStore's failure contract is explicit: a statement
 // is replayed after a redial only when it provably never executed
 // (never left the client) or is a read-only SELECT; anything else
 // surfaces ErrExecOutcomeUnknown instead of risking double-apply.
@@ -135,13 +132,13 @@
 // handle, semantics pinned identical to ad-hoc execution including
 // transactions, replication, and the read-only gate) and table-version
 // probes (msgTableVersions — the engine's generation counters in one
-// round trip, zero SQL). ConnStore rides both: it implements StmtStore
-// over remote handles cached per pooled connection (re-prepared
-// transparently across redials, replayed only under the
-// provably-unsent/read-only contract) and GenerationStore over the
-// probe (gate with GenerationEnabled — the capability is negotiated,
-// not static), so steady-state external matchmaking runs zero SQL
-// statements against the legacy DBMS. ConnStore.Stats reports pool and
+// round trip, zero SQL). ConnStore rides both: Prepare runs over remote
+// handles cached per pooled connection (re-prepared transparently
+// across redials, replayed only under the provably-unsent/read-only
+// contract) and Versions over the probe, so steady-state external
+// matchmaking runs zero SQL statements against the legacy DBMS. A v1
+// session — the paper's legacy database — reports ok == false from
+// Versions, and the server keeps the Sample code 1/2 SQL path. ConnStore.Stats reports pool and
 // session health (borrows, redials, live remote handles); golden-frame
 // tests pin every message's byte-exact encoding.
 //

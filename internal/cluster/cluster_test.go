@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -443,15 +444,62 @@ func waitFor(t testing.TB, d time.Duration, msg string, cond func() bool) {
 	}
 }
 
+// schemaDigest renders one member's drivers, permissions and leases in
+// key order: equal digests mean the replicas converged.
+func schemaDigest(t *testing.T, db *sqlmini.DB) string {
+	t.Helper()
+	var b strings.Builder
+	for _, sql := range []string{
+		//lint:scan-ok test introspection over a handful of rows
+		"SELECT driver_id, driver_version_major FROM " + core.DriversTable + " ORDER BY driver_id",
+		//lint:scan-ok test introspection over a handful of rows
+		"SELECT permission_id, driver_id, user FROM " + core.PermissionTable + " ORDER BY permission_id",
+		//lint:scan-ok test introspection over a handful of rows
+		"SELECT lease_id, driver_id, released FROM " + core.LeasesTable + " ORDER BY lease_id",
+	} {
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(&b, res.Rows)
+	}
+	return b.String()
+}
+
+// TestReplicatedBatchIsAtomic: a batch through one member's store whose
+// second statement fails (a duplicate-key INSERT) applies nowhere — its
+// first statement neither lands on the member nor replicates to a peer.
+func TestReplicatedBatchIsAtomic(t *testing.T) {
+	f := newTestFleet(t, testFleetConfig(3))
+	id := seedDriver(t, f, 0, "steady", time.Hour)
+	want := schemaDigest(t, f.DBs[0])
+	args := []any{sqlmini.Args{"id": id}}
+	_, err := f.Servers[1].Store().ExecBatch([]core.Statement{
+		{SQL: `DELETE FROM ` + core.PermissionTable + ` WHERE driver_id = $id`, Args: args},
+		{SQL: `INSERT INTO ` + core.DriversTable + ` (driver_id, api_name, binary_code, binary_format)
+			VALUES ($id, 'JDBC', 'x', 'IMAGE')`, Args: args},
+	})
+	if !errors.Is(err, sqlmini.ErrDuplicateKey) {
+		t.Fatalf("err = %v, want a duplicate key", err)
+	}
+	for i, db := range f.DBs {
+		if got := schemaDigest(t, db); got != want {
+			t.Fatalf("member %d changed by a failed batch:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}
+
 // TestReplicatedReapConverges: the reaper's two statements — the sweep
 // UPDATE and the retention DELETE — carry a bound cutoff, not now(), so
 // every member that replays them deletes the same rows: after one
 // member reaps, each member's own lease table holds exactly the live
-// lease, whichever member granted what.
+// lease, whichever member granted what. A DeleteDriver issued on
+// another member converges the same way.
 func TestReplicatedReapConverges(t *testing.T) {
 	f := newTestFleet(t, testFleetConfig(3))
 	const short = 40 * time.Millisecond
 	id := seedDriver(t, f, 0, "brief", short)
+	retired := seedDriver(t, f, 1, "retired", time.Hour)
 	if _, err := f.Servers[0].SetPermission(core.Permission{
 		User: "steady", DriverID: id, LeaseTime: time.Hour,
 		RenewPolicy: core.RenewUpgrade, ExpirationPolicy: core.AfterClose,
@@ -493,6 +541,19 @@ func TestReplicatedReapConverges(t *testing.T) {
 		}
 		if len(res.Rows) != 1 || uint64(res.Rows[0][0].Int()) != live || res.Rows[0][1].Bool() {
 			t.Fatalf("member %d holds %v after the replicated reap, want only live lease %d", i, res.Rows, live)
+		}
+	}
+
+	if err := f.Servers[0].DeleteDriver(retired); err != nil {
+		t.Fatal(err)
+	}
+	want := schemaDigest(t, f.DBs[0])
+	if strings.Contains(want, "retired") {
+		t.Fatalf("member 0 still holds the deleted driver's permission: %s", want)
+	}
+	for i, db := range f.DBs {
+		if got := schemaDigest(t, db); got != want {
+			t.Fatalf("member %d diverged after DeleteDriver:\n got %s\nwant %s", i, got, want)
 		}
 	}
 }

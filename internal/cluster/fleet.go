@@ -214,11 +214,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-// replicatedStore is the member-local Store: reads and generation
-// probes hit the local database directly, mutations funnel through
-// the replication hub so every peer applies them too. It deliberately
-// implements none of the v2 capabilities (Tx/Stmt/Batch) — those
-// would bypass replication.
+// replicatedStore is the member-local Store: statements and batches
+// run on the local database through the replication hub, which ships
+// every applied mutation to the peers; version probes read the local
+// counters directly.
 type replicatedStore struct {
 	db   *sqlmini.DB
 	hub  *dbms.Server
@@ -229,17 +228,32 @@ func (s *replicatedStore) Exec(sql string, args ...any) (*sqlmini.Result, error)
 	return s.hub.Execute(s.name, sql, args...)
 }
 
-// Generation implements core.GenerationStore over the local database;
-// replicated peer mutations bump the same counters as local ones, so
-// the catalog cache invalidates cluster-wide.
-func (s *replicatedStore) Generation() uint64 {
-	return s.db.TableVersions(core.DriversTable, core.PermissionTable)
+// Prepare returns a handle over the hub, so prepared executions
+// replicate like plain ones.
+func (s *replicatedStore) Prepare(sql string) (core.Stmt, error) {
+	return hubStmt{s: s, sql: sql}, nil
 }
 
-// TableVersion implements core.TableVersionStore.
-func (s *replicatedStore) TableVersion(name string) uint64 {
-	return s.db.TableVersion(name)
+// ExecBatch runs stmts as one atomic unit on the local database; peers
+// receive its mutations only once the whole unit applied.
+func (s *replicatedStore) ExecBatch(stmts []core.Statement) ([]*sqlmini.Result, error) {
+	return s.hub.ExecuteBatch(s.name, stmts)
 }
+
+// Versions reads the local database's counters; replicated peer
+// mutations bump them like local ones, so the catalog cache
+// invalidates cluster-wide.
+func (s *replicatedStore) Versions() (drivers, perms uint64, ok bool) {
+	return s.db.TableVersion(core.DriversTable), s.db.TableVersion(core.PermissionTable), true
+}
+
+type hubStmt struct {
+	s   *replicatedStore
+	sql string
+}
+
+func (h hubStmt) Exec(args ...any) (*sqlmini.Result, error) { return h.s.Exec(h.sql, args...) }
+func (h hubStmt) Close() error                              { return nil }
 
 // reapLoop expires leases once per interval on the first live member;
 // the deleting statements replicate, so one reaper covers the fleet.

@@ -58,31 +58,22 @@ func (s *Server) AddDriver(img *driverimg.Image, format dbver.BinaryFormat) (int
 
 // DeleteDriver removes a driver row entirely ("Obsolete drivers can be
 // disabled by either deleting them or setting the end_date", §4.1.1).
-// Permission rows referencing it are removed too, in the same
-// transaction on TxStore-capable stores: either the driver and its
-// permissions all disappear, or — when the driver id is unknown or a
-// statement fails — nothing does. On plain-Exec stores the unit
-// degrades to RunAtomic's documented best-effort sequence.
+// Permission rows referencing it are removed in the same atomic batch:
+// the driver and its permissions all disappear, or — when a statement
+// fails — nothing does. An unknown id reports "no driver" and leaves
+// every existing driver and permission untouched; permission rows that
+// name that id (they can never match) are removed.
 func (s *Server) DeleteDriver(driverID int64) error {
-	err := RunAtomic(s.store, func(tx Tx) error {
-		if _, err := tx.Exec(
-			`DELETE FROM `+PermissionTable+` WHERE driver_id = $id`,
-			sqlmini.Args{"id": driverID}); err != nil {
-			return fmt.Errorf("core: delete driver permissions: %w", err)
-		}
-		res, err := tx.Exec(
-			`DELETE FROM `+DriversTable+` WHERE driver_id = $id`,
-			sqlmini.Args{"id": driverID})
-		if err != nil {
-			return fmt.Errorf("core: delete driver: %w", err)
-		}
-		if res.Affected == 0 {
-			return fmt.Errorf("core: no driver %d", driverID)
-		}
-		return nil
+	args := []any{sqlmini.Args{"id": driverID}}
+	rs, err := s.store.ExecBatch([]Statement{
+		{SQL: `DELETE FROM ` + PermissionTable + ` WHERE driver_id = $id`, Args: args},
+		{SQL: `DELETE FROM ` + DriversTable + ` WHERE driver_id = $id`, Args: args},
 	})
 	if err != nil {
-		return err
+		return fmt.Errorf("core: delete driver: %w", err)
+	}
+	if rs[1].Affected == 0 {
+		return fmt.Errorf("core: no driver %d", driverID)
 	}
 	s.NotifyUpdate("", "")
 	return nil

@@ -11,11 +11,10 @@ import (
 	"repro/internal/sqlmini"
 )
 
-// The fault-injection suite for the Store API v2 atomicity contract:
-// every multi-statement server operation is driven with the k-th
-// statement failing, for every k, and the schema is asserted free of
-// partial writes afterwards — real rollback on TxStore/BatchStore
-// (LocalStore), documented best-effort on the plain-Exec fallback.
+// The fault-injection suite for the Store atomicity contract: every
+// multi-statement server operation is driven with the k-th statement
+// failing, for every k, and the schema is asserted free of partial
+// writes afterwards.
 
 var errInjected = errors.New("injected store fault")
 
@@ -60,68 +59,50 @@ func (f *faultCore) tick() error {
 	return nil
 }
 
-// faultPlainStore is a capability-free store: the fallback-adapter
-// path. Each statement crosses individually.
-type faultPlainStore struct {
+// faultStore wraps a LocalStore and fails the k-th statement after
+// arming, whether it arrives as a plain Exec, a prepared execution, or
+// a batch member. A batch whose k-th statement is marked to fail errors
+// as a whole before executing (matching the atomic-batch contract).
+type faultStore struct {
 	faultCore
-	inner Store
+	*LocalStore
 }
 
-func (f *faultPlainStore) Exec(sql string, args ...any) (*sqlmini.Result, error) {
+func (f *faultStore) Exec(sql string, args ...any) (*sqlmini.Result, error) {
 	if err := f.tick(); err != nil {
 		return nil, err
 	}
-	return f.inner.Exec(sql, args...)
+	return f.LocalStore.Exec(sql, args...)
 }
 
-// faultTxStore wraps a LocalStore keeping its Tx and Batch
-// capabilities. A batch whose k-th statement is marked to fail errors
-// as a whole before executing (matching the atomic-batch contract); a
-// transaction statement failing triggers the caller's rollback.
-type faultTxStore struct {
-	faultCore
-	inner *LocalStore
-}
-
-func (f *faultTxStore) Exec(sql string, args ...any) (*sqlmini.Result, error) {
-	if err := f.tick(); err != nil {
-		return nil, err
-	}
-	return f.inner.Exec(sql, args...)
-}
-
-func (f *faultTxStore) Begin() (Tx, error) {
-	tx, err := f.inner.Begin()
+func (f *faultStore) Prepare(sql string) (Stmt, error) {
+	h, err := f.LocalStore.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	return &faultTx{f: f, tx: tx}, nil
+	return faultStmt{f: f, h: h}, nil
 }
 
-type faultTx struct {
-	f  *faultTxStore
-	tx Tx
+type faultStmt struct {
+	f *faultStore
+	h Stmt
 }
 
-func (t *faultTx) Exec(sql string, args ...any) (*sqlmini.Result, error) {
-	if err := t.f.tick(); err != nil {
+func (s faultStmt) Exec(args ...any) (*sqlmini.Result, error) {
+	if err := s.f.tick(); err != nil {
 		return nil, err
 	}
-	return t.tx.Exec(sql, args...)
+	return s.h.Exec(args...)
 }
-func (t *faultTx) Query(sql string, args ...any) (*sqlmini.Result, error) {
-	return t.Exec(sql, args...)
-}
-func (t *faultTx) Commit() error   { return t.tx.Commit() }
-func (t *faultTx) Rollback() error { return t.tx.Rollback() }
+func (s faultStmt) Close() error { return s.h.Close() }
 
-func (f *faultTxStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
+func (f *faultStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
 	for range stmts {
 		if err := f.tick(); err != nil {
 			return nil, err // atomic batch: fails whole, applies nothing
 		}
 	}
-	return f.inner.ExecBatch(stmts)
+	return f.LocalStore.ExecBatch(stmts)
 }
 
 // faultFixture builds a server over the given store with one driver
@@ -268,25 +249,15 @@ func isInjected(err error) bool {
 		(err != nil && strings.Contains(err.Error(), errInjected.Error()))
 }
 
-func faultCoreOf(st Store) *faultCore {
-	switch s := st.(type) {
-	case *faultTxStore:
-		return &s.faultCore
-	case *faultPlainStore:
-		return &s.faultCore
-	}
-	panic("not a fault store")
-}
+func faultCoreOf(st Store) *faultCore { return &st.(*faultStore).faultCore }
 
-func mkFaultTx(db *sqlmini.DB) Store    { return &faultTxStore{inner: NewLocalStore(db)} }
-func mkFaultPlain(db *sqlmini.DB) Store { return &faultPlainStore{inner: NewLocalStore(db)} }
+func mkFault(db *sqlmini.DB) Store { return &faultStore{LocalStore: NewLocalStore(db)} }
 
-// TestFaultInjectionNoPartialWritesOnLocalStore: with the capability
-// interfaces in play, no k-th statement failure of any multi-statement
-// operation leaves partial rows behind.
+// TestFaultInjectionNoPartialWritesOnLocalStore: no k-th statement
+// failure of any multi-statement operation leaves partial rows behind.
 func TestFaultInjectionNoPartialWritesOnLocalStore(t *testing.T) {
 	t.Run("AddDriver", func(t *testing.T) {
-		runOpFaults(t, "AddDriver", mkFaultTx, nil,
+		runOpFaults(t, "AddDriver", mkFault, nil,
 			func(fx *faultFixture) error {
 				_, err := fx.srv.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage)
 				return err
@@ -299,7 +270,7 @@ func TestFaultInjectionNoPartialWritesOnLocalStore(t *testing.T) {
 			})
 	})
 	t.Run("SetPermission", func(t *testing.T) {
-		runOpFaults(t, "SetPermission", mkFaultTx,
+		runOpFaults(t, "SetPermission", mkFault,
 			func(fx *faultFixture) { fx.seedDirect(t) },
 			func(fx *faultFixture) error {
 				_, err := fx.srv.SetPermission(Permission{
@@ -317,7 +288,7 @@ func TestFaultInjectionNoPartialWritesOnLocalStore(t *testing.T) {
 			})
 	})
 	t.Run("DeleteDriver", func(t *testing.T) {
-		runOpFaults(t, "DeleteDriver", mkFaultTx,
+		runOpFaults(t, "DeleteDriver", mkFault,
 			func(fx *faultFixture) { fx.seedDirect(t) },
 			func(fx *faultFixture) error { return fx.srv.DeleteDriver(fx.drvID) },
 			func(t *testing.T, fx *faultFixture, k int) {
@@ -328,7 +299,7 @@ func TestFaultInjectionNoPartialWritesOnLocalStore(t *testing.T) {
 			})
 	})
 	t.Run("newLease", func(t *testing.T) {
-		runOpFaults(t, "newLease", mkFaultTx,
+		runOpFaults(t, "newLease", mkFault,
 			func(fx *faultFixture) { fx.seedDirect(t) },
 			func(fx *faultFixture) error {
 				_, perr := fx.srv.grant(grantReq(), false)
@@ -352,7 +323,7 @@ func TestFaultInjectionNoPartialWritesOnLocalStore(t *testing.T) {
 func TestFaultInjectionReapAtomicOnLocalStore(t *testing.T) {
 	now := time.Unix(10_000, 0).UTC()
 	db := sqlmini.NewDB()
-	st := &faultTxStore{inner: NewLocalStore(db)}
+	st := &faultStore{LocalStore: NewLocalStore(db)}
 	srv, err := NewServer("fault", st, WithClock(func() time.Time { return now }))
 	if err != nil {
 		t.Fatal(err)
@@ -393,26 +364,19 @@ func TestFaultInjectionReapAtomicOnLocalStore(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionFallbackIsBestEffort pins the DOCUMENTED degraded
-// semantics of the plain-Exec fallback adapter: DeleteDriver's first
-// statement (permissions) lands, its second (driver row) fails, and
-// the partial state persists — exactly what RunAtomic's best-effort
-// contract says, and why hard atomicity requires TxStore.
-func TestFaultInjectionFallbackIsBestEffort(t *testing.T) {
-	fx, st := newFaultFixture(t, mkFaultPlain, nil)
+// TestDeleteUnknownDriverTouchesNothing: DeleteDriver of an id with no
+// driver row answers "no driver" and leaves every existing driver and
+// permission in place.
+func TestDeleteUnknownDriverTouchesNothing(t *testing.T) {
+	fx, _ := newFaultFixture(t, mkFault, nil)
 	fx.seedDirect(t)
-	fc := faultCoreOf(st)
-	// DeleteDriver on a plain store: statement 1 deletes permissions,
-	// statement 2 deletes the driver. Fail statement 2.
-	fc.arm(2)
-	err := fx.srv.DeleteDriver(fx.drvID)
-	fc.disarm()
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("err = %v", err)
+	err := fx.srv.DeleteDriver(77)
+	if err == nil || !strings.Contains(err.Error(), "no driver 77") {
+		t.Fatalf("err = %v, want no driver 77", err)
 	}
-	driverExists, perms := fx.orphanState(t, fx.drvID)
-	if !driverExists || perms != 0 {
-		t.Fatalf("best-effort fallback should leave the documented partial state "+
-			"(driver kept, permissions gone); got driver=%v perms=%d", driverExists, perms)
+	drivers, perms, _ := fx.counts(t)
+	if driverExists, kept := fx.orphanState(t, fx.drvID); drivers != 1 || !driverExists || kept != 2 || perms != 2 {
+		t.Fatalf("drivers=%d perms=%d (driver %d: exists=%v perms=%d), want the seeded 1 driver and 2 permissions",
+			drivers, perms, fx.drvID, driverExists, kept)
 	}
 }

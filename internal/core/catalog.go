@@ -17,9 +17,9 @@ import (
 // of every client in the cluster, yet the data it matches against —
 // driver metadata (Table 1 minus binary_code) and permission rows
 // (Table 2) — only changes when a DBA runs an admin operation. The
-// catalog is a snapshot of that data labeled with the store generation
-// (GenerationStore) current when the load began. Every match checks the
-// live generation with one atomic-ish read; on mismatch the catalog is
+// catalog is a snapshot of that data labeled with the store's table
+// versions (Store.Versions) current when the load began. Every match
+// checks the live versions with one read; on mismatch the catalog is
 // reloaded, so an admin INSERT/UPDATE/DELETE is visible to the very
 // next grant. Steady-state matchmaking therefore runs zero SQL, decodes
 // zero images, and materializes zero blobs: checksums and encoded sizes
@@ -30,7 +30,7 @@ import (
 //
 // Lease state is deliberately NOT in the catalog: the license-mode
 // lease-free check (§5.4.2) stays a live query against the leases
-// table, whose churn does not bump the generation.
+// table, whose churn does not move the versions.
 
 // catalogEntry is one driver row.
 type catalogEntry struct {
@@ -46,7 +46,7 @@ type catalogEntry struct {
 	// Holding it costs nothing while the row lives (the row holds the
 	// array anyway) and, for a deleted or replaced driver, retains the
 	// old blob only until the next reload — which the deletion itself
-	// scheduled by bumping the generation.
+	// scheduled by bumping the drivers version.
 	blob []byte
 }
 
@@ -56,14 +56,19 @@ func sameBlob(a, b []byte) bool {
 	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
-// catalog is an immutable snapshot; a new one replaces it wholesale on
-// generation change.
+// catalog is an immutable snapshot; a new one replaces it wholesale
+// when the table versions move.
 type catalog struct {
-	gen    uint64
-	drvGen uint64          // drivers TableVersion at load (TableVersionStore only)
-	order  []*catalogEntry // Sample-code-1 ORDER BY: version DESC (NULLs last), driver_id DESC
-	byID   map[int64]*catalogEntry
-	perms  []Permission // permission_id DESC
+	drvVer  uint64          // drivers table version at load
+	permVer uint64          // driver_permission table version at load
+	order   []*catalogEntry // Sample-code-1 ORDER BY: version DESC (NULLs last), driver_id DESC
+	byID    map[int64]*catalogEntry
+	perms   []Permission // permission_id DESC
+}
+
+// current reports whether c was loaded at exactly these versions.
+func (c *catalog) current(drv, perm uint64) bool {
+	return c != nil && c.drvVer == drv && c.permVer == perm
 }
 
 // lookup returns the entry for a driver id; nil-safe for the first load.
@@ -75,31 +80,30 @@ func (c *catalog) lookup(id int64) *catalogEntry {
 }
 
 // catalogSnapshot returns the current catalog, reloading it if the
-// store generation moved. Returns (nil, nil) when the store cannot
-// report generations — by type, or because the run-time capability
-// negotiation came up empty (OptionalGenerationStore); callers then
-// use the SQL path.
+// store's table versions moved. Returns (nil, nil) when the store
+// cannot report versions; callers then use the SQL path.
 func (s *Server) catalogSnapshot() (*catalog, *ProtocolError) {
-	gs, ok := GenerationEnabled(s.store)
+	drv, perm, ok := s.store.Versions()
 	if !ok {
 		return nil, nil
 	}
-	gen := gs.Generation()
-	if cat := s.cat.Load(); cat != nil && cat.gen == gen {
+	if cat := s.cat.Load(); cat.current(drv, perm) {
 		return cat, nil
 	}
 	s.catMu.Lock()
 	defer s.catMu.Unlock()
 	// Re-read under the lock: another goroutine may have reloaded, and
-	// the generation must be captured BEFORE the table scans so that a
+	// the versions must be captured BEFORE the table scans so that a
 	// concurrent mutation mid-load labels the snapshot stale rather
 	// than fresh.
-	gen = gs.Generation()
+	if drv, perm, ok = s.store.Versions(); !ok {
+		return nil, nil
+	}
 	old := s.cat.Load()
-	if old != nil && old.gen == gen {
+	if old.current(drv, perm) {
 		return old, nil
 	}
-	cat, err := s.loadCatalog(gen, old)
+	cat, err := s.loadCatalog(drv, perm, old)
 	if err != nil {
 		return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 	}
@@ -118,23 +122,15 @@ const catalogPermsSQL = `SELECT permission_id, user, client_ip,
 	FROM ` + PermissionTable
 
 // loadCatalog builds a fresh catalog snapshot, reusing as much of old
-// as it can prove unchanged. When the store attributes its generation
-// to individual tables (TableVersionStore) and only driver_permission
-// moved, the driver entries are carried over wholesale — permission
+// as it can prove unchanged. When only driver_permission moved, the
+// driver entries are carried over wholesale — permission
 // churn on a large driver table touches zero blobs. When the drivers
 // table did move, each rescanned row whose blob is pointer-identical to
 // the previous load keeps its (checksum, corrupt) verdict, so only new
 // or replaced drivers are hashed — the delta load ROADMAP lever (c).
-func (s *Server) loadCatalog(gen uint64, old *catalog) (*catalog, error) {
-	// Like gen, the drivers version is captured BEFORE the scans so a
-	// concurrent driver mutation mid-load labels this snapshot stale.
-	var drvGen uint64
-	tvs, hasTV := s.store.(TableVersionStore)
-	if hasTV {
-		drvGen = tvs.TableVersion(DriversTable)
-	}
-	cat := &catalog{gen: gen, drvGen: drvGen}
-	if hasTV && old != nil && old.drvGen == drvGen {
+func (s *Server) loadCatalog(drv, perm uint64, old *catalog) (*catalog, error) {
+	cat := &catalog{drvVer: drv, permVer: perm}
+	if old != nil && old.drvVer == drv {
 		cat.order, cat.byID = old.order, old.byID
 	} else {
 		//lint:scan-ok cold catalog (re)load: reading every driver row is the point

@@ -7,47 +7,35 @@ import (
 )
 
 // CountingStore wraps a Store and counts what crosses the storage
-// boundary: statements, wire-level round trips (a batch frame is one),
-// batches, and transactions. Tests use it to pin hot-path statement
-// budgets — a no-change lease renewal is 1 statement, an expiry sweep
-// is 1 regardless of lease count — so a regression that quietly adds
-// per-row SQL fails loudly.
-//
-// Capability note: CountingStore advertises every v2 capability. When
-// the inner store natively supports one, calls forward (and count);
-// when it doesn't, CountingStore degrades to exactly the fallbacks the
-// package-level adapters (RunAtomic / ExecBatchOn / PrepareOn) would
-// use, so wrapping never changes observable semantics — a plain-Exec
-// inner store still gets best-effort transactions and sequential
-// batches. It does NOT advertise GenerationStore; use
-// CountingGenerationStore to preserve the catalog fast path.
+// boundary: statements, wire-level round trips (a batch is one), and
+// batches. Tests use it to pin hot-path statement budgets — a no-change
+// lease renewal is 1 statement, an expiry sweep is 1 round trip
+// regardless of lease count — so a regression that quietly adds
+// per-row SQL fails loudly. Versions passes through uncounted, so the
+// wrapped server keeps the catalog fast path it takes over the bare
+// store.
 type CountingStore struct {
-	inner Store
+	Store
 
 	statements atomic.Int64
 	roundTrips atomic.Int64
 	batchCount atomic.Int64
-	txCount    atomic.Int64
 }
 
 // NewCountingStore wraps inner.
 func NewCountingStore(inner Store) *CountingStore {
-	return &CountingStore{inner: inner}
+	return &CountingStore{Store: inner}
 }
 
-// Statements reports statements issued through the wrapper (batch and
-// transaction statements included).
+// Statements reports statements issued through the wrapper (batch
+// statements included).
 func (c *CountingStore) Statements() int64 { return c.statements.Load() }
 
-// RoundTrips reports wire round trips, assuming a batch on a
-// batch-capable inner store costs one.
+// RoundTrips reports wire round trips, counting a batch as one.
 func (c *CountingStore) RoundTrips() int64 { return c.roundTrips.Load() }
 
 // Batches reports ExecBatch calls.
 func (c *CountingStore) Batches() int64 { return c.batchCount.Load() }
-
-// Txs reports Begin calls.
-func (c *CountingStore) Txs() int64 { return c.txCount.Load() }
 
 // Reset zeroes all counters (typically right before the measured
 // window).
@@ -55,87 +43,30 @@ func (c *CountingStore) Reset() {
 	c.statements.Store(0)
 	c.roundTrips.Store(0)
 	c.batchCount.Store(0)
-	c.txCount.Store(0)
+}
+
+// count records n statements in one round trip.
+func (c *CountingStore) count(n int) {
+	c.statements.Add(int64(n))
+	c.roundTrips.Add(1)
 }
 
 // Exec implements Store.
 func (c *CountingStore) Exec(sql string, args ...any) (*sqlmini.Result, error) {
-	c.statements.Add(1)
-	c.roundTrips.Add(1)
-	return c.inner.Exec(sql, args...)
+	c.count(1)
+	return c.Store.Exec(sql, args...)
 }
 
-// Begin implements TxStore, degrading to the RunAtomic fallback
-// (eager autocommit, no-op Commit/Rollback) on plain inner stores.
-func (c *CountingStore) Begin() (Tx, error) {
-	c.txCount.Add(1)
-	ts, ok := c.inner.(TxStore)
-	if !ok {
-		return fallbackTx{st: c}, nil
-	}
-	c.roundTrips.Add(1) // BEGIN
-	tx, err := ts.Begin()
-	if err != nil {
-		return nil, err
-	}
-	return &countingTx{c: c, tx: tx}, nil
-}
-
-type countingTx struct {
-	c  *CountingStore
-	tx Tx
-}
-
-func (t *countingTx) Exec(sql string, args ...any) (*sqlmini.Result, error) {
-	t.c.statements.Add(1)
-	t.c.roundTrips.Add(1)
-	return t.tx.Exec(sql, args...)
-}
-
-func (t *countingTx) Query(sql string, args ...any) (*sqlmini.Result, error) {
-	return t.Exec(sql, args...)
-}
-
-func (t *countingTx) Commit() error {
-	t.c.roundTrips.Add(1)
-	return t.tx.Commit()
-}
-
-func (t *countingTx) Rollback() error {
-	t.c.roundTrips.Add(1)
-	return t.tx.Rollback()
-}
-
-// ExecBatch implements BatchStore: one round trip on batch-capable
-// inner stores, the ExecBatchOn sequential fallback otherwise (each
-// statement counted individually by the Exec it routes through).
+// ExecBatch implements Store.
 func (c *CountingStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
 	c.batchCount.Add(1)
-	if bs, ok := c.inner.(BatchStore); ok {
-		c.statements.Add(int64(len(stmts)))
-		c.roundTrips.Add(1)
-		return bs.ExecBatch(stmts)
-	}
-	return ExecBatchOn(storeOnly{c}, stmts)
+	c.count(len(stmts))
+	return c.Store.ExecBatch(stmts)
 }
 
-// storeOnly strips the capability methods off a CountingStore so the
-// adapter fallbacks route through its counted Exec without recursing
-// into ExecBatch/Begin again.
-type storeOnly struct{ st Store }
-
-func (s storeOnly) Exec(sql string, args ...any) (*sqlmini.Result, error) {
-	return s.st.Exec(sql, args...)
-}
-
-// Prepare implements StmtStore, degrading to an Exec-backed handle on
-// plain inner stores. Either way every execution counts.
+// Prepare implements Store; every execution of the handle counts.
 func (c *CountingStore) Prepare(sql string) (Stmt, error) {
-	ss, ok := c.inner.(StmtStore)
-	if !ok {
-		return fallbackStmt{st: c, sql: sql}, nil
-	}
-	h, err := ss.Prepare(sql)
+	h, err := c.Store.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -148,44 +79,8 @@ type countingStmt struct {
 }
 
 func (s countingStmt) Exec(args ...any) (*sqlmini.Result, error) {
-	s.c.statements.Add(1)
-	s.c.roundTrips.Add(1)
+	s.c.count(1)
 	return s.h.Exec(args...)
 }
 
 func (s countingStmt) Close() error { return s.h.Close() }
-
-// CountingGenerationStore is CountingStore for inner stores with the
-// catalog fast path: it additionally forwards Generation (and
-// TableVersion when available, degrading to the whole-generation
-// counter otherwise, which only costs the delta-reload optimization).
-type CountingGenerationStore struct {
-	CountingStore
-	gen GenerationStore
-}
-
-// NewCountingGenerationStore wraps inner, preserving GenerationStore.
-func NewCountingGenerationStore(inner GenerationStore) *CountingGenerationStore {
-	return &CountingGenerationStore{CountingStore: CountingStore{inner: inner}, gen: inner}
-}
-
-// Generation implements GenerationStore.
-func (c *CountingGenerationStore) Generation() uint64 { return c.gen.Generation() }
-
-// GenerationSupported implements OptionalGenerationStore, forwarding
-// the inner store's run-time capability answer (always true for stores
-// whose capability is static, like LocalStore).
-func (c *CountingGenerationStore) GenerationSupported() bool {
-	if og, ok := c.gen.(OptionalGenerationStore); ok {
-		return og.GenerationSupported()
-	}
-	return true
-}
-
-// TableVersion implements TableVersionStore.
-func (c *CountingGenerationStore) TableVersion(name string) uint64 {
-	if tvs, ok := c.gen.(TableVersionStore); ok {
-		return tvs.TableVersion(name)
-	}
-	return c.gen.Generation()
-}

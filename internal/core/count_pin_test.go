@@ -15,10 +15,10 @@ import (
 // reap's old N+1 confirmation loop) fails here rather than in a
 // benchmark graph.
 
-func pinFixture(t *testing.T) (*Server, *CountingGenerationStore, *sqlmini.DB) {
+func pinFixture(t *testing.T) (*Server, *CountingStore, *sqlmini.DB) {
 	t.Helper()
 	db := sqlmini.NewDB()
-	cs := NewCountingGenerationStore(NewLocalStore(db))
+	cs := NewCountingStore(NewLocalStore(db))
 	now := time.Unix(50_000, 0).UTC()
 	srv, err := NewServer("pin", cs, WithClock(func() time.Time { return now }))
 	if err != nil {
@@ -125,7 +125,7 @@ func TestReapDropsOnlyDeadPending(t *testing.T) {
 // table, whose binary_code column is the image.
 func TestTransferStatementBudget(t *testing.T) {
 	reads := &countingStore{LocalStore: NewLocalStore(sqlmini.NewDB())}
-	cs := NewCountingGenerationStore(reads)
+	cs := NewCountingStore(reads)
 	srv, err := NewServer("pin", cs)
 	if err != nil {
 		t.Fatal(err)

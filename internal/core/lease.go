@@ -324,8 +324,8 @@ const reapExpiredSQL = `UPDATE ` + LeasesTable + `
 // and it seeks the same expired prefix of the expires_at index.
 // Nothing reads such a row: licenseUsageSQL and driverLeaseFreeSQL both
 // filter expires_at > now(), a renewal answers "unknown or released"
-// whether the row is released or gone, and the catalog generation
-// counts only drivers and driver_permission. A lease released before
+// whether the row is released or gone, and the catalog's table
+// versions count only drivers and driver_permission. A lease released before
 // its term ends keeps its row until the term is over. $now is bound,
 // never now(), so replicas that replay the statement delete the same
 // rows. TestHotStatementsPlanIndexed pins the range plan.
@@ -355,7 +355,7 @@ const purgeReapedSQL = `DELETE FROM ` + LeasesTable + `
 func (s *Server) ReapExpiredLeases() (int, error) {
 	now := s.clock()
 	args := []any{sqlmini.Args{"now": now}}
-	rs, err := ExecBatchOn(s.store, []Statement{
+	rs, err := s.store.ExecBatch([]Statement{
 		{SQL: reapExpiredSQL, Args: args},
 		{SQL: purgeReapedSQL, Args: args},
 	})
@@ -434,7 +434,7 @@ func (s *Server) loadIDsLocked() error {
 	if s.idsLoaded {
 		return nil
 	}
-	rs, err := ExecBatchOn(s.store, []Statement{
+	rs, err := s.store.ExecBatch([]Statement{
 		//lint:scan-ok one-time ID bootstrap: max() over the table at first grant, then cached
 		{SQL: "SELECT max(lease_id) FROM " + LeasesTable},
 		//lint:scan-ok one-time ID bootstrap: max() over the table at first grant, then cached

@@ -84,9 +84,10 @@ FROM ` + DriversTable + ` WHERE driver_id = $id`
 // table first; otherwise match by client preference with a no-preference
 // fallback. License mode additionally skips drivers whose lease is held.
 //
-// When the store can report a generation (GenerationStore), matching
-// runs against the in-memory catalog and performs no SQL at all; the
-// SQL path below remains for external stores.
+// When the store can report its table versions, matching runs against
+// the in-memory catalog and performs no SQL at all; the SQL path below
+// remains for a legacy database that cannot (Figure 2 over a v1
+// session).
 func (s *Server) match(req Request) (*grantInfo, *ProtocolError) {
 	cat, perr := s.catalogSnapshot()
 	if perr != nil {
@@ -98,8 +99,8 @@ func (s *Server) match(req Request) (*grantInfo, *ProtocolError) {
 	return s.matchSQL(req)
 }
 
-// matchSQL is the per-request Sample-code-1/2 path for stores without
-// generation support.
+// matchSQL is the per-request Sample-code-1/2 path for stores that
+// cannot report table versions.
 func (s *Server) matchSQL(req Request) (*grantInfo, *ProtocolError) {
 	// 1. Permission table (Sample code 2).
 	//lint:scan-ok paper Sample code 2 verbatim: LIKE/OR/NULL predicates are not indexable; hot path uses the in-memory catalog

@@ -11,10 +11,9 @@ import (
 )
 
 // Tests for ConnStore's v2 session capabilities: remote prepared
-// handles (StmtStore over msgPrepare/msgExecStmt) and wire generation
-// probes (GenerationStore over msgTableVersions), including the
-// capability fallback against v1 peers and the redial/invalidate
-// contract.
+// handles (Prepare over msgPrepare/msgExecStmt) and wire version probes
+// (Versions over msgTableVersions), including the capability fallback
+// against v1 peers and the redial/invalidate contract.
 
 // remoteFixture is the Figure 2 shape with a capability-negotiating
 // driver: a legacy DBMS holding the schema database, and a ConnStore
@@ -253,8 +252,8 @@ func (s *ambushStmt) Exec(args ...any) (*client.Result, error) {
 func (s *ambushStmt) Query(args ...any) (*client.Result, error) { return s.Exec(args...) }
 func (s *ambushStmt) Close() error                              { return s.inner.Close() }
 
-// TestConnStoreGenerationProbe: ConnStore reports live generations over
-// the wire, observes writes made by OTHER clients of the legacy
+// TestConnStoreGenerationProbe: ConnStore reports live table versions
+// over the wire, observes writes made by OTHER clients of the legacy
 // database (the thing the SQL fallback existed for), and executes zero
 // SQL doing it.
 func TestConnStoreGenerationProbe(t *testing.T) {
@@ -262,11 +261,11 @@ func TestConnStoreGenerationProbe(t *testing.T) {
 	if err := EnsureSchema(f.store); err != nil {
 		t.Fatal(err)
 	}
-	if !f.store.GenerationSupported() {
-		t.Fatal("v2 sessions must support generation probes")
-	}
 	queriesBefore := f.legacy.QueriesServed()
-	g1 := f.store.Generation()
+	d1, p1, ok := f.store.Versions()
+	if !ok {
+		t.Fatal("v2 sessions must support version probes")
+	}
 	// A remote peer (here: the embedded handle, standing in for any
 	// other client of the legacy DBMS) mutates the drivers table behind
 	// the store's back.
@@ -276,35 +275,34 @@ func TestConnStoreGenerationProbe(t *testing.T) {
 		   binary_code, binary_format)
 		  VALUES (1, 'JDBC', 3, 0, '%', 1, 0, 0, $b, 'image')`,
 		sqlmini.Args{"b": []byte("peer-written blob")})
-	g2 := f.store.Generation()
-	if g2 <= g1 {
-		t.Fatalf("generation must observe a remote peer's write: %d then %d", g1, g2)
+	d2, p2, ok := f.store.Versions()
+	if !ok || d2 <= d1 || p2 != p1 {
+		t.Fatalf("versions must observe a remote peer's driver write: (%d,%d) then (%d,%d) ok=%v", d1, p1, d2, p2, ok)
 	}
-	// Lease churn must NOT move the generation (the catalog contract).
+	// Lease churn must NOT move the versions (the catalog contract).
 	f.legacyDB.MustExec(`INSERT INTO ` + LeasesTable + ` (lease_id, driver_id, database,
 		user, client_id, granted_at, expires_at, released, renewals)
 		VALUES (1, 1, 'prod', 'app', 'c', now(), now(), FALSE, 0)`)
-	if g3 := f.store.Generation(); g3 != g2 {
-		t.Fatalf("lease churn moved the generation: %d then %d", g2, g3)
+	if d3, p3, _ := f.store.Versions(); d3 != d2 || p3 != p2 {
+		t.Fatalf("lease churn moved the versions: (%d,%d) then (%d,%d)", d2, p2, d3, p3)
 	}
 	if got := f.legacy.QueriesServed() - queriesBefore; got != 0 {
-		t.Fatalf("generation probes executed %d SQL statements, want 0", got)
+		t.Fatalf("version probes executed %d SQL statements, want 0", got)
 	}
 }
 
-// TestConnStoreGenerationDisabledOnV1: against a v1-only server the
-// capability comes back unsupported and the catalog must keep the SQL
-// path (GenerationEnabled false) — the mixed-version downgrade.
+// TestConnStoreGenerationDisabledOnV1: against a v1-only server (the
+// paper's legacy database) Versions reports ok == false, so the catalog
+// keeps the SQL matchmaking path.
 func TestConnStoreGenerationDisabledOnV1(t *testing.T) {
 	f := newRemoteFixture(t, 2, dbms.WithProtocolVersion(1))
 	if err := EnsureSchema(f.store); err != nil {
 		t.Fatal(err)
 	}
-	if f.store.GenerationSupported() {
-		t.Fatal("v1 sessions cannot support generation probes")
-	}
-	if _, ok := GenerationEnabled(f.store); ok {
-		t.Fatal("GenerationEnabled must gate the negotiated-down store")
+	for i := 0; i < 2; i++ {
+		if _, _, ok := f.store.Versions(); ok {
+			t.Fatal("v1 sessions cannot report table versions")
+		}
 	}
 	// Prepared handles fall back to per-call SQL on the same code path.
 	st, err := f.store.Prepare(`SELECT count(*) FROM ` + DriversTable)
@@ -327,18 +325,15 @@ func TestConnStoreGenerationDisabledOnV1(t *testing.T) {
 
 // TestConnStoreGenerationDemotedOnDowngrade: when the legacy DBMS is
 // replaced mid-life by a build that no longer speaks the capability,
-// the store demotes its generation support for good instead of burning
-// a failing probe (plus a ping) on every future matchmaking request.
+// the store demotes its version support for good instead of burning a
+// failing probe (plus a ping) on every future matchmaking request.
 func TestConnStoreGenerationDemotedOnDowngrade(t *testing.T) {
 	f := newRemoteFixture(t, 2)
 	if err := EnsureSchema(f.store); err != nil {
 		t.Fatal(err)
 	}
-	if !f.store.GenerationSupported() {
+	if _, _, ok := f.store.Versions(); !ok {
 		t.Fatal("v2 fixture must start supported")
-	}
-	if g := f.store.Generation(); g >= genFallbackBase {
-		t.Fatalf("healthy probe returned fallback value %d", g)
 	}
 
 	// Replace the server with a v1-only build on the same address.
@@ -352,14 +347,11 @@ func TestConnStoreGenerationDemotedOnDowngrade(t *testing.T) {
 	}
 	t.Cleanup(downgraded.Stop)
 
-	if g := f.store.Generation(); g < genFallbackBase {
-		t.Fatalf("probe against a v1 peer must report a fallback value, got %d", g)
+	if _, _, ok := f.store.Versions(); ok {
+		t.Fatal("a probe against a v1 peer must report ok == false")
 	}
-	if f.store.GenerationSupported() {
-		t.Fatal("generation support must demote after an ErrNotSupported probe")
-	}
-	if _, ok := GenerationEnabled(f.store); ok {
-		t.Fatal("the catalog must fall back to the SQL path after demotion")
+	if !f.store.noVersions.Load() {
+		t.Fatal("version support must demote after an ErrNotSupported probe")
 	}
 	// The store itself keeps working over SQL.
 	if _, err := f.store.Exec(`SELECT count(*) FROM ` + DriversTable); err != nil {
@@ -431,12 +423,12 @@ func TestConnStoreStats(t *testing.T) {
 // TestExternalMatchmakingZeroSQL is the acceptance pin: with a v2
 // legacy DBMS, steady-state matchmaking on the EXTERNAL deployment
 // issues zero SQL statements — the only per-request remote traffic is
-// the generation probe. The CountingGenerationStore counts statements
+// the generation probe. The CountingStore counts statements
 // crossing the storage boundary and the legacy server counts what
 // reaches it; both must stay flat across matches.
 func TestExternalMatchmakingZeroSQL(t *testing.T) {
 	f := newRemoteFixture(t, 2)
-	cs := NewCountingGenerationStore(f.store)
+	cs := NewCountingStore(f.store)
 	srv, err := NewServer("external", cs)
 	if err != nil {
 		t.Fatal(err)
@@ -494,7 +486,7 @@ func TestExternalMatchmakingZeroSQL(t *testing.T) {
 // reaches the legacy DBMS.
 func TestExternalRenewalStatementBudget(t *testing.T) {
 	f := newRemoteFixture(t, 2)
-	cs := NewCountingGenerationStore(f.store)
+	cs := NewCountingStore(f.store)
 	srv, err := NewServer("external", cs)
 	if err != nil {
 		t.Fatal(err)

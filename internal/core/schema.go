@@ -184,9 +184,13 @@ const insertDriverSQL = `INSERT INTO ` + DriversTable + `
 	VALUES ($driver_id, $api_name, $api_major, $api_minor, $platform,
 	 $drv_major, $drv_minor, $drv_micro, $binary_code, $binary_format)`
 
-// insertDriver takes the one-method Store shape, which a Tx or the
-// server's prepared-statement router also satisfies structurally.
-func insertDriver(st Store, rec DriverRecord) error {
+// execer is the one-statement shape the insert helpers take: a Store,
+// a Tx, or the server's prepared-statement router.
+type execer interface {
+	Exec(sql string, args ...any) (*sqlmini.Result, error)
+}
+
+func insertDriver(st execer, rec DriverRecord) error {
 	_, err := st.Exec(insertDriverSQL, sqlmini.Args{
 		"driver_id":     rec.DriverID,
 		"api_name":      rec.APIName,
@@ -210,7 +214,7 @@ const insertPermissionSQL = `INSERT INTO ` + PermissionTable + `
 	 $driver_options, $start_date, $end_date, $lease_ms, $renew, $expire,
 	 $transfer)`
 
-func insertPermission(st Store, p Permission) error {
+func insertPermission(st execer, p Permission) error {
 	_, err := st.Exec(insertPermissionSQL, sqlmini.Args{
 		"permission_id":  p.PermissionID,
 		"user":           nullableStr(p.User),

@@ -92,18 +92,17 @@ type Server struct {
 	stopping bool                    // set by Stop; late-arriving conns are refused
 
 	// Versioned driver catalog (catalog.go): an immutable snapshot of
-	// driver metadata + permissions, swapped atomically on store
-	// generation change. catMu serializes reloads only; readers never
-	// block.
+	// driver metadata + permissions, swapped atomically when the
+	// store's table versions move. catMu serializes reloads only;
+	// readers never block.
 	cat        atomic.Pointer[catalog]
 	catMu      sync.Mutex
 	assemblies assemblyCache
 	signGen    uint64 // bumped when the signing key changes
 
-	// Prepared-handle cache over StmtStore stores: every server-issued
-	// statement routes through exec(), which reuses one handle per SQL
-	// text so hot statements skip parse-and-plan. nil when the store
-	// has no StmtStore capability (exec falls through to store.Exec).
+	// Prepared-handle cache: every server-issued statement routes
+	// through exec(), which reuses one handle per SQL text so hot
+	// statements skip parse-and-plan.
 	stmtMu sync.Mutex
 	stmts  map[string]Stmt
 
@@ -258,12 +257,10 @@ func NewServer(name string, store Store, opts ...ServerOption) (*Server, error) 
 		pending:           make(map[uint64]pendingTransfer),
 		subscribers:       make(map[*wire.Conn]subscribeMsg),
 		conns:             make(map[*wire.Conn]struct{}),
+		stmts:             make(map[string]Stmt),
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if _, ok := store.(StmtStore); ok {
-		s.stmts = make(map[string]Stmt)
 	}
 	if err := EnsureSchema(store); err != nil {
 		return nil, err
@@ -271,18 +268,15 @@ func NewServer(name string, store Store, opts ...ServerOption) (*Server, error) 
 	return s, nil
 }
 
-// exec routes one statement to the store, through a cached prepared
-// handle when the store supports StmtStore. The set of SQL texts the
-// server issues is a small fixed vocabulary, so the cache is bounded.
+// exec routes one statement to the store through a cached prepared
+// handle. The set of SQL texts the server issues is a small fixed
+// vocabulary, so the cache is bounded.
 func (s *Server) exec(sql string, args ...any) (*sqlmini.Result, error) {
-	if s.stmts == nil {
-		return s.store.Exec(sql, args...)
-	}
 	s.stmtMu.Lock()
 	h, ok := s.stmts[sql]
 	if !ok {
 		var err error
-		h, err = s.store.(StmtStore).Prepare(sql)
+		h, err = s.store.Prepare(sql)
 		if err != nil {
 			s.stmtMu.Unlock()
 			return nil, err

@@ -11,8 +11,9 @@ import (
 	"repro/internal/sqlmini"
 )
 
-// Store abstracts where the Drivolution schema lives. The paper's three
-// deployment shapes map onto two implementations:
+// Store is the whole boundary between the Drivolution server and the
+// database holding its schema. The paper's deployment shapes map onto
+// three implementations:
 //
 //   - LocalStore: the schema sits in an embedded/in-process database —
 //     the in-database server (§4.1.2, sharing the DBMS's own sqlmini
@@ -21,43 +22,82 @@ import (
 //   - ConnStore: the schema sits in a remote legacy DBMS reached through
 //     a conventional driver connection — the external server (§4.1.3,
 //     Figure 2).
-//
-// Store API v2 (storev2.go) extends this boundary with optional
-// capability interfaces: TxStore, StmtStore, BatchStore.
+//   - the cluster's replicated store (internal/cluster): a member-local
+//     database whose mutations replicate to every peer.
 type Store interface {
 	// Exec runs one SQL statement against the schema's database.
 	Exec(sql string, args ...any) (*sqlmini.Result, error)
+	// Prepare parses sql once into a reusable handle.
+	Prepare(sql string) (Stmt, error)
+	// ExecBatch runs stmts in order as one atomic unit: all of them
+	// apply or none does. Results are returned only on full success.
+	ExecBatch(stmts []Statement) ([]*sqlmini.Result, error)
+	// Versions reports the mutation counters of the drivers and
+	// driver_permission tables — lease churn must not move them — and
+	// whether the store can observe them at all. The server's in-memory
+	// catalog is valid exactly while both are unchanged, which makes
+	// steady-state grants zero-SQL. ok == false (a legacy database that
+	// cannot report table versions, Figure 2, or a probe that failed)
+	// keeps the server on per-request SQL matchmaking.
+	Versions() (drivers, perms uint64, ok bool)
 }
 
-// GenerationStore is implemented by stores that can report a cheap,
-// strictly monotonic counter covering mutations of the drivers and
-// driver_permission tables. The server's in-memory driver catalog is
-// valid exactly as long as the generation is unchanged, which makes
-// steady-state grants metadata-cache hits with zero SQL. Stores that
-// cannot observe remote mutations (ConnStore, where any peer may write
-// to the legacy database) simply don't implement it and the server
-// falls back to per-request SQL matchmaking.
-type GenerationStore interface {
-	Store
-	// Generation changes whenever the drivers or driver_permission
-	// tables change. Lease churn must NOT affect it.
-	Generation() uint64
+// The capability names Store absorbed. They survive only because the
+// drivobench module (bench/) still compiles against them, and go once
+// its TestTimingStoreKeepsFastPaths stops naming them (ROADMAP item
+// 1(a)).
+type (
+	TxStore                 = Store
+	StmtStore               = Store
+	BatchStore              = Store
+	GenerationStore         = Store
+	TableVersionStore       = Store
+	OptionalGenerationStore = Store
+)
+
+// Statement is one SQL statement plus its arguments — the unit of
+// batch execution. It is the same type the client layer ships over
+// the wire.
+type Statement = client.Statement
+
+// Stmt is a reusable prepared-statement handle. On LocalStore it
+// carries the parsed AST plus the planner's cached analysis; executing
+// it skips parse-and-plan. Handles are safe for concurrent use.
+type Stmt interface {
+	// Exec runs the prepared statement with the given arguments.
+	Exec(args ...any) (*sqlmini.Result, error)
+	// Close releases the handle.
+	Close() error
 }
 
-// TableVersionStore is optionally implemented by generation stores
-// that can attribute the generation to individual tables. The catalog
-// loader uses it to reload deltas: when only driver_permission moved,
-// the (potentially blob-heavy) driver entries are carried over from
-// the previous catalog untouched.
-type TableVersionStore interface {
-	// TableVersion counts mutations of one named table.
-	TableVersion(name string) uint64
+// Tx is one open transaction (LocalStore.Begin, ConnStore.Begin):
+// Commit publishes every statement, Rollback (or a store-side failure)
+// reverts every statement. A Tx is not safe for concurrent use.
+type Tx interface {
+	// Exec runs one statement inside the transaction.
+	Exec(sql string, args ...any) (*sqlmini.Result, error)
+	// Query is Exec for row-returning statements.
+	Query(sql string, args ...any) (*sqlmini.Result, error)
+	// Commit makes the transaction's effects durable.
+	Commit() error
+	// Rollback reverts every statement of the transaction.
+	Rollback() error
 }
 
-// LocalStore serves the schema from an in-process sqlmini database. It
-// implements every v2 capability natively: real transactions (engine
-// undo log), prepared handles (cached AST + plan skeleton), and atomic
-// batches (one engine-lock acquisition for the whole list).
+// ErrExecOutcomeUnknown reports a connection that died after a
+// statement may have reached the server: the statement cannot be
+// safely retried because it may already have been applied. Callers
+// that can tolerate double-application (idempotent writes) may retry;
+// everyone else must surface the ambiguity.
+var ErrExecOutcomeUnknown = errors.New("core: statement outcome unknown (connection lost mid-statement)")
+
+// ErrTxDone reports use of a transaction after Commit or Rollback.
+var ErrTxDone = errors.New("core: transaction already finished")
+
+// LocalStore serves the schema from an in-process sqlmini database:
+// prepared handles carry a cached AST + plan skeleton, batches run
+// under one engine-lock acquisition, and Begin opens a real transaction
+// (engine undo log).
 type LocalStore struct {
 	DB *sqlmini.DB
 }
@@ -70,24 +110,17 @@ func (s *LocalStore) Exec(sql string, args ...any) (*sqlmini.Result, error) {
 	return s.DB.Exec(sql, args...)
 }
 
-// Generation implements GenerationStore over the embedded database's
-// per-table mutation counters. It lives on the DB, not this wrapper, so
-// several LocalStores over one shared DB (replicated embedded servers,
-// Figure 6; a TLS frontend sharing a plaintext server's schema) observe
-// each other's admin mutations.
-func (s *LocalStore) Generation() uint64 {
-	return s.DB.TableVersions(DriversTable, PermissionTable)
+// Versions implements Store over the embedded database's per-table
+// mutation counters. They live on the DB, not this wrapper, so several
+// LocalStores over one shared DB (replicated embedded servers, Figure
+// 6; a TLS frontend sharing a plaintext server's schema) observe each
+// other's admin mutations.
+func (s *LocalStore) Versions() (drivers, perms uint64, ok bool) {
+	return s.DB.TableVersion(DriversTable), s.DB.TableVersion(PermissionTable), true
 }
 
-// TableVersion implements TableVersionStore over the embedded
-// database's per-table counters.
-func (s *LocalStore) TableVersion(name string) uint64 {
-	return s.DB.TableVersion(name)
-}
-
-// Begin implements TxStore on the embedded engine: the transaction is
-// a session with an undo log, so Rollback (or a failure inside
-// RunAtomic) reverts every statement of the unit.
+// Begin opens a transaction on the embedded engine: a session with an
+// undo log, so Rollback reverts every statement of the unit.
 func (s *LocalStore) Begin() (Tx, error) {
 	sess := s.DB.NewSession()
 	if _, err := sess.Exec("BEGIN"); err != nil {
@@ -133,7 +166,7 @@ func (tx *localTx) Rollback() error {
 	return err
 }
 
-// Prepare implements StmtStore: the handle carries the parsed AST and
+// Prepare implements Store: the handle carries the parsed AST and
 // the planner's cached analysis (sqlmini.Prepared), so per-call work
 // is binding arguments and evaluating the index keys.
 func (s *LocalStore) Prepare(sql string) (Stmt, error) {
@@ -149,7 +182,7 @@ type localStmt struct{ p *sqlmini.Prepared }
 func (st localStmt) Exec(args ...any) (*sqlmini.Result, error) { return st.p.Exec(args...) }
 func (st localStmt) Close() error                              { return nil }
 
-// ExecBatch implements BatchStore: the whole list executes under a
+// ExecBatch implements Store: the whole list executes under a
 // single engine-lock acquisition, atomically and isolated — no other
 // session's statement can interleave between batch statements.
 func (s *LocalStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
@@ -178,23 +211,17 @@ func (s *LocalStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
 // the server just before the connection died.
 //
 // When the dialed connections negotiate the v2 session capabilities,
-// ConnStore additionally implements:
+// Prepare returns handles backed by SERVER-side prepared statements
+// (client.StmtConn) — each pooled connection caches one remote handle
+// per SQL text, re-prepared transparently on a replacement connection
+// but replayed only under the redial contract above — and Versions
+// probes the remote engine's per-table mutation counters over
+// client.TableVersionConn (one wire round trip, zero SQL), which
+// extends the server's zero-SQL catalog to external deployments.
 //
-//   - StmtStore: Prepare returns handles backed by SERVER-side prepared
-//     statements (client.StmtConn). Each pooled connection caches one
-//     remote handle per SQL text; a connection death invalidates its
-//     handles and execution transparently re-prepares on the
-//     replacement — but replays the statement itself only under the
-//     redial contract above.
-//   - GenerationStore / TableVersionStore: Generation probes the remote
-//     engine's per-table mutation counters over client.TableVersionConn
-//     (one wire round trip, zero SQL), which extends the server's
-//     zero-SQL catalog fast path to external deployments.
-//
-// Against a v1 peer both capabilities degrade exactly to the old
-// behavior: Prepare handles execute as plain per-call SQL, and
-// GenerationSupported reports false so the catalog keeps the SQL
-// matchmaking path.
+// A v1 peer is the paper's legacy database, and it stays supported:
+// Prepare handles execute as plain per-call SQL, and Versions reports
+// ok == false so the server keeps the SQL matchmaking path.
 type ConnStore struct {
 	dial func() (client.Conn, error)
 	size int
@@ -204,26 +231,15 @@ type ConnStore struct {
 	// legacy database.
 	sem chan struct{}
 
-	// genTables are the tables whose version counters compose
-	// Generation(); the drivers + permission pair by default.
-	genTables []string
-
 	mu     sync.Mutex
 	idle   []*poolConn
 	closed bool
 
-	// genCap memoizes whether the remote sessions carry the
-	// table-versions capability: 0 undetermined, 1 yes, 2 no. Decided
-	// from the first live connection. "Yes" can later demote to "no"
-	// when a probe is refused with ErrNotSupported (the remote was
-	// downgraded mid-life); it never flaps back — an upgrade is picked
-	// up on the next store, and flapping would thrash the catalog.
-	genCap atomic.Int32
-	// genFail drives the Generation fallback: while probes fail, every
-	// call reports a fresh value in a range real counter sums cannot
-	// reach, so the catalog never trusts a stale snapshot during an
-	// outage.
-	genFail atomic.Uint64
+	// noVersions is set once a table-versions probe is refused with
+	// client.ErrNotSupported (a v1 session, or a remote downgraded
+	// mid-life). It never flips back — an upgrade is picked up on the
+	// next store, and flapping would thrash the catalog.
+	noVersions atomic.Bool
 
 	// Pool/session health counters (Stats).
 	dials       atomic.Int64
@@ -262,8 +278,7 @@ func WithPoolSize(n int) ConnStoreOption {
 
 // NewConnStore creates a store that obtains connections from dial.
 func NewConnStore(dial func() (client.Conn, error), opts ...ConnStoreOption) *ConnStore {
-	s := &ConnStore{dial: dial, size: 4,
-		genTables: []string{DriversTable, PermissionTable}}
+	s := &ConnStore{dial: dial, size: 4}
 	for _, o := range opts {
 		o(s)
 	}
@@ -458,7 +473,7 @@ func (s *ConnStore) runRedial(readOnly bool, attempt func(pc *poolConn) (any, er
 
 // Exec implements Store. Transaction control is rejected: the pool
 // gives each statement its own connection, so session transactions
-// must go through Begin (TxStore), which pins one.
+// must go through Begin, which pins one.
 func (s *ConnStore) Exec(sql string, args ...any) (*sqlmini.Result, error) {
 	if txControl(sql) {
 		return nil, fmt.Errorf("core: external store: transaction control via Exec is not supported on a pooled store; use Begin()")
@@ -478,7 +493,7 @@ func (s *ConnStore) Query(sql string, args ...any) (*sqlmini.Result, error) {
 	return s.Exec(sql, args...)
 }
 
-// Begin implements TxStore: the transaction owns one pooled connection
+// Begin opens a transaction that owns one pooled connection
 // until Commit/Rollback (per-tx affinity), so concurrent plain
 // statements and other transactions proceed on their own connections.
 func (s *ConnStore) Begin() (Tx, error) {
@@ -592,7 +607,7 @@ func (tx *connTx) Rollback() error {
 	return err
 }
 
-// ExecBatch implements BatchStore. When the driver connection supports
+// ExecBatch implements Store. When the driver connection supports
 // batch frames (client.BatchConn — the dbms native driver does), the
 // whole list travels in ONE wire round trip and executes atomically on
 // the server. Otherwise the list runs statement-by-statement on one
@@ -633,19 +648,18 @@ func (s *ConnStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
 	// acquire pops from it, so absent contention Begin reuses this very
 	// connection.
 	s.release(pc)
-	var out []*sqlmini.Result
-	err = RunAtomic(s, func(tx Tx) error {
-		for i, st := range stmts {
-			res, err := tx.Exec(st.SQL, st.Args...)
-			if err != nil {
-				out = nil
-				return fmt.Errorf("core: batch statement %d: %w", i+1, err)
-			}
-			out = append(out, res)
-		}
-		return nil
-	})
+	tx, err := s.Begin()
 	if err != nil {
+		return nil, err
+	}
+	out := make([]*sqlmini.Result, len(stmts))
+	for i, st := range stmts {
+		if out[i], err = tx.Exec(st.SQL, st.Args...); err != nil {
+			_ = tx.Rollback()
+			return nil, fmt.Errorf("core: batch statement %d: %w", i+1, err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -655,14 +669,14 @@ func toStoreResult(res *client.Result) *sqlmini.Result {
 	return &sqlmini.Result{Cols: res.Cols, Rows: res.Rows, Affected: res.Affected}
 }
 
-// Prepare implements StmtStore over remote prepared handles. The
+// Prepare implements Store over remote prepared handles. The
 // returned handle is store-level: each execution borrows a pooled
 // connection and runs through THAT connection's server-side handle for
 // the SQL text (prepared on first use, cached per connection, died and
 // transparently re-prepared when the connection is replaced). Against
 // sessions without the prepared-statements capability the handle
-// executes as plain per-call SQL — exactly the PrepareOn fallback, one
-// code path for the caller either way.
+// executes as plain per-call SQL — one code path for the caller either
+// way.
 func (s *ConnStore) Prepare(sql string) (Stmt, error) {
 	if txControl(sql) {
 		return nil, fmt.Errorf("core: external store: transaction control cannot be prepared on a pooled store; use Begin()")
@@ -752,104 +766,41 @@ func (st *remoteStmt) Exec(args ...any) (*sqlmini.Result, error) {
 // their connections retire — so Close is a no-op.
 func (st *remoteStmt) Close() error { return nil }
 
-// genFallbackBase puts Generation's failure values far above any real
-// counter sum, and genFail makes every failing call distinct, so a
-// probe outage can never validate a cached catalog.
-const genFallbackBase = uint64(1) << 63
-
-// GenerationSupported implements OptionalGenerationStore: whether the
-// remote sessions negotiated the table-versions capability. Determined
-// from the first live connection, and demoted for good if a later
-// probe is refused (remote downgraded mid-life — see probeVersions);
-// while no connection can be established the answer is false
-// (un-cached), so the catalog stays on the SQL path that will surface
-// the real error.
-func (s *ConnStore) GenerationSupported() bool {
-	switch s.genCap.Load() {
-	case 1:
-		return true
-	case 2:
-		return false
+// Versions implements Store with one table-versions probe for both
+// tables, under the shared redial contract: a probe executes no
+// statement, so an ambiguous connection death always permits one retry
+// on a fresh dial. Table versions only grow, so the pair is as
+// monotonic as LocalStore's. A probe refused with client.ErrNotSupported
+// marks the store version-blind for good; any other failure reports
+// ok == false for this call only, and the SQL path the server then
+// takes surfaces the outage.
+func (s *ConnStore) Versions() (drivers, perms uint64, ok bool) {
+	if s.noVersions.Load() {
+		return 0, 0, false
 	}
-	pc, err := s.acquire()
-	if err != nil {
-		return false // undetermined: retry on a later call
-	}
-	supported := false
-	if _, ok := pc.conn.(client.TableVersionConn); ok {
-		if fc, ok := pc.conn.(client.FeatureConn); !ok || fc.Supports(client.FeatureTableVersions) {
-			supported = true
-		}
-	}
-	s.release(pc)
-	if supported {
-		s.genCap.Store(1)
-	} else {
-		s.genCap.Store(2)
-	}
-	return supported
-}
-
-// probeVersions runs one table-versions probe under the shared redial
-// contract: probes execute no statement (readOnly), so an ambiguous
-// connection death always permits one retry on a fresh dial. A probe
-// refused with client.ErrNotSupported demotes the store's generation
-// capability for good — the remote was downgraded (or replaced) by a
-// peer that no longer speaks it, and without the demotion every future
-// Generation call would burn a failing probe before falling back.
-func (s *ConnStore) probeVersions(names []string) ([]uint64, error) {
 	v, err := s.runRedial(true, func(pc *poolConn) (any, error, bool) {
 		tvc, ok := pc.conn.(client.TableVersionConn)
 		if !ok {
 			return nil, client.ErrNotSupported, true
 		}
-		vs, err := tvc.TableVersions(names...)
+		vs, err := tvc.TableVersions(DriversTable, PermissionTable)
 		return vs, err, false
 	})
 	if err != nil {
 		if errors.Is(err, client.ErrNotSupported) {
-			s.genCap.Store(2)
+			s.noVersions.Store(true)
 		}
-		return nil, err
+		return 0, 0, false
 	}
-	return v.([]uint64), nil
-}
-
-// Generation implements GenerationStore over the wire: one
-// msgTableVersions round trip summing the drivers and permission table
-// counters — zero SQL, which is what lets the catalog fast path reach
-// external deployments. Table versions only grow, so the sum is as
-// monotonic as LocalStore's. While probes fail, every call reports a
-// distinct out-of-band value: the catalog treats its snapshot as stale
-// and falls back to the SQL reload, which surfaces the outage.
-func (s *ConnStore) Generation() uint64 {
-	vs, err := s.probeVersions(s.genTables)
-	if err != nil {
-		return genFallbackBase + s.genFail.Add(1)
-	}
-	var sum uint64
-	for _, v := range vs {
-		sum += v
-	}
-	return sum
-}
-
-// TableVersion implements TableVersionStore over the wire (the
-// catalog's delta-reload hint). Failures report a distinct out-of-band
-// value, which costs only the delta optimization.
-func (s *ConnStore) TableVersion(name string) uint64 {
-	vs, err := s.probeVersions([]string{name})
-	if err != nil {
-		return genFallbackBase + s.genFail.Add(1)
-	}
-	return vs[0]
+	vs := v.([]uint64)
+	return vs[0], vs[1], true
 }
 
 // ConnStoreStats is a point-in-time view of pool and remote-session
 // health, for operators watching an external deployment.
 type ConnStoreStats struct {
 	// InUse counts connections currently borrowed (statements,
-	// transactions, batches, and generation probes in flight).
+	// transactions, batches, and version probes in flight).
 	InUse int
 	// Idle counts healthy connections parked in the pool.
 	Idle int

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -29,20 +28,31 @@ func countT(t *testing.T, st Store) int64 {
 	return res.Rows[0][0].Int()
 }
 
-// TestLocalStoreCapabilities: LocalStore advertises every v2 interface.
+// TestLocalStoreCapabilities: LocalStore always reports its table
+// versions, and each catalog table's writes move only its own counter.
 func TestLocalStoreCapabilities(t *testing.T) {
-	var st Store = NewLocalStore(v2TestDB(t))
-	if _, ok := st.(TxStore); !ok {
-		t.Fatal("LocalStore must implement TxStore")
+	db := v2TestDB(t)
+	st := NewLocalStore(db)
+	if err := EnsureSchema(st); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := st.(StmtStore); !ok {
-		t.Fatal("LocalStore must implement StmtStore")
+	d0, p0, ok := st.Versions()
+	if !ok {
+		t.Fatal("LocalStore must report table versions")
 	}
-	if _, ok := st.(BatchStore); !ok {
-		t.Fatal("LocalStore must implement BatchStore")
+	db.MustExec(`INSERT INTO t (id, v) VALUES (3, 30)`)
+	if err := insertDriver(st, DriverRecord{DriverID: 1, APIName: "JDBC", BinaryCode: []byte{1}, Format: "IMAGE"}); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := st.(GenerationStore); !ok {
-		t.Fatal("LocalStore must implement GenerationStore")
+	d1, p1, _ := st.Versions()
+	if d1 <= d0 || p1 != p0 {
+		t.Fatalf("a driver write must move only drivers: (%d,%d) then (%d,%d)", d0, p0, d1, p1)
+	}
+	if err := insertPermission(st, Permission{PermissionID: 1, DriverID: 1, Database: "prod"}); err != nil {
+		t.Fatal(err)
+	}
+	if d, p, _ := st.Versions(); d != d1 || p <= p1 {
+		t.Fatalf("a permission write must move only perms: (%d,%d) then (%d,%d)", d1, p1, d, p)
 	}
 }
 
@@ -93,101 +103,19 @@ func TestLocalStoreTx(t *testing.T) {
 	}
 }
 
-// TestRunAtomicRollsBackOnError: fn's error reverts the whole unit on
-// a TxStore.
-func TestRunAtomicRollsBackOnError(t *testing.T) {
+// TestLocalStoreBatchRollsBackOnError: a batch whose later statement
+// fails reverts the statements before it.
+func TestLocalStoreBatchRollsBackOnError(t *testing.T) {
 	st := NewLocalStore(v2TestDB(t))
-	wantErr := errors.New("boom")
-	err := RunAtomic(st, func(tx Tx) error {
-		if _, err := tx.Exec(`DELETE FROM t WHERE id = 1`); err != nil {
-			return err
-		}
-		return wantErr
+	_, err := st.ExecBatch([]Statement{
+		{SQL: `DELETE FROM t WHERE id = 1`},
+		{SQL: `INSERT INTO t (id, v) VALUES (2, 0)`},
 	})
-	if !errors.Is(err, wantErr) {
+	if !errors.Is(err, sqlmini.ErrDuplicateKey) {
 		t.Fatalf("err = %v", err)
 	}
 	if n := countT(t, st); n != 2 {
 		t.Fatalf("failed unit must revert: count = %d", n)
-	}
-}
-
-// plainStore strips every capability off an inner store: the
-// third-party plain-Exec store the fallback adapters exist for.
-type plainStore struct{ inner Store }
-
-func (p plainStore) Exec(sql string, args ...any) (*sqlmini.Result, error) {
-	return p.inner.Exec(sql, args...)
-}
-
-// TestRunAtomicFallbackIsBestEffort documents the adapter's degraded
-// semantics on plain stores: statements apply eagerly and an error
-// does NOT revert them.
-func TestRunAtomicFallbackIsBestEffort(t *testing.T) {
-	st := plainStore{inner: NewLocalStore(v2TestDB(t))}
-	wantErr := errors.New("boom")
-	err := RunAtomic(st, func(tx Tx) error {
-		if _, err := tx.Exec(`DELETE FROM t WHERE id = 1`); err != nil {
-			return err
-		}
-		return wantErr
-	})
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
-	}
-	if n := countT(t, st); n != 1 {
-		t.Fatalf("best-effort fallback applies eagerly: count = %d, want 1", n)
-	}
-}
-
-// TestExecBatchOnFallback: statement-by-statement on plain stores,
-// stopping at (and naming) the first failure.
-func TestExecBatchOnFallback(t *testing.T) {
-	st := plainStore{inner: NewLocalStore(v2TestDB(t))}
-	rs, err := ExecBatchOn(st, []Statement{
-		{SQL: `INSERT INTO t (id, v) VALUES (3, 30)`},
-		{SQL: `SELECT count(*) FROM t`},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 || rs[1].Rows[0][0].Int() != 3 {
-		t.Fatalf("results = %+v", rs)
-	}
-	_, err = ExecBatchOn(st, []Statement{
-		{SQL: `INSERT INTO t (id, v) VALUES (4, 40)`},
-		{SQL: `INSERT INTO t (id, v) VALUES (4, 40)`},
-	})
-	if err == nil || !errors.Is(err, sqlmini.ErrDuplicateKey) {
-		t.Fatalf("err = %v", err)
-	}
-	if n := countT(t, st); n != 4 {
-		t.Fatalf("fallback batch is best-effort: count = %d, want 4", n)
-	}
-}
-
-// TestPrepareOn: native handle on StmtStore, Exec-backed on plain
-// stores, identical results.
-func TestPrepareOn(t *testing.T) {
-	local := NewLocalStore(v2TestDB(t))
-	_, connV1 := externalProto(t, 1)
-	_, connV2 := externalProto(t, 2)
-	// The same suite runs on every store shape: native local handles,
-	// the plain-Exec fallback, ConnStore over remote v2 frames, and
-	// ConnStore negotiated down to per-call SQL on a v1 session.
-	for _, st := range []Store{local, plainStore{inner: local}, connV2, connV1} {
-		h, err := PrepareOn(st, `SELECT v FROM t WHERE id = $id`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := h.Exec(sqlmini.Args{"id": int64(2)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rows[0][0].Int() != 20 {
-			t.Fatalf("%T: rows = %+v", st, res.Rows)
-		}
-		_ = h.Close()
 	}
 }
 
@@ -290,10 +218,12 @@ func TestConnStoreConcurrentStatements(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%8 == 0 {
-				err := RunAtomic(store, func(tx Tx) error {
-					_, err := tx.Exec(`SELECT count(*) FROM t`)
-					return err
-				})
+				tx, err := store.Begin()
+				if err == nil {
+					if _, err = tx.Exec(`SELECT count(*) FROM t`); err == nil {
+						err = tx.Commit()
+					}
+				}
 				errs <- err
 				return
 			}
@@ -370,57 +300,42 @@ func TestConnStoreStatementErrorKeepsConnection(t *testing.T) {
 	}
 }
 
-// TestCountingStorePreservesSemantics: wrapping any store must not
-// change observable behavior, only count it — including capability
-// fallbacks on plain stores.
+// TestCountingStorePreservesSemantics: wrapping a store must not change
+// observable behavior, only count it.
 func TestCountingStorePreservesSemantics(t *testing.T) {
-	// Over a capable store: real transaction semantics.
 	cs := NewCountingStore(NewLocalStore(v2TestDB(t)))
-	err := RunAtomic(cs, func(tx Tx) error {
-		if _, err := tx.Exec(`DELETE FROM t WHERE id = 1`); err != nil {
-			return err
-		}
-		return fmt.Errorf("boom")
-	})
-	if err == nil {
+	if _, err := cs.ExecBatch([]Statement{
+		{SQL: `DELETE FROM t WHERE id = 1`},
+		{SQL: `INSERT INTO t (id, v) VALUES (2, 0)`},
+	}); err == nil {
 		t.Fatal("want error")
 	}
 	if n := countT(t, cs); n != 2 {
-		t.Fatalf("counting wrapper must preserve rollback: count = %d", n)
+		t.Fatalf("counting wrapper must preserve batch rollback: count = %d", n)
 	}
-	if cs.Txs() != 1 || cs.Statements() < 2 {
-		t.Fatalf("counters: txs=%d statements=%d", cs.Txs(), cs.Statements())
-	}
-
-	// Over a plain store: best-effort semantics, same as unwrapped.
-	cp := NewCountingStore(plainStore{inner: NewLocalStore(v2TestDB(t))})
-	err = RunAtomic(cp, func(tx Tx) error {
-		if _, err := tx.Exec(`DELETE FROM t WHERE id = 1`); err != nil {
-			return err
-		}
-		return fmt.Errorf("boom")
-	})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if n := countT(t, cp); n != 1 {
-		t.Fatalf("counting wrapper over plain store stays best-effort: count = %d", n)
+	if _, _, ok := cs.Versions(); !ok {
+		t.Fatal("counting wrapper must keep the inner store's versions")
 	}
 
-	// Batches: one round trip on capable stores, N on plain ones.
+	// A batch is one round trip; every prepared execution counts.
 	cs.Reset()
 	if _, err := cs.ExecBatch([]Statement{{SQL: `SELECT 1`}, {SQL: `SELECT 2`}}); err != nil {
 		t.Fatal(err)
 	}
-	if cs.RoundTrips() != 1 || cs.Statements() != 2 {
-		t.Fatalf("capable batch: roundtrips=%d statements=%d", cs.RoundTrips(), cs.Statements())
+	if cs.RoundTrips() != 1 || cs.Statements() != 2 || cs.Batches() != 1 {
+		t.Fatalf("batch: roundtrips=%d statements=%d batches=%d", cs.RoundTrips(), cs.Statements(), cs.Batches())
 	}
-	cp.Reset()
-	if _, err := cp.ExecBatch([]Statement{{SQL: `SELECT 1`}, {SQL: `SELECT 2`}}); err != nil {
+	h, err := cs.Prepare(`SELECT v FROM t WHERE id = $id`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.RoundTrips() != 2 || cp.Statements() != 2 {
-		t.Fatalf("plain batch: roundtrips=%d statements=%d", cp.RoundTrips(), cp.Statements())
+	for i := 0; i < 2; i++ {
+		if res, err := h.Exec(sqlmini.Args{"id": int64(2)}); err != nil || res.Rows[0][0].Int() != 20 {
+			t.Fatalf("prepared exec: %v %+v", err, res)
+		}
+	}
+	if cs.RoundTrips() != 3 || cs.Statements() != 4 {
+		t.Fatalf("after 2 prepared execs: roundtrips=%d statements=%d", cs.RoundTrips(), cs.Statements())
 	}
 }
 

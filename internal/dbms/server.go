@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/dbver"
 	"repro/internal/faultnet"
 	"repro/internal/sqlmini"
@@ -590,29 +591,13 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 			// commit. Refuse rather than silently weaken the promise.
 			return fail(-1, codeQueryError, "atomic batch inside an open transaction")
 		}
-		// Execute through the engine's atomic batch — ONE lock hold
-		// for the whole list, so the unit is atomic AND isolated: a
-		// mid-batch failure reverts exactly this batch's effects (a
-		// session-level BEGIN/ROLLBACK wrapper would release the lock
-		// between statements, and its rollback could clobber an
-		// interleaved session's committed write).
-		db := s.Database(sess.db)
-		bs := make([]sqlmini.BatchStmt, len(bm.Stmts))
-		for i, m := range bm.Stmts {
-			bs[i] = toBatchStmt(m)
-		}
-		results, err := db.ExecBatchAtomic(bs)
+		results, err := s.execBatchAtomic(sess.db, bm.Stmts, muts)
 		if err != nil {
 			// The engine error text names the failing statement's
 			// position; there is no partial result to report.
 			return fail(-1, codeQueryError, err.Error())
 		}
 		reply.Results = results
-		for i, m := range bm.Stmts {
-			if muts[i] {
-				s.replicate(sess.db, m) // only once the unit applied
-			}
-		}
 		return sess.conn.Send(msgBatchResult, reply.encode())
 	}
 	for i, m := range bm.Stmts {
@@ -632,10 +617,28 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 	return sess.conn.Send(msgBatchResult, reply.encode())
 }
 
-// toBatchStmt converts a wire statement to the engine's batch form,
-// through the same argument conversion per-frame execution uses.
-func toBatchStmt(m execMsg) sqlmini.BatchStmt {
-	return sqlmini.BatchStmt{SQL: m.SQL, Args: m.args()}
+// execBatchAtomic runs stmts on the named database through the
+// engine's atomic batch — ONE lock hold for the whole list, so the unit
+// is atomic AND isolated: a mid-batch failure reverts exactly this
+// batch's effects (a session-level BEGIN/ROLLBACK wrapper would release
+// the lock between statements, and its rollback could clobber an
+// interleaved session's committed write). The mutating statements
+// (muts) replicate only once the whole unit applied.
+func (s *Server) execBatchAtomic(dbName string, stmts []execMsg, muts []bool) ([]*sqlmini.Result, error) {
+	bs := make([]sqlmini.BatchStmt, len(stmts))
+	for i, m := range stmts {
+		bs[i] = sqlmini.BatchStmt{SQL: m.SQL, Args: m.args()}
+	}
+	results, err := s.Database(dbName).ExecBatchAtomic(bs)
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range stmts {
+		if muts[i] {
+			s.replicate(dbName, m)
+		}
+	}
+	return results, nil
 }
 
 // handlePrepare registers one statement in the session's handle table:
@@ -852,6 +855,29 @@ func (s *Server) Execute(dbName, sql string, args ...any) (*sqlmini.Result, erro
 		s.replicate(dbName, m)
 	}
 	return res, nil
+}
+
+// ExecuteBatch is Execute for a statement list that applies as one
+// atomic unit, the in-process twin of an atomic msgExecBatch frame:
+// every statement applies or none does, and replicas receive the
+// mutating ones only once the whole unit applied.
+func (s *Server) ExecuteBatch(dbName string, stmts []client.Statement) ([]*sqlmini.Result, error) {
+	if s.Database(dbName) == nil {
+		return nil, fmt.Errorf("dbms %s: no database %q", s.name, dbName)
+	}
+	ms := make([]execMsg, len(stmts))
+	muts := make([]bool, len(stmts))
+	for i, st := range stmts {
+		var err error
+		if ms[i], err = marshalExec(st.SQL, st.Args); err == nil {
+			muts[i], err = isMutating(st.SQL)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dbms: batch statement %d: %w", i+1, err)
+		}
+	}
+	s.queries.Add(int64(len(stmts)))
+	return s.execBatchAtomic(dbName, ms, muts)
 }
 
 // isMutating classifies a statement by its parsed type.

@@ -148,8 +148,8 @@ func RunLoad(name string, cfg LoadConfig) (*LoadResult, error) {
 
 // loadServer boots a Drivolution server for a load scenario and
 // returns it with its statement counter.
-func loadServer(cfg LoadConfig, opts ...core.ServerOption) (*core.Server, *core.CountingGenerationStore, error) {
-	store := core.NewCountingGenerationStore(core.NewLocalStore(sqlmini.NewDB()))
+func loadServer(cfg LoadConfig, opts ...core.ServerOption) (*core.Server, *core.CountingStore, error) {
+	store := core.NewCountingStore(core.NewLocalStore(sqlmini.NewDB()))
 	opts = append([]core.ServerOption{core.WithDefaultLease(cfg.Lease)}, opts...)
 	srv, err := core.NewServer("load-drv", store, opts...)
 	if err != nil {
@@ -211,7 +211,7 @@ func rampFor(cfg LoadConfig) time.Duration {
 }
 
 // result folds a fleet report and the server-side statement count
-// (from the CountingGenerationStore, or table-version deltas for the
+// (from the CountingStore, or table-version deltas for the
 // cluster tier) into the persisted shape.
 func result(name string, cfg LoadConfig, rep workload.FleetReport, stmts int64) *LoadResult {
 	stmtRate := 0.0
