@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 func benchDB(b *testing.B, rows int) *DB {
@@ -62,6 +63,34 @@ func BenchmarkUpdateWhere(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Exec("UPDATE t SET score = score + 1 WHERE id = ?", i%1000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRenewalGCAt{200,20000}Rows time a lease renewal — the
+// prepared guarded UPDATE that moves expires_at in two ordered indexes
+// — with its share of the deferred GC that drops the two superseded
+// entries. GC removes them through node handles, so the cost should
+// stay flat across the 100× rows; only the two insert walks grow, by
+// log(rows).
+func BenchmarkRenewalGCAt200Rows(b *testing.B)   { benchRenewalGC(b, 200) }
+func BenchmarkRenewalGCAt20000Rows(b *testing.B) { benchRenewalGC(b, 20000) }
+
+func benchRenewalGC(b *testing.B, rows int) {
+	base := time.Unix(1_700_000_000, 0)
+	db := leaseTableDB(b, rows, base)
+	renew, err := db.Prepare(renewLeaseSQL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	args := Args{"drv": int64(1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		args["id"] = int64(i%rows + 1)
+		args["exp"] = base.Add(time.Hour + time.Duration(i)*time.Millisecond)
+		if _, err := renew.Exec(args); err != nil {
 			b.Fatal(err)
 		}
 	}

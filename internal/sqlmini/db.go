@@ -784,7 +784,7 @@ func (db *DB) execInsert(t *Table, st *InsertStmt, env *evalEnv, tx *undoLog, w 
 		if na := arr.append(row); na != arr {
 			t.rows.Store(na)
 		}
-		t.indexInsert(row, vals, true)
+		t.indexInsert(row, true)
 		if tx != nil {
 			tx.recordInsert(t, row)
 		}
@@ -1149,8 +1149,7 @@ func (db *DB) execUpdate(t *Table, st *UpdateStmt, env *evalEnv, tx *undoLog, w 
 			tx.recordUpdate(t, r, vals)
 		}
 		c := w.commit(t)
-		r.push(newVals, c, false)
-		t.indexUpdate(r, vals, newVals, c)
+		t.indexUpdate(r, r.push(newVals, c), vals, c)
 		t.gc.enqueue(gcItem{c: c, row: r}) // prune hint: the chain grew
 		affected++
 	}
@@ -1193,7 +1192,7 @@ func (db *DB) execDelete(t *Table, st *DeleteStmt, env *evalEnv, tx *undoLog, w 
 			tx.recordDelete(t, d.r, d.vals)
 		}
 		c := w.commit(t)
-		d.r.push(nil, c, true)
+		d.r.push(nil, c)
 		t.gc.enqueue(gcItem{c: c, row: d.r, unlink: true})
 	}
 	return &Result{Affected: len(deleted)}, nil

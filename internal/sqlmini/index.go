@@ -238,9 +238,15 @@ func (h *hashIndex) insert(key []Value, r *Row, fresh bool) {
 	h.m.Store(ks, b)
 }
 
-// remove drops r from key's bucket, and the bucket with its last row.
-// Caller holds the latch.
-func (h *hashIndex) remove(key []Value, r *Row) {
+// remove drops r from the bucket of vals' tuple, and the bucket with
+// its last row (a NULL tuple was never filed: nothing to drop). Caller
+// holds the latch.
+func (h *hashIndex) remove(vals []Value, r *Row) {
+	var buf [4]Value
+	key, ok := tupleOf(buf[:0], h.cols, vals)
+	if !ok {
+		return
+	}
 	ks := tupleKey(key)
 	if v, ok := h.m.Load(ks); ok && v.(*rowBucket).remove(r) {
 		h.m.Delete(ks)
@@ -295,36 +301,22 @@ func (ix *secondaryIndex) colNames(t *Table) []string {
 }
 
 // insertFor registers vals' key for r (no-op on a NULL component; see
-// rowBucket.add for fresh). Caller holds the latch.
-func (ix *secondaryIndex) insertFor(vals []Value, r *Row, fresh bool) {
+// rowBucket.add for fresh) and returns the skiplist node that now holds
+// r — nil for a hash index or a NULL tuple. Caller holds the latch.
+func (ix *secondaryIndex) insertFor(vals []Value, r *Row, fresh bool) *skipNode {
 	var buf [4]Value
 	key, ok := tupleOf(buf[:0], ix.cols, vals)
 	if !ok {
-		return
+		return nil
 	}
 	if ix.kind == IndexHash {
 		ix.hash.insert(key, r, fresh)
-		return
+		return nil
 	}
-	ix.skip.insert(key, r, fresh)
 	if ix.shadow != nil {
 		ix.shadow.insert(key, r, fresh)
 	}
-}
-
-// removeFor unregisters vals' key for r. Caller holds the latch (GC
-// paths only; normal key changes are deferred via the GC queue).
-func (ix *secondaryIndex) removeFor(vals []Value, r *Row) {
-	var buf [4]Value
-	key, ok := tupleOf(buf[:0], ix.cols, vals)
-	if !ok {
-		return
-	}
-	if ix.kind == IndexHash {
-		ix.hash.remove(key, r)
-		return
-	}
-	ix.skip.remove(key, r)
+	return ix.skip.insert(key, r, fresh)
 }
 
 // lookup returns the candidate rows for an equality probe on the full
@@ -381,64 +373,83 @@ func (t *Table) indexWithCols(cols []int) *secondaryIndex {
 }
 
 // removeIndex drops one secondary index (the hash→ordered upgrade
-// path). Caller holds ddlMu and the table latch.
+// path), and its slot from every row's handle array so the positions
+// stay aligned with the index set. Caller holds ddlMu and the table
+// latch.
 func (t *Table) removeIndex(target *secondaryIndex) {
 	old := t.loadIndexes()
-	out := make([]*secondaryIndex, 0, len(old))
-	for _, ix := range old {
-		if ix != target {
-			out = append(out, ix)
+	pos := slices.Index(old, target)
+	t.storeIndexes(slices.Delete(slices.Clone(old), pos, pos+1))
+	for _, r := range t.rows.Load().snapshot() {
+		if v := r.live(); pos < len(v.nodes) {
+			v.nodes = slices.Delete(v.nodes, pos, pos+1)
 		}
 	}
-	t.storeIndexes(out)
 }
 
 // addIndex creates a secondary index over cols and backfills it from
 // every live version of every row — not just the current ones — so
 // readers at older snapshots can still find rows whose key has since
-// moved. A superseded version's entry gets the deferred-removal hint
-// indexUpdate would have left, stamped with the table's watermark (no
-// earlier than the commit that superseded it, and no earlier than
-// anything queued), so GC drops it once no reader can need it. Caller
-// holds ddlMu and the table latch; name/columns are validated.
+// moved. The newest live version records its handle; an older version
+// whose tuple its successor does not share gets the deferred-removal
+// hint indexUpdate would have left, handle included, stamped with the
+// table's watermark (no earlier than the commit that superseded it, and
+// no earlier than anything queued), so GC drops it once no reader can
+// need it. Caller holds ddlMu and the table latch; name/columns are
+// validated.
 func (t *Table) addIndex(name string, cols []int, kind IndexKind) {
 	ix := newSecondaryIndex(name, cols, kind)
+	ixs := append(slices.Clone(t.loadIndexes()), ix)
+	pos := len(ixs) - 1
 	c := t.watermark.Load()
 	for _, r := range t.rows.Load().snapshot() {
-		head := r.v.Load()
-		for v := head; v != nil; v = v.prev.Load() {
-			if v.dead {
+		var newer *rowVersion
+		for v := r.v.Load(); v != nil; v = v.prev.Load() {
+			if v.vals == nil {
 				continue
 			}
-			ix.insertFor(v.vals, r, false)
-			if v != head {
-				t.gc.enqueue(gcItem{c: c, row: r, hash: ix.hash, skip: ix.skip, vals: v.vals})
+			n := ix.insertFor(v.vals, r, false)
+			switch {
+			case newer == nil:
+				if n != nil {
+					v.setNode(pos, n, len(ixs))
+				}
+			case !tupleEqualAt(v.vals, newer.vals, ix.cols):
+				t.gc.enqueue(gcItem{c: c, row: r, hash: ix.hash, skip: ix.skip, node: n, vals: v.vals})
 			}
+			newer = v
 		}
 	}
-	t.storeIndexes(append(append([]*secondaryIndex{}, t.loadIndexes()...), ix))
+	t.storeIndexes(ixs)
 }
 
-// indexInsert registers a row under vals' keys in the PK and all
-// secondary indexes. fresh marks a row this statement allocated (INSERT,
-// restore into empty indexes), which no bucket can hold yet; rollback
-// passes false to re-register values whose entries GC may or may not
-// have dropped. Caller holds the latch and has checked uniqueness.
-func (t *Table) indexInsert(r *Row, vals []Value, fresh bool) {
-	if t.pk >= 0 && !vals[t.pk].IsNull() {
-		t.pkIx.insert(vals[t.pk:t.pk+1], r, fresh)
+// indexInsert registers a row's newest version under its keys in the PK
+// and all secondary indexes, recording the version's handles. fresh
+// marks a row this statement allocated (INSERT, restore into empty
+// indexes), which no bucket can hold yet; rollback passes false to
+// re-register values whose entries GC may or may not have dropped.
+// Caller holds the latch and has checked uniqueness.
+func (t *Table) indexInsert(r *Row, fresh bool) {
+	v := r.cur()
+	if t.pk >= 0 && !v.vals[t.pk].IsNull() {
+		t.pkIx.insert(v.vals[t.pk:t.pk+1], r, fresh)
 	}
-	for _, ix := range t.loadIndexes() {
-		ix.insertFor(vals, r, fresh)
+	ixs := t.loadIndexes()
+	for i, ix := range ixs {
+		if n := ix.insertFor(v.vals, r, fresh); n != nil {
+			v.setNode(i, n, len(ixs))
+		}
 	}
 }
 
-// indexUpdate registers a row's new keys after an update. Old entries
-// stay for older snapshots; each changed key enqueues a deferred
-// removal hint for GC, which aliases the (immutable) old version's
-// values instead of copying the key out. Caller holds the latch; c is
-// the statement's commit number.
-func (t *Table) indexUpdate(r *Row, oldVals, newVals []Value, c uint64) {
+// indexUpdate registers a row's new keys after an update pushed nv,
+// which took over the superseded version's handles. Old entries stay
+// for older snapshots; each changed key enqueues a deferred removal
+// hint for GC, which aliases the (immutable) old version's values
+// instead of copying the key out and carries the old entry's handle.
+// Caller holds the latch; c is the statement's commit number.
+func (t *Table) indexUpdate(r *Row, nv *rowVersion, oldVals []Value, c uint64) {
+	newVals := nv.vals
 	if t.pk >= 0 {
 		if oldOK, newOK, moved := keyMoved(t.pkIx.cols, oldVals, newVals); moved {
 			if newOK {
@@ -449,16 +460,22 @@ func (t *Table) indexUpdate(r *Row, oldVals, newVals []Value, c uint64) {
 			}
 		}
 	}
-	for _, ix := range t.loadIndexes() {
+	ixs := t.loadIndexes()
+	for i, ix := range ixs {
 		oldOK, newOK, moved := keyMoved(ix.cols, oldVals, newVals)
 		if !moved {
 			continue
 		}
+		old := nv.node(i)
+		var n *skipNode
 		if newOK {
-			ix.insertFor(newVals, r, false)
+			n = ix.insertFor(newVals, r, false)
+		}
+		if n != nil || old != nil {
+			nv.setNode(i, n, len(ixs))
 		}
 		if oldOK {
-			t.gc.enqueue(gcItem{c: c, row: r, hash: ix.hash, skip: ix.skip, vals: oldVals})
+			t.gc.enqueue(gcItem{c: c, row: r, hash: ix.hash, skip: ix.skip, node: old, vals: oldVals})
 		}
 	}
 }
@@ -502,9 +519,8 @@ func (t *Table) rebuildIndex() {
 	}
 	t.storeIndexes(fresh)
 	for _, r := range t.rows.Load().snapshot() {
-		vals := r.curVals()
-		if vals != nil {
-			t.indexInsert(r, vals, true)
+		if r.curVals() != nil {
+			t.indexInsert(r, true)
 		}
 	}
 }

@@ -105,11 +105,13 @@ func secondaryConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
 	})
 }
 
-// orderedConsistent verifies an ordered index: groups strictly sorted,
-// no empty group, every member row live and filed under its current
-// key, and total indexed rows matching the scan.
+// orderedConsistent verifies an ordered index: the skiplist's links
+// (skipLinksConsistent), groups strictly sorted, no empty group, every
+// member row live and filed under its current key, and total indexed
+// rows matching the scan.
 func orderedConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
 	t.Helper()
+	skipLinksConsistent(t, ix.skip)
 	indexed := 0
 	var prevKey []Value
 	ix.skip.each(func(key []Value, rows []*Row) {
@@ -151,6 +153,35 @@ func orderedConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
 	}
 	if indexed != scan {
 		t.Fatalf("index %q: %d rows indexed, scan found %d", ix.name, indexed, scan)
+	}
+}
+
+// skipLinksConsistent checks a skiplist's links at every level: each
+// node a forward link reaches is marked linked into sl and its back
+// link names the node that reached it, keys strictly increase along
+// every level, and size counts the level-0 groups.
+func skipLinksConsistent(t testing.TB, sl *skipList) {
+	t.Helper()
+	groups := 0
+	for lvl := 0; lvl < skipMaxLevel; lvl++ {
+		prev := sl.head
+		for n := sl.head.next(lvl); n != nil; prev, n = n, n.next(lvl) {
+			if n.owner != sl {
+				t.Fatalf("level %d: group %v is linked but not marked linked", lvl, n.key)
+			}
+			if n.links[lvl].prev != prev {
+				t.Fatalf("level %d: group %v has a back link to the wrong node", lvl, n.key)
+			}
+			if prev != sl.head && cmpKey(prev.key, n.key) >= 0 {
+				t.Fatalf("level %d: groups out of order (%v vs %v)", lvl, prev.key, n.key)
+			}
+			if lvl == 0 {
+				groups++
+			}
+		}
+	}
+	if groups != sl.size {
+		t.Fatalf("skiplist counts %d groups, level 0 links %d", sl.size, groups)
 	}
 }
 

@@ -19,14 +19,41 @@ import (
 // visible atomically.
 
 // rowVersion is one immutable version of a row. vals is nil exactly
-// when dead (a tombstone). prev links to the version it superseded;
-// the garbage collector cuts the link once no reader can need it, so
-// readers load it atomically.
+// when the version is a tombstone. prev links to the version it
+// superseded; the garbage collector cuts the link once no reader can
+// need it, so readers load it atomically.
+//
+// nodes are the row's ordered-index handles, aligned with the table's
+// loadIndexes(): nodes[i] is the skiplist node that files the row under
+// this version's tuple in index i (nil for a hash index or a NULL
+// tuple). They are writer-only (table latch held) and are kept on the
+// newest live version alone: a live version superseding another takes
+// its array over (push), patching only the slots whose key moved, and
+// the moved key's old handle travels in its GC hint (indexUpdate).
 type rowVersion struct {
-	vals []Value
-	from uint64 // commit number that created this version
-	dead bool
-	prev atomic.Pointer[rowVersion]
+	vals  []Value
+	from  uint64 // commit number that created this version
+	prev  atomic.Pointer[rowVersion]
+	nodes []*skipNode
+}
+
+// node returns the version's handle for index position i, if any.
+func (v *rowVersion) node(i int) *skipNode {
+	if i < len(v.nodes) {
+		return v.nodes[i]
+	}
+	return nil
+}
+
+// setNode records n as the handle for position i of a table with count
+// secondary indexes, growing the array as needed. Caller holds the latch.
+func (v *rowVersion) setNode(i int, n *skipNode, count int) {
+	if len(v.nodes) < count {
+		nodes := make([]*skipNode, count)
+		copy(nodes, v.nodes)
+		v.nodes = nodes
+	}
+	v.nodes[i] = n
 }
 
 // Row is a stored row. Identity (the pointer) is stable for the row's
@@ -53,19 +80,30 @@ func newRow(vals []Value, from uint64) *Row {
 func (r *Row) cur() *rowVersion { return r.v.Load() }
 
 // curVals returns the current values, nil if the row is dead.
-func (r *Row) curVals() []Value {
+func (r *Row) curVals() []Value { return r.v.Load().vals }
+
+// live returns the newest live version: the head, or the newest one
+// below the tombstone heading a deleted row. Caller holds the latch.
+func (r *Row) live() *rowVersion {
 	v := r.v.Load()
-	if v.dead {
-		return nil
+	for v != nil && v.vals == nil {
+		v = v.prev.Load()
 	}
-	return v.vals
+	return v
 }
 
-// push prepends a new version. Caller holds the table latch.
-func (r *Row) push(vals []Value, from uint64, dead bool) {
-	nv := &rowVersion{vals: vals, from: from, dead: dead}
-	nv.prev.Store(r.v.Load())
+// push prepends a new version (a tombstone when vals is nil) and
+// returns it. A live version superseding a live one takes over its
+// index handles. Caller holds the table latch.
+func (r *Row) push(vals []Value, from uint64) *rowVersion {
+	old := r.v.Load()
+	nv := &rowVersion{vals: vals, from: from}
+	if vals != nil && old.vals != nil {
+		nv.nodes, old.nodes = old.nodes, nil
+	}
+	nv.prev.Store(old)
 	r.v.Store(nv)
+	return nv
 }
 
 // visible returns the values of the newest version at or below snapshot
@@ -75,7 +113,7 @@ func (r *Row) visible(s uint64) []Value {
 	for v != nil && v.from > s {
 		v = v.prev.Load()
 	}
-	if v == nil || v.dead {
+	if v == nil {
 		return nil
 	}
 	return v.vals
@@ -189,9 +227,12 @@ type gcItem struct {
 
 	// Entry-removal hint: the row may no longer need the entry it held in
 	// this index (hash or skip, matching the index kind) while it carried
-	// vals — the superseded version's values, aliased, never written.
+	// vals — the superseded version's values, aliased, never written. An
+	// ordered index's entry comes with its node, the superseded version's
+	// handle.
 	hash *hashIndex
 	skip *skipList
+	node *skipNode
 	vals []Value
 
 	// unlink: the row may be fully dead (newest version a tombstone) and
@@ -224,11 +265,13 @@ func (t *Table) gcTableLocked(floor uint64) {
 				unlinkedAny = true
 			}
 		case it.hash != nil || it.skip != nil:
-			// Prune before revalidating the entry: the version that carried
-			// the stale key must leave the chain first, or chainHasKey keeps
-			// every entry alive forever. Prune only cuts below the newest
-			// version at or below floor, so anything a registered reader
-			// might still need survives — and with it, its index entries.
+			// The hint also reclaims the row's old versions. Prune only cuts
+			// below the newest version at or below floor, so anything a
+			// registered reader might still need survives — and with it, its
+			// index entries. Pruning first can cut a newer version that
+			// shared this key; this hint then empties the group, and that
+			// version's later hint carries a handle to an unlinked node,
+			// which skipList.remove's owner check skips.
 			t.gcPrune(it.row, floor)
 			t.gcDropEntry(it)
 		default:
@@ -248,9 +291,8 @@ func (t *Table) gcTableLocked(floor uint64) {
 }
 
 // gcPrune cuts a row's version chain below the newest version at or
-// below floor. A chain headed by a mature tombstone is left intact:
-// the pending unlink item needs the older versions' keys to clean the
-// indexes.
+// below floor. A chain headed by a mature tombstone is left intact for
+// the pending unlink item, which reads the newest live version below it.
 func (t *Table) gcPrune(r *Row, floor uint64) {
 	v := r.v.Load()
 	for v.from > floor {
@@ -260,76 +302,65 @@ func (t *Table) gcPrune(r *Row, floor uint64) {
 		}
 		v = p
 	}
-	if v.dead {
+	if v.vals == nil {
 		return
 	}
 	v.prev.Store(nil)
 }
 
-// chainHasKey reports whether any live version of r carries the tuple
-// that vals has under the index columns cols.
+// chainHasKey reports whether a live version of r newer than the
+// superseded one carries vals' tuple under cols. vals aliases the
+// superseded version's values, which is how the walk recognises it:
+// versions from there down are invisible to every reader once the hint
+// is mature, so they cannot keep the entry.
 func chainHasKey(r *Row, cols []int, vals []Value) bool {
 	for v := r.v.Load(); v != nil; v = v.prev.Load() {
-		if !v.dead && tupleEqualAt(v.vals, vals, cols) {
+		if v.vals == nil {
+			continue
+		}
+		if &v.vals[0] == &vals[0] {
+			return false
+		}
+		if tupleEqualAt(v.vals, vals, cols) {
 			return true
 		}
 	}
 	return false
 }
 
-// gcDropEntry removes a stale index entry if no live version still
-// carries the key.
+// gcDropEntry removes a stale index entry if no newer live version
+// still carries the key; an entry a newer version shares is left to
+// that version's own hint or, for the newest live version, to gcUnlink.
 func (t *Table) gcDropEntry(it gcItem) {
-	var cols []int
 	if it.hash != nil {
-		cols = it.hash.cols
-	} else {
-		cols = it.skip.cols
-	}
-	if chainHasKey(it.row, cols, it.vals) {
-		return
-	}
-	var buf [4]Value
-	key, ok := tupleOf(buf[:0], cols, it.vals)
-	if !ok {
-		return // a NULL tuple was never indexed: nothing to drop
-	}
-	if it.hash != nil {
-		it.hash.remove(key, it.row)
-	} else {
-		it.skip.remove(key, it.row)
+		if !chainHasKey(it.row, it.hash.cols, it.vals) {
+			it.hash.remove(it.vals, it.row)
+		}
+	} else if !chainHasKey(it.row, it.skip.cols, it.vals) {
+		it.skip.remove(it.node, it.row)
 	}
 }
 
-// gcUnlink physically removes a fully dead row: every index entry any
-// of its versions created is dropped, and the row is marked unlinked so
-// compaction excludes it. Returns false when the row was resurrected
-// (rollback) after the hint was enqueued.
+// gcUnlink physically removes a fully dead row and marks it unlinked so
+// compaction excludes it. Only the newest live version's entries are
+// left to drop, through its handles: every older version's entry that
+// its successor did not share went to a hint with a smaller commit
+// number, and those hints have all run by now. Returns false when the
+// row was resurrected (rollback) after the hint was enqueued.
 func (t *Table) gcUnlink(r *Row, floor uint64) bool {
 	head := r.v.Load()
-	if !head.dead || head.from > floor || r.unlinked {
-		return r.unlinked && head.dead
+	if head.vals != nil || head.from > floor || r.unlinked {
+		return r.unlinked && head.vals == nil
 	}
+	v := r.live()
 	if t.pkIx != nil {
-		seen := make(map[string]bool, 1)
-		for v := head; v != nil; v = v.prev.Load() {
-			if v.dead {
-				continue
-			}
-			key := v.vals[t.pk : t.pk+1]
-			ks := tupleKey(key)
-			if !seen[ks] {
-				seen[ks] = true
-				t.pkIx.remove(key, r)
-			}
-		}
+		t.pkIx.remove(v.vals, r)
 	}
-	for _, ix := range t.loadIndexes() {
-		for v := head; v != nil; v = v.prev.Load() {
-			if v.dead {
-				continue
-			}
-			ix.removeFor(v.vals, r)
+	for i, ix := range t.loadIndexes() {
+		if ix.kind == IndexOrdered {
+			ix.skip.remove(v.node(i), r)
+		} else {
+			ix.hash.remove(v.vals, r)
 		}
 	}
 	r.unlinked = true

@@ -115,7 +115,7 @@ func (u *undoLog) applyEntries(c uint64) {
 		switch e.kind {
 		case undoInsert:
 			t.gc.enqueue(gcItem{c: c, row: e.row, unlink: true})
-			e.row.push(nil, c, true)
+			e.row.push(nil, c)
 		case undoUpdate:
 			cur := e.row.curVals()
 			if e.row.unlinked || cur == nil {
@@ -125,10 +125,9 @@ func (u *undoLog) applyEntries(c uint64) {
 				// delete. The delete wins.
 				continue
 			}
-			e.row.push(e.oldVals, c, false)
 			// Register restored keys (GC may have dropped their entries)
 			// and queue removal hints for the keys being reverted away.
-			t.indexUpdate(e.row, cur, e.oldVals, c)
+			t.indexUpdate(e.row, e.row.push(e.oldVals, c), cur, c)
 			t.gc.enqueue(gcItem{c: c, row: e.row})
 		case undoDelete:
 			if e.row.unlinked {
@@ -140,8 +139,8 @@ func (u *undoLog) applyEntries(c uint64) {
 					t.rows.Store(na)
 				}
 			}
-			e.row.push(e.oldVals, c, false)
-			t.indexInsert(e.row, e.oldVals, false) // GC may have dropped the entries
+			e.row.push(e.oldVals, c)
+			t.indexInsert(e.row, false) // GC may have dropped the entries
 			t.gc.enqueue(gcItem{c: c, row: e.row})
 		}
 	}
