@@ -436,8 +436,11 @@ func (b *Bootloader) discover(database string) (string, error) {
 	return "", fmt.Errorf("%w: %v", ErrNoServers, firstErr)
 }
 
-// fetch performs REQUEST → OFFER → FILE_REQUEST → FILE_DATA* against one
-// server, following up to two cluster redirect hops: a non-owning
+// fetch performs REQUEST → OFFER and, when the OFFER carries a driver,
+// the transfer — FILE_REQUEST → FILE_DATA* after a bootstrap (Table 3),
+// the FILE_DATA* the server streams behind the OFFER after an upgrade
+// renewal (Table 4) — against one server, following up to two cluster
+// redirect hops: a non-owning
 // member answers msgRedirect naming the shard owner rather than
 // proxying, and the bootloader repeats the request there. It returns
 // the offer, the (possibly empty) driver blob, and the address that

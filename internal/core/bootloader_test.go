@@ -11,6 +11,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/dbver"
 	"repro/internal/driverimg"
+	"repro/internal/wire"
 )
 
 func TestBootstrapAndQuery(t *testing.T) {
@@ -446,6 +447,41 @@ func TestTLSTransfer(t *testing.T) {
 	c := mustConnect(t, b, f.appURL())
 	if _, err := c.Query("SELECT count(*) FROM items"); err != nil {
 		t.Fatal(err)
+	}
+
+	// An upgrade renewal over TLS rides its OFFER too (SendAfter is
+	// consecutive writes on a tls.Conn): the OFFER says the file follows
+	// and FetchFile reads it with no FILE_REQUEST. Then the bootloader
+	// takes the same upgrade end to end.
+	tc, err := tls.Dial("tcp", tlsSrv.Addr(), &tls.Config{RootCAs: roots, ServerName: "127.0.0.1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := &LeaseClient{conn: wire.NewConn(tc), timeout: 2 * time.Second}
+	defer lc.Close()
+	req := catalogRequest()
+	boot, err := lc.Request(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.FetchFile(boot.LeaseID); err != nil {
+		t.Fatal(err)
+	}
+	req.LeaseID, req.CurrentChecksum = boot.LeaseID, boot.DriverChecksum
+	f.addDriver(t, f.driverImage(dbver.V(2, 0, 0), 1, 300<<10)) // two chunks
+	up, err := lc.Request(req)
+	if err != nil || !up.HasDriver || lc.pushed == nil {
+		t.Fatalf("upgrade renewal over TLS: offer %+v, err %v, file pushed %v", up, err, lc.pushed != nil)
+	}
+	blob := make([]byte, up.Size)
+	if _, err := lc.fetchFile(up.LeaseID, blob); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := driverimg.EncodedChecksum(blob); err != nil || sum != up.DriverChecksum {
+		t.Fatalf("pushed file's checksum %s (%v), offered %s", sum, err, up.DriverChecksum)
+	}
+	if err := b.ForceRenew("prod"); err != nil || b.Version() != dbver.V(2, 0, 0) {
+		t.Fatalf("bootloader upgrade over TLS: err %v, running %v", err, b.Version())
 	}
 
 	// A bootloader with the wrong trust roots must refuse the server —

@@ -10,8 +10,11 @@ import (
 )
 
 // grant resolves a request into an Offer, creating or renewing the lease
-// row and staging the driver blob for FILE_REQUEST. This is the server
-// side of the paper's Table 3 (new lease) and Table 4 (renewal) flows.
+// row and staging the driver blob for the transfer — fetched with
+// FILE_REQUEST after a bootstrap, pushed behind the OFFER after an
+// upgrade renewal to a client that reads pushes (handleRequest). This
+// is the server side of the paper's Table 3 (new lease) and Table 4
+// (renewal) flows.
 // isTLS reports the requesting connection's channel, enforcing the
 // Table 2 transfer_method restriction before any lease is touched.
 func (s *Server) grant(req Request, isTLS bool) (Offer, *ProtocolError) {
@@ -74,7 +77,9 @@ const renewNoChangeSQL = `UPDATE ` + LeasesTable + `
 
 // renewLease handles the Table 4 server side: "if (driver still valid)
 // send OFFER; else if (new driver available) send OFFER + FILE_DATA;
-// else send DRIVOLUTION_ERROR".
+// else send DRIVOLUTION_ERROR". It decides and stages; handleRequest
+// sends, with the FILE_DATA right behind the OFFER when the connection
+// declared capFilePush.
 func (s *Server) renewLease(req Request, g *grantInfo, matchErr *ProtocolError) (Offer, *ProtocolError) {
 	// Fast path: the renewal-no-change branch. The client proved (by
 	// checksum) that it runs exactly the matched content, so no lease
@@ -182,8 +187,8 @@ func (s *Server) renewLease(req Request, g *grantInfo, matchErr *ProtocolError) 
 		// The renewal acknowledges the client runs the matched content:
 		// any staged blob from the original transfer (or an earlier
 		// upgrade) is no longer needed, so stop pinning it in memory.
-		// A renewal that still needs the file re-REQUESTs and is
-		// re-staged above.
+		// A renewal that still needs the file (its upgrade transfer was
+		// cut) renews with its old checksum and is re-staged above.
 		s.dropPending(lease.LeaseID)
 	}
 	return offer, nil

@@ -29,11 +29,27 @@ import (
 // Close and dial a replacement. That mirrors ConnStore's redial
 // contract: never reuse a stream you cannot prove is on a frame
 // boundary.
+//
+// Two transfer flows: a bootstrap's file is fetched with FILE_REQUEST
+// (Table 3), an upgrade renewal's arrives behind its OFFER unasked
+// (Table 4 "OFFER + FILE_DATA") — the client declares that it reads
+// such a push with a capability byte on the first REQUEST or DISCOVER
+// of its connection, and the OFFER says whether the file follows. A
+// pushed file is read by the FetchFile for its lease; any other call
+// first drains it off the connection, and a failed drain poisons.
 type LeaseClient struct {
 	conn     *wire.Conn
 	addr     string        // as dialed; Bootloader matches its cached client by it
 	timeout  time.Duration // bound on every reply wait; 0 = none
 	poisoned bool
+	declared bool        // capFilePush went out on this connection
+	pushed   *pushedFile // a file the server is streaming behind its OFFER, not yet read
+}
+
+// pushedFile is the transfer an OFFER announced as following it.
+type pushedFile struct {
+	leaseID uint64
+	size    uint32
 }
 
 // ErrLeaseClientPoisoned is returned by every call after a transport
@@ -94,10 +110,17 @@ func (c *LeaseClient) failNoReply(err error) error {
 	return c.fail(err)
 }
 
-// send writes one message. A failure here struck before any reply.
+// send writes one message, after draining any pushed file the caller
+// did not fetch. A failure here struck before the message left.
 func (c *LeaseClient) send(typ uint16, payload []byte) error {
 	if c.poisoned {
 		return ErrLeaseClientPoisoned
+	}
+	if p := c.pushed; p != nil {
+		c.pushed = nil
+		if _, err := c.recvFile(nil, int64(p.size), true); err != nil {
+			return c.fail(err) // even a clean error frame: the stream broke its OFFER
+		}
 	}
 	if err := c.conn.Send(typ, payload); err != nil {
 		return c.failNoReply(err)
@@ -142,25 +165,39 @@ func (c *LeaseClient) payload(f wire.Frame, want uint16) ([]byte, error) {
 	return nil, c.fail(fmt.Errorf("core: unexpected frame 0x%04x (want 0x%04x)", f.Type, want))
 }
 
-// offer runs one exchange answered by an OFFER.
+// offer runs one exchange answered by an OFFER. The connection's first
+// REQUEST or DISCOVER carries the capability byte; an OFFER that says
+// its file follows leaves that file pending on the connection.
 func (c *LeaseClient) offer(typ uint16, req Request) (Offer, error) {
-	p, err := c.exchange(typ, req.encode(), msgOffer)
+	payload := req.encode()
+	if !c.declared {
+		payload = append(payload, capFilePush)
+		c.declared = true
+	}
+	p, err := c.exchange(typ, payload, msgOffer)
 	if err != nil {
 		return Offer{}, err
 	}
-	o, err := decodeOffer(p)
+	o, fileFollows, err := decodeOffer(p)
 	if err != nil {
 		return Offer{}, c.fail(err)
+	}
+	if fileFollows {
+		c.pushed = &pushedFile{leaseID: o.LeaseID, size: o.Size}
 	}
 	return o, nil
 }
 
 // Request runs one REQUEST→OFFER exchange: a bootstrap when
 // req.LeaseID is zero, a renewal otherwise (Table 3 / Table 4 flows).
-// The returned Offer's HasDriver reports whether the server staged an
-// upgrade transfer for the lease; the caller may FetchFile it or let a
-// later checksum-acking renewal drop it. A cluster member that does
-// not own the request's shard answers with a *Redirect error: the
+// The returned Offer's HasDriver reports whether the server staged a
+// transfer for the lease. After a bootstrap the caller may FetchFile
+// it (FILE_REQUEST → FILE_DATA*) or let a later checksum-acking renewal
+// drop it; after an upgrade renewal the file is normally already on
+// its way behind the OFFER, and FetchFile reads it without a second
+// round trip — a caller that does not want it pays only for reading
+// it off the connection before its next call. A cluster member that
+// does not own the request's shard answers with a *Redirect error: the
 // caller repeats the request on a client connected to its Addr.
 func (c *LeaseClient) Request(req Request) (Offer, error) {
 	return c.offer(msgRequest, req)
@@ -182,21 +219,37 @@ func (c *LeaseClient) FetchFile(leaseID uint64) (int, error) {
 	return c.fetchFile(leaseID, nil)
 }
 
-// fetchFile runs FILE_REQUEST → FILE_DATA* and returns the byte count.
-// dst is the whole file's destination, sized from the Offer that
-// staged the transfer: each chunk's data is read off the connection
-// straight into its place in dst. A nil dst discards the data unread
-// and takes the file size from the first chunk. Either way the stream
-// is held to that size before any data is read (see fileSink.frame): a
-// server cannot make the client take in more than it was offered.
+// fetchFile reads the file staged for leaseID and returns the byte
+// count: the one pushed behind the lease's OFFER if there is one, else
+// through FILE_REQUEST → FILE_DATA*. dst is the whole file's
+// destination, sized from the Offer that staged the transfer: each
+// chunk's data is read off the connection straight into its place in
+// dst. A nil dst discards the data unread. The stream is held to the
+// file size before any data is read (see fileSink.frame) — a pushed
+// file's to its OFFER's Size, a requested one's to len(dst) or, when
+// discarding, to the first chunk's Total — so a server cannot make the
+// client take in more than it was offered.
 func (c *LeaseClient) fetchFile(leaseID uint64, dst []byte) (int, error) {
+	if p := c.pushed; p != nil && p.leaseID == leaseID && !c.poisoned {
+		c.pushed = nil
+		return c.recvFile(dst, int64(p.size), true)
+	}
 	if err := c.send(msgFileRequest, fileRequest{LeaseID: leaseID}.encode()); err != nil {
 		return 0, err
 	}
-	sink := fileSink{c: c, dst: dst, total: int64(len(dst))}
+	total := int64(len(dst))
 	if dst == nil {
-		sink.total = -1 // learned from the first chunk
+		total = -1 // learned from the first chunk
 	}
+	return c.recvFile(dst, total, false)
+}
+
+// recvFile reads one FILE_DATA stream into dst (nil: discard), held to
+// total bytes (-1: the first chunk's Total). answered reports that the
+// exchange's reply already arrived — a pushed file follows its OFFER —
+// so no failure inside the stream is "no reply".
+func (c *LeaseClient) recvFile(dst []byte, total int64, answered bool) (int, error) {
+	sink := fileSink{c: c, dst: dst, total: total}
 	recv := sink.frame
 	for first := true; ; first = false {
 		sink.replied = false
@@ -207,7 +260,7 @@ func (c *LeaseClient) fetchFile(leaseID uint64, dst []byte) (int, error) {
 			switch {
 			case errors.As(err, &pe), errors.As(err, &re):
 				// A clean, complete exchange: the client stays usable.
-			case first && !sink.replied:
+			case first && !sink.replied && !answered:
 				err = c.failNoReply(err)
 			default:
 				err = c.fail(err)

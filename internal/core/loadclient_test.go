@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -245,6 +248,327 @@ func TestTransferBoundedByOffer(t *testing.T) {
 			t.Fatalf("refusal took %v: the client waited for data it should never have read", took)
 		}
 	})
+}
+
+// FuzzFileSink drives fileSink.frame with arbitrary FILE_DATA chunk
+// heads and frame lengths against an offered size, in its three modes:
+// into an offer-sized destination (mode 0), discarding a pushed file
+// held to its OFFER (1), discarding a requested file held to its first
+// chunk's Total (2). Each record of stream is a 13-byte chunk head and
+// the frame's payload length; the frame's data is a byte that names
+// the frame. Whatever arrives, the sink reads no data it refuses and
+// none at all when discarding, never takes the stream past the size it
+// holds it to, and accepts a chunk only where the previous one ended,
+// with its data landing exactly there.
+func FuzzFileSink(f *testing.F) {
+	const recLen = fileChunkHeadLen + 4
+	rec := func(off, total uint32, last bool, n, frameLen uint32) []byte {
+		e := wire.NewEncoder(recLen)
+		fileChunkHead{Offset: off, Total: total, Last: last, Len: n}.encodeTo(e)
+		e.Uint32(frameLen)
+		return e.Bytes()
+	}
+	f.Add(uint16(8), uint8(0), append(rec(0, 8, false, 4, 17), rec(4, 8, true, 4, 17)...))
+	f.Add(uint16(8), uint8(1), append(rec(0, 8, false, 4, 17), rec(2, 8, true, 6, 19)...)) // overlap
+	f.Add(uint16(8), uint8(2), append(rec(0, 8, false, 2, 15), rec(4, 8, true, 4, 17)...)) // gap
+	f.Add(uint16(8), uint8(1), rec(0, 1<<25, true, 1<<25, fileChunkHeadLen+1<<25))         // not the offer
+	f.Add(uint16(8), uint8(0), rec(0, 8, true, 8, 20))                                     // frame disagrees
+	f.Add(uint16(0), uint8(2), rec(0, 0, true, 0, fileChunkHeadLen))                       // empty file
+	f.Fuzz(func(t *testing.T, offered uint16, mode uint8, stream []byte) {
+		sink := fileSink{c: &LeaseClient{}, total: int64(offered)}
+		switch mode % 3 {
+		case 0:
+			sink.dst = make([]byte, offered)
+		case 2:
+			sink.total = -1
+		}
+		for k := byte(1); len(stream) >= recLen && !sink.last; k++ {
+			head := stream[:fileChunkHeadLen]
+			size := int(binary.BigEndian.Uint32(stream[fileChunkHeadLen:recLen]) % (wire.MaxPayload + 1))
+			stream = stream[recLen:]
+			h, err := decodeFileChunkHead(head)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := &io.LimitedReader{R: io.MultiReader(bytes.NewReader(head), fillReader(k)), N: int64(size)}
+			from := sink.got
+			err = sink.frame(msgFileData, size, body)
+			if data := int64(size) - body.N - min(fileChunkHeadLen, int64(size)); data > 0 && (err != nil || sink.dst == nil) {
+				t.Fatalf("read %d data bytes of a chunk it refused (%v) or was discarding", data, err)
+			}
+			if err != nil {
+				return // the client is poisoned: nothing further is read
+			}
+			if int64(h.Offset) != from || sink.got != from+int64(h.Len) {
+				t.Fatalf("accepted a chunk at %d+%d with %d bytes held", h.Offset, h.Len, from)
+			}
+			if sink.total >= 0 && sink.got > sink.total || sink.last && sink.got != sink.total {
+				t.Fatalf("stream at %d of %d, last=%v", sink.got, sink.total, sink.last)
+			}
+			if sink.dst != nil && !bytes.Equal(sink.dst[from:sink.got], bytes.Repeat([]byte{k}, int(h.Len))) {
+				t.Fatalf("chunk %d's data did not land at %d", k, from)
+			}
+		}
+	})
+}
+
+// fillReader is an endless stream of one byte.
+type fillReader byte
+
+func (b fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// pushedOffer is the payload of an OFFER whose file follows it.
+func pushedOffer(o Offer) []byte { return append(o.encode(), 1) }
+
+// upgradePending takes a LeaseClient through a bootstrap, its transfer
+// and a checksum-acking renewal against the fixture's server, publishes
+// a two-chunk v2 and runs the upgrade renewal: the client returns with
+// v2's file pending behind the returned OFFER.
+func upgradePending(t *testing.T) (*LeaseClient, Request, Offer) {
+	t.Helper()
+	f := newFixture(t, 1)
+	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 256))
+	c := dialTestClient(t, f.drv.Addr(), 2*time.Second)
+	req := catalogRequest()
+	boot, err := c.Request(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.pushed != nil {
+		t.Fatal("a bootstrap's file was pushed: Table 3 asks for it with FILE_REQUEST")
+	}
+	if _, err := c.FetchFile(boot.LeaseID); err != nil {
+		t.Fatal(err)
+	}
+	req.LeaseID, req.CurrentChecksum = boot.LeaseID, boot.DriverChecksum
+	if _, err := c.Request(req); err != nil {
+		t.Fatal(err)
+	}
+	f.addDriver(t, f.driverImage(dbver.V(2, 0, 0), 1, 300<<10))
+	up, err := c.Request(req)
+	if err != nil || !up.HasDriver || c.pushed == nil || c.pushed.size != up.Size {
+		t.Fatalf("upgrade renewal: offer %+v, err %v, pushed %+v", up, err, c.pushed)
+	}
+	return c, req, up
+}
+
+// TestPushedFileDrainedByNextCall: a caller that does not fetch the
+// file pushed behind an upgrade OFFER pays only for reading it off the
+// connection — the next Request or Release drains it, runs its own
+// exchange on a frame boundary, and the client stays usable.
+func TestPushedFileDrainedByNextCall(t *testing.T) {
+	t.Run("request", func(t *testing.T) {
+		c, req, up := upgradePending(t)
+		req.CurrentChecksum = up.DriverChecksum
+		o, err := c.Request(req)
+		if err != nil || o.HasDriver || c.poisoned || c.pushed != nil {
+			t.Fatalf("renewal after an unfetched push: offer %+v, err %v, poisoned %v", o, err, c.poisoned)
+		}
+		if _, err := c.Request(req); err != nil {
+			t.Fatalf("the call after that: %v", err)
+		}
+	})
+	t.Run("release", func(t *testing.T) {
+		c, req, _ := upgradePending(t)
+		if err := c.Release(req.LeaseID); err != nil || c.poisoned {
+			t.Fatalf("release after an unfetched push: err %v, poisoned %v", err, c.poisoned)
+		}
+		if _, err := c.Discover(catalogRequest()); err != nil {
+			t.Fatalf("the call after that: %v", err)
+		}
+	})
+}
+
+// TestPushedFileCutPoisons: a connection that dies inside a pushed file
+// leaves the stream mid-frame, whichever call was reading it — the
+// FetchFile for its lease or the drain before any other call — and the
+// client refuses every later call.
+func TestPushedFileCutPoisons(t *testing.T) {
+	for name, call := range map[string]func(c *LeaseClient) error{
+		"fetch": func(c *LeaseClient) error { _, err := c.FetchFile(7); return err },
+		"drain": func(c *LeaseClient) error { _, err := c.Request(Request{}); return err },
+	} {
+		t.Run(name, func(t *testing.T) {
+			addr := scriptedServer(t, func(nc net.Conn, _ <-chan struct{}) {
+				if _, err := wire.NewConn(nc).Recv(); err != nil {
+					return
+				}
+				var b bytes.Buffer
+				wire.WriteFrame(&b, wire.Frame{Type: msgOffer, Payload: pushedOffer(Offer{LeaseID: 7, HasDriver: true, Size: 8})})
+				wire.WriteFrame(&b, wire.Frame{Type: msgFileData, Payload: fileChunk{Total: 8, Last: true, Data: []byte("abcdefgh")}.encode()})
+				nc.Write(b.Bytes()[:b.Len()-5]) // the connection dies five bytes short
+			})
+			c := dialTestClient(t, addr, 2*time.Second)
+			if _, err := c.Request(Request{}); err != nil {
+				t.Fatal(err)
+			}
+			err := call(c)
+			var pe *ProtocolError
+			if err == nil || errors.As(err, &pe) || errors.Is(err, ErrLeaseClientPoisoned) || !c.poisoned {
+				t.Fatalf("err = %v, poisoned %v: want the transport failure itself, and poisoned", err, c.poisoned)
+			}
+			if _, err := c.FetchFile(7); !errors.Is(err, ErrLeaseClientPoisoned) {
+				t.Fatalf("call on a poisoned client: err = %v", err)
+			}
+		})
+	}
+}
+
+// TestPushedFileHeldToOffer: a pushed file is held to its OFFER's Size
+// in both modes — into an offer-sized destination, and discarding,
+// where a requested file would take its size from the first chunk —
+// and a chunk naming another file size is refused at its head, before
+// any of its data is read.
+func TestPushedFileHeldToOffer(t *testing.T) {
+	const offered, huge = 8, 32 << 20
+	for name, fetch := range map[string]func(c *LeaseClient) error{
+		"dst":     func(c *LeaseClient) error { _, err := c.fetchFile(7, make([]byte, offered)); return err },
+		"discard": func(c *LeaseClient) error { _, err := c.FetchFile(7); return err },
+	} {
+		t.Run(name, func(t *testing.T) {
+			addr := scriptedServer(t, func(nc net.Conn, done <-chan struct{}) {
+				if _, err := wire.NewConn(nc).Recv(); err != nil {
+					return
+				}
+				var b bytes.Buffer
+				wire.WriteFrame(&b, wire.Frame{Type: msgOffer, Payload: pushedOffer(Offer{LeaseID: 7, HasDriver: true, Size: offered})})
+				e := wire.NewEncoder(32)
+				e.Uint16(wire.Magic)
+				e.Uint16(msgFileData)
+				e.Uint32(fileChunkHeadLen + huge) // the frame's payload length
+				fileChunkHead{Offset: 0, Total: huge, Last: true, Len: huge}.encodeTo(e)
+				b.Write(e.Bytes())
+				nc.Write(b.Bytes())
+				<-done // the data never comes
+			})
+			c := dialTestClient(t, addr, 30*time.Second)
+			if _, err := c.Request(Request{}); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			err := fetch(c)
+			var ne net.Error
+			if err == nil || (errors.As(err, &ne) && ne.Timeout()) || !strings.Contains(err.Error(), "size mismatch") {
+				t.Fatalf("err = %v, want an immediate size-mismatch refusal", err)
+			}
+			if took := time.Since(start); took > 5*time.Second || !c.poisoned {
+				t.Fatalf("refusal took %v, poisoned %v", took, c.poisoned)
+			}
+		})
+	}
+}
+
+// TestPushFallsBackToFileRequest: a server that ignores the capability
+// byte — any server from before the push — answers with an OFFER that
+// ends at ServerName; nothing is pending, and FetchFile asks with
+// FILE_REQUEST as it always did.
+func TestPushFallsBackToFileRequest(t *testing.T) {
+	type seen struct {
+		typ  uint16
+		caps uint8
+	}
+	frames := make(chan seen, 8)
+	addr := scriptedServer(t, func(nc net.Conn, _ <-chan struct{}) {
+		conn := wire.NewConn(nc)
+		for {
+			f, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			switch f.Type {
+			case msgRequest:
+				_, caps, _ := decodeRequest(f.Payload)
+				frames <- seen{f.Type, caps}
+				conn.Send(msgOffer, Offer{LeaseID: 7, HasDriver: true, Size: 8}.encode())
+			case msgFileRequest:
+				frames <- seen{typ: f.Type}
+				conn.Send(msgFileData, fileChunk{Total: 8, Last: true, Data: []byte("abcdefgh")}.encode())
+			}
+		}
+	})
+	c := dialTestClient(t, addr, 2*time.Second)
+	offer, err := c.Request(Request{LeaseID: 7, CurrentChecksum: "v1"})
+	if err != nil || !offer.HasDriver || c.pushed != nil {
+		t.Fatalf("offer %+v, err %v, pushed %+v", offer, err, c.pushed)
+	}
+	if n, err := c.FetchFile(7); err != nil || n != 8 {
+		t.Fatalf("fetched %d bytes, err %v", n, err)
+	}
+	if got := []seen{<-frames, <-frames}; got[0] != (seen{msgRequest, capFilePush}) || got[1] != (seen{typ: msgFileRequest}) {
+		t.Fatalf("server saw %+v, want the REQUEST declaring capFilePush, then a FILE_REQUEST", got)
+	}
+}
+
+// TestCapabilityLessUpgradeGetsTwoExchanges: a client that never
+// declared capFilePush — any client from before the push — gets the
+// old flow from this server: its upgrade renewal's OFFER ends at
+// ServerName, nothing follows it, and the file comes on FILE_REQUEST.
+func TestCapabilityLessUpgradeGetsTwoExchanges(t *testing.T) {
+	f := newFixture(t, 1)
+	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 256))
+	conn, err := wire.Dial(f.drv.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	recv := func() wire.Frame {
+		t.Helper()
+		fr, err := conn.RecvTimeout(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fr
+	}
+	request := func(req Request) (Offer, bool) {
+		t.Helper()
+		if err := conn.Send(msgRequest, req.encode()); err != nil {
+			t.Fatal(err)
+		}
+		fr := recv()
+		o, fileFollows, err := decodeOffer(fr.Payload)
+		if fr.Type != msgOffer || err != nil || !bytes.Equal(fr.Payload, o.encode()) {
+			t.Fatalf("frame 0x%04x (%v): want an OFFER that ends at ServerName", fr.Type, err)
+		}
+		return o, fileFollows
+	}
+	fetch := func(leaseID uint64) {
+		t.Helper()
+		if err := conn.Send(msgFileRequest, fileRequest{LeaseID: leaseID}.encode()); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			ch, err := decodeFileChunk(recv().Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ch.Last {
+				return
+			}
+		}
+	}
+	req := catalogRequest()
+	boot, _ := request(req)
+	fetch(boot.LeaseID)
+	req.LeaseID, req.CurrentChecksum = boot.LeaseID, boot.DriverChecksum
+	request(req)
+	f.addDriver(t, f.driverImage(dbver.V(2, 0, 0), 1, 256))
+	if up, fileFollows := request(req); !up.HasDriver || fileFollows {
+		t.Fatalf("upgrade renewal: %+v, file follows %v", up, fileFollows)
+	}
+	fetch(req.LeaseID)
+	// Had the server pushed the file too, this RELEASE's answer would
+	// queue behind a second FILE_DATA stream.
+	if err := conn.Send(msgRelease, releaseMsg{LeaseID: req.LeaseID}.encode()); err != nil {
+		t.Fatal(err)
+	}
+	if fr := recv(); fr.Type != msgReleaseOK {
+		t.Fatalf("frame 0x%04x after the transfer, want RELEASE_OK", fr.Type)
+	}
 }
 
 // TestLeaseClientNoReplyClassification pins what the bootloader's

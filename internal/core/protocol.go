@@ -10,8 +10,10 @@ import (
 
 // Frame types of the Drivolution bootstrap protocol. The paper's protocol
 // has three core messages (REQUEST, OFFER, ERROR) plus the DHCP-like
-// DISCOVER and an FTP-like file transfer (FILE_REQUEST / FILE_DATA);
-// NOTIFY implements the §3.2 dedicated-channel push option.
+// DISCOVER and an FTP-like file transfer (FILE_REQUEST / FILE_DATA) —
+// which an upgrade renewal skips: its FILE_DATA follows the OFFER
+// unasked (Table 4, capFilePush); NOTIFY implements the §3.2
+// dedicated-channel push option.
 const (
 	msgDiscover    uint16 = 0x0201 // DRIVOLUTION_DISCOVER
 	msgRequest     uint16 = 0x0202 // DRIVOLUTION_REQUEST
@@ -111,6 +113,14 @@ type Request struct {
 	ClientID string
 }
 
+// capFilePush is the one capability bit a client declares, in a
+// trailing byte after the first REQUEST or DISCOVER of a connection:
+// it reads an upgrade's FILE_DATA pushed right behind the OFFER (Table
+// 4 "send OFFER + FILE_DATA") instead of asking for it with
+// FILE_REQUEST. An old server stops reading at ClientID and never sees
+// the byte; an old client never sends it, so it is never pushed to.
+const capFilePush uint8 = 1
+
 func (r Request) encode() []byte {
 	e := wire.NewEncoder(256)
 	e.String(r.Database)
@@ -131,7 +141,9 @@ func (r Request) encode() []byte {
 	return e.Bytes()
 }
 
-func decodeRequest(b []byte) (Request, error) {
+// decodeRequest decodes a REQUEST or DISCOVER and the capability byte
+// that may trail it (zero when absent).
+func decodeRequest(b []byte) (Request, uint8, error) {
 	d := wire.NewDecoder(b)
 	r := Request{
 		Database: d.String(),
@@ -150,7 +162,11 @@ func decodeRequest(b []byte) (Request, error) {
 	r.LeaseID = d.Uint64()
 	r.CurrentChecksum = d.String()
 	r.ClientID = d.String()
-	return r, d.Err()
+	var caps uint8
+	if d.Remaining() > 0 {
+		caps = d.Uint8()
+	}
+	return r, caps, d.Err()
 }
 
 // Offer is DRIVOLUTION_OFFER: lease terms plus driver location/format
@@ -199,7 +215,11 @@ func (o Offer) encodeTo(e *wire.Encoder) {
 	e.String(o.ServerName)
 }
 
-func decodeOffer(b []byte) (Offer, error) {
+// decodeOffer decodes an OFFER and its trailing "file follows" flag:
+// true when the server streams the offered file's FILE_DATA right
+// behind it (only ever to a client that declared capFilePush). Every
+// other OFFER ends at ServerName.
+func decodeOffer(b []byte) (Offer, bool, error) {
 	d := wire.NewDecoder(b)
 	o := Offer{
 		LeaseID:          d.Uint64(),
@@ -213,7 +233,8 @@ func decodeOffer(b []byte) (Offer, error) {
 		Size:             d.Uint32(),
 		ServerName:       d.String(),
 	}
-	return o, d.Err()
+	fileFollows := d.Remaining() > 0 && d.Bool()
+	return o, fileFollows, d.Err()
 }
 
 func encodeProtocolError(code ErrorCode, msg string) []byte {

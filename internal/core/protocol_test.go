@@ -22,7 +22,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		CurrentChecksum:  "abc123",
 		ClientID:         "host-7",
 	}
-	out, err := decodeRequest(in.encode())
+	out, _, err := decodeRequest(in.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 			CurrentChecksum: sum,
 			ClientID:        cid,
 		}
-		out, err := decodeRequest(in.encode())
+		out, _, err := decodeRequest(in.encode())
 		return err == nil &&
 			out.Database == db && out.User == user && out.Password == pw &&
 			out.LeaseID == lease && out.CurrentChecksum == sum && out.ClientID == cid
@@ -74,7 +74,7 @@ func TestOfferRoundTripProperty(t *testing.T) {
 			Size:             size,
 			ServerName:       server,
 		}
-		out, err := decodeOffer(in.encode())
+		out, _, err := decodeOffer(in.encode())
 		return err == nil && out == in
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -123,12 +123,12 @@ func TestFileChunkRoundTripProperty(t *testing.T) {
 func TestDecodeRejectsTruncatedMessages(t *testing.T) {
 	req := Request{Database: "prod", API: dbver.APIOf("JDBC", 3, 0)}.encode()
 	for _, cut := range []int{1, len(req) / 2, len(req) - 1} {
-		if _, err := decodeRequest(req[:cut]); err == nil {
+		if _, _, err := decodeRequest(req[:cut]); err == nil {
 			t.Errorf("decodeRequest accepted a %d-byte truncation", cut)
 		}
 	}
 	offer := Offer{LeaseID: 1, Format: "IMAGE"}.encode()
-	if _, err := decodeOffer(offer[:4]); err == nil {
+	if _, _, err := decodeOffer(offer[:4]); err == nil {
 		t.Error("decodeOffer accepted truncation")
 	}
 }

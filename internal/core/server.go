@@ -445,6 +445,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.connsMu.Unlock()
 	conn.SetWriteTimeout(s.writeTimeout)
 	subscribed := false
+	var caps uint8 // what the client declared on its first REQUEST or DISCOVER
 	defer func() {
 		s.connsMu.Lock()
 		delete(s.conns, conn)
@@ -475,9 +476,9 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		switch f.Type {
 		case msgDiscover:
-			s.handleDiscover(conn, f.Payload)
+			s.handleDiscover(conn, f.Payload, &caps)
 		case msgRequest:
-			s.handleRequest(conn, f.Payload)
+			s.handleRequest(conn, f.Payload, &caps)
 		case msgFileRequest:
 			s.handleFileRequest(conn, f.Payload)
 		case msgSubscribe:
@@ -499,13 +500,15 @@ func (s *Server) sendError(conn *wire.Conn, code ErrorCode, msg string) {
 
 // handleDiscover answers a broadcast probe: matchmaking runs but no
 // lease is created; the bootloader then unicasts a REQUEST to one of the
-// offering servers (paper §3.1).
-func (s *Server) handleDiscover(conn *wire.Conn, payload []byte) {
-	req, err := decodeRequest(payload)
+// offering servers (paper §3.1). caps accumulates the connection's
+// declared capabilities.
+func (s *Server) handleDiscover(conn *wire.Conn, payload []byte, caps *uint8) {
+	req, c, err := decodeRequest(payload)
 	if err != nil {
 		s.sendError(conn, ErrCodeInternal, "malformed discover")
 		return
 	}
+	*caps |= c
 	s.requests.Add(1)
 	if s.auth != nil {
 		if err := s.auth(req.Database, req.User, req.Password); err != nil {
@@ -550,12 +553,20 @@ func (s *Server) sendOffer(conn *wire.Conn, o Offer) {
 	wire.PutEncoder(e)
 }
 
-func (s *Server) handleRequest(conn *wire.Conn, payload []byte) {
-	req, err := decodeRequest(payload)
+// handleRequest answers a REQUEST with an OFFER (Table 3 bootstrap,
+// Table 4 renewal). An upgrade renewal on a connection that declared
+// capFilePush gets the paper's "OFFER + FILE_DATA": the staged blob
+// streams right behind the OFFER, whose trailing flag says so, and the
+// client sends no FILE_REQUEST. A bootstrap keeps the FTP-like
+// FILE_REQUEST exchange, and the blob stays staged either way, so a
+// client whose connection was cut mid-stream can still ask for it.
+func (s *Server) handleRequest(conn *wire.Conn, payload []byte, caps *uint8) {
+	req, c, err := decodeRequest(payload)
 	if err != nil {
 		s.sendError(conn, ErrCodeInternal, "malformed request")
 		return
 	}
+	*caps |= c
 	s.requests.Add(1)
 	if s.auth != nil {
 		if err := s.auth(req.Database, req.User, req.Password); err != nil {
@@ -574,6 +585,16 @@ func (s *Server) handleRequest(conn *wire.Conn, payload []byte) {
 		return
 	}
 	s.offers.Add(1)
+	if req.LeaseID != 0 && offer.HasDriver && *caps&capFilePush != 0 {
+		if blob, ok := s.staged(offer.LeaseID); ok {
+			e := wire.GetEncoder(128)
+			offer.encodeTo(e)
+			e.Bool(true) // file follows
+			s.sendFile(conn, blob, e.Bytes())
+			wire.PutEncoder(e)
+			return
+		}
+	}
 	s.sendOffer(conn, offer)
 }
 
@@ -616,14 +637,25 @@ func (s *Server) handleFileRequest(conn *wire.Conn, payload []byte) {
 		s.sendError(conn, ErrCodeInternal, "malformed file request")
 		return
 	}
-	s.pendingMu.Lock()
-	p, ok := s.pending[fr.LeaseID]
-	s.pendingMu.Unlock()
+	blob, ok := s.staged(fr.LeaseID)
 	if !ok {
 		s.sendError(conn, ErrCodeNoLease, fmt.Sprintf("no pending transfer for lease %d", fr.LeaseID))
 		return
 	}
-	blob := p.blob
+	s.sendFile(conn, blob, nil)
+}
+
+// staged returns the blob staged for a lease's transfer.
+func (s *Server) staged(leaseID uint64) ([]byte, bool) {
+	s.pendingMu.Lock()
+	p, ok := s.pending[leaseID]
+	s.pendingMu.Unlock()
+	return p.blob, ok
+}
+
+// sendFile streams blob as FILE_DATA chunks. A non-nil offer is an
+// OFFER payload that leads the first chunk in the same write.
+func (s *Server) sendFile(conn *wire.Conn, blob, offer []byte) {
 	total := uint32(len(blob))
 	head := wire.GetEncoder(fileChunkHeadLen) // one head buffer for the whole stream
 	defer wire.PutEncoder(head)
@@ -642,7 +674,14 @@ func (s *Server) handleFileRequest(conn *wire.Conn, payload []byte) {
 			s.transfers.Add(1)
 		}
 		// The chunk goes out as a slice of the stored blob, uncopied.
-		if err := conn.SendBody(msgFileData, head.Bytes(), blob[off:end]); err != nil || last {
+		var err error
+		if offer != nil {
+			err = conn.SendAfter(wire.Frame{Type: msgOffer, Payload: offer}, msgFileData, head.Bytes(), blob[off:end])
+			offer = nil
+		} else {
+			err = conn.SendBody(msgFileData, head.Bytes(), blob[off:end])
+		}
+		if err != nil || last {
 			return
 		}
 		off = end

@@ -224,7 +224,7 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 	if err != nil || fr.Type != msgOffer {
 		t.Fatalf("frame=0x%04x err=%v", fr.Type, err)
 	}
-	offer, err := decodeOffer(fr.Payload)
+	offer, _, err := decodeOffer(fr.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 	if err != nil || fr.Type != msgOffer {
 		t.Fatalf("renewal frame=0x%04x err=%v", fr.Type, err)
 	}
-	ro, err := decodeOffer(fr.Payload)
+	ro, _, err := decodeOffer(fr.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

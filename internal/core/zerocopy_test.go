@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/dbver"
+	"repro/internal/faultnet"
 	"repro/internal/wire"
 )
 
@@ -59,6 +60,112 @@ func TestBootstrapAllocBytes(t *testing.T) {
 	}
 }
 
+// TestUpgradeRenewalIsOneClientFrame: the bootloader's upgrade renewal
+// costs the client one frame on the wire, the REQUEST — the file rides
+// the OFFER, with no FILE_REQUEST behind it — and the server answers
+// with the OFFER and the file's chunks. Counted through a proxy.
+func TestUpgradeRenewalIsOneClientFrame(t *testing.T) {
+	f, p, b := proxiedBootloader(t)
+	up, down := p.Frames(faultnet.Up), p.Frames(faultnet.Down)
+	f.addDriver(t, f.driverImage(dbver.V(2, 0, 0), 1, 300<<10)) // two chunks
+	if err := b.ForceRenew("prod"); err != nil {
+		t.Fatal(err)
+	}
+	if v := b.Version(); v != dbver.V(2, 0, 0) {
+		t.Fatalf("running %v after the upgrade renewal, want 2.0.0", v)
+	}
+	if n := p.Frames(faultnet.Up) - up; n != 1 {
+		t.Fatalf("the client sent %d frames for one upgrade renewal, want 1 (the REQUEST)", n)
+	}
+	if n := p.Frames(faultnet.Down) - down; n != 3 {
+		t.Fatalf("the server sent %d frames, want 3 (OFFER and two FILE_DATA chunks)", n)
+	}
+}
+
+// recordingConn keeps every byte written to and read from a net.Conn
+// that one goroutine drives.
+type recordingConn struct {
+	net.Conn
+	up, down bytes.Buffer
+}
+
+func (c *recordingConn) Write(b []byte) (int, error) {
+	c.up.Write(b)
+	return c.Conn.Write(b)
+}
+
+func (c *recordingConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.down.Write(b[:n])
+	return n, err
+}
+
+// TestNoChangeRenewalGoldenBytes: on a connection that declared the
+// push capability, a no-change renewal's REQUEST and OFFER are byte for
+// byte what they were before the push existed — laid out here by hand
+// from the protocol's definition — and only the connection's first
+// REQUEST carries the trailing capability byte.
+func TestNoChangeRenewalGoldenBytes(t *testing.T) {
+	f := newFixture(t, 1)
+	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 256))
+	nc, err := net.Dial("tcp", f.drv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := &recordingConn{Conn: nc}
+	c := &LeaseClient{conn: wire.NewConn(rc), timeout: 2 * time.Second}
+	defer c.Close()
+
+	str := func(b []byte, s string) []byte { return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...) }
+	i32 := func(b []byte, v int) []byte { return binary.BigEndian.AppendUint32(b, uint32(int32(v))) }
+	frame := func(typ uint16, payload []byte) []byte {
+		b := binary.BigEndian.AppendUint16(nil, wire.Magic)
+		b = binary.BigEndian.AppendUint16(b, typ)
+		return append(binary.BigEndian.AppendUint32(b, uint32(len(payload))), payload...)
+	}
+	request := func(r Request) []byte {
+		b := str(str(str(str(nil, r.Database), r.User), r.Password), r.API.Name)
+		b = i32(i32(b, r.API.Major), r.API.Minor)
+		b = str(str(b, string(r.ClientPlatform)), r.PreferredFormat)
+		b = i32(i32(i32(b, 0), 0), 0)           // no preferred version
+		b = binary.BigEndian.AppendUint32(b, 0) // no required packages
+		b = binary.BigEndian.AppendUint64(b, r.LeaseID)
+		return str(str(b, r.CurrentChecksum), r.ClientID)
+	}
+
+	req := catalogRequest()
+	boot, err := c.Request(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := frame(msgRequest, append(request(req), capFilePush)); !bytes.Equal(rc.up.Bytes(), want) {
+		t.Fatalf("first REQUEST:\n got % x\nwant % x", rc.up.Bytes(), want)
+	}
+	if _, err := c.FetchFile(boot.LeaseID); err != nil {
+		t.Fatal(err)
+	}
+	req.LeaseID, req.CurrentChecksum = boot.LeaseID, boot.DriverChecksum
+	rc.up.Reset()
+	rc.down.Reset()
+	o, err := c.Request(req)
+	if err != nil || o.HasDriver || o.LeaseID != boot.LeaseID || o.DriverChecksum != boot.DriverChecksum || o.LeaseTime != time.Hour {
+		t.Fatalf("no-change renewal: %+v, %v", o, err)
+	}
+	if want := frame(msgRequest, request(req)); !bytes.Equal(rc.up.Bytes(), want) {
+		t.Fatalf("renewal REQUEST:\n got % x\nwant % x", rc.up.Bytes(), want)
+	}
+	offer := binary.BigEndian.AppendUint64(nil, o.LeaseID)
+	offer = binary.BigEndian.AppendUint64(offer, uint64(o.LeaseTime))
+	offer = i32(i32(i32(offer, int(o.RenewPolicy)), int(o.ExpirationPolicy)), int(o.TransferMethod))
+	offer = append(offer, 0) // no driver data
+	offer = str(str(offer, o.DriverChecksum), o.Format)
+	offer = binary.BigEndian.AppendUint32(offer, 0) // size
+	offer = str(offer, o.ServerName)
+	if want := frame(msgOffer, offer); !bytes.Equal(rc.down.Bytes(), want) {
+		t.Fatalf("renewal OFFER:\n got % x\nwant % x", rc.down.Bytes(), want)
+	}
+}
+
 // TestTransferGoldenBytes: the scatter send puts on the wire exactly
 // the bytes the joined encoding did. The expected stream is laid out
 // here by hand from the protocol's definition — frame header, then
@@ -104,7 +211,7 @@ func TestTransferGoldenBytes(t *testing.T) {
 	if err != nil || fr.Type != msgOffer {
 		t.Fatalf("frame=0x%04x err=%v", fr.Type, err)
 	}
-	offer, err := decodeOffer(fr.Payload)
+	offer, _, err := decodeOffer(fr.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,7 @@ type Proxy struct {
 	gates [2]chan struct{}
 
 	resets atomic.Int64
+	frames [2]atomic.Int64 // complete wire frames forwarded, per Direction
 	wg     sync.WaitGroup
 }
 
@@ -106,6 +107,11 @@ func (p *Proxy) Accepted() int {
 // Resets reports how many connections were killed by injected cuts or
 // DropAll.
 func (p *Proxy) Resets() int64 { return p.resets.Load() }
+
+// Frames reports how many complete wire frames the proxy has forwarded
+// in direction d, over all connections — what a test counts to pin how
+// many messages one protocol exchange costs.
+func (p *Proxy) Frames(d Direction) int64 { return p.frames[d].Load() }
 
 // Active reports how many proxied connections are currently live.
 func (p *Proxy) Active() int {
@@ -323,12 +329,11 @@ func (pc *proxyConn) pump(dir Direction, src, dst net.Conn, f Faults) {
 					cut = true
 				}
 			}
-			if f.CutAfterFrames > 0 {
-				a := tr.admit(chunk, f.CutAfterFrames)
-				if a < len(chunk) || tr.frames >= f.CutAfterFrames {
-					chunk = chunk[:a]
-					cut = true
-				}
+			framesBefore := tr.frames
+			a := tr.admit(chunk, f.CutAfterFrames)
+			if f.CutAfterFrames > 0 && (a < len(chunk) || tr.frames >= f.CutAfterFrames) {
+				chunk = chunk[:a]
+				cut = true
 			}
 			// The pump may have been parked in Read when the partition
 			// started; bytes arriving mid-partition are held here and
@@ -345,6 +350,9 @@ func (pc *proxyConn) pump(dir Direction, src, dst net.Conn, f Faults) {
 					return
 				}
 			}
+			// Counted before the write, so a peer holding a frame finds it
+			// in Frames.
+			pc.p.frames[dir].Add(int64(tr.frames - framesBefore))
 			if !writeChunked(dst, chunk, f.MaxChunk) {
 				pc.close(false)
 				return

@@ -182,8 +182,9 @@ func TestProxyCutOnFrameBoundary(t *testing.T) {
 	}
 	select {
 	case r := <-resCh:
-		if r.frames != 2 {
-			t.Fatalf("server decoded %d frames, cut was after 2", r.frames)
+		if r.frames != 2 || p.Frames(Up) != 2 || p.Frames(Down) != 0 {
+			t.Fatalf("server decoded %d frames, proxy counted %d up and %d down; cut was after 2",
+				r.frames, p.Frames(Up), p.Frames(Down))
 		}
 		// A torn frame fails inside the payload read; a boundary cut
 		// fails reading the next header.

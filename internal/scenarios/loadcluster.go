@@ -68,18 +68,17 @@ func loadCluster(cfg LoadConfig) (*LoadResult, error) {
 	stmts0 := clusterStmts(cf)
 
 	f, err := workload.NewFleet(workload.FleetConfig{
-		Addrs:          cf.Addrs(),
-		Database:       "prod",
-		User:           "app",
-		Password:       "app-pw",
-		Population:     cfg.Population,
-		Workers:        cfg.Workers,
-		Seed:           cfg.Seed,
-		RampUp:         rampFor(cfg),
-		RenewAhead:     0.8,
-		RetryInterval:  cfg.Lease / 4,
-		OpTimeout:      5 * time.Second,
-		FetchOnUpgrade: true,
+		Addrs:         cf.Addrs(),
+		Database:      "prod",
+		User:          "app",
+		Password:      "app-pw",
+		Population:    cfg.Population,
+		Workers:       cfg.Workers,
+		Seed:          cfg.Seed,
+		RampUp:        rampFor(cfg),
+		RenewAhead:    0.8,
+		RetryInterval: cfg.Lease / 4,
+		OpTimeout:     5 * time.Second,
 	})
 	if err != nil {
 		return nil, err

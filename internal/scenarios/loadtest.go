@@ -184,18 +184,17 @@ func loadImage(ver dbver.Version, payload int) *driverimg.Image {
 // fleetFor builds the fleet for a load scenario pointed at addr.
 func fleetFor(cfg LoadConfig, addr string) (*workload.Fleet, error) {
 	return workload.NewFleet(workload.FleetConfig{
-		Addr:           addr,
-		Database:       "prod",
-		User:           "app",
-		Password:       "app-pw",
-		Population:     cfg.Population,
-		Workers:        cfg.Workers,
-		Seed:           cfg.Seed,
-		RampUp:         rampFor(cfg),
-		RenewAhead:     0.8,
-		RetryInterval:  cfg.Lease / 4,
-		OpTimeout:      5 * time.Second,
-		FetchOnUpgrade: true,
+		Addr:          addr,
+		Database:      "prod",
+		User:          "app",
+		Password:      "app-pw",
+		Population:    cfg.Population,
+		Workers:       cfg.Workers,
+		Seed:          cfg.Seed,
+		RampUp:        rampFor(cfg),
+		RenewAhead:    0.8,
+		RetryInterval: cfg.Lease / 4,
+		OpTimeout:     5 * time.Second,
 	})
 }
 

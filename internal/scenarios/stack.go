@@ -127,13 +127,19 @@ func (s *Stack) Image(ver dbver.Version, proto uint16, payload int) *driverimg.I
 
 // Bootloader builds a bootloader against the stack's Drivolution server.
 func (s *Stack) Bootloader(opts ...core.BootloaderOption) *core.Bootloader {
+	return s.bootloaderVia(s.Drv.Addr(), opts...)
+}
+
+// bootloaderVia builds the same bootloader with addr — a proxy in front
+// of the stack's Drivolution server — as its only server address.
+func (s *Stack) bootloaderVia(addr string, opts ...core.BootloaderOption) *core.Bootloader {
 	all := append([]core.BootloaderOption{
 		core.WithCredentials("app", "app-pw"),
 		core.WithDialTimeout(2 * time.Second),
 		core.WithRetryInterval(20 * time.Millisecond),
 	}, opts...)
 	b := core.NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64,
-		[]string{s.Drv.Addr()}, s.RT, all...)
+		[]string{addr}, s.RT, all...)
 	s.Defer(b.Close)
 	return b
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dbver"
+	"repro/internal/faultnet"
 	"repro/internal/opsmodel"
 	"repro/internal/sqlmini"
 )
@@ -159,7 +160,10 @@ func T4() (*Report, error) {
 		s.Close()
 	}
 
-	// Branch 2: UPGRADE under each expiration policy.
+	// Branch 2: UPGRADE under each expiration policy (new driver
+	// available → OFFER + FILE_DATA). The bootloader talks through a
+	// proxy that counts its frames: the upgrade renewal is one REQUEST,
+	// the file rides the OFFER, no FILE_REQUEST.
 	for _, pol := range []core.ExpirationPolicy{core.AfterClose, core.AfterCommit, core.Immediate} {
 		s, err := NewStack(StackConfig{})
 		if err != nil {
@@ -177,7 +181,13 @@ func T4() (*Report, error) {
 			s.Close()
 			return r, err
 		}
-		b := s.Bootloader()
+		p, err := faultnet.NewProxy(s.Drv.Addr(), 1)
+		if err != nil {
+			s.Close()
+			return r, err
+		}
+		s.Defer(p.Close)
+		b := s.bootloaderVia(p.Addr())
 		idle, err := b.Connect(s.AppURL(), nil)
 		if err != nil {
 			s.Close()
@@ -203,10 +213,12 @@ func T4() (*Report, error) {
 			s.Close()
 			return r, err
 		}
+		framesBefore := p.Frames(faultnet.Up)
 		if err := b.ForceRenew("prod"); err != nil {
 			s.Close()
 			return r, err
 		}
+		sent := p.Frames(faultnet.Up) - framesBefore
 		m := b.Stats()
 		_, idleErr := idle.Query("SELECT 1")
 		var ok bool
@@ -225,8 +237,9 @@ func T4() (*Report, error) {
 			_, busyErr := busy.Exec("SELECT 1")
 			ok = idleErr != nil && busyErr != nil && b.Stats().AbortedTx == 1
 		}
-		ok = ok && m.Upgrades == 1 && b.Version() == dbver.V(2, 0, 0)
-		r.logf("UPGRADE branch, %-12s: new conns on v2, old conns transitioned  %v", pol, mark(ok))
+		ok = ok && m.Upgrades == 1 && b.Version() == dbver.V(2, 0, 0) && sent == 1
+		r.logf("UPGRADE branch, %-12s: OFFER + FILE_DATA (%d client frame), new conns on v2, old conns transitioned  %v",
+			pol, sent, mark(ok))
 		pass = pass && ok
 		s.Close()
 	}

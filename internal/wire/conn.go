@@ -22,9 +22,9 @@ type Conn struct {
 	wtimeout time.Duration // per-Send write deadline; 0 = none
 	warmed   bool          // a write deadline is currently set on nc
 
-	// SendBody's scatter list lives here so a transfer allocates
-	// nothing per chunk; guarded by wmu like bw.
-	whead []byte // frame header + payload head
+	// SendBody's and SendAfter's scatter list lives here so a transfer
+	// allocates nothing per chunk; guarded by wmu like bw.
+	whead []byte // [lead frame +] frame header + payload head
 	wvec  [2][]byte
 	wbuf  net.Buffers
 
@@ -104,6 +104,24 @@ func (c *Conn) Send(typ uint16, payload []byte) error {
 // and not retained past the call, so a caller may pass a slice of a
 // buffer it shares with other senders.
 func (c *Conn) SendBody(typ uint16, head, body []byte) error {
+	return c.sendBody(nil, typ, head, body)
+}
+
+// SendAfter writes lead as a whole frame and then one frame of head
+// followed by body, in the same scatter list as SendBody: lead, the
+// second frame's header and head share the small scratch buffer, body
+// stays the second iovec. The bytes on the wire are exactly those of
+// Send(lead.Type, lead.Payload) followed by SendBody(typ, head, body),
+// in one write instead of two — a reply and the first frame of the
+// stream behind it leave together.
+func (c *Conn) SendAfter(lead Frame, typ uint16, head, body []byte) error {
+	if len(lead.Payload) > MaxPayload {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(lead.Payload))
+	}
+	return c.sendBody(&lead, typ, head, body)
+}
+
+func (c *Conn) sendBody(lead *Frame, typ uint16, head, body []byte) error {
 	if len(head)+len(body) > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(head)+len(body))
 	}
@@ -112,9 +130,11 @@ func (c *Conn) SendBody(typ uint16, head, body []byte) error {
 	if err := c.armWrite(); err != nil {
 		return err
 	}
-	var hdr [headerLen]byte
-	putHeader(hdr[:], typ, len(head)+len(body))
-	c.whead = append(append(c.whead[:0], hdr[:]...), head...)
+	c.whead = c.whead[:0]
+	if lead != nil {
+		c.whead = append(appendHeader(c.whead, lead.Type, len(lead.Payload)), lead.Payload...)
+	}
+	c.whead = append(appendHeader(c.whead, typ, len(head)+len(body)), head...)
 	c.wbuf = append(net.Buffers(c.wvec[:0]), c.whead, body)
 	// Send leaves bw flushed, so nothing buffered can be overtaken.
 	_, err := c.wbuf.WriteTo(c.nc)

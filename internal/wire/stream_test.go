@@ -91,6 +91,67 @@ func TestSendBodyBytesEqualSend(t *testing.T) {
 	}
 }
 
+// TestSendAfterBytesEqualSendThenSendBody: a lead frame plus a head +
+// body frame in one scatter write put on the wire exactly the bytes of
+// Send(lead) followed by SendBody — over TCP (one writev) and over a
+// conn with no vectored write (net.Pipe, as TLS).
+func TestSendAfterBytesEqualSendThenSendBody(t *testing.T) {
+	lead := Frame{Type: 0x0203, Payload: []byte("an offer, with its trailing flag\x01")}
+	head := []byte{0, 0, 0, 0, 0, 3, 32, 0, 1, 0, 3, 32, 0}
+	body := bytes.Repeat([]byte("chunk"), 40<<10)
+	sequence := func(c *Conn, joined bool) error {
+		if joined {
+			if err := c.SendAfter(lead, 0x0206, head, body); err != nil {
+				return err
+			}
+			if err := c.SendAfter(Frame{Type: 9}, 0x0206, head, nil); err != nil { // empty lead and body
+				return err
+			}
+		} else {
+			for _, f := range []Frame{lead, {Type: 9}} {
+				if err := c.Send(f.Type, f.Payload); err != nil {
+					return err
+				}
+				b := body
+				if f.Type == 9 {
+					b = nil
+				}
+				if err := c.SendBody(0x0206, head, b); err != nil {
+					return err
+				}
+			}
+		}
+		// A net.Pipe write of the empty body returns only once read, so
+		// something must follow it.
+		return c.Send(8, []byte("after"))
+	}
+	read := func(ends [2]net.Conn, joined bool) []byte {
+		errc := make(chan error, 1)
+		go func() { errc <- sequence(NewConn(ends[0]), joined) }()
+		// Five frame headers, the lead's payload, two heads, one body, "after".
+		got := make([]byte, 5*headerLen+len(lead.Payload)+2*len(head)+len(body)+len("after"))
+		if _, err := io.ReadFull(ends[1], got); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	pipeA, pipeB := net.Pipe()
+	defer pipeA.Close()
+	defer pipeB.Close()
+	tcpA, tcpB := tcpPair(t)
+	for name, ends := range map[string][2]net.Conn{"tcp": {tcpA, tcpB}, "pipe": {pipeA, pipeB}} {
+		if want, got := read(ends, false), read(ends, true); !bytes.Equal(got, want) {
+			t.Fatalf("%s: SendAfter's bytes differ from Send + SendBody", name)
+		}
+	}
+	if err := NewConn(pipeA).SendAfter(Frame{Type: 1, Payload: make([]byte, MaxPayload+1)}, 2, nil, nil); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversize lead: err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
 // TestSendBodyWriteTimeout: the scatter send is bounded by the same
 // write timeout as Send.
 func TestSendBodyWriteTimeout(t *testing.T) {

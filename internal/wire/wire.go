@@ -55,11 +55,11 @@ var (
 // headerLen is the size of the fixed frame header.
 const headerLen = 8
 
-// putHeader fills hdr with the header of a frame carrying n payload bytes.
-func putHeader(hdr []byte, typ uint16, n int) {
-	binary.BigEndian.PutUint16(hdr[0:2], Magic)
-	binary.BigEndian.PutUint16(hdr[2:4], typ)
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(n))
+// appendHeader appends the header of a frame carrying n payload bytes.
+func appendHeader(b []byte, typ uint16, n int) []byte {
+	b = binary.BigEndian.AppendUint16(b, Magic)
+	b = binary.BigEndian.AppendUint16(b, typ)
+	return binary.BigEndian.AppendUint32(b, uint32(n))
 }
 
 // WriteFrame writes one frame to w. It is not safe for concurrent use on
@@ -69,8 +69,7 @@ func WriteFrame(w io.Writer, f Frame) error {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.Payload))
 	}
 	var hdr [headerLen]byte
-	putHeader(hdr[:], f.Type, len(f.Payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendHeader(hdr[:0], f.Type, len(f.Payload))); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
 	}
 	if len(f.Payload) == 0 {

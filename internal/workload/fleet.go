@@ -125,10 +125,6 @@ type FleetConfig struct {
 	// transfer (a warm fleet — the first renewal acks the checksum and
 	// the server drops the staged blob).
 	FetchOnBootstrap bool
-	// FetchOnUpgrade downloads the blob when a renewal offers a new
-	// driver (default true via NewFleet): an upgrade storm is mostly
-	// transfer load, so opting out should be explicit.
-	FetchOnUpgrade bool
 	// ReleaseAfterRenewals, when >0, has each client release its lease
 	// after that many renewals and rebootstrap after an idle period —
 	// the churn that makes license capacity circulate (§5.4.2).
@@ -634,14 +630,13 @@ func (f *Fleet) step(w int, lc *core.LeaseClient, id int32) bool {
 	} else {
 		vc.renewals++
 		if offer.HasDriver {
-			// Upgrade offered. Fetch (when configured), then adopt the
-			// new generation; a failed fetch keeps the old checksum so
-			// the next renewal re-offers the upgrade.
-			if f.cfg.FetchOnUpgrade {
-				if ok := f.fetch(w, lc, vc, offer); !ok {
-					f.reschedule(id, f.retryDelay(id, vc.seq))
-					return false
-				}
+			// Upgrade offered, its file already streaming behind the
+			// OFFER. Read it, then adopt the new generation; a failed
+			// fetch keeps the old checksum so the next renewal re-offers
+			// the upgrade.
+			if ok := f.fetch(w, lc, vc, offer); !ok {
+				f.reschedule(id, f.retryDelay(id, vc.seq))
+				return false
 			}
 			f.setChecksum(vc, offer.DriverChecksum)
 			f.upgrades.Add(1)

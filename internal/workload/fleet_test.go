@@ -124,7 +124,6 @@ func TestFleetUpgradeConverges(t *testing.T) {
 	}
 
 	cfg := fleetConfig(srv.Addr(), 100)
-	cfg.FetchOnUpgrade = true
 	f, err := NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
