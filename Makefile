@@ -73,6 +73,7 @@ fuzz-smoke:
 	go test ./internal/driverimg -run '^$$' -fuzz=FuzzEncodedImage -fuzztime=$(FUZZ_TIME)
 	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzValueCompare -fuzztime=$(FUZZ_TIME)
 	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzSkipList -fuzztime=$(FUZZ_TIME)
+	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzParamBinding -fuzztime=$(FUZZ_TIME)
 	go test ./internal/core -run '^$$' -fuzz=FuzzFileSink -fuzztime=$(FUZZ_TIME)
 
 tier1:

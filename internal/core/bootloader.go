@@ -78,9 +78,13 @@ type Bootloader struct {
 	wakeCh    chan struct{}
 	wg        sync.WaitGroup
 
-	// bootMu serializes the first bootstrap, so racing first Connects
-	// cost one REQUEST, one lease and one transfer between them.
+	// boot is the first bootstrap in flight, if any; bootMu guards it.
+	// Racing first Connects wait for that one bootstrap and share its
+	// outcome, so they cost one REQUEST, one lease and one transfer
+	// between them, and against an unreachable server they fail
+	// together instead of redialing one after another.
 	bootMu sync.Mutex
+	boot   *bootCall
 
 	// Cached lease-protocol client to the current server, reused across
 	// renewals so the steady-state lease traffic (§3.2) costs one round
@@ -310,23 +314,54 @@ func (b *Bootloader) Connect(url string, props client.Props) (client.Conn, error
 	return mc, nil
 }
 
+// bootCall is one first bootstrap; done closes once err is set and,
+// on success, the driver installed.
+type bootCall struct {
+	done chan struct{}
+	err  error
+}
+
 // ensureDriver returns the installed driver, bootstrapping on first use.
 func (b *Bootloader) ensureDriver(database string) (*loadedDriver, error) {
 	if ld, err := b.installed(); ld != nil || err != nil {
 		return ld, err
 	}
-	// Bootstrap outside b.mu but one at a time: whoever loses the race
-	// for bootMu finds the winner's driver installed and adopts it
-	// instead of taking a second lease (in license mode, a second seat).
+	// Bootstrap outside b.mu but one at a time: whoever finds a
+	// bootstrap in flight waits for it and adopts its driver instead of
+	// taking a second lease (in license mode, a second seat), or returns
+	// its error.
 	b.bootMu.Lock()
-	defer b.bootMu.Unlock()
+	if c := b.boot; c != nil {
+		b.bootMu.Unlock()
+		<-c.done
+		if c.err != nil {
+			return nil, c.err
+		}
+		return b.installed()
+	}
 	if ld, err := b.installed(); ld != nil || err != nil {
+		b.bootMu.Unlock()
 		return ld, err
 	}
+	c := &bootCall{done: make(chan struct{})}
+	b.boot = c
+	b.bootMu.Unlock()
+
 	ld, err := b.bootstrap(database)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		b.adopt(ld, database)
 	}
+	b.bootMu.Lock()
+	b.boot = nil
+	b.bootMu.Unlock()
+	c.err = err
+	close(c.done)
+	return ld, err
+}
+
+// adopt installs the first bootstrap's driver and starts the renewal
+// (and push) loops.
+func (b *Bootloader) adopt(ld *loadedDriver, database string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.cur = ld
@@ -340,7 +375,6 @@ func (b *Bootloader) ensureDriver(database string) (*loadedDriver, error) {
 		}
 	}
 	b.addMetric(func(m *Metrics) { m.Bootstraps++ })
-	return ld, nil
 }
 
 // installed returns the current driver, or the revocation error that
@@ -454,10 +488,12 @@ func (b *Bootloader) fetch(addr, database string, leaseID uint64, checksum strin
 	defer b.connMu.Unlock()
 	for hop := 0; ; hop++ {
 		offer, blob, err := b.fetchLocked(addr, b.request(database, leaseID, checksum))
-		var re *Redirect
-		if hop < 2 && errors.As(err, &re) && re.Addr != "" && re.Addr != addr {
-			addr = re.Addr
-			continue
+		if err != nil && hop < 2 {
+			var re *Redirect // declared here: errors.As moves it to the heap
+			if errors.As(err, &re) && re.Addr != "" && re.Addr != addr {
+				addr = re.Addr
+				continue
+			}
 		}
 		return offer, blob, addr, err
 	}

@@ -42,8 +42,9 @@ type LeaseClient struct {
 	addr     string        // as dialed; Bootloader matches its cached client by it
 	timeout  time.Duration // bound on every reply wait; 0 = none
 	poisoned bool
-	declared bool        // capFilePush went out on this connection
-	pushed   *pushedFile // a file the server is streaming behind its OFFER, not yet read
+	declared bool         // capFilePush went out on this connection
+	pushed   *pushedFile  // a file the server is streaming behind its OFFER, not yet read
+	enc      wire.Encoder // REQUEST and DISCOVER payloads, reused: Send returns only once the frame is written
 }
 
 // pushedFile is the transfer an OFFER announced as following it.
@@ -169,12 +170,13 @@ func (c *LeaseClient) payload(f wire.Frame, want uint16) ([]byte, error) {
 // REQUEST or DISCOVER carries the capability byte; an OFFER that says
 // its file follows leaves that file pending on the connection.
 func (c *LeaseClient) offer(typ uint16, req Request) (Offer, error) {
-	payload := req.encode()
+	c.enc.Reset()
+	req.encodeTo(&c.enc)
 	if !c.declared {
-		payload = append(payload, capFilePush)
+		c.enc.Uint8(capFilePush)
 		c.declared = true
 	}
-	p, err := c.exchange(typ, payload, msgOffer)
+	p, err := c.exchange(typ, c.enc.Bytes(), msgOffer)
 	if err != nil {
 		return Offer{}, err
 	}

@@ -123,6 +123,12 @@ const capFilePush uint8 = 1
 
 func (r Request) encode() []byte {
 	e := wire.NewEncoder(256)
+	r.encodeTo(e)
+	return e.Bytes()
+}
+
+// encodeTo writes the request into a caller-owned encoder.
+func (r Request) encodeTo(e *wire.Encoder) {
 	e.String(r.Database)
 	e.String(r.User)
 	e.String(r.Password)
@@ -138,7 +144,6 @@ func (r Request) encode() []byte {
 	e.Uint64(r.LeaseID)
 	e.String(r.CurrentChecksum)
 	e.String(r.ClientID)
-	return e.Bytes()
 }
 
 // decodeRequest decodes a REQUEST or DISCOVER and the capability byte

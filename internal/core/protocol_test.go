@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"net"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/dbver"
+	"repro/internal/wire"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -35,6 +39,55 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	if len(out.RequiredPackages) != 2 || out.RequiredPackages[0] != "gis" {
 		t.Fatalf("packages = %v", out.RequiredPackages)
+	}
+}
+
+// TestDecodedMessagesOutliveTheirFrame: wire.Conn.Recv reuses one
+// payload buffer, so what a decoder returns must not alias it. A
+// REQUEST and an OFFER are each decoded from frame k; frame k+1, as long
+// and all 0xFF, then lands in the same buffer; the decoded message must
+// still be what was sent.
+func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
+	req := Request{
+		Database: "prod", User: "app", Password: "secret",
+		API: dbver.APIOf("JDBC", 3, 0), ClientPlatform: dbver.PlatformLinuxAMD64,
+		PreferredFormat: "IMAGE", PreferredVersion: dbver.V(1, 2, 3),
+		RequiredPackages: []string{"gis", "nls-fr"},
+		LeaseID:          42, CurrentChecksum: "abc123", ClientID: "host-7",
+	}
+	offer := Offer{LeaseID: 42, LeaseTime: time.Hour, HasDriver: true,
+		DriverChecksum: "abc123", Format: "IMAGE", Size: 9, ServerName: "drivolution-1"}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) (any, error)
+		want    any
+	}{
+		{"REQUEST", req.encode(), func(b []byte) (any, error) { r, _, err := decodeRequest(b); return r, err }, req},
+		{"OFFER", offer.encode(), func(b []byte) (any, error) { o, _, err := decodeOffer(b); return o, err }, offer},
+	} {
+		a, b := net.Pipe()
+		go func() {
+			defer a.Close()
+			_ = wire.WriteFrame(a, wire.Frame{Type: 1, Payload: tc.payload})
+			_ = wire.WriteFrame(a, wire.Frame{Type: 2, Payload: bytes.Repeat([]byte{0xff}, len(tc.payload))})
+		}()
+		conn := wire.NewConn(b)
+		f, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.decode(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, err = conn.Recv(); err != nil || f.Type != 2 {
+			t.Fatalf("frame k+1: %v", err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s decoded from frame k changed when frame k+1 arrived:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+		conn.Close()
 	}
 }
 

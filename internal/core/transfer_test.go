@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/tls"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -194,6 +195,49 @@ func TestConcurrentFirstConnect(t *testing.T) {
 					sc.LeasesGranted, sc.Transfers)
 			}
 		})
+	}
+}
+
+// TestConcurrentFirstConnectUnreachable: racing first Connects against
+// a server that accepts and never answers share the one bootstrap's
+// failure. Each bootstrap waits out the reply deadline D, so racers that
+// redialed one after another would take about n×D; sharing takes about
+// D.
+func TestConcurrentFirstConnectUnreachable(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close() // held open and silent until the listener closes
+		}
+	}()
+
+	const n, d = 8, 300 * time.Millisecond
+	b := NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64,
+		[]string{ln.Addr().String()}, nil, WithDialTimeout(d))
+	t.Cleanup(b.Close)
+	start := time.Now()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := b.Connect("dbms://127.0.0.1:1/prod", nil)
+			errs <- err
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err == nil {
+			t.Fatal("a Connect against a silent server succeeded")
+		}
+	}
+	if took := time.Since(start); took > n*d/2 {
+		t.Fatalf("%d racing first Connects took %v to fail; one bootstrap times out in %v", n, took, d)
 	}
 }
 

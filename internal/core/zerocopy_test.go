@@ -166,6 +166,45 @@ func TestNoChangeRenewalGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestNoChangeRenewalAllocs pins what one no-change renewal allocates
+// end to end — LeaseClient encode and decode, both wire directions, the
+// server's decode, match, guarded UPDATE and reply — with client and
+// server in this process over loopback, so a regression fails here
+// before any benchmark is run. It is a ceiling at the measured count:
+// the engine's share is the new row version, its values, the Result and
+// the two expires_at index groups; the rest are the decoded strings,
+// the grant record and the renewal's Args map. (The count was 46 with
+// map-bound parameters, heap-built plans, five allocations per index
+// group and a fresh buffer for every frame read or REQUEST encoded.)
+func TestNoChangeRenewalAllocs(t *testing.T) {
+	const ceiling = 23
+	f := newFixture(t, 1)
+	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 256))
+	c, err := DialLeaseClient(f.drv.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	req := catalogRequest()
+	boot, err := c.Request(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FetchFile(boot.LeaseID); err != nil {
+		t.Fatal(err)
+	}
+	req.LeaseID, req.CurrentChecksum = boot.LeaseID, boot.DriverChecksum
+	got := testing.AllocsPerRun(2000, func() {
+		if o, err := c.Request(req); err != nil || o.HasDriver {
+			t.Fatalf("no-change renewal: %+v, %v", o, err)
+		}
+	})
+	t.Logf("a no-change renewal allocates %v times", got)
+	if got > ceiling {
+		t.Fatalf("a no-change renewal allocates %v times, ceiling %d", got, ceiling)
+	}
+}
+
 // TestTransferGoldenBytes: the scatter send puts on the wire exactly
 // the bytes the joined encoding did. The expected stream is laid out
 // here by hand from the protocol's definition — frame header, then

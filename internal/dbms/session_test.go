@@ -1,8 +1,10 @@
 package dbms
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -454,5 +456,78 @@ func TestHandleSweepOnDisconnect(t *testing.T) {
 	}
 	if _, err := st2.Exec(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodedMessagesOutliveTheirFrame: wire.Conn.Recv reuses one
+// payload buffer, so decoded values must not alias it. A Result with
+// VARCHAR and BLOB columns and an exec carrying BLOB arguments are each
+// decoded from frame k; frame k+1, as long and all 0xFF, then lands in
+// the same buffer; every decoded value must still be what was sent.
+func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
+	blob := []byte{0, 1, 2, 3, 0xfe}
+	res := &sqlmini.Result{
+		Cols:     []string{"name", "code"},
+		Rows:     [][]sqlmini.Value{{sqlmini.NewString("driver-v2"), sqlmini.NewBytes(blob)}},
+		Affected: 1,
+	}
+	exec := execMsg{
+		SQL:        "INSERT INTO t VALUES ($code, ?)",
+		Named:      map[string]sqlmini.Value{"code": sqlmini.NewBytes(blob)},
+		Positional: []sqlmini.Value{sqlmini.NewBytes(blob), sqlmini.NewString("tail")},
+	}
+	same := func(a, b []sqlmini.Value) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].Type() != b[i].Type() || a[i].Str() != b[i].Str() {
+				return false
+			}
+		}
+		return true
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) (check func() bool, err error)
+	}{
+		{"Result", encodeResult(res), func(b []byte) (func() bool, error) {
+			got, err := decodeResult(b)
+			return func() bool {
+				return strings.Join(got.Cols, ",") == "name,code" && len(got.Rows) == 1 &&
+					same(got.Rows[0], res.Rows[0]) && got.Affected == 1
+			}, err
+		}},
+		{"exec", exec.encode(), func(b []byte) (func() bool, error) {
+			got, err := decodeExec(b)
+			return func() bool {
+				return got.SQL == exec.SQL && same([]sqlmini.Value{got.Named["code"]}, []sqlmini.Value{exec.Named["code"]}) &&
+					same(got.Positional, exec.Positional)
+			}, err
+		}},
+	} {
+		a, b := net.Pipe()
+		go func() {
+			defer a.Close()
+			_ = wire.WriteFrame(a, wire.Frame{Type: 1, Payload: tc.payload})
+			_ = wire.WriteFrame(a, wire.Frame{Type: 2, Payload: bytes.Repeat([]byte{0xff}, len(tc.payload))})
+		}()
+		conn := wire.NewConn(b)
+		f, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check, err := tc.decode(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f, err = conn.Recv(); err != nil || f.Type != 2 {
+			t.Fatalf("frame k+1: %v", err)
+		}
+		if !check() {
+			t.Fatalf("%s decoded from frame k changed when frame k+1 arrived", tc.name)
+		}
+		conn.Close()
 	}
 }

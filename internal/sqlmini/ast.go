@@ -141,7 +141,9 @@ type LiteralExpr struct{ Val Value }
 type ColumnExpr struct{ Name string }
 
 // ParamExpr is a named ($name) or positional (?) parameter. For
-// positional parameters Name is empty and Index is the 0-based position.
+// positional parameters Name is empty and Index is the 0-based position;
+// for named ones Index is the name's slot, distinct names numbered from
+// 0 in order of first appearance.
 type ParamExpr struct {
 	Name  string
 	Index int

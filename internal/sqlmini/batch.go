@@ -34,16 +34,16 @@ type BatchStmt struct {
 func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 	type boundStmt struct {
 		st  Statement
-		env *evalEnv
+		env evalEnv
 	}
 	bound := make([]boundStmt, len(stmts))
 	tableSet := make(map[string]bool)
 	for i, bs := range stmts {
-		st, err := db.parseCached(bs.SQL)
+		ps, err := db.parseCached(bs.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("sqlmini: batch statement %d: %w", i+1, err)
 		}
-		switch st := st.(type) {
+		switch st := ps.st.(type) {
 		case *BeginStmt, *CommitStmt, *RollbackStmt:
 			return nil, fmt.Errorf("sqlmini: batch statement %d: transaction control is implicit in an atomic batch", i+1)
 		case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
@@ -59,11 +59,10 @@ func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 		case *DeleteStmt:
 			tableSet[st.Table] = true
 		}
-		named, positional, err := bindArgs(bs.Args)
-		if err != nil {
+		bound[i].st, bound[i].env.clock = ps.st, db.clock
+		if err := bound[i].env.bindParams(ps.slots, bs.Args); err != nil {
 			return nil, fmt.Errorf("sqlmini: batch statement %d: %w", i+1, err)
 		}
-		bound[i] = boundStmt{st: st, env: &evalEnv{clock: db.clock, named: named, positional: positional}}
 	}
 
 	locked, order := db.lockTablesByName(tableSet)
@@ -78,9 +77,9 @@ func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 	}
 
 	out := make([]*Result, 0, len(stmts))
-	for i, b := range bound {
+	for i := range bound {
 		w.nextStmt()
-		res, err := db.execBatchStmt(b.st, b.env, tx, w, locked)
+		res, err := db.execBatchStmt(bound[i].st, &bound[i].env, tx, w, locked)
 		if err != nil {
 			// Revert under the latches we already hold: one fresh commit
 			// number stamps the whole rollback, and marking the reverted

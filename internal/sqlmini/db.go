@@ -115,7 +115,7 @@ type DB struct {
 	clock func() time.Time
 
 	cacheMu sync.RWMutex
-	cache   map[string]Statement
+	cache   map[string]parsed
 
 	// commits is the engine-wide commit clock: every mutating statement
 	// that touches at least one row draws one number from it to stamp
@@ -166,7 +166,7 @@ func WithClock(clock func() time.Time) Option {
 func NewDB(opts ...Option) *DB {
 	db := &DB{
 		clock: time.Now,
-		cache: make(map[string]Statement),
+		cache: make(map[string]parsed),
 	}
 	empty := make(map[string]*Table)
 	db.schema.Store(&empty)
@@ -281,27 +281,27 @@ func (db *DB) TableColumns(name string) ([]ColumnDef, bool) {
 	return cols, true
 }
 
-// parseCached parses src, memoizing the AST. Statements are immutable
-// after parsing (positional parameter indices are assigned at parse
-// time), so sharing is safe.
-func (db *DB) parseCached(src string) (Statement, error) {
+// parseCached parses src, memoizing the AST and its parameter slots.
+// Statements are immutable after parsing (parameter indices and slots
+// are assigned at parse time), so sharing is safe.
+func (db *DB) parseCached(src string) (parsed, error) {
 	db.cacheMu.RLock()
-	st, ok := db.cache[src]
+	ps, ok := db.cache[src]
 	db.cacheMu.RUnlock()
 	if ok {
-		return st, nil
+		return ps, nil
 	}
-	st, err := Parse(src)
+	ps, err := parse(src)
 	if err != nil {
-		return nil, err
+		return parsed{}, err
 	}
 	db.cacheMu.Lock()
 	if len(db.cache) > 4096 { // crude bound; workloads reuse few shapes
-		db.cache = make(map[string]Statement)
+		db.cache = make(map[string]parsed)
 	}
-	db.cache[src] = st
+	db.cache[src] = ps
 	db.cacheMu.Unlock()
-	return st, nil
+	return ps, nil
 }
 
 // Exec runs a statement in autocommit mode. If args is a single Args map,
@@ -348,44 +348,18 @@ func (s *Session) Close() {
 	}
 }
 
-func bindArgs(args []any) (named map[string]Value, positional []Value, err error) {
-	if len(args) == 1 {
-		if m, ok := args[0].(Args); ok {
-			named = make(map[string]Value, len(m))
-			for k, v := range m {
-				val, err := FromGo(v)
-				if err != nil {
-					return nil, nil, fmt.Errorf("parameter $%s: %w", k, err)
-				}
-				named[strings.ToLower(k)] = val
-			}
-			return named, nil, nil
-		}
-	}
-	positional = make([]Value, 0, len(args))
-	for i, a := range args {
-		v, err := FromGo(a)
-		if err != nil {
-			return nil, nil, fmt.Errorf("parameter %d: %w", i+1, err)
-		}
-		positional = append(positional, v)
-	}
-	return nil, positional, nil
-}
-
 // Exec executes one statement within this session.
 func (s *Session) Exec(src string, args ...any) (*Result, error) {
-	st, err := s.db.parseCached(src)
+	ps, err := s.db.parseCached(src)
 	if err != nil {
 		return nil, err
 	}
-	named, positional, err := bindArgs(args)
-	if err != nil {
+	env := &evalEnv{clock: s.db.clock}
+	if err := env.bindParams(ps.slots, args); err != nil {
 		return nil, err
 	}
-	env := &evalEnv{clock: s.db.clock, named: named, positional: positional}
 
-	switch st := st.(type) {
+	switch st := ps.st.(type) {
 	case *BeginStmt:
 		if s.tx != nil {
 			return nil, ErrTxInProgress
@@ -434,17 +408,11 @@ func (db *DB) execStmt(st Statement, env *evalEnv, tx *undoLog) (*Result, error)
 	case *SelectStmt:
 		return db.execSelectRead(st, env)
 	case *InsertStmt:
-		return db.writeOne(st.Table, env, func(t *Table, w *writeCtx) (*Result, error) {
-			return db.execInsert(t, st, env, tx, w)
-		})
+		return db.writeOne(st.Table, st, env, tx)
 	case *UpdateStmt:
-		return db.writeOne(st.Table, env, func(t *Table, w *writeCtx) (*Result, error) {
-			return db.execUpdate(t, st, env, tx, w)
-		})
+		return db.writeOne(st.Table, st, env, tx)
 	case *DeleteStmt:
-		return db.writeOne(st.Table, env, func(t *Table, w *writeCtx) (*Result, error) {
-			return db.execDelete(t, st, env, tx, w)
-		})
+		return db.writeOne(st.Table, st, env, tx)
 	default:
 		return nil, fmt.Errorf("sqlmini: unsupported statement %T", st)
 	}
@@ -461,7 +429,7 @@ func (db *DB) execStmt(st Statement, env *evalEnv, tx *undoLog) (*Result, error)
 type writeCtx struct {
 	db      *DB
 	c       uint64 // current statement's commit number (0 = not drawn)
-	touched []touchedTable
+	touched inlineBuf[touchedTable]
 }
 
 // touchedTable is one table's publish state within a writeCtx: the
@@ -478,16 +446,17 @@ func (w *writeCtx) commit(t *Table) uint64 {
 	if w.c == 0 {
 		w.c = w.db.commits.Add(1)
 	}
-	for i := range w.touched {
-		if w.touched[i].t == t {
-			if w.touched[i].mark != w.c {
-				w.touched[i].mark = w.c
-				w.touched[i].bump++ // one version bump per (statement, table)
+	touched := w.touched.all()
+	for i := range touched {
+		if touched[i].t == t {
+			if touched[i].mark != w.c {
+				touched[i].mark = w.c
+				touched[i].bump++ // one version bump per (statement, table)
 			}
 			return w.c
 		}
 	}
-	w.touched = append(w.touched, touchedTable{t: t, mark: w.c, bump: 1})
+	w.touched.add(touchedTable{t: t, mark: w.c, bump: 1})
 	return w.c
 }
 
@@ -504,22 +473,23 @@ func (w *writeCtx) nextStmt() { w.c = 0 }
 // stamped must become visible and the caches keyed on TableVersion
 // must invalidate.
 func (w *writeCtx) publish() {
-	for _, tt := range w.touched {
+	for _, tt := range w.touched.all() {
 		tt.t.watermark.Store(tt.mark)
 		tt.t.vers.Add(tt.bump)
 	}
 }
 
-// writeOne runs fn with the named table latched and publishes at the
-// end. ChangeSeq advances only when the statement succeeded and
-// actually mutated (drew a commit number) — the historical contract.
-func (db *DB) writeOne(table string, env *evalEnv, fn func(*Table, *writeCtx) (*Result, error)) (*Result, error) {
+// writeOne runs one INSERT, UPDATE or DELETE with the named table
+// latched and publishes at the end. ChangeSeq advances only when the
+// statement succeeded and actually mutated (drew a commit number) — the
+// historical contract.
+func (db *DB) writeOne(table string, st Statement, env *evalEnv, tx *undoLog) (*Result, error) {
 	t, err := db.lockTable(table)
 	if err != nil {
 		return nil, err
 	}
-	w := &writeCtx{db: db}
-	res, err := fn(t, w)
+	w := writeCtx{db: db}
+	res, err := db.execDML(t, st, env, tx, &w)
 	if err == nil && w.c != 0 {
 		db.changeSeq.Add(1)
 	}
@@ -527,6 +497,20 @@ func (db *DB) writeOne(table string, env *evalEnv, fn func(*Table, *writeCtx) (*
 	t.maybeGCLocked(db)
 	t.latch.Unlock()
 	return res, err
+}
+
+// execDML runs one INSERT, UPDATE or DELETE against t, which the caller
+// holds latched.
+func (db *DB) execDML(t *Table, st Statement, env *evalEnv, tx *undoLog, w *writeCtx) (*Result, error) {
+	switch st := st.(type) {
+	case *InsertStmt:
+		return db.execInsert(t, st, env, tx, w)
+	case *UpdateStmt:
+		return db.execUpdate(t, st, env, tx, w)
+	case *DeleteStmt:
+		return db.execDelete(t, st, env, tx, w)
+	}
+	return nil, fmt.Errorf("sqlmini: unsupported statement %T", st)
 }
 
 func (db *DB) execCreate(st *CreateTableStmt) (*Result, error) {
@@ -748,13 +732,13 @@ func (db *DB) execInsert(t *Table, st *InsertStmt, env *evalEnv, tx *undoLog, w 
 			cols[i] = c.Name
 		}
 	}
-	colPos := make([]int, len(cols))
-	for i, c := range cols {
+	colPos := make([]int, 0, 16) // on the stack for up to 16 columns
+	for _, c := range cols {
 		idx, ok := t.columnIndex(c)
 		if !ok {
 			return nil, fmt.Errorf("%w: %q in table %q", ErrNoSuchColumn, c, st.Table)
 		}
-		colPos[i] = idx
+		colPos = append(colPos, idx)
 	}
 	inserted := 0
 	for _, exprRow := range st.Rows {
@@ -1101,13 +1085,13 @@ func (db *DB) writerCandidates(t *Table, where Expr, env *evalEnv) ([]*Row, *ind
 }
 
 func (db *DB) execUpdate(t *Table, st *UpdateStmt, env *evalEnv, tx *undoLog, w *writeCtx) (*Result, error) {
-	setPos := make([]int, len(st.Set))
-	for i, a := range st.Set {
+	setPos := make([]int, 0, 16) // on the stack for up to 16 SET columns
+	for _, a := range st.Set {
 		idx, ok := t.columnIndex(a.Col)
 		if !ok {
 			return nil, fmt.Errorf("%w: %q in table %q", ErrNoSuchColumn, a.Col, st.Table)
 		}
-		setPos[i] = idx
+		setPos = append(setPos, idx)
 	}
 	affected := 0
 	source, p := db.writerCandidates(t, st.Where, env)

@@ -6,12 +6,19 @@ import (
 	"time"
 )
 
-// evalEnv carries per-statement evaluation context: the clock, and
-// parameter bindings.
+// evalEnv carries per-statement evaluation context: the clock,
+// parameter bindings and the planner's scratch. Statements keep it on
+// the stack, so nothing in it allocates for the usual statement.
 type evalEnv struct {
-	clock      func() time.Time
-	named      map[string]Value
-	positional []Value
+	clock func() time.Time
+
+	// Bound parameters (bindParams): by slot for an Args map (named),
+	// by position otherwise. Up to len(inline) of them live in the env
+	// itself, more in one slice.
+	named  bool
+	nargs  int
+	inline [8]Value
+	more   []Value
 
 	// nowT memoizes the first clock reading (nowSet flags it, so even a
 	// clock sitting at the zero time memoizes) so now() is stable within
@@ -25,6 +32,77 @@ type evalEnv struct {
 	// (prepared.go): planRows binds it instead of re-running planIndex,
 	// provided it still matches the live table and schemaSeq.
 	prep *stmtPlan
+
+	// plan is the statement's index plan, filled by planRows.
+	plan indexPlan
+}
+
+// typeUnbound tags the value of a parameter slot no argument filled. It
+// never leaves the slot array: param reports the slot unbound instead.
+const typeUnbound Type = -1
+
+// bindParams fills env's parameters from args, the one binder of every
+// execution path. A single Args map binds by name: each key, lower-cased,
+// fills the slot Parse gave that name in slots, and a key naming no
+// parameter is dropped. Anything else binds positionally. Every
+// argument is converted, used or not, so an unconvertible value is an
+// error wherever it sits.
+func (env *evalEnv) bindParams(slots map[string]int, args []any) error {
+	if len(args) == 1 {
+		if m, ok := args[0].(Args); ok {
+			env.named = true
+			vals := env.sizeArgs(len(slots))
+			for i := range vals {
+				vals[i] = Value{typ: typeUnbound}
+			}
+			for k, v := range m {
+				val, err := FromGo(v)
+				if err != nil {
+					return fmt.Errorf("parameter $%s: %w", k, err)
+				}
+				if i, ok := slots[strings.ToLower(k)]; ok {
+					vals[i] = val
+				}
+			}
+			return nil
+		}
+	}
+	vals := env.sizeArgs(len(args))
+	for i, a := range args {
+		v, err := FromGo(a)
+		if err != nil {
+			return fmt.Errorf("parameter %d: %w", i+1, err)
+		}
+		vals[i] = v
+	}
+	return nil
+}
+
+// sizeArgs makes room for n parameters and returns them.
+func (env *evalEnv) sizeArgs(n int) []Value {
+	env.nargs = n
+	if n > len(env.inline) {
+		env.more = make([]Value, n)
+	}
+	return env.args()
+}
+
+func (env *evalEnv) args() []Value {
+	if env.more != nil {
+		return env.more
+	}
+	return env.inline[:env.nargs]
+}
+
+// param returns p's bound value; ok is false when the binding left p
+// unset (a name the Args map lacks, a position past the arguments, or
+// a parameter of the other kind).
+func (env *evalEnv) param(p *ParamExpr) (v Value, ok bool) {
+	args := env.args()
+	if (p.Name != "") != env.named || p.Index >= len(args) || args[p.Index].typ == typeUnbound {
+		return Null, false
+	}
+	return args[p.Index], true
 }
 
 // now returns the statement-stable clock reading.
@@ -55,17 +133,13 @@ func (env *evalEnv) eval(e Expr, t *Table, vals []Value) (Value, error) {
 		}
 		return vals[i], nil
 	case *ParamExpr:
-		if e.Name != "" {
-			v, ok := env.named[e.Name]
-			if !ok {
-				return Null, fmt.Errorf("%w: $%s", ErrMissingParam, e.Name)
-			}
+		if v, ok := env.param(e); ok {
 			return v, nil
 		}
-		if e.Index >= len(env.positional) {
-			return Null, fmt.Errorf("%w: positional #%d", ErrMissingParam, e.Index+1)
+		if e.Name != "" {
+			return Null, fmt.Errorf("%w: $%s", ErrMissingParam, e.Name)
 		}
-		return env.positional[e.Index], nil
+		return Null, fmt.Errorf("%w: positional #%d", ErrMissingParam, e.Index+1)
 	case *UnaryExpr:
 		v, err := env.eval(e.E, t, vals)
 		if err != nil {

@@ -105,6 +105,16 @@ func tupleKey(key []Value) string {
 	return sb.String()
 }
 
+// appendTupleKey appends tupleKey(key) to b. An integer key, the PK of
+// every lease statement, formats in place, so a probe built on a stack
+// buffer allocates nothing.
+func appendTupleKey(b []byte, key []Value) []byte {
+	if len(key) == 1 && intType(key[0].typ) {
+		return strconv.AppendInt(b, int64(key[0].n), 10)
+	}
+	return append(b, tupleKey(key)...)
+}
+
 // tupleOf appends vals projected through cols to dst; ok=false when a
 // component is NULL (NULL tuples are not indexed — no equality or range
 // predicate matches them). Callers that only probe pass a stack buffer.
@@ -188,6 +198,23 @@ func (b *rowBucket) add(r *Row, fresh bool) {
 	b.hdr.Store(&rows)
 }
 
+// oneRow is the array and header of a one-row bucket, for embedding in
+// whatever owns the bucket so the first row costs no allocation of its
+// own (skipList groups).
+type oneRow struct {
+	row [1]*Row
+	hdr []*Row
+}
+
+// first publishes r as the bucket's only row, held in o. The bucket
+// must be empty. A second row moves the bucket to an array of its own,
+// as any full one does (add).
+func (b *rowBucket) first(o *oneRow, r *Row) {
+	o.row[0] = r
+	o.hdr = o.row[:]
+	b.hdr.Store(&o.hdr)
+}
+
 // remove drops r and reports whether the bucket held nothing else, in
 // which case it is left as it was for the caller to unlink whole.
 // Caller holds the latch.
@@ -218,7 +245,8 @@ func newHashIndex(cols []int) *hashIndex { return &hashIndex{cols: cols} }
 
 // lookup returns the bucket for key; the slice is immutable.
 func (h *hashIndex) lookup(key []Value) []*Row {
-	v, ok := h.m.Load(tupleKey(key))
+	var buf [32]byte
+	v, ok := h.m.Load(string(appendTupleKey(buf[:0], key)))
 	if !ok {
 		return nil
 	}

@@ -6,32 +6,47 @@ import (
 	"strings"
 )
 
-// Parse parses a single SQL statement.
+// Parse parses a single SQL statement. Each positional ? parameter gets
+// its position and each distinct $name a slot, both in ParamExpr.Index.
 func Parse(src string) (Statement, error) {
+	ps, err := parse(src)
+	return ps.st, err
+}
+
+// parsed is one statement with its named-parameter slots: the binder
+// (evalEnv.bindParams) files each argument of an Args map under the
+// slot of its lower-cased key.
+type parsed struct {
+	st    Statement
+	slots map[string]int // $name → ParamExpr.Index
+}
+
+func parse(src string) (parsed, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return parsed{}, err
 	}
 	p := &parser{src: src, toks: toks}
 	st, err := p.parseStatement()
 	if err != nil {
-		return nil, err
+		return parsed{}, err
 	}
 	// Optional trailing semicolon.
 	if p.peek().kind == tokSymbol && p.peek().text == ";" {
 		p.next()
 	}
 	if p.peek().kind != tokEOF {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().raw)
+		return parsed{}, p.errorf("unexpected trailing input %q", p.peek().raw)
 	}
-	return st, nil
+	return parsed{st: st, slots: p.slots}, nil
 }
 
 type parser struct {
 	src     string
 	toks    []token
 	pos     int
-	nParams int // running count of positional ? parameters
+	nParams int            // running count of positional ? parameters
+	slots   map[string]int // named parameters by slot, numbered in order of first appearance
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -769,7 +784,16 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &LiteralExpr{Val: NewString(t.text)}, nil
 	case tokParam:
 		p.next()
-		return &ParamExpr{Name: strings.ToLower(t.text)}, nil
+		name := strings.ToLower(t.text)
+		slot, ok := p.slots[name]
+		if !ok {
+			if p.slots == nil {
+				p.slots = make(map[string]int)
+			}
+			slot = len(p.slots)
+			p.slots[name] = slot
+		}
+		return &ParamExpr{Name: name, Index: slot}, nil
 	case tokQMark:
 		p.next()
 		e := &ParamExpr{Index: p.nParams}

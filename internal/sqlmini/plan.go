@@ -96,7 +96,7 @@ type indexPlan struct {
 	// partial), lo/hi bound the column after the prefix, NULL meaning
 	// unbounded. loOp/hiOp record the original operators (">"/">=",
 	// "<"/"<="); the skiplist honors strictness exactly.
-	prefix     []Value
+	prefix     inlineBuf[Value]
 	rng        bool
 	lo, hi     Value
 	loOp, hiOp string
@@ -105,7 +105,7 @@ type indexPlan struct {
 	// verifies candidates against checks instead of re-evaluating the
 	// WHERE (residual-free).
 	exact  bool
-	checks []planCheck
+	checks inlineBuf[planCheck]
 
 	// dedup: the candidate gather may yield one row twice (ordered
 	// multi-group windows); execution must deduplicate by row identity.
@@ -118,7 +118,7 @@ type indexPlan struct {
 // here; a failed Compare (impossible by construction) rejects, which is
 // always safe.
 func (p *indexPlan) verify(vals []Value) bool {
-	for _, ck := range p.checks {
+	for _, ck := range p.checks.all() {
 		v := vals[ck.col]
 		if v.IsNull() {
 			return false
@@ -260,48 +260,22 @@ func planAnalyze(db *DB, t *Table, where Expr) *stmtPlan {
 	return sp
 }
 
-// bindState carries one bind's evaluated keys so each expression is
-// evaluated at most once (now() memoization already guarantees
-// stability; this guards eval cost and keeps consumption bookkeeping
-// simple).
-type bindState struct {
-	sp       *stmtPlan
-	env      *evalEnv
-	consumed []bool // by conjunct index
-}
-
-func (b *bindState) reset() {
-	for i := range b.consumed {
-		b.consumed[i] = false
-	}
-}
-
-func (b *bindState) allConsumed() bool {
-	for _, c := range b.consumed {
-		if !c {
-			return false
-		}
-	}
-	return true
-}
-
-// bindErr distinguishes "fall back to scan" from "provably empty".
-type bindEmpty struct{ col int }
-
-// bind evaluates the skeleton against one call's parameters,
-// reproducing the historical value-dependent decisions exactly: NULL
-// keys prove emptiness, lossy hash keys fall through to the next
-// candidate, a PK hit wins outright, equality candidates beat the pure
-// range, and any evaluation problem falls back to the scan (nil plan).
-// Among equality candidates, higher conjunct consumption wins; ties
-// keep first-seen order.
+// bind evaluates the skeleton against one call's parameters into the
+// env's plan, reproducing the historical value-dependent decisions
+// exactly: NULL keys prove emptiness, lossy hash keys fall through to
+// the next candidate, a PK hit wins outright, equality candidates beat
+// the pure range, and any evaluation problem falls back to the scan
+// (nil plan). Among equality candidates, higher conjunct consumption
+// wins; ties keep first-seen order. Plans are values, so binding
+// allocates nothing for short keys.
 func (sp *stmtPlan) bind(env *evalEnv) *indexPlan {
 	if sp.scan || !paramsBound(env, sp.params) {
 		return nil
 	}
-	bs := &bindState{sp: sp, env: env, consumed: make([]bool, sp.nConj)}
-	var best *indexPlan
-	bestScore := 0
+	best := &env.plan
+	found, bestScore := false, 0
+	consumed := newBitSet(sp.nConj)
+	var cur indexPlan // the candidate being bound
 	for i := range sp.eq {
 		cand := &sp.eq[i]
 		kv, err := env.eval(cand.key, nil, nil)
@@ -311,7 +285,8 @@ func (sp *stmtPlan) bind(env *evalEnv) *indexPlan {
 		if kv.IsNull() {
 			// col = NULL is never true: the whole conjunction is
 			// unsatisfiable, no matter which index we would have used.
-			return &indexPlan{col: cand.col, pk: cand.pk, empty: true, emptyCol: cand.col}
+			*best = indexPlan{col: cand.col, pk: cand.pk, empty: true, emptyCol: cand.col}
+			return best
 		}
 		colType := sp.t.Cols[cand.col].Type
 		if cand.pk {
@@ -319,24 +294,23 @@ func (sp *stmtPlan) bind(env *evalEnv) *indexPlan {
 			if !ok {
 				continue // lossy key (id = 1.5): another conjunct may still do
 			}
-			p := &indexPlan{col: cand.col, pk: true, key: ck}
-			bs.reset()
-			bs.consumed[cand.conj] = true
-			finishPlan(p, bs, []planCheck{{col: cand.col, op: "=", val: ck}})
-			return p
+			*best = indexPlan{col: cand.col, pk: true, key: ck}
+			best.checks.add(planCheck{col: cand.col, op: "=", val: ck})
+			consumed.clear()
+			consumed.add(cand.conj)
+			sp.finish(best, &consumed)
+			return best
 		}
 		for _, ix := range cand.ixs {
-			var p *indexPlan
-			var checks []planCheck
-			bs.reset()
-			bs.consumed[cand.conj] = true
+			consumed.clear()
+			consumed.add(cand.conj)
 			if ix.kind == IndexHash {
 				ck, ok := indexLookupKey(colType, kv)
 				if !ok {
 					continue
 				}
-				p = &indexPlan{col: cand.col, ix: ix, key: ck}
-				checks = []planCheck{{col: cand.col, op: "=", val: ck}}
+				cur = indexPlan{col: cand.col, ix: ix, key: ck}
+				cur.checks.add(planCheck{col: cand.col, op: "=", val: ck})
 			} else {
 				// Ordered groups probe by comparison, not hashing, so the
 				// key only needs to compare consistently with the column's
@@ -344,119 +318,104 @@ func (sp *stmtPlan) bind(env *evalEnv) *indexPlan {
 				if !orderedProbeOK(colType, kv) {
 					continue
 				}
-				var emp *bindEmpty
-				p, checks, emp = sp.bindOrdered(env, ix, kv, cand.col, bs)
-				if emp != nil {
-					return &indexPlan{col: cand.col, ix: ix, empty: true, emptyCol: emp.col}
+				cur = indexPlan{col: cand.col, ix: ix, dedup: true}
+				emptyCol, ok := sp.bindOrdered(env, &cur, kv, &consumed)
+				if emptyCol >= 0 {
+					*best = indexPlan{col: cand.col, ix: ix, empty: true, emptyCol: emptyCol}
+					return best
 				}
-				if p == nil {
+				if !ok {
 					return nil // eval failure: fail safe to scan
 				}
 			}
-			score := 0
-			for _, c := range bs.consumed {
-				if c {
-					score++
-				}
-			}
-			if best == nil || score > bestScore {
-				finishPlan(p, bs, checks)
-				best, bestScore = p, score
+			if score := consumed.count(); !found || score > bestScore {
+				sp.finish(&cur, &consumed)
+				*best, found, bestScore = cur, true, score
 			}
 		}
 	}
-	if best != nil {
+	if found {
 		return best
 	}
-	if sp.rngCol < 0 {
-		return nil
+	if sp.rngCol < 0 || sp.rngIx.cols[0] != sp.rngCol {
+		return nil // the second: unreachable, the claim requires leadership
 	}
 	// Pure range: bounds on the claimed ordered column, no prefix.
-	bs.reset()
-	plan := &indexPlan{col: sp.rngCol, ix: sp.rngIx, rng: true}
-	var checks []planCheck
-	boundCol := sp.rngCol
-	if sp.rngIx.cols[0] != sp.rngCol {
-		return nil // unreachable: the claim requires leadership
+	consumed.clear()
+	*best = indexPlan{col: sp.rngCol, ix: sp.rngIx, rng: true}
+	emptyCol, ok := sp.bindBounds(env, best, sp.rngCol, &consumed)
+	if emptyCol >= 0 {
+		*best = indexPlan{col: sp.rngCol, ix: sp.rngIx, empty: true, emptyCol: emptyCol}
+		return best
 	}
-	emp, ok := sp.bindBounds(env, plan, boundCol, bs, &checks)
-	if emp != nil {
-		return &indexPlan{col: sp.rngCol, ix: sp.rngIx, empty: true, emptyCol: emp.col}
+	if !ok || best.loOp == "" && best.hiOp == "" {
+		return nil // evaluation failure, or no usable bound: scan
 	}
-	if !ok {
-		return nil
-	}
-	if plan.loOp == "" && plan.hiOp == "" {
-		return nil // no usable bound: scan
-	}
-	finishPlan(plan, bs, checks)
-	plan.dedup = true
-	return plan
+	sp.finish(best, &consumed)
+	best.dedup = true
+	return best
 }
 
-// bindOrdered builds an ordered-index access for one candidate:
-// equality prefix along the column list, then optional bounds on the
-// next column. Returns (nil, nil, nil) on an evaluation failure (scan)
-// and a bindEmpty when a NULL key/bound proves emptiness.
-func (sp *stmtPlan) bindOrdered(env *evalEnv, ix *secondaryIndex, kv Value, col int, bs *bindState) (*indexPlan, []planCheck, *bindEmpty) {
-	p := &indexPlan{col: col, ix: ix, prefix: []Value{kv}, dedup: true}
-	checks := []planCheck{{col: col, op: "=", val: kv}}
-	for k := 1; k < len(ix.cols); k++ {
-		ci := ix.cols[k]
+// bindOrdered completes p, an ordered-index access for one candidate:
+// equality prefix along the column list from kv, then optional bounds
+// on the next column. It reports a column whose NULL key or bound
+// proves the result empty (-1: none), and ok=false on an evaluation
+// failure (scan).
+func (sp *stmtPlan) bindOrdered(env *evalEnv, p *indexPlan, kv Value, consumed *bitSet) (emptyCol int, ok bool) {
+	p.prefix.add(kv)
+	p.checks.add(planCheck{col: p.col, op: "=", val: kv})
+	for k := 1; k < len(p.ix.cols); k++ {
+		ci := p.ix.cols[k]
 		ref, ok := sp.eqBy[ci]
 		if !ok {
 			break
 		}
 		v, err := env.eval(ref.key, nil, nil)
 		if err != nil {
-			return nil, nil, nil
+			return -1, false
 		}
 		if v.IsNull() {
-			return nil, nil, &bindEmpty{col: ci}
+			return ci, true
 		}
 		if !orderedProbeOK(sp.t.Cols[ci].Type, v) {
 			break // seek on the shorter prefix; the conjunct stays residual
 		}
-		p.prefix = append(p.prefix, v)
-		bs.consumed[ref.conj] = true
-		checks = append(checks, planCheck{col: ci, op: "=", val: v})
+		p.prefix.add(v)
+		consumed.add(ref.conj)
+		p.checks.add(planCheck{col: ci, op: "=", val: v})
 	}
-	if len(p.prefix) < len(ix.cols) {
-		nc := ix.cols[len(p.prefix)]
-		emp, ok := sp.bindBounds(env, p, nc, bs, &checks)
-		if emp != nil {
-			return nil, nil, emp
-		}
-		if !ok {
-			return nil, nil, nil
+	if n := p.prefix.len(); n < len(p.ix.cols) {
+		if emptyCol, ok := sp.bindBounds(env, p, p.ix.cols[n], consumed); emptyCol >= 0 || !ok {
+			return emptyCol, ok
 		}
 		if p.loOp != "" || p.hiOp != "" {
 			p.rng = true
 		}
 	}
-	return p, checks, nil
+	return -1, true
 }
 
 // bindBounds fills p.lo/hi from the skeleton's bounds on boundCol,
 // one per side in evaluation order, marking consumed conjuncts (a
-// BETWEEN counts as consumed only when both its bounds were used).
-// ok=false means an evaluation failure (fall back to scan).
-func (sp *stmtPlan) bindBounds(env *evalEnv, p *indexPlan, boundCol int, bs *bindState, checks *[]planCheck) (*bindEmpty, bool) {
+// BETWEEN counts as consumed only when both its bounds were used). It
+// reports boundCol when a NULL bound proves the result empty (-1: not),
+// and ok=false on an evaluation failure (fall back to scan).
+func (sp *stmtPlan) bindBounds(env *evalEnv, p *indexPlan, boundCol int, consumed *bitSet) (emptyCol int, ok bool) {
 	colType := sp.t.Cols[boundCol].Type
 	bounds := sp.rngBy[boundCol]
-	used := make([]bool, len(bounds))
+	used := newBitSet(len(bounds))
 	for i, b := range bounds {
 		if (b.hi && p.hiOp != "") || (!b.hi && p.loOp != "") {
 			continue // one bound per side; later conjuncts stay residual
 		}
 		v, err := env.eval(b.expr, nil, nil)
 		if err != nil {
-			return nil, false
+			return -1, false
 		}
 		if v.IsNull() {
 			// A NULL bound proves the conjunction unsatisfiable, exactly
 			// like col = NULL.
-			return &bindEmpty{col: boundCol}, true
+			return boundCol, true
 		}
 		if !orderedProbeOK(colType, v) {
 			continue // bound not used for seeking; the residual applies it
@@ -466,37 +425,34 @@ func (sp *stmtPlan) bindBounds(env *evalEnv, p *indexPlan, boundCol int, bs *bin
 		} else {
 			p.lo, p.loOp = v, b.op
 		}
-		used[i] = true
-		*checks = append(*checks, planCheck{col: boundCol, op: b.op, val: v})
+		used.add(i)
+		p.checks.add(planCheck{col: boundCol, op: b.op, val: v})
 	}
 	// A conjunct is consumed only if every bound it contributed was used
 	// (BETWEEN contributes two).
 	for i, b := range bounds {
-		if !used[i] {
+		if !used.has(i) {
 			continue
 		}
 		all := true
 		for j, b2 := range bounds {
-			if b2.conj == b.conj && !used[j] {
+			if b2.conj == b.conj && !used.has(j) {
 				all = false
 				break
 			}
 		}
 		if all {
-			bs.consumed[b.conj] = true
+			consumed.add(b.conj)
 		}
 	}
-	return nil, true
+	return -1, true
 }
 
-// finishPlan stamps exactness: when the candidate consumed every
-// conjunct, execution verifies candidates against the checks instead of
+// finish stamps exactness: when the candidate consumed every conjunct,
+// execution verifies candidates against its checks instead of
 // re-evaluating the WHERE.
-func finishPlan(p *indexPlan, bs *bindState, checks []planCheck) {
-	if bs.allConsumed() {
-		p.exact = true
-		p.checks = checks
-	}
+func (sp *stmtPlan) finish(p *indexPlan, consumed *bitSet) {
+	p.exact = consumed.count() == sp.nConj
 }
 
 // planRows resolves the candidate row set for a statement filtered by
@@ -524,10 +480,10 @@ func (db *DB) planRows(t *Table, where Expr, env *evalEnv) ([]*Row, *indexPlan) 
 		return t.pkCandidates(p.key), p
 	case p.ix.kind == IndexHash:
 		return p.ix.hash.lookup([]Value{p.key}), p
-	case !p.rng && len(p.prefix) == len(p.ix.cols):
-		return p.ix.skip.lookupEqual(p.prefix, nil), p
+	case !p.rng && p.prefix.len() == len(p.ix.cols):
+		return p.ix.skip.lookupEqual(p.prefix.all(), nil), p
 	default:
-		return p.ix.skip.rangeRows(p.prefix, p.lo, p.loOp == ">", p.hi, p.hiOp == "<", nil), p
+		return p.ix.skip.rangeRows(p.prefix.all(), p.lo, p.loOp == ">", p.hi, p.hiOp == "<", nil), p
 	}
 }
 
@@ -655,13 +611,7 @@ func orderedProbeOK(colType Type, v Value) bool {
 // paramsBound reports whether every collected parameter is bound in env.
 func paramsBound(env *evalEnv, params []*ParamExpr) bool {
 	for _, p := range params {
-		if p.Name != "" {
-			if _, ok := env.named[p.Name]; !ok {
-				return false
-			}
-			continue
-		}
-		if p.Index >= len(env.positional) {
+		if _, ok := env.param(p); !ok {
 			return false
 		}
 	}
@@ -785,19 +735,18 @@ func indexLookupKey(colType Type, v Value) (Value, bool) {
 // operators) use it to pin hot statements to their intended plans.
 // Explain takes no locks: it reads the published schema.
 func (db *DB) Explain(src string, args ...any) (string, error) {
-	st, err := db.parseCached(src)
+	ps, err := db.parseCached(src)
 	if err != nil {
 		return "", err
 	}
-	named, positional, err := bindArgs(args)
-	if err != nil {
+	env := &evalEnv{clock: db.clock}
+	if err := env.bindParams(ps.slots, args); err != nil {
 		return "", err
 	}
-	env := &evalEnv{clock: db.clock, named: named, positional: positional}
 	var table string
 	var where Expr
 	limitScan := false
-	switch st := st.(type) {
+	switch st := ps.st.(type) {
 	case *SelectStmt:
 		if st.Table == "" {
 			return "constant select", nil
@@ -835,7 +784,7 @@ func (db *DB) Explain(src string, args ...any) (string, error) {
 		return fmt.Sprintf("point lookup on %s(%s) [primary key]", table, col), nil
 	case composite:
 		cols := strings.Join(p.ix.colNames(t), ", ")
-		if p.rng || len(p.prefix) < len(p.ix.cols) {
+		if p.rng || p.prefix.len() < len(p.ix.cols) {
 			return fmt.Sprintf("range scan on %s(%s) [%s] (%s)%s",
 				table, cols, p.ix.name, p.compositeDesc(t), suffix), nil
 		}
@@ -865,11 +814,11 @@ func (p *indexPlan) boundsDesc(col string) string {
 // bounds, e.g. "driver_id = 7 AND expires_at > 2026-07-30T12:00:00Z".
 func (p *indexPlan) compositeDesc(t *Table) string {
 	var parts []string
-	for i, v := range p.prefix {
+	for i, v := range p.prefix.all() {
 		parts = append(parts, fmt.Sprintf("%s = %s", t.Cols[p.ix.cols[i]].Name, v.Str()))
 	}
-	if len(p.prefix) < len(p.ix.cols) {
-		bc := t.Cols[p.ix.cols[len(p.prefix)]].Name
+	if n := p.prefix.len(); n < len(p.ix.cols) {
+		bc := t.Cols[p.ix.cols[n]].Name
 		if p.loOp != "" {
 			parts = append(parts, fmt.Sprintf("%s %s %s", bc, p.loOp, p.lo.Str()))
 		}

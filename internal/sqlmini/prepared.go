@@ -22,7 +22,7 @@ import (
 type Prepared struct {
 	db  *DB
 	src string
-	st  Statement
+	parsed
 
 	// plan caches the skeleton for plannable statements; nil until the
 	// first execution and replaced wholesale when schemaSeq moves.
@@ -33,15 +33,15 @@ type Prepared struct {
 // control (BEGIN/COMMIT/ROLLBACK) is session state and cannot be
 // prepared; everything else can.
 func (db *DB) Prepare(src string) (*Prepared, error) {
-	st, err := db.parseCached(src)
+	ps, err := db.parseCached(src)
 	if err != nil {
 		return nil, err
 	}
-	switch st.(type) {
+	switch ps.st.(type) {
 	case *BeginStmt, *CommitStmt, *RollbackStmt:
 		return nil, fmt.Errorf("sqlmini: cannot prepare transaction control %q", src)
 	}
-	return &Prepared{db: db, src: src, st: st}, nil
+	return &Prepared{db: db, src: src, parsed: ps}, nil
 }
 
 // SQL returns the statement text the handle was prepared from.
@@ -85,11 +85,10 @@ func (s *Session) ExecPrepared(p *Prepared, args ...any) (*Result, error) {
 }
 
 func (p *Prepared) exec(tx *undoLog, args ...any) (*Result, error) {
-	named, positional, err := bindArgs(args)
-	if err != nil {
+	env := &evalEnv{clock: p.db.clock}
+	if err := env.bindParams(p.slots, args); err != nil {
 		return nil, err
 	}
-	env := &evalEnv{clock: p.db.clock, named: named, positional: positional}
 	db := p.db
 	if table, where, ok := p.planTarget(); ok {
 		if t, err := db.lookupTable(table); err == nil {

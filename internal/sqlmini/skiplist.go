@@ -1,9 +1,6 @@
 package sqlmini
 
-import (
-	"slices"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // skipList is the ordered-index backing structure: nodes are key
 // groups (all rows whose indexed tuple compares equal), sorted by
@@ -154,8 +151,8 @@ func (sl *skipList) insert(key []Value, r *Row, fresh bool) *skipNode {
 		return n
 	}
 	lvl := sl.randLevel()
-	n := &skipNode{key: slices.Clone(key), links: make([]skipLink, lvl), owner: sl}
-	n.rows.add(r, true)
+	n := newGroup(key, lvl, r)
+	n.owner = sl
 	for i := 0; i < lvl; i++ {
 		succ := update[i].next(i)
 		n.links[i].next.Store(succ)
@@ -168,6 +165,47 @@ func (sl *skipList) insert(key []Value, r *Row, fresh bool) *skipNode {
 		update[i].links[i].next.Store(n)
 	}
 	sl.size++
+	return n
+}
+
+// group is a skiplist node allocated together with its key copy, its
+// links and the bucket of its first row.
+type group[K, L any] struct {
+	node   skipNode
+	key    K
+	links  L
+	bucket oneRow
+}
+
+// newGroup builds an unlinked node holding a copy of key and r alone,
+// with lvl links. A one- or two-column key at level one or two — every
+// index this repository declares, and fifteen groups in sixteen — is
+// one allocation; any other shape allocates its key and links apart.
+func newGroup(key []Value, lvl int, r *Row) *skipNode {
+	var n *skipNode
+	var k []Value
+	var links []skipLink
+	var b *oneRow
+	switch {
+	case len(key) == 1 && lvl == 1:
+		g := new(group[[1]Value, [1]skipLink])
+		n, k, links, b = &g.node, g.key[:], g.links[:], &g.bucket
+	case len(key) == 1 && lvl == 2:
+		g := new(group[[1]Value, [2]skipLink])
+		n, k, links, b = &g.node, g.key[:], g.links[:], &g.bucket
+	case len(key) == 2 && lvl == 1:
+		g := new(group[[2]Value, [1]skipLink])
+		n, k, links, b = &g.node, g.key[:], g.links[:], &g.bucket
+	case len(key) == 2 && lvl == 2:
+		g := new(group[[2]Value, [2]skipLink])
+		n, k, links, b = &g.node, g.key[:], g.links[:], &g.bucket
+	default:
+		g := new(group[struct{}, struct{}])
+		n, k, links, b = &g.node, make([]Value, len(key)), make([]skipLink, lvl), &g.bucket
+	}
+	copy(k, key)
+	n.key, n.links = k, links
+	n.rows.first(b, r)
 	return n
 }
 

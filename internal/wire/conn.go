@@ -27,8 +27,14 @@ type Conn struct {
 	whead []byte // [lead frame +] frame header + payload head
 	wvec  [2][]byte
 	wbuf  net.Buffers
+	whdr  [headerLen]byte // Send's frame header; guarded by wmu
 
-	body io.LimitedReader // RecvBody's view of the current payload
+	// Reader-side scratch, owned by the single reader goroutine: the
+	// frame header, the payload buffer Recv reuses, and RecvBody's view
+	// of the current payload.
+	rhdr [headerLen]byte
+	rbuf []byte
+	body io.LimitedReader
 }
 
 // connBufSize sizes the per-connection bufio buffers. Frames larger
@@ -87,7 +93,7 @@ func (c *Conn) Send(typ uint16, payload []byte) error {
 	if err := c.armWrite(); err != nil {
 		return err
 	}
-	if err := WriteFrame(c.bw, Frame{Type: typ, Payload: payload}); err != nil {
+	if err := writeFrame(c.bw, &c.whdr, Frame{Type: typ, Payload: payload}); err != nil {
 		return err
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -145,9 +151,34 @@ func (c *Conn) sendBody(lead *Frame, typ uint16, head, body []byte) error {
 	return nil
 }
 
-// Recv reads one frame.
+// Recv reads one frame. Its payload is valid only until the next
+// receive on this Conn: a payload of up to connBufSize bytes lands in a
+// buffer the Conn reuses, grown on demand, so a caller copies out what
+// it keeps. Every decoder the repository runs on a received payload
+// does — Decoder.String and Bytes32 copy, and no Bytes32View of one
+// reaches a value that outlives the frame. ReadFrame, which allocates
+// each payload afresh, is for callers that keep frames.
 func (c *Conn) Recv() (Frame, error) {
-	return ReadFrame(c.br)
+	typ, n, err := readHeader(c.br, &c.rhdr)
+	if err != nil {
+		return Frame{}, err
+	}
+	f := Frame{Type: typ}
+	switch {
+	case n == 0:
+		return f, nil
+	case n > connBufSize:
+		f.Payload = make([]byte, n)
+	default:
+		if cap(c.rbuf) < n {
+			c.rbuf = make([]byte, min(max(n, 2*cap(c.rbuf)), connBufSize))
+		}
+		f.Payload = c.rbuf[:n:n]
+	}
+	if _, err := io.ReadFull(c.br, f.Payload); err != nil {
+		return Frame{}, fmt.Errorf("wire: read payload: %w", err)
+	}
+	return f, nil
 }
 
 // armRead bounds the reads that follow by d (zero: unbounded);
@@ -194,7 +225,7 @@ func (c *Conn) RecvBody(d time.Duration, fn func(typ uint16, size int, body io.R
 		return err
 	}
 	defer c.disarmRead(d)
-	typ, size, err := readHeader(c.br)
+	typ, size, err := readHeader(c.br, &c.rhdr)
 	if err != nil {
 		return err
 	}

@@ -65,10 +65,16 @@ func appendHeader(b []byte, typ uint16, n int) []byte {
 // WriteFrame writes one frame to w. It is not safe for concurrent use on
 // the same writer; callers serialize with their own mutex.
 func WriteFrame(w io.Writer, f Frame) error {
+	var hdr [headerLen]byte
+	return writeFrame(w, &hdr, f)
+}
+
+// writeFrame is WriteFrame with the header built in hdr, which a Conn
+// keeps so that its sends allocate nothing.
+func writeFrame(w io.Writer, hdr *[headerLen]byte, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.Payload))
 	}
-	var hdr [headerLen]byte
 	if _, err := w.Write(appendHeader(hdr[:0], f.Type, len(f.Payload))); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
 	}
@@ -81,10 +87,12 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return nil
 }
 
-// ReadFrame reads one frame from r. io.EOF is returned unwrapped when the
-// connection closes cleanly between frames.
+// ReadFrame reads one frame from r into a payload of its own, which the
+// caller may keep. io.EOF is returned unwrapped when the connection
+// closes cleanly between frames.
 func ReadFrame(r io.Reader) (Frame, error) {
-	typ, n, err := readHeader(r)
+	var hdr [headerLen]byte
+	typ, n, err := readHeader(r, &hdr)
 	if err != nil {
 		return Frame{}, err
 	}
@@ -98,10 +106,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, nil
 }
 
-// readHeader reads and validates one frame header: the frame type and
-// the length of the payload that follows on r.
-func readHeader(r io.Reader) (typ uint16, n int, err error) {
-	var hdr [headerLen]byte
+// readHeader reads and validates one frame header into hdr: the frame
+// type and the length of the payload that follows on r.
+func readHeader(r io.Reader, hdr *[headerLen]byte) (typ uint16, n int, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return 0, 0, io.EOF
