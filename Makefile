@@ -74,6 +74,8 @@ fuzz-smoke:
 	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzValueCompare -fuzztime=$(FUZZ_TIME)
 	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzSkipList -fuzztime=$(FUZZ_TIME)
 	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzParamBinding -fuzztime=$(FUZZ_TIME)
+	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzHashIndex -fuzztime=$(FUZZ_TIME)
+	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzLike -fuzztime=$(FUZZ_TIME)
 	go test ./internal/core -run '^$$' -fuzz=FuzzFileSink -fuzztime=$(FUZZ_TIME)
 
 tier1:

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"time"
 
@@ -209,13 +210,32 @@ type pendingTransfer struct {
 func (s *Server) stageTransfer(leaseID uint64, blob []byte, expiresAt time.Time) {
 	s.pendingMu.Lock()
 	s.pending[leaseID] = pendingTransfer{blob: blob, expiresAt: expiresAt}
+	s.pendingPeak = max(s.pendingPeak, len(s.pending))
 	s.pendingMu.Unlock()
 }
 
 func (s *Server) dropPending(leaseID uint64) {
 	s.pendingMu.Lock()
 	delete(s.pending, leaseID)
+	s.shrinkPendingLocked()
 	s.pendingMu.Unlock()
+}
+
+// shrinkPendingLocked rebuilds the pending map once it holds under a
+// quarter of its peak: a Go map keeps the buckets of its largest size,
+// so after a fleet-wide upgrade every client has acknowledged, the
+// emptied map would go on holding the whole fleet's worth. The rebuild
+// copies what is left, so its cost is paid for by the deletes that came
+// before it. A map that never held 64 entries is left alone: its
+// buckets are not worth an allocation per handful of transfers. Caller
+// holds pendingMu.
+func (s *Server) shrinkPendingLocked() {
+	if s.pendingPeak < 64 || len(s.pending) >= s.pendingPeak/4 {
+		return
+	}
+	m := make(map[uint64]pendingTransfer, len(s.pending))
+	maps.Copy(m, s.pending)
+	s.pending, s.pendingPeak = m, len(m)
 }
 
 // newLeaseSQL is the lease-creation write: a single statement, so the
@@ -373,6 +393,7 @@ func (s *Server) ReapExpiredLeases() (int, error) {
 			delete(s.pending, id)
 		}
 	}
+	s.shrinkPendingLocked()
 	s.pendingMu.Unlock()
 	return rs[0].Affected, nil
 }

@@ -81,8 +81,9 @@ type Server struct {
 	nextDrvID  int64
 	idsLoaded  bool
 
-	pendingMu sync.Mutex
-	pending   map[uint64]pendingTransfer // leaseID → staged driver blob
+	pendingMu   sync.Mutex
+	pending     map[uint64]pendingTransfer // leaseID → staged driver blob
+	pendingPeak int                        // most entries pending since the map was last rebuilt
 
 	subMu       sync.Mutex
 	subscribers map[*wire.Conn]subscribeMsg

@@ -71,9 +71,9 @@ func BenchmarkUpdateWhere(b *testing.B) {
 // BenchmarkRenewalGCAt{200,20000}Rows time a lease renewal — the
 // prepared guarded UPDATE that moves expires_at in two ordered indexes
 // — with its share of the deferred GC that drops the two superseded
-// entries. GC removes them through node handles, so the cost should
-// stay flat across the 100× rows; only the two insert walks grow, by
-// log(rows).
+// entries. GC removes them through node handles and each new expiry
+// sorts after every other, so both inserts append at the tail without
+// walking: only cache misses should grow across the 100× rows.
 func BenchmarkRenewalGCAt200Rows(b *testing.B)   { benchRenewalGC(b, 200) }
 func BenchmarkRenewalGCAt20000Rows(b *testing.B) { benchRenewalGC(b, 20000) }
 

@@ -1,10 +1,11 @@
 package sqlmini
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -15,9 +16,10 @@ import (
 // with CREATE INDEX or DB.EnsureIndex/EnsureOrderedIndex) in one of
 // two kinds:
 //
-//   - hash (the default, single-column): a concurrent map from a
-//     column's canonical key to the bucket of rows holding that value,
-//     in insertion order. Serves equality point-lookups.
+//   - hash (the default, single-column): a lock-free-readable
+//     open-addressing table from a column's canonical key to the bucket
+//     of rows holding that value, in insertion order. Serves equality
+//     point-lookups.
 //   - ordered (single- or multi-column): a skiplist of key groups over
 //     the column tuple, each group holding its rows in insertion
 //     order. Serves equality seeks in O(log n) and, through the
@@ -105,16 +107,6 @@ func tupleKey(key []Value) string {
 	return sb.String()
 }
 
-// appendTupleKey appends tupleKey(key) to b. An integer key, the PK of
-// every lease statement, formats in place, so a probe built on a stack
-// buffer allocates nothing.
-func appendTupleKey(b []byte, key []Value) []byte {
-	if len(key) == 1 && intType(key[0].typ) {
-		return strconv.AppendInt(b, int64(key[0].n), 10)
-	}
-	return append(b, tupleKey(key)...)
-}
-
 // tupleOf appends vals projected through cols to dst; ok=false when a
 // component is NULL (NULL tuples are not indexed — no equality or range
 // predicate matches them). Callers that only probe pass a stack buffer.
@@ -200,7 +192,7 @@ func (b *rowBucket) add(r *Row, fresh bool) {
 
 // oneRow is the array and header of a one-row bucket, for embedding in
 // whatever owns the bucket so the first row costs no allocation of its
-// own (skipList groups).
+// own (skipList groups, hash entries).
 type oneRow struct {
 	row [1]*Row
 	hdr []*Row
@@ -233,41 +225,177 @@ func (b *rowBucket) remove(r *Row) (emptied bool) {
 	return false
 }
 
-// hashIndex is a concurrent non-unique hash index: a sync.Map from the
-// canonical tuple key to the key's rowBucket. Readers Load lock-free;
-// the single writer (table latch held) appends to buckets in place.
+// hashKey is a hash index key: tupleKey(key) held as the integer it
+// spells when it spells one canonically (strconv.FormatInt's form), and
+// as the string otherwise. The split is a function of the string, so
+// two keys are equal exactly when their tupleKeys are — an integer
+// probe still meets the "3" of a DOUBLE or VARCHAR column — and the
+// integer keys every lease statement probes with never format.
+type hashKey struct {
+	i   int64
+	s   string
+	str bool
+}
+
+func hashKeyOf(key []Value) hashKey {
+	if len(key) == 1 && intType(key[0].typ) {
+		return hashKey{i: int64(key[0].n)}
+	}
+	s := tupleKey(key)
+	if i, ok := canonicalInt(s); ok {
+		return hashKey{i: i}
+	}
+	return hashKey{s: s, str: true}
+}
+
+// String returns the key's tupleKey.
+func (k hashKey) String() string {
+	if k.str {
+		return k.s
+	}
+	return strconv.FormatInt(k.i, 10)
+}
+
+// canonicalInt parses s if strconv.FormatInt would print it: an
+// optional minus, no leading zero, no "-0", within int64.
+func canonicalInt(s string) (int64, bool) {
+	d := strings.TrimPrefix(s, "-")
+	neg := len(d) < len(s)
+	if d == "" || len(d) > 19 || d[0] == '0' && (len(d) > 1 || neg) {
+		return 0, false
+	}
+	var u uint64 // 19 digits cannot overflow it
+	for i := 0; i < len(d); i++ {
+		c := d[i] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		u = u*10 + uint64(c)
+	}
+	switch {
+	case neg && u <= 1<<63:
+		return int64(-u), true
+	case !neg && u < 1<<63:
+		return int64(u), true
+	}
+	return 0, false
+}
+
+// hashEntry is one key of a hash index and its rows, in one allocation:
+// the key, its hash and the rowBucket with the array and header of its
+// first row. Everything but the bucket is immutable once the entry is
+// published.
+type hashEntry struct {
+	hash uint64
+	key  hashKey
+	rows rowBucket
+	one  oneRow
+}
+
+// hashTomb marks a slot whose entry was removed, so probe sequences
+// that ran through it still reach the entries beyond.
+var hashTomb = new(hashEntry)
+
+// hashTable is one published slot array: a power of two long, never
+// more than three quarters non-nil, so every probe meets a nil slot.
+type hashTable struct {
+	slots []atomic.Pointer[hashEntry]
+}
+
+// hashIndex is a concurrent non-unique hash index: an open-addressing
+// table, probed linearly, of pointers to one hashEntry per key. Keys
+// hash with a per-index maphash seed, so keys a client chooses cannot
+// be aimed at one probe sequence. Readers load the published table and
+// probe it lock-free. The single writer (table latch held) fills nil
+// or tombstoned slots in place and tombstones removed entries, so
+// within one table a slot goes only nil → entry ⇄ tombstone, and a
+// probe that found a key once finds it while its entry stays. Growth,
+// tombstone clean-up and shrinking all rehash into a fresh table sized
+// from the live count and publish it; the old table is never written
+// again, so a reader still on it sees every entry the table held.
 type hashIndex struct {
 	cols []int
-	m    sync.Map // string -> *rowBucket
+	seed maphash.Seed
+	tab  atomic.Pointer[hashTable]
+	live int // entries filed; writer-only
+	used int // non-nil slots in the published table; writer-only
 }
 
-func newHashIndex(cols []int) *hashIndex { return &hashIndex{cols: cols} }
+// hashMinSlots is the size of a new or fully shrunk table.
+const hashMinSlots = 8
 
-// lookup returns the bucket for key; the slice is immutable.
-func (h *hashIndex) lookup(key []Value) []*Row {
-	var buf [32]byte
-	v, ok := h.m.Load(string(appendTupleKey(buf[:0], key)))
-	if !ok {
-		return nil
+func newHashIndex(cols []int) *hashIndex {
+	h := &hashIndex{cols: cols, seed: maphash.MakeSeed()}
+	h.tab.Store(&hashTable{slots: make([]atomic.Pointer[hashEntry], hashMinSlots)})
+	return h
+}
+
+func (h *hashIndex) hashOf(k hashKey) uint64 {
+	if k.str {
+		return maphash.String(h.seed, k.s)
 	}
-	return v.(*rowBucket).load()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(k.i))
+	return maphash.Bytes(h.seed, b[:])
 }
 
-// insert adds r to key's bucket (see rowBucket.add for fresh). Caller
-// holds the latch.
+// find returns key k's slot in tab and its entry, or the first free
+// (nil or tombstoned) slot on k's probe sequence and a nil entry.
+// Lock-free.
+func (h *hashIndex) find(tab *hashTable, k hashKey, hv uint64) (int, *hashEntry) {
+	mask := uint64(len(tab.slots) - 1)
+	free := -1
+	for i := hv & mask; ; i = (i + 1) & mask {
+		switch e := tab.slots[i].Load(); {
+		case e == nil:
+			if free < 0 {
+				free = int(i)
+			}
+			return free, nil
+		case e == hashTomb:
+			if free < 0 {
+				free = int(i)
+			}
+		case e.hash == hv && e.key == k:
+			return int(i), e
+		}
+	}
+}
+
+// lookup returns the bucket for key; the slice is immutable. Lock-free.
+func (h *hashIndex) lookup(key []Value) []*Row {
+	k := hashKeyOf(key)
+	if _, e := h.find(h.tab.Load(), k, h.hashOf(k)); e != nil {
+		return e.rows.load()
+	}
+	return nil
+}
+
+// insert adds r to key's bucket (see rowBucket.add for fresh), filing a
+// new entry when the key has none. Caller holds the latch.
 func (h *hashIndex) insert(key []Value, r *Row, fresh bool) {
-	ks := tupleKey(key)
-	if v, ok := h.m.Load(ks); ok {
-		v.(*rowBucket).add(r, fresh)
+	k := hashKeyOf(key)
+	hv := h.hashOf(k)
+	tab := h.tab.Load()
+	i, e := h.find(tab, k, hv)
+	if e != nil {
+		e.rows.add(r, fresh)
 		return
 	}
-	b := &rowBucket{}
-	b.add(r, true)
-	h.m.Store(ks, b)
+	e = &hashEntry{hash: hv, key: k}
+	e.rows.first(&e.one, r)
+	if tab.slots[i].Load() == nil {
+		h.used++
+	}
+	tab.slots[i].Store(e)
+	h.live++
+	if h.used > len(tab.slots)/4*3 {
+		h.rehash()
+	}
 }
 
-// remove drops r from the bucket of vals' tuple, and the bucket with
-// its last row (a NULL tuple was never filed: nothing to drop). Caller
+// remove drops r from the bucket of vals' tuple, and the entry with its
+// last row (a NULL tuple was never filed: nothing to drop). Caller
 // holds the latch.
 func (h *hashIndex) remove(vals []Value, r *Row) {
 	var buf [4]Value
@@ -275,19 +403,54 @@ func (h *hashIndex) remove(vals []Value, r *Row) {
 	if !ok {
 		return
 	}
-	ks := tupleKey(key)
-	if v, ok := h.m.Load(ks); ok && v.(*rowBucket).remove(r) {
-		h.m.Delete(ks)
+	k := hashKeyOf(key)
+	tab := h.tab.Load()
+	i, e := h.find(tab, k, h.hashOf(k))
+	if e == nil || !e.rows.remove(r) {
+		return
+	}
+	tab.slots[i].Store(hashTomb)
+	h.live--
+	if len(tab.slots) > hashMinSlots && h.live < len(tab.slots)/8 {
+		h.rehash()
 	}
 }
 
-// each visits every (key, bucket) pair; writer-side helper for
+// rehash publishes a fresh table of the smallest power of two at least
+// twice the live count, holding the live entries and no tombstones.
+// Caller holds the latch.
+func (h *hashIndex) rehash() {
+	n := hashMinSlots
+	for n < 2*h.live {
+		n *= 2
+	}
+	t := &hashTable{slots: make([]atomic.Pointer[hashEntry], n)}
+	mask := uint64(n - 1)
+	old := h.tab.Load()
+	for i := range old.slots {
+		e := old.slots[i].Load()
+		if e == nil || e == hashTomb {
+			continue
+		}
+		j := e.hash & mask
+		for t.slots[j].Load() != nil {
+			j = (j + 1) & mask
+		}
+		t.slots[j].Store(e)
+	}
+	h.used = h.live
+	h.tab.Store(t)
+}
+
+// each visits every (tupleKey, bucket) pair; writer-side helper for
 // consistency checks.
 func (h *hashIndex) each(fn func(key string, rows []*Row)) {
-	h.m.Range(func(k, v any) bool {
-		fn(k.(string), v.(*rowBucket).load())
-		return true
-	})
+	tab := h.tab.Load()
+	for i := range tab.slots {
+		if e := tab.slots[i].Load(); e != nil && e != hashTomb {
+			fn(e.key.String(), e.rows.load())
+		}
+	}
 }
 
 // secondaryIndex is one non-unique index, hash (single-column) or

@@ -159,7 +159,8 @@ func orderedConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
 // skipLinksConsistent checks a skiplist's links at every level: each
 // node a forward link reaches is marked linked into sl and its back
 // link names the node that reached it, keys strictly increase along
-// every level, and size counts the level-0 groups.
+// every level, each level's last node is the one the list records for
+// it (the head for an empty level), and size counts the level-0 groups.
 func skipLinksConsistent(t testing.TB, sl *skipList) {
 	t.Helper()
 	groups := 0
@@ -178,6 +179,9 @@ func skipLinksConsistent(t testing.TB, sl *skipList) {
 			if lvl == 0 {
 				groups++
 			}
+		}
+		if sl.last[lvl] != prev {
+			t.Fatalf("level %d: the list records the wrong last node", lvl)
 		}
 	}
 	if groups != sl.size {

@@ -14,11 +14,14 @@ import "sync/atomic"
 // by version visibility and the statement's predicate anyway.
 //
 // Each level also carries a back link, so the writer can splice out a
-// node it holds (unlink) without walking to it. Back links are
-// writer-only: they are written and read only under the latch, and no
-// reader ever loads one, so they need no atomics and do not enter the
-// lock-free argument. An unlinked node keeps its forward links, so a
-// reader standing on it still reaches the rest of the list.
+// node it holds (unlink) without walking to it, and the list keeps its
+// last node per level, so a key sorting after every group (an
+// expires_at of now + lease) links in without walking to the end.
+// Back links and last nodes are writer-only: they are written and read
+// only under the latch, and no reader ever loads one, so they need no
+// atomics and do not enter the lock-free argument. An unlinked node
+// keeps its forward links, so a reader standing on it still reaches the
+// rest of the list.
 //
 // Grouping invariant (inherited from the slice-based predecessor):
 // rows are grouped by Compare == 0 over the stored tuple. Stored
@@ -52,13 +55,19 @@ func (n *skipNode) next(lvl int) *skipNode { return n.links[lvl].next.Load() }
 type skipList struct {
 	cols []int // indexed column positions (tuple order)
 	head *skipNode
+	// last is each level's last node, head while the level is empty;
+	// writer-only.
+	last [skipMaxLevel]*skipNode
 	rnd  uint64 // xorshift64 state; writer-only (under the latch)
 	size int    // group count; writer-only
 }
 
 func newSkipList(cols []int) *skipList {
-	head := &skipNode{links: make([]skipLink, skipMaxLevel)}
-	return &skipList{cols: cols, head: head, rnd: 0x9e3779b97f4a7c15}
+	sl := &skipList{cols: cols, head: &skipNode{links: make([]skipLink, skipMaxLevel)}, rnd: 0x9e3779b97f4a7c15}
+	for i := range sl.last {
+		sl.last[i] = sl.head
+	}
+	return sl
 }
 
 // randLevel draws a geometric level in [1, skipMaxLevel] from a
@@ -131,24 +140,38 @@ func (sl *skipList) seekGT(probe []Value) *skipNode {
 
 // insert adds r under key, creating the group (with its own copy of
 // key) if needed, and returns the group's node — the handle a later
-// removal passes to remove. See rowBucket.add for fresh. Caller holds
-// the latch.
+// removal passes to remove. A key at or after the last group needs no
+// walk: its predecessors are the last nodes. See rowBucket.add for
+// fresh. Caller holds the latch.
 func (sl *skipList) insert(key []Value, r *Row, fresh bool) *skipNode {
 	var update [skipMaxLevel]*skipNode
-	x := sl.head
-	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
-		for {
-			nxt := x.next(lvl)
-			if nxt == nil || cmpKey(nxt.key, key) >= 0 {
-				break
-			}
-			x = nxt
-		}
-		update[lvl] = x
+	tail := sl.last[0]
+	c := -1 // an empty list: every key is past its end
+	if tail != sl.head {
+		c = cmpKey(tail.key, key)
 	}
-	if n := x.next(0); n != nil && cmpKey(n.key, key) == 0 {
-		n.rows.add(r, fresh)
-		return n
+	switch {
+	case c < 0:
+		update = sl.last
+	case c == 0:
+		tail.rows.add(r, fresh)
+		return tail
+	default:
+		x := sl.head
+		for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
+			for {
+				nxt := x.next(lvl)
+				if nxt == nil || cmpKey(nxt.key, key) >= 0 {
+					break
+				}
+				x = nxt
+			}
+			update[lvl] = x
+		}
+		if n := x.next(0); n != nil && cmpKey(n.key, key) == 0 {
+			n.rows.add(r, fresh)
+			return n
+		}
 	}
 	lvl := sl.randLevel()
 	n := newGroup(key, lvl, r)
@@ -159,6 +182,8 @@ func (sl *skipList) insert(key []Value, r *Row, fresh bool) *skipNode {
 		n.links[i].prev = update[i]
 		if succ != nil {
 			succ.links[i].prev = n
+		} else {
+			sl.last[i] = n
 		}
 	}
 	for i := 0; i < lvl; i++ { // link bottom-up: readers above always find the levels below
@@ -236,6 +261,8 @@ func (sl *skipList) unlink(n *skipNode) {
 		prev.links[lvl].next.Store(succ)
 		if succ != nil {
 			succ.links[lvl].prev = prev
+		} else {
+			sl.last[lvl] = prev
 		}
 	}
 	n.owner = nil

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -49,8 +50,11 @@ func bound(b byte) (Value, int, bool) {
 }
 
 // FuzzSkipList runs random insert / remove-by-handle / seekGE /
-// rangeRows sequences against skipRef and checks, after every step, the
-// order, size and back links of every level (skipLinksConsistent), each
+// rangeRows / monotone-append / remove-from-head sequences — the last
+// two the lease log's pattern of filing expiries after every other and
+// reaping the oldest — against skipRef and checks, after every step, the
+// order, size, back links and last nodes of every level
+// (skipLinksConsistent), each
 // group's rows, and that a handle marked linked is the one group linked
 // under its key. A row still filed under a key must hold a linked
 // handle there, since remove skips any other. The seed corpus runs as
@@ -61,6 +65,7 @@ func FuzzSkipList(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 2, 0, 0, 2, 1, 0, 0, 1, 0, 4, 1, 3})
 	f.Add([]byte{1, 7, 1, 0, 7, 2, 0, 8, 3, 2, 7, 2, 0, 7, 2, 2, 7, 2, 3, 1, 9, 4, 9, 2})
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 2, 1, 0, 2, 1, 0}) // a second removal through an unlinked handle
+	f.Add([]byte{5, 1, 0, 5, 1, 1, 5, 0, 2, 5, 1, 3, 6, 0, 0, 5, 1, 4, 6, 0, 0, 6, 0, 0, 5, 1, 5, 6, 0, 0, 6, 0, 0, 6, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		sl := newSkipList([]int{0, 1})
 		var pool [6]*Row
@@ -70,8 +75,19 @@ func FuzzSkipList(f *testing.F) {
 		ref := &skipRef{rows: map[int][]*Row{}}
 		handles := map[[2]int]*skipNode{} // (key, row) → node insert returned
 		for ; len(ops) >= 3; ops = ops[3:] {
-			op, x, y := ops[0]%5, ops[1], ops[2]
+			op, x, y := ops[0]%7, ops[1], ops[2]
 			k, ri := int(x)%16, int(y)%len(pool)
+			switch {
+			case op == 5 && len(ref.keys) > 0: // append: the last group's key, or the next one up
+				k, op = min(ref.keys[len(ref.keys)-1]+int(x)%2, 15), 0
+			case op == 5:
+				op = 0
+			case op == 6 && len(ref.keys) > 0: // reap: the oldest row of the first group
+				k, op = ref.keys[0], 2
+				ri = slices.Index(pool[:], ref.rows[k][0])
+			case op == 6:
+				continue
+			}
 			r := pool[ri]
 			switch op {
 			case 0, 1:
@@ -156,4 +172,46 @@ func FuzzSkipList(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkSkipListInsert{Tail,Random} file one new group into a list
+// of 20 000 and remove one, so the list keeps its size. Tail files keys
+// in increasing order and removes the oldest, as lease expiries are
+// filed and reaped: no walk. Random files a key between two existing
+// ones and removes it again: the walk, which the tail check must not
+// slow.
+func BenchmarkSkipListInsertTail(b *testing.B) {
+	const groups = 20000
+	sl := newSkipList([]int{0})
+	r := &Row{}
+	fifo := make([]*skipNode, 0, groups)
+	for k := range groups {
+		fifo = append(fifo, sl.insert([]Value{NewInt(int64(k))}, r, true))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fifo = append(fifo, sl.insert([]Value{NewInt(int64(groups + i))}, r, true))
+		sl.remove(fifo[0], r)
+		fifo = fifo[1:]
+	}
+}
+
+func BenchmarkSkipListInsertRandom(b *testing.B) {
+	const groups = 20000
+	sl := newSkipList([]int{0})
+	r := &Row{}
+	for k := range groups {
+		sl.insert([]Value{NewInt(int64(2 * k))}, r, true)
+	}
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]Value, 4096)
+	for i := range keys {
+		keys[i] = NewInt(int64(2*rng.Intn(groups) + 1))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sl.remove(sl.insert(keys[i%len(keys):i%len(keys)+1], r, true), r)
+	}
 }

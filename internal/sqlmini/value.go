@@ -27,6 +27,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -392,36 +394,55 @@ func Equal(a, b Value) bool {
 // Like evaluates the SQL LIKE predicate with % (any run) and _ (any one
 // rune) wildcards. Matching is case-insensitive, which matches how the
 // paper uses LIKE for api/platform names ("JDBC" should match "jdbc").
+// Case folds rune by rune with unicode.ToLower, as strings.ToLower
+// does, and an invalid UTF-8 byte reads as one U+FFFD, as it does in a
+// []rune conversion, so nothing is copied.
 func Like(s, pattern string) bool {
-	return likeMatch(strings.ToLower(s), strings.ToLower(pattern))
-}
-
-func likeMatch(s, p string) bool {
-	// Iterative two-pointer matcher with backtracking on the last '%'.
+	// Iterative two-pointer matcher with backtracking on the last '%';
+	// indexes are byte offsets of rune starts.
 	var si, pi int
 	star, sBack := -1, 0
-	rs, rp := []rune(s), []rune(p)
-	for si < len(rs) {
-		switch {
-		case pi < len(rp) && (rp[pi] == '_' || rp[pi] == rs[si]):
-			si++
-			pi++
-		case pi < len(rp) && rp[pi] == '%':
-			star = pi
-			sBack = si
-			pi++
-		case star != -1:
-			pi = star + 1
-			sBack++
-			si = sBack
-		default:
+	for si < len(s) {
+		sr, sw := lowerRune(s[si:])
+		if pi < len(pattern) {
+			pr, pw := lowerRune(pattern[pi:])
+			switch {
+			case pr == '_' || pr == sr:
+				si += sw
+				pi += pw
+				continue
+			case pr == '%':
+				star = pi
+				sBack = si
+				pi += pw
+				continue
+			}
+		}
+		if star == -1 {
 			return false
 		}
+		pi = star + 1 // past the one-byte '%'
+		_, w := utf8.DecodeRuneInString(s[sBack:])
+		sBack += w
+		si = sBack
 	}
-	for pi < len(rp) && rp[pi] == '%' {
+	for pi < len(pattern) && pattern[pi] == '%' {
 		pi++
 	}
-	return pi == len(rp)
+	return pi == len(pattern)
+}
+
+// lowerRune decodes the first rune of s, folded to lower case, and its
+// width in bytes.
+func lowerRune(s string) (rune, int) {
+	if c := s[0]; c < utf8.RuneSelf {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		return rune(c), 1
+	}
+	r, w := utf8.DecodeRuneInString(s)
+	return unicode.ToLower(r), w
 }
 
 // Coerce converts v to column type t, used on INSERT/UPDATE so stored

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,6 +60,75 @@ func TestLikeSelfMatchProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refLike is Like as it was before it folded case in place: lower both
+// operands whole, then match their runes. FuzzLike holds Like to it.
+func refLike(s, pattern string) bool {
+	var si, pi int
+	star, sBack := -1, 0
+	rs, rp := []rune(strings.ToLower(s)), []rune(strings.ToLower(pattern))
+	for si < len(rs) {
+		switch {
+		case pi < len(rp) && (rp[pi] == '_' || rp[pi] == rs[si]):
+			si++
+			pi++
+		case pi < len(rp) && rp[pi] == '%':
+			star = pi
+			sBack = si
+			pi++
+		case star != -1:
+			pi = star + 1
+			sBack++
+			si = sBack
+		default:
+			return false
+		}
+	}
+	for pi < len(rp) && rp[pi] == '%' {
+		pi++
+	}
+	return pi == len(rp)
+}
+
+// FuzzLike holds Like to refLike: non-ASCII folding (the Kelvin sign
+// and the dotted capital I fold to ASCII letters of another width),
+// invalid UTF-8 (one U+FFFD per byte on both sides, which a literal
+// U+FFFD also matches), and runs of '%' and '_'. The seed corpus runs
+// as part of plain `go test`.
+func FuzzLike(f *testing.F) {
+	f.Add("JDBC", "%db%")
+	f.Add("\u212a", "k")         // KELVIN SIGN folds to k
+	f.Add("k", "\u212a")         // and as the pattern
+	f.Add("\u0130stanbul", "i%") // LATIN CAPITAL I WITH DOT ABOVE folds to i
+	f.Add("\u0130\u0130", "__")
+	f.Add("ΣΑΣ", "σ_ς")
+	f.Add("a\xffb", "a_b")
+	f.Add("a\xffb", "a\ufffdb")
+	f.Add("\xe2\x82", "__")
+	f.Add("\xe2\x82x", "%\xe2x")
+	f.Add("abcabc", "%%a%%_c")
+	f.Add("a%_b", "a%%_%b")
+	f.Add("aaa", "a%%%%%_")
+	f.Add("", "%%%")
+	f.Add("__", "%_%_%_")
+	f.Fuzz(func(t *testing.T, s, p string) {
+		if got, want := Like(s, p), refLike(s, p); got != want {
+			t.Fatalf("Like(%q, %q) = %v, reference %v", s, p, got, want)
+		}
+	})
+}
+
+// TestLikeAllocs pins LIKE at no allocation: matchmaking calls it on
+// every renewal.
+func TestLikeAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		Like("JDBC", "%db%")
+		Like("Linux-X86_64", "LINUX-%")
+		Like("Kelvin", "k%")
+	}); n != 0 {
+		t.Fatalf("Like allocates %v times, want 0", n)
 	}
 }
 
