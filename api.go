@@ -80,6 +80,9 @@ type (
 	// TableVersionConn probes remote per-table mutation counters in one
 	// round trip (negotiated capability).
 	TableVersionConn = client.TableVersionConn
+	// VersionWatchConn carries watched tables' mutation counters on
+	// every statement reply (negotiated capability).
+	VersionWatchConn = client.VersionWatchConn
 	// FeatureConn reports which optional capabilities a connection's
 	// session negotiated.
 	FeatureConn = client.FeatureConn
@@ -95,6 +98,7 @@ type (
 const (
 	FeaturePreparedStatements = client.FeaturePreparedStatements
 	FeatureTableVersions      = client.FeatureTableVersions
+	FeatureWatchVersions      = client.FeatureWatchVersions
 )
 
 // Policy constants, re-exported with the paper's Table 2 encodings.

@@ -847,9 +847,10 @@ func BenchmarkExternalMatchmaking(b *testing.B) {
 
 // BenchmarkExternalPreparedRenewal measures the Table 4 no-change
 // renewal on the external deployment over a v2 session: matchmaking is
-// served from the catalog (generation probe only) and the single
-// guarded UPDATE runs through a remote prepared handle (msgExecStmt) —
-// the legacy DBMS sees exactly one pre-parsed statement per renewal.
+// served from the catalog and the single guarded UPDATE runs through a
+// remote prepared handle (msgExecStmt), whose reply carries the table
+// versions the catalog is checked against — the legacy DBMS sees
+// exactly one pre-parsed statement, and one frame, per renewal.
 // Compare BenchmarkExternalLeaseRenewal, the same flow over a v1
 // session (full SQL matchmaking, per-call parsing).
 func BenchmarkExternalPreparedRenewal(b *testing.B) {

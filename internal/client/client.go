@@ -68,6 +68,10 @@ type Result struct {
 	Cols     []string
 	Rows     [][]sqlmini.Value
 	Affected int
+	// Versions is set on connections with a version watch
+	// (VersionWatchConn): the watched tables' mutation counters, parallel
+	// to the watched names, read after this statement executed.
+	Versions []uint64
 }
 
 // Driver creates connections to a database. Implementations: the legacy
@@ -150,6 +154,10 @@ const (
 	// FeatureTableVersions: the session can probe server-side per-table
 	// mutation counters (TableVersionConn is live).
 	FeatureTableVersions Feature = "table-versions"
+	// FeatureWatchVersions: the session can carry watched tables'
+	// mutation counters on every statement reply (VersionWatchConn is
+	// live).
+	FeatureWatchVersions Feature = "watch-versions"
 )
 
 // FeatureConn is optionally implemented by connections whose protocol
@@ -192,6 +200,19 @@ type TableVersionConn interface {
 	// TableVersions reports the mutation counter of each named table,
 	// parallel to names. Unknown tables report 0.
 	TableVersions(names ...string) ([]uint64, error)
+}
+
+// VersionWatchConn is optionally implemented by connections whose
+// session can carry table versions on its statement replies, which
+// saves a cache the TableVersions round trip it would make after each
+// statement. WatchVersions returns ErrNotSupported when the negotiated
+// session lacks FeatureWatchVersions.
+type VersionWatchConn interface {
+	// WatchVersions probes names like TableVersions and registers them
+	// as the connection's watch, replacing any earlier one: from then
+	// on every Result of the connection carries their counters in
+	// Versions, read after its statement executed.
+	WatchVersions(names ...string) ([]uint64, error)
 }
 
 // BatchConn is optionally implemented by connections that can ship a

@@ -101,7 +101,6 @@ type Bootloader struct {
 // connections opened through it.
 type loadedDriver struct {
 	drv      client.Driver
-	img      *driverimg.Image
 	checksum string
 
 	leaseID    uint64
@@ -585,7 +584,6 @@ func (b *Bootloader) install(offer Offer, blob []byte, addr string) (*loadedDriv
 	}
 	return &loadedDriver{
 		drv:        drv,
-		img:        img,
 		checksum:   sum,
 		leaseID:    offer.LeaseID,
 		leaseTime:  offer.LeaseTime,

@@ -81,22 +81,37 @@ func (c *catalog) lookup(id int64) *catalogEntry {
 
 // catalogSnapshot returns the current catalog, reloading it if the
 // store's table versions moved. Returns (nil, nil) when the store
-// cannot report versions; callers then use the SQL path.
+// cannot report versions; callers then use the SQL path, and the
+// cached catalog is dropped so renewals stop answering from it.
 func (s *Server) catalogSnapshot() (*catalog, *ProtocolError) {
+	// Cleared before the read: an admin write the read misses marks the
+	// catalog stale again once it has committed.
+	if s.catStale.Load() {
+		s.catStale.Store(false)
+	}
 	drv, perm, ok := s.store.Versions()
 	if !ok {
+		s.cat.Store(nil)
 		return nil, nil
 	}
 	if cat := s.cat.Load(); cat.current(drv, perm) {
 		return cat, nil
 	}
+	return s.reloadCatalog()
+}
+
+// reloadCatalog is catalogSnapshot for a caller that already saw the
+// versions move: it reads them once, under the reload lock.
+func (s *Server) reloadCatalog() (*catalog, *ProtocolError) {
 	s.catMu.Lock()
 	defer s.catMu.Unlock()
-	// Re-read under the lock: another goroutine may have reloaded, and
+	// Read under the lock: another goroutine may have reloaded, and
 	// the versions must be captured BEFORE the table scans so that a
 	// concurrent mutation mid-load labels the snapshot stale rather
 	// than fresh.
-	if drv, perm, ok = s.store.Versions(); !ok {
+	drv, perm, ok := s.store.Versions()
+	if !ok {
+		s.cat.Store(nil)
 		return nil, nil
 	}
 	old := s.cat.Load()

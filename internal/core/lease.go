@@ -18,8 +18,85 @@ import (
 // (renewal) flows.
 // isTLS reports the requesting connection's channel, enforcing the
 // Table 2 transfer_method restriction before any lease is touched.
+//
+// A renewal answers from the cached catalog without reading the
+// store's versions first (renewCached); everything else matches
+// against a catalog validated before it acts.
 func (s *Server) grant(req Request, isTLS bool) (Offer, *ProtocolError) {
+	if req.LeaseID != 0 && !s.catStale.Load() {
+		if cat := s.cat.Load(); cat != nil {
+			return s.renewCached(cat, req, isTLS)
+		}
+	}
 	g, perr := s.match(req)
+	return s.grantMatched(req, isTLS, g, perr, false)
+}
+
+// renewCached answers a renewal from the cached catalog cat. Only the
+// Table 4 no-change keep is speculative: it runs its guarded UPDATE
+// first and checks cat afterwards, against the table versions read
+// right after that UPDATE executed (carried on its result, or read
+// from the store when the result has none). Versions only grow, so
+// equal versions prove no catalog write completed between cat's load
+// and the UPDATE — a stronger check than a probe before the write,
+// which proves cat current only at the probe. When they differ, the
+// renewal is answered again from the fresh catalog, exactly as a
+// renewal that validated first would have been (renewed tells the
+// redo that the row already counts this renewal). Every other answer —
+// upgrade, revoke, error, redirect — validates cat before it acts,
+// and reuses the match when cat proves current.
+func (s *Server) renewCached(cat *catalog, req Request, isTLS bool) (Offer, *ProtocolError) {
+	g, perr := s.matchCatalog(cat, req)
+	var fresh *catalog
+	var ferr *ProtocolError
+	speculated, renewed := false, false
+	if perr == nil && keepsDriver(req, g) && (g.transfer != TransferTLS || isTLS) &&
+		(s.route == nil || s.route(g.driverID, req.ClientID).Local) {
+		g.leaseTime = s.jitterLease(g.leaseTime)
+		res, err := s.extendLease(req.LeaseID, g, s.clock().Add(g.leaseTime), false)
+		if err != nil {
+			return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
+		}
+		if s.catalogHeld(cat, res) {
+			return s.keptOffer(req, g, res)
+		}
+		// The versions already moved: reload without probing first.
+		speculated, renewed = true, res.Affected > 0
+		fresh, ferr = s.reloadCatalog()
+	} else {
+		fresh, ferr = s.catalogSnapshot()
+	}
+	switch {
+	case ferr != nil:
+		g, perr = nil, ferr
+	case fresh != cat || speculated:
+		g, perr = s.matchOn(fresh, req)
+	}
+	return s.grantMatched(req, isTLS, g, perr, renewed)
+}
+
+// catalogHeld reports whether cat was still current when the statement
+// that produced res executed: against the versions res carries, or,
+// when it carries none, against the store's versions read now.
+func (s *Server) catalogHeld(cat *catalog, res *sqlmini.Result) bool {
+	if v := res.Versions; len(v) == 2 {
+		return cat.current(v[0], v[1])
+	}
+	drv, perm, ok := s.store.Versions()
+	return ok && cat.current(drv, perm)
+}
+
+// keepsDriver reports Table 4's "driver still valid" fast case: the
+// client proved (by checksum) that it runs exactly the matched
+// content, under a policy that does not revoke it.
+func keepsDriver(req Request, g *grantInfo) bool {
+	return g.renew != RenewRevoke && req.CurrentChecksum != "" && req.CurrentChecksum == g.checksum
+}
+
+// grantMatched is grant once matchmaking has answered (g, or perr):
+// the Table 2 transfer restriction, cluster shard routing and lease
+// jitter, then the lease row. renewed is renewLease's.
+func (s *Server) grantMatched(req Request, isTLS bool, g *grantInfo, perr *ProtocolError, renewed bool) (Offer, *ProtocolError) {
 	if perr == nil && g.transfer == TransferTLS && !isTLS {
 		return Offer{}, &ProtocolError{Code: ErrCodeTransfer,
 			Message: "driver requires the TLS transfer channel; reconnect over TLS"}
@@ -40,7 +117,7 @@ func (s *Server) grant(req Request, isTLS bool) (Offer, *ProtocolError) {
 	}
 
 	if req.LeaseID != 0 {
-		return s.renewLease(req, g, perr)
+		return s.renewLease(req, g, perr, renewed)
 	}
 	if perr != nil {
 		return Offer{}, perr
@@ -76,44 +153,75 @@ const renewNoChangeSQL = `UPDATE ` + LeasesTable + `
 	SET expires_at = $exp, renewals = renewals + 1, driver_id = $drv
 	WHERE lease_id = $id AND released = FALSE`
 
+// renewRedoSQL is renewNoChangeSQL for a renewal answered again after
+// its speculative keep proved stale (renewCached): the keep's UPDATE
+// already counted it, so the redo writes the fresh terms only.
+const renewRedoSQL = `UPDATE ` + LeasesTable + `
+	SET expires_at = $exp, driver_id = $drv
+	WHERE lease_id = $id AND released = FALSE`
+
+// revokeLeaseSQL ends a lease the server revokes (Table 4's
+// DRIVOLUTION_ERROR branch): released, its term over now. $undo is 1
+// when a stale speculative keep already counted the renewal, which the
+// revocation takes back, so the row reads as if the renewal had
+// revoked from the start.
+const revokeLeaseSQL = `UPDATE ` + LeasesTable + `
+	SET released = TRUE, expires_at = $now, renewals = renewals - $undo
+	WHERE lease_id = $id`
+
+// extendLease runs the guarded renewal UPDATE for lease id at g's
+// terms, expiring at exp: renewNoChangeSQL, or renewRedoSQL when the
+// row already counts this renewal.
+func (s *Server) extendLease(id uint64, g *grantInfo, exp time.Time, renewed bool) (*sqlmini.Result, error) {
+	sql := renewNoChangeSQL
+	if renewed {
+		sql = renewRedoSQL
+	}
+	return s.exec(sql, sqlmini.Args{"exp": exp, "drv": g.driverID, "id": int64(id)})
+}
+
+// keptOffer answers a renewal whose guarded UPDATE (res) kept the
+// client's driver: Table 4's OFFER without a data file, or NO_LEASE
+// when the lease is unknown or released.
+func (s *Server) keptOffer(req Request, g *grantInfo, res *sqlmini.Result) (Offer, *ProtocolError) {
+	if res.Affected == 0 {
+		return Offer{}, &ProtocolError{Code: ErrCodeNoLease,
+			Message: fmt.Sprintf("lease %d unknown or released", req.LeaseID)}
+	}
+	// The client's checksum acknowledges any staged transfer.
+	s.dropPending(req.LeaseID)
+	s.renewKeeps.Add(1)
+	return Offer{
+		LeaseID:          req.LeaseID,
+		LeaseTime:        g.leaseTime,
+		RenewPolicy:      g.renew,
+		ExpirationPolicy: g.expiration,
+		TransferMethod:   g.transfer,
+		HasDriver:        false,
+		DriverChecksum:   g.checksum,
+		Format:           g.format,
+		ServerName:       s.name,
+	}, nil
+}
+
 // renewLease handles the Table 4 server side: "if (driver still valid)
 // send OFFER; else if (new driver available) send OFFER + FILE_DATA;
 // else send DRIVOLUTION_ERROR". It decides and stages; handleRequest
 // sends, with the FILE_DATA right behind the OFFER when the connection
-// declared capFilePush.
-func (s *Server) renewLease(req Request, g *grantInfo, matchErr *ProtocolError) (Offer, *ProtocolError) {
+// declared capFilePush. renewed says the lease row already counts this
+// renewal (a stale speculative keep, see renewCached), so the row is
+// written as if it had not.
+func (s *Server) renewLease(req Request, g *grantInfo, matchErr *ProtocolError, renewed bool) (Offer, *ProtocolError) {
 	// Fast path: the renewal-no-change branch. The client proved (by
 	// checksum) that it runs exactly the matched content, so no lease
 	// fields need to be read back — one guarded UPDATE extends the
 	// lease or reports it unknown/released.
-	if matchErr == nil && g.renew != RenewRevoke &&
-		req.CurrentChecksum != "" && req.CurrentChecksum == g.checksum {
-		res, err := s.exec(renewNoChangeSQL, sqlmini.Args{
-			"exp": s.clock().Add(g.leaseTime),
-			"drv": g.driverID,
-			"id":  int64(req.LeaseID),
-		})
+	if matchErr == nil && keepsDriver(req, g) {
+		res, err := s.extendLease(req.LeaseID, g, s.clock().Add(g.leaseTime), renewed)
 		if err != nil {
 			return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 		}
-		if res.Affected == 0 {
-			return Offer{}, &ProtocolError{Code: ErrCodeNoLease,
-				Message: fmt.Sprintf("lease %d unknown or released", req.LeaseID)}
-		}
-		// The client's checksum acknowledges any staged transfer.
-		s.dropPending(req.LeaseID)
-		s.renewKeeps.Add(1)
-		return Offer{
-			LeaseID:          req.LeaseID,
-			LeaseTime:        g.leaseTime,
-			RenewPolicy:      g.renew,
-			ExpirationPolicy: g.expiration,
-			TransferMethod:   g.transfer,
-			HasDriver:        false,
-			DriverChecksum:   g.checksum,
-			Format:           g.format,
-			ServerName:       s.name,
-		}, nil
+		return s.keptOffer(req, g, res)
 	}
 
 	lease, ok, err := s.leaseByID(req.LeaseID)
@@ -129,14 +237,14 @@ func (s *Server) renewLease(req Request, g *grantInfo, matchErr *ProtocolError) 
 			// The driver the client runs was retired and nothing replaces
 			// it: revoke (paper §3.1.2 "when the lease has expired, but no
 			// new driver is available ... a DRIVOLUTION_ERROR is sent").
-			s.expireLease(lease.LeaseID)
+			s.revokeLease(lease.LeaseID, renewed)
 			return Offer{}, &ProtocolError{Code: ErrCodeRevoked,
 				Message: "no driver available for renewal: " + matchErr.Message}
 		}
 		return Offer{}, matchErr
 	}
 	if g.renew == RenewRevoke {
-		s.expireLease(lease.LeaseID)
+		s.revokeLease(lease.LeaseID, renewed)
 		return Offer{}, &ProtocolError{Code: ErrCodeRevoked,
 			Message: fmt.Sprintf("driver %d revoked by policy", lease.DriverID)}
 	}
@@ -154,12 +262,7 @@ func (s *Server) renewLease(req Request, g *grantInfo, matchErr *ProtocolError) 
 	// sweep already freed, and re-stage a blob no sweep would ever
 	// drop.
 	now := s.clock()
-	res, err := s.exec(renewNoChangeSQL,
-		sqlmini.Args{
-			"exp": now.Add(g.leaseTime),
-			"drv": g.driverID,
-			"id":  int64(lease.LeaseID),
-		})
+	res, err := s.extendLease(lease.LeaseID, g, now.Add(g.leaseTime), renewed)
 	if err != nil {
 		return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 	}
@@ -309,9 +412,14 @@ func isDuplicateKey(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "duplicate primary key")
 }
 
-func (s *Server) expireLease(id uint64) {
-	_, _ = s.exec(`UPDATE `+LeasesTable+` SET released = TRUE WHERE lease_id = $id`,
-		sqlmini.Args{"id": int64(id)})
+// revokeLease ends a revoked lease (revokeLeaseSQL); renewed takes back
+// a stale speculative keep's count.
+func (s *Server) revokeLease(id uint64, renewed bool) {
+	undo := int64(0)
+	if renewed {
+		undo = 1
+	}
+	_, _ = s.exec(revokeLeaseSQL, sqlmini.Args{"now": s.clock(), "undo": undo, "id": int64(id)})
 	s.dropPending(id)
 }
 

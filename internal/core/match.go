@@ -93,6 +93,12 @@ func (s *Server) match(req Request) (*grantInfo, *ProtocolError) {
 	if perr != nil {
 		return nil, perr
 	}
+	return s.matchOn(cat, req)
+}
+
+// matchOn matches against a validated catalog, or through SQL when cat
+// is nil (the store cannot report versions).
+func (s *Server) matchOn(cat *catalog, req Request) (*grantInfo, *ProtocolError) {
 	if cat != nil {
 		return s.matchCatalog(cat, req)
 	}

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
+	"repro/internal/dbms"
 	"repro/internal/dbver"
 	"repro/internal/driverimg"
 	"repro/internal/sqlmini"
@@ -18,11 +20,14 @@ type versionBlind struct{ *LocalStore }
 
 func (versionBlind) Versions() (uint64, uint64, bool) { return 0, 0, false }
 
-// equivFixture is one randomized catalog loaded into two stores: the
-// catalog server matches in memory, the sql server through SQL.
+// equivFixture is one randomized catalog loaded into three stores: the
+// catalog server matches in memory, the sql server through SQL, and the
+// conn server in memory over a ConnStore whose session watches the
+// catalog's versions (so its renewals check the catalog after their
+// UPDATE).
 type equivFixture struct {
-	catalog, sql *Server
-	now          time.Time // the shared clock of both servers and both DBs
+	catalog, sql, conn *Server
+	now                time.Time // the shared clock of every server and DB
 }
 
 func pick[T any](rng *rand.Rand, xs ...T) T { return xs[rng.Intn(len(xs))] }
@@ -42,6 +47,20 @@ func newEquivFixture(t *testing.T, seed int64, license bool) *equivFixture {
 		t.Fatal(err)
 	}
 	if f.sql, err = NewServer("equiv", versionBlind{NewLocalStore(dbB)}, opts...); err != nil {
+		t.Fatal(err)
+	}
+	legacy := dbms.NewServer("legacy-db", dbms.WithUser("svc", "pw"))
+	legacy.AddDatabase("meta", sqlmini.NewDB(sqlmini.WithClock(clock)))
+	if err := legacy.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(legacy.Stop)
+	drv := dbms.NewNativeDriver(dbver.V(2, 0, 0), 2)
+	cs := NewConnStore(func() (client.Conn, error) {
+		return drv.Connect("dbms://"+legacy.Addr()+"/meta", client.Props{"user": "svc", "password": "pw"})
+	})
+	t.Cleanup(cs.Close)
+	if f.conn, err = NewServer("equiv", cs, opts...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -90,7 +109,7 @@ func newEquivFixture(t *testing.T, seed int64, license bool) *equivFixture {
 		}
 		perms = append(perms, p)
 	}
-	for _, st := range []Store{f.catalog.store, f.sql.store} {
+	for _, st := range []Store{f.catalog.store, f.sql.store, f.conn.store} {
 		for _, rec := range drivers {
 			if err := insertDriver(st, rec); err != nil {
 				t.Fatal(err)
@@ -110,6 +129,7 @@ func newEquivFixture(t *testing.T, seed int64, license bool) *equivFixture {
 // and fail with the same error code, for one request stream over a
 // randomized catalog — permission wildcards, REVOKE rows, expired and
 // future windows, preferences, renewals, and license mode at its cap.
+// The catalog over an external ConnStore answers the same stream alike.
 func TestCatalogMatchesSampleCode(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		for _, license := range []bool{false, true} {
@@ -136,11 +156,15 @@ func TestCatalogMatchesSampleCode(t *testing.T) {
 					}
 					offA, errA := f.catalog.grant(req, false)
 					offB, errB := f.sql.grant(req, false)
+					offC, errC := f.conn.grant(req, false)
 					if (errA == nil) != (errB == nil) || errA != nil && errA.Code != errB.Code {
 						t.Fatalf("request %d %+v:\ncatalog: %v\n    sql: %v", i, req, errA, errB)
 					}
 					if offA != offB {
 						t.Fatalf("request %d %+v:\ncatalog offer %+v\n    sql offer %+v", i, req, offA, offB)
+					}
+					if (errA == nil) != (errC == nil) || errA != nil && errA.Code != errC.Code || offA != offC {
+						t.Fatalf("request %d %+v:\ncatalog: %+v %v\n   conn: %+v %v", i, req, offA, errA, offC, errC)
 					}
 					if errA == nil && req.LeaseID == 0 {
 						granted = append(granted, offA)

@@ -482,8 +482,9 @@ func TestExternalMatchmakingZeroSQL(t *testing.T) {
 
 // TestExternalRenewalStatementBudget: on the external deployment a
 // no-change renewal is one statement — the guarded UPDATE through a
-// remote prepared handle — plus the generation probe; nothing else
-// reaches the legacy DBMS.
+// remote prepared handle — and nothing else reaches the legacy DBMS:
+// no generation probe, because the UPDATE's reply carries the table
+// versions the catalog is checked against.
 func TestExternalRenewalStatementBudget(t *testing.T) {
 	f := newRemoteFixture(t, 2)
 	cs := NewCountingStore(f.store)
@@ -506,6 +507,8 @@ func TestExternalRenewalStatementBudget(t *testing.T) {
 	}
 	cs.Reset()
 	queriesBefore := f.legacy.QueriesServed()
+	probesBefore := f.legacy.VersionProbesServed()
+	preparesBefore := f.legacy.PreparesServed()
 	const renewals = 5
 	for i := 0; i < renewals; i++ {
 		if _, perr := srv.grant(renew, false); perr != nil {
@@ -517,5 +520,13 @@ func TestExternalRenewalStatementBudget(t *testing.T) {
 	}
 	if got := f.legacy.QueriesServed() - queriesBefore; got != renewals {
 		t.Fatalf("%d statements reached the legacy DBMS, want %d", got, renewals)
+	}
+	if got := f.legacy.VersionProbesServed() - probesBefore; got != 0 {
+		t.Fatalf("%d renewals made %d version probes, want 0", renewals, got)
+	}
+	// Statements, probes and prepares are every frame a ConnStore sends
+	// here, so each renewal was one DBMS frame.
+	if got := f.legacy.PreparesServed() - preparesBefore; got != 0 {
+		t.Fatalf("%d renewals prepared %d statements, want 0", renewals, got)
 	}
 }

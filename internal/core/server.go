@@ -98,6 +98,7 @@ type Server struct {
 	// readers never block.
 	cat        atomic.Pointer[catalog]
 	catMu      sync.Mutex
+	catStale   atomic.Bool // set by NotifyUpdate: renewals validate cat before answering from it
 	assemblies assemblyCache
 	signGen    uint64 // bumped when the signing key changes
 
@@ -726,8 +727,12 @@ func (s *Server) handleRelease(conn *wire.Conn, payload []byte) {
 
 // NotifyUpdate pushes a change notification to dedicated-channel
 // subscribers whose (database, api) scope matches; empty strings match
-// everything. Admin operations call it automatically.
+// everything. Admin operations call it automatically, after their
+// write: it also marks the cached catalog stale, so the next renewal
+// reloads it before answering rather than answering from it and
+// answering again (renewCached).
 func (s *Server) NotifyUpdate(database, api string) {
+	s.catStale.Store(true)
 	s.subMu.Lock()
 	conns := make([]*wire.Conn, 0, len(s.subscribers))
 	for c, sub := range s.subscribers {

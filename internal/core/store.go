@@ -39,6 +39,11 @@ type Store interface {
 	// steady-state grants zero-SQL. ok == false (a legacy database that
 	// cannot report table versions, Figure 2, or a probe that failed)
 	// keeps the server on per-request SQL matchmaking.
+	//
+	// A statement's result may carry the same pair, read right after
+	// the statement executed, in Result.Versions (drivers, then perms):
+	// a ConnStore whose session watches the two tables. The server then
+	// validates a catalog it acted on without calling Versions.
 	Versions() (drivers, perms uint64, ok bool)
 }
 
@@ -217,7 +222,11 @@ func (s *LocalStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
 // but replayed only under the redial contract above — and Versions
 // probes the remote engine's per-table mutation counters over
 // client.TableVersionConn (one wire round trip, zero SQL), which
-// extends the server's zero-SQL catalog to external deployments.
+// extends the server's zero-SQL catalog to external deployments. Each
+// dialed connection that can also registers a version watch on the same
+// two tables (client.VersionWatchConn), so every statement result it
+// returns carries them in Result.Versions and a renewal needs no probe
+// of its own.
 //
 // A v1 peer is the paper's legacy database, and it stays supported:
 // Prepare handles execute as plain per-call SQL, and Versions reports
@@ -311,8 +320,28 @@ func (s *ConnStore) acquire() (*poolConn, error) {
 		<-s.sem
 		return nil, fmt.Errorf("core: external store dial: %w", err)
 	}
+	if err := watchVersions(c); err != nil {
+		_ = c.Close()
+		<-s.sem
+		return nil, fmt.Errorf("core: external store watch: %w", err)
+	}
 	s.dials.Add(1)
 	return &poolConn{conn: c}, nil
+}
+
+// watchVersions registers the catalog tables as a fresh connection's
+// version watch, so its statement results carry the pair Versions
+// reports. A session that cannot carry a watch stays unwatched, and the
+// server probes after its statements instead.
+func watchVersions(c client.Conn) error {
+	wc, ok := c.(client.VersionWatchConn)
+	if !ok {
+		return nil
+	}
+	if _, err := wc.WatchVersions(DriversTable, PermissionTable); err != nil && !errors.Is(err, client.ErrNotSupported) {
+		return err
+	}
+	return nil
 }
 
 // closeConn closes a connection and writes off its cached remote
@@ -666,7 +695,7 @@ func (s *ConnStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
 }
 
 func toStoreResult(res *client.Result) *sqlmini.Result {
-	return &sqlmini.Result{Cols: res.Cols, Rows: res.Rows, Affected: res.Affected}
+	return &sqlmini.Result{Cols: res.Cols, Rows: res.Rows, Affected: res.Affected, Versions: res.Versions}
 }
 
 // Prepare implements Store over remote prepared handles. The

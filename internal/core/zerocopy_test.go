@@ -60,6 +60,32 @@ func TestBootstrapAllocBytes(t *testing.T) {
 	}
 }
 
+// TestInstalledDriverDropsItsImage: an installed driver keeps what its
+// factory built from the image, not the transferred image itself, whose
+// payload aliases the whole blob. Eight bootloaders running a 1 MiB
+// driver, connections open, grow the live heap by well under one image
+// each.
+func TestInstalledDriverDropsItsImage(t *testing.T) {
+	f := newFixture(t, 1)
+	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 1<<20))
+	mustConnect(t, f.bootloader(t), f.appURL()) // warm: the catalog holds the blob once
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := liveHeap()
+	for i := 0; i < 8; i++ {
+		mustConnect(t, f.bootloader(t), f.appURL())
+	}
+	growth := int64(liveHeap()) - int64(before)
+	t.Logf("8 installed 1 MiB drivers hold %d KiB of live heap", growth>>10)
+	if growth >= 2<<20 {
+		t.Fatalf("8 installed 1 MiB drivers hold %d KiB of live heap, want under 2 MiB", growth>>10)
+	}
+}
+
 // TestUpgradeRenewalIsOneClientFrame: the bootloader's upgrade renewal
 // costs the client one frame on the wire, the REQUEST — the file rides
 // the OFFER, with no FILE_REQUEST behind it — and the server answers

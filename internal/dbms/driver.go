@@ -28,6 +28,7 @@ type NativeDriver struct {
 	protoMin     uint16 // lowest acceptable protocol version
 	dialTimeout  time.Duration
 	opTimeout    time.Duration // per-exchange reply deadline
+	withoutCaps  uint32        // capabilities never offered (an older build)
 }
 
 // NativeDriverOption configures a NativeDriver.
@@ -102,7 +103,7 @@ func (d *NativeDriver) Connect(rawURL string, props client.Props) (client.Conn, 
 		Password:           opts["password"],
 		ClientInfo:         fmt.Sprintf("%s %s (proto %d)", DriverKind, d.version, d.protoVersion),
 		MinProtocolVersion: d.protoMin,
-		Capabilities:       capsForVersion(d.protoVersion),
+		Capabilities:       capsForVersion(d.protoVersion) &^ d.withoutCaps,
 	}
 	if err := conn.Send(msgHello, hello.encode()); err != nil {
 		conn.Close()
@@ -184,6 +185,8 @@ func (c *nativeConn) Supports(f client.Feature) bool {
 		return c.caps&CapPreparedStatements != 0
 	case client.FeatureTableVersions:
 		return c.caps&CapTableVersions != 0
+	case client.FeatureWatchVersions:
+		return c.caps&CapWatchVersions != 0
 	default:
 		return false
 	}
@@ -252,7 +255,7 @@ func decodeExecReply(f wire.Frame) (*client.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &client.Result{Cols: r.Cols, Rows: r.Rows, Affected: r.Affected}, nil
+		return &client.Result{Cols: r.Cols, Rows: r.Rows, Affected: r.Affected, Versions: r.Versions}, nil
 	case msgError:
 		code, msg, derr := decodeError(f.Payload)
 		if derr != nil {
@@ -320,7 +323,7 @@ func (c *nativeConn) ExecBatch(atomic bool, stmts []client.Statement) ([]*client
 		}
 		out := make([]*client.Result, len(br.Results))
 		for i, r := range br.Results {
-			out[i] = &client.Result{Cols: r.Cols, Rows: r.Rows, Affected: r.Affected}
+			out[i] = &client.Result{Cols: r.Cols, Rows: r.Rows, Affected: r.Affected, Versions: br.Versions}
 		}
 		return out, nil
 	case msgError:
@@ -425,7 +428,25 @@ func (c *nativeConn) TableVersions(names ...string) ([]uint64, error) {
 		return nil, fmt.Errorf("%w: table-version probes (session protocol %d)",
 			client.ErrNotSupported, c.proto)
 	}
-	f, err := c.roundTrip(msgTableVersions, tableVersionsMsg{Names: names}.encode())
+	return c.probeVersions(tableVersionsMsg{Names: names})
+}
+
+// WatchVersions implements client.VersionWatchConn: the same round trip
+// as TableVersions, flagged so the server registers names as the
+// session's watch. Requires the negotiated FeatureWatchVersions
+// capability; without it the call fails with client.ErrNotSupported and
+// no I/O.
+func (c *nativeConn) WatchVersions(names ...string) ([]uint64, error) {
+	if c.caps&CapWatchVersions == 0 {
+		return nil, fmt.Errorf("%w: version watches (session protocol %d)",
+			client.ErrNotSupported, c.proto)
+	}
+	return c.probeVersions(tableVersionsMsg{Names: names, Watch: true})
+}
+
+func (c *nativeConn) probeVersions(m tableVersionsMsg) ([]uint64, error) {
+	names := m.Names
+	f, err := c.roundTrip(msgTableVersions, m.encode())
 	if err != nil {
 		return nil, err
 	}

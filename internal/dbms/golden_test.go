@@ -340,3 +340,43 @@ func TestGoldenFrameTypes(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenVersionWatch pins the watch extension: the watch flag
+// trails a probe's names, the counter list trails a watched session's
+// result and batch result, and the capability bit is 8. The plain forms
+// above are unchanged by it.
+func TestGoldenVersionWatch(t *testing.T) {
+	if CapWatchVersions != 8 {
+		t.Fatalf("capability watchVersions = %d, golden 8", CapWatchVersions)
+	}
+	m := tableVersionsMsg{Names: []string{"drivers", "driver_permission"}, Watch: true}
+	enc := m.encode()
+	checkGolden(t, "tableVersions(watch)", enc,
+		"000000020000000764726976657273000000116472697665725f7065726d697373696f6e01")
+	got, err := decodeTableVersions(enc)
+	if err != nil || !got.Watch || !reflect.DeepEqual(got.Names, m.Names) {
+		t.Fatalf("round trip: %+v %v", got, err)
+	}
+
+	r := &sqlmini.Result{Cols: []string{"n"}, Rows: [][]sqlmini.Value{{sqlmini.NewInt(3)}},
+		Affected: 1, Versions: []uint64{5, 9}}
+	enc = encodeResult(r)
+	checkGolden(t, "result(versions)", enc,
+		"00000001000000016e0000000100000001030000000000000003"+"0000000000000001"+
+			"00000002"+"0000000000000005"+"0000000000000009")
+	res, err := decodeResult(enc)
+	if err != nil || !reflect.DeepEqual(res.Versions, r.Versions) || res.Affected != 1 {
+		t.Fatalf("round trip: %+v %v", res, err)
+	}
+
+	br := batchResultMsg{Results: []*sqlmini.Result{{Affected: 1}}, ErrIndex: -1, Versions: []uint64{5, 9}}
+	enc = br.encode()
+	checkGolden(t, "batchResult(versions)", enc,
+		"00000001"+"00000010"+"00000000"+"00000000"+"0000000000000001"+
+			"ffffffff"+"0000"+"00000000"+
+			"00000002"+"0000000000000005"+"0000000000000009")
+	gotBR, err := decodeBatchResult(enc)
+	if err != nil || !reflect.DeepEqual(gotBR.Versions, br.Versions) || gotBR.Results[0].Versions != nil {
+		t.Fatalf("round trip: %+v %v", gotBR, err)
+	}
+}

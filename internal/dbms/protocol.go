@@ -17,7 +17,10 @@
 // bitmask, and capability-gated frames give sessions server-side
 // prepared-statement handles (msgPrepare/msgExecStmt/msgCloseStmt) and
 // one-round-trip generation probes over the engine's per-table mutation
-// counters (msgTableVersions). Peers that pin a single version — every
+// counters (msgTableVersions). A session may also register a version
+// watch (CapWatchVersions), after which every statement reply carries
+// the watched tables' counters, so a cache validates what it acted on
+// without a probe of its own. Peers that pin a single version — every
 // legacy driver build, and servers configured with WithProtocolVersion —
 // negotiate exactly as before, keeping the step-5 failure mode intact.
 package dbms
@@ -51,7 +54,8 @@ const (
 	// msgExec); msgCloseStmt releases a handle (msgCloseStmtOK).
 	// msgTableVersions probes the engine's per-table mutation counters
 	// in one round trip (msgTableVersionsOK) — the wire form of the
-	// generation counters backing metadata caches.
+	// generation counters backing metadata caches. Its trailing watch
+	// flag also registers the tables as the session's version watch.
 	msgPrepare         uint16 = 0x0109
 	msgPrepareOK       uint16 = 0x010A
 	msgExecStmt        uint16 = 0x010B
@@ -88,13 +92,18 @@ const (
 	// predate negotiation and still work on v1 sessions; the bit lets
 	// v2 peers detect the capability without trying.)
 	CapAtomicBatch uint32 = 1 << 2
+	// CapWatchVersions: msgTableVersions with the watch flag. From then
+	// on every msgResult and msgBatchResult of the session appends the
+	// watched tables' counters, read after the statement and its
+	// replication finished.
+	CapWatchVersions uint32 = 1 << 3
 )
 
 // capsForVersion reports the capabilities this implementation offers at
 // a negotiated protocol version.
 func capsForVersion(v uint16) uint32 {
 	if v >= ProtocolV2 {
-		return CapPreparedStatements | CapTableVersions | CapAtomicBatch
+		return CapPreparedStatements | CapTableVersions | CapAtomicBatch | CapWatchVersions
 	}
 	return 0
 }
@@ -295,6 +304,9 @@ func decodeExec(b []byte) (execMsg, error) {
 	return m, d.Err()
 }
 
+// encodeResult encodes a result set. A result that carries Versions
+// (a watched session's reply) appends them; the engine never sets
+// them, so an unwatched session's frames are unchanged.
 func encodeResult(r *sqlmini.Result) []byte {
 	e := wire.NewEncoder(256)
 	e.StringSlice(r.Cols)
@@ -306,6 +318,9 @@ func encodeResult(r *sqlmini.Result) []byte {
 		}
 	}
 	e.Int64(int64(r.Affected))
+	if r.Versions != nil {
+		encodeVersions(e, r.Versions)
+	}
 	return e.Bytes()
 }
 
@@ -335,7 +350,40 @@ func decodeResult(b []byte) (*sqlmini.Result, error) {
 		r.Rows = append(r.Rows, row)
 	}
 	r.Affected = int(d.Int64())
+	if d.Remaining() > 0 {
+		vs, err := decodeVersions(d)
+		if err != nil {
+			return nil, err
+		}
+		r.Versions = vs
+	}
 	return r, d.Err()
+}
+
+// encodeVersions appends a counter list: a count, then the counters.
+// msgTableVersionsOK is one, and a watched session's replies end in one.
+func encodeVersions(e *wire.Encoder, vs []uint64) {
+	e.Uint32(uint32(len(vs)))
+	for _, v := range vs {
+		e.Uint64(v)
+	}
+}
+
+// decodeVersions reads a counter list, checking its count against the
+// remaining payload before sizing the slice.
+func decodeVersions(d *wire.Decoder) ([]uint64, error) {
+	n := d.Uint32()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if uint64(n)*8 > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("%w: version count %d exceeds payload", wire.ErrShortBuffer, n)
+	}
+	vs := make([]uint64, n)
+	for i := range vs {
+		vs[i] = d.Uint64()
+	}
+	return vs, d.Err()
 }
 
 // batchMsg is msgExecBatch: an ordered statement list plus the atomic
@@ -378,12 +426,13 @@ func decodeBatch(b []byte) (batchMsg, error) {
 // batchResultMsg is msgBatchResult. ErrIndex is the 0-based position
 // of the failing statement, -1 on full success; Results holds one
 // entry per statement executed before the failure (all of them on
-// success).
+// success). Versions trails the frame on a watched session.
 type batchResultMsg struct {
 	Results  []*sqlmini.Result
 	ErrIndex int32
 	ErrCode  uint16
 	ErrMsg   string
+	Versions []uint64
 }
 
 func (m batchResultMsg) encode() []byte {
@@ -395,6 +444,9 @@ func (m batchResultMsg) encode() []byte {
 	e.Int32(m.ErrIndex)
 	e.Uint16(m.ErrCode)
 	e.String(m.ErrMsg)
+	if m.Versions != nil {
+		encodeVersions(e, m.Versions)
+	}
 	return e.Bytes()
 }
 
@@ -418,6 +470,13 @@ func decodeBatchResult(b []byte) (batchResultMsg, error) {
 	m.ErrIndex = d.Int32()
 	m.ErrCode = d.Uint16()
 	m.ErrMsg = d.String()
+	if d.Remaining() > 0 {
+		vs, err := decodeVersions(d)
+		if err != nil {
+			return m, err
+		}
+		m.Versions = vs
+	}
 	return m, d.Err()
 }
 
@@ -521,20 +580,28 @@ func decodeCloseStmt(b []byte) (closeStmtMsg, error) {
 
 // tableVersionsMsg is msgTableVersions: probe the per-table mutation
 // counters of the session's database, one round trip for any number of
-// tables.
+// tables. Watch (a trailing flag, absent on plain probes) also
+// registers Names as the session's version watch (CapWatchVersions).
 type tableVersionsMsg struct {
 	Names []string
+	Watch bool
 }
 
 func (m tableVersionsMsg) encode() []byte {
 	e := wire.NewEncoder(16 * (len(m.Names) + 1))
 	e.StringSlice(m.Names)
+	if m.Watch {
+		e.Bool(true)
+	}
 	return e.Bytes()
 }
 
 func decodeTableVersions(b []byte) (tableVersionsMsg, error) {
 	d := wire.NewDecoder(b)
 	m := tableVersionsMsg{Names: d.StringSlice()}
+	if d.Remaining() > 0 {
+		m.Watch = d.Bool()
+	}
 	return m, d.Err()
 }
 
@@ -546,25 +613,11 @@ type tableVersionsOKMsg struct {
 
 func (m tableVersionsOKMsg) encode() []byte {
 	e := wire.NewEncoder(8 * (len(m.Versions) + 1))
-	e.Uint32(uint32(len(m.Versions)))
-	for _, v := range m.Versions {
-		e.Uint64(v)
-	}
+	encodeVersions(e, m.Versions)
 	return e.Bytes()
 }
 
 func decodeTableVersionsOK(b []byte) (tableVersionsOKMsg, error) {
-	d := wire.NewDecoder(b)
-	n := d.Uint32()
-	if err := d.Err(); err != nil {
-		return tableVersionsOKMsg{}, err
-	}
-	if uint64(n)*8 > uint64(d.Remaining()) {
-		return tableVersionsOKMsg{}, fmt.Errorf("%w: version count %d exceeds payload", wire.ErrShortBuffer, n)
-	}
-	m := tableVersionsOKMsg{Versions: make([]uint64, 0, n)}
-	for i := uint32(0); i < n; i++ {
-		m.Versions = append(m.Versions, d.Uint64())
-	}
-	return m, d.Err()
+	vs, err := decodeVersions(wire.NewDecoder(b))
+	return tableVersionsOKMsg{Versions: vs}, err
 }

@@ -29,6 +29,7 @@ type Server struct {
 
 	handshakeTimeout time.Duration // first-frame deadline per connection
 	writeTimeout     time.Duration // per-frame send deadline
+	withoutCaps      uint32        // capabilities withheld from every session (an older build)
 
 	mu        sync.Mutex
 	dbs       map[string]*sqlmini.DB
@@ -338,13 +339,19 @@ func (s *Server) DisconnectUser(user string) int {
 }
 
 type session struct {
-	id    uint64
-	conn  *wire.Conn
-	user  string
-	db    string
-	sql   *sqlmini.Session
-	proto uint16 // negotiated protocol version
-	caps  uint32 // negotiated capability mask
+	id     uint64
+	conn   *wire.Conn
+	user   string
+	db     string
+	engine *sqlmini.DB // the database sql executes on
+	sql    *sqlmini.Session
+	proto  uint16 // negotiated protocol version
+	caps   uint32 // negotiated capability mask
+
+	// watch is the table list of the session's version watch (a
+	// watch-flagged msgTableVersions; nil without one): every msgResult
+	// and msgBatchResult appends their counters.
+	watch []string
 
 	// stmts is the session's prepared-handle table: server-side cached
 	// sqlmini.Prepared keyed by handle id. Only the session's serve
@@ -417,7 +424,7 @@ func (s *Server) serveConn(nc net.Conn) {
 				s.name, s.protoMin, s.protoMax, cMin, cMax, hello.ClientInfo)))
 		return
 	}
-	caps := capsForVersion(neg) & hello.Capabilities
+	caps := capsForVersion(neg) & hello.Capabilities &^ s.withoutCaps
 	if pw, ok := s.users[hello.User]; !ok || pw != hello.Password {
 		_ = conn.Send(msgError, encodeError(codeAuthFailed,
 			fmt.Sprintf("authentication failed for user %q", hello.User)))
@@ -431,7 +438,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 
 	sess := &session{conn: conn, user: hello.User, db: hello.Database,
-		sql: db.NewSession(), proto: neg, caps: caps}
+		engine: db, sql: db.NewSession(), proto: neg, caps: caps}
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -529,7 +536,35 @@ func (s *Server) handleExec(sess *session, payload []byte) error {
 	if mutating {
 		s.replicate(sess.db, m)
 	}
+	return sess.sendResult(res)
+}
+
+// watched reads the session's watched table versions, nil without a
+// watch. Callers read them once the statement and its replication
+// finished, so a reply's versions are never older than its statement.
+func (sess *session) watched() []uint64 {
+	if sess.watch == nil {
+		return nil
+	}
+	vs := make([]uint64, len(sess.watch))
+	for i, name := range sess.watch {
+		vs[i] = sess.engine.TableVersion(name)
+	}
+	return vs
+}
+
+// sendResult answers one statement with msgResult, carrying the
+// watched versions on a watched session.
+func (sess *session) sendResult(res *sqlmini.Result) error {
+	res.Versions = sess.watched()
 	return sess.conn.Send(msgResult, encodeResult(res))
+}
+
+// sendBatchResult answers one batch frame with msgBatchResult,
+// carrying the watched versions on a watched session.
+func (sess *session) sendBatchResult(m *batchResultMsg) error {
+	m.Versions = sess.watched()
+	return sess.conn.Send(msgBatchResult, m.encode())
 }
 
 // handleExecBatch executes one msgExecBatch frame: N statements on the
@@ -556,7 +591,7 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 	reply := batchResultMsg{ErrIndex: -1}
 	fail := func(i int, code uint16, msg string) error {
 		reply.ErrIndex, reply.ErrCode, reply.ErrMsg = int32(i), code, msg
-		return sess.conn.Send(msgBatchResult, reply.encode())
+		return sess.sendBatchResult(&reply)
 	}
 
 	muts := make([]bool, len(bm.Stmts))
@@ -598,7 +633,7 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 			return fail(-1, codeQueryError, err.Error())
 		}
 		reply.Results = results
-		return sess.conn.Send(msgBatchResult, reply.encode())
+		return sess.sendBatchResult(&reply)
 	}
 	for i, m := range bm.Stmts {
 		res, execErr := execOn(sess.sql, m)
@@ -614,7 +649,7 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 			s.replicate(sess.db, m)
 		}
 	}
-	return sess.conn.Send(msgBatchResult, reply.encode())
+	return sess.sendBatchResult(&reply)
 }
 
 // execBatchAtomic runs stmts on the named database through the
@@ -714,7 +749,7 @@ func (s *Server) handleExecStmt(sess *session, payload []byte) error {
 	if h.mutating {
 		s.replicate(sess.db, execMsg{SQL: h.sql, Named: m.Named, Positional: m.Positional})
 	}
-	return sess.conn.Send(msgResult, encodeResult(res))
+	return sess.sendResult(res)
 }
 
 // handleCloseStmt drops one handle from the session table. Closing an
@@ -736,7 +771,8 @@ func (s *Server) handleCloseStmt(sess *session, payload []byte) error {
 // handleTableVersions answers a generation probe: the per-table
 // mutation counters of the session's database, read from in-memory
 // state — no SQL executes, so a cache-validation round trip costs the
-// legacy DBMS nothing but a frame.
+// legacy DBMS nothing but a frame. A watch-flagged probe also makes
+// its tables the session's version watch (replacing any earlier one).
 func (s *Server) handleTableVersions(sess *session, payload []byte) error {
 	if sess.caps&CapTableVersions == 0 {
 		return sess.conn.Send(msgError, encodeError(codeNotSupported,
@@ -745,6 +781,13 @@ func (s *Server) handleTableVersions(sess *session, payload []byte) error {
 	m, err := decodeTableVersions(payload)
 	if err != nil {
 		return sess.conn.Send(msgError, encodeError(codeQueryError, "malformed table-versions: "+err.Error()))
+	}
+	if m.Watch {
+		if sess.caps&CapWatchVersions == 0 {
+			return sess.conn.Send(msgError, encodeError(codeNotSupported,
+				"version watches were not negotiated on this session"))
+		}
+		sess.watch = m.Names
 	}
 	db := s.Database(sess.db)
 	if db == nil {

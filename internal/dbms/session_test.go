@@ -31,11 +31,15 @@ func dialV2(t *testing.T, s *Server) client.Conn {
 }
 
 // TestNegotiationMatrix covers the mixed-version handshake: ranged and
-// pinned clients against ranged and pinned servers.
+// pinned clients against ranged and pinned servers, and v2 peers from
+// before CapWatchVersions against current ones in both directions.
 func TestNegotiationMatrix(t *testing.T) {
 	rangedSrv := startServer(t) // default: [ProtocolV1, ProtocolV2]
 	v1Srv := startServer(t, WithProtocolVersion(1))
 	v2Srv := startServer(t, WithProtocolVersion(2))
+	preWatchSrv := startServer(t, func(s *Server) { s.withoutCaps = CapWatchVersions })
+	preWatchDrv := NewNativeDriver(dbver.V(2, 0, 0), 2, WithProtocolFloor(1))
+	preWatchDrv.withoutCaps = CapWatchVersions
 
 	cases := []struct {
 		name      string
@@ -43,14 +47,17 @@ func TestNegotiationMatrix(t *testing.T) {
 		server    *Server
 		wantProto uint16
 		wantCaps  bool
+		wantWatch bool
 		wantFail  bool
 	}{
-		{"ranged vs ranged", NewNativeDriver(dbver.V(2, 0, 0), 2, WithProtocolFloor(1)), rangedSrv, 2, true, false},
-		{"ranged v2 client vs pinned v1 server", NewNativeDriver(dbver.V(2, 0, 0), 2, WithProtocolFloor(1)), v1Srv, 1, false, false},
-		{"pinned v1 client vs ranged server", NewNativeDriver(dbver.V(1, 0, 0), 1), rangedSrv, 1, false, false},
-		{"pinned v2 client vs ranged server", NewNativeDriver(dbver.V(2, 0, 0), 2), rangedSrv, 2, true, false},
-		{"pinned v1 client vs pinned v2 server", NewNativeDriver(dbver.V(1, 0, 0), 1), v2Srv, 0, false, true},
-		{"pinned v2 client vs pinned v1 server", NewNativeDriver(dbver.V(2, 0, 0), 2), v1Srv, 0, false, true},
+		{"ranged vs ranged", NewNativeDriver(dbver.V(2, 0, 0), 2, WithProtocolFloor(1)), rangedSrv, 2, true, true, false},
+		{"ranged v2 client vs pinned v1 server", NewNativeDriver(dbver.V(2, 0, 0), 2, WithProtocolFloor(1)), v1Srv, 1, false, false, false},
+		{"pinned v1 client vs ranged server", NewNativeDriver(dbver.V(1, 0, 0), 1), rangedSrv, 1, false, false, false},
+		{"pinned v2 client vs ranged server", NewNativeDriver(dbver.V(2, 0, 0), 2), rangedSrv, 2, true, true, false},
+		{"pinned v1 client vs pinned v2 server", NewNativeDriver(dbver.V(1, 0, 0), 1), v2Srv, 0, false, false, true},
+		{"pinned v2 client vs pinned v1 server", NewNativeDriver(dbver.V(2, 0, 0), 2), v1Srv, 0, false, false, true},
+		{"pre-watch v2 client vs ranged server", preWatchDrv, rangedSrv, 2, true, false, false},
+		{"ranged v2 client vs pre-watch server", NewNativeDriver(dbver.V(2, 0, 0), 2, WithProtocolFloor(1)), preWatchSrv, 2, true, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,11 +82,98 @@ func TestNegotiationMatrix(t *testing.T) {
 				fc.Supports(client.FeatureTableVersions) != tc.wantCaps {
 				t.Fatalf("capabilities = %v, want %v", !tc.wantCaps, tc.wantCaps)
 			}
-			// The session must actually work at the negotiated version.
-			if _, err := c.Query("SELECT count(*) FROM accounts"); err != nil {
+			if got := fc.Supports(client.FeatureWatchVersions); got != tc.wantWatch {
+				t.Fatalf("watch capability = %v, want %v", got, tc.wantWatch)
+			}
+			_, werr := c.(client.VersionWatchConn).WatchVersions("accounts")
+			if tc.wantWatch != (werr == nil) || !tc.wantWatch && !errors.Is(werr, client.ErrNotSupported) {
+				t.Fatalf("WatchVersions: err = %v, want watch %v", werr, tc.wantWatch)
+			}
+			if !tc.wantWatch {
+				// The server refuses a raw watch the session did not
+				// negotiate, whatever the client library would send.
+				f, err := nc.roundTrip(msgTableVersions, tableVersionsMsg{Names: []string{"accounts"}, Watch: true}.encode())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if code, _, _ := decodeError(f.Payload); f.Type != msgError || code != codeNotSupported {
+					t.Fatalf("raw watch answered 0x%04x (code %d), want codeNotSupported", f.Type, code)
+				}
+			}
+			// The session must actually work at the negotiated version,
+			// and its replies carry versions exactly when it watches.
+			res, err := c.Query("SELECT count(*) FROM accounts")
+			if err != nil {
 				t.Fatal(err)
 			}
+			if (res.Versions != nil) != tc.wantWatch {
+				t.Fatalf("reply versions = %v, want carried = %v", res.Versions, tc.wantWatch)
+			}
 		})
+	}
+}
+
+// TestVersionWatch: a watched session's replies — ad hoc, prepared and
+// batch — carry the watched tables' versions as they stood after the
+// statement, the watch registration is a probe (and only that), and an
+// unwatched session's replies carry none.
+func TestVersionWatch(t *testing.T) {
+	s := startServer(t)
+	c := dialV2(t, s)
+	plain := dialV2(t, s)
+	queriesBefore := s.QueriesServed()
+	initial, err := c.(client.VersionWatchConn).WatchVersions("accounts", "nope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.VersionProbesServed() != 1 || s.QueriesServed() != queriesBefore {
+		t.Fatalf("registration: %d probes, %d statements; want 1 probe, 0 statements",
+			s.VersionProbesServed(), s.QueriesServed()-queriesBefore)
+	}
+	probe := func() uint64 {
+		t.Helper()
+		vs, err := plain.(client.TableVersionConn).TableVersions("accounts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vs[0]
+	}
+	check := func(name string, got []uint64) {
+		t.Helper()
+		if want := probe(); len(got) != 2 || got[0] != want || got[1] != 0 {
+			t.Fatalf("%s reply carries %v, want [%d 0]", name, got, want)
+		}
+	}
+
+	res, err := c.Exec("UPDATE accounts SET balance = balance + 1 WHERE id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Versions[0] <= initial[0] {
+		t.Fatalf("an UPDATE's reply carries %v, the watch started at %v: read before the write", res.Versions, initial)
+	}
+	check("exec", res.Versions)
+
+	st, err := c.(client.StmtConn).Prepare("UPDATE accounts SET balance = balance + 1 WHERE id = $id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = st.Exec(sqlmini.Args{"id": 2}); err != nil {
+		t.Fatal(err)
+	}
+	check("exec-stmt", res.Versions)
+
+	rs, err := c.(client.BatchConn).ExecBatch(true, []client.Statement{
+		{SQL: "UPDATE accounts SET balance = 0 WHERE id = 1"},
+		{SQL: "SELECT count(*) FROM accounts"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("batch", rs[1].Versions)
+
+	if res, err = plain.Query("SELECT count(*) FROM accounts"); err != nil || res.Versions != nil {
+		t.Fatalf("unwatched reply carries %v (err %v), want none", res.Versions, err)
 	}
 }
 

@@ -41,6 +41,11 @@ type Result struct {
 	Rows [][]Value
 	// Affected counts rows touched by INSERT/UPDATE/DELETE.
 	Affected int
+	// Versions holds the mutation counters (TableVersion) of the tables
+	// a remote session watches, read after the statement executed. The
+	// engine never sets it; a result that crossed a dbms session with a
+	// version watch carries it.
+	Versions []uint64
 }
 
 // Table holds column definitions and rows. Column structure is
