@@ -78,6 +78,7 @@ fuzz-smoke:
 	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzLike -fuzztime=$(FUZZ_TIME)
 	go test ./internal/core -run '^$$' -fuzz=FuzzFileSink -fuzztime=$(FUZZ_TIME)
 	go test ./internal/dbms -run '^$$' -fuzz=FuzzDbmsFrames -fuzztime=$(FUZZ_TIME)
+	go test ./internal/dbms -run '^$$' -fuzz=FuzzWireBinding -fuzztime=$(FUZZ_TIME)
 
 tier1:
 	go build ./...

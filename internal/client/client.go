@@ -63,16 +63,13 @@ func (p Props) String() string {
 	return sb.String()
 }
 
-// Result is a statement outcome delivered to applications.
-type Result struct {
-	Cols     []string
-	Rows     [][]sqlmini.Value
-	Affected int
-	// Versions is set on connections with a version watch
-	// (VersionWatchConn): the watched tables' mutation counters, parallel
-	// to the watched names, read after this statement executed.
-	Versions []uint64
-}
+// Result is a statement outcome delivered to applications: the
+// engine's own result type, so a driver decodes a reply once and a
+// store hands the same value on. Versions is set on connections with a
+// version watch (VersionWatchConn): the watched tables' mutation
+// counters, parallel to the watched names, read after this statement
+// executed.
+type Result = sqlmini.Result
 
 // Driver creates connections to a database. Implementations: the legacy
 // static drivers in internal/dbms and internal/sequoia, the driver-image

@@ -62,6 +62,7 @@ func (s *Server) renewCached(cat *catalog, req Request, isTLS bool) (Offer, *Pro
 		}
 		// The versions already moved: reload without probing first.
 		speculated, renewed = true, res.Affected > 0
+		s.renewRedos.Add(1)
 		fresh, ferr = s.reloadCatalog()
 	} else {
 		fresh, ferr = s.catalogSnapshot()

@@ -40,8 +40,9 @@ func proxiedStore(t *testing.T, f *remoteFixture) (*ConnStore, *faultnet.Proxy) 
 // TestExternalNoChangeRenewalIsOneRoundTrip: over a watched ConnStore a
 // no-change renewal is one frame to the DBMS and one back — the UPDATE
 // and its reply, which carries the versions the catalog is checked
-// against. A connection cut right after that UPDATE frame leaves its
-// outcome unknown: the renewal reports so and never answers "keep".
+// against, and which never sends the renewal to a redo. A connection
+// cut right after that UPDATE frame leaves its outcome unknown: the
+// renewal reports so and never answers "keep".
 func TestExternalNoChangeRenewalIsOneRoundTrip(t *testing.T) {
 	f := newRemoteFixture(t, 2)
 	store, p := proxiedStore(t, f)
@@ -74,6 +75,9 @@ func TestExternalNoChangeRenewalIsOneRoundTrip(t *testing.T) {
 	}
 	if n := p.Frames(faultnet.Down) - down; n != renewals {
 		t.Fatalf("%d no-change renewals got %d frames back, want %d", renewals, n, renewals)
+	}
+	if n := srv.Counters().RenewRedos; n != 0 {
+		t.Fatalf("steady no-change renewals redid %d answers, want 0", n)
 	}
 
 	// A fresh connection sends hello, watch, prepare and the UPDATE: cut
@@ -274,7 +278,8 @@ func (w *staleWorld) renew(t *testing.T, srv *Server) renewal {
 		ErrorsSent: after.ErrorsSent - before.ErrorsSent, Transfers: after.Transfers - before.Transfers,
 		BytesOut: after.BytesOut - before.BytesOut, Notifies: after.Notifies - before.Notifies,
 		LeasesGranted: after.LeasesGranted - before.LeasesGranted, RenewKeeps: after.RenewKeeps - before.RenewKeeps,
-		RenewUpgrades: after.RenewUpgrades - before.RenewUpgrades, Redirects: after.Redirects - before.Redirects,
+		RenewUpgrades: after.RenewUpgrades - before.RenewUpgrades, RenewRedos: after.RenewRedos - before.RenewRedos,
+		Redirects: after.Redirects - before.Redirects,
 	}
 	return r
 }
@@ -282,10 +287,10 @@ func (w *staleWorld) renew(t *testing.T, srv *Server) renewal {
 // TestStaleCatalogRenewal: a second writer changes the catalog between
 // two renewals, so the server under test answers its next renewal from
 // a stale cached catalog, finds the versions moved after its UPDATE,
-// and answers again from the fresh one. The answer, the lease row
-// (renewals included) and the server counters must equal those of a
-// fresh server — one with no cached catalog — renewing the same lease
-// in an identical world.
+// and answers again from the fresh one — one redo. The answer, the
+// lease row (renewals included) and every other server counter must
+// equal those of a fresh server — one with no cached catalog, and no
+// redo — renewing the same lease in an identical world.
 func TestStaleCatalogRenewal(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -330,6 +335,11 @@ func TestStaleCatalogRenewal(t *testing.T) {
 				}
 				got := stale.renew(t, stale.srv)
 				want := ref.renew(t, ref.server(t))
+				if got.counters.RenewRedos != 1 || want.counters.RenewRedos != 0 {
+					t.Fatalf("redos: %d from the stale catalog, %d from a fresh server; want 1 and 0",
+						got.counters.RenewRedos, want.counters.RenewRedos)
+				}
+				got.counters.RenewRedos = 0
 				if got != want {
 					t.Fatalf("renewal from a stale catalog:\n got  %+v\n want %+v (a fresh server)", got, want)
 				}
@@ -400,5 +410,64 @@ func TestOwnAdminWriteValidatesFirst(t *testing.T) {
 	if st.runs[renewNoChangeSQL] != 1 || st.runs[renewRedoSQL] != 0 {
 		t.Fatalf("the upgrade renewal ran the renewal UPDATE %d times and its redo %d times, want 1 and 0",
 			st.runs[renewNoChangeSQL], st.runs[renewRedoSQL])
+	}
+}
+
+// TestConnStoreRenewalAllocs pins what one renewal statement costs the
+// whole process over a ConnStore on a watched v2 session: the driver
+// encoding sqlmini.Args straight into a pooled encoder, the DBMS
+// binding the frame's values into the handle's slots and running the
+// UPDATE (TestRenewalStatementAllocs' five), its reply built in a pooled
+// encoder with the watch's versions read into session scratch, and the
+// reply decoded once into the Result handed back, versions included.
+// The seven are the engine's five, Stmt.Exec's argument slice and that
+// one Result. (The arguments are built before counting starts. The
+// count was 26 when the hop decoded arguments into a map, re-boxed them
+// for the engine, and copied each reply into a second and a third
+// result.)
+func TestConnStoreRenewalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a random quarter of sync.Pool puts, so pooled encoders allocate at random")
+	}
+	const pinned = 7
+	f := newRemoteFixture(t, 2)
+	if err := EnsureSchema(f.store); err != nil {
+		t.Fatal(err)
+	}
+	const leases = 1000
+	now := time.Now()
+	var sb strings.Builder
+	sb.WriteString(`INSERT INTO ` + LeasesTable + ` (lease_id, driver_id, database,
+		user, client_id, granted_at, expires_at, released, renewals) VALUES `)
+	args := sqlmini.Args{"g": now}
+	for i := 0; i < leases; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "(%d, 1, 'prod', 'app', 'c%d', $g, $e%d, FALSE, 0)", i+1, i, i)
+		args[fmt.Sprintf("e%d", i)] = now.Add(time.Hour + time.Duration(i)*time.Millisecond)
+	}
+	f.legacyDB.MustExec(sb.String(), args)
+	renew, err := f.store.Prepare(renewNoChangeSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 1000
+	bound := make([]sqlmini.Args, runs+2) // one warm-up call here, one in AllocsPerRun
+	for i := range bound {
+		bound[i] = sqlmini.Args{"id": int64(i%leases + 1), "drv": int64(1),
+			"exp": now.Add(2*time.Hour + time.Duration(i)*time.Millisecond)}
+	}
+	next := 0
+	exec := func() {
+		res, err := renew.Exec(bound[next])
+		if err != nil || res.Affected != 1 || len(res.Versions) != 2 {
+			t.Fatalf("renewal %d: %+v, %v; want one row and the watched pair", next, res, err)
+		}
+		next++
+	}
+	exec() // dial, watch, prepare
+	if got := testing.AllocsPerRun(runs, exec); got > pinned {
+		t.Fatalf("a ConnStore renewal statement allocates %v times, pinned at %d", got, pinned)
 	}
 }

@@ -120,6 +120,7 @@ type Server struct {
 	leasesGranted atomic.Int64
 	renewKeeps    atomic.Int64
 	renewUpgrades atomic.Int64
+	renewRedos    atomic.Int64
 	redirects     atomic.Int64
 }
 
@@ -327,6 +328,11 @@ type ServerCounters struct {
 	// RenewUpgrades counts renewals offered a different driver — the
 	// fleet-wide hot-swap events of an upgrade storm.
 	RenewUpgrades int64
+	// RenewRedos counts renewals answered again because the catalog
+	// their speculative keep used proved stale after its UPDATE
+	// (renewCached): each one costs a catalog reload and a second
+	// answer, so a steady fleet should show none.
+	RenewRedos int64
 	// Redirects counts REQUESTs answered with a msgRedirect frame
 	// because another cluster member owns the shard.
 	Redirects int64
@@ -344,6 +350,7 @@ func (s *Server) Counters() ServerCounters {
 		LeasesGranted: s.leasesGranted.Load(),
 		RenewKeeps:    s.renewKeeps.Load(),
 		RenewUpgrades: s.renewUpgrades.Load(),
+		RenewRedos:    s.renewRedos.Load(),
 		Redirects:     s.redirects.Load(),
 	}
 }

@@ -514,7 +514,7 @@ func (s *ConnStore) Exec(sql string, args ...any) (*sqlmini.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toStoreResult(v.(*client.Result)), nil
+	return v.(*sqlmini.Result), nil
 }
 
 // Query implements row-returning statements (same path as Exec).
@@ -573,7 +573,7 @@ func (tx *connTx) Exec(sql string, args ...any) (*sqlmini.Result, error) {
 		}
 		return nil, err
 	}
-	return toStoreResult(res), nil
+	return res, nil
 }
 
 func (tx *connTx) Query(sql string, args ...any) (*sqlmini.Result, error) {
@@ -652,11 +652,7 @@ func (s *ConnStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
 		rs, err := bc.ExecBatch(true, stmts)
 		if err == nil {
 			s.release(pc)
-			out := make([]*sqlmini.Result, len(rs))
-			for i, r := range rs {
-				out[i] = toStoreResult(r)
-			}
-			return out, nil
+			return rs, nil
 		}
 		if pc.conn.Ping() == nil {
 			s.release(pc)
@@ -692,10 +688,6 @@ func (s *ConnStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-func toStoreResult(res *client.Result) *sqlmini.Result {
-	return &sqlmini.Result{Cols: res.Cols, Rows: res.Rows, Affected: res.Affected, Versions: res.Versions}
 }
 
 // Prepare implements Store over remote prepared handles. The
@@ -787,7 +779,7 @@ func (st *remoteStmt) Exec(args ...any) (*sqlmini.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toStoreResult(v.(*client.Result)), nil
+	return v.(*sqlmini.Result), nil
 }
 
 // Close implements Stmt. The store-level handle owns no connection

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dbver"
 	"repro/internal/driverimg"
 	"repro/internal/faultnet"
-	"repro/internal/sqlmini"
 	"repro/internal/wire"
 )
 
@@ -218,44 +217,14 @@ func (c *nativeConn) roundTrip(typ uint16, payload []byte) (wire.Frame, error) {
 	return f, nil
 }
 
-// marshalExec converts one (sql, args) pair to the wire form, mapping
-// a single sqlmini.Args argument to named parameters.
-func marshalExec(sql string, args []any) (execMsg, error) {
-	m := execMsg{SQL: sql}
-	if len(args) == 1 {
-		if named, ok := args[0].(sqlmini.Args); ok {
-			m.Named = make(map[string]sqlmini.Value, len(named))
-			for k, v := range named {
-				val, err := sqlmini.FromGo(v)
-				if err != nil {
-					return m, err
-				}
-				m.Named[k] = val
-			}
-			return m, nil
-		}
-	}
-	for _, a := range args {
-		v, err := sqlmini.FromGo(a)
-		if err != nil {
-			return m, err
-		}
-		m.Positional = append(m.Positional, v)
-	}
-	return m, nil
-}
-
 // decodeExecReply turns a msgResult/msgError reply frame into the
-// client result form — shared by ad-hoc and prepared execution, whose
-// replies are identical on the wire.
+// client result — decoded once, into the Result the caller keeps —
+// shared by ad-hoc and prepared execution, whose replies are identical
+// on the wire.
 func decodeExecReply(f wire.Frame) (*client.Result, error) {
 	switch f.Type {
 	case msgResult:
-		r, err := decodeResult(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		return &client.Result{Cols: r.Cols, Rows: r.Rows, Affected: r.Affected, Versions: r.Versions}, nil
+		return decodeResult(f.Payload)
 	case msgError:
 		code, msg, derr := decodeError(f.Payload)
 		if derr != nil {
@@ -267,12 +236,19 @@ func decodeExecReply(f wire.Frame) (*client.Result, error) {
 	}
 }
 
-func (c *nativeConn) exec(sql string, args []any) (*client.Result, error) {
-	m, err := marshalExec(sql, args)
-	if err != nil {
-		return nil, err
+// send encodes one request into a pooled encoder and makes the round
+// trip; the encoder goes back to the pool once the frame is sent.
+func (c *nativeConn) send(typ uint16, encode func(e *wire.Encoder) error) (wire.Frame, error) {
+	e := wire.GetEncoder(128)
+	defer wire.PutEncoder(e)
+	if err := encode(e); err != nil {
+		return wire.Frame{}, err
 	}
-	f, err := c.roundTrip(msgExec, m.encode())
+	return c.roundTrip(typ, e.Bytes())
+}
+
+func (c *nativeConn) exec(sql string, args []any) (*client.Result, error) {
+	f, err := c.send(msgExec, func(e *wire.Encoder) error { return encodeExec(e, sql, args) })
 	if err != nil {
 		return nil, err
 	}
@@ -294,15 +270,7 @@ func (c *nativeConn) Query(sql string, args ...any) (*client.Result, error) {
 // msgBatchResult frame — a single wire round trip however many
 // statements the batch carries.
 func (c *nativeConn) ExecBatch(atomic bool, stmts []client.Statement) ([]*client.Result, error) {
-	bm := batchMsg{Atomic: atomic, Stmts: make([]execMsg, len(stmts))}
-	for i, st := range stmts {
-		m, err := marshalExec(st.SQL, st.Args)
-		if err != nil {
-			return nil, fmt.Errorf("dbms: batch statement %d: %w", i+1, err)
-		}
-		bm.Stmts[i] = m
-	}
-	f, err := c.roundTrip(msgExecBatch, bm.encode())
+	f, err := c.send(msgExecBatch, func(e *wire.Encoder) error { return encodeBatch(e, atomic, stmts) })
 	if err != nil {
 		return nil, err
 	}
@@ -321,11 +289,10 @@ func (c *nativeConn) ExecBatch(atomic bool, stmts []client.Statement) ([]*client
 			// statement index to point at.
 			return nil, wrapServerError(br.ErrCode, br.ErrMsg)
 		}
-		out := make([]*client.Result, len(br.Results))
-		for i, r := range br.Results {
-			out[i] = &client.Result{Cols: r.Cols, Rows: r.Rows, Affected: r.Affected, Versions: br.Versions}
+		for _, r := range br.Results {
+			r.Versions = br.Versions
 		}
-		return out, nil
+		return br.Results, nil
 	case msgError:
 		code, msg, derr := decodeError(f.Payload)
 		if derr != nil {
@@ -383,12 +350,7 @@ func (st *nativeStmt) Exec(args ...any) (*client.Result, error) {
 	if st.closed {
 		return nil, fmt.Errorf("dbms: prepared statement %q already closed", st.sql)
 	}
-	m, err := marshalExec(st.sql, args)
-	if err != nil {
-		return nil, err
-	}
-	f, err := st.c.roundTrip(msgExecStmt,
-		execStmtMsg{Handle: st.handle, Named: m.Named, Positional: m.Positional}.encode())
+	f, err := st.c.send(msgExecStmt, func(e *wire.Encoder) error { return encodeExecStmt(e, st.handle, args) })
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/sqlmini"
+	"repro/internal/wire"
 )
 
 // FuzzDbmsFrames feeds arbitrary bytes to every decoder either side of
@@ -23,13 +25,23 @@ func FuzzDbmsFrames(f *testing.F) {
 	for _, seed := range [][]byte{
 		goldenHello().encode(),
 		helloOKMsg{ServerName: "db", ServerVersion: "1.0.0", ProtocolVersion: 2, SessionID: 7, Capabilities: 15}.encode(),
-		execMsg{SQL: "SELECT $id", Named: map[string]sqlmini.Value{"id": sqlmini.NewInt(1)}}.encode(),
-		execStmtMsg{Handle: 3, Positional: []sqlmini.Value{sqlmini.NewString("x")}}.encode(),
-		batchMsg{Atomic: true, Stmts: []execMsg{{SQL: "DELETE FROM t"}}}.encode(),
+		encoded(f, func(e *wire.Encoder) error {
+			return encodeExec(e, "SELECT $id", []any{sqlmini.Args{"id": sqlmini.NewInt(1)}})
+		}),
+		encoded(f, func(e *wire.Encoder) error { return encodeExecStmt(e, 3, []any{sqlmini.NewString("x")}) }),
+		encoded(f, func(e *wire.Encoder) error {
+			return encodeBatch(e, true, []client.Statement{{SQL: "DELETE FROM t"}})
+		}),
 		encodeResult(res),
 		encodeResult(&watched),
-		batchResultMsg{Results: []*sqlmini.Result{res}, ErrIndex: -1}.encode(),
-		batchResultMsg{Results: []*sqlmini.Result{res}, ErrIndex: -1, Versions: []uint64{5, 9}}.encode(),
+		encoded(f, func(e *wire.Encoder) error {
+			(&batchResultMsg{Results: []*sqlmini.Result{res}, ErrIndex: -1}).appendTo(e)
+			return nil
+		}),
+		encoded(f, func(e *wire.Encoder) error {
+			(&batchResultMsg{Results: []*sqlmini.Result{res}, ErrIndex: -1, Versions: []uint64{5, 9}}).appendTo(e)
+			return nil
+		}),
 		tableVersionsMsg{Names: []string{"drivers", "driver_permission"}}.encode(),
 		tableVersionsMsg{Names: []string{"drivers"}, Watch: true}.encode(),
 		tableVersionsOKMsg{Versions: []uint64{5, 9}}.encode(),
@@ -42,9 +54,9 @@ func FuzzDbmsFrames(f *testing.F) {
 	decoders := []func([]byte) error{
 		func(b []byte) error { _, err := decodeHello(b); return err },
 		func(b []byte) error { _, err := decodeHelloOK(b); return err },
-		func(b []byte) error { _, err := decodeExec(b); return err },
-		func(b []byte) error { _, err := decodeExecStmt(b); return err },
-		func(b []byte) error { _, err := decodeBatch(b); return err },
+		func(b []byte) error { var m execFrame; return m.decode(wire.NewDecoder(b), nil) },
+		func(b []byte) error { var ps sqlmini.Params; _, _, err := decodeExecStmt(b, nil, &ps); return err },
+		func(b []byte) error { _, _, err := decodeBatch(b, nil); return err },
 		func(b []byte) error { _, err := decodeResult(b); return err },
 		func(b []byte) error { _, err := decodeBatchResult(b); return err },
 		func(b []byte) error { _, err := decodePrepare(b); return err },

@@ -5,8 +5,11 @@ import (
 	"encoding/hex"
 	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/client"
 	"repro/internal/sqlmini"
+	"repro/internal/wire"
 )
 
 // Golden-frame fixtures: the byte-exact encoding of every protocol
@@ -33,6 +36,45 @@ func checkGolden(t *testing.T, name string, got []byte, wantHex string) {
 		t.Fatalf("%s encoding drifted from the golden fixture:\n got  %s\n want %s",
 			name, hex.EncodeToString(got), wantHex)
 	}
+}
+
+// encoded runs one of the protocol's append encoders into a fresh
+// encoder and returns the payload.
+func encoded(t testing.TB, encode func(e *wire.Encoder) error) []byte {
+	t.Helper()
+	e := wire.NewEncoder(64)
+	if err := encode(e); err != nil {
+		t.Fatal(err)
+	}
+	return e.Bytes()
+}
+
+// encodeResult is appendResult into a fresh encoder.
+func encodeResult(r *sqlmini.Result) []byte {
+	e := wire.NewEncoder(64)
+	appendResult(e, r)
+	return e.Bytes()
+}
+
+// decodeExecOn decodes a msgExec payload with its SQL resolved in a
+// fresh database, so its named arguments bind into real slots.
+func decodeExecOn(b []byte) (*execFrame, error) {
+	m := &execFrame{}
+	err := m.decode(wire.NewDecoder(b), sqlmini.NewDB())
+	if err == nil {
+		err = m.perr
+	}
+	return m, err
+}
+
+// named reads the value a decoded frame bound under $name.
+func (m *execFrame) named(name string) sqlmini.Value {
+	slot, ok := m.st.Slot([]byte(name))
+	if !ok {
+		return sqlmini.Null
+	}
+	v, _ := m.params.Value(slot)
+	return v
 }
 
 func goldenHello() helloMsg {
@@ -93,42 +135,40 @@ func TestGoldenHelloOK(t *testing.T) {
 }
 
 func TestGoldenExecNamed(t *testing.T) {
-	m := execMsg{
-		SQL: "SELECT v FROM t WHERE id = $id AND x = $x",
-		Named: map[string]sqlmini.Value{
+	sql := "SELECT v FROM t WHERE id = $id AND x = $x"
+	enc := encoded(t, func(e *wire.Encoder) error {
+		return encodeExec(e, sql, []any{sqlmini.Args{
 			"x":  sqlmini.NewString("a"),
 			"id": sqlmini.NewInt(42),
-		},
-	}
-	enc := m.encode()
+		}})
+	})
 	// Named keys encode in sorted order ("id" before "x") — the fixture
 	// pins the determinism the map would otherwise not give.
 	checkGolden(t, "exec(named)", enc,
 		"0000002953454c45435420762046524f4d2074205748455245206964203d2024696420414e442078203d2024780000000200000002696403000000000000002a000000017805000000016100000000")
-	got, err := decodeExec(enc)
+	got, err := decodeExecOn(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SQL != m.SQL || len(got.Named) != 2 ||
-		got.Named["id"].Int() != 42 || got.Named["x"].Str() != "a" {
+	if got.sql != sql || got.named("id").Int() != 42 || got.named("x").Str() != "a" {
 		t.Fatalf("round trip: %+v", got)
 	}
 }
 
 func TestGoldenExecPositional(t *testing.T) {
-	m := execMsg{
-		SQL:        "SELECT v FROM t WHERE id = ?",
-		Positional: []sqlmini.Value{sqlmini.NewInt(7), sqlmini.NewBool(true)},
-	}
-	enc := m.encode()
+	sql := "SELECT v FROM t WHERE id = ?"
+	enc := encoded(t, func(e *wire.Encoder) error {
+		return encodeExec(e, sql, []any{sqlmini.NewInt(7), sqlmini.NewBool(true)})
+	})
 	checkGolden(t, "exec(positional)", enc,
 		"0000001c53454c45435420762046524f4d2074205748455245206964203d203f0000000000000002030000000000000007080000000000000001")
-	got, err := decodeExec(enc)
+	got, err := decodeExecOn(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SQL != m.SQL || len(got.Positional) != 2 ||
-		got.Positional[0].Int() != 7 || !got.Positional[1].Bool() {
+	first, _ := got.params.Value(0)
+	second, _ := got.params.Value(1)
+	if _, extra := got.params.Value(2); got.sql != sql || extra || first.Int() != 7 || !second.Bool() {
 		t.Fatalf("round trip: %+v", got)
 	}
 }
@@ -153,19 +193,19 @@ func TestGoldenResult(t *testing.T) {
 }
 
 func TestGoldenBatch(t *testing.T) {
-	m := batchMsg{Atomic: true, Stmts: []execMsg{
-		{SQL: "INSERT INTO t (id) VALUES (?)", Positional: []sqlmini.Value{sqlmini.NewInt(1)}},
-		{SQL: "DELETE FROM t WHERE id = ?", Positional: []sqlmini.Value{sqlmini.NewInt(2)}},
-	}}
-	enc := m.encode()
+	stmts := []client.Statement{
+		{SQL: "INSERT INTO t (id) VALUES (?)", Args: []any{sqlmini.NewInt(1)}},
+		{SQL: "DELETE FROM t WHERE id = ?", Args: []any{sqlmini.NewInt(2)}},
+	}
+	enc := encoded(t, func(e *wire.Encoder) error { return encodeBatch(e, true, stmts) })
 	checkGolden(t, "batch", enc,
 		"0100000002000000320000001d494e5345525420494e544f207420286964292056414c55455320283f2900000000000000010300000000000000010000002f0000001a44454c4554452046524f4d2074205748455245206964203d203f0000000000000001030000000000000002")
-	got, err := decodeBatch(enc)
+	atomic, got, err := decodeBatch(enc, sqlmini.NewDB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Atomic || len(got.Stmts) != 2 || got.Stmts[1].SQL != m.Stmts[1].SQL {
-		t.Fatalf("round trip: %+v", got)
+	if v, _ := got[1].params.Value(0); !atomic || len(got) != 2 || got[1].sql != stmts[1].SQL || v.Int() != 2 {
+		t.Fatalf("round trip: %v %+v", atomic, got)
 	}
 }
 
@@ -174,7 +214,7 @@ func TestGoldenBatchResult(t *testing.T) {
 		Results:  []*sqlmini.Result{{Cols: []string{"n"}, Rows: [][]sqlmini.Value{{sqlmini.NewInt(3)}}, Affected: 1}},
 		ErrIndex: -1,
 	}
-	enc := m.encode()
+	enc := encoded(t, func(e *wire.Encoder) error { m.appendTo(e); return nil })
 	checkGolden(t, "batchResult", enc,
 		"000000010000002200000001000000016e00000001000000010300000000000000030000000000000001ffffffff000000000000")
 	got, err := decodeBatchResult(enc)
@@ -217,17 +257,53 @@ func TestGoldenPrepareOK(t *testing.T) {
 }
 
 func TestGoldenExecStmt(t *testing.T) {
-	m := execStmtMsg{Handle: 3, Named: map[string]sqlmini.Value{"id": sqlmini.NewInt(1)}}
-	enc := m.encode()
+	enc := encoded(t, func(e *wire.Encoder) error {
+		return encodeExecStmt(e, 3, []any{sqlmini.Args{"id": sqlmini.NewInt(1)}})
+	})
 	checkGolden(t, "execStmt", enc,
 		"00000000000000030000000100000002696403000000000000000100000000")
-	got, err := decodeExecStmt(enc)
+	checkExecStmtRoundTrip(t, enc, 3, "SELECT $id", map[string]sqlmini.Value{"id": sqlmini.NewInt(1)})
+}
+
+// checkExecStmtRoundTrip decodes an exec-stmt payload against a handle
+// prepared from sql and checks that each named value landed in its slot.
+func checkExecStmtRoundTrip(t *testing.T, enc []byte, handle uint64, sql string, want map[string]sqlmini.Value) {
+	t.Helper()
+	p, err := sqlmini.NewDB().Prepare(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Handle != 3 || len(got.Named) != 1 || got.Named["id"].Int() != 1 {
-		t.Fatalf("round trip: %+v", got)
+	var params sqlmini.Params
+	got, h, err := decodeExecStmt(enc, map[uint64]*sessStmt{handle: {p: p, sql: sql}}, &params)
+	if err != nil || got != handle || h == nil {
+		t.Fatalf("round trip: handle %d (%v), %v", got, h, err)
 	}
+	for name, w := range want {
+		slot, _ := p.Slot([]byte(name))
+		if v, ok := params.Value(slot); !ok || v.Type() != w.Type() || !sqlmini.Equal(v, w) {
+			t.Fatalf("round trip: $%s = %v, want %v", name, v, w)
+		}
+	}
+}
+
+// TestGoldenExecStmtThreeKeys pins the renewal's argument shape: three
+// named keys of three value kinds, given in unsorted order, encoded
+// straight from a sqlmini.Args map. The fixture was recorded from the
+// map-based encoder this one replaced, so the bytes on the wire did not
+// move.
+func TestGoldenExecStmtThreeKeys(t *testing.T) {
+	exp := time.Date(2026, 3, 1, 12, 0, 30, 0, time.UTC)
+	enc := encoded(t, func(e *wire.Encoder) error {
+		return encodeExecStmt(e, 5, []any{sqlmini.Args{"id": int64(7), "exp": exp, "drv": "dbms-native"}})
+	})
+	checkGolden(t, "execStmt(three keys)", enc,
+		"0000000000000005"+"00000003"+
+			"00000003647276"+"05"+"0000000b64626d732d6e6174697665"+
+			"00000003657870"+"07"+"1898b5e0affa2c00"+
+			"000000026964"+"03"+"0000000000000007"+
+			"00000000")
+	checkExecStmtRoundTrip(t, enc, 5, "UPDATE t SET exp = $exp, drv = $drv WHERE id = $id",
+		map[string]sqlmini.Value{"id": sqlmini.NewInt(7), "exp": sqlmini.NewTime(exp), "drv": sqlmini.NewString("dbms-native")})
 }
 
 func TestGoldenCloseStmt(t *testing.T) {
@@ -269,8 +345,8 @@ func TestMalformedCountsRejected(t *testing.T) {
 	huge := "ffffffff"
 	cases := map[string]func([]byte) error{
 		// exec with a huge named-arg count and no entries.
-		"exec named":      func(b []byte) error { _, err := decodeExec(b); return err },
-		"execStmt named":  func(b []byte) error { _, err := decodeExecStmt(b); return err },
+		"exec named":      func(b []byte) error { _, err := decodeExecOn(b); return err },
+		"execStmt named":  func(b []byte) error { var ps sqlmini.Params; _, _, err := decodeExecStmt(b, nil, &ps); return err },
 		"result cols":     func(b []byte) error { _, err := decodeResult(b); return err },
 		"tableVersionsOK": func(b []byte) error { _, err := decodeTableVersionsOK(b); return err },
 	}
@@ -370,7 +446,7 @@ func TestGoldenVersionWatch(t *testing.T) {
 	}
 
 	br := batchResultMsg{Results: []*sqlmini.Result{{Affected: 1}}, ErrIndex: -1, Versions: []uint64{5, 9}}
-	enc = br.encode()
+	enc = encoded(t, func(e *wire.Encoder) error { br.appendTo(e); return nil })
 	checkGolden(t, "batchResult(versions)", enc,
 		"00000001"+"00000010"+"00000000"+"00000000"+"0000000000000001"+
 			"ffffffff"+"0000"+"00000000"+

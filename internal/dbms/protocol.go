@@ -26,9 +26,12 @@
 package dbms
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/client"
 	"repro/internal/sqlmini"
 	"repro/internal/wire"
 )
@@ -216,99 +219,163 @@ func decodeHelloOK(b []byte) (helloOKMsg, error) {
 	return h, d.Err()
 }
 
-type execMsg struct {
-	SQL        string
-	Named      map[string]sqlmini.Value
-	Positional []sqlmini.Value
-}
+// errMixedArgs refuses an argument block that carries both named and
+// positional values: a statement binds one way or the other, and
+// neither half may be silently dropped.
+var errMixedArgs = errors.New("argument block mixes named and positional values")
 
-// encodeArgs appends the shared argument block (named map, then
-// positional list) used by msgExec and msgExecStmt. Named keys are
+// encodeArgs appends the shared argument block (named list, then
+// positional list) of msgExec, msgExecStmt and batch statements straight
+// from the caller's arguments: a single sqlmini.Args map encodes as
+// named values, anything else as positional ones. Named keys are
 // sorted so every message has exactly one wire form (golden-frame
-// fixtures rely on this; maps are tiny, so the sort is noise).
-func encodeArgs(e *wire.Encoder, named map[string]sqlmini.Value, positional []sqlmini.Value) {
-	e.Uint32(uint32(len(named)))
-	if len(named) > 0 {
-		keys := make([]string, 0, len(named))
-		for k := range named {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			e.String(k)
-			sqlmini.EncodeValue(e, named[k])
+// fixtures rely on this); up to eight of them sort on the stack.
+func encodeArgs(e *wire.Encoder, args []any) error {
+	if len(args) == 1 {
+		if named, ok := args[0].(sqlmini.Args); ok {
+			var buf [8]string
+			keys := buf[:0]
+			for k := range named {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			e.Uint32(uint32(len(keys)))
+			for _, k := range keys {
+				v, err := sqlmini.FromGo(named[k])
+				if err != nil {
+					return err
+				}
+				e.String(k)
+				sqlmini.EncodeValue(e, v)
+			}
+			e.Uint32(0)
+			return nil
 		}
 	}
-	e.Uint32(uint32(len(positional)))
-	for _, v := range positional {
+	e.Uint32(0)
+	e.Uint32(uint32(len(args)))
+	for _, a := range args {
+		v, err := sqlmini.FromGo(a)
+		if err != nil {
+			return err
+		}
 		sqlmini.EncodeValue(e, v)
 	}
+	return nil
 }
 
-// decodeArgs consumes the shared argument block. Counts are validated
-// against the remaining payload BEFORE sizing any allocation (each
-// named entry needs at least its 4-byte key length plus a value type
-// byte; each positional value at least a type byte), so a malformed
-// count in a tiny frame errors instead of OOMing the process.
-func decodeArgs(d *wire.Decoder) (named map[string]sqlmini.Value, positional []sqlmini.Value, err error) {
+// decodeArgs reads the shared argument block straight into the
+// parameter slots of statement st. A named key is read as a view of
+// the payload and looked up in st's slot table: a key naming no
+// parameter is dropped, and a repeated key's last value wins. Values
+// decode as sqlmini.Values, never boxed. With the zero Parsed (a
+// statement that did not resolve) every value is still read, so a
+// malformed block is reported as malformed first. Counts are validated
+// against the remaining payload BEFORE sizing anything (each named
+// entry needs at least its 4-byte key length plus a value type byte;
+// each positional value at least a type byte), so a malformed count in
+// a tiny frame errors instead of OOMing the process. A block with both
+// named and positional values is refused (errMixedArgs).
+func decodeArgs(d *wire.Decoder, st sqlmini.Parsed, ps *sqlmini.Params) error {
 	nNamed := d.Uint32()
 	if err := d.Err(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if uint64(nNamed)*5 > uint64(d.Remaining()) {
-		return nil, nil, fmt.Errorf("%w: named-arg count %d exceeds payload", wire.ErrShortBuffer, nNamed)
+		return fmt.Errorf("%w: named-arg count %d exceeds payload", wire.ErrShortBuffer, nNamed)
 	}
 	if nNamed > 0 {
-		named = make(map[string]sqlmini.Value, nNamed)
+		slots := ps.Named(st.NumSlots())
 		for i := uint32(0); i < nNamed; i++ {
-			k := d.String()
+			key := d.Bytes32View()
 			v, err := sqlmini.DecodeValue(d)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
-			named[k] = v
+			if j, ok := st.Slot(key); ok {
+				slots[j] = v
+			}
 		}
 	}
 	nPos := d.Uint32()
 	if err := d.Err(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if uint64(nPos) > uint64(d.Remaining()) {
-		return nil, nil, fmt.Errorf("%w: positional-arg count %d exceeds payload", wire.ErrShortBuffer, nPos)
+		return fmt.Errorf("%w: positional-arg count %d exceeds payload", wire.ErrShortBuffer, nPos)
 	}
-	for i := uint32(0); i < nPos; i++ {
+	if nNamed > 0 {
+		if nPos > 0 {
+			return errMixedArgs
+		}
+		return nil
+	}
+	vals := ps.Positional(int(nPos))
+	for i := range vals {
 		v, err := sqlmini.DecodeValue(d)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		positional = append(positional, v)
+		vals[i] = v
 	}
-	return named, positional, d.Err()
+	return d.Err()
 }
 
-func (m execMsg) encode() []byte {
-	e := wire.NewEncoder(256)
-	e.String(m.SQL)
-	encodeArgs(e, m.Named, m.Positional)
-	return e.Bytes()
+// encodeExec appends a msgExec payload (also a batch statement's):
+// the SQL, then its argument block.
+func encodeExec(e *wire.Encoder, sql string, args []any) error {
+	e.String(sql)
+	return encodeArgs(e, args)
 }
 
-func decodeExec(b []byte) (execMsg, error) {
-	d := wire.NewDecoder(b)
-	m := execMsg{SQL: d.String()}
-	var err error
-	m.Named, m.Positional, err = decodeArgs(d)
-	if err != nil {
-		return m, err
+// execFrame is one decoded msgExec, or one statement of a msgExecBatch:
+// its text, the parse it resolves to in the session's database (perr
+// when it does not) and its arguments bound into that parse's slots.
+type execFrame struct {
+	sql    string
+	st     sqlmini.Parsed
+	perr   error
+	params sqlmini.Params
+}
+
+// decode reads one msgExec payload, resolving its SQL through db's
+// parse cache before the argument block so the block binds straight
+// into the statement's slots. A nil db resolves nothing (the block is
+// still read in full). An error means a malformed payload; a statement
+// that does not parse is m.perr.
+func (m *execFrame) decode(d *wire.Decoder, db *sqlmini.DB) error {
+	m.sql = d.String()
+	if err := d.Err(); err != nil {
+		return err
 	}
-	return m, d.Err()
+	m.st, m.perr = sqlmini.Parsed{}, nil
+	if db != nil {
+		m.st, m.perr = db.ParseCached(m.sql)
+	}
+	if err := decodeArgs(d, m.st, &m.params); err != nil {
+		return err
+	}
+	return d.Err()
 }
 
-// encodeResult encodes a result set. A result that carries Versions
+// beginNested reserves the 4-byte length of a nested payload (a batch
+// statement, a batch result) in e; endNested fills it in, so nesting
+// writes into the one encoder instead of copying a payload built apart.
+func beginNested(e *wire.Encoder) int {
+	at := len(e.Bytes())
+	e.Uint32(0)
+	return at
+}
+
+func endNested(e *wire.Encoder, at int) {
+	b := e.Bytes()
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+}
+
+// appendResult appends a result set. A result that carries Versions
 // (a watched session's reply) appends them; the engine never sets
 // them, so an unwatched session's frames are unchanged.
-func encodeResult(r *sqlmini.Result) []byte {
-	e := wire.NewEncoder(256)
+func appendResult(e *wire.Encoder, r *sqlmini.Result) {
 	e.StringSlice(r.Cols)
 	e.Uint32(uint32(len(r.Rows)))
 	for _, row := range r.Rows {
@@ -321,12 +388,20 @@ func encodeResult(r *sqlmini.Result) []byte {
 	if r.Versions != nil {
 		encodeVersions(e, r.Versions)
 	}
-	return e.Bytes()
 }
 
+// decodeResult decodes a result set into the one Result its reader
+// keeps: client.Result is sqlmini.Result, so nothing copies it after.
+// The Result shares its allocation with room for two trailing versions,
+// the pair a watched ConnStore session carries on every reply.
 func decodeResult(b []byte) (*sqlmini.Result, error) {
 	d := wire.NewDecoder(b)
-	r := &sqlmini.Result{Cols: d.StringSlice()}
+	rv := &struct {
+		r  sqlmini.Result
+		vs [2]uint64
+	}{}
+	r := &rv.r
+	r.Cols = d.StringSlice()
 	nRows := d.Uint32()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -351,7 +426,7 @@ func decodeResult(b []byte) (*sqlmini.Result, error) {
 	}
 	r.Affected = int(d.Int64())
 	if d.Remaining() > 0 {
-		vs, err := decodeVersions(d)
+		vs, err := decodeVersions(d, rv.vs[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -369,9 +444,10 @@ func encodeVersions(e *wire.Encoder, vs []uint64) {
 	}
 }
 
-// decodeVersions reads a counter list, checking its count against the
-// remaining payload before sizing the slice.
-func decodeVersions(d *wire.Decoder) ([]uint64, error) {
+// decodeVersions reads a counter list into buf when it fits (a new
+// slice otherwise), checking its count against the remaining payload
+// before sizing anything.
+func decodeVersions(d *wire.Decoder, buf []uint64) ([]uint64, error) {
 	n := d.Uint32()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -379,48 +455,51 @@ func decodeVersions(d *wire.Decoder) ([]uint64, error) {
 	if uint64(n)*8 > uint64(d.Remaining()) {
 		return nil, fmt.Errorf("%w: version count %d exceeds payload", wire.ErrShortBuffer, n)
 	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = d.Uint64()
+	vs := buf[:0]
+	if buf == nil || int(n) > cap(buf) {
+		vs = make([]uint64, 0, n)
+	}
+	for i := uint32(0); i < n; i++ {
+		vs = append(vs, d.Uint64())
 	}
 	return vs, d.Err()
 }
 
-// batchMsg is msgExecBatch: an ordered statement list plus the atomic
-// flag. Statements nest in the execMsg encoding.
-type batchMsg struct {
-	Atomic bool
-	Stmts  []execMsg
-}
-
-func (m batchMsg) encode() []byte {
-	e := wire.NewEncoder(64 * (len(m.Stmts) + 1))
-	e.Bool(m.Atomic)
-	e.Uint32(uint32(len(m.Stmts)))
-	for _, st := range m.Stmts {
-		e.Bytes32(st.encode())
+// encodeBatch appends a msgExecBatch payload: the atomic flag, then
+// each statement nested in the msgExec encoding.
+func encodeBatch(e *wire.Encoder, atomic bool, stmts []client.Statement) error {
+	e.Bool(atomic)
+	e.Uint32(uint32(len(stmts)))
+	for i, st := range stmts {
+		at := beginNested(e)
+		if err := encodeExec(e, st.SQL, st.Args); err != nil {
+			return fmt.Errorf("dbms: batch statement %d: %w", i+1, err)
+		}
+		endNested(e, at)
 	}
-	return e.Bytes()
+	return nil
 }
 
-func decodeBatch(b []byte) (batchMsg, error) {
+// decodeBatch reads a msgExecBatch payload: the atomic flag and each
+// statement decoded as an execFrame against db (nil resolves nothing).
+func decodeBatch(b []byte, db *sqlmini.DB) (atomic bool, stmts []execFrame, err error) {
 	d := wire.NewDecoder(b)
-	m := batchMsg{Atomic: d.Bool()}
+	atomic = d.Bool()
 	n := d.Uint32()
 	if err := d.Err(); err != nil {
-		return m, err
+		return atomic, nil, err
 	}
 	for i := uint32(0); i < n; i++ {
-		st, err := decodeExec(d.Bytes32())
-		if err != nil {
-			return m, err
-		}
+		body := d.Bytes32View()
 		if err := d.Err(); err != nil {
-			return m, err
+			return atomic, nil, err
 		}
-		m.Stmts = append(m.Stmts, st)
+		stmts = append(stmts, execFrame{})
+		if err := stmts[len(stmts)-1].decode(wire.NewDecoder(body), db); err != nil {
+			return atomic, nil, err
+		}
 	}
-	return m, d.Err()
+	return atomic, stmts, d.Err()
 }
 
 // batchResultMsg is msgBatchResult. ErrIndex is the 0-based position
@@ -435,11 +514,12 @@ type batchResultMsg struct {
 	Versions []uint64
 }
 
-func (m batchResultMsg) encode() []byte {
-	e := wire.NewEncoder(256)
+func (m *batchResultMsg) appendTo(e *wire.Encoder) {
 	e.Uint32(uint32(len(m.Results)))
 	for _, r := range m.Results {
-		e.Bytes32(encodeResult(r))
+		at := beginNested(e)
+		appendResult(e, r)
+		endNested(e, at)
 	}
 	e.Int32(m.ErrIndex)
 	e.Uint16(m.ErrCode)
@@ -447,7 +527,6 @@ func (m batchResultMsg) encode() []byte {
 	if m.Versions != nil {
 		encodeVersions(e, m.Versions)
 	}
-	return e.Bytes()
 }
 
 func decodeBatchResult(b []byte) (batchResultMsg, error) {
@@ -471,7 +550,7 @@ func decodeBatchResult(b []byte) (batchResultMsg, error) {
 	m.ErrCode = d.Uint16()
 	m.ErrMsg = d.String()
 	if d.Remaining() > 0 {
-		vs, err := decodeVersions(d)
+		vs, err := decodeVersions(d, nil)
 		if err != nil {
 			return m, err
 		}
@@ -532,31 +611,28 @@ func decodePrepareOK(b []byte) (prepareOKMsg, error) {
 	return m, d.Err()
 }
 
-// execStmtMsg is msgExecStmt: a prepared handle plus this call's
-// arguments, in the same argument encoding as msgExec. Answered by
-// msgResult or msgError, exactly like msgExec.
-type execStmtMsg struct {
-	Handle     uint64
-	Named      map[string]sqlmini.Value
-	Positional []sqlmini.Value
+// encodeExecStmt appends a msgExecStmt payload: a prepared handle plus
+// this call's arguments, in the same argument encoding as msgExec.
+// Answered by msgResult or msgError, exactly like msgExec.
+func encodeExecStmt(e *wire.Encoder, handle uint64, args []any) error {
+	e.Uint64(handle)
+	return encodeArgs(e, args)
 }
 
-func (m execStmtMsg) encode() []byte {
-	e := wire.NewEncoder(128)
-	e.Uint64(m.Handle)
-	encodeArgs(e, m.Named, m.Positional)
-	return e.Bytes()
-}
-
-func decodeExecStmt(b []byte) (execStmtMsg, error) {
+// decodeExecStmt reads a msgExecStmt payload: the handle, looked up in
+// stmts, and its argument block bound into ps by the handle's slots.
+// h is nil for a handle stmts does not hold.
+func decodeExecStmt(b []byte, stmts map[uint64]*sessStmt, ps *sqlmini.Params) (handle uint64, h *sessStmt, err error) {
 	d := wire.NewDecoder(b)
-	m := execStmtMsg{Handle: d.Uint64()}
-	var err error
-	m.Named, m.Positional, err = decodeArgs(d)
-	if err != nil {
-		return m, err
+	handle = d.Uint64()
+	var st sqlmini.Parsed
+	if h = stmts[handle]; h != nil {
+		st = h.p.Parsed
 	}
-	return m, d.Err()
+	if err := decodeArgs(d, st, ps); err != nil {
+		return handle, h, err
+	}
+	return handle, h, d.Err()
 }
 
 // closeStmtMsg is msgCloseStmt: release one handle (msgCloseStmtOK
@@ -618,6 +694,6 @@ func (m tableVersionsOKMsg) encode() []byte {
 }
 
 func decodeTableVersionsOK(b []byte) (tableVersionsOKMsg, error) {
-	vs, err := decodeVersions(wire.NewDecoder(b))
+	vs, err := decodeVersions(wire.NewDecoder(b), nil)
 	return tableVersionsOKMsg{Versions: vs}, err
 }

@@ -350,8 +350,14 @@ type session struct {
 
 	// watch is the table list of the session's version watch (a
 	// watch-flagged msgTableVersions; nil without one): every msgResult
-	// and msgBatchResult appends their counters.
-	watch []string
+	// and msgBatchResult appends their counters, read into versions.
+	watch    []string
+	versions []uint64
+
+	// frame is the session's decode scratch: every msgExec and
+	// msgExecStmt binds its arguments into frame.params, which the
+	// statement's execution and replication read before the next frame.
+	frame execFrame
 
 	// stmts is the session's prepared-handle table: server-side cached
 	// sqlmini.Prepared keyed by handle id. Only the session's serve
@@ -514,57 +520,66 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 func (s *Server) handleExec(sess *session, payload []byte) error {
-	m, err := decodeExec(payload)
-	if err != nil {
+	m := &sess.frame
+	if err := m.decode(wire.NewDecoder(payload), sess.engine); err != nil {
 		return sess.conn.Send(msgError, encodeError(codeQueryError, "malformed exec: "+err.Error()))
 	}
 	s.queries.Add(1)
-
-	mutating, parseErr := isMutating(m.SQL)
-	if parseErr != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, parseErr.Error()))
+	if m.perr != nil {
+		return sess.conn.Send(msgError, encodeError(codeQueryError, m.perr.Error()))
 	}
+	mutating := isMutatingStmt(m.st.Statement())
 	if mutating && s.isReadOnly() {
 		return sess.conn.Send(msgError, encodeError(codeReadOnly,
 			fmt.Sprintf("server %s is a read-only replica", s.name)))
 	}
 
-	res, err := execOn(sess.sql, m)
+	res, err := sess.sql.ExecParams(m.st, &m.params)
 	if err != nil {
 		return sess.conn.Send(msgError, encodeError(codeQueryError, err.Error()))
 	}
 	if mutating {
-		s.replicate(sess.db, m)
+		s.replicate(sess.db, m.sql, &m.params)
 	}
 	return sess.sendResult(res)
 }
 
-// watched reads the session's watched table versions, nil without a
-// watch. Callers read them once the statement and its replication
-// finished, so a reply's versions are never older than its statement.
+// watched reads the session's watched table versions into its scratch
+// slice, nil without a watch. Callers read them once the statement and
+// its replication finished, so a reply's versions are never older than
+// its statement, and encode them before the next frame is read.
 func (sess *session) watched() []uint64 {
 	if sess.watch == nil {
 		return nil
 	}
-	vs := make([]uint64, len(sess.watch))
 	for i, name := range sess.watch {
-		vs[i] = sess.engine.TableVersion(name)
+		sess.versions[i] = sess.engine.TableVersion(name)
 	}
-	return vs
+	return sess.versions
 }
 
 // sendResult answers one statement with msgResult, carrying the
 // watched versions on a watched session.
 func (sess *session) sendResult(res *sqlmini.Result) error {
 	res.Versions = sess.watched()
-	return sess.conn.Send(msgResult, encodeResult(res))
+	return sess.reply(msgResult, func(e *wire.Encoder) { appendResult(e, res) })
 }
 
 // sendBatchResult answers one batch frame with msgBatchResult,
 // carrying the watched versions on a watched session.
 func (sess *session) sendBatchResult(m *batchResultMsg) error {
 	m.Versions = sess.watched()
-	return sess.conn.Send(msgBatchResult, m.encode())
+	return sess.reply(msgBatchResult, m.appendTo)
+}
+
+// reply sends one frame whose payload encode builds in a pooled
+// encoder, returned to the pool once the frame is sent.
+func (sess *session) reply(typ uint16, encode func(e *wire.Encoder)) error {
+	e := wire.GetEncoder(256)
+	encode(e)
+	err := sess.conn.Send(typ, e.Bytes())
+	wire.PutEncoder(e)
+	return err
 }
 
 // handleExecBatch executes one msgExecBatch frame: N statements on the
@@ -581,11 +596,11 @@ func (sess *session) sendBatchResult(m *batchResultMsg) error {
 // per-frame statements: an applied prefix before a mid-batch execution
 // failure persists and replicates.
 func (s *Server) handleExecBatch(sess *session, payload []byte) error {
-	bm, err := decodeBatch(payload)
+	atomic, stmts, err := decodeBatch(payload, sess.engine)
 	if err != nil {
 		return sess.conn.Send(msgError, encodeError(codeQueryError, "malformed batch: "+err.Error()))
 	}
-	s.queries.Add(int64(len(bm.Stmts)))
+	s.queries.Add(int64(len(stmts)))
 	s.batches.Add(1)
 
 	reply := batchResultMsg{ErrIndex: -1}
@@ -594,13 +609,13 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 		return sess.sendBatchResult(&reply)
 	}
 
-	muts := make([]bool, len(bm.Stmts))
-	for i, m := range bm.Stmts {
-		st, perr := sqlmini.Parse(m.SQL)
-		if perr != nil {
+	muts := make([]bool, len(stmts))
+	for i := range stmts {
+		if perr := stmts[i].perr; perr != nil {
 			return fail(i, codeQueryError, perr.Error())
 		}
-		if bm.Atomic {
+		st := stmts[i].st.Statement()
+		if atomic {
 			switch st.(type) {
 			case *sqlmini.BeginStmt, *sqlmini.CommitStmt, *sqlmini.RollbackStmt:
 				return fail(i, codeQueryError, "transaction control inside an atomic batch")
@@ -617,7 +632,7 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 		}
 	}
 
-	if bm.Atomic {
+	if atomic {
 		if sess.sql.InTx() {
 			// Inside a client transaction the server cannot honor the
 			// atomic-batch contract: a mid-batch failure could not roll
@@ -626,7 +641,7 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 			// commit. Refuse rather than silently weaken the promise.
 			return fail(-1, codeQueryError, "atomic batch inside an open transaction")
 		}
-		results, err := s.execBatchAtomic(sess.db, bm.Stmts, muts)
+		results, err := s.execBatchAtomic(sess.db, stmts, muts)
 		if err != nil {
 			// The engine error text names the failing statement's
 			// position; there is no partial result to report.
@@ -635,8 +650,9 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 		reply.Results = results
 		return sess.sendBatchResult(&reply)
 	}
-	for i, m := range bm.Stmts {
-		res, execErr := execOn(sess.sql, m)
+	for i := range stmts {
+		m := &stmts[i]
+		res, execErr := sess.sql.ExecParams(m.st, &m.params)
 		if execErr != nil {
 			return fail(i, codeQueryError, execErr.Error())
 		}
@@ -646,7 +662,7 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 			// exactly like the same statements sent one frame at a
 			// time — an applied prefix before a mid-batch failure
 			// must reach the replicas too.
-			s.replicate(sess.db, m)
+			s.replicate(sess.db, m.sql, &m.params)
 		}
 	}
 	return sess.sendBatchResult(&reply)
@@ -659,18 +675,18 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 // the lock between statements, and its rollback could clobber an
 // interleaved session's committed write). The mutating statements
 // (muts) replicate only once the whole unit applied.
-func (s *Server) execBatchAtomic(dbName string, stmts []execMsg, muts []bool) ([]*sqlmini.Result, error) {
+func (s *Server) execBatchAtomic(dbName string, stmts []execFrame, muts []bool) ([]*sqlmini.Result, error) {
 	bs := make([]sqlmini.BatchStmt, len(stmts))
-	for i, m := range stmts {
-		bs[i] = sqlmini.BatchStmt{SQL: m.SQL, Args: m.args()}
+	for i := range stmts {
+		bs[i] = sqlmini.BatchStmt{SQL: stmts[i].sql, Params: &stmts[i].params}
 	}
 	results, err := s.Database(dbName).ExecBatchAtomic(bs)
 	if err != nil {
 		return nil, err
 	}
-	for i, m := range stmts {
+	for i := range stmts {
 		if muts[i] {
-			s.replicate(dbName, m)
+			s.replicate(dbName, stmts[i].sql, &stmts[i].params)
 		}
 	}
 	return results, nil
@@ -694,10 +710,11 @@ func (s *Server) handlePrepare(sess *session, payload []byte) error {
 		return sess.conn.Send(msgError, encodeError(codeQueryError,
 			fmt.Sprintf("session already holds %d prepared statements (limit)", maxSessionStmts)))
 	}
-	mutating, perr := isMutating(m.SQL)
+	st, perr := sess.engine.ParseCached(m.SQL)
 	if perr != nil {
 		return sess.conn.Send(msgError, encodeError(codeQueryError, perr.Error()))
 	}
+	mutating := isMutatingStmt(st.Statement())
 	db := s.Database(sess.db)
 	if db == nil {
 		return sess.conn.Send(msgError, encodeError(codeNoDatabase,
@@ -727,14 +744,14 @@ func (s *Server) handleExecStmt(sess *session, payload []byte) error {
 		return sess.conn.Send(msgError, encodeError(codeNotSupported,
 			"prepared statements were not negotiated on this session"))
 	}
-	m, err := decodeExecStmt(payload)
+	params := &sess.frame.params
+	handle, h, err := decodeExecStmt(payload, sess.stmts, params)
 	if err != nil {
 		return sess.conn.Send(msgError, encodeError(codeQueryError, "malformed exec-stmt: "+err.Error()))
 	}
-	h, ok := sess.stmts[m.Handle]
-	if !ok {
+	if h == nil {
 		return sess.conn.Send(msgError, encodeError(codeBadHandle,
-			fmt.Sprintf("no prepared statement with handle %d on this session", m.Handle)))
+			fmt.Sprintf("no prepared statement with handle %d on this session", handle)))
 	}
 	s.queries.Add(1)
 	s.stmtExecs.Add(1)
@@ -742,12 +759,12 @@ func (s *Server) handleExecStmt(sess *session, payload []byte) error {
 		return sess.conn.Send(msgError, encodeError(codeReadOnly,
 			fmt.Sprintf("server %s is a read-only replica", s.name)))
 	}
-	res, execErr := sess.sql.ExecPrepared(h.p, wireArgs(m.Named, m.Positional)...)
+	res, execErr := sess.sql.ExecPreparedParams(h.p, params)
 	if execErr != nil {
 		return sess.conn.Send(msgError, encodeError(codeQueryError, execErr.Error()))
 	}
 	if h.mutating {
-		s.replicate(sess.db, execMsg{SQL: h.sql, Named: m.Named, Positional: m.Positional})
+		s.replicate(sess.db, h.sql, params)
 	}
 	return sess.sendResult(res)
 }
@@ -787,7 +804,7 @@ func (s *Server) handleTableVersions(sess *session, payload []byte) error {
 			return sess.conn.Send(msgError, encodeError(codeNotSupported,
 				"version watches were not negotiated on this session"))
 		}
-		sess.watch = m.Names
+		sess.watch, sess.versions = m.Names, make([]uint64, len(m.Names))
 	}
 	db := s.Database(sess.db)
 	if db == nil {
@@ -816,55 +833,40 @@ func (s *Server) SetReadOnly(ro bool) {
 	s.readOnly = ro
 }
 
-// wireArgs converts wire parameters to the engine's argument form —
-// the single conversion exec, batch, and prepared-handle execution all
-// go through.
-func wireArgs(named map[string]sqlmini.Value, positional []sqlmini.Value) []any {
-	if len(named) > 0 {
-		args := sqlmini.Args{}
-		for k, v := range named {
-			args[k] = v
-		}
-		return []any{args}
-	}
-	args := make([]any, len(positional))
-	for i, v := range positional {
-		args[i] = v
-	}
-	return args
-}
-
-func (m execMsg) args() []any { return wireArgs(m.Named, m.Positional) }
-
-func execOn(sess *sqlmini.Session, m execMsg) (*sqlmini.Result, error) {
-	return sess.Exec(m.SQL, m.args()...)
-}
-
-// replicate ships a mutating statement to every attached replica.
-// Statement-based replication applies synchronously in autocommit on the
-// replica; explicit-transaction interleavings are out of scope for this
-// substrate (documented in DESIGN.md).
-func (s *Server) replicate(dbName string, m execMsg) {
+// replicate ships a mutating statement — its SQL and the values bound
+// into its slots — to every attached replica; with none attached it
+// costs one lock and builds nothing. Statement-based replication
+// applies synchronously in autocommit on the replica, so params is read
+// before the session binds its next frame; explicit-transaction
+// interleavings are out of scope for this substrate (documented in
+// DESIGN.md).
+func (s *Server) replicate(dbName, sql string, params *sqlmini.Params) {
 	s.mu.Lock()
 	replicas := append([]*Server(nil), s.replicas...)
 	s.mu.Unlock()
 	for _, r := range replicas {
-		if err := r.ApplyReplicated(dbName, m); err != nil {
+		if err := r.ApplyReplicated(dbName, sql, params); err != nil {
 			s.logf("dbms %s: replicate to %s: %v", s.name, r.name, err)
 		}
 	}
 }
 
 // ApplyReplicated applies a statement shipped from a master, bypassing
-// the read-only gate.
-func (s *Server) ApplyReplicated(dbName string, m execMsg) error {
+// the read-only gate. params fills the slots the master's parse of sql
+// gave its parameters, which this database's parse of the same text
+// gives them too.
+func (s *Server) ApplyReplicated(dbName, sql string, params *sqlmini.Params) error {
 	db := s.Database(dbName)
 	if db == nil {
 		return fmt.Errorf("dbms %s: replicated statement for unknown database %q", s.name, dbName)
 	}
+	st, err := db.ParseCached(sql)
+	if err != nil {
+		return err
+	}
 	sess := db.NewSession()
 	defer sess.Close()
-	_, err := execOn(sess, m)
+	_, err = sess.ExecParams(st, params)
 	return err
 }
 
@@ -879,23 +881,23 @@ func (s *Server) Execute(dbName, sql string, args ...any) (*sqlmini.Result, erro
 	if db == nil {
 		return nil, fmt.Errorf("dbms %s: no database %q", s.name, dbName)
 	}
-	m, err := marshalExec(sql, args)
+	st, err := db.ParseCached(sql)
 	if err != nil {
 		return nil, err
 	}
-	mutating, err := isMutating(sql)
-	if err != nil {
+	var params sqlmini.Params
+	if err := params.Bind(st, args); err != nil {
 		return nil, err
 	}
 	s.queries.Add(1)
 	sess := db.NewSession()
 	defer sess.Close()
-	res, err := execOn(sess, m)
+	res, err := sess.ExecParams(st, &params)
 	if err != nil {
 		return nil, err
 	}
-	if mutating {
-		s.replicate(dbName, m)
+	if isMutatingStmt(st.Statement()) {
+		s.replicate(dbName, sql, &params)
 	}
 	return res, nil
 }
@@ -905,31 +907,26 @@ func (s *Server) Execute(dbName, sql string, args ...any) (*sqlmini.Result, erro
 // every statement applies or none does, and replicas receive the
 // mutating ones only once the whole unit applied.
 func (s *Server) ExecuteBatch(dbName string, stmts []client.Statement) ([]*sqlmini.Result, error) {
-	if s.Database(dbName) == nil {
+	db := s.Database(dbName)
+	if db == nil {
 		return nil, fmt.Errorf("dbms %s: no database %q", s.name, dbName)
 	}
-	ms := make([]execMsg, len(stmts))
+	ms := make([]execFrame, len(stmts))
 	muts := make([]bool, len(stmts))
 	for i, st := range stmts {
+		m := &ms[i]
+		m.sql = st.SQL
 		var err error
-		if ms[i], err = marshalExec(st.SQL, st.Args); err == nil {
-			muts[i], err = isMutating(st.SQL)
+		if m.st, err = db.ParseCached(st.SQL); err == nil {
+			err = m.params.Bind(m.st, st.Args)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("dbms: batch statement %d: %w", i+1, err)
 		}
+		muts[i] = isMutatingStmt(m.st.Statement())
 	}
 	s.queries.Add(int64(len(stmts)))
 	return s.execBatchAtomic(dbName, ms, muts)
-}
-
-// isMutating classifies a statement by its parsed type.
-func isMutating(sql string) (bool, error) {
-	st, err := sqlmini.Parse(sql)
-	if err != nil {
-		return false, err
-	}
-	return isMutatingStmt(st), nil
 }
 
 func isMutatingStmt(st sqlmini.Statement) bool {

@@ -384,7 +384,7 @@ func TestCloseStmt(t *testing.T) {
 	// The handle id is dead on the server: replay its exec frame raw.
 	nc := c.(*nativeConn)
 	handle := st.(*nativeStmt).handle
-	f, err := nc.roundTrip(msgExecStmt, execStmtMsg{Handle: handle}.encode())
+	f, err := nc.roundTrip(msgExecStmt, encoded(t, func(e *wire.Encoder) error { return encodeExecStmt(e, handle, nil) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestServerGatesUnnegotiatedFrames(t *testing.T) {
 		body []byte
 	}{
 		{"prepare", msgPrepare, prepareMsg{SQL: "SELECT 1"}.encode()},
-		{"execStmt", msgExecStmt, execStmtMsg{Handle: 1}.encode()},
+		{"execStmt", msgExecStmt, encoded(t, func(e *wire.Encoder) error { return encodeExecStmt(e, 1, nil) })},
 		{"closeStmt", msgCloseStmt, closeStmtMsg{Handle: 1}.encode()},
 		{"tableVersions", msgTableVersions, tableVersionsMsg{Names: []string{"accounts"}}.encode()},
 	} {
@@ -555,9 +555,10 @@ func TestHandleSweepOnDisconnect(t *testing.T) {
 
 // TestDecodedMessagesOutliveTheirFrame: wire.Conn.Recv reuses one
 // payload buffer, so decoded values must not alias it. A Result with
-// VARCHAR and BLOB columns and an exec carrying BLOB arguments are each
-// decoded from frame k; frame k+1, as long and all 0xFF, then lands in
-// the same buffer; every decoded value must still be what was sent.
+// VARCHAR and BLOB columns and execs carrying BLOB arguments, named and
+// positional, are each decoded from frame k; frame k+1, as long and all
+// 0xFF, then lands in the same buffer; every decoded value must still
+// be what was sent.
 func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 	blob := []byte{0, 1, 2, 3, 0xfe}
 	res := &sqlmini.Result{
@@ -565,11 +566,7 @@ func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 		Rows:     [][]sqlmini.Value{{sqlmini.NewString("driver-v2"), sqlmini.NewBytes(blob)}},
 		Affected: 1,
 	}
-	exec := execMsg{
-		SQL:        "INSERT INTO t VALUES ($code, ?)",
-		Named:      map[string]sqlmini.Value{"code": sqlmini.NewBytes(blob)},
-		Positional: []sqlmini.Value{sqlmini.NewBytes(blob), sqlmini.NewString("tail")},
-	}
+	args := []sqlmini.Value{sqlmini.NewBytes(blob), sqlmini.NewString("tail")}
 	same := func(a, b []sqlmini.Value) bool {
 		if len(a) != len(b) {
 			return false
@@ -593,11 +590,22 @@ func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 					same(got.Rows[0], res.Rows[0]) && got.Affected == 1
 			}, err
 		}},
-		{"exec", exec.encode(), func(b []byte) (func() bool, error) {
-			got, err := decodeExec(b)
+		{"exec(named)", encoded(t, func(e *wire.Encoder) error {
+			return encodeExec(e, "INSERT INTO t VALUES ($code, $tail)", []any{sqlmini.Args{"code": args[0], "tail": args[1]}})
+		}), func(b []byte) (func() bool, error) {
+			got, err := decodeExecOn(b)
 			return func() bool {
-				return got.SQL == exec.SQL && same([]sqlmini.Value{got.Named["code"]}, []sqlmini.Value{exec.Named["code"]}) &&
-					same(got.Positional, exec.Positional)
+				return same([]sqlmini.Value{got.named("code"), got.named("tail")}, args)
+			}, err
+		}},
+		{"exec(positional)", encoded(t, func(e *wire.Encoder) error {
+			return encodeExec(e, "INSERT INTO t VALUES (?, ?)", []any{args[0], args[1]})
+		}), func(b []byte) (func() bool, error) {
+			got, err := decodeExecOn(b)
+			return func() bool {
+				first, _ := got.params.Value(0)
+				second, _ := got.params.Value(1)
+				return same([]sqlmini.Value{first, second}, args)
 			}, err
 		}},
 	} {
@@ -623,5 +631,87 @@ func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 			t.Fatalf("%s decoded from frame k changed when frame k+1 arrived", tc.name)
 		}
 		conn.Close()
+	}
+}
+
+// TestMixedArgumentBlockRefused: an argument block carrying named AND
+// positional values binds neither way, so msgExec, msgExecStmt and the
+// statements of a batch (atomic or not) refuse it with codeQueryError
+// and execute nothing — none of them may run on the named half and drop
+// the rest. The frames are built by hand, field by field.
+func TestMixedArgumentBlockRefused(t *testing.T) {
+	s := startServer(t)
+	conn, err := wire.Dial(s.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(typ uint16, payload []byte) wire.Frame {
+		t.Helper()
+		if err := conn.Send(typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		f, err := conn.RecvTimeout(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	hello := helloMsg{ProtocolVersion: ProtocolV2, MinProtocolVersion: ProtocolV2, Database: "app",
+		User: "alice", Password: "secret", ClientInfo: "raw", Capabilities: CapPreparedStatements}
+	if f := exchange(msgHello, hello.encode()); f.Type != msgHelloOK {
+		t.Fatalf("handshake answered 0x%04x", f.Type)
+	}
+	const sql = "UPDATE accounts SET balance = 0 WHERE id = $id"
+	f := exchange(msgPrepare, prepareMsg{SQL: sql}.encode())
+	ok, err := decodePrepareOK(f.Payload)
+	if f.Type != msgPrepareOK || err != nil {
+		t.Fatalf("prepare answered 0x%04x (%v)", f.Type, err)
+	}
+
+	mixed := func(e *wire.Encoder) {
+		e.Uint32(1) // one named value: $id = 1
+		e.String("id")
+		sqlmini.EncodeValue(e, sqlmini.NewInt(1))
+		e.Uint32(1) // and one positional value
+		sqlmini.EncodeValue(e, sqlmini.NewInt(2))
+	}
+	exec := wire.NewEncoder(64)
+	exec.String(sql)
+	mixed(exec)
+	stmt := wire.NewEncoder(64)
+	stmt.Uint64(ok.Handle)
+	mixed(stmt)
+	batch := func(atomic bool) []byte {
+		e := wire.NewEncoder(64)
+		e.Bool(atomic)
+		e.Uint32(1)
+		e.Bytes32(exec.Bytes())
+		return e.Bytes()
+	}
+	for _, tc := range []struct {
+		name    string
+		typ     uint16
+		payload []byte
+	}{
+		{"exec", msgExec, exec.Bytes()},
+		{"execStmt", msgExecStmt, stmt.Bytes()},
+		{"batch", msgExecBatch, batch(false)},
+		{"atomic batch", msgExecBatch, batch(true)},
+	} {
+		f := exchange(tc.typ, tc.payload)
+		if f.Type != msgError {
+			t.Fatalf("%s with a mixed argument block answered 0x%04x, want msgError", tc.name, f.Type)
+		}
+		if code, msg, err := decodeError(f.Payload); err != nil || code != codeQueryError {
+			t.Fatalf("%s: code %d %q (%v), want codeQueryError", tc.name, code, msg, err)
+		}
+	}
+	res := s.Database("app").MustExec("SELECT balance FROM accounts WHERE id = 1")
+	if got := res.Rows[0][0].Int(); got != 100 {
+		t.Fatalf("a refused frame executed: balance %d, want 100", got)
+	}
+	if f := exchange(msgPing, nil); f.Type != msgPong {
+		t.Fatalf("ping after refusals answered 0x%04x", f.Type)
 	}
 }

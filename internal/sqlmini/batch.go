@@ -7,10 +7,12 @@ import (
 
 // BatchStmt is one statement of an atomic batch: SQL text plus its
 // arguments, bound exactly as in DB.Exec (a single Args map binds by
-// name, anything else positionally).
+// name, anything else positionally) — or, when Params is set, already
+// bound as for Session.ExecParams, and Args is ignored.
 type BatchStmt struct {
-	SQL  string
-	Args []any
+	SQL    string
+	Args   []any
+	Params *Params
 }
 
 // ExecBatchAtomic runs stmts in order as one implicit transaction:
@@ -39,7 +41,7 @@ func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 	bound := make([]boundStmt, len(stmts))
 	tableSet := make(map[string]bool)
 	for i, bs := range stmts {
-		ps, err := db.parseCached(bs.SQL)
+		ps, err := db.ParseCached(bs.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("sqlmini: batch statement %d: %w", i+1, err)
 		}
@@ -60,7 +62,9 @@ func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 			tableSet[st.Table] = true
 		}
 		bound[i].st, bound[i].env.clock = ps.st, db.clock
-		if err := bound[i].env.bindParams(ps.slots, bs.Args); err != nil {
+		if bs.Params != nil {
+			bound[i].env.Params = *bs.Params
+		} else if err := bound[i].env.Bind(ps, bs.Args); err != nil {
 			return nil, fmt.Errorf("sqlmini: batch statement %d: %w", i+1, err)
 		}
 	}

@@ -120,7 +120,7 @@ type DB struct {
 	clock func() time.Time
 
 	cacheMu sync.RWMutex
-	cache   map[string]parsed
+	cache   map[string]Parsed
 
 	// commits is the engine-wide commit clock: every mutating statement
 	// that touches at least one row draws one number from it to stamp
@@ -171,7 +171,7 @@ func WithClock(clock func() time.Time) Option {
 func NewDB(opts ...Option) *DB {
 	db := &DB{
 		clock: time.Now,
-		cache: make(map[string]parsed),
+		cache: make(map[string]Parsed),
 	}
 	empty := make(map[string]*Table)
 	db.schema.Store(&empty)
@@ -286,10 +286,10 @@ func (db *DB) TableColumns(name string) ([]ColumnDef, bool) {
 	return cols, true
 }
 
-// parseCached parses src, memoizing the AST and its parameter slots.
+// ParseCached parses src, memoizing the AST and its parameter slots.
 // Statements are immutable after parsing (parameter indices and slots
 // are assigned at parse time), so sharing is safe.
-func (db *DB) parseCached(src string) (parsed, error) {
+func (db *DB) ParseCached(src string) (Parsed, error) {
 	db.cacheMu.RLock()
 	ps, ok := db.cache[src]
 	db.cacheMu.RUnlock()
@@ -298,11 +298,11 @@ func (db *DB) parseCached(src string) (parsed, error) {
 	}
 	ps, err := parse(src)
 	if err != nil {
-		return parsed{}, err
+		return Parsed{}, err
 	}
 	db.cacheMu.Lock()
 	if len(db.cache) > 4096 { // crude bound; workloads reuse few shapes
-		db.cache = make(map[string]parsed)
+		db.cache = make(map[string]Parsed)
 	}
 	db.cache[src] = ps
 	db.cacheMu.Unlock()
@@ -355,16 +355,25 @@ func (s *Session) Close() {
 
 // Exec executes one statement within this session.
 func (s *Session) Exec(src string, args ...any) (*Result, error) {
-	ps, err := s.db.parseCached(src)
+	ps, err := s.db.ParseCached(src)
 	if err != nil {
 		return nil, err
 	}
 	env := &evalEnv{clock: s.db.clock}
-	if err := env.bindParams(ps.slots, args); err != nil {
+	if err := env.Bind(ps, args); err != nil {
 		return nil, err
 	}
+	return s.exec(ps.st, env)
+}
 
-	switch st := ps.st.(type) {
+// ExecParams is Exec for a statement already parsed (DB.ParseCached)
+// and bound (Params): the form for a caller that holds typed values.
+func (s *Session) ExecParams(st Parsed, params *Params) (*Result, error) {
+	return s.exec(st.st, &evalEnv{clock: s.db.clock, Params: *params})
+}
+
+func (s *Session) exec(st Statement, env *evalEnv) (*Result, error) {
+	switch st := st.(type) {
 	case *BeginStmt:
 		if s.tx != nil {
 			return nil, ErrTxInProgress

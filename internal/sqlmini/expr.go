@@ -12,13 +12,8 @@ import (
 type evalEnv struct {
 	clock func() time.Time
 
-	// Bound parameters (bindParams): by slot for an Args map (named),
-	// by position otherwise. Up to len(inline) of them live in the env
-	// itself, more in one slice.
-	named  bool
-	nargs  int
-	inline [8]Value
-	more   []Value
+	// Params holds the statement's bound parameters.
+	Params
 
 	// nowT memoizes the first clock reading (nowSet flags it, so even a
 	// clock sitting at the zero time memoizes) so now() is stable within
@@ -37,37 +32,69 @@ type evalEnv struct {
 	plan indexPlan
 }
 
+// Params is one execution's parameters as typed values, in the order
+// the statement numbers them: a slot per distinct $name (a by-name
+// binding) or a position per ? (a by-position binding). It is the one
+// form every execution binds into. Exec's Args map and ...any
+// arguments are converted into it (Bind); a caller that already holds
+// typed values — the dbms server decoding a frame — fills it directly
+// (Named, Positional) and runs it with Session.ExecParams or
+// Session.ExecPreparedParams. Up to len(inline) values live in the
+// Params itself, more in one slice that a reused Params keeps.
+type Params struct {
+	named  bool
+	nargs  int
+	inline [8]Value
+	more   []Value
+}
+
 // typeUnbound tags the value of a parameter slot no argument filled. It
 // never leaves the slot array: param reports the slot unbound instead.
 const typeUnbound Type = -1
 
-// bindParams fills env's parameters from args, the one binder of every
+// Named readies a by-name binding of n slots (Parsed.NumSlots), every one
+// unbound, and returns them: the caller stores each value at the slot
+// Parsed.Slot reports for its key, and a slot it leaves alone stays
+// unbound.
+func (ps *Params) Named(n int) []Value {
+	ps.named = true
+	vals := ps.size(n)
+	for i := range vals {
+		vals[i] = Value{typ: typeUnbound}
+	}
+	return vals
+}
+
+// Positional readies a by-position binding of n values and returns
+// them for the caller to fill.
+func (ps *Params) Positional(n int) []Value {
+	ps.named = false
+	return ps.size(n)
+}
+
+// Bind fills ps from args for statement st, the one binder of every
 // execution path. A single Args map binds by name: each key, lower-cased,
-// fills the slot Parse gave that name in slots, and a key naming no
-// parameter is dropped. Anything else binds positionally. Every
-// argument is converted, used or not, so an unconvertible value is an
-// error wherever it sits.
-func (env *evalEnv) bindParams(slots map[string]int, args []any) error {
+// fills the slot Parse gave that name, and a key naming no parameter is
+// dropped. Anything else binds positionally. Every argument is
+// converted, used or not, so an unconvertible value is an error
+// wherever it sits.
+func (ps *Params) Bind(st Parsed, args []any) error {
 	if len(args) == 1 {
 		if m, ok := args[0].(Args); ok {
-			env.named = true
-			vals := env.sizeArgs(len(slots))
-			for i := range vals {
-				vals[i] = Value{typ: typeUnbound}
-			}
+			vals := ps.Named(len(st.slots))
 			for k, v := range m {
 				val, err := FromGo(v)
 				if err != nil {
 					return fmt.Errorf("parameter $%s: %w", k, err)
 				}
-				if i, ok := slots[strings.ToLower(k)]; ok {
+				if i, ok := st.slots[strings.ToLower(k)]; ok {
 					vals[i] = val
 				}
 			}
 			return nil
 		}
 	}
-	vals := env.sizeArgs(len(args))
+	vals := ps.Positional(len(args))
 	for i, a := range args {
 		v, err := FromGo(a)
 		if err != nil {
@@ -78,20 +105,35 @@ func (env *evalEnv) bindParams(slots map[string]int, args []any) error {
 	return nil
 }
 
-// sizeArgs makes room for n parameters and returns them.
-func (env *evalEnv) sizeArgs(n int) []Value {
-	env.nargs = n
-	if n > len(env.inline) {
-		env.more = make([]Value, n)
+// Value returns the value bound at slot or position i; ok is false for
+// a slot no argument filled and for an i past the binding.
+func (ps *Params) Value(i int) (v Value, ok bool) {
+	args := ps.args()
+	if i < 0 || i >= len(args) || args[i].typ == typeUnbound {
+		return Null, false
 	}
-	return env.args()
+	return args[i], true
 }
 
-func (env *evalEnv) args() []Value {
-	if env.more != nil {
-		return env.more
+// size makes room for n parameters and returns them.
+func (ps *Params) size(n int) []Value {
+	ps.nargs = n
+	switch {
+	case n <= len(ps.inline):
+		ps.more = ps.more[:0]
+	case n <= cap(ps.more):
+		ps.more = ps.more[:n]
+	default:
+		ps.more = make([]Value, n)
 	}
-	return env.inline[:env.nargs]
+	return ps.args()
+}
+
+func (ps *Params) args() []Value {
+	if len(ps.more) > 0 {
+		return ps.more
+	}
+	return ps.inline[:ps.nargs]
 }
 
 // param returns p's bound value; ok is false when the binding left p

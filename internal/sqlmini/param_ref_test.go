@@ -9,7 +9,7 @@ import (
 
 // refBindArgs is the map binder the engine used before parameter slots,
 // kept verbatim as the reference FuzzParamBinding holds the slot binder
-// (evalEnv.bindParams) to.
+// (Params.Bind) to.
 func refBindArgs(args []any) (named map[string]Value, positional []Value, err error) {
 	if len(args) == 1 {
 		if m, ok := args[0].(Args); ok {

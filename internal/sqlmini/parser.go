@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Parse parses a single SQL statement. Each positional ? parameter gets
@@ -13,32 +14,61 @@ func Parse(src string) (Statement, error) {
 	return ps.st, err
 }
 
-// parsed is one statement with its named-parameter slots: the binder
-// (evalEnv.bindParams) files each argument of an Args map under the
-// slot of its lower-cased key.
-type parsed struct {
+// Parsed is one statement with its named-parameter slot table, as the
+// DB's parse cache (DB.ParseCached) holds it: the binder (Params.Bind)
+// files each argument of an Args map under the slot of its lower-cased
+// key, and a caller holding typed values fills the slots itself (Slot).
+type Parsed struct {
 	st    Statement
 	slots map[string]int // $name → ParamExpr.Index
 }
 
-func parse(src string) (parsed, error) {
+// Statement returns the parsed statement.
+func (ps Parsed) Statement() Statement { return ps.st }
+
+// NumSlots reports how many distinct $name parameters the statement
+// has: the length of a by-name binding (Params.Named).
+func (ps Parsed) NumSlots() int { return len(ps.slots) }
+
+// Slot reports the slot of the parameter a key of an Args map names,
+// matched case-insensitively as Bind matches it; ok is false when the
+// statement has no such parameter. An ASCII key is lowered in a stack
+// buffer, so the lookup does not allocate.
+func (ps Parsed) Slot(key []byte) (slot int, ok bool) {
+	var buf [32]byte
+	lower := buf[:0]
+	for _, c := range key {
+		if c >= utf8.RuneSelf || len(lower) == len(buf) {
+			slot, ok = ps.slots[strings.ToLower(string(key))]
+			return slot, ok
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		lower = append(lower, c)
+	}
+	slot, ok = ps.slots[string(lower)]
+	return slot, ok
+}
+
+func parse(src string) (Parsed, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return parsed{}, err
+		return Parsed{}, err
 	}
 	p := &parser{src: src, toks: toks}
 	st, err := p.parseStatement()
 	if err != nil {
-		return parsed{}, err
+		return Parsed{}, err
 	}
 	// Optional trailing semicolon.
 	if p.peek().kind == tokSymbol && p.peek().text == ";" {
 		p.next()
 	}
 	if p.peek().kind != tokEOF {
-		return parsed{}, p.errorf("unexpected trailing input %q", p.peek().raw)
+		return Parsed{}, p.errorf("unexpected trailing input %q", p.peek().raw)
 	}
-	return parsed{st: st, slots: p.slots}, nil
+	return Parsed{st: st, slots: p.slots}, nil
 }
 
 type parser struct {

@@ -735,12 +735,12 @@ func indexLookupKey(colType Type, v Value) (Value, bool) {
 // operators) use it to pin hot statements to their intended plans.
 // Explain takes no locks: it reads the published schema.
 func (db *DB) Explain(src string, args ...any) (string, error) {
-	ps, err := db.parseCached(src)
+	ps, err := db.ParseCached(src)
 	if err != nil {
 		return "", err
 	}
 	env := &evalEnv{clock: db.clock}
-	if err := env.bindParams(ps.slots, args); err != nil {
+	if err := env.Bind(ps, args); err != nil {
 		return "", err
 	}
 	var table string

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 )
@@ -22,7 +23,7 @@ import (
 type Prepared struct {
 	db  *DB
 	src string
-	parsed
+	Parsed
 
 	// plan caches the skeleton for plannable statements; nil until the
 	// first execution and replaced wholesale when schemaSeq moves.
@@ -33,7 +34,7 @@ type Prepared struct {
 // control (BEGIN/COMMIT/ROLLBACK) is session state and cannot be
 // prepared; everything else can.
 func (db *DB) Prepare(src string) (*Prepared, error) {
-	ps, err := db.parseCached(src)
+	ps, err := db.ParseCached(src)
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +42,7 @@ func (db *DB) Prepare(src string) (*Prepared, error) {
 	case *BeginStmt, *CommitStmt, *RollbackStmt:
 		return nil, fmt.Errorf("sqlmini: cannot prepare transaction control %q", src)
 	}
-	return &Prepared{db: db, src: src, parsed: ps}, nil
+	return &Prepared{db: db, src: src, Parsed: ps}, nil
 }
 
 // SQL returns the statement text the handle was prepared from.
@@ -79,16 +80,33 @@ func (p *Prepared) Exec(args ...any) (*Result, error) {
 // session state). The handle must belong to the session's database.
 func (s *Session) ExecPrepared(p *Prepared, args ...any) (*Result, error) {
 	if p.db != s.db {
-		return nil, fmt.Errorf("sqlmini: prepared statement belongs to a different database")
+		return nil, errForeignPrepared
 	}
 	return p.exec(s.tx, args...)
 }
 
+// ExecPreparedParams is ExecPrepared with parameters already bound
+// (Params), in the slots of p.Parsed.
+func (s *Session) ExecPreparedParams(p *Prepared, params *Params) (*Result, error) {
+	if p.db != s.db {
+		return nil, errForeignPrepared
+	}
+	return p.run(s.tx, &evalEnv{clock: p.db.clock, Params: *params})
+}
+
+var errForeignPrepared = errors.New("sqlmini: prepared statement belongs to a different database")
+
 func (p *Prepared) exec(tx *undoLog, args ...any) (*Result, error) {
 	env := &evalEnv{clock: p.db.clock}
-	if err := env.bindParams(p.slots, args); err != nil {
+	if err := env.Bind(p.Parsed, args); err != nil {
 		return nil, err
 	}
+	return p.run(tx, env)
+}
+
+// run executes the handle with env's bound parameters, binding the
+// cached plan skeleton (re-analyzed when the schema moved).
+func (p *Prepared) run(tx *undoLog, env *evalEnv) (*Result, error) {
 	db := p.db
 	if table, where, ok := p.planTarget(); ok {
 		if t, err := db.lookupTable(table); err == nil {
