@@ -79,6 +79,7 @@ fuzz-smoke:
 	go test ./internal/core -run '^$$' -fuzz=FuzzFileSink -fuzztime=$(FUZZ_TIME)
 	go test ./internal/dbms -run '^$$' -fuzz=FuzzDbmsFrames -fuzztime=$(FUZZ_TIME)
 	go test ./internal/dbms -run '^$$' -fuzz=FuzzWireBinding -fuzztime=$(FUZZ_TIME)
+	go test ./internal/sequoia -run '^$$' -fuzz=FuzzSequoiaFrames -fuzztime=$(FUZZ_TIME)
 
 tier1:
 	go build ./...

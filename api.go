@@ -73,32 +73,20 @@ type (
 	// Conn is one database connection.
 	Conn = client.Conn
 	// StmtConn is a connection holding server-side prepared statements
-	// (negotiated capability; see Feature).
+	// (negotiated capability; see ErrNotSupported).
 	StmtConn = client.StmtConn
 	// ConnStmt is one server-side prepared-statement handle.
 	ConnStmt = client.ConnStmt
 	// TableVersionConn probes remote per-table mutation counters in one
-	// round trip (negotiated capability).
+	// round trip (negotiated capability; see ErrNotSupported).
 	TableVersionConn = client.TableVersionConn
 	// VersionWatchConn carries watched tables' mutation counters on
-	// every statement reply (negotiated capability).
+	// every statement reply (negotiated capability; see ErrNotSupported).
 	VersionWatchConn = client.VersionWatchConn
-	// FeatureConn reports which optional capabilities a connection's
-	// session negotiated.
-	FeatureConn = client.FeatureConn
-	// Feature names a negotiable per-session capability.
-	Feature = client.Feature
 	// Props carries connection options.
 	Props = client.Props
 	// Pool is a bounded connection pool.
 	Pool = client.Pool
-)
-
-// Negotiable session features, re-exported.
-const (
-	FeaturePreparedStatements = client.FeaturePreparedStatements
-	FeatureTableVersions      = client.FeatureTableVersions
-	FeatureWatchVersions      = client.FeatureWatchVersions
 )
 
 // Policy constants, re-exported with the paper's Table 2 encodings.
@@ -183,7 +171,9 @@ var (
 	// have reached the server; it was not retried.
 	ErrExecOutcomeUnknown = core.ErrExecOutcomeUnknown
 	// ErrNotSupported: a capability the connection's session did not
-	// negotiate (e.g. remote prepare against a v1 server).
+	// negotiate (e.g. remote prepare against a v1 server) — the one
+	// capability signal, returned by the capability's own call before
+	// any I/O.
 	ErrNotSupported = client.ErrNotSupported
 	// ErrTxDone: the transaction already committed or rolled back.
 	ErrTxDone = core.ErrTxDone

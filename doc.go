@@ -136,7 +136,9 @@
 // handles cached per pooled connection (re-prepared transparently
 // across redials, replayed only under the provably-unsent/read-only
 // contract) and Versions over the probe, so steady-state external
-// matchmaking runs zero SQL statements against the legacy DBMS. A v1
+// matchmaking runs zero SQL statements against the legacy DBMS. A
+// capability the session did not negotiate answers its own call with
+// ErrNotSupported before any I/O — the one capability signal. A v1
 // session — the paper's legacy database — reports ok == false from
 // Versions, and the server keeps the Sample code 1/2 SQL path. ConnStore.Stats reports pool and
 // session health (borrows, redials, live remote handles); golden-frame

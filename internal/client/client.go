@@ -125,8 +125,10 @@ var (
 	ErrStatementNotSent = errors.New("client: statement never reached the server")
 	// ErrNotSupported reports an optional capability the connection's
 	// negotiated session does not carry (e.g. remote prepared statements
-	// against a server that only speaks protocol v1). Callers detect it
-	// with errors.Is and fall back to the capability-free path.
+	// against a server that only speaks protocol v1). It is the one
+	// capability signal: the capability's own call returns it, before
+	// any I/O, and callers detect it with errors.Is and fall back to the
+	// capability-free path.
 	ErrNotSupported = errors.New("client: capability not supported by this connection")
 )
 
@@ -135,35 +137,6 @@ var (
 type Statement struct {
 	SQL  string
 	Args []any
-}
-
-// Feature names an optional per-session capability negotiated at
-// connect time. Connections report what their session actually carries
-// through FeatureConn; the corresponding methods return ErrNotSupported
-// when the feature is absent.
-type Feature string
-
-// Session features negotiable by capability-aware protocols.
-const (
-	// FeaturePreparedStatements: the session can hold server-side
-	// prepared-statement handles (StmtConn is live).
-	FeaturePreparedStatements Feature = "prepared-statements"
-	// FeatureTableVersions: the session can probe server-side per-table
-	// mutation counters (TableVersionConn is live).
-	FeatureTableVersions Feature = "table-versions"
-	// FeatureWatchVersions: the session can carry watched tables'
-	// mutation counters on every statement reply (VersionWatchConn is
-	// live).
-	FeatureWatchVersions Feature = "watch-versions"
-)
-
-// FeatureConn is optionally implemented by connections whose protocol
-// negotiates per-session capabilities. Supports reports whether the
-// live session carries the feature; it never performs I/O, so pooled
-// callers can gate cheaply before attempting a capability call.
-type FeatureConn interface {
-	// Supports reports whether the session negotiated the feature.
-	Supports(f Feature) bool
 }
 
 // ConnStmt is a server-side prepared-statement handle bound to one
@@ -181,8 +154,8 @@ type ConnStmt interface {
 
 // StmtConn is optionally implemented by connections that can hold
 // server-side prepared statements (the BatchConn pattern). Prepare
-// returns ErrNotSupported when the negotiated session lacks
-// FeaturePreparedStatements.
+// returns ErrNotSupported when the negotiated session lacks the
+// capability.
 type StmtConn interface {
 	// Prepare registers sql on the server and returns its handle.
 	Prepare(sql string) (ConnStmt, error)
@@ -192,7 +165,7 @@ type StmtConn interface {
 // probe the server's per-table mutation counters in one round trip —
 // the wire form of the generation counters backing metadata caches.
 // TableVersions returns ErrNotSupported when the negotiated session
-// lacks FeatureTableVersions.
+// lacks the capability.
 type TableVersionConn interface {
 	// TableVersions reports the mutation counter of each named table,
 	// parallel to names. Unknown tables report 0.
@@ -203,7 +176,7 @@ type TableVersionConn interface {
 // session can carry table versions on its statement replies, which
 // saves a cache the TableVersions round trip it would make after each
 // statement. WatchVersions returns ErrNotSupported when the negotiated
-// session lacks FeatureWatchVersions.
+// session lacks the capability.
 type VersionWatchConn interface {
 	// WatchVersions probes names like TableVersions and registers them
 	// as the connection's watch, replacing any earlier one: from then

@@ -174,7 +174,7 @@ func TestConnStoreRemotePreparedAmbiguousMutation(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return &ambushConn{Conn: c, trip: trip}, nil
+		return &ambushConn{sessionConn: c.(sessionConn), trip: trip}, nil
 	})
 	t.Cleanup(store.Close)
 
@@ -207,28 +207,24 @@ type tripwire struct{ armed bool }
 // connection-level failure (reply lost), and subsequent pings fail —
 // the ambiguous mid-statement death.
 type ambushConn struct {
-	client.Conn
+	sessionConn
 	trip *tripwire
 	dead bool
 }
 
 func (a *ambushConn) Prepare(sql string) (client.ConnStmt, error) {
-	h, err := a.Conn.(client.StmtConn).Prepare(sql)
+	h, err := a.sessionConn.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
 	return &ambushStmt{inner: h, c: a}, nil
 }
 
-func (a *ambushConn) Supports(f client.Feature) bool {
-	return a.Conn.(client.FeatureConn).Supports(f)
-}
-
 func (a *ambushConn) Ping() error {
 	if a.dead {
 		return errors.New("ambush: connection lost")
 	}
-	return a.Conn.Ping()
+	return a.sessionConn.Ping()
 }
 
 type ambushStmt struct {

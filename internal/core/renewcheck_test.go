@@ -99,20 +99,13 @@ func TestExternalNoChangeRenewalIsOneRoundTrip(t *testing.T) {
 	}
 }
 
-// unwatchedConn is a v2 driver connection that cannot register a
-// version watch: it passes on every capability but VersionWatchConn.
-type unwatchedConn struct{ client.Conn }
+// unwatchedConn is a v2 driver connection whose session cannot carry a
+// version watch: WatchVersions answers client.ErrNotSupported, as a
+// session that did not negotiate the capability does.
+type unwatchedConn struct{ sessionConn }
 
-func (c unwatchedConn) Prepare(sql string) (client.ConnStmt, error) {
-	return c.Conn.(client.StmtConn).Prepare(sql)
-}
-
-func (c unwatchedConn) TableVersions(names ...string) ([]uint64, error) {
-	return c.Conn.(client.TableVersionConn).TableVersions(names...)
-}
-
-func (c unwatchedConn) Supports(f client.Feature) bool {
-	return c.Conn.(client.FeatureConn).Supports(f)
+func (unwatchedConn) WatchVersions(...string) ([]uint64, error) {
+	return nil, client.ErrNotSupported
 }
 
 // TestExternalRenewalUnwatchedProbesAfter: over connections that carry
@@ -124,7 +117,10 @@ func TestExternalRenewalUnwatchedProbesAfter(t *testing.T) {
 	drv := dbms.NewNativeDriver(dbver.V(2, 0, 0), 2)
 	store := NewConnStore(func() (client.Conn, error) {
 		c, err := drv.Connect("dbms://"+f.legacy.Addr()+"/meta", client.Props{"user": "svc", "password": "pw"})
-		return unwatchedConn{c}, err
+		if err != nil {
+			return nil, err
+		}
+		return unwatchedConn{c.(sessionConn)}, nil
 	})
 	t.Cleanup(store.Close)
 	srv, err := NewServer("external", store)

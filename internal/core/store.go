@@ -215,22 +215,26 @@ func (s *LocalStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
 // behavior could double-apply a non-idempotent statement that reached
 // the server just before the connection died.
 //
-// When the dialed connections negotiate the v2 session capabilities,
-// Prepare returns handles backed by SERVER-side prepared statements
-// (client.StmtConn) — each pooled connection caches one remote handle
-// per SQL text, re-prepared transparently on a replacement connection
-// but replayed only under the redial contract above — and Versions
-// probes the remote engine's per-table mutation counters over
-// client.TableVersionConn (one wire round trip, zero SQL), which
-// extends the server's zero-SQL catalog to external deployments. Each
-// dialed connection that can also registers a version watch on the same
-// two tables (client.VersionWatchConn), so every statement result it
-// returns carries them in Result.Versions and a renewal needs no probe
-// of its own.
+// Every dialed connection must satisfy one session contract
+// (sessionConn: client.Conn plus batch frames, prepared handles, table
+// versions and a version watch — what the dbms native driver offers),
+// checked once when it is dialed. Batches travel as one atomic frame.
+// Prepare returns handles backed by SERVER-side prepared statements —
+// each pooled connection caches one remote handle per SQL text,
+// re-prepared transparently on a replacement connection but replayed
+// only under the redial contract above — and Versions probes the remote
+// engine's per-table mutation counters (one wire round trip, zero SQL),
+// which extends the server's zero-SQL catalog to external deployments.
+// Each dialed connection also registers a version watch on the same two
+// tables, so every statement result it returns carries them in
+// Result.Versions and a renewal needs no probe of its own.
 //
-// A v1 peer is the paper's legacy database, and it stays supported:
-// Prepare handles execute as plain per-call SQL, and Versions reports
-// ok == false so the server keeps the SQL matchmaking path.
+// A capability the negotiated session lacks answers its call with
+// client.ErrNotSupported, before any I/O. A v1 peer is the paper's
+// legacy database, and it stays supported: its connections stay
+// unwatched, Prepare handles execute as plain per-call SQL, and
+// Versions reports ok == false so the server keeps the SQL matchmaking
+// path.
 type ConnStore struct {
 	dial func() (client.Conn, error)
 	size int
@@ -257,13 +261,26 @@ type ConnStore struct {
 	handlesLive atomic.Int64
 }
 
+// sessionConn is the session contract every connection a ConnStore
+// dials must satisfy, checked once in acquire.
+type sessionConn interface {
+	client.Conn
+	client.BatchConn
+	client.StmtConn
+	client.TableVersionConn
+	client.VersionWatchConn
+}
+
 // poolConn is one pooled driver connection plus its session-scoped
 // remote prepared-handle cache. The cache is only touched by the
 // borrower (a connection has exactly one at a time), dies with the
-// connection, and is bounded at maxConnStmts.
+// connection, and is bounded at maxConnStmts. noStmts is set once the
+// session refused a Prepare with client.ErrNotSupported: its statements
+// then run ad hoc without asking again.
 type poolConn struct {
-	conn  client.Conn
-	stmts map[string]client.ConnStmt
+	conn    sessionConn
+	stmts   map[string]client.ConnStmt
+	noStmts bool
 }
 
 // maxConnStmts bounds one connection's remote-handle cache, below the
@@ -298,8 +315,9 @@ func NewConnStore(dial func() (client.Conn, error), opts ...ConnStoreOption) *Co
 var errConnStoreClosed = errors.New("core: external store is closed")
 
 // acquire takes a pool slot, then returns an idle connection or dials
-// a new one. Idle connections are NOT pinged — a dead one is detected
-// (and classified) by the statement that trips over it.
+// a new one, which must satisfy sessionConn and is then watched. Idle
+// connections are NOT pinged — a dead one is detected (and classified)
+// by the statement that trips over it.
 func (s *ConnStore) acquire() (*poolConn, error) {
 	s.sem <- struct{}{}
 	s.mu.Lock()
@@ -320,28 +338,22 @@ func (s *ConnStore) acquire() (*poolConn, error) {
 		<-s.sem
 		return nil, fmt.Errorf("core: external store dial: %w", err)
 	}
-	if err := watchVersions(c); err != nil {
+	sc, ok := c.(sessionConn)
+	if !ok {
+		_ = c.Close()
+		<-s.sem
+		return nil, fmt.Errorf("core: external store dial: %T lacks batch, prepare, table-version or version-watch calls", c)
+	}
+	// The watch makes every statement result carry the pair Versions
+	// reports. A session that cannot carry one stays unwatched, and the
+	// server probes after its statements instead.
+	if _, err := sc.WatchVersions(DriversTable, PermissionTable); err != nil && !errors.Is(err, client.ErrNotSupported) {
 		_ = c.Close()
 		<-s.sem
 		return nil, fmt.Errorf("core: external store watch: %w", err)
 	}
 	s.dials.Add(1)
-	return &poolConn{conn: c}, nil
-}
-
-// watchVersions registers the catalog tables as a fresh connection's
-// version watch, so its statement results carry the pair Versions
-// reports. A session that cannot carry a watch stays unwatched, and the
-// server probes after its statements instead.
-func watchVersions(c client.Conn) error {
-	wc, ok := c.(client.VersionWatchConn)
-	if !ok {
-		return nil
-	}
-	if _, err := wc.WatchVersions(DriversTable, PermissionTable); err != nil && !errors.Is(err, client.ErrNotSupported) {
-		return err
-	}
-	return nil
+	return &poolConn{conn: sc}, nil
 }
 
 // closeConn closes a connection and writes off its cached remote
@@ -636,66 +648,40 @@ func (tx *connTx) Rollback() error {
 	return err
 }
 
-// ExecBatch implements Store. When the driver connection supports
-// batch frames (client.BatchConn — the dbms native driver does), the
-// whole list travels in ONE wire round trip and executes atomically on
-// the server. Otherwise the list runs statement-by-statement on one
-// pinned connection inside BEGIN/COMMIT — still atomic, at N+2 round
-// trips. Mid-batch connection loss is never replayed (batches carry
-// mutations); it surfaces as ErrExecOutcomeUnknown.
+// ExecBatch implements Store: the whole list travels in ONE atomic
+// batch frame and executes atomically on the server. Mid-batch
+// connection loss is never replayed (batches carry mutations); it
+// surfaces as ErrExecOutcomeUnknown.
 func (s *ConnStore) ExecBatch(stmts []Statement) ([]*sqlmini.Result, error) {
 	pc, err := s.acquire()
 	if err != nil {
 		return nil, err
 	}
-	if bc, ok := pc.conn.(client.BatchConn); ok {
-		rs, err := bc.ExecBatch(true, stmts)
-		if err == nil {
-			s.release(pc)
-			return rs, nil
-		}
-		if pc.conn.Ping() == nil {
-			s.release(pc)
-			return nil, err
-		}
-		s.discard(pc)
-		s.flushIdle() // idle peers likely died with it (server bounce)
-		if errors.Is(err, client.ErrStatementNotSent) {
-			// The frame never left: nothing executed; the caller may
-			// retry, but we do not auto-replay mutating batches.
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %v", ErrExecOutcomeUnknown, err)
+	rs, err := pc.conn.ExecBatch(true, stmts)
+	if err == nil {
+		s.release(pc)
+		return rs, nil
 	}
-	// Non-batch connection: emulate atomicity with an explicit
-	// transaction pinned to this connection. The release/Begin pair is
-	// not a wasted dial: release pushes onto the idle stack and Begin's
-	// acquire pops from it, so absent contention Begin reuses this very
-	// connection.
-	s.release(pc)
-	tx, err := s.Begin()
-	if err != nil {
+	if pc.conn.Ping() == nil {
+		s.release(pc)
 		return nil, err
 	}
-	out := make([]*sqlmini.Result, len(stmts))
-	for i, st := range stmts {
-		if out[i], err = tx.Exec(st.SQL, st.Args...); err != nil {
-			_ = tx.Rollback()
-			return nil, fmt.Errorf("core: batch statement %d: %w", i+1, err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
+	s.discard(pc)
+	s.flushIdle() // idle peers likely died with it (server bounce)
+	if errors.Is(err, client.ErrStatementNotSent) {
+		// The frame never left: nothing executed; the caller may
+		// retry, but we do not auto-replay mutating batches.
 		return nil, err
 	}
-	return out, nil
+	return nil, fmt.Errorf("%w: %v", ErrExecOutcomeUnknown, err)
 }
 
 // Prepare implements Store over remote prepared handles. The
 // returned handle is store-level: each execution borrows a pooled
 // connection and runs through THAT connection's server-side handle for
 // the SQL text (prepared on first use, cached per connection, died and
-// transparently re-prepared when the connection is replaced). Against
-// sessions without the prepared-statements capability the handle
+// transparently re-prepared when the connection is replaced). On a
+// session without the prepared-statements capability the handle
 // executes as plain per-call SQL — one code path for the caller either
 // way.
 func (s *ConnStore) Prepare(sql string) (Stmt, error) {
@@ -724,19 +710,13 @@ func (s *ConnStore) stmtFor(pc *poolConn, sql string) (client.ConnStmt, error) {
 	if h, ok := pc.stmts[sql]; ok {
 		return h, nil
 	}
-	sc, ok := pc.conn.(client.StmtConn)
-	if !ok {
+	if pc.noStmts || len(pc.stmts) >= maxConnStmts {
 		return nil, errStmtFallback
 	}
-	if fc, ok := pc.conn.(client.FeatureConn); ok && !fc.Supports(client.FeaturePreparedStatements) {
-		return nil, errStmtFallback // negotiated session lacks the capability: no I/O wasted
-	}
-	if len(pc.stmts) >= maxConnStmts {
-		return nil, errStmtFallback
-	}
-	h, err := sc.Prepare(sql)
+	h, err := pc.conn.Prepare(sql)
 	if err != nil {
 		if errors.Is(err, client.ErrNotSupported) {
+			pc.noStmts = true
 			return nil, errStmtFallback
 		}
 		return nil, err
@@ -800,11 +780,7 @@ func (s *ConnStore) Versions() (drivers, perms uint64, ok bool) {
 		return 0, 0, false
 	}
 	v, err := s.runRedial(true, func(pc *poolConn) (any, error, bool) {
-		tvc, ok := pc.conn.(client.TableVersionConn)
-		if !ok {
-			return nil, client.ErrNotSupported, true
-		}
-		vs, err := tvc.TableVersions(DriversTable, PermissionTable)
+		vs, err := pc.conn.TableVersions(DriversTable, PermissionTable)
 		return vs, err, false
 	})
 	if err != nil {

@@ -113,27 +113,37 @@ func (d *NativeDriver) Connect(rawURL string, props client.Props) (client.Conn, 
 		conn.Close()
 		return nil, fmt.Errorf("dbms: handshake: %w", err)
 	}
-	switch f.Type {
-	case msgHelloOK:
-		ok, err := decodeHelloOK(f.Payload)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("dbms: handshake: %w", err)
-		}
-		return &nativeConn{conn: conn, server: ok.ServerName, sessionID: ok.SessionID,
-			proto: ok.ProtocolVersion, caps: ok.Capabilities,
-			opTimeout: d.opTimeout}, nil
-	case msgError:
-		code, msg, derr := decodeError(f.Payload)
+	p, err := payload(f, msgHelloOK)
+	if err != nil {
 		conn.Close()
-		if derr != nil {
-			return nil, fmt.Errorf("dbms: handshake: %w", derr)
+		return nil, err
+	}
+	ok, err := decodeHelloOK(p)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("dbms: handshake: %w", err)
+	}
+	return &nativeConn{conn: conn, server: ok.ServerName, sessionID: ok.SessionID,
+		proto: ok.ProtocolVersion, caps: ok.Capabilities,
+		opTimeout: d.opTimeout}, nil
+}
+
+// payload classifies one reply frame: the payload of the frame type
+// the request wants, or the error a msgError carries (mapped by
+// wrapServerError), or an error naming an unexpected frame. Every
+// reply the driver reads goes through it.
+func payload(f wire.Frame, want uint16) ([]byte, error) {
+	switch f.Type {
+	case want:
+		return f.Payload, nil
+	case msgError:
+		code, msg, err := decodeError(f.Payload)
+		if err != nil {
+			return nil, err
 		}
 		return nil, wrapServerError(code, msg)
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("dbms: handshake: unexpected frame 0x%04x", f.Type)
 	}
+	return nil, fmt.Errorf("dbms: unexpected frame 0x%04x (want 0x%04x)", f.Type, want)
 }
 
 // wrapServerError maps protocol error codes onto the shared client
@@ -176,33 +186,20 @@ type nativeConn struct {
 // (tests and diagnostics).
 func (c *nativeConn) NegotiatedProtocol() uint16 { return c.proto }
 
-// Supports implements client.FeatureConn from the negotiated capability
-// mask — no I/O, so pooled stores can gate capability paths cheaply.
-func (c *nativeConn) Supports(f client.Feature) bool {
-	switch f {
-	case client.FeaturePreparedStatements:
-		return c.caps&CapPreparedStatements != 0
-	case client.FeatureTableVersions:
-		return c.caps&CapTableVersions != 0
-	case client.FeatureWatchVersions:
-		return c.caps&CapWatchVersions != 0
-	default:
-		return false
-	}
-}
-
-func (c *nativeConn) roundTrip(typ uint16, payload []byte) (wire.Frame, error) {
+// roundTrip sends one request frame and reads its reply, classified by
+// payload against the frame type the request wants.
+func (c *nativeConn) roundTrip(typ uint16, req []byte, want uint16) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		// Nothing was transmitted: safe to retry elsewhere.
-		return wire.Frame{}, fmt.Errorf("%w (%w)", client.ErrClosed, client.ErrStatementNotSent)
+		return nil, fmt.Errorf("%w (%w)", client.ErrClosed, client.ErrStatementNotSent)
 	}
-	if err := c.conn.Send(typ, payload); err != nil {
+	if err := c.conn.Send(typ, req); err != nil {
 		// The send failed before the frame left, so the statement
 		// provably never executed; mark it retryable for store layers.
 		c.closed = true
-		return wire.Frame{}, fmt.Errorf("%w (%w): %v", client.ErrClosed, client.ErrStatementNotSent, err)
+		return nil, fmt.Errorf("%w (%w): %v", client.ErrClosed, client.ErrStatementNotSent, err)
 	}
 	f, err := c.conn.RecvTimeout(c.opTimeout)
 	if err != nil {
@@ -212,57 +209,45 @@ func (c *nativeConn) roundTrip(typ uint16, payload []byte) (wire.Frame, error) {
 		// marked ErrStatementNotSent: the outcome is ambiguous, and the
 		// store layer's redial contract (ErrExecOutcomeUnknown) owns it.
 		c.closed = true
-		return wire.Frame{}, fmt.Errorf("%w: %v", client.ErrClosed, err)
+		return nil, fmt.Errorf("%w: %v", client.ErrClosed, err)
 	}
-	return f, nil
-}
-
-// decodeExecReply turns a msgResult/msgError reply frame into the
-// client result — decoded once, into the Result the caller keeps —
-// shared by ad-hoc and prepared execution, whose replies are identical
-// on the wire.
-func decodeExecReply(f wire.Frame) (*client.Result, error) {
-	switch f.Type {
-	case msgResult:
-		return decodeResult(f.Payload)
-	case msgError:
-		code, msg, derr := decodeError(f.Payload)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, wrapServerError(code, msg)
-	default:
-		return nil, fmt.Errorf("dbms: unexpected frame 0x%04x", f.Type)
-	}
+	return payload(f, want)
 }
 
 // send encodes one request into a pooled encoder and makes the round
 // trip; the encoder goes back to the pool once the frame is sent.
-func (c *nativeConn) send(typ uint16, encode func(e *wire.Encoder) error) (wire.Frame, error) {
+func (c *nativeConn) send(typ uint16, encode func(e *wire.Encoder) error, want uint16) ([]byte, error) {
 	e := wire.GetEncoder(128)
 	defer wire.PutEncoder(e)
 	if err := encode(e); err != nil {
-		return wire.Frame{}, err
+		return nil, err
 	}
-	return c.roundTrip(typ, e.Bytes())
+	return c.roundTrip(typ, e.Bytes(), want)
 }
 
-func (c *nativeConn) exec(sql string, args []any) (*client.Result, error) {
-	f, err := c.send(msgExec, func(e *wire.Encoder) error { return encodeExec(e, sql, args) })
+// exec runs one statement whose reply is a msgResult — ad hoc, or
+// through a prepared handle, whose replies are identical on the wire —
+// decoded once, into the Result the caller keeps.
+func (c *nativeConn) exec(typ uint16, encode func(e *wire.Encoder) error) (*client.Result, error) {
+	p, err := c.send(typ, encode, msgResult)
 	if err != nil {
 		return nil, err
 	}
-	return decodeExecReply(f)
+	return decodeResult(p)
+}
+
+func (c *nativeConn) execSQL(sql string, args []any) (*client.Result, error) {
+	return c.exec(msgExec, func(e *wire.Encoder) error { return encodeExec(e, sql, args) })
 }
 
 // Exec implements client.Conn.
 func (c *nativeConn) Exec(sql string, args ...any) (*client.Result, error) {
-	return c.exec(sql, args)
+	return c.execSQL(sql, args)
 }
 
 // Query implements client.Conn.
 func (c *nativeConn) Query(sql string, args ...any) (*client.Result, error) {
-	return c.exec(sql, args)
+	return c.execSQL(sql, args)
 }
 
 // ExecBatch implements client.BatchConn: the whole statement list
@@ -270,70 +255,48 @@ func (c *nativeConn) Query(sql string, args ...any) (*client.Result, error) {
 // msgBatchResult frame — a single wire round trip however many
 // statements the batch carries.
 func (c *nativeConn) ExecBatch(atomic bool, stmts []client.Statement) ([]*client.Result, error) {
-	f, err := c.send(msgExecBatch, func(e *wire.Encoder) error { return encodeBatch(e, atomic, stmts) })
+	p, err := c.send(msgExecBatch, func(e *wire.Encoder) error { return encodeBatch(e, atomic, stmts) }, msgBatchResult)
 	if err != nil {
 		return nil, err
 	}
-	switch f.Type {
-	case msgBatchResult:
-		br, err := decodeBatchResult(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if br.ErrIndex >= 0 {
-			return nil, fmt.Errorf("dbms: batch statement %d: %w",
-				br.ErrIndex+1, wrapServerError(br.ErrCode, br.ErrMsg))
-		}
-		if br.ErrCode != 0 {
-			// Batch-level failure (e.g. the wrapping COMMIT): no
-			// statement index to point at.
-			return nil, wrapServerError(br.ErrCode, br.ErrMsg)
-		}
-		for _, r := range br.Results {
-			r.Versions = br.Versions
-		}
-		return br.Results, nil
-	case msgError:
-		code, msg, derr := decodeError(f.Payload)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, wrapServerError(code, msg)
-	default:
-		return nil, fmt.Errorf("dbms: unexpected frame 0x%04x", f.Type)
+	br, err := decodeBatchResult(p)
+	if err != nil {
+		return nil, err
 	}
+	if br.ErrIndex >= 0 {
+		return nil, fmt.Errorf("dbms: batch statement %d: %w",
+			br.ErrIndex+1, wrapServerError(br.ErrCode, br.ErrMsg))
+	}
+	if br.ErrCode != 0 {
+		// Batch-level failure (e.g. the wrapping COMMIT): no
+		// statement index to point at.
+		return nil, wrapServerError(br.ErrCode, br.ErrMsg)
+	}
+	for _, r := range br.Results {
+		r.Versions = br.Versions
+	}
+	return br.Results, nil
 }
 
 // Prepare implements client.StmtConn: the statement is parsed (and its
 // plan skeleton cached) once on the server; each Exec of the returned
 // handle ships only the handle id and arguments in one msgExecStmt
-// round trip. Requires the negotiated FeaturePreparedStatements
+// round trip. Requires the negotiated CapPreparedStatements
 // capability; v1 sessions get client.ErrNotSupported without any I/O.
 func (c *nativeConn) Prepare(sql string) (client.ConnStmt, error) {
 	if c.caps&CapPreparedStatements == 0 {
 		return nil, fmt.Errorf("%w: remote prepared statements (session protocol %d)",
 			client.ErrNotSupported, c.proto)
 	}
-	f, err := c.roundTrip(msgPrepare, prepareMsg{SQL: sql}.encode())
+	p, err := c.roundTrip(msgPrepare, prepareMsg{SQL: sql}.encode(), msgPrepareOK)
 	if err != nil {
 		return nil, err
 	}
-	switch f.Type {
-	case msgPrepareOK:
-		ok, derr := decodePrepareOK(f.Payload)
-		if derr != nil {
-			return nil, derr
-		}
-		return &nativeStmt{c: c, handle: ok.Handle, sql: sql}, nil
-	case msgError:
-		code, msg, derr := decodeError(f.Payload)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, wrapServerError(code, msg)
-	default:
-		return nil, fmt.Errorf("dbms: unexpected prepare reply 0x%04x", f.Type)
+	ok, err := decodePrepareOK(p)
+	if err != nil {
+		return nil, err
 	}
+	return &nativeStmt{c: c, handle: ok.Handle, sql: sql}, nil
 }
 
 // nativeStmt is one server-side prepared handle bound to its
@@ -350,11 +313,7 @@ func (st *nativeStmt) Exec(args ...any) (*client.Result, error) {
 	if st.closed {
 		return nil, fmt.Errorf("dbms: prepared statement %q already closed", st.sql)
 	}
-	f, err := st.c.send(msgExecStmt, func(e *wire.Encoder) error { return encodeExecStmt(e, st.handle, args) })
-	if err != nil {
-		return nil, err
-	}
-	return decodeExecReply(f)
+	return st.c.exec(msgExecStmt, func(e *wire.Encoder) error { return encodeExecStmt(e, st.handle, args) })
 }
 
 // Query implements client.ConnStmt.
@@ -368,23 +327,17 @@ func (st *nativeStmt) Close() error {
 		return nil
 	}
 	st.closed = true
-	f, err := st.c.roundTrip(msgCloseStmt, closeStmtMsg{Handle: st.handle}.encode())
-	if err != nil {
-		if errors.Is(err, client.ErrClosed) {
-			return nil // disconnect already released every handle
-		}
-		return err
+	_, err := st.c.roundTrip(msgCloseStmt, closeStmtMsg{Handle: st.handle}.encode(), msgCloseStmtOK)
+	if errors.Is(err, client.ErrClosed) {
+		return nil // disconnect already released every handle
 	}
-	if f.Type != msgCloseStmtOK {
-		return fmt.Errorf("dbms: unexpected close-stmt reply 0x%04x", f.Type)
-	}
-	return nil
+	return err
 }
 
 // TableVersions implements client.TableVersionConn: one msgTableVersions
 // round trip reporting the mutation counter of each named table — the
 // wire form of the generation counters metadata caches validate
-// against. Requires the negotiated FeatureTableVersions capability.
+// against. Requires the negotiated CapTableVersions capability.
 func (c *nativeConn) TableVersions(names ...string) ([]uint64, error) {
 	if c.caps&CapTableVersions == 0 {
 		return nil, fmt.Errorf("%w: table-version probes (session protocol %d)",
@@ -395,7 +348,7 @@ func (c *nativeConn) TableVersions(names ...string) ([]uint64, error) {
 
 // WatchVersions implements client.VersionWatchConn: the same round trip
 // as TableVersions, flagged so the server registers names as the
-// session's watch. Requires the negotiated FeatureWatchVersions
+// session's watch. Requires the negotiated CapWatchVersions
 // capability; without it the call fails with client.ErrNotSupported and
 // no I/O.
 func (c *nativeConn) WatchVersions(names ...string) ([]uint64, error) {
@@ -407,36 +360,24 @@ func (c *nativeConn) WatchVersions(names ...string) ([]uint64, error) {
 }
 
 func (c *nativeConn) probeVersions(m tableVersionsMsg) ([]uint64, error) {
-	names := m.Names
-	f, err := c.roundTrip(msgTableVersions, m.encode())
+	p, err := c.roundTrip(msgTableVersions, m.encode(), msgTableVersionsOK)
 	if err != nil {
 		return nil, err
 	}
-	switch f.Type {
-	case msgTableVersionsOK:
-		ok, derr := decodeTableVersionsOK(f.Payload)
-		if derr != nil {
-			return nil, derr
-		}
-		if len(ok.Versions) != len(names) {
-			return nil, fmt.Errorf("dbms: table-versions reply has %d entries for %d names",
-				len(ok.Versions), len(names))
-		}
-		return ok.Versions, nil
-	case msgError:
-		code, msg, derr := decodeError(f.Payload)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, wrapServerError(code, msg)
-	default:
-		return nil, fmt.Errorf("dbms: unexpected table-versions reply 0x%04x", f.Type)
+	ok, err := decodeTableVersionsOK(p)
+	if err != nil {
+		return nil, err
 	}
+	if len(ok.Versions) != len(m.Names) {
+		return nil, fmt.Errorf("dbms: table-versions reply has %d entries for %d names",
+			len(ok.Versions), len(m.Names))
+	}
+	return ok.Versions, nil
 }
 
 // Begin implements client.Conn.
 func (c *nativeConn) Begin() error {
-	if _, err := c.exec("BEGIN", nil); err != nil {
+	if _, err := c.execSQL("BEGIN", nil); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -447,7 +388,7 @@ func (c *nativeConn) Begin() error {
 
 // Commit implements client.Conn.
 func (c *nativeConn) Commit() error {
-	if _, err := c.exec("COMMIT", nil); err != nil {
+	if _, err := c.execSQL("COMMIT", nil); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -458,7 +399,7 @@ func (c *nativeConn) Commit() error {
 
 // Rollback implements client.Conn.
 func (c *nativeConn) Rollback() error {
-	if _, err := c.exec("ROLLBACK", nil); err != nil {
+	if _, err := c.execSQL("ROLLBACK", nil); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -476,14 +417,8 @@ func (c *nativeConn) InTx() bool {
 
 // Ping implements client.Conn.
 func (c *nativeConn) Ping() error {
-	f, err := c.roundTrip(msgPing, nil)
-	if err != nil {
-		return err
-	}
-	if f.Type != msgPong {
-		return fmt.Errorf("dbms: unexpected ping reply 0x%04x", f.Type)
-	}
-	return nil
+	_, err := c.roundTrip(msgPing, nil, msgPong)
+	return err
 }
 
 // Close implements client.Conn.

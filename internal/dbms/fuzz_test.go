@@ -55,7 +55,7 @@ func FuzzDbmsFrames(f *testing.F) {
 		func(b []byte) error { _, err := decodeHello(b); return err },
 		func(b []byte) error { _, err := decodeHelloOK(b); return err },
 		func(b []byte) error { var m execFrame; return m.decode(wire.NewDecoder(b), nil) },
-		func(b []byte) error { var ps sqlmini.Params; _, _, err := decodeExecStmt(b, nil, &ps); return err },
+		func(b []byte) error { var m execFrame; _, err := m.decodeStmt(wire.NewDecoder(b), nil); return err },
 		func(b []byte) error { _, _, err := decodeBatch(b, nil); return err },
 		func(b []byte) error { _, err := decodeResult(b); return err },
 		func(b []byte) error { _, err := decodeBatchResult(b); return err },

@@ -273,14 +273,14 @@ func checkExecStmtRoundTrip(t *testing.T, enc []byte, handle uint64, sql string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var params sqlmini.Params
-	got, h, err := decodeExecStmt(enc, map[uint64]*sessStmt{handle: {p: p, sql: sql}}, &params)
-	if err != nil || got != handle || h == nil {
-		t.Fatalf("round trip: handle %d (%v), %v", got, h, err)
+	var m execFrame
+	got, err := m.decodeStmt(wire.NewDecoder(enc), map[uint64]*sqlmini.Prepared{handle: p})
+	if err != nil || got != handle || m.p != p {
+		t.Fatalf("round trip: handle %d (%v), %v", got, m.p, err)
 	}
 	for name, w := range want {
 		slot, _ := p.Slot([]byte(name))
-		if v, ok := params.Value(slot); !ok || v.Type() != w.Type() || !sqlmini.Equal(v, w) {
+		if v, ok := m.params.Value(slot); !ok || v.Type() != w.Type() || !sqlmini.Equal(v, w) {
 			t.Fatalf("round trip: $%s = %v, want %v", name, v, w)
 		}
 	}
@@ -346,7 +346,7 @@ func TestMalformedCountsRejected(t *testing.T) {
 	cases := map[string]func([]byte) error{
 		// exec with a huge named-arg count and no entries.
 		"exec named":      func(b []byte) error { _, err := decodeExecOn(b); return err },
-		"execStmt named":  func(b []byte) error { var ps sqlmini.Params; _, _, err := decodeExecStmt(b, nil, &ps); return err },
+		"execStmt named":  func(b []byte) error { var m execFrame; _, err := m.decodeStmt(wire.NewDecoder(b), nil); return err },
 		"result cols":     func(b []byte) error { _, err := decodeResult(b); return err },
 		"tableVersionsOK": func(b []byte) error { _, err := decodeTableVersionsOK(b); return err },
 	}

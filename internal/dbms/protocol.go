@@ -328,12 +328,16 @@ func encodeExec(e *wire.Encoder, sql string, args []any) error {
 	return encodeArgs(e, args)
 }
 
-// execFrame is one decoded msgExec, or one statement of a msgExecBatch:
-// its text, the parse it resolves to in the session's database (perr
-// when it does not) and its arguments bound into that parse's slots.
+// execFrame is one statement bound for execution: a decoded msgExec or
+// msgExecStmt, one statement of a msgExecBatch, or an in-process
+// Execute. It holds the statement's text, the parse it resolves to in
+// the database (perr when it does not), the session's prepared handle
+// a msgExecStmt names (nil otherwise) and its arguments bound into the
+// parse's slots.
 type execFrame struct {
 	sql    string
 	st     sqlmini.Parsed
+	p      *sqlmini.Prepared
 	perr   error
 	params sqlmini.Params
 }
@@ -348,7 +352,7 @@ func (m *execFrame) decode(d *wire.Decoder, db *sqlmini.DB) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	m.st, m.perr = sqlmini.Parsed{}, nil
+	m.st, m.p, m.perr = sqlmini.Parsed{}, nil, nil
 	if db != nil {
 		m.st, m.perr = db.ParseCached(m.sql)
 	}
@@ -356,6 +360,32 @@ func (m *execFrame) decode(d *wire.Decoder, db *sqlmini.DB) error {
 		return err
 	}
 	return d.Err()
+}
+
+// decodeStmt reads one msgExecStmt payload: the handle, looked up in
+// stmts, and its argument block bound into the handle's slots. m.p is
+// nil for a handle stmts does not hold (the block is still read).
+func (m *execFrame) decodeStmt(d *wire.Decoder, stmts map[uint64]*sqlmini.Prepared) (handle uint64, err error) {
+	handle = d.Uint64()
+	m.sql, m.st, m.perr = "", sqlmini.Parsed{}, nil
+	if m.p = stmts[handle]; m.p != nil {
+		m.sql, m.st = m.p.SQL(), m.p.Parsed
+	}
+	if err := decodeArgs(d, m.st, &m.params); err != nil {
+		return handle, err
+	}
+	return handle, d.Err()
+}
+
+// bind fills m with sql parsed in db and args bound into its slots —
+// what decode does from a payload, for a statement run in-process.
+func (m *execFrame) bind(db *sqlmini.DB, sql string, args []any) error {
+	st, err := db.ParseCached(sql)
+	if err != nil {
+		return err
+	}
+	m.sql, m.st, m.p, m.perr = sql, st, nil, nil
+	return m.params.Bind(st, args)
 }
 
 // beginNested reserves the 4-byte length of a nested payload (a batch
@@ -617,22 +647,6 @@ func decodePrepareOK(b []byte) (prepareOKMsg, error) {
 func encodeExecStmt(e *wire.Encoder, handle uint64, args []any) error {
 	e.Uint64(handle)
 	return encodeArgs(e, args)
-}
-
-// decodeExecStmt reads a msgExecStmt payload: the handle, looked up in
-// stmts, and its argument block bound into ps by the handle's slots.
-// h is nil for a handle stmts does not hold.
-func decodeExecStmt(b []byte, stmts map[uint64]*sessStmt, ps *sqlmini.Params) (handle uint64, h *sessStmt, err error) {
-	d := wire.NewDecoder(b)
-	handle = d.Uint64()
-	var st sqlmini.Parsed
-	if h = stmts[handle]; h != nil {
-		st = h.p.Parsed
-	}
-	if err := decodeArgs(d, st, ps); err != nil {
-		return handle, h, err
-	}
-	return handle, h, d.Err()
 }
 
 // closeStmtMsg is msgCloseStmt: release one handle (msgCloseStmtOK

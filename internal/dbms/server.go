@@ -359,22 +359,13 @@ type session struct {
 	// statement's execution and replication read before the next frame.
 	frame execFrame
 
-	// stmts is the session's prepared-handle table: server-side cached
+	// stmts is the session's prepared-handle table: server-side
 	// sqlmini.Prepared keyed by handle id. Only the session's serve
 	// goroutine touches it, it is bounded at maxSessionStmts, and it is
 	// swept wholesale on disconnect (serveConn return drops the map and
 	// every handle with it).
-	stmts    map[uint64]*sessStmt
+	stmts    map[uint64]*sqlmini.Prepared
 	nextStmt uint64
-}
-
-// sessStmt is one server-side prepared handle: the reusable engine
-// handle plus the statement's text (replication ships SQL) and its
-// mutation classification (read-only gate, replication trigger).
-type sessStmt struct {
-	p        *sqlmini.Prepared
-	sql      string
-	mutating bool
 }
 
 // maxSessionStmts bounds one session's prepared-handle table. The
@@ -411,12 +402,12 @@ func (s *Server) serveConn(nc net.Conn) {
 		return
 	}
 	if f.Type != msgHello {
-		_ = conn.Send(msgError, encodeError(codeProtocolMismatch, "expected hello"))
+		_ = refuse(conn, errorf(codeProtocolMismatch, "expected hello"))
 		return
 	}
 	hello, err := decodeHello(f.Payload)
 	if err != nil {
-		_ = conn.Send(msgError, encodeError(codeProtocolMismatch, "malformed hello"))
+		_ = refuse(conn, errorf(codeProtocolMismatch, "malformed hello"))
 		return
 	}
 	cMin, cMax := hello.MinProtocolVersion, hello.ProtocolVersion
@@ -425,21 +416,18 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 	neg, ok := negotiateVersion(cMin, cMax, s.protoMin, s.protoMax)
 	if !ok {
-		_ = conn.Send(msgError, encodeError(codeProtocolMismatch,
-			fmt.Sprintf("server %s speaks protocols %d..%d, driver offered %d..%d (%s)",
-				s.name, s.protoMin, s.protoMax, cMin, cMax, hello.ClientInfo)))
+		_ = refuse(conn, errorf(codeProtocolMismatch, "server %s speaks protocols %d..%d, driver offered %d..%d (%s)",
+			s.name, s.protoMin, s.protoMax, cMin, cMax, hello.ClientInfo))
 		return
 	}
 	caps := capsForVersion(neg) & hello.Capabilities &^ s.withoutCaps
 	if pw, ok := s.users[hello.User]; !ok || pw != hello.Password {
-		_ = conn.Send(msgError, encodeError(codeAuthFailed,
-			fmt.Sprintf("authentication failed for user %q", hello.User)))
+		_ = refuse(conn, errorf(codeAuthFailed, "authentication failed for user %q", hello.User))
 		return
 	}
 	db := s.Database(hello.Database)
 	if db == nil {
-		_ = conn.Send(msgError, encodeError(codeNoDatabase,
-			fmt.Sprintf("no database %q on server %s", hello.Database, s.name)))
+		_ = refuse(conn, errorf(codeNoDatabase, "no database %q on server %s", hello.Database, s.name))
 		return
 	}
 
@@ -448,7 +436,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
-		_ = conn.Send(msgError, encodeError(codeShutdown, "server stopping"))
+		_ = refuse(conn, errorf(codeShutdown, "server stopping"))
 		return
 	}
 	s.nextSID++
@@ -485,63 +473,121 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		switch f.Type {
 		case msgPing:
-			if err := conn.Send(msgPong, nil); err != nil {
-				return
-			}
+			err = conn.Send(msgPong, nil)
 		case msgExec:
-			if err := s.handleExec(sess, f.Payload); err != nil {
-				return
-			}
+			err = s.handleExec(sess, f.Payload)
 		case msgExecBatch:
-			if err := s.handleExecBatch(sess, f.Payload); err != nil {
-				return
-			}
+			err = s.handleExecBatch(sess, f.Payload)
 		case msgPrepare:
-			if err := s.handlePrepare(sess, f.Payload); err != nil {
-				return
-			}
+			err = s.handlePrepare(sess, f.Payload)
 		case msgExecStmt:
-			if err := s.handleExecStmt(sess, f.Payload); err != nil {
-				return
-			}
+			err = s.handleExecStmt(sess, f.Payload)
 		case msgCloseStmt:
-			if err := s.handleCloseStmt(sess, f.Payload); err != nil {
-				return
-			}
+			err = s.handleCloseStmt(sess, f.Payload)
 		case msgTableVersions:
-			if err := s.handleTableVersions(sess, f.Payload); err != nil {
-				return
-			}
+			err = s.handleTableVersions(sess, f.Payload)
 		default:
-			_ = conn.Send(msgError, encodeError(codeQueryError,
-				fmt.Sprintf("unexpected frame type 0x%04x", f.Type)))
+			_ = refuse(conn, fmt.Errorf("unexpected frame type 0x%04x", f.Type))
+		}
+		if err != nil {
+			return
 		}
 	}
+}
+
+// errorf builds a refusal that goes out with a code other than
+// codeQueryError (which every plain error carries; see refuse).
+func errorf(code uint16, format string, args ...any) *serverError {
+	return &serverError{code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+// errNoPrepared refuses the prepared-handle frames of a session that
+// did not negotiate CapPreparedStatements.
+var errNoPrepared = errorf(codeNotSupported, "prepared statements were not negotiated on this session")
+
+// asServerError gives err its wire form: a *serverError keeps its code,
+// any other error (an engine error, a malformed payload) is a query
+// error carrying its text.
+func asServerError(err error) *serverError {
+	var se *serverError
+	if errors.As(err, &se) {
+		return se
+	}
+	return &serverError{code: codeQueryError, msg: err.Error()}
+}
+
+// refuse answers the frame in flight with msgError — the one way a
+// refusal or a failed statement leaves the server.
+func refuse(conn *wire.Conn, err error) error {
+	se := asServerError(err)
+	return conn.Send(msgError, encodeError(se.code, se.msg))
+}
+
+// run is the one statement path: msgExec, msgExecStmt, each statement
+// of a non-atomic batch and the in-process Execute all execute here. It
+// applies the read-only gate, executes m on sql — through m's prepared
+// handle when it names one — and ships a mutation to the replicas of
+// database db. A refusal is a *serverError; an execution failure is the
+// engine's error.
+func (s *Server) run(sql *sqlmini.Session, db string, m *execFrame) (*sqlmini.Result, error) {
+	if m.perr != nil {
+		return nil, m.perr
+	}
+	mutating := isMutatingStmt(m.st.Statement())
+	if mutating && s.isReadOnly() {
+		return nil, s.errReadOnly()
+	}
+	var res *sqlmini.Result
+	var err error
+	if m.p != nil {
+		res, err = sql.ExecPreparedParams(m.p, &m.params)
+	} else {
+		res, err = sql.ExecParams(m.st, &m.params)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if mutating {
+		s.replicate(db, m.sql, &m.params)
+	}
+	return res, nil
+}
+
+// errReadOnly refuses a client mutation on a read-only replica.
+func (s *Server) errReadOnly() error {
+	return errorf(codeReadOnly, "server %s is a read-only replica", s.name)
 }
 
 func (s *Server) handleExec(sess *session, payload []byte) error {
 	m := &sess.frame
 	if err := m.decode(wire.NewDecoder(payload), sess.engine); err != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, "malformed exec: "+err.Error()))
+		return refuse(sess.conn, fmt.Errorf("malformed exec: %w", err))
 	}
 	s.queries.Add(1)
-	if m.perr != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, m.perr.Error()))
-	}
-	mutating := isMutatingStmt(m.st.Statement())
-	if mutating && s.isReadOnly() {
-		return sess.conn.Send(msgError, encodeError(codeReadOnly,
-			fmt.Sprintf("server %s is a read-only replica", s.name)))
-	}
+	return sess.answer(s.run(sess.sql, sess.db, m))
+}
 
-	res, err := sess.sql.ExecParams(m.st, &m.params)
+// handleExecStmt executes one prepared handle with this call's
+// arguments, on the same path as msgExec of the same SQL: the statement
+// joins the session's open transaction if any, the read-only gate
+// applies at execution time (the replica flag can flip between prepare
+// and exec), mutations replicate by statement text, and the reply is
+// msgResult/msgError in the same shapes.
+func (s *Server) handleExecStmt(sess *session, payload []byte) error {
+	if sess.caps&CapPreparedStatements == 0 {
+		return refuse(sess.conn, errNoPrepared)
+	}
+	m := &sess.frame
+	handle, err := m.decodeStmt(wire.NewDecoder(payload), sess.stmts)
 	if err != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, err.Error()))
+		return refuse(sess.conn, fmt.Errorf("malformed exec-stmt: %w", err))
 	}
-	if mutating {
-		s.replicate(sess.db, m.sql, &m.params)
+	if m.p == nil {
+		return refuse(sess.conn, errorf(codeBadHandle, "no prepared statement with handle %d on this session", handle))
 	}
-	return sess.sendResult(res)
+	s.queries.Add(1)
+	s.stmtExecs.Add(1)
+	return sess.answer(s.run(sess.sql, sess.db, m))
 }
 
 // watched reads the session's watched table versions into its scratch
@@ -558,9 +604,12 @@ func (sess *session) watched() []uint64 {
 	return sess.versions
 }
 
-// sendResult answers one statement with msgResult, carrying the
-// watched versions on a watched session.
-func (sess *session) sendResult(res *sqlmini.Result) error {
+// answer replies to one statement frame: msgResult, carrying the
+// watched versions on a watched session, or msgError when err is set.
+func (sess *session) answer(res *sqlmini.Result, err error) error {
+	if err != nil {
+		return refuse(sess.conn, err)
+	}
 	res.Versions = sess.watched()
 	return sess.reply(msgResult, func(e *wire.Encoder) { appendResult(e, res) })
 }
@@ -584,54 +633,31 @@ func (sess *session) reply(typ uint16, encode func(e *wire.Encoder)) error {
 
 // handleExecBatch executes one msgExecBatch frame: N statements on the
 // session, one reply frame. The whole frame is validated up front
-// (parse + read-only gate, and for atomic batches the no-tx-control /
-// no-DDL rules), so an invalid batch is rejected before ANY statement
+// (checkBatch), so an invalid batch is rejected before ANY statement
 // executes — the one observable difference from sending the statements
-// frame by frame. Atomic batches run through the engine's
-// ExecBatchAtomic under one lock hold — atomic AND isolated, the whole
-// frame applies or none of it — replicate only on success, and are
+// frame by frame. Atomic batches run through execBatchAtomic and are
 // refused while the session already holds a client transaction (the
 // rollback promise could not be honored). Non-atomic batches may carry
-// their own BEGIN/COMMIT/ROLLBACK statements and otherwise behave like
-// per-frame statements: an applied prefix before a mid-batch execution
-// failure persists and replicates.
+// their own BEGIN/COMMIT/ROLLBACK statements and otherwise run each
+// statement exactly as its own frame would: an applied prefix before a
+// mid-batch execution failure persists and replicates.
 func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 	atomic, stmts, err := decodeBatch(payload, sess.engine)
 	if err != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, "malformed batch: "+err.Error()))
+		return refuse(sess.conn, fmt.Errorf("malformed batch: %w", err))
 	}
 	s.queries.Add(int64(len(stmts)))
 	s.batches.Add(1)
 
 	reply := batchResultMsg{ErrIndex: -1}
-	fail := func(i int, code uint16, msg string) error {
-		reply.ErrIndex, reply.ErrCode, reply.ErrMsg = int32(i), code, msg
+	fail := func(i int, err error) error {
+		se := asServerError(err)
+		reply.ErrIndex, reply.ErrCode, reply.ErrMsg = int32(i), se.code, se.msg
 		return sess.sendBatchResult(&reply)
 	}
-
-	muts := make([]bool, len(stmts))
-	for i := range stmts {
-		if perr := stmts[i].perr; perr != nil {
-			return fail(i, codeQueryError, perr.Error())
-		}
-		st := stmts[i].st.Statement()
-		if atomic {
-			switch st.(type) {
-			case *sqlmini.BeginStmt, *sqlmini.CommitStmt, *sqlmini.RollbackStmt:
-				return fail(i, codeQueryError, "transaction control inside an atomic batch")
-			case *sqlmini.CreateTableStmt, *sqlmini.CreateIndexStmt, *sqlmini.DropTableStmt:
-				// DDL never reaches the undo log, so the wrapping
-				// ROLLBACK could not revert it — same contract as
-				// LocalStore's ExecBatchAtomic.
-				return fail(i, codeQueryError, "DDL cannot roll back and is not batchable atomically")
-			}
-		}
-		muts[i] = isMutatingStmt(st)
-		if muts[i] && s.isReadOnly() {
-			return fail(i, codeReadOnly, fmt.Sprintf("server %s is a read-only replica", s.name))
-		}
+	if i, err := s.checkBatch(atomic, stmts); err != nil {
+		return fail(i, err)
 	}
-
 	if atomic {
 		if sess.sql.InTx() {
 			// Inside a client transaction the server cannot honor the
@@ -639,43 +665,61 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 			// back the prefix without clobbering the client's
 			// transaction, and replication would outrun the outer
 			// commit. Refuse rather than silently weaken the promise.
-			return fail(-1, codeQueryError, "atomic batch inside an open transaction")
+			return fail(-1, errors.New("atomic batch inside an open transaction"))
 		}
-		results, err := s.execBatchAtomic(sess.db, stmts, muts)
-		if err != nil {
+		if reply.Results, err = s.execBatchAtomic(sess.db, stmts); err != nil {
 			// The engine error text names the failing statement's
 			// position; there is no partial result to report.
-			return fail(-1, codeQueryError, err.Error())
+			return fail(-1, err)
 		}
-		reply.Results = results
 		return sess.sendBatchResult(&reply)
 	}
 	for i := range stmts {
-		m := &stmts[i]
-		res, execErr := sess.sql.ExecParams(m.st, &m.params)
-		if execErr != nil {
-			return fail(i, codeQueryError, execErr.Error())
+		res, err := s.run(sess.sql, sess.db, &stmts[i])
+		if err != nil {
+			return fail(i, err)
 		}
 		reply.Results = append(reply.Results, res)
-		if muts[i] {
-			// Non-atomic batches replicate statement by statement,
-			// exactly like the same statements sent one frame at a
-			// time — an applied prefix before a mid-batch failure
-			// must reach the replicas too.
-			s.replicate(sess.db, m.sql, &m.params)
-		}
 	}
 	return sess.sendBatchResult(&reply)
 }
 
-// execBatchAtomic runs stmts on the named database through the
-// engine's atomic batch — ONE lock hold for the whole list, so the unit
-// is atomic AND isolated: a mid-batch failure reverts exactly this
-// batch's effects (a session-level BEGIN/ROLLBACK wrapper would release
-// the lock between statements, and its rollback could clobber an
-// interleaved session's committed write). The mutating statements
-// (muts) replicate only once the whole unit applied.
-func (s *Server) execBatchAtomic(dbName string, stmts []execFrame, muts []bool) ([]*sqlmini.Result, error) {
+// checkBatch validates a whole batch before any statement of it runs:
+// every statement parsed and none mutating on a read-only replica, and
+// an atomic batch holds no transaction control and no DDL. It reports
+// the first offending statement's index.
+func (s *Server) checkBatch(atomic bool, stmts []execFrame) (int, error) {
+	for i := range stmts {
+		if perr := stmts[i].perr; perr != nil {
+			return i, perr
+		}
+		st := stmts[i].st.Statement()
+		if atomic {
+			switch st.(type) {
+			case *sqlmini.BeginStmt, *sqlmini.CommitStmt, *sqlmini.RollbackStmt:
+				return i, errors.New("transaction control inside an atomic batch")
+			case *sqlmini.CreateTableStmt, *sqlmini.CreateIndexStmt, *sqlmini.DropTableStmt:
+				// DDL never reaches the undo log, so the wrapping
+				// ROLLBACK could not revert it — same contract as
+				// LocalStore's ExecBatchAtomic.
+				return i, errors.New("DDL cannot roll back and is not batchable atomically")
+			}
+		}
+		if isMutatingStmt(st) && s.isReadOnly() {
+			return i, s.errReadOnly()
+		}
+	}
+	return -1, nil
+}
+
+// execBatchAtomic runs a checked atomic batch on the named database
+// through the engine's atomic batch — ONE lock hold for the whole list,
+// so the unit is atomic AND isolated: a mid-batch failure reverts
+// exactly this batch's effects (a session-level BEGIN/ROLLBACK wrapper
+// would release the lock between statements, and its rollback could
+// clobber an interleaved session's committed write). The mutating
+// statements replicate only once the whole unit applied.
+func (s *Server) execBatchAtomic(dbName string, stmts []execFrame) ([]*sqlmini.Result, error) {
 	bs := make([]sqlmini.BatchStmt, len(stmts))
 	for i := range stmts {
 		bs[i] = sqlmini.BatchStmt{SQL: stmts[i].sql, Params: &stmts[i].params}
@@ -685,7 +729,7 @@ func (s *Server) execBatchAtomic(dbName string, stmts []execFrame, muts []bool) 
 		return nil, err
 	}
 	for i := range stmts {
-		if muts[i] {
+		if isMutatingStmt(stmts[i].st.Statement()) {
 			s.replicate(dbName, stmts[i].sql, &stmts[i].params)
 		}
 	}
@@ -699,74 +743,26 @@ func (s *Server) execBatchAtomic(dbName string, stmts []execFrame, muts []bool) 
 // that negotiated CapPreparedStatements may grow server state.
 func (s *Server) handlePrepare(sess *session, payload []byte) error {
 	if sess.caps&CapPreparedStatements == 0 {
-		return sess.conn.Send(msgError, encodeError(codeNotSupported,
-			"prepared statements were not negotiated on this session"))
+		return refuse(sess.conn, errNoPrepared)
 	}
 	m, err := decodePrepare(payload)
 	if err != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, "malformed prepare: "+err.Error()))
+		return refuse(sess.conn, fmt.Errorf("malformed prepare: %w", err))
 	}
 	if len(sess.stmts) >= maxSessionStmts {
-		return sess.conn.Send(msgError, encodeError(codeQueryError,
-			fmt.Sprintf("session already holds %d prepared statements (limit)", maxSessionStmts)))
+		return refuse(sess.conn, fmt.Errorf("session already holds %d prepared statements (limit)", maxSessionStmts))
 	}
-	st, perr := sess.engine.ParseCached(m.SQL)
-	if perr != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, perr.Error()))
-	}
-	mutating := isMutatingStmt(st.Statement())
-	db := s.Database(sess.db)
-	if db == nil {
-		return sess.conn.Send(msgError, encodeError(codeNoDatabase,
-			fmt.Sprintf("database %q was detached", sess.db)))
-	}
-	p, perr := db.Prepare(m.SQL)
-	if perr != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, perr.Error()))
+	p, err := sess.engine.Prepare(m.SQL)
+	if err != nil {
+		return refuse(sess.conn, err)
 	}
 	s.prepares.Add(1)
 	if sess.stmts == nil {
-		sess.stmts = make(map[uint64]*sessStmt)
+		sess.stmts = make(map[uint64]*sqlmini.Prepared)
 	}
 	sess.nextStmt++
-	sess.stmts[sess.nextStmt] = &sessStmt{p: p, sql: m.SQL, mutating: mutating}
-	return sess.conn.Send(msgPrepareOK, prepareOKMsg{Handle: sess.nextStmt, Mutating: mutating}.encode())
-}
-
-// handleExecStmt executes one prepared handle with this call's
-// arguments. Semantics match msgExec of the same SQL exactly: the
-// statement joins the session's open transaction if any, the read-only
-// gate applies at execution time (the replica flag can flip between
-// prepare and exec), mutations replicate by statement text, and the
-// reply is msgResult/msgError in the same shapes.
-func (s *Server) handleExecStmt(sess *session, payload []byte) error {
-	if sess.caps&CapPreparedStatements == 0 {
-		return sess.conn.Send(msgError, encodeError(codeNotSupported,
-			"prepared statements were not negotiated on this session"))
-	}
-	params := &sess.frame.params
-	handle, h, err := decodeExecStmt(payload, sess.stmts, params)
-	if err != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, "malformed exec-stmt: "+err.Error()))
-	}
-	if h == nil {
-		return sess.conn.Send(msgError, encodeError(codeBadHandle,
-			fmt.Sprintf("no prepared statement with handle %d on this session", handle)))
-	}
-	s.queries.Add(1)
-	s.stmtExecs.Add(1)
-	if h.mutating && s.isReadOnly() {
-		return sess.conn.Send(msgError, encodeError(codeReadOnly,
-			fmt.Sprintf("server %s is a read-only replica", s.name)))
-	}
-	res, execErr := sess.sql.ExecPreparedParams(h.p, params)
-	if execErr != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, execErr.Error()))
-	}
-	if h.mutating {
-		s.replicate(sess.db, h.sql, params)
-	}
-	return sess.sendResult(res)
+	sess.stmts[sess.nextStmt] = p
+	return sess.conn.Send(msgPrepareOK, prepareOKMsg{Handle: sess.nextStmt, Mutating: isMutatingStmt(p.Statement())}.encode())
 }
 
 // handleCloseStmt drops one handle from the session table. Closing an
@@ -774,12 +770,11 @@ func (s *Server) handleExecStmt(sess *session, payload []byte) error {
 // eviction, and a double-close race must not kill the session.
 func (s *Server) handleCloseStmt(sess *session, payload []byte) error {
 	if sess.caps&CapPreparedStatements == 0 {
-		return sess.conn.Send(msgError, encodeError(codeNotSupported,
-			"prepared statements were not negotiated on this session"))
+		return refuse(sess.conn, errNoPrepared)
 	}
 	m, err := decodeCloseStmt(payload)
 	if err != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, "malformed close-stmt: "+err.Error()))
+		return refuse(sess.conn, fmt.Errorf("malformed close-stmt: %w", err))
 	}
 	delete(sess.stmts, m.Handle)
 	return sess.conn.Send(msgCloseStmtOK, nil)
@@ -792,29 +787,22 @@ func (s *Server) handleCloseStmt(sess *session, payload []byte) error {
 // its tables the session's version watch (replacing any earlier one).
 func (s *Server) handleTableVersions(sess *session, payload []byte) error {
 	if sess.caps&CapTableVersions == 0 {
-		return sess.conn.Send(msgError, encodeError(codeNotSupported,
-			"table-version probes were not negotiated on this session"))
+		return refuse(sess.conn, errorf(codeNotSupported, "table-version probes were not negotiated on this session"))
 	}
 	m, err := decodeTableVersions(payload)
 	if err != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, "malformed table-versions: "+err.Error()))
+		return refuse(sess.conn, fmt.Errorf("malformed table-versions: %w", err))
 	}
 	if m.Watch {
 		if sess.caps&CapWatchVersions == 0 {
-			return sess.conn.Send(msgError, encodeError(codeNotSupported,
-				"version watches were not negotiated on this session"))
+			return refuse(sess.conn, errorf(codeNotSupported, "version watches were not negotiated on this session"))
 		}
 		sess.watch, sess.versions = m.Names, make([]uint64, len(m.Names))
-	}
-	db := s.Database(sess.db)
-	if db == nil {
-		return sess.conn.Send(msgError, encodeError(codeNoDatabase,
-			fmt.Sprintf("database %q was detached", sess.db)))
 	}
 	s.versionProbes.Add(1)
 	reply := tableVersionsOKMsg{Versions: make([]uint64, len(m.Names))}
 	for i, name := range m.Names {
-		reply.Versions[i] = db.TableVersion(name)
+		reply.Versions[i] = sess.engine.TableVersion(name)
 	}
 	return sess.conn.Send(msgTableVersionsOK, reply.encode())
 }
@@ -871,62 +859,48 @@ func (s *Server) ApplyReplicated(dbName, sql string, params *sqlmini.Params) err
 }
 
 // Execute runs one statement on the named database in-process — no
-// wire connection — and ships it to attached replicas when it mutates,
-// exactly like a statement arriving over the protocol. Cluster members
-// embed a non-listening Server purely as a replication hub and funnel
-// their store writes through here, so every member's local database
+// wire connection — exactly like a statement arriving over the
+// protocol: bound into the same execFrame, it takes the one statement
+// path (read-only gate, execution, replication). Cluster members embed
+// a non-listening Server purely as a replication hub and funnel their
+// store writes through here, so every member's local database
 // converges with its peers'.
 func (s *Server) Execute(dbName, sql string, args ...any) (*sqlmini.Result, error) {
 	db := s.Database(dbName)
 	if db == nil {
 		return nil, fmt.Errorf("dbms %s: no database %q", s.name, dbName)
 	}
-	st, err := db.ParseCached(sql)
-	if err != nil {
-		return nil, err
-	}
-	var params sqlmini.Params
-	if err := params.Bind(st, args); err != nil {
+	var m execFrame
+	if err := m.bind(db, sql, args); err != nil {
 		return nil, err
 	}
 	s.queries.Add(1)
 	sess := db.NewSession()
 	defer sess.Close()
-	res, err := sess.ExecParams(st, &params)
-	if err != nil {
-		return nil, err
-	}
-	if isMutatingStmt(st.Statement()) {
-		s.replicate(dbName, sql, &params)
-	}
-	return res, nil
+	return s.run(sess, dbName, &m)
 }
 
 // ExecuteBatch is Execute for a statement list that applies as one
-// atomic unit, the in-process twin of an atomic msgExecBatch frame:
-// every statement applies or none does, and replicas receive the
-// mutating ones only once the whole unit applied.
+// atomic unit, the in-process twin of an atomic msgExecBatch frame: the
+// same up-front check refuses it before any statement runs, every
+// statement applies or none does, and replicas receive the mutating
+// ones only once the whole unit applied.
 func (s *Server) ExecuteBatch(dbName string, stmts []client.Statement) ([]*sqlmini.Result, error) {
 	db := s.Database(dbName)
 	if db == nil {
 		return nil, fmt.Errorf("dbms %s: no database %q", s.name, dbName)
 	}
 	ms := make([]execFrame, len(stmts))
-	muts := make([]bool, len(stmts))
 	for i, st := range stmts {
-		m := &ms[i]
-		m.sql = st.SQL
-		var err error
-		if m.st, err = db.ParseCached(st.SQL); err == nil {
-			err = m.params.Bind(m.st, st.Args)
-		}
-		if err != nil {
+		if err := ms[i].bind(db, st.SQL, st.Args); err != nil {
 			return nil, fmt.Errorf("dbms: batch statement %d: %w", i+1, err)
 		}
-		muts[i] = isMutatingStmt(m.st.Statement())
 	}
 	s.queries.Add(int64(len(stmts)))
-	return s.execBatchAtomic(dbName, ms, muts)
+	if i, err := s.checkBatch(true, ms); err != nil {
+		return nil, fmt.Errorf("dbms: batch statement %d: %w", i+1, err)
+	}
+	return s.execBatchAtomic(dbName, ms)
 }
 
 func isMutatingStmt(st sqlmini.Statement) bool {

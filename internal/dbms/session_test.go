@@ -30,6 +30,20 @@ func dialV2(t *testing.T, s *Server) client.Conn {
 	return c
 }
 
+// rawExchange sends one frame on a driver connection and returns the
+// reply unclassified, so a test can read a refusal's code.
+func rawExchange(t *testing.T, nc *nativeConn, typ uint16, body []byte) wire.Frame {
+	t.Helper()
+	if err := nc.conn.Send(typ, body); err != nil {
+		t.Fatal(err)
+	}
+	f, err := nc.conn.RecvTimeout(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestNegotiationMatrix covers the mixed-version handshake: ranged and
 // pinned clients against ranged and pinned servers, and v2 peers from
 // before CapWatchVersions against current ones in both directions.
@@ -77,25 +91,24 @@ func TestNegotiationMatrix(t *testing.T) {
 			if nc.NegotiatedProtocol() != tc.wantProto {
 				t.Fatalf("negotiated %d, want %d", nc.NegotiatedProtocol(), tc.wantProto)
 			}
-			fc := c.(client.FeatureConn)
-			if fc.Supports(client.FeaturePreparedStatements) != tc.wantCaps ||
-				fc.Supports(client.FeatureTableVersions) != tc.wantCaps {
-				t.Fatalf("capabilities = %v, want %v", !tc.wantCaps, tc.wantCaps)
-			}
-			if got := fc.Supports(client.FeatureWatchVersions); got != tc.wantWatch {
-				t.Fatalf("watch capability = %v, want %v", got, tc.wantWatch)
-			}
+			// Each capability call answers for itself: it works, or it
+			// fails with ErrNotSupported.
+			_, perr := c.(client.StmtConn).Prepare("SELECT count(*) FROM accounts")
+			_, verr := c.(client.TableVersionConn).TableVersions("accounts")
 			_, werr := c.(client.VersionWatchConn).WatchVersions("accounts")
-			if tc.wantWatch != (werr == nil) || !tc.wantWatch && !errors.Is(werr, client.ErrNotSupported) {
-				t.Fatalf("WatchVersions: err = %v, want watch %v", werr, tc.wantWatch)
+			for _, call := range []struct {
+				name string
+				err  error
+				want bool
+			}{{"Prepare", perr, tc.wantCaps}, {"TableVersions", verr, tc.wantCaps}, {"WatchVersions", werr, tc.wantWatch}} {
+				if call.want != (call.err == nil) || !call.want && !errors.Is(call.err, client.ErrNotSupported) {
+					t.Fatalf("%s: err = %v, want capability %v", call.name, call.err, call.want)
+				}
 			}
 			if !tc.wantWatch {
 				// The server refuses a raw watch the session did not
 				// negotiate, whatever the client library would send.
-				f, err := nc.roundTrip(msgTableVersions, tableVersionsMsg{Names: []string{"accounts"}, Watch: true}.encode())
-				if err != nil {
-					t.Fatal(err)
-				}
+				f := rawExchange(t, nc, msgTableVersions, tableVersionsMsg{Names: []string{"accounts"}, Watch: true}.encode())
 				if code, _, _ := decodeError(f.Payload); f.Type != msgError || code != codeNotSupported {
 					t.Fatalf("raw watch answered 0x%04x (code %d), want codeNotSupported", f.Type, code)
 				}
@@ -384,10 +397,7 @@ func TestCloseStmt(t *testing.T) {
 	// The handle id is dead on the server: replay its exec frame raw.
 	nc := c.(*nativeConn)
 	handle := st.(*nativeStmt).handle
-	f, err := nc.roundTrip(msgExecStmt, encoded(t, func(e *wire.Encoder) error { return encodeExecStmt(e, handle, nil) }))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := rawExchange(t, nc, msgExecStmt, encoded(t, func(e *wire.Encoder) error { return encodeExecStmt(e, handle, nil) }))
 	if f.Type != msgError {
 		t.Fatalf("exec of closed handle answered 0x%04x, want msgError", f.Type)
 	}

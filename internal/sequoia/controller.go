@@ -3,7 +3,6 @@ package sequoia
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -512,9 +511,6 @@ func (c *Controller) serveConn(nc net.Conn) {
 	for {
 		f, err := conn.Recv()
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				_ = err
-			}
 			return
 		}
 		switch f.Type {

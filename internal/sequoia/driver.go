@@ -157,9 +157,8 @@ func (sc *seqConn) reconnect(skip map[string]bool) error {
 		if f.Type == msgError {
 			code, msg, _ := decodeError(f.Payload)
 			conn.Close()
-			err := mapError(code, msg)
 			// Protocol/auth errors are not transient: stop here.
-			return err
+			return mapError(code, msg)
 		}
 		if f.Type != msgHelloOK {
 			conn.Close()

@@ -93,29 +93,44 @@ func (m execMsg) encode() []byte {
 	return e.Bytes()
 }
 
-func decodeExec(b []byte) (execMsg, error) {
-	d := wire.NewDecoder(b)
-	m := execMsg{SQL: d.String()}
+// readCount reads a count from the wire and checks it against the
+// remaining payload, each counted item taking at least min bytes, so a
+// small frame claiming a huge count errors before the count sizes
+// anything.
+func readCount(d *wire.Decoder, min uint64, what string) (uint32, error) {
 	n := d.Uint32()
 	if err := d.Err(); err != nil {
+		return 0, err
+	}
+	if uint64(n)*min > uint64(d.Remaining()) {
+		return 0, fmt.Errorf("%w: %s count %d exceeds payload", wire.ErrShortBuffer, what, n)
+	}
+	return n, nil
+}
+
+// decodeExec reads a msgExec payload: a named argument takes at least
+// its 4-byte key length and a value type byte, a positional one its
+// type byte.
+func decodeExec(b []byte) (m execMsg, err error) {
+	d := wire.NewDecoder(b)
+	m.SQL = d.String()
+	n, err := readCount(d, 5, "named-arg")
+	if err != nil {
 		return m, err
 	}
 	if n > 0 {
 		m.Named = make(map[string]sqlmini.Value, n)
-		for i := uint32(0); i < n; i++ {
-			k := d.String()
-			v, err := sqlmini.DecodeValue(d)
-			if err != nil {
-				return m, err
-			}
-			m.Named[k] = v
+	}
+	for i := uint32(0); i < n; i++ {
+		k := d.String()
+		if m.Named[k], err = sqlmini.DecodeValue(d); err != nil {
+			return m, err
 		}
 	}
-	np := d.Uint32()
-	if err := d.Err(); err != nil {
+	if n, err = readCount(d, 1, "positional-arg"); err != nil {
 		return m, err
 	}
-	for i := uint32(0); i < np; i++ {
+	for i := uint32(0); i < n; i++ {
 		v, err := sqlmini.DecodeValue(d)
 		if err != nil {
 			return m, err
@@ -139,25 +154,25 @@ func encodeResult(cols []string, rows [][]sqlmini.Value, affected int) []byte {
 	return e.Bytes()
 }
 
+// decodeResult reads a msgResult payload: a row takes at least its
+// 4-byte column count, a value its type byte.
 func decodeResult(b []byte) (cols []string, rows [][]sqlmini.Value, affected int, err error) {
 	d := wire.NewDecoder(b)
 	cols = d.StringSlice()
-	n := d.Uint32()
-	if e := d.Err(); e != nil {
-		return nil, nil, 0, e
+	n, err := readCount(d, 4, "row")
+	if err != nil {
+		return nil, nil, 0, err
 	}
 	for i := uint32(0); i < n; i++ {
-		nc := d.Uint32()
-		if e := d.Err(); e != nil {
-			return nil, nil, 0, e
+		nc, err := readCount(d, 1, "column")
+		if err != nil {
+			return nil, nil, 0, err
 		}
-		row := make([]sqlmini.Value, 0, nc)
-		for j := uint32(0); j < nc; j++ {
-			v, e := sqlmini.DecodeValue(d)
-			if e != nil {
-				return nil, nil, 0, e
+		row := make([]sqlmini.Value, nc)
+		for j := range row {
+			if row[j], err = sqlmini.DecodeValue(d); err != nil {
+				return nil, nil, 0, err
 			}
-			row = append(row, v)
 		}
 		rows = append(rows, row)
 	}
