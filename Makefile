@@ -76,6 +76,7 @@ fuzz-smoke:
 	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzParamBinding -fuzztime=$(FUZZ_TIME)
 	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzHashIndex -fuzztime=$(FUZZ_TIME)
 	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzLike -fuzztime=$(FUZZ_TIME)
+	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzPlannerMatchesScan -fuzztime=$(FUZZ_TIME)
 	go test ./internal/core -run '^$$' -fuzz=FuzzFileSink -fuzztime=$(FUZZ_TIME)
 	go test ./internal/dbms -run '^$$' -fuzz=FuzzDbmsFrames -fuzztime=$(FUZZ_TIME)
 	go test ./internal/dbms -run '^$$' -fuzz=FuzzWireBinding -fuzztime=$(FUZZ_TIME)

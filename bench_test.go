@@ -206,13 +206,15 @@ func BenchmarkLicenseCheckAt10000Leases(b *testing.B) {
 
 // benchExpirySweepAtScale measures the lease-reaper sweep with the
 // leases table pre-filled to a given population of live (unexpired)
-// leases. With the ordered expires_at index the sweep seeks the expired
+// leases spread over a given number of driver ids. The sweep skip-scans
+// the (driver_id, expires_at) index, seeking each driver's expired
 // prefix — empty here — so ns/op must stay near-flat across the 100×
-// population growth instead of scanning every lease row.
-func benchExpirySweepAtScale(b *testing.B, leases int) {
+// population growth instead of scanning every lease row, and grow with
+// the driver count alone: one O(log n) seek per driver.
+func benchExpirySweepAtScale(b *testing.B, leases, drivers int) {
 	s := newStackB(b, scenarios.StackConfig{})
 	drvID := addDriverB(b, s, dbver.V(1, 0, 0), 1, 4<<10)
-	fillLeases(b, s, leases, func(int) int64 { return drvID })
+	fillLeases(b, s, leases, func(i int) int64 { return drvID + int64(i%drivers) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Drv.ReapExpiredLeases(); err != nil {
@@ -221,13 +223,17 @@ func benchExpirySweepAtScale(b *testing.B, leases int) {
 	}
 }
 
-func BenchmarkExpirySweepAt100Leases(b *testing.B)   { benchExpirySweepAtScale(b, 100) }
-func BenchmarkExpirySweepAt10000Leases(b *testing.B) { benchExpirySweepAtScale(b, 10000) }
+func BenchmarkExpirySweepAt100Leases(b *testing.B)   { benchExpirySweepAtScale(b, 100, 1) }
+func BenchmarkExpirySweepAt10000Leases(b *testing.B) { benchExpirySweepAtScale(b, 10000, 1) }
+func BenchmarkExpirySweepAt10000LeasesOver100Drivers(b *testing.B) {
+	benchExpirySweepAtScale(b, 10000, 100)
+}
 
 // BenchmarkLicenseUsageCountAt10000Leases measures the §5.4.2 license
 // accounting count with a populated lease log: half the rows released,
-// half live. The ordered expires_at index narrows the count to the
-// unexpired window before the released flag is filtered residually.
+// half live. A skip scan of the (driver_id, expires_at) index narrows
+// the count to the unexpired window before the released flag is
+// filtered residually.
 func BenchmarkLicenseUsageCountAt10000Leases(b *testing.B) {
 	s := newStackB(b, scenarios.StackConfig{})
 	drvID := addDriverB(b, s, dbver.V(1, 0, 0), 1, 4<<10)

@@ -70,20 +70,21 @@
 // serve range conjuncts — col > k, >=, <, <=, BETWEEN, including
 // statement-stable now() bounds — as an O(log n) boundary seek plus an
 // in-order walk of just the matching window; ordered indexes may span
-// several columns (CREATE INDEX ... (a, b) USING ORDERED), and a plan
-// that consumes every WHERE conjunct runs residual-free. The schema
-// declares hash indexes on leases(driver_id) and
-// driver_permission(driver_id), an ordered index on leases(expires_at),
-// and a composite ordered index on leases(driver_id, expires_at), and
-// the lease_id and driver_id primary keys drive execution, so renewals,
+// several columns (CREATE INDEX ... (a, b) USING ORDERED), serving a
+// range on the second column alone by a skip scan — one window seek per
+// distinct leading key — when the leading column is NOT NULL, and a
+// plan that consumes every WHERE conjunct runs residual-free. The
+// schema declares a hash index on driver_permission(driver_id) and one
+// composite ordered index on leases(driver_id, expires_at), and the
+// lease_id and driver_id primary keys drive execution, so renewals,
 // releases, lease lookups, the §5.4.2 license-mode driver-free probe
 // (one residual-free seek into a driver's unexpired window), the
-// license usage count (Server.LicensesInUse, `expires_at > now()`),
-// and the lease-expiry sweep (Server.ReapExpiredLeases: over the
-// `expires_at <= $now` window, an UPDATE releasing what expired and a
-// DELETE dropping every released row whose term is over, so the table
-// holds live leases rather than a log; drivolutiond runs it once a
-// second) are all flat or near-flat in the lease population
+// license usage count (Server.LicensesInUse, `expires_at > $now`, a
+// skip scan), and the lease-expiry sweep (Server.ReapExpiredLeases,
+// skip-scanning the `expires_at <= $now` windows: an UPDATE releasing
+// what expired and a DELETE dropping every released row whose term is
+// over, so the table holds live leases rather than a log; drivolutiond
+// runs it once a second) are all flat or near-flat in the lease population
 // (BenchmarkLeaseRenewalAt*Leases, BenchmarkLicenseCheckAt10000Leases,
 // and BenchmarkExpirySweepAt*Leases track this at the 10k scale). The
 // planner is conservative: any WHERE shape it cannot prove equivalent —

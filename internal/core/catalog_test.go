@@ -400,6 +400,40 @@ func TestCatalogLicenseModeLeaseFree(t *testing.T) {
 	}
 }
 
+// TestLicenseModeStoreClockSkew: the license cap holds when the store's
+// clock runs ahead of the server's, as two machines' clocks do over an
+// external store. Every lease write binds its expiry from the server's
+// clock, so the license checks judge it by the same clock: judged by
+// the store's now(), a whole lease term ahead here, the held license
+// would look expired and go to a second client.
+func TestLicenseModeStoreClockSkew(t *testing.T) {
+	const lease = time.Minute
+	now := time.Date(2026, 6, 13, 12, 0, 0, 0, time.UTC)
+	storeNow := now.Add(lease + time.Second)
+	db := sqlmini.NewDB(sqlmini.WithClock(func() time.Time { return storeNow }))
+	srv, err := NewServer("skew", NewLocalStore(db), WithLicenseMode(),
+		WithDefaultLease(lease), WithClock(func() time.Time { return now }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage); err != nil {
+		t.Fatal(err)
+	}
+	reqA := catalogRequest()
+	reqA.ClientID = "client-a"
+	if _, perr := srv.grant(reqA, false); perr != nil {
+		t.Fatal(perr)
+	}
+	if n, err := srv.LicensesInUse(); err != nil || n != 1 {
+		t.Fatalf("licenses in use = %d (err %v), want 1", n, err)
+	}
+	reqB := catalogRequest()
+	reqB.ClientID = "client-b"
+	if _, perr := srv.match(reqB); perr == nil || perr.Code != ErrCodeNoDriver {
+		t.Fatalf("license held: second client must get NO_DRIVER, got %v", perr)
+	}
+}
+
 // TestCatalogConcurrentGrantsDuringAdminChurn hammers match() from many
 // goroutines while the admin API adds and deletes drivers; run under
 // -race this covers the catalog swap, the generation checks, and the

@@ -444,25 +444,27 @@ func (s *Server) ReleaseLeaseByID(id uint64) error {
 // reapExpiredSQL is the lease-expiry sweep (§3.2: expired leases free
 // their licenses; §5.4.2 builds per-user enforcement on that). The
 // `expires_at <= $now` window is its only indexable conjunct, so the
-// planner seeks the expired prefix of the ordered expires_at index
-// instead of scanning the lease log — at steady state the sweep touches
-// only the handful of rows that actually expired.
-// TestHotStatementsPlanIndexed pins the range plan;
-// BenchmarkExpirySweepAt{100,10000}Leases tracks flatness.
+// planner skip-scans the (driver_id, expires_at) index — each driver's
+// expired prefix in turn — instead of scanning the lease log: at steady
+// state the sweep touches only the handful of rows that actually
+// expired, plus one seek per distinct driver.
+// TestHotStatementsPlanIndexed pins the skip-scan plan;
+// BenchmarkExpirySweepAt{100,10000}Leases tracks flatness and
+// BenchmarkExpirySweepAt10000LeasesOver100Drivers the cost per driver.
 const reapExpiredSQL = `UPDATE ` + LeasesTable + `
 	SET released = TRUE WHERE released = FALSE AND expires_at <= $now`
 
 // purgeReapedSQL is the lease log's retention rule: a released lease
 // whose term is over is deleted. It runs right after reapExpiredSQL in
 // the same batch, so a row never outlives the sweep that expires it,
-// and it seeks the same expired prefix of the expires_at index.
+// and it skip-scans the same expired prefixes.
 // Nothing reads such a row: licenseUsageSQL and driverLeaseFreeSQL both
-// filter expires_at > now(), a renewal answers "unknown or released"
+// filter expires_at > $now, a renewal answers "unknown or released"
 // whether the row is released or gone, and the catalog's table
 // versions count only drivers and driver_permission. A lease released before
 // its term ends keeps its row until the term is over. $now is bound,
 // never now(), so replicas that replay the statement delete the same
-// rows. TestHotStatementsPlanIndexed pins the range plan.
+// rows. TestHotStatementsPlanIndexed pins the skip-scan plan.
 const purgeReapedSQL = `DELETE FROM ` + LeasesTable + `
 	WHERE released = TRUE AND expires_at <= $now`
 

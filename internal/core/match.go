@@ -359,8 +359,11 @@ func driverMatchesRequest(rec DriverRecord, req Request) bool {
 // (driver_id, expires_at) index consumes, so the planner runs it
 // residual-free: one seek into the requested driver's unexpired window,
 // no WHERE re-evaluation. TestHotStatementsPlanIndexed pins the plan.
+// $now is the server's clock, the one every lease write binds its
+// expiry from: the store's now() is another machine's clock on an
+// external store, and skew between the two would misjudge a lease.
 const driverLeaseFreeSQL = `SELECT lease_id, released FROM ` + LeasesTable + `
-	WHERE driver_id = $id AND expires_at > now()`
+	WHERE driver_id = $id AND expires_at > $now`
 
 // driverLeaseFree reports whether no *other* live lease holds driverID
 // (license mode). ownLease is the requesting client's lease id (0 for a
@@ -369,7 +372,7 @@ const driverLeaseFreeSQL = `SELECT lease_id, released FROM ` + LeasesTable + `
 // index-consumed conjuncts makes the plan residual-free, and a driver's
 // unexpired window is at most a handful of rows in license mode.
 func (s *Server) driverLeaseFree(driverID int64, ownLease uint64) (bool, error) {
-	res, err := s.exec(driverLeaseFreeSQL, sqlmini.Args{"id": driverID})
+	res, err := s.exec(driverLeaseFreeSQL, sqlmini.Args{"id": driverID, "now": s.clock()})
 	if err != nil {
 		return false, err
 	}
@@ -389,18 +392,19 @@ func (s *Server) driverLeaseFree(driverID int64, ownLease uint64) (bool, error) 
 
 // licenseUsageSQL is the §5.4.2 license-accounting count: how many
 // leases are live right now, across all drivers. Its only indexable
-// conjunct is the expires_at window, so the planner drives it off the
-// ordered expires_at index as a range seek — the count visits only
-// unexpired leases instead of scanning the whole (history-bearing)
-// lease log. TestHotStatementsPlanIndexed pins the range plan.
+// conjunct is the expires_at window, which the planner serves by a skip
+// scan of the (driver_id, expires_at) index — one window seek per
+// distinct driver — so the count visits only unexpired leases instead
+// of scanning the whole lease log. $now is the server's clock, as in
+// driverLeaseFreeSQL. TestHotStatementsPlanIndexed pins the plan.
 const licenseUsageSQL = `SELECT count(*) FROM ` + LeasesTable + `
-	WHERE expires_at > now() AND released = FALSE`
+	WHERE expires_at > $now AND released = FALSE`
 
 // LicensesInUse reports how many leases are currently live — granted,
 // unreleased, and unexpired — which in license mode is exactly the
 // number of driver licenses checked out (§5.4.2).
 func (s *Server) LicensesInUse() (int, error) {
-	res, err := s.exec(licenseUsageSQL)
+	res, err := s.exec(licenseUsageSQL, sqlmini.Args{"now": s.clock()})
 	if err != nil {
 		return 0, err
 	}

@@ -413,19 +413,19 @@ func TestOwnAdminWriteValidatesFirst(t *testing.T) {
 // whole process over a ConnStore on a watched v2 session: the driver
 // encoding sqlmini.Args straight into a pooled encoder, the DBMS
 // binding the frame's values into the handle's slots and running the
-// UPDATE (TestRenewalStatementAllocs' five), its reply built in a pooled
+// UPDATE (TestRenewalStatementAllocs' four), its reply built in a pooled
 // encoder with the watch's versions read into session scratch, and the
 // reply decoded once into the Result handed back, versions included.
-// The seven are the engine's five, Stmt.Exec's argument slice and that
+// The six are the engine's four, Stmt.Exec's argument slice and that
 // one Result. (The arguments are built before counting starts. The
 // count was 26 when the hop decoded arguments into a map, re-boxed them
 // for the engine, and copied each reply into a second and a third
-// result.)
+// result, and 7 while the lease log kept a second expires_at index.)
 func TestConnStoreRenewalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops a random quarter of sync.Pool puts, so pooled encoders allocate at random")
 	}
-	const pinned = 7
+	const pinned = 6
 	f := newRemoteFixture(t, 2)
 	if err := EnsureSchema(f.store); err != nil {
 		t.Fatal(err)
@@ -463,7 +463,9 @@ func TestConnStoreRenewalAllocs(t *testing.T) {
 		next++
 	}
 	exec() // dial, watch, prepare
-	if got := testing.AllocsPerRun(runs, exec); got > pinned {
+	got := testing.AllocsPerRun(runs, exec)
+	t.Logf("a ConnStore renewal statement allocates %v times", got)
+	if got > pinned {
 		t.Fatalf("a ConnStore renewal statement allocates %v times, pinned at %d", got, pinned)
 	}
 }

@@ -67,23 +67,23 @@ var schemaDDL = []string{
 	// execution of renewals, releases, and blob point-fetches directly;
 	// the driver_id index on the permission table makes
 	// permission-by-driver lookups O(bucket) instead of O(table). The
-	// ordered expires_at index serves the time-window statements —
-	// expiry sweeps (`expires_at <= now()`) and the license usage count
-	// (`expires_at > now()`) — as O(log n) range seeks instead of full
-	// lease-log scans. The composite (driver_id, expires_at) index
-	// serves the §5.4.2 license-mode is-this-driver-free probe: the
-	// equality on driver_id plus the expires_at window are consumed by
-	// one index seek, so the planner runs it residual-free over exactly
-	// one driver's unexpired leases; its driver_id prefix also serves
-	// any plain `driver_id = ?` lookup on the lease log. Every index
-	// here is maintained by every grant and renewal, so each must be
-	// read by a pinned plan (TestHotStatementsPlanIndexed); a plain
-	// hash index on leases(driver_id) was dropped for being write-only.
-	// A store created with it keeps it, unused.
+	// lease log has ONE ordered index, (driver_id, expires_at), and it
+	// serves every lease statement that is not a lease_id lookup. The
+	// §5.4.2 license-mode is-this-driver-free probe consumes both its
+	// columns in one seek, residual-free, over exactly one driver's
+	// unexpired window. The time-window statements — the expiry sweep
+	// (`expires_at <= $now`), its retention purge and the license usage
+	// count (`expires_at > $now`) — skip-scan it: one window seek per
+	// distinct driver_id, O(d·log n + k), which driver_id's NOT NULL
+	// makes exact. So a grant files one ordered node and a renewal moves
+	// one. Every index here is maintained by every grant and renewal, so
+	// each must be read by a pinned plan (TestHotStatementsPlanIndexed):
+	// a hash on leases(driver_id) and an ordered leases(expires_at) are
+	// not declared because the composite serves all they would. A store
+	// created with either keeps it, and the planner still reads the
+	// expires_at one there (TestOldSchemaStoreSweeps).
 	`CREATE INDEX IF NOT EXISTS driver_permission_driver_id_idx
 		ON ` + PermissionTable + ` (driver_id)`,
-	`CREATE INDEX IF NOT EXISTS leases_expires_at_idx
-		ON ` + LeasesTable + ` (expires_at) USING ORDERED`,
 	`CREATE INDEX IF NOT EXISTS leases_driver_expires_idx
 		ON ` + LeasesTable + ` (driver_id, expires_at) USING ORDERED`,
 }

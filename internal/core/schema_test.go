@@ -337,30 +337,25 @@ func TestHotStatementsPlanIndexed(t *testing.T) {
 		// conjuncts on the composite (driver_id, expires_at) index: one
 		// seek into the driver's unexpired window, residual-free.
 		{"license-count", driverLeaseFreeSQL,
-			sqlmini.Args{"id": int64(1)},
+			sqlmini.Args{"id": int64(1), "now": time.Unix(1, 0)},
 			"range scan on " + LeasesTable + "(driver_id, expires_at) [leases_driver_expires_idx] (driver_id = 1 AND expires_at > "},
 		{"permissions-by-driver", `SELECT permission_id FROM ` + PermissionTable + ` WHERE driver_id = $id`,
 			sqlmini.Args{"id": int64(1)},
 			"index lookup on " + PermissionTable + "(driver_id) [driver_permission_driver_id_idx]"},
 		// The time-window statements: the §5.4.2 license usage count and
-		// the expiry sweep with its retention purge must seek the ordered
-		// expires_at index, not scan the lease table.
-		{"license-usage-count", licenseUsageSQL, nil,
-			"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at > "},
+		// the expiry sweep with its retention purge must skip-scan the
+		// composite index's expires_at windows, not scan the lease table.
+		{"license-usage-count", licenseUsageSQL,
+			sqlmini.Args{"now": time.Unix(1, 0)},
+			"skip scan on " + LeasesTable + "(driver_id, expires_at) [leases_driver_expires_idx] (expires_at > "},
 		{"expiry-sweep-update", reapExpiredSQL,
 			sqlmini.Args{"now": time.Unix(1, 0)},
-			"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at <= "},
+			"skip scan on " + LeasesTable + "(driver_id, expires_at) [leases_driver_expires_idx] (expires_at <= "},
 		{"expiry-sweep-purge", purgeReapedSQL,
 			sqlmini.Args{"now": time.Unix(1, 0)},
-			"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at <= "},
+			"skip scan on " + LeasesTable + "(driver_id, expires_at) [leases_driver_expires_idx] (expires_at <= "},
 	} {
-		var got string
-		var err error
-		if tc.args != nil {
-			got, err = db.Explain(tc.sql, tc.args)
-		} else {
-			got, err = db.Explain(tc.sql)
-		}
+		got, err := db.Explain(tc.sql, tc.args)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -381,7 +376,7 @@ func TestHotStatementsPlanIndexed(t *testing.T) {
 	}
 	// The prefix match above cannot see the plan's tail; pin the
 	// residual-free stamp on the license probe separately.
-	got, err := db.Explain(driverLeaseFreeSQL, sqlmini.Args{"id": int64(1)})
+	got, err := db.Explain(driverLeaseFreeSQL, sqlmini.Args{"id": int64(1), "now": time.Unix(1, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,16 +388,21 @@ func TestHotStatementsPlanIndexed(t *testing.T) {
 // TestLeaseStatementsPlanAtScale re-verifies the three population-
 // sensitive lease statements — the expiry sweep, the §5.4.2 license
 // usage count, and the license-mode driver-free probe — against tables
-// actually holding 100 and then 10000 lease rows. The planner is
-// schema-driven, but this is the contract the flat-scaling benchmarks
-// (BenchmarkExpirySweepAt{100,10000}Leases) rest on: if row volume ever
-// started demoting these to scans, O(n) would creep back silently.
+// actually holding 100 and then 10000 lease rows spread over 100
+// distinct driver ids, the skip scan's d. The planner is schema-driven,
+// but this is the contract the flat-scaling benchmarks
+// (BenchmarkExpirySweepAt{100,10000}Leases and
+// BenchmarkExpirySweepAt10000LeasesOver100Drivers) rest on: if row
+// volume ever started demoting these to scans, O(n) would creep back
+// silently. At each scale one expired lease per driver is added and the
+// sweep and the usage count must find exactly the right rows.
 func TestLeaseStatementsPlanAtScale(t *testing.T) {
 	db := sqlmini.NewDB()
 	store := NewLocalStore(db)
 	if err := EnsureSchema(store); err != nil {
 		t.Fatal(err)
 	}
+	const drivers = 100
 	now := time.Now()
 	seeded := 0
 	seedTo := func(n int) {
@@ -422,7 +422,7 @@ func TestLeaseStatementsPlanAtScale(t *testing.T) {
 					sb.WriteByte(',')
 				}
 				fmt.Fprintf(&sb, "(%d, %d, 'prod', 'app', 'c%d', $g, $e, FALSE, 0)",
-					1_000_000+i, 1+int64(i%100), i)
+					1_000_000+i, 1+int64(i%drivers), i)
 			}
 			if _, err := store.Exec(sb.String(), args); err != nil {
 				t.Fatal(err)
@@ -439,19 +439,13 @@ func TestLeaseStatementsPlanAtScale(t *testing.T) {
 			want string
 		}{
 			{"expiry-sweep", reapExpiredSQL, sqlmini.Args{"now": now},
-				"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at <= "},
-			{"license-usage-count", licenseUsageSQL, nil,
-				"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at > "},
-			{"driver-free-probe", driverLeaseFreeSQL, sqlmini.Args{"id": int64(7)},
+				"skip scan on " + LeasesTable + "(driver_id, expires_at) [leases_driver_expires_idx] (expires_at <= "},
+			{"license-usage-count", licenseUsageSQL, sqlmini.Args{"now": now},
+				"skip scan on " + LeasesTable + "(driver_id, expires_at) [leases_driver_expires_idx] (expires_at > "},
+			{"driver-free-probe", driverLeaseFreeSQL, sqlmini.Args{"id": int64(7), "now": now},
 				"range scan on " + LeasesTable + "(driver_id, expires_at) [leases_driver_expires_idx] (driver_id = 7 AND expires_at > "},
 		} {
-			var got string
-			var err error
-			if tc.args != nil {
-				got, err = db.Explain(tc.sql, tc.args)
-			} else {
-				got, err = db.Explain(tc.sql)
-			}
+			got, err := db.Explain(tc.sql, tc.args)
 			if err != nil {
 				t.Fatalf("%s at %d leases: %v", tc.name, scale, err)
 			}
@@ -474,6 +468,28 @@ func TestLeaseStatementsPlanAtScale(t *testing.T) {
 		}
 		if !free {
 			t.Fatal("unleased driver reported busy")
+		}
+		// One expired lease under each of the 100 drivers: the skip
+		// scan must visit every driver's window.
+		for d := int64(1); d <= drivers; d++ {
+			if _, err := store.Exec(`INSERT INTO `+LeasesTable+` (lease_id, driver_id,
+				database, user, client_id, granted_at, expires_at, released, renewals)
+				VALUES ($id, $d, 'prod', 'app', 'late', $g, $e, FALSE, 0)`,
+				sqlmini.Args{"id": 2_000_000 + int64(scale) + d, "d": d,
+					"g": now.Add(-time.Hour), "e": now.Add(-time.Minute)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv := NewServerMust(t, store)
+		if n, err := srv.LicensesInUse(); err != nil || n != scale {
+			t.Fatalf("licenses in use at %d leases = %d (err %v), want %d", scale, n, err, scale)
+		}
+		if n, err := srv.ReapExpiredLeases(); err != nil || n != drivers {
+			t.Fatalf("sweep at %d leases swept %d (err %v), want %d", scale, n, err, drivers)
+		}
+		res, err := store.Exec(`SELECT count(*) FROM ` + LeasesTable)
+		if err != nil || res.Rows[0][0].Int() != int64(scale) {
+			t.Fatalf("rows left after the sweep at %d leases: %v (err %v), want %d", scale, res, err, scale)
 		}
 	}
 }
@@ -581,20 +597,109 @@ func TestReapExpiredLeases(t *testing.T) {
 	}
 }
 
+// TestOldSchemaStoreSweeps: a store created before the lease log lost
+// its single-column expires_at index keeps that index (EnsureSchema
+// adds, it never drops), and the planner keeps reading it — a range
+// scan on an index led by the range column beats the skip scan — while
+// the sweep, the retention purge and the license usage count return
+// exactly what they return on the current schema, with leases spread
+// over several drivers.
+func TestOldSchemaStoreSweeps(t *testing.T) {
+	now := time.Date(2026, 6, 13, 12, 0, 0, 0, time.UTC)
+	db := sqlmini.NewDB()
+	store := NewLocalStore(db)
+	var ddl []string
+	for _, st := range SchemaStatements() {
+		if strings.Contains(st, "leases_driver_expires_idx") {
+			ddl = append(ddl, `CREATE INDEX IF NOT EXISTS leases_expires_at_idx
+				ON `+LeasesTable+` (expires_at) USING ORDERED`)
+		}
+		ddl = append(ddl, st)
+	}
+	for _, st := range ddl {
+		if _, err := store.Exec(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewServer("old-schema", store, WithClock(func() time.Time { return now }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, sql, want string }{
+		{"expiry-sweep-update", reapExpiredSQL,
+			"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at <= "},
+		{"expiry-sweep-purge", purgeReapedSQL,
+			"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at <= "},
+		{"license-usage-count", licenseUsageSQL,
+			"range scan on " + LeasesTable + "(expires_at) [leases_expires_at_idx] (expires_at > "},
+	} {
+		got, err := db.Explain(tc.sql, sqlmini.Args{"now": now})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !strings.HasPrefix(got, tc.want) {
+			t.Fatalf("%s on the old schema plans as %q, want prefix %q", tc.name, got, tc.want)
+		}
+	}
+	// Three drivers; per driver one expired live lease, one live lease,
+	// one released lease whose term is over and one released before its
+	// term ends. A lease that moved to another driver sits in both
+	// drivers' groups of the composite index until GC.
+	id := int64(0)
+	insert := func(drv int64, exp time.Time, released bool) {
+		t.Helper()
+		id++
+		if _, err := store.Exec(`INSERT INTO `+LeasesTable+`
+			(lease_id, driver_id, database, user, client_id, granted_at,
+			 expires_at, released, renewals)
+			VALUES ($id, $drv, 'prod', 'app', 'c', $g, $e, $r, 0)`,
+			sqlmini.Args{"id": id, "drv": drv, "g": now.Add(-time.Hour), "e": exp, "r": released}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for drv := int64(1); drv <= 3; drv++ {
+		insert(drv, now.Add(-time.Minute), false)
+		insert(drv, now.Add(time.Hour), false)
+		insert(drv, now.Add(-time.Hour), true)
+		insert(drv, now.Add(time.Hour), true)
+	}
+	if _, err := store.Exec(`UPDATE ` + LeasesTable + ` SET driver_id = 3 WHERE lease_id = 1`); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := srv.LicensesInUse(); err != nil || n != 3 {
+		t.Fatalf("licenses in use = %d (err %v), want 3", n, err)
+	}
+	if n, err := srv.ReapExpiredLeases(); err != nil || n != 3 {
+		t.Fatalf("swept %d leases (err %v), want 3", n, err)
+	}
+	leases, err := srv.Leases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []uint64
+	for _, l := range leases {
+		left = append(left, l.LeaseID)
+	}
+	if !slices.Equal(left, []uint64{2, 4, 6, 8, 10, 12}) {
+		t.Fatalf("rows left after the sweep: %v, want [2 4 6 8 10 12]", left)
+	}
+}
+
 // TestRenewalStatementAllocs pins what the engine allocates for one
 // no-change renewal — the prepared renewNoChangeSQL moving a lease's
 // expires_at, its share of deferred index GC included — over a lease
 // log with every lease on one driver. Clock-free, so a change that puts
 // per-statement key copies, bucket copies or binding and planning
 // scratch back on the renewal path fails here before any benchmark is
-// run. The five are what the statement writes: the new row version, its
-// values, the Result, and one group in each expires_at index. (The
-// arguments are boxed before counting starts; the count was 30 with
-// copy-on-write buckets and per-update key tuples, and 22 with
-// map-bound parameters, heap-built plans and five allocations per
-// index group.)
+// run. The four are what the statement writes: the new row version, its
+// values, the Result, and the lease's group in the (driver_id,
+// expires_at) index. (The arguments are boxed before counting starts;
+// the count was 30 with copy-on-write buckets and per-update key
+// tuples, 22 with map-bound parameters, heap-built plans and five
+// allocations per index group, and 5 while a second, single-column
+// expires_at index took a group of its own.)
 func TestRenewalStatementAllocs(t *testing.T) {
-	const pinned = 5
+	const pinned = 4
 	db := sqlmini.NewDB()
 	store := NewLocalStore(db)
 	if err := EnsureSchema(store); err != nil {

@@ -14,9 +14,20 @@ import (
 // When no equality conjunct qualifies but the WHERE carries a top-level
 // range conjunct (col > k, >=, <, <=, or col BETWEEN lo AND hi) on a
 // column with an ORDERED index, execution seeks the boundary groups in
-// O(log n) and visits only the in-range window — the lease-expiry
-// sweep shape (`expires_at <= now()`) touches just the expired prefix
-// instead of every lease.
+// O(log n) and visits only the in-range window.
+//
+// When no index is led by the range column, a composite ORDERED index
+// whose SECOND column it is can still serve it by a skip scan: for each
+// distinct leading key in turn, seek that key's window on the second
+// column and jump past the rest of its groups — O(d·log n + k) for d
+// distinct leading keys and k groups in the windows. The lease-expiry
+// sweep (`expires_at <= $now`) runs this way over leases(driver_id,
+// expires_at), touching just each driver's expired prefix instead of
+// every lease. A skip scan is claimed only when the leading column is
+// declared NOT NULL (a NULL in any indexed column leaves the row
+// unfiled, so a skip over a nullable prefix would miss rows), carries
+// no equality or range conjunct of its own, and no index led by a
+// range column can serve the statement.
 //
 // Composite ordered indexes extend the equality path: a candidate on
 // the index's leading column consumes further equality conjuncts along
@@ -32,6 +43,11 @@ import (
 // consumed keys directly (Compare on the row's visible values — still
 // required, because MVCC index entries are removed lazily and a bucket
 // can hold rows whose visible values no longer match).
+//
+// An index is a candidate only when it files every row the WHERE can
+// match: a NULL in any indexed column leaves a row unfiled, so each of
+// the index's columns must be declared NOT NULL or carry a top-level
+// equality or range conjunct, which no NULL satisfies (stmtPlan.files).
 //
 // The planner is deliberately conservative: it claims a statement only
 // when the index path provably yields the same result SET and the same
@@ -82,7 +98,8 @@ type planCheck struct {
 // indexPlan is a resolved index access path for one execution: an
 // equality lookup (PK, hash bucket, or ordered-group seek over the full
 // tuple), a range scan over an ordered index (optionally under an
-// equality prefix), or a provably empty result.
+// equality prefix), a skip scan over a composite ordered index's second
+// column, or a provably empty result.
 type indexPlan struct {
 	col      int             // leading indexed column (display)
 	pk       bool            // the PK index drives the lookup
@@ -100,6 +117,10 @@ type indexPlan struct {
 	rng        bool
 	lo, hi     Value
 	loOp, hiOp string
+
+	// skipScan: lo/hi bound the index's second column (col) under every
+	// distinct leading key in turn; the prefix is empty.
+	skipScan bool
 
 	// exact: the plan consumed every top-level conjunct; execution
 	// verifies candidates against checks instead of re-evaluating the
@@ -195,10 +216,13 @@ type stmtPlan struct {
 	rngBy  map[int][]planBound // col -> bounds in evaluation order
 
 	// Pure-range claim (no equality candidate bound): the first range
-	// conjunct whose column's first-declared index is ordered claims the
-	// plan, exactly as before composite support.
-	rngCol int // -1 when no ordered column claimed a range
-	rngIx  *secondaryIndex
+	// conjunct whose column's first-declared index is ordered (and files
+	// every match) claims the plan. Failing that, the first range
+	// conjunct a composite ordered index can skip-scan claims it
+	// (skipScan; rngIx.cols[1] == rngCol).
+	rngCol   int // -1 when no ordered column claimed a range
+	rngIx    *secondaryIndex
+	skipScan bool
 }
 
 // planAnalyze runs the static half of the planner over t's current
@@ -219,23 +243,13 @@ func planAnalyze(db *DB, t *Table, where Expr) *stmtPlan {
 	sp.nConj = len(conjuncts)
 	sp.eqBy = make(map[int]planEqRef)
 	sp.rngBy = make(map[int][]planBound)
+	var rngCols []int // range-conjunct columns, first-seen order
 	for i, c := range conjuncts {
 		if col, keyExpr := eqConjunct(t, c); col >= 0 {
 			if _, seen := sp.eqBy[col]; !seen {
 				sp.eqBy[col] = planEqRef{key: keyExpr, conj: i}
 			}
-			isPK := col == t.pk
-			var led []*secondaryIndex
-			if !isPK {
-				for _, ix := range ixs {
-					if ix.cols[0] == col {
-						led = append(led, ix)
-					}
-				}
-			}
-			if isPK || len(led) > 0 {
-				sp.eq = append(sp.eq, planCand{col: col, pk: isPK, key: keyExpr, conj: i, ixs: led})
-			}
+			sp.eq = append(sp.eq, planCand{col: col, pk: col == t.pk, key: keyExpr, conj: i})
 			continue
 		}
 		if col, loExpr, loOp, hiExpr, hiOp := rangeConjunct(t, c); col >= 0 {
@@ -245,19 +259,85 @@ func planAnalyze(db *DB, t *Table, where Expr) *stmtPlan {
 			if hiExpr != nil {
 				sp.rngBy[col] = append(sp.rngBy[col], planBound{expr: hiExpr, op: hiOp, hi: true, conj: i})
 			}
-			ix := t.indexOn(col)
-			if ix == nil || ix.kind != IndexOrdered {
-				continue
+			rngCols = append(rngCols, col)
+		}
+	}
+	// Which index may serve which conjunct depends on every conjunct:
+	// an index must file every row the WHERE can match (sp.files).
+	eq := sp.eq[:0]
+	for _, cand := range sp.eq {
+		if !cand.pk {
+			for _, ix := range ixs {
+				if ix.cols[0] == cand.col && sp.files(ix) {
+					cand.ixs = append(cand.ixs, ix)
+				}
 			}
-			if sp.rngCol < 0 {
-				sp.rngCol, sp.rngIx = col, ix
-			}
+		}
+		if cand.pk || len(cand.ixs) > 0 {
+			eq = append(eq, cand)
+		}
+	}
+	sp.eq = eq
+	for _, col := range rngCols {
+		if ix := t.indexOn(col); ix != nil && ix.kind == IndexOrdered && sp.files(ix) {
+			sp.rngCol, sp.rngIx = col, ix
+			break
+		}
+	}
+	for i := 0; sp.rngCol < 0 && i < len(rngCols); i++ {
+		if ix := sp.skipScanIndex(ixs, rngCols[i]); ix != nil {
+			sp.rngCol, sp.rngIx, sp.skipScan = rngCols[i], ix, true
 		}
 	}
 	if len(sp.eq) == 0 && sp.rngCol < 0 {
 		sp.scan = true
 	}
 	return sp
+}
+
+// files reports whether ix files every row the WHERE can match. An
+// index files a row only when none of its columns is NULL, so each
+// column must be declared NOT NULL or carry a top-level equality or
+// range conjunct, which no NULL satisfies; otherwise a plan over ix
+// would miss the matching rows it never filed (`a = 1` over t(a, b)
+// misses the rows whose b is NULL).
+func (sp *stmtPlan) files(ix *secondaryIndex) bool {
+	for _, ci := range ix.cols {
+		if sp.t.Cols[ci].NotNull {
+			continue
+		}
+		if _, ok := sp.eqBy[ci]; ok {
+			continue
+		}
+		if _, ok := sp.rngBy[ci]; ok {
+			continue
+		}
+		return false
+	}
+	return true
+}
+
+// skipScanIndex returns the first declared ordered index that can
+// skip-scan a range on col: col is its second column, its leading
+// column has no equality or range conjunct of its own, and it files
+// every matching row — which, for the unconstrained leading column,
+// means a NOT NULL declaration (nil: none).
+func (sp *stmtPlan) skipScanIndex(ixs []*secondaryIndex, col int) *secondaryIndex {
+	for _, ix := range ixs {
+		if ix.kind != IndexOrdered || len(ix.cols) < 2 || ix.cols[1] != col {
+			continue
+		}
+		if _, ok := sp.eqBy[ix.cols[0]]; ok {
+			continue
+		}
+		if _, ok := sp.rngBy[ix.cols[0]]; ok {
+			continue
+		}
+		if sp.files(ix) {
+			return ix
+		}
+	}
+	return nil
 }
 
 // bind evaluates the skeleton against one call's parameters into the
@@ -337,12 +417,12 @@ func (sp *stmtPlan) bind(env *evalEnv) *indexPlan {
 	if found {
 		return best
 	}
-	if sp.rngCol < 0 || sp.rngIx.cols[0] != sp.rngCol {
-		return nil // the second: unreachable, the claim requires leadership
+	if sp.rngCol < 0 {
+		return nil
 	}
-	// Pure range: bounds on the claimed ordered column, no prefix.
+	// Pure range or skip scan: bounds on the claimed column, no prefix.
 	consumed.clear()
-	*best = indexPlan{col: sp.rngCol, ix: sp.rngIx, rng: true}
+	*best = indexPlan{col: sp.rngCol, ix: sp.rngIx, rng: true, skipScan: sp.skipScan}
 	emptyCol, ok := sp.bindBounds(env, best, sp.rngCol, &consumed)
 	if emptyCol >= 0 {
 		*best = indexPlan{col: sp.rngCol, ix: sp.rngIx, empty: true, emptyCol: emptyCol}
@@ -482,6 +562,8 @@ func (db *DB) planRows(t *Table, where Expr, env *evalEnv) ([]*Row, *indexPlan) 
 		return p.ix.hash.lookup([]Value{p.key}), p
 	case !p.rng && p.prefix.len() == len(p.ix.cols):
 		return p.ix.skip.lookupEqual(p.prefix.all(), nil), p
+	case p.skipScan:
+		return p.ix.skip.skipRows(p.lo, p.loOp == ">", p.hi, p.hiOp == "<", nil), p
 	default:
 		return p.ix.skip.rangeRows(p.prefix.all(), p.lo, p.loOp == ">", p.hi, p.hiOp == "<", nil), p
 	}
@@ -729,11 +811,13 @@ func indexLookupKey(colType Type, v Value) (Value, bool) {
 // Explain reports the access path a statement would use, without
 // executing it: "point lookup on t(col) [primary key]", "index lookup
 // on t(col) [idx_name]", "range scan on t(col) [idx_name] (col > v)"
-// with the evaluated bounds, or "full scan on t". Composite plans list
-// the column tuple — "index lookup on t(a, b) [idx]" — and append
-// "(residual-free)" when the plan consumed the entire WHERE. Tests (and
-// operators) use it to pin hot statements to their intended plans.
-// Explain takes no locks: it reads the published schema.
+// with the evaluated bounds, "skip scan on t(a, b) [idx_name] (b <= v)"
+// for a range on a composite index's second column, or "full scan on
+// t". Composite plans list the column tuple — "index lookup on t(a, b)
+// [idx]" — and append "(residual-free)" when the plan consumed the
+// entire WHERE. Tests (and operators) use it to pin hot statements to
+// their intended plans. Explain takes no locks: it reads the published
+// schema.
 func (db *DB) Explain(src string, args ...any) (string, error) {
 	ps, err := db.ParseCached(src)
 	if err != nil {
@@ -782,6 +866,9 @@ func (db *DB) Explain(src string, args ...any) (string, error) {
 		return fmt.Sprintf("empty result (NULL key) on %s(%s)", table, t.Cols[p.emptyCol].Name), nil
 	case p.pk:
 		return fmt.Sprintf("point lookup on %s(%s) [primary key]", table, col), nil
+	case p.skipScan:
+		return fmt.Sprintf("skip scan on %s(%s) [%s] (%s)%s",
+			table, strings.Join(p.ix.colNames(t), ", "), p.ix.name, p.boundsDesc(col), suffix), nil
 	case composite:
 		cols := strings.Join(p.ix.colNames(t), ", ")
 		if p.rng || p.prefix.len() < len(p.ix.cols) {

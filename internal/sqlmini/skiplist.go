@@ -319,6 +319,45 @@ func (sl *skipList) rangeRows(prefix []Value, lo Value, loStrict bool, hi Value,
 	return out
 }
 
+// skipRows is the skip scan: it gathers, for every distinct leading
+// key in turn, the rows of the groups whose SECOND column lies within
+// lo/hi (exact strictness, NULL meaning unbounded). Each leading key
+// costs one seek to its window's first group — none when lo is
+// unbounded, the walk arrives there — and, when hi cuts the window
+// short, one seek past the key's remaining groups, so a list of d
+// leading keys costs O(d·log n + k) for k gathered groups. Every
+// leading key is strictly greater than the last (the level-0 walk is
+// forward-only), so the gather terminates under concurrent writes.
+// Lock-free.
+func (sl *skipList) skipRows(lo Value, loStrict bool, hi Value, hiStrict bool, out []*Row) []*Row {
+	var probe [2]Value
+	hiProbe := [1]Value{hi}
+	for n := sl.head.next(0); n != nil; {
+		lead := n.key[:1]
+		if !lo.IsNull() {
+			probe[0], probe[1] = lead[0], lo
+			if loStrict {
+				n = sl.seekGT(probe[:])
+			} else {
+				n = sl.seekGE(probe[:])
+			}
+		}
+		for ; n != nil && cmpKey(n.key, lead) == 0; n = n.next(0) {
+			if !hi.IsNull() {
+				if c := cmpKey(n.key[1:], hiProbe[:]); c > 0 || (hiStrict && c == 0) {
+					n = sl.seekGT(lead)
+					break
+				}
+			}
+			out = append(out, n.rows.load()...)
+		}
+		for n != nil && cmpKey(n.key, lead) <= 0 {
+			n = n.next(0) // a group filed under lead mid-seek
+		}
+	}
+	return out
+}
+
 // each visits every (key, rows) group in order; writer-side helper for
 // consistency checks and rebuilds.
 func (sl *skipList) each(fn func(key []Value, rows []*Row)) {

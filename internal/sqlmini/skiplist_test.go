@@ -50,7 +50,7 @@ func bound(b byte) (Value, int, bool) {
 }
 
 // FuzzSkipList runs random insert / remove-by-handle / seekGE /
-// rangeRows / monotone-append / remove-from-head sequences — the last
+// rangeRows / skipRows / monotone-append / remove-from-head sequences — the last
 // two the lease log's pattern of filing expiries after every other and
 // reaping the oldest — against skipRef and checks, after every step, the
 // order, size, back links and last nodes of every level
@@ -66,6 +66,9 @@ func FuzzSkipList(f *testing.F) {
 	f.Add([]byte{1, 7, 1, 0, 7, 2, 0, 8, 3, 2, 7, 2, 0, 7, 2, 2, 7, 2, 3, 1, 9, 4, 9, 2})
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 2, 1, 0, 2, 1, 0}) // a second removal through an unlinked handle
 	f.Add([]byte{5, 1, 0, 5, 1, 1, 5, 0, 2, 5, 1, 3, 6, 0, 0, 5, 1, 4, 6, 0, 0, 6, 0, 0, 5, 1, 5, 6, 0, 0, 6, 0, 0, 6, 0, 0})
+	// skip scans: every leading key's window on the second column,
+	// bounded above, below, on both sides, and not at all
+	f.Add([]byte{0, 1, 0, 0, 6, 1, 0, 11, 2, 0, 13, 3, 0, 3, 4, 4, 9, 16, 4, 13, 12, 4, 17, 36, 4, 33, 28, 2, 6, 1, 4, 9, 16})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		sl := newSkipList([]int{0, 1})
 		var pool [6]*Row
@@ -128,6 +131,7 @@ func FuzzSkipList(f *testing.F) {
 				if x&2 != 0 {
 					prefix = []Value{NewInt(int64(x % 4))}
 				}
+				skip := x&3 == 1 // no prefix: bound the second column under every leading key
 				var want []*Row
 				for _, key := range ref.keys {
 					c := key / 4 // the column the bounds apply to
@@ -137,12 +141,19 @@ func FuzzSkipList(f *testing.F) {
 						}
 						c = key % 4
 					}
+					if skip {
+						c = key % 4
+					}
 					if loOK && (c < loN || loStrict && c == loN) || hiOK && (c > hiN || hiStrict && c == hiN) {
 						continue
 					}
 					want = append(want, ref.rows[key]...)
 				}
-				if got := sl.rangeRows(prefix, lo, loStrict, hi, hiStrict, nil); !slices.Equal(got, want) {
+				if skip {
+					if got := sl.skipRows(lo, loStrict, hi, hiStrict, nil); !slices.Equal(got, want) {
+						t.Fatalf("skipRows(%v/%v, %v/%v) = %d rows, reference %d", lo, loStrict, hi, hiStrict, len(got), len(want))
+					}
+				} else if got := sl.rangeRows(prefix, lo, loStrict, hi, hiStrict, nil); !slices.Equal(got, want) {
 					t.Fatalf("rangeRows(%v, %v/%v, %v/%v) = %d rows, reference %d", prefix, lo, loStrict, hi, hiStrict, len(got), len(want))
 				}
 			}
