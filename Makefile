@@ -7,7 +7,7 @@
 #   make lint            # gofmt + vet + doclint + drivolint (LINT_FILTER narrows analyzers)
 #   make doclint         # every internal/ package must have a package comment
 #   make chaos           # longer fault-injection soak across several seeds
-#   make fuzz-smoke      # 20 s of native fuzzing per target (off the tier-1 path)
+#   make fuzz-smoke      # 20 s of native fuzzing per target, every Fuzz* found (off the tier-1 path)
 #   make bench-module-check  # vet + test + drivolint the separate bench/ module (drivobench)
 #   make loc             # non-test Go code lines per package (what ROADMAP "non-test lines" means)
 #   make bench           # run the perf-tracked benchmark set
@@ -65,22 +65,18 @@ CHAOS_DURATION ?= 5s
 chaos:
 	CHAOS_DURATION=$(CHAOS_DURATION) go test -race -run 'TestChaosSoak' -count=$(CHAOS_SEEDS) -v ./internal/core/
 
-# fuzz-smoke runs each native fuzz target for FUZZ_TIME. The targets'
-# seed corpora already run inside `go test` (and so `make check`);
-# this is the short mutation run CI adds off the tier-1 path.
+# fuzz-smoke runs every native fuzz target for FUZZ_TIME. It finds
+# them with `go test -list`, so a new target joins the run by existing.
+# The targets' seed corpora already run inside `go test` (and so `make
+# check`); this is the short mutation run CI adds off the tier-1 path.
 FUZZ_TIME ?= 20s
 fuzz-smoke:
-	go test ./internal/driverimg -run '^$$' -fuzz=FuzzEncodedImage -fuzztime=$(FUZZ_TIME)
-	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzValueCompare -fuzztime=$(FUZZ_TIME)
-	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzSkipList -fuzztime=$(FUZZ_TIME)
-	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzParamBinding -fuzztime=$(FUZZ_TIME)
-	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzHashIndex -fuzztime=$(FUZZ_TIME)
-	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzLike -fuzztime=$(FUZZ_TIME)
-	go test ./internal/sqlmini -run '^$$' -fuzz=FuzzPlannerMatchesScan -fuzztime=$(FUZZ_TIME)
-	go test ./internal/core -run '^$$' -fuzz=FuzzFileSink -fuzztime=$(FUZZ_TIME)
-	go test ./internal/dbms -run '^$$' -fuzz=FuzzDbmsFrames -fuzztime=$(FUZZ_TIME)
-	go test ./internal/dbms -run '^$$' -fuzz=FuzzWireBinding -fuzztime=$(FUZZ_TIME)
-	go test ./internal/sequoia -run '^$$' -fuzz=FuzzSequoiaFrames -fuzztime=$(FUZZ_TIME)
+	@set -e; list="$$(go test -list '^Fuzz' ./...)"; \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read -r pkg target; do \
+		echo "go test $$pkg -fuzz=^$$target\$$ -fuzztime=$(FUZZ_TIME)"; \
+		go test "$$pkg" -run '^$$' -fuzz="^$$target\$$" -fuzztime=$(FUZZ_TIME) || exit 1; \
+	done
 
 tier1:
 	go build ./...

@@ -58,18 +58,18 @@ func (g gossipMsg) encode() []byte {
 func decodeGossip(b []byte) (gossipMsg, error) {
 	d := wire.NewDecoder(b)
 	g := gossipMsg{From: d.Uint32(), Epoch: d.Uint64()}
-	n := d.Uint32()
+	n := d.Count(4)
 	if n > maxClusterSize {
 		return gossipMsg{}, fmt.Errorf("cluster: gossip names %d members", n)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		g.Alive = append(g.Alive, d.Uint32())
 	}
-	n = d.Uint32()
+	n = d.Count(8)
 	if n > maxShards {
 		return gossipMsg{}, fmt.Errorf("cluster: gossip carries %d overrides", n)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		g.Overrides = append(g.Overrides, OverrideEntry{Shard: d.Uint32(), Member: d.Uint32()})
 	}
 	if err := d.Err(); err != nil {
@@ -78,8 +78,9 @@ func decodeGossip(b []byte) (gossipMsg, error) {
 	return g, nil
 }
 
-// Sanity bounds on decoded sizes: a corrupt length prefix must not
-// turn into a multi-gigabyte allocation.
+// Caps on decoded counts, above what any real cluster holds. Count
+// already bounds each by the payload; these refuse a large frame
+// that is well formed but absurd.
 const (
 	maxClusterSize = 1 << 10
 	maxShards      = 1 << 20
@@ -135,21 +136,21 @@ func decodeStatus(b []byte) (Status, error) {
 	d := wire.NewDecoder(b)
 	s := Status{Name: d.String(), Index: d.Uint32(), Epoch: d.Uint64(),
 		Quorate: d.Bool(), Shards: d.Uint32()}
-	n := d.Uint32()
+	n := d.Count(22) // a peer takes at least two string lengths, two flags, a duration and a count
 	if n > maxClusterSize {
 		return Status{}, fmt.Errorf("cluster: status names %d peers", n)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		s.Peers = append(s.Peers, PeerStatus{
 			Name: d.String(), ClientAddr: d.String(), Self: d.Bool(),
 			Alive: d.Bool(), SinceSeen: d.Duration(), OwnedShards: d.Uint32(),
 		})
 	}
-	n = d.Uint32()
+	n = d.Count(8)
 	if n > maxShards {
 		return Status{}, fmt.Errorf("cluster: status carries %d overrides", n)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		s.Overrides = append(s.Overrides, OverrideEntry{Shard: d.Uint32(), Member: d.Uint32()})
 	}
 	if err := d.Err(); err != nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/dbver"
 	"repro/internal/driverimg"
-	"repro/internal/faultnet"
 	"repro/internal/wire"
 )
 
@@ -62,7 +61,6 @@ type Bootloader struct {
 	dialTimeout      time.Duration
 	renewAhead       float64 // renew when this fraction of the lease has elapsed
 	retryInterval    time.Duration
-	backoffPol       faultnet.Policy // zero = derived from retryInterval
 	requiredPackages []string
 	preferredVersion dbver.Version
 	preferredFormat  string
@@ -168,18 +166,9 @@ func WithRenewAhead(frac float64) BootloaderOption {
 // WithRetryInterval sets the base cadence of the control-plane loops:
 // the first retry delay after a failure, and the poll interval while
 // no driver is loaded. Consecutive failures back off exponentially
-// from this base (see WithBackoff).
+// from this base, to 16× it with jitter.
 func WithRetryInterval(d time.Duration) BootloaderOption {
 	return func(b *Bootloader) { b.retryInterval = d }
-}
-
-// WithBackoff overrides the retry policy the renewal and push loops
-// apply to consecutive failures. The default grows from retryInterval
-// to 16× retryInterval with jitter, so a fleet cut off from its
-// server spreads its reconnection attempts instead of storming back
-// in lockstep.
-func WithBackoff(p faultnet.Policy) BootloaderOption {
-	return func(b *Bootloader) { b.backoffPol = p }
 }
 
 // WithDialTimeout bounds server dials.

@@ -8,19 +8,15 @@ import (
 )
 
 // newLoopBackoff builds the Backoff driving the persistent renewal
-// and push loops. The default policy starts at retryInterval (so test
-// cadences stay fast) and grows to 16× with jitter; attempt and time
-// budgets are stripped either way, because a bootloader cut off from
-// every server keeps serving its driver and keeps retrying (§4.1.3) —
-// it never gives up.
+// and push loops. It starts at retryInterval (so test cadences stay
+// fast) and grows to 16× with jitter, so a fleet cut off from its
+// server spreads its reconnection attempts instead of storming back in
+// lockstep. It has no attempt or time budget: a bootloader cut off
+// from every server keeps serving its driver and keeps retrying
+// (§4.1.3) — it never gives up.
 func (b *Bootloader) newLoopBackoff() *faultnet.Backoff {
-	p := b.backoffPol
-	if p == (faultnet.Policy{}) {
-		p = faultnet.Policy{Initial: b.retryInterval, Max: 16 * b.retryInterval,
-			Factor: 2, Jitter: 0.5}
-	}
-	p.MaxAttempts, p.Budget = 0, 0
-	return faultnet.NewBackoff(p)
+	return faultnet.NewBackoff(faultnet.Policy{Initial: b.retryInterval, Max: 16 * b.retryInterval,
+		Factor: 2, Jitter: 0.5})
 }
 
 // renewLoop is the bootloader's dedicated timer thread (paper §3.4.2:

@@ -23,20 +23,18 @@ const DriverKind = "dbms-native"
 // a server speaking another version fails at connect time.
 type NativeDriver struct {
 	version      dbver.Version
-	protoVersion uint16 // highest protocol version offered
-	protoMin     uint16 // lowest acceptable protocol version
-	dialTimeout  time.Duration
+	protoVersion uint16        // highest protocol version offered
+	protoMin     uint16        // lowest acceptable protocol version
 	opTimeout    time.Duration // per-exchange reply deadline
 	withoutCaps  uint32        // capabilities never offered (an older build)
 }
 
+// dialTimeout bounds connection establishment: the dial and the
+// handshake reply.
+const dialTimeout = 5 * time.Second
+
 // NativeDriverOption configures a NativeDriver.
 type NativeDriverOption func(*NativeDriver)
-
-// WithDialTimeout bounds connection establishment.
-func WithDialTimeout(d time.Duration) NativeDriverOption {
-	return func(n *NativeDriver) { n.dialTimeout = d }
-}
 
 // WithOpTimeout bounds each request/response exchange: a reply that
 // does not arrive within d fails the operation (and poisons the
@@ -59,8 +57,7 @@ func WithProtocolFloor(min uint16) NativeDriverOption {
 // the given wire-protocol version.
 func NewNativeDriver(version dbver.Version, protoVersion uint16, opts ...NativeDriverOption) *NativeDriver {
 	d := &NativeDriver{version: version, protoVersion: protoVersion,
-		protoMin: protoVersion, dialTimeout: 5 * time.Second,
-		opTimeout: faultnet.DefaultOpTimeout}
+		protoMin: protoVersion, opTimeout: faultnet.DefaultOpTimeout}
 	for _, o := range opts {
 		o(d)
 	}
@@ -91,7 +88,7 @@ func (d *NativeDriver) Connect(rawURL string, props client.Props) (client.Conn, 
 		return nil, fmt.Errorf("dbms: driver cannot handle scheme %q", u.Scheme)
 	}
 	opts := u.Options.Merge(props)
-	conn, err := wire.Dial(u.Hosts[0], d.dialTimeout)
+	conn, err := wire.Dial(u.Hosts[0], dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +105,7 @@ func (d *NativeDriver) Connect(rawURL string, props client.Props) (client.Conn, 
 		conn.Close()
 		return nil, err
 	}
-	f, err := conn.RecvTimeout(d.dialTimeout)
+	f, err := conn.RecvTimeout(dialTimeout)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dbms: handshake: %w", err)

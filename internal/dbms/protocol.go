@@ -270,23 +270,15 @@ func encodeArgs(e *wire.Encoder, args []any) error {
 // parameter is dropped, and a repeated key's last value wins. Values
 // decode as sqlmini.Values, never boxed. With the zero Parsed (a
 // statement that did not resolve) every value is still read, so a
-// malformed block is reported as malformed first. Counts are validated
-// against the remaining payload BEFORE sizing anything (each named
-// entry needs at least its 4-byte key length plus a value type byte;
-// each positional value at least a type byte), so a malformed count in
-// a tiny frame errors instead of OOMing the process. A block with both
-// named and positional values is refused (errMixedArgs).
+// malformed block is reported as malformed first. A named entry takes
+// at least its 4-byte key length and a value type byte, a positional
+// value its type byte. A block with both named and positional values
+// is refused (errMixedArgs).
 func decodeArgs(d *wire.Decoder, st sqlmini.Parsed, ps *sqlmini.Params) error {
-	nNamed := d.Uint32()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if uint64(nNamed)*5 > uint64(d.Remaining()) {
-		return fmt.Errorf("%w: named-arg count %d exceeds payload", wire.ErrShortBuffer, nNamed)
-	}
+	nNamed := d.Count(5)
 	if nNamed > 0 {
 		slots := ps.Named(st.NumSlots())
-		for i := uint32(0); i < nNamed; i++ {
+		for i := 0; i < nNamed; i++ {
 			key := d.Bytes32View()
 			v, err := sqlmini.DecodeValue(d)
 			if err != nil {
@@ -297,12 +289,9 @@ func decodeArgs(d *wire.Decoder, st sqlmini.Parsed, ps *sqlmini.Params) error {
 			}
 		}
 	}
-	nPos := d.Uint32()
+	nPos := d.Count(1)
 	if err := d.Err(); err != nil {
 		return err
-	}
-	if uint64(nPos) > uint64(d.Remaining()) {
-		return fmt.Errorf("%w: positional-arg count %d exceeds payload", wire.ErrShortBuffer, nPos)
 	}
 	if nNamed > 0 {
 		if nPos > 0 {
@@ -310,7 +299,7 @@ func decodeArgs(d *wire.Decoder, st sqlmini.Parsed, ps *sqlmini.Params) error {
 		}
 		return nil
 	}
-	vals := ps.Positional(int(nPos))
+	vals := ps.Positional(nPos)
 	for i := range vals {
 		v, err := sqlmini.DecodeValue(d)
 		if err != nil {
@@ -432,20 +421,14 @@ func decodeResult(b []byte) (*sqlmini.Result, error) {
 	}{}
 	r := &rv.r
 	r.Cols = d.StringSlice()
-	nRows := d.Uint32()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nRows; i++ {
-		nCols := d.Uint32()
+	nRows := d.Count(4) // a row takes at least its 4-byte column count
+	for i := 0; i < nRows; i++ {
+		nCols := d.Count(1) // a value takes at least its type byte
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		if uint64(nCols) > uint64(d.Remaining()) { // each value ≥ 1 byte
-			return nil, fmt.Errorf("%w: column count %d exceeds payload", wire.ErrShortBuffer, nCols)
-		}
 		row := make([]sqlmini.Value, 0, nCols)
-		for j := uint32(0); j < nCols; j++ {
+		for j := 0; j < nCols; j++ {
 			v, err := sqlmini.DecodeValue(d)
 			if err != nil {
 				return nil, err
@@ -475,21 +458,17 @@ func encodeVersions(e *wire.Encoder, vs []uint64) {
 }
 
 // decodeVersions reads a counter list into buf when it fits (a new
-// slice otherwise), checking its count against the remaining payload
-// before sizing anything.
+// slice otherwise).
 func decodeVersions(d *wire.Decoder, buf []uint64) ([]uint64, error) {
-	n := d.Uint32()
+	n := d.Count(8)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if uint64(n)*8 > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("%w: version count %d exceeds payload", wire.ErrShortBuffer, n)
-	}
 	vs := buf[:0]
-	if buf == nil || int(n) > cap(buf) {
+	if buf == nil || n > cap(buf) {
 		vs = make([]uint64, 0, n)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		vs = append(vs, d.Uint64())
 	}
 	return vs, d.Err()
@@ -515,11 +494,8 @@ func encodeBatch(e *wire.Encoder, atomic bool, stmts []client.Statement) error {
 func decodeBatch(b []byte, db *sqlmini.DB) (atomic bool, stmts []execFrame, err error) {
 	d := wire.NewDecoder(b)
 	atomic = d.Bool()
-	n := d.Uint32()
-	if err := d.Err(); err != nil {
-		return atomic, nil, err
-	}
-	for i := uint32(0); i < n; i++ {
+	n := d.Count(4) // a statement takes at least its 4-byte length
+	for i := 0; i < n; i++ {
 		body := d.Bytes32View()
 		if err := d.Err(); err != nil {
 			return atomic, nil, err
@@ -562,11 +538,8 @@ func (m *batchResultMsg) appendTo(e *wire.Encoder) {
 func decodeBatchResult(b []byte) (batchResultMsg, error) {
 	d := wire.NewDecoder(b)
 	var m batchResultMsg
-	n := d.Uint32()
-	if err := d.Err(); err != nil {
-		return m, err
-	}
-	for i := uint32(0); i < n; i++ {
+	n := d.Count(4) // a result takes at least its 4-byte length
+	for i := 0; i < n; i++ {
 		r, err := decodeResult(d.Bytes32())
 		if err != nil {
 			return m, err

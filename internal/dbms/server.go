@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/dbver"
@@ -27,9 +26,7 @@ type Server struct {
 	users         map[string]string
 	logf          func(format string, args ...any)
 
-	handshakeTimeout time.Duration // first-frame deadline per connection
-	writeTimeout     time.Duration // per-frame send deadline
-	withoutCaps      uint32        // capabilities withheld from every session (an older build)
+	withoutCaps uint32 // capabilities withheld from every session (an older build)
 
 	mu        sync.Mutex
 	dbs       map[string]*sqlmini.DB
@@ -68,18 +65,6 @@ func WithProtocolVersion(v uint16) ServerOption {
 	return func(s *Server) { s.protoMin, s.protoMax = v, v }
 }
 
-// WithProtocolRange makes the engine accept any client whose offered
-// version range overlaps [min, max], negotiating the highest version
-// both sides share.
-func WithProtocolRange(min, max uint16) ServerOption {
-	return func(s *Server) {
-		s.protoMin, s.protoMax = min, max
-		if s.protoMax < s.protoMin {
-			s.protoMax = s.protoMin
-		}
-	}
-}
-
 // WithUser adds an authentication entry.
 func WithUser(user, password string) ServerOption {
 	return func(s *Server) { s.users[user] = password }
@@ -96,34 +81,19 @@ func WithLogger(logf func(format string, args ...any)) ServerOption {
 	return func(s *Server) { s.logf = logf }
 }
 
-// WithHandshakeTimeout bounds how long an accepted connection may take
-// to deliver its hello; default faultnet.DefaultHandshakeTimeout.
-func WithHandshakeTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.handshakeTimeout = d }
-}
-
-// WithWriteTimeout bounds every frame the server sends, so a client
-// that stops reading mid-result cannot wedge its session goroutine;
-// default faultnet.DefaultWriteTimeout.
-func WithWriteTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.writeTimeout = d }
-}
-
 // NewServer creates a DBMS instance named name. At least one database
 // must be attached with AddDatabase before clients can connect to it.
 func NewServer(name string, opts ...ServerOption) *Server {
 	s := &Server{
-		name:             name,
-		engineVersion:    dbver.V(1, 0, 0),
-		protoMin:         ProtocolV1,
-		protoMax:         ProtocolV2,
-		handshakeTimeout: faultnet.DefaultHandshakeTimeout,
-		writeTimeout:     faultnet.DefaultWriteTimeout,
-		users:            map[string]string{},
-		dbs:              map[string]*sqlmini.DB{},
-		sessions:         map[*session]struct{}{},
-		userConns:        map[string]int{},
-		logf:             func(string, ...any) {},
+		name:          name,
+		engineVersion: dbver.V(1, 0, 0),
+		protoMin:      ProtocolV1,
+		protoMax:      ProtocolV2,
+		users:         map[string]string{},
+		dbs:           map[string]*sqlmini.DB{},
+		sessions:      map[*session]struct{}{},
+		userConns:     map[string]int{},
+		logf:          func(string, ...any) {},
 	}
 	for _, o := range opts {
 		o(s)
@@ -394,10 +364,10 @@ func negotiateVersion(cMin, cMax, sMin, sMax uint16) (uint16, bool) {
 func (s *Server) serveConn(nc net.Conn) {
 	conn := wire.NewConn(nc)
 	defer conn.Close()
-	conn.SetWriteTimeout(s.writeTimeout)
+	conn.SetWriteTimeout(faultnet.DefaultWriteTimeout)
 
 	// Handshake with a deadline so stalled dialers can't pin goroutines.
-	f, err := conn.RecvTimeout(s.handshakeTimeout)
+	f, err := conn.RecvTimeout(faultnet.DefaultHandshakeTimeout)
 	if err != nil {
 		return
 	}

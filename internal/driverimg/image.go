@@ -188,16 +188,9 @@ func decodeManifest(d *wire.Decoder) (Manifest, error) {
 	m.Version.Micro = int(d.Int32())
 	m.ProtocolVersion = d.Uint16()
 	m.PinnedURL = d.String()
-	nOpts := d.Uint32()
-	if err := d.Err(); err != nil {
-		return m, fmt.Errorf("driverimg: decode manifest: %w", err)
-	}
-	if int64(nOpts) > int64(d.Remaining())/8 { // each option is two 4-byte length prefixes at least
-		return m, fmt.Errorf("driverimg: decode manifest: option count %d exceeds remaining payload", nOpts)
-	}
-	if nOpts > 0 {
+	if nOpts := d.Count(8); nOpts > 0 { // an option is two 4-byte length prefixes at least
 		m.Options = make(map[string]string, nOpts)
-		for i := uint32(0); i < nOpts; i++ {
+		for i := 0; i < nOpts; i++ {
 			k := d.String()
 			m.Options[k] = d.String()
 		}
@@ -310,11 +303,11 @@ func canonicalEnd(blob []byte) (int, error) {
 	d.Uint32()      // Version micro
 	d.Uint16()      // ProtocolVersion
 	d.Bytes32View() // PinnedURL
-	for n := d.Uint32(); n > 0 && d.Err() == nil; n-- {
+	for n := d.Count(8); n > 0; n-- {
 		d.Bytes32View() // option key
 		d.Bytes32View() // option value
 	}
-	for n := d.Uint32(); n > 0 && d.Err() == nil; n-- {
+	for n := d.Count(4); n > 0; n-- {
 		d.Bytes32View() // package name
 	}
 	d.Bytes32View() // Payload

@@ -46,7 +46,6 @@ type Manager struct {
 	srv      *core.Server
 	detector Detector
 	interval time.Duration
-	clock    func() time.Time
 
 	mu        sync.Mutex
 	stopCh    chan struct{}
@@ -64,11 +63,6 @@ func WithInterval(d time.Duration) Option {
 	return func(m *Manager) { m.interval = d }
 }
 
-// WithClock overrides the time source (tests).
-func WithClock(clock func() time.Time) Option {
-	return func(m *Manager) { m.clock = clock }
-}
-
 // NewManager creates a license manager over srv. detector may be nil, in
 // which case only lease expiry reclaims licenses.
 func NewManager(srv *core.Server, detector Detector, opts ...Option) *Manager {
@@ -76,7 +70,6 @@ func NewManager(srv *core.Server, detector Detector, opts ...Option) *Manager {
 		srv:      srv,
 		detector: detector,
 		interval: time.Second,
-		clock:    time.Now,
 		stopCh:   make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -99,7 +92,7 @@ func (m *Manager) SweepOnce() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("license: sweep: %w", err)
 	}
-	now := m.clock()
+	now := time.Now()
 	n := 0
 	for _, l := range leases {
 		if l.Released {

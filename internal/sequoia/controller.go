@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/faultnet"
@@ -173,14 +172,10 @@ func (g *Group) replaySince(pos uint64) []execMsg {
 // Sequoia protocol, fronting its backends, and participating in the
 // group's write replication.
 type Controller struct {
-	name         string
-	protoVersion uint16
-	group        *Group
-	users        map[string]string
-	database     string // virtual database name served to clients
-
-	handshakeTimeout time.Duration // first-frame deadline per connection
-	writeTimeout     time.Duration // per-frame send deadline
+	name     string
+	group    *Group
+	users    map[string]string
+	database string // virtual database name served to clients
 
 	mu       sync.Mutex
 	backends []*Backend
@@ -196,41 +191,20 @@ type Controller struct {
 // ControllerOption configures a Controller.
 type ControllerOption func(*Controller)
 
-// WithControllerProtocolVersion sets the Sequoia wire-protocol version.
-func WithControllerProtocolVersion(v uint16) ControllerOption {
-	return func(c *Controller) { c.protoVersion = v }
-}
-
 // WithControllerUser adds an authentication entry.
 func WithControllerUser(user, password string) ControllerOption {
 	return func(c *Controller) { c.users[user] = password }
-}
-
-// WithControllerHandshakeTimeout bounds how long an accepted
-// connection may take to deliver its hello; default
-// faultnet.DefaultHandshakeTimeout.
-func WithControllerHandshakeTimeout(d time.Duration) ControllerOption {
-	return func(c *Controller) { c.handshakeTimeout = d }
-}
-
-// WithControllerWriteTimeout bounds every frame the controller sends;
-// default faultnet.DefaultWriteTimeout.
-func WithControllerWriteTimeout(d time.Duration) ControllerOption {
-	return func(c *Controller) { c.writeTimeout = d }
 }
 
 // NewController creates a controller serving the named virtual database
 // and joins it to the group.
 func NewController(name, database string, group *Group, opts ...ControllerOption) *Controller {
 	c := &Controller{
-		name:             name,
-		protoVersion:     1,
-		group:            group,
-		users:            map[string]string{},
-		database:         database,
-		sessions:         map[*wire.Conn]struct{}{},
-		handshakeTimeout: faultnet.DefaultHandshakeTimeout,
-		writeTimeout:     faultnet.DefaultWriteTimeout,
+		name:     name,
+		group:    group,
+		users:    map[string]string{},
+		database: database,
+		sessions: map[*wire.Conn]struct{}{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -466,9 +440,9 @@ func (c *Controller) Stop() {
 func (c *Controller) serveConn(nc net.Conn) {
 	conn := wire.NewConn(nc)
 	defer conn.Close()
-	conn.SetWriteTimeout(c.writeTimeout)
+	conn.SetWriteTimeout(faultnet.DefaultWriteTimeout)
 
-	f, err := conn.RecvTimeout(c.handshakeTimeout)
+	f, err := conn.RecvTimeout(faultnet.DefaultHandshakeTimeout)
 	if err != nil || f.Type != msgHello {
 		return
 	}
@@ -476,19 +450,17 @@ func (c *Controller) serveConn(nc net.Conn) {
 	if err != nil {
 		return
 	}
-	if hello.ProtocolVersion != c.protoVersion {
-		_ = conn.Send(msgError, encodeError(codeProtocolMismatch,
-			fmt.Sprintf("controller %s speaks protocol %d, driver sent %d",
-				c.name, c.protoVersion, hello.ProtocolVersion)))
+	if hello.ProtocolVersion != protocolVersion {
+		refuse(conn, codeProtocolMismatch, fmt.Sprintf("controller %s speaks protocol %d, driver sent %d",
+			c.name, protocolVersion, hello.ProtocolVersion))
 		return
 	}
 	if pw, ok := c.users[hello.User]; !ok || pw != hello.Password {
-		_ = conn.Send(msgError, encodeError(codeAuthFailed, "authentication failed"))
+		refuse(conn, codeAuthFailed, "authentication failed")
 		return
 	}
 	if hello.Database != c.database {
-		_ = conn.Send(msgError, encodeError(codeNoDatabase,
-			fmt.Sprintf("controller serves %q, not %q", c.database, hello.Database)))
+		refuse(conn, codeNoDatabase, fmt.Sprintf("controller serves %q, not %q", c.database, hello.Database))
 		return
 	}
 	c.mu.Lock()
@@ -504,7 +476,7 @@ func (c *Controller) serveConn(nc net.Conn) {
 		c.mu.Unlock()
 	}()
 
-	if err := conn.Send(msgHelloOK, helloMsg{ProtocolVersion: c.protoVersion, Database: c.database}.encode()); err != nil {
+	if err := conn.Send(msgHelloOK, helloMsg{ProtocolVersion: protocolVersion, Database: c.database}.encode()); err != nil {
 		return
 	}
 
@@ -521,23 +493,29 @@ func (c *Controller) serveConn(nc net.Conn) {
 		case msgExec:
 			m, err := decodeExec(f.Payload)
 			if err != nil {
-				_ = conn.Send(msgError, encodeError(codeQueryError, "malformed exec"))
+				refuse(conn, codeQueryError, "malformed exec")
 				continue
 			}
 			c.queries.Add(1)
 			res, execErr := c.execute(m)
 			if execErr != nil {
-				_ = conn.Send(msgError, encodeError(codeQueryError, execErr.Error()))
+				refuse(conn, codeQueryError, execErr.Error())
 				continue
 			}
 			if err := conn.Send(msgResult, encodeResult(res.Cols, res.Rows, res.Affected)); err != nil {
 				return
 			}
 		default:
-			_ = conn.Send(msgError, encodeError(codeQueryError,
-				fmt.Sprintf("unexpected frame 0x%04x", f.Type)))
+			refuse(conn, codeQueryError, fmt.Sprintf("unexpected frame 0x%04x", f.Type))
 		}
 	}
+}
+
+// refuse answers the frame in flight with msgError: the one way the
+// controller turns a request down. A send that fails surfaces at the
+// session's next receive.
+func refuse(conn *wire.Conn, code uint16, msg string) {
+	_ = conn.Send(msgError, encodeError(code, msg))
 }
 
 // execute routes one statement: writes through the group's total order,

@@ -26,50 +26,22 @@ const DriverKind = "sequoia"
 type Driver struct {
 	version      dbver.Version
 	protoVersion uint16
-	dialTimeout  time.Duration
-	opTimeout    time.Duration   // per-exchange reply deadline
-	retry        faultnet.Policy // mid-connection failover schedule
 }
 
-// DriverOption configures a Driver.
-type DriverOption func(*Driver)
+// dialTimeout bounds a controller dial and the handshake reply that
+// follows it.
+const dialTimeout = 5 * time.Second
 
-// WithDriverDialTimeout bounds controller dials (and the handshake
-// reply during reconnect).
-func WithDriverDialTimeout(d time.Duration) DriverOption {
-	return func(drv *Driver) { drv.dialTimeout = d }
-}
-
-// WithDriverOpTimeout bounds each request/response exchange; default
-// faultnet.DefaultOpTimeout.
-func WithDriverOpTimeout(d time.Duration) DriverOption {
-	return func(drv *Driver) { drv.opTimeout = d }
-}
-
-// WithDriverRetry sets the transparent-failover schedule: how many
-// times a failed exchange is retried against surviving controllers
-// (Policy.MaxAttempts, 0 = until the connection is closed) and the
-// jittered delays between retries. The default makes three attempts
-// starting at 25ms.
-func WithDriverRetry(p faultnet.Policy) DriverOption {
-	return func(drv *Driver) { drv.retry = p }
-}
+// failoverRetry is the transparent-failover schedule: a failed exchange
+// is tried three times in all against surviving controllers, with
+// jittered delays starting at 25ms.
+var failoverRetry = faultnet.Policy{Initial: 25 * time.Millisecond, Max: 500 * time.Millisecond,
+	Factor: 2, Jitter: 0.5, MaxAttempts: 3}
 
 // NewDriver builds a Sequoia driver speaking the given controller
 // protocol version.
-func NewDriver(version dbver.Version, protoVersion uint16, opts ...DriverOption) *Driver {
-	d := &Driver{
-		version:      version,
-		protoVersion: protoVersion,
-		dialTimeout:  5 * time.Second,
-		opTimeout:    faultnet.DefaultOpTimeout,
-		retry: faultnet.Policy{Initial: 25 * time.Millisecond, Max: 500 * time.Millisecond,
-			Factor: 2, Jitter: 0.5, MaxAttempts: 3},
-	}
-	for _, o := range opts {
-		o(d)
-	}
-	return d
+func NewDriver(version dbver.Version, protoVersion uint16) *Driver {
+	return &Driver{version: version, protoVersion: protoVersion}
 }
 
 // Name implements client.Driver.
@@ -125,7 +97,7 @@ func (sc *seqConn) reconnect(skip map[string]bool) error {
 		if skip[h] {
 			continue
 		}
-		conn, err := wire.Dial(h, sc.driver.dialTimeout)
+		conn, err := wire.Dial(h, dialTimeout)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -146,7 +118,7 @@ func (sc *seqConn) reconnect(skip map[string]bool) error {
 			}
 			continue
 		}
-		f, err := conn.RecvTimeout(sc.driver.dialTimeout)
+		f, err := conn.RecvTimeout(dialTimeout)
 		if err != nil {
 			conn.Close()
 			if firstErr == nil {
@@ -200,14 +172,12 @@ func fatalConnectErr(err error) bool {
 
 // roundTrip sends a frame and reads the reply (bounded by the op
 // timeout), transparently failing over to surviving controllers on
-// transport failure. Retries follow the driver's shared backoff
-// policy: jittered delays between attempts, bounded by
-// Policy.MaxAttempts.
+// transport failure. Retries follow failoverRetry: jittered delays
+// between attempts, at most MaxAttempts in all.
 func (sc *seqConn) roundTrip(typ uint16, payload []byte) (wire.Frame, error) {
-	bo := faultnet.NewBackoff(sc.driver.retry)
-	tries := sc.driver.retry.MaxAttempts
+	bo := faultnet.NewBackoff(failoverRetry)
 	var lastErr error
-	for attempt := 0; tries <= 0 || attempt < tries; attempt++ {
+	for attempt := 0; attempt < failoverRetry.MaxAttempts; attempt++ {
 		if attempt > 0 && !bo.Sleep(nil) {
 			break
 		}
@@ -229,7 +199,7 @@ func (sc *seqConn) roundTrip(typ uint16, payload []byte) (wire.Frame, error) {
 			continue
 		}
 		if err := conn.Send(typ, payload); err == nil {
-			f, rerr := conn.RecvTimeout(sc.driver.opTimeout)
+			f, rerr := conn.RecvTimeout(faultnet.DefaultOpTimeout)
 			if rerr == nil {
 				return f, nil
 			}

@@ -33,6 +33,10 @@ const (
 	msgError   uint16 = 0x03FF
 )
 
+// protocolVersion is the controller protocol version every controller
+// speaks; a driver that offers another is refused at connect time.
+const protocolVersion uint16 = 1
+
 // Error codes.
 const (
 	codeProtocolMismatch uint16 = iota + 1
@@ -93,44 +97,24 @@ func (m execMsg) encode() []byte {
 	return e.Bytes()
 }
 
-// readCount reads a count from the wire and checks it against the
-// remaining payload, each counted item taking at least min bytes, so a
-// small frame claiming a huge count errors before the count sizes
-// anything.
-func readCount(d *wire.Decoder, min uint64, what string) (uint32, error) {
-	n := d.Uint32()
-	if err := d.Err(); err != nil {
-		return 0, err
-	}
-	if uint64(n)*min > uint64(d.Remaining()) {
-		return 0, fmt.Errorf("%w: %s count %d exceeds payload", wire.ErrShortBuffer, what, n)
-	}
-	return n, nil
-}
-
 // decodeExec reads a msgExec payload: a named argument takes at least
 // its 4-byte key length and a value type byte, a positional one its
 // type byte.
 func decodeExec(b []byte) (m execMsg, err error) {
 	d := wire.NewDecoder(b)
 	m.SQL = d.String()
-	n, err := readCount(d, 5, "named-arg")
-	if err != nil {
-		return m, err
-	}
+	n := d.Count(5)
 	if n > 0 {
 		m.Named = make(map[string]sqlmini.Value, n)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k := d.String()
 		if m.Named[k], err = sqlmini.DecodeValue(d); err != nil {
 			return m, err
 		}
 	}
-	if n, err = readCount(d, 1, "positional-arg"); err != nil {
-		return m, err
-	}
-	for i := uint32(0); i < n; i++ {
+	n = d.Count(1)
+	for i := 0; i < n; i++ {
 		v, err := sqlmini.DecodeValue(d)
 		if err != nil {
 			return m, err
@@ -159,16 +143,9 @@ func encodeResult(cols []string, rows [][]sqlmini.Value, affected int) []byte {
 func decodeResult(b []byte) (cols []string, rows [][]sqlmini.Value, affected int, err error) {
 	d := wire.NewDecoder(b)
 	cols = d.StringSlice()
-	n, err := readCount(d, 4, "row")
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	for i := uint32(0); i < n; i++ {
-		nc, err := readCount(d, 1, "column")
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		row := make([]sqlmini.Value, nc)
+	n := d.Count(4)
+	for i := 0; i < n; i++ {
+		row := make([]sqlmini.Value, d.Count(1))
 		for j := range row {
 			if row[j], err = sqlmini.DecodeValue(d); err != nil {
 				return nil, nil, 0, err

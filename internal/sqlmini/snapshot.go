@@ -6,15 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// snapshotVersion guards the snapshot wire format. Version 2 added the
-// per-table secondary-index declarations; version 3 added the per-index
-// kind byte (hash vs ordered); version 4 added multi-column index
-// declarations. Older blobs still restore: version 1 has no index
-// section (indexes are re-declared by the schema layer) and version-2
-// indexes restore as hash, the only kind that format knew. Snapshot
-// writes version 3 — byte-identical to earlier releases — whenever
-// every index is single-column, and only escalates to 4 when a
-// composite index exists.
+// snapshotVersion is the first byte of every snapshot. Snapshot writes
+// it and Restore accepts no other: a snapshot goes from Snapshot to
+// Restore inside one process (replica sync) and is never stored, so
+// there is one format and no older one to read.
 const snapshotVersion = 4
 
 // Snapshot serializes the entire database (schema + rows) into a
@@ -39,17 +34,8 @@ func (db *DB) Snapshot() []byte {
 		}
 	}()
 
-	ver := uint8(3)
-	for _, t := range tables {
-		for _, ix := range t.loadIndexes() {
-			if len(ix.cols) > 1 {
-				ver = snapshotVersion
-			}
-		}
-	}
-
 	e := wire.NewEncoder(4096)
-	e.Uint8(ver)
+	e.Uint8(snapshotVersion)
 	e.Uint64(db.changeSeq.Load())
 	e.Uint32(uint32(len(tables)))
 	for _, t := range tables {
@@ -66,17 +52,11 @@ func (db *DB) Snapshot() []byte {
 		ixs := t.loadIndexes()
 		e.Uint32(uint32(len(ixs)))
 		for _, ix := range ixs {
-			if ver >= 4 {
-				e.String(ix.name)
-				e.Uint8(uint8(ix.kind))
-				e.Uint8(uint8(len(ix.cols)))
-				for _, ci := range ix.cols {
-					e.String(t.Cols[ci].Name)
-				}
-			} else {
-				e.String(ix.name)
-				e.String(t.Cols[ix.cols[0]].Name)
-				e.Uint8(uint8(ix.kind))
+			e.String(ix.name)
+			e.Uint8(uint8(ix.kind))
+			e.Uint8(uint8(len(ix.cols)))
+			for _, ci := range ix.cols {
+				e.String(t.Cols[ci].Name)
 			}
 		}
 		// Only rows alive in the committed state are serialized: a
@@ -106,25 +86,32 @@ func (db *DB) Snapshot() []byte {
 // statement starting after the swap sees only the new one.
 func (db *DB) Restore(blob []byte) error {
 	d := wire.NewDecoder(blob)
-	ver := d.Uint8()
-	if ver < 1 || ver > snapshotVersion {
+	// malformed reports the decode error when there is one (the field
+	// was read past the end of the blob), else what the field got wrong.
+	malformed := func(format string, args ...any) error {
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("sqlmini: restore: %w", err)
 		}
-		return fmt.Errorf("sqlmini: restore: unsupported snapshot version %d", ver)
+		return fmt.Errorf("sqlmini: restore: "+format, args...)
+	}
+	if ver := d.Uint8(); ver != snapshotVersion {
+		return malformed("unsupported snapshot version %d", ver)
 	}
 	seq := d.Uint64()
-	nTables := d.Uint32()
+	nTables := d.Count(16) // a name length and three counts
 	tables := make(map[string]*Table, nTables)
-	for i := uint32(0); i < nTables; i++ {
+	for i := 0; i < nTables; i++ {
 		t := &Table{Name: d.String(), tid: tableIDs.Add(1)}
-		nCols := d.Uint32()
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("sqlmini: restore: %w", err)
+		// A column takes three string lengths, a type byte and two
+		// flags. No statement makes a table without columns, and its
+		// rows would be zero bytes wide: refuse one.
+		nCols := d.Count(15)
+		if nCols == 0 {
+			return malformed("table %q has no columns", t.Name)
 		}
 		t.Cols = make([]ColumnDef, nCols)
 		t.colIdx = make(map[string]int, nCols)
-		for j := uint32(0); j < nCols; j++ {
+		for j := range t.Cols {
 			c := ColumnDef{
 				Name:       d.String(),
 				Type:       Type(d.Uint8()),
@@ -134,69 +121,35 @@ func (db *DB) Restore(blob []byte) error {
 				RefColumn:  d.String(),
 			}
 			t.Cols[j] = c
-			t.colIdx[c.Name] = int(j)
+			t.colIdx[c.Name] = j
 		}
 		var decls []*secondaryIndex
-		if ver >= 2 {
-			nIdx := d.Uint32()
-			if err := d.Err(); err != nil {
-				return fmt.Errorf("sqlmini: restore: %w", err)
+		nIdx := d.Count(6) // a name length, a kind byte and a column count
+		for j := 0; j < nIdx; j++ {
+			name, kind := d.String(), IndexKind(d.Uint8())
+			var cols []int
+			for k := int(d.Uint8()); k > 0; k-- {
+				colName := d.String()
+				ci, ok := t.colIdx[colName]
+				if !ok {
+					return malformed("index %q on unknown column %q of %s", name, colName, t.Name)
+				}
+				cols = append(cols, ci)
 			}
-			for j := uint32(0); j < nIdx; j++ {
-				var (
-					name string
-					kind IndexKind
-					cols []int
-				)
-				if ver >= 4 {
-					name = d.String()
-					kind = IndexKind(d.Uint8())
-					nc := int(d.Uint8())
-					for k := 0; k < nc; k++ {
-						colName := d.String()
-						ci, ok := t.colIdx[colName]
-						if !ok {
-							if err := d.Err(); err != nil {
-								return fmt.Errorf("sqlmini: restore: %w", err)
-							}
-							return fmt.Errorf("sqlmini: restore: index %q on unknown column %q of %s", name, colName, t.Name)
-						}
-						cols = append(cols, ci)
-					}
-				} else {
-					name = d.String()
-					colName := d.String()
-					kind = IndexHash // the only kind the v2 format knew
-					if ver >= 3 {
-						kind = IndexKind(d.Uint8())
-					}
-					ci, ok := t.colIdx[colName]
-					if !ok {
-						if err := d.Err(); err != nil {
-							return fmt.Errorf("sqlmini: restore: %w", err)
-						}
-						return fmt.Errorf("sqlmini: restore: index %q on unknown column %q of %s", name, colName, t.Name)
-					}
-					cols = []int{ci}
-				}
-				if kind != IndexHash && kind != IndexOrdered {
-					if err := d.Err(); err != nil {
-						return fmt.Errorf("sqlmini: restore: %w", err)
-					}
-					return fmt.Errorf("sqlmini: restore: index %q has unknown kind %d", name, kind)
-				}
-				if len(cols) == 0 {
-					return fmt.Errorf("sqlmini: restore: index %q of %s has no columns", name, t.Name)
-				}
-				decls = append(decls, newSecondaryIndex(name, cols, kind))
+			if kind != IndexHash && kind != IndexOrdered {
+				return malformed("index %q has unknown kind %d", name, kind)
 			}
+			if len(cols) == 0 {
+				return malformed("index %q of %s has no columns", name, t.Name)
+			}
+			decls = append(decls, newSecondaryIndex(name, cols, kind))
 		}
-		nRows := d.Uint32()
+		nRows := d.Count(len(t.Cols)) // a type byte per value
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("sqlmini: restore: %w", err)
 		}
-		arr := newRowArr(int(nRows))
-		for j := uint32(0); j < nRows; j++ {
+		arr := newRowArr(nRows)
+		for j := 0; j < nRows; j++ {
 			vals := make([]Value, len(t.Cols))
 			for k := range vals {
 				v, err := decodeValue(d)

@@ -379,18 +379,34 @@ func (d *Decoder) Bytes32View() []byte {
 	return b[:len(b):len(b)]
 }
 
+// Count consumes a 4-byte element count: the one way a decoder reads a
+// count that sizes an allocation or bounds a loop. Each element takes
+// at least minElemBytes of the payload (a minimum below 1 counts as 1),
+// so a count the remaining payload cannot back sets the decoder's
+// error, wrapping ErrShortBuffer, before anything is sized from it. On
+// any error Count returns 0: callers size and loop from its result
+// with no check of their own.
+func (d *Decoder) Count(minElemBytes int) int {
+	n, width := d.Uint32(), max(minElemBytes, 1)
+	if d.err != nil {
+		return 0
+	}
+	if uint64(n)*uint64(width) > uint64(d.Remaining()) {
+		d.err = fmt.Errorf("%w: count %d of %d-byte elements exceeds the %d bytes left",
+			ErrShortBuffer, n, width, d.Remaining())
+		return 0
+	}
+	return int(n)
+}
+
 // StringSlice consumes a count-prefixed slice of strings.
 func (d *Decoder) StringSlice() []string {
-	n := d.Uint32()
+	n := d.Count(4) // each string needs at least its 4-byte length
 	if d.err != nil {
 		return nil
 	}
-	if int(n) > d.Remaining() { // each string needs at least its 4-byte length
-		d.err = fmt.Errorf("%w: string slice count %d exceeds remaining payload", ErrShortBuffer, n)
-		return nil
-	}
 	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.String())
 		if d.err != nil {
 			return nil

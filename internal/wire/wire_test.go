@@ -203,6 +203,36 @@ func TestDecoderMaliciousStringSliceCount(t *testing.T) {
 	}
 }
 
+// TestDecoderCount: a count the remaining payload backs at the given
+// element width comes back as is; one it cannot back, or one read
+// after an error, comes back 0 with ErrShortBuffer sticky; a width
+// below 1 counts as 1, so a zero-width element never gets an unbounded
+// count.
+func TestDecoderCount(t *testing.T) {
+	count := func(n uint32, tail, width int) (int, error) {
+		e := NewEncoder(4 + tail)
+		e.Uint32(n)
+		d := NewDecoder(append(e.Bytes(), make([]byte, tail)...))
+		return d.Count(width), d.Err()
+	}
+	for _, c := range []struct {
+		n           uint32
+		tail, width int
+		want        int
+	}{
+		{0, 0, 8, 0}, {2, 16, 8, 2}, {3, 16, 8, 0}, {3, 3, 0, 3}, {4, 3, 0, 0}, {4, 3, -1, 0}, {0xFFFFFFFF, 64, 1, 0},
+	} {
+		got, err := count(c.n, c.tail, c.width)
+		if got != c.want || (c.want == 0 && c.n != 0) != errors.Is(err, ErrShortBuffer) {
+			t.Errorf("Count(%d) of %d over %d bytes = %d, %v; want %d", c.width, c.n, c.tail, got, err, c.want)
+		}
+	}
+	d := NewDecoder([]byte{0, 0})
+	if got := d.Count(1); got != 0 || !errors.Is(d.Err(), ErrShortBuffer) {
+		t.Fatalf("Count on a short buffer = %d, %v", got, d.Err())
+	}
+}
+
 func TestStringRoundTripProperty(t *testing.T) {
 	prop := func(s string, b []byte, v uint64) bool {
 		e := NewEncoder(64)
