@@ -2,6 +2,7 @@
 #
 #   make check           # the tier-1 gate: build + vet + lint + tests (+ bench/ build/vet)
 #   make check-race      # tier-1 under the race detector (all packages)
+#   make check-386       # sqlmini + wire tests built for 32-bit x86 (GOARCH=386)
 #   make tier1           # build + tests only (what scripts/bench.sh gates on)
 #   make race            # grant-path packages under the race detector
 #   make lint            # gofmt + vet + doclint + drivolint (LINT_FILTER narrows analyzers)
@@ -20,7 +21,7 @@
 # BENCH_FILTER ('.'' = full suite, includes slow lease-traffic sweeps),
 # BENCH_PKGS.
 
-.PHONY: check check-race tier1 race lint drivolint doclint chaos fuzz-smoke bench-module-check loc bench bench-baseline bench-compare loadtest loadtest-baseline
+.PHONY: check check-race check-386 tier1 race lint drivolint doclint chaos fuzz-smoke bench-module-check loc bench bench-baseline bench-compare loadtest loadtest-baseline
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
@@ -55,6 +56,13 @@ drivolint:
 check-race:
 	go build ./...
 	go test -race ./...
+
+# check-386 runs sqlmini's tests, whose Value packs a type and a length
+# into one 64-bit word and tells types apart by comparing a pointer
+# against a static array, and those of the wire codec it decodes from,
+# built for a 32-bit target: a pointer of 32 bits, a uint64 aligned to 4.
+check-386:
+	GOARCH=386 go test ./internal/sqlmini/ ./internal/wire/
 
 # chaos runs the randomized fault-injection soak longer and across
 # several fresh seeds (each run logs its seed; rerun one exactly with

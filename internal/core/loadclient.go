@@ -44,6 +44,7 @@ type LeaseClient struct {
 	poisoned bool
 	declared bool         // capFilePush went out on this connection
 	pushed   *pushedFile  // a file the server is streaming behind its OFFER, not yet read
+	last     Offer        // the last OFFER decoded, whose strings the next reuses
 	enc      wire.Encoder // REQUEST and DISCOVER payloads, reused: Send returns only once the frame is written
 }
 
@@ -180,10 +181,11 @@ func (c *LeaseClient) offer(typ uint16, req Request) (Offer, error) {
 	if err != nil {
 		return Offer{}, err
 	}
-	o, fileFollows, err := decodeOffer(p)
+	o, fileFollows, err := decodeOffer(p, c.last)
 	if err != nil {
 		return Offer{}, c.fail(err)
 	}
+	c.last = o
 	if fileFollows {
 		c.pushed = &pushedFile{leaseID: o.LeaseID, size: o.Size}
 	}

@@ -482,7 +482,7 @@ func TestPushFallsBackToFileRequest(t *testing.T) {
 			}
 			switch f.Type {
 			case msgRequest:
-				_, caps, _ := decodeRequest(f.Payload)
+				_, caps, _ := decodeRequest(f.Payload, Request{})
 				frames <- seen{f.Type, caps}
 				conn.Send(msgOffer, Offer{LeaseID: 7, HasDriver: true, Size: 8}.encode())
 			case msgFileRequest:
@@ -530,7 +530,7 @@ func TestCapabilityLessUpgradeGetsTwoExchanges(t *testing.T) {
 			t.Fatal(err)
 		}
 		fr := recv()
-		o, fileFollows, err := decodeOffer(fr.Payload)
+		o, fileFollows, err := decodeOffer(fr.Payload, Offer{})
 		if fr.Type != msgOffer || err != nil || !bytes.Equal(fr.Payload, o.encode()) {
 			t.Fatalf("frame 0x%04x (%v): want an OFFER that ends at ServerName", fr.Type, err)
 		}

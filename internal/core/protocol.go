@@ -147,26 +147,27 @@ func (r Request) encodeTo(e *wire.Encoder) {
 }
 
 // decodeRequest decodes a REQUEST or DISCOVER and the capability byte
-// that may trail it (zero when absent).
-func decodeRequest(b []byte) (Request, uint8, error) {
+// that may trail it (zero when absent). A string equal to prev's is
+// prev's, not a copy: a connection's renewals repeat all of theirs.
+func decodeRequest(b []byte, prev Request) (Request, uint8, error) {
 	d := wire.NewDecoder(b)
 	r := Request{
-		Database: d.String(),
-		User:     d.String(),
-		Password: d.String(),
+		Database: d.StringLike(prev.Database),
+		User:     d.StringLike(prev.User),
+		Password: d.StringLike(prev.Password),
 	}
-	r.API.Name = d.String()
+	r.API.Name = d.StringLike(prev.API.Name)
 	r.API.Major = int(d.Int32())
 	r.API.Minor = int(d.Int32())
-	r.ClientPlatform = dbver.Platform(d.String())
-	r.PreferredFormat = d.String()
+	r.ClientPlatform = dbver.Platform(d.StringLike(string(prev.ClientPlatform)))
+	r.PreferredFormat = d.StringLike(prev.PreferredFormat)
 	r.PreferredVersion.Major = int(d.Int32())
 	r.PreferredVersion.Minor = int(d.Int32())
 	r.PreferredVersion.Micro = int(d.Int32())
 	r.RequiredPackages = d.StringSlice()
 	r.LeaseID = d.Uint64()
-	r.CurrentChecksum = d.String()
-	r.ClientID = d.String()
+	r.CurrentChecksum = d.StringLike(prev.CurrentChecksum)
+	r.ClientID = d.StringLike(prev.ClientID)
 	var caps uint8
 	if d.Remaining() > 0 {
 		caps = d.Uint8()
@@ -223,8 +224,9 @@ func (o Offer) encodeTo(e *wire.Encoder) {
 // decodeOffer decodes an OFFER and its trailing "file follows" flag:
 // true when the server streams the offered file's FILE_DATA right
 // behind it (only ever to a client that declared capFilePush). Every
-// other OFFER ends at ServerName.
-func decodeOffer(b []byte) (Offer, bool, error) {
+// other OFFER ends at ServerName. A string equal to prev's is prev's,
+// not a copy.
+func decodeOffer(b []byte, prev Offer) (Offer, bool, error) {
 	d := wire.NewDecoder(b)
 	o := Offer{
 		LeaseID:          d.Uint64(),
@@ -233,10 +235,10 @@ func decodeOffer(b []byte) (Offer, bool, error) {
 		ExpirationPolicy: ExpirationPolicy(d.Int32()),
 		TransferMethod:   TransferMethod(d.Int32()),
 		HasDriver:        d.Bool(),
-		DriverChecksum:   d.String(),
-		Format:           d.String(),
+		DriverChecksum:   d.StringLike(prev.DriverChecksum),
+		Format:           d.StringLike(prev.Format),
 		Size:             d.Uint32(),
-		ServerName:       d.String(),
+		ServerName:       d.StringLike(prev.ServerName),
 	}
 	fileFollows := d.Remaining() > 0 && d.Bool()
 	return o, fileFollows, d.Err()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/dbver"
 	"repro/internal/wire"
@@ -26,7 +27,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		CurrentChecksum:  "abc123",
 		ClientID:         "host-7",
 	}
-	out, _, err := decodeRequest(in.encode())
+	out, _, err := decodeRequest(in.encode(), Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +64,8 @@ func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 		decode  func([]byte) (any, error)
 		want    any
 	}{
-		{"REQUEST", req.encode(), func(b []byte) (any, error) { r, _, err := decodeRequest(b); return r, err }, req},
-		{"OFFER", offer.encode(), func(b []byte) (any, error) { o, _, err := decodeOffer(b); return o, err }, offer},
+		{"REQUEST", req.encode(), func(b []byte) (any, error) { r, _, err := decodeRequest(b, Request{}); return r, err }, req},
+		{"OFFER", offer.encode(), func(b []byte) (any, error) { o, _, err := decodeOffer(b, Offer{}); return o, err }, offer},
 	} {
 		a, b := net.Pipe()
 		go func() {
@@ -103,13 +104,54 @@ func TestRequestRoundTripProperty(t *testing.T) {
 			CurrentChecksum: sum,
 			ClientID:        cid,
 		}
-		out, _, err := decodeRequest(in.encode())
-		return err == nil &&
-			out.Database == db && out.User == user && out.Password == pw &&
-			out.LeaseID == lease && out.CurrentChecksum == sum && out.ClientID == cid
+		// Decoded against no previous request, against itself, and
+		// against one whose strings sit in each other's fields.
+		swapped := Request{Database: user, User: pw, Password: db, CurrentChecksum: cid, ClientID: sum}
+		for _, prev := range []Request{{}, in, swapped} {
+			out, _, err := decodeRequest(in.encode(), prev)
+			if err != nil || out.Database != db || out.User != user || out.Password != pw ||
+				out.LeaseID != lease || out.CurrentChecksum != sum || out.ClientID != cid {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeReusesRepeatedStrings: a string that repeats the previous
+// message's is that string, not a copy; one that changed is new.
+func TestDecodeReusesRepeatedStrings(t *testing.T) {
+	req := catalogRequest()
+	req.LeaseID, req.CurrentChecksum, req.ClientID = 7, "sum-1", "host-1"
+	prev, _, err := decodeRequest(req.encode(), Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ClientID = "host-2"
+	next, _, err := decodeRequest(req.encode(), prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	if !same(next.Database, prev.Database) || !same(next.User, prev.User) ||
+		!same(string(next.ClientPlatform), string(prev.ClientPlatform)) || !same(next.CurrentChecksum, prev.CurrentChecksum) {
+		t.Fatalf("a repeated REQUEST string was copied: %+v", next)
+	}
+	if next.ClientID != "host-2" || same(next.ClientID, prev.ClientID) {
+		t.Fatalf("a changed ClientID decoded as %q", next.ClientID)
+	}
+	o := Offer{LeaseID: 7, DriverChecksum: "sum-1", Format: "IMAGE", ServerName: "srv"}
+	first, _, err := decodeOffer(o.encode(), Offer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := decodeOffer(o.encode(), first)
+	if err != nil || second != first || !same(second.DriverChecksum, first.DriverChecksum) ||
+		!same(second.Format, first.Format) || !same(second.ServerName, first.ServerName) {
+		t.Fatalf("a repeated OFFER string was copied: %+v, %v", second, err)
 	}
 }
 
@@ -127,8 +169,13 @@ func TestOfferRoundTripProperty(t *testing.T) {
 			Size:             size,
 			ServerName:       server,
 		}
-		out, _, err := decodeOffer(in.encode())
-		return err == nil && out == in
+		swapped := Offer{DriverChecksum: server, Format: checksum, ServerName: format}
+		for _, prev := range []Offer{{}, in, swapped} {
+			if out, _, err := decodeOffer(in.encode(), prev); err != nil || out != in {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -176,12 +223,12 @@ func TestFileChunkRoundTripProperty(t *testing.T) {
 func TestDecodeRejectsTruncatedMessages(t *testing.T) {
 	req := Request{Database: "prod", API: dbver.APIOf("JDBC", 3, 0)}.encode()
 	for _, cut := range []int{1, len(req) / 2, len(req) - 1} {
-		if _, _, err := decodeRequest(req[:cut]); err == nil {
+		if _, _, err := decodeRequest(req[:cut], Request{}); err == nil {
 			t.Errorf("decodeRequest accepted a %d-byte truncation", cut)
 		}
 	}
 	offer := Offer{LeaseID: 1, Format: "IMAGE"}.encode()
-	if _, _, err := decodeOffer(offer[:4]); err == nil {
+	if _, _, err := decodeOffer(offer[:4], Offer{}); err == nil {
 		t.Error("decodeOffer accepted truncation")
 	}
 }

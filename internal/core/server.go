@@ -454,7 +454,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.connsMu.Unlock()
 	conn.SetWriteTimeout(s.writeTimeout)
 	subscribed := false
-	var caps uint8 // what the client declared on its first REQUEST or DISCOVER
+	var st connState
 	defer func() {
 		s.connsMu.Lock()
 		delete(s.conns, conn)
@@ -485,9 +485,9 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		switch f.Type {
 		case msgDiscover:
-			s.handleDiscover(conn, f.Payload, &caps)
+			s.handleDiscover(conn, f.Payload, &st)
 		case msgRequest:
-			s.handleRequest(conn, f.Payload, &caps)
+			s.handleRequest(conn, f.Payload, &st)
 		case msgFileRequest:
 			s.handleFileRequest(conn, f.Payload)
 		case msgSubscribe:
@@ -507,17 +507,34 @@ func (s *Server) sendError(conn *wire.Conn, code ErrorCode, msg string) {
 	_ = conn.Send(msgError, encodeProtocolError(code, msg))
 }
 
+// connState is what a connection's REQUEST and DISCOVER frames carry
+// forward to the next.
+type connState struct {
+	caps uint8   // what the client declared on its first REQUEST or DISCOVER
+	prev Request // the last one decoded, whose strings the next reuses
+}
+
+// decode decodes one REQUEST or DISCOVER payload against the
+// connection's last and records it.
+func (st *connState) decode(payload []byte) (Request, error) {
+	req, c, err := decodeRequest(payload, st.prev)
+	if err != nil {
+		return Request{}, err
+	}
+	st.caps |= c
+	st.prev = req
+	return req, nil
+}
+
 // handleDiscover answers a broadcast probe: matchmaking runs but no
 // lease is created; the bootloader then unicasts a REQUEST to one of the
-// offering servers (paper §3.1). caps accumulates the connection's
-// declared capabilities.
-func (s *Server) handleDiscover(conn *wire.Conn, payload []byte, caps *uint8) {
-	req, c, err := decodeRequest(payload)
+// offering servers (paper §3.1).
+func (s *Server) handleDiscover(conn *wire.Conn, payload []byte, st *connState) {
+	req, err := st.decode(payload)
 	if err != nil {
 		s.sendError(conn, ErrCodeInternal, "malformed discover")
 		return
 	}
-	*caps |= c
 	s.requests.Add(1)
 	if s.auth != nil {
 		if err := s.auth(req.Database, req.User, req.Password); err != nil {
@@ -569,13 +586,12 @@ func (s *Server) sendOffer(conn *wire.Conn, o Offer) {
 // client sends no FILE_REQUEST. A bootstrap keeps the FTP-like
 // FILE_REQUEST exchange, and the blob stays staged either way, so a
 // client whose connection was cut mid-stream can still ask for it.
-func (s *Server) handleRequest(conn *wire.Conn, payload []byte, caps *uint8) {
-	req, c, err := decodeRequest(payload)
+func (s *Server) handleRequest(conn *wire.Conn, payload []byte, st *connState) {
+	req, err := st.decode(payload)
 	if err != nil {
 		s.sendError(conn, ErrCodeInternal, "malformed request")
 		return
 	}
-	*caps |= c
 	s.requests.Add(1)
 	if s.auth != nil {
 		if err := s.auth(req.Database, req.User, req.Password); err != nil {
@@ -594,7 +610,7 @@ func (s *Server) handleRequest(conn *wire.Conn, payload []byte, caps *uint8) {
 		return
 	}
 	s.offers.Add(1)
-	if req.LeaseID != 0 && offer.HasDriver && *caps&capFilePush != 0 {
+	if req.LeaseID != 0 && offer.HasDriver && st.caps&capFilePush != 0 {
 		if blob, ok := s.staged(offer.LeaseID); ok {
 			e := wire.GetEncoder(128)
 			offer.encodeTo(e)

@@ -268,7 +268,7 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 	if err != nil || fr.Type != msgOffer {
 		t.Fatalf("frame=0x%04x err=%v", fr.Type, err)
 	}
-	offer, _, err := decodeOffer(fr.Payload)
+	offer, _, err := decodeOffer(fr.Payload, Offer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 	if err != nil || fr.Type != msgOffer {
 		t.Fatalf("renewal frame=0x%04x err=%v", fr.Type, err)
 	}
-	ro, _, err := decodeOffer(fr.Payload)
+	ro, _, err := decodeOffer(fr.Payload, Offer{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,10 @@ type Params struct {
 	more   []Value
 }
 
-// typeUnbound tags the value of a parameter slot no argument filled. It
-// never leaves the slot array: param reports the slot unbound instead.
-const typeUnbound Type = -1
+// typeUnbound tags the value of a parameter slot no argument filled,
+// with a byte of tags past every SQL type's. It never leaves the slot
+// array: param reports the slot unbound instead.
+const typeUnbound = TypeBoolean + 1
 
 // Named readies a by-name binding of n slots (Parsed.NumSlots), every one
 // unbound, and returns them: the caller stores each value at the slot
@@ -60,7 +61,7 @@ func (ps *Params) Named(n int) []Value {
 	ps.named = true
 	vals := ps.size(n)
 	for i := range vals {
-		vals[i] = Value{typ: typeUnbound}
+		vals[i] = scalar(typeUnbound, 0)
 	}
 	return vals
 }
@@ -109,7 +110,7 @@ func (ps *Params) Bind(st Parsed, args []any) error {
 // a slot no argument filled and for an i past the binding.
 func (ps *Params) Value(i int) (v Value, ok bool) {
 	args := ps.args()
-	if i < 0 || i >= len(args) || args[i].typ == typeUnbound {
+	if i < 0 || i >= len(args) || args[i].typ() == typeUnbound {
 		return Null, false
 	}
 	return args[i], true
@@ -141,7 +142,7 @@ func (ps *Params) args() []Value {
 // a parameter of the other kind).
 func (env *evalEnv) param(p *ParamExpr) (v Value, ok bool) {
 	args := env.args()
-	if (p.Name != "") != env.named || p.Index >= len(args) || args[p.Index].typ == typeUnbound {
+	if (p.Name != "") != env.named || p.Index >= len(args) || args[p.Index].typ() == typeUnbound {
 		return Null, false
 	}
 	return args[p.Index], true

@@ -139,14 +139,19 @@ func TestGCSkipsUnlinkedHandle(t *testing.T) {
 	indexConsistent(t, db, "leases")
 }
 
-// TestIndexHandleSizes: the handles kept a row version and a skiplist
-// node inside the 64-byte size class (a lease row has one of the first
-// and two of the second).
+// TestIndexHandleSizes: the handles kept a row version, a skiplist node
+// and a hash entry inside the 64-byte size class (a lease row has one of
+// each: its version, its node in the (driver_id, expires_at) index and
+// its primary key's entry). The hash entry was 80 bytes while its key
+// was a 32-byte struct of its own rather than a Value.
 func TestIndexHandleSizes(t *testing.T) {
 	if n := unsafe.Sizeof(rowVersion{}); n > 64 {
 		t.Fatalf("rowVersion is %d bytes, want at most 64", n)
 	}
 	if n := unsafe.Sizeof(skipNode{}); n > 64 {
 		t.Fatalf("skipNode is %d bytes, want at most 64", n)
+	}
+	if n := unsafe.Sizeof(hashEntry{}); n > 64 {
+		t.Fatalf("hashEntry is %d bytes, want at most 64", n)
 	}
 }

@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // -0.0; "03", "-0" and the out-of-range "9223372036854775808" are not
 // integers and stay strings.
 var hashKeyPool = []Value{
-	NewInt(0), NewInt(3), NewInt(-3), {typ: TypeInteger, n: 3},
+	NewInt(0), NewInt(3), NewInt(-3), scalar(TypeInteger, 3),
 	NewInt(math.MaxInt64), NewInt(math.MinInt64), NewInt(1 << 53),
 	NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(3), NewFloat(-3),
 	NewFloat(2.5), NewFloat(1e21), NewFloat(math.NaN()),
@@ -250,5 +251,41 @@ func TestHashIndexLockFreeReaders(t *testing.T) {
 	wg.Wait()
 	if grown <= 8*stable || shrunk > 8*stable { // the shrink floor: a live key per 8 slots
 		t.Fatalf("table grew to %d slots and shrank to %d: the rehashes did not run", grown, shrunk)
+	}
+}
+
+// TestHashKeyArms: an integer key whose value spells a string key's
+// word — the string's type above its length — is never that string's
+// key, not even on one probe sequence with one hash, and no two
+// strings of one length are one key unless their bytes are.
+func TestHashKeyArms(t *testing.T) {
+	for _, s := range []string{"", "abc", "lease-0001"} {
+		str := hashKeyOf([]Value{NewString(s)})
+		word := int64(uint64(TypeVarchar)<<lenBits | uint64(len(s)))
+		num := hashKeyOf([]Value{NewInt(word)})
+		if str.isInt() || !num.isInt() || str.w != num.w {
+			t.Fatalf("%q: keys %+v and %+v are not one word in two arms", s, str, num)
+		}
+		if str.equal(num) || num.equal(str) {
+			t.Fatalf("%q: the integer %d is taken for the string", s, word)
+		}
+		if !str.equal(hashKeyOf([]Value{NewString(strings.Clone(s))})) {
+			t.Fatalf("%q: a copy of the string is another key", s)
+		}
+		h := newHashIndex([]int{0})
+		r := &Row{}
+		h.insert([]Value{NewInt(word)}, r, true)
+		if _, e := h.find(h.tab.Load(), str, h.hashOf(num)); e != nil {
+			t.Fatalf("%q: found under the integer's hash", s)
+		}
+		if got := h.lookup([]Value{NewString(s)}); len(got) != 0 {
+			t.Fatalf("%q: lookup returned the integer key's %d rows", s, len(got))
+		}
+		if got := h.lookup([]Value{NewInt(word)}); len(got) != 1 || got[0] != r {
+			t.Fatalf("%q: the integer key lost its row", s)
+		}
+	}
+	if hashKeyOf([]Value{NewString("abc")}).equal(hashKeyOf([]Value{NewString("abd")})) {
+		t.Fatal(`"abc" and "abd" are one key`)
 	}
 }

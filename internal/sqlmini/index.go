@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Indexes. Every table with a PRIMARY KEY column keeps a hash index
@@ -84,7 +85,7 @@ func (t *Table) storeIndexes(ixs []*secondaryIndex) { t.indexes.Store(&ixs) }
 // within it — except the DOUBLE zeroes, which compare equal but format
 // differently, so negative zero is folded into "0".
 func pkKey(v Value) string {
-	if v.typ == TypeDouble && v.float() == 0 {
+	if v.typ() == TypeDouble && v.float() == 0 {
 		return "0"
 	}
 	return v.Str()
@@ -225,35 +226,49 @@ func (b *rowBucket) remove(r *Row) (emptied bool) {
 	return false
 }
 
-// hashKey is a hash index key: tupleKey(key) held as the integer it
+// hashKey is a hash index key: tupleKey(key) held as the BIGINT it
 // spells when it spells one canonically (strconv.FormatInt's form), and
-// as the string otherwise. The split is a function of the string, so
+// as a VARCHAR otherwise. The split is a function of the string, so
 // two keys are equal exactly when their tupleKeys are — an integer
 // probe still meets the "3" of a DOUBLE or VARCHAR column — and the
 // integer keys every lease statement probes with never format.
-type hashKey struct {
-	i   int64
-	s   string
-	str bool
-}
+type hashKey Value
 
 func hashKeyOf(key []Value) hashKey {
-	if len(key) == 1 && intType(key[0].typ) {
-		return hashKey{i: int64(key[0].n)}
+	if len(key) == 1 && intType(key[0].typ()) {
+		return hashKey(NewInt(int64(key[0].w)))
 	}
 	s := tupleKey(key)
 	if i, ok := canonicalInt(s); ok {
-		return hashKey{i: i}
+		return hashKey(NewInt(i))
 	}
-	return hashKey{s: s, str: true}
+	return hashKey(NewString(s))
+}
+
+// isInt reports whether k is an integer key, not a string one.
+func (k hashKey) isInt() bool { return k.p == unsafe.Pointer(&tags[TypeBigint]) }
+
+// equal reports whether k and o are one key. The word is an integer
+// key's value and a string key's type and length, so keys with one
+// word and one pointer are equal; with one word and two pointers, only
+// two strings of the same bytes are — an integer whose value spells a
+// string's word is never taken for that string.
+func (k hashKey) equal(o hashKey) bool {
+	switch {
+	case k.w != o.w:
+		return false
+	case k.p == o.p:
+		return true
+	}
+	return !k.isInt() && !o.isInt() && Value(k).str() == Value(o).str()
 }
 
 // String returns the key's tupleKey.
 func (k hashKey) String() string {
-	if k.str {
-		return k.s
+	if k.isInt() {
+		return strconv.FormatInt(int64(k.w), 10)
 	}
-	return strconv.FormatInt(k.i, 10)
+	return Value(k).str()
 }
 
 // canonicalInt parses s if strconv.FormatInt would print it: an
@@ -331,11 +346,11 @@ func newHashIndex(cols []int) *hashIndex {
 }
 
 func (h *hashIndex) hashOf(k hashKey) uint64 {
-	if k.str {
-		return maphash.String(h.seed, k.s)
+	if !k.isInt() {
+		return maphash.String(h.seed, Value(k).str())
 	}
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(k.i))
+	binary.LittleEndian.PutUint64(b[:], k.w)
 	return maphash.Bytes(h.seed, b[:])
 }
 
@@ -356,7 +371,7 @@ func (h *hashIndex) find(tab *hashTable, k hashKey, hv uint64) (int, *hashEntry)
 			if free < 0 {
 				free = int(i)
 			}
-		case e.hash == hv && e.key == k:
+		case e.hash == hv && e.key.equal(k):
 			return int(i), e
 		}
 	}

@@ -72,17 +72,29 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a dynamically typed SQL value in 24 bytes: a type tag, one
-// word and one reference. The word holds an integer or boolean, a
-// float's bits, a timestamp's Unix nanoseconds (the zero time as
-// math.MinInt64, as wire.Encoder.Time writes it), or the length of the
-// string or BLOB whose bytes p points at. The zero Value is SQL NULL.
+// Value is a dynamically typed SQL value in 16 bytes: a pointer that
+// carries the type and one word. The zero Value is SQL NULL. A scalar
+// (INTEGER, BIGINT, DOUBLE, TIMESTAMP, BOOLEAN) keeps its word — an
+// integer or boolean, a float's bits, or a timestamp's Unix nanoseconds
+// (the zero time as math.MinInt64, as wire.Encoder.Time writes it) —
+// and points p at its type's byte in tags. A VARCHAR or BLOB points p
+// at its bytes, or at its type's byte in tags when it has none, and
+// keeps its type in the word's top byte and its length below it. A
+// pointer into tags is never a string's, so the type is tags' index
+// when p is in tags and the word's top byte otherwise.
 type Value struct {
-	_   [0]func() // not comparable: == would compare p, not the bytes
-	typ Type      // 0 for NULL
-	n   uint64
-	p   *byte
+	_ [0]func() // not comparable: == would compare p, not the bytes
+	p unsafe.Pointer
+	w uint64
 }
+
+// tags holds the byte each scalar type, each empty VARCHAR or BLOB and
+// an unbound parameter slot point at; its index is the type.
+var tags [typeUnbound + 1]byte
+
+// lenBits is how many low bits of a VARCHAR's or BLOB's word hold its
+// length; the type sits above them.
+const lenBits = 56
 
 // Null is the SQL NULL value.
 var Null = Value{}
@@ -90,22 +102,40 @@ var Null = Value{}
 // zeroTime is the word of the zero TIMESTAMP.
 const zeroTime = math.MinInt64
 
+// scalar returns the value of type t whose word is w.
+func scalar(t Type, w uint64) Value { return Value{p: unsafe.Pointer(&tags[t]), w: w} }
+
+// sized returns the VARCHAR or BLOB (t) of n bytes at p.
+func sized(t Type, p *byte, n int) Value {
+	if n == 0 {
+		p = &tags[t]
+	}
+	return Value{p: unsafe.Pointer(p), w: uint64(t)<<lenBits | uint64(n)}
+}
+
+// typ returns the value's type, 0 for NULL.
+func (v Value) typ() Type {
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&tags)); d < uintptr(len(tags)) {
+		return Type(d)
+	}
+	if v.p == nil {
+		return 0
+	}
+	return Type(v.w >> lenBits)
+}
+
 // NewInt returns an INTEGER/BIGINT value.
-func NewInt(v int64) Value { return Value{typ: TypeBigint, n: uint64(v)} }
+func NewInt(v int64) Value { return scalar(TypeBigint, uint64(v)) }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(v float64) Value { return Value{typ: TypeDouble, n: math.Float64bits(v)} }
+func NewFloat(v float64) Value { return scalar(TypeDouble, math.Float64bits(v)) }
 
 // NewString returns a VARCHAR value.
-func NewString(v string) Value {
-	return Value{typ: TypeVarchar, n: uint64(len(v)), p: unsafe.StringData(v)}
-}
+func NewString(v string) Value { return sized(TypeVarchar, unsafe.StringData(v), len(v)) }
 
 // NewBytes returns a BLOB value. The slice is retained, not copied;
 // Bytes returns it capacity-clipped.
-func NewBytes(v []byte) Value {
-	return Value{typ: TypeBlob, n: uint64(len(v)), p: unsafe.SliceData(v)}
-}
+func NewBytes(v []byte) Value { return sized(TypeBlob, unsafe.SliceData(v), len(v)) }
 
 // NewTime returns a TIMESTAMP value. It holds the instant, not the
 // location, and reads back in UTC. An instant outside the int64
@@ -121,20 +151,21 @@ func NewTime(v time.Time) Value {
 	case ns == zeroTime || !time.Unix(0, ns).Equal(v):
 		return NewString(v.UTC().Format(time.RFC3339Nano))
 	}
-	return Value{typ: TypeTimestamp, n: uint64(ns)}
+	return scalar(TypeTimestamp, uint64(ns))
 }
 
 // NewBool returns a BOOLEAN value.
 func NewBool(v bool) Value {
 	if v {
-		return Value{typ: TypeBoolean, n: 1}
+		return scalar(TypeBoolean, 1)
 	}
-	return Value{typ: TypeBoolean}
+	return scalar(TypeBoolean, 0)
 }
 
-func (v Value) str() string    { return unsafe.String(v.p, v.n) }
-func (v Value) blob() []byte   { return unsafe.Slice(v.p, v.n) }
-func (v Value) float() float64 { return math.Float64frombits(v.n) }
+func (v Value) len() int       { return int(v.w & (1<<lenBits - 1)) }
+func (v Value) str() string    { return unsafe.String((*byte)(v.p), v.len()) }
+func (v Value) blob() []byte   { return unsafe.Slice((*byte)(v.p), v.len()) }
+func (v Value) float() float64 { return math.Float64frombits(v.w) }
 
 // FromGo converts a native Go value into a Value. Supported kinds:
 // nil, bool, integers, float64, string, []byte, time.Time, time.Duration
@@ -171,14 +202,14 @@ func FromGo(v any) (Value, error) {
 }
 
 // IsNull reports whether v is SQL NULL.
-func (v Value) IsNull() bool { return v.typ == 0 }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // Type returns the value's type; NULL values report TypeNull.
 func (v Value) Type() Type {
-	if v.typ == 0 {
+	if v.p == nil {
 		return TypeNull
 	}
-	return v.typ
+	return v.typ()
 }
 
 // Int returns the value as int64 (0 for NULL). Floats truncate; strings
@@ -186,7 +217,7 @@ func (v Value) Type() Type {
 func (v Value) Int() int64 {
 	switch v.Type() {
 	case TypeInteger, TypeBigint, TypeBoolean:
-		return int64(v.n)
+		return int64(v.w)
 	case TypeDouble:
 		return int64(v.float())
 	case TypeVarchar:
@@ -203,7 +234,7 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.Type() {
 	case TypeInteger, TypeBigint, TypeBoolean:
-		return float64(int64(v.n))
+		return float64(int64(v.w))
 	case TypeDouble:
 		return v.float()
 	case TypeVarchar:
@@ -220,9 +251,9 @@ func (v Value) Str() string {
 	case TypeVarchar:
 		return v.str()
 	case TypeInteger, TypeBigint:
-		return strconv.FormatInt(int64(v.n), 10)
+		return strconv.FormatInt(int64(v.w), 10)
 	case TypeBoolean:
-		if v.n != 0 {
+		if v.w != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -254,12 +285,12 @@ func (v Value) Bytes() []byte {
 func (v Value) Time() time.Time {
 	switch v.Type() {
 	case TypeTimestamp:
-		if int64(v.n) == zeroTime {
+		if int64(v.w) == zeroTime {
 			return time.Time{}
 		}
 		fallthrough
 	case TypeInteger, TypeBigint:
-		return time.Unix(0, int64(v.n)).UTC()
+		return time.Unix(0, int64(v.w)).UTC()
 	case TypeVarchar:
 		if t, err := time.Parse(time.RFC3339Nano, v.str()); err == nil {
 			return t
@@ -274,7 +305,7 @@ func (v Value) Time() time.Time {
 func (v Value) Bool() bool {
 	switch v.Type() {
 	case TypeBoolean, TypeInteger, TypeBigint:
-		return v.n != 0
+		return v.w != 0
 	case TypeDouble:
 		return v.float() != 0
 	case TypeVarchar:
@@ -289,11 +320,11 @@ func (v Value) String() string {
 	if v.IsNull() {
 		return "NULL"
 	}
-	switch v.typ {
+	switch v.typ() {
 	case TypeVarchar:
 		return "'" + v.str() + "'"
 	case TypeBlob:
-		return fmt.Sprintf("x'%d bytes'", v.n)
+		return fmt.Sprintf("x'%d bytes'", v.len())
 	default:
 		return v.Str()
 	}
@@ -350,12 +381,13 @@ func Compare(a, b Value) (int, bool) {
 // strings — what index columns hold — are compared where they sit, in
 // one branch; anything else takes Compare's general path.
 func comparePtr(a, b *Value) (int, bool) {
+	at, bt := a.typ(), b.typ()
 	switch {
-	case a.typ == 0 || b.typ == 0:
+	case at == 0 || bt == 0:
 		return 0, false
-	case intType(a.typ) && intType(b.typ), a.typ == TypeTimestamp && b.typ == TypeTimestamp:
-		return cmpInt(int64(a.n), int64(b.n)), true
-	case a.typ == TypeVarchar && b.typ == TypeVarchar:
+	case intType(at) && intType(bt), at == TypeTimestamp && bt == TypeTimestamp:
+		return cmpInt(int64(a.w), int64(b.w)), true
+	case at == TypeVarchar && bt == TypeVarchar:
 		return strings.Compare(a.str(), b.str()), true
 	}
 	return Compare(*a, *b)
@@ -453,7 +485,7 @@ func Coerce(v Value, t Type) (Value, error) {
 	}
 	switch t {
 	case TypeInteger, TypeBigint:
-		return Value{typ: t, n: uint64(v.Int())}, nil
+		return scalar(t, uint64(v.Int())), nil
 	case TypeDouble:
 		return NewFloat(v.Float()), nil
 	case TypeVarchar:
@@ -469,7 +501,7 @@ func Coerce(v Value, t Type) (Value, error) {
 		if ts.IsZero() && v.Type() == TypeVarchar {
 			return Null, fmt.Errorf("sqlmini: cannot parse %q as TIMESTAMP", v.Str())
 		}
-		if tv := NewTime(ts); tv.typ == TypeTimestamp {
+		if tv := NewTime(ts); tv.typ() == TypeTimestamp {
 			return tv, nil
 		}
 		return Null, fmt.Errorf("sqlmini: TIMESTAMP %s is outside the representable range", ts.Format(time.RFC3339Nano))

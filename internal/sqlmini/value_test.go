@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -243,5 +244,45 @@ func TestValueAccessorsOnNull(t *testing.T) {
 	}
 	if Null.Type() != TypeNull {
 		t.Errorf("Null.Type() = %v", Null.Type())
+	}
+}
+
+// TestUnboundSlot: a slot a by-name binding leaves alone is refused as
+// a missing parameter — by Params.Value and by the statement, with the
+// same error as a name the Args map lacks — and its value reads as
+// neither NULL nor any SQL type, while a slot bound to NULL is bound.
+func TestUnboundSlot(t *testing.T) {
+	db := NewDB()
+	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, v INTEGER)")
+	db.MustExec("INSERT INTO t (id, v) VALUES (1, 2)")
+	const q = "SELECT id FROM t WHERE id = $a OR v = $b"
+	st, err := db.ParseCached(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps Params
+	slots := ps.Named(st.NumSlots())
+	b, _ := st.Slot([]byte("b"))
+	slots[b] = Null
+	a, _ := st.Slot([]byte("a"))
+	u := slots[a]
+	if u.IsNull() {
+		t.Fatal("an unbound slot reads as NULL")
+	}
+	for typ := TypeNull; typ <= TypeBoolean; typ++ {
+		if u.Type() == typ {
+			t.Fatalf("an unbound slot reads as %v", typ)
+		}
+	}
+	if _, ok := ps.Value(a); ok {
+		t.Fatal("Params.Value reports the unbound slot bound")
+	}
+	if v, ok := ps.Value(b); !ok || !v.IsNull() {
+		t.Fatalf("Params.Value(NULL slot) = %v, %v; want NULL, bound", v, ok)
+	}
+	_, got := db.NewSession().ExecParams(st, &ps)
+	_, want := db.Exec(q, Args{"b": nil})
+	if !errors.Is(got, ErrMissingParam) || want == nil || got.Error() != want.Error() {
+		t.Fatalf("unbound $a: %v; through an Args map: %v", got, want)
 	}
 }

@@ -337,14 +337,16 @@ func (d *Decoder) Time() time.Time {
 }
 
 // String consumes a length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.Uint32()
-	if d.err != nil {
-		return ""
-	}
-	b := d.take(int(n))
-	if b == nil {
-		return ""
+func (d *Decoder) String() string { return d.StringLike("") }
+
+// StringLike consumes a length-prefixed string and returns prev when
+// its bytes equal prev's, so a string a peer repeats message after
+// message — a database name, a checksum — is compared, not allocated
+// again. Any other string comes back as a fresh copy, as from String.
+func (d *Decoder) StringLike(prev string) string {
+	b := d.take(int(d.Uint32())) // nil once the decoder has failed
+	if string(b) == prev {
+		return prev
 	}
 	return string(b)
 }

@@ -7,9 +7,11 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -230,6 +232,43 @@ func TestDecoderCount(t *testing.T) {
 	d := NewDecoder([]byte{0, 0})
 	if got := d.Count(1); got != 0 || !errors.Is(d.Err(), ErrShortBuffer) {
 		t.Fatalf("Count on a short buffer = %d, %v", got, d.Err())
+	}
+}
+
+// TestDecoderStringLike: a string equal to prev comes back as prev
+// itself and allocates nothing; any other string is a copy that does
+// not alias the payload; a short buffer yields "" and the error.
+func TestDecoderStringLike(t *testing.T) {
+	e := NewEncoder(64)
+	e.String("checksum-1")
+	e.String("checksum-2")
+	e.String("")
+	payload := e.Bytes()
+	prev := strings.Clone("checksum-1")
+	d := NewDecoder(payload)
+	if got := d.StringLike(prev); got != prev || unsafe.StringData(got) != unsafe.StringData(prev) {
+		t.Fatalf("StringLike(equal) = %q, not prev itself", got)
+	}
+	got := d.StringLike(prev)
+	if got != "checksum-2" {
+		t.Fatalf("StringLike(different) = %q", got)
+	}
+	payload[4+len("checksum-1")+4] = 'X'
+	if got != "checksum-2" {
+		t.Fatalf("StringLike's copy aliases the payload: %q", got)
+	}
+	if got := d.StringLike(prev); got != "" || d.Err() != nil {
+		t.Fatalf("StringLike(empty) = %q, %v", got, d.Err())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		d := Decoder{buf: payload[:14]}
+		_ = d.StringLike(prev)
+	}); allocs != 0 {
+		t.Fatalf("StringLike(equal) allocates %v times", allocs)
+	}
+	d = NewDecoder(payload[:6])
+	if got := d.StringLike(prev); got != "" || !errors.Is(d.Err(), ErrShortBuffer) {
+		t.Fatalf("StringLike on a short buffer = %q, %v", got, d.Err())
 	}
 }
 
