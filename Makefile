@@ -104,9 +104,10 @@ bench-module-check:
 	cd bench && go vet ./... && go test ./... && go run repro/cmd/drivolint ./...
 
 # loc prints, per package, Go lines outside _test.go files that are
-# neither blank nor comment-only, then the lease-protocol client files
-# as one group: the one count every simplicity PR's before/after claim
-# uses.
+# neither blank nor comment-only, then the lease-client group as one
+# line: internal/core's bootloader.go, renew.go and loadclient.go, the
+# three files of the lease protocol's client side. It is the one count
+# every simplicity PR's before/after claim uses.
 loc:
 	scripts/loc.sh internal/core/bootloader.go internal/core/renew.go internal/core/loadclient.go
 

@@ -171,16 +171,3 @@ func (s *Server) Drivers() ([]DriverRecord, error) {
 	}
 	return out, nil
 }
-
-// Permissions lists permission rows (admin/experiments).
-func (s *Server) Permissions() ([]Permission, error) {
-	//lint:scan-ok admin/experiment listing: whole-table read is the point
-	res, err := s.exec(`SELECT permission_id, user, client_ip,
-		database, driver_id, driver_options, start_date, end_date,
-		lease_time_in_ms, renew_policy, expiration_policy, transfer_method
-		FROM ` + PermissionTable + ` ORDER BY permission_id`)
-	if err != nil {
-		return nil, err
-	}
-	return scanPermissionRows(res), nil
-}

@@ -396,27 +396,17 @@ func (b *Bootloader) request(database string, leaseID uint64, checksum string) R
 	}
 }
 
-// dialServer opens a protocol connection, over TLS when configured.
-func (b *Bootloader) dialServer(addr string) (*wire.Conn, error) {
-	if b.tlsConf != nil {
-		d := &net.Dialer{Timeout: b.dialTimeout}
-		nc, err := tls.DialWithDialer(d, "tcp", addr, b.tlsConf)
-		if err != nil {
-			return nil, fmt.Errorf("drivolution: tls dial %s: %w", addr, err)
-		}
-		return wire.NewConn(nc), nil
-	}
-	return wire.Dial(addr, b.dialTimeout)
-}
-
-// dialClient opens a lease-protocol client to addr; dialTimeout also
-// bounds each of its reply waits.
+// dialClient opens a lease-protocol client to addr, over TLS when
+// configured; dialTimeout also bounds each of its reply waits.
 func (b *Bootloader) dialClient(addr string) (*LeaseClient, error) {
-	conn, err := b.dialServer(addr)
-	if err != nil {
-		return nil, err
+	if b.tlsConf == nil {
+		return DialLeaseClient(addr, b.dialTimeout)
 	}
-	return &LeaseClient{conn: conn, addr: addr, timeout: b.dialTimeout}, nil
+	nc, err := tls.DialWithDialer(&net.Dialer{Timeout: b.dialTimeout}, "tcp", addr, b.tlsConf)
+	if err != nil {
+		return nil, fmt.Errorf("drivolution: tls dial %s: %w", addr, err)
+	}
+	return &LeaseClient{conn: wire.NewConn(nc), addr: addr, timeout: b.dialTimeout}, nil
 }
 
 // discover probes every configured server (the DHCP-like broadcast,
@@ -458,19 +448,20 @@ func (b *Bootloader) discover(database string) (string, error) {
 	return "", fmt.Errorf("%w: %v", ErrNoServers, firstErr)
 }
 
-// fetch performs REQUEST → OFFER and, when the OFFER carries a driver,
-// the transfer — FILE_REQUEST → FILE_DATA* after a bootstrap (Table 3),
-// the FILE_DATA* the server streams behind the OFFER after an upgrade
+// fetch performs REQUEST → OFFER and, when the OFFER carries a driver
+// other than the one the REQUEST says it runs, the transfer —
+// FILE_REQUEST → FILE_DATA* after a bootstrap (Table 3), the
+// FILE_DATA* the server streams behind the OFFER after an upgrade
 // renewal (Table 4) — against one server, following up to two cluster
-// redirect hops: a non-owning
-// member answers msgRedirect naming the shard owner rather than
-// proxying, and the bootloader repeats the request there. It returns
-// the offer, the (possibly empty) driver blob, and the address that
-// actually answered — the owner after redirects — so the caller
-// records the right home for steady-state renewal traffic. A redirect
-// with no address (the answering member lost its cluster majority)
-// surfaces as a *Redirect error, which the renewal layer treats like
-// any other failed server: keep the driver, try the other servers.
+// redirect hops: a non-owning member answers msgRedirect naming the
+// shard owner rather than proxying, and the bootloader repeats the
+// request there. It returns the offer, the (possibly empty) driver
+// blob, and the address that actually answered — the owner after
+// redirects — so the caller records the right home for steady-state
+// renewal traffic. A redirect with no address (the answering member
+// lost its cluster majority) surfaces as a *Redirect error, which the
+// renewal layer treats like any other failed server: keep the driver,
+// try the other servers.
 func (b *Bootloader) fetch(addr, database string, leaseID uint64, checksum string) (Offer, []byte, string, error) {
 	b.connMu.Lock()
 	defer b.connMu.Unlock()
@@ -517,10 +508,12 @@ func (b *Bootloader) fetchLocked(addr string, req Request) (Offer, []byte, error
 		offer, err = b.srv.Request(req)
 	}
 	var blob []byte
-	if err == nil && offer.HasDriver {
+	if err == nil && offer.HasDriver && offer.DriverChecksum != req.CurrentChecksum {
 		// The one image-sized allocation of a bootstrap: chunks land in
 		// it straight off the connection, and the installed image's
-		// payload and signature alias it (driverimg.Decode).
+		// payload and signature alias it (driverimg.Decode). An OFFER of
+		// the content the REQUEST says it runs (a recovered lease) needs
+		// no transfer.
 		blob = make([]byte, offer.Size)
 		if _, err = b.srv.fetchFile(offer.LeaseID, blob); err != nil {
 			err = fmt.Errorf("drivolution: transfer: %w", err)

@@ -194,17 +194,3 @@ func (ld *loadedDriver) closeAll(b *Bootloader, countForced bool) {
 		}
 	}
 }
-
-// ActiveConns reports connections still using this bootloader's current
-// driver (experiments).
-func (b *Bootloader) ActiveConns() int {
-	b.mu.Lock()
-	cur := b.cur
-	b.mu.Unlock()
-	if cur == nil {
-		return 0
-	}
-	cur.mu.Lock()
-	defer cur.mu.Unlock()
-	return len(cur.conns)
-}

@@ -11,8 +11,8 @@ import (
 )
 
 // LeaseClient is the client side of the Drivolution lease protocol —
-// the only code that frames REQUEST, DISCOVER, FILE_REQUEST and
-// RELEASE, arms the reply deadline and decodes the answers. It is a
+// the only code that frames REQUEST, DISCOVER, FILE_REQUEST, RELEASE
+// and SUBSCRIBE, arms the reply deadline and decodes the answers. It is a
 // single-goroutine object that owns one connection and nothing else:
 // no driver, no renewal timer, no goroutines. Bootloader layers
 // discovery, failover, redirect hops and driver installation on top of
@@ -337,6 +337,29 @@ func (s *fileSink) frame(typ uint16, size int, body io.Reader) error {
 	s.got += int64(h.Len)
 	s.last = h.Last
 	return nil
+}
+
+// Subscribe turns the connection into a dedicated update channel for
+// (database, api) (§3.2): the server answers nothing until it NOTIFYs.
+// After it the client serves only WaitNotify.
+func (c *LeaseClient) Subscribe(database, api string) error {
+	return c.send(msgSubscribe, subscribeMsg{Database: database, API: api}.encode())
+}
+
+// WaitNotify blocks, with no deadline, until the server sends a NOTIFY
+// on a subscribed connection. A nil return is one NOTIFY; any error
+// means the channel is gone and the caller subscribes afresh on a new
+// client. Close, from another goroutine, ends the wait.
+func (c *LeaseClient) WaitNotify() error {
+	if c.poisoned {
+		return ErrLeaseClientPoisoned
+	}
+	f, err := c.conn.Recv()
+	if err != nil {
+		return c.fail(err)
+	}
+	_, err = c.payload(f, msgNotify)
+	return err
 }
 
 // Release gives a lease back (msgRelease, license mode §5.4.2).

@@ -77,7 +77,9 @@ func (b *Bootloader) ForceRenew(database string) error {
 }
 
 // renewOnce performs one Table 4 renewal exchange and applies the
-// client-side policy actions.
+// client-side policy actions. It is the one place the bootloader
+// applies an OFFER after its first bootstrap, a recovered lease's
+// included.
 func (b *Bootloader) renewOnce(database string) error {
 	// Snapshot the lease fields under b.mu: a concurrent renewal (timer
 	// loop vs ForceRenew) rewrites them — including serverAddr when a
@@ -113,23 +115,25 @@ func (b *Bootloader) renewOnce(database string) error {
 				}
 			}
 		}
-	}
-	if err != nil {
-		var pe *ProtocolError
-		if errors.As(err, &pe) {
-			switch pe.Code {
-			case ErrCodeNoLease:
-				// The answering server does not know this lease — e.g. a
-				// replicated embedded server that took over after its
-				// peer died. DHCP-style recovery: acquire a fresh lease.
-				return b.rebootstrap(addr, database, cur, checksum)
-			case ErrCodeTransfer, ErrCodeInternal:
-				// Transient or configuration trouble on the server side:
-				// keep the working driver and retry later.
-				b.addMetric(func(m *Metrics) { m.RenewFailures++ })
-				b.logf("drivolution: renewal rejected (%v), keeping driver", pe)
-				return pe
-			}
+		if errors.As(err, &pe) && pe.Code == ErrCodeNoLease {
+			// The answering server does not know this lease — e.g. a
+			// replicated embedded server that took over after its peer
+			// died. DHCP-style recovery: request a fresh lease there. The
+			// REQUEST carries the running checksum, so an OFFER of the
+			// same content is kept below, with no transfer.
+			offer, blob, addr, err = b.fetch(addr, database, 0, checksum)
+		}
+		switch {
+		case err == nil:
+		case !errors.As(err, &pe), pe.Code == ErrCodeTransfer, pe.Code == ErrCodeInternal:
+			// Server unreachable, or transient or configuration trouble
+			// on its side: keep the current driver and retry later
+			// (paper §4.1.3: "the bootloader keeps its current
+			// implementation until the Drivolution server is restarted").
+			b.addMetric(func(m *Metrics) { m.RenewFailures++ })
+			b.logf("drivolution: renewal failed, keeping driver: %v", err)
+			return err
+		default:
 			// DRIVOLUTION_ERROR: the driver is revoked with no
 			// replacement. Apply the current expiration policy (Table 4's
 			// REVOKE branch).
@@ -137,18 +141,14 @@ func (b *Bootloader) renewOnce(database string) error {
 			b.revokeCurrent(pe)
 			return pe
 		}
-		// Server unreachable: keep the current driver and retry later
-		// (paper §4.1.3: "the bootloader keeps its current implementation
-		// until the Drivolution server is restarted").
-		b.addMetric(func(m *Metrics) { m.RenewFailures++ })
-		b.logf("drivolution: renewal failed (server unreachable), keeping driver: %v", err)
-		return err
 	}
 
-	if !offer.HasDriver {
-		// RENEW: same driver, new lease term.
+	if !offer.HasDriver || offer.DriverChecksum == checksum {
+		// RENEW: same driver, new lease term (under a fresh lease id
+		// after recovery).
 		b.mu.Lock()
 		if b.cur == cur {
+			cur.leaseID = offer.LeaseID
 			cur.expiresAt = time.Now().Add(offer.LeaseTime)
 			cur.leaseTime = offer.LeaseTime
 			cur.renewPol = offer.RenewPolicy
@@ -183,50 +183,6 @@ func (b *Bootloader) renewOnce(database string) error {
 	return nil
 }
 
-// rebootstrap acquires a brand-new lease from addr when the old lease is
-// unknown there. If the offered driver is content-identical to the
-// running one, only the lease bookkeeping changes; otherwise the swap
-// follows the offered expiration policy like any upgrade.
-func (b *Bootloader) rebootstrap(addr, database string, cur *loadedDriver, checksum string) error {
-	offer, blob, addr, err := b.fetch(addr, database, 0, checksum)
-	if err != nil {
-		var pe *ProtocolError
-		if errors.As(err, &pe) {
-			b.revokeCurrent(pe)
-		}
-		return err
-	}
-	if offer.HasDriver && offer.DriverChecksum != checksum {
-		newLD, err := b.install(offer, blob, addr)
-		if err != nil {
-			return err
-		}
-		b.mu.Lock()
-		if b.cur != cur {
-			b.mu.Unlock()
-			return nil
-		}
-		b.cur = newLD
-		b.mu.Unlock()
-		b.addMetric(func(m *Metrics) { m.Upgrades++ })
-		cur.transition(b, offer.ExpirationPolicy)
-		return nil
-	}
-	// Same content: adopt the fresh lease in place.
-	b.mu.Lock()
-	if b.cur == cur {
-		cur.leaseID = offer.LeaseID
-		cur.leaseTime = offer.LeaseTime
-		cur.expiresAt = time.Now().Add(offer.LeaseTime)
-		cur.renewPol = offer.RenewPolicy
-		cur.expirePol = offer.ExpirationPolicy
-		cur.serverAddr = addr
-	}
-	b.mu.Unlock()
-	b.addMetric(func(m *Metrics) { m.Renewals++ })
-	return nil
-}
-
 // revokeCurrent applies the REVOKE branch: block new connections and
 // transition existing ones per the current expiration policy.
 func (b *Bootloader) revokeCurrent(cause error) {
@@ -248,18 +204,14 @@ func (b *Bootloader) revokeCurrent(cause error) {
 }
 
 // pushLoop maintains the dedicated update channel (§3.2). A NOTIFY wakes
-// the renew loop immediately. Re-subscription after failures follows the
-// shared jittered backoff so a restarting server is not met by a
-// lockstep subscriber storm.
+// the renew loop immediately, and so does every re-subscription: a
+// NOTIFY sent while the channel was down reached no one. Re-subscription
+// after failures follows the shared jittered backoff so a restarting
+// server is not met by a lockstep subscriber storm.
 func (b *Bootloader) pushLoop(database string) {
 	defer b.wg.Done()
 	bo := b.newLoopBackoff()
-	for {
-		select {
-		case <-b.stopCh:
-			return
-		default:
-		}
+	for resubscribe := false; ; {
 		b.mu.Lock()
 		var addr string
 		if b.cur != nil {
@@ -268,56 +220,49 @@ func (b *Bootloader) pushLoop(database string) {
 			addr = b.servers[0]
 		}
 		b.mu.Unlock()
-		if addr == "" {
-			if !bo.Sleep(b.stopCh) {
-				return
-			}
-			continue
-		}
-		conn, err := b.dialServer(addr)
-		if err != nil {
-			if !bo.Sleep(b.stopCh) {
-				return
-			}
-			continue
-		}
-		sub := subscribeMsg{Database: database, API: b.api.Name}
-		if err := conn.Send(msgSubscribe, sub.encode()); err != nil {
-			conn.Close()
-			if !bo.Sleep(b.stopCh) {
-				return
-			}
-			continue
-		}
-		// Channel is up: the next failure starts the schedule over.
-		bo.Reset()
-		// Reader: each notify triggers an immediate renewal.
-		closed := make(chan struct{})
-		go func() {
-			<-b.stopCh
-			select {
-			case <-closed:
-			default:
-				conn.Close()
-			}
-		}()
-		for {
-			f, err := conn.Recv()
-			if err != nil {
-				close(closed)
-				conn.Close()
-				break
-			}
-			if f.Type == msgNotify {
-				select {
-				case b.wakeCh <- struct{}{}:
-				default:
+		if addr != "" {
+			if c, err := b.dialClient(addr); err == nil {
+				if c.Subscribe(database, b.api.Name) == nil {
+					// Channel is up: the next failure starts the schedule over.
+					bo.Reset()
+					if resubscribe {
+						b.wake()
+					}
+					resubscribe = true
+					b.listen(c)
 				}
+				c.Close()
 			}
 		}
 		if !bo.Sleep(b.stopCh) {
 			return
 		}
+	}
+}
+
+// listen wakes the renew loop on each NOTIFY c receives until the
+// channel fails or the bootloader stops.
+func (b *Bootloader) listen(c *LeaseClient) {
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case <-b.stopCh:
+			c.Close()
+		case <-done:
+		}
+	}()
+	for c.WaitNotify() == nil {
+		b.wake()
+	}
+}
+
+// wake asks the renew loop for an immediate renewal; a request already
+// pending covers this one.
+func (b *Bootloader) wake() {
+	select {
+	case b.wakeCh <- struct{}{}:
+	default:
 	}
 }
 

@@ -73,9 +73,6 @@ func (d *NativeDriver) Name() string { return DriverKind }
 // Version implements client.Driver.
 func (d *NativeDriver) Version() dbver.Version { return d.version }
 
-// ProtocolVersion reports the wire-protocol version this build speaks.
-func (d *NativeDriver) ProtocolVersion() uint16 { return d.protoVersion }
-
 // Connect implements client.Driver. URL form:
 // dbms://host:port/database?user=u&password=p — props override URL
 // options.

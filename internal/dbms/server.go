@@ -104,16 +104,6 @@ func NewServer(name string, opts ...ServerOption) *Server {
 // Name returns the server name.
 func (s *Server) Name() string { return s.name }
 
-// EngineVersion returns the engine version.
-func (s *Server) EngineVersion() dbver.Version { return s.engineVersion }
-
-// ProtocolVersion returns the highest wire-protocol version this engine
-// speaks (see ProtocolRange for the full accepted range).
-func (s *Server) ProtocolVersion() uint16 { return s.protoMax }
-
-// ProtocolRange returns the accepted wire-protocol version range.
-func (s *Server) ProtocolRange() (min, max uint16) { return s.protoMin, s.protoMax }
-
 // AddDatabase attaches db under the given name.
 func (s *Server) AddDatabase(name string, db *sqlmini.DB) {
 	s.mu.Lock()
@@ -126,17 +116,6 @@ func (s *Server) Database(name string) *sqlmini.DB {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dbs[name]
-}
-
-// Databases lists attached database names.
-func (s *Server) Databases() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.dbs))
-	for n := range s.dbs {
-		out = append(out, n)
-	}
-	return out
 }
 
 // AttachReplica registers r to receive every mutating statement applied

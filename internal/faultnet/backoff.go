@@ -90,10 +90,6 @@ func NewBackoff(p Policy) *Backoff {
 	return &Backoff{p: p.normalized()}
 }
 
-// Attempts reports how many delays have been handed out since the
-// last Reset.
-func (b *Backoff) Attempts() int { return b.attempt }
-
 // Reset rewinds the schedule to the first delay. Call it after a
 // success so the next failure starts fast again.
 func (b *Backoff) Reset() {

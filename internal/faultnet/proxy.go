@@ -113,13 +113,6 @@ func (p *Proxy) Resets() int64 { return p.resets.Load() }
 // many messages one protocol exchange costs.
 func (p *Proxy) Frames(d Direction) int64 { return p.frames[d].Load() }
 
-// Active reports how many proxied connections are currently live.
-func (p *Proxy) Active() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.conns)
-}
-
 // Partition stalls both directions of every current and future
 // proxied connection, like a network partition between client and
 // server: packets vanish, connections stay "established", and only

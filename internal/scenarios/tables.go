@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbver"
 	"repro/internal/faultnet"
-	"repro/internal/opsmodel"
 	"repro/internal/sqlmini"
 )
 
@@ -281,14 +280,14 @@ func T4() (*Report, error) {
 func T5() (*Report, error) {
 	r := &Report{ID: "T5", Title: "Table 5 — driver tasks for 2 DBAs, current vs Drivolution"}
 
-	for _, row := range opsmodel.Table5() {
-		r.logf("%s:", row.Task)
-		r.logf("  current state-of-the-art (%d steps):", len(row.Current))
-		for i, s := range row.Current {
+	for _, row := range table5() {
+		r.logf("%s:", row.task)
+		r.logf("  current state-of-the-art (%d steps):", len(row.current))
+		for i, s := range row.current {
 			r.logf("    %d. %s", i+1, s)
 		}
-		r.logf("  Drivolution (%d steps):", len(row.Drivolution))
-		for i, s := range row.Drivolution {
+		r.logf("  Drivolution (%d steps):", len(row.drivolution))
+		for i, s := range row.drivolution {
 			r.logf("    %d. %s", i+1, s)
 		}
 	}
@@ -331,10 +330,10 @@ func T5() (*Report, error) {
 
 	// Scaling comparison from the executable step model.
 	for _, n := range []int{2, 10, 100} {
-		trad := opsmodel.CountFor(opsmodel.TraditionalUpdate(), n)
-		drv := opsmodel.CountFor(opsmodel.DrivolutionUpdate(), n)
+		trad := countSteps(traditionalUpdate(), n)
+		drv := countSteps(drivolutionUpdate(), n)
 		r.logf("upgrade scaling, %3d clients: traditional %4d steps (%d disruptive) vs Drivolution %d step",
-			n, trad.Steps, trad.Disruptive, drv.Steps)
+			n, trad.steps, trad.disruptive, drv.steps)
 	}
 	r.Pass = accessOK && upgradeOK
 	return r, nil

@@ -260,17 +260,6 @@ func (db *DB) TableVersions(names ...string) uint64 {
 	return sum
 }
 
-// TableNames returns the defined table names, sorted.
-func (db *DB) TableNames() []string {
-	m := *db.schema.Load()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // TableColumns returns the column definitions of the named table (in
 // declaration order) and whether the table exists. Static tooling
 // (drivolint's sqlcheck) uses it to validate column references against

@@ -339,19 +339,6 @@ func (f *Fleet) Report() FleetReport {
 	}
 }
 
-// OnChecksum reports how many clients currently run the driver with
-// the given content checksum — the convergence count an upgrade-storm
-// scenario asserts on.
-func (f *Fleet) OnChecksum(sum string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	id, ok := f.sumIDs[sum]
-	if !ok {
-		return 0
-	}
-	return int(f.sumPop[id])
-}
-
 // Checksums snapshots the population per driver checksum (only
 // non-zero entries; the "" key counts clients that have not yet seen
 // any driver). A converged fleet has exactly one non-empty key at

@@ -3,7 +3,9 @@
 # lines": per Go package, lines of *.go files that are not _test.go,
 # not blank and not comment-only (a line whose first non-space
 # characters are //). Any arguments are files to count as one extra
-# named group, e.g. the four lease-protocol client files:
+# named group, e.g. the lease-client group — the three files of the
+# lease protocol's client side, bootloader.go, renew.go and
+# loadclient.go in internal/core:
 #
 #   scripts/loc.sh internal/core/{bootloader,renew,loadclient}.go
 #
