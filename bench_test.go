@@ -70,6 +70,33 @@ func BenchmarkBootstrapProtocol(b *testing.B) {
 	}
 }
 
+// BenchmarkColdBootstrap is drivobench's cold_bootstrap op in one
+// process, for profiling it: a fresh bootloader bootstraps a signed
+// 256 KiB image under 2 s leases, runs one query and closes, giving
+// its lease back.
+func BenchmarkColdBootstrap(b *testing.B) {
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := newStackB(b, scenarios.StackConfig{ServerOpts: []core.ServerOption{
+		core.WithSigningKey(priv), core.WithDefaultLease(2 * time.Second)}})
+	addDriverB(b, s, dbver.V(1, 0, 0), 1, 256<<10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bl := s.Bootloader(core.WithTrustKey(pub))
+		c, err := bl.Connect(s.AppURL(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Query("SELECT name FROM items WHERE id = 1"); err != nil {
+			b.Fatal(err)
+		}
+		c.Close()
+		bl.Close()
+	}
+}
+
 // BenchmarkLeaseRenewalNoChange measures the Table 4 RENEW branch: one
 // round trip, no transfer.
 func BenchmarkLeaseRenewalNoChange(b *testing.B) {

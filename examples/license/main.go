@@ -14,6 +14,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/dbms"
 	"repro/internal/dbver"
+	"repro/internal/faultnet"
 	"repro/internal/license"
 	"repro/internal/sqlmini"
 )
@@ -67,15 +68,23 @@ func run() error {
 
 	rt := drivolution.NewRuntime()
 	rt.Register(dbms.DriverKind, dbms.ImageFactory())
-	mk := func(user, id string) *drivolution.Bootloader {
+	mk := func(addr, user, id string) *drivolution.Bootloader {
 		return drivolution.NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64,
-			[]string{srv.Addr()}, rt,
+			[]string{addr}, rt,
 			drivolution.WithCredentials(user, "pw"),
 			drivolution.WithClientID(id))
 	}
 	url := "dbms://" + target.Addr() + "/prod"
 
-	b1 := mk("analyst1", "workstation-1")
+	// analyst1's workstation reaches the server through a proxy, so its
+	// crash can cut the network path: a bootloader that closes cleanly
+	// gives its lease back, a crashed one sends nothing.
+	path1, err := faultnet.NewProxy(srv.Addr(), 1)
+	if err != nil {
+		return err
+	}
+	defer path1.Close()
+	b1 := mk(path1.Addr(), "analyst1", "workstation-1")
 	defer b1.Close()
 	c1, err := b1.Connect(url, client.Props{"user": "analyst1", "password": "pw"})
 	if err != nil {
@@ -83,7 +92,7 @@ func run() error {
 	}
 	fmt.Printf("analyst1 acquired the license (lease %d) and is connected\n", b1.LeaseID())
 
-	b2 := mk("analyst2", "workstation-2")
+	b2 := mk(srv.Addr(), "analyst2", "workstation-2")
 	defer b2.Close()
 	if _, err := b2.Connect(url, client.Props{"user": "analyst2", "password": "pw"}); err != nil {
 		fmt.Printf("analyst2 denied while the license is held: %v\n", err)
@@ -92,6 +101,7 @@ func run() error {
 	}
 
 	// analyst1's workstation crashes without releasing.
+	path1.DropAll()
 	_ = c1.Close()
 	b1.Close()
 	for target.UserHasSession("analyst1") {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -509,13 +510,14 @@ func (b *Bootloader) fetchLocked(addr string, req Request) (Offer, []byte, error
 	}
 	var blob []byte
 	if err == nil && offer.HasDriver && offer.DriverChecksum != req.CurrentChecksum {
-		// The one image-sized allocation of a bootstrap: chunks land in
-		// it straight off the connection, and the installed image's
-		// payload and signature alias it (driverimg.Decode). An OFFER of
-		// the content the REQUEST says it runs (a recovered lease) needs
-		// no transfer.
-		blob = make([]byte, offer.Size)
+		// The image-sized buffer of a bootstrap or an upgrade: chunks
+		// land in it straight off the connection, and the decoded
+		// image's payload and signature alias it (driverimg.Decode)
+		// until install recycles it. An OFFER of the content the REQUEST
+		// says it runs (a recovered lease) needs no transfer.
+		blob = getImageBuf(int(offer.Size))
 		if _, err = b.srv.fetchFile(offer.LeaseID, blob); err != nil {
+			putImageBuf(blob)
 			err = fmt.Errorf("drivolution: transfer: %w", err)
 		} else {
 			b.addMetric(func(m *Metrics) { m.BytesFetched += int64(len(blob)) })
@@ -530,6 +532,46 @@ func (b *Bootloader) fetchLocked(addr string, req Request) (Offer, []byte, error
 	return offer, blob, nil
 }
 
+// Image transfer buffers are recycled: fetchLocked takes one and
+// install gives it back once Decode, VerifyEncoded and Runtime.Load are
+// done with it. That is sound because a factory keeps none of an
+// image's bytes (driverimg.Factory), and because fileSink accepts only
+// a stream that fills every byte of the buffer, so no byte of an
+// earlier image survives into the next.
+//
+// The buffer given back last waits in imageBuf, where the next transfer
+// finds it on whichever P it runs (a sync.Pool keeps a buffer in the
+// private slot of the P that put it, out of other Ps' reach), so
+// back-to-back bootstraps share one buffer. A buffer it displaces, when
+// transfers overlap, goes to imageBufs, which the GC empties while no
+// transfer asks for one. A process thus keeps one idle buffer, the size
+// of the last image it installed.
+var (
+	imageBuf  atomic.Pointer[[]byte]
+	imageBufs sync.Pool // of *[]byte
+)
+
+// getImageBuf returns a buffer of n bytes, recycled when one large
+// enough is at hand.
+func getImageBuf(n int) []byte {
+	p := imageBuf.Swap(nil)
+	if p == nil {
+		p, _ = imageBufs.Get().(*[]byte)
+	}
+	if p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]byte, n)
+}
+
+// putImageBuf gives b back for the next transfer; nothing may read it
+// afterwards.
+func putImageBuf(b []byte) {
+	if old := imageBuf.Swap(&b); old != nil {
+		imageBufs.Put(old)
+	}
+}
+
 // dropServerLocked closes the cached lease client; caller holds connMu.
 func (b *Bootloader) dropServerLocked() {
 	if b.srv != nil {
@@ -539,8 +581,10 @@ func (b *Bootloader) dropServerLocked() {
 }
 
 // install decodes, verifies, and loads a driver blob (the paper's
-// "recheck_time = ...; decode(...); load(...)" from Table 3).
+// "recheck_time = ...; decode(...); load(...)" from Table 3), then
+// recycles blob, whatever the outcome.
 func (b *Bootloader) install(offer Offer, blob []byte, addr string) (*loadedDriver, error) {
+	defer putImageBuf(blob)
 	img, err := driverimg.Decode(blob)
 	if err != nil {
 		return nil, fmt.Errorf("drivolution: decode driver: %w", err)
@@ -594,12 +638,23 @@ func (b *Bootloader) bootstrap(database string) (*loadedDriver, error) {
 	return b.install(offer, blob, served)
 }
 
-// Close stops renewal goroutines and force-closes every managed
-// connection.
+// Close gives the lease back, stops renewal goroutines and
+// force-closes every managed connection. The lease goes back as §5.4.2
+// has it ("the bootloader can notify the Drivolution server when the
+// driver is unloaded to give back its lease"), over the cached lease
+// connection to the server that holds it and never over a new dial: a
+// bootloader cut off from that server spends at most one reply timeout
+// here, and its lease expires with its term. The outcome is ignored.
+// A crash sends nothing; to model one, cut the path first.
 func (b *Bootloader) Close() {
 	b.mu.Lock()
 	started := b.started
 	cur := b.cur
+	var leaseID uint64
+	var leaseAddr string
+	if cur != nil {
+		leaseID, leaseAddr = cur.leaseID, cur.serverAddr
+	}
 	b.cur = nil
 	b.revoked = true
 	b.revokeErr = ErrNoDriverAvailable
@@ -610,6 +665,9 @@ func (b *Bootloader) Close() {
 	}
 	b.mu.Unlock()
 	b.connMu.Lock()
+	if c := b.srv; c != nil && leaseID != 0 && c.addr == leaseAddr && !c.poisoned {
+		_ = c.Release(leaseID)
+	}
 	b.dropServerLocked()
 	b.connMu.Unlock()
 	if cur != nil {

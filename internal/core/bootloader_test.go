@@ -638,14 +638,89 @@ func TestLicenseMode(t *testing.T) {
 		t.Fatalf("second client should be denied while license is held: %v", err)
 	}
 
-	// First client releases; second can now acquire.
-	if err := b1.ReleaseLease(); err != nil {
-		t.Fatal(err)
-	}
+	// First client closes, giving its lease back; a third can now acquire.
+	b1.Close()
 	b3 := mkBL("client-3")
 	if _, err := b3.Connect(f.appURL(), nil); err != nil {
 		t.Fatalf("license should be free after release: %v", err)
 	}
+}
+
+// TestCloseReleasesLease: a bootloader that closes gives its lease back
+// (§5.4.2), so in license mode the next client gets the seat at once
+// rather than when the hour-long lease would have run out, and the
+// released lease's term is over, so the next sweep deletes its row.
+func TestCloseReleasesLease(t *testing.T) {
+	f := newFixture(t, 1, WithLicenseMode(), WithDefaultLease(time.Hour))
+	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 128))
+	b1 := f.bootloader(t, WithClientID("client-1"))
+	mustConnect(t, b1, f.appURL())
+	lease := b1.LeaseID()
+	b1.Close()
+
+	b2 := f.bootloader(t, WithClientID("client-2"))
+	if _, err := b2.Connect(f.appURL(), nil); err != nil {
+		t.Fatalf("the seat of a closed bootloader should be free at once: %v", err)
+	}
+	if _, err := f.drv.ReapExpiredLeases(); err != nil {
+		t.Fatal(err)
+	}
+	if _, held := leaseState(t, f.drv, lease); held {
+		t.Fatalf("lease %d given back by Close still has its row after a sweep", lease)
+	}
+}
+
+// TestCloseNeverDials: Close gives the lease back only over the lease
+// connection it already holds. With none cached it opens none, and the
+// lease stays live until its term ends; over a black-holed path it
+// waits one reply timeout (150 ms here) and gives up.
+func TestCloseNeverDials(t *testing.T) {
+	t.Run("no cached connection", func(t *testing.T) {
+		f, p, b := proxiedBootloader(t)
+		lease := b.LeaseID()
+		p.Partition() // the renewal times out, and its poisoned connection is dropped
+		if err := b.ForceRenew("prod"); err == nil {
+			t.Fatal("a renewal over a black-holed path succeeded")
+		}
+		p.Heal()
+		accepted := p.Accepted()
+		b.Close()
+		if n := p.Accepted() - accepted; n != 0 {
+			t.Fatalf("Close dialed %d connections, want none", n)
+		}
+		if l, ok := leaseState(t, f.drv, lease); !ok || l.Released {
+			t.Fatalf("lease %d after a Close that reached no server: %+v (present %v), want live", lease, l, ok)
+		}
+	})
+	t.Run("black-holed server", func(t *testing.T) {
+		_, p, b := proxiedBootloader(t)
+		accepted := p.Accepted()
+		p.Partition()
+		start := time.Now()
+		b.Close()
+		if d := time.Since(start); d > 150*time.Millisecond+time.Second {
+			t.Fatalf("Close against a black-holed server took %v, want about one 150 ms reply timeout", d)
+		}
+		if n := p.Accepted() - accepted; n != 0 {
+			t.Fatalf("Close dialed %d connections, want none", n)
+		}
+	})
+}
+
+// leaseState reads lease id's row through Leases; ok is false once the
+// row is gone.
+func leaseState(t *testing.T, srv *Server, id uint64) (l Lease, ok bool) {
+	t.Helper()
+	leases, err := srv.Leases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range leases {
+		if l.LeaseID == id {
+			return l, true
+		}
+	}
+	return Lease{}, false
 }
 
 // TestAssemblyOverWire: WithRequiredPackages yields a driver whose

@@ -170,6 +170,17 @@ const revokeLeaseSQL = `UPDATE ` + LeasesTable + `
 	SET released = TRUE, expires_at = $now, renewals = renewals - $undo
 	WHERE lease_id = $id`
 
+// releaseLeaseSQL gives a lease back (§5.4.2: "the bootloader can
+// notify the Drivolution server when the driver is unloaded to give
+// back its lease"), whether the bootloader sends RELEASE or an
+// administrator or license manager calls ReleaseLeaseByID: released,
+// and, as a revocation does, its term over now, so the next sweep's
+// purge deletes the row. TestHotStatementsPlanIndexed pins it as a
+// primary-key point update.
+const releaseLeaseSQL = `UPDATE ` + LeasesTable + `
+	SET released = TRUE, expires_at = $now
+	WHERE lease_id = $id`
+
 // extendLease runs the guarded renewal UPDATE for lease id at g's
 // terms, expiring at exp: renewNoChangeSQL, or renewRedoSQL when the
 // row already counts this renewal.
@@ -424,20 +435,28 @@ func (s *Server) revokeLease(id uint64, renewed bool) {
 	s.dropPending(id)
 }
 
-// ReleaseLeaseByID marks a lease released server-side — the admin /
+// releaseLease ends lease id (releaseLeaseSQL) and drops any transfer
+// staged for it, reporting whether a row matched.
+func (s *Server) releaseLease(id uint64) (bool, error) {
+	res, err := s.exec(releaseLeaseSQL, sqlmini.Args{"now": s.clock(), "id": int64(id)})
+	if err != nil {
+		return false, err
+	}
+	s.dropPending(id)
+	return res.Affected > 0, nil
+}
+
+// ReleaseLeaseByID releases a lease server-side — the admin /
 // license-manager path (§5.4.2), as opposed to the bootloader-initiated
 // msgRelease.
 func (s *Server) ReleaseLeaseByID(id uint64) error {
-	res, err := s.exec(`UPDATE `+LeasesTable+`
-		SET released = TRUE WHERE lease_id = $id`,
-		sqlmini.Args{"id": int64(id)})
+	found, err := s.releaseLease(id)
 	if err != nil {
 		return err
 	}
-	if res.Affected == 0 {
+	if !found {
 		return fmt.Errorf("core: no lease %d", id)
 	}
-	s.dropPending(id)
 	return nil
 }
 
@@ -461,8 +480,9 @@ const reapExpiredSQL = `UPDATE ` + LeasesTable + `
 // Nothing reads such a row: licenseUsageSQL and driverLeaseFreeSQL both
 // filter expires_at > $now, a renewal answers "unknown or released"
 // whether the row is released or gone, and the catalog's table
-// versions count only drivers and driver_permission. A lease released before
-// its term ends keeps its row until the term is over. $now is bound,
+// versions count only drivers and driver_permission. A release or a
+// revocation ends the term (releaseLeaseSQL, revokeLeaseSQL), so the
+// next sweep deletes that row too. $now is bound,
 // never now(), so replicas that replay the statement delete the same
 // rows. TestHotStatementsPlanIndexed pins the skip-scan plan.
 const purgeReapedSQL = `DELETE FROM ` + LeasesTable + `

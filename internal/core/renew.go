@@ -265,26 +265,3 @@ func (b *Bootloader) wake() {
 	default:
 	}
 }
-
-// ReleaseLease gives the lease back to the server (license mode,
-// §5.4.2: "The bootloader can notify the Drivolution server when the
-// driver is unloaded to give back its lease").
-func (b *Bootloader) ReleaseLease() error {
-	b.mu.Lock()
-	cur := b.cur
-	var serverAddr string
-	var leaseID uint64
-	if cur != nil {
-		serverAddr, leaseID = cur.serverAddr, cur.leaseID
-	}
-	b.mu.Unlock()
-	if cur == nil {
-		return ErrNoDriverAvailable
-	}
-	c, err := b.dialClient(serverAddr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return c.Release(leaseID)
-}

@@ -327,8 +327,8 @@ func TestHotStatementsPlanIndexed(t *testing.T) {
 		{"renewal-no-change", renewNoChangeSQL,
 			sqlmini.Args{"exp": time.Unix(1, 0), "drv": int64(1), "id": int64(1)},
 			"point lookup on " + LeasesTable + "(lease_id) [primary key]"},
-		{"release", `UPDATE ` + LeasesTable + ` SET released = TRUE WHERE lease_id = $id`,
-			sqlmini.Args{"id": int64(1)},
+		{"release", releaseLeaseSQL,
+			sqlmini.Args{"now": time.Unix(1, 0), "id": int64(1)},
 			"point lookup on " + LeasesTable + "(lease_id) [primary key]"},
 		{"lease-by-id", `SELECT lease_id FROM ` + LeasesTable + ` WHERE lease_id = $id`,
 			sqlmini.Args{"id": int64(1)},

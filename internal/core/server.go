@@ -737,14 +737,10 @@ func (s *Server) handleRelease(conn *wire.Conn, payload []byte) {
 		s.sendError(conn, ErrCodeInternal, "malformed release")
 		return
 	}
-	_, execErr := s.exec(
-		`UPDATE `+LeasesTable+` SET released = TRUE WHERE lease_id = $id`,
-		sqlmini.Args{"id": int64(rel.LeaseID)})
-	if execErr != nil {
-		s.sendError(conn, ErrCodeInternal, execErr.Error())
+	if _, err := s.releaseLease(rel.LeaseID); err != nil {
+		s.sendError(conn, ErrCodeInternal, err.Error())
 		return
 	}
-	s.dropPending(rel.LeaseID)
 	_ = conn.Send(msgReleaseOK, nil)
 }
 

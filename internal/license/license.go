@@ -8,7 +8,7 @@
 //
 //  1. explicit release — the bootloader "notif[ies] the Drivolution
 //     server when the driver is unloaded to give back its lease"
-//     (core.Bootloader.ReleaseLease);
+//     (core.Bootloader.Close);
 //  2. tight DBMS integration — "check if any connection with the client
 //     is still active in the database engine" (DetectorFromDBMS feeding
 //     Manager);

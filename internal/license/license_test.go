@@ -10,6 +10,7 @@ import (
 	"repro/internal/dbms"
 	"repro/internal/dbver"
 	"repro/internal/driverimg"
+	"repro/internal/faultnet"
 	"repro/internal/sqlmini"
 )
 
@@ -61,13 +62,36 @@ func newStack(t *testing.T, lease time.Duration) *stack {
 
 func (s *stack) bootloader(t *testing.T, user, id string) *core.Bootloader {
 	t.Helper()
+	return s.bootloaderVia(t, s.srv.Addr(), user, id)
+}
+
+func (s *stack) bootloaderVia(t *testing.T, addr, user, id string) *core.Bootloader {
+	t.Helper()
 	b := core.NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64,
-		[]string{s.srv.Addr()}, s.rt,
+		[]string{addr}, s.rt,
 		core.WithCredentials(user, "pw"),
 		core.WithClientID(id),
 		core.WithDialTimeout(time.Second))
 	t.Cleanup(b.Close)
 	return b
+}
+
+// crashable returns a bootloader whose lease traffic runs through a
+// proxy, and crash, which makes it die the way a client process does:
+// the proxy drops every connection first, so Close reaches no server
+// and gives nothing back.
+func (s *stack) crashable(t *testing.T, user, id string) (b *core.Bootloader, crash func()) {
+	t.Helper()
+	p, err := faultnet.NewProxy(s.srv.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	b = s.bootloaderVia(t, p.Addr(), user, id)
+	return b, func() {
+		p.DropAll()
+		b.Close()
+	}
 }
 
 func (s *stack) url() string { return "dbms://" + s.target.Addr() + "/prod" }
@@ -88,11 +112,11 @@ func TestSingleLicenseExclusion(t *testing.T) {
 
 func TestLeaseExpiryFreesLicense(t *testing.T) {
 	s := newStack(t, 50*time.Millisecond)
-	b1 := s.bootloader(t, "u1", "c1")
+	b1, crash := s.crashable(t, "u1", "c1")
 	if _, err := b1.Connect(s.url(), client.Props{"user": "u1", "password": "pw"}); err != nil {
 		t.Fatal(err)
 	}
-	b1.Close() // dies without releasing; no renewals will come
+	crash() // dies without releasing; no renewals will come
 
 	// After expiry the license frees itself (strategy 3).
 	time.Sleep(80 * time.Millisecond)
@@ -104,7 +128,7 @@ func TestLeaseExpiryFreesLicense(t *testing.T) {
 
 func TestManagerDBMSFailureDetector(t *testing.T) {
 	s := newStack(t, time.Hour) // long lease: only the detector can reclaim
-	b1 := s.bootloader(t, "u1", "c1")
+	b1, crash := s.crashable(t, "u1", "c1")
 	c, err := b1.Connect(s.url(), client.Props{"user": "u1", "password": "pw"})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +142,7 @@ func TestManagerDBMSFailureDetector(t *testing.T) {
 
 	// The client dies: its DB connection closes, no release was sent.
 	_ = c.Close()
-	b1.Close()
+	crash()
 	waitUntil(t, func() bool { return !s.target.UserHasSession("u1") })
 
 	n, err := mgr.SweepOnce()
@@ -138,7 +162,7 @@ func TestManagerDBMSFailureDetector(t *testing.T) {
 
 func TestManagerBackgroundSweep(t *testing.T) {
 	s := newStack(t, time.Hour)
-	b1 := s.bootloader(t, "u1", "c1")
+	b1, crash := s.crashable(t, "u1", "c1")
 	c, err := b1.Connect(s.url(), client.Props{"user": "u1", "password": "pw"})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +172,7 @@ func TestManagerBackgroundSweep(t *testing.T) {
 	defer mgr.Stop()
 
 	_ = c.Close()
-	b1.Close()
+	crash()
 	waitUntil(t, func() bool { return mgr.Reclaimed() >= 1 })
 	mgr.Stop()
 	mgr.Stop() // idempotent
@@ -160,9 +184,7 @@ func TestExplicitReleasePath(t *testing.T) {
 	if _, err := b1.Connect(s.url(), client.Props{"user": "u1", "password": "pw"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b1.ReleaseLease(); err != nil {
-		t.Fatal(err)
-	}
+	b1.Close() // unloads the driver, giving the lease back
 	b2 := s.bootloader(t, "u2", "c2")
 	if _, err := b2.Connect(s.url(), client.Props{"user": "u2", "password": "pw"}); err != nil {
 		t.Fatalf("license should be free after explicit release: %v", err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dbms"
 	"repro/internal/dbver"
 	"repro/internal/driverimg"
+	"repro/internal/faultnet"
 	"repro/internal/license"
 	"repro/internal/sqlmini"
 	"repro/internal/workload"
@@ -366,15 +367,22 @@ func License() (*Report, error) {
 
 	rt := driverimg.NewRuntime()
 	rt.Register(dbms.DriverKind, dbms.ImageFactory())
-	mkBL := func(user, id string) *core.Bootloader {
+	mkBL := func(addr, user, id string) *core.Bootloader {
 		return core.NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64,
-			[]string{srv.Addr()}, rt,
+			[]string{addr}, rt,
 			core.WithCredentials(user, "pw"), core.WithClientID(id),
 			core.WithDialTimeout(time.Second))
 	}
 	url := "dbms://" + target.Addr() + "/prod"
 
-	b1 := mkBL("u1", "c1")
+	// Client 1 reaches the server through a proxy, so its crash can cut
+	// the path: a bootloader that closes gives its lease back.
+	path1, err := faultnet.NewProxy(srv.Addr(), 1)
+	if err != nil {
+		return r, err
+	}
+	defer path1.Close()
+	b1 := mkBL(path1.Addr(), "u1", "c1")
 	defer b1.Close()
 	c1, err := b1.Connect(url, client.Props{"user": "u1", "password": "pw"})
 	if err != nil {
@@ -382,14 +390,16 @@ func License() (*Report, error) {
 	}
 	r.logf("client 1 acquires the license (lease %d)", b1.LeaseID())
 
-	b2 := mkBL("u2", "c2")
+	b2 := mkBL(srv.Addr(), "u2", "c2")
 	defer b2.Close()
 	_, err2 := b2.Connect(url, client.Props{"user": "u2", "password": "pw"})
 	var pe *core.ProtocolError
 	denied := errors.As(err2, &pe) && pe.Code == core.ErrCodeNoDriver
 	r.logf("client 2 denied while license is held: %v", mark(denied))
 
-	// Client 1 crashes; the DBMS-integrated failure detector reclaims.
+	// Client 1 crashes, sending nothing; the DBMS-integrated failure
+	// detector reclaims.
+	path1.DropAll()
 	_ = c1.Close()
 	b1.Close()
 	deadline := time.Now().Add(2 * time.Second)
