@@ -4,7 +4,7 @@
 #   make check-race      # tier-1 under the race detector (all packages)
 #   make check-386       # sqlmini + wire tests built for 32-bit x86 (GOARCH=386)
 #   make tier1           # build + tests only (what scripts/bench.sh gates on)
-#   make race            # grant-path packages under the race detector
+#   make race            # grant-path and wire/dbms packages under the race detector
 #   make lint            # gofmt + vet + doclint + drivolint (LINT_FILTER narrows analyzers)
 #   make doclint         # every internal/ package must have a package comment
 #   make chaos           # longer fault-injection soak across several seeds
@@ -90,8 +90,10 @@ tier1:
 	go build ./...
 	go test ./...
 
+# race covers the grant paths, wire.Conn, and the dbms session loop,
+# which binds its exec arguments from Recv's reused payload buffer.
 race:
-	go test -race ./internal/core/ ./internal/wire/ ./internal/sqlmini/ ./internal/driverimg/
+	go test -race ./internal/core/ ./internal/wire/ ./internal/dbms/ ./internal/sqlmini/ ./internal/driverimg/
 
 doclint:
 	scripts/doclint.sh

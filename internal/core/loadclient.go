@@ -296,11 +296,11 @@ type fileSink struct {
 func (s *fileSink) frame(typ uint16, size int, body io.Reader) error {
 	s.replied = true
 	if typ != msgFileData {
-		p := make([]byte, size)
-		if _, err := io.ReadFull(body, p); err != nil {
-			return fmt.Errorf("wire: read payload: %w", err)
+		p, err := wire.ReadPayload(body, size)
+		if err != nil {
+			return err
 		}
-		_, err := s.c.payload(wire.Frame{Type: typ, Payload: p}, msgFileData)
+		_, err = s.c.payload(wire.Frame{Type: typ, Payload: p}, msgFileData)
 		return err
 	}
 	var hb [fileChunkHeadLen]byte

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -162,6 +163,35 @@ func TestLeaseClientPoisonedByFramingFailures(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFetchAllocatesWhatArrives: a frame other than FILE_DATA in a file
+// stream is read whole for the frame classifier, but with the bytes
+// that arrive, not the length its header declares. A server answering
+// FILE_REQUEST with a DRIVOLUTION_ERROR header declaring MaxPayload,
+// 100 bytes and a close makes FetchFile fail — a transport failure,
+// not a protocol error — having allocated less than 1 MiB. (It
+// allocated the declared 64 MiB before reading a payload byte.)
+func TestFetchAllocatesWhatArrives(t *testing.T) {
+	addr := scriptedServer(t, func(nc net.Conn, _ <-chan struct{}) {
+		if _, err := wire.NewConn(nc).Recv(); err != nil {
+			return
+		}
+		hdr := binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(nil, wire.Magic), msgError)
+		nc.Write(append(binary.BigEndian.AppendUint32(hdr, wire.MaxPayload), make([]byte, 100)...))
+	})
+	c := dialTestClient(t, addr, 2*time.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.FetchFile(7)
+	runtime.ReadMemStats(&after)
+	var pe *ProtocolError
+	if !errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &pe) {
+		t.Fatalf("FetchFile: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a 108-byte reply made the client allocate %d bytes", got)
 	}
 }
 

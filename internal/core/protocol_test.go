@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -46,8 +47,10 @@ func TestRequestRoundTrip(t *testing.T) {
 // TestDecodedMessagesOutliveTheirFrame: wire.Conn.Recv reuses one
 // payload buffer, so what a decoder returns must not alias it. A
 // REQUEST and an OFFER are each decoded from frame k; frame k+1, as long
-// and all 0xFF, then lands in the same buffer; the decoded message must
-// still be what was sent.
+// and all 0xFF, then arrives in one write — through Recv, into the
+// buffer frame k lay in, and, for the OFFER, as the FILE_DATA pushed
+// behind it, through RecvBody, over the Conn's read-ahead; the decoded
+// message must still be what was sent.
 func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 	req := Request{
 		Database: "prod", User: "app", Password: "secret",
@@ -58,20 +61,27 @@ func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 	}
 	offer := Offer{LeaseID: 42, LeaseTime: time.Hour, HasDriver: true,
 		DriverChecksum: "abc123", Format: "IMAGE", Size: 9, ServerName: "drivolution-1"}
+	decodeReq := func(b []byte) (any, error) { r, _, err := decodeRequest(b, Request{}); return r, err }
+	decodeOff := func(b []byte) (any, error) { o, _, err := decodeOffer(b, Offer{}); return o, err }
 	for _, tc := range []struct {
 		name    string
 		payload []byte
 		decode  func([]byte) (any, error)
 		want    any
+		body    bool // frame k+1 is a FILE_DATA read through RecvBody
 	}{
-		{"REQUEST", req.encode(), func(b []byte) (any, error) { r, _, err := decodeRequest(b, Request{}); return r, err }, req},
-		{"OFFER", offer.encode(), func(b []byte) (any, error) { o, _, err := decodeOffer(b, Offer{}); return o, err }, offer},
+		{"REQUEST", req.encode(), decodeReq, req, false},
+		{"OFFER", offer.encode(), decodeOff, offer, false},
+		{"OFFER, then its pushed FILE_DATA", offer.encode(), decodeOff, offer, true},
 	} {
 		a, b := net.Pipe()
+		next := wire.Frame{Type: msgFileData, Payload: bytes.Repeat([]byte{0xff}, len(tc.payload))}
 		go func() {
 			defer a.Close()
 			_ = wire.WriteFrame(a, wire.Frame{Type: 1, Payload: tc.payload})
-			_ = wire.WriteFrame(a, wire.Frame{Type: 2, Payload: bytes.Repeat([]byte{0xff}, len(tc.payload))})
+			var buf bytes.Buffer
+			_ = wire.WriteFrame(&buf, next)
+			_, _ = a.Write(buf.Bytes())
 		}()
 		conn := wire.NewConn(b)
 		f, err := conn.Recv()
@@ -82,8 +92,22 @@ func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f, err = conn.Recv(); err != nil || f.Type != 2 {
-			t.Fatalf("frame k+1: %v", err)
+		var typ uint16
+		var n int // payload bytes of frame k+1 read
+		if tc.body {
+			err = conn.RecvBody(time.Second, func(ft uint16, size int, body io.Reader) error {
+				typ = ft
+				var rerr error
+				n, rerr = io.ReadFull(body, make([]byte, size))
+				return rerr
+			})
+		} else {
+			f, err = conn.Recv()
+			typ, n = f.Type, len(f.Payload)
+		}
+		if err != nil || typ != next.Type || n != len(next.Payload) {
+			t.Fatalf("%s: frame k+1: type %#04x, %d bytes, err %v; want type %#04x, %d bytes",
+				tc.name, typ, n, err, next.Type, len(next.Payload))
 		}
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Fatalf("%s decoded from frame k changed when frame k+1 arrived:\n got %+v\nwant %+v", tc.name, got, tc.want)

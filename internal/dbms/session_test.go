@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -567,8 +568,9 @@ func TestHandleSweepOnDisconnect(t *testing.T) {
 // payload buffer, so decoded values must not alias it. A Result with
 // VARCHAR and BLOB columns and execs carrying BLOB arguments, named and
 // positional, are each decoded from frame k; frame k+1, as long and all
-// 0xFF, then lands in the same buffer; every decoded value must still
-// be what was sent.
+// 0xFF, then arrives in one write, received through Recv (into the
+// buffer frame k lay in) and through RecvBody (over the Conn's
+// read-ahead); every decoded value must still be what was sent.
 func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 	blob := []byte{0, 1, 2, 3, 0xfe}
 	res := &sqlmini.Result{
@@ -619,28 +621,47 @@ func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 			}, err
 		}},
 	} {
-		a, b := net.Pipe()
-		go func() {
-			defer a.Close()
-			_ = wire.WriteFrame(a, wire.Frame{Type: 1, Payload: tc.payload})
-			_ = wire.WriteFrame(a, wire.Frame{Type: 2, Payload: bytes.Repeat([]byte{0xff}, len(tc.payload))})
-		}()
-		conn := wire.NewConn(b)
-		f, err := conn.Recv()
-		if err != nil {
-			t.Fatal(err)
+		for _, viaBody := range []bool{false, true} {
+			a, b := net.Pipe()
+			next := wire.Frame{Type: 2, Payload: bytes.Repeat([]byte{0xff}, len(tc.payload))}
+			go func() {
+				defer a.Close()
+				_ = wire.WriteFrame(a, wire.Frame{Type: 1, Payload: tc.payload})
+				var buf bytes.Buffer
+				_ = wire.WriteFrame(&buf, next)
+				_, _ = a.Write(buf.Bytes())
+			}()
+			conn := wire.NewConn(b)
+			f, err := conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check, err := tc.decode(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var typ uint16
+			var n int // payload bytes of frame k+1 read
+			if viaBody {
+				err = conn.RecvBody(time.Second, func(ft uint16, size int, body io.Reader) error {
+					typ = ft
+					var rerr error
+					n, rerr = io.ReadFull(body, make([]byte, size))
+					return rerr
+				})
+			} else {
+				f, err = conn.Recv()
+				typ, n = f.Type, len(f.Payload)
+			}
+			if err != nil || typ != next.Type || n != len(next.Payload) {
+				t.Fatalf("%s: frame k+1: type %d, %d bytes, err %v; want type %d, %d bytes (RecvBody: %v)",
+					tc.name, typ, n, err, next.Type, len(next.Payload), viaBody)
+			}
+			if !check() {
+				t.Fatalf("%s decoded from frame k changed when frame k+1 arrived (RecvBody: %v)", tc.name, viaBody)
+			}
+			conn.Close()
 		}
-		check, err := tc.decode(f.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f, err = conn.Recv(); err != nil || f.Type != 2 {
-			t.Fatalf("frame k+1: %v", err)
-		}
-		if !check() {
-			t.Fatalf("%s decoded from frame k changed when frame k+1 arrived", tc.name)
-		}
-		conn.Close()
 	}
 }
 

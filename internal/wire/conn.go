@@ -10,39 +10,47 @@ import (
 	"time"
 )
 
-// Conn wraps a net.Conn with buffered, mutex-serialized frame I/O. Writes
-// from multiple goroutines are safe; reads must come from a single
-// goroutine (the usual pattern: one reader loop per connection).
+// Conn wraps a net.Conn with mutex-serialized frame I/O. Writes from
+// multiple goroutines are safe; reads must come from a single goroutine
+// (the usual pattern: one reader loop per connection).
 type Conn struct {
 	nc net.Conn
-	br *bufio.Reader
 
 	wmu      sync.Mutex
-	bw       *bufio.Writer
 	wtimeout time.Duration // per-Send write deadline; 0 = none
 	warmed   bool          // a write deadline is currently set on nc
 
-	// SendBody's and SendAfter's scatter list lives here so a transfer
-	// allocates nothing per chunk; guarded by wmu like bw.
-	whead []byte // [lead frame +] frame header + payload head
+	// The send scratch, guarded by wmu: a small frame is built whole in
+	// whead and written at once; a SendBody or SendAfter puts its
+	// [lead frame +] frame header + payload head there and the body in
+	// the second iovec, so a transfer allocates nothing per chunk.
+	whead []byte
 	wvec  [2][]byte
 	wbuf  net.Buffers
-	whdr  [headerLen]byte // Send's frame header; guarded by wmu
 
-	// Reader-side scratch, owned by the single reader goroutine: the
-	// frame header, the payload buffer Recv reuses, and RecvBody's view
-	// of the current payload.
+	// Reader-side state, owned by the single reader goroutine: a small
+	// bufio.Reader made on the first receive, the frame header, the
+	// payload buffer Recv reuses, and RecvBody's view of the current
+	// payload.
+	br   *bufio.Reader
 	rhdr [headerLen]byte
 	rbuf []byte
 	body io.LimitedReader
 }
 
-// connBufSize sizes the per-connection bufio buffers. Frames larger
-// than the buffer bypass it in both directions (bufio reads/writes go
-// straight to the socket once the buffer is empty/flushed), so big
-// FILE_DATA chunks lose nothing while short-lived protocol connections
-// stop allocating 64 KiB each.
+// connBufSize bounds what a Conn buffers in each direction: a frame of
+// at most connBufSize is written with one Write, and a payload of at
+// most connBufSize is received into the buffer Recv reuses, grown on
+// demand. Larger ones go from the caller's bytes to the socket and from
+// the socket to a slice of their own.
 const connBufSize = 8 << 10
+
+// readBufSize sizes a Conn's bufio.Reader. It only has to hold frame
+// headers and small frames: a read at least this large bypasses it and
+// goes straight to the socket, so a payload lands in its destination in
+// one copy and RecvBody's discard of an unread remainder reads through
+// io.Discard's 8 KiB buffer, not 512 bytes at a time.
+const readBufSize = 512
 
 // NewConn wraps nc for frame I/O. It is the repo's deadline trust
 // root: the returned Conn arms per-operation deadlines lazily — Send
@@ -51,11 +59,7 @@ const connBufSize = 8 << 10
 //
 //lint:deadline-arming
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{
-		nc: nc,
-		br: bufio.NewReaderSize(nc, connBufSize),
-		bw: bufio.NewWriterSize(nc, connBufSize),
-	}
+	return &Conn{nc: nc}
 }
 
 // SetWriteTimeout bounds every subsequent Send: the frame must be
@@ -86,18 +90,21 @@ func (c *Conn) armWrite() error {
 	return nil
 }
 
-// Send writes and flushes one frame.
+// Send writes one frame: a frame of at most connBufSize built whole in
+// the Conn's scratch and written at once, a larger one as header and
+// payload in one scatter list (see SendBody).
 func (c *Conn) Send(typ uint16, payload []byte) error {
+	if headerLen+len(payload) > connBufSize {
+		return c.sendBody(nil, typ, nil, payload)
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err := c.armWrite(); err != nil {
 		return err
 	}
-	if err := writeFrame(c.bw, &c.whdr, Frame{Type: typ, Payload: payload}); err != nil {
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("wire: flush: %w", err)
+	c.whead = append(appendHeader(c.whead[:0], typ, len(payload)), payload...)
+	if _, err := c.nc.Write(c.whead); err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
@@ -142,7 +149,6 @@ func (c *Conn) sendBody(lead *Frame, typ uint16, head, body []byte) error {
 	}
 	c.whead = append(appendHeader(c.whead, typ, len(head)+len(body)), head...)
 	c.wbuf = append(net.Buffers(c.wvec[:0]), c.whead, body)
-	// Send leaves bw flushed, so nothing buffered can be overtaken.
 	_, err := c.wbuf.WriteTo(c.nc)
 	c.wvec = [2][]byte{} // a failed write leaves its unsent slices behind
 	if err != nil {
@@ -159,7 +165,7 @@ func (c *Conn) sendBody(lead *Frame, typ uint16, head, body []byte) error {
 // reaches a value that outlives the frame. ReadFrame, which allocates
 // each payload afresh, is for callers that keep frames.
 func (c *Conn) Recv() (Frame, error) {
-	typ, n, err := readHeader(c.br, &c.rhdr)
+	typ, n, err := readHeader(c.reader(), &c.rhdr)
 	if err != nil {
 		return Frame{}, err
 	}
@@ -168,17 +174,28 @@ func (c *Conn) Recv() (Frame, error) {
 	case n == 0:
 		return f, nil
 	case n > connBufSize:
-		f.Payload = make([]byte, n)
-	default:
-		if cap(c.rbuf) < n {
-			c.rbuf = make([]byte, min(max(n, 2*cap(c.rbuf)), connBufSize))
+		if f.Payload, err = ReadPayload(c.br, n); err != nil {
+			return Frame{}, err
 		}
-		f.Payload = c.rbuf[:n:n]
+		return f, nil
 	}
+	if cap(c.rbuf) < n {
+		c.rbuf = make([]byte, min(max(n, 2*cap(c.rbuf)), connBufSize))
+	}
+	f.Payload = c.rbuf[:n:n]
 	if _, err := io.ReadFull(c.br, f.Payload); err != nil {
 		return Frame{}, fmt.Errorf("wire: read payload: %w", err)
 	}
 	return f, nil
+}
+
+// reader is the Conn's bufio.Reader, made on the first receive: a Conn
+// that only sends holds none.
+func (c *Conn) reader() *bufio.Reader {
+	if c.br == nil {
+		c.br = bufio.NewReaderSize(c.nc, readBufSize)
+	}
+	return c.br
 }
 
 // armRead bounds the reads that follow by d (zero: unbounded);
@@ -215,17 +232,18 @@ func (c *Conn) RecvTimeout(d time.Duration) (Frame, error) {
 // to the payload, and reads as much of it as it wants straight off the
 // connection — into a buffer of its own, or not at all. What fn leaves
 // unread is discarded when it returns nil, so the stream is on a frame
-// boundary again; when fn returns an error RecvBody returns it at once
-// and reads nothing further (the caller is about to drop a connection
-// it no longer trusts). One deadline of d (zero: none) covers header
-// and payload together. Like Recv, it must be called from the
-// connection's single reader goroutine.
+// boundary again; the discard reads through io.Discard's 8 KiB buffer,
+// which bypasses the Conn's smaller one. When fn returns an error
+// RecvBody returns it at once and reads nothing further (the caller is
+// about to drop a connection it no longer trusts). One deadline of d (zero: none) covers header and
+// payload together. Like Recv, it must be called from the connection's
+// single reader goroutine.
 func (c *Conn) RecvBody(d time.Duration, fn func(typ uint16, size int, body io.Reader) error) error {
 	if err := c.armRead(d); err != nil {
 		return err
 	}
 	defer c.disarmRead(d)
-	typ, size, err := readHeader(c.br, &c.rhdr)
+	typ, size, err := readHeader(c.reader(), &c.rhdr)
 	if err != nil {
 		return err
 	}
@@ -233,7 +251,18 @@ func (c *Conn) RecvBody(d time.Duration, fn func(typ uint16, size int, body io.R
 	if err := fn(typ, size, &c.body); err != nil {
 		return err
 	}
-	if _, err := c.br.Discard(int(c.body.N)); err != nil {
+	if c.body.N == 0 {
+		return nil
+	}
+	// io.Copy reports a payload cut short as success; what is left
+	// unread tells the two apart.
+	if _, err = io.Copy(io.Discard, &c.body); err == nil && c.body.N > 0 {
+		err = io.ErrUnexpectedEOF
+		if c.body.N == int64(size) {
+			err = io.EOF
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("wire: read payload: %w", err)
 	}
 	return nil

@@ -65,16 +65,10 @@ func appendHeader(b []byte, typ uint16, n int) []byte {
 // WriteFrame writes one frame to w. It is not safe for concurrent use on
 // the same writer; callers serialize with their own mutex.
 func WriteFrame(w io.Writer, f Frame) error {
-	var hdr [headerLen]byte
-	return writeFrame(w, &hdr, f)
-}
-
-// writeFrame is WriteFrame with the header built in hdr, which a Conn
-// keeps so that its sends allocate nothing.
-func writeFrame(w io.Writer, hdr *[headerLen]byte, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.Payload))
 	}
+	var hdr [headerLen]byte
 	if _, err := w.Write(appendHeader(hdr[:0], f.Type, len(f.Payload))); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
 	}
@@ -98,9 +92,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	}
 	f := Frame{Type: typ}
 	if n > 0 {
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, fmt.Errorf("wire: read payload: %w", err)
+		if f.Payload, err = ReadPayload(r, n); err != nil {
+			return Frame{}, err
 		}
 	}
 	return f, nil
@@ -123,6 +116,38 @@ func readHeader(r io.Reader, hdr *[headerLen]byte) (typ uint16, n int, err error
 		return 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
 	return binary.BigEndian.Uint16(hdr[2:4]), int(size), nil
+}
+
+// payloadStep is ReadPayload's first allocation; each later one
+// doubles what has arrived.
+const payloadStep = 64 << 10
+
+// ReadPayload reads an n-byte payload from r into a slice of its own:
+// ReadFrame's way with every payload, Recv's with one larger than
+// connBufSize, and a RecvBody callback's with one it keeps. The slice
+// grows with the bytes that actually arrive, never to more than
+// max(payloadStep, twice what was read), so a header alone cannot make
+// the reader allocate the MaxPayload it may declare. The error is
+// io.ReadFull's over the whole payload, wrapped.
+func ReadPayload(r io.Reader, n int) ([]byte, error) {
+	p := make([]byte, min(n, payloadStep))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, p[got:])
+		got += m
+		if err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("wire: read payload: %w", err)
+		}
+		if got == n {
+			return p, nil
+		}
+		grown := make([]byte, got+min(n-got, got))
+		copy(grown, p)
+		p = grown
+	}
 }
 
 // Encoder accumulates payload fields for one frame. The zero value is

@@ -539,7 +539,9 @@ func (f *Fleet) step(w int, lc *core.LeaseClient, id int32) bool {
 	}
 	if vc.state == vcLive {
 		req.LeaseID = vc.leaseID
+		f.mu.Lock() // setChecksum may be appending to f.sums
 		req.CurrentChecksum = f.sums[vc.checksum]
+		f.mu.Unlock()
 	}
 
 	start := time.Now()
