@@ -1,8 +1,8 @@
 package drivolution_test
 
-// Benchmarks regenerating the paper's artifacts (see DESIGN.md §4).
-// One bench per table/figure hot path plus the ablations DESIGN.md §6
-// calls out. Run: go test -bench=. -benchmem .
+// Benchmarks regenerating the paper's artifacts (README.md maps each
+// paper section to its package). One bench per table/figure hot path
+// plus ablations of the design's choices. Run: go test -bench=. -benchmem .
 
 import (
 	"crypto/ed25519"
@@ -509,8 +509,8 @@ func BenchmarkConnectOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkSecureTransfer is the DESIGN.md §6 ablation 4: bootstrap cost
-// plaintext+unsigned vs signed vs TLS.
+// BenchmarkSecureTransfer is the secure-transfer ablation: bootstrap
+// cost plaintext+unsigned vs signed vs TLS.
 func BenchmarkSecureTransfer(b *testing.B) {
 	const payload = 64 << 10
 	b.Run("plain", func(b *testing.B) {

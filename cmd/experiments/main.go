@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper
-// plus the quantitative measurements backing its prose claims (see
-// DESIGN.md §4 for the index), and doubles as the fleet-scale load
-// harness driver.
+// plus the quantitative measurements backing its prose claims (-list
+// prints the index), and doubles as the fleet-scale load harness
+// driver.
 //
 //	go run ./cmd/experiments            # run everything
 //	go run ./cmd/experiments -exp F4    # one experiment

@@ -153,5 +153,5 @@
 //
 // The substrates (the simulated DBMS, the embedded SQL engine, the
 // Sequoia middleware, the driver-image runtime) live under internal/ and
-// are documented in DESIGN.md and docs/ARCHITECTURE.md.
+// are documented in docs/ARCHITECTURE.md.
 package drivolution

@@ -62,8 +62,14 @@ ORDER BY driver_version_major DESC, driver_version_minor DESC,
 	driver_version_micro DESC, driver_id DESC`
 
 // permissionSQL is the paper's Sample code 2 (the distribution table
-// lookup), with its date predicate verbatim, extended to also return the
-// lease terms the offer needs.
+// lookup), extended to also return the lease terms the offer needs. The
+// paper's date predicate reads
+//
+//	now() BETWEEN start_date AND end_date
+//
+// here $now is bound from the server's clock, which the catalog path and
+// every lease write judge by too: the store's now() is another machine's
+// clock over a ConnStore.
 const permissionSQL = `SELECT permission_id, driver_id, driver_options,
 	lease_time_in_ms, renew_policy, expiration_policy, transfer_method
 FROM ` + PermissionTable + `
@@ -71,7 +77,7 @@ WHERE (database IS NULL OR database LIKE $user_database)
 AND (user IS NULL OR user LIKE $client_user)
 AND (client_ip IS NULL OR client_ip LIKE $client_client_ip)
 AND (start_date IS NULL OR end_date IS NULL
-     OR now() BETWEEN start_date AND end_date)
+     OR $now BETWEEN start_date AND end_date)
 ORDER BY permission_id DESC`
 
 const driverByIDSQL = `SELECT driver_id, api_name, api_version_major,
@@ -114,6 +120,7 @@ func (s *Server) matchSQL(req Request) (*grantInfo, *ProtocolError) {
 		"user_database":    req.Database,
 		"client_user":      nullableStr(req.User),
 		"client_client_ip": nullableStr(req.ClientID),
+		"now":              s.clock(),
 	})
 	if err != nil {
 		return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}

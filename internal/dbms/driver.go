@@ -150,7 +150,7 @@ func wrapServerError(code uint16, msg string) error {
 		return fmt.Errorf("%w: %s", client.ErrAuth, msg)
 	case codeNoDatabase:
 		return fmt.Errorf("%w: %s", client.ErrNoDatabase, msg)
-	case codeReadOnly, codeQueryError, codeBadHandle:
+	case codeQueryError, codeBadHandle:
 		return fmt.Errorf("dbms: %s", msg)
 	case codeNotSupported:
 		return fmt.Errorf("%w: %s", client.ErrNotSupported, msg)

@@ -395,7 +395,6 @@ func TestGoldenFrameTypes(t *testing.T) {
 		"authFailed":       {codeAuthFailed, 2},
 		"noDatabase":       {codeNoDatabase, 3},
 		"queryError":       {codeQueryError, 4},
-		"readOnly":         {codeReadOnly, 5},
 		"shutdown":         {codeShutdown, 6},
 		"badHandle":        {codeBadHandle, 7},
 		"notSupported":     {codeNotSupported, 8},

@@ -1,7 +1,6 @@
 package dbms
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -11,34 +10,14 @@ import (
 
 // TestInProcessHubMatchesWire: the in-process Execute and ExecuteBatch
 // a cluster hub funnels its writes through take the same statement path
-// as the wire frames — the same read-only gate, the same up-front batch
-// check, and one replication per mutating statement.
+// as the wire frames — the same up-front batch check, and one
+// replication per mutating statement.
 func TestInProcessHubMatchesWire(t *testing.T) {
 	balance := func(t *testing.T, db *sqlmini.DB) int64 {
 		t.Helper()
 		return db.MustExec("SELECT balance FROM accounts WHERE id = 1").Rows[0][0].Int()
 	}
 	const update = "UPDATE accounts SET balance = 0 WHERE id = 1"
-
-	t.Run("read-only gate", func(t *testing.T) {
-		s := startServer(t, WithReadOnly())
-		_, wireErr := dial(t, s, 1).Exec(update)
-		_, err := s.Execute("app", update)
-		var se *serverError
-		if !errors.As(err, &se) || se.code != codeReadOnly {
-			t.Fatalf("Execute on a read-only server: err = %v, want a codeReadOnly refusal", err)
-		}
-		if wireErr == nil || wireErr.Error() != "dbms: "+se.msg {
-			t.Fatalf("msgExec refused with %v, Execute with %q", wireErr, se.msg)
-		}
-		_, err = s.ExecuteBatch("app", []client.Statement{{SQL: update}})
-		if !errors.As(err, &se) || se.code != codeReadOnly {
-			t.Fatalf("ExecuteBatch on a read-only server: err = %v, want a codeReadOnly refusal", err)
-		}
-		if got := balance(t, s.Database("app")); got != 100 {
-			t.Fatalf("refused statements applied: balance = %d, want 100", got)
-		}
-	})
 
 	t.Run("atomic batch check", func(t *testing.T) {
 		s := startServer(t)
@@ -65,10 +44,7 @@ func TestInProcessHubMatchesWire(t *testing.T) {
 	t.Run("replication", func(t *testing.T) {
 		s := startServer(t)
 		replica := NewServer("replica")
-		replica.AddDatabase("app", sqlmini.NewDB())
-		if err := s.SyncReplica(replica); err != nil {
-			t.Fatal(err)
-		}
+		replica.AddDatabase("app", fixtureDB())
 		s.AttachReplica(replica)
 		if _, err := s.Execute("app", "UPDATE accounts SET balance = balance + $d WHERE id = 1", sqlmini.Args{"d": 1}); err != nil {
 			t.Fatal(err)

@@ -117,7 +117,7 @@ const (
 	codeAuthFailed
 	codeNoDatabase
 	codeQueryError
-	codeReadOnly
+	_ // 5 was a read-only replica's refusal: reserved, never reused
 	codeShutdown
 	// codeBadHandle: msgExecStmt/msgCloseStmt named a prepared-statement
 	// handle this session does not hold.
@@ -594,8 +594,7 @@ func decodePrepare(b []byte) (prepareMsg, error) {
 }
 
 // prepareOKMsg is msgPrepareOK: the session-scoped handle id plus the
-// server's mutation classification (diagnostic; the read-only gate is
-// enforced server-side at execution time).
+// server's mutation classification (diagnostic: no client reads it).
 type prepareOKMsg struct {
 	Handle   uint64
 	Mutating bool

@@ -30,7 +30,6 @@ type Server struct {
 
 	mu        sync.Mutex
 	dbs       map[string]*sqlmini.DB
-	readOnly  bool
 	replicas  []*Server
 	ln        net.Listener
 	stopped   bool
@@ -68,12 +67,6 @@ func WithProtocolVersion(v uint16) ServerOption {
 // WithUser adds an authentication entry.
 func WithUser(user, password string) ServerOption {
 	return func(s *Server) { s.users[user] = password }
-}
-
-// WithReadOnly marks the server as a read-only replica: client mutations
-// are rejected, replicated statements still apply.
-func WithReadOnly() ServerOption {
-	return func(s *Server) { s.readOnly = true }
 }
 
 // WithLogger routes server diagnostics; default is silent.
@@ -119,8 +112,9 @@ func (s *Server) Database(name string) *sqlmini.DB {
 }
 
 // AttachReplica registers r to receive every mutating statement applied
-// on this server (statement-based replication). Initial state transfers
-// via Snapshot/Restore; see SyncReplica.
+// on this server from now on (statement-based replication): a replica
+// starts from the same state as its master, and statements are the only
+// way state reaches it.
 func (s *Server) AttachReplica(r *Server) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -137,28 +131,6 @@ func (s *Server) DetachReplica(r *Server) {
 			return
 		}
 	}
-}
-
-// SyncReplica copies every database's current state into r.
-func (s *Server) SyncReplica(r *Server) error {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.dbs))
-	for n := range s.dbs {
-		names = append(names, n)
-	}
-	s.mu.Unlock()
-	for _, n := range names {
-		src := s.Database(n)
-		dst := r.Database(n)
-		if dst == nil {
-			dst = sqlmini.NewDB()
-			r.AddDatabase(n, dst)
-		}
-		if err := dst.Restore(src.Snapshot()); err != nil {
-			return fmt.Errorf("dbms: sync replica %s/%s: %w", r.name, n, err)
-		}
-	}
-	return nil
 }
 
 // Start listens on addr ("127.0.0.1:0" picks a free port) and serves
@@ -474,17 +446,12 @@ func refuse(conn *wire.Conn, err error) error {
 
 // run is the one statement path: msgExec, msgExecStmt, each statement
 // of a non-atomic batch and the in-process Execute all execute here. It
-// applies the read-only gate, executes m on sql — through m's prepared
-// handle when it names one — and ships a mutation to the replicas of
-// database db. A refusal is a *serverError; an execution failure is the
-// engine's error.
+// executes m on sql — through m's prepared handle when it names one —
+// and ships a mutation to the replicas of database db. A refusal is a
+// *serverError; an execution failure is the engine's error.
 func (s *Server) run(sql *sqlmini.Session, db string, m *execFrame) (*sqlmini.Result, error) {
 	if m.perr != nil {
 		return nil, m.perr
-	}
-	mutating := isMutatingStmt(m.st.Statement())
-	if mutating && s.isReadOnly() {
-		return nil, s.errReadOnly()
 	}
 	var res *sqlmini.Result
 	var err error
@@ -496,15 +463,10 @@ func (s *Server) run(sql *sqlmini.Session, db string, m *execFrame) (*sqlmini.Re
 	if err != nil {
 		return nil, err
 	}
-	if mutating {
+	if isMutatingStmt(m.st.Statement()) {
 		s.replicate(db, m.sql, &m.params)
 	}
 	return res, nil
-}
-
-// errReadOnly refuses a client mutation on a read-only replica.
-func (s *Server) errReadOnly() error {
-	return errorf(codeReadOnly, "server %s is a read-only replica", s.name)
 }
 
 func (s *Server) handleExec(sess *session, payload []byte) error {
@@ -518,10 +480,9 @@ func (s *Server) handleExec(sess *session, payload []byte) error {
 
 // handleExecStmt executes one prepared handle with this call's
 // arguments, on the same path as msgExec of the same SQL: the statement
-// joins the session's open transaction if any, the read-only gate
-// applies at execution time (the replica flag can flip between prepare
-// and exec), mutations replicate by statement text, and the reply is
-// msgResult/msgError in the same shapes.
+// joins the session's open transaction if any, mutations replicate by
+// statement text, and the reply is msgResult/msgError in the same
+// shapes.
 func (s *Server) handleExecStmt(sess *session, payload []byte) error {
 	if sess.caps&CapPreparedStatements == 0 {
 		return refuse(sess.conn, errNoPrepared)
@@ -604,7 +565,7 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 		reply.ErrIndex, reply.ErrCode, reply.ErrMsg = int32(i), se.code, se.msg
 		return sess.sendBatchResult(&reply)
 	}
-	if i, err := s.checkBatch(atomic, stmts); err != nil {
+	if i, err := checkBatch(atomic, stmts); err != nil {
 		return fail(i, err)
 	}
 	if atomic {
@@ -634,17 +595,15 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 }
 
 // checkBatch validates a whole batch before any statement of it runs:
-// every statement parsed and none mutating on a read-only replica, and
-// an atomic batch holds no transaction control and no DDL. It reports
-// the first offending statement's index.
-func (s *Server) checkBatch(atomic bool, stmts []execFrame) (int, error) {
+// every statement parsed, and an atomic batch holds no transaction
+// control and no DDL. It reports the first offending statement's index.
+func checkBatch(atomic bool, stmts []execFrame) (int, error) {
 	for i := range stmts {
 		if perr := stmts[i].perr; perr != nil {
 			return i, perr
 		}
-		st := stmts[i].st.Statement()
 		if atomic {
-			switch st.(type) {
+			switch stmts[i].st.Statement().(type) {
 			case *sqlmini.BeginStmt, *sqlmini.CommitStmt, *sqlmini.RollbackStmt:
 				return i, errors.New("transaction control inside an atomic batch")
 			case *sqlmini.CreateTableStmt, *sqlmini.CreateIndexStmt, *sqlmini.DropTableStmt:
@@ -653,9 +612,6 @@ func (s *Server) checkBatch(atomic bool, stmts []execFrame) (int, error) {
 				// LocalStore's ExecBatchAtomic.
 				return i, errors.New("DDL cannot roll back and is not batchable atomically")
 			}
-		}
-		if isMutatingStmt(st) && s.isReadOnly() {
-			return i, s.errReadOnly()
 		}
 	}
 	return -1, nil
@@ -756,43 +712,28 @@ func (s *Server) handleTableVersions(sess *session, payload []byte) error {
 	return sess.conn.Send(msgTableVersionsOK, reply.encode())
 }
 
-func (s *Server) isReadOnly() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readOnly
-}
-
-// SetReadOnly flips the replica flag at run time (used when promoting a
-// slave during failover).
-func (s *Server) SetReadOnly(ro bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.readOnly = ro
-}
-
 // replicate ships a mutating statement — its SQL and the values bound
 // into its slots — to every attached replica; with none attached it
 // costs one lock and builds nothing. Statement-based replication
 // applies synchronously in autocommit on the replica, so params is read
 // before the session binds its next frame; explicit-transaction
-// interleavings are out of scope for this substrate (documented in
-// DESIGN.md).
+// interleavings are out of scope for this substrate (see "One statement
+// path in the server" in docs/ARCHITECTURE.md).
 func (s *Server) replicate(dbName, sql string, params *sqlmini.Params) {
 	s.mu.Lock()
 	replicas := append([]*Server(nil), s.replicas...)
 	s.mu.Unlock()
 	for _, r := range replicas {
-		if err := r.ApplyReplicated(dbName, sql, params); err != nil {
+		if err := r.applyReplicated(dbName, sql, params); err != nil {
 			s.logf("dbms %s: replicate to %s: %v", s.name, r.name, err)
 		}
 	}
 }
 
-// ApplyReplicated applies a statement shipped from a master, bypassing
-// the read-only gate. params fills the slots the master's parse of sql
-// gave its parameters, which this database's parse of the same text
-// gives them too.
-func (s *Server) ApplyReplicated(dbName, sql string, params *sqlmini.Params) error {
+// applyReplicated applies a statement shipped from a master. params
+// fills the slots the master's parse of sql gave its parameters, which
+// this database's parse of the same text gives them too.
+func (s *Server) applyReplicated(dbName, sql string, params *sqlmini.Params) error {
 	db := s.Database(dbName)
 	if db == nil {
 		return fmt.Errorf("dbms %s: replicated statement for unknown database %q", s.name, dbName)
@@ -810,8 +751,8 @@ func (s *Server) ApplyReplicated(dbName, sql string, params *sqlmini.Params) err
 // Execute runs one statement on the named database in-process — no
 // wire connection — exactly like a statement arriving over the
 // protocol: bound into the same execFrame, it takes the one statement
-// path (read-only gate, execution, replication). Cluster members embed
-// a non-listening Server purely as a replication hub and funnel their
+// path (execution, then replication). Cluster members embed a
+// non-listening Server purely as a replication hub and funnel their
 // store writes through here, so every member's local database
 // converges with its peers'.
 func (s *Server) Execute(dbName, sql string, args ...any) (*sqlmini.Result, error) {
@@ -846,7 +787,7 @@ func (s *Server) ExecuteBatch(dbName string, stmts []client.Statement) ([]*sqlmi
 		}
 	}
 	s.queries.Add(int64(len(stmts)))
-	if i, err := s.checkBatch(true, ms); err != nil {
+	if i, err := checkBatch(true, ms); err != nil {
 		return nil, fmt.Errorf("dbms: batch statement %d: %w", i+1, err)
 	}
 	return s.execBatchAtomic(dbName, ms)

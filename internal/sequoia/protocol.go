@@ -6,10 +6,10 @@
 // resynchronization, and optionally embed a Drivolution server
 // replicated across controllers (Figure 6).
 //
-// Simplifications relative to the real Sequoia (documented in
-// DESIGN.md): total ordering of writes uses an in-process group
-// sequencer rather than a group communication stack, and cross-
-// controller replication applies statements in autocommit.
+// Simplifications relative to the real Sequoia: total ordering of
+// writes uses an in-process group sequencer rather than a group
+// communication stack, and cross-controller replication applies
+// statements in autocommit.
 package sequoia
 
 import (

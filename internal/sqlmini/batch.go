@@ -113,9 +113,9 @@ func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 // returns them keyed by name plus the ordered unlock list. Names that
 // don't resolve are skipped — the referencing statement fails at
 // execution with the canonical ErrNoSuchTable. After latching, every
-// name is re-resolved; if any latched table was swapped (DROP or
-// Restore) or any missing name has appeared, all latches are released
-// and acquisition restarts against the new schema.
+// name is re-resolved; if any latched table was swapped (DROP TABLE)
+// or any missing name has appeared, all latches are released and
+// acquisition restarts against the new schema.
 func (db *DB) lockTablesByName(nameSet map[string]bool) (map[string]*Table, []*Table) {
 	names := make([]string, 0, len(nameSet))
 	for n := range nameSet {

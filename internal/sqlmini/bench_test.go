@@ -106,18 +106,6 @@ func BenchmarkAggregate(b *testing.B) {
 	}
 }
 
-func BenchmarkSnapshotRestore(b *testing.B) {
-	db := benchDB(b, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blob := db.Snapshot()
-		db2 := NewDB()
-		if err := db2.Restore(blob); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLike(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Like("linux-x86_64", "linux-%")

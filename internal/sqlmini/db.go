@@ -62,7 +62,7 @@ type Table struct {
 
 	// latch is the per-table write latch: one writing statement per
 	// table at a time. Multi-table operations (atomic batches,
-	// rollbacks, snapshots) acquire latches in sorted name order, which
+	// rollbacks, the GC round) acquire latches in sorted name order, which
 	// makes the lock graph acyclic (see docs/ARCHITECTURE.md).
 	latch sync.Mutex
 
@@ -103,17 +103,17 @@ func (t *Table) rowsSnapshot() []*Row { return t.rows.Load().snapshot() }
 // NewDB.
 //
 // Lock hierarchy (enforced by drivolint's latchorder analyzer): DDL
-// and whole-database operations take ddlMu first and may then latch
-// tables; multiple Table.latch acquisitions go through the canonical
-// sorted-name loops only; the statement cache lock never nests.
+// (and the tests' whole-database GC round) takes ddlMu first and may
+// then latch tables; multiple Table.latch acquisitions go through the
+// canonical sorted-name loops only; the statement cache lock never
+// nests.
 //
 //lint:latch-order DB.ddlMu < Table.latch
 //lint:latch-leaf DB.cacheMu
 type DB struct {
-	// ddlMu serializes schema changes (CREATE/DROP TABLE, index DDL,
-	// Restore) and whole-database operations (Snapshot). Statements
-	// never take it: they resolve their table from the published schema
-	// map and re-check identity after latching.
+	// ddlMu serializes schema changes (CREATE/DROP TABLE, index DDL).
+	// Statements never take it: they resolve their table from the
+	// published schema map and re-check identity after latching.
 	ddlMu  sync.Mutex
 	schema atomic.Pointer[map[string]*Table]
 
@@ -144,7 +144,7 @@ type DB struct {
 	tableVers sync.Map
 
 	// schemaSeq increments whenever table or index *structure* changes
-	// (CREATE/DROP TABLE, index creation or upgrade, snapshot restore) —
+	// (CREATE/DROP TABLE, index creation or upgrade) —
 	// never on row churn. Prepared statements cache their plan skeleton
 	// against it: an unchanged schemaSeq proves the analyzed table
 	// pointer and its index set are still the live ones.
@@ -193,7 +193,7 @@ func (db *DB) lookupTable(name string) (*Table, error) {
 
 // lockTable latches the named table, re-checking after acquisition
 // that the latched object is still the published one (a concurrent
-// DROP or Restore may have swapped it).
+// DROP may have swapped it).
 func (db *DB) lockTable(name string) (*Table, error) {
 	for {
 		t, err := db.lookupTable(name)

@@ -390,51 +390,6 @@ func TestBlobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec("CREATE TABLE bin (id INTEGER, data BLOB, at TIMESTAMP)")
-	db.MustExec("INSERT INTO bin (id, data, at) VALUES (1, ?, ?)", []byte{1, 2, 3}, time.Now())
-
-	blob := db.Snapshot()
-	db2 := NewDB()
-	if err := db2.Restore(blob); err != nil {
-		t.Fatal(err)
-	}
-	r1, _ := db.Query("SELECT * FROM users ORDER BY id")
-	r2, err := db2.Query("SELECT * FROM users ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Rows) != len(r2.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(r1.Rows), len(r2.Rows))
-	}
-	for i := range r1.Rows {
-		for j := range r1.Rows[i] {
-			a, b := r1.Rows[i][j], r2.Rows[i][j]
-			if a.IsNull() != b.IsNull() || (!a.IsNull() && a.Str() != b.Str()) {
-				t.Fatalf("cell (%d,%d) differs: %s vs %s", i, j, a, b)
-			}
-		}
-	}
-	// Constraints survive the round trip.
-	if _, err := db2.Exec("INSERT INTO users (id, name) VALUES (1, 'dup')"); !errors.Is(err, ErrDuplicateKey) {
-		t.Fatalf("PK not restored: %v", err)
-	}
-	if db.ChangeSeq() != db2.ChangeSeq() {
-		t.Errorf("changeSeq: %d vs %d", db.ChangeSeq(), db2.ChangeSeq())
-	}
-}
-
-func TestRestoreRejectsGarbage(t *testing.T) {
-	db := NewDB()
-	if err := db.Restore([]byte{0xFF, 0x01, 0x02}); err == nil {
-		t.Fatal("expected error restoring garbage")
-	}
-	if err := db.Restore(nil); err == nil {
-		t.Fatal("expected error restoring empty blob")
-	}
-}
-
 func TestConcurrentAutocommit(t *testing.T) {
 	db := NewDB()
 	db.MustExec("CREATE TABLE counters (id INTEGER NOT NULL PRIMARY KEY, n INTEGER)")
@@ -561,30 +516,5 @@ func TestTableVersionBumpsOnRollback(t *testing.T) {
 	r := db.MustExec("SELECT id FROM a")
 	if r.Rows[0][0].Int() != 1 {
 		t.Fatalf("rollback failed: %v", r.Rows[0][0])
-	}
-}
-
-// TestRestoreBumpsTableVersions: a snapshot resync mutates tables
-// without running statements, and caches keyed on TableVersion (the
-// drivolution driver catalog) must see it as a change — both for
-// tables the snapshot replaces and for tables it drops.
-func TestRestoreBumpsTableVersions(t *testing.T) {
-	src := NewDB()
-	src.MustExec("CREATE TABLE a (id INTEGER NOT NULL PRIMARY KEY)")
-	src.MustExec("INSERT INTO a (id) VALUES (1)")
-	snap := src.Snapshot()
-
-	dst := NewDB()
-	dst.MustExec("CREATE TABLE a (id INTEGER NOT NULL PRIMARY KEY)")
-	dst.MustExec("CREATE TABLE gone (id INTEGER NOT NULL PRIMARY KEY)")
-	va, vg := dst.TableVersion("a"), dst.TableVersion("gone")
-	if err := dst.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if dst.TableVersion("a") <= va {
-		t.Errorf("restore must bump replaced table: %d -> %d", va, dst.TableVersion("a"))
-	}
-	if dst.TableVersion("gone") <= vg {
-		t.Errorf("restore must bump dropped table: %d -> %d", vg, dst.TableVersion("gone"))
 	}
 }

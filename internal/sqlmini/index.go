@@ -631,10 +631,10 @@ func (t *Table) addIndex(name string, cols []int, kind IndexKind) {
 
 // indexInsert registers a row's newest version under its keys in the PK
 // and all secondary indexes, recording the version's handles. fresh
-// marks a row this statement allocated (INSERT, restore into empty
-// indexes), which no bucket can hold yet; rollback passes false to
-// re-register values whose entries GC may or may not have dropped.
-// Caller holds the latch and has checked uniqueness.
+// marks a row this statement allocated (INSERT), which no bucket can
+// hold yet; rollback passes false to re-register values whose entries
+// GC may or may not have dropped. Caller holds the latch and has
+// checked uniqueness.
 func (t *Table) indexInsert(r *Row, fresh bool) {
 	v := r.cur()
 	if t.pk >= 0 && !v.vals[t.pk].IsNull() {
@@ -709,24 +709,4 @@ func (t *Table) pkCandidates(v Value) []*Row {
 		return nil
 	}
 	return t.pkIx.lookup([]Value{v})
-}
-
-// rebuildIndex reconstructs the PK index and every secondary index
-// from the current rows (snapshot restore, on fresh tables).
-func (t *Table) rebuildIndex() {
-	t.pk = t.pkCol()
-	if t.pk >= 0 {
-		t.pkIx = newHashIndex([]int{t.pk})
-	}
-	ixs := t.loadIndexes()
-	fresh := make([]*secondaryIndex, len(ixs))
-	for i, ix := range ixs {
-		fresh[i] = newSecondaryIndex(ix.name, ix.cols, ix.kind)
-	}
-	t.storeIndexes(fresh)
-	for _, r := range t.rows.Load().snapshot() {
-		if r.curVals() != nil {
-			t.indexInsert(r, true)
-		}
-	}
 }

@@ -43,7 +43,7 @@ func (u *undoLog) recordDelete(t *Table, r *Row, old []Value) {
 
 // lockEntryTables latches every distinct table the log touched, in
 // (name, pointer) order. Sorting by name keeps the order compatible
-// with every other multi-latch path (batches, snapshots, restores all
+// with every other multi-latch path (batches and the GC round both
 // sort by name), so the global lock graph stays acyclic; the pointer
 // tie-break only matters when a table was dropped and re-created under
 // the same name mid-transaction, and is applied consistently by every

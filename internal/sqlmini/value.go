@@ -30,6 +30,8 @@ import (
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
+
+	"repro/internal/wire"
 )
 
 // Type enumerates column/value types. The set mirrors the ANSI SQL types
@@ -509,5 +511,55 @@ func Coerce(v Value, t Type) (Value, error) {
 		return NewBool(v.Bool()), nil
 	default:
 		return Null, fmt.Errorf("sqlmini: unknown column type %v", t)
+	}
+}
+
+// EncodeValue appends v to e as a type byte and its payload: the value
+// format the network protocols use for statement arguments and result
+// rows.
+func EncodeValue(e *wire.Encoder, v Value) { encodeValue(e, v) }
+
+// DecodeValue reads one value in EncodeValue's format.
+func DecodeValue(d *wire.Decoder) (Value, error) { return decodeValue(d) }
+
+func encodeValue(e *wire.Encoder, v Value) {
+	e.Uint8(uint8(v.Type()))
+	switch v.Type() {
+	case TypeNull:
+	case TypeInteger, TypeBigint, TypeBoolean:
+		e.Int64(v.Int())
+	case TypeDouble:
+		e.Float64(v.Float())
+	case TypeVarchar:
+		e.String(v.Str())
+	case TypeBlob:
+		e.Bytes32(v.Bytes())
+	case TypeTimestamp:
+		e.Time(v.Time())
+	}
+}
+
+func decodeValue(d *wire.Decoder) (Value, error) {
+	t := Type(d.Uint8())
+	if err := d.Err(); err != nil {
+		return Null, err
+	}
+	switch t {
+	case TypeNull:
+		return Null, nil
+	case TypeInteger, TypeBigint:
+		return Coerce(NewInt(d.Int64()), t)
+	case TypeBoolean:
+		return NewBool(d.Int64() != 0), nil
+	case TypeDouble:
+		return NewFloat(d.Float64()), nil
+	case TypeVarchar:
+		return NewString(d.String()), nil
+	case TypeBlob:
+		return NewBytes(d.Bytes32()), nil
+	case TypeTimestamp:
+		return NewTime(d.Time()), nil
+	default:
+		return Null, fmt.Errorf("unknown value type %d", t)
 	}
 }

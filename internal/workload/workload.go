@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,13 +30,10 @@ type Outcome struct {
 // Recorder accumulates outcomes from concurrent workers. State is
 // sharded — each shard has its own lock, histogram, and counters, and
 // shards merge on read — so a six-figure virtual-client fleet never
-// funnels every request through one mutex. In the default mode every
-// Outcome is also retained for post-hoc inspection (Outcomes); the
-// histogram-only mode (NewHistRecorder) keeps just the fixed-size
-// histogram and counters per shard, so memory stays flat no matter how
-// many requests a run records.
+// funnels every request through one mutex. A shard keeps only its
+// fixed-size histogram and counters, never the outcomes themselves, so
+// memory stays flat no matter how many requests a run records.
 type Recorder struct {
-	retain bool
 	shards []recShard
 	next   atomic.Uint64 // round-robin shard pick for unpinned Record calls
 }
@@ -47,7 +43,6 @@ type Recorder struct {
 // workers don't contend.
 type recShard struct {
 	mu                  sync.Mutex
-	outcomes            []Outcome
 	hist                Hist // successful-request latencies
 	total               uint64
 	errors              uint64
@@ -57,24 +52,14 @@ type recShard struct {
 	_                   [64]byte
 }
 
-// NewRecorder creates an outcome-retaining recorder (the default mode:
-// full per-request history, suitable for scenario-sized runs).
-func NewRecorder() *Recorder { return newRecorder(8, true) }
-
-// NewHistRecorder creates a histogram-only recorder with one shard per
-// expected worker: per-request outcomes are never retained, so memory
-// is O(shards), not O(requests). This is the mode fleet-scale runs use.
-func NewHistRecorder(shards int) *Recorder { return newRecorder(shards, false) }
-
-func newRecorder(shards int, retain bool) *Recorder {
+// NewHistRecorder creates a recorder with one shard per expected
+// worker: memory is O(shards), not O(requests).
+func NewHistRecorder(shards int) *Recorder {
 	if shards < 1 {
 		shards = 1
 	}
-	return &Recorder{retain: retain, shards: make([]recShard, shards)}
+	return &Recorder{shards: make([]recShard, shards)}
 }
-
-// HistogramOnly reports whether the recorder retains outcomes.
-func (r *Recorder) HistogramOnly() bool { return !r.retain }
 
 // Record appends one outcome to some shard. Callers with a stable
 // worker identity should prefer RecordShard, which avoids even the
@@ -110,9 +95,6 @@ func (r *Recorder) RecordShard(w int, o Outcome) {
 	} else {
 		s.hist.Record(o.Latency)
 	}
-	if r.retain {
-		s.outcomes = append(s.outcomes, o)
-	}
 	s.mu.Unlock()
 }
 
@@ -127,24 +109,6 @@ func isTimeoutErr(err error) bool {
 	}
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// Outcomes snapshots the recorded outcomes in start order. In
-// histogram-only mode no outcomes are retained and Outcomes returns
-// nil.
-func (r *Recorder) Outcomes() []Outcome {
-	if !r.retain {
-		return nil
-	}
-	var out []Outcome
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		out = append(out, s.outcomes...)
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out
 }
 
 // Hist returns the merged latency histogram of successful requests.
@@ -183,8 +147,7 @@ type Stats struct {
 }
 
 // Stats computes the summary by merging every shard's counters and
-// histogram; it never touches retained outcomes, so it costs the same
-// in both recorder modes.
+// histograms.
 func (r *Recorder) Stats() Stats {
 	var s Stats
 	var h Hist
@@ -253,12 +216,12 @@ func NewRunner(drv client.Driver, url string, props client.Props) *Runner {
 		Props:   props,
 		Workers: 1,
 		Think:   time.Millisecond,
-		rec:     NewRecorder(),
+		rec:     NewHistRecorder(8),
 		stopCh:  make(chan struct{}),
 	}
 }
 
-// Recorder exposes the run's outcomes.
+// Recorder exposes the run's recorded stats.
 func (r *Runner) Recorder() *Recorder { return r.rec }
 
 // Start launches the workers.
