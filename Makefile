@@ -8,6 +8,7 @@
 #   make lint            # gofmt + vet + doclint + drivolint (LINT_FILTER narrows analyzers)
 #   make doclint         # every internal/ package must have a package comment
 #   make chaos           # longer fault-injection soak across several seeds
+#   make examples        # build and run every program under examples/, each under a timeout
 #   make fuzz-smoke      # 20 s of native fuzzing per target, every Fuzz* found (off the tier-1 path)
 #   make bench-module-check  # vet + test + drivolint the separate bench/ module (drivobench)
 #   make loc             # non-test Go code lines per package (what ROADMAP "non-test lines" means)
@@ -21,7 +22,7 @@
 # BENCH_FILTER ('.'' = full suite, includes slow lease-traffic sweeps),
 # BENCH_PKGS.
 
-.PHONY: check check-race check-386 tier1 race lint drivolint doclint chaos fuzz-smoke bench-module-check loc bench bench-baseline bench-compare loadtest loadtest-baseline
+.PHONY: check check-race check-386 tier1 race lint drivolint doclint chaos examples fuzz-smoke bench-module-check loc bench bench-baseline bench-compare loadtest loadtest-baseline
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
@@ -72,6 +73,17 @@ CHAOS_SEEDS ?= 5
 CHAOS_DURATION ?= 5s
 chaos:
 	CHAOS_DURATION=$(CHAOS_DURATION) go test -race -run 'TestChaosSoak' -count=$(CHAOS_SEEDS) -v ./internal/core/
+
+# examples builds every program under examples/ into a temporary
+# directory (removed afterwards) and runs each one; an example that
+# exits non-zero or runs longer than 60 s fails the target.
+examples:
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	go build -o "$$dir/" ./examples/...; \
+	for bin in "$$dir"/*; do \
+		echo "== examples/$$(basename "$$bin")"; \
+		timeout 60s "$$bin" || { echo "examples/$$(basename "$$bin") failed" >&2; exit 1; }; \
+	done
 
 # fuzz-smoke runs every native fuzz target for FUZZ_TIME. It finds
 # them with `go test -list`, so a new target joins the run by existing.

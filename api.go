@@ -85,8 +85,6 @@ type (
 	VersionWatchConn = client.VersionWatchConn
 	// Props carries connection options.
 	Props = client.Props
-	// Pool is a bounded connection pool.
-	Pool = client.Pool
 )
 
 // Policy constants, re-exported with the paper's Table 2 encodings.
@@ -120,8 +118,6 @@ var (
 	NewRuntime = driverimg.NewRuntime
 	// NewPackageStore creates an empty feature-package store.
 	NewPackageStore = driverimg.NewPackageStore
-	// NewPool creates a bounded connection pool.
-	NewPool = client.NewPool
 	// EnsureSchema creates the Drivolution tables (Table 1/2 + leases).
 	EnsureSchema = core.EnsureSchema
 	// GenerateTLSCert builds a self-signed cert + trust pool for the

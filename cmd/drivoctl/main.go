@@ -193,8 +193,7 @@ func cmdProbe(args []string) error {
 
 // cmdClusterStatus asks one member for its membership view: who it has
 // heard from, whether it is quorate (fenced members answer too — with
-// Quorate false), and how the shard space is currently divided,
-// including any handoff overrides in force.
+// Quorate false), and how the shard space is currently divided.
 func cmdClusterStatus(args []string) error {
 	fs := flag.NewFlagSet("cluster-status", flag.ExitOnError)
 	var (
@@ -210,7 +209,6 @@ func cmdClusterStatus(args []string) error {
 	}
 	fmt.Printf("member:    %s (index %d)\n", st.Name, st.Index)
 	fmt.Printf("quorate:   %v\n", st.Quorate)
-	fmt.Printf("epoch:     %d\n", st.Epoch)
 	fmt.Printf("shards:    %d\n", st.Shards)
 	fmt.Printf("peers:\n")
 	for _, p := range st.Peers {
@@ -227,12 +225,6 @@ func cmdClusterStatus(args []string) error {
 		}
 		fmt.Printf("  %s %-20s %-21s %-5s seen %-12s owns %d shards\n",
 			mark, p.Name, p.ClientAddr, state, last, p.OwnedShards)
-	}
-	if len(st.Overrides) > 0 {
-		fmt.Printf("overrides: %d shard(s) moved off their home member\n", len(st.Overrides))
-		for _, o := range st.Overrides {
-			fmt.Printf("  shard %d -> member %d\n", o.Shard, o.Member)
-		}
 	}
 	return nil
 }

@@ -62,18 +62,18 @@
 //
 // The embedded SQL engine (internal/sqlmini) executes statements whose
 // WHERE clause carries a top-level equality conjunct on an indexed
-// column — the primary key, or a secondary index declared with
-// CREATE INDEX / DB.EnsureIndex — as an O(1) point lookup with the full
-// WHERE re-applied as a residual filter; `released = FALSE`-style bool
-// predicates ride along as residuals. Columns with an ORDERED index
-// (CREATE INDEX ... USING ORDERED / DB.EnsureOrderedIndex) additionally
-// serve range conjuncts — col > k, >=, <, <=, BETWEEN, including
-// statement-stable now() bounds — as an O(log n) boundary seek plus an
-// in-order walk of just the matching window; ordered indexes may span
-// several columns (CREATE INDEX ... (a, b) USING ORDERED), serving a
-// range on the second column alone by a skip scan — one window seek per
-// distinct leading key — when the leading column is NOT NULL, and a
-// plan that consumes every WHERE conjunct runs residual-free. The
+// column — the primary key, or a secondary index declared with CREATE
+// INDEX — as an O(1) point lookup with the full WHERE re-applied as a
+// residual filter; `released = FALSE`-style bool predicates ride along
+// as residuals. Columns with an ORDERED index (CREATE INDEX ... USING
+// ORDERED) additionally serve range conjuncts — col > k, >=, <, <=,
+// BETWEEN, including statement-stable now() bounds — as an O(log n)
+// boundary seek plus an in-order walk of just the matching window;
+// ordered indexes may span several columns (CREATE INDEX ... (a, b)
+// USING ORDERED), serving a range on the second column alone by a skip
+// scan — one window seek per distinct leading key — when the leading
+// column is NOT NULL, and a plan that consumes every WHERE conjunct
+// runs residual-free. The
 // schema declares a hash index on driver_permission(driver_id) and one
 // composite ordered index on leases(driver_id, expires_at), and the
 // lease_id and driver_id primary keys drive execution, so renewals,

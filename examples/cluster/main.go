@@ -150,7 +150,7 @@ func printStatus(f *cluster.Fleet, via int) {
 		fmt.Printf("  status probe failed: %v\n", err)
 		return
 	}
-	fmt.Printf("  [%s] epoch %d, quorate %v:", st.Name, st.Epoch, st.Quorate)
+	fmt.Printf("  [%s] quorate %v:", st.Name, st.Quorate)
 	for _, p := range st.Peers {
 		state := "alive"
 		if !p.Alive {

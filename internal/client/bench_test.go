@@ -1,67 +1,6 @@
 package client
 
-import (
-	"sync"
-	"testing"
-)
-
-// nopConn is a zero-cost Conn for pool micro-benchmarks.
-type nopConn struct{ closed bool }
-
-func (c *nopConn) Exec(string, ...any) (*Result, error)  { return &Result{}, nil }
-func (c *nopConn) Query(string, ...any) (*Result, error) { return &Result{}, nil }
-func (c *nopConn) Begin() error                          { return nil }
-func (c *nopConn) Commit() error                         { return nil }
-func (c *nopConn) Rollback() error                       { return nil }
-func (c *nopConn) InTx() bool                            { return false }
-func (c *nopConn) Ping() error                           { return nil }
-func (c *nopConn) Close() error                          { c.closed = true; return nil }
-
-func BenchmarkPoolGetPut(b *testing.B) {
-	p, err := NewPool(func() (Conn, error) { return &nopConn{}, nil }, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := p.Get()
-		if err != nil {
-			b.Fatal(err)
-		}
-		p.Put(c)
-	}
-}
-
-func BenchmarkPoolContended(b *testing.B) {
-	p, err := NewPool(func() (Conn, error) { return &nopConn{}, nil }, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	workers := 16
-	per := b.N / workers
-	if per == 0 {
-		per = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c, err := p.Get()
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				p.Put(c)
-			}
-		}()
-	}
-	wg.Wait()
-}
+import "testing"
 
 func BenchmarkParseURL(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -1,11 +1,7 @@
 package client
 
 import (
-	"errors"
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/sqlmini"
 )
@@ -115,285 +111,6 @@ func TestPropsMergeClone(t *testing.T) {
 	}
 }
 
-// stubConn is a minimal Conn for pool tests.
-type stubConn struct {
-	mu     sync.Mutex
-	closed bool
-	broken bool
-	id     int
-}
-
-func (c *stubConn) Exec(string, ...any) (*Result, error)  { return &Result{}, nil }
-func (c *stubConn) Query(string, ...any) (*Result, error) { return &Result{}, nil }
-func (c *stubConn) Begin() error                          { return nil }
-func (c *stubConn) Commit() error                         { return nil }
-func (c *stubConn) Rollback() error                       { return nil }
-func (c *stubConn) InTx() bool                            { return false }
-
-func (c *stubConn) Ping() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || c.broken {
-		return ErrClosed
-	}
-	return nil
-}
-
-func (c *stubConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	return nil
-}
-
-func TestPoolReuse(t *testing.T) {
-	dials := 0
-	p, err := NewPool(func() (Conn, error) {
-		dials++
-		return &stubConn{id: dials}, nil
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	c1, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Put(c1)
-	c2, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Error("pool should reuse the idle connection")
-	}
-	if dials != 1 {
-		t.Errorf("dials = %d", dials)
-	}
-	p.Put(c2)
-	idle, active := p.Stats()
-	if idle != 1 || active != 0 {
-		t.Errorf("stats = %d idle, %d active", idle, active)
-	}
-}
-
-func TestPoolCapacityBlocksAndHandsOff(t *testing.T) {
-	p, err := NewPool(func() (Conn, error) { return &stubConn{}, nil }, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	c1, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan Conn, 1)
-	go func() {
-		c, err := p.Get() // blocks until Put
-		if err != nil {
-			got <- nil
-			return
-		}
-		got <- c
-	}()
-	select {
-	case <-got:
-		t.Fatal("Get should have blocked at capacity")
-	case <-time.After(50 * time.Millisecond):
-	}
-	p.Put(c1)
-	select {
-	case c := <-got:
-		if c != c1 {
-			t.Error("expected direct hand-off of the returned connection")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("waiter never woke")
-	}
-}
-
-func TestPoolDiscardFreesSlot(t *testing.T) {
-	p, err := NewPool(func() (Conn, error) { return &stubConn{}, nil }, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	c1, _ := p.Get()
-	done := make(chan error, 1)
-	go func() {
-		c, err := p.Get()
-		if err == nil {
-			p.Put(c)
-		}
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	p.Discard(c1)
-	if err := <-done; err != nil {
-		t.Fatalf("waiter after Discard: %v", err)
-	}
-}
-
-func TestPoolReplacesBrokenIdle(t *testing.T) {
-	dials := 0
-	p, err := NewPool(func() (Conn, error) {
-		dials++
-		return &stubConn{id: dials}, nil
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	c1, _ := p.Get()
-	p.Put(c1)
-	c1.(*stubConn).broken = true
-	c2, err := p.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 == c1 {
-		t.Error("broken idle connection must be replaced")
-	}
-	if dials != 2 {
-		t.Errorf("dials = %d", dials)
-	}
-}
-
-func TestPoolClose(t *testing.T) {
-	p, err := NewPool(func() (Conn, error) { return &stubConn{}, nil }, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := p.Get()
-
-	waiterErr := make(chan error, 1)
-	go func() {
-		_, err := p.Get()
-		waiterErr <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	p.Close()
-	if err := <-waiterErr; !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("waiter err = %v", err)
-	}
-	if _, err := p.Get(); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("Get after close = %v", err)
-	}
-	p.Put(c) // returning into a closed pool closes the conn
-	if c.(*stubConn).Ping() == nil {
-		t.Error("conn returned to closed pool should be closed")
-	}
-	p.Close() // idempotent
-}
-
-func TestPoolDrainIdle(t *testing.T) {
-	p, err := NewPool(func() (Conn, error) { return &stubConn{}, nil }, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	var conns []Conn
-	for i := 0; i < 3; i++ {
-		c, err := p.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns = append(conns, c)
-	}
-	for _, c := range conns {
-		p.Put(c)
-	}
-	if n := p.DrainIdle(); n != 3 {
-		t.Fatalf("DrainIdle = %d", n)
-	}
-	for _, c := range conns {
-		if c.Ping() == nil {
-			t.Error("drained connection should be closed")
-		}
-	}
-}
-
-func TestPoolConnectError(t *testing.T) {
-	boom := fmt.Errorf("dial failed")
-	p, err := NewPool(func() (Conn, error) { return nil, boom }, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if _, err := p.Get(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	// Slot must have been released; a second Get fails the same way
-	// rather than deadlocking.
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.Get()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, boom) {
-			t.Fatalf("second Get err = %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("second Get deadlocked: connect-failure leaked the slot")
-	}
-}
-
-func TestPoolConcurrentStress(t *testing.T) {
-	var mu sync.Mutex
-	open := 0
-	maxOpen := 0
-	p, err := NewPool(func() (Conn, error) {
-		mu.Lock()
-		open++
-		if open > maxOpen {
-			maxOpen = open
-		}
-		mu.Unlock()
-		return &stubConn{}, nil
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 25; j++ {
-				c, err := p.Get()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				time.Sleep(time.Microsecond)
-				p.Put(c)
-			}
-		}()
-	}
-	wg.Wait()
-	if maxOpen > 4 {
-		t.Errorf("max open connections = %d, want <= 4", maxOpen)
-	}
-	_, active := p.Stats()
-	if active != 0 {
-		t.Errorf("active = %d after all Puts", active)
-	}
-}
-
-func TestNewPoolValidation(t *testing.T) {
-	if _, err := NewPool(func() (Conn, error) { return nil, nil }, 0); err == nil {
-		t.Fatal("max=0 should be rejected")
-	}
-}
-
-// Ensure Result type composes with sqlmini values (compile-time usage).
 func TestResultHoldsValues(t *testing.T) {
 	r := &Result{Cols: []string{"a"}, Rows: [][]sqlmini.Value{{sqlmini.NewInt(1)}}}
 	if r.Rows[0][0].Int() != 1 {

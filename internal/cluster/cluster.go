@@ -33,17 +33,11 @@
 //     heals. The fencing deadline is deliberately earlier than the
 //     takeover deadline — FenceAfter + 2·heartbeat < FailAfter — so a
 //     cut-off member has stopped granting before any survivor starts.
-//
-// Shard moves use the same epoch-stamped override table that failover
-// reads: Transfer bumps the epoch, records the override, and pushes
-// the whole table to every reachable peer; gossip carries it to the
-// rest. Higher epoch wins wholesale, so members converge on one
-// assignment without per-shard merge rules.
 package cluster
 
 // The shard map is pure arithmetic shared by every member: no
 // coordination is needed to agree on a grant's home, only on which
-// members are alive and which overrides are in force.
+// members are alive.
 
 // ShardMap hashes grants onto shards and shards onto home members.
 type ShardMap struct {
@@ -68,8 +62,7 @@ func (m ShardMap) Shard(driverID int64, clientID string) uint32 {
 }
 
 // Home returns the shard's home member on a ring of n members; the
-// owner may differ when the home is dead or an override moved the
-// shard.
+// owner differs only when the home is dead.
 func (m ShardMap) Home(shard uint32, n int) int { return int(shard) % n }
 
 // fnv1a hashes a string (FNV-1a 64).

@@ -202,48 +202,20 @@ func TestRedirectToOwner(t *testing.T) {
 	if offer.LeaseID == 0 {
 		t.Fatal("owner granted no lease")
 	}
-}
 
-// TestTransferMovesShard pins the handoff protocol: an epoch-bumped
-// override pushed by Transfer moves a shard's grants to the new owner
-// on every member at once.
-func TestTransferMovesShard(t *testing.T) {
-	f := newTestFleet(t, testFleetConfig(3))
-	seedDriver(t, f, 0, "", time.Hour)
-
-	clientID := clientOwnedBy(t, f, 1)
-	shard := ShardMap{Shards: f.cfg.Shards}.Shard(0, clientID)
-	if err := f.Members[0].Transfer(shard, 2); err != nil {
-		t.Fatal(err)
-	}
-
-	// The old owner now redirects to the new one.
-	lc1, err := core.DialLeaseClient(f.Servers[1].Addr(), 2*time.Second)
+	// An operator's status probe over the cluster listener reports the
+	// same ring: quorate, every peer alive, the shards split evenly.
+	st, err := FetchStatus(f.Members[0].ClusterAddr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lc1.Close()
-	_, err = lc1.Request(testRequest("app", clientID))
-	var re *core.Redirect
-	if !errors.As(err, &re) || re.Addr != f.Servers[2].Addr() {
-		t.Fatalf("old owner answered (%v, %v), want redirect to member 2", err, re)
+	if !st.Quorate || st.Shards != uint32(f.cfg.Shards) || len(st.Peers) != 3 {
+		t.Fatalf("status = %+v", st)
 	}
-	// The new owner serves.
-	lc2, err := core.DialLeaseClient(f.Servers[2].Addr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc2.Close()
-	if _, err := lc2.Request(testRequest("app", clientID)); err != nil {
-		t.Fatalf("transfer target declined: %v", err)
-	}
-	// The override is visible in status, at a bumped epoch.
-	st, err := FetchStatus(f.Members[1].ClusterAddr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Epoch == 0 || len(st.Overrides) != 1 || st.Overrides[0] != (OverrideEntry{Shard: shard, Member: 2}) {
-		t.Fatalf("override not gossiped: %+v", st)
+	for i, p := range st.Peers {
+		if !p.Alive || p.Self != (i == 0) || p.OwnedShards != st.Shards/3 {
+			t.Fatalf("status peer %d = %+v, want alive owning %d shards", i, p, st.Shards/3)
+		}
 	}
 }
 

@@ -44,8 +44,8 @@ type FleetConfig struct {
 
 // Fleet assembles N members in one process: per-member store, a
 // full-mesh replication hub, the core server, and the membership
-// layer. Tests, benchmarks and examples drive whole clusters through
-// it; cmd/drivolutiond assembles single members out of the same parts.
+// layer. Tests, benchmarks, examples and `drivolutiond -cluster` drive
+// whole clusters through it.
 type Fleet struct {
 	DBs     []*sqlmini.DB
 	Hubs    []*dbms.Server
@@ -300,7 +300,7 @@ func (f *Fleet) ClusterAddrs() []string {
 }
 
 // HomeOf reports which member a (driver, client) grant routes to when
-// every member is alive and no overrides are in force.
+// every member is alive.
 func (f *Fleet) HomeOf(driverID int64, clientID string) int {
 	sm := ShardMap{Shards: f.cfg.Shards, ByDriver: f.cfg.LicenseMode}
 	return sm.Home(sm.Shard(driverID, clientID), len(f.Servers))

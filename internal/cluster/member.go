@@ -14,7 +14,7 @@ import (
 
 // MemberConfig describes one member's place in the cluster. Names and
 // ClientAddrs are indexed by member and identical on every member —
-// the map is static; only liveness and overrides are dynamic.
+// the map is static; only liveness is dynamic.
 type MemberConfig struct {
 	Index       int      // this member's slot
 	Names       []string // display names, one per member
@@ -47,9 +47,8 @@ type MemberConfig struct {
 }
 
 // Member is the membership/health half of a cluster node: it
-// heartbeats peers, tracks who is alive, carries the shard override
-// table, and turns all of that into routing decisions for the
-// colocated core.Server via Route.
+// heartbeats peers, tracks who is alive, and turns that into routing
+// decisions for the colocated core.Server via Route.
 type Member struct {
 	cfg   MemberConfig
 	n     int
@@ -60,11 +59,9 @@ type Member struct {
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 
-	mu        sync.Mutex
-	peers     []string // cluster addresses, fixed at Start
-	seen      []time.Time
-	epoch     uint64
-	overrides map[uint32]uint32
+	mu    sync.Mutex
+	peers []string // cluster addresses, fixed at Start
+	seen  []time.Time
 }
 
 // NewMember validates the config and binds the cluster listener, so
@@ -102,11 +99,10 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 		cfg.ListenAddr = "127.0.0.1:0"
 	}
 	m := &Member{
-		cfg:       cfg,
-		n:         n,
-		stopCh:    make(chan struct{}),
-		seen:      make([]time.Time, n),
-		overrides: make(map[uint32]uint32),
+		cfg:    cfg,
+		n:      n,
+		stopCh: make(chan struct{}),
+		seen:   make([]time.Time, n),
 	}
 	ln, err := m.bind(cfg.ListenAddr)
 	if err != nil {
@@ -116,8 +112,8 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 	return m, nil
 }
 
-// ClusterAddr is the member's cluster-protocol address (heartbeats,
-// transfers, status probes) — distinct from its client address.
+// ClusterAddr is the member's cluster-protocol address (heartbeats and
+// status probes) — distinct from its client address.
 func (m *Member) ClusterAddr() string { return m.ln.addr() }
 
 // Name returns the member's own display name.
@@ -180,62 +176,6 @@ func (m *Member) Route(driverID int64, clientID string) core.Route {
 	return core.Route{Addr: m.cfg.ClientAddrs[owner], Server: m.cfg.Names[owner]}
 }
 
-// Transfer moves a shard to another member by pushing an epoch-bumped
-// override to every reachable peer; gossip carries it to the rest. A
-// non-quorate member refuses: it might be the minority side of a
-// partition asserting an assignment the majority has already changed.
-func (m *Member) Transfer(shard uint32, to int) error {
-	if to < 0 || to >= m.n {
-		return fmt.Errorf("cluster: no member %d", to)
-	}
-	if int(shard) >= m.cfg.Shards {
-		return fmt.Errorf("cluster: no shard %d", shard)
-	}
-	m.mu.Lock()
-	if m.peers == nil {
-		m.mu.Unlock()
-		return fmt.Errorf("cluster: %s not started", m.Name())
-	}
-	if !m.quorateLocked(time.Now()) {
-		m.mu.Unlock()
-		return fmt.Errorf("cluster: %s is not quorate; refusing shard transfer", m.Name())
-	}
-	m.epoch++
-	m.overrides[shard] = uint32(to)
-	msg := m.gossipLocked(time.Now())
-	msg.Alive = nil
-	m.mu.Unlock()
-	payload := msg.encode()
-	for p := 0; p < m.n; p++ {
-		if p == m.cfg.Index {
-			continue
-		}
-		if err := m.pushTransfer(p, payload); err != nil {
-			m.logf("cluster %s: transfer push to %s: %v", m.Name(), m.cfg.Names[p], err)
-		}
-	}
-	return nil
-}
-
-func (m *Member) pushTransfer(peer int, payload []byte) error {
-	conn, err := m.dialPeer(peer)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if err := conn.Send(msgTransfer, payload); err != nil {
-		return err
-	}
-	f, err := conn.RecvTimeout(m.cfg.DialTimeout)
-	if err != nil {
-		return err
-	}
-	if f.Type != msgTransferOK {
-		return fmt.Errorf("cluster: unexpected frame 0x%04x to transfer", f.Type)
-	}
-	return nil
-}
-
 // Quorate reports whether the member currently sees a majority.
 func (m *Member) Quorate() bool {
 	now := time.Now()
@@ -252,7 +192,6 @@ func (m *Member) Status() Status {
 	st := Status{
 		Name:    m.Name(),
 		Index:   uint32(m.cfg.Index),
-		Epoch:   m.epoch,
 		Quorate: m.quorateLocked(now),
 		Shards:  uint32(m.cfg.Shards),
 	}
@@ -273,19 +212,12 @@ func (m *Member) Status() Status {
 		}
 		st.Peers = append(st.Peers, p)
 	}
-	for s, o := range m.overrides {
-		st.Overrides = append(st.Overrides, OverrideEntry{Shard: s, Member: o})
-	}
 	return st
 }
 
-// ownerLocked resolves a shard to its current owner: the override
-// target if alive, else the first live member walking the ring from
-// the shard's home.
+// ownerLocked resolves a shard to its current owner: the first live
+// member walking the ring from the shard's home.
 func (m *Member) ownerLocked(shard uint32, now time.Time) int {
-	if o, ok := m.overrides[shard]; ok && m.aliveLocked(int(o), now) {
-		return int(o)
-	}
 	home := ShardMap{Shards: m.cfg.Shards}.Home(shard, m.n)
 	for i := 0; i < m.n; i++ {
 		cand := (home + i) % m.n
@@ -311,18 +243,15 @@ func (m *Member) quorateLocked(now time.Time) bool {
 	return 2*fresh > m.n
 }
 
-// gossipLocked builds the sender's liveness+override advertisement.
+// gossipLocked builds the sender's liveness advertisement.
 // Only peers heard from very recently (2×heartbeat) are advertised, so
 // staleness gains at most one gossip window per relay hop.
 func (m *Member) gossipLocked(now time.Time) gossipMsg {
-	g := gossipMsg{From: uint32(m.cfg.Index), Epoch: m.epoch}
+	g := gossipMsg{From: uint32(m.cfg.Index)}
 	for i := range m.seen {
 		if i != m.cfg.Index && now.Sub(m.seen[i]) < 2*m.cfg.HeartbeatInterval {
 			g.Alive = append(g.Alive, uint32(i))
 		}
-	}
-	for s, o := range m.overrides {
-		g.Overrides = append(g.Overrides, OverrideEntry{Shard: s, Member: o})
 	}
 	return g
 }
@@ -347,15 +276,6 @@ func (m *Member) merge(g gossipMsg, direct bool) {
 		}
 		if m.seen[i].Before(relayed) {
 			m.seen[i] = relayed
-		}
-	}
-	if g.Epoch > m.epoch {
-		m.epoch = g.Epoch
-		m.overrides = make(map[uint32]uint32, len(g.Overrides))
-		for _, o := range g.Overrides {
-			if int(o.Member) < m.n && int(o.Shard) < m.cfg.Shards {
-				m.overrides[o.Shard] = o.Member
-			}
 		}
 	}
 }

@@ -9,55 +9,37 @@ import (
 
 // Cluster-internal frames ride the same length-prefixed wire framing
 // as the bootstrap protocol but live in their own 0x03xx range so a
-// misdirected client is rejected instead of misparsed.
+// misdirected client is rejected instead of misparsed. 0x0303 and
+// 0x0304 are retired; never reuse them.
 const (
-	msgPing       uint16 = 0x0301 // gossip ping            (member → member)
-	msgPong       uint16 = 0x0302 // gossip reply           (member → member)
-	msgTransfer   uint16 = 0x0303 // shard override push    (member → member)
-	msgTransferOK uint16 = 0x0304 // override acknowledged  (member → member)
-	msgStatusReq  uint16 = 0x0305 // status probe           (operator → member)
-	msgStatus     uint16 = 0x0306 // status report          (member → operator)
+	msgPing      uint16 = 0x0301 // gossip ping    (member → member)
+	msgPong      uint16 = 0x0302 // gossip reply   (member → member)
+	msgStatusReq uint16 = 0x0305 // status probe   (operator → member)
+	msgStatus    uint16 = 0x0306 // status report  (member → operator)
 )
 
-// OverrideEntry pins one shard to one member, superseding the ring.
-type OverrideEntry struct {
-	Shard  uint32
-	Member uint32
-}
-
-// gossipMsg is the payload of PING, PONG and TRANSFER. Alive carries
-// the sender's view of recently-heard-from members (so liveness
-// spreads transitively even across a half-broken mesh); Epoch and
-// Overrides carry the shard override table, replaced wholesale on a
-// higher epoch. TRANSFER sends an empty Alive set: it asserts
-// ownership, not liveness.
+// gossipMsg is the payload of PING and PONG. Alive carries the
+// sender's view of recently-heard-from members, so liveness spreads
+// transitively even across a half-broken mesh.
 type gossipMsg struct {
-	From      uint32
-	Epoch     uint64
-	Alive     []uint32
-	Overrides []OverrideEntry
+	From  uint32
+	Alive []uint32
 }
 
 func (g gossipMsg) encode() []byte {
-	e := wire.GetEncoder(16 + 4*len(g.Alive) + 8*len(g.Overrides))
+	e := wire.GetEncoder(8 + 4*len(g.Alive))
 	defer wire.PutEncoder(e)
 	e.Uint32(g.From)
-	e.Uint64(g.Epoch)
 	e.Uint32(uint32(len(g.Alive)))
 	for _, a := range g.Alive {
 		e.Uint32(a)
-	}
-	e.Uint32(uint32(len(g.Overrides)))
-	for _, o := range g.Overrides {
-		e.Uint32(o.Shard)
-		e.Uint32(o.Member)
 	}
 	return append([]byte(nil), e.Bytes()...)
 }
 
 func decodeGossip(b []byte) (gossipMsg, error) {
 	d := wire.NewDecoder(b)
-	g := gossipMsg{From: d.Uint32(), Epoch: d.Uint64()}
+	g := gossipMsg{From: d.Uint32()}
 	n := d.Count(4)
 	if n > maxClusterSize {
 		return gossipMsg{}, fmt.Errorf("cluster: gossip names %d members", n)
@@ -65,26 +47,16 @@ func decodeGossip(b []byte) (gossipMsg, error) {
 	for i := 0; i < n; i++ {
 		g.Alive = append(g.Alive, d.Uint32())
 	}
-	n = d.Count(8)
-	if n > maxShards {
-		return gossipMsg{}, fmt.Errorf("cluster: gossip carries %d overrides", n)
-	}
-	for i := 0; i < n; i++ {
-		g.Overrides = append(g.Overrides, OverrideEntry{Shard: d.Uint32(), Member: d.Uint32()})
-	}
 	if err := d.Err(); err != nil {
 		return gossipMsg{}, err
 	}
 	return g, nil
 }
 
-// Caps on decoded counts, above what any real cluster holds. Count
-// already bounds each by the payload; these refuse a large frame
-// that is well formed but absurd.
-const (
-	maxClusterSize = 1 << 10
-	maxShards      = 1 << 20
-)
+// maxClusterSize caps decoded member counts above what any real
+// cluster holds. Count already bounds each by the payload; this
+// refuses a large frame that is well formed but absurd.
+const maxClusterSize = 1 << 10
 
 // PeerStatus is one member's view of one peer (or of itself).
 type PeerStatus struct {
@@ -98,13 +70,11 @@ type PeerStatus struct {
 
 // Status is a member's self-report, served to drivoctl and examples.
 type Status struct {
-	Name      string
-	Index     uint32
-	Epoch     uint64
-	Quorate   bool
-	Shards    uint32
-	Peers     []PeerStatus
-	Overrides []OverrideEntry
+	Name    string
+	Index   uint32
+	Quorate bool
+	Shards  uint32
+	Peers   []PeerStatus
 }
 
 func (s Status) encode() []byte {
@@ -112,7 +82,6 @@ func (s Status) encode() []byte {
 	defer wire.PutEncoder(e)
 	e.String(s.Name)
 	e.Uint32(s.Index)
-	e.Uint64(s.Epoch)
 	e.Bool(s.Quorate)
 	e.Uint32(s.Shards)
 	e.Uint32(uint32(len(s.Peers)))
@@ -124,18 +93,12 @@ func (s Status) encode() []byte {
 		e.Duration(p.SinceSeen)
 		e.Uint32(p.OwnedShards)
 	}
-	e.Uint32(uint32(len(s.Overrides)))
-	for _, o := range s.Overrides {
-		e.Uint32(o.Shard)
-		e.Uint32(o.Member)
-	}
 	return append([]byte(nil), e.Bytes()...)
 }
 
 func decodeStatus(b []byte) (Status, error) {
 	d := wire.NewDecoder(b)
-	s := Status{Name: d.String(), Index: d.Uint32(), Epoch: d.Uint64(),
-		Quorate: d.Bool(), Shards: d.Uint32()}
+	s := Status{Name: d.String(), Index: d.Uint32(), Quorate: d.Bool(), Shards: d.Uint32()}
 	n := d.Count(22) // a peer takes at least two string lengths, two flags, a duration and a count
 	if n > maxClusterSize {
 		return Status{}, fmt.Errorf("cluster: status names %d peers", n)
@@ -145,13 +108,6 @@ func decodeStatus(b []byte) (Status, error) {
 			Name: d.String(), ClientAddr: d.String(), Self: d.Bool(),
 			Alive: d.Bool(), SinceSeen: d.Duration(), OwnedShards: d.Uint32(),
 		})
-	}
-	n = d.Count(8)
-	if n > maxShards {
-		return Status{}, fmt.Errorf("cluster: status carries %d overrides", n)
-	}
-	for i := 0; i < n; i++ {
-		s.Overrides = append(s.Overrides, OverrideEntry{Shard: d.Uint32(), Member: d.Uint32()})
 	}
 	if err := d.Err(); err != nil {
 		return Status{}, err

@@ -28,8 +28,8 @@ func (l *listener) addr() string { return l.ln.Addr().String() }
 
 func (l *listener) close() { l.once.Do(func() { _ = l.ln.Close() }) }
 
-// acceptLoop serves cluster-protocol connections: peer heartbeats,
-// transfer pushes, and operator status probes.
+// acceptLoop serves cluster-protocol connections: peer heartbeats and
+// operator status probes.
 func (m *Member) acceptLoop() {
 	defer m.wg.Done()
 	for {
@@ -80,15 +80,6 @@ func (m *Member) serveConn(nc net.Conn) {
 			reply := m.gossipLocked(time.Now())
 			m.mu.Unlock()
 			if err := conn.Send(msgPong, reply.encode()); err != nil {
-				return
-			}
-		case msgTransfer:
-			g, derr := decodeGossip(f.Payload)
-			if derr != nil {
-				return
-			}
-			m.merge(g, true)
-			if err := conn.Send(msgTransferOK, nil); err != nil {
 				return
 			}
 		case msgStatusReq:

@@ -5,6 +5,7 @@ import (
 	"crypto/tls"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -398,9 +399,9 @@ func TestSignedDriverVerification(t *testing.T) {
 		t.Fatal("unsigned driver must be rejected by a trusting bootloader")
 	}
 
-	// A row an older server signed into the store (image format v1: the
-	// signature covers the canonical bytes themselves) still installs;
-	// the catalog serves it unchanged.
+	// A row in the retired image format v1 (its signature covers the
+	// canonical bytes themselves) is refused: the catalog serves it as
+	// a corrupt driver.
 	enc := f2.driverImage(dbver.V(1, 1, 0), 1, 256).Encode()
 	canon := enc[1 : len(enc)-4] // between the version byte and the empty signature's prefix
 	sig := ed25519.Sign(priv, canon)
@@ -410,11 +411,8 @@ func TestSignedDriverVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	b3 := f2.bootloader(t, WithTrustKey(pub))
-	if _, err := b3.Connect(f2.appURL(), nil); err != nil {
-		t.Fatalf("v1-signed driver rejected: %v", err)
-	}
-	if v := b3.Version(); v != dbver.V(1, 1, 0) {
-		t.Fatalf("installed %v, want the v1-signed 1.1.0", v)
+	if _, err := b3.Connect(f2.appURL(), nil); err == nil || !strings.Contains(err.Error(), "unsupported image version 1") {
+		t.Fatalf("v1-signed driver: %v, want unsupported image version 1", err)
 	}
 }
 

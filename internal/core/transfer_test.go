@@ -104,55 +104,46 @@ func TestRenewalTransferRejectionKeepsDriver(t *testing.T) {
 	}
 }
 
-// TestPoolIntegration: a client.Pool over the bootloader transparently
-// replaces connections drained by an upgrade (revoked conns fail Ping,
-// the pool discards and redials through the new driver).
+// TestPoolIntegration: what an application's connection pool sees
+// across a central upgrade. Idle connections opened on driver v1 fail
+// Ping once the upgrade drains them (AFTER_COMMIT default), so a pool
+// that pings before handing one out discards it; the fresh Connect that
+// replaces it queries through driver v2.
 func TestPoolIntegration(t *testing.T) {
 	f := newFixture(t, 1)
 	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 256))
 	b := f.bootloader(t)
 
-	pool, err := client.NewPool(func() (client.Conn, error) {
-		return b.Connect(f.appURL(), nil)
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pool.Close)
-
-	// Warm the pool.
-	var conns []client.Conn
-	for i := 0; i < 3; i++ {
-		c, err := pool.Get()
-		if err != nil {
-			t.Fatal(err)
+	idle := make([]client.Conn, 3)
+	for i := range idle {
+		idle[i] = mustConnect(t, b, f.appURL())
+		if err := idle[i].Ping(); err != nil {
+			t.Fatalf("idle conn %d before upgrade: %v", i, err)
 		}
-		conns = append(conns, c)
-	}
-	for _, c := range conns {
-		pool.Put(c)
 	}
 
-	// Central upgrade drains idle conns (AFTER_COMMIT default).
 	f.addDriver(t, f.driverImage(dbver.V(2, 0, 0), 1, 256))
 	if err := b.ForceRenew("prod"); err != nil {
 		t.Fatal(err)
 	}
-
-	// The pool hands out working connections (replacing revoked ones),
-	// now through driver v2.
-	for i := 0; i < 3; i++ {
-		c, err := pool.Get()
-		if err != nil {
-			t.Fatalf("pool.Get after upgrade: %v", err)
-		}
-		if _, err := c.Query("SELECT 1"); err != nil {
-			t.Fatalf("query after upgrade: %v", err)
-		}
-		pool.Put(c)
-	}
 	if b.Version() != dbver.V(2, 0, 0) {
 		t.Fatalf("Version = %v", b.Version())
+	}
+	for i, c := range idle {
+		if err := c.Ping(); err == nil {
+			t.Fatalf("idle conn %d still pings after the upgrade drained it", i)
+		}
+		_ = c.Close()
+	}
+	for i := range idle {
+		c := mustConnect(t, b, f.appURL())
+		if v := c.(*managedConn).ld.drv.Version(); v != dbver.V(2, 0, 0) {
+			t.Fatalf("fresh conn %d on driver %v, want 2.0.0", i, v)
+		}
+		if _, err := c.Query("SELECT 1"); err != nil {
+			t.Fatalf("query %d after upgrade: %v", i, err)
+		}
+		_ = c.Close()
 	}
 }
 

@@ -247,9 +247,9 @@ func TestGoldenPrepare(t *testing.T) {
 }
 
 func TestGoldenPrepareOK(t *testing.T) {
-	m := prepareOKMsg{Handle: 3, Mutating: true}
+	m := prepareOKMsg{Handle: 3}
 	enc := m.encode()
-	checkGolden(t, "prepareOK", enc, "000000000000000301")
+	checkGolden(t, "prepareOK", enc, "0000000000000003")
 	got, err := decodePrepareOK(enc)
 	if err != nil || got != m {
 		t.Fatalf("round trip: %+v %v", got, err)

@@ -593,23 +593,20 @@ func decodePrepare(b []byte) (prepareMsg, error) {
 	return m, d.Err()
 }
 
-// prepareOKMsg is msgPrepareOK: the session-scoped handle id plus the
-// server's mutation classification (diagnostic: no client reads it).
+// prepareOKMsg is msgPrepareOK: the session-scoped handle id.
 type prepareOKMsg struct {
-	Handle   uint64
-	Mutating bool
+	Handle uint64
 }
 
 func (m prepareOKMsg) encode() []byte {
-	e := wire.NewEncoder(16)
+	e := wire.NewEncoder(8)
 	e.Uint64(m.Handle)
-	e.Bool(m.Mutating)
 	return e.Bytes()
 }
 
 func decodePrepareOK(b []byte) (prepareOKMsg, error) {
 	d := wire.NewDecoder(b)
-	m := prepareOKMsg{Handle: d.Uint64(), Mutating: d.Bool()}
+	m := prepareOKMsg{Handle: d.Uint64()}
 	return m, d.Err()
 }
 

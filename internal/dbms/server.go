@@ -667,7 +667,7 @@ func (s *Server) handlePrepare(sess *session, payload []byte) error {
 	}
 	sess.nextStmt++
 	sess.stmts[sess.nextStmt] = p
-	return sess.conn.Send(msgPrepareOK, prepareOKMsg{Handle: sess.nextStmt, Mutating: isMutatingStmt(p.Statement())}.encode())
+	return sess.conn.Send(msgPrepareOK, prepareOKMsg{Handle: sess.nextStmt}.encode())
 }
 
 // handleCloseStmt drops one handle from the session table. Closing an

@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"encoding/binary"
 	"encoding/hex"
+	"strings"
 	"testing"
 
 	"repro/internal/dbver"
@@ -25,9 +26,9 @@ func signedBlob(payload []byte) []byte {
 	return img.Encode()
 }
 
-// signedV1Blob hand-builds what the version-1 writer produced: the same
+// signedV1Blob hand-builds what a retired writer produced: the same
 // layout under version byte 1, signed over the canonical bytes
-// themselves rather than over signedMessage.
+// themselves rather than over signedMessage. Every reader refuses it.
 func signedV1Blob(m Manifest, payload []byte) []byte {
 	_, priv := testKey()
 	e := wire.NewEncoder(64)
@@ -35,89 +36,98 @@ func signedV1Blob(m Manifest, payload []byte) []byte {
 	e.Bytes32(payload)
 	canon := e.Bytes()
 	sig := ed25519.Sign(priv, canon)
-	blob := append([]byte{imageVersionV1}, canon...)
+	blob := append([]byte{1}, canon...)
 	blob = binary.BigEndian.AppendUint32(blob, uint32(len(sig)))
 	return append(blob, sig...)
 }
 
 // Golden encodings of one small image, Manifest{Kind: "k", Version:
 // 1.0.0} with payload "p", signed by testKey (ed25519 signatures are
-// deterministic): as the writer emits it, and as the version-1 writer
-// did.
+// deterministic): as the writer emits it, and as the retired
+// version-1 writer did.
 const (
 	goldenV2 = "02000000016b0000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000170000000401a30208bddfb332236f0d052874307ccc3538994c360aba52c9c551550564a1ca3011f678677a4f0b327ed682c1e8968e96c7a119387167defc5437f5a324e0d"
 	goldenV1 = "01000000016b00000000000000000000000000000000000000010000000000000000000000000000000000000000000000000001700000004097910a3034a17fac078c7c50d98765fea1655709b37539cce2de8cb3cebdd456cd36e638b186a862c79be24943a4d19ed50fa69fd1a5372295ce69c38ab42406"
 )
 
-// TestImageGoldenBytes pins both formats' bytes. They differ only in
-// the version byte and the signature value, both install (Decode, then
-// VerifyEncoded) with the same checksum, and both verify decoded.
+// TestImageGoldenBytes pins the format's bytes: the golden image
+// installs (Decode, then VerifyEncoded) with its checksum, verifies
+// decoded and re-encodes to itself. The retired version-1 golden is
+// refused by every reader, by its version byte.
 func TestImageGoldenBytes(t *testing.T) {
 	pub, priv := testKey()
 	m := Manifest{Kind: "k", Version: dbver.V(1, 0, 0)}
 	img := &Image{Manifest: m, Payload: []byte("p")}
 	img.Sign(priv)
-	built := map[string][]byte{"v2": img.Encode(), "v1": signedV1Blob(m, []byte("p"))}
-	for name, want := range map[string]string{"v2": goldenV2, "v1": goldenV1} {
-		if got := hex.EncodeToString(built[name]); got != want {
-			t.Errorf("%s encoding changed:\n got %s\nwant %s", name, got, want)
-		}
-		blob, err := hex.DecodeString(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := Decode(blob)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if sum, err := VerifyEncoded(blob, pub); err != nil || sum != img.Checksum() {
-			t.Fatalf("%s: install: checksum %s, %v; want %s", name, sum, err, img.Checksum())
-		}
-		if err := dec.Verify(pub); err != nil {
-			t.Fatalf("%s: Decode+Verify: %v", name, err)
-		}
-		if !bytes.Equal(dec.Encode()[1:], blob[1:]) {
-			t.Fatalf("%s: re-encoding the decoded image changed its bytes", name)
-		}
+	if got := hex.EncodeToString(img.Encode()); got != goldenV2 {
+		t.Errorf("encoding changed:\n got %s\nwant %s", got, goldenV2)
 	}
-	v1, v2 := built["v1"], built["v2"]
-	unsigned := func(b []byte) []byte { return b[1 : len(b)-ed25519.SignatureSize] }
-	if len(v1) != len(v2) || v1[0] == v2[0] || !bytes.Equal(unsigned(v1), unsigned(v2)) {
-		t.Fatal("v1 and v2 encodings differ beyond the version byte and the signature value")
+	blob, err := hex.DecodeString(goldenV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decode(blob)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if sum, err := VerifyEncoded(blob, pub); err != nil || sum != img.Checksum() {
+		t.Fatalf("install: checksum %s, %v; want %s", sum, err, img.Checksum())
+	}
+	if err := dec.Verify(pub); err != nil {
+		t.Fatalf("Decode+Verify: %v", err)
+	}
+	if !bytes.Equal(dec.Encode(), blob) {
+		t.Fatal("re-encoding the decoded image changed its bytes")
+	}
+
+	if got := hex.EncodeToString(signedV1Blob(m, []byte("p"))); got != goldenV1 {
+		t.Errorf("v1 fixture changed:\n got %s\nwant %s", got, goldenV1)
+	}
+	v1, err := hex.DecodeString(goldenV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuseVersion1(t, v1)
+}
+
+// refuseVersion1 checks that Decode, EncodedChecksum and VerifyEncoded
+// all refuse blob for its version byte.
+func refuseVersion1(t *testing.T, blob []byte) {
+	t.Helper()
+	pub, _ := testKey()
+	_, decErr := Decode(blob)
+	_, sumErr := EncodedChecksum(blob)
+	_, verErr := VerifyEncoded(blob, pub)
+	for name, err := range map[string]error{"Decode": decErr, "EncodedChecksum": sumErr, "VerifyEncoded": verErr} {
+		if err == nil || !strings.Contains(err.Error(), "unsupported image version 1") {
+			t.Errorf("%s of a version-1 blob: %v, want unsupported image version 1", name, err)
+		}
 	}
 }
 
 // TestSignatureBoundToVersion: a signature is valid only under the
-// version byte it was made for, and only for its own key.
+// version byte it was made for, and only for its own key: a version-1
+// signature relabelled as version 2 fails verification, and a version-2
+// image relabelled as version 1 is refused outright.
 func TestSignatureBoundToVersion(t *testing.T) {
 	pub, _ := testKey()
 	otherPub := ed25519.NewKeyFromSeed(bytes.Repeat([]byte{8}, ed25519.SeedSize)).Public().(ed25519.PublicKey)
 	body := []byte("driver body")
 	v2, v1 := signedBlob(body), signedV1Blob(testManifest(), body)
-	relabel := func(blob []byte, v byte) []byte {
-		blob = bytes.Clone(blob)
-		blob[0] = v
-		return blob
+	relabelled := append([]byte{imageVersion}, v1[1:]...)
+	if _, err := VerifyEncoded(relabelled, pub); err == nil {
+		t.Error("a v1 signature under a v2 byte: VerifyEncoded accepted it")
 	}
-	for name, blob := range map[string][]byte{
-		"v1 signature under a v2 byte": relabel(v1, imageVersion),
-		"v2 signature under a v1 byte": relabel(v2, imageVersionV1),
-	} {
-		if _, err := VerifyEncoded(blob, pub); err == nil {
-			t.Errorf("%s: VerifyEncoded accepted it", name)
-		}
-		img, err := Decode(blob)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if img.Verify(pub) == nil {
-			t.Errorf("%s: Decode+Verify accepted it", name)
-		}
+	img, err := Decode(relabelled)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, blob := range map[string][]byte{"v1": v1, "v2": v2} {
-		if _, err := VerifyEncoded(blob, otherPub); err == nil {
-			t.Errorf("%s: another key's verification accepted it", name)
-		}
+	if img.Verify(pub) == nil {
+		t.Error("a v1 signature under a v2 byte: Decode+Verify accepted it")
+	}
+	refuseVersion1(t, append([]byte{1}, v2[1:]...))
+	if _, err := VerifyEncoded(v2, otherPub); err == nil {
+		t.Error("another key's verification accepted it")
 	}
 }
 
@@ -200,10 +210,10 @@ func mutations(blob []byte) [][]byte {
 }
 
 // TestVerifyEncodedMatchesDecodeVerify: verifying the encoded form
-// gives the verdict of decoding and verifying the image, on good images
-// of both versions and over the whole corruption corpus of each — so a
-// flipped bit anywhere, version byte and length prefixes included,
-// fails the install.
+// gives the verdict of decoding and verifying the image, on a good
+// image, an unsigned one and a retired version-1 one, and over the
+// whole corruption corpus of each — so a flipped bit anywhere, version
+// byte and length prefixes included, fails the install.
 func TestVerifyEncodedMatchesDecodeVerify(t *testing.T) {
 	pub, _ := testKey()
 	body := []byte("driver body")
@@ -212,7 +222,7 @@ func TestVerifyEncodedMatchesDecodeVerify(t *testing.T) {
 		"v1":       signedV1Blob(testManifest(), body),
 		"unsigned": (&Image{Manifest: testManifest(), Payload: body}).Encode(),
 	} {
-		if _, err := VerifyEncoded(blob, pub); (err == nil) != (name != "unsigned") {
+		if _, err := VerifyEncoded(blob, pub); (err == nil) != (name == "v2") {
 			t.Fatalf("%s image: VerifyEncoded %v", name, err)
 		}
 		accepted := 0
@@ -246,7 +256,7 @@ func FuzzEncodedImage(f *testing.F) {
 	f.Add(signed)
 	f.Add(signedV1)
 	f.Add(append([]byte{imageVersion}, signedV1[1:]...))
-	f.Add(append([]byte{imageVersionV1}, signed[1:]...))
+	f.Add(append([]byte{1}, signed[1:]...))
 	f.Add(signedV1[:len(signedV1)-1])
 	f.Add((&Image{Manifest: testManifest()}).Encode())
 	f.Add((&Image{Manifest: Manifest{Kind: "k"}, Payload: []byte{1, 2, 3}}).Encode())
@@ -254,7 +264,7 @@ func FuzzEncodedImage(f *testing.F) {
 	f.Add(append(bytes.Clone(signed), 0))
 	f.Add([]byte{})
 	f.Add([]byte{imageVersion})
-	f.Add([]byte{imageVersionV1})
+	f.Add([]byte{1})
 	f.Add([]byte{99, 0, 0, 0, 0})
 	// An empty manifest up to the option count, which claims 2^32-1
 	// options: Decode must refuse it, not size a map for it.
@@ -286,9 +296,7 @@ func FuzzEncodedImage(f *testing.F) {
 		if !bytes.Equal(img.Encode()[1:], blob[1:]) {
 			// Valid framing, but not what Encode would have written
 			// (unsorted or repeated options): the two forms hash
-			// different bytes and no agreement is promised. (A
-			// version-1 image re-encodes as version 2: the version byte
-			// is not hashed.)
+			// different bytes and no agreement is promised.
 			return
 		}
 		if want := img.Checksum(); sum != want {

@@ -27,18 +27,12 @@ import (
 	"repro/internal/wire"
 )
 
-// imageVersion is the format Encode writes. Version 2 has version 1's
-// byte layout and changes only what the signature covers
-// (signedMessage). Version 1 images — .img files an older drivoctl
-// build wrote, rows an external store still holds — are read, verified
-// and installed, never written.
-const (
-	imageVersion   = 2
-	imageVersionV1 = 1
-)
+// imageVersion is the one format Encode writes and Decode reads: its
+// first byte. A blob with any other first byte is refused.
+const imageVersion = 2
 
-// sigDomain opens every version-2 signed message, so an image
-// signature cannot pass for a signature over anything else.
+// sigDomain opens every signed message, so an image signature cannot
+// pass for a signature over anything else.
 const sigDomain = "drivolution-image\x00"
 
 // Manifest describes one driver build.
@@ -113,16 +107,9 @@ type Image struct {
 	// commits to the canonical encoding of (manifest, payload); empty for
 	// unsigned images.
 	Signature []byte
-
-	// version is the format Signature was made under: set by Decode and
-	// Sign, zero (imageVersion) for an image built in memory.
-	version byte
 }
 
-// Encode serializes the image into the BLOB stored in binary_code, in
-// format version 2. A version-1 signature does not verify under it: an
-// image decoded from a version-1 blob needs Sign before it is
-// re-encoded.
+// Encode serializes the image into the BLOB stored in binary_code.
 func (img *Image) Encode() []byte {
 	e := wire.NewEncoder(256 + len(img.Payload))
 	e.Uint8(imageVersion)
@@ -147,7 +134,7 @@ func Decode(blob []byte) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Image{Manifest: m, Payload: d.Bytes32View(), Signature: d.Bytes32View(), version: blob[0]}, nil
+	return &Image{Manifest: m, Payload: d.Bytes32View(), Signature: d.Bytes32View()}, nil
 }
 
 func encodeManifest(e *wire.Encoder, m Manifest) {
@@ -220,12 +207,10 @@ func (img *Image) digest() (int, [sha256.Size]byte) {
 	return len(e.Bytes()) + len(img.Payload), sum
 }
 
-// signedMessage is what a version-2 signature covers: sigDomain, the
-// version byte, the canonical range's length and its SHA-256. The
-// digest commits to every canonical byte, so the signature covers
-// exactly what version 1's did (the canonical bytes themselves); the
-// bytes are hashed once instead of twice, and that one hash is also the
-// checksum.
+// signedMessage is what a signature covers: sigDomain, the version
+// byte, the canonical range's length and its SHA-256. The digest
+// commits to every canonical byte, so the bytes are hashed once, and
+// that one hash is also the checksum.
 func signedMessage(n int, sum *[sha256.Size]byte) []byte {
 	msg := make([]byte, 0, len(sigDomain)+1+8+sha256.Size)
 	msg = append(msg, sigDomain...)
@@ -259,9 +244,9 @@ func EncodedChecksum(blob []byte) (string, error) {
 }
 
 // VerifyEncoded is the install check: it returns the blob's Checksum
-// once the signature is a valid ed25519 signature by pub over what the
-// blob's version covers, hashing the canonical byte range once, where
-// it lies. An unsigned image fails verification.
+// once the signature is a valid ed25519 signature by pub over
+// signedMessage, hashing the canonical byte range once, where it lies.
+// An unsigned image fails verification.
 func VerifyEncoded(blob []byte, pub ed25519.PublicKey) (string, error) {
 	end, err := canonicalEnd(blob)
 	if err != nil {
@@ -273,11 +258,7 @@ func VerifyEncoded(blob []byte, pub ed25519.PublicKey) (string, error) {
 	}
 	canon := blob[1:end]
 	sum := sha256.Sum256(canon)
-	msg := canon // version 1 signed the canonical bytes themselves
-	if blob[0] != imageVersionV1 {
-		msg = signedMessage(len(canon), &sum)
-	}
-	if !ed25519.Verify(pub, msg, sig) {
+	if !ed25519.Verify(pub, signedMessage(len(canon), &sum), sig) {
 		return "", fmt.Errorf("driverimg: signature verification failed")
 	}
 	return hex.EncodeToString(sum[:]), nil
@@ -291,7 +272,7 @@ func canonicalEnd(blob []byte) (int, error) {
 	if len(blob) == 0 {
 		return 0, fmt.Errorf("driverimg: encoded image: empty blob")
 	}
-	if blob[0] != imageVersion && blob[0] != imageVersionV1 {
+	if blob[0] != imageVersion {
 		return 0, fmt.Errorf("driverimg: unsupported image version %d", blob[0])
 	}
 	d := wire.NewDecoder(blob[1:])
@@ -323,11 +304,10 @@ func canonicalEnd(blob []byte) (int, error) {
 }
 
 // Sign signs the image with the given ed25519 private key, replacing any
-// existing signature with a version-2 one.
+// existing signature.
 func (img *Image) Sign(key ed25519.PrivateKey) {
 	n, sum := img.digest()
 	img.Signature = ed25519.Sign(key, signedMessage(n, &sum))
-	img.version = imageVersion
 }
 
 // Verify checks the signature against pub. Unsigned images fail
@@ -336,19 +316,8 @@ func (img *Image) Verify(pub ed25519.PublicKey) error {
 	if len(img.Signature) == 0 {
 		return fmt.Errorf("driverimg: image %s is unsigned", img.Manifest.ID())
 	}
-	var ok bool
-	if img.version == imageVersionV1 {
-		// A version-1 signature covers the canonical bytes themselves,
-		// which only an encoding materializes.
-		blob := img.Encode()
-		blob[0] = imageVersionV1
-		_, err := VerifyEncoded(blob, pub)
-		ok = err == nil
-	} else {
-		n, sum := img.digest()
-		ok = ed25519.Verify(pub, signedMessage(n, &sum), img.Signature)
-	}
-	if !ok {
+	n, sum := img.digest()
+	if !ed25519.Verify(pub, signedMessage(n, &sum), img.Signature) {
 		return fmt.Errorf("driverimg: signature verification failed for %s", img.Manifest.ID())
 	}
 	return nil

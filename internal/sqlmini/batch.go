@@ -91,7 +91,6 @@ func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 			// publication into the shared publish below.
 			if len(tx.entries) > 0 {
 				w.c = db.commits.Add(1)
-				db.changeSeq.Add(1)
 				tx.applyEntries(w.c)
 				for _, t := range tx.entryTables() {
 					w.commit(t)
@@ -99,9 +98,6 @@ func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 			}
 			release()
 			return nil, fmt.Errorf("sqlmini: batch statement %d: %w", i+1, err)
-		}
-		if w.c != 0 {
-			db.changeSeq.Add(1)
 		}
 		out = append(out, res)
 	}

@@ -193,9 +193,7 @@ func TestBucketSurvivesUpgrade(t *testing.T) {
 	db.MustExec("UPDATE t SET grp = 2 WHERE id = 5")
 	tbl, _ := db.lookupTable("t")
 	old := tbl.indexNamed("t_hash").hash
-	if err := db.EnsureOrderedIndex("t", "grp"); err != nil {
-		t.Fatal(err)
-	}
+	db.MustExec("CREATE INDEX IF NOT EXISTS t_grp_idx ON t (grp) USING ORDERED")
 	ix := tbl.indexNamed("t_hash")
 	if ix.kind != IndexOrdered || ix.shadow != old {
 		t.Fatalf("upgrade left kind %v, shadow kept: %v", ix.kind, ix.shadow == old)

@@ -180,7 +180,6 @@ func runConcurrentStorm(t *testing.T, seed int64) {
 					}
 					db.TableVersion("bal")
 					db.TableVersions("bal", "parity", "scratch")
-					db.ChangeSeq()
 				}
 			}
 		}(r)

@@ -128,14 +128,6 @@ type DB struct {
 	// read their table's published watermark.
 	commits atomic.Uint64
 
-	// changeSeq is the replication-facing mutation counter (ChangeSeq).
-	// It advances by exactly one per successful mutating statement (and
-	// per DDL statement and rollback), never on partial failures —
-	// the historical contract replicas compare against — so it is kept
-	// separate from the commit clock, which must advance for any row
-	// version stamped, partial prefixes included.
-	changeSeq atomic.Uint64
-
 	// tableVers counts mutations per table name (keyed by name, not
 	// *Table, so the counter survives DROP + CREATE). Cache layers above
 	// the engine use it to invalidate snapshots of individual tables
@@ -229,16 +221,11 @@ func (db *DB) tableCounter(name string) *atomic.Uint64 {
 	return v.(*atomic.Uint64)
 }
 
-// ChangeSeq returns a counter that advances on every successful
-// mutation. Equal counters on two replicas fed the same statement stream
-// imply equal state.
-func (db *DB) ChangeSeq() uint64 { return db.changeSeq.Load() }
-
 // TableVersion returns a counter that advances on every successful
 // mutation of the named table (INSERT/UPDATE/DELETE touching rows,
 // CREATE, DROP, and transaction rollbacks that revert its rows). It is 0
-// for tables never mutated. Unlike ChangeSeq it is per-table, so caches
-// of one table are not invalidated by writes to another. The read is a
+// for tables never mutated. It is per-table, so caches of one table
+// are not invalidated by writes to another. The read is a
 // single atomic load — generation probes never contend with statements.
 func (db *DB) TableVersion(name string) uint64 {
 	if v, ok := db.tableVers.Load(name); ok {
@@ -483,9 +470,7 @@ func (w *writeCtx) publish() {
 }
 
 // writeOne runs one INSERT, UPDATE or DELETE with the named table
-// latched and publishes at the end. ChangeSeq advances only when the
-// statement succeeded and actually mutated (drew a commit number) — the
-// historical contract.
+// latched and publishes at the end.
 func (db *DB) writeOne(table string, st Statement, env *evalEnv, tx *undoLog) (*Result, error) {
 	t, err := db.lockTable(table)
 	if err != nil {
@@ -493,9 +478,6 @@ func (db *DB) writeOne(table string, st Statement, env *evalEnv, tx *undoLog) (*
 	}
 	w := writeCtx{db: db}
 	res, err := db.execDML(t, st, env, tx, &w)
-	if err == nil && w.c != 0 {
-		db.changeSeq.Add(1)
-	}
 	w.publish()
 	t.maybeGCLocked(db)
 	t.latch.Unlock()
@@ -537,7 +519,6 @@ func (db *DB) execCreate(st *CreateTableStmt) (*Result, error) {
 	t.vers = db.tableCounter(st.Table)
 	t.watermark.Store(db.commits.Load())
 	db.publishSchema(addTable(old, t))
-	db.changeSeq.Add(1)
 	t.vers.Add(1)
 	return &Result{}, nil
 }
@@ -599,8 +580,8 @@ func (db *DB) execCreateIndex(st *CreateIndexStmt) (*Result, error) {
 	return db.declareIndex(t, st.Name, cols, st.Kind)
 }
 
-// declareIndex applies the index-declaration ladder shared by CREATE
-// INDEX and EnsureIndex. Caller holds ddlMu.
+// declareIndex applies CREATE INDEX's declaration ladder. Caller holds
+// ddlMu.
 //
 // A column set already served — the PRIMARY KEY's single column, or an
 // earlier declaration over the identical column list — gets no second
@@ -638,71 +619,9 @@ func (db *DB) declareIndex(t *Table, name string, cols []int, kind IndexKind) (*
 	t.addIndex(name, cols, kind)
 	t.latch.Unlock()
 	db.schemaSeq.Add(1)
-	// Index DDL does not change row data: ChangeSeq/TableVersion stay
-	// put, so replica divergence checks and catalog caches are unmoved.
+	// Index DDL does not change row data: TableVersion stays put, so
+	// catalog caches are unmoved.
 	return &Result{}, nil
-}
-
-// EnsureIndex declares a secondary hash index on table(col) from Go,
-// equivalent to CREATE INDEX IF NOT EXISTS table_col_idx ON table (col).
-// It is idempotent.
-func (db *DB) EnsureIndex(table, col string) error {
-	return db.ensureIndex(table, IndexHash, col)
-}
-
-// EnsureOrderedIndex declares a secondary ordered index on
-// table(cols...) from Go, equivalent to CREATE INDEX IF NOT EXISTS
-// table_col_idx ON table (cols...) USING ORDERED. An existing hash
-// index over the same columns is upgraded in place; the call is
-// idempotent. Multi-column lists declare a composite index.
-func (db *DB) EnsureOrderedIndex(table string, cols ...string) error {
-	return db.ensureIndex(table, IndexOrdered, cols...)
-}
-
-func (db *DB) ensureIndex(table string, kind IndexKind, colNames ...string) error {
-	table = strings.ToLower(table)
-	if len(colNames) == 0 {
-		return fmt.Errorf("sqlmini: index on %q needs at least one column", table)
-	}
-	db.ddlMu.Lock()
-	defer db.ddlMu.Unlock()
-	t, err := db.lookupTable(table)
-	if err != nil {
-		return err
-	}
-	cols := make([]int, len(colNames))
-	for i, cn := range colNames {
-		cn = strings.ToLower(cn)
-		colNames[i] = cn
-		ci, ok := t.columnIndex(cn)
-		if !ok {
-			return fmt.Errorf("%w: %q in table %q", ErrNoSuchColumn, cn, table)
-		}
-		cols[i] = ci
-	}
-	// The generated name must not collide with a user-declared index on
-	// other columns; suffix until free.
-	base := strings.ReplaceAll(table, ".", "_") + "_" + strings.Join(colNames, "_") + "_idx"
-	name := base
-	for n := 2; ; n++ {
-		prior := t.indexNamed(name)
-		if prior == nil {
-			break
-		}
-		sameCols := len(prior.cols) == len(cols)
-		for i := range cols {
-			if !sameCols || prior.cols[i] != cols[i] {
-				sameCols = false
-				break
-			}
-		}
-		if sameCols {
-			break // declareIndex will treat it as the prior declaration
-		}
-		name = fmt.Sprintf("%s_%d", base, n)
-	}
-	_, err = db.declareIndex(t, name, cols, kind)
-	return err
 }
 
 func (db *DB) execDrop(st *DropTableStmt) (*Result, error) {
@@ -722,7 +641,6 @@ func (db *DB) execDrop(st *DropTableStmt) (*Result, error) {
 	t.latch.Lock()
 	db.publishSchema(dropTable(old, st.Table))
 	t.latch.Unlock()
-	db.changeSeq.Add(1)
 	db.tableCounter(st.Table).Add(1)
 	return &Result{}, nil
 }

@@ -465,8 +465,11 @@ func TestTableVersionPerTableIsolation(t *testing.T) {
 		t.Errorf("writes to a must not bump b (got %d, want %d)", db.TableVersion("b"), bv)
 	}
 
-	// UPDATE/DELETE that touch no rows must not bump.
+	// Reads, and UPDATE/DELETE that touch no rows, must not bump.
 	av = db.TableVersion("a")
+	if _, err := db.Query("SELECT id FROM a"); err != nil {
+		t.Fatal(err)
+	}
 	db.MustExec("UPDATE a SET id = 2 WHERE id = 99")
 	db.MustExec("DELETE FROM a WHERE id = 99")
 	if db.TableVersion("a") != av {

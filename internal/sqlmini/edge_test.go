@@ -118,28 +118,6 @@ func TestSelectStarColumnOrderStable(t *testing.T) {
 	}
 }
 
-func TestChangeSeqAdvancesOnMutationsOnly(t *testing.T) {
-	db := NewDB()
-	db.MustExec("CREATE TABLE t (a INTEGER)")
-	s0 := db.ChangeSeq()
-	db.MustExec("INSERT INTO t (a) VALUES (1)")
-	s1 := db.ChangeSeq()
-	if s1 <= s0 {
-		t.Fatal("insert must advance ChangeSeq")
-	}
-	if _, err := db.Query("SELECT * FROM t"); err != nil {
-		t.Fatal(err)
-	}
-	if db.ChangeSeq() != s1 {
-		t.Fatal("reads must not advance ChangeSeq")
-	}
-	// No-op update (0 rows) does not advance.
-	db.MustExec("UPDATE t SET a = 9 WHERE a = 12345")
-	if db.ChangeSeq() != s1 {
-		t.Fatal("0-row update must not advance ChangeSeq")
-	}
-}
-
 func TestInExprWithNulls(t *testing.T) {
 	db := NewDB()
 	db.MustExec("CREATE TABLE t (a INTEGER)")

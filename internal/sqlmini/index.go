@@ -14,8 +14,7 @@ import (
 // from the key's canonical string to the rows that ever held it, so
 // uniqueness checks and equality point-lookups are O(1) instead of a
 // full scan. Tables may additionally carry secondary indexes (declared
-// with CREATE INDEX or DB.EnsureIndex/EnsureOrderedIndex) in one of
-// two kinds:
+// with CREATE INDEX) in one of two kinds:
 //
 //   - hash (the default, single-column): a lock-free-readable
 //     open-addressing table from a column's canonical key to the bucket

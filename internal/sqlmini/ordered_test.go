@@ -57,21 +57,17 @@ func TestOrderedIndexRollback(t *testing.T) {
 
 // TestOrderedIndexUpgradeFromHash: declaring USING ORDERED over a column
 // that already has a hash index upgrades it in place (same name), and
-// the upgrade is idempotent from both the SQL and Go surfaces.
+// the upgrade is idempotent whatever name repeats it.
 func TestOrderedIndexUpgradeFromHash(t *testing.T) {
 	db := NewDB()
 	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, score INTEGER)")
 	db.MustExec("INSERT INTO t (id, score) VALUES (1, 10), (2, 20), (3, 30)")
-	if err := db.EnsureIndex("t", "score"); err != nil {
-		t.Fatal(err)
-	}
+	db.MustExec("CREATE INDEX IF NOT EXISTS t_score_idx ON t (score)")
 	if plan, _ := db.Explain("SELECT id FROM t WHERE score > 15"); plan != "full scan on t" {
 		t.Fatalf("hash index must not serve ranges, got %q", plan)
 	}
 	db.MustExec("CREATE INDEX IF NOT EXISTS t_other_name ON t (score) USING ORDERED")
-	if err := db.EnsureOrderedIndex("t", "score"); err != nil { // idempotent
-		t.Fatal(err)
-	}
+	db.MustExec("CREATE INDEX IF NOT EXISTS t_score_idx ON t (score) USING ORDERED") // idempotent
 	tbl, _ := db.lookupTable("t")
 	ixs := tbl.loadIndexes()
 	n, name, kind := len(ixs), ixs[0].name, ixs[0].kind
@@ -87,11 +83,9 @@ func TestOrderedIndexUpgradeFromHash(t *testing.T) {
 		t.Fatalf("range after upgrade plans as %q", plan)
 	}
 	// An ordered index is never downgraded back to hash.
-	if err := db.EnsureIndex("t", "score"); err != nil {
-		t.Fatal(err)
-	}
+	db.MustExec("CREATE INDEX IF NOT EXISTS t_score_idx ON t (score)")
 	if kind = tbl.loadIndexes()[0].kind; kind != IndexOrdered {
-		t.Fatal("EnsureIndex downgraded an ordered index to hash")
+		t.Fatal("a hash declaration downgraded an ordered index")
 	}
 }
 

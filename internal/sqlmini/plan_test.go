@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -210,23 +211,22 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestEnsureIndexIdempotent: CREATE INDEX IF NOT EXISTS repeated is
+// one index, declared over the PRIMARY KEY column it is none, and over
+// an unknown column it fails.
 func TestEnsureIndexIdempotent(t *testing.T) {
 	db := NewDB()
 	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, grp INTEGER)")
 	for i := 0; i < 3; i++ {
-		if err := db.EnsureIndex("t", "grp"); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.EnsureIndex("t", "id"); err != nil { // PK column: no-op
-			t.Fatal(err)
-		}
+		db.MustExec("CREATE INDEX IF NOT EXISTS t_grp_idx ON t (grp)")
+		db.MustExec("CREATE INDEX IF NOT EXISTS t_id_idx ON t (id)") // PK column: no-op
 	}
 	tbl, _ := db.lookupTable("t")
 	if n := len(tbl.loadIndexes()); n != 1 {
-		t.Fatalf("EnsureIndex created %d indexes, want 1", n)
+		t.Fatalf("repeated CREATE INDEX IF NOT EXISTS created %d indexes, want 1", n)
 	}
-	if err := db.EnsureIndex("t", "nope"); err == nil {
-		t.Fatal("EnsureIndex on unknown column must fail")
+	if _, err := db.Exec("CREATE INDEX IF NOT EXISTS t_nope_idx ON t (nope)"); !errors.Is(err, ErrNoSuchColumn) {
+		t.Fatalf("CREATE INDEX on unknown column: %v, want ErrNoSuchColumn", err)
 	}
 	// An already-indexed column gets no second index, whatever the name:
 	// redundant maintenance for lookups that would never consult it.
@@ -236,7 +236,7 @@ func TestEnsureIndexIdempotent(t *testing.T) {
 		t.Fatalf("duplicate-column CREATE INDEX built %d indexes, want 1", n)
 	}
 	// A clashing NAME is still an error without IF NOT EXISTS (the name
-	// EnsureIndex registered above really exists).
+	// declared above really exists).
 	if _, err := db.Exec("CREATE INDEX t_grp_idx ON t (grp)"); err == nil {
 		t.Fatal("duplicate index name must fail without IF NOT EXISTS")
 	}

@@ -15,12 +15,8 @@ func preparedFixtureDB(t *testing.T) *DB {
 		driver_id INTEGER NOT NULL,
 		expires_at TIMESTAMP NOT NULL,
 		released BOOLEAN NOT NULL)`)
-	if err := db.EnsureIndex("leases", "driver_id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.EnsureOrderedIndex("leases", "expires_at"); err != nil {
-		t.Fatal(err)
-	}
+	db.MustExec("CREATE INDEX IF NOT EXISTS leases_driver_id_idx ON leases (driver_id)")
+	db.MustExec("CREATE INDEX IF NOT EXISTS leases_expires_at_idx ON leases (expires_at) USING ORDERED")
 	base := time.Unix(1000, 0).UTC()
 	for i := 0; i < 200; i++ {
 		db.MustExec(`INSERT INTO leases (lease_id, driver_id, expires_at, released)
@@ -135,16 +131,12 @@ func TestPreparedSurvivesSchemaChange(t *testing.T) {
 		}
 	}
 	check("no index")
-	if err := db.EnsureIndex("t", "v"); err != nil {
-		t.Fatal(err)
-	}
+	db.MustExec("CREATE INDEX IF NOT EXISTS t_v_idx ON t (v)")
 	check("hash index added")
 	if pl, _ := db.Explain(sql, Args{"v": int64(3)}); pl != "index lookup on t(v) [t_v_idx]" {
 		t.Fatalf("explain after index: %q", pl)
 	}
-	if err := db.EnsureOrderedIndex("t", "v"); err != nil {
-		t.Fatal(err)
-	}
+	db.MustExec("CREATE INDEX IF NOT EXISTS t_v_idx ON t (v) USING ORDERED")
 	check("index upgraded to ordered")
 	db.MustExec(`DROP TABLE t`)
 	if _, err := p.Exec(Args{"v": int64(3)}); err == nil {

@@ -90,11 +90,8 @@ func (u *undoLog) revert(db *DB) {
 	tables := u.lockEntryTables()
 	c := db.commits.Add(1)
 	u.applyEntries(c)
-	// One ChangeSeq step for the whole rollback (it is one logical
-	// mutation), one version bump per touched table — after the
-	// watermark publish, so generation probes never flag unreadable
-	// state.
-	db.changeSeq.Add(1)
+	// One version bump per touched table — after the watermark publish,
+	// so generation probes never flag unreadable state.
 	for _, t := range tables {
 		t.watermark.Store(c)
 		t.vers.Add(1)
