@@ -10,6 +10,7 @@
 #   make chaos           # longer fault-injection soak across several seeds
 #   make examples        # build and run every program under examples/, each under a timeout
 #   make fuzz-smoke      # 20 s of native fuzzing per target, every Fuzz* found (off the tier-1 path)
+#   make bench-smoke     # every Go benchmark of the root module once, so their assertions run (off the tier-1 path)
 #   make bench-module-check  # vet + test + drivolint the separate bench/ module (drivobench)
 #   make loc             # non-test Go code lines per package (what ROADMAP "non-test lines" means)
 #   make bench           # run the perf-tracked benchmark set
@@ -22,7 +23,7 @@
 # BENCH_FILTER ('.'' = full suite, includes slow lease-traffic sweeps),
 # BENCH_PKGS.
 
-.PHONY: check check-race check-386 tier1 race lint drivolint doclint chaos examples fuzz-smoke bench-module-check loc bench bench-baseline bench-compare loadtest loadtest-baseline
+.PHONY: check check-race check-386 tier1 race lint drivolint doclint chaos examples fuzz-smoke bench-smoke bench-module-check loc bench bench-baseline bench-compare loadtest loadtest-baseline
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
@@ -97,6 +98,14 @@ fuzz-smoke:
 		echo "go test $$pkg -fuzz=^$$target\$$ -fuzztime=$(FUZZ_TIME)"; \
 		go test "$$pkg" -run '^$$' -fuzz="^$$target\$$" -fuzztime=$(FUZZ_TIME) || exit 1; \
 	done
+
+# bench-smoke runs every benchmark of the root module exactly once. Many
+# benchmarks assert a statement or frame budget after their loop, and
+# `go test` never runs a benchmark, so without this a stale assertion
+# fails only when someone next benchmarks by hand. bench/ (drivobench)
+# is a module of its own and is not included.
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./...
 
 tier1:
 	go build ./...

@@ -799,11 +799,55 @@ func BenchmarkExternalLeaseRenewal(b *testing.B) {
 	}
 }
 
+// BenchmarkExternalBootstrap measures the Table 3 grant on the external
+// deployment over a v2 session with the version watch: matchmaking is
+// served from the catalog, and the lease INSERT's reply carries the
+// table versions the catalog is checked against, so a bootstrap
+// REQUEST costs the legacy DBMS one statement and no version probe.
+// Pinned: exactly that, per bootstrap.
+func BenchmarkExternalBootstrap(b *testing.B) {
+	s := newExternalStackProto(b, 2)
+	if _, err := s.drv.AddDriver(s.image(16<<10), dbver.FormatImage); err != nil {
+		b.Fatal(err)
+	}
+	lc, err := core.DialLeaseClient(s.drv.Addr(), 2*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(lc.Close)
+	req := core.Request{
+		Database:       "prod",
+		User:           "app",
+		Password:       "app-pw",
+		API:            dbver.APIOf("JDBC", 3, 0),
+		ClientPlatform: dbver.PlatformLinuxAMD64,
+		ClientID:       "bench",
+	}
+	// Warm: the server's own AddDriver makes the first request validate
+	// the catalog; it also loads the id allocators and the handles.
+	if _, err := lc.Request(req); err != nil {
+		b.Fatal(err)
+	}
+	queriesBefore, probesBefore := s.legacy.QueriesServed(), s.legacy.VersionProbesServed()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lc.Request(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	q, p := s.legacy.QueriesServed()-queriesBefore, s.legacy.VersionProbesServed()-probesBefore
+	if q != int64(b.N) || p != 0 {
+		b.Fatalf("bootstraps must cost one statement and no probe each: %d statements and %d probes for %d bootstraps", q, p, b.N)
+	}
+}
+
 // BenchmarkExternalReapAt1000Leases measures the expiry sweep against
 // the external deployment with 1000 live leases in the remote log: the
-// whole sweep is one statement on the legacy connection (staged-blob
-// reclamation is in-memory), so ns/op tracks a single wire round trip
-// regardless of the lease population.
+// whole sweep is one batch of two statements on the legacy connection,
+// the sweep UPDATE and the retention DELETE (staged-blob reclamation is
+// in-memory), so ns/op tracks a single wire round trip regardless of
+// the lease population. Pinned: one batch and two statements per sweep.
 func BenchmarkExternalReapAt1000Leases(b *testing.B) {
 	s := newExternalStackB(b)
 	if _, err := s.drv.AddDriver(s.image(4<<10), dbver.FormatImage); err != nil {
@@ -826,7 +870,7 @@ func BenchmarkExternalReapAt1000Leases(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	queriesBefore := s.legacy.QueriesServed()
+	queriesBefore, batchesBefore := s.legacy.QueriesServed(), s.legacy.BatchesServed()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.drv.ReapExpiredLeases(); err != nil {
@@ -834,8 +878,9 @@ func BenchmarkExternalReapAt1000Leases(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if got := s.legacy.QueriesServed() - queriesBefore; got != int64(b.N) {
-		b.Fatalf("sweeps must cost one statement each: %d statements for %d sweeps", got, b.N)
+	q, bt := s.legacy.QueriesServed()-queriesBefore, s.legacy.BatchesServed()-batchesBefore
+	if q != 2*int64(b.N) || bt != int64(b.N) {
+		b.Fatalf("sweeps must cost one batch of two statements each: %d batches and %d statements for %d sweeps", bt, q, b.N)
 	}
 }
 

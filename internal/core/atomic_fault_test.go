@@ -380,3 +380,56 @@ func TestDeleteUnknownDriverTouchesNothing(t *testing.T) {
 			drivers, perms, fx.drvID, driverExists, kept)
 	}
 }
+
+// TestRevokeWriteFailureKeepsLease: a renewal that must be revoked,
+// with each of its statements failing in turn. Whichever fails —
+// the catalog reload, the lease read or the revocation's UPDATE — the
+// lease stays live, so the answer is INTERNAL, never REVOKED: the
+// client keeps its driver and renews again (§4.1.3), and the clean
+// retry revokes.
+func TestRevokeWriteFailureKeepsLease(t *testing.T) {
+	setup := func() (*faultFixture, *faultCore, Request) {
+		fx, st := newFaultFixture(t, mkFault, nil)
+		fx.seedDirect(t)
+		offer, perr := fx.srv.grant(grantReq(), false)
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		if _, err := fx.srv.SetPermission(Permission{DriverID: fx.drvID, Database: "prod",
+			RenewPolicy: RenewRevoke, ExpirationPolicy: AfterCommit, TransferMethod: TransferAny}); err != nil {
+			t.Fatal(err)
+		}
+		renew := grantReq()
+		renew.LeaseID, renew.CurrentChecksum = offer.LeaseID, offer.DriverChecksum
+		return fx, faultCoreOf(st), renew
+	}
+	released := func(fx *faultFixture, id uint64) bool {
+		res := fx.db.MustExec(`SELECT released FROM `+LeasesTable+` WHERE lease_id = $id`,
+			sqlmini.Args{"id": int64(id)})
+		return res.Rows[0][0].Bool()
+	}
+	fx, fc, renew := setup()
+	fc.arm(1 << 30) // count without failing
+	if _, perr := fx.srv.grant(renew, false); perr == nil || perr.Code != ErrCodeRevoked {
+		t.Fatalf("clean renewal answered %v, want REVOKED", perr)
+	}
+	total := fc.seen()
+	for k := 1; k <= total; k++ {
+		fx, fc, renew := setup()
+		fc.arm(k)
+		_, perr := fx.srv.grant(renew, false)
+		fc.disarm()
+		if perr == nil || perr.Code != ErrCodeInternal || !strings.Contains(perr.Message, errInjected.Error()) {
+			t.Fatalf("k=%d of %d: renewal answered %v, want INTERNAL with the injected fault", k, total, perr)
+		}
+		if released(fx, renew.LeaseID) {
+			t.Fatalf("k=%d of %d: the failed renewal released the lease", k, total)
+		}
+		if _, perr := fx.srv.grant(renew, false); perr == nil || perr.Code != ErrCodeRevoked {
+			t.Fatalf("k=%d of %d: clean retry answered %v, want REVOKED", k, total, perr)
+		}
+		if !released(fx, renew.LeaseID) {
+			t.Fatalf("k=%d of %d: the revoked lease is still live", k, total)
+		}
+	}
+}

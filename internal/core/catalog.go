@@ -210,8 +210,8 @@ func catalogBefore(a, b *catalogEntry) bool {
 
 // matchCatalog is the zero-SQL matchmaking path: Sample code 2 over the
 // cached permission rows, then Sample code 1 (with its no-preference
-// fallback) over the cached driver metadata.
-func (s *Server) matchCatalog(cat *catalog, req Request) (*grantInfo, *ProtocolError) {
+// fallback) over the cached driver metadata. own is as for matchOn.
+func (s *Server) matchCatalog(cat *catalog, req Request, own uint64) (*grantInfo, *ProtocolError) {
 	now := s.clock()
 	// 1. Permission/distribution table, newest row first.
 	for i := range cat.perms {
@@ -244,7 +244,7 @@ func (s *Server) matchCatalog(cat *catalog, req Request) (*grantInfo, *ProtocolE
 			return nil, perr
 		}
 		if s.licenseMode {
-			free, err := s.driverLeaseFree(g.driverID, req.LeaseID)
+			free, err := s.driverLeaseFree(g.driverID, own)
 			if err != nil {
 				return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 			}
@@ -258,10 +258,10 @@ func (s *Server) matchCatalog(cat *catalog, req Request) (*grantInfo, *ProtocolE
 	// 2. Preference pass; like the SQL path, the fallback (preference
 	// predicates dropped) runs only when NO driver satisfies the full
 	// preference query — a license-held driver still counts as matched.
-	if g, perr := s.pickByPreference(cat, req, true); g != nil || perr != nil {
+	if g, perr := s.pickByPreference(cat, req, own, true); g != nil || perr != nil {
 		return g, perr
 	}
-	if g, perr := s.pickByPreference(cat, req, false); g != nil || perr != nil {
+	if g, perr := s.pickByPreference(cat, req, own, false); g != nil || perr != nil {
 		return g, perr
 	}
 	return nil, noDriverError(req)
@@ -272,7 +272,7 @@ func (s *Server) matchCatalog(cat *catalog, req Request) (*grantInfo, *ProtocolE
 // (nil, nil) return means nothing matched at all; license-mode
 // skipping of matched-but-held drivers yields NO_DRIVER instead, like
 // the SQL path's empty loop.
-func (s *Server) pickByPreference(cat *catalog, req Request, withPrefs bool) (*grantInfo, *ProtocolError) {
+func (s *Server) pickByPreference(cat *catalog, req Request, own uint64, withPrefs bool) (*grantInfo, *ProtocolError) {
 	matchedAny := false
 	for _, ent := range cat.order {
 		if !entryMatchesPreference(&ent.meta, req, withPrefs) {
@@ -280,7 +280,7 @@ func (s *Server) pickByPreference(cat *catalog, req Request, withPrefs bool) (*g
 		}
 		matchedAny = true
 		if s.licenseMode {
-			free, err := s.driverLeaseFree(ent.meta.DriverID, req.LeaseID)
+			free, err := s.driverLeaseFree(ent.meta.DriverID, own)
 			if err != nil {
 				return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 			}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"net"
 	"testing"
 
 	"repro/internal/dbver"
 	"repro/internal/sqlmini"
+	"repro/internal/wire"
 )
 
 // TestCorruptStoredDriver: garbage in binary_code must surface as a
@@ -117,5 +119,37 @@ func TestBadURLThroughBootloader(t *testing.T) {
 	b := f.bootloader(t)
 	if _, err := b.Connect("not a url", nil); err == nil {
 		t.Fatal("expected URL error")
+	}
+}
+
+// TestUnsentOfferReleasesFreshLease: a client that sends a bootstrap
+// REQUEST and hangs up before reading never learns of its lease, so the
+// server gives the lease back when it cannot send the OFFER. No live
+// lease row, and so no license seat, outlives the dead connection.
+func TestUnsentOfferReleasesFreshLease(t *testing.T) {
+	srv, _ := newCatalogServer(t, WithLicenseMode())
+	if _, err := srv.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage); err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.serveConn(server)
+	}()
+	c := wire.NewConn(client)
+	if err := c.Send(msgRequest, catalogRequest().encode()); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	<-done
+	if n := srv.Counters().LeasesGranted; n != 1 {
+		t.Fatalf("%d leases granted, want the 1 whose OFFER was lost", n)
+	}
+	if n, err := srv.LicensesInUse(); err != nil || n != 0 {
+		t.Fatalf("%d leases live (err %v) after their OFFER could not be sent, want 0", n, err)
+	}
+	if _, perr := srv.grant(catalogRequest(), false); perr != nil {
+		t.Fatalf("the license of the lost OFFER's lease is still held: %v", perr)
 	}
 }

@@ -17,42 +17,150 @@ import (
 // is the server side of the paper's Table 3 (new lease) and Table 4
 // (renewal) flows.
 // isTLS reports the requesting connection's channel, enforcing the
-// Table 2 transfer_method restriction before any lease is touched.
+// Table 2 transfer_method restriction before the first lease statement
+// on the catalog in hand. A redo (below) can still refuse afterwards:
+// a bootstrap's new row is then released, while a no-change keep's
+// speculative UPDATE stays written.
 //
-// A renewal answers from the cached catalog without reading the
-// store's versions first (renewCached); everything else matches
-// against a catalog validated before it acts.
+// One rule covers every request that touches its lease row: it acts on
+// the cached catalog, then checks that catalog against the table
+// versions read right after its first statement executed
+// (catalogHeld) — a bootstrap's INSERT, a no-change renewal's guarded
+// UPDATE, any other renewal's lease SELECT. Versions only grow, so
+// equal versions prove no catalog write completed between the
+// catalog's load and that statement: a stronger check than a probe
+// before it, which proves the catalog current only at the probe. When
+// they moved, the request is answered again from the reloaded catalog
+// (redo). An answer that touches no lease row (refusal) has no
+// statement to check its catalog, so it validates the catalog first,
+// and so does every request while no catalog is cached or after the
+// server's own admin write (catStale).
 func (s *Server) grant(req Request, isTLS bool) (Offer, *ProtocolError) {
-	if req.LeaseID != 0 && !s.catStale.Load() {
-		if cat := s.cat.Load(); cat != nil {
-			return s.renewCached(cat, req, isTLS)
-		}
+	var perr *ProtocolError
+	cat := s.cat.Load()
+	validated := cat == nil || s.catStale.Load()
+	if validated {
+		cat, perr = s.catalogSnapshot()
 	}
-	g, perr := s.match(req)
-	return s.grantMatched(req, isTLS, g, perr, false)
+	var g *grantInfo
+	if perr == nil {
+		g, perr = s.matchOn(cat, req, req.LeaseID)
+	}
+	refusal := s.refusal(req, isTLS, g, perr)
+	if refusal != nil && !validated {
+		fresh, ferr := s.catalogSnapshot()
+		switch {
+		case ferr != nil:
+			g, perr = nil, ferr
+		case fresh != cat:
+			cat = fresh
+			g, perr = s.matchOn(fresh, req, req.LeaseID)
+		}
+		refusal = s.refusal(req, isTLS, g, perr)
+	}
+	if refusal != nil {
+		return Offer{}, refusal
+	}
+	if perr == nil {
+		g.leaseTime = s.jitterLease(g.leaseTime)
+	}
+	if req.LeaseID == 0 {
+		return s.bootstrap(cat, req, isTLS, g)
+	}
+	return s.renew(cat, req, isTLS, g, perr)
 }
 
-// renewCached answers a renewal from the cached catalog cat. Only the
-// Table 4 no-change keep is speculative: it runs its guarded UPDATE
-// first and checks cat afterwards, against the table versions read
-// right after that UPDATE executed (carried on its result, or read
-// from the store when the result has none). Versions only grow, so
-// equal versions prove no catalog write completed between cat's load
-// and the UPDATE — a stronger check than a probe before the write,
-// which proves cat current only at the probe. When they differ, the
-// renewal is answered again from the fresh catalog, exactly as a
-// renewal that validated first would have been (renewed tells the
-// redo that the row already counts this renewal). Every other answer —
-// upgrade, revoke, error, redirect — validates cat before it acts,
-// and reuses the match when cat proves current.
-func (s *Server) renewCached(cat *catalog, req Request, isTLS bool) (Offer, *ProtocolError) {
-	g, perr := s.matchCatalog(cat, req)
-	var fresh *catalog
-	var ferr *ProtocolError
-	speculated, renewed := false, false
-	if perr == nil && keepsDriver(req, g) && (g.transfer != TransferTLS || isTLS) &&
-		(s.route == nil || s.route(g.driverID, req.ClientID).Local) {
+// refusal is the answer a matched request gets without touching a
+// lease row, or nil when it goes on to its row: a bootstrap's
+// matchmaking error, the Table 2 transfer restriction, or a cluster
+// redirect. A renewal's matchmaking error is answered once its lease
+// row is read (renewRead).
+func (s *Server) refusal(req Request, isTLS bool, g *grantInfo, perr *ProtocolError) *ProtocolError {
+	if perr != nil {
+		if req.LeaseID == 0 {
+			return perr
+		}
+		return nil
+	}
+	if g.transfer == TransferTLS && !isTLS {
+		return &ProtocolError{Code: ErrCodeTransfer,
+			Message: "driver requires the TLS transfer channel; reconnect over TLS"}
+	}
+	if s.route != nil {
+		// Cluster shard routing: the match succeeded, so the shard key
+		// (driver, client) is known — a member that does not own the
+		// shard redirects instead of granting, keeping exactly one
+		// grantor per shard across the fleet.
+		if rt := s.route(g.driverID, req.ClientID); !rt.Local {
+			return &ProtocolError{Code: ErrCodeInternal,
+				Message:  "shard owned by " + rt.Server,
+				redirect: &Redirect{Addr: rt.Addr, Server: rt.Server}}
+		}
+	}
+	return nil
+}
+
+// redo matches req again after the catalog its first statement acted
+// on proved stale: it reloads the catalog (one version read, no probe
+// first) and matches on the fresh one. refusal is the fresh answer when
+// it touches no lease row; otherwise g carries jittered terms. own is
+// as for matchOn.
+func (s *Server) redo(req Request, isTLS bool, own uint64) (g *grantInfo, perr, refusal *ProtocolError) {
+	s.redos.Add(1)
+	fresh, perr := s.reloadCatalog()
+	if perr == nil {
+		g, perr = s.matchOn(fresh, req, own)
+	}
+	if refusal = s.refusal(req, isTLS, g, perr); refusal == nil && perr == nil {
 		g.leaseTime = s.jitterLease(g.leaseTime)
+	}
+	return g, perr, refusal
+}
+
+// bootstrap grants a new lease (Table 3) on catalog cat: the lease
+// INSERT first, then the check. When cat proved stale, the fresh match
+// rewrites the new row to its terms (renewRedoSQL, so the row counts no
+// renewal); when the fresh answer is an error or a redirect, the row is
+// released and that answer given. A stale catalog therefore never
+// leaves a live lease or a held license seat behind.
+func (s *Server) bootstrap(cat *catalog, req Request, isTLS bool, g *grantInfo) (Offer, *ProtocolError) {
+	id, res, err := s.newLease(req, g)
+	if err != nil {
+		return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
+	}
+	if s.catalogHeld(cat, res) {
+		return s.grantedOffer(id, g), nil
+	}
+	// The new row is the client's own lease: the fresh match's license
+	// check must not count it against the client. Every answer to a
+	// bootstrap other than a grant is a refusal.
+	g, _, perr := s.redo(req, isTLS, id)
+	if perr == nil {
+		res, err = s.extendLease(id, g, s.clock().Add(g.leaseTime), true)
+		if err == nil && res.Affected == 0 {
+			err = fmt.Errorf("lease %d released before its grant completed", id)
+		}
+		if err == nil {
+			return s.grantedOffer(id, g), nil
+		}
+		perr = &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
+	}
+	if _, err := s.releaseLease(id); err != nil {
+		return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
+	}
+	return Offer{}, perr
+}
+
+// renew renews a lease (Table 4) on catalog cat. A no-change keep runs
+// its guarded UPDATE first; every other renewal — upgrade, revoke, a
+// matchmaking error — reads its lease row first. That statement's
+// versions check cat. When cat proved stale, the renewal is answered
+// again from the fresh catalog, exactly as a renewal on that catalog
+// would have been: a stale keep reads the row too, and renewed tells
+// renewRead that the row already counts this renewal.
+func (s *Server) renew(cat *catalog, req Request, isTLS bool, g *grantInfo, perr *ProtocolError) (Offer, *ProtocolError) {
+	stale, renewed := false, false
+	if perr == nil && keepsDriver(req, g) {
 		res, err := s.extendLease(req.LeaseID, g, s.clock().Add(g.leaseTime), false)
 		if err != nil {
 			return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
@@ -60,26 +168,30 @@ func (s *Server) renewCached(cat *catalog, req Request, isTLS bool) (Offer, *Pro
 		if s.catalogHeld(cat, res) {
 			return s.keptOffer(req, g, res)
 		}
-		// The versions already moved: reload without probing first.
-		speculated, renewed = true, res.Affected > 0
-		s.renewRedos.Add(1)
-		fresh, ferr = s.reloadCatalog()
-	} else {
-		fresh, ferr = s.catalogSnapshot()
+		stale, renewed = true, res.Affected > 0
 	}
-	switch {
-	case ferr != nil:
-		g, perr = nil, ferr
-	case fresh != cat || speculated:
-		g, perr = s.matchOn(fresh, req)
+	lease, res, err := s.leaseByID(req.LeaseID)
+	if err != nil {
+		return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 	}
-	return s.grantMatched(req, isTLS, g, perr, renewed)
+	if stale || !s.catalogHeld(cat, res) {
+		var refusal *ProtocolError
+		if g, perr, refusal = s.redo(req, isTLS, req.LeaseID); refusal != nil {
+			return Offer{}, refusal
+		}
+	}
+	return s.renewRead(req, lease, g, perr, renewed)
 }
 
 // catalogHeld reports whether cat was still current when the statement
 // that produced res executed: against the versions res carries, or,
-// when it carries none, against the store's versions read now.
+// when it carries none, against the store's versions read now. A nil
+// cat — the SQL path of a store that reports no versions — matched
+// against the store itself, and has nothing to check.
 func (s *Server) catalogHeld(cat *catalog, res *sqlmini.Result) bool {
+	if cat == nil {
+		return true
+	}
 	if v := res.Versions; len(v) == 2 {
 		return cat.current(v[0], v[1])
 	}
@@ -94,44 +206,13 @@ func keepsDriver(req Request, g *grantInfo) bool {
 	return g.renew != RenewRevoke && req.CurrentChecksum != "" && req.CurrentChecksum == g.checksum
 }
 
-// grantMatched is grant once matchmaking has answered (g, or perr):
-// the Table 2 transfer restriction, cluster shard routing and lease
-// jitter, then the lease row. renewed is renewLease's.
-func (s *Server) grantMatched(req Request, isTLS bool, g *grantInfo, perr *ProtocolError, renewed bool) (Offer, *ProtocolError) {
-	if perr == nil && g.transfer == TransferTLS && !isTLS {
-		return Offer{}, &ProtocolError{Code: ErrCodeTransfer,
-			Message: "driver requires the TLS transfer channel; reconnect over TLS"}
-	}
-	if perr == nil && s.route != nil {
-		// Cluster shard routing: the match succeeded, so the shard key
-		// (driver, client) is known — a member that does not own the
-		// shard redirects instead of granting, keeping exactly one
-		// grantor per shard across the fleet.
-		if rt := s.route(g.driverID, req.ClientID); !rt.Local {
-			return Offer{}, &ProtocolError{Code: ErrCodeInternal,
-				Message:  "shard owned by " + rt.Server,
-				redirect: &Redirect{Addr: rt.Addr, Server: rt.Server}}
-		}
-	}
-	if perr == nil {
-		g.leaseTime = s.jitterLease(g.leaseTime)
-	}
-
-	if req.LeaseID != 0 {
-		return s.renewLease(req, g, perr, renewed)
-	}
-	if perr != nil {
-		return Offer{}, perr
-	}
-
-	leaseID, err := s.newLease(req, g)
-	if err != nil {
-		return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
-	}
+// grantedOffer answers a bootstrap whose lease row leaseID holds g's
+// terms, staging the driver blob for the transfer.
+func (s *Server) grantedOffer(leaseID uint64, g *grantInfo) Offer {
 	s.leasesGranted.Add(1)
-	// The clock is re-read after the INSERT, so the recorded expiry is
-	// an upper bound on the lease row's — the sweep never reclaims a
-	// staged blob before its lease really expired.
+	// The clock is re-read after the lease write, so the recorded
+	// expiry is an upper bound on the lease row's — the sweep never
+	// reclaims a staged blob before its lease really expired.
 	s.stageTransfer(leaseID, g.blob, s.clock().Add(g.leaseTime))
 	return Offer{
 		LeaseID:          leaseID,
@@ -144,7 +225,7 @@ func (s *Server) grantMatched(req Request, isTLS bool, g *grantInfo, perr *Proto
 		Format:           g.format,
 		Size:             uint32(len(g.blob)),
 		ServerName:       s.name,
-	}, nil
+	}
 }
 
 // renewNoChangeSQL extends a live lease in one guarded statement; the
@@ -154,9 +235,10 @@ const renewNoChangeSQL = `UPDATE ` + LeasesTable + `
 	SET expires_at = $exp, renewals = renewals + 1, driver_id = $drv
 	WHERE lease_id = $id AND released = FALSE`
 
-// renewRedoSQL is renewNoChangeSQL for a renewal answered again after
-// its speculative keep proved stale (renewCached): the keep's UPDATE
-// already counted it, so the redo writes the fresh terms only.
+// renewRedoSQL is renewNoChangeSQL for a row that must not count a
+// renewal: a renewal answered again after its speculative keep proved
+// stale, whose keep already counted it (renew), and a bootstrap whose
+// new row is rewritten to the fresh terms (bootstrap).
 const renewRedoSQL = `UPDATE ` + LeasesTable + `
 	SET expires_at = $exp, driver_id = $drv
 	WHERE lease_id = $id AND released = FALSE`
@@ -183,7 +265,7 @@ const releaseLeaseSQL = `UPDATE ` + LeasesTable + `
 
 // extendLease runs the guarded renewal UPDATE for lease id at g's
 // terms, expiring at exp: renewNoChangeSQL, or renewRedoSQL when the
-// row already counts this renewal.
+// row must not count a renewal.
 func (s *Server) extendLease(id uint64, g *grantInfo, exp time.Time, renewed bool) (*sqlmini.Result, error) {
 	sql := renewNoChangeSQL
 	if renewed {
@@ -216,31 +298,16 @@ func (s *Server) keptOffer(req Request, g *grantInfo, res *sqlmini.Result) (Offe
 	}, nil
 }
 
-// renewLease handles the Table 4 server side: "if (driver still valid)
-// send OFFER; else if (new driver available) send OFFER + FILE_DATA;
-// else send DRIVOLUTION_ERROR". It decides and stages; handleRequest
-// sends, with the FILE_DATA right behind the OFFER when the connection
+// renewRead handles the Table 4 server side once the lease row is read
+// (a zero Lease when there is none): "if (driver still valid) send
+// OFFER; else if (new driver available) send OFFER + FILE_DATA; else
+// send DRIVOLUTION_ERROR". It decides and stages; handleRequest sends,
+// with the FILE_DATA right behind the OFFER when the connection
 // declared capFilePush. renewed says the lease row already counts this
-// renewal (a stale speculative keep, see renewCached), so the row is
-// written as if it had not.
-func (s *Server) renewLease(req Request, g *grantInfo, matchErr *ProtocolError, renewed bool) (Offer, *ProtocolError) {
-	// Fast path: the renewal-no-change branch. The client proved (by
-	// checksum) that it runs exactly the matched content, so no lease
-	// fields need to be read back — one guarded UPDATE extends the
-	// lease or reports it unknown/released.
-	if matchErr == nil && keepsDriver(req, g) {
-		res, err := s.extendLease(req.LeaseID, g, s.clock().Add(g.leaseTime), renewed)
-		if err != nil {
-			return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
-		}
-		return s.keptOffer(req, g, res)
-	}
-
-	lease, ok, err := s.leaseByID(req.LeaseID)
-	if err != nil {
-		return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
-	}
-	if !ok || lease.Released {
+// renewal (a stale speculative keep, see renew), so the row is written
+// as if it had not.
+func (s *Server) renewRead(req Request, lease Lease, g *grantInfo, matchErr *ProtocolError, renewed bool) (Offer, *ProtocolError) {
+	if lease.LeaseID == 0 || lease.Released {
 		return Offer{}, &ProtocolError{Code: ErrCodeNoLease,
 			Message: fmt.Sprintf("lease %d unknown or released", req.LeaseID)}
 	}
@@ -249,14 +316,18 @@ func (s *Server) renewLease(req Request, g *grantInfo, matchErr *ProtocolError, 
 			// The driver the client runs was retired and nothing replaces
 			// it: revoke (paper §3.1.2 "when the lease has expired, but no
 			// new driver is available ... a DRIVOLUTION_ERROR is sent").
-			s.revokeLease(lease.LeaseID, renewed)
+			if err := s.revokeLease(lease.LeaseID, renewed); err != nil {
+				return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
+			}
 			return Offer{}, &ProtocolError{Code: ErrCodeRevoked,
 				Message: "no driver available for renewal: " + matchErr.Message}
 		}
 		return Offer{}, matchErr
 	}
 	if g.renew == RenewRevoke {
-		s.revokeLease(lease.LeaseID, renewed)
+		if err := s.revokeLease(lease.LeaseID, renewed); err != nil {
+			return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
+		}
 		return Offer{}, &ProtocolError{Code: ErrCodeRevoked,
 			Message: fmt.Sprintf("driver %d revoked by policy", lease.DriverID)}
 	}
@@ -361,23 +432,23 @@ const newLeaseSQL = `INSERT INTO ` + LeasesTable + `
 	 expires_at, released, renewals)
 	VALUES ($id, $drv, $db, $user, $client, $granted, $exp, FALSE, 0)`
 
-// newLease inserts a lease row and returns its id. When several servers
-// share one store (replicated embedded servers, Figure 6), concurrent
-// allocations can collide on the primary key; colliding inserts retry
-// with a fresh id.
-func (s *Server) newLease(req Request, g *grantInfo) (uint64, error) {
+// newLease inserts a lease row and returns its id and the INSERT's
+// result. When several servers share one store (replicated embedded
+// servers, Figure 6), concurrent allocations can collide on the primary
+// key; colliding inserts retry with a fresh id.
+func (s *Server) newLease(req Request, g *grantInfo) (uint64, *sqlmini.Result, error) {
 	now := s.clock()
 	for attempt := 0; attempt < 16; attempt++ {
 		s.idMu.Lock()
 		if err := s.loadIDsLocked(); err != nil {
 			s.idMu.Unlock()
-			return 0, err
+			return 0, nil, err
 		}
 		s.nextLease = nextStridedID(s.nextLease, s.idOffset, s.idStride)
 		id := s.nextLease
 		s.idMu.Unlock()
 
-		_, err := s.exec(newLeaseSQL, sqlmini.Args{
+		res, err := s.exec(newLeaseSQL, sqlmini.Args{
 			"id":      int64(id),
 			"drv":     g.driverID,
 			"db":      nullableStr(req.Database),
@@ -387,16 +458,16 @@ func (s *Server) newLease(req Request, g *grantInfo) (uint64, error) {
 			"exp":     now.Add(g.leaseTime),
 		})
 		if err == nil {
-			return id, nil
+			return id, res, nil
 		}
 		if !isDuplicateKey(err) {
-			return 0, err
+			return 0, nil, err
 		}
 		s.idMu.Lock()
 		s.idsLoaded = false // another server advanced the sequence
 		s.idMu.Unlock()
 	}
-	return 0, fmt.Errorf("core: lease id allocation kept colliding")
+	return 0, nil, fmt.Errorf("core: lease id allocation kept colliding")
 }
 
 // nextStridedID returns the smallest id > cur with id ≡ offset (mod
@@ -425,14 +496,19 @@ func isDuplicateKey(err error) bool {
 }
 
 // revokeLease ends a revoked lease (revokeLeaseSQL); renewed takes back
-// a stale speculative keep's count.
-func (s *Server) revokeLease(id uint64, renewed bool) {
+// a stale speculative keep's count. When the write fails the lease
+// stays live, so the caller must not answer REVOKED: the client keeps
+// its driver and renews again.
+func (s *Server) revokeLease(id uint64, renewed bool) error {
 	undo := int64(0)
 	if renewed {
 		undo = 1
 	}
-	_, _ = s.exec(revokeLeaseSQL, sqlmini.Args{"now": s.clock(), "undo": undo, "id": int64(id)})
+	if _, err := s.exec(revokeLeaseSQL, sqlmini.Args{"now": s.clock(), "undo": undo, "id": int64(id)}); err != nil {
+		return err
+	}
 	s.dropPending(id)
+	return nil
 }
 
 // releaseLease ends lease id (releaseLeaseSQL) and drops any transfer
@@ -529,17 +605,19 @@ func (s *Server) ReapExpiredLeases() (int, error) {
 	return rs[0].Affected, nil
 }
 
-// leaseByID loads one lease row.
-func (s *Server) leaseByID(id uint64) (Lease, bool, error) {
+// leaseByID loads one lease row, a zero Lease when there is none, and
+// returns the SELECT's result too, whose versions a renewal checks its
+// catalog against.
+func (s *Server) leaseByID(id uint64) (Lease, *sqlmini.Result, error) {
 	res, err := s.exec(`SELECT lease_id, driver_id, database, user,
 		client_id, granted_at, expires_at, released, renewals
 		FROM `+LeasesTable+` WHERE lease_id = $id`,
 		sqlmini.Args{"id": int64(id)})
 	if err != nil {
-		return Lease{}, false, err
+		return Lease{}, nil, err
 	}
 	if len(res.Rows) == 0 {
-		return Lease{}, false, nil
+		return Lease{}, res, nil
 	}
 	idx := colIndex(res.Cols)
 	row := res.Rows[0]
@@ -554,7 +632,7 @@ func (s *Server) leaseByID(id uint64) (Lease, bool, error) {
 		Released:  row[idx["released"]].Bool(),
 		Renewals:  int(row[idx["renewals"]].Int()),
 	}
-	return l, true, nil
+	return l, res, nil
 }
 
 // Leases returns all lease rows (admin/experiments).

@@ -99,21 +99,24 @@ func (s *Server) match(req Request) (*grantInfo, *ProtocolError) {
 	if perr != nil {
 		return nil, perr
 	}
-	return s.matchOn(cat, req)
+	return s.matchOn(cat, req, req.LeaseID)
 }
 
 // matchOn matches against a validated catalog, or through SQL when cat
-// is nil (the store cannot report versions).
-func (s *Server) matchOn(cat *catalog, req Request) (*grantInfo, *ProtocolError) {
+// is nil (the store cannot report versions). own is the lease whose row
+// the license-mode check does not count against the client: the
+// renewing lease, or a bootstrap's own new row when it is matched
+// again (Server.bootstrap).
+func (s *Server) matchOn(cat *catalog, req Request, own uint64) (*grantInfo, *ProtocolError) {
 	if cat != nil {
-		return s.matchCatalog(cat, req)
+		return s.matchCatalog(cat, req, own)
 	}
-	return s.matchSQL(req)
+	return s.matchSQL(req, own)
 }
 
 // matchSQL is the per-request Sample-code-1/2 path for stores that
 // cannot report table versions.
-func (s *Server) matchSQL(req Request) (*grantInfo, *ProtocolError) {
+func (s *Server) matchSQL(req Request, own uint64) (*grantInfo, *ProtocolError) {
 	// 1. Permission table (Sample code 2).
 	//lint:scan-ok paper Sample code 2 verbatim: LIKE/OR/NULL predicates are not indexable; hot path uses the in-memory catalog
 	res, err := s.exec(permissionSQL, sqlmini.Args{
@@ -127,7 +130,7 @@ func (s *Server) matchSQL(req Request) (*grantInfo, *ProtocolError) {
 	}
 	idx := colIndex(res.Cols) // one map per result set, not per row
 	for _, row := range res.Rows {
-		g, ok, perr := s.grantFromPermissionRow(req, idx, row)
+		g, ok, perr := s.grantFromPermissionRow(req, own, idx, row)
 		if perr != nil {
 			return nil, perr
 		}
@@ -137,7 +140,7 @@ func (s *Server) matchSQL(req Request) (*grantInfo, *ProtocolError) {
 	}
 
 	// 2. Preference query (Sample code 1) then fallback.
-	g, perr := s.matchByPreference(req)
+	g, perr := s.matchByPreference(req, own)
 	if perr != nil {
 		return nil, perr
 	}
@@ -152,7 +155,7 @@ func colIndex(cols []string) map[string]int {
 	return idx
 }
 
-func (s *Server) grantFromPermissionRow(req Request, idx map[string]int, row []sqlmini.Value) (*grantInfo, bool, *ProtocolError) {
+func (s *Server) grantFromPermissionRow(req Request, own uint64, idx map[string]int, row []sqlmini.Value) (*grantInfo, bool, *ProtocolError) {
 	driverID := row[idx["driver_id"]].Int()
 	rec, ok, err := s.driverByID(driverID)
 	if err != nil {
@@ -184,7 +187,7 @@ func (s *Server) grantFromPermissionRow(req Request, idx map[string]int, row []s
 		return nil, false, perr
 	}
 	if s.licenseMode {
-		free, err := s.driverLeaseFree(driverID, req.LeaseID)
+		free, err := s.driverLeaseFree(driverID, own)
 		if err != nil {
 			return nil, false, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 		}
@@ -195,7 +198,7 @@ func (s *Server) grantFromPermissionRow(req Request, idx map[string]int, row []s
 	return g, true, nil
 }
 
-func (s *Server) matchByPreference(req Request) (*grantInfo, *ProtocolError) {
+func (s *Server) matchByPreference(req Request, own uint64) (*grantInfo, *ProtocolError) {
 	args := sqlmini.Args{
 		"client_api_name":  req.API.Name,
 		"client_platform":  string(req.ClientPlatform),
@@ -228,7 +231,7 @@ func (s *Server) matchByPreference(req Request) (*grantInfo, *ProtocolError) {
 			return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 		}
 		if s.licenseMode {
-			free, lerr := s.driverLeaseFree(rec.DriverID, req.LeaseID)
+			free, lerr := s.driverLeaseFree(rec.DriverID, own)
 			if lerr != nil {
 				return nil, &ProtocolError{Code: ErrCodeInternal, Message: lerr.Error()}
 			}

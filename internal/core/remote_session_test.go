@@ -526,3 +526,76 @@ func TestExternalRenewalStatementBudget(t *testing.T) {
 		t.Fatalf("%d renewals prepared %d statements, want 0", renewals, got)
 	}
 }
+
+// TestExternalGrantRoundTrips: over a watched v2 session, a REQUEST that
+// touches its lease row reaches the legacy DBMS with its statements
+// only, because the first one's reply carries the versions its catalog
+// is checked against. A bootstrap is 1 statement (the lease INSERT), an
+// upgrade renewal 2 (the lease SELECT and the guarded UPDATE), and
+// neither probes. DISCOVER writes nothing, so it still validates its
+// catalog first: 0 statements and 1 probe.
+func TestExternalGrantRoundTrips(t *testing.T) {
+	f := newRemoteFixture(t, 2)
+	cs := NewCountingStore(f.store)
+	srv, err := NewServer("external", cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage); err != nil {
+		t.Fatal(err)
+	}
+	offer, perr := srv.grant(catalogRequest(), false) // warm the catalog, ids and handles
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	upgrade := catalogRequest()
+	upgrade.LeaseID, upgrade.CurrentChecksum = offer.LeaseID, "an older driver"
+	ops := []struct {
+		name          string
+		op            func() *ProtocolError
+		stmts, probes int64
+	}{
+		{"bootstrap", func() *ProtocolError {
+			o, perr := srv.grant(catalogRequest(), false)
+			if perr == nil && (o.LeaseID == 0 || !o.HasDriver) {
+				t.Fatalf("bootstrap offered %+v", o)
+			}
+			return perr
+		}, 1, 0},
+		{"upgrade renewal", func() *ProtocolError {
+			o, perr := srv.grant(upgrade, false)
+			if perr == nil && !o.HasDriver {
+				t.Fatalf("upgrade renewal offered %+v", o)
+			}
+			return perr
+		}, 2, 0},
+		{"discover", func() *ProtocolError {
+			_, perr := srv.match(catalogRequest())
+			return perr
+		}, 0, 1},
+	}
+	for _, tc := range ops {
+		if perr := tc.op(); perr != nil { // warm this operation's handles
+			t.Fatal(perr)
+		}
+		cs.Reset()
+		queries, probes := f.legacy.QueriesServed(), f.legacy.VersionProbesServed()
+		const n = 5
+		for i := 0; i < n; i++ {
+			if perr := tc.op(); perr != nil {
+				t.Fatalf("%s %d: %v", tc.name, i, perr)
+			}
+		}
+		if got := cs.Statements(); got != n*tc.stmts {
+			t.Fatalf("%d of %s issued %d statements, want %d", n, tc.name, got, n*tc.stmts)
+		}
+		q, p := f.legacy.QueriesServed()-queries, f.legacy.VersionProbesServed()-probes
+		if q != n*tc.stmts || p != n*tc.probes {
+			t.Fatalf("%d of %s: the legacy DBMS served %d statements and %d probes, want %d and %d",
+				n, tc.name, q, p, n*tc.stmts, n*tc.probes)
+		}
+	}
+	if n := srv.Counters().Redos; n != 0 {
+		t.Fatalf("a steady catalog redid %d answers, want 0", n)
+	}
+}

@@ -76,7 +76,7 @@ func TestExternalNoChangeRenewalIsOneRoundTrip(t *testing.T) {
 	if n := p.Frames(faultnet.Down) - down; n != renewals {
 		t.Fatalf("%d no-change renewals got %d frames back, want %d", renewals, n, renewals)
 	}
-	if n := srv.Counters().RenewRedos; n != 0 {
+	if n := srv.Counters().Redos; n != 0 {
 		t.Fatalf("steady no-change renewals redid %d answers, want 0", n)
 	}
 
@@ -155,19 +155,21 @@ func TestExternalRenewalUnwatchedProbesAfter(t *testing.T) {
 // (local, or a ConnStore over a watched session), a started server with
 // a bootstrapped and once-renewed lease, and a second writer — another
 // server over the same store, whose admin writes the first learns of
-// only through the table versions.
+// only through the table versions. A license world's servers run in
+// license mode over two drivers, and its lease holds the newer one.
 type staleWorld struct {
-	db     *sqlmini.DB
-	store  Store
-	srv    *Server
-	writer *Server
-	req    Request // the lease's renewal request
-	now    time.Time
+	db      *sqlmini.DB
+	store   Store
+	license bool
+	srv     *Server
+	writer  *Server
+	req     Request // the lease's renewal request
+	now     time.Time
 }
 
-func newStaleWorld(t *testing.T, kind string) *staleWorld {
+func newStaleWorld(t *testing.T, kind string, license bool) *staleWorld {
 	t.Helper()
-	w := &staleWorld{now: time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)}
+	w := &staleWorld{now: time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC), license: license}
 	clock := func() time.Time { return w.now }
 	w.db = sqlmini.NewDB(sqlmini.WithClock(clock))
 	w.store = NewLocalStore(w.db)
@@ -190,8 +192,14 @@ func newStaleWorld(t *testing.T, kind string) *staleWorld {
 	if w.writer, err = NewServer("stale", w.store, WithClock(clock)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.srv.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage); err != nil {
-		t.Fatal(err)
+	versions := []dbver.Version{dbver.V(1, 0, 0)}
+	if license {
+		versions = append(versions, dbver.V(1, 5, 0))
+	}
+	for _, v := range versions {
+		if _, err := w.srv.AddDriver(catalogImage(v), dbver.FormatImage); err != nil {
+			t.Fatal(err)
+		}
 	}
 	lc := w.client(t, w.srv)
 	w.req = catalogRequest()
@@ -214,8 +222,11 @@ func newStaleWorld(t *testing.T, kind string) *staleWorld {
 // server starts a server named "stale" over the world's store.
 func (w *staleWorld) server(t *testing.T) *Server {
 	t.Helper()
-	srv, err := NewServer("stale", w.store, WithClock(func() time.Time { return w.now }),
-		WithDefaultLease(time.Minute))
+	opts := []ServerOption{WithClock(func() time.Time { return w.now }), WithDefaultLease(time.Minute)}
+	if w.license {
+		opts = append(opts, WithLicenseMode())
+	}
+	srv, err := NewServer("stale", w.store, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,27 +247,31 @@ func (w *staleWorld) client(t *testing.T, srv *Server) *LeaseClient {
 	return lc
 }
 
-// renewal is one renewal's whole observable outcome.
-type renewal struct {
+// outcome is one REQUEST's whole observable outcome.
+type outcome struct {
 	offer    Offer
 	code     ErrorCode // 0 for an OFFER
-	pushed   int       // bytes of FILE_DATA behind the OFFER
-	row      string    // the lease row afterwards
+	fetched  int       // bytes of FILE_DATA the offer's transfer carried
+	pushed   bool      // that FILE_DATA came behind the OFFER, unasked
+	row      string    // the request's lease row afterwards (none for a bootstrap)
+	live     string    // every live lease row afterwards
+	inUse    int       // LicensesInUse afterwards
 	counters ServerCounters
 }
 
-// renew renews the world's lease through srv over the wire.
-func (w *staleWorld) renew(t *testing.T, srv *Server) renewal {
+// do sends req to srv over the wire, fetching any driver it offers.
+func (w *staleWorld) do(t *testing.T, srv *Server, req Request) outcome {
 	t.Helper()
 	lc := w.client(t, srv)
 	before := srv.Counters()
-	var r renewal
-	offer, err := lc.Request(w.req)
+	var r outcome
+	offer, err := lc.Request(req)
 	switch pe := err.(type) {
 	case nil:
 		r.offer = offer
-		if lc.pushed != nil {
-			if r.pushed, err = lc.FetchFile(offer.LeaseID); err != nil {
+		if offer.HasDriver {
+			r.pushed = lc.pushed != nil
+			if r.fetched, err = lc.FetchFile(offer.LeaseID); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -265,82 +280,147 @@ func (w *staleWorld) renew(t *testing.T, srv *Server) renewal {
 	default:
 		t.Fatal(err)
 	}
-	res := w.db.MustExec(`SELECT lease_id, driver_id, expires_at, released, renewals FROM `+
-		LeasesTable+` WHERE lease_id = $id`, sqlmini.Args{"id": int64(w.req.LeaseID)})
-	r.row = fmt.Sprint(res.Rows)
+	const cols = `SELECT lease_id, driver_id, client_id, granted_at, expires_at, released, renewals FROM ` + LeasesTable
+	r.row = fmt.Sprint(w.db.MustExec(cols+` WHERE lease_id = $id`, sqlmini.Args{"id": int64(req.LeaseID)}).Rows)
+	r.live = fmt.Sprint(w.db.MustExec(cols + ` WHERE released = FALSE ORDER BY lease_id`).Rows)
+	if r.inUse, err = srv.LicensesInUse(); err != nil {
+		t.Fatal(err)
+	}
 	after := srv.Counters()
 	r.counters = ServerCounters{
 		Requests: after.Requests - before.Requests, Offers: after.Offers - before.Offers,
 		ErrorsSent: after.ErrorsSent - before.ErrorsSent, Transfers: after.Transfers - before.Transfers,
 		BytesOut: after.BytesOut - before.BytesOut, Notifies: after.Notifies - before.Notifies,
 		LeasesGranted: after.LeasesGranted - before.LeasesGranted, RenewKeeps: after.RenewKeeps - before.RenewKeeps,
-		RenewUpgrades: after.RenewUpgrades - before.RenewUpgrades, RenewRedos: after.RenewRedos - before.RenewRedos,
+		RenewUpgrades: after.RenewUpgrades - before.RenewUpgrades, Redos: after.Redos - before.Redos,
 		Redirects: after.Redirects - before.Redirects,
 	}
 	return r
 }
 
-// TestStaleCatalogRenewal: a second writer changes the catalog between
-// two renewals, so the server under test answers its next renewal from
-// a stale cached catalog, finds the versions moved after its UPDATE,
-// and answers again from the fresh one — one redo. The answer, the
-// lease row (renewals included) and every other server counter must
-// equal those of a fresh server — one with no cached catalog, and no
-// redo — renewing the same lease in an identical world.
+// Outcome predicates for TestStaleCatalogRenewal's cases. An upgrade's
+// FILE_DATA must arrive pushed behind its OFFER, a bootstrap's only
+// when asked for with FILE_REQUEST.
+func kept(lease time.Duration) func(outcome) bool {
+	return func(r outcome) bool {
+		return r.code == 0 && !r.offer.HasDriver && r.offer.LeaseTime == lease && r.counters.RenewKeeps == 1
+	}
+}
+
+func upgraded(lease time.Duration) func(outcome) bool {
+	return func(r outcome) bool {
+		return r.code == 0 && r.offer.HasDriver && r.offer.LeaseTime == lease && r.pushed &&
+			r.fetched > 0 && r.fetched == int(r.offer.Size) && r.counters.RenewUpgrades == 1
+	}
+}
+
+func granted(lease time.Duration, inUse int) func(outcome) bool {
+	return func(r outcome) bool {
+		return r.code == 0 && r.offer.HasDriver && r.offer.LeaseTime == lease && !r.pushed &&
+			r.fetched > 0 && r.counters.LeasesGranted == 1 && r.inUse == inUse
+	}
+}
+
+func revoked(r outcome) bool { return r.code == ErrCodeRevoked && strings.Contains(r.row, "TRUE") }
+
+func refused(code ErrorCode, inUse int) func(outcome) bool {
+	return func(r outcome) bool { return r.code == code && r.counters.LeasesGranted == 0 && r.inUse == inUse }
+}
+
+// TestStaleCatalogRenewal: a second writer changes the catalog, so the
+// server under test acts on a stale cached catalog, finds the versions
+// moved after its first statement, and answers again from the fresh
+// one — one redo. That holds for each REQUEST that touches a lease row:
+// a no-change renewal (its guarded UPDATE first), a bootstrap (its
+// INSERT first) and an upgrade renewal, here of a client that runs an
+// older driver (its lease SELECT first). The answer, the request's
+// lease row (renewals included), the live lease rows, the licenses in
+// use and every other server counter must equal those of a fresh server
+// — one with no cached catalog, and no redo — answering the same
+// request in an identical world. In the license worlds the stale
+// bootstrap match is the older driver, the only free one; deleting it
+// leaves the new client no driver, and the cap must hold.
 func TestStaleCatalogRenewal(t *testing.T) {
+	type checks struct{ renewal, bootstrap, upgrade func(outcome) bool }
 	cases := []struct {
-		name   string
-		change func(w *staleWorld) error
-		check  func(r renewal) bool
+		name    string
+		license bool
+		change  func(w *staleWorld) error
+		want    checks
 	}{
-		{"newer driver", func(w *staleWorld) error {
+		{"newer driver", false, func(w *staleWorld) error {
 			_, err := w.writer.AddDriver(catalogImage(dbver.V(2, 0, 0)), dbver.FormatImage)
 			return err
-		}, func(r renewal) bool {
-			return r.offer.HasDriver && r.pushed > 0 && r.pushed == int(r.offer.Size) && r.counters.RenewUpgrades == 1
-		}},
-		{"permission revoke", func(w *staleWorld) error {
+		}, checks{upgraded(time.Minute), granted(time.Minute, 2), upgraded(time.Minute)}},
+		{"permission revoke", false, func(w *staleWorld) error {
 			_, err := w.writer.SetPermission(Permission{DriverID: 1,
 				RenewPolicy: RenewRevoke, ExpirationPolicy: AfterCommit, TransferMethod: TransferAny})
 			return err
-		}, func(r renewal) bool { return r.code == ErrCodeRevoked && strings.Contains(r.row, "TRUE") }},
-		{"driver deleted", func(w *staleWorld) error {
+		}, checks{revoked, granted(time.Minute, 2), revoked}},
+		{"driver deleted", false, func(w *staleWorld) error {
 			return w.writer.DeleteDriver(1)
-		}, func(r renewal) bool { return r.code == ErrCodeRevoked && strings.Contains(r.row, "TRUE") }},
-		{"lease time", func(w *staleWorld) error {
+		}, checks{revoked, refused(ErrCodeNoDriver, 1), revoked}},
+		{"lease time", false, func(w *staleWorld) error {
 			_, err := w.writer.SetPermission(Permission{DriverID: 1, LeaseTime: 9 * time.Second,
 				RenewPolicy: RenewUpgrade, ExpirationPolicy: AfterCommit, TransferMethod: TransferAny})
 			return err
-		}, func(r renewal) bool { return r.code == 0 && !r.offer.HasDriver && r.offer.LeaseTime == 9*time.Second }},
-		{"unrelated permission", func(w *staleWorld) error {
+		}, checks{kept(9 * time.Second), granted(9*time.Second, 2), upgraded(9 * time.Second)}},
+		{"unrelated permission", false, func(w *staleWorld) error {
 			_, err := w.writer.SetPermission(Permission{DriverID: 1, User: "ops", LeaseTime: 9 * time.Second,
 				RenewPolicy: RenewRevoke, ExpirationPolicy: AfterCommit, TransferMethod: TransferAny})
 			return err
-		}, func(r renewal) bool {
-			return r.code == 0 && !r.offer.HasDriver && r.offer.LeaseTime == time.Minute && r.counters.RenewKeeps == 1
-		}},
+		}, checks{kept(time.Minute), granted(time.Minute, 2), upgraded(time.Minute)}},
+		{"license driver deleted", true, func(w *staleWorld) error {
+			return w.writer.DeleteDriver(1)
+		}, checks{kept(time.Minute), refused(ErrCodeNoDriver, 1), upgraded(time.Minute)}},
+		{"license unrelated permission", true, func(w *staleWorld) error {
+			_, err := w.writer.SetPermission(Permission{DriverID: 1, User: "ops",
+				RenewPolicy: RenewRevoke, ExpirationPolicy: AfterCommit, TransferMethod: TransferAny})
+			return err
+		}, checks{kept(time.Minute), granted(time.Minute, 2), upgraded(time.Minute)}},
 	}
 	for _, kind := range []string{"local", "conn"} {
 		for _, tc := range cases {
 			t.Run(kind+"/"+tc.name, func(t *testing.T) {
-				stale, ref := newStaleWorld(t, kind), newStaleWorld(t, kind)
-				for _, w := range []*staleWorld{stale, ref} {
-					if err := tc.change(w); err != nil {
-						t.Fatal(err)
-					}
+				ops := []struct {
+					name  string
+					req   func(w *staleWorld) Request
+					check func(outcome) bool
+				}{
+					{"renewal", func(w *staleWorld) Request { return w.req }, tc.want.renewal},
+					{"bootstrap", func(*staleWorld) Request {
+						req := catalogRequest()
+						req.ClientID = "second-client"
+						return req
+					}, tc.want.bootstrap},
+					{"upgrade", func(w *staleWorld) Request {
+						req := w.req
+						req.CurrentChecksum = "an older driver"
+						return req
+					}, tc.want.upgrade},
 				}
-				got := stale.renew(t, stale.srv)
-				want := ref.renew(t, ref.server(t))
-				if got.counters.RenewRedos != 1 || want.counters.RenewRedos != 0 {
-					t.Fatalf("redos: %d from the stale catalog, %d from a fresh server; want 1 and 0",
-						got.counters.RenewRedos, want.counters.RenewRedos)
-				}
-				got.counters.RenewRedos = 0
-				if got != want {
-					t.Fatalf("renewal from a stale catalog:\n got  %+v\n want %+v (a fresh server)", got, want)
-				}
-				if !tc.check(got) {
-					t.Fatalf("unexpected outcome %+v", got)
+				for _, op := range ops {
+					t.Run(op.name, func(t *testing.T) {
+						stale, ref := newStaleWorld(t, kind, tc.license), newStaleWorld(t, kind, tc.license)
+						for _, w := range []*staleWorld{stale, ref} {
+							if err := tc.change(w); err != nil {
+								t.Fatal(err)
+							}
+						}
+						got := stale.do(t, stale.srv, op.req(stale))
+						want := ref.do(t, ref.server(t), op.req(ref))
+						if got.counters.Redos != 1 || want.counters.Redos != 0 {
+							t.Fatalf("redos: %d from the stale catalog, %d from a fresh server; want 1 and 0",
+								got.counters.Redos, want.counters.Redos)
+						}
+						got.counters.Redos = 0
+						if got != want {
+							t.Fatalf("%s from a stale catalog:\n got  %+v\n want %+v (a fresh server)", op.name, got, want)
+						}
+						if !op.check(got) {
+							t.Fatalf("unexpected outcome %+v", got)
+						}
+					})
 				}
 			})
 		}

@@ -98,7 +98,7 @@ type Server struct {
 	// readers never block.
 	cat        atomic.Pointer[catalog]
 	catMu      sync.Mutex
-	catStale   atomic.Bool // set by NotifyUpdate: renewals validate cat before answering from it
+	catStale   atomic.Bool // set by NotifyUpdate: requests validate cat before acting on it
 	assemblies assemblyCache
 	signGen    uint64 // bumped when the signing key changes
 
@@ -120,7 +120,7 @@ type Server struct {
 	leasesGranted atomic.Int64
 	renewKeeps    atomic.Int64
 	renewUpgrades atomic.Int64
-	renewRedos    atomic.Int64
+	redos         atomic.Int64
 	redirects     atomic.Int64
 }
 
@@ -300,6 +300,11 @@ func (r stmtRouter) Exec(sql string, args ...any) (*sqlmini.Result, error) {
 
 func (s *Server) router() stmtRouter { return stmtRouter{s: s} }
 
+// Now reads the server's clock (WithClock), the one every lease write
+// binds its times from: whatever judges lease rows, such as a license
+// sweep, judges them by it.
+func (s *Server) Now() time.Time { return s.clock() }
+
 // Name returns the server name.
 func (s *Server) Name() string { return s.name }
 
@@ -328,11 +333,11 @@ type ServerCounters struct {
 	// RenewUpgrades counts renewals offered a different driver — the
 	// fleet-wide hot-swap events of an upgrade storm.
 	RenewUpgrades int64
-	// RenewRedos counts renewals answered again because the catalog
-	// their speculative keep used proved stale after its UPDATE
-	// (renewCached): each one costs a catalog reload and a second
+	// Redos counts REQUESTs (bootstraps and renewals) answered again
+	// because the catalog they acted on proved stale after their first
+	// statement (grant): each one costs a catalog reload and a second
 	// answer, so a steady fleet should show none.
-	RenewRedos int64
+	Redos int64
 	// Redirects counts REQUESTs answered with a msgRedirect frame
 	// because another cluster member owns the shard.
 	Redirects int64
@@ -350,7 +355,7 @@ func (s *Server) Counters() ServerCounters {
 		LeasesGranted: s.leasesGranted.Load(),
 		RenewKeeps:    s.renewKeeps.Load(),
 		RenewUpgrades: s.renewUpgrades.Load(),
-		RenewRedos:    s.renewRedos.Load(),
+		Redos:         s.redos.Load(),
 		Redirects:     s.redirects.Load(),
 	}
 }
@@ -557,7 +562,7 @@ func (s *Server) handleDiscover(conn *wire.Conn, payload []byte, st *connState) 
 		}
 	}
 	s.offers.Add(1)
-	s.sendOffer(conn, Offer{
+	_ = s.sendOffer(conn, Offer{
 		LeaseTime:        g.leaseTime,
 		RenewPolicy:      g.renew,
 		ExpirationPolicy: g.expiration,
@@ -572,11 +577,12 @@ func (s *Server) handleDiscover(conn *wire.Conn, payload []byte, st *connState) 
 
 // sendOffer encodes through a pooled encoder; offers are the per-grant
 // hot path.
-func (s *Server) sendOffer(conn *wire.Conn, o Offer) {
+func (s *Server) sendOffer(conn *wire.Conn, o Offer) error {
 	e := wire.GetEncoder(128)
 	o.encodeTo(e)
-	_ = conn.Send(msgOffer, e.Bytes())
+	err := conn.Send(msgOffer, e.Bytes())
 	wire.PutEncoder(e)
+	return err
 }
 
 // handleRequest answers a REQUEST with an OFFER (Table 3 bootstrap,
@@ -620,7 +626,14 @@ func (s *Server) handleRequest(conn *wire.Conn, payload []byte, st *connState) {
 			return
 		}
 	}
-	s.sendOffer(conn, offer)
+	if err := s.sendOffer(conn, offer); err != nil && req.LeaseID == 0 {
+		// A client that never got the OFFER of a fresh grant does not
+		// know its lease: give it back rather than let it hold a license
+		// seat for its whole term. Nobody is left to tell if that fails;
+		// the row then expires with its term. A renewal keeps its lease,
+		// which the client still holds and renews again.
+		_, _ = s.releaseLease(offer.LeaseID)
+	}
 }
 
 // jitterLease smears a granted lease period by ±leaseJitter (uniform).
@@ -747,9 +760,9 @@ func (s *Server) handleRelease(conn *wire.Conn, payload []byte) {
 // NotifyUpdate pushes a change notification to dedicated-channel
 // subscribers whose (database, api) scope matches; empty strings match
 // everything. Admin operations call it automatically, after their
-// write: it also marks the cached catalog stale, so the next renewal
-// reloads it before answering rather than answering from it and
-// answering again (renewCached).
+// write: it also marks the cached catalog stale, so the next request
+// reloads it before acting rather than acting on it and answering
+// again (grant).
 func (s *Server) NotifyUpdate(database, api string) {
 	s.catStale.Store(true)
 	s.subMu.Lock()

@@ -67,7 +67,9 @@ type Faults struct {
 	CutAfterBytes int64
 	// CutAfterFrames hard-resets the connection exactly on a wire
 	// frame boundary, after this many complete frames have been
-	// forwarded in this direction.
+	// forwarded in this direction. Nothing the other direction reads
+	// after those frames are written is forwarded, so the peer's answer
+	// to the last of them is always lost (as for CutAfterBytes).
 	CutAfterFrames int
 	// BlackHole forwards nothing, silently and forever: the peer's
 	// writes vanish and its reads stall until a deadline fires. This

@@ -271,6 +271,11 @@ type proxyConn struct {
 	client, server net.Conn
 	once           sync.Once
 	done           chan struct{}
+	// cutting is set by a pump about to write the last bytes of an
+	// injected cut. The other pump forwards nothing once it is set, so
+	// a peer's reply to those bytes never escapes before the reset
+	// lands: a cut after a request always loses that request's answer.
+	cutting atomic.Bool
 }
 
 // reset kills the connection abruptly: linger 0 turns the close into
@@ -342,6 +347,11 @@ func (pc *proxyConn) pump(dir Direction, src, dst net.Conn, f Faults) {
 				if !sleepOrDone(d, pc.done) {
 					return
 				}
+			}
+			if cut {
+				pc.cutting.Store(true)
+			} else if pc.cutting.Load() {
+				return // the other direction's cut is resetting the connection
 			}
 			// Counted before the write, so a peer holding a frame finds it
 			// in Frames.

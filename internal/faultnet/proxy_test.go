@@ -196,6 +196,37 @@ func TestProxyCutOnFrameBoundary(t *testing.T) {
 	}
 }
 
+// TestProxyCutLosesTheAnswer: a cut after a request's frame loses the
+// answer to it, however fast the peer replies — here an echo server,
+// which answers as soon as the frame arrives, raced by the reset on
+// each of 200 connections.
+func TestProxyCutLosesTheAnswer(t *testing.T) {
+	ln := echoServer(t)
+	p, err := NewProxy(ln.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.SetPlanner(func(int, *rand.Rand) Plan { return Plan{Up: Faults{CutAfterFrames: 1}} })
+	for i := 0; i < 200; i++ {
+		conn, err := wire.Dial(p.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(1, []byte("request")); err != nil {
+			t.Fatal(err)
+		}
+		_, err = conn.Recv()
+		conn.Close()
+		if err == nil {
+			t.Fatalf("connection %d: the answer to the cut frame got through", i)
+		}
+	}
+	if n := p.Frames(Down); n != 0 {
+		t.Fatalf("%d answers forwarded past a cut, want 0", n)
+	}
+}
+
 func TestProxyBlackHole(t *testing.T) {
 	ln := echoServer(t)
 	p, err := NewProxy(ln.Addr().String(), 1)

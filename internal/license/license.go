@@ -86,13 +86,15 @@ func (m *Manager) Reclaimed() int {
 }
 
 // SweepOnce scans the lease table once, releasing dead or expired
-// leases, and returns how many it reclaimed.
+// leases, and returns how many it reclaimed. Expiry is judged by the
+// server's clock (core.Server.Now), which every lease write binds its
+// expiry from.
 func (m *Manager) SweepOnce() (int, error) {
 	leases, err := m.srv.Leases()
 	if err != nil {
 		return 0, fmt.Errorf("license: sweep: %w", err)
 	}
-	now := time.Now()
+	now := m.srv.Now()
 	n := 0
 	for _, l := range leases {
 		if l.Released {

@@ -2,6 +2,7 @@ package license
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ type stack struct {
 	rt     *driverimg.Runtime
 }
 
-func newStack(t *testing.T, lease time.Duration) *stack {
+func newStack(t *testing.T, lease time.Duration, opts ...core.ServerOption) *stack {
 	t.Helper()
 	appDB := sqlmini.NewDB()
 	appDB.MustExec("CREATE TABLE t (x INTEGER)")
@@ -33,7 +34,7 @@ func newStack(t *testing.T, lease time.Duration) *stack {
 	t.Cleanup(target.Stop)
 
 	srv, err := core.NewServer("lic", core.NewLocalStore(sqlmini.NewDB()),
-		core.WithLicenseMode(), core.WithDefaultLease(lease))
+		append([]core.ServerOption{core.WithLicenseMode(), core.WithDefaultLease(lease)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,4 +202,40 @@ func waitUntil(t *testing.T, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition not reached within deadline")
+}
+
+// TestSweepJudgesByServerClock: the sweep judges expiry by the server's
+// clock, which every lease write binds its expiry from. On a server
+// whose clock runs two hours behind the wall clock, an hour lease is
+// live by the server's clock although the wall clock has passed its
+// expiry, and the sweep must leave it; once the server's clock passes
+// the expiry, the sweep reclaims it.
+func TestSweepJudgesByServerClock(t *testing.T) {
+	var mu sync.Mutex
+	skew := -2 * time.Hour
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return time.Now().Add(skew)
+	}
+	s := newStack(t, time.Hour, core.WithClock(clock))
+	lc, err := core.DialLeaseClient(s.srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	if _, err := lc.Request(core.Request{Database: "prod", User: "u1",
+		API: dbver.APIOf("JDBC", 3, 0), ClientPlatform: dbver.PlatformLinuxAMD64, ClientID: "c1"}); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(s.srv, nil)
+	if n, err := m.SweepOnce(); err != nil || n != 0 {
+		t.Fatalf("sweep reclaimed %d leases (err %v) that the server's clock holds live, want 0", n, err)
+	}
+	mu.Lock()
+	skew = 0
+	mu.Unlock()
+	if n, err := m.SweepOnce(); err != nil || n != 1 {
+		t.Fatalf("sweep reclaimed %d leases (err %v) that the server's clock holds expired, want 1", n, err)
+	}
 }
