@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dbver"
 	"repro/internal/faultnet"
+	"repro/internal/sqlmini"
 )
 
 // TestServerHandshakeTimeoutCutsBlackHole pins the server half of the
@@ -61,5 +62,63 @@ func TestServerHandshakeTimeoutCutsBlackHole(t *testing.T) {
 	conn := mustConnect(t, b, f.appURL())
 	if _, err := conn.Query("SELECT 1"); err != nil {
 		t.Fatalf("server unhealthy after cutting black-holed client: %v", err)
+	}
+}
+
+// TestRecvErrorsCounted: a session that ends on a receive error is
+// counted in ServerCounters.RecvErrors, so an operator can see a peer
+// that sends malformed frames or stalls past the handshake deadline. A
+// peer that closes cleanly ends its session uncounted.
+func TestRecvErrorsCounted(t *testing.T) {
+	srv, err := NewServer("recv", NewLocalStore(sqlmini.NewDB()), WithHandshakeTimeout(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	// waitOpen waits until the server holds want connections.
+	waitOpen := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			srv.connsMu.Lock()
+			open := len(srv.conns)
+			srv.connsMu.Unlock()
+			if open == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the server holds %d connections, want %d", open, want)
+			}
+		}
+	}
+	// session dials, runs act once the server has registered the
+	// connection, and reads the counter once the server has ended the
+	// session.
+	session := func(act func(net.Conn)) int64 {
+		t.Helper()
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		waitOpen(1)
+		act(nc)
+		waitOpen(0)
+		return srv.Counters().RecvErrors
+	}
+	if got := session(func(nc net.Conn) { nc.Close() }); got != 0 {
+		t.Fatalf("a clean close counted %d receive errors, want 0", got)
+	}
+	if got := session(func(nc net.Conn) {
+		if _, err := nc.Write([]byte{0xBA, 0xD0, 0, 1, 0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Fatalf("a bad-magic header left RecvErrors at %d, want 1", got)
+	}
+	if got := session(func(net.Conn) {}); got != 2 {
+		t.Fatalf("a peer silent past the handshake timeout left RecvErrors at %d, want 2", got)
 	}
 }

@@ -11,17 +11,23 @@ import (
 	"repro/internal/sqlmini"
 )
 
-// This file implements the server's versioned in-memory driver catalog.
+// This file implements the server's versioned in-memory driver catalog,
+// the fetcher the server's one decision (decide, match.go) walks
+// whenever the store reports its table versions. A store that cannot
+// (Figure 2's legacy database over a v1 session) gets sqlFetch instead,
+// which runs the paper's Sample code 1/2 per request; the decision, its
+// lease terms and the assembly cache are the same for both.
 //
 // The Drivolution server sits on the connection-bootstrap critical path
 // of every client in the cluster, yet the data it matches against —
 // driver metadata (Table 1 minus binary_code) and permission rows
 // (Table 2) — only changes when a DBA runs an admin operation. The
 // catalog is a snapshot of that data labeled with the store's table
-// versions (Store.Versions) current when the load began. Every match
-// checks the live versions with one read; on mismatch the catalog is
-// reloaded, so an admin INSERT/UPDATE/DELETE is visible to the very
-// next grant. Steady-state matchmaking therefore runs zero SQL, decodes
+// versions (Store.Versions) current when the load began. A grant checks
+// them against the versions read right after its first lease statement
+// (Server.grant); on mismatch the catalog is reloaded and the request
+// answered again, so an admin INSERT/UPDATE/DELETE is visible to the
+// very next grant. Steady-state matchmaking therefore runs zero SQL, decodes
 // zero images, and materializes zero blobs: checksums and encoded sizes
 // are precomputed at load, the date predicate of Sample code 2 is
 // re-evaluated in Go against the server clock, and the binary is the
@@ -126,15 +132,9 @@ func (s *Server) reloadCatalog() (*catalog, *ProtocolError) {
 	return cat, nil
 }
 
-const catalogDriversSQL = `SELECT driver_id, api_name, api_version_major,
-	api_version_minor, platform, driver_version_major,
-	driver_version_minor, driver_version_micro, binary_code, binary_format
-FROM ` + DriversTable
+const catalogDriversSQL = `SELECT ` + driverCols + ` FROM ` + DriversTable
 
-const catalogPermsSQL = `SELECT permission_id, user, client_ip,
-	database, driver_id, driver_options, start_date, end_date,
-	lease_time_in_ms, renew_policy, expiration_policy, transfer_method
-	FROM ` + PermissionTable
+const catalogPermsSQL = `SELECT ` + permissionCols + ` FROM ` + PermissionTable
 
 // loadCatalog builds a fresh catalog snapshot, reusing as much of old
 // as it can prove unchanged. When only driver_permission moved, the
@@ -153,16 +153,15 @@ func (s *Server) loadCatalog(drv, perm uint64, old *catalog) (*catalog, error) {
 		if err != nil {
 			return nil, err
 		}
-		cat.order = make([]*catalogEntry, 0, len(drvRes.Rows))
-		cat.byID = make(map[int64]*catalogEntry, len(drvRes.Rows))
-		idx := colIndex(drvRes.Cols)
-		for _, row := range drvRes.Rows {
-			rec, err := scanDriverRecordIdx(idx, row)
-			if err != nil {
-				return nil, err
-			}
-			ent := &catalogEntry{meta: rec, blob: rec.BinaryCode}
-			if prev := old.lookup(rec.DriverID); prev != nil && sameBlob(prev.blob, ent.blob) {
+		ents, err := scanEntries(drvRes)
+		if err != nil {
+			return nil, err
+		}
+		cat.order = make([]*catalogEntry, 0, len(ents))
+		cat.byID = make(map[int64]*catalogEntry, len(ents))
+		for i := range ents {
+			ent := &ents[i]
+			if prev := old.lookup(ent.meta.DriverID); prev != nil && sameBlob(prev.blob, ent.blob) {
 				ent.checksum, ent.corrupt = prev.checksum, prev.corrupt
 			} else {
 				ent.checksum, ent.corrupt = driverimg.EncodedChecksum(ent.blob)
@@ -208,176 +207,44 @@ func catalogBefore(a, b *catalogEntry) bool {
 	return a.meta.DriverID > b.meta.DriverID
 }
 
-// matchCatalog is the zero-SQL matchmaking path: Sample code 2 over the
-// cached permission rows, then Sample code 1 (with its no-preference
-// fallback) over the cached driver metadata. own is as for matchOn.
-func (s *Server) matchCatalog(cat *catalog, req Request, own uint64) (*grantInfo, *ProtocolError) {
-	now := s.clock()
-	// 1. Permission/distribution table, newest row first.
-	for i := range cat.perms {
-		p := &cat.perms[i]
-		if !permissionRowMatches(p, req, now) {
-			continue
+// permission replicates Sample code 2's WHERE clause: the stored column
+// is the LIKE string and the client value the pattern (empty client
+// values are SQL NULL patterns, which never match), plus the verbatim
+// date-window predicate evaluated at the server clock.
+func (c *catalog) permission(req Request, now time.Time, i int) (*Permission, int, error) {
+	for ; i < len(c.perms); i++ {
+		p := &c.perms[i]
+		if (p.Database == "" || sqlmini.Like(p.Database, req.Database)) &&
+			(p.User == "" || req.User != "" && sqlmini.Like(p.User, req.User)) &&
+			(p.ClientIP == "" || req.ClientID != "" && sqlmini.Like(p.ClientIP, req.ClientID)) &&
+			(p.StartDate.IsZero() || p.EndDate.IsZero() || !now.Before(p.StartDate) && !now.After(p.EndDate)) {
+			return p, i + 1, nil
 		}
-		ent := cat.byID[p.DriverID]
-		if ent == nil || !driverMatchesRequest(ent.meta, req) {
-			continue // try the next permission row
-		}
-		if p.RenewPolicy == RenewRevoke && req.LeaseID == 0 {
-			// A REVOKE permission exists to retire the driver: new
-			// clients don't get it; renewing clients are told to stop
-			// (handled by grant()).
-			continue
-		}
-		g := &grantInfo{
-			driverID:   ent.meta.DriverID,
-			format:     ent.meta.Format,
-			renew:      p.RenewPolicy,
-			expiration: p.ExpirationPolicy,
-			transfer:   p.TransferMethod,
-			leaseTime:  s.defaultLease,
-		}
-		if p.LeaseTime > 0 {
-			g.leaseTime = p.LeaseTime
-		}
-		if perr := s.finishGrantCatalog(g, ent, req, p.DriverOptions); perr != nil {
-			return nil, perr
-		}
-		if s.licenseMode {
-			free, err := s.driverLeaseFree(g.driverID, own)
-			if err != nil {
-				return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
-			}
-			if !free {
-				continue // license held; try next row
-			}
-		}
-		return g, nil
 	}
-
-	// 2. Preference pass; like the SQL path, the fallback (preference
-	// predicates dropped) runs only when NO driver satisfies the full
-	// preference query — a license-held driver still counts as matched.
-	if g, perr := s.pickByPreference(cat, req, own, true); g != nil || perr != nil {
-		return g, perr
-	}
-	if g, perr := s.pickByPreference(cat, req, own, false); g != nil || perr != nil {
-		return g, perr
-	}
-	return nil, noDriverError(req)
+	return nil, i, nil
 }
 
-// pickByPreference scans the version-ordered drivers; withPrefs selects
-// between the full Sample-code-1 predicates and the fallback pair. A
-// (nil, nil) return means nothing matched at all; license-mode
-// skipping of matched-but-held drivers yields NO_DRIVER instead, like
-// the SQL path's empty loop.
-func (s *Server) pickByPreference(cat *catalog, req Request, own uint64, withPrefs bool) (*grantInfo, *ProtocolError) {
-	matchedAny := false
-	for _, ent := range cat.order {
-		if !entryMatchesPreference(&ent.meta, req, withPrefs) {
-			continue
+func (c *catalog) driver(id int64) (*catalogEntry, error) { return c.byID[id], nil }
+
+// preferred replicates Sample code 1's WHERE clause, or with fallback
+// the fallback query's, over the version-ordered drivers.
+func (c *catalog) preferred(req Request, fallback bool, i int) (*catalogEntry, int, error) {
+	for ; i < len(c.order); i++ {
+		rec := &c.order[i].meta
+		if driverMatchesRequest(rec, req, fallback) && (fallback || preferredBy(rec, req)) {
+			return c.order[i], i + 1, nil
 		}
-		matchedAny = true
-		if s.licenseMode {
-			free, err := s.driverLeaseFree(ent.meta.DriverID, own)
-			if err != nil {
-				return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
-			}
-			if !free {
-				continue
-			}
-		}
-		g := &grantInfo{
-			driverID:   ent.meta.DriverID,
-			format:     ent.meta.Format,
-			leaseTime:  s.defaultLease,
-			renew:      s.defaultRenew,
-			expiration: s.defaultExpiration,
-			transfer:   s.defaultTransfer,
-		}
-		if perr := s.finishGrantCatalog(g, ent, req, ""); perr != nil {
-			return nil, perr
-		}
-		return g, nil
 	}
-	if matchedAny {
-		// Everything compatible is license-held: report NO_DRIVER
-		// without trying the fallback predicates.
-		return nil, noDriverError(req)
-	}
-	return nil, nil
+	return nil, i, nil
 }
 
-// permissionRowMatches replicates the Sample-code-2 WHERE clause: the
-// stored column is the LIKE string and the client value the pattern
-// (empty client values are SQL NULL patterns, which never match), plus
-// the verbatim date-window predicate evaluated at the server clock.
-func permissionRowMatches(p *Permission, req Request, now time.Time) bool {
-	if p.Database != "" && !sqlmini.Like(p.Database, req.Database) {
-		return false
-	}
-	if p.User != "" && !(req.User != "" && sqlmini.Like(p.User, req.User)) {
-		return false
-	}
-	if p.ClientIP != "" && !(req.ClientID != "" && sqlmini.Like(p.ClientIP, req.ClientID)) {
-		return false
-	}
-	if !p.StartDate.IsZero() && !p.EndDate.IsZero() &&
-		(now.Before(p.StartDate) || now.After(p.EndDate)) {
-		return false
-	}
-	return true
-}
-
-// entryMatchesPreference replicates the Sample-code-1 WHERE clause
-// (withPrefs) or its no-preference fallback. NULL columns are stored as
-// negative version parts / empty strings; NULL client preferences are
-// negative / empty request fields.
-func entryMatchesPreference(rec *DriverRecord, req Request, withPrefs bool) bool {
-	if !sqlmini.Like(rec.APIName, req.API.Name) {
-		return false
-	}
-	if rec.Platform != "" && !sqlmini.Like(string(rec.Platform), string(req.ClientPlatform)) {
-		return false
-	}
-	if !withPrefs {
-		return true
-	}
-	if req.API.Major >= 0 && rec.APIMajor >= 0 && rec.APIMajor != req.API.Major {
-		return false
-	}
-	if req.API.Minor >= 0 && rec.APIMinor >= 0 && rec.APIMinor != req.API.Minor {
-		return false
-	}
-	if req.PreferredVersion.Major >= 0 && rec.Version.Major >= 0 && rec.Version.Major != req.PreferredVersion.Major {
-		return false
-	}
-	if req.PreferredVersion.Minor >= 0 && rec.Version.Minor >= 0 && rec.Version.Minor != req.PreferredVersion.Minor {
-		return false
-	}
-	if req.PreferredVersion.Micro >= 0 && rec.Version.Micro >= 0 && rec.Version.Micro != req.PreferredVersion.Micro {
-		return false
-	}
-	if req.PreferredFormat != "" && !sqlmini.Like(rec.Format, req.PreferredFormat) {
-		return false
-	}
-	return true
-}
-
-// finishGrantCatalog finalizes a catalog-resolved grant. The common
-// no-rewrite case takes the entry's precomputed checksum and its blob
-// as they are; assembly/pre-configuration requests go through the
-// assembly cache.
-func (s *Server) finishGrantCatalog(g *grantInfo, ent *catalogEntry, req Request, options string) *ProtocolError {
-	if ent.corrupt != nil {
-		return corruptDriverError(g.driverID, ent.corrupt)
-	}
-	if len(req.RequiredPackages) == 0 && options == "" {
-		g.blob, g.checksum = ent.blob, ent.checksum
-		return nil
-	}
-	return s.assembleGrant(g, ent, req, options)
+// preferredBy is the rest of Sample code 1's WHERE clause: the client's
+// driver version and binary format preferences.
+func preferredBy(rec *DriverRecord, req Request) bool {
+	v := req.PreferredVersion
+	return nullOrEqual(v.Major, rec.Version.Major) && nullOrEqual(v.Minor, rec.Version.Minor) &&
+		nullOrEqual(v.Micro, rec.Version.Micro) &&
+		(req.PreferredFormat == "" || sqlmini.Like(rec.Format, req.PreferredFormat))
 }
 
 // assemblyCache memoizes §5.4.1 on-demand assembly and §3.1.1
@@ -450,20 +317,4 @@ func (s *Server) assemblyKeyFor(ent *catalogEntry, req Request, options string) 
 		k.packages = strings.Join(pkgs, "\x00")
 	}
 	return k
-}
-
-// assembleGrant resolves an assembly/pre-configuration request through
-// the cache, rewriting the entry's base image only on miss.
-func (s *Server) assembleGrant(g *grantInfo, ent *catalogEntry, req Request, options string) *ProtocolError {
-	key := s.assemblyKeyFor(ent, req, options)
-	if v, ok := s.assemblies.get(key); ok {
-		g.blob, g.checksum = v.blob, v.checksum
-		return nil
-	}
-	g.blob = ent.blob
-	if perr := s.rewriteGrant(g, req, options); perr != nil {
-		return perr
-	}
-	s.assemblies.put(key, assembledImage{blob: g.blob, checksum: g.checksum})
-	return nil
 }

@@ -304,6 +304,46 @@ func TestCatalogAssemblyCache(t *testing.T) {
 	}
 }
 
+// TestVersionBlindGrantUsesAssemblyCache: over a store that cannot
+// report table versions, a pre-configured grant (a permission row with
+// driver_options) is rewritten once and then served from the assembly
+// cache, as over the catalog: the second REQUEST stages the very blob
+// the first one did.
+func TestVersionBlindGrantUsesAssemblyCache(t *testing.T) {
+	srv, err := NewServer("blind", versionBlind{NewLocalStore(sqlmini.NewDB())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := srv.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SetPermission(Permission{DriverID: id, DriverOptions: "fetchsize=10",
+		RenewPolicy: RenewUpgrade, ExpirationPolicy: AfterCommit}); err != nil {
+		t.Fatal(err)
+	}
+	var staged [2][]byte
+	for i := range staged {
+		offer, perr := srv.grant(catalogRequest(), false)
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		srv.pendingMu.Lock()
+		staged[i] = srv.pending[offer.LeaseID].blob
+		srv.pendingMu.Unlock()
+	}
+	img, err := driverimg.Decode(staged[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Manifest.Options["fetchsize"] != "10" {
+		t.Fatalf("granted manifest = %+v, want the permission's options", img.Manifest)
+	}
+	if !sameBlob(staged[0], staged[1]) {
+		t.Fatal("the second pre-configured grant encoded a fresh image instead of reusing the cached one")
+	}
+}
+
 // TestCatalogEntryBlobServedUntouched: a plain grant hands out the
 // catalog entry's own slice — on the embedded store, the stored
 // binary_code itself — and an assembly miss rewrites the image the

@@ -182,3 +182,121 @@ func TestTransferStatementBudget(t *testing.T) {
 		t.Fatalf("upgrade staged a blob with checksum %q (err %v), offered %q", sum, err, up.DriverChecksum)
 	}
 }
+
+// TestVersionBlindStatementBudget: over a store that cannot report
+// table versions, the server matches every request with the paper's
+// Sample code 1/2 SQL. Each request costs exactly what that SQL needs:
+// the permission SELECT (Sample code 2), one driver SELECT per
+// permission row tried, the preference SELECT (Sample code 1), the
+// fallback SELECT only when the preference SELECT returned no row, one
+// lease-free SELECT per license-mode candidate, and the lease write.
+func TestVersionBlindStatementBudget(t *testing.T) {
+	fixture := func(t *testing.T, opts ...ServerOption) (*Server, *CountingStore, int64) {
+		t.Helper()
+		cs := NewCountingStore(versionBlind{NewLocalStore(sqlmini.NewDB())})
+		now := time.Unix(50_000, 0).UTC()
+		srv, err := NewServer("pin", cs, append(opts, WithClock(func() time.Time { return now }))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := srv.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, cs, id
+	}
+	anyVersion := catalogRequest()
+	anyVersion.PreferredVersion = dbver.Unspecified
+	noVersion := catalogRequest()
+	noVersion.PreferredVersion = dbver.V(9, -1, -1) // no driver: the fallback runs
+	// cost runs op after a warm-up bootstrap (the id allocators and the
+	// prepared handles) and returns the statements op alone issued.
+	cost := func(t *testing.T, srv *Server, cs *CountingStore, op func() *ProtocolError) int64 {
+		t.Helper()
+		if _, perr := srv.grant(anyVersion, false); perr != nil {
+			t.Fatal(perr)
+		}
+		cs.Reset()
+		if perr := op(); perr != nil {
+			t.Fatal(perr)
+		}
+		return cs.Statements()
+	}
+	bootstrap := func(srv *Server, req Request) func() *ProtocolError {
+		return func() *ProtocolError { _, perr := srv.grant(req, false); return perr }
+	}
+
+	t.Run("permission", func(t *testing.T) {
+		srv, cs, id := fixture(t)
+		odbc := catalogImage(dbver.V(2, 0, 0))
+		odbc.Manifest.API = dbver.APIOf("ODBC", 3, 0)
+		odbcID, err := srv.AddDriver(odbc, dbver.FormatImage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Tried newest first: a REVOKE row a new client skips, a row
+		// whose driver does not suit the client, then the grant.
+		for _, p := range []Permission{
+			{DriverID: id, RenewPolicy: RenewKeep},
+			{DriverID: odbcID, RenewPolicy: RenewUpgrade},
+			{DriverID: id, RenewPolicy: RenewRevoke},
+		} {
+			if _, err := srv.SetPermission(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var g Offer
+		got := cost(t, srv, cs, func() (perr *ProtocolError) {
+			g, perr = srv.grant(catalogRequest(), false)
+			return perr
+		})
+		if g.RenewPolicy != RenewKeep {
+			t.Fatalf("granted under %v, want the KEEP row", g.RenewPolicy)
+		}
+		if got != 5 {
+			t.Fatalf("bootstrap through the third permission row issued %d statements, want 5 (permissions, 3 drivers, INSERT)", got)
+		}
+	})
+	t.Run("preference", func(t *testing.T) {
+		srv, cs, _ := fixture(t)
+		if got := cost(t, srv, cs, bootstrap(srv, anyVersion)); got != 3 {
+			t.Fatalf("bootstrap by preference issued %d statements, want 3 (permissions, preference, INSERT)", got)
+		}
+	})
+	t.Run("fallback", func(t *testing.T) {
+		srv, cs, _ := fixture(t)
+		if got := cost(t, srv, cs, bootstrap(srv, noVersion)); got != 4 {
+			t.Fatalf("bootstrap through the fallback issued %d statements, want 4 (permissions, preference, fallback, INSERT)", got)
+		}
+	})
+	t.Run("renewal", func(t *testing.T) {
+		srv, cs, _ := fixture(t)
+		offer, perr := srv.grant(anyVersion, false)
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		renew := anyVersion
+		renew.LeaseID, renew.CurrentChecksum = offer.LeaseID, offer.DriverChecksum
+		if got := cost(t, srv, cs, bootstrap(srv, renew)); got != 3 {
+			t.Fatalf("no-change renewal issued %d statements, want 3 (permissions, preference, UPDATE)", got)
+		}
+	})
+	t.Run("discover", func(t *testing.T) {
+		srv, cs, _ := fixture(t)
+		got := cost(t, srv, cs, func() *ProtocolError { _, perr := srv.match(noVersion); return perr })
+		if got != 3 {
+			t.Fatalf("DISCOVER through the fallback issued %d statements, want 3 (permissions, preference, fallback)", got)
+		}
+	})
+	t.Run("license", func(t *testing.T) {
+		srv, cs, _ := fixture(t, WithLicenseMode())
+		// The warm-up bootstrap holds v2, the newest: the measured one
+		// finds it held and takes v1.
+		if _, err := srv.AddDriver(catalogImage(dbver.V(2, 0, 0)), dbver.FormatImage); err != nil {
+			t.Fatal(err)
+		}
+		if got := cost(t, srv, cs, bootstrap(srv, anyVersion)); got != 5 {
+			t.Fatalf("license-mode bootstrap issued %d statements, want 5 (permissions, preference, 2 lease-free, INSERT)", got)
+		}
+	})
+}

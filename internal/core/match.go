@@ -27,13 +27,16 @@ type grantInfo struct {
 // millis converts a lease_time_in_ms column value.
 func millis(ms int64) time.Duration { return time.Duration(ms) * time.Millisecond }
 
+// driverCols is every driver column a candidate row carries: the
+// metadata the decision filters on, and the binary a grant sends.
+const driverCols = `driver_id, api_name, api_version_major, api_version_minor,
+	platform, driver_version_major, driver_version_minor,
+	driver_version_micro, binary_code, binary_format`
+
 // preferenceSQL is the paper's Sample code 1, adapted to the split
 // api/driver version columns of Table 1. The italicized preference
 // predicates are the ones dropped by the fallback query.
-const preferenceSQL = `SELECT driver_id, api_name, api_version_major,
-	api_version_minor, platform, driver_version_major,
-	driver_version_minor, driver_version_micro, binary_code, binary_format
-FROM ` + DriversTable + `
+const preferenceSQL = `SELECT ` + driverCols + ` FROM ` + DriversTable + `
 WHERE api_name LIKE $client_api_name
 AND (platform IS NULL OR platform LIKE $client_platform)
 AND ($client_api_major IS NULL OR api_version_major IS NULL
@@ -52,27 +55,28 @@ ORDER BY driver_version_major DESC, driver_version_minor DESC,
 
 // fallbackSQL is the "simple SELECT without preferences" issued when the
 // preference query returns nothing (paper §4.1.1).
-const fallbackSQL = `SELECT driver_id, api_name, api_version_major,
-	api_version_minor, platform, driver_version_major,
-	driver_version_minor, driver_version_micro, binary_code, binary_format
-FROM ` + DriversTable + `
+const fallbackSQL = `SELECT ` + driverCols + ` FROM ` + DriversTable + `
 WHERE api_name LIKE $client_api_name
 AND (platform IS NULL OR platform LIKE $client_platform)
 ORDER BY driver_version_major DESC, driver_version_minor DESC,
 	driver_version_micro DESC, driver_id DESC`
 
+// permissionCols is every driver_permission column, so one scanner
+// decodes the catalog's load and Sample code 2's rows alike.
+const permissionCols = `permission_id, user, client_ip, database,
+	driver_id, driver_options, start_date, end_date, lease_time_in_ms,
+	renew_policy, expiration_policy, transfer_method`
+
 // permissionSQL is the paper's Sample code 2 (the distribution table
-// lookup), extended to also return the lease terms the offer needs. The
-// paper's date predicate reads
+// lookup), returning the whole row: its lease terms are the offer's.
+// The paper's date predicate reads
 //
 //	now() BETWEEN start_date AND end_date
 //
 // here $now is bound from the server's clock, which the catalog path and
 // every lease write judge by too: the store's now() is another machine's
 // clock over a ConnStore.
-const permissionSQL = `SELECT permission_id, driver_id, driver_options,
-	lease_time_in_ms, renew_policy, expiration_policy, transfer_method
-FROM ` + PermissionTable + `
+const permissionSQL = `SELECT ` + permissionCols + ` FROM ` + PermissionTable + `
 WHERE (database IS NULL OR database LIKE $user_database)
 AND (user IS NULL OR user LIKE $client_user)
 AND (client_ip IS NULL OR client_ip LIKE $client_client_ip)
@@ -80,20 +84,29 @@ AND (start_date IS NULL OR end_date IS NULL
      OR $now BETWEEN start_date AND end_date)
 ORDER BY permission_id DESC`
 
-const driverByIDSQL = `SELECT driver_id, api_name, api_version_major,
-	api_version_minor, platform, driver_version_major,
-	driver_version_minor, driver_version_micro, binary_code, binary_format
-FROM ` + DriversTable + ` WHERE driver_id = $id`
+const driverByIDSQL = `SELECT ` + driverCols + ` FROM ` + DriversTable + ` WHERE driver_id = $id`
 
-// match resolves a request to a driver + lease terms, implementing the
-// paper's server logic (§4.1.1): consult the permission/distribution
-// table first; otherwise match by client preference with a no-preference
-// fallback. License mode additionally skips drivers whose lease is held.
-//
-// When the store can report its table versions, matching runs against
-// the in-memory catalog and performs no SQL at all; the SQL path below
-// remains for a legacy database that cannot (Figure 2 over a v1
-// session).
+// A fetcher yields the candidates of the server's decision for one
+// request: the cached catalog, which filters in Go and runs no SQL, or
+// sqlFetch, which runs the paper's own statements against a store that
+// cannot report its table versions. A walk starts at cursor 0 and goes
+// on from the returned next; a nil candidate ends it.
+type fetcher interface {
+	// permission returns the first driver_permission row at or after
+	// cursor i that Sample code 2 selects for req at the server clock
+	// now, newest first.
+	permission(req Request, now time.Time, i int) (p *Permission, next int, err error)
+	// driver returns the driver a permission row designates; nil when
+	// no driver has that id.
+	driver(id int64) (*catalogEntry, error)
+	// preferred returns the first driver at or after cursor i that
+	// Sample code 1 selects for req, or with fallback its no-preference
+	// fallback, in their ORDER BY.
+	preferred(req Request, fallback bool, i int) (ent *catalogEntry, next int, err error)
+}
+
+// match resolves a request to a driver + lease terms on the current
+// catalog: the DISCOVER path.
 func (s *Server) match(req Request) (*grantInfo, *ProtocolError) {
 	cat, perr := s.catalogSnapshot()
 	if perr != nil {
@@ -102,158 +115,102 @@ func (s *Server) match(req Request) (*grantInfo, *ProtocolError) {
 	return s.matchOn(cat, req, req.LeaseID)
 }
 
-// matchOn matches against a validated catalog, or through SQL when cat
-// is nil (the store cannot report versions). own is the lease whose row
-// the license-mode check does not count against the client: the
-// renewing lease, or a bootstrap's own new row when it is matched
-// again (Server.bootstrap).
+// matchOn decides req over a validated catalog, or through SQL when cat
+// is nil (the store cannot report versions: Figure 2's legacy database
+// over a v1 session).
 func (s *Server) matchOn(cat *catalog, req Request, own uint64) (*grantInfo, *ProtocolError) {
 	if cat != nil {
-		return s.matchCatalog(cat, req, own)
+		return s.decide(cat, req, own)
 	}
-	return s.matchSQL(req, own)
+	return s.decide(&sqlFetch{s: s}, req, own)
 }
 
-// matchSQL is the per-request Sample-code-1/2 path for stores that
-// cannot report table versions.
-func (s *Server) matchSQL(req Request, own uint64) (*grantInfo, *ProtocolError) {
-	// 1. Permission table (Sample code 2).
-	//lint:scan-ok paper Sample code 2 verbatim: LIKE/OR/NULL predicates are not indexable; hot path uses the in-memory catalog
-	res, err := s.exec(permissionSQL, sqlmini.Args{
-		"user_database":    req.Database,
-		"client_user":      nullableStr(req.User),
-		"client_client_ip": nullableStr(req.ClientID),
-		"now":              s.clock(),
-	})
-	if err != nil {
-		return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
-	}
-	idx := colIndex(res.Cols) // one map per result set, not per row
-	for _, row := range res.Rows {
-		g, ok, perr := s.grantFromPermissionRow(req, own, idx, row)
-		if perr != nil {
-			return nil, perr
-		}
-		if ok {
-			return g, nil
-		}
-	}
-
-	// 2. Preference query (Sample code 1) then fallback.
-	g, perr := s.matchByPreference(req, own)
-	if perr != nil {
-		return nil, perr
-	}
-	return g, nil
-}
-
-func colIndex(cols []string) map[string]int {
-	idx := make(map[string]int, len(cols))
-	for i, c := range cols {
-		idx[c] = i
-	}
-	return idx
-}
-
-func (s *Server) grantFromPermissionRow(req Request, own uint64, idx map[string]int, row []sqlmini.Value) (*grantInfo, bool, *ProtocolError) {
-	driverID := row[idx["driver_id"]].Int()
-	rec, ok, err := s.driverByID(driverID)
-	if err != nil {
-		return nil, false, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
-	}
-	if !ok || !driverMatchesRequest(rec, req) {
-		return nil, false, nil // try the next permission row
-	}
-	renew := RenewPolicy(row[idx["renew_policy"]].Int())
-	if renew == RenewRevoke && req.LeaseID == 0 {
-		// A REVOKE permission exists to retire the driver: new clients
-		// don't get it; renewing clients are told to stop (handled by
-		// grant()).
-		return nil, false, nil
-	}
-	g := &grantInfo{
-		driverID:   driverID,
-		blob:       rec.BinaryCode,
-		format:     rec.Format,
-		renew:      renew,
-		expiration: ExpirationPolicy(row[idx["expiration_policy"]].Int()),
-		transfer:   TransferMethod(row[idx["transfer_method"]].Int()),
-		leaseTime:  s.defaultLease,
-	}
-	if v := row[idx["lease_time_in_ms"]]; !v.IsNull() && v.Int() > 0 {
-		g.leaseTime = millis(v.Int())
-	}
-	if perr := s.finishGrant(g, req, row[idx["driver_options"]].Str()); perr != nil {
-		return nil, false, perr
-	}
-	if s.licenseMode {
-		free, err := s.driverLeaseFree(driverID, own)
+// decide is the paper's server logic (§4.1.1), whichever fetcher
+// supplies the candidates: the permission/distribution table first
+// (Sample code 2), newest row first; then the client's preferences
+// (Sample code 1), and the no-preference fallback only when no driver
+// satisfies them. License mode additionally skips drivers whose lease
+// is held (take). own is the lease whose row the license-mode check does
+// not count against the client: the renewing lease, or a bootstrap's own
+// new row when it is matched again (Server.bootstrap).
+func (s *Server) decide(f fetcher, req Request, own uint64) (*grantInfo, *ProtocolError) {
+	now := s.clock()
+	for i := 0; ; {
+		p, next, err := f.permission(req, now, i)
 		if err != nil {
-			return nil, false, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
+			return nil, internalError(err)
 		}
-		if !free {
-			return nil, false, nil // license held; try next row
+		if p == nil {
+			break
 		}
-	}
-	return g, true, nil
-}
-
-func (s *Server) matchByPreference(req Request, own uint64) (*grantInfo, *ProtocolError) {
-	args := sqlmini.Args{
-		"client_api_name":  req.API.Name,
-		"client_platform":  string(req.ClientPlatform),
-		"client_api_major": nullableInt(req.API.Major),
-		"client_api_minor": nullableInt(req.API.Minor),
-		"client_drv_major": nullableInt(req.PreferredVersion.Major),
-		"client_drv_minor": nullableInt(req.PreferredVersion.Minor),
-		"client_drv_micro": nullableInt(req.PreferredVersion.Micro),
-		"client_format":    nullableStr(req.PreferredFormat),
-	}
-	//lint:scan-ok paper Sample code 1 verbatim: LIKE/OR/NULL predicates are not indexable; hot path uses the in-memory catalog
-	res, err := s.exec(preferenceSQL, args)
-	if err != nil {
-		return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
-	}
-	if len(res.Rows) == 0 {
-		//lint:scan-ok paper fallback query verbatim: LIKE predicates are not indexable; hot path uses the in-memory catalog
-		res, err = s.exec(fallbackSQL, sqlmini.Args{
-			"client_api_name": req.API.Name,
-			"client_platform": string(req.ClientPlatform),
-		})
+		i = next
+		ent, err := f.driver(p.DriverID)
 		if err != nil {
-			return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
+			return nil, internalError(err)
+		}
+		if ent == nil || !driverMatchesRequest(&ent.meta, req, false) {
+			continue // try the next permission row
+		}
+		if p.RenewPolicy == RenewRevoke && req.LeaseID == 0 {
+			// A REVOKE permission exists to retire the driver: new
+			// clients don't get it; renewing clients are told to stop
+			// (handled by grant()).
+			continue
+		}
+		terms := grantInfo{leaseTime: p.LeaseTime, renew: p.RenewPolicy,
+			expiration: p.ExpirationPolicy, transfer: p.TransferMethod}
+		if g, perr := s.take(ent, terms, req, own, p.DriverOptions); g != nil || perr != nil {
+			return g, perr
 		}
 	}
-	idx := colIndex(res.Cols)
-	for _, row := range res.Rows {
-		rec, err := scanDriverRecordIdx(idx, row)
-		if err != nil {
-			return nil, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
-		}
-		if s.licenseMode {
-			free, lerr := s.driverLeaseFree(rec.DriverID, own)
-			if lerr != nil {
-				return nil, &ProtocolError{Code: ErrCodeInternal, Message: lerr.Error()}
+	defaults := grantInfo{renew: s.defaultRenew, expiration: s.defaultExpiration, transfer: s.defaultTransfer}
+	// Sample code 1, then its fallback only when it selected no driver.
+	for _, fallback := range [2]bool{false, true} {
+		matched := false
+		for i := 0; ; {
+			ent, next, err := f.preferred(req, fallback, i)
+			if err != nil {
+				return nil, internalError(err)
 			}
-			if !free {
-				continue
+			if ent == nil {
+				break
+			}
+			i, matched = next, true
+			if g, perr := s.take(ent, defaults, req, own, ""); g != nil || perr != nil {
+				return g, perr
 			}
 		}
-		g := &grantInfo{
-			driverID:   rec.DriverID,
-			blob:       rec.BinaryCode,
-			format:     rec.Format,
-			leaseTime:  s.defaultLease,
-			renew:      s.defaultRenew,
-			expiration: s.defaultExpiration,
-			transfer:   s.defaultTransfer,
+		if matched {
+			// Everything compatible is license-held: NO_DRIVER, without
+			// trying the fallback predicates.
+			break
 		}
-		if perr := s.finishGrant(g, req, ""); perr != nil {
-			return nil, perr
-		}
-		return g, nil
 	}
 	return nil, noDriverError(req)
+}
+
+// take grants ent under terms, a zero lease time meaning the server's
+// default, or returns (nil, nil) when license mode finds ent held by
+// another lease.
+func (s *Server) take(ent *catalogEntry, terms grantInfo, req Request, own uint64, options string) (*grantInfo, *ProtocolError) {
+	if s.licenseMode {
+		free, err := s.driverLeaseFree(ent.meta.DriverID, own)
+		if err != nil {
+			return nil, internalError(err)
+		}
+		if !free {
+			return nil, nil
+		}
+	}
+	g := terms
+	g.driverID, g.format = ent.meta.DriverID, ent.meta.Format
+	if g.leaseTime <= 0 {
+		g.leaseTime = s.defaultLease
+	}
+	if perr := s.finishGrant(&g, ent, req, options); perr != nil {
+		return nil, perr
+	}
+	return &g, nil
 }
 
 func noDriverError(req Request) *ProtocolError {
@@ -261,29 +218,34 @@ func noDriverError(req Request) *ProtocolError {
 		"no driver for database %q, API %s, platform %q", req.Database, req.API, req.ClientPlatform)}
 }
 
-// finishGrant applies on-demand assembly (§5.4.1) and server-side
-// pre-configuration (§3.1.1: "Connection options can also be configured
-// and enforced on the Drivolution server, which then sends a
-// pre-configured driver to the client"), then computes the checksum.
-// The common no-rewrite case checksums the encoded blob directly
-// without decoding it.
-func (s *Server) finishGrant(g *grantInfo, req Request, options string) *ProtocolError {
-	if len(req.RequiredPackages) == 0 && options == "" {
-		sum, err := driverimg.EncodedChecksum(g.blob)
-		if err != nil {
-			return corruptDriverError(g.driverID, err)
-		}
-		g.checksum = sum
-		return nil
-	}
-	return s.rewriteGrant(g, req, options)
+func internalError(err error) *ProtocolError {
+	return &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 }
 
-// rewriteGrant replaces g's base image with the assembled and
-// pre-configured one (rewriteImage) and checksums the result. g.blob
-// itself is only read: the rewritten image is a fresh encoding.
-func (s *Server) rewriteGrant(g *grantInfo, req Request, options string) *ProtocolError {
-	img, err := driverimg.Decode(g.blob)
+// finishGrant sets g's blob and checksum: the entry's own, or, for
+// on-demand assembly (§5.4.1) and server-side pre-configuration
+// (§3.1.1: "Connection options can also be configured and enforced on
+// the Drivolution server, which then sends a pre-configured driver to
+// the client"), the rewritten image, built once per shape and then
+// served from the assembly cache. An entry sqlFetch read for this
+// request is hashed here, once it is granted.
+func (s *Server) finishGrant(g *grantInfo, ent *catalogEntry, req Request, options string) *ProtocolError {
+	if ent.checksum == "" && ent.corrupt == nil {
+		ent.checksum, ent.corrupt = driverimg.EncodedChecksum(ent.blob)
+	}
+	if ent.corrupt != nil {
+		return corruptDriverError(g.driverID, ent.corrupt)
+	}
+	if len(req.RequiredPackages) == 0 && options == "" {
+		g.blob, g.checksum = ent.blob, ent.checksum
+		return nil
+	}
+	key := s.assemblyKeyFor(ent, req, options)
+	if v, ok := s.assemblies.get(key); ok {
+		g.blob, g.checksum = v.blob, v.checksum
+		return nil
+	}
+	img, err := driverimg.Decode(ent.blob)
 	if err != nil {
 		return corruptDriverError(g.driverID, err)
 	}
@@ -291,10 +253,11 @@ func (s *Server) rewriteGrant(g *grantInfo, req Request, options string) *Protoc
 	if perr != nil {
 		return perr
 	}
-	g.blob = img.Encode()
+	g.blob = img.Encode() // a fresh encoding: ent.blob is only read
 	if g.checksum, err = driverimg.EncodedChecksum(g.blob); err != nil {
 		return corruptDriverError(g.driverID, err)
 	}
+	s.assemblies.put(key, assembledImage{blob: g.blob, checksum: g.checksum})
 	return nil
 }
 
@@ -334,36 +297,124 @@ func corruptDriverError(driverID int64, err error) *ProtocolError {
 		Message: fmt.Sprintf("stored driver %d is corrupt: %v", driverID, err)}
 }
 
-// driverByID loads one driver row.
-func (s *Server) driverByID(id int64) (DriverRecord, bool, error) {
-	res, err := s.exec(driverByIDSQL, sqlmini.Args{"id": id})
-	if err != nil {
-		return DriverRecord{}, false, err
-	}
-	if len(res.Rows) == 0 {
-		return DriverRecord{}, false, nil
-	}
-	rec, err := scanDriverRecord(res.Cols, res.Rows[0])
-	return rec, err == nil, err
+// sqlFetch is the fetcher over a store that cannot report its table
+// versions: a catalog of one request, filled by the paper's statements
+// as the walk reaches them. Cursor 0 runs a walk's statement, a
+// permission-designated driver is read by id when its row is tried, and
+// no entry is hashed before finishGrant.
+type sqlFetch struct {
+	s     *Server
+	perms []Permission
+	prefs []catalogEntry
 }
 
-// driverMatchesRequest checks the API/platform compatibility of a
-// permission-designated driver against the requesting client.
-func driverMatchesRequest(rec DriverRecord, req Request) bool {
-	if !sqlmini.Like(rec.APIName, req.API.Name) {
-		return false
+func (f *sqlFetch) permission(req Request, now time.Time, i int) (*Permission, int, error) {
+	if i == 0 {
+		//lint:scan-ok paper Sample code 2 verbatim: LIKE/OR/NULL predicates are not indexable; hot path uses the in-memory catalog
+		res, err := f.s.exec(permissionSQL, sqlmini.Args{
+			"user_database":    req.Database,
+			"client_user":      nullableStr(req.User),
+			"client_client_ip": nullableStr(req.ClientID),
+			"now":              now,
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		f.perms = scanPermissionRows(res)
 	}
-	if rec.Platform != "" && !sqlmini.Like(string(rec.Platform), string(req.ClientPlatform)) {
-		return false
+	if i == len(f.perms) {
+		return nil, i, nil
 	}
-	if req.API.Major >= 0 && rec.APIMajor >= 0 && req.API.Major != rec.APIMajor {
-		return false
-	}
-	if req.API.Minor >= 0 && rec.APIMinor >= 0 && req.API.Minor != rec.APIMinor {
-		return false
-	}
-	return true
+	return &f.perms[i], i + 1, nil
 }
+
+func (f *sqlFetch) driver(id int64) (*catalogEntry, error) {
+	res, err := f.s.exec(driverByIDSQL, sqlmini.Args{"id": id})
+	if err != nil || len(res.Rows) == 0 {
+		return nil, err
+	}
+	ents, err := scanEntries(res)
+	if err != nil {
+		return nil, err
+	}
+	return &ents[0], nil
+}
+
+func (f *sqlFetch) preferred(req Request, fallback bool, i int) (*catalogEntry, int, error) {
+	if i == 0 {
+		var res *sqlmini.Result
+		var err error
+		if fallback {
+			//lint:scan-ok paper fallback query verbatim: LIKE predicates are not indexable; hot path uses the in-memory catalog
+			res, err = f.s.exec(fallbackSQL, sqlmini.Args{
+				"client_api_name": req.API.Name,
+				"client_platform": string(req.ClientPlatform),
+			})
+		} else {
+			//lint:scan-ok paper Sample code 1 verbatim: LIKE/OR/NULL predicates are not indexable; hot path uses the in-memory catalog
+			res, err = f.s.exec(preferenceSQL, sqlmini.Args{
+				"client_api_name":  req.API.Name,
+				"client_platform":  string(req.ClientPlatform),
+				"client_api_major": nullableInt(req.API.Major),
+				"client_api_minor": nullableInt(req.API.Minor),
+				"client_drv_major": nullableInt(req.PreferredVersion.Major),
+				"client_drv_minor": nullableInt(req.PreferredVersion.Minor),
+				"client_drv_micro": nullableInt(req.PreferredVersion.Micro),
+				"client_format":    nullableStr(req.PreferredFormat),
+			})
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		if f.prefs, err = scanEntries(res); err != nil {
+			return nil, 0, err
+		}
+	}
+	if i == len(f.prefs) {
+		return nil, i, nil
+	}
+	return &f.prefs[i], i + 1, nil
+}
+
+// scanEntries decodes a result set of driverCols rows into entries
+// whose blob is the row's binary_code, not yet hashed.
+func scanEntries(res *sqlmini.Result) ([]catalogEntry, error) {
+	idx := colIndex(res.Cols)
+	ents := make([]catalogEntry, len(res.Rows))
+	for i, row := range res.Rows {
+		rec, err := scanDriverRecordIdx(idx, row)
+		if err != nil {
+			return nil, err
+		}
+		ents[i] = catalogEntry{meta: rec, blob: rec.BinaryCode}
+	}
+	return ents, nil
+}
+
+func colIndex(cols []string) map[string]int {
+	idx := make(map[string]int, len(cols))
+	for i, c := range cols {
+		idx[c] = i
+	}
+	return idx
+}
+
+// driverMatchesRequest is the API and platform half of Sample code 1's
+// WHERE clause, which a permission-designated driver must pass too;
+// nameOnly keeps only the API name and platform, as the fallback does.
+// NULL columns are negative version parts or empty strings, NULL client
+// values negative or empty request fields.
+func driverMatchesRequest(rec *DriverRecord, req Request, nameOnly bool) bool {
+	if !sqlmini.Like(rec.APIName, req.API.Name) ||
+		rec.Platform != "" && !sqlmini.Like(string(rec.Platform), string(req.ClientPlatform)) {
+		return false
+	}
+	return nameOnly || nullOrEqual(req.API.Major, rec.APIMajor) && nullOrEqual(req.API.Minor, rec.APIMinor)
+}
+
+// nullOrEqual is Sample code 1's "$pref IS NULL OR col IS NULL OR
+// col = $pref".
+func nullOrEqual(pref, col int) bool { return pref < 0 || col < 0 || pref == col }
 
 // driverLeaseFreeSQL carries exactly the two conjuncts the composite
 // (driver_id, expires_at) index consumes, so the planner runs it

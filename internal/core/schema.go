@@ -247,38 +247,11 @@ func ParseDriverOptions(s string) map[string]string {
 	return out
 }
 
-// FormatDriverOptions is the inverse of ParseDriverOptions with
-// deterministic ordering.
-func FormatDriverOptions(opts map[string]string) string {
-	if len(opts) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(opts))
-	for k := range opts {
-		keys = append(keys, k)
-	}
-	// insertion sort; tiny maps
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, k+"="+opts[k])
-	}
-	return strings.Join(parts, ",")
-}
-
 func intOrNeg(v sqlmini.Value) int {
 	if v.IsNull() {
 		return -1
 	}
 	return int(v.Int())
-}
-
-func scanDriverRecord(cols []string, row []sqlmini.Value) (DriverRecord, error) {
-	return scanDriverRecordIdx(colIndex(cols), row)
 }
 
 // scanDriverRecordIdx scans one driver row with a caller-provided

@@ -86,21 +86,16 @@ func TestPermissionTableForeignKey(t *testing.T) {
 	}
 }
 
+// TestDriverOptionsRoundTrip: a permission's driver_options column
+// ("k=v,k=v") parses back into the option map a pre-configured image
+// carries.
 func TestDriverOptionsRoundTrip(t *testing.T) {
-	opts := map[string]string{"user": "app", "fetchSize": "100", "tz": "UTC"}
-	s := FormatDriverOptions(opts)
-	if s != "fetchSize=100,tz=UTC,user=app" {
-		t.Errorf("FormatDriverOptions = %q", s)
-	}
-	back := ParseDriverOptions(s)
-	if len(back) != 3 || back["user"] != "app" || back["fetchSize"] != "100" {
+	back := ParseDriverOptions("fetchSize=100,tz=UTC,user=app")
+	if len(back) != 3 || back["user"] != "app" || back["fetchSize"] != "100" || back["tz"] != "UTC" {
 		t.Errorf("ParseDriverOptions = %v", back)
 	}
 	if got := ParseDriverOptions(""); len(got) != 0 {
 		t.Errorf("empty options = %v", got)
-	}
-	if got := FormatDriverOptions(nil); got != "" {
-		t.Errorf("nil options = %q", got)
 	}
 	if got := ParseDriverOptions(" a = 1 , b = 2 "); got["a"] != "1" || got["b"] != "2" {
 		t.Errorf("whitespace handling = %v", got)

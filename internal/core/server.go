@@ -122,6 +122,7 @@ type Server struct {
 	renewUpgrades atomic.Int64
 	redos         atomic.Int64
 	redirects     atomic.Int64
+	recvErrors    atomic.Int64
 }
 
 // Route is a ShardRouter's decision for one grant.
@@ -341,6 +342,10 @@ type ServerCounters struct {
 	// Redirects counts REQUESTs answered with a msgRedirect frame
 	// because another cluster member owns the shard.
 	Redirects int64
+	// RecvErrors counts sessions ended by a receive error other than a
+	// clean close: a malformed frame, or a peer silent past the
+	// handshake timeout.
+	RecvErrors int64
 }
 
 // Counters snapshots every protocol counter by name.
@@ -357,6 +362,7 @@ func (s *Server) Counters() ServerCounters {
 		RenewUpgrades: s.renewUpgrades.Load(),
 		Redos:         s.redos.Load(),
 		Redirects:     s.redirects.Load(),
+		RecvErrors:    s.recvErrors.Load(),
 	}
 }
 
@@ -480,8 +486,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				// Best effort: protocol errors just end the session.
-				_ = err
+				s.recvErrors.Add(1)
 			}
 			if subscribed {
 				s.dropSubscriber(conn)

@@ -302,7 +302,11 @@ func TestImageFactory(t *testing.T) {
 			Options:         map[string]string{"user": "alice", "password": "secret"},
 		},
 	}
-	drv, _, err := rt.LoadBytes(img.Encode())
+	decoded, err := driverimg.Decode(img.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv, err := rt.Load(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,6 @@ func (v Version) String() string {
 	return part(v.Major) + "." + part(v.Minor) + "." + part(v.Micro)
 }
 
-// IsSpecified reports whether at least the major part is set.
-func (v Version) IsSpecified() bool { return v.Major >= 0 }
-
 // Compare orders two versions; unspecified parts compare as zero.
 func (v Version) Compare(o Version) int {
 	for _, pair := range [][2]int{{v.Major, o.Major}, {v.Minor, o.Minor}, {v.Micro, o.Micro}} {
@@ -58,22 +55,6 @@ func (v Version) Compare(o Version) int {
 		}
 	}
 	return 0
-}
-
-// Matches reports whether candidate v satisfies a request for want.
-// Unspecified parts of want act as wildcards: want 3.*.* matches any
-// 3.x.y. An entirely unspecified want matches everything.
-func (v Version) Matches(want Version) bool {
-	if want.Major >= 0 && v.Major >= 0 && want.Major != v.Major {
-		return false
-	}
-	if want.Minor >= 0 && v.Minor >= 0 && want.Minor != v.Minor {
-		return false
-	}
-	if want.Micro >= 0 && v.Micro >= 0 && want.Micro != v.Micro {
-		return false
-	}
-	return true
 }
 
 // ParseVersion parses "1", "1.2", "1.2.3", with "*" or missing parts

@@ -79,26 +79,6 @@ func TestVersionCompare(t *testing.T) {
 	}
 }
 
-func TestVersionMatches(t *testing.T) {
-	tests := []struct {
-		have, want Version
-		match      bool
-	}{
-		{V(3, 0, 5), Unspecified, true},
-		{V(3, 0, 5), Version{3, -1, -1}, true},
-		{V(3, 0, 5), Version{3, 0, -1}, true},
-		{V(3, 0, 5), V(3, 0, 5), true},
-		{V(3, 0, 5), Version{4, -1, -1}, false},
-		{V(3, 0, 5), V(3, 0, 6), false},
-		{Unspecified, V(9, 9, 9), true}, // unspecified candidate matches all (NULL semantics)
-	}
-	for _, tt := range tests {
-		if got := tt.have.Matches(tt.want); got != tt.match {
-			t.Errorf("%v.Matches(%v) = %v, want %v", tt.have, tt.want, got, tt.match)
-		}
-	}
-}
-
 func TestAPIString(t *testing.T) {
 	if got := APIOf("JDBC", 3, 0).String(); got != "JDBC 3.0" {
 		t.Errorf("got %q", got)

@@ -209,14 +209,18 @@ func TestRuntimeLoadBytes(t *testing.T) {
 		return WrapDriver(&fakeDriver{name: "fake"}, img), nil
 	})
 	img := &Image{Manifest: testManifest(), Payload: []byte("body")}
-	drv, decoded, err := rt.LoadBytes(img.Encode())
+	decoded, err := Decode(img.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv, err := rt.Load(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if drv == nil || decoded.Checksum() != img.Checksum() {
-		t.Fatal("LoadBytes did not round-trip the image")
+		t.Fatal("Decode and Load did not round-trip the image")
 	}
-	if _, _, err := rt.LoadBytes([]byte("garbage")); err == nil {
+	if _, err := Decode([]byte("garbage")); err == nil {
 		t.Fatal("expected decode error")
 	}
 }

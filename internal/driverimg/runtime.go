@@ -81,21 +81,6 @@ func (rt *Runtime) Load(img *Image) (client.Driver, error) {
 	return drv, nil
 }
 
-// LoadBytes decodes and instantiates an encoded image in one step — the
-// bootloader's "decode(binary_format, binary_code); load(...)" from the
-// paper's Table 3.
-func (rt *Runtime) LoadBytes(blob []byte) (client.Driver, *Image, error) {
-	img, err := Decode(blob)
-	if err != nil {
-		return nil, nil, err
-	}
-	drv, err := rt.Load(img)
-	if err != nil {
-		return nil, nil, err
-	}
-	return drv, img, nil
-}
-
 // WrapDriver decorates an inner driver with the image's manifest-level
 // behaviour: URL pinning and option defaults. Factories use it so every
 // driver family gets identical manifest semantics.

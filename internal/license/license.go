@@ -47,10 +47,11 @@ type Manager struct {
 	detector Detector
 	interval time.Duration
 
-	mu        sync.Mutex
-	stopCh    chan struct{}
-	running   bool
-	reclaimed int
+	mu            sync.Mutex
+	stopCh        chan struct{}
+	running       bool
+	reclaimed     int
+	sweepFailures int
 
 	wg sync.WaitGroup
 }
@@ -85,17 +86,32 @@ func (m *Manager) Reclaimed() int {
 	return m.reclaimed
 }
 
+// SweepFailures reports how many sweeps ended on an error: a manager
+// whose every sweep fails reclaims nothing, and this is where it shows.
+func (m *Manager) SweepFailures() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.sweepFailures
+}
+
 // SweepOnce scans the lease table once, releasing dead or expired
-// leases, and returns how many it reclaimed. Expiry is judged by the
-// server's clock (core.Server.Now), which every lease write binds its
-// expiry from.
-func (m *Manager) SweepOnce() (int, error) {
+// leases, and returns how many it reclaimed, also when a release fails
+// part way. Expiry is judged by the server's clock (core.Server.Now),
+// which every lease write binds its expiry from.
+func (m *Manager) SweepOnce() (n int, err error) {
+	defer func() {
+		m.mu.Lock()
+		m.reclaimed += n
+		if err != nil {
+			m.sweepFailures++
+		}
+		m.mu.Unlock()
+	}()
 	leases, err := m.srv.Leases()
 	if err != nil {
 		return 0, fmt.Errorf("license: sweep: %w", err)
 	}
 	now := m.srv.Now()
-	n := 0
 	for _, l := range leases {
 		if l.Released {
 			continue
@@ -110,9 +126,6 @@ func (m *Manager) SweepOnce() (int, error) {
 		}
 		n++
 	}
-	m.mu.Lock()
-	m.reclaimed += n
-	m.mu.Unlock()
 	return n, nil
 }
 
@@ -135,7 +148,7 @@ func (m *Manager) Start() {
 			case <-m.stopCh:
 				return
 			case <-t.C:
-				_, _ = m.SweepOnce()
+				_, _ = m.SweepOnce() // a failure is counted in SweepFailures
 			}
 		}
 	}()

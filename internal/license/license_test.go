@@ -2,6 +2,7 @@ package license
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -237,5 +238,39 @@ func TestSweepJudgesByServerClock(t *testing.T) {
 	mu.Unlock()
 	if n, err := m.SweepOnce(); err != nil || n != 1 {
 		t.Fatalf("sweep reclaimed %d leases (err %v) that the server's clock holds expired, want 1", n, err)
+	}
+}
+
+// leaseReadFails is a store whose lease listing fails, as a store that
+// lost its backend would answer.
+type leaseReadFails struct{ core.Store }
+
+func (s leaseReadFails) Prepare(sql string) (core.Stmt, error) {
+	if strings.Contains(sql, "ORDER BY lease_id") {
+		return nil, errors.New("lease read refused")
+	}
+	return s.Store.Prepare(sql)
+}
+
+// TestSweepFailuresCounted: a sweep that cannot read the lease table
+// reclaims nothing and says so in SweepFailures, whether it is run
+// directly or by the manager's ticker.
+func TestSweepFailuresCounted(t *testing.T) {
+	srv, err := core.NewServer("lic", leaseReadFails{core.NewLocalStore(sqlmini.NewDB())}, core.WithLicenseMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(srv, nil, WithInterval(5*time.Millisecond))
+	if _, err := m.SweepOnce(); err == nil {
+		t.Fatal("a sweep over a failing lease read reported no error")
+	}
+	if got := m.SweepFailures(); got != 1 {
+		t.Fatalf("SweepFailures = %d after one failed sweep, want 1", got)
+	}
+	m.Start()
+	defer m.Stop()
+	waitUntil(t, func() bool { return m.SweepFailures() >= 3 })
+	if got := m.Reclaimed(); got != 0 {
+		t.Fatalf("failed sweeps reclaimed %d leases", got)
 	}
 }

@@ -307,23 +307,6 @@ func (c *Controller) EnableBackend(name string) error {
 	return nil
 }
 
-// DisableBackend takes a backend out of rotation (maintenance), closing
-// its applier connection. Its journal position is the checkpoint.
-func (c *Controller) DisableBackend(name string) error {
-	b := c.backend(name)
-	if b == nil {
-		return fmt.Errorf("sequoia: no backend %q on %s", name, c.name)
-	}
-	b.mu.Lock()
-	b.enabled = false
-	if b.conn != nil {
-		_ = b.conn.Close()
-		b.conn = nil
-	}
-	b.mu.Unlock()
-	return nil
-}
-
 func (c *Controller) enabledBackends() []*Backend {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -156,19 +156,26 @@ func TestConnectTimeFailover(t *testing.T) {
 	}
 }
 
+// TestBackendDisableEnableResync: the §5.3.1 maintenance workflow. A
+// stopped controller disables its backend at a journal checkpoint;
+// writes continue through the other controller; re-enabling the backend
+// replays the journal from that checkpoint, and it serves later writes.
 func TestBackendDisableEnableResync(t *testing.T) {
-	cl := newCluster(t, 1, 2)
-	ctrl := cl.controllers[0]
-	c := cl.connect(t)
+	cl := newCluster(t, 2, 1)
+	ctrl := cl.controllers[1]
+	d := NewDriver(dbver.V(1, 0, 0), 1)
+	c, err := d.Connect("sequoia://"+cl.controllers[0].Addr()+"/vdb", client.Props{"user": "app", "password": "app-pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
 	if _, err := c.Exec("INSERT INTO kv (k, v) VALUES ('pre', 1)"); err != nil {
 		t.Fatal(err)
 	}
-	// Take backend db1-2 down for maintenance.
-	if err := ctrl.DisableBackend("db1-2"); err != nil {
-		t.Fatal(err)
-	}
-	// Writes continue on the remaining backend.
+	// Take controller-2, and with it backend db2-1, down for maintenance.
+	ctrl.Stop()
+	// Writes continue through controller-1.
 	for i := 0; i < 5; i++ {
 		if _, err := c.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", fmt.Sprintf("during-%d", i), i); err != nil {
 			t.Fatal(err)
@@ -179,8 +186,12 @@ func TestBackendDisableEnableResync(t *testing.T) {
 	if res.Rows[0][0].Int() != 1 {
 		t.Fatalf("disabled backend saw writes: count = %d", res.Rows[0][0].Int())
 	}
-	// Re-enable: journal replay catches it up from its checkpoint.
-	if err := ctrl.EnableBackend("db1-2"); err != nil {
+	// Restart and re-enable: journal replay catches it up from its
+	// checkpoint.
+	if err := ctrl.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.EnableBackend("db2-1"); err != nil {
 		t.Fatal(err)
 	}
 	res, _ = cl.backends[1].Database("shard").Query("SELECT count(*) FROM kv")
