@@ -153,3 +153,68 @@ func TestUnsentOfferReleasesFreshLease(t *testing.T) {
 		t.Fatalf("the license of the lost OFFER's lease is still held: %v", perr)
 	}
 }
+
+// TestSendErrorsCounted: every reply the server could not send is
+// counted in ServerCounters.SendErrors. Each exchange is one frame over
+// a net.Pipe session, run twice: once by a client that reads the whole
+// reply before it closes, which adds 0, and once by a client that
+// closes right after its frame, so that the reply's write fails, which
+// adds 1.
+func TestSendErrorsCounted(t *testing.T) {
+	srv, _ := newCatalogServer(t)
+	elsewhere, _ := newCatalogServer(t, WithShardRouter(func(int64, string) Route {
+		return Route{Addr: "127.0.0.1:1", Server: "owner"}
+	}))
+	for _, s := range []*Server{srv, elsewhere} {
+		if _, err := s.AddDriver(catalogImage(dbver.V(1, 0, 0)), dbver.FormatImage); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offer, perr := srv.grant(catalogRequest(), false) // a lease, its transfer staged
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	renewal := catalogRequest()
+	renewal.LeaseID, renewal.CurrentChecksum = offer.LeaseID, offer.DriverChecksum
+	for _, x := range []struct {
+		name       string
+		srv        *Server
+		typ, reply uint16
+		payload    []byte
+	}{
+		{"DRIVOLUTION_ERROR", srv, 0x7fff, msgError, nil},
+		{"DISCOVER's OFFER", srv, msgDiscover, msgOffer, catalogRequest().encode()},
+		{"REDIRECT", elsewhere, msgRequest, msgRedirect, catalogRequest().encode()},
+		{"FILE_DATA", srv, msgFileRequest, msgFileData, fileRequest{LeaseID: offer.LeaseID}.encode()},
+		{"a renewal's OFFER", srv, msgRequest, msgOffer, renewal.encode()},
+		{"RELEASE_OK", srv, msgRelease, msgReleaseOK, releaseMsg{LeaseID: offer.LeaseID}.encode()},
+	} {
+		for _, read := range []bool{true, false} {
+			before := x.srv.Counters().SendErrors
+			client, server := net.Pipe()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				x.srv.serveConn(server)
+			}()
+			c := wire.NewConn(client)
+			if err := c.Send(x.typ, x.payload); err != nil {
+				t.Fatal(err)
+			}
+			if read {
+				if f, err := c.Recv(); err != nil || f.Type != x.reply {
+					t.Fatalf("%s: got frame 0x%04x, %v", x.name, f.Type, err)
+				}
+			}
+			c.Close()
+			<-done
+			want := int64(0)
+			if !read {
+				want = 1
+			}
+			if got := x.srv.Counters().SendErrors - before; got != want {
+				t.Fatalf("%s read by the client: %v; SendErrors rose by %d, want %d", x.name, read, got, want)
+			}
+		}
+	}
+}

@@ -605,59 +605,50 @@ func (s *Server) ReapExpiredLeases() (int, error) {
 	return rs[0].Affected, nil
 }
 
+// leaseSelect reads the columns leaseOf decodes, in its order.
+const leaseSelect = `SELECT lease_id, driver_id, database, user,
+		client_id, granted_at, expires_at, released, renewals
+		FROM ` + LeasesTable
+
+// leaseOf decodes a row of leaseSelect by position.
+func leaseOf(row []sqlmini.Value) Lease {
+	return Lease{
+		LeaseID:   uint64(row[0].Int()),
+		DriverID:  row[1].Int(),
+		Database:  row[2].Str(),
+		User:      row[3].Str(),
+		ClientID:  row[4].Str(),
+		GrantedAt: row[5].Time(),
+		ExpiresAt: row[6].Time(),
+		Released:  row[7].Bool(),
+		Renewals:  int(row[8].Int()),
+	}
+}
+
 // leaseByID loads one lease row, a zero Lease when there is none, and
 // returns the SELECT's result too, whose versions a renewal checks its
 // catalog against.
 func (s *Server) leaseByID(id uint64) (Lease, *sqlmini.Result, error) {
-	res, err := s.exec(`SELECT lease_id, driver_id, database, user,
-		client_id, granted_at, expires_at, released, renewals
-		FROM `+LeasesTable+` WHERE lease_id = $id`,
-		sqlmini.Args{"id": int64(id)})
+	res, err := s.exec(leaseSelect+` WHERE lease_id = $id`, sqlmini.Args{"id": int64(id)})
 	if err != nil {
 		return Lease{}, nil, err
 	}
 	if len(res.Rows) == 0 {
 		return Lease{}, res, nil
 	}
-	idx := colIndex(res.Cols)
-	row := res.Rows[0]
-	l := Lease{
-		LeaseID:   uint64(row[idx["lease_id"]].Int()),
-		DriverID:  row[idx["driver_id"]].Int(),
-		Database:  row[idx["database"]].Str(),
-		User:      row[idx["user"]].Str(),
-		ClientID:  row[idx["client_id"]].Str(),
-		GrantedAt: row[idx["granted_at"]].Time(),
-		ExpiresAt: row[idx["expires_at"]].Time(),
-		Released:  row[idx["released"]].Bool(),
-		Renewals:  int(row[idx["renewals"]].Int()),
-	}
-	return l, res, nil
+	return leaseOf(res.Rows[0]), res, nil
 }
 
 // Leases returns all lease rows (admin/experiments).
 func (s *Server) Leases() ([]Lease, error) {
 	//lint:scan-ok admin/experiment listing: whole-table read is the point
-	res, err := s.exec(`SELECT lease_id, driver_id, database, user,
-		client_id, granted_at, expires_at, released, renewals
-		FROM ` + LeasesTable + ` ORDER BY lease_id`)
+	res, err := s.exec(leaseSelect + ` ORDER BY lease_id`)
 	if err != nil {
 		return nil, err
 	}
-	idx := colIndex(res.Cols)
 	out := make([]Lease, 0, len(res.Rows))
 	for _, row := range res.Rows {
-		out = append(out, Lease{
-			LeaseID:   uint64(row[idx["lease_id"]].Int()),
-			DriverID:  row[idx["driver_id"]].Int(),
-			Database:  row[idx["database"]].Str(),
-			User:      row[idx["user"]].Str(),
-			ClientID:  row[idx["client_id"]].Str(),
-			GrantedAt: row[idx["granted_at"]].Time(),
-			ExpiresAt: row[idx["expires_at"]].Time(),
-			Released:  row[idx["released"]].Bool(),
-			Renewals:  int(row[idx["renewals"]].Int()),
-		})
+		out = append(out, leaseOf(row))
 	}
 	return out, nil
 }

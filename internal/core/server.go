@@ -123,6 +123,7 @@ type Server struct {
 	redos         atomic.Int64
 	redirects     atomic.Int64
 	recvErrors    atomic.Int64
+	sendErrors    atomic.Int64
 }
 
 // Route is a ShardRouter's decision for one grant.
@@ -346,6 +347,10 @@ type ServerCounters struct {
 	// clean close: a malformed frame, or a peer silent past the
 	// handshake timeout.
 	RecvErrors int64
+	// SendErrors counts replies the server could not send: an OFFER,
+	// DRIVOLUTION_ERROR, REDIRECT, RELEASE_OK or FILE_DATA frame whose
+	// write failed, most often because the client had gone.
+	SendErrors int64
 }
 
 // Counters snapshots every protocol counter by name.
@@ -363,6 +368,7 @@ func (s *Server) Counters() ServerCounters {
 		Redos:         s.redos.Load(),
 		Redirects:     s.redirects.Load(),
 		RecvErrors:    s.recvErrors.Load(),
+		SendErrors:    s.sendErrors.Load(),
 	}
 }
 
@@ -514,7 +520,16 @@ func (s *Server) serveConn(nc net.Conn) {
 
 func (s *Server) sendError(conn *wire.Conn, code ErrorCode, msg string) {
 	s.errsSent.Add(1)
-	_ = conn.Send(msgError, encodeProtocolError(code, msg))
+	s.sent(conn.Send(msgError, encodeProtocolError(code, msg)))
+}
+
+// sent counts a reply whose send failed and returns err. The session
+// goes on: the next receive on a broken connection ends it.
+func (s *Server) sent(err error) error {
+	if err != nil {
+		s.sendErrors.Add(1)
+	}
+	return err
 }
 
 // connState is what a connection's REQUEST and DISCOVER frames carry
@@ -567,7 +582,7 @@ func (s *Server) handleDiscover(conn *wire.Conn, payload []byte, st *connState) 
 		}
 	}
 	s.offers.Add(1)
-	_ = s.sendOffer(conn, Offer{
+	s.sent(s.sendOffer(conn, Offer{
 		LeaseTime:        g.leaseTime,
 		RenewPolicy:      g.renew,
 		ExpirationPolicy: g.expiration,
@@ -577,7 +592,7 @@ func (s *Server) handleDiscover(conn *wire.Conn, payload []byte, st *connState) 
 		Format:           g.format,
 		Size:             uint32(len(g.blob)),
 		ServerName:       s.name,
-	})
+	}))
 }
 
 // sendOffer encodes through a pooled encoder; offers are the per-grant
@@ -614,7 +629,7 @@ func (s *Server) handleRequest(conn *wire.Conn, payload []byte, st *connState) {
 	if perr != nil {
 		if perr.redirect != nil {
 			s.redirects.Add(1)
-			_ = conn.Send(msgRedirect, perr.redirect.encode())
+			s.sent(conn.Send(msgRedirect, perr.redirect.encode()))
 			return
 		}
 		s.sendError(conn, perr.Code, perr.Message)
@@ -631,7 +646,7 @@ func (s *Server) handleRequest(conn *wire.Conn, payload []byte, st *connState) {
 			return
 		}
 	}
-	if err := s.sendOffer(conn, offer); err != nil && req.LeaseID == 0 {
+	if err := s.sent(s.sendOffer(conn, offer)); err != nil && req.LeaseID == 0 {
 		// A client that never got the OFFER of a fresh grant does not
 		// know its lease: give it back rather than let it hold a license
 		// seat for its whole term. Nobody is left to tell if that fails;
@@ -724,7 +739,7 @@ func (s *Server) sendFile(conn *wire.Conn, blob, offer []byte) {
 		} else {
 			err = conn.SendBody(msgFileData, head.Bytes(), blob[off:end])
 		}
-		if err != nil || last {
+		if s.sent(err) != nil || last {
 			return
 		}
 		off = end
@@ -759,7 +774,7 @@ func (s *Server) handleRelease(conn *wire.Conn, payload []byte) {
 		s.sendError(conn, ErrCodeInternal, err.Error())
 		return
 	}
-	_ = conn.Send(msgReleaseOK, nil)
+	s.sent(conn.Send(msgReleaseOK, nil))
 }
 
 // NotifyUpdate pushes a change notification to dedicated-channel

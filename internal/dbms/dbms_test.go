@@ -265,6 +265,41 @@ func TestStatementReplication(t *testing.T) {
 // TestFailoverPromoteSlave: when the master stops for maintenance, its
 // replica already holds every statement the master applied and takes
 // the writes the master no longer can.
+// TestReplicationFailuresCounted: a statement a replica cannot apply
+// is counted once per replica, on the master that shipped it. The
+// replica here lacks the database; a healthy replica beside it applies
+// every write and adds nothing.
+func TestReplicationFailuresCounted(t *testing.T) {
+	master := NewServer("master")
+	master.AddDatabase("app", fixtureDB())
+	healthy, lacking := NewServer("healthy"), NewServer("lacking")
+	healthy.AddDatabase("app", fixtureDB())
+	master.AttachReplica(healthy)
+	if _, err := master.Execute("app", "UPDATE accounts SET balance = 150 WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if n := master.ReplicationFailures(); n != 0 {
+		t.Fatalf("a healthy replica counted %d replication failures, want 0", n)
+	}
+	master.AttachReplica(lacking)
+	for i, sql := range []string{
+		"INSERT INTO accounts (id, balance) VALUES (3, 300)",
+		"UPDATE accounts SET balance = 250 WHERE id = 2",
+		"SELECT balance FROM accounts WHERE id = 1", // not shipped: a read
+	} {
+		if _, err := master.Execute("app", sql); err != nil {
+			t.Fatal(err)
+		}
+		if n, want := master.ReplicationFailures(), int64(min(i+1, 2)); n != want {
+			t.Fatalf("after %q: %d replication failures, want %d", sql, n, want)
+		}
+	}
+	res := healthy.Database("app").MustExec("SELECT count(*) FROM accounts WHERE balance IN (150, 250, 300)")
+	if n := res.Rows[0][0].Int(); n != 3 {
+		t.Fatalf("the healthy replica holds %d of the 3 written rows", n)
+	}
+}
+
 func TestFailoverPromoteSlave(t *testing.T) {
 	master := startServer(t)
 	slave := startServer(t)

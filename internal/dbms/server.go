@@ -45,6 +45,7 @@ type Server struct {
 	prepares      atomic.Int64
 	stmtExecs     atomic.Int64
 	versionProbes atomic.Int64
+	replFailures  atomic.Int64
 }
 
 // ServerOption configures a Server.
@@ -239,6 +240,11 @@ func (s *Server) StmtExecsServed() int64 { return s.stmtExecs.Load() }
 // in-memory counters and execute no SQL, so they do NOT count in
 // QueriesServed.
 func (s *Server) VersionProbesServed() int64 { return s.versionProbes.Load() }
+
+// ReplicationFailures reports statements a replica failed to apply,
+// one per replica and statement. The replica has diverged from this
+// server from then on: nothing retries the statement.
+func (s *Server) ReplicationFailures() int64 { return s.replFailures.Load() }
 
 // DisconnectUser force-closes every session authenticated as user and
 // returns how many were closed — the paper's §3.2 option of enforcing
@@ -725,6 +731,7 @@ func (s *Server) replicate(dbName, sql string, params *sqlmini.Params) {
 	s.mu.Unlock()
 	for _, r := range replicas {
 		if err := r.applyReplicated(dbName, sql, params); err != nil {
+			s.replFailures.Add(1)
 			s.logf("dbms %s: replicate to %s: %v", s.name, r.name, err)
 		}
 	}

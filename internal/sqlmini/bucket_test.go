@@ -10,16 +10,25 @@ import (
 	"testing"
 )
 
-// TestRowBucketLockFreeReaders is the memory-model argument for
-// append-in-place, run under -race: one writer (standing in for the
-// table-latch holder) appends to and removes from a bucket while
-// readers load it lock-free. Rows enter in id order and a removed row
-// never returns, so every header a reader can observe must list
-// strictly increasing ids (duplicate-free, insertion order, no
-// half-written slot), and an id missing below the header's newest row
-// must be one whose removal the writer had already announced.
+// TestRowBucketLockFreeReaders is the memory-model argument for the
+// row bucket, run under -race: one writer (standing in for the
+// table-latch holder) files rows into a hash index and an ordered index
+// while readers look them up lock-free. Each round files its rows under
+// a key of its own, so it starts from a fresh entry and group that hold
+// their first row inline and are published by a slot or link store;
+// it grows that bucket to many rows, re-files present rows (a no-op),
+// removes rows — the inline one first, while others remain — and ends
+// by removing every row, which drops the entry and unlinks the group.
+// Rows enter in id order and a removed row never returns, so every
+// bucket a reader can observe must list strictly increasing ids
+// (duplicate-free, insertion order, no unwritten slot), and an id
+// missing below the bucket's newest row must be one whose removal the
+// writer had already announced. Writer and readers yield after every
+// step, so the readers see the intermediate buckets at GOMAXPROCS=1
+// too.
 func TestRowBucketLockFreeReaders(t *testing.T) {
-	const pool = 4000
+	const pool, rounds = 4000, 40
+	const per = pool / rounds
 	rows := make([]*Row, pool)
 	idOf := make(map[*Row]int, pool)
 	for i := range rows {
@@ -27,63 +36,108 @@ func TestRowBucketLockFreeReaders(t *testing.T) {
 		idOf[rows[i]] = i
 	}
 	var (
-		b       rowBucket
+		h       = newHashIndex([]int{0})
+		sl      = newSkipList([]int{0})
+		round   atomic.Int64 // the key being filed under
 		removed [pool]atomic.Bool
 		done    atomic.Bool
+		shared  atomic.Int64 // buckets read holding more than one row
 		wg      sync.WaitGroup
 	)
+	// valid checks one bucket of round k's key.
+	valid := func(k int, got []*Row) bool {
+		prev := k*per - 1 // every earlier round's rows are announced removed
+		for _, r := range got {
+			if r == nil {
+				t.Error("reader saw a slot before it was written")
+				return false
+			}
+			id := idOf[r]
+			if id <= prev {
+				t.Errorf("ids out of insertion order or duplicated: %d after %d", id, prev)
+				return false
+			}
+			for gap := prev + 1; gap < id; gap++ {
+				if !removed[gap].Load() {
+					t.Errorf("row %d missing from a bucket that reaches row %d", gap, id)
+					return false
+				}
+			}
+			prev = id
+		}
+		if len(got) > 1 {
+			shared.Add(1)
+		}
+		return true
+	}
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				got := b.load()
-				prev := -1
-				for _, r := range got {
-					if r == nil {
-						t.Error("reader saw a slot before it was written")
-						return
-					}
-					id := idOf[r]
-					if id <= prev {
-						t.Errorf("ids out of insertion order or duplicated: %d after %d", id, prev)
-						return
-					}
-					for gap := prev + 1; gap < id; gap++ {
-						if !removed[gap].Load() {
-							t.Errorf("row %d missing from a header that reaches row %d", gap, id)
-							return
-						}
-					}
-					prev = id
+				k := int(round.Load())
+				key := []Value{NewInt(int64(k))}
+				if !valid(k, h.lookup(key)) || !valid(k, sl.lookupEqual(key, nil)) {
+					return
 				}
+				runtime.Gosched()
 			}
 		}()
 	}
+	stop := func() { // also on a writer-side Fatal: readers must not outlive the test
+		done.Store(true)
+		wg.Wait()
+	}
+	defer stop()
 	rng := rand.New(rand.NewSource(1))
-	var present []int
-	for next := 0; next < pool; {
-		switch op := rng.Intn(10); {
-		case op < 6:
-			b.add(rows[next], next%2 == 0)
-			present = append(present, next)
-			next++
-		case op < 8 && len(present) > 0: // re-registration: must be a no-op
-			b.add(rows[present[rng.Intn(len(present))]], false)
-		case len(present) > 1:
-			i := rng.Intn(len(present))
-			removed[present[i]].Store(true)
-			if b.remove(rows[present[i]]) {
-				t.Fatal("remove reported a multi-row bucket emptied")
+	for k, next := 0, 0; k < rounds; k++ {
+		round.Store(int64(k))
+		key := []Value{NewInt(int64(k))}
+		var node *skipNode
+		var present []int
+		file := func(id int, fresh bool) {
+			h.insert(key, rows[id], fresh)
+			if n := sl.insert(key, rows[id], fresh); node != nil && n != node {
+				t.Fatal("a key's second row started a second group")
+			} else {
+				node = n
 			}
-			present = append(present[:i], present[i+1:]...)
+		}
+		dropped := false
+		for end := next + per; next < end || len(present) > 0; runtime.Gosched() {
+			switch op := rng.Intn(10); {
+			case op < 6 && next < end:
+				file(next, next%2 == 0)
+				present = append(present, next)
+				next++
+			case op < 8 && len(present) > 0: // re-registration: must be a no-op
+				file(present[rng.Intn(len(present))], false)
+			case len(present) > 1 || next == end && len(present) > 0:
+				i := rng.Intn(len(present))
+				if !dropped { // the inline row
+					i, dropped = 0, true
+				}
+				removed[present[i]].Store(true)
+				h.remove(key, rows[present[i]])
+				sl.remove(node, rows[present[i]])
+				present = append(present[:i], present[i+1:]...)
+				if len(present) > 0 && (node.owner != sl || len(h.lookup(key)) != len(present)) {
+					t.Fatalf("round %d: %d rows left, but the group is unlinked or the entry lost some", k, len(present))
+				}
+			}
+		}
+		if node.owner != nil || h.lookup(key) != nil {
+			t.Fatalf("round %d: the last removal left its group linked or its entry filed", k)
 		}
 	}
-	done.Store(true)
-	wg.Wait()
-	if got := b.load(); len(got) != len(present) {
-		t.Fatalf("bucket holds %d rows, writer tracked %d", len(got), len(present))
+	stop()
+	if shared.Load() == 0 {
+		t.Fatal("no reader ever saw a bucket of more than one row")
 	}
+	if h.live != 0 || sl.size != 0 {
+		t.Fatalf("%d entries and %d groups left once every row was removed", h.live, sl.size)
+	}
+	skipLinksConsistent(t, sl)
 }
 
 // bucketOf returns the rows index ix files under grp = key.

@@ -577,6 +577,9 @@ func (db *DB) execCreateIndex(st *CreateIndexStmt) (*Result, error) {
 	if len(cols) > 1 && st.Kind != IndexOrdered {
 		return nil, fmt.Errorf("sqlmini: composite index %q requires USING ORDERED", st.Name)
 	}
+	if len(cols) > maxIndexCols {
+		return nil, fmt.Errorf("sqlmini: index %q has %d columns, more than %d", st.Name, len(cols), maxIndexCols)
+	}
 	return db.declareIndex(t, st.Name, cols, st.Kind)
 }
 
@@ -938,6 +941,7 @@ func (db *DB) execSelect(t *Table, vw tableView, st *SelectStmt, env *evalEnv) (
 		}
 		return res, nil
 	}
+	res.Cols = make([]string, 0, len(st.Items))
 	for _, item := range st.Items {
 		res.Cols = append(res.Cols, selectColName(item))
 	}

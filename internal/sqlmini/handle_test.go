@@ -72,7 +72,7 @@ func TestRenewalGCRemovesByHandle(t *testing.T) {
 		hints++
 		key, _ := tupleOf(nil, it.skip.cols, it.vals)
 		n := it.node
-		if n == nil || n.owner != it.skip || cmpKey(n.key, key) != 0 || !slices.Contains(n.rows.load(), it.row) {
+		if n == nil || n.owner != it.skip || cmpKey(n.key(), key) != 0 || !slices.Contains(n.rows.load(), it.row) {
 			t.Fatalf("hint %d for key %v: handle %p is not a linked group holding its row", hints, key, n)
 		}
 	}
@@ -139,19 +139,25 @@ func TestGCSkipsUnlinkedHandle(t *testing.T) {
 	indexConsistent(t, db, "leases")
 }
 
-// TestIndexHandleSizes: the handles kept a row version, a skiplist node
-// and a hash entry inside the 64-byte size class (a lease row has one of
-// each: its version, its node in the (driver_id, expires_at) index and
-// its primary key's entry). The hash entry was 80 bytes while its key
-// was a 32-byte struct of its own rather than a Value.
+// TestIndexHandleSizes: the allocations a lease row keeps for its
+// index entries stay in their size classes on 64-bit — a row version in
+// 64 bytes, its primary key's hash entry and a skiplist node in 48, and
+// the two-column level-one group its (driver_id, expires_at) node is
+// filed in, node, key and link together, in 96. The entry and the node
+// fit only while a bucket holds its first row inline and a node reaches
+// its key and links by pointer and count, not through slice headers.
 func TestIndexHandleSizes(t *testing.T) {
-	if n := unsafe.Sizeof(rowVersion{}); n > 64 {
-		t.Fatalf("rowVersion is %d bytes, want at most 64", n)
-	}
-	if n := unsafe.Sizeof(skipNode{}); n > 64 {
-		t.Fatalf("skipNode is %d bytes, want at most 64", n)
-	}
-	if n := unsafe.Sizeof(hashEntry{}); n > 64 {
-		t.Fatalf("hashEntry is %d bytes, want at most 64", n)
+	for _, c := range []struct {
+		what      string
+		size, max uintptr
+	}{
+		{"rowVersion", unsafe.Sizeof(rowVersion{}), 64},
+		{"hashEntry", unsafe.Sizeof(hashEntry{}), 48},
+		{"skipNode", unsafe.Sizeof(skipNode{}), 48},
+		{"a two-column level-one group", unsafe.Sizeof(group[[2]Value, [1]skipLink]{}), 96},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s is %d bytes, want at most %d", c.what, c.size, c.max)
+		}
 	}
 }

@@ -122,6 +122,11 @@ func FuzzHashIndex(f *testing.F) {
 	f.Add([]byte{4, 63, 31, 0, 5, 0, 0, 0}) // grow, then shrink by removals alone
 	f.Add([]byte{0x80, 1, 14, 0, 0x80, 14, 1, 1, 0x81, 24, 3, 2, 0x83, 3, 24, 0, 0x82, 1, 14, 0, 0x85, 0, 0, 0})
 	f.Add([]byte{0, 7, 0, 0, 0, 8, 0, 0, 1, 0, 0, 1, 2, 7, 0, 0, 3, 8, 0, 0, 4, 60, 0, 0, 4, 60, 0, 0, 5, 0, 0, 0, 0, 15, 0, 0})
+	// one key's bucket: its inline row, then four rows, the inline one
+	// removed first, back down to none, and a fresh entry for the key
+	f.Add([]byte{1, 3, 0, 0, 3, 3, 0, 0, 1, 3, 0, 1, 1, 3, 0, 2, 1, 3, 0, 3, 3, 3, 0, 0, 2, 3, 0, 0, 3, 3, 0, 0,
+		2, 3, 0, 2, 2, 3, 0, 1, 3, 3, 0, 0, 2, 3, 0, 3, 3, 3, 0, 0, 1, 3, 0, 0, 1, 3, 0, 1, 3, 3, 0, 0})
+	f.Add([]byte{0x81, 3, 5, 0, 0x81, 3, 5, 1, 0x81, 3, 5, 2, 0x82, 3, 5, 0, 0x83, 3, 5, 0, 0x82, 3, 5, 2, 0x82, 3, 5, 1, 0x83, 3, 5, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		one, two := newHashIndex([]int{0}), newHashIndex([]int{0, 1})
 		refs := map[*hashIndex]hashRef{one: {}, two: {}}

@@ -150,25 +150,30 @@ func keyMoved(cols []int, oldVals, newVals []Value) (oldOK, newOK, moved bool) {
 }
 
 // rowBucket holds the rows filed under one key — a hash bucket or an
-// ordered-index group — in insertion order. It is an append-only array
-// published by length: the single writer (table latch held) writes the
-// slot just past the published length and then publishes a header one
-// longer, so readers, who Load a header lock-free, hold an immutable
-// prefix. No reader can hold a header covering the slot being written,
-// because a header never shrinks in place: removal copies the
-// survivors to a fresh array.
+// ordered-index group — in insertion order. A bucket of one row holds
+// it inline, in row, which the writer fills before the entry or group
+// that embeds the bucket is published and never writes again: the
+// store that publishes the owner orders it for every reader. A second
+// row moves the rows to more, an append-only array published by
+// length, which from then on holds them all. The single writer (table
+// latch held) writes the slot just past the published length and then
+// publishes a header one longer, so readers, who Load a header
+// lock-free, hold an immutable prefix. No reader can hold a header
+// covering the slot being written, because a header never shrinks in
+// place: removal copies the survivors to a fresh array.
 type rowBucket struct {
-	hdr atomic.Pointer[[]*Row]
+	row  [1]*Row
+	more atomic.Pointer[[]*Row]
 }
 
 // load returns the published rows. The slice is immutable and its
 // capacity is clipped to its length, so a caller's append can never
 // reach the writer's unpublished slots.
 func (b *rowBucket) load() []*Row {
-	if p := b.hdr.Load(); p != nil {
+	if p := b.more.Load(); p != nil {
 		return (*p)[:len(*p):len(*p)]
 	}
-	return nil
+	return b.row[:]
 }
 
 // add appends r, doubling the array when it is full. fresh says r was
@@ -176,35 +181,18 @@ func (b *rowBucket) load() []*Row {
 // (update, rollback re-registration, A→B→A key cycles, backfill) add
 // is a no-op when the bucket already holds r. Caller holds the latch.
 func (b *rowBucket) add(r *Row, fresh bool) {
-	var rows []*Row
-	if p := b.hdr.Load(); p != nil {
+	rows := b.row[:]
+	if p := b.more.Load(); p != nil {
 		rows = *p // unclipped: the spare capacity is the writer's
 	}
 	if !fresh && slices.Contains(rows, r) {
 		return
 	}
 	if len(rows) == cap(rows) {
-		rows = append(make([]*Row, 0, max(1, 2*len(rows))), rows...)
+		rows = append(make([]*Row, 0, 2*len(rows)), rows...)
 	}
 	rows = append(rows, r) // in place: slot len(rows) is unpublished
-	b.hdr.Store(&rows)
-}
-
-// oneRow is the array and header of a one-row bucket, for embedding in
-// whatever owns the bucket so the first row costs no allocation of its
-// own (skipList groups, hash entries).
-type oneRow struct {
-	row [1]*Row
-	hdr []*Row
-}
-
-// first publishes r as the bucket's only row, held in o. The bucket
-// must be empty. A second row moves the bucket to an array of its own,
-// as any full one does (add).
-func (b *rowBucket) first(o *oneRow, r *Row) {
-	o.row[0] = r
-	o.hdr = o.row[:]
-	b.hdr.Store(&o.hdr)
+	b.more.Store(&rows)
 }
 
 // remove drops r and reports whether the bucket held nothing else, in
@@ -221,7 +209,7 @@ func (b *rowBucket) remove(r *Row) (emptied bool) {
 	}
 	rest := make([]*Row, 0, len(rows)-1)
 	rest = append(append(rest, rows[:i]...), rows[i+1:]...)
-	b.hdr.Store(&rest)
+	b.more.Store(&rest)
 	return false
 }
 
@@ -296,14 +284,13 @@ func canonicalInt(s string) (int64, bool) {
 }
 
 // hashEntry is one key of a hash index and its rows, in one allocation:
-// the key, its hash and the rowBucket with the array and header of its
-// first row. Everything but the bucket is immutable once the entry is
-// published.
+// the key, its hash and the rowBucket with its first row inline.
+// Everything but the bucket's overflow array is immutable once the
+// entry is published.
 type hashEntry struct {
 	hash uint64
 	key  hashKey
 	rows rowBucket
-	one  oneRow
 }
 
 // hashTomb marks a slot whose entry was removed, so probe sequences
@@ -397,7 +384,7 @@ func (h *hashIndex) insert(key []Value, r *Row, fresh bool) {
 		return
 	}
 	e = &hashEntry{hash: hv, key: k}
-	e.rows.first(&e.one, r)
+	e.rows.row[0] = r // before the slot store publishes e
 	if tab.slots[i].Load() == nil {
 		h.used++
 	}

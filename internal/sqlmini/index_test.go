@@ -168,13 +168,13 @@ func skipLinksConsistent(t testing.TB, sl *skipList) {
 		prev := sl.head
 		for n := sl.head.next(lvl); n != nil; prev, n = n, n.next(lvl) {
 			if n.owner != sl {
-				t.Fatalf("level %d: group %v is linked but not marked linked", lvl, n.key)
+				t.Fatalf("level %d: group %v is linked but not marked linked", lvl, n.key())
 			}
-			if n.links[lvl].prev != prev {
-				t.Fatalf("level %d: group %v has a back link to the wrong node", lvl, n.key)
+			if n.links()[lvl].prev != prev {
+				t.Fatalf("level %d: group %v has a back link to the wrong node", lvl, n.key())
 			}
-			if prev != sl.head && cmpKey(prev.key, n.key) >= 0 {
-				t.Fatalf("level %d: groups out of order (%v vs %v)", lvl, prev.key, n.key)
+			if prev != sl.head && cmpKey(prev.key(), n.key()) >= 0 {
+				t.Fatalf("level %d: groups out of order (%v vs %v)", lvl, prev.key(), n.key())
 			}
 			if lvl == 0 {
 				groups++

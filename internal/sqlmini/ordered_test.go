@@ -1,7 +1,9 @@
 package sqlmini
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -108,6 +110,29 @@ func TestCreateIndexUsingClause(t *testing.T) {
 	}
 	if _, err := db.Exec("CREATE INDEX t_bad ON t (a) USING SKIPLIST"); err == nil {
 		t.Fatal("unknown index method must fail to parse")
+	}
+}
+
+// TestIndexColumnLimit: a skiplist node counts its key's columns in a
+// byte, so an index over more than maxIndexCols columns is refused
+// rather than filed under a truncated key.
+func TestIndexColumnLimit(t *testing.T) {
+	db := NewDB()
+	var cols, def strings.Builder
+	for i := 0; i <= maxIndexCols; i++ {
+		fmt.Fprintf(&def, ", c%d INTEGER", i)
+		fmt.Fprintf(&cols, ", c%d", i)
+	}
+	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY" + def.String() + ")")
+	list := cols.String()
+	if _, err := db.Exec("CREATE INDEX t_all ON t (" + list[2:] + ") USING ORDERED"); err == nil {
+		t.Fatalf("an index over %d columns was accepted", maxIndexCols+1)
+	}
+	list = list[:strings.LastIndex(list, ",")]
+	db.MustExec("CREATE INDEX t_most ON t (" + list[2:] + ") USING ORDERED")
+	db.MustExec("INSERT INTO t (id" + list + ") VALUES (1" + strings.Repeat(", 2", maxIndexCols) + ")")
+	if res := db.MustExec("SELECT id FROM t WHERE c0 = 2"); len(res.Rows) != 1 {
+		t.Fatalf("a row filed under a %d-column key: %v", maxIndexCols, res.Rows)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sqlmini
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // skipList is the ordered-index backing structure: nodes are key
 // groups (all rows whose indexed tuple compares equal), sorted by
@@ -32,15 +35,30 @@ import "sync/atomic"
 
 const skipMaxLevel = 24
 
+// maxIndexCols bounds an index's columns: a node counts its key in a
+// byte.
+const maxIndexCols = 255
+
+// skipNode is one group. Its key and links sit in the same allocation
+// (group), so the node addresses each by a pointer and a count rather
+// than a slice header; key and links read them back. Both are written
+// before the node is linked and are immutable after.
 type skipNode struct {
-	key   []Value // immutable tuple
 	rows  rowBucket
-	links []skipLink // len = node level
+	keyp  *Value    // the tuple's first value
+	linkp *skipLink // level 0's link
 	// owner is the list the node is linked into, nil once unlinked;
 	// writer-only. A handle (rowVersion.nodes, gcItem.node) is usable
 	// only while its node is still linked into the index's own list.
-	owner *skipList
+	owner       *skipList
+	nkey, level uint8
 }
+
+// key returns the node's immutable tuple.
+func (n *skipNode) key() []Value { return unsafe.Slice(n.keyp, n.nkey) }
+
+// links returns one link per level of the node.
+func (n *skipNode) links() []skipLink { return unsafe.Slice(n.linkp, n.level) }
 
 // skipLink is one level of a node: the forward link readers follow and
 // the writer-only back link to the level's predecessor.
@@ -50,7 +68,7 @@ type skipLink struct {
 }
 
 // next loads the node's successor at lvl. Lock-free.
-func (n *skipNode) next(lvl int) *skipNode { return n.links[lvl].next.Load() }
+func (n *skipNode) next(lvl int) *skipNode { return n.links()[lvl].next.Load() }
 
 type skipList struct {
 	cols []int // indexed column positions (tuple order)
@@ -63,7 +81,8 @@ type skipList struct {
 }
 
 func newSkipList(cols []int) *skipList {
-	sl := &skipList{cols: cols, head: &skipNode{links: make([]skipLink, skipMaxLevel)}, rnd: 0x9e3779b97f4a7c15}
+	links := make([]skipLink, skipMaxLevel)
+	sl := &skipList{cols: cols, head: &skipNode{linkp: &links[0], level: skipMaxLevel}, rnd: 0x9e3779b97f4a7c15}
 	for i := range sl.last {
 		sl.last[i] = sl.head
 	}
@@ -113,7 +132,7 @@ func (sl *skipList) seekGE(probe []Value) *skipNode {
 	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
 		for {
 			nxt := x.next(lvl)
-			if nxt == nil || cmpKey(nxt.key, probe) >= 0 {
+			if nxt == nil || cmpKey(nxt.key(), probe) >= 0 {
 				break
 			}
 			x = nxt
@@ -129,7 +148,7 @@ func (sl *skipList) seekGT(probe []Value) *skipNode {
 	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
 		for {
 			nxt := x.next(lvl)
-			if nxt == nil || cmpKey(nxt.key, probe) > 0 {
+			if nxt == nil || cmpKey(nxt.key(), probe) > 0 {
 				break
 			}
 			x = nxt
@@ -148,7 +167,7 @@ func (sl *skipList) insert(key []Value, r *Row, fresh bool) *skipNode {
 	tail := sl.last[0]
 	c := -1 // an empty list: every key is past its end
 	if tail != sl.head {
-		c = cmpKey(tail.key, key)
+		c = cmpKey(tail.key(), key)
 	}
 	switch {
 	case c < 0:
@@ -161,14 +180,14 @@ func (sl *skipList) insert(key []Value, r *Row, fresh bool) *skipNode {
 		for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
 			for {
 				nxt := x.next(lvl)
-				if nxt == nil || cmpKey(nxt.key, key) >= 0 {
+				if nxt == nil || cmpKey(nxt.key(), key) >= 0 {
 					break
 				}
 				x = nxt
 			}
 			update[lvl] = x
 		}
-		if n := x.next(0); n != nil && cmpKey(n.key, key) == 0 {
+		if n := x.next(0); n != nil && cmpKey(n.key(), key) == 0 {
 			n.rows.add(r, fresh)
 			return n
 		}
@@ -176,30 +195,30 @@ func (sl *skipList) insert(key []Value, r *Row, fresh bool) *skipNode {
 	lvl := sl.randLevel()
 	n := newGroup(key, lvl, r)
 	n.owner = sl
-	for i := 0; i < lvl; i++ {
+	links := n.links()
+	for i := range links {
 		succ := update[i].next(i)
-		n.links[i].next.Store(succ)
-		n.links[i].prev = update[i]
+		links[i].next.Store(succ)
+		links[i].prev = update[i]
 		if succ != nil {
-			succ.links[i].prev = n
+			succ.links()[i].prev = n
 		} else {
 			sl.last[i] = n
 		}
 	}
-	for i := 0; i < lvl; i++ { // link bottom-up: readers above always find the levels below
-		update[i].links[i].next.Store(n)
+	for i := range links { // link bottom-up: readers above always find the levels below
+		update[i].links()[i].next.Store(n)
 	}
 	sl.size++
 	return n
 }
 
-// group is a skiplist node allocated together with its key copy, its
-// links and the bucket of its first row.
+// group is a skiplist node allocated together with its key copy and
+// its links.
 type group[K, L any] struct {
-	node   skipNode
-	key    K
-	links  L
-	bucket oneRow
+	node  skipNode
+	key   K
+	links L
 }
 
 // newGroup builds an unlinked node holding a copy of key and r alone,
@@ -210,27 +229,26 @@ func newGroup(key []Value, lvl int, r *Row) *skipNode {
 	var n *skipNode
 	var k []Value
 	var links []skipLink
-	var b *oneRow
 	switch {
 	case len(key) == 1 && lvl == 1:
 		g := new(group[[1]Value, [1]skipLink])
-		n, k, links, b = &g.node, g.key[:], g.links[:], &g.bucket
+		n, k, links = &g.node, g.key[:], g.links[:]
 	case len(key) == 1 && lvl == 2:
 		g := new(group[[1]Value, [2]skipLink])
-		n, k, links, b = &g.node, g.key[:], g.links[:], &g.bucket
+		n, k, links = &g.node, g.key[:], g.links[:]
 	case len(key) == 2 && lvl == 1:
 		g := new(group[[2]Value, [1]skipLink])
-		n, k, links, b = &g.node, g.key[:], g.links[:], &g.bucket
+		n, k, links = &g.node, g.key[:], g.links[:]
 	case len(key) == 2 && lvl == 2:
 		g := new(group[[2]Value, [2]skipLink])
-		n, k, links, b = &g.node, g.key[:], g.links[:], &g.bucket
+		n, k, links = &g.node, g.key[:], g.links[:]
 	default:
-		g := new(group[struct{}, struct{}])
-		n, k, links, b = &g.node, make([]Value, len(key)), make([]skipLink, lvl), &g.bucket
+		n, k, links = new(skipNode), make([]Value, len(key)), make([]skipLink, lvl)
 	}
 	copy(k, key)
-	n.key, n.links = k, links
-	n.rows.first(b, r)
+	n.keyp, n.nkey = &k[0], uint8(len(k)) // at most maxIndexCols
+	n.linkp, n.level = &links[0], uint8(lvl)
+	n.rows.row[0] = r
 	return n
 }
 
@@ -256,11 +274,12 @@ func (sl *skipList) remove(n *skipNode, r *Row) {
 // and leaves n's own forward links intact for any reader standing on
 // it. O(level). Caller holds the latch.
 func (sl *skipList) unlink(n *skipNode) {
-	for lvl := len(n.links) - 1; lvl >= 0; lvl-- {
-		prev, succ := n.links[lvl].prev, n.next(lvl)
-		prev.links[lvl].next.Store(succ)
+	links := n.links()
+	for lvl := len(links) - 1; lvl >= 0; lvl-- {
+		prev, succ := links[lvl].prev, links[lvl].next.Load()
+		prev.links()[lvl].next.Store(succ)
 		if succ != nil {
-			succ.links[lvl].prev = prev
+			succ.links()[lvl].prev = prev
 		} else {
 			sl.last[lvl] = prev
 		}
@@ -274,7 +293,7 @@ func (sl *skipList) unlink(n *skipNode) {
 // one value, e.g. a 2^53 DOUBLE against two adjacent BIGINTs).
 // Lock-free; out is appended to and returned.
 func (sl *skipList) lookupEqual(probe []Value, out []*Row) []*Row {
-	for n := sl.seekGE(probe); n != nil && cmpKey(n.key, probe) == 0; n = n.next(0) {
+	for n := sl.seekGE(probe); n != nil && cmpKey(n.key(), probe) == 0; n = n.next(0) {
 		out = append(out, n.rows.load()...)
 	}
 	return out
@@ -305,11 +324,11 @@ func (sl *skipList) rangeRows(prefix []Value, lo Value, loStrict bool, hi Value,
 		hiProbe = append(append(make([]Value, 0, len(prefix)+1), prefix...), hi)
 	}
 	for n := start; n != nil; n = n.next(0) {
-		if len(prefix) > 0 && cmpKey(n.key, prefix) != 0 {
+		if len(prefix) > 0 && cmpKey(n.key(), prefix) != 0 {
 			break
 		}
 		if hiProbe != nil {
-			c := cmpKey(n.key, hiProbe)
+			c := cmpKey(n.key(), hiProbe)
 			if c > 0 || (hiStrict && c == 0) {
 				break
 			}
@@ -333,7 +352,7 @@ func (sl *skipList) skipRows(lo Value, loStrict bool, hi Value, hiStrict bool, o
 	var probe [2]Value
 	hiProbe := [1]Value{hi}
 	for n := sl.head.next(0); n != nil; {
-		lead := n.key[:1]
+		lead := n.key()[:1]
 		if !lo.IsNull() {
 			probe[0], probe[1] = lead[0], lo
 			if loStrict {
@@ -342,16 +361,16 @@ func (sl *skipList) skipRows(lo Value, loStrict bool, hi Value, hiStrict bool, o
 				n = sl.seekGE(probe[:])
 			}
 		}
-		for ; n != nil && cmpKey(n.key, lead) == 0; n = n.next(0) {
+		for ; n != nil && cmpKey(n.key(), lead) == 0; n = n.next(0) {
 			if !hi.IsNull() {
-				if c := cmpKey(n.key[1:], hiProbe[:]); c > 0 || (hiStrict && c == 0) {
+				if c := cmpKey(n.key()[1:], hiProbe[:]); c > 0 || (hiStrict && c == 0) {
 					n = sl.seekGT(lead)
 					break
 				}
 			}
 			out = append(out, n.rows.load()...)
 		}
-		for n != nil && cmpKey(n.key, lead) <= 0 {
+		for n != nil && cmpKey(n.key(), lead) <= 0 {
 			n = n.next(0) // a group filed under lead mid-seek
 		}
 	}
@@ -362,6 +381,6 @@ func (sl *skipList) skipRows(lo Value, loStrict bool, hi Value, hiStrict bool, o
 // consistency checks and rebuilds.
 func (sl *skipList) each(fn func(key []Value, rows []*Row)) {
 	for n := sl.head.next(0); n != nil; n = n.next(0) {
-		fn(n.key, n.rows.load())
+		fn(n.key(), n.rows.load())
 	}
 }

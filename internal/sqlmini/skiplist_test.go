@@ -65,6 +65,9 @@ func FuzzSkipList(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 2, 0, 0, 2, 1, 0, 0, 1, 0, 4, 1, 3})
 	f.Add([]byte{1, 7, 1, 0, 7, 2, 0, 8, 3, 2, 7, 2, 0, 7, 2, 2, 7, 2, 3, 1, 9, 4, 9, 2})
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 2, 1, 0, 2, 1, 0}) // a second removal through an unlinked handle
+	// one group: its inline row, then four rows, the inline one removed
+	// first, back down to none (unlinked), and a new group for the key
+	f.Add([]byte{0, 3, 0, 0, 3, 1, 0, 3, 2, 0, 3, 3, 3, 3, 0, 2, 3, 0, 3, 3, 0, 2, 3, 2, 2, 3, 1, 2, 3, 3, 3, 3, 0, 0, 3, 4, 0, 3, 0, 2, 3, 4, 2, 3, 0})
 	f.Add([]byte{5, 1, 0, 5, 1, 1, 5, 0, 2, 5, 1, 3, 6, 0, 0, 5, 1, 4, 6, 0, 0, 6, 0, 0, 5, 1, 5, 6, 0, 0, 6, 0, 0, 6, 0, 0})
 	// skip scans: every leading key's window on the second column,
 	// bounded above, below, on both sides, and not at all
@@ -96,7 +99,7 @@ func FuzzSkipList(f *testing.F) {
 			case 0, 1:
 				present := slices.Contains(ref.rows[k], r)
 				n := sl.insert(skipKey(k), r, !present)
-				if n.owner != sl || cmpKey(n.key, skipKey(k)) != 0 || !slices.Contains(n.rows.load(), r) {
+				if n.owner != sl || cmpKey(n.key(), skipKey(k)) != 0 || !slices.Contains(n.rows.load(), r) {
 					t.Fatalf("insert(%d) returned a node that is not the linked group holding the row", k)
 				}
 				handles[[2]int{k, ri}] = n
@@ -119,8 +122,8 @@ func FuzzSkipList(f *testing.F) {
 				got := sl.seekGE(probe)
 				switch {
 				case i == len(ref.keys) && got != nil:
-					t.Fatalf("seekGE(%v) = %v, want none", probe, got.key)
-				case i < len(ref.keys) && (got == nil || cmpKey(got.key, skipKey(ref.keys[i])) != 0):
+					t.Fatalf("seekGE(%v) = %v, want none", probe, got.key())
+				case i < len(ref.keys) && (got == nil || cmpKey(got.key(), skipKey(ref.keys[i])) != 0):
 					t.Fatalf("seekGE(%v) missed group %d", probe, ref.keys[i])
 				}
 			case 4:
@@ -171,7 +174,7 @@ func FuzzSkipList(f *testing.F) {
 				i++
 			})
 			for n := sl.head.next(0); n != nil; n = n.next(0) {
-				linked[int(n.key[0].Int()*4+n.key[1].Int())] = n
+				linked[int(n.key()[0].Int()*4+n.key()[1].Int())] = n
 			}
 			if i != len(ref.keys) || sl.size != len(ref.keys) {
 				t.Fatalf("%d groups linked, size %d, reference %d", i, sl.size, len(ref.keys))
