@@ -127,12 +127,16 @@ bench-module-check:
 	cd bench && go vet ./... && go test ./... && go run repro/cmd/drivolint ./...
 
 # loc prints, per package, Go lines outside _test.go files that are
-# neither blank nor comment-only, then the lease-client group as one
-# line: internal/core's bootloader.go, renew.go and loadclient.go, the
-# three files of the lease protocol's client side. It is the one count
-# every simplicity PR's before/after claim uses.
+# neither blank nor comment-only, then two groups, one line each: the
+# lease-client group (internal/core's bootloader.go, renew.go and
+# loadclient.go, the lease protocol's client side) and the protocol
+# group (the four protocol.go files of the lease, dbms, cluster and
+# sequoia protocols, plus wire/walk.go, which runs their declarations).
+# It is the one count every simplicity PR's before/after claim uses.
 loc:
-	scripts/loc.sh internal/core/bootloader.go internal/core/renew.go internal/core/loadclient.go
+	scripts/loc.sh lease-client: internal/core/bootloader.go internal/core/renew.go internal/core/loadclient.go \
+		protocol: internal/core/protocol.go internal/dbms/protocol.go internal/cluster/protocol.go \
+		internal/sequoia/protocol.go internal/wire/walk.go
 
 bench:
 	scripts/bench.sh run

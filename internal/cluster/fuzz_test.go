@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // FuzzClusterFrames feeds arbitrary bytes to the two decoders of frames
@@ -13,12 +15,12 @@ import (
 // 3-member gossip frame, a 3-member status frame and their truncations)
 // runs as part of plain `go test`.
 func FuzzClusterFrames(f *testing.F) {
-	gossip := gossipMsg{From: 1, Alive: []uint32{0, 2}}.encode()
-	status := Status{Name: "m-0", Index: 0, Quorate: true, Shards: 48, Peers: []PeerStatus{
+	gossip := wire.Marshal(&gossipMsg{From: 1, Alive: []uint32{0, 2}})
+	status := wire.Marshal(&Status{Name: "m-0", Index: 0, Quorate: true, Shards: 48, Peers: []PeerStatus{
 		{Name: "m-0", ClientAddr: "127.0.0.1:7070", Self: true, Alive: true, OwnedShards: 16},
 		{Name: "m-1", ClientAddr: "127.0.0.1:7071", Alive: true, SinceSeen: 40 * time.Millisecond, OwnedShards: 16},
 		{Name: "m-2", ClientAddr: "127.0.0.1:7072", SinceSeen: time.Second, OwnedShards: 16},
-	}}.encode()
+	}})
 	for _, frame := range [][]byte{gossip, status} {
 		for n := 0; n <= len(frame); n += 3 {
 			f.Add(frame[:n])
@@ -27,22 +29,24 @@ func FuzzClusterFrames(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if g, err := decodeGossip(b); err == nil {
+		var g, gAgain gossipMsg
+		if err := wire.Unmarshal(b, &g); err == nil {
 			if len(g.Alive) > maxClusterSize {
 				t.Fatalf("gossip accepted %d members", len(g.Alive))
 			}
-			again, err := decodeGossip(g.encode())
-			if err != nil || !reflect.DeepEqual(again, g) {
-				t.Fatalf("gossip round trip: %+v, %v; want %+v", again, err, g)
+			err := wire.Unmarshal(wire.Marshal(&g), &gAgain)
+			if err != nil || !reflect.DeepEqual(gAgain, g) {
+				t.Fatalf("gossip round trip: %+v, %v; want %+v", gAgain, err, g)
 			}
 		}
-		if s, err := decodeStatus(b); err == nil {
+		var s, sAgain Status
+		if err := wire.Unmarshal(b, &s); err == nil {
 			if len(s.Peers) > maxClusterSize {
 				t.Fatalf("status accepted %d peers", len(s.Peers))
 			}
-			again, err := decodeStatus(s.encode())
-			if err != nil || !reflect.DeepEqual(again, s) {
-				t.Fatalf("status round trip: %+v, %v; want %+v", again, err, s)
+			err := wire.Unmarshal(wire.Marshal(&s), &sAgain)
+			if err != nil || !reflect.DeepEqual(sAgain, s) {
+				t.Fatalf("status round trip: %+v, %v; want %+v", sAgain, err, s)
 			}
 		}
 	})

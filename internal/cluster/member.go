@@ -340,7 +340,7 @@ func (m *Member) exchange(conn *wire.Conn, peer int) error {
 	m.mu.Lock()
 	g := m.gossipLocked(time.Now())
 	m.mu.Unlock()
-	if err := conn.Send(msgPing, g.encode()); err != nil {
+	if err := conn.Send(msgPing, wire.Marshal(&g)); err != nil {
 		return err
 	}
 	f, err := conn.RecvTimeout(m.cfg.DialTimeout)
@@ -350,8 +350,8 @@ func (m *Member) exchange(conn *wire.Conn, peer int) error {
 	if f.Type != msgPong {
 		return fmt.Errorf("cluster: unexpected frame 0x%04x to ping", f.Type)
 	}
-	reply, err := decodeGossip(f.Payload)
-	if err != nil {
+	var reply gossipMsg
+	if err := wire.Unmarshal(f.Payload, &reply); err != nil {
 		return err
 	}
 	m.merge(reply, int(reply.From) == peer)

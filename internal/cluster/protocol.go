@@ -26,31 +26,9 @@ type gossipMsg struct {
 	Alive []uint32
 }
 
-func (g gossipMsg) encode() []byte {
-	e := wire.GetEncoder(8 + 4*len(g.Alive))
-	defer wire.PutEncoder(e)
-	e.Uint32(g.From)
-	e.Uint32(uint32(len(g.Alive)))
-	for _, a := range g.Alive {
-		e.Uint32(a)
-	}
-	return append([]byte(nil), e.Bytes()...)
-}
-
-func decodeGossip(b []byte) (gossipMsg, error) {
-	d := wire.NewDecoder(b)
-	g := gossipMsg{From: d.Uint32()}
-	n := d.Count(4)
-	if n > maxClusterSize {
-		return gossipMsg{}, fmt.Errorf("cluster: gossip names %d members", n)
-	}
-	for i := 0; i < n; i++ {
-		g.Alive = append(g.Alive, d.Uint32())
-	}
-	if err := d.Err(); err != nil {
-		return gossipMsg{}, err
-	}
-	return g, nil
+func (g *gossipMsg) Fields(w wire.Walker) {
+	w.Uint32(&g.From)
+	wire.Slice(w, &g.Alive, 4, maxClusterSize, wire.Walker.Uint32)
 }
 
 // maxClusterSize caps decoded member counts above what any real
@@ -68,6 +46,16 @@ type PeerStatus struct {
 	OwnedShards uint32        // shards this peer owns in the reporter's view
 }
 
+// Fields declares one peer's entry in the STATUS layout.
+func (p *PeerStatus) Fields(w wire.Walker) {
+	w.String(&p.Name)
+	w.String(&p.ClientAddr)
+	w.Bool(&p.Self)
+	w.Bool(&p.Alive)
+	w.Duration(&p.SinceSeen)
+	w.Uint32(&p.OwnedShards)
+}
+
 // Status is a member's self-report, served to drivoctl and examples.
 type Status struct {
 	Name    string
@@ -77,42 +65,15 @@ type Status struct {
 	Peers   []PeerStatus
 }
 
-func (s Status) encode() []byte {
-	e := wire.GetEncoder(64)
-	defer wire.PutEncoder(e)
-	e.String(s.Name)
-	e.Uint32(s.Index)
-	e.Bool(s.Quorate)
-	e.Uint32(s.Shards)
-	e.Uint32(uint32(len(s.Peers)))
-	for _, p := range s.Peers {
-		e.String(p.Name)
-		e.String(p.ClientAddr)
-		e.Bool(p.Self)
-		e.Bool(p.Alive)
-		e.Duration(p.SinceSeen)
-		e.Uint32(p.OwnedShards)
-	}
-	return append([]byte(nil), e.Bytes()...)
-}
-
-func decodeStatus(b []byte) (Status, error) {
-	d := wire.NewDecoder(b)
-	s := Status{Name: d.String(), Index: d.Uint32(), Quorate: d.Bool(), Shards: d.Uint32()}
-	n := d.Count(22) // a peer takes at least two string lengths, two flags, a duration and a count
-	if n > maxClusterSize {
-		return Status{}, fmt.Errorf("cluster: status names %d peers", n)
-	}
-	for i := 0; i < n; i++ {
-		s.Peers = append(s.Peers, PeerStatus{
-			Name: d.String(), ClientAddr: d.String(), Self: d.Bool(),
-			Alive: d.Bool(), SinceSeen: d.Duration(), OwnedShards: d.Uint32(),
-		})
-	}
-	if err := d.Err(); err != nil {
-		return Status{}, err
-	}
-	return s, nil
+// Fields declares the STATUS layout.
+func (s *Status) Fields(w wire.Walker) {
+	w.String(&s.Name)
+	w.Uint32(&s.Index)
+	w.Bool(&s.Quorate)
+	w.Uint32(&s.Shards)
+	// A peer takes at least two string lengths, two flags, a duration
+	// and a count.
+	wire.Slice(w, &s.Peers, 22, maxClusterSize, func(w wire.Walker, p *PeerStatus) { p.Fields(w) })
 }
 
 // FetchStatus asks the member listening on the given cluster address
@@ -137,5 +98,9 @@ func FetchStatus(addr string, timeout time.Duration) (Status, error) {
 	if f.Type != msgStatus {
 		return Status{}, fmt.Errorf("cluster: unexpected frame 0x%04x to status probe", f.Type)
 	}
-	return decodeStatus(f.Payload)
+	var s Status
+	if err := wire.Unmarshal(f.Payload, &s); err != nil {
+		return Status{}, err
+	}
+	return s, nil
 }

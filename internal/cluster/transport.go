@@ -71,19 +71,20 @@ func (m *Member) serveConn(nc net.Conn) {
 		}
 		switch f.Type {
 		case msgPing:
-			g, derr := decodeGossip(f.Payload)
-			if derr != nil {
+			var g gossipMsg
+			if wire.Unmarshal(f.Payload, &g) != nil {
 				return
 			}
 			m.merge(g, true)
 			m.mu.Lock()
 			reply := m.gossipLocked(time.Now())
 			m.mu.Unlock()
-			if err := conn.Send(msgPong, reply.encode()); err != nil {
+			if err := conn.Send(msgPong, wire.Marshal(&reply)); err != nil {
 				return
 			}
 		case msgStatusReq:
-			if err := conn.Send(msgStatus, m.Status().encode()); err != nil {
+			st := m.Status()
+			if err := conn.Send(msgStatus, wire.Marshal(&st)); err != nil {
 				return
 			}
 		default:

@@ -138,7 +138,8 @@ func TestUnsentOfferReleasesFreshLease(t *testing.T) {
 		srv.serveConn(server)
 	}()
 	c := wire.NewConn(client)
-	if err := c.Send(msgRequest, catalogRequest().encode()); err != nil {
+	req := catalogRequest()
+	if err := c.Send(msgRequest, wire.Marshal(&req)); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -174,7 +175,7 @@ func TestSendErrorsCounted(t *testing.T) {
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	renewal := catalogRequest()
+	req, renewal := catalogRequest(), catalogRequest()
 	renewal.LeaseID, renewal.CurrentChecksum = offer.LeaseID, offer.DriverChecksum
 	for _, x := range []struct {
 		name       string
@@ -183,11 +184,11 @@ func TestSendErrorsCounted(t *testing.T) {
 		payload    []byte
 	}{
 		{"DRIVOLUTION_ERROR", srv, 0x7fff, msgError, nil},
-		{"DISCOVER's OFFER", srv, msgDiscover, msgOffer, catalogRequest().encode()},
-		{"REDIRECT", elsewhere, msgRequest, msgRedirect, catalogRequest().encode()},
-		{"FILE_DATA", srv, msgFileRequest, msgFileData, fileRequest{LeaseID: offer.LeaseID}.encode()},
-		{"a renewal's OFFER", srv, msgRequest, msgOffer, renewal.encode()},
-		{"RELEASE_OK", srv, msgRelease, msgReleaseOK, releaseMsg{LeaseID: offer.LeaseID}.encode()},
+		{"DISCOVER's OFFER", srv, msgDiscover, msgOffer, wire.Marshal(&req)},
+		{"REDIRECT", elsewhere, msgRequest, msgRedirect, wire.Marshal(&req)},
+		{"FILE_DATA", srv, msgFileRequest, msgFileData, wire.Marshal(&fileRequest{LeaseID: offer.LeaseID})},
+		{"a renewal's OFFER", srv, msgRequest, msgOffer, wire.Marshal(&renewal)},
+		{"RELEASE_OK", srv, msgRelease, msgReleaseOK, wire.Marshal(&releaseMsg{LeaseID: offer.LeaseID})},
 	} {
 		for _, read := range []bool{true, false} {
 			before := x.srv.Counters().SendErrors

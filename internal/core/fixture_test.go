@@ -39,8 +39,8 @@ func decodeFileChunk(b []byte) (fileChunk, error) {
 	if len(b) < fileChunkHeadLen {
 		return fileChunk{}, fmt.Errorf("FILE_DATA payload of %d bytes", len(b))
 	}
-	h, err := decodeFileChunkHead(b[:fileChunkHeadLen])
-	if err != nil {
+	var h fileChunkHead
+	if err := wire.Unmarshal(b[:fileChunkHeadLen], &h); err != nil {
 		return fileChunk{}, err
 	}
 	if int(h.Len) != len(b)-fileChunkHeadLen {

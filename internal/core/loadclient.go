@@ -152,14 +152,14 @@ func (c *LeaseClient) payload(f wire.Frame, want uint16) ([]byte, error) {
 	case want:
 		return f.Payload, nil
 	case msgError:
-		pe, derr := decodeProtocolError(f.Payload)
-		if derr != nil {
+		pe := new(ProtocolError)
+		if derr := wire.Unmarshal(f.Payload, pe); derr != nil {
 			return nil, c.fail(derr)
 		}
 		return nil, pe
 	case msgRedirect:
-		re, derr := decodeRedirect(f.Payload)
-		if derr != nil {
+		re := new(Redirect)
+		if derr := wire.Unmarshal(f.Payload, re); derr != nil {
 			return nil, c.fail(derr)
 		}
 		return nil, re
@@ -172,7 +172,7 @@ func (c *LeaseClient) payload(f wire.Frame, want uint16) ([]byte, error) {
 // its file follows leaves that file pending on the connection.
 func (c *LeaseClient) offer(typ uint16, req Request) (Offer, error) {
 	c.enc.Reset()
-	req.encodeTo(&c.enc)
+	req.Fields(wire.Writing(&c.enc))
 	if !c.declared {
 		c.enc.Uint8(capFilePush)
 		c.declared = true
@@ -238,7 +238,7 @@ func (c *LeaseClient) fetchFile(leaseID uint64, dst []byte) (int, error) {
 		c.pushed = nil
 		return c.recvFile(dst, int64(p.size), true)
 	}
-	if err := c.send(msgFileRequest, fileRequest{LeaseID: leaseID}.encode()); err != nil {
+	if err := c.send(msgFileRequest, wire.Marshal(&fileRequest{LeaseID: leaseID})); err != nil {
 		return 0, err
 	}
 	total := int64(len(dst))
@@ -307,8 +307,10 @@ func (s *fileSink) frame(typ uint16, size int, body io.Reader) error {
 	if _, err := io.ReadFull(body, hb[:]); err != nil {
 		return fmt.Errorf("core: read FILE_DATA head: %w", err)
 	}
-	h, err := decodeFileChunkHead(hb[:])
-	if err != nil {
+	var h fileChunkHead
+	d := wire.NewDecoder(hb[:])
+	h.Fields(wire.Reading(d))
+	if err := d.Err(); err != nil {
 		return err
 	}
 	if int64(size) != fileChunkHeadLen+int64(h.Len) {
@@ -343,7 +345,7 @@ func (s *fileSink) frame(typ uint16, size int, body io.Reader) error {
 // (database, api) (§3.2): the server answers nothing until it NOTIFYs.
 // After it the client serves only WaitNotify.
 func (c *LeaseClient) Subscribe(database, api string) error {
-	return c.send(msgSubscribe, subscribeMsg{Database: database, API: api}.encode())
+	return c.send(msgSubscribe, wire.Marshal(&subscribeMsg{Database: database, API: api}))
 }
 
 // WaitNotify blocks, with no deadline, until the server sends a NOTIFY
@@ -364,6 +366,6 @@ func (c *LeaseClient) WaitNotify() error {
 
 // Release gives a lease back (msgRelease, license mode §5.4.2).
 func (c *LeaseClient) Release(leaseID uint64) error {
-	_, err := c.exchange(msgRelease, releaseMsg{LeaseID: leaseID}.encode(), msgReleaseOK)
+	_, err := c.exchange(msgRelease, wire.Marshal(&releaseMsg{LeaseID: leaseID}), msgReleaseOK)
 	return err
 }

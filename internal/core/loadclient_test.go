@@ -74,9 +74,9 @@ func TestLeaseClientCleanErrorsKeepClientUsable(t *testing.T) {
 			typ     uint16
 			payload []byte
 		}{
-			{msgError, encodeProtocolError(ErrCodeNoDriver, "nothing matches")},
-			{msgRedirect, (&Redirect{Addr: "10.0.0.7:7070", Server: "owner"}).encode()},
-			{msgOffer, Offer{LeaseID: 42, LeaseTime: time.Minute}.encode()},
+			{msgError, wire.Marshal(&ProtocolError{Code: ErrCodeNoDriver, Message: "nothing matches"})},
+			{msgRedirect, wire.Marshal(&Redirect{Addr: "10.0.0.7:7070", Server: "owner"})},
+			{msgOffer, wire.Marshal(&Offer{LeaseID: 42, LeaseTime: time.Minute})},
 			{msgReleaseOK, nil},
 		}
 		for _, r := range replies {
@@ -263,7 +263,8 @@ func TestTransferBoundedByOffer(t *testing.T) {
 			e.Uint16(wire.Magic)
 			e.Uint16(msgFileData)
 			e.Uint32(fileChunkHeadLen + huge) // the frame's payload length
-			fileChunkHead{Offset: 0, Total: huge, Last: true, Len: huge}.encodeTo(e)
+			head := fileChunkHead{Offset: 0, Total: huge, Last: true, Len: huge}
+			head.Fields(wire.Writing(e))
 			nc.Write(e.Bytes())
 			<-done // the data never comes
 		})
@@ -294,7 +295,8 @@ func FuzzFileSink(f *testing.F) {
 	const recLen = fileChunkHeadLen + 4
 	rec := func(off, total uint32, last bool, n, frameLen uint32) []byte {
 		e := wire.NewEncoder(recLen)
-		fileChunkHead{Offset: off, Total: total, Last: last, Len: n}.encodeTo(e)
+		head := fileChunkHead{Offset: off, Total: total, Last: last, Len: n}
+		head.Fields(wire.Writing(e))
 		e.Uint32(frameLen)
 		return e.Bytes()
 	}
@@ -316,18 +318,19 @@ func FuzzFileSink(f *testing.F) {
 			head := stream[:fileChunkHeadLen]
 			size := int(binary.BigEndian.Uint32(stream[fileChunkHeadLen:recLen]) % (wire.MaxPayload + 1))
 			stream = stream[recLen:]
-			h, err := decodeFileChunkHead(head)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var h fileChunkHead
+			herr := wire.Unmarshal(head, &h)
 			body := &io.LimitedReader{R: io.MultiReader(bytes.NewReader(head), fillReader(k)), N: int64(size)}
 			from := sink.got
-			err = sink.frame(msgFileData, size, body)
+			err := sink.frame(msgFileData, size, body)
 			if data := int64(size) - body.N - min(fileChunkHeadLen, int64(size)); data > 0 && (err != nil || sink.dst == nil) {
 				t.Fatalf("read %d data bytes of a chunk it refused (%v) or was discarding", data, err)
 			}
 			if err != nil {
 				return // the client is poisoned: nothing further is read
+			}
+			if herr != nil {
+				t.Fatalf("accepted a chunk whose head does not decode: %v", herr)
 			}
 			if int64(h.Offset) != from || sink.got != from+int64(h.Len) {
 				t.Fatalf("accepted a chunk at %d+%d with %d bytes held", h.Offset, h.Len, from)
@@ -353,7 +356,7 @@ func (b fillReader) Read(p []byte) (int, error) {
 }
 
 // pushedOffer is the payload of an OFFER whose file follows it.
-func pushedOffer(o Offer) []byte { return append(o.encode(), 1) }
+func pushedOffer(o Offer) []byte { return append(wire.Marshal(&o), 1) }
 
 // upgradePending takes a LeaseClient through a bootstrap, its transfer
 // and a checksum-acking renewal against the fixture's server, publishes
@@ -471,7 +474,8 @@ func TestPushedFileHeldToOffer(t *testing.T) {
 				e.Uint16(wire.Magic)
 				e.Uint16(msgFileData)
 				e.Uint32(fileChunkHeadLen + huge) // the frame's payload length
-				fileChunkHead{Offset: 0, Total: huge, Last: true, Len: huge}.encodeTo(e)
+				head := fileChunkHead{Offset: 0, Total: huge, Last: true, Len: huge}
+				head.Fields(wire.Writing(e))
 				b.Write(e.Bytes())
 				nc.Write(b.Bytes())
 				<-done // the data never comes
@@ -514,7 +518,7 @@ func TestPushFallsBackToFileRequest(t *testing.T) {
 			case msgRequest:
 				_, caps, _ := decodeRequest(f.Payload, Request{})
 				frames <- seen{f.Type, caps}
-				conn.Send(msgOffer, Offer{LeaseID: 7, HasDriver: true, Size: 8}.encode())
+				conn.Send(msgOffer, wire.Marshal(&Offer{LeaseID: 7, HasDriver: true, Size: 8}))
 			case msgFileRequest:
 				frames <- seen{typ: f.Type}
 				conn.Send(msgFileData, fileChunk{Total: 8, Last: true, Data: []byte("abcdefgh")}.encode())
@@ -556,19 +560,19 @@ func TestCapabilityLessUpgradeGetsTwoExchanges(t *testing.T) {
 	}
 	request := func(req Request) (Offer, bool) {
 		t.Helper()
-		if err := conn.Send(msgRequest, req.encode()); err != nil {
+		if err := conn.Send(msgRequest, wire.Marshal(&req)); err != nil {
 			t.Fatal(err)
 		}
 		fr := recv()
 		o, fileFollows, err := decodeOffer(fr.Payload, Offer{})
-		if fr.Type != msgOffer || err != nil || !bytes.Equal(fr.Payload, o.encode()) {
+		if fr.Type != msgOffer || err != nil || !bytes.Equal(fr.Payload, wire.Marshal(&o)) {
 			t.Fatalf("frame 0x%04x (%v): want an OFFER that ends at ServerName", fr.Type, err)
 		}
 		return o, fileFollows
 	}
 	fetch := func(leaseID uint64) {
 		t.Helper()
-		if err := conn.Send(msgFileRequest, fileRequest{LeaseID: leaseID}.encode()); err != nil {
+		if err := conn.Send(msgFileRequest, wire.Marshal(&fileRequest{LeaseID: leaseID})); err != nil {
 			t.Fatal(err)
 		}
 		for {
@@ -593,7 +597,7 @@ func TestCapabilityLessUpgradeGetsTwoExchanges(t *testing.T) {
 	fetch(req.LeaseID)
 	// Had the server pushed the file too, this RELEASE's answer would
 	// queue behind a second FILE_DATA stream.
-	if err := conn.Send(msgRelease, releaseMsg{LeaseID: req.LeaseID}.encode()); err != nil {
+	if err := conn.Send(msgRelease, wire.Marshal(&releaseMsg{LeaseID: req.LeaseID})); err != nil {
 		t.Fatal(err)
 	}
 	if fr := recv(); fr.Type != msgReleaseOK {

@@ -121,29 +121,23 @@ type Request struct {
 // the byte; an old client never sends it, so it is never pushed to.
 const capFilePush uint8 = 1
 
-func (r Request) encode() []byte {
-	e := wire.NewEncoder(256)
-	r.encodeTo(e)
-	return e.Bytes()
-}
-
-// encodeTo writes the request into a caller-owned encoder.
-func (r Request) encodeTo(e *wire.Encoder) {
-	e.String(r.Database)
-	e.String(r.User)
-	e.String(r.Password)
-	e.String(r.API.Name)
-	e.Int32(int32(r.API.Major))
-	e.Int32(int32(r.API.Minor))
-	e.String(string(r.ClientPlatform))
-	e.String(r.PreferredFormat)
-	e.Int32(int32(r.PreferredVersion.Major))
-	e.Int32(int32(r.PreferredVersion.Minor))
-	e.Int32(int32(r.PreferredVersion.Micro))
-	e.StringSlice(r.RequiredPackages)
-	e.Uint64(r.LeaseID)
-	e.String(r.CurrentChecksum)
-	e.String(r.ClientID)
+// Fields declares the REQUEST (and DISCOVER) layout.
+func (r *Request) Fields(w wire.Walker) {
+	w.String(&r.Database)
+	w.String(&r.User)
+	w.String(&r.Password)
+	w.String(&r.API.Name)
+	wire.Int32(w, &r.API.Major)
+	wire.Int32(w, &r.API.Minor)
+	w.String((*string)(&r.ClientPlatform))
+	w.String(&r.PreferredFormat)
+	wire.Int32(w, &r.PreferredVersion.Major)
+	wire.Int32(w, &r.PreferredVersion.Minor)
+	wire.Int32(w, &r.PreferredVersion.Micro)
+	w.StringSlice(&r.RequiredPackages)
+	w.Uint64(&r.LeaseID)
+	w.String(&r.CurrentChecksum)
+	w.String(&r.ClientID)
 }
 
 // decodeRequest decodes a REQUEST or DISCOVER and the capability byte
@@ -151,23 +145,8 @@ func (r Request) encodeTo(e *wire.Encoder) {
 // prev's, not a copy: a connection's renewals repeat all of theirs.
 func decodeRequest(b []byte, prev Request) (Request, uint8, error) {
 	d := wire.NewDecoder(b)
-	r := Request{
-		Database: d.StringLike(prev.Database),
-		User:     d.StringLike(prev.User),
-		Password: d.StringLike(prev.Password),
-	}
-	r.API.Name = d.StringLike(prev.API.Name)
-	r.API.Major = int(d.Int32())
-	r.API.Minor = int(d.Int32())
-	r.ClientPlatform = dbver.Platform(d.StringLike(string(prev.ClientPlatform)))
-	r.PreferredFormat = d.StringLike(prev.PreferredFormat)
-	r.PreferredVersion.Major = int(d.Int32())
-	r.PreferredVersion.Minor = int(d.Int32())
-	r.PreferredVersion.Micro = int(d.Int32())
-	r.RequiredPackages = d.StringSlice()
-	r.LeaseID = d.Uint64()
-	r.CurrentChecksum = d.StringLike(prev.CurrentChecksum)
-	r.ClientID = d.StringLike(prev.ClientID)
+	r := prev
+	r.Fields(wire.Reading(d))
 	var caps uint8
 	if d.Remaining() > 0 {
 		caps = d.Uint8()
@@ -200,25 +179,18 @@ type Offer struct {
 	ServerName string
 }
 
-func (o Offer) encode() []byte {
-	e := wire.NewEncoder(128)
-	o.encodeTo(e)
-	return e.Bytes()
-}
-
-// encodeTo writes the offer into a caller-owned (typically pooled)
-// encoder.
-func (o Offer) encodeTo(e *wire.Encoder) {
-	e.Uint64(o.LeaseID)
-	e.Duration(o.LeaseTime)
-	e.Int32(int32(o.RenewPolicy))
-	e.Int32(int32(o.ExpirationPolicy))
-	e.Int32(int32(o.TransferMethod))
-	e.Bool(o.HasDriver)
-	e.String(o.DriverChecksum)
-	e.String(o.Format)
-	e.Uint32(o.Size)
-	e.String(o.ServerName)
+// Fields declares the OFFER layout.
+func (o *Offer) Fields(w wire.Walker) {
+	w.Uint64(&o.LeaseID)
+	w.Duration(&o.LeaseTime)
+	wire.Int32(w, &o.RenewPolicy)
+	wire.Int32(w, &o.ExpirationPolicy)
+	wire.Int32(w, &o.TransferMethod)
+	w.Bool(&o.HasDriver)
+	w.String(&o.DriverChecksum)
+	w.String(&o.Format)
+	w.Uint32(&o.Size)
+	w.String(&o.ServerName)
 }
 
 // decodeOffer decodes an OFFER and its trailing "file follows" flag:
@@ -228,33 +200,16 @@ func (o Offer) encodeTo(e *wire.Encoder) {
 // not a copy.
 func decodeOffer(b []byte, prev Offer) (Offer, bool, error) {
 	d := wire.NewDecoder(b)
-	o := Offer{
-		LeaseID:          d.Uint64(),
-		LeaseTime:        d.Duration(),
-		RenewPolicy:      RenewPolicy(d.Int32()),
-		ExpirationPolicy: ExpirationPolicy(d.Int32()),
-		TransferMethod:   TransferMethod(d.Int32()),
-		HasDriver:        d.Bool(),
-		DriverChecksum:   d.StringLike(prev.DriverChecksum),
-		Format:           d.StringLike(prev.Format),
-		Size:             d.Uint32(),
-		ServerName:       d.StringLike(prev.ServerName),
-	}
+	o := prev
+	o.Fields(wire.Reading(d))
 	fileFollows := d.Remaining() > 0 && d.Bool()
 	return o, fileFollows, d.Err()
 }
 
-func encodeProtocolError(code ErrorCode, msg string) []byte {
-	e := wire.NewEncoder(len(msg) + 8)
-	e.Uint16(uint16(code))
-	e.String(msg)
-	return e.Bytes()
-}
-
-func decodeProtocolError(b []byte) (*ProtocolError, error) {
-	d := wire.NewDecoder(b)
-	pe := &ProtocolError{Code: ErrorCode(d.Uint16()), Message: d.String()}
-	return pe, d.Err()
+// Fields declares the DRIVOLUTION_ERROR layout.
+func (e *ProtocolError) Fields(w wire.Walker) {
+	w.Uint16((*uint16)(&e.Code))
+	w.String(&e.Message)
 }
 
 // Redirect is the payload of msgRedirect: the answer a cluster member
@@ -282,17 +237,10 @@ func (r *Redirect) Error() string {
 	return fmt.Sprintf("drivolution: redirected to %s (%s)", r.Addr, r.Server)
 }
 
-func (r *Redirect) encode() []byte {
-	e := wire.NewEncoder(64)
-	e.String(r.Addr)
-	e.String(r.Server)
-	return e.Bytes()
-}
-
-func decodeRedirect(b []byte) (*Redirect, error) {
-	d := wire.NewDecoder(b)
-	r := &Redirect{Addr: d.String(), Server: d.String()}
-	return r, d.Err()
+// Fields declares the REDIRECT layout.
+func (r *Redirect) Fields(w wire.Walker) {
+	w.String(&r.Addr)
+	w.String(&r.Server)
 }
 
 // fileRequest asks for the driver binary of a lease.
@@ -300,17 +248,7 @@ type fileRequest struct {
 	LeaseID uint64
 }
 
-func (f fileRequest) encode() []byte {
-	e := wire.NewEncoder(8)
-	e.Uint64(f.LeaseID)
-	return e.Bytes()
-}
-
-func decodeFileRequest(b []byte) (fileRequest, error) {
-	d := wire.NewDecoder(b)
-	f := fileRequest{LeaseID: d.Uint64()}
-	return f, d.Err()
-}
+func (f *fileRequest) Fields(w wire.Walker) { w.Uint64(&f.LeaseID) }
 
 // transferChunkSize is the FILE_DATA chunk size; drivers larger than one
 // chunk stream across multiple frames like the paper's FTP-like protocol.
@@ -331,25 +269,14 @@ type fileChunkHead struct {
 
 const fileChunkHeadLen = 4 + 4 + 1 + 4
 
-// encodeTo writes the head into a caller-owned encoder; with the data
-// bytes behind it on the wire, the frame payload reads as offset,
-// total, last flag and one length-prefixed byte field.
-func (h fileChunkHead) encodeTo(e *wire.Encoder) {
-	e.Uint32(h.Offset)
-	e.Uint32(h.Total)
-	e.Bool(h.Last)
-	e.Uint32(h.Len)
-}
-
-func decodeFileChunkHead(b []byte) (fileChunkHead, error) {
-	d := wire.NewDecoder(b)
-	h := fileChunkHead{
-		Offset: d.Uint32(),
-		Total:  d.Uint32(),
-		Last:   d.Bool(),
-		Len:    d.Uint32(),
-	}
-	return h, d.Err()
+// Fields declares the head; with the data bytes behind it on the wire,
+// the frame payload reads as offset, total, last flag and one
+// length-prefixed byte field.
+func (h *fileChunkHead) Fields(w wire.Walker) {
+	w.Uint32(&h.Offset)
+	w.Uint32(&h.Total)
+	w.Bool(&h.Last)
+	w.Uint32(&h.Len)
 }
 
 // subscribeMsg opens a dedicated update channel for (database, api).
@@ -358,17 +285,9 @@ type subscribeMsg struct {
 	API      string
 }
 
-func (s subscribeMsg) encode() []byte {
-	e := wire.NewEncoder(64)
-	e.String(s.Database)
-	e.String(s.API)
-	return e.Bytes()
-}
-
-func decodeSubscribe(b []byte) (subscribeMsg, error) {
-	d := wire.NewDecoder(b)
-	s := subscribeMsg{Database: d.String(), API: d.String()}
-	return s, d.Err()
+func (s *subscribeMsg) Fields(w wire.Walker) {
+	w.String(&s.Database)
+	w.String(&s.API)
 }
 
 // releaseMsg gives back a lease (license server mode, §5.4.2).
@@ -376,14 +295,4 @@ type releaseMsg struct {
 	LeaseID uint64
 }
 
-func (r releaseMsg) encode() []byte {
-	e := wire.NewEncoder(8)
-	e.Uint64(r.LeaseID)
-	return e.Bytes()
-}
-
-func decodeRelease(b []byte) (releaseMsg, error) {
-	d := wire.NewDecoder(b)
-	r := releaseMsg{LeaseID: d.Uint64()}
-	return r, d.Err()
-}
+func (r *releaseMsg) Fields(w wire.Walker) { w.Uint64(&r.LeaseID) }

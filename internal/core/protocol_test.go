@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"net"
 	"reflect"
@@ -28,7 +29,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		CurrentChecksum:  "abc123",
 		ClientID:         "host-7",
 	}
-	out, _, err := decodeRequest(in.encode(), Request{})
+	out, _, err := decodeRequest(wire.Marshal(&in), Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +71,9 @@ func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 		want    any
 		body    bool // frame k+1 is a FILE_DATA read through RecvBody
 	}{
-		{"REQUEST", req.encode(), decodeReq, req, false},
-		{"OFFER", offer.encode(), decodeOff, offer, false},
-		{"OFFER, then its pushed FILE_DATA", offer.encode(), decodeOff, offer, true},
+		{"REQUEST", wire.Marshal(&req), decodeReq, req, false},
+		{"OFFER", wire.Marshal(&offer), decodeOff, offer, false},
+		{"OFFER, then its pushed FILE_DATA", wire.Marshal(&offer), decodeOff, offer, true},
 	} {
 		a, b := net.Pipe()
 		next := wire.Frame{Type: msgFileData, Payload: bytes.Repeat([]byte{0xff}, len(tc.payload))}
@@ -132,7 +133,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 		// against one whose strings sit in each other's fields.
 		swapped := Request{Database: user, User: pw, Password: db, CurrentChecksum: cid, ClientID: sum}
 		for _, prev := range []Request{{}, in, swapped} {
-			out, _, err := decodeRequest(in.encode(), prev)
+			out, _, err := decodeRequest(wire.Marshal(&in), prev)
 			if err != nil || out.Database != db || out.User != user || out.Password != pw ||
 				out.LeaseID != lease || out.CurrentChecksum != sum || out.ClientID != cid {
 				return false
@@ -150,12 +151,12 @@ func TestRequestRoundTripProperty(t *testing.T) {
 func TestDecodeReusesRepeatedStrings(t *testing.T) {
 	req := catalogRequest()
 	req.LeaseID, req.CurrentChecksum, req.ClientID = 7, "sum-1", "host-1"
-	prev, _, err := decodeRequest(req.encode(), Request{})
+	prev, _, err := decodeRequest(wire.Marshal(&req), Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.ClientID = "host-2"
-	next, _, err := decodeRequest(req.encode(), prev)
+	next, _, err := decodeRequest(wire.Marshal(&req), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +169,11 @@ func TestDecodeReusesRepeatedStrings(t *testing.T) {
 		t.Fatalf("a changed ClientID decoded as %q", next.ClientID)
 	}
 	o := Offer{LeaseID: 7, DriverChecksum: "sum-1", Format: "IMAGE", ServerName: "srv"}
-	first, _, err := decodeOffer(o.encode(), Offer{})
+	first, _, err := decodeOffer(wire.Marshal(&o), Offer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := decodeOffer(o.encode(), first)
+	second, _, err := decodeOffer(wire.Marshal(&o), first)
 	if err != nil || second != first || !same(second.DriverChecksum, first.DriverChecksum) ||
 		!same(second.Format, first.Format) || !same(second.ServerName, first.ServerName) {
 		t.Fatalf("a repeated OFFER string was copied: %+v, %v", second, err)
@@ -195,7 +196,7 @@ func TestOfferRoundTripProperty(t *testing.T) {
 		}
 		swapped := Offer{DriverChecksum: server, Format: checksum, ServerName: format}
 		for _, prev := range []Offer{{}, in, swapped} {
-			if out, _, err := decodeOffer(in.encode(), prev); err != nil || out != in {
+			if out, _, err := decodeOffer(wire.Marshal(&in), prev); err != nil || out != in {
 				return false
 			}
 		}
@@ -209,8 +210,8 @@ func TestOfferRoundTripProperty(t *testing.T) {
 func TestProtocolErrorRoundTrip(t *testing.T) {
 	for _, code := range []ErrorCode{ErrCodeNoDriver, ErrCodeAuth, ErrCodeRevoked,
 		ErrCodeNoLease, ErrCodeTransfer, ErrCodeInternal} {
-		pe, err := decodeProtocolError(encodeProtocolError(code, "detail: "+code.String()))
-		if err != nil {
+		pe := new(ProtocolError)
+		if err := wire.Unmarshal(wire.Marshal(&ProtocolError{Code: code, Message: "detail: " + code.String()}), pe); err != nil {
 			t.Fatal(err)
 		}
 		if pe.Code != code || pe.Message != "detail: "+code.String() {
@@ -245,14 +246,64 @@ func TestFileChunkRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncatedMessages(t *testing.T) {
-	req := Request{Database: "prod", API: dbver.APIOf("JDBC", 3, 0)}.encode()
+	req := wire.Marshal(&Request{Database: "prod", API: dbver.APIOf("JDBC", 3, 0)})
 	for _, cut := range []int{1, len(req) / 2, len(req) - 1} {
 		if _, _, err := decodeRequest(req[:cut], Request{}); err == nil {
 			t.Errorf("decodeRequest accepted a %d-byte truncation", cut)
 		}
 	}
-	offer := Offer{LeaseID: 1, Format: "IMAGE"}.encode()
+	offer := wire.Marshal(&Offer{LeaseID: 1, Format: "IMAGE"})
 	if _, _, err := decodeOffer(offer[:4], Offer{}); err == nil {
 		t.Error("decodeOffer accepted truncation")
 	}
+}
+
+// FuzzLeaseFrames feeds arbitrary bytes to every declared lease-protocol
+// frame. None may panic; a frame that decodes must re-encode to exactly
+// the bytes it consumed, so each layout has one encoding; and REQUEST
+// and OFFER decoded over a previous message (the connection's reuse of
+// repeated strings) must decode to what they decode to alone. The seed
+// corpus — every golden frame and its truncations — runs in `go test`.
+func FuzzLeaseFrames(f *testing.F) {
+	for _, g := range goldenFrames() {
+		b, _ := hex.DecodeString(g.wantHex)
+		for n := 0; n < len(b); n += 5 {
+			f.Add(b[:n])
+		}
+		f.Add(b)
+	}
+	frames := []func() wire.Message{
+		func() wire.Message { return new(Request) },
+		func() wire.Message { return new(Offer) },
+		func() wire.Message { return new(ProtocolError) },
+		func() wire.Message { return new(Redirect) },
+		func() wire.Message { return new(fileRequest) },
+		func() wire.Message { return new(fileChunkHead) },
+		func() wire.Message { return new(subscribeMsg) },
+		func() wire.Message { return new(releaseMsg) },
+	}
+	prevReq, prevOffer := goldenRequest(), goldenOffer()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, fresh := range frames {
+			m := fresh()
+			d := wire.NewDecoder(b)
+			m.Fields(wire.Reading(d))
+			if d.Err() != nil {
+				continue
+			}
+			if got, want := wire.Marshal(m), b[:len(b)-d.Remaining()]; !bytes.Equal(got, want) {
+				t.Fatalf("%T %+v re-encodes as\n %x\nnot the bytes it decoded from\n %x", m, m, got, want)
+			}
+		}
+		r, caps, err := decodeRequest(b, Request{})
+		r2, caps2, err2 := decodeRequest(b, prevReq)
+		if (err == nil) != (err2 == nil) || err == nil && (!reflect.DeepEqual(r, r2) || caps != caps2) {
+			t.Fatalf("REQUEST decodes as %+v (%v) alone, %+v (%v) over a previous one", r, err, r2, err2)
+		}
+		o, ff, err := decodeOffer(b, Offer{})
+		o2, ff2, err2 := decodeOffer(b, prevOffer)
+		if (err == nil) != (err2 == nil) || err == nil && (o != o2 || ff != ff2) {
+			t.Fatalf("OFFER decodes as %+v (%v) alone, %+v (%v) over a previous one", o, err, o2, err2)
+		}
+	})
 }

@@ -520,7 +520,7 @@ func (s *Server) serveConn(nc net.Conn) {
 
 func (s *Server) sendError(conn *wire.Conn, code ErrorCode, msg string) {
 	s.errsSent.Add(1)
-	s.sent(conn.Send(msgError, encodeProtocolError(code, msg)))
+	s.sent(conn.Send(msgError, wire.Marshal(&ProtocolError{Code: code, Message: msg})))
 }
 
 // sent counts a reply whose send failed and returns err. The session
@@ -599,7 +599,7 @@ func (s *Server) handleDiscover(conn *wire.Conn, payload []byte, st *connState) 
 // hot path.
 func (s *Server) sendOffer(conn *wire.Conn, o Offer) error {
 	e := wire.GetEncoder(128)
-	o.encodeTo(e)
+	o.Fields(wire.Writing(e))
 	err := conn.Send(msgOffer, e.Bytes())
 	wire.PutEncoder(e)
 	return err
@@ -629,7 +629,7 @@ func (s *Server) handleRequest(conn *wire.Conn, payload []byte, st *connState) {
 	if perr != nil {
 		if perr.redirect != nil {
 			s.redirects.Add(1)
-			s.sent(conn.Send(msgRedirect, perr.redirect.encode()))
+			s.sent(conn.Send(msgRedirect, wire.Marshal(perr.redirect)))
 			return
 		}
 		s.sendError(conn, perr.Code, perr.Message)
@@ -639,7 +639,7 @@ func (s *Server) handleRequest(conn *wire.Conn, payload []byte, st *connState) {
 	if req.LeaseID != 0 && offer.HasDriver && st.caps&capFilePush != 0 {
 		if blob, ok := s.staged(offer.LeaseID); ok {
 			e := wire.GetEncoder(128)
-			offer.encodeTo(e)
+			offer.Fields(wire.Writing(e))
 			e.Bool(true) // file follows
 			s.sendFile(conn, blob, e.Bytes())
 			wire.PutEncoder(e)
@@ -690,8 +690,8 @@ func (s *Server) grantSerialized(req Request, isTLS bool) (Offer, *ProtocolError
 }
 
 func (s *Server) handleFileRequest(conn *wire.Conn, payload []byte) {
-	fr, err := decodeFileRequest(payload)
-	if err != nil {
+	var fr fileRequest
+	if err := wire.Unmarshal(payload, &fr); err != nil {
 		s.sendError(conn, ErrCodeInternal, "malformed file request")
 		return
 	}
@@ -724,7 +724,8 @@ func (s *Server) sendFile(conn *wire.Conn, blob, offer []byte) {
 		}
 		last := end == total
 		head.Reset()
-		fileChunkHead{Offset: off, Total: total, Last: last, Len: end - off}.encodeTo(head)
+		h := fileChunkHead{Offset: off, Total: total, Last: last, Len: end - off}
+		h.Fields(wire.Writing(head))
 		// Count before sending: a client holding the last chunk may read
 		// Counters() at once and must find its own transfer there.
 		s.bytesOut.Add(int64(end - off))
@@ -747,8 +748,8 @@ func (s *Server) sendFile(conn *wire.Conn, blob, offer []byte) {
 }
 
 func (s *Server) handleSubscribe(conn *wire.Conn, payload []byte) bool {
-	sub, err := decodeSubscribe(payload)
-	if err != nil {
+	var sub subscribeMsg
+	if err := wire.Unmarshal(payload, &sub); err != nil {
 		s.sendError(conn, ErrCodeInternal, "malformed subscribe")
 		return false
 	}
@@ -765,8 +766,8 @@ func (s *Server) dropSubscriber(conn *wire.Conn) {
 }
 
 func (s *Server) handleRelease(conn *wire.Conn, payload []byte) {
-	rel, err := decodeRelease(payload)
-	if err != nil {
+	var rel releaseMsg
+	if err := wire.Unmarshal(payload, &rel); err != nil {
 		s.sendError(conn, ErrCodeInternal, "malformed release")
 		return
 	}
@@ -794,7 +795,7 @@ func (s *Server) NotifyUpdate(database, api string) {
 		}
 	}
 	s.subMu.Unlock()
-	payload := subscribeMsg{Database: database, API: api}.encode()
+	payload := wire.Marshal(&subscribeMsg{Database: database, API: api})
 	for _, c := range conns {
 		if err := c.Send(msgNotify, payload); err != nil {
 			// The conn's write timeout already bounded how long this

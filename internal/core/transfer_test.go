@@ -252,7 +252,7 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 		API: dbver.APIOf("JDBC", 3, 0), ClientPlatform: dbver.PlatformLinuxAMD64,
 		ClientID: "pending-test",
 	}
-	if err := conn.Send(msgRequest, req.encode()); err != nil {
+	if err := conn.Send(msgRequest, wire.Marshal(&req)); err != nil {
 		t.Fatal(err)
 	}
 	fr, err := conn.RecvTimeout(2 * time.Second)
@@ -268,7 +268,7 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 	// retry a failed verify before renewing).
 	fetchFile := func() bool {
 		t.Helper()
-		if err := conn.Send(msgFileRequest, fileRequest{LeaseID: offer.LeaseID}.encode()); err != nil {
+		if err := conn.Send(msgFileRequest, wire.Marshal(&fileRequest{LeaseID: offer.LeaseID})); err != nil {
 			t.Fatal(err)
 		}
 		for {
@@ -307,7 +307,7 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 	renew := req
 	renew.LeaseID = offer.LeaseID
 	renew.CurrentChecksum = offer.DriverChecksum
-	if err := conn.Send(msgRequest, renew.encode()); err != nil {
+	if err := conn.Send(msgRequest, wire.Marshal(&renew)); err != nil {
 		t.Fatal(err)
 	}
 	fr, err = conn.RecvTimeout(2 * time.Second)

@@ -368,7 +368,7 @@ func TestTransferGoldenBytes(t *testing.T) {
 	}
 	req := Request{Database: "prod", User: "app", Password: "app-pw", API: dbver.APIOf("JDBC", 3, 0),
 		ClientPlatform: dbver.PlatformLinuxAMD64, ClientID: "golden"}
-	if err := wire.WriteFrame(nc, wire.Frame{Type: msgRequest, Payload: req.encode()}); err != nil {
+	if err := wire.WriteFrame(nc, wire.Frame{Type: msgRequest, Payload: wire.Marshal(&req)}); err != nil {
 		t.Fatal(err)
 	}
 	fr, err := wire.ReadFrame(nc)
@@ -379,7 +379,7 @@ func TestTransferGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(nc, wire.Frame{Type: msgFileRequest, Payload: fileRequest{LeaseID: offer.LeaseID}.encode()}); err != nil {
+	if err := wire.WriteFrame(nc, wire.Frame{Type: msgFileRequest, Payload: wire.Marshal(&fileRequest{LeaseID: offer.LeaseID})}); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(want))

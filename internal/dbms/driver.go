@@ -98,7 +98,7 @@ func (d *NativeDriver) Connect(rawURL string, props client.Props) (client.Conn, 
 		MinProtocolVersion: d.protoMin,
 		Capabilities:       capsForVersion(d.protoVersion) &^ d.withoutCaps,
 	}
-	if err := conn.Send(msgHello, hello.encode()); err != nil {
+	if err := conn.Send(msgHello, wire.Marshal(&hello)); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -112,8 +112,8 @@ func (d *NativeDriver) Connect(rawURL string, props client.Props) (client.Conn, 
 		conn.Close()
 		return nil, err
 	}
-	ok, err := decodeHelloOK(p)
-	if err != nil {
+	var ok helloOKMsg
+	if err := wire.Unmarshal(p, &ok); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dbms: handshake: %w", err)
 	}
@@ -131,11 +131,11 @@ func payload(f wire.Frame, want uint16) ([]byte, error) {
 	case want:
 		return f.Payload, nil
 	case msgError:
-		code, msg, err := decodeError(f.Payload)
-		if err != nil {
+		var se serverError
+		if err := wire.Unmarshal(f.Payload, &se); err != nil {
 			return nil, err
 		}
-		return nil, wrapServerError(code, msg)
+		return nil, wrapServerError(se.code, se.msg)
 	}
 	return nil, fmt.Errorf("dbms: unexpected frame 0x%04x (want 0x%04x)", f.Type, want)
 }
@@ -282,12 +282,12 @@ func (c *nativeConn) Prepare(sql string) (client.ConnStmt, error) {
 		return nil, fmt.Errorf("%w: remote prepared statements (session protocol %d)",
 			client.ErrNotSupported, c.proto)
 	}
-	p, err := c.roundTrip(msgPrepare, prepareMsg{SQL: sql}.encode(), msgPrepareOK)
+	p, err := c.roundTrip(msgPrepare, wire.Marshal(&prepareMsg{SQL: sql}), msgPrepareOK)
 	if err != nil {
 		return nil, err
 	}
-	ok, err := decodePrepareOK(p)
-	if err != nil {
+	var ok prepareOKMsg
+	if err := wire.Unmarshal(p, &ok); err != nil {
 		return nil, err
 	}
 	return &nativeStmt{c: c, handle: ok.Handle, sql: sql}, nil
@@ -321,7 +321,7 @@ func (st *nativeStmt) Close() error {
 		return nil
 	}
 	st.closed = true
-	_, err := st.c.roundTrip(msgCloseStmt, closeStmtMsg{Handle: st.handle}.encode(), msgCloseStmtOK)
+	_, err := st.c.roundTrip(msgCloseStmt, wire.Marshal(&closeStmtMsg{Handle: st.handle}), msgCloseStmtOK)
 	if errors.Is(err, client.ErrClosed) {
 		return nil // disconnect already released every handle
 	}
@@ -354,7 +354,7 @@ func (c *nativeConn) WatchVersions(names ...string) ([]uint64, error) {
 }
 
 func (c *nativeConn) probeVersions(m tableVersionsMsg) ([]uint64, error) {
-	p, err := c.roundTrip(msgTableVersions, m.encode(), msgTableVersionsOK)
+	p, err := c.roundTrip(msgTableVersions, wire.Marshal(&m), msgTableVersionsOK)
 	if err != nil {
 		return nil, err
 	}

@@ -22,9 +22,10 @@ func FuzzDbmsFrames(f *testing.F) {
 	res := &sqlmini.Result{Cols: []string{"n"}, Rows: [][]sqlmini.Value{{sqlmini.NewInt(3)}}, Affected: 1}
 	watched := *res
 	watched.Versions = []uint64{5, 9}
+	hello := goldenHello()
 	for _, seed := range [][]byte{
-		goldenHello().encode(),
-		helloOKMsg{ServerName: "db", ServerVersion: "1.0.0", ProtocolVersion: 2, SessionID: 7, Capabilities: 15}.encode(),
+		wire.Marshal(&hello),
+		wire.Marshal(&helloOKMsg{ServerName: "db", ServerVersion: "1.0.0", ProtocolVersion: 2, SessionID: 7, Capabilities: 15}),
 		encoded(f, func(e *wire.Encoder) error {
 			return encodeExec(e, "SELECT $id", []any{sqlmini.Args{"id": sqlmini.NewInt(1)}})
 		}),
@@ -42,29 +43,29 @@ func FuzzDbmsFrames(f *testing.F) {
 			(&batchResultMsg{Results: []*sqlmini.Result{res}, ErrIndex: -1, Versions: []uint64{5, 9}}).appendTo(e)
 			return nil
 		}),
-		tableVersionsMsg{Names: []string{"drivers", "driver_permission"}}.encode(),
-		tableVersionsMsg{Names: []string{"drivers"}, Watch: true}.encode(),
+		wire.Marshal(&tableVersionsMsg{Names: []string{"drivers", "driver_permission"}}),
+		wire.Marshal(&tableVersionsMsg{Names: []string{"drivers"}, Watch: true}),
 		tableVersionsOKMsg{Versions: []uint64{5, 9}}.encode(),
-		encodeError(codeQueryError, "boom"),
+		wire.Marshal(&serverError{code: codeQueryError, msg: "boom"}),
 		{0xff, 0xff, 0xff, 0xff},
 		{0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff},
 	} {
 		f.Add(seed)
 	}
 	decoders := []func([]byte) error{
-		func(b []byte) error { _, err := decodeHello(b); return err },
-		func(b []byte) error { _, err := decodeHelloOK(b); return err },
+		func(b []byte) error { return wire.Unmarshal(b, &helloMsg{}) },
+		func(b []byte) error { return wire.Unmarshal(b, &helloOKMsg{}) },
 		func(b []byte) error { var m execFrame; return m.decode(wire.NewDecoder(b), nil) },
 		func(b []byte) error { var m execFrame; _, err := m.decodeStmt(wire.NewDecoder(b), nil); return err },
 		func(b []byte) error { _, _, err := decodeBatch(b, nil); return err },
 		func(b []byte) error { _, err := decodeResult(b); return err },
 		func(b []byte) error { _, err := decodeBatchResult(b); return err },
-		func(b []byte) error { _, err := decodePrepare(b); return err },
-		func(b []byte) error { _, err := decodePrepareOK(b); return err },
-		func(b []byte) error { _, err := decodeCloseStmt(b); return err },
-		func(b []byte) error { _, err := decodeTableVersions(b); return err },
+		func(b []byte) error { return wire.Unmarshal(b, &prepareMsg{}) },
+		func(b []byte) error { return wire.Unmarshal(b, &prepareOKMsg{}) },
+		func(b []byte) error { return wire.Unmarshal(b, &closeStmtMsg{}) },
+		func(b []byte) error { return wire.Unmarshal(b, &tableVersionsMsg{}) },
 		func(b []byte) error { _, err := decodeTableVersionsOK(b); return err },
-		func(b []byte) error { _, _, err := decodeError(b); return err },
+		func(b []byte) error { return wire.Unmarshal(b, &serverError{}) },
 	}
 	var before, after runtime.MemStats
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -87,10 +87,11 @@ func goldenHello() helloMsg {
 
 func TestGoldenHello(t *testing.T) {
 	m := goldenHello()
-	enc := m.encode()
+	enc := wire.Marshal(&m)
 	checkGolden(t, "hello", enc,
 		"00020000000470726f64000000037376630000000270770000001b64626d732d6e617469766520312e302e30202870726f746f203229000100000007")
-	got, err := decodeHello(enc)
+	var got helloMsg
+	err := wire.Unmarshal(enc, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,8 @@ func TestGoldenHelloLegacyForm(t *testing.T) {
 		// ProtocolVersion=1, "prod", "svc", "pw", "legacy 1.0"
 		"00010000000470726f6400000003737663000000027077"+
 			"0000000a6c656761637920312e30")
-	got, err := decodeHello(legacy)
+	var got helloMsg
+	err := wire.Unmarshal(legacy, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +124,11 @@ func TestGoldenHelloLegacyForm(t *testing.T) {
 func TestGoldenHelloOK(t *testing.T) {
 	m := helloOKMsg{ServerName: "legacy-db", ServerVersion: "1.0.0",
 		ProtocolVersion: 2, SessionID: 7, Capabilities: 7}
-	enc := m.encode()
+	enc := wire.Marshal(&m)
 	checkGolden(t, "helloOK", enc,
 		"000000096c65676163792d646200000005312e302e300002000000000000000700000007")
-	got, err := decodeHelloOK(enc)
+	var got helloOKMsg
+	err := wire.Unmarshal(enc, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,19 +231,21 @@ func TestGoldenBatchResult(t *testing.T) {
 }
 
 func TestGoldenError(t *testing.T) {
-	enc := encodeError(codeQueryError, "boom")
+	m := serverError{code: codeQueryError, msg: "boom"}
+	enc := wire.Marshal(&m)
 	checkGolden(t, "error", enc, "000400000004626f6f6d")
-	code, msg, err := decodeError(enc)
-	if err != nil || code != codeQueryError || msg != "boom" {
-		t.Fatalf("round trip: %d %q %v", code, msg, err)
+	var got serverError
+	if err := wire.Unmarshal(enc, &got); err != nil || got != m {
+		t.Fatalf("round trip: %+v %v", got, err)
 	}
 }
 
 func TestGoldenPrepare(t *testing.T) {
 	m := prepareMsg{SQL: "SELECT 1"}
-	enc := m.encode()
+	enc := wire.Marshal(&m)
 	checkGolden(t, "prepare", enc, "0000000853454c4543542031")
-	got, err := decodePrepare(enc)
+	var got prepareMsg
+	err := wire.Unmarshal(enc, &got)
 	if err != nil || got != m {
 		t.Fatalf("round trip: %+v %v", got, err)
 	}
@@ -248,9 +253,10 @@ func TestGoldenPrepare(t *testing.T) {
 
 func TestGoldenPrepareOK(t *testing.T) {
 	m := prepareOKMsg{Handle: 3}
-	enc := m.encode()
+	enc := wire.Marshal(&m)
 	checkGolden(t, "prepareOK", enc, "0000000000000003")
-	got, err := decodePrepareOK(enc)
+	var got prepareOKMsg
+	err := wire.Unmarshal(enc, &got)
 	if err != nil || got != m {
 		t.Fatalf("round trip: %+v %v", got, err)
 	}
@@ -308,9 +314,10 @@ func TestGoldenExecStmtThreeKeys(t *testing.T) {
 
 func TestGoldenCloseStmt(t *testing.T) {
 	m := closeStmtMsg{Handle: 3}
-	enc := m.encode()
+	enc := wire.Marshal(&m)
 	checkGolden(t, "closeStmt", enc, "0000000000000003")
-	got, err := decodeCloseStmt(enc)
+	var got closeStmtMsg
+	err := wire.Unmarshal(enc, &got)
 	if err != nil || got != m {
 		t.Fatalf("round trip: %+v %v", got, err)
 	}
@@ -318,10 +325,11 @@ func TestGoldenCloseStmt(t *testing.T) {
 
 func TestGoldenTableVersions(t *testing.T) {
 	m := tableVersionsMsg{Names: []string{"drivers", "driver_permission"}}
-	enc := m.encode()
+	enc := wire.Marshal(&m)
 	checkGolden(t, "tableVersions", enc,
 		"000000020000000764726976657273000000116472697665725f7065726d697373696f6e")
-	got, err := decodeTableVersions(enc)
+	var got tableVersionsMsg
+	err := wire.Unmarshal(enc, &got)
 	if err != nil || !reflect.DeepEqual(got.Names, m.Names) {
 		t.Fatalf("round trip: %+v %v", got, err)
 	}
@@ -425,10 +433,11 @@ func TestGoldenVersionWatch(t *testing.T) {
 		t.Fatalf("capability watchVersions = %d, golden 8", CapWatchVersions)
 	}
 	m := tableVersionsMsg{Names: []string{"drivers", "driver_permission"}, Watch: true}
-	enc := m.encode()
+	enc := wire.Marshal(&m)
 	checkGolden(t, "tableVersions(watch)", enc,
 		"000000020000000764726976657273000000116472697665725f7065726d697373696f6e01")
-	got, err := decodeTableVersions(enc)
+	var got tableVersionsMsg
+	err := wire.Unmarshal(enc, &got)
 	if err != nil || !got.Watch || !reflect.DeepEqual(got.Names, m.Names) {
 		t.Fatalf("round trip: %+v %v", got, err)
 	}

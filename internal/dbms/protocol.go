@@ -135,6 +135,12 @@ type serverError struct {
 
 func (e *serverError) Error() string { return fmt.Sprintf("dbms: [%d] %s", e.code, e.msg) }
 
+// Fields declares the msgError layout.
+func (e *serverError) Fields(w wire.Walker) {
+	w.Uint16(&e.code)
+	w.String(&e.msg)
+}
+
 // helloMsg opens a session. ProtocolVersion is the highest version the
 // client speaks; the v2 extension appends the lowest acceptable version
 // and the client's capability mask. A legacy (5-field) hello decodes
@@ -152,34 +158,18 @@ type helloMsg struct {
 	Capabilities       uint32
 }
 
-func (h helloMsg) encode() []byte {
-	e := wire.NewEncoder(128)
-	e.Uint16(h.ProtocolVersion)
-	e.String(h.Database)
-	e.String(h.User)
-	e.String(h.Password)
-	e.String(h.ClientInfo)
-	e.Uint16(h.MinProtocolVersion)
-	e.Uint32(h.Capabilities)
-	return e.Bytes()
-}
-
-func decodeHello(b []byte) (helloMsg, error) {
-	d := wire.NewDecoder(b)
-	h := helloMsg{
-		ProtocolVersion: d.Uint16(),
-		Database:        d.String(),
-		User:            d.String(),
-		Password:        d.String(),
-		ClientInfo:      d.String(),
-	}
-	if d.Remaining() > 0 {
-		h.MinProtocolVersion = d.Uint16()
-		h.Capabilities = d.Uint32()
+func (h *helloMsg) Fields(w wire.Walker) {
+	w.Uint16(&h.ProtocolVersion)
+	w.String(&h.Database)
+	w.String(&h.User)
+	w.String(&h.Password)
+	w.String(&h.ClientInfo)
+	if w.Tail(true) {
+		w.Uint16(&h.MinProtocolVersion)
+		w.Uint32(&h.Capabilities)
 	} else {
 		h.MinProtocolVersion = h.ProtocolVersion // legacy: exact pin
 	}
-	return h, d.Err()
 }
 
 // helloOKMsg accepts a session. ProtocolVersion is the NEGOTIATED
@@ -195,28 +185,14 @@ type helloOKMsg struct {
 	Capabilities uint32
 }
 
-func (h helloOKMsg) encode() []byte {
-	e := wire.NewEncoder(64)
-	e.String(h.ServerName)
-	e.String(h.ServerVersion)
-	e.Uint16(h.ProtocolVersion)
-	e.Uint64(h.SessionID)
-	e.Uint32(h.Capabilities)
-	return e.Bytes()
-}
-
-func decodeHelloOK(b []byte) (helloOKMsg, error) {
-	d := wire.NewDecoder(b)
-	h := helloOKMsg{
-		ServerName:      d.String(),
-		ServerVersion:   d.String(),
-		ProtocolVersion: d.Uint16(),
-		SessionID:       d.Uint64(),
+func (h *helloOKMsg) Fields(w wire.Walker) {
+	w.String(&h.ServerName)
+	w.String(&h.ServerVersion)
+	w.Uint16(&h.ProtocolVersion)
+	w.Uint64(&h.SessionID)
+	if w.Tail(true) {
+		w.Uint32(&h.Capabilities)
 	}
-	if d.Remaining() > 0 {
-		h.Capabilities = d.Uint32()
-	}
-	return h, d.Err()
 }
 
 // errMixedArgs refuses an argument block that carries both named and
@@ -562,53 +538,19 @@ func decodeBatchResult(b []byte) (batchResultMsg, error) {
 	return m, d.Err()
 }
 
-func encodeError(code uint16, msg string) []byte {
-	e := wire.NewEncoder(len(msg) + 8)
-	e.Uint16(code)
-	e.String(msg)
-	return e.Bytes()
-}
-
-func decodeError(b []byte) (uint16, string, error) {
-	d := wire.NewDecoder(b)
-	code := d.Uint16()
-	msg := d.String()
-	return code, msg, d.Err()
-}
-
 // prepareMsg is msgPrepare: register one statement server-side.
 type prepareMsg struct {
 	SQL string
 }
 
-func (m prepareMsg) encode() []byte {
-	e := wire.NewEncoder(len(m.SQL) + 8)
-	e.String(m.SQL)
-	return e.Bytes()
-}
-
-func decodePrepare(b []byte) (prepareMsg, error) {
-	d := wire.NewDecoder(b)
-	m := prepareMsg{SQL: d.String()}
-	return m, d.Err()
-}
+func (m *prepareMsg) Fields(w wire.Walker) { w.String(&m.SQL) }
 
 // prepareOKMsg is msgPrepareOK: the session-scoped handle id.
 type prepareOKMsg struct {
 	Handle uint64
 }
 
-func (m prepareOKMsg) encode() []byte {
-	e := wire.NewEncoder(8)
-	e.Uint64(m.Handle)
-	return e.Bytes()
-}
-
-func decodePrepareOK(b []byte) (prepareOKMsg, error) {
-	d := wire.NewDecoder(b)
-	m := prepareOKMsg{Handle: d.Uint64()}
-	return m, d.Err()
-}
+func (m *prepareOKMsg) Fields(w wire.Walker) { w.Uint64(&m.Handle) }
 
 // encodeExecStmt appends a msgExecStmt payload: a prepared handle plus
 // this call's arguments, in the same argument encoding as msgExec.
@@ -625,17 +567,7 @@ type closeStmtMsg struct {
 	Handle uint64
 }
 
-func (m closeStmtMsg) encode() []byte {
-	e := wire.NewEncoder(8)
-	e.Uint64(m.Handle)
-	return e.Bytes()
-}
-
-func decodeCloseStmt(b []byte) (closeStmtMsg, error) {
-	d := wire.NewDecoder(b)
-	m := closeStmtMsg{Handle: d.Uint64()}
-	return m, d.Err()
-}
+func (m *closeStmtMsg) Fields(w wire.Walker) { w.Uint64(&m.Handle) }
 
 // tableVersionsMsg is msgTableVersions: probe the per-table mutation
 // counters of the session's database, one round trip for any number of
@@ -646,22 +578,11 @@ type tableVersionsMsg struct {
 	Watch bool
 }
 
-func (m tableVersionsMsg) encode() []byte {
-	e := wire.NewEncoder(16 * (len(m.Names) + 1))
-	e.StringSlice(m.Names)
-	if m.Watch {
-		e.Bool(true)
+func (m *tableVersionsMsg) Fields(w wire.Walker) {
+	w.StringSlice(&m.Names)
+	if w.Tail(m.Watch) {
+		w.Bool(&m.Watch)
 	}
-	return e.Bytes()
-}
-
-func decodeTableVersions(b []byte) (tableVersionsMsg, error) {
-	d := wire.NewDecoder(b)
-	m := tableVersionsMsg{Names: d.StringSlice()}
-	if d.Remaining() > 0 {
-		m.Watch = d.Bool()
-	}
-	return m, d.Err()
 }
 
 // tableVersionsOKMsg is msgTableVersionsOK: counters parallel to the

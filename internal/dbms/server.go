@@ -202,13 +202,6 @@ func (s *Server) Stop() {
 	s.mu.Unlock()
 }
 
-// ActiveSessions reports the number of connected client sessions.
-func (s *Server) ActiveSessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
-
 // UserHasSession reports whether any live session authenticated as user —
 // the in-engine failure detector for the license server (paper §5.4.2:
 // "If the Drivolution Server is tightly integrated with the database, it
@@ -332,8 +325,8 @@ func (s *Server) serveConn(nc net.Conn) {
 		_ = refuse(conn, errorf(codeProtocolMismatch, "expected hello"))
 		return
 	}
-	hello, err := decodeHello(f.Payload)
-	if err != nil {
+	var hello helloMsg
+	if err := wire.Unmarshal(f.Payload, &hello); err != nil {
 		_ = refuse(conn, errorf(codeProtocolMismatch, "malformed hello"))
 		return
 	}
@@ -380,13 +373,13 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	if err := conn.Send(msgHelloOK, helloOKMsg{
+	if err := conn.Send(msgHelloOK, wire.Marshal(&helloOKMsg{
 		ServerName:      s.name,
 		ServerVersion:   s.engineVersion.String(),
 		ProtocolVersion: sess.proto,
 		SessionID:       sess.id,
 		Capabilities:    sess.caps,
-	}.encode()); err != nil {
+	})); err != nil {
 		return
 	}
 
@@ -447,7 +440,7 @@ func asServerError(err error) *serverError {
 // refusal or a failed statement leaves the server.
 func refuse(conn *wire.Conn, err error) error {
 	se := asServerError(err)
-	return conn.Send(msgError, encodeError(se.code, se.msg))
+	return conn.Send(msgError, wire.Marshal(se))
 }
 
 // run is the one statement path: msgExec, msgExecStmt, each statement
@@ -656,8 +649,8 @@ func (s *Server) handlePrepare(sess *session, payload []byte) error {
 	if sess.caps&CapPreparedStatements == 0 {
 		return refuse(sess.conn, errNoPrepared)
 	}
-	m, err := decodePrepare(payload)
-	if err != nil {
+	var m prepareMsg
+	if err := wire.Unmarshal(payload, &m); err != nil {
 		return refuse(sess.conn, fmt.Errorf("malformed prepare: %w", err))
 	}
 	if len(sess.stmts) >= maxSessionStmts {
@@ -673,7 +666,7 @@ func (s *Server) handlePrepare(sess *session, payload []byte) error {
 	}
 	sess.nextStmt++
 	sess.stmts[sess.nextStmt] = p
-	return sess.conn.Send(msgPrepareOK, prepareOKMsg{Handle: sess.nextStmt}.encode())
+	return sess.conn.Send(msgPrepareOK, wire.Marshal(&prepareOKMsg{Handle: sess.nextStmt}))
 }
 
 // handleCloseStmt drops one handle from the session table. Closing an
@@ -683,8 +676,8 @@ func (s *Server) handleCloseStmt(sess *session, payload []byte) error {
 	if sess.caps&CapPreparedStatements == 0 {
 		return refuse(sess.conn, errNoPrepared)
 	}
-	m, err := decodeCloseStmt(payload)
-	if err != nil {
+	var m closeStmtMsg
+	if err := wire.Unmarshal(payload, &m); err != nil {
 		return refuse(sess.conn, fmt.Errorf("malformed close-stmt: %w", err))
 	}
 	delete(sess.stmts, m.Handle)
@@ -700,8 +693,8 @@ func (s *Server) handleTableVersions(sess *session, payload []byte) error {
 	if sess.caps&CapTableVersions == 0 {
 		return refuse(sess.conn, errorf(codeNotSupported, "table-version probes were not negotiated on this session"))
 	}
-	m, err := decodeTableVersions(payload)
-	if err != nil {
+	var m tableVersionsMsg
+	if err := wire.Unmarshal(payload, &m); err != nil {
 		return refuse(sess.conn, fmt.Errorf("malformed table-versions: %w", err))
 	}
 	if m.Watch {

@@ -109,9 +109,10 @@ func TestNegotiationMatrix(t *testing.T) {
 			if !tc.wantWatch {
 				// The server refuses a raw watch the session did not
 				// negotiate, whatever the client library would send.
-				f := rawExchange(t, nc, msgTableVersions, tableVersionsMsg{Names: []string{"accounts"}, Watch: true}.encode())
-				if code, _, _ := decodeError(f.Payload); f.Type != msgError || code != codeNotSupported {
-					t.Fatalf("raw watch answered 0x%04x (code %d), want codeNotSupported", f.Type, code)
+				f := rawExchange(t, nc, msgTableVersions, wire.Marshal(&tableVersionsMsg{Names: []string{"accounts"}, Watch: true}))
+				var se serverError
+				if err := wire.Unmarshal(f.Payload, &se); err != nil || f.Type != msgError || se.code != codeNotSupported {
+					t.Fatalf("raw watch answered 0x%04x (code %d, %v), want codeNotSupported", f.Type, se.code, err)
 				}
 			}
 			// The session must actually work at the negotiated version,
@@ -371,9 +372,9 @@ func TestCloseStmt(t *testing.T) {
 	if f.Type != msgError {
 		t.Fatalf("exec of closed handle answered 0x%04x, want msgError", f.Type)
 	}
-	code, _, derr := decodeError(f.Payload)
-	if derr != nil || code != codeBadHandle {
-		t.Fatalf("code = %d (%v), want codeBadHandle", code, derr)
+	var se serverError
+	if derr := wire.Unmarshal(f.Payload, &se); derr != nil || se.code != codeBadHandle {
+		t.Fatalf("code = %d (%v), want codeBadHandle", se.code, derr)
 	}
 	// The session survived and still serves.
 	if _, err := c.Query("SELECT count(*) FROM accounts"); err != nil {
@@ -466,7 +467,7 @@ func TestServerGatesUnnegotiatedFrames(t *testing.T) {
 	// A v1 hello: no capability bits.
 	hello := helloMsg{ProtocolVersion: 1, MinProtocolVersion: 1, Database: "app",
 		User: "alice", Password: "secret", ClientInfo: "raw"}
-	if err := conn.Send(msgHello, hello.encode()); err != nil {
+	if err := conn.Send(msgHello, wire.Marshal(&hello)); err != nil {
 		t.Fatal(err)
 	}
 	f, err := conn.RecvTimeout(2 * time.Second)
@@ -478,10 +479,10 @@ func TestServerGatesUnnegotiatedFrames(t *testing.T) {
 		typ  uint16
 		body []byte
 	}{
-		{"prepare", msgPrepare, prepareMsg{SQL: "SELECT 1"}.encode()},
+		{"prepare", msgPrepare, wire.Marshal(&prepareMsg{SQL: "SELECT 1"})},
 		{"execStmt", msgExecStmt, encoded(t, func(e *wire.Encoder) error { return encodeExecStmt(e, 1, nil) })},
-		{"closeStmt", msgCloseStmt, closeStmtMsg{Handle: 1}.encode()},
-		{"tableVersions", msgTableVersions, tableVersionsMsg{Names: []string{"accounts"}}.encode()},
+		{"closeStmt", msgCloseStmt, wire.Marshal(&closeStmtMsg{Handle: 1})},
+		{"tableVersions", msgTableVersions, wire.Marshal(&tableVersionsMsg{Names: []string{"accounts"}})},
 	} {
 		if err := conn.Send(probe.typ, probe.body); err != nil {
 			t.Fatal(err)
@@ -493,9 +494,9 @@ func TestServerGatesUnnegotiatedFrames(t *testing.T) {
 		if f.Type != msgError {
 			t.Fatalf("%s on v1 session answered 0x%04x, want msgError", probe.name, f.Type)
 		}
-		code, _, derr := decodeError(f.Payload)
-		if derr != nil || code != codeNotSupported {
-			t.Fatalf("%s: code = %d (%v), want codeNotSupported", probe.name, code, derr)
+		var se serverError
+		if derr := wire.Unmarshal(f.Payload, &se); derr != nil || se.code != codeNotSupported {
+			t.Fatalf("%s: code = %d (%v), want codeNotSupported", probe.name, se.code, derr)
 		}
 	}
 	// The session is still alive for negotiated traffic.
@@ -659,13 +660,13 @@ func TestMixedArgumentBlockRefused(t *testing.T) {
 	}
 	hello := helloMsg{ProtocolVersion: ProtocolV2, MinProtocolVersion: ProtocolV2, Database: "app",
 		User: "alice", Password: "secret", ClientInfo: "raw", Capabilities: CapPreparedStatements}
-	if f := exchange(msgHello, hello.encode()); f.Type != msgHelloOK {
+	if f := exchange(msgHello, wire.Marshal(&hello)); f.Type != msgHelloOK {
 		t.Fatalf("handshake answered 0x%04x", f.Type)
 	}
 	const sql = "UPDATE accounts SET balance = 0 WHERE id = $id"
-	f := exchange(msgPrepare, prepareMsg{SQL: sql}.encode())
-	ok, err := decodePrepareOK(f.Payload)
-	if f.Type != msgPrepareOK || err != nil {
+	f := exchange(msgPrepare, wire.Marshal(&prepareMsg{SQL: sql}))
+	var ok prepareOKMsg
+	if err := wire.Unmarshal(f.Payload, &ok); f.Type != msgPrepareOK || err != nil {
 		t.Fatalf("prepare answered 0x%04x (%v)", f.Type, err)
 	}
 
@@ -703,8 +704,9 @@ func TestMixedArgumentBlockRefused(t *testing.T) {
 		if f.Type != msgError {
 			t.Fatalf("%s with a mixed argument block answered 0x%04x, want msgError", tc.name, f.Type)
 		}
-		if code, msg, err := decodeError(f.Payload); err != nil || code != codeQueryError {
-			t.Fatalf("%s: code %d %q (%v), want codeQueryError", tc.name, code, msg, err)
+		var se serverError
+		if err := wire.Unmarshal(f.Payload, &se); err != nil || se.code != codeQueryError {
+			t.Fatalf("%s: code %d %q (%v), want codeQueryError", tc.name, se.code, se.msg, err)
 		}
 	}
 	res := s.Database("app").MustExec("SELECT balance FROM accounts WHERE id = 1")

@@ -192,9 +192,6 @@ func TestRuntimeLoad(t *testing.T) {
 	if drv.Version() != dbver.V(1, 4, 2) {
 		t.Errorf("Version = %v", drv.Version())
 	}
-	if rt.Loads() != 1 {
-		t.Errorf("Loads = %d", rt.Loads())
-	}
 
 	// Unknown kind is the ClassNotFoundException analog.
 	img2 := &Image{Manifest: Manifest{Kind: "no-such-kind"}}

@@ -27,7 +27,6 @@ type Factory func(img *Image) (client.Driver, error)
 type Runtime struct {
 	mu        sync.RWMutex
 	factories map[string]Factory
-	loads     int
 }
 
 // NewRuntime creates an empty runtime.
@@ -54,14 +53,6 @@ func (rt *Runtime) Kinds() []string {
 	return out
 }
 
-// Loads reports how many images have been successfully instantiated;
-// benchmarks use it to confirm hot-swaps happened.
-func (rt *Runtime) Loads() int {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.loads
-}
-
 // Load instantiates a decoded image into a live driver.
 func (rt *Runtime) Load(img *Image) (client.Driver, error) {
 	rt.mu.RLock()
@@ -75,9 +66,6 @@ func (rt *Runtime) Load(img *Image) (client.Driver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("driverimg: instantiating %s: %w", img.Manifest.ID(), err)
 	}
-	rt.mu.Lock()
-	rt.loads++
-	rt.mu.Unlock()
 	return drv, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/client"
 	"repro/internal/faultnet"
@@ -184,8 +183,7 @@ type Controller struct {
 	stopped  bool
 	sessions map[*wire.Conn]struct{}
 
-	wg      sync.WaitGroup
-	queries atomic.Int64
+	wg sync.WaitGroup
 }
 
 // ControllerOption configures a Controller.
@@ -217,9 +215,6 @@ func NewController(name, database string, group *Group, opts ...ControllerOption
 
 // Name returns the controller name.
 func (c *Controller) Name() string { return c.name }
-
-// QueriesServed counts statements handled by this controller.
-func (c *Controller) QueriesServed() int64 { return c.queries.Load() }
 
 // AddBackend registers a backend replica. New backends start disabled;
 // call EnableBackend to bring them in (resynchronizing from the journal).
@@ -429,8 +424,8 @@ func (c *Controller) serveConn(nc net.Conn) {
 	if err != nil || f.Type != msgHello {
 		return
 	}
-	hello, err := decodeHello(f.Payload)
-	if err != nil {
+	var hello helloMsg
+	if err := wire.Unmarshal(f.Payload, &hello); err != nil {
 		return
 	}
 	if hello.ProtocolVersion != protocolVersion {
@@ -459,7 +454,7 @@ func (c *Controller) serveConn(nc net.Conn) {
 		c.mu.Unlock()
 	}()
 
-	if err := conn.Send(msgHelloOK, helloMsg{ProtocolVersion: protocolVersion, Database: c.database}.encode()); err != nil {
+	if err := conn.Send(msgHelloOK, wire.Marshal(&helloMsg{ProtocolVersion: protocolVersion, Database: c.database})); err != nil {
 		return
 	}
 
@@ -479,7 +474,6 @@ func (c *Controller) serveConn(nc net.Conn) {
 				refuse(conn, codeQueryError, "malformed exec")
 				continue
 			}
-			c.queries.Add(1)
 			res, execErr := c.execute(m)
 			if execErr != nil {
 				refuse(conn, codeQueryError, execErr.Error())
@@ -498,7 +492,7 @@ func (c *Controller) serveConn(nc net.Conn) {
 // controller turns a request down. A send that fails surfaces at the
 // session's next receive.
 func refuse(conn *wire.Conn, code uint16, msg string) {
-	_ = conn.Send(msgError, encodeError(code, msg))
+	_ = conn.Send(msgError, wire.Marshal(&errorMsg{Code: code, Message: msg}))
 }
 
 // execute routes one statement: writes through the group's total order,

@@ -111,7 +111,7 @@ func (sc *seqConn) reconnect(skip map[string]bool) error {
 			Password:        sc.password,
 			ClientInfo:      fmt.Sprintf("sequoia-driver %s", sc.driver.version),
 		}
-		if err := conn.Send(msgHello, hello.encode()); err != nil {
+		if err := conn.Send(msgHello, wire.Marshal(&hello)); err != nil {
 			conn.Close()
 			if firstErr == nil {
 				firstErr = err
@@ -127,10 +127,11 @@ func (sc *seqConn) reconnect(skip map[string]bool) error {
 			continue
 		}
 		if f.Type == msgError {
-			code, msg, _ := decodeError(f.Payload)
+			var em errorMsg
+			_ = wire.Unmarshal(f.Payload, &em)
 			conn.Close()
 			// Protocol/auth errors are not transient: stop here.
-			return mapError(code, msg)
+			return mapError(em.Code, em.Message)
 		}
 		if f.Type != msgHelloOK {
 			conn.Close()
@@ -257,11 +258,11 @@ func (sc *seqConn) exec(sql string, args []any) (*client.Result, error) {
 		}
 		return &client.Result{Cols: cols, Rows: rows, Affected: affected}, nil
 	case msgError:
-		code, msg, derr := decodeError(f.Payload)
-		if derr != nil {
-			return nil, derr
+		var em errorMsg
+		if err := wire.Unmarshal(f.Payload, &em); err != nil {
+			return nil, err
 		}
-		return nil, mapError(code, msg)
+		return nil, mapError(em.Code, em.Message)
 	default:
 		return nil, fmt.Errorf("sequoia: unexpected frame 0x%04x", f.Type)
 	}

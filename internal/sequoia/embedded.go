@@ -114,33 +114,6 @@ func (rd *ReplicatedDrivolution) AddDriver(img *driverimg.Image, format dbver.Bi
 	return id, nil
 }
 
-// SetPermission inserts a permission row once, visible to every member.
-func (rd *ReplicatedDrivolution) SetPermission(p core.Permission) (int64, error) {
-	srv, err := rd.anyRunning()
-	if err != nil {
-		return 0, err
-	}
-	id, err := srv.SetPermission(p)
-	if err != nil {
-		return 0, err
-	}
-	rd.notifyAll(p.Database, "")
-	return id, nil
-}
-
-// DeleteDriver removes a driver once, visible to every member.
-func (rd *ReplicatedDrivolution) DeleteDriver(id int64) error {
-	srv, err := rd.anyRunning()
-	if err != nil {
-		return err
-	}
-	if err := srv.DeleteDriver(id); err != nil {
-		return err
-	}
-	rd.notifyAll("", "")
-	return nil
-}
-
 // StopFor stops the embedded server of one controller (simulating that
 // controller's failure together with Controller.Stop).
 func (rd *ReplicatedDrivolution) StopFor(controllerName string) {

@@ -14,6 +14,8 @@ package sequoia
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/sqlmini"
 	"repro/internal/wire"
@@ -54,26 +56,13 @@ type helloMsg struct {
 	ClientInfo      string
 }
 
-func (h helloMsg) encode() []byte {
-	e := wire.NewEncoder(128)
-	e.Uint16(h.ProtocolVersion)
-	e.String(h.Database)
-	e.String(h.User)
-	e.String(h.Password)
-	e.String(h.ClientInfo)
-	return e.Bytes()
-}
-
-func decodeHello(b []byte) (helloMsg, error) {
-	d := wire.NewDecoder(b)
-	h := helloMsg{
-		ProtocolVersion: d.Uint16(),
-		Database:        d.String(),
-		User:            d.String(),
-		Password:        d.String(),
-		ClientInfo:      d.String(),
-	}
-	return h, d.Err()
+// Fields declares the msgHello layout, which msgHelloOK shares.
+func (h *helloMsg) Fields(w wire.Walker) {
+	w.Uint16(&h.ProtocolVersion)
+	w.String(&h.Database)
+	w.String(&h.User)
+	w.String(&h.Password)
+	w.String(&h.ClientInfo)
 }
 
 type execMsg struct {
@@ -82,13 +71,15 @@ type execMsg struct {
 	Positional []sqlmini.Value
 }
 
+// encode writes the SQL, the named arguments in key order, so a
+// statement has exactly one wire form, then the positional ones.
 func (m execMsg) encode() []byte {
 	e := wire.NewEncoder(256)
 	e.String(m.SQL)
 	e.Uint32(uint32(len(m.Named)))
-	for k, v := range m.Named {
+	for _, k := range slices.Sorted(maps.Keys(m.Named)) {
 		e.String(k)
-		sqlmini.EncodeValue(e, v)
+		sqlmini.EncodeValue(e, m.Named[k])
 	}
 	e.Uint32(uint32(len(m.Positional)))
 	for _, v := range m.Positional {
@@ -157,18 +148,15 @@ func decodeResult(b []byte) (cols []string, rows [][]sqlmini.Value, affected int
 	return cols, rows, affected, d.Err()
 }
 
-func encodeError(code uint16, msg string) []byte {
-	e := wire.NewEncoder(len(msg) + 8)
-	e.Uint16(code)
-	e.String(msg)
-	return e.Bytes()
+// errorMsg is msgError: a code and its message.
+type errorMsg struct {
+	Code    uint16
+	Message string
 }
 
-func decodeError(b []byte) (uint16, string, error) {
-	d := wire.NewDecoder(b)
-	c := d.Uint16()
-	m := d.String()
-	return c, m, d.Err()
+func (m *errorMsg) Fields(w wire.Walker) {
+	w.Uint16(&m.Code)
+	w.String(&m.Message)
 }
 
 func fmtCode(code uint16, msg string) string {

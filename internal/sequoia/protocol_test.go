@@ -13,7 +13,8 @@ import (
 func TestHelloRoundTripProperty(t *testing.T) {
 	prop := func(proto uint16, db, user, pw, info string) bool {
 		in := helloMsg{ProtocolVersion: proto, Database: db, User: user, Password: pw, ClientInfo: info}
-		out, err := decodeHello(in.encode())
+		var out helloMsg
+		err := wire.Unmarshal(wire.Marshal(&in), &out)
 		return err == nil && out == in
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -69,9 +70,10 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestErrorRoundTrip(t *testing.T) {
-	code, msg, err := decodeError(encodeError(codeNoBackends, "none left"))
-	if err != nil || code != codeNoBackends || msg != "none left" {
-		t.Fatalf("code=%d msg=%q err=%v", code, msg, err)
+	var out errorMsg
+	err := wire.Unmarshal(wire.Marshal(&errorMsg{Code: codeNoBackends, Message: "none left"}), &out)
+	if err != nil || out.Code != codeNoBackends || out.Message != "none left" {
+		t.Fatalf("decoded %+v, err=%v", out, err)
 	}
 	if fmtCode(codeQueryError, "boom") == "" {
 		t.Fatal("fmtCode empty")
@@ -79,8 +81,8 @@ func TestErrorRoundTrip(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	full := helloMsg{ProtocolVersion: 1, Database: "db"}.encode()
-	if _, err := decodeHello(full[:3]); err == nil {
+	full := wire.Marshal(&helloMsg{ProtocolVersion: 1, Database: "db"})
+	if err := wire.Unmarshal(full[:3], &helloMsg{}); err == nil {
 		t.Fatal("truncated hello accepted")
 	}
 	e := execMsg{SQL: "SELECT 1"}.encode()
@@ -123,11 +125,11 @@ func TestDecodeExecNamedCountChecked(t *testing.T) {
 // allocate stays within a constant factor of its length.
 func FuzzSequoiaFrames(f *testing.F) {
 	for _, seed := range [][]byte{
-		helloMsg{ProtocolVersion: 1, Database: "db", User: "u", Password: "p", ClientInfo: "sequoia"}.encode(),
+		wire.Marshal(&helloMsg{ProtocolVersion: 1, Database: "db", User: "u", Password: "p", ClientInfo: "sequoia"}),
 		execMsg{SQL: "SELECT $k", Named: map[string]sqlmini.Value{"k": sqlmini.NewInt(1)}}.encode(),
 		execMsg{SQL: "SELECT 1", Positional: []sqlmini.Value{sqlmini.NewString("x")}}.encode(),
 		encodeResult([]string{"n"}, [][]sqlmini.Value{{sqlmini.NewInt(3)}}, 1),
-		encodeError(codeQueryError, "boom"),
+		wire.Marshal(&errorMsg{Code: codeQueryError, Message: "boom"}),
 		{0xff, 0xff, 0xff, 0xff},
 		{0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xf0, 0, 0, 0, 0, 0},
 		{0, 0, 0, 0, 0x7f, 0xff, 0xff, 0xf0, 0, 0, 0, 0, 0, 0, 0, 0},
@@ -135,10 +137,10 @@ func FuzzSequoiaFrames(f *testing.F) {
 		f.Add(seed)
 	}
 	decoders := []func([]byte) error{
-		func(b []byte) error { _, err := decodeHello(b); return err },
+		func(b []byte) error { return wire.Unmarshal(b, &helloMsg{}) },
 		func(b []byte) error { _, err := decodeExec(b); return err },
 		func(b []byte) error { _, _, _, err := decodeResult(b); return err },
-		func(b []byte) error { _, _, err := decodeError(b); return err },
+		func(b []byte) error { return wire.Unmarshal(b, &errorMsg{}) },
 	}
 	var before, after runtime.MemStats
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -12,7 +12,9 @@
 //
 // Payloads are encoded with the field primitives in this package
 // (length-prefixed strings and byte slices, fixed-width integers,
-// big-endian throughout). The codec is deliberately simple and allocation
+// big-endian throughout). A fixed-layout message declares its fields
+// once, in a Fields method that a Walker runs to encode or to decode
+// it (walk.go). The codec is deliberately simple and allocation
 // conscious; it has no reflection and no external dependencies.
 package wire
 
@@ -283,6 +285,13 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
+
+// fail records err as the decoder's error unless it already has one.
+func (d *Decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
 
 // Remaining reports the number of unconsumed payload bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
