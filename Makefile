@@ -13,6 +13,7 @@
 #   make bench-smoke     # every Go benchmark of the root module once, so their assertions run (off the tier-1 path)
 #   make bench-module-check  # vet + test + drivolint the separate bench/ module (drivobench)
 #   make loc             # non-test Go code lines per package (what ROADMAP "non-test lines" means)
+#   make traffic         # functions that no program enters, from coverage builds of every program (off the tier-1 path)
 #   make bench           # run the perf-tracked benchmark set
 #   make bench-baseline  # tier1 + benches, refresh BENCH_baseline.json
 #   make bench-compare   # tier1 + benches, diff against BENCH_baseline.json
@@ -23,7 +24,7 @@
 # BENCH_FILTER ('.'' = full suite, includes slow lease-traffic sweeps),
 # BENCH_PKGS.
 
-.PHONY: check check-race check-386 tier1 race lint drivolint doclint chaos examples fuzz-smoke bench-smoke bench-module-check loc bench bench-baseline bench-compare loadtest loadtest-baseline
+.PHONY: check check-race check-386 tier1 race lint drivolint doclint chaos examples fuzz-smoke bench-smoke bench-module-check loc traffic bench bench-baseline bench-compare loadtest loadtest-baseline
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
@@ -137,6 +138,14 @@ loc:
 	scripts/loc.sh lease-client: internal/core/bootloader.go internal/core/renew.go internal/core/loadclient.go \
 		protocol: internal/core/protocol.go internal/dbms/protocol.go internal/cluster/protocol.go \
 		internal/sequoia/protocol.go internal/wire/walk.go
+
+# traffic builds drivobench, the examples, cmd/experiments, drivolutiond
+# and drivoctl with coverage over repro/..., runs each once and prints
+# the functions none of them entered: the evidence a deletion of
+# unreached code cites. About two minutes; everything it writes goes to a
+# temp dir.
+traffic:
+	scripts/traffic.sh
 
 bench:
 	scripts/bench.sh run

@@ -73,7 +73,10 @@
 // USING ORDERED), serving a range on the second column alone by a skip
 // scan — one window seek per distinct leading key — when the leading
 // column is NOT NULL, and a plan that consumes every WHERE conjunct
-// runs residual-free. The
+// runs residual-free. The engine's DDL is CREATE TABLE and CREATE INDEX
+// only: nothing drops a table or an index, and an ORDERED declaration
+// over columns a hash index already serves is refused rather than
+// silently left without range plans. The
 // schema declares a hash index on driver_permission(driver_id) and one
 // composite ordered index on leases(driver_id, expires_at), and the
 // lease_id and driver_id primary keys drive execution, so renewals,

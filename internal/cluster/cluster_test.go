@@ -136,7 +136,7 @@ func TestCatalogReplication(t *testing.T) {
 
 	for i, db := range f.DBs {
 		//lint:scan-ok test introspection: counting rows in a 1-row table
-		res, err := db.Query("SELECT driver_id FROM " + core.DriversTable)
+		res, err := db.Exec("SELECT driver_id FROM " + core.DriversTable)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +429,7 @@ func schemaDigest(t *testing.T, db *sqlmini.DB) string {
 		//lint:scan-ok test introspection over a handful of rows
 		"SELECT lease_id, driver_id, released FROM " + core.LeasesTable + " ORDER BY lease_id",
 	} {
-		res, err := db.Query(sql)
+		res, err := db.Exec(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,7 +507,7 @@ func TestReplicatedReapConverges(t *testing.T) {
 	}
 	for i, db := range f.DBs {
 		//lint:scan-ok test introspection: the table holds one row
-		res, err := db.Query("SELECT lease_id, released FROM " + core.LeasesTable)
+		res, err := db.Exec("SELECT lease_id, released FROM " + core.LeasesTable)
 		if err != nil {
 			t.Fatal(err)
 		}

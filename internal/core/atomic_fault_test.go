@@ -132,7 +132,7 @@ func newFaultFixture(t *testing.T, mk func(*sqlmini.DB) Store, clock func() time
 func (fx *faultFixture) counts(t *testing.T) (drivers, perms, leases int64) {
 	t.Helper()
 	for i, table := range []string{DriversTable, PermissionTable, LeasesTable} {
-		res, err := fx.db.Query("SELECT count(*) FROM " + table)
+		res, err := fx.db.Exec("SELECT count(*) FROM " + table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,13 +152,13 @@ func (fx *faultFixture) counts(t *testing.T) (drivers, perms, leases int64) {
 // partial-write shape DeleteDriver can leak without atomicity.
 func (fx *faultFixture) orphanState(t *testing.T, drvID int64) (driverExists bool, permsLeft int64) {
 	t.Helper()
-	res, err := fx.db.Query("SELECT count(*) FROM "+DriversTable+" WHERE driver_id = $id",
+	res, err := fx.db.Exec("SELECT count(*) FROM "+DriversTable+" WHERE driver_id = $id",
 		sqlmini.Args{"id": drvID})
 	if err != nil {
 		t.Fatal(err)
 	}
 	driverExists = res.Rows[0][0].Int() == 1
-	res, err = fx.db.Query("SELECT count(*) FROM "+PermissionTable+" WHERE driver_id = $id",
+	res, err = fx.db.Exec("SELECT count(*) FROM "+PermissionTable+" WHERE driver_id = $id",
 		sqlmini.Args{"id": drvID})
 	if err != nil {
 		t.Fatal(err)

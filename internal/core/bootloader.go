@@ -66,7 +66,6 @@ type Bootloader struct {
 	preferredVersion dbver.Version
 	preferredFormat  string
 	push             bool
-	logf             func(format string, args ...any)
 
 	mu        sync.Mutex
 	cur       *loadedDriver
@@ -182,11 +181,6 @@ func WithClientID(id string) BootloaderOption {
 	return func(b *Bootloader) { b.clientID = id }
 }
 
-// WithBootloaderLogger routes diagnostics; default silent.
-func WithBootloaderLogger(logf func(format string, args ...any)) BootloaderOption {
-	return func(b *Bootloader) { b.logf = logf }
-}
-
 // NewBootloader creates a bootloader for one API/platform that fetches
 // drivers from the given Drivolution servers (several addresses enable
 // the DISCOVER flow and failover). The runtime supplies driver-kind
@@ -202,7 +196,6 @@ func NewBootloader(api dbver.API, platform dbver.Platform, servers []string,
 		renewAhead:    0.9,
 		retryInterval: 250 * time.Millisecond,
 		clientID:      "bootloader",
-		logf:          func(string, ...any) {},
 		stopCh:        make(chan struct{}),
 		wakeCh:        make(chan struct{}, 1),
 	}

@@ -62,7 +62,7 @@ func TestExternalServer(t *testing.T) {
 	if _, err := srv.AddDriver(img, dbver.FormatImage); err != nil {
 		t.Fatal(err)
 	}
-	res, err := legacyDB.Query("SELECT count(*) FROM " + DriversTable)
+	res, err := legacyDB.Exec("SELECT count(*) FROM " + DriversTable)
 	if err != nil {
 		t.Fatal(err)
 	}

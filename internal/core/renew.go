@@ -131,13 +131,11 @@ func (b *Bootloader) renewOnce(database string) error {
 			// (paper §4.1.3: "the bootloader keeps its current
 			// implementation until the Drivolution server is restarted").
 			b.addMetric(func(m *Metrics) { m.RenewFailures++ })
-			b.logf("drivolution: renewal failed, keeping driver: %v", err)
 			return err
 		default:
 			// DRIVOLUTION_ERROR: the driver is revoked with no
 			// replacement. Apply the current expiration policy (Table 4's
 			// REVOKE branch).
-			b.logf("drivolution: lease %d revoked: %v", leaseID, pe)
 			b.revokeCurrent(pe)
 			return pe
 		}
@@ -164,7 +162,6 @@ func (b *Bootloader) renewOnce(database string) error {
 	// transition existing connections per the expiration policy.
 	newLD, err := b.install(offer, blob, addr)
 	if err != nil {
-		b.logf("drivolution: upgrade install failed, keeping old driver: %v", err)
 		return err
 	}
 	b.mu.Lock()
@@ -175,8 +172,6 @@ func (b *Bootloader) renewOnce(database string) error {
 	b.cur = newLD
 	b.mu.Unlock()
 	b.addMetric(func(m *Metrics) { m.Upgrades++ })
-	b.logf("drivolution: upgraded driver %s -> %s (policy %s)",
-		cur.drv.Version(), newLD.drv.Version(), offer.ExpirationPolicy)
 
 	// "unload_old_driver" once its connections are transitioned.
 	cur.transition(b, offer.ExpirationPolicy)

@@ -332,28 +332,3 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 		t.Fatal("FILE_REQUEST after the renewal ack must be refused")
 	}
 }
-
-// TestInEngineRevocation: the DBMS-side disconnect (§3.2) kills every
-// session of a user at once.
-func TestInEngineRevocation(t *testing.T) {
-	f := newFixture(t, 1)
-	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 256))
-	b := f.bootloader(t)
-	c1 := mustConnect(t, b, f.appURL())
-	c2 := mustConnect(t, b, f.appURL())
-
-	if n := f.target.DisconnectUser("app"); n != 2 {
-		t.Fatalf("DisconnectUser = %d, want 2", n)
-	}
-	if _, err := c1.Query("SELECT 1"); err == nil {
-		t.Fatal("c1 should be dead after in-engine revocation")
-	}
-	if _, err := c2.Query("SELECT 1"); err == nil {
-		t.Fatal("c2 should be dead after in-engine revocation")
-	}
-	// New connections still work (the driver itself is fine).
-	c3 := mustConnect(t, b, f.appURL())
-	if _, err := c3.Query("SELECT 1"); err != nil {
-		t.Fatal(err)
-	}
-}

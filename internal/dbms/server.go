@@ -3,7 +3,6 @@ package dbms
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,6 @@ type Server struct {
 	protoMin      uint16 // lowest wire-protocol version accepted
 	protoMax      uint16 // highest wire-protocol version spoken
 	users         map[string]string
-	logf          func(format string, args ...any)
 
 	withoutCaps uint32 // capabilities withheld from every session (an older build)
 
@@ -70,11 +68,6 @@ func WithUser(user, password string) ServerOption {
 	return func(s *Server) { s.users[user] = password }
 }
 
-// WithLogger routes server diagnostics; default is silent.
-func WithLogger(logf func(format string, args ...any)) ServerOption {
-	return func(s *Server) { s.logf = logf }
-}
-
 // NewServer creates a DBMS instance named name. At least one database
 // must be attached with AddDatabase before clients can connect to it.
 func NewServer(name string, opts ...ServerOption) *Server {
@@ -87,7 +80,6 @@ func NewServer(name string, opts ...ServerOption) *Server {
 		dbs:           map[string]*sqlmini.DB{},
 		sessions:      map[*session]struct{}{},
 		userConns:     map[string]int{},
-		logf:          func(string, ...any) {},
 	}
 	for _, o := range opts {
 		o(s)
@@ -239,25 +231,6 @@ func (s *Server) VersionProbesServed() int64 { return s.versionProbes.Load() }
 // server from then on: nothing retries the statement.
 func (s *Server) ReplicationFailures() int64 { return s.replFailures.Load() }
 
-// DisconnectUser force-closes every session authenticated as user and
-// returns how many were closed — the paper's §3.2 option of enforcing
-// connection revocation "in the database server, if the Drivolution
-// Server is tightly integrated with the database engine".
-func (s *Server) DisconnectUser(user string) int {
-	s.mu.Lock()
-	var victims []*session
-	for sess := range s.sessions {
-		if sess.user == user {
-			victims = append(victims, sess)
-		}
-	}
-	s.mu.Unlock()
-	for _, sess := range victims {
-		_ = sess.conn.Close()
-	}
-	return len(victims)
-}
-
 type session struct {
 	id     uint64
 	conn   *wire.Conn
@@ -386,9 +359,6 @@ func (s *Server) serveConn(nc net.Conn) {
 	for {
 		f, err := conn.Recv()
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.logf("dbms %s: session %d read: %v", s.name, sess.id, err)
-			}
 			return
 		}
 		switch f.Type {
@@ -605,7 +575,7 @@ func checkBatch(atomic bool, stmts []execFrame) (int, error) {
 			switch stmts[i].st.Statement().(type) {
 			case *sqlmini.BeginStmt, *sqlmini.CommitStmt, *sqlmini.RollbackStmt:
 				return i, errors.New("transaction control inside an atomic batch")
-			case *sqlmini.CreateTableStmt, *sqlmini.CreateIndexStmt, *sqlmini.DropTableStmt:
+			case *sqlmini.CreateTableStmt, *sqlmini.CreateIndexStmt:
 				// DDL never reaches the undo log, so the wrapping
 				// ROLLBACK could not revert it — same contract as
 				// LocalStore's ExecBatchAtomic.
@@ -725,7 +695,6 @@ func (s *Server) replicate(dbName, sql string, params *sqlmini.Params) {
 	for _, r := range replicas {
 		if err := r.applyReplicated(dbName, sql, params); err != nil {
 			s.replFailures.Add(1)
-			s.logf("dbms %s: replicate to %s: %v", s.name, r.name, err)
 		}
 	}
 }
@@ -796,7 +765,7 @@ func (s *Server) ExecuteBatch(dbName string, stmts []client.Statement) ([]*sqlmi
 func isMutatingStmt(st sqlmini.Statement) bool {
 	switch st.(type) {
 	case *sqlmini.InsertStmt, *sqlmini.UpdateStmt, *sqlmini.DeleteStmt,
-		*sqlmini.CreateTableStmt, *sqlmini.CreateIndexStmt, *sqlmini.DropTableStmt:
+		*sqlmini.CreateTableStmt, *sqlmini.CreateIndexStmt:
 		return true
 	default:
 		return false

@@ -337,7 +337,7 @@ func TestPreparedReplicates(t *testing.T) {
 	if _, err := st.Exec(sqlmini.Args{"d": 11, "id": 1}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := replicaDB.Query("SELECT balance FROM accounts WHERE id = 1")
+	res, err := replicaDB.Exec("SELECT balance FROM accounts WHERE id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}

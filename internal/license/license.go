@@ -21,7 +21,6 @@ package license
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dbms"
@@ -39,44 +38,22 @@ func DetectorFromDBMS(srv *dbms.Server) Detector {
 	}
 }
 
-// Manager periodically sweeps the lease table of a license-mode
-// Drivolution server and releases leases whose holders are dead or whose
-// term expired without renewal.
+// Manager sweeps the lease table of a license-mode Drivolution server,
+// on its owner's call (SweepOnce), and releases leases whose holders are
+// dead or whose term expired without renewal.
 type Manager struct {
 	srv      *core.Server
 	detector Detector
-	interval time.Duration
 
 	mu            sync.Mutex
-	stopCh        chan struct{}
-	running       bool
 	reclaimed     int
 	sweepFailures int
-
-	wg sync.WaitGroup
-}
-
-// Option configures a Manager.
-type Option func(*Manager)
-
-// WithInterval sets the sweep period (default 1s).
-func WithInterval(d time.Duration) Option {
-	return func(m *Manager) { m.interval = d }
 }
 
 // NewManager creates a license manager over srv. detector may be nil, in
 // which case only lease expiry reclaims licenses.
-func NewManager(srv *core.Server, detector Detector, opts ...Option) *Manager {
-	m := &Manager{
-		srv:      srv,
-		detector: detector,
-		interval: time.Second,
-		stopCh:   make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
+func NewManager(srv *core.Server, detector Detector) *Manager {
+	return &Manager{srv: srv, detector: detector}
 }
 
 // Reclaimed reports how many licenses the manager has reclaimed.
@@ -127,42 +104,4 @@ func (m *Manager) SweepOnce() (n int, err error) {
 		n++
 	}
 	return n, nil
-}
-
-// Start launches the periodic sweep goroutine.
-func (m *Manager) Start() {
-	m.mu.Lock()
-	if m.running {
-		m.mu.Unlock()
-		return
-	}
-	m.running = true
-	m.mu.Unlock()
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		t := time.NewTicker(m.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-m.stopCh:
-				return
-			case <-t.C:
-				_, _ = m.SweepOnce() // a failure is counted in SweepFailures
-			}
-		}
-	}()
-}
-
-// Stop halts the sweep goroutine.
-func (m *Manager) Stop() {
-	m.mu.Lock()
-	if !m.running {
-		m.mu.Unlock()
-		return
-	}
-	m.running = false
-	close(m.stopCh)
-	m.mu.Unlock()
-	m.wg.Wait()
 }

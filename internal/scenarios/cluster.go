@@ -105,7 +105,7 @@ func (cl *SequoiaCluster) BackendsConsistent() (bool, string) {
 	var first int64 = -1
 	same := true
 	for _, srv := range cl.Backends {
-		res, err := srv.Database("shard").Query("SELECT count(*) FROM kv")
+		res, err := srv.Database("shard").Exec("SELECT count(*) FROM kv")
 		if err != nil {
 			return false, "query failed: " + err.Error()
 		}

@@ -115,7 +115,7 @@ func F2() (*Report, error) {
 	}
 	// Confirm the driver row physically lives in the legacy database.
 	//lint:scan-ok experiment assertion: count(*) over a 1-row table
-	res, err := s.Target.Database("prod").Query("SELECT count(*) FROM " + core.DriversTable)
+	res, err := s.Target.Database("prod").Exec("SELECT count(*) FROM " + core.DriversTable)
 	if err != nil {
 		return r, err
 	}

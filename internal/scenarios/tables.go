@@ -21,7 +21,7 @@ func T1() (*Report, error) {
 		return r, err
 	}
 	//lint:scan-ok schema introspection: LIMIT 0 reads column metadata, no rows
-	res, err := db.Query("SELECT * FROM " + core.DriversTable + " LIMIT 0")
+	res, err := db.Exec("SELECT * FROM " + core.DriversTable + " LIMIT 0")
 	if err != nil {
 		return r, err
 	}
@@ -62,7 +62,7 @@ func T2() (*Report, error) {
 		return r, err
 	}
 	//lint:scan-ok schema introspection: LIMIT 0 reads column metadata, no rows
-	res, err := db.Query("SELECT * FROM " + core.PermissionTable + " LIMIT 0")
+	res, err := db.Exec("SELECT * FROM " + core.PermissionTable + " LIMIT 0")
 	if err != nil {
 		return r, err
 	}

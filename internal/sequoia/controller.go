@@ -521,7 +521,7 @@ func isMutating(sql string) (bool, error) {
 	}
 	switch st.(type) {
 	case *sqlmini.InsertStmt, *sqlmini.UpdateStmt, *sqlmini.DeleteStmt,
-		*sqlmini.CreateTableStmt, *sqlmini.CreateIndexStmt, *sqlmini.DropTableStmt:
+		*sqlmini.CreateTableStmt, *sqlmini.CreateIndexStmt:
 		return true, nil
 	case *sqlmini.BeginStmt, *sqlmini.CommitStmt, *sqlmini.RollbackStmt:
 		return false, errors.New("sequoia: explicit transactions are not supported through the controller")

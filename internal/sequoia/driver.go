@@ -128,8 +128,11 @@ func (sc *seqConn) reconnect(skip map[string]bool) error {
 		}
 		if f.Type == msgError {
 			var em errorMsg
-			_ = wire.Unmarshal(f.Payload, &em)
+			err := wire.Unmarshal(f.Payload, &em)
 			conn.Close()
+			if err != nil {
+				return fmt.Errorf("sequoia: refusal from %s: %w", h, err)
+			}
 			// Protocol/auth errors are not transient: stop here.
 			return mapError(em.Code, em.Message)
 		}

@@ -2,10 +2,14 @@ package sequoia
 
 import (
 	"errors"
+	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/client"
+	"repro/internal/dbver"
 	"repro/internal/sqlmini"
 	"repro/internal/wire"
 )
@@ -88,6 +92,39 @@ func TestDecodeTruncated(t *testing.T) {
 	e := execMsg{SQL: "SELECT 1"}.encode()
 	if _, err := decodeExec(e[:2]); err == nil {
 		t.Fatal("truncated exec accepted")
+	}
+}
+
+// TestMalformedRefusalSurfaces: a controller that answers the hello
+// with a truncated msgError gets its decode error back to the caller,
+// not an empty refusal with code 0.
+func TestMalformedRefusalSurfaces(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		c := wire.NewConn(nc)
+		defer c.Close()
+		if _, err := c.Recv(); err != nil {
+			return
+		}
+		full := wire.Marshal(&errorMsg{Code: codeAuthFailed, Message: "bad password"})
+		_ = c.Send(msgError, full[:len(full)-4])
+		_, _ = c.Recv() // until the driver hangs up
+	}()
+	d := NewDriver(dbver.V(1, 0, 0), 1)
+	_, err = d.Connect("sequoia://"+ln.Addr().String()+"/vdb", client.Props{"user": "app", "password": "pw"})
+	if err == nil {
+		t.Fatal("connect succeeded against a malformed refusal")
+	}
+	if errors.Is(err, client.ErrAuth) || strings.Contains(err.Error(), "[0]") || !strings.Contains(err.Error(), ln.Addr().String()) {
+		t.Fatalf("err = %v, want the refusal's decode error", err)
 	}
 }
 

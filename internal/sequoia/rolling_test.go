@@ -59,7 +59,7 @@ func TestRollingRestartUnderLoad(t *testing.T) {
 	// All four backends converge.
 	var counts []int64
 	for _, srv := range cl.backends {
-		res, err := srv.Database("shard").Query("SELECT count(*) FROM kv")
+		res, err := srv.Database("shard").Exec("SELECT count(*) FROM kv")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,7 @@ func TestWriteReplicatesToAllBackends(t *testing.T) {
 	}
 	// Every one of the 4 backends holds the row.
 	for _, srv := range cl.backends {
-		res, err := srv.Database("shard").Query("SELECT v FROM kv WHERE k = 'a'")
+		res, err := srv.Database("shard").Exec("SELECT v FROM kv WHERE k = 'a'")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestBackendDisableEnableResync(t *testing.T) {
 		}
 	}
 	// The disabled backend is stale.
-	res, _ := cl.backends[1].Database("shard").Query("SELECT count(*) FROM kv")
+	res, _ := cl.backends[1].Database("shard").Exec("SELECT count(*) FROM kv")
 	if res.Rows[0][0].Int() != 1 {
 		t.Fatalf("disabled backend saw writes: count = %d", res.Rows[0][0].Int())
 	}
@@ -194,7 +194,7 @@ func TestBackendDisableEnableResync(t *testing.T) {
 	if err := ctrl.EnableBackend("db2-1"); err != nil {
 		t.Fatal(err)
 	}
-	res, _ = cl.backends[1].Database("shard").Query("SELECT count(*) FROM kv")
+	res, _ = cl.backends[1].Database("shard").Exec("SELECT count(*) FROM kv")
 	if res.Rows[0][0].Int() != 6 {
 		t.Fatalf("resync incomplete: count = %d", res.Rows[0][0].Int())
 	}
@@ -202,7 +202,7 @@ func TestBackendDisableEnableResync(t *testing.T) {
 	if _, err := c.Exec("INSERT INTO kv (k, v) VALUES ('post', 9)"); err != nil {
 		t.Fatal(err)
 	}
-	res, _ = cl.backends[1].Database("shard").Query("SELECT count(*) FROM kv")
+	res, _ = cl.backends[1].Database("shard").Exec("SELECT count(*) FROM kv")
 	if res.Rows[0][0].Int() != 7 {
 		t.Fatalf("post-resync write missing: count = %d", res.Rows[0][0].Int())
 	}

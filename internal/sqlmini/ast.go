@@ -22,12 +22,6 @@ type ColumnDef struct {
 	RefColumn string
 }
 
-// DropTableStmt is DROP TABLE [IF EXISTS] name.
-type DropTableStmt struct {
-	Table    string
-	IfExists bool
-}
-
 // IndexKind selects a secondary index's backing structure: a hash map
 // (equality point-lookups only) or an ordered key list (equality seeks
 // plus range scans).
@@ -122,7 +116,6 @@ type (
 
 func (*CreateTableStmt) stmt() {}
 func (*CreateIndexStmt) stmt() {}
-func (*DropTableStmt) stmt()   {}
 func (*InsertStmt) stmt()      {}
 func (*SelectStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}

@@ -32,7 +32,7 @@ type BatchStmt struct {
 // at the end.
 //
 // Transaction control is implicit and therefore rejected inside a
-// batch; DDL is rejected because CREATE/DROP cannot roll back.
+// batch; DDL is rejected because CREATE cannot roll back.
 func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 	type boundStmt struct {
 		st  Statement
@@ -48,7 +48,7 @@ func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 		switch st := ps.st.(type) {
 		case *BeginStmt, *CommitStmt, *RollbackStmt:
 			return nil, fmt.Errorf("sqlmini: batch statement %d: transaction control is implicit in an atomic batch", i+1)
-		case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
+		case *CreateTableStmt, *CreateIndexStmt:
 			return nil, fmt.Errorf("sqlmini: batch statement %d: DDL cannot roll back and is not batchable", i+1)
 		case *SelectStmt:
 			if st.Table != "" {
@@ -108,51 +108,26 @@ func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 // lockTablesByName latches the named tables in sorted name order and
 // returns them keyed by name plus the ordered unlock list. Names that
 // don't resolve are skipped — the referencing statement fails at
-// execution with the canonical ErrNoSuchTable. After latching, every
-// name is re-resolved; if any latched table was swapped (DROP TABLE)
-// or any missing name has appeared, all latches are released and
-// acquisition restarts against the new schema.
+// execution with the canonical ErrNoSuchTable. A name, once created,
+// names the same table for the database's life, so what was latched
+// stays the published table.
 func (db *DB) lockTablesByName(nameSet map[string]bool) (map[string]*Table, []*Table) {
 	names := make([]string, 0, len(nameSet))
 	for n := range nameSet {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	for {
-		order := make([]*Table, 0, len(names))
-		for _, n := range names {
-			if t, err := db.lookupTable(n); err == nil {
-				order = append(order, t)
-			}
-		}
-		for _, t := range order {
-			//lint:latch-ok canonical sorted-name multi-latch: order comes from lockTablesByName's sort
+	byName := make(map[string]*Table, len(names))
+	order := make([]*Table, 0, len(names))
+	for _, n := range names {
+		if t, err := db.lookupTable(n); err == nil {
+			//lint:latch-ok canonical sorted-name multi-latch: names sorted just above
 			t.latch.Lock()
-		}
-		stable := true
-		byName := make(map[string]*Table, len(order))
-		for _, t := range order {
-			byName[t.Name] = t
-		}
-		for _, n := range names {
-			cur, err := db.lookupTable(n)
-			if err != nil {
-				if _, had := byName[n]; had {
-					stable = false // dropped after we latched it
-				}
-				continue
-			}
-			if byName[n] != cur {
-				stable = false // swapped, or created after the first pass
-			}
-		}
-		if stable {
-			return byName, order
-		}
-		for _, t := range order {
-			t.latch.Unlock()
+			byName[n] = t
+			order = append(order, t)
 		}
 	}
+	return byName, order
 }
 
 // execBatchStmt dispatches one batch statement against the pre-latched

@@ -31,7 +31,7 @@ func BenchmarkSelectPoint(b *testing.B) {
 	db := benchDB(b, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query("SELECT name FROM t WHERE id = ?", i%1000); err != nil {
+		if _, err := db.Exec("SELECT name FROM t WHERE id = ?", i%1000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkSelectScanFilter(b *testing.B) {
 	db := benchDB(b, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query("SELECT id FROM t WHERE score > 50 AND name LIKE 'row-%'"); err != nil {
+		if _, err := db.Exec("SELECT id FROM t WHERE score > 50 AND name LIKE 'row-%'"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func BenchmarkAggregate(b *testing.B) {
 	db := benchDB(b, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query("SELECT count(*), max(score), avg(score) FROM t"); err != nil {
+		if _, err := db.Exec("SELECT count(*), max(score), avg(score) FROM t"); err != nil {
 			b.Fatal(err)
 		}
 	}

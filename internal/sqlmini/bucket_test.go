@@ -234,41 +234,6 @@ func TestBucketKeyCycleAndRollbackNoDuplicates(t *testing.T) {
 	}
 }
 
-// TestBucketSurvivesUpgrade: a many-row bucket comes through the
-// hash→ordered in-place upgrade (with the superseded hash kept fed as a
-// shadow) and keeps appending. The upgrade's backfill files a
-// superseded version too, and GC then drops that entry like any other
-// moved key's.
-func TestBucketSurvivesUpgrade(t *testing.T) {
-	db := NewDB()
-	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, grp INTEGER, v INTEGER)")
-	db.MustExec("CREATE INDEX t_hash ON t (grp)")
-	fillBucket(t, db, 0, 300)
-	db.MustExec("UPDATE t SET grp = 2 WHERE id = 5")
-	tbl, _ := db.lookupTable("t")
-	old := tbl.indexNamed("t_hash").hash
-	db.MustExec("CREATE INDEX IF NOT EXISTS t_grp_idx ON t (grp) USING ORDERED")
-	ix := tbl.indexNamed("t_hash")
-	if ix.kind != IndexOrdered || ix.shadow != old {
-		t.Fatalf("upgrade left kind %v, shadow kept: %v", ix.kind, ix.shadow == old)
-	}
-	if n := len(bucketOf(t, db, "t_hash", 1)); n != 300 {
-		t.Fatalf("backfill filed %d rows under grp = 1, want 300 (row 5's superseded version included)", n)
-	}
-	db.gcAll()
-	if n := len(bucketOf(t, db, "t_hash", 1)); n != 299 {
-		t.Fatalf("after GC grp = 1 holds %d rows, want 299: the backfilled entry of row 5's superseded version outlived GC", n)
-	}
-	fillBucket(t, db, 300, 310)
-	if n := len(old.lookup([]Value{NewInt(1)})); n != 309 { // 300 - row 5 + 10
-		t.Fatalf("shadow bucket holds %d rows, want 309", n)
-	}
-	indexConsistent(t, db, "t")
-	if res := db.MustExec("SELECT count(*) FROM t WHERE grp = 1"); res.Rows[0][0].Int() != 309 {
-		t.Fatalf("grp = 1 count after upgrade = %v", res.Rows[0][0])
-	}
-}
-
 // TestGCKeepsEntryOfRowOnceNull: a row whose indexed column went
 // NULL → 1 before the index existed is backfilled from both versions,
 // only one of which has a tuple to index. Whatever GC then does about

@@ -145,14 +145,14 @@ func runConcurrentStorm(t *testing.T, seed int64) {
 			for !stop.Load() {
 				switch rng.Intn(7) {
 				case 0, 1, 2:
-					res, err := db.Query("SELECT sum(amount) FROM bal")
+					res, err := db.Exec("SELECT sum(amount) FROM bal")
 					if err != nil {
 						t.Errorf("reader %d: sum: %v", r, err)
 						return
 					}
 					checkBalanceTotal(t, res, "reader")
 				case 3:
-					res, err := db.Query("SELECT v FROM parity WHERE id >= 0")
+					res, err := db.Exec("SELECT v FROM parity WHERE id >= 0")
 					if err != nil {
 						t.Errorf("reader %d: parity: %v", r, err)
 						return
@@ -164,12 +164,12 @@ func runConcurrentStorm(t *testing.T, seed int64) {
 						}
 					}
 				case 4:
-					if _, err := db.Query("SELECT count(*) FROM bal WHERE tag = ?", fmt.Sprintf("g%d", rng.Intn(4))); err != nil {
+					if _, err := db.Exec("SELECT count(*) FROM bal WHERE tag = ?", fmt.Sprintf("g%d", rng.Intn(4))); err != nil {
 						t.Errorf("reader %d: tag count: %v", r, err)
 						return
 					}
 				case 5:
-					if _, err := db.Query("SELECT id FROM scratch WHERE owner = ? AND score > ?", rng.Intn(4)+1, rng.Intn(100)); err != nil {
+					if _, err := db.Exec("SELECT id FROM scratch WHERE owner = ? AND score > ?", rng.Intn(4)+1, rng.Intn(100)); err != nil {
 						t.Errorf("reader %d: scratch probe: %v", r, err)
 						return
 					}

@@ -56,10 +56,6 @@ type Table struct {
 	Cols   []ColumnDef
 	colIdx map[string]int
 
-	// tid is a process-unique creation id; rollbacks use it to break
-	// latch-ordering ties between same-named tables across DROP+CREATE.
-	tid uint64
-
 	// latch is the per-table write latch: one writing statement per
 	// table at a time. Multi-table operations (atomic batches,
 	// rollbacks, the GC round) acquire latches in sorted name order, which
@@ -85,8 +81,7 @@ type Table struct {
 	// removal; guarded by latch.
 	gc gcState
 
-	// vers is the table's mutation counter, shared by name across
-	// DROP + CREATE (see DB.tableVers).
+	// vers is the table's mutation counter (see DB.tableVers).
 	vers *atomic.Uint64
 }
 
@@ -111,9 +106,10 @@ func (t *Table) rowsSnapshot() []*Row { return t.rows.Load().snapshot() }
 //lint:latch-order DB.ddlMu < Table.latch
 //lint:latch-leaf DB.cacheMu
 type DB struct {
-	// ddlMu serializes schema changes (CREATE/DROP TABLE, index DDL).
+	// ddlMu serializes schema changes (CREATE TABLE, CREATE INDEX).
 	// Statements never take it: they resolve their table from the
-	// published schema map and re-check identity after latching.
+	// published schema map, where a name, once created, names the same
+	// table for the database's life (there is no DROP).
 	ddlMu  sync.Mutex
 	schema atomic.Pointer[map[string]*Table]
 
@@ -128,27 +124,25 @@ type DB struct {
 	// read their table's published watermark.
 	commits atomic.Uint64
 
-	// tableVers counts mutations per table name (keyed by name, not
-	// *Table, so the counter survives DROP + CREATE). Cache layers above
-	// the engine use it to invalidate snapshots of individual tables
-	// without being perturbed by churn elsewhere in the database.
-	// Values are *atomic.Uint64, so generation probes are lock-free.
+	// tableVers holds each table's mutation counter by name (Table.vers
+	// points at its entry), so TableVersion reads it without resolving
+	// the table. Cache layers above the engine use it to invalidate
+	// snapshots of individual tables without being perturbed by churn
+	// elsewhere in the database. Values are *atomic.Uint64, so
+	// generation probes are lock-free.
 	tableVers sync.Map
 
 	// schemaSeq increments whenever table or index *structure* changes
-	// (CREATE/DROP TABLE, index creation or upgrade) —
-	// never on row churn. Prepared statements cache their plan skeleton
-	// against it: an unchanged schemaSeq proves the analyzed table
-	// pointer and its index set are still the live ones.
+	// (CREATE TABLE, CREATE INDEX) — never on row churn. Prepared
+	// statements cache their plan skeleton against it: an unchanged
+	// schemaSeq proves the analyzed table pointer and its index set are
+	// still the live ones.
 	schemaSeq atomic.Uint64
 
 	// readers registers in-flight snapshot reads so GC can compute a
 	// safe reclamation floor.
 	readers readerSlots
 }
-
-// tableIDs issues process-unique table creation ids (see Table.tid).
-var tableIDs atomic.Uint64
 
 // Option configures a DB.
 type Option func(*DB)
@@ -183,21 +177,15 @@ func (db *DB) lookupTable(name string) (*Table, error) {
 	return t, nil
 }
 
-// lockTable latches the named table, re-checking after acquisition
-// that the latched object is still the published one (a concurrent
-// DROP may have swapped it).
+// lockTable latches the named table. The table a name resolves to is
+// never replaced, so what was latched is the published table.
 func (db *DB) lockTable(name string) (*Table, error) {
-	for {
-		t, err := db.lookupTable(name)
-		if err != nil {
-			return nil, err
-		}
-		t.latch.Lock()
-		if cur, err2 := db.lookupTable(name); err2 == nil && cur == t {
-			return t, nil
-		}
-		t.latch.Unlock()
+	t, err := db.lookupTable(name)
+	if err != nil {
+		return nil, err
 	}
+	t.latch.Lock()
+	return t, nil
 }
 
 // sortedTables returns the current tables in name order (the canonical
@@ -223,7 +211,7 @@ func (db *DB) tableCounter(name string) *atomic.Uint64 {
 
 // TableVersion returns a counter that advances on every successful
 // mutation of the named table (INSERT/UPDATE/DELETE touching rows,
-// CREATE, DROP, and transaction rollbacks that revert its rows). It is 0
+// CREATE, and transaction rollbacks that revert its rows). It is 0
 // for tables never mutated. It is per-table, so caches of one table
 // are not invalidated by writes to another. The read is a
 // single atomic load — generation probes never contend with statements.
@@ -291,11 +279,6 @@ func (db *DB) Exec(src string, args ...any) (*Result, error) {
 	s := db.NewSession()
 	defer s.Close()
 	return s.Exec(src, args...)
-}
-
-// Query is Exec for statements expected to return rows.
-func (db *DB) Query(src string, args ...any) (*Result, error) {
-	return db.Exec(src, args...)
 }
 
 // MustExec runs Exec and panics on error; for tests and fixtures only.
@@ -373,11 +356,6 @@ func (s *Session) exec(st Statement, env *evalEnv) (*Result, error) {
 	}
 }
 
-// Query is Exec for row-returning statements.
-func (s *Session) Query(src string, args ...any) (*Result, error) {
-	return s.Exec(src, args...)
-}
-
 func (s *Session) rollback() {
 	tx := s.tx
 	s.tx = nil
@@ -393,8 +371,6 @@ func (db *DB) execStmt(st Statement, env *evalEnv, tx *undoLog) (*Result, error)
 		return db.execCreate(st)
 	case *CreateIndexStmt:
 		return db.execCreateIndex(st)
-	case *DropTableStmt:
-		return db.execDrop(st)
 	case *SelectStmt:
 		return db.execSelectRead(st, env)
 	case *InsertStmt:
@@ -508,7 +484,7 @@ func (db *DB) execCreate(st *CreateTableStmt) (*Result, error) {
 		}
 		return nil, fmt.Errorf("sqlmini: table %q already exists", st.Table)
 	}
-	t := &Table{Name: st.Table, Cols: st.Cols, colIdx: make(map[string]int, len(st.Cols)), tid: tableIDs.Add(1)}
+	t := &Table{Name: st.Table, Cols: st.Cols, colIdx: make(map[string]int, len(st.Cols))}
 	for i, c := range st.Cols {
 		if _, dup := t.colIdx[c.Name]; dup {
 			return nil, fmt.Errorf("sqlmini: duplicate column %q in table %q", c.Name, st.Table)
@@ -523,23 +499,13 @@ func (db *DB) execCreate(st *CreateTableStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-// addTable / dropTable build a fresh schema map (copy-on-write).
+// addTable builds a fresh schema map (copy-on-write).
 func addTable(old map[string]*Table, t *Table) map[string]*Table {
 	m := make(map[string]*Table, len(old)+1)
 	for k, v := range old {
 		m[k] = v
 	}
 	m[t.Name] = t
-	return m
-}
-
-func dropTable(old map[string]*Table, name string) map[string]*Table {
-	m := make(map[string]*Table, len(old))
-	for k, v := range old {
-		if k != name {
-			m[k] = v
-		}
-	}
 	return m
 }
 
@@ -589,29 +555,20 @@ func (db *DB) execCreateIndex(st *CreateIndexStmt) (*Result, error) {
 // A column set already served — the PRIMARY KEY's single column, or an
 // earlier declaration over the identical column list — gets no second
 // index: it would double every mutation's maintenance and never be
-// consulted. The statement still succeeds, for DDL portability.
-// Exception: an ORDERED declaration upgrades an existing hash index
-// over the same columns in place (keeping its name), because the
-// ordered structure strictly subsumes the hash one for planning; the
-// reverse never downgrades. Composite indexes are independent of
-// single-column ones sharing their leading column.
+// consulted. The statement still succeeds, for DDL portability, with
+// one exception: an ORDERED declaration over a set a hash index serves
+// is refused, naming that index, since a no-op would leave the range
+// plans the declaration asks for missing. A HASH declaration over an
+// ordered set is a no-op (the ordered index serves equality too).
+// Composite indexes are independent of single-column ones sharing
+// their leading column.
 func (db *DB) declareIndex(t *Table, name string, cols []int, kind IndexKind) (*Result, error) {
 	if len(cols) == 1 && cols[0] == t.pk {
 		return &Result{}, nil
 	}
 	if prior := t.indexWithCols(cols); prior != nil {
 		if kind == IndexOrdered && prior.kind == IndexHash {
-			t.latch.Lock()
-			t.removeIndex(prior)
-			t.addIndex(prior.name, cols, kind)
-			// Keep the superseded hash structure maintained as a shadow
-			// of the new ordered index: a prepared plan bound just
-			// before the upgrade may still probe it, and a frozen copy
-			// would silently miss concurrent inserts.
-			upgraded := t.indexNamed(prior.name)
-			upgraded.shadow = prior.hash
-			t.latch.Unlock()
-			db.schemaSeq.Add(1)
+			return nil, fmt.Errorf("sqlmini: index %q on table %q already serves these columns as a hash index, which serves no range", prior.name, t.Name)
 		}
 		return &Result{}, nil
 	}
@@ -624,27 +581,6 @@ func (db *DB) declareIndex(t *Table, name string, cols []int, kind IndexKind) (*
 	db.schemaSeq.Add(1)
 	// Index DDL does not change row data: TableVersion stays put, so
 	// catalog caches are unmoved.
-	return &Result{}, nil
-}
-
-func (db *DB) execDrop(st *DropTableStmt) (*Result, error) {
-	db.ddlMu.Lock()
-	defer db.ddlMu.Unlock()
-	old := *db.schema.Load()
-	t, exists := old[st.Table]
-	if !exists {
-		if st.IfExists {
-			return &Result{}, nil
-		}
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
-	}
-	// Wait out any in-flight writer so its mutations land before the
-	// table becomes unreachable (it re-checks identity after latching
-	// and would otherwise write into a dropped table).
-	t.latch.Lock()
-	db.publishSchema(dropTable(old, st.Table))
-	t.latch.Unlock()
-	db.tableCounter(st.Table).Add(1)
 	return &Result{}, nil
 }
 

@@ -25,7 +25,7 @@ func newTestDB(t *testing.T) *DB {
 
 func TestSelectAll(t *testing.T) {
 	db := newTestDB(t)
-	res, err := db.Query("SELECT * FROM users ORDER BY id")
+	res, err := db.Exec("SELECT * FROM users ORDER BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSelectWhere(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := db.Query(tt.sql, tt.args...)
+			res, err := db.Exec(tt.sql, tt.args...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestSelectWhere(t *testing.T) {
 
 func TestOrderByDescAndNulls(t *testing.T) {
 	db := newTestDB(t)
-	res, err := db.Query("SELECT name FROM users ORDER BY age DESC, name")
+	res, err := db.Exec("SELECT name FROM users ORDER BY age DESC, name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestOrderByDescAndNulls(t *testing.T) {
 
 func TestAggregates(t *testing.T) {
 	db := newTestDB(t)
-	res, err := db.Query("SELECT count(*), count(age), min(age), max(age), sum(age), avg(age) FROM users")
+	res, err := db.Exec("SELECT count(*), count(age), min(age), max(age), sum(age), avg(age) FROM users")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAggregates(t *testing.T) {
 
 func TestAggregateWithWhereEmptyResult(t *testing.T) {
 	db := newTestDB(t)
-	res, err := db.Query("SELECT count(*), max(age) FROM users WHERE id > 100")
+	res, err := db.Exec("SELECT count(*), max(age) FROM users WHERE id > 100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestUpdate(t *testing.T) {
 	if res.Affected != 3 {
 		t.Fatalf("affected = %d", res.Affected)
 	}
-	r, err := db.Query("SELECT age FROM users WHERE id = 1")
+	r, err := db.Exec("SELECT age FROM users WHERE id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDelete(t *testing.T) {
 	if res.Affected != 1 {
 		t.Fatalf("affected = %d", res.Affected)
 	}
-	r, _ := db.Query("SELECT count(*) FROM users")
+	r, _ := db.Exec("SELECT count(*) FROM users")
 	if r.Rows[0][0].Int() != 3 {
 		t.Errorf("remaining = %d", r.Rows[0][0].Int())
 	}
@@ -220,10 +220,10 @@ func TestForeignKey(t *testing.T) {
 
 func TestNoSuchTableAndColumn(t *testing.T) {
 	db := newTestDB(t)
-	if _, err := db.Query("SELECT * FROM missing"); !errors.Is(err, ErrNoSuchTable) {
+	if _, err := db.Exec("SELECT * FROM missing"); !errors.Is(err, ErrNoSuchTable) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := db.Query("SELECT nope FROM users"); !errors.Is(err, ErrNoSuchColumn) {
+	if _, err := db.Exec("SELECT nope FROM users"); !errors.Is(err, ErrNoSuchColumn) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := db.Exec("INSERT INTO users (nope) VALUES (1)"); !errors.Is(err, ErrNoSuchColumn) {
@@ -233,31 +233,19 @@ func TestNoSuchTableAndColumn(t *testing.T) {
 
 func TestMissingParam(t *testing.T) {
 	db := newTestDB(t)
-	if _, err := db.Query("SELECT * FROM users WHERE id = $missing", Args{}); !errors.Is(err, ErrMissingParam) {
+	if _, err := db.Exec("SELECT * FROM users WHERE id = $missing", Args{}); !errors.Is(err, ErrMissingParam) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := db.Query("SELECT * FROM users WHERE id = ?"); !errors.Is(err, ErrMissingParam) {
+	if _, err := db.Exec("SELECT * FROM users WHERE id = ?"); !errors.Is(err, ErrMissingParam) {
 		t.Fatalf("err = %v", err)
 	}
-}
-
-func TestDropTable(t *testing.T) {
-	db := newTestDB(t)
-	db.MustExec("DROP TABLE users")
-	if _, err := db.Query("SELECT * FROM users"); !errors.Is(err, ErrNoSuchTable) {
-		t.Fatal("table should be gone")
-	}
-	if _, err := db.Exec("DROP TABLE users"); !errors.Is(err, ErrNoSuchTable) {
-		t.Fatal("double drop should fail")
-	}
-	db.MustExec("DROP TABLE IF EXISTS users") // no error
 }
 
 func TestCreateTableIfNotExists(t *testing.T) {
 	db := newTestDB(t)
 	db.MustExec("CREATE TABLE IF NOT EXISTS users (x INTEGER)")
 	// Original schema preserved.
-	if _, err := db.Query("SELECT name FROM users LIMIT 1"); err != nil {
+	if _, err := db.Exec("SELECT name FROM users LIMIT 1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec("CREATE TABLE users (x INTEGER)"); err == nil {
@@ -268,7 +256,7 @@ func TestCreateTableIfNotExists(t *testing.T) {
 func TestNowWithClock(t *testing.T) {
 	fixed := time.Date(2026, 6, 13, 12, 0, 0, 0, time.UTC)
 	db := NewDB(WithClock(func() time.Time { return fixed }))
-	res, err := db.Query("SELECT now()")
+	res, err := db.Exec("SELECT now()")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +273,7 @@ func TestTimestampBetweenNow(t *testing.T) {
 		cur.Add(-time.Hour), cur.Add(time.Hour))
 	db.MustExec("INSERT INTO windows (id, start_date, end_date) VALUES (2, ?, ?)",
 		cur.Add(time.Hour), cur.Add(2*time.Hour))
-	res, err := db.Query("SELECT id FROM windows WHERE now() BETWEEN start_date AND end_date")
+	res, err := db.Exec("SELECT id FROM windows WHERE now() BETWEEN start_date AND end_date")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,15 +300,15 @@ func TestTransactionCommitAndRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, _ := db.Query("SELECT count(*) FROM users")
+	r, _ := db.Exec("SELECT count(*) FROM users")
 	if r.Rows[0][0].Int() != 4 {
 		t.Fatalf("rollback failed: count = %d", r.Rows[0][0].Int())
 	}
-	r, _ = db.Query("SELECT age FROM users WHERE id = 1")
+	r, _ = db.Exec("SELECT age FROM users WHERE id = 1")
 	if r.Rows[0][0].Int() != 30 {
 		t.Fatalf("rollback failed: age = %d", r.Rows[0][0].Int())
 	}
-	r, _ = db.Query("SELECT count(*) FROM users WHERE id = 2")
+	r, _ = db.Exec("SELECT count(*) FROM users WHERE id = 2")
 	if r.Rows[0][0].Int() != 1 {
 		t.Fatal("rollback failed: deleted row not restored")
 	}
@@ -333,7 +321,7 @@ func TestTransactionCommitAndRollback(t *testing.T) {
 	if _, err := s.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
-	r, _ = db.Query("SELECT count(*) FROM users")
+	r, _ = db.Exec("SELECT count(*) FROM users")
 	if r.Rows[0][0].Int() != 5 {
 		t.Fatalf("commit failed: count = %d", r.Rows[0][0].Int())
 	}
@@ -361,7 +349,7 @@ func TestSessionCloseRollsBack(t *testing.T) {
 	s.Exec("BEGIN")                                             //nolint:errcheck
 	s.Exec("INSERT INTO users (id, name) VALUES (20, 'ghost')") //nolint:errcheck
 	s.Close()
-	r, _ := db.Query("SELECT count(*) FROM users WHERE id = 20")
+	r, _ := db.Exec("SELECT count(*) FROM users WHERE id = 20")
 	if r.Rows[0][0].Int() != 0 {
 		t.Fatal("close should roll back open transaction")
 	}
@@ -375,7 +363,7 @@ func TestBlobRoundTrip(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	db.MustExec("INSERT INTO bin (id, data) VALUES (1, ?)", payload)
-	res, err := db.Query("SELECT data FROM bin WHERE id = 1")
+	res, err := db.Exec("SELECT data FROM bin WHERE id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +400,7 @@ func TestConcurrentAutocommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, _ := db.Query("SELECT n FROM counters WHERE id = 1")
+	r, _ := db.Exec("SELECT n FROM counters WHERE id = 1")
 	if got := r.Rows[0][0].Int(); got != workers*iters {
 		t.Fatalf("n = %d, want %d (statements must be atomic)", got, workers*iters)
 	}
@@ -420,7 +408,7 @@ func TestConcurrentAutocommit(t *testing.T) {
 
 func TestSelectWithoutFrom(t *testing.T) {
 	db := NewDB()
-	res, err := db.Query("SELECT 1 + 1, 'x', NULL, UPPER('ab')")
+	res, err := db.Exec("SELECT 1 + 1, 'x', NULL, UPPER('ab')")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,14 +420,14 @@ func TestSelectWithoutFrom(t *testing.T) {
 
 func TestDivisionByZero(t *testing.T) {
 	db := NewDB()
-	if _, err := db.Query("SELECT 1 / 0"); err == nil {
+	if _, err := db.Exec("SELECT 1 / 0"); err == nil {
 		t.Fatal("expected division-by-zero error")
 	}
 }
 
 func TestCoalesce(t *testing.T) {
 	db := newTestDB(t)
-	res, err := db.Query("SELECT COALESCE(age, -1) FROM users WHERE id = 4")
+	res, err := db.Exec("SELECT COALESCE(age, -1) FROM users WHERE id = 4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +455,7 @@ func TestTableVersionPerTableIsolation(t *testing.T) {
 
 	// Reads, and UPDATE/DELETE that touch no rows, must not bump.
 	av = db.TableVersion("a")
-	if _, err := db.Query("SELECT id FROM a"); err != nil {
+	if _, err := db.Exec("SELECT id FROM a"); err != nil {
 		t.Fatal(err)
 	}
 	db.MustExec("UPDATE a SET id = 2 WHERE id = 99")
@@ -479,14 +467,6 @@ func TestTableVersionPerTableIsolation(t *testing.T) {
 	db.MustExec("DELETE FROM a WHERE id = 2")
 	if db.TableVersion("a") != av+2 {
 		t.Errorf("UPDATE+DELETE: version = %d, want %d", db.TableVersion("a"), av+2)
-	}
-
-	// The counter survives DROP + re-CREATE (keyed by name).
-	av = db.TableVersion("a")
-	db.MustExec("DROP TABLE a")
-	db.MustExec("CREATE TABLE a (id INTEGER NOT NULL PRIMARY KEY)")
-	if got := db.TableVersion("a"); got != av+2 {
-		t.Errorf("DROP+CREATE: version = %d, want %d", got, av+2)
 	}
 
 	if sum := db.TableVersions("a", "b"); sum != db.TableVersion("a")+db.TableVersion("b") {

@@ -18,7 +18,7 @@ func TestInsertSelectRoundTripProperty(t *testing.T) {
 			id, s, n, f, blob); err != nil {
 			return false
 		}
-		res, err := db.Query("SELECT s, n, f, b FROM rt WHERE id = ?", id)
+		res, err := db.Exec("SELECT s, n, f, b FROM rt WHERE id = ?", id)
 		if err != nil || len(res.Rows) != 1 {
 			return false
 		}
@@ -53,7 +53,7 @@ func TestOrderByMultipleKeysWithParams(t *testing.T) {
 	db := NewDB()
 	db.MustExec("CREATE TABLE t (a INTEGER, b VARCHAR)")
 	db.MustExec("INSERT INTO t (a, b) VALUES (2, 'x'), (1, 'y'), (2, 'a'), (1, 'b')")
-	res, err := db.Query("SELECT a, b FROM t WHERE a <= ? ORDER BY a, b DESC", 2)
+	res, err := db.Exec("SELECT a, b FROM t WHERE a <= ? ORDER BY a, b DESC", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestUpdateCoercionFailureLeavesRowIntact(t *testing.T) {
 	if _, err := db.Exec("UPDATE t SET b = 5 WHERE id = 1"); err == nil {
 		t.Fatal("expected coercion error")
 	}
-	res, _ := db.Query("SELECT b FROM t WHERE id = 1")
+	res, _ := db.Exec("SELECT b FROM t WHERE id = 1")
 	if got := res.Rows[0][0].Bytes(); len(got) != 2 {
 		t.Fatalf("row mutated by failed update: %v", got)
 	}
@@ -86,7 +86,7 @@ func TestTimestampComparisonsViaParams(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		db.MustExec("INSERT INTO ev (id, at) VALUES (?, ?)", i, base.Add(time.Duration(i)*time.Hour))
 	}
-	res, err := db.Query("SELECT count(*) FROM ev WHERE at >= ? AND at < ?",
+	res, err := db.Exec("SELECT count(*) FROM ev WHERE at >= ? AND at < ?",
 		base.Add(time.Hour), base.Add(4*time.Hour))
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestInsertDefaultsOmittedColumnsToNull(t *testing.T) {
 	db := NewDB()
 	db.MustExec("CREATE TABLE t (a INTEGER, b VARCHAR, c DOUBLE)")
 	db.MustExec("INSERT INTO t (a) VALUES (1)")
-	res, _ := db.Query("SELECT b, c FROM t")
+	res, _ := db.Exec("SELECT b, c FROM t")
 	if !res.Rows[0][0].IsNull() || !res.Rows[0][1].IsNull() {
 		t.Fatalf("omitted columns should be NULL: %v", res.Rows[0])
 	}
@@ -109,7 +109,7 @@ func TestInsertDefaultsOmittedColumnsToNull(t *testing.T) {
 func TestSelectStarColumnOrderStable(t *testing.T) {
 	db := NewDB()
 	db.MustExec("CREATE TABLE t (z INTEGER, a VARCHAR, m DOUBLE)")
-	res, err := db.Query("SELECT * FROM t LIMIT 0")
+	res, err := db.Exec("SELECT * FROM t LIMIT 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestInExprWithNulls(t *testing.T) {
 	db.MustExec("INSERT INTO t (a) VALUES (1), (2), (NULL)")
 	// a IN (1, NULL): matches a=1; a=2 yields unknown (excluded); NULL
 	// row excluded.
-	res, err := db.Query("SELECT count(*) FROM t WHERE a IN (1, NULL)")
+	res, err := db.Exec("SELECT count(*) FROM t WHERE a IN (1, NULL)")
 	if err != nil {
 		t.Fatal(err)
 	}

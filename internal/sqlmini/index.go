@@ -463,13 +463,6 @@ type secondaryIndex struct {
 
 	hash *hashIndex // kind == IndexHash
 	skip *skipList  // kind == IndexOrdered
-
-	// shadow is the hash structure this ordered index superseded via the
-	// in-place upgrade path (declareIndex). A prepared plan bound just
-	// before the upgrade may still probe it, so inserts keep feeding it;
-	// entries are never GC'd from a shadow (lookups tolerate supersets,
-	// and upgrades are rare enough that the leak is acceptable).
-	shadow *hashIndex
 }
 
 // newSecondaryIndex allocates the backing structure for the given kind.
@@ -504,9 +497,6 @@ func (ix *secondaryIndex) insertFor(vals []Value, r *Row, fresh bool) *skipNode 
 	if ix.kind == IndexHash {
 		ix.hash.insert(key, r, fresh)
 		return nil
-	}
-	if ix.shadow != nil {
-		ix.shadow.insert(key, r, fresh)
 	}
 	return ix.skip.insert(key, r, fresh)
 }
@@ -562,21 +552,6 @@ func (t *Table) indexWithCols(cols []int) *secondaryIndex {
 		}
 	}
 	return nil
-}
-
-// removeIndex drops one secondary index (the hash→ordered upgrade
-// path), and its slot from every row's handle array so the positions
-// stay aligned with the index set. Caller holds ddlMu and the table
-// latch.
-func (t *Table) removeIndex(target *secondaryIndex) {
-	old := t.loadIndexes()
-	pos := slices.Index(old, target)
-	t.storeIndexes(slices.Delete(slices.Clone(old), pos, pos+1))
-	for _, r := range t.rows.Load().snapshot() {
-		if v := r.live(); pos < len(v.nodes) {
-			v.nodes = slices.Delete(v.nodes, pos, pos+1)
-		}
-	}
 }
 
 // addIndex creates a secondary index over cols and backfills it from

@@ -57,37 +57,63 @@ func TestOrderedIndexRollback(t *testing.T) {
 	}
 }
 
-// TestOrderedIndexUpgradeFromHash: declaring USING ORDERED over a column
-// that already has a hash index upgrades it in place (same name), and
-// the upgrade is idempotent whatever name repeats it.
-func TestOrderedIndexUpgradeFromHash(t *testing.T) {
+// TestOrderedOverHashRefused: an ORDERED declaration over a column set
+// a hash index already serves is refused, naming that index, with or
+// without IF NOT EXISTS; a no-op would leave the range plan it asks for
+// missing. The hash index stays as it was.
+func TestOrderedOverHashRefused(t *testing.T) {
 	db := NewDB()
 	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, score INTEGER)")
 	db.MustExec("INSERT INTO t (id, score) VALUES (1, 10), (2, 20), (3, 30)")
-	db.MustExec("CREATE INDEX IF NOT EXISTS t_score_idx ON t (score)")
-	if plan, _ := db.Explain("SELECT id FROM t WHERE score > 15"); plan != "full scan on t" {
-		t.Fatalf("hash index must not serve ranges, got %q", plan)
+	db.MustExec("CREATE INDEX t_score_idx ON t (score)")
+	for _, ddl := range []string{
+		"CREATE INDEX t_other_name ON t (score) USING ORDERED",
+		"CREATE INDEX IF NOT EXISTS t_other_name ON t (score) USING ORDERED",
+		"CREATE INDEX IF NOT EXISTS t_score_idx ON t (score) USING ORDERED",
+	} {
+		_, err := db.Exec(ddl)
+		if err == nil || !strings.Contains(err.Error(), `"t_score_idx"`) {
+			t.Fatalf("%s: err = %v, want a refusal naming t_score_idx", ddl, err)
+		}
 	}
-	db.MustExec("CREATE INDEX IF NOT EXISTS t_other_name ON t (score) USING ORDERED")
-	db.MustExec("CREATE INDEX IF NOT EXISTS t_score_idx ON t (score) USING ORDERED") // idempotent
 	tbl, _ := db.lookupTable("t")
-	ixs := tbl.loadIndexes()
-	n, name, kind := len(ixs), ixs[0].name, ixs[0].kind
-	if n != 1 || kind != IndexOrdered || name != "t_score_idx" {
-		t.Fatalf("upgrade left %d indexes, kind %v, name %q", n, kind, name)
+	if ixs := tbl.loadIndexes(); len(ixs) != 1 || ixs[0].kind != IndexHash || ixs[0].name != "t_score_idx" {
+		t.Fatalf("a refused declaration changed the index set: %d indexes", len(ixs))
+	}
+	if plan, _ := db.Explain("SELECT id FROM t WHERE score = 20"); plan != "index lookup on t(score) [t_score_idx]" {
+		t.Fatalf("equality plans as %q after the refusal", plan)
 	}
 	indexConsistent(t, db, "t")
-	// Equality still served, ranges now served.
-	if plan, _ := db.Explain("SELECT id FROM t WHERE score = 20"); plan != "index lookup on t(score) [t_score_idx]" {
-		t.Fatalf("equality after upgrade plans as %q", plan)
+}
+
+// TestCreateIndexSameKindIsNoOp: a declaration over a column set an
+// index of the same kind already serves — repeated under IF NOT EXISTS,
+// or under another name — succeeds and adds nothing, and a HASH
+// declaration over an ordered set is a no-op too: the ordered index
+// serves equality, and nothing is ever downgraded.
+func TestCreateIndexSameKindIsNoOp(t *testing.T) {
+	db := NewDB()
+	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, a INTEGER, b INTEGER)")
+	db.MustExec("CREATE INDEX t_a ON t (a)")
+	db.MustExec("CREATE INDEX t_b ON t (b) USING ORDERED")
+	for _, ddl := range []string{
+		"CREATE INDEX IF NOT EXISTS t_a ON t (a)",
+		"CREATE INDEX IF NOT EXISTS t_a2 ON t (a) USING HASH",
+		"CREATE INDEX IF NOT EXISTS t_b ON t (b) USING ORDERED",
+		"CREATE INDEX t_b2 ON t (b) USING ORDERED",
+		"CREATE INDEX IF NOT EXISTS t_b3 ON t (b)",
+	} {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
 	}
-	if plan, _ := db.Explain("SELECT id FROM t WHERE score > 15"); plan != "range scan on t(score) [t_score_idx] (score > 15)" {
-		t.Fatalf("range after upgrade plans as %q", plan)
+	tbl, _ := db.lookupTable("t")
+	ixs := tbl.loadIndexes()
+	if len(ixs) != 2 || ixs[0].name != "t_a" || ixs[0].kind != IndexHash || ixs[1].name != "t_b" || ixs[1].kind != IndexOrdered {
+		t.Fatalf("no-op declarations changed the index set: %d indexes", len(ixs))
 	}
-	// An ordered index is never downgraded back to hash.
-	db.MustExec("CREATE INDEX IF NOT EXISTS t_score_idx ON t (score)")
-	if kind = tbl.loadIndexes()[0].kind; kind != IndexOrdered {
-		t.Fatal("a hash declaration downgraded an ordered index")
+	if plan, _ := db.Explain("SELECT id FROM t WHERE b > 5"); plan != "range scan on t(b) [t_b] (b > 5)" {
+		t.Fatalf("range on b plans as %q", plan)
 	}
 }
 

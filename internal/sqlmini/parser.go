@@ -161,8 +161,6 @@ func (p *parser) parseStatement() (Statement, error) {
 	switch t.text {
 	case "CREATE":
 		return p.parseCreateTable()
-	case "DROP":
-		return p.parseDropTable()
 	case "INSERT":
 		return p.parseInsert()
 	case "SELECT":
@@ -376,26 +374,6 @@ func (p *parser) parseCreateIndex() (Statement, error) {
 			return nil, p.errorf("unknown index method %q (want HASH, ORDERED, or BTREE)", method)
 		}
 	}
-	return st, nil
-}
-
-func (p *parser) parseDropTable() (Statement, error) {
-	p.next() // DROP
-	if err := p.expectKW("TABLE"); err != nil {
-		return nil, err
-	}
-	st := &DropTableStmt{}
-	if p.acceptKW("IF") {
-		if err := p.expectKW("EXISTS"); err != nil {
-			return nil, err
-		}
-		st.IfExists = true
-	}
-	name, err := p.qualifiedName()
-	if err != nil {
-		return nil, err
-	}
-	st.Table = name
 	return st, nil
 }
 

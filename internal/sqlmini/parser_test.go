@@ -172,6 +172,25 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestDropIsAParseError: the dialect has no DROP of any kind, so a
+// DROP fails to parse and leaves the table it names in place.
+func TestDropIsAParseError(t *testing.T) {
+	db := NewDB()
+	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY)")
+	db.MustExec("CREATE INDEX t_id_idx ON t (id)")
+	for _, src := range []string{"DROP TABLE t", "DROP TABLE IF EXISTS t", "DROP INDEX t_id_idx"} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", src)
+		}
+		if _, err := db.Exec(src); err == nil {
+			t.Errorf("Exec(%q) succeeded, want error", src)
+		}
+	}
+	if _, err := db.Exec("SELECT id FROM t"); err != nil {
+		t.Fatalf("table gone after a refused DROP: %v", err)
+	}
+}
+
 func TestParseStringEscapes(t *testing.T) {
 	st, err := Parse(`SELECT 'it''s a test'`)
 	if err != nil {
@@ -213,7 +232,7 @@ func TestParsePrecedence(t *testing.T) {
 func TestParseArithmeticPrecedence(t *testing.T) {
 	// 1 + 2 * 3 = 7
 	db := NewDB()
-	res, err := db.Query("SELECT 1 + 2 * 3")
+	res, err := db.Exec("SELECT 1 + 2 * 3")
 	if err != nil {
 		t.Fatal(err)
 	}

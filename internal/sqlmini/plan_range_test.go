@@ -100,11 +100,11 @@ func TestRangePlannerMatchesScan(t *testing.T) {
 	}
 	idb, sdb := rangeDB(t, true), rangeDB(t, false)
 	for _, q := range queries {
-		got, err := idb.Query(q.sql, q.args...)
+		got, err := idb.Exec(q.sql, q.args...)
 		if err != nil {
 			t.Fatalf("%s (indexed): %v", q.sql, err)
 		}
-		want, err := sdb.Query(q.sql, q.args...)
+		want, err := sdb.Exec(q.sql, q.args...)
 		if err != nil {
 			t.Fatalf("%s (scan): %v", q.sql, err)
 		}
@@ -259,7 +259,7 @@ func BenchmarkRangeSeekAt10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// The window below now() is empty: all rows expire in the future.
-		if _, err := db.Query("SELECT count(*) FROM leases WHERE expires_at <= now() AND released = FALSE"); err != nil {
+		if _, err := db.Exec("SELECT count(*) FROM leases WHERE expires_at <= now() AND released = FALSE"); err != nil {
 			b.Fatal(err)
 		}
 	}

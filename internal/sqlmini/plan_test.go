@@ -100,11 +100,11 @@ func TestPlannerMatchesScan(t *testing.T) {
 	}
 	idb, sdb := planDB(t), scanDB(t)
 	for _, q := range queries {
-		got, err := idb.Query(q.sql, q.args...)
+		got, err := idb.Exec(q.sql, q.args...)
 		if err != nil {
 			t.Fatalf("%s (indexed): %v", q.sql, err)
 		}
-		want, err := sdb.Query(q.sql, q.args...)
+		want, err := sdb.Exec(q.sql, q.args...)
 		if err != nil {
 			t.Fatalf("%s (scan): %v", q.sql, err)
 		}
@@ -157,8 +157,8 @@ func TestPlannerErrorParity(t *testing.T) {
 		{"SELECT * FROM leases WHERE bogus = 1 AND driver_id = 2", nil},
 		{"SELECT * FROM leases WHERE driver_id = 1 AND 1/driver_id = 1", nil},
 	} {
-		_, ei := idb.Query(q.sql, q.args...)
-		_, es := sdb.Query(q.sql, q.args...)
+		_, ei := idb.Exec(q.sql, q.args...)
+		_, es := sdb.Exec(q.sql, q.args...)
 		if (ei == nil) != (es == nil) {
 			t.Fatalf("%s: indexed err=%v, scan err=%v", q.sql, ei, es)
 		}

@@ -122,8 +122,3 @@ func (p *Prepared) run(tx *undoLog, env *evalEnv) (*Result, error) {
 	}
 	return db.execStmt(p.st, env, tx)
 }
-
-// Query is Exec for row-returning statements.
-func (p *Prepared) Query(args ...any) (*Result, error) {
-	return p.Exec(args...)
-}

@@ -196,11 +196,11 @@ func FuzzPlannerMatchesScan(f *testing.F) {
 				if plan, err := planned.Explain(q + forced); err != nil || plan != "full scan on t" {
 					t.Fatalf("the forced scan plans as %q (%v)", plan, err)
 				}
-				got, err := planned.Query(q + w)
+				got, err := planned.Exec(q + w)
 				if err != nil {
 					t.Fatalf("%s: %v", q+w, err)
 				}
-				want, err := planned.Query(q + forced)
+				want, err := planned.Exec(q + forced)
 				if err != nil {
 					t.Fatalf("%s: %v", q+forced, err)
 				}

@@ -60,7 +60,7 @@ func TestSweeperConvergesIdleChains(t *testing.T) {
 
 	// The sweep must reclaim history, not state: every row still reads
 	// its last committed value.
-	res, err := db.Query(`SELECT k, v FROM kv`)
+	res, err := db.Exec(`SELECT k, v FROM kv`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,34 +42,14 @@ func (u *undoLog) recordDelete(t *Table, r *Row, old []Value) {
 }
 
 // lockEntryTables latches every distinct table the log touched, in
-// (name, pointer) order. Sorting by name keeps the order compatible
-// with every other multi-latch path (batches and the GC round both
-// sort by name), so the global lock graph stays acyclic; the pointer
-// tie-break only matters when a table was dropped and re-created under
-// the same name mid-transaction, and is applied consistently by every
-// rollback. The returned slice is also the unlock list.
+// name order, the order of every other multi-latch path (batches and
+// the GC round), so the global lock graph stays acyclic. The returned
+// slice is also the unlock list.
 func (u *undoLog) lockEntryTables() []*Table {
-	var tables []*Table
-	for _, e := range u.entries {
-		found := false
-		for _, t := range tables {
-			if t == e.table {
-				found = true
-				break
-			}
-		}
-		if !found {
-			tables = append(tables, e.table)
-		}
-	}
-	sort.Slice(tables, func(i, j int) bool {
-		if tables[i].Name != tables[j].Name {
-			return tables[i].Name < tables[j].Name
-		}
-		return tables[i].tid < tables[j].tid
-	})
+	tables := u.entryTables()
+	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
 	for _, t := range tables {
-		//lint:latch-ok canonical sorted-name multi-latch: tables sorted by (name, tid) just above
+		//lint:latch-ok canonical sorted-name multi-latch: tables sorted by name just above
 		t.latch.Lock()
 	}
 	return tables

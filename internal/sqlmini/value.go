@@ -5,11 +5,12 @@
 // server logic is literally SQL (Sample code 1 and 2), so the server in
 // internal/core executes those statements against this engine.
 //
-// The dialect covers what the paper needs plus the usual administrative
-// surface: CREATE/DROP TABLE, INSERT, SELECT (with WHERE, ORDER BY,
-// LIMIT, aggregates), UPDATE, DELETE, BEGIN/COMMIT/ROLLBACK, LIKE,
-// IS [NOT] NULL, BETWEEN, IN, now(), and named ($name) plus positional
-// (?) parameters. Concurrency model: MVCC. Rows are immutable version
+// The dialect covers what the paper needs: CREATE TABLE, CREATE INDEX,
+// INSERT, SELECT (with WHERE, ORDER BY, LIMIT, aggregates), UPDATE,
+// DELETE, BEGIN/COMMIT/ROLLBACK, LIKE, IS [NOT] NULL, BETWEEN, IN,
+// now(), and named ($name) plus positional (?) parameters. There is no
+// DROP of any kind: a table, once created, keeps its name and its
+// indexes for the database's life. Concurrency model: MVCC. Rows are immutable version
 // chains; read-only statements run lock-free against a stable snapshot
 // and never block writers, while writers serialize per table behind
 // short latches (there is no engine-wide lock) and publish each

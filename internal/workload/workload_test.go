@@ -230,7 +230,7 @@ func TestRunnerCustomOp(t *testing.T) {
 	if stats.Errors != 0 || stats.Total == 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	res, err := s.Database("d").Query("SELECT count(*) FROM t")
+	res, err := s.Database("d").Exec("SELECT count(*) FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}

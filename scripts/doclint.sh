@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# doclint.sh — fail if any internal/ package lacks a package comment, or
-# if a comment or doc names a Markdown file the tree does not hold.
+# doclint.sh — fail if any internal/ package lacks a package comment,
+# if a comment or doc names a Markdown file the tree does not hold, or
+# if a doc names a test, benchmark or fuzz target that no test declares.
 #
 # Every package under internal/ — at any nesting depth — must carry a
 # `// Package <name> ...` doc comment in at least one non-test file:
@@ -12,8 +13,12 @@
 # Every `<name>.md` that a Go comment, README.md or docs/*.md names must
 # exist somewhere in the tree (matched by file name, so a relative link
 # and a bare mention both resolve): a pointer to a document that is not
-# there sends the reader nowhere. Run by `make lint` (and so by
-# `make check`).
+# there sends the reader nowhere.
+#
+# Every Test…, Benchmark… or Fuzz… name that README.md or docs/*.md
+# cites must be a function some _test.go declares (brace forms such as
+# Benchmark{A,B}X expand first), so a design doc's pins resolve. Run by
+# `make lint` (and so by `make check`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,4 +63,34 @@ present="$(find . \( -name .git -o -name '.bench_build' \) -prune -o -name '*.md
     echo "doclint: point each reference above at a document that exists, or drop it" >&2
     exit 1
 }
-echo "doclint: all internal/ packages documented, every named .md file present"
+# Every Test…, Benchmark… or Fuzz… function that README.md or a
+# docs/*.md file names must be declared by some _test.go (either
+# module): a doc that pins a claim to a test that no longer exists
+# points at nothing. A brace form expands before the check, so
+# BenchmarkGrantAt{200,20000}LeasesOneDriver names two benchmarks.
+declared="$(find . \( -name .git -o -name '.bench_build' -o -name testdata \) -prune -o -name '*_test.go' -print |
+    xargs grep -ohE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' | sed 's/^func //' | sort -u)"
+grep -HnoE '\b(Test|Benchmark|Fuzz)[A-Z0-9_]([A-Za-z0-9_]|\{[A-Za-z0-9_,]*\})*' README.md docs/*.md |
+    awk -v declared="$declared" '
+    BEGIN { n = split(declared, d, "\n"); for (i = 1; i <= n; i++) have[d[i]] = 1 }
+    # expand appends every expansion of brace form s to out[].
+    function expand(s,    i, j, k, m, alt) {
+        i = index(s, "{")
+        if (i == 0) { out[++nout] = s; return }
+        j = index(substr(s, i), "}") + i - 1
+        m = split(substr(s, i + 1, j - i - 1), alt, ",")
+        for (k = 1; k <= m; k++) expand(substr(s, 1, i - 1) alt[k] substr(s, j + 1))
+    }
+    {
+        where = $0; sub(/:[^:]*$/, "", where)
+        name = $0; sub(/^[^:]*:[^:]*:/, "", name)
+        nout = 0; expand(name)
+        for (k = 1; k <= nout; k++)
+            if (!(out[k] in have)) { print "doclint: " where ": names " out[k] ", which no _test.go declares"; bad = 1 }
+    }
+    END { exit bad }
+' >&2 || {
+    echo "doclint: point each name above at a test that exists, or drop it" >&2
+    exit 1
+}
+echo "doclint: all internal/ packages documented, every named .md file and test present"
