@@ -13,7 +13,7 @@
 #   make bench-smoke     # every Go benchmark of the root module once, so their assertions run (off the tier-1 path)
 #   make bench-module-check  # vet + test + drivolint the separate bench/ module (drivobench)
 #   make loc             # non-test Go code lines per package (what ROADMAP "non-test lines" means)
-#   make traffic         # functions that no program enters, from coverage builds of every program (off the tier-1 path)
+#   make traffic         # code that no program runs, from coverage builds of every program (off the tier-1 path)
 #   make bench           # run the perf-tracked benchmark set
 #   make bench-baseline  # tier1 + benches, refresh BENCH_baseline.json
 #   make bench-compare   # tier1 + benches, diff against BENCH_baseline.json
@@ -139,11 +139,12 @@ loc:
 		protocol: internal/core/protocol.go internal/dbms/protocol.go internal/cluster/protocol.go \
 		internal/sequoia/protocol.go internal/wire/walk.go
 
-# traffic builds drivobench, the examples, cmd/experiments, drivolutiond
-# and drivoctl with coverage over repro/..., runs each once and prints
-# the functions none of them entered: the evidence a deletion of
-# unreached code cites. About two minutes; everything it writes goes to a
-# temp dir.
+# traffic builds drivobench, the examples, cmd/experiments, drivolutiond,
+# drivoctl and drivolint with coverage over repro/..., runs each once,
+# merges their counters block by block and prints the functions none of
+# them entered, each package's share of statements run and sqlmini's
+# never-run blocks: the evidence a deletion of unreached code cites.
+# About three minutes; everything it writes goes to a temp dir.
 traffic:
 	scripts/traffic.sh
 

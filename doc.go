@@ -66,8 +66,9 @@
 // INDEX — as an O(1) point lookup with the full WHERE re-applied as a
 // residual filter; `released = FALSE`-style bool predicates ride along
 // as residuals. Columns with an ORDERED index (CREATE INDEX ... USING
-// ORDERED) additionally serve range conjuncts — col > k, >=, <, <=,
-// BETWEEN, including statement-stable now() bounds — as an O(log n)
+// ORDERED) additionally serve range conjuncts — col > k, >=, <, <=
+// against a literal or a bound parameter such as $now (the engine has
+// no clock: a statement binds the time it means) — as an O(log n)
 // boundary seek plus an in-order walk of just the matching window;
 // ordered indexes may span several columns (CREATE INDEX ... (a, b)
 // USING ORDERED), serving a range on the second column alone by a skip

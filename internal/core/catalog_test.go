@@ -440,18 +440,18 @@ func TestCatalogLicenseModeLeaseFree(t *testing.T) {
 	}
 }
 
-// TestLicenseModeStoreClockSkew: the license cap holds when the store's
-// clock runs ahead of the server's, as two machines' clocks do over an
-// external store. Every lease write binds its expiry from the server's
-// clock, so the license checks judge it by the same clock: judged by
-// the store's now(), a whole lease term ahead here, the held license
-// would look expired and go to a second client.
+// TestLicenseModeStoreClockSkew: the license cap holds when the server's
+// clock is not the store machine's, as two machines' clocks differ over
+// an external store. Every lease write binds its expiry from the
+// server's clock, and the license checks bind the server's clock too
+// (the engine has no clock of its own): here the server's clock sits
+// months behind the wall clock, so a check judged by the store
+// machine's time would find the held license expired and give it to a
+// second client.
 func TestLicenseModeStoreClockSkew(t *testing.T) {
 	const lease = time.Minute
 	now := time.Date(2026, 6, 13, 12, 0, 0, 0, time.UTC)
-	storeNow := now.Add(lease + time.Second)
-	db := sqlmini.NewDB(sqlmini.WithClock(func() time.Time { return storeNow }))
-	srv, err := NewServer("skew", NewLocalStore(db), WithLicenseMode(),
+	srv, err := NewServer("skew", NewLocalStore(sqlmini.NewDB()), WithLicenseMode(),
 		WithDefaultLease(lease), WithClock(func() time.Time { return now }))
 	if err != nil {
 		t.Fatal(err)

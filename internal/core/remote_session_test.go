@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/dbms"
@@ -276,9 +277,9 @@ func TestConnStoreGenerationProbe(t *testing.T) {
 		t.Fatalf("versions must observe a remote peer's driver write: (%d,%d) then (%d,%d) ok=%v", d1, p1, d2, p2, ok)
 	}
 	// Lease churn must NOT move the versions (the catalog contract).
-	f.legacyDB.MustExec(`INSERT INTO ` + LeasesTable + ` (lease_id, driver_id, database,
+	f.legacyDB.MustExec(`INSERT INTO `+LeasesTable+` (lease_id, driver_id, database,
 		user, client_id, granted_at, expires_at, released, renewals)
-		VALUES (1, 1, 'prod', 'app', 'c', now(), now(), FALSE, 0)`)
+		VALUES (1, 1, 'prod', 'app', 'c', $t, $t, FALSE, 0)`, sqlmini.Args{"t": time.Now()})
 	if d3, p3, _ := f.store.Versions(); d3 != d2 || p3 != p2 {
 		t.Fatalf("lease churn moved the versions: (%d,%d) then (%d,%d)", d2, p2, d3, p3)
 	}

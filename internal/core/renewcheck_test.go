@@ -171,7 +171,7 @@ func newStaleWorld(t *testing.T, kind string, license bool) *staleWorld {
 	t.Helper()
 	w := &staleWorld{now: time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC), license: license}
 	clock := func() time.Time { return w.now }
-	w.db = sqlmini.NewDB(sqlmini.WithClock(clock))
+	w.db = sqlmini.NewDB()
 	w.store = NewLocalStore(w.db)
 	if kind == "conn" {
 		legacy := dbms.NewServer("legacy-db", dbms.WithUser("svc", "pw"))

@@ -216,8 +216,7 @@ func TestMatchmakingSampleCode1(t *testing.T) {
 // user/db/client_ip LIKE filters and the date window.
 func TestMatchmakingSampleCode2(t *testing.T) {
 	now := time.Date(2026, 6, 13, 12, 0, 0, 0, time.UTC)
-	db := sqlmini.NewDB(sqlmini.WithClock(func() time.Time { return now }))
-	st := NewLocalStore(db)
+	st := NewLocalStore(sqlmini.NewDB())
 	srv, err := NewServer("s", st, WithClock(func() time.Time { return now }))
 	if err != nil {
 		t.Fatal(err)

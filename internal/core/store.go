@@ -50,7 +50,7 @@ type Store interface {
 // The capability names Store absorbed. They survive only because the
 // drivobench module (bench/) still compiles against them, and go once
 // its TestTimingStoreKeepsFastPaths stops naming them (ROADMAP item
-// 1(a)).
+// 2(a)).
 type (
 	TxStore                 = Store
 	StmtStore               = Store

@@ -717,3 +717,59 @@ func TestMixedArgumentBlockRefused(t *testing.T) {
 		t.Fatalf("ping after refusals answered 0x%04x", f.Type)
 	}
 }
+
+// TestDoubleValueArgumentRefused: an argument block carrying value tag
+// 4, DOUBLE's until the dialect dropped it, is refused with
+// codeQueryError, executes nothing, and leaves the session usable. The
+// frame is built by hand, field by field.
+func TestDoubleValueArgumentRefused(t *testing.T) {
+	s := startServer(t)
+	conn, err := wire.Dial(s.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(typ uint16, payload []byte) wire.Frame {
+		t.Helper()
+		if err := conn.Send(typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		f, err := conn.RecvTimeout(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	hello := helloMsg{ProtocolVersion: 1, MinProtocolVersion: 1, Database: "app",
+		User: "alice", Password: "secret", ClientInfo: "raw"}
+	if f := exchange(msgHello, wire.Marshal(&hello)); f.Type != msgHelloOK {
+		t.Fatalf("handshake answered 0x%04x", f.Type)
+	}
+	exec := wire.NewEncoder(64)
+	exec.String("UPDATE accounts SET balance = ? WHERE id = 1")
+	exec.Uint32(0) // no named values
+	exec.Uint32(1) // one positional value: tag 4 and a float's eight bytes
+	exec.Uint8(4)
+	exec.Uint64(0x4000000000000000) // 2.0
+	f := exchange(msgExec, exec.Bytes())
+	if f.Type != msgError {
+		t.Fatalf("an argument of value tag 4 answered 0x%04x, want msgError", f.Type)
+	}
+	var se serverError
+	if err := wire.Unmarshal(f.Payload, &se); err != nil || se.code != codeQueryError {
+		t.Fatalf("code %d %q (%v), want codeQueryError", se.code, se.msg, err)
+	}
+	if got := s.Database("app").MustExec("SELECT balance FROM accounts WHERE id = 1").Rows[0][0].Int(); got != 100 {
+		t.Fatalf("the refused statement executed: balance %d, want 100", got)
+	}
+	if f := exchange(msgPing, nil); f.Type != msgPong {
+		t.Fatalf("ping after the refusal answered 0x%04x", f.Type)
+	}
+	ok := wire.NewEncoder(64)
+	if err := encodeExec(ok, "SELECT balance FROM accounts WHERE id = ?", []any{1}); err != nil {
+		t.Fatal(err)
+	}
+	if f := exchange(msgExec, ok.Bytes()); f.Type != msgResult {
+		t.Fatalf("a well-formed statement after the refusal answered 0x%04x, want msgResult", f.Type)
+	}
+}

@@ -72,7 +72,7 @@ func refWireArgs(named map[string]sqlmini.Value, positional []sqlmini.Value) []a
 // wirePool is the value pool FuzzWireBinding's blocks draw from: every
 // value type the wire carries, with two that equal the row's key.
 var wirePool = []sqlmini.Value{sqlmini.Null, sqlmini.NewInt(1), sqlmini.NewInt(2), sqlmini.NewString("1"),
-	sqlmini.NewString("Ab"), sqlmini.NewFloat(1.0), sqlmini.NewBool(true), sqlmini.NewTime(time.Unix(1, 0)),
+	sqlmini.NewString("Ab"), sqlmini.NewBool(true), sqlmini.NewTime(time.Unix(1, 0)),
 	sqlmini.NewBytes([]byte("k"))}
 
 // FuzzWireBinding holds the server's slot binding (decodeArgs into

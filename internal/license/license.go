@@ -20,7 +20,6 @@ package license
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dbms"
@@ -44,10 +43,6 @@ func DetectorFromDBMS(srv *dbms.Server) Detector {
 type Manager struct {
 	srv      *core.Server
 	detector Detector
-
-	mu            sync.Mutex
-	reclaimed     int
-	sweepFailures int
 }
 
 // NewManager creates a license manager over srv. detector may be nil, in
@@ -56,34 +51,11 @@ func NewManager(srv *core.Server, detector Detector) *Manager {
 	return &Manager{srv: srv, detector: detector}
 }
 
-// Reclaimed reports how many licenses the manager has reclaimed.
-func (m *Manager) Reclaimed() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reclaimed
-}
-
-// SweepFailures reports how many sweeps ended on an error: a manager
-// whose every sweep fails reclaims nothing, and this is where it shows.
-func (m *Manager) SweepFailures() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sweepFailures
-}
-
 // SweepOnce scans the lease table once, releasing dead or expired
 // leases, and returns how many it reclaimed, also when a release fails
 // part way. Expiry is judged by the server's clock (core.Server.Now),
 // which every lease write binds its expiry from.
 func (m *Manager) SweepOnce() (n int, err error) {
-	defer func() {
-		m.mu.Lock()
-		m.reclaimed += n
-		if err != nil {
-			m.sweepFailures++
-		}
-		m.mu.Unlock()
-	}()
 	leases, err := m.srv.Leases()
 	if err != nil {
 		return 0, fmt.Errorf("license: sweep: %w", err)

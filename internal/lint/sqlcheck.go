@@ -237,22 +237,15 @@ func columnRefs(st sqlmini.Statement) []string {
 		case *sqlmini.BinaryExpr:
 			walkExpr(e.L)
 			walkExpr(e.R)
-		case *sqlmini.UnaryExpr:
-			walkExpr(e.E)
 		case *sqlmini.IsNullExpr:
 			walkExpr(e.E)
 		case *sqlmini.BetweenExpr:
 			walkExpr(e.E)
 			walkExpr(e.Lo)
 			walkExpr(e.Hi)
-		case *sqlmini.InExpr:
-			walkExpr(e.E)
-			for _, x := range e.List {
-				walkExpr(x)
-			}
 		case *sqlmini.CallExpr:
-			for _, a := range e.Args {
-				walkExpr(a)
+			if e.Col != nil {
+				walkExpr(e.Col)
 			}
 		}
 	}
@@ -333,38 +326,12 @@ func synthesizeArgs(st sqlmini.Statement, colTypes map[string]sqlmini.Type) []an
 			pair(e.R, e.L)
 			walk(e.L)
 			walk(e.R)
-		case *sqlmini.UnaryExpr:
-			walk(e.E)
 		case *sqlmini.IsNullExpr:
 			walk(e.E)
 		case *sqlmini.BetweenExpr:
-			if col, ok := e.E.(*sqlmini.ColumnExpr); ok {
-				if p, ok := e.Lo.(*sqlmini.ParamExpr); ok {
-					bind(p, colTypes[col.Name])
-				}
-				if p, ok := e.Hi.(*sqlmini.ParamExpr); ok {
-					bind(p, colTypes[col.Name])
-				}
-			}
 			walk(e.E)
 			walk(e.Lo)
 			walk(e.Hi)
-		case *sqlmini.InExpr:
-			if col, ok := e.E.(*sqlmini.ColumnExpr); ok {
-				for _, x := range e.List {
-					if p, ok := x.(*sqlmini.ParamExpr); ok {
-						bind(p, colTypes[col.Name])
-					}
-				}
-			}
-			walk(e.E)
-			for _, x := range e.List {
-				walk(x)
-			}
-		case *sqlmini.CallExpr:
-			for _, a := range e.Args {
-				walk(a)
-			}
 		}
 	}
 	switch st := st.(type) {
@@ -411,8 +378,6 @@ func synthValue(t sqlmini.Type) any {
 	switch t {
 	case sqlmini.TypeVarchar:
 		return "x"
-	case sqlmini.TypeDouble:
-		return 1.0
 	case sqlmini.TypeBoolean:
 		return false
 	case sqlmini.TypeTimestamp:

@@ -59,7 +59,7 @@ func TestResultRoundTrip(t *testing.T) {
 	cols := []string{"a", "b"}
 	rows := [][]sqlmini.Value{
 		{sqlmini.NewInt(1), sqlmini.NewString("x")},
-		{sqlmini.Null, sqlmini.NewFloat(2.5)},
+		{sqlmini.Null, sqlmini.NewBool(true)},
 	}
 	gc, gr, aff, err := decodeResult(encodeResult(cols, rows, 7))
 	if err != nil {
@@ -68,7 +68,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if len(gc) != 2 || gc[0] != "a" || aff != 7 || len(gr) != 2 {
 		t.Fatalf("cols=%v aff=%d rows=%d", gc, aff, len(gr))
 	}
-	if gr[0][0].Int() != 1 || gr[1][1].Float() != 2.5 || !gr[1][0].IsNull() {
+	if gr[0][0].Int() != 1 || !gr[1][1].Bool() || !gr[1][0].IsNull() {
 		t.Fatalf("rows = %v", gr)
 	}
 }

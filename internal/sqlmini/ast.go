@@ -64,9 +64,12 @@ type InsertStmt struct {
 
 // SelectStmt is SELECT exprs FROM t [WHERE] [ORDER BY] [LIMIT].
 type SelectStmt struct {
-	// Items is the select list; Star means SELECT *.
+	// Items is the select list; Star means SELECT *. Either every item
+	// is an aggregate (a *CallExpr), and the result is one row, or none
+	// is: the dialect has no GROUP BY.
 	Items []SelectItem
 	Star  bool
+	agg   bool // the items are aggregates
 	Table string
 	Where Expr // nil means no WHERE
 	Order []OrderKey
@@ -144,15 +147,9 @@ type ParamExpr struct {
 
 // BinaryExpr applies an infix operator.
 type BinaryExpr struct {
-	Op    string // "=", "<>", "<", "<=", ">", ">=", "AND", "OR", "LIKE", "+", "-", "*", "/"
+	Op    string // "=", "<>", "<", "<=", ">", ">=", "AND", "OR", "LIKE", "+", "-"
 	L, R  Expr
-	NotOp bool // NOT LIKE / NOT IN
-}
-
-// UnaryExpr applies NOT or unary minus.
-type UnaryExpr struct {
-	Op string // "NOT", "-"
-	E  Expr
+	NotOp bool // NOT LIKE
 }
 
 // IsNullExpr is expr IS [NOT] NULL.
@@ -168,26 +165,17 @@ type BetweenExpr struct {
 	Not    bool
 }
 
-// InExpr is expr [NOT] IN (e1, e2, ...).
-type InExpr struct {
-	E    Expr
-	List []Expr
-	Not  bool
-}
-
-// CallExpr is a function call: now(), lower(x), count(*), ...
+// CallExpr is one of the two aggregates, COUNT(*) or MAX(col). It is
+// only ever a whole select item.
 type CallExpr struct {
-	Fn   string // upper-cased
-	Args []Expr
-	Star bool // count(*)
+	Fn  string      // "COUNT" or "MAX"
+	Col *ColumnExpr // MAX's column; nil for COUNT(*)
 }
 
 func (*LiteralExpr) expr() {}
 func (*ColumnExpr) expr()  {}
 func (*ParamExpr) expr()   {}
 func (*BinaryExpr) expr()  {}
-func (*UnaryExpr) expr()   {}
 func (*IsNullExpr) expr()  {}
 func (*BetweenExpr) expr() {}
-func (*InExpr) expr()      {}
 func (*CallExpr) expr()    {}

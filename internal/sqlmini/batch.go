@@ -61,7 +61,7 @@ func (db *DB) ExecBatchAtomic(stmts []BatchStmt) ([]*Result, error) {
 		case *DeleteStmt:
 			tableSet[st.Table] = true
 		}
-		bound[i].st, bound[i].env.clock = ps.st, db.clock
+		bound[i].st = ps.st
 		if bs.Params != nil {
 			bound[i].env.Params = *bs.Params
 		} else if err := bound[i].env.Bind(ps, bs.Args); err != nil {

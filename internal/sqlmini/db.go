@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Engine-level errors.
@@ -113,8 +112,6 @@ type DB struct {
 	ddlMu  sync.Mutex
 	schema atomic.Pointer[map[string]*Table]
 
-	clock func() time.Time
-
 	cacheMu sync.RWMutex
 	cache   map[string]Parsed
 
@@ -144,26 +141,11 @@ type DB struct {
 	readers readerSlots
 }
 
-// Option configures a DB.
-type Option func(*DB)
-
-// WithClock overrides the time source used by now(); tests use this to
-// make lease expiry deterministic.
-func WithClock(clock func() time.Time) Option {
-	return func(db *DB) { db.clock = clock }
-}
-
 // NewDB creates an empty database.
-func NewDB(opts ...Option) *DB {
-	db := &DB{
-		clock: time.Now,
-		cache: make(map[string]Parsed),
-	}
+func NewDB() *DB {
+	db := &DB{cache: make(map[string]Parsed)}
 	empty := make(map[string]*Table)
 	db.schema.Store(&empty)
-	for _, o := range opts {
-		o(db)
-	}
 	return db
 }
 
@@ -318,7 +300,7 @@ func (s *Session) Exec(src string, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &evalEnv{clock: s.db.clock}
+	env := &evalEnv{}
 	if err := env.Bind(ps, args); err != nil {
 		return nil, err
 	}
@@ -328,7 +310,7 @@ func (s *Session) Exec(src string, args ...any) (*Result, error) {
 // ExecParams is Exec for a statement already parsed (DB.ParseCached)
 // and bound (Params): the form for a caller that holds typed values.
 func (s *Session) ExecParams(st Parsed, params *Params) (*Result, error) {
-	return s.exec(st.st, &evalEnv{clock: s.db.clock, Params: *params})
+	return s.exec(st.st, &evalEnv{Params: *params})
 }
 
 func (s *Session) exec(st Statement, env *evalEnv) (*Result, error) {
@@ -804,9 +786,9 @@ func (db *DB) execSelect(t *Table, vw tableView, st *SelectStmt, env *evalEnv) (
 		matched = append(matched, vals)
 	}
 
-	// Aggregate query? (no GROUP BY support; all-aggregate select lists
-	// collapse to a single row, which covers COUNT/MIN/MAX/SUM/AVG usage.)
-	if !st.Star && allAggregates(st.Items) {
+	// An aggregate select list collapses to a single row (there is no
+	// GROUP BY).
+	if st.agg {
 		res := &Result{}
 		row := make([]Value, 0, len(st.Items))
 		for _, item := range st.Items {
@@ -907,23 +889,6 @@ func selectColName(item SelectItem) string {
 	default:
 		return "?column?"
 	}
-}
-
-var aggregateFns = map[string]bool{
-	"COUNT": true, "MIN": true, "MAX": true, "SUM": true, "AVG": true,
-}
-
-func allAggregates(items []SelectItem) bool {
-	if len(items) == 0 {
-		return false
-	}
-	for _, it := range items {
-		c, ok := it.Expr.(*CallExpr)
-		if !ok || !aggregateFns[c.Fn] {
-			return false
-		}
-	}
-	return true
 }
 
 // candidateRows resolves the plan's candidate set for a writer-side

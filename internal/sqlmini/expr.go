@@ -3,25 +3,14 @@ package sqlmini
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
-// evalEnv carries per-statement evaluation context: the clock,
-// parameter bindings and the planner's scratch. Statements keep it on
-// the stack, so nothing in it allocates for the usual statement.
+// evalEnv carries per-statement evaluation context: parameter bindings
+// and the planner's scratch. Statements keep it on the stack, so
+// nothing in it allocates for the usual statement.
 type evalEnv struct {
-	clock func() time.Time
-
 	// Params holds the statement's bound parameters.
 	Params
-
-	// nowT memoizes the first clock reading (nowSet flags it, so even a
-	// clock sitting at the zero time memoizes) so now() is stable within
-	// a statement (standard SQL semantics). The range planner relies on
-	// this: a bound evaluated at plan time must equal the same bound
-	// re-evaluated row-by-row in the residual WHERE.
-	nowT   time.Time
-	nowSet bool
 
 	// prep, when non-nil, is a prepared statement's cached plan skeleton
 	// (prepared.go): planRows binds it instead of re-running planIndex,
@@ -148,15 +137,6 @@ func (env *evalEnv) param(p *ParamExpr) (v Value, ok bool) {
 	return args[p.Index], true
 }
 
-// now returns the statement-stable clock reading.
-func (env *evalEnv) now() time.Time {
-	if !env.nowSet {
-		env.nowT = env.clock()
-		env.nowSet = true
-	}
-	return env.nowT
-}
-
 // eval evaluates e against one row's values vals of table t (both may
 // be nil for row-free contexts such as INSERT values). vals is the
 // statement's view of the row — current values on the write path, a
@@ -183,28 +163,6 @@ func (env *evalEnv) eval(e Expr, t *Table, vals []Value) (Value, error) {
 			return Null, fmt.Errorf("%w: $%s", ErrMissingParam, e.Name)
 		}
 		return Null, fmt.Errorf("%w: positional #%d", ErrMissingParam, e.Index+1)
-	case *UnaryExpr:
-		v, err := env.eval(e.E, t, vals)
-		if err != nil {
-			return Null, err
-		}
-		switch e.Op {
-		case "NOT":
-			if v.IsNull() {
-				return Null, nil
-			}
-			return NewBool(!v.Bool()), nil
-		case "-":
-			if v.IsNull() {
-				return Null, nil
-			}
-			if v.Type() == TypeDouble {
-				return NewFloat(-v.Float()), nil
-			}
-			return NewInt(-v.Int()), nil
-		default:
-			return Null, fmt.Errorf("sqlmini: unknown unary operator %q", e.Op)
-		}
 	case *IsNullExpr:
 		v, err := env.eval(e.E, t, vals)
 		if err != nil {
@@ -231,36 +189,8 @@ func (env *evalEnv) eval(e Expr, t *Table, vals []Value) (Value, error) {
 		}
 		in := cLo >= 0 && cHi <= 0
 		return NewBool(in != e.Not), nil
-	case *InExpr:
-		v, err := env.eval(e.E, t, vals)
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() {
-			return Null, nil
-		}
-		sawNull := false
-		for _, le := range e.List {
-			lv, err := env.eval(le, t, vals)
-			if err != nil {
-				return Null, err
-			}
-			if lv.IsNull() {
-				sawNull = true
-				continue
-			}
-			if Equal(v, lv) {
-				return NewBool(!e.Not), nil
-			}
-		}
-		if sawNull {
-			return Null, nil
-		}
-		return NewBool(e.Not), nil
 	case *BinaryExpr:
 		return env.evalBinary(e, t, vals)
-	case *CallExpr:
-		return env.evalCall(e, t, vals)
 	default:
 		return Null, fmt.Errorf("sqlmini: unsupported expression %T", e)
 	}
@@ -346,178 +276,33 @@ func (env *evalEnv) evalBinary(e *BinaryExpr, t *Table, vals []Value) (Value, er
 			b = c >= 0
 		}
 		return NewBool(b), nil
-	case "+", "-", "*", "/":
+	case "+", "-":
 		if l.IsNull() || rv.IsNull() {
 			return Null, nil
 		}
-		if l.Type() == TypeDouble || rv.Type() == TypeDouble {
-			a, b := l.Float(), rv.Float()
-			switch e.Op {
-			case "+":
-				return NewFloat(a + b), nil
-			case "-":
-				return NewFloat(a - b), nil
-			case "*":
-				return NewFloat(a * b), nil
-			case "/":
-				if b == 0 {
-					return Null, fmt.Errorf("sqlmini: division by zero")
-				}
-				return NewFloat(a / b), nil
-			}
+		if e.Op == "+" {
+			return NewInt(l.Int() + rv.Int()), nil
 		}
-		a, b := l.Int(), rv.Int()
-		switch e.Op {
-		case "+":
-			return NewInt(a + b), nil
-		case "-":
-			return NewInt(a - b), nil
-		case "*":
-			return NewInt(a * b), nil
-		case "/":
-			if b == 0 {
-				return Null, fmt.Errorf("sqlmini: division by zero")
-			}
-			return NewInt(a / b), nil
-		}
+		return NewInt(l.Int() - rv.Int()), nil
 	}
 	return Null, fmt.Errorf("sqlmini: unknown operator %q", e.Op)
 }
 
-func (env *evalEnv) evalCall(e *CallExpr, t *Table, vals []Value) (Value, error) {
-	switch e.Fn {
-	case "NOW", "CURRENT_TIMESTAMP":
-		return NewTime(env.now()), nil
-	case "LOWER", "UPPER", "LENGTH", "TRIM":
-		if len(e.Args) != 1 {
-			return Null, fmt.Errorf("sqlmini: %s expects 1 argument", e.Fn)
-		}
-		v, err := env.eval(e.Args[0], t, vals)
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() {
-			return Null, nil
-		}
-		switch e.Fn {
-		case "LOWER":
-			return NewString(strings.ToLower(v.Str())), nil
-		case "UPPER":
-			return NewString(strings.ToUpper(v.Str())), nil
-		case "TRIM":
-			return NewString(strings.TrimSpace(v.Str())), nil
-		default: // LENGTH
-			return NewInt(int64(len(v.Str()))), nil
-		}
-	case "COALESCE":
-		for _, a := range e.Args {
-			v, err := env.eval(a, t, vals)
-			if err != nil {
-				return Null, err
-			}
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return Null, nil
-	case "ABS":
-		if len(e.Args) != 1 {
-			return Null, fmt.Errorf("sqlmini: ABS expects 1 argument")
-		}
-		v, err := env.eval(e.Args[0], t, vals)
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() {
-			return Null, nil
-		}
-		if v.Type() == TypeDouble {
-			f := v.Float()
-			if f < 0 {
-				f = -f
-			}
-			return NewFloat(f), nil
-		}
-		n := v.Int()
-		if n < 0 {
-			n = -n
-		}
-		return NewInt(n), nil
-	case "COUNT", "MIN", "MAX", "SUM", "AVG":
-		return Null, fmt.Errorf("sqlmini: aggregate %s not allowed here", e.Fn)
-	default:
-		return Null, fmt.Errorf("sqlmini: unknown function %q", e.Fn)
-	}
-}
-
-// evalAggregate computes one aggregate over the matched rows' values.
+// evalAggregate computes one aggregate, COUNT(*) or MAX(col), over
+// the matched rows' values.
 func (env *evalEnv) evalAggregate(e *CallExpr, t *Table, rows [][]Value) (Value, error) {
-	if e.Fn == "COUNT" && e.Star {
+	if e.Col == nil {
 		return NewInt(int64(len(rows))), nil
 	}
-	if len(e.Args) != 1 {
-		return Null, fmt.Errorf("sqlmini: %s expects 1 argument", e.Fn)
-	}
-	var (
-		count int64
-		sum   float64
-		isInt = true
-		sumI  int64
-		best  Value
-	)
+	var best Value
 	for _, vals := range rows {
-		v, err := env.eval(e.Args[0], t, vals)
+		v, err := env.eval(e.Col, t, vals)
 		if err != nil {
 			return Null, err
 		}
-		if v.IsNull() {
-			continue
-		}
-		count++
-		switch e.Fn {
-		case "SUM", "AVG":
-			if v.Type() == TypeDouble {
-				isInt = false
-			}
-			sum += v.Float()
-			sumI += v.Int()
-		case "MIN":
-			if best.IsNull() {
-				best = v
-				continue
-			}
-			if c, ok := Compare(v, best); ok && c < 0 {
-				best = v
-			}
-		case "MAX":
-			if best.IsNull() {
-				best = v
-				continue
-			}
-			if c, ok := Compare(v, best); ok && c > 0 {
-				best = v
-			}
+		if c, ok := Compare(v, best); best.IsNull() || ok && c > 0 {
+			best = v
 		}
 	}
-	switch e.Fn {
-	case "COUNT":
-		return NewInt(count), nil
-	case "SUM":
-		if count == 0 {
-			return Null, nil
-		}
-		if isInt {
-			return NewInt(sumI), nil
-		}
-		return NewFloat(sum), nil
-	case "AVG":
-		if count == 0 {
-			return Null, nil
-		}
-		return NewFloat(sum / float64(count)), nil
-	case "MIN", "MAX":
-		return best, nil
-	default:
-		return Null, fmt.Errorf("sqlmini: unknown aggregate %q", e.Fn)
-	}
+	return best, nil
 }

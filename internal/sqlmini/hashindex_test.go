@@ -11,15 +11,12 @@ import (
 )
 
 // hashKeyPool holds keys of every Value type, chosen so that distinct
-// values share a tupleKey across types: the integer 3, the DOUBLE 3.0,
-// the VARCHAR "3" and the BLOB "3" are one key, as are 0, 0.0 and
-// -0.0; "03", "-0" and the out-of-range "9223372036854775808" are not
-// integers and stay strings.
+// values share a tupleKey across types: the integer 3, the VARCHAR "3"
+// and the BLOB "3" are one key; "03", "-0" and the out-of-range
+// "9223372036854775808" are not integers and stay strings.
 var hashKeyPool = []Value{
 	NewInt(0), NewInt(3), NewInt(-3), scalar(TypeInteger, 3),
 	NewInt(math.MaxInt64), NewInt(math.MinInt64), NewInt(1 << 53),
-	NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(3), NewFloat(-3),
-	NewFloat(2.5), NewFloat(1e21), NewFloat(math.NaN()),
 	NewString("3"), NewString(""), NewString("-0"), NewString("03"),
 	NewString("abc"), NewString("9223372036854775807"),
 	NewString("9223372036854775808"), NewString("-9223372036854775808"),
@@ -113,7 +110,7 @@ func hashConsistent(t *testing.T, h *hashIndex, ref hashRef, probes [][]Value) {
 // oldest removed, leaving tombstones) and remove-everything shrinks on
 // a one-column and a two-column hash index against hashRef, and checks
 // both indexes after every step. Keys come from hashKeyPool, so every
-// probe also runs across types (an integer against a DOUBLE or VARCHAR
+// probe also runs across types (an integer against a VARCHAR or BLOB
 // key that prints the same). The seed corpus runs as part of plain `go
 // test`.
 func FuzzHashIndex(f *testing.F) {

@@ -79,27 +79,17 @@ func (t *Table) loadIndexes() []*secondaryIndex { return *t.indexes.Load() }
 // storeIndexes publishes a new secondary-index set (DDL only).
 func (t *Table) storeIndexes(ixs []*secondaryIndex) { t.indexes.Store(&ixs) }
 
-// pkKey canonicalizes a key value for hashing. Values are stored
+// tupleKey canonicalizes a key tuple for hashing. Values are stored
 // post-coercion, so one column holds one type and Str() is injective
-// within it — except the DOUBLE zeroes, which compare equal but format
-// differently, so negative zero is folded into "0".
-func pkKey(v Value) string {
-	if v.typ() == TypeDouble && v.float() == 0 {
-		return "0"
-	}
-	return v.Str()
-}
-
-// tupleKey canonicalizes a key tuple: single-column keys use pkKey
-// directly (the hot path), longer tuples length-prefix each part so no
-// byte sequence is ambiguous.
+// within it: single-column keys are their Str() (the hot path), longer
+// tuples length-prefix each part so no byte sequence is ambiguous.
 func tupleKey(key []Value) string {
 	if len(key) == 1 {
-		return pkKey(key[0])
+		return key[0].Str()
 	}
 	var sb strings.Builder
 	for _, v := range key {
-		p := pkKey(v)
+		p := v.Str()
 		sb.WriteString(strconv.Itoa(len(p)))
 		sb.WriteByte(':')
 		sb.WriteString(p)
@@ -217,7 +207,7 @@ func (b *rowBucket) remove(r *Row) (emptied bool) {
 // spells when it spells one canonically (strconv.FormatInt's form), and
 // as a VARCHAR otherwise. The split is a function of the string, so
 // two keys are equal exactly when their tupleKeys are — an integer
-// probe still meets the "3" of a DOUBLE or VARCHAR column — and the
+// probe still meets the "3" of a VARCHAR column — and the
 // integer keys every lease statement probes with never format.
 type hashKey Value
 

@@ -39,7 +39,7 @@ func indexConsistent(t *testing.T, db *DB, table string) {
 			if v.IsNull() {
 				continue
 			}
-			key := pkKey(v)
+			key := v.Str()
 			n := 0
 			for _, br := range tbl.pkIx.lookup([]Value{v}) {
 				if br == lr.r {

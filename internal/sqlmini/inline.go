@@ -42,7 +42,7 @@ func (b *inlineBuf[T]) len() int {
 }
 
 // bitSet is a set of small non-negative integers — the planner's
-// consumed conjuncts and used bounds: one word inline, a slice past 64.
+// consumed conjuncts: one word inline, a slice past 64.
 type bitSet struct {
 	small [1]uint64
 	more  []uint64
@@ -63,8 +63,6 @@ func (s *bitSet) words() []uint64 {
 }
 
 func (s *bitSet) add(i int) { s.words()[i/64] |= 1 << (i % 64) }
-
-func (s *bitSet) has(i int) bool { return s.words()[i/64]&(1<<(i%64)) != 0 }
 
 func (s *bitSet) clear() { clear(s.words()) }
 

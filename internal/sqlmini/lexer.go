@@ -60,8 +60,10 @@ func (l *lexer) run() error {
 			l.lexParam()
 		case c == '?':
 			l.emit(tokQMark, "?", 1)
-		case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-			l.lexNumber()
+		case isDigit(c):
+			if err := l.lexNumber(); err != nil {
+				return err
+			}
 		case isIdentStart(c):
 			l.lexIdent()
 		default:
@@ -112,23 +114,22 @@ func (l *lexer) lexParam() {
 	l.toks = append(l.toks, token{kind: tokParam, text: name, raw: l.src[start:l.pos], pos: start})
 }
 
-func (l *lexer) lexNumber() {
+// lexNumber reads an integer literal. A decimal one is refused: the
+// dialect has no DOUBLE.
+func (l *lexer) lexNumber() error {
 	start := l.pos
-	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if isDigit(c) {
-			l.pos++
-			continue
+	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+		l.pos++
+	}
+	if l.pos+1 < len(l.src) && l.src[l.pos] == '.' && isDigit(l.src[l.pos+1]) {
+		end := l.pos + 1
+		for end < len(l.src) && isDigit(l.src[end]) {
+			end++
 		}
-		if c == '.' && !seenDot {
-			seenDot = true
-			l.pos++
-			continue
-		}
-		break
+		return fmt.Errorf("sqlmini: decimal number %s at position %d is not supported", l.src[start:end], start)
 	}
 	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], raw: l.src[start:l.pos], pos: start})
+	return nil
 }
 
 func (l *lexer) lexIdent() {
@@ -152,7 +153,7 @@ func (l *lexer) lexSymbol() bool {
 		}
 	}
 	switch rest[0] {
-	case '(', ')', ',', '=', '<', '>', '*', '.', ';', '+', '-', '/':
+	case '(', ')', ',', '=', '<', '>', '*', '.', ';', '+', '-':
 		l.emit(tokSymbol, string(rest[0]), 1)
 		return true
 	}

@@ -53,7 +53,7 @@ func refParam(named map[string]Value, positional []Value, p *ParamExpr) (Value, 
 
 // paramPool is what FuzzParamBinding binds: every kind FromGo accepts,
 // and one it refuses.
-var paramPool = []any{nil, int64(1), 2, "1", "Ab", 1.0, true, time.Unix(1, 0), []byte("k"), NewInt(1), struct{}{}}
+var paramPool = []any{nil, int64(1), 2, "1", "Ab", uint32(1), true, time.Unix(1, 0), []byte("k"), NewInt(1), struct{}{}}
 
 // FuzzParamBinding holds slot binding to the map binder it replaced, on
 // the ad-hoc and the prepared path alike: the same rows and the same
@@ -73,7 +73,7 @@ func FuzzParamBinding(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 3, 3, 0, 0, 0, 0, 2, 1, 9})                   // positional, too few, a named one
 	f.Add([]byte{1, 3, 0, 1, 0, 0x81, 0x82, 0, 0x85, 0, 0})             // a ? under an Args map
 	f.Add([]byte{0, 3, 3, 3, 3, 0, 0, 0, 0, 4, 10, 1, 1, 1})            // positional, unconvertible
-	f.Add([]byte{1, 0, 1, 2, 0, 0x86, 0x82, 0x83, 0, 0, 0})             // key 1.0: no index, same row
+	f.Add([]byte{1, 0, 1, 2, 0, 0x86, 0x82, 0x83, 0, 0, 0})             // key TRUE: no index, same row
 	db := NewDB()
 	db.MustExec("CREATE TABLE fz (id INTEGER PRIMARY KEY)")
 	db.MustExec("INSERT INTO fz VALUES (1)")

@@ -195,8 +195,6 @@ func typeFromName(name string) (Type, bool) {
 		return TypeInteger, true
 	case "BIGINT":
 		return TypeBigint, true
-	case "DOUBLE", "FLOAT", "REAL":
-		return TypeDouble, true
 	case "VARCHAR", "TEXT", "CHAR":
 		return TypeVarchar, true
 	case "BLOB", "BYTEA":
@@ -438,13 +436,17 @@ func (p *parser) parseInsert() (Statement, error) {
 func (p *parser) parseSelect() (Statement, error) {
 	p.next() // SELECT
 	st := &SelectStmt{Limit: -1}
+	aggs := 0
 	if p.acceptSym("*") {
 		st.Star = true
 	} else {
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseSelectExpr()
 			if err != nil {
 				return nil, err
+			}
+			if _, ok := e.(*CallExpr); ok {
+				aggs++
 			}
 			item := SelectItem{Expr: e}
 			if p.acceptKW("AS") {
@@ -461,12 +463,18 @@ func (p *parser) parseSelect() (Statement, error) {
 			break
 		}
 	}
+	if aggs > 0 && aggs < len(st.Items) {
+		return nil, p.errorf("aggregates and plain expressions in one select list are not supported (there is no GROUP BY)")
+	}
+	st.agg = aggs > 0
 	if p.acceptKW("FROM") {
 		name, err := p.qualifiedName()
 		if err != nil {
 			return nil, err
 		}
 		st.Table = name
+	} else if st.agg {
+		return nil, p.errorf("an aggregate needs a FROM table")
 	}
 	if p.acceptKW("WHERE") {
 		e, err := p.parseExpr()
@@ -575,14 +583,15 @@ func (p *parser) parseDelete() (Statement, error) {
 // Expression grammar (lowest to highest precedence):
 //
 //	or     := and (OR and)*
-//	and    := not (AND not)*
-//	not    := NOT not | pred
+//	and    := pred (AND pred)*
 //	pred   := add (cmpOp add | IS [NOT] NULL | [NOT] LIKE add |
-//	          [NOT] BETWEEN add AND add | [NOT] IN (list))?
-//	add    := mul ((+|-) mul)*
-//	mul    := unary ((*|/) unary)*
-//	unary  := - unary | primary
-//	primary:= literal | param | call | column | ( or )
+//	          [NOT] BETWEEN add AND add)?
+//	add    := primary ((+|-) primary)*
+//	primary:= literal | param | column | ( or )
+//
+// A select item is also one of the two aggregates, COUNT(*) and
+// MAX(column) (parseSelectExpr). What the grammar lacks — function
+// calls, IN, *, / and unary NOT and minus — is refused by name.
 func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
 
 func (p *parser) parseOr() (Expr, error) {
@@ -601,29 +610,18 @@ func (p *parser) parseOr() (Expr, error) {
 }
 
 func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
+	l, err := p.parsePredicate()
 	if err != nil {
 		return nil, err
 	}
 	for p.acceptKW("AND") {
-		r, err := p.parseNot()
+		r, err := p.parsePredicate()
 		if err != nil {
 			return nil, err
 		}
 		l = &BinaryExpr{Op: "AND", L: l, R: r}
 	}
 	return l, nil
-}
-
-func (p *parser) parseNot() (Expr, error) {
-	if p.acceptKW("NOT") {
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "NOT", E: e}, nil
-	}
-	return p.parsePredicate()
 }
 
 func (p *parser) parsePredicate() (Expr, error) {
@@ -671,25 +669,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		}
 		return &BetweenExpr{E: l, Lo: lo, Hi: hi, Not: neg}, nil
 	case p.acceptKW("IN"):
-		if err := p.expectSym("("); err != nil {
-			return nil, err
-		}
-		var list []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, e)
-			if p.acceptSym(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expectSym(")"); err != nil {
-			return nil, err
-		}
-		return &InExpr{E: l, List: list, Not: neg}, nil
+		return nil, p.errorf("IN is not supported")
 	}
 	if neg {
 		return nil, p.errorf("dangling NOT")
@@ -710,64 +690,72 @@ func (p *parser) parsePredicate() (Expr, error) {
 }
 
 func (p *parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
+	l, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		switch {
 		case p.acceptSym("+"):
-			r, err := p.parseMul()
+			r, err := p.parsePrimary()
 			if err != nil {
 				return nil, err
 			}
 			l = &BinaryExpr{Op: "+", L: l, R: r}
 		case p.acceptSym("-"):
-			r, err := p.parseMul()
+			r, err := p.parsePrimary()
 			if err != nil {
 				return nil, err
 			}
 			l = &BinaryExpr{Op: "-", L: l, R: r}
+		case p.peek().kind == tokSymbol && p.peek().text == "*":
+			return nil, p.errorf("operator * is not supported")
 		default:
 			return l, nil
 		}
 	}
 }
 
-func (p *parser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+// parseSelectExpr parses one select item: COUNT(*), MAX(column) or an
+// expression. COUNT of a column is refused: COUNT(*) is the one count.
+func (p *parser) parseSelectExpr() (Expr, error) {
+	t := p.peek()
+	if t.kind != tokIdent || (t.text != "COUNT" && t.text != "MAX") ||
+		p.toks[p.pos+1].kind != tokSymbol || p.toks[p.pos+1].text != "(" {
+		return p.parseExpr()
 	}
-	for {
-		switch {
-		case p.acceptSym("*"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: "*", L: l, R: r}
-		case p.acceptSym("/"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: "/", L: l, R: r}
-		default:
-			return l, nil
+	p.pos += 2 // name and (
+	call := &CallExpr{Fn: t.text}
+	if t.text == "COUNT" {
+		if !p.acceptSym("*") {
+			return nil, p.errorf("%s(column) is not supported: the count is %s(*)", t.raw, t.raw)
 		}
-	}
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	if p.acceptSym("-") {
-		e, err := p.parseUnary()
+	} else {
+		col, err := p.parseColumn()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "-", E: e}, nil
+		call.Col = col
 	}
-	return p.parsePrimary()
+	if err := p.expectSym(")"); err != nil {
+		return nil, err
+	}
+	return call, nil
+}
+
+// parseColumn parses a column reference, possibly qualified (t.c), and
+// keeps its last segment.
+func (p *parser) parseColumn() (*ColumnExpr, error) {
+	name, err := p.ident()
+	if err != nil {
+		return nil, err
+	}
+	for p.acceptSym(".") {
+		if name, err = p.ident(); err != nil {
+			return nil, err
+		}
+	}
+	return &ColumnExpr{Name: strings.ToLower(name)}, nil
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
@@ -775,13 +763,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errorf("bad number %q", t.text)
-			}
-			return &LiteralExpr{Val: NewFloat(f)}, nil
-		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad number %q", t.text)
@@ -819,6 +800,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			return e, nil
 		}
+		if t.text == "-" {
+			return nil, p.errorf("unary minus is not supported")
+		}
 		return nil, p.errorf("unexpected symbol %q", t.raw)
 	case tokIdent:
 		switch t.text {
@@ -831,47 +815,16 @@ func (p *parser) parsePrimary() (Expr, error) {
 		case "FALSE":
 			p.next()
 			return &LiteralExpr{Val: NewBool(false)}, nil
+		case "NOT":
+			return nil, p.errorf("unary NOT is not supported")
 		}
-		p.next()
-		// Function call?
-		if p.acceptSym("(") {
-			call := &CallExpr{Fn: t.text}
-			if p.acceptSym("*") {
-				call.Star = true
-				if err := p.expectSym(")"); err != nil {
-					return nil, err
-				}
-				return call, nil
+		if nt := p.toks[p.pos+1]; nt.kind == tokSymbol && nt.text == "(" {
+			if t.text == "COUNT" || t.text == "MAX" {
+				return nil, p.errorf("aggregate %s() is supported only as a whole select item", t.raw)
 			}
-			if p.acceptSym(")") {
-				return call, nil
-			}
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				call.Args = append(call.Args, e)
-				if p.acceptSym(",") {
-					continue
-				}
-				break
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			return call, nil
+			return nil, p.errorf("function %s() is not supported", t.raw)
 		}
-		// Column reference, possibly qualified (t.c): keep last segment.
-		name := t.raw
-		for p.acceptSym(".") {
-			part, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			name = part
-		}
-		return &ColumnExpr{Name: strings.ToLower(name)}, nil
+		return p.parseColumn()
 	default:
 		return nil, p.errorf("unexpected token %q", t.raw)
 	}

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -73,14 +74,14 @@ func TestParseSelectPaperSampleCode2(t *testing.T) {
 	AND (user IS NULL OR user LIKE $client_user)
 	AND (client_ip IS NULL OR client_ip LIKE $client_client_ip)
 	AND (start_date IS NULL OR end_date IS NULL
-	     OR now() BETWEEN start_date AND end_date)`
+	     OR $now BETWEEN start_date AND end_date)`
 	if _, err := Parse(src); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestParseSelectFull(t *testing.T) {
-	st, err := Parse(`SELECT a, b AS bee, count(*) FROM t WHERE a > 3 AND b NOT LIKE 'x%' ORDER BY a DESC, b LIMIT 10`)
+	st, err := Parse(`SELECT a, b AS bee, c FROM t WHERE a > 3 AND b NOT LIKE 'x%' ORDER BY a DESC, b LIMIT 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestParseInsertMultiRow(t *testing.T) {
 }
 
 func TestParseUpdateDelete(t *testing.T) {
-	st, err := Parse(`UPDATE leases SET end_date = now(), renewed = renewed + 1 WHERE lease_id = ?`)
+	st, err := Parse(`UPDATE leases SET end_date = ?, renewed = renewed + 1 WHERE lease_id = ?`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestParseUpdateDelete(t *testing.T) {
 	if len(up.Set) != 2 || up.Where == nil {
 		t.Fatalf("set=%d", len(up.Set))
 	}
-	st, err = Parse(`DELETE FROM leases WHERE end_date < now()`)
+	st, err = Parse(`DELETE FROM leases WHERE end_date < ?`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +165,9 @@ func TestParseErrors(t *testing.T) {
 		"SELECT 'unterminated FROM t",
 		"SELECT a FROM t; SELECT b FROM t",
 		"SELECT a NOT 5 FROM t",
+		"SELECT a, count(*) FROM t", // no GROUP BY
+		"SELECT count(*)",           // an aggregate needs a table
+		"SELECT a FROM t WHERE max(a) > 1",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -229,14 +233,50 @@ func TestParsePrecedence(t *testing.T) {
 	}
 }
 
+// TestParseArithmeticPrecedence: + and - associate to the left and
+// bind tighter than a comparison.
 func TestParseArithmeticPrecedence(t *testing.T) {
-	// 1 + 2 * 3 = 7
 	db := NewDB()
-	res, err := db.Exec("SELECT 1 + 2 * 3")
+	res, err := db.Exec("SELECT 10 - 2 - 3, 10 - 2 - 3 = 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].Int(); got != 7 {
-		t.Errorf("1+2*3 = %d, want 7", got)
+	if got := res.Rows[0][0].Int(); got != 5 {
+		t.Errorf("10-2-3 = %d, want 5", got)
+	}
+	if !res.Rows[0][1].Bool() {
+		t.Errorf("10-2-3 = 5 is %v, want TRUE", res.Rows[0][1])
+	}
+}
+
+// TestRemovedSQLRefused: each construct the dialect dropped fails to
+// parse with an error that names it.
+func TestRemovedSQLRefused(t *testing.T) {
+	for _, tc := range []struct{ name, sql, names string }{
+		{"lower", "SELECT lower(x) FROM t", "lower()"},
+		{"now", "SELECT x FROM t WHERE x < now()", "now()"},
+		{"sum", "SELECT sum(x) FROM t", "sum()"},
+		{"avg", "SELECT avg(x) FROM t", "avg()"},
+		{"min", "SELECT min(x) FROM t", "min()"},
+		{"count of a column", "SELECT count(x) FROM t", "count(column)"},
+		{"decimal", "SELECT x FROM t WHERE x = 1.5", "1.5"},
+		{"multiply", "SELECT a * b FROM t", "*"},
+		{"divide", "SELECT a / b FROM t", "/"},
+		{"in", "SELECT x FROM t WHERE x IN (1)", "IN"},
+		{"not in", "SELECT x FROM t WHERE x NOT IN (1)", "IN"},
+		{"unary not", "SELECT x FROM t WHERE NOT x", "NOT"},
+		{"unary minus", "SELECT -x FROM t", "minus"},
+		{"double column", "CREATE TABLE t (x DOUBLE)", "DOUBLE"},
+		{"float column", "CREATE TABLE t (x FLOAT)", "FLOAT"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(tc.sql)
+			if err == nil {
+				t.Fatalf("Parse(%q) succeeded, want it refused", tc.sql)
+			}
+			if !strings.Contains(err.Error(), tc.names) {
+				t.Fatalf("Parse(%q): %v, want an error naming %q", tc.sql, err, tc.names)
+			}
+		})
 	}
 }

@@ -12,9 +12,11 @@ import (
 // a residual filter (so `lease_id = $id AND released = FALSE` probes
 // the lease_id index and filters the released flag on the way out).
 // When no equality conjunct qualifies but the WHERE carries a top-level
-// range conjunct (col > k, >=, <, <=, or col BETWEEN lo AND hi) on a
-// column with an ORDERED index, execution seeks the boundary groups in
-// O(log n) and visits only the in-range window.
+// range conjunct (col > k, >=, <, <=) on a column with an ORDERED index,
+// execution seeks the boundary groups in O(log n) and visits only the
+// in-range window. A BETWEEN is evaluated, never planned: the one the
+// server issues (Sample code 2's `$now BETWEEN start_date AND end_date`)
+// has its column on the right and sits under an OR.
 //
 // When no index is led by the range column, a composite ORDERED index
 // whose SECOND column it is can still serve it by a skip scan: for each
@@ -32,7 +34,7 @@ import (
 // Composite ordered indexes extend the equality path: a candidate on
 // the index's leading column consumes further equality conjuncts along
 // the column list and, optionally, range bounds on the column after the
-// equality prefix — `driver_id = $id AND expires_at > now()` over
+// equality prefix — `driver_id = $id AND expires_at > $now` over
 // leases(driver_id, expires_at) seeks one driver's unexpired window
 // directly. Candidates are scored by how many conjuncts they consume
 // (a composite consuming two beats a single-column index consuming
@@ -52,11 +54,10 @@ import (
 // The planner is deliberately conservative: it claims a statement only
 // when the index path provably yields the same result SET and the same
 // error behavior as the scan. Everything else — OR at the top level,
-// expressions that can fail row-dependently (division), unresolved
-// parameters, lossy hash keys, order-incompatible range keys, any
-// LIMIT — falls back to the scan. now() is statement-stable (evalEnv
-// memoizes the clock), so a bound evaluated at plan time provably
-// equals its per-row residual re-evaluation. Two ordering caveats
+// unresolved parameters, lossy hash keys, order-incompatible range
+// keys, any LIMIT — falls back to the scan. A key or bound is a
+// literal or a parameter, so its value at plan time is its value in
+// every row's residual re-evaluation. Two ordering caveats
 // remain inherent to bucket execution: without ORDER BY, result rows
 // may come back in bucket/key order rather than table order, which SQL
 // leaves unspecified; and a multi-row UPDATE that fails a constraint
@@ -252,13 +253,8 @@ func planAnalyze(db *DB, t *Table, where Expr) *stmtPlan {
 			sp.eq = append(sp.eq, planCand{col: col, pk: col == t.pk, key: keyExpr, conj: i})
 			continue
 		}
-		if col, loExpr, loOp, hiExpr, hiOp := rangeConjunct(t, c); col >= 0 {
-			if loExpr != nil {
-				sp.rngBy[col] = append(sp.rngBy[col], planBound{expr: loExpr, op: loOp, conj: i})
-			}
-			if hiExpr != nil {
-				sp.rngBy[col] = append(sp.rngBy[col], planBound{expr: hiExpr, op: hiOp, hi: true, conj: i})
-			}
+		if col, key, op := rangeConjunct(t, c); col >= 0 {
+			sp.rngBy[col] = append(sp.rngBy[col], planBound{expr: key, op: op, hi: op[0] == '<', conj: i})
 			rngCols = append(rngCols, col)
 		}
 	}
@@ -372,7 +368,7 @@ func (sp *stmtPlan) bind(env *evalEnv) *indexPlan {
 		if cand.pk {
 			ck, ok := indexLookupKey(colType, kv)
 			if !ok {
-				continue // lossy key (id = 1.5): another conjunct may still do
+				continue // lossy key: another conjunct may still do
 			}
 			*best = indexPlan{col: cand.col, pk: true, key: ck}
 			best.checks.add(planCheck{col: cand.col, op: "=", val: ck})
@@ -394,7 +390,7 @@ func (sp *stmtPlan) bind(env *evalEnv) *indexPlan {
 			} else {
 				// Ordered groups probe by comparison, not hashing, so the
 				// key only needs to compare consistently with the column's
-				// sort order — `id = 1.5` correctly seeks an empty window.
+				// sort order.
 				if !orderedProbeOK(colType, kv) {
 					continue
 				}
@@ -476,15 +472,13 @@ func (sp *stmtPlan) bindOrdered(env *evalEnv, p *indexPlan, kv Value, consumed *
 }
 
 // bindBounds fills p.lo/hi from the skeleton's bounds on boundCol,
-// one per side in evaluation order, marking consumed conjuncts (a
-// BETWEEN counts as consumed only when both its bounds were used). It
-// reports boundCol when a NULL bound proves the result empty (-1: not),
-// and ok=false on an evaluation failure (fall back to scan).
+// one per side in evaluation order, marking the conjuncts it used
+// consumed. It reports boundCol when a NULL bound proves the result
+// empty (-1: not), and ok=false on an evaluation failure (fall back to
+// scan).
 func (sp *stmtPlan) bindBounds(env *evalEnv, p *indexPlan, boundCol int, consumed *bitSet) (emptyCol int, ok bool) {
 	colType := sp.t.Cols[boundCol].Type
-	bounds := sp.rngBy[boundCol]
-	used := newBitSet(len(bounds))
-	for i, b := range bounds {
+	for _, b := range sp.rngBy[boundCol] {
 		if (b.hi && p.hiOp != "") || (!b.hi && p.loOp != "") {
 			continue // one bound per side; later conjuncts stay residual
 		}
@@ -505,25 +499,8 @@ func (sp *stmtPlan) bindBounds(env *evalEnv, p *indexPlan, boundCol int, consume
 		} else {
 			p.lo, p.loOp = v, b.op
 		}
-		used.add(i)
+		consumed.add(b.conj)
 		p.checks.add(planCheck{col: boundCol, op: b.op, val: v})
-	}
-	// A conjunct is consumed only if every bound it contributed was used
-	// (BETWEEN contributes two).
-	for i, b := range bounds {
-		if !used.has(i) {
-			continue
-		}
-		all := true
-		for j, b2 := range bounds {
-			if b2.conj == b.conj && !used.has(j) {
-				all = false
-				break
-			}
-		}
-		if all {
-			consumed.add(b.conj)
-		}
 	}
 	return -1, true
 }
@@ -573,40 +550,24 @@ func (db *DB) planRows(t *Table, where Expr, env *evalEnv) ([]*Row, *indexPlan) 
 var flipOp = map[string]string{">": "<", ">=": "<=", "<": ">", "<=": ">="}
 
 // rangeConjunct matches one top-level range conjunct over a column of
-// t: `col OP key` / `key OP col` with OP in <, <=, >, >=, or
-// `col BETWEEN lo AND hi`. The key side(s) must be row-free. Returns
-// col = -1 when the conjunct has another shape. NOT BETWEEN is a
-// disjunction and never matches.
-func rangeConjunct(t *Table, c Expr) (col int, loExpr Expr, loOp string, hiExpr Expr, hiOp string) {
-	switch e := c.(type) {
-	case *BinaryExpr:
-		op := e.Op
-		if _, ok := flipOp[op]; !ok {
-			return -1, nil, "", nil, ""
-		}
-		var key Expr
-		if ci, ok := columnRef(t, e.L); ok && rowFree(e.R) {
-			col, key = ci, e.R
-		} else if ci, ok := columnRef(t, e.R); ok && rowFree(e.L) {
-			col, key, op = ci, e.L, flipOp[op] // k < col  ⇒  col > k
-		} else {
-			return -1, nil, "", nil, ""
-		}
-		if op == ">" || op == ">=" {
-			return col, key, op, nil, ""
-		}
-		return col, nil, "", key, op
-	case *BetweenExpr:
-		if e.Not {
-			return -1, nil, "", nil, ""
-		}
-		ci, ok := columnRef(t, e.E)
-		if !ok || !rowFree(e.Lo) || !rowFree(e.Hi) {
-			return -1, nil, "", nil, ""
-		}
-		return ci, e.Lo, ">=", e.Hi, "<="
+// t: `col OP key` / `key OP col` with OP in <, <=, >, >=, and returns
+// it as `col op key`. The key side must be row-free. Returns col = -1
+// when the conjunct has another shape.
+func rangeConjunct(t *Table, c Expr) (col int, key Expr, op string) {
+	e, ok := c.(*BinaryExpr)
+	if !ok {
+		return -1, nil, ""
 	}
-	return -1, nil, "", nil, ""
+	if _, ok := flipOp[e.Op]; !ok {
+		return -1, nil, ""
+	}
+	if ci, ok := columnRef(t, e.L); ok && rowFree(e.R) {
+		return ci, e.R, e.Op
+	}
+	if ci, ok := columnRef(t, e.R); ok && rowFree(e.L) {
+		return ci, e.L, flipOp[e.Op] // k < col  ⇒  col > k
+	}
+	return -1, nil, ""
 }
 
 // collectConjuncts flattens the top-level AND tree of e into out.
@@ -644,17 +605,13 @@ func columnRef(t *Table, e Expr) (int, bool) {
 	return t.columnIndex(ce.Name)
 }
 
-// rowFree reports whether e evaluates without row context AND is stable
-// across the statement. Kept to the leaf shapes the hot statements use;
-// anything fancier scans. now()/current_timestamp qualify because
-// evalEnv memoizes the clock per statement.
+// rowFree reports whether e evaluates without row context: a literal
+// or a parameter, the leaf shapes the hot statements use. Anything
+// fancier scans.
 func rowFree(e Expr) bool {
-	switch e := e.(type) {
+	switch e.(type) {
 	case *LiteralExpr, *ParamExpr:
 		return true
-	case *CallExpr:
-		return (e.Fn == "NOW" || e.Fn == "CURRENT_TIMESTAMP") &&
-			len(e.Args) == 0 && !e.Star
 	}
 	return false
 }
@@ -666,18 +623,16 @@ func rowFree(e Expr) bool {
 // Compare(stored, key) is a monotone function of the stored value's
 // position:
 //
-//   - integer-family columns accept any numeric key (int comparison, or
-//     the monotone float64 projection when the key is DOUBLE);
-//   - DOUBLE columns accept any numeric key;
+//   - integer-family columns accept any integer-family key;
 //   - VARCHAR/TIMESTAMP/BLOB columns accept exactly their own type
-//     (mixed comparisons project through Float()/Time()/Str(), which are
+//     (mixed comparisons project through Time() or Str(), which are
 //     not monotone in the stored order — "10" < "9" as strings).
 //
-// Unlike hash probes, no lossless coercion is needed: `id = 1.5` seeks
-// an empty window, which is exactly what the scan computes.
+// Unlike hash probes, no lossless coercion is needed: a BOOLEAN key on
+// an INTEGER column compares as the integer it holds, as the scan does.
 func orderedProbeOK(colType Type, v Value) bool {
 	switch colType {
-	case TypeInteger, TypeBigint, TypeBoolean, TypeDouble:
+	case TypeInteger, TypeBigint, TypeBoolean:
 		return numericType(v.Type())
 	case TypeVarchar:
 		return v.Type() == TypeVarchar
@@ -701,9 +656,8 @@ func paramsBound(env *evalEnv, params []*ParamExpr) bool {
 }
 
 // whereTotalStatic reports whether evaluating e against ANY row of t is
-// guaranteed error-free: every column resolves, no division (the one
-// value-dependent failure), and every call is a known, arity-checked
-// shape. Every parameter reference is appended to params for a later
+// guaranteed error-free: every column resolves and every operator is
+// known. Every parameter reference is appended to params for a later
 // paramsBound — the env-dependent half of the check. Only total WHEREs
 // are eligible for index execution; this is what makes the index path
 // bit-identical to the scan, error behavior included.
@@ -717,45 +671,12 @@ func whereTotalStatic(t *Table, e Expr, params *[]*ParamExpr) bool {
 	case *ParamExpr:
 		*params = append(*params, e)
 		return true
-	case *UnaryExpr:
-		return (e.Op == "NOT" || e.Op == "-") && whereTotalStatic(t, e.E, params)
 	case *IsNullExpr:
 		return whereTotalStatic(t, e.E, params)
 	case *BetweenExpr:
 		return whereTotalStatic(t, e.E, params) && whereTotalStatic(t, e.Lo, params) && whereTotalStatic(t, e.Hi, params)
-	case *InExpr:
-		if !whereTotalStatic(t, e.E, params) {
-			return false
-		}
-		for _, le := range e.List {
-			if !whereTotalStatic(t, le, params) {
-				return false
-			}
-		}
-		return true
 	case *BinaryExpr:
-		switch e.Op {
-		case "=", "<>", "<", "<=", ">", ">=", "AND", "OR", "LIKE", "+", "-", "*":
-		default:
-			return false // "/" fails on zero divisors; unknown ops fail
-		}
 		return whereTotalStatic(t, e.L, params) && whereTotalStatic(t, e.R, params)
-	case *CallExpr:
-		switch e.Fn {
-		case "NOW", "CURRENT_TIMESTAMP":
-			return true
-		case "LOWER", "UPPER", "LENGTH", "TRIM", "ABS":
-			return len(e.Args) == 1 && whereTotalStatic(t, e.Args[0], params)
-		case "COALESCE":
-			for _, a := range e.Args {
-				if !whereTotalStatic(t, a, params) {
-					return false
-				}
-			}
-			return true
-		default:
-			return false
-		}
 	default:
 		return false
 	}
@@ -763,11 +684,9 @@ func whereTotalStatic(t *Table, e Expr, params *[]*ParamExpr) bool {
 
 // indexLookupKey canonicalizes an equality probe key for a column of
 // type colType. ok=false means the key cannot be proven to hash
-// identically to how matching stored values hash — `id = 1.5` on an
-// INTEGER column, a numeric key on a VARCHAR column (SQL comparison is
-// laxer than string identity), or a DOUBLE key on an integer column
-// (float equality can collapse distinct int64s) — and the caller must
-// scan instead.
+// identically to how matching stored values hash — a numeric key on a
+// VARCHAR column (SQL comparison is laxer than string identity), or a
+// string key on an integer column — and the caller must scan instead.
 func indexLookupKey(colType Type, v Value) (Value, bool) {
 	if v.IsNull() {
 		return Null, false
@@ -777,10 +696,6 @@ func indexLookupKey(colType Type, v Value) (Value, bool) {
 		switch v.Type() {
 		case TypeInteger, TypeBigint, TypeBoolean:
 		default:
-			return Null, false
-		}
-	case TypeDouble:
-		if !numericType(v.Type()) {
 			return Null, false
 		}
 	case TypeVarchar:
@@ -823,7 +738,7 @@ func (db *DB) Explain(src string, args ...any) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	env := &evalEnv{clock: db.clock}
+	env := &evalEnv{}
 	if err := env.Bind(ps, args); err != nil {
 		return "", err
 	}

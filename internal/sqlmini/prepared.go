@@ -91,13 +91,13 @@ func (s *Session) ExecPreparedParams(p *Prepared, params *Params) (*Result, erro
 	if p.db != s.db {
 		return nil, errForeignPrepared
 	}
-	return p.run(s.tx, &evalEnv{clock: p.db.clock, Params: *params})
+	return p.run(s.tx, &evalEnv{Params: *params})
 }
 
 var errForeignPrepared = errors.New("sqlmini: prepared statement belongs to a different database")
 
 func (p *Prepared) exec(tx *undoLog, args ...any) (*Result, error) {
-	env := &evalEnv{clock: p.db.clock}
+	env := &evalEnv{}
 	if err := env.Bind(p.Parsed, args); err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestPreparedMatchesAdhoc(t *testing.T) {
 		{"pk-point", `SELECT driver_id FROM leases WHERE lease_id = $id`,
 			[][]any{{Args{"id": int64(5)}}, {Args{"id": int64(9999)}}, {Args{"id": nil}}}},
 		{"hash-index", `SELECT lease_id FROM leases WHERE driver_id = $d AND released = FALSE`,
-			[][]any{{Args{"d": int64(3)}}, {Args{"d": int64(42)}}, {Args{"d": 1.5}}}},
+			[][]any{{Args{"d": int64(3)}}, {Args{"d": int64(42)}}, {Args{"d": "3"}}}},
 		{"ordered-range", `SELECT count(*) FROM leases WHERE expires_at <= $now AND released = FALSE`,
 			[][]any{{Args{"now": base.Add(50 * time.Second)}}, {Args{"now": base.Add(-time.Hour)}}}},
 		{"scan-or", `SELECT count(*) FROM leases WHERE driver_id = $d OR released = TRUE`,

@@ -288,9 +288,7 @@ func (sl *skipList) unlink(n *skipNode) {
 	sl.size--
 }
 
-// lookupEqual gathers the rows of every group comparing equal to probe
-// (a cross-typed probe can project several adjacent stored keys onto
-// one value, e.g. a 2^53 DOUBLE against two adjacent BIGINTs).
+// lookupEqual gathers the rows of every group comparing equal to probe.
 // Lock-free; out is appended to and returned.
 func (sl *skipList) lookupEqual(probe []Value, out []*Row) []*Row {
 	for n := sl.seekGE(probe); n != nil && cmpKey(n.key(), probe) == 0; n = n.next(0) {

@@ -5,11 +5,18 @@
 // server logic is literally SQL (Sample code 1 and 2), so the server in
 // internal/core executes those statements against this engine.
 //
-// The dialect covers what the paper needs: CREATE TABLE, CREATE INDEX,
-// INSERT, SELECT (with WHERE, ORDER BY, LIMIT, aggregates), UPDATE,
-// DELETE, BEGIN/COMMIT/ROLLBACK, LIKE, IS [NOT] NULL, BETWEEN, IN,
-// now(), and named ($name) plus positional (?) parameters. There is no
-// DROP of any kind: a table, once created, keeps its name and its
+// The dialect is what the programs of this tree issue, and no more:
+// CREATE TABLE and CREATE INDEX; INSERT; SELECT with WHERE, ORDER BY,
+// LIMIT and the two aggregates COUNT(*) and MAX(col); UPDATE; DELETE;
+// BEGIN/COMMIT/ROLLBACK. Expressions compare with = <> < <= > >=,
+// combine with AND/OR, add and subtract integers (+, -), and test with
+// LIKE, IS [NOT] NULL and BETWEEN; values are INTEGER, BIGINT, VARCHAR,
+// BLOB, TIMESTAMP and BOOLEAN literals or named ($name) and positional
+// (?) parameters. The parser refuses by name what it does not have:
+// scalar functions (now() among them: the engine has no clock, and a
+// statement binds the time it means), other aggregates, DOUBLE values
+// and decimal literals, * and /, IN, and unary NOT and minus. There is
+// no DROP of any kind: a table, once created, keeps its name and its
 // indexes for the database's life. Concurrency model: MVCC. Rows are immutable version
 // chains; read-only statements run lock-free against a stable snapshot
 // and never block writers, while writers serialize per table behind
@@ -39,12 +46,13 @@ import (
 // used by the paper's Table 1 and 2 definitions.
 type Type int
 
-// Supported SQL types.
+// Supported SQL types. A type's number is also its value tag on the
+// wire (EncodeValue).
 const (
 	TypeNull Type = iota + 1
 	TypeInteger
 	TypeBigint
-	TypeDouble
+	_ // 4 was DOUBLE: reserved, never reused; DecodeValue refuses it
 	TypeVarchar
 	TypeBlob
 	TypeTimestamp
@@ -60,8 +68,6 @@ func (t Type) String() string {
 		return "INTEGER"
 	case TypeBigint:
 		return "BIGINT"
-	case TypeDouble:
-		return "DOUBLE"
 	case TypeVarchar:
 		return "VARCHAR"
 	case TypeBlob:
@@ -77,8 +83,8 @@ func (t Type) String() string {
 
 // Value is a dynamically typed SQL value in 16 bytes: a pointer that
 // carries the type and one word. The zero Value is SQL NULL. A scalar
-// (INTEGER, BIGINT, DOUBLE, TIMESTAMP, BOOLEAN) keeps its word — an
-// integer or boolean, a float's bits, or a timestamp's Unix nanoseconds
+// (INTEGER, BIGINT, TIMESTAMP, BOOLEAN) keeps its word — an integer or
+// boolean, or a timestamp's Unix nanoseconds
 // (the zero time as math.MinInt64, as wire.Encoder.Time writes it) —
 // and points p at its type's byte in tags. A VARCHAR or BLOB points p
 // at its bytes, or at its type's byte in tags when it has none, and
@@ -130,9 +136,6 @@ func (v Value) typ() Type {
 // NewInt returns an INTEGER/BIGINT value.
 func NewInt(v int64) Value { return scalar(TypeBigint, uint64(v)) }
 
-// NewFloat returns a DOUBLE value.
-func NewFloat(v float64) Value { return scalar(TypeDouble, math.Float64bits(v)) }
-
 // NewString returns a VARCHAR value.
 func NewString(v string) Value { return sized(TypeVarchar, unsafe.StringData(v), len(v)) }
 
@@ -165,14 +168,14 @@ func NewBool(v bool) Value {
 	return scalar(TypeBoolean, 0)
 }
 
-func (v Value) len() int       { return int(v.w & (1<<lenBits - 1)) }
-func (v Value) str() string    { return unsafe.String((*byte)(v.p), v.len()) }
-func (v Value) blob() []byte   { return unsafe.Slice((*byte)(v.p), v.len()) }
-func (v Value) float() float64 { return math.Float64frombits(v.w) }
+func (v Value) len() int     { return int(v.w & (1<<lenBits - 1)) }
+func (v Value) str() string  { return unsafe.String((*byte)(v.p), v.len()) }
+func (v Value) blob() []byte { return unsafe.Slice((*byte)(v.p), v.len()) }
 
 // FromGo converts a native Go value into a Value. Supported kinds:
-// nil, bool, integers, float64, string, []byte, time.Time, time.Duration
-// (as nanoseconds), and Value itself.
+// nil, bool, integers, string, []byte, time.Time, time.Duration (as
+// nanoseconds), and Value itself. A float64 is refused: the dialect
+// has no DOUBLE.
 func FromGo(v any) (Value, error) {
 	switch x := v.(type) {
 	case nil:
@@ -189,8 +192,6 @@ func FromGo(v any) (Value, error) {
 		return NewInt(x), nil
 	case uint32:
 		return NewInt(int64(x)), nil
-	case float64:
-		return NewFloat(x), nil
 	case string:
 		return NewString(x), nil
 	case []byte:
@@ -215,34 +216,17 @@ func (v Value) Type() Type {
 	return v.typ()
 }
 
-// Int returns the value as int64 (0 for NULL). Floats truncate; strings
-// parse best-effort.
+// Int returns the value as int64 (0 for NULL). Strings parse
+// best-effort.
 func (v Value) Int() int64 {
 	switch v.Type() {
 	case TypeInteger, TypeBigint, TypeBoolean:
 		return int64(v.w)
-	case TypeDouble:
-		return int64(v.float())
 	case TypeVarchar:
 		n, _ := strconv.ParseInt(strings.TrimSpace(v.str()), 10, 64)
 		return n
 	case TypeTimestamp:
 		return v.Time().UnixNano()
-	default:
-		return 0
-	}
-}
-
-// Float returns the value as float64 (0 for NULL).
-func (v Value) Float() float64 {
-	switch v.Type() {
-	case TypeInteger, TypeBigint, TypeBoolean:
-		return float64(int64(v.w))
-	case TypeDouble:
-		return v.float()
-	case TypeVarchar:
-		f, _ := strconv.ParseFloat(strings.TrimSpace(v.str()), 64)
-		return f
 	default:
 		return 0
 	}
@@ -260,8 +244,6 @@ func (v Value) Str() string {
 			return "TRUE"
 		}
 		return "FALSE"
-	case TypeDouble:
-		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case TypeBlob:
 		return string(v.blob())
 	case TypeTimestamp:
@@ -309,8 +291,6 @@ func (v Value) Bool() bool {
 	switch v.Type() {
 	case TypeBoolean, TypeInteger, TypeBigint:
 		return v.w != 0
-	case TypeDouble:
-		return v.float() != 0
 	case TypeVarchar:
 		return strings.EqualFold(v.str(), "true")
 	default:
@@ -336,7 +316,7 @@ func (v Value) String() string {
 // numericType reports whether t participates in numeric comparison.
 func numericType(t Type) bool {
 	switch t {
-	case TypeInteger, TypeBigint, TypeDouble, TypeBoolean:
+	case TypeInteger, TypeBigint, TypeBoolean:
 		return true
 	default:
 		return false
@@ -352,9 +332,6 @@ func Compare(a, b Value) (int, bool) {
 	at, bt := a.Type(), b.Type()
 	switch {
 	case numericType(at) && numericType(bt):
-		if at == TypeDouble || bt == TypeDouble {
-			return cmpFloat(a.Float(), b.Float()), true
-		}
 		return cmpInt(a.Int(), b.Int()), true
 	case at == TypeTimestamp || bt == TypeTimestamp:
 		ta, tb := a.Time(), b.Time()
@@ -369,11 +346,6 @@ func Compare(a, b Value) (int, bool) {
 	case at == TypeBlob && bt == TypeBlob:
 		return bytes.Compare(a.blob(), b.blob()), true
 	default:
-		// String-ish comparison, with numeric coercion when one side is a
-		// number literal stored as text.
-		if numericType(at) || numericType(bt) {
-			return cmpFloat(a.Float(), b.Float()), true
-		}
 		return strings.Compare(a.Str(), b.Str()), true
 	}
 }
@@ -403,17 +375,6 @@ func cmpInt(a, b int64) int {
 	case a < b:
 		return -1
 	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b || (math.IsNaN(a) && !math.IsNaN(b)):
-		return -1
-	case a > b || (!math.IsNaN(a) && math.IsNaN(b)):
 		return 1
 	default:
 		return 0
@@ -489,8 +450,6 @@ func Coerce(v Value, t Type) (Value, error) {
 	switch t {
 	case TypeInteger, TypeBigint:
 		return scalar(t, uint64(v.Int())), nil
-	case TypeDouble:
-		return NewFloat(v.Float()), nil
 	case TypeVarchar:
 		return NewString(v.Str()), nil
 	case TypeBlob:
@@ -529,8 +488,6 @@ func encodeValue(e *wire.Encoder, v Value) {
 	case TypeNull:
 	case TypeInteger, TypeBigint, TypeBoolean:
 		e.Int64(v.Int())
-	case TypeDouble:
-		e.Float64(v.Float())
 	case TypeVarchar:
 		e.String(v.Str())
 	case TypeBlob:
@@ -552,8 +509,6 @@ func decodeValue(d *wire.Decoder) (Value, error) {
 		return Coerce(NewInt(d.Int64()), t)
 	case TypeBoolean:
 		return NewBool(d.Int64() != 0), nil
-	case TypeDouble:
-		return NewFloat(d.Float64()), nil
 	case TypeVarchar:
 		return NewString(d.String()), nil
 	case TypeBlob:

@@ -14,12 +14,12 @@ import (
 )
 
 // refValue is the 96-byte Value this package used before the tagged
-// form — every field inline — kept verbatim as the reference
-// FuzzValueCompare holds the tagged form to.
+// form — every field inline — kept as the reference FuzzValueCompare
+// holds the tagged form to, less the DOUBLE type and the numeric
+// comparisons the dialect has since dropped.
 type refValue struct {
 	typ   Type
 	i     int64
-	f     float64
 	s     string
 	b     []byte
 	t     time.Time
@@ -37,27 +37,11 @@ func (v refValue) Int() int64 {
 	switch v.Type() {
 	case TypeInteger, TypeBigint, TypeBoolean:
 		return v.i
-	case TypeDouble:
-		return int64(v.f)
 	case TypeVarchar:
 		n, _ := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		return n
 	case TypeTimestamp:
 		return v.t.UnixNano()
-	default:
-		return 0
-	}
-}
-
-func (v refValue) Float() float64 {
-	switch v.Type() {
-	case TypeInteger, TypeBigint, TypeBoolean:
-		return float64(v.i)
-	case TypeDouble:
-		return v.f
-	case TypeVarchar:
-		f, _ := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
-		return f
 	default:
 		return 0
 	}
@@ -74,8 +58,6 @@ func (v refValue) Str() string {
 			return "TRUE"
 		}
 		return "FALSE"
-	case TypeDouble:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
 	case TypeBlob:
 		return string(v.b)
 	case TypeTimestamp:
@@ -116,8 +98,6 @@ func (v refValue) Bool() bool {
 	switch v.Type() {
 	case TypeBoolean, TypeInteger, TypeBigint:
 		return v.i != 0
-	case TypeDouble:
-		return v.f != 0
 	case TypeVarchar:
 		return strings.EqualFold(v.s, "true")
 	default:
@@ -132,9 +112,6 @@ func refCompare(a, b refValue) (int, bool) {
 	at, bt := a.Type(), b.Type()
 	switch {
 	case numericType(at) && numericType(bt):
-		if at == TypeDouble || bt == TypeDouble {
-			return cmpFloat(a.Float(), b.Float()), true
-		}
 		return cmpInt(a.Int(), b.Int()), true
 	case at == TypeTimestamp || bt == TypeTimestamp:
 		ta, tb := a.Time(), b.Time()
@@ -149,18 +126,8 @@ func refCompare(a, b refValue) (int, bool) {
 	case at == TypeBlob && bt == TypeBlob:
 		return strings.Compare(string(a.b), string(b.b)), true
 	default:
-		if numericType(at) || numericType(bt) {
-			return cmpFloat(a.Float(), b.Float()), true
-		}
 		return strings.Compare(a.Str(), b.Str()), true
 	}
-}
-
-func refPkKey(v refValue) string {
-	if v.Type() == TypeDouble && v.f == 0 {
-		return "0"
-	}
-	return v.Str()
 }
 
 func refCoerce(v refValue, t Type) (refValue, error) {
@@ -170,8 +137,6 @@ func refCoerce(v refValue, t Type) (refValue, error) {
 	switch t {
 	case TypeInteger, TypeBigint:
 		return refValue{typ: t, i: v.Int(), isSet: true}, nil
-	case TypeDouble:
-		return refValue{typ: TypeDouble, f: v.Float(), isSet: true}, nil
 	case TypeVarchar:
 		return refValue{typ: TypeVarchar, s: v.Str(), isSet: true}, nil
 	case TypeBlob:
@@ -210,23 +175,21 @@ var fuzzZones = []*time.Location{time.UTC, time.FixedZone("IST", 5*3600+1800), t
 // fuzzPair builds the same SQL value in both forms. A timestamp is the
 // instant at i Unix nanoseconds in one of three zones, or the zero time
 // for i = math.MinInt64 (the one word the two share).
-func fuzzPair(k uint8, i int64, f float64, s string) (Value, refValue) {
-	switch k % 7 {
+func fuzzPair(k uint8, i int64, s string) (Value, refValue) {
+	switch k % 6 {
 	case 1:
 		return NewInt(i), refValue{typ: TypeBigint, i: i, isSet: true}
 	case 2:
-		return NewFloat(f), refValue{typ: TypeDouble, f: f, isSet: true}
-	case 3:
 		return NewString(s), refValue{typ: TypeVarchar, s: s, isSet: true}
-	case 4:
+	case 3:
 		return NewBytes([]byte(s)), refValue{typ: TypeBlob, b: []byte(s), isSet: true}
-	case 5:
-		ts := time.Unix(0, i).In(fuzzZones[int(k/7)%len(fuzzZones)])
+	case 4:
+		ts := time.Unix(0, i).In(fuzzZones[int(k/6)%len(fuzzZones)])
 		if i == math.MinInt64 {
 			ts = time.Time{}
 		}
 		return NewTime(ts), refValue{typ: TypeTimestamp, t: ts, isSet: true}
-	case 6:
+	case 5:
 		return NewBool(i&1 == 1), refValue{typ: TypeBoolean, i: i & 1, isSet: true}
 	default:
 		return Null, refValue{}
@@ -237,9 +200,8 @@ func fuzzPair(k uint8, i int64, f float64, s string) (Value, refValue) {
 // FuzzValueCompare covers.
 func agree(t *testing.T, what string, v Value, r refValue) {
 	t.Helper()
-	if v.Type() != r.Type() || v.Str() != r.Str() || pkKey(v) != refPkKey(r) {
-		t.Fatalf("%s: type/Str/pkKey %v %q %q, reference %v %q %q",
-			what, v.Type(), v.Str(), pkKey(v), r.Type(), r.Str(), refPkKey(r))
+	if v.Type() != r.Type() || v.Str() != r.Str() {
+		t.Fatalf("%s: type/Str %v %q, reference %v %q", what, v.Type(), v.Str(), r.Type(), r.Str())
 	}
 	if vb, rb := v.Bytes(), r.Bytes(); !bytes.Equal(vb, rb) || (vb == nil) != (rb == nil) {
 		t.Fatalf("%s: Bytes %v, reference %v", what, vb, rb)
@@ -247,39 +209,38 @@ func agree(t *testing.T, what string, v Value, r refValue) {
 }
 
 // FuzzValueCompare holds the tagged Value to the 96-byte reference on
-// random pairs of every kind: Compare, Equal, pkKey, Str, Bytes and
+// random pairs of every kind: Compare, Equal, Str (the hash key), Bytes and
 // Coerce to every column type agree — except that Coerce refuses a
 // TIMESTAMP the tagged form cannot hold, where the reference kept it.
 // The seed corpus runs as part of plain `go test`.
 func FuzzValueCompare(f *testing.F) {
-	negZero := math.Copysign(0, -1)
-	f.Add(uint8(2), uint8(2), int64(0), int64(0), 0.0, negZero, "", "")
-	f.Add(uint8(2), uint8(1), int64(0), int64(0), math.NaN(), 1.0, "", "")
-	f.Add(uint8(1), uint8(2), int64(1)<<53+1, int64(0), 0.0, float64(1<<53), "", "")
-	f.Add(uint8(3), uint8(1), int64(0), int64(9), 0.0, 0.0, " 10", "")
-	f.Add(uint8(3), uint8(4), int64(0), int64(0), 0.0, 0.0, "ab", "aa")
-	f.Add(uint8(3), uint8(5), int64(0), int64(1), 0.0, 0.0, "1970-01-01T00:00:00.000000001Z", "")
-	f.Add(uint8(3), uint8(5), int64(0), int64(0), 0.0, 0.0, "9999-12-31T23:59:59Z", "")
-	f.Add(uint8(12), uint8(19), int64(math.MinInt64), int64(math.MaxInt64), 0.0, 0.0, "", "")
-	f.Add(uint8(5), uint8(1), int64(-1), int64(-1), 0.0, 0.0, "", "")
-	f.Add(uint8(6), uint8(0), int64(1), int64(0), 0.0, 0.0, "", "")
-	f.Add(uint8(4), uint8(4), int64(0), int64(0), 0.0, 0.0, "", "x")
-	f.Add(uint8(3), uint8(6), int64(0), int64(1), 0.0, 0.0, "TRUE", "")
+	f.Add(uint8(1), uint8(5), int64(0), int64(0), "", "")
+	f.Add(uint8(1), uint8(2), int64(5), int64(0), "", "5")
+	f.Add(uint8(1), uint8(1), int64(1)<<53+1, int64(1)<<53, "", "")
+	f.Add(uint8(2), uint8(1), int64(0), int64(9), " 10", "")
+	f.Add(uint8(2), uint8(3), int64(0), int64(0), "ab", "aa")
+	f.Add(uint8(2), uint8(4), int64(0), int64(1), "1970-01-01T00:00:00.000000001Z", "")
+	f.Add(uint8(2), uint8(4), int64(0), int64(0), "9999-12-31T23:59:59Z", "")
+	f.Add(uint8(10), uint8(16), int64(math.MinInt64), int64(math.MaxInt64), "", "")
+	f.Add(uint8(4), uint8(1), int64(-1), int64(-1), "", "")
+	f.Add(uint8(5), uint8(0), int64(1), int64(0), "", "")
+	f.Add(uint8(3), uint8(3), int64(0), int64(0), "", "x")
+	f.Add(uint8(2), uint8(5), int64(0), int64(1), "TRUE", "")
 	// The edges of the tag scheme: an empty VARCHAR and an empty BLOB
 	// point at a sentinel, not nil, and must not read as NULL; the zero
-	// TIMESTAMP's word is math.MinInt64; NaN and -0.0 are words like any
-	// other; and the VARCHAR "3" is not the INTEGER 3's word.
-	f.Add(uint8(3), uint8(4), int64(0), int64(0), 0.0, 0.0, "", "")
-	f.Add(uint8(4), uint8(0), int64(0), int64(0), 0.0, 0.0, "", "")
-	f.Add(uint8(5), uint8(5), int64(math.MinInt64), int64(0), 0.0, 0.0, "", "")
-	f.Add(uint8(5), uint8(3), int64(math.MinInt64), int64(0), 0.0, 0.0, "", "")
-	f.Add(uint8(2), uint8(2), int64(0), int64(0), math.NaN(), negZero, "", "")
-	f.Add(uint8(3), uint8(1), int64(0), int64(3), 0.0, 0.0, "3", "")
+	// TIMESTAMP's word is math.MinInt64; the integer extremes are words
+	// like any other; and the VARCHAR "3" is not the INTEGER 3's word.
+	f.Add(uint8(2), uint8(3), int64(0), int64(0), "", "")
+	f.Add(uint8(3), uint8(0), int64(0), int64(0), "", "")
+	f.Add(uint8(4), uint8(4), int64(math.MinInt64), int64(0), "", "")
+	f.Add(uint8(4), uint8(2), int64(math.MinInt64), int64(0), "", "")
+	f.Add(uint8(1), uint8(1), int64(math.MinInt64), int64(math.MaxInt64), "", "")
+	f.Add(uint8(2), uint8(1), int64(0), int64(3), "3", "")
 
-	types := []Type{TypeInteger, TypeBigint, TypeDouble, TypeVarchar, TypeBlob, TypeTimestamp, TypeBoolean}
-	f.Fuzz(func(t *testing.T, ka, kb uint8, ia, ib int64, fa, fb float64, sa, sb string) {
-		a, ra := fuzzPair(ka, ia, fa, sa)
-		b, rb := fuzzPair(kb, ib, fb, sb)
+	types := []Type{TypeInteger, TypeBigint, TypeVarchar, TypeBlob, TypeTimestamp, TypeBoolean}
+	f.Fuzz(func(t *testing.T, ka, kb uint8, ia, ib int64, sa, sb string) {
+		a, ra := fuzzPair(ka, ia, sa)
+		b, rb := fuzzPair(kb, ib, sb)
 		agree(t, "a", a, ra)
 		agree(t, "b", b, rb)
 		c, ok := Compare(a, b)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/wire"
 )
 
 func TestLike(t *testing.T) {
@@ -141,10 +143,8 @@ func TestCompare(t *testing.T) {
 		{NewInt(1), NewInt(2), -1},
 		{NewInt(2), NewInt(2), 0},
 		{NewInt(3), NewInt(2), 1},
-		{NewInt(2), NewFloat(2.5), -1},
-		{NewFloat(2.5), NewInt(2), 1},
 		{NewString("a"), NewString("b"), -1},
-		{NewString("10"), NewInt(9), 1}, // numeric coercion
+		{NewString("10"), NewInt(9), -1}, // text against a number compares as text
 		{NewBool(true), NewBool(false), 1},
 		{NewBool(true), NewInt(1), 0},
 		{NewTime(time.Unix(1, 0)), NewTime(time.Unix(2, 0)), -1},
@@ -216,7 +216,6 @@ func TestFromGo(t *testing.T) {
 		{nil, "NULL"},
 		{42, "42"},
 		{int64(-7), "-7"},
-		{3.5, "3.5"},
 		{"hi", "'hi'"},
 		{true, "TRUE"},
 	}
@@ -284,5 +283,33 @@ func TestUnboundSlot(t *testing.T) {
 	_, want := db.Exec(q, Args{"b": nil})
 	if !errors.Is(got, ErrMissingParam) || want == nil || got.Error() != want.Error() {
 		t.Fatalf("unbound $a: %v; through an Args map: %v", got, want)
+	}
+}
+
+// TestValueTagsKeepTheirNumbers: every value type keeps the tag it had
+// on the wire, and tag 4, DOUBLE's until the dialect dropped it, is
+// refused by DecodeValue, as a float64 argument is by FromGo.
+func TestValueTagsKeepTheirNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		v   Value
+		tag byte
+	}{
+		{Null, 1}, {scalar(TypeInteger, 7), 2}, {NewInt(7), 3}, {NewString("x"), 5},
+		{NewBytes([]byte("x")), 6}, {NewTime(time.Unix(1, 0)), 7}, {NewBool(true), 8},
+	} {
+		e := wire.NewEncoder(16)
+		EncodeValue(e, tc.v)
+		if got := e.Bytes()[0]; got != tc.tag {
+			t.Errorf("%v encodes with tag %d, want %d", tc.v, got, tc.tag)
+		}
+	}
+	e := wire.NewEncoder(16)
+	e.Uint8(4)
+	e.Uint64(0x400921f9f01b866e) // the DOUBLE 3.14159's bits
+	if v, err := DecodeValue(wire.NewDecoder(e.Bytes())); err == nil {
+		t.Fatalf("DecodeValue accepted tag 4 as %v", v)
+	}
+	if v, err := FromGo(1.5); err == nil || !strings.Contains(err.Error(), "float64") {
+		t.Fatalf("FromGo(1.5) = %v, %v; want a refusal naming float64", v, err)
 	}
 }

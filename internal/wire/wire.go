@@ -234,9 +234,6 @@ func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
 // Int64 appends a big-endian signed 64-bit integer.
 func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
 
-// Float64 appends an IEEE-754 double.
-func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
-
 // Duration appends a time.Duration as nanoseconds.
 func (e *Encoder) Duration(d time.Duration) { e.Int64(int64(d)) }
 
@@ -354,9 +351,6 @@ func (d *Decoder) Int32() int32 { return int32(d.Uint32()) }
 
 // Int64 consumes a big-endian signed 64-bit integer.
 func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
-
-// Float64 consumes an IEEE-754 double.
-func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
 // Duration consumes a time.Duration encoded as nanoseconds.
 func (d *Decoder) Duration() time.Duration { return time.Duration(d.Int64()) }
