@@ -132,12 +132,14 @@ bench-module-check:
 # lease-client group (internal/core's bootloader.go, renew.go and
 # loadclient.go, the lease protocol's client side) and the protocol
 # group (the four protocol.go files of the lease, dbms, cluster and
-# sequoia protocols, plus wire/walk.go, which runs their declarations).
+# sequoia protocols, wire/walk.go, which runs their declarations, and
+# sqlmini/codec.go, the statement and result payloads dbms and sequoia
+# share).
 # It is the one count every simplicity PR's before/after claim uses.
 loc:
 	scripts/loc.sh lease-client: internal/core/bootloader.go internal/core/renew.go internal/core/loadclient.go \
 		protocol: internal/core/protocol.go internal/dbms/protocol.go internal/cluster/protocol.go \
-		internal/sequoia/protocol.go internal/wire/walk.go
+		internal/sequoia/protocol.go internal/wire/walk.go internal/sqlmini/codec.go
 
 # traffic builds drivobench, the examples, cmd/experiments, drivolutiond,
 # drivoctl and drivolint with coverage over repro/..., runs each once,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dbver"
 	"repro/internal/driverimg"
 	"repro/internal/faultnet"
+	"repro/internal/sqlmini"
 	"repro/internal/wire"
 )
 
@@ -174,6 +175,7 @@ type nativeConn struct {
 	opTimeout time.Duration // per-exchange reply deadline
 	inTx      bool
 	closed    bool
+	dec       wire.Decoder // exec's, under mu
 }
 
 // NegotiatedProtocol reports the session's negotiated protocol version
@@ -185,6 +187,11 @@ func (c *nativeConn) NegotiatedProtocol() uint16 { return c.proto }
 func (c *nativeConn) roundTrip(typ uint16, req []byte, want uint16) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.roundTripLocked(typ, req, want)
+}
+
+// roundTripLocked is roundTrip with c.mu held.
+func (c *nativeConn) roundTripLocked(typ uint16, req []byte, want uint16) ([]byte, error) {
 	if c.closed {
 		// Nothing was transmitted: safe to retry elsewhere.
 		return nil, fmt.Errorf("%w (%w)", client.ErrClosed, client.ErrStatementNotSent)
@@ -208,30 +215,30 @@ func (c *nativeConn) roundTrip(typ uint16, req []byte, want uint16) ([]byte, err
 	return payload(f, want)
 }
 
-// send encodes one request into a pooled encoder and makes the round
-// trip; the encoder goes back to the pool once the frame is sent.
-func (c *nativeConn) send(typ uint16, encode func(e *wire.Encoder) error, want uint16) ([]byte, error) {
+// exec runs one statement whose reply is a msgResult — ad hoc, or
+// through a prepared handle, whose replies are identical on the wire —
+// encoded in a pooled encoder and decoded once, into the Result the
+// caller keeps. The reply is decoded under the connection's lock, by
+// the Decoder the connection keeps, so the Result is the decoding's one
+// allocation.
+func (c *nativeConn) exec(typ uint16, encode func(e *wire.Encoder) error) (*client.Result, error) {
 	e := wire.GetEncoder(128)
 	defer wire.PutEncoder(e)
 	if err := encode(e); err != nil {
 		return nil, err
 	}
-	return c.roundTrip(typ, e.Bytes(), want)
-}
-
-// exec runs one statement whose reply is a msgResult — ad hoc, or
-// through a prepared handle, whose replies are identical on the wire —
-// decoded once, into the Result the caller keeps.
-func (c *nativeConn) exec(typ uint16, encode func(e *wire.Encoder) error) (*client.Result, error) {
-	p, err := c.send(typ, encode, msgResult)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, err := c.roundTripLocked(typ, e.Bytes(), msgResult)
 	if err != nil {
 		return nil, err
 	}
-	return decodeResult(p)
+	c.dec = *wire.NewDecoder(p)
+	return sqlmini.DecodeResult(&c.dec)
 }
 
 func (c *nativeConn) execSQL(sql string, args []any) (*client.Result, error) {
-	return c.exec(msgExec, func(e *wire.Encoder) error { return encodeExec(e, sql, args) })
+	return c.exec(msgExec, func(e *wire.Encoder) error { return sqlmini.EncodeStatement(e, sql, args) })
 }
 
 // Exec implements client.Conn.
@@ -249,12 +256,17 @@ func (c *nativeConn) Query(sql string, args ...any) (*client.Result, error) {
 // msgBatchResult frame — a single wire round trip however many
 // statements the batch carries.
 func (c *nativeConn) ExecBatch(atomic bool, stmts []client.Statement) ([]*client.Result, error) {
-	p, err := c.send(msgExecBatch, func(e *wire.Encoder) error { return encodeBatch(e, atomic, stmts) }, msgBatchResult)
+	e := wire.GetEncoder(128)
+	defer wire.PutEncoder(e)
+	if err := encodeBatch(e, atomic, stmts); err != nil {
+		return nil, err
+	}
+	p, err := c.roundTrip(msgExecBatch, e.Bytes(), msgBatchResult)
 	if err != nil {
 		return nil, err
 	}
-	br, err := decodeBatchResult(p)
-	if err != nil {
+	var br batchResultMsg
+	if err := wire.Unmarshal(p, &br); err != nil {
 		return nil, err
 	}
 	if br.ErrIndex >= 0 {
@@ -358,8 +370,8 @@ func (c *nativeConn) probeVersions(m tableVersionsMsg) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	ok, err := decodeTableVersionsOK(p)
-	if err != nil {
+	var ok tableVersionsOKMsg
+	if err := wire.Unmarshal(p, &ok); err != nil {
 		return nil, err
 	}
 	if len(ok.Versions) != len(m.Names) {

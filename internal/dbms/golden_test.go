@@ -49,13 +49,6 @@ func encoded(t testing.TB, encode func(e *wire.Encoder) error) []byte {
 	return e.Bytes()
 }
 
-// encodeResult is appendResult into a fresh encoder.
-func encodeResult(r *sqlmini.Result) []byte {
-	e := wire.NewEncoder(64)
-	appendResult(e, r)
-	return e.Bytes()
-}
-
 // decodeExecOn decodes a msgExec payload with its SQL resolved in a
 // fresh database, so its named arguments bind into real slots.
 func decodeExecOn(b []byte) (*execFrame, error) {
@@ -140,7 +133,7 @@ func TestGoldenHelloOK(t *testing.T) {
 func TestGoldenExecNamed(t *testing.T) {
 	sql := "SELECT v FROM t WHERE id = $id AND x = $x"
 	enc := encoded(t, func(e *wire.Encoder) error {
-		return encodeExec(e, sql, []any{sqlmini.Args{
+		return sqlmini.EncodeStatement(e, sql, []any{sqlmini.Args{
 			"x":  sqlmini.NewString("a"),
 			"id": sqlmini.NewInt(42),
 		}})
@@ -161,7 +154,7 @@ func TestGoldenExecNamed(t *testing.T) {
 func TestGoldenExecPositional(t *testing.T) {
 	sql := "SELECT v FROM t WHERE id = ?"
 	enc := encoded(t, func(e *wire.Encoder) error {
-		return encodeExec(e, sql, []any{sqlmini.NewInt(7), sqlmini.NewBool(true)})
+		return sqlmini.EncodeStatement(e, sql, []any{sqlmini.NewInt(7), sqlmini.NewBool(true)})
 	})
 	checkGolden(t, "exec(positional)", enc,
 		"0000001c53454c45435420762046524f4d2074205748455245206964203d203f0000000000000002030000000000000007080000000000000001")
@@ -182,10 +175,10 @@ func TestGoldenResult(t *testing.T) {
 		Rows:     [][]sqlmini.Value{{sqlmini.NewInt(1), sqlmini.NewString("widget")}},
 		Affected: 0,
 	}
-	enc := encodeResult(r)
+	enc := wire.Marshal(r)
 	checkGolden(t, "result", enc,
 		"00000002000000026964000000046e616d65000000010000000203000000000000000105000000067769646765740000000000000000")
-	got, err := decodeResult(enc)
+	got, err := sqlmini.DecodeResult(wire.NewDecoder(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +210,11 @@ func TestGoldenBatchResult(t *testing.T) {
 		Results:  []*sqlmini.Result{{Cols: []string{"n"}, Rows: [][]sqlmini.Value{{sqlmini.NewInt(3)}}, Affected: 1}},
 		ErrIndex: -1,
 	}
-	enc := encoded(t, func(e *wire.Encoder) error { m.appendTo(e); return nil })
+	enc := wire.Marshal(&m)
 	checkGolden(t, "batchResult", enc,
 		"000000010000002200000001000000016e00000001000000010300000000000000030000000000000001ffffffff000000000000")
-	got, err := decodeBatchResult(enc)
-	if err != nil {
+	var got batchResultMsg
+	if err := wire.Unmarshal(enc, &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Results) != 1 || got.ErrIndex != -1 || got.ErrCode != 0 ||
@@ -337,11 +330,11 @@ func TestGoldenTableVersions(t *testing.T) {
 
 func TestGoldenTableVersionsOK(t *testing.T) {
 	m := tableVersionsOKMsg{Versions: []uint64{5, 9}}
-	enc := m.encode()
+	enc := wire.Marshal(&m)
 	checkGolden(t, "tableVersionsOK", enc,
 		"0000000200000000000000050000000000000009")
-	got, err := decodeTableVersionsOK(enc)
-	if err != nil || !reflect.DeepEqual(got.Versions, m.Versions) {
+	var got tableVersionsOKMsg
+	if err := wire.Unmarshal(enc, &got); err != nil || !reflect.DeepEqual(got.Versions, m.Versions) {
 		t.Fatalf("round trip: %+v %v", got, err)
 	}
 }
@@ -355,8 +348,8 @@ func TestMalformedCountsRejected(t *testing.T) {
 		// exec with a huge named-arg count and no entries.
 		"exec named":      func(b []byte) error { _, err := decodeExecOn(b); return err },
 		"execStmt named":  func(b []byte) error { var m execFrame; _, err := m.decodeStmt(wire.NewDecoder(b), nil); return err },
-		"result cols":     func(b []byte) error { _, err := decodeResult(b); return err },
-		"tableVersionsOK": func(b []byte) error { _, err := decodeTableVersionsOK(b); return err },
+		"result cols":     func(b []byte) error { _, err := sqlmini.DecodeResult(wire.NewDecoder(b)); return err },
+		"tableVersionsOK": func(b []byte) error { return wire.Unmarshal(b, &tableVersionsOKMsg{}) },
 	}
 	payloads := map[string]string{
 		"exec named":      "00000000" + huge,         // empty SQL, named count max
@@ -444,23 +437,23 @@ func TestGoldenVersionWatch(t *testing.T) {
 
 	r := &sqlmini.Result{Cols: []string{"n"}, Rows: [][]sqlmini.Value{{sqlmini.NewInt(3)}},
 		Affected: 1, Versions: []uint64{5, 9}}
-	enc = encodeResult(r)
+	enc = wire.Marshal(r)
 	checkGolden(t, "result(versions)", enc,
 		"00000001000000016e0000000100000001030000000000000003"+"0000000000000001"+
 			"00000002"+"0000000000000005"+"0000000000000009")
-	res, err := decodeResult(enc)
+	res, err := sqlmini.DecodeResult(wire.NewDecoder(enc))
 	if err != nil || !reflect.DeepEqual(res.Versions, r.Versions) || res.Affected != 1 {
 		t.Fatalf("round trip: %+v %v", res, err)
 	}
 
 	br := batchResultMsg{Results: []*sqlmini.Result{{Affected: 1}}, ErrIndex: -1, Versions: []uint64{5, 9}}
-	enc = encoded(t, func(e *wire.Encoder) error { br.appendTo(e); return nil })
+	enc = wire.Marshal(&br)
 	checkGolden(t, "batchResult(versions)", enc,
 		"00000001"+"00000010"+"00000000"+"00000000"+"0000000000000001"+
 			"ffffffff"+"0000"+"00000000"+
 			"00000002"+"0000000000000005"+"0000000000000009")
-	gotBR, err := decodeBatchResult(enc)
-	if err != nil || !reflect.DeepEqual(gotBR.Versions, br.Versions) || gotBR.Results[0].Versions != nil {
+	var gotBR batchResultMsg
+	if err := wire.Unmarshal(enc, &gotBR); err != nil || !reflect.DeepEqual(gotBR.Versions, br.Versions) || gotBR.Results[0].Versions != nil {
 		t.Fatalf("round trip: %+v %v", gotBR, err)
 	}
 }

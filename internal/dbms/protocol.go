@@ -27,9 +27,8 @@ package dbms
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"slices"
+	"math"
 
 	"repro/internal/client"
 	"repro/internal/sqlmini"
@@ -195,104 +194,6 @@ func (h *helloOKMsg) Fields(w wire.Walker) {
 	}
 }
 
-// errMixedArgs refuses an argument block that carries both named and
-// positional values: a statement binds one way or the other, and
-// neither half may be silently dropped.
-var errMixedArgs = errors.New("argument block mixes named and positional values")
-
-// encodeArgs appends the shared argument block (named list, then
-// positional list) of msgExec, msgExecStmt and batch statements straight
-// from the caller's arguments: a single sqlmini.Args map encodes as
-// named values, anything else as positional ones. Named keys are
-// sorted so every message has exactly one wire form (golden-frame
-// fixtures rely on this); up to eight of them sort on the stack.
-func encodeArgs(e *wire.Encoder, args []any) error {
-	if len(args) == 1 {
-		if named, ok := args[0].(sqlmini.Args); ok {
-			var buf [8]string
-			keys := buf[:0]
-			for k := range named {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
-			e.Uint32(uint32(len(keys)))
-			for _, k := range keys {
-				v, err := sqlmini.FromGo(named[k])
-				if err != nil {
-					return err
-				}
-				e.String(k)
-				sqlmini.EncodeValue(e, v)
-			}
-			e.Uint32(0)
-			return nil
-		}
-	}
-	e.Uint32(0)
-	e.Uint32(uint32(len(args)))
-	for _, a := range args {
-		v, err := sqlmini.FromGo(a)
-		if err != nil {
-			return err
-		}
-		sqlmini.EncodeValue(e, v)
-	}
-	return nil
-}
-
-// decodeArgs reads the shared argument block straight into the
-// parameter slots of statement st. A named key is read as a view of
-// the payload and looked up in st's slot table: a key naming no
-// parameter is dropped, and a repeated key's last value wins. Values
-// decode as sqlmini.Values, never boxed. With the zero Parsed (a
-// statement that did not resolve) every value is still read, so a
-// malformed block is reported as malformed first. A named entry takes
-// at least its 4-byte key length and a value type byte, a positional
-// value its type byte. A block with both named and positional values
-// is refused (errMixedArgs).
-func decodeArgs(d *wire.Decoder, st sqlmini.Parsed, ps *sqlmini.Params) error {
-	nNamed := d.Count(5)
-	if nNamed > 0 {
-		slots := ps.Named(st.NumSlots())
-		for i := 0; i < nNamed; i++ {
-			key := d.Bytes32View()
-			v, err := sqlmini.DecodeValue(d)
-			if err != nil {
-				return err
-			}
-			if j, ok := st.Slot(key); ok {
-				slots[j] = v
-			}
-		}
-	}
-	nPos := d.Count(1)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nNamed > 0 {
-		if nPos > 0 {
-			return errMixedArgs
-		}
-		return nil
-	}
-	vals := ps.Positional(nPos)
-	for i := range vals {
-		v, err := sqlmini.DecodeValue(d)
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-	}
-	return d.Err()
-}
-
-// encodeExec appends a msgExec payload (also a batch statement's):
-// the SQL, then its argument block.
-func encodeExec(e *wire.Encoder, sql string, args []any) error {
-	e.String(sql)
-	return encodeArgs(e, args)
-}
-
 // execFrame is one statement bound for execution: a decoded msgExec or
 // msgExecStmt, one statement of a msgExecBatch, or an in-process
 // Execute. It holds the statement's text, the parse it resolves to in
@@ -321,7 +222,7 @@ func (m *execFrame) decode(d *wire.Decoder, db *sqlmini.DB) error {
 	if db != nil {
 		m.st, m.perr = db.ParseCached(m.sql)
 	}
-	if err := decodeArgs(d, m.st, &m.params); err != nil {
+	if err := sqlmini.DecodeArgs(d, m.st, &m.params); err != nil {
 		return err
 	}
 	return d.Err()
@@ -336,7 +237,7 @@ func (m *execFrame) decodeStmt(d *wire.Decoder, stmts map[uint64]*sqlmini.Prepar
 	if m.p = stmts[handle]; m.p != nil {
 		m.sql, m.st = m.p.SQL(), m.p.Parsed
 	}
-	if err := decodeArgs(d, m.st, &m.params); err != nil {
+	if err := sqlmini.DecodeArgs(d, m.st, &m.params); err != nil {
 		return handle, err
 	}
 	return handle, d.Err()
@@ -353,114 +254,18 @@ func (m *execFrame) bind(db *sqlmini.DB, sql string, args []any) error {
 	return m.params.Bind(st, args)
 }
 
-// beginNested reserves the 4-byte length of a nested payload (a batch
-// statement, a batch result) in e; endNested fills it in, so nesting
-// writes into the one encoder instead of copying a payload built apart.
-func beginNested(e *wire.Encoder) int {
-	at := len(e.Bytes())
-	e.Uint32(0)
-	return at
-}
-
-func endNested(e *wire.Encoder, at int) {
-	b := e.Bytes()
-	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
-}
-
-// appendResult appends a result set. A result that carries Versions
-// (a watched session's reply) appends them; the engine never sets
-// them, so an unwatched session's frames are unchanged.
-func appendResult(e *wire.Encoder, r *sqlmini.Result) {
-	e.StringSlice(r.Cols)
-	e.Uint32(uint32(len(r.Rows)))
-	for _, row := range r.Rows {
-		e.Uint32(uint32(len(row)))
-		for _, v := range row {
-			sqlmini.EncodeValue(e, v)
-		}
-	}
-	e.Int64(int64(r.Affected))
-	if r.Versions != nil {
-		encodeVersions(e, r.Versions)
-	}
-}
-
-// decodeResult decodes a result set into the one Result its reader
-// keeps: client.Result is sqlmini.Result, so nothing copies it after.
-// The Result shares its allocation with room for two trailing versions,
-// the pair a watched ConnStore session carries on every reply.
-func decodeResult(b []byte) (*sqlmini.Result, error) {
-	d := wire.NewDecoder(b)
-	rv := &struct {
-		r  sqlmini.Result
-		vs [2]uint64
-	}{}
-	r := &rv.r
-	r.Cols = d.StringSlice()
-	nRows := d.Count(4) // a row takes at least its 4-byte column count
-	for i := 0; i < nRows; i++ {
-		nCols := d.Count(1) // a value takes at least its type byte
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		row := make([]sqlmini.Value, 0, nCols)
-		for j := 0; j < nCols; j++ {
-			v, err := sqlmini.DecodeValue(d)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	r.Affected = int(d.Int64())
-	if d.Remaining() > 0 {
-		vs, err := decodeVersions(d, rv.vs[:0])
-		if err != nil {
-			return nil, err
-		}
-		r.Versions = vs
-	}
-	return r, d.Err()
-}
-
-// encodeVersions appends a counter list: a count, then the counters.
-// msgTableVersionsOK is one, and a watched session's replies end in one.
-func encodeVersions(e *wire.Encoder, vs []uint64) {
-	e.Uint32(uint32(len(vs)))
-	for _, v := range vs {
-		e.Uint64(v)
-	}
-}
-
-// decodeVersions reads a counter list into buf when it fits (a new
-// slice otherwise).
-func decodeVersions(d *wire.Decoder, buf []uint64) ([]uint64, error) {
-	n := d.Count(8)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	vs := buf[:0]
-	if buf == nil || n > cap(buf) {
-		vs = make([]uint64, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		vs = append(vs, d.Uint64())
-	}
-	return vs, d.Err()
-}
-
 // encodeBatch appends a msgExecBatch payload: the atomic flag, then
-// each statement nested in the msgExec encoding.
+// each statement payload behind its 4-byte length.
 func encodeBatch(e *wire.Encoder, atomic bool, stmts []client.Statement) error {
 	e.Bool(atomic)
 	e.Uint32(uint32(len(stmts)))
 	for i, st := range stmts {
-		at := beginNested(e)
-		if err := encodeExec(e, st.SQL, st.Args); err != nil {
+		at := len(e.Bytes())
+		e.Uint32(0)
+		if err := sqlmini.EncodeStatement(e, st.SQL, st.Args); err != nil {
 			return fmt.Errorf("dbms: batch statement %d: %w", i+1, err)
 		}
-		endNested(e, at)
+		binary.BigEndian.PutUint32(e.Bytes()[at:], uint32(len(e.Bytes())-at-4))
 	}
 	return nil
 }
@@ -496,47 +301,17 @@ type batchResultMsg struct {
 	Versions []uint64
 }
 
-func (m *batchResultMsg) appendTo(e *wire.Encoder) {
-	e.Uint32(uint32(len(m.Results)))
-	for _, r := range m.Results {
-		at := beginNested(e)
-		appendResult(e, r)
-		endNested(e, at)
-	}
-	e.Int32(m.ErrIndex)
-	e.Uint16(m.ErrCode)
-	e.String(m.ErrMsg)
-	if m.Versions != nil {
-		encodeVersions(e, m.Versions)
-	}
+// Fields declares the msgBatchResult layout: each result set as a
+// nested payload, the failure, then the watched versions.
+func (m *batchResultMsg) Fields(w wire.Walker) {
+	wire.Slice(w, &m.Results, 4, math.MaxInt32, walkNestedResult)
+	wire.Int32(w, &m.ErrIndex)
+	w.Uint16(&m.ErrCode)
+	w.String(&m.ErrMsg)
+	sqlmini.WalkVersions(w, &m.Versions)
 }
 
-func decodeBatchResult(b []byte) (batchResultMsg, error) {
-	d := wire.NewDecoder(b)
-	var m batchResultMsg
-	n := d.Count(4) // a result takes at least its 4-byte length
-	for i := 0; i < n; i++ {
-		r, err := decodeResult(d.Bytes32())
-		if err != nil {
-			return m, err
-		}
-		if err := d.Err(); err != nil {
-			return m, err
-		}
-		m.Results = append(m.Results, r)
-	}
-	m.ErrIndex = d.Int32()
-	m.ErrCode = d.Uint16()
-	m.ErrMsg = d.String()
-	if d.Remaining() > 0 {
-		vs, err := decodeVersions(d, nil)
-		if err != nil {
-			return m, err
-		}
-		m.Versions = vs
-	}
-	return m, d.Err()
-}
+func walkNestedResult(w wire.Walker, r **sqlmini.Result) { wire.Nested(w, r, sqlmini.WalkResult) }
 
 // prepareMsg is msgPrepare: register one statement server-side.
 type prepareMsg struct {
@@ -557,7 +332,7 @@ func (m *prepareOKMsg) Fields(w wire.Walker) { w.Uint64(&m.Handle) }
 // Answered by msgResult or msgError, exactly like msgExec.
 func encodeExecStmt(e *wire.Encoder, handle uint64, args []any) error {
 	e.Uint64(handle)
-	return encodeArgs(e, args)
+	return sqlmini.EncodeArgs(e, args)
 }
 
 // closeStmtMsg is msgCloseStmt: release one handle (msgCloseStmtOK
@@ -591,13 +366,6 @@ type tableVersionsOKMsg struct {
 	Versions []uint64
 }
 
-func (m tableVersionsOKMsg) encode() []byte {
-	e := wire.NewEncoder(8 * (len(m.Versions) + 1))
-	encodeVersions(e, m.Versions)
-	return e.Bytes()
-}
-
-func decodeTableVersionsOK(b []byte) (tableVersionsOKMsg, error) {
-	vs, err := decodeVersions(wire.NewDecoder(b), nil)
-	return tableVersionsOKMsg{Versions: vs}, err
+func (m *tableVersionsOKMsg) Fields(w wire.Walker) {
+	wire.Slice(w, &m.Versions, 8, math.MaxInt32, wire.Walker.Uint64)
 }

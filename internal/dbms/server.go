@@ -490,21 +490,21 @@ func (sess *session) answer(res *sqlmini.Result, err error) error {
 		return refuse(sess.conn, err)
 	}
 	res.Versions = sess.watched()
-	return sess.reply(msgResult, func(e *wire.Encoder) { appendResult(e, res) })
+	return sess.reply(msgResult, res)
 }
 
 // sendBatchResult answers one batch frame with msgBatchResult,
 // carrying the watched versions on a watched session.
 func (sess *session) sendBatchResult(m *batchResultMsg) error {
 	m.Versions = sess.watched()
-	return sess.reply(msgBatchResult, m.appendTo)
+	return sess.reply(msgBatchResult, m)
 }
 
-// reply sends one frame whose payload encode builds in a pooled
+// reply sends one frame whose payload m declares, encoded in a pooled
 // encoder, returned to the pool once the frame is sent.
-func (sess *session) reply(typ uint16, encode func(e *wire.Encoder)) error {
+func (sess *session) reply(typ uint16, m wire.Message) error {
 	e := wire.GetEncoder(256)
-	encode(e)
+	m.Fields(wire.Writing(e))
 	err := sess.conn.Send(typ, e.Bytes())
 	wire.PutEncoder(e)
 	return err
@@ -678,7 +678,7 @@ func (s *Server) handleTableVersions(sess *session, payload []byte) error {
 	for i, name := range m.Names {
 		reply.Versions[i] = sess.engine.TableVersion(name)
 	}
-	return sess.conn.Send(msgTableVersionsOK, reply.encode())
+	return sess.conn.Send(msgTableVersionsOK, wire.Marshal(&reply))
 }
 
 // replicate ships a mutating statement — its SQL and the values bound

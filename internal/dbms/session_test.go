@@ -565,15 +565,15 @@ func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 		payload []byte
 		decode  func([]byte) (check func() bool, err error)
 	}{
-		{"Result", encodeResult(res), func(b []byte) (func() bool, error) {
-			got, err := decodeResult(b)
+		{"Result", wire.Marshal(res), func(b []byte) (func() bool, error) {
+			got, err := sqlmini.DecodeResult(wire.NewDecoder(b))
 			return func() bool {
 				return strings.Join(got.Cols, ",") == "name,code" && len(got.Rows) == 1 &&
 					same(got.Rows[0], res.Rows[0]) && got.Affected == 1
 			}, err
 		}},
 		{"exec(named)", encoded(t, func(e *wire.Encoder) error {
-			return encodeExec(e, "INSERT INTO t VALUES ($code, $tail)", []any{sqlmini.Args{"code": args[0], "tail": args[1]}})
+			return sqlmini.EncodeStatement(e, "INSERT INTO t VALUES ($code, $tail)", []any{sqlmini.Args{"code": args[0], "tail": args[1]}})
 		}), func(b []byte) (func() bool, error) {
 			got, err := decodeExecOn(b)
 			return func() bool {
@@ -581,7 +581,7 @@ func TestDecodedMessagesOutliveTheirFrame(t *testing.T) {
 			}, err
 		}},
 		{"exec(positional)", encoded(t, func(e *wire.Encoder) error {
-			return encodeExec(e, "INSERT INTO t VALUES (?, ?)", []any{args[0], args[1]})
+			return sqlmini.EncodeStatement(e, "INSERT INTO t VALUES (?, ?)", []any{args[0], args[1]})
 		}), func(b []byte) (func() bool, error) {
 			got, err := decodeExecOn(b)
 			return func() bool {
@@ -766,7 +766,7 @@ func TestDoubleValueArgumentRefused(t *testing.T) {
 		t.Fatalf("ping after the refusal answered 0x%04x", f.Type)
 	}
 	ok := wire.NewEncoder(64)
-	if err := encodeExec(ok, "SELECT balance FROM accounts WHERE id = ?", []any{1}); err != nil {
+	if err := sqlmini.EncodeStatement(ok, "SELECT balance FROM accounts WHERE id = ?", []any{1}); err != nil {
 		t.Fatal(err)
 	}
 	if f := exchange(msgExec, ok.Bytes()); f.Type != msgResult {

@@ -98,7 +98,7 @@ func FuzzWireBinding(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1}) // too few, a named one
 	f.Add([]byte{3, 0, 1, 2, 0, 0x00, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1}) // mixed: refused
 	f.Add(append([]byte{4, 0, 1, 2, 0}, encoded(f, func(e *wire.Encoder) error {
-		return encodeArgs(e, []any{sqlmini.Args{"A": 1, "\u212a": 2}})
+		return sqlmini.EncodeArgs(e, []any{sqlmini.Args{"A": 1, "\u212a": 2}})
 	})...)) // a verbatim block: an upper-case key, and one only Unicode lowering maps to ASCII
 	db := sqlmini.NewDB()
 	db.MustExec("CREATE TABLE fz (id INTEGER PRIMARY KEY)")
@@ -163,8 +163,8 @@ func FuzzWireBinding(f *testing.F) {
 			t.Fatal(err)
 		}
 		var params sqlmini.Params
-		err = decodeArgs(wire.NewDecoder(block), st, &params)
-		mixed := errors.Is(err, errMixedArgs)
+		err = sqlmini.DecodeArgs(wire.NewDecoder(block), st, &params)
+		mixed := errors.Is(err, sqlmini.ErrMixedArgs)
 		switch {
 		case refErr != nil && err == nil, refErr == nil && err != nil && !mixed:
 			t.Fatalf("block %x: decoded with error %v, reference %v", block, err, refErr)
@@ -187,7 +187,7 @@ func FuzzWireBinding(f *testing.F) {
 		sess := db.NewSession()
 		defer sess.Close()
 		var prepParams sqlmini.Params
-		if err := decodeArgs(wire.NewDecoder(block), p.Parsed, &prepParams); err != nil {
+		if err := sqlmini.DecodeArgs(wire.NewDecoder(block), p.Parsed, &prepParams); err != nil {
 			t.Fatal(err)
 		}
 		args := refWireArgs(named, positional)

@@ -1,6 +1,7 @@
 package sequoia
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -51,7 +52,7 @@ func (b *Backend) exec(m execMsg) (*client.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := execOnConn(c, m)
+	res, err := c.Exec(m.SQL, m.Args)
 	if err != nil && c.Ping() != nil {
 		// Dead connection: redial once.
 		_ = c.Close()
@@ -60,24 +61,33 @@ func (b *Backend) exec(m execMsg) (*client.Result, error) {
 		if derr != nil {
 			return nil, err
 		}
-		return execOnConn(c, m)
+		return c.Exec(m.SQL, m.Args)
 	}
 	return res, err
 }
 
-func execOnConn(c client.Conn, m execMsg) (*client.Result, error) {
-	if len(m.Named) > 0 {
-		args := sqlmini.Args{}
-		for k, v := range m.Named {
-			args[k] = v
-		}
-		return c.Exec(m.SQL, args)
+// execMsg is one statement a driver sent: its SQL and its argument
+// block, kept in the bytes the driver wrote, which every backend and
+// every journal replay receive as they stand (sqlmini.ArgBlock).
+type execMsg struct {
+	SQL  string
+	Args sqlmini.ArgBlock
+}
+
+// decode reads a msgExec payload, the dbms statement payload: the SQL,
+// then the argument block, read in full by the shared decoder, so a
+// malformed block, or one that mixes named and positional values, is
+// refused before any backend sees it. The block is copied out of b.
+func (m *execMsg) decode(b []byte) error {
+	d := wire.NewDecoder(b)
+	m.SQL = d.String()
+	block := b[len(b)-d.Remaining():]
+	var ps sqlmini.Params
+	if err := sqlmini.DecodeArgs(d, sqlmini.Parsed{}, &ps); err != nil {
+		return err
 	}
-	args := make([]any, len(m.Positional))
-	for i, v := range m.Positional {
-		args[i] = v
-	}
-	return c.Exec(m.SQL, args...)
+	m.Args = bytes.Clone(block[:len(block)-d.Remaining()])
+	return nil
 }
 
 // Group totally orders writes across a set of controllers and keeps the
@@ -469,9 +479,9 @@ func (c *Controller) serveConn(nc net.Conn) {
 				return
 			}
 		case msgExec:
-			m, err := decodeExec(f.Payload)
-			if err != nil {
-				refuse(conn, codeQueryError, "malformed exec")
+			var m execMsg
+			if err := m.decode(f.Payload); err != nil {
+				refuse(conn, codeQueryError, "malformed exec: "+err.Error())
 				continue
 			}
 			res, execErr := c.execute(m)
@@ -479,7 +489,7 @@ func (c *Controller) serveConn(nc net.Conn) {
 				refuse(conn, codeQueryError, execErr.Error())
 				continue
 			}
-			if err := conn.Send(msgResult, encodeResult(res.Cols, res.Rows, res.Affected)); err != nil {
+			if err := conn.Send(msgResult, wire.Marshal(res)); err != nil {
 				return
 			}
 		default:

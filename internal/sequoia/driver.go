@@ -227,39 +227,17 @@ func (sc *seqConn) roundTrip(typ uint16, payload []byte) (wire.Frame, error) {
 }
 
 func (sc *seqConn) exec(sql string, args []any) (*client.Result, error) {
-	m := execMsg{SQL: sql}
-	if len(args) == 1 {
-		if named, ok := args[0].(sqlmini.Args); ok {
-			m.Named = make(map[string]sqlmini.Value, len(named))
-			for k, v := range named {
-				val, err := sqlmini.FromGo(v)
-				if err != nil {
-					return nil, err
-				}
-				m.Named[k] = val
-			}
-		}
+	e := wire.NewEncoder(256)
+	if err := sqlmini.EncodeStatement(e, sql, args); err != nil {
+		return nil, err
 	}
-	if m.Named == nil {
-		for _, a := range args {
-			v, err := sqlmini.FromGo(a)
-			if err != nil {
-				return nil, err
-			}
-			m.Positional = append(m.Positional, v)
-		}
-	}
-	f, err := sc.roundTrip(msgExec, m.encode())
+	f, err := sc.roundTrip(msgExec, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
 	switch f.Type {
 	case msgResult:
-		cols, rows, affected, err := decodeResult(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		return &client.Result{Cols: cols, Rows: rows, Affected: affected}, nil
+		return sqlmini.DecodeResult(wire.NewDecoder(f.Payload))
 	case msgError:
 		var em errorMsg
 		if err := wire.Unmarshal(f.Payload, &em); err != nil {

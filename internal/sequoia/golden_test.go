@@ -56,17 +56,14 @@ func TestGoldenControllerFrames(t *testing.T) {
 // yields its keys in. Encoded many times, the two-key exec below must
 // match the golden bytes every time.
 func TestGoldenExecNamedSorted(t *testing.T) {
-	m := execMsg{SQL: "SELECT $b, $a", Named: map[string]sqlmini.Value{
-		"b": sqlmini.NewInt(2),
-		"a": sqlmini.NewString("x"),
-	}}
+	args := sqlmini.Args{"b": sqlmini.NewInt(2), "a": sqlmini.NewString("x")}
 	const want = "0000000d53454c4543542024622c202461" + // SQL "SELECT $b, $a"
 		"00000002" + // two named arguments
 		"0000000161" + "05" + "0000000178" + // a = 'x'
 		"0000000162" + "03" + "0000000000000002" + // b = 2
 		"00000000" // no positional arguments
 	for i := 0; i < 32; i++ {
-		if got := hex.EncodeToString(m.encode()); got != want {
+		if got := hex.EncodeToString(statement(t, "SELECT $b, $a", args)); got != want {
 			t.Fatalf("encoding %d drifted from the golden fixture:\n got  %s\n want %s", i, got, want)
 		}
 	}

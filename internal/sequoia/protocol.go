@@ -6,6 +6,11 @@
 // resynchronization, and optionally embed a Drivolution server
 // replicated across controllers (Figure 6).
 //
+// The controller protocol is Sequoia's own (§5.3.1): its frame types,
+// hello and error codes. The statement and result payloads it carries
+// under those frame types are the dbms ones, in sqlmini's shared codec
+// (sqlmini.EncodeStatement, sqlmini.DecodeArgs, sqlmini.Result.Fields).
+//
 // Simplifications relative to the real Sequoia: total ordering of
 // writes uses an in-process group sequencer rather than a group
 // communication stack, and cross-controller replication applies
@@ -14,10 +19,7 @@ package sequoia
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
-	"repro/internal/sqlmini"
 	"repro/internal/wire"
 )
 
@@ -63,89 +65,6 @@ func (h *helloMsg) Fields(w wire.Walker) {
 	w.String(&h.User)
 	w.String(&h.Password)
 	w.String(&h.ClientInfo)
-}
-
-type execMsg struct {
-	SQL        string
-	Named      map[string]sqlmini.Value
-	Positional []sqlmini.Value
-}
-
-// encode writes the SQL, the named arguments in key order, so a
-// statement has exactly one wire form, then the positional ones.
-func (m execMsg) encode() []byte {
-	e := wire.NewEncoder(256)
-	e.String(m.SQL)
-	e.Uint32(uint32(len(m.Named)))
-	for _, k := range slices.Sorted(maps.Keys(m.Named)) {
-		e.String(k)
-		sqlmini.EncodeValue(e, m.Named[k])
-	}
-	e.Uint32(uint32(len(m.Positional)))
-	for _, v := range m.Positional {
-		sqlmini.EncodeValue(e, v)
-	}
-	return e.Bytes()
-}
-
-// decodeExec reads a msgExec payload: a named argument takes at least
-// its 4-byte key length and a value type byte, a positional one its
-// type byte.
-func decodeExec(b []byte) (m execMsg, err error) {
-	d := wire.NewDecoder(b)
-	m.SQL = d.String()
-	n := d.Count(5)
-	if n > 0 {
-		m.Named = make(map[string]sqlmini.Value, n)
-	}
-	for i := 0; i < n; i++ {
-		k := d.String()
-		if m.Named[k], err = sqlmini.DecodeValue(d); err != nil {
-			return m, err
-		}
-	}
-	n = d.Count(1)
-	for i := 0; i < n; i++ {
-		v, err := sqlmini.DecodeValue(d)
-		if err != nil {
-			return m, err
-		}
-		m.Positional = append(m.Positional, v)
-	}
-	return m, d.Err()
-}
-
-func encodeResult(cols []string, rows [][]sqlmini.Value, affected int) []byte {
-	e := wire.NewEncoder(256)
-	e.StringSlice(cols)
-	e.Uint32(uint32(len(rows)))
-	for _, row := range rows {
-		e.Uint32(uint32(len(row)))
-		for _, v := range row {
-			sqlmini.EncodeValue(e, v)
-		}
-	}
-	e.Int64(int64(affected))
-	return e.Bytes()
-}
-
-// decodeResult reads a msgResult payload: a row takes at least its
-// 4-byte column count, a value its type byte.
-func decodeResult(b []byte) (cols []string, rows [][]sqlmini.Value, affected int, err error) {
-	d := wire.NewDecoder(b)
-	cols = d.StringSlice()
-	n := d.Count(4)
-	for i := 0; i < n; i++ {
-		row := make([]sqlmini.Value, d.Count(1))
-		for j := range row {
-			if row[j], err = sqlmini.DecodeValue(d); err != nil {
-				return nil, nil, 0, err
-			}
-		}
-		rows = append(rows, row)
-	}
-	affected = int(d.Int64())
-	return cols, rows, affected, d.Err()
 }
 
 // errorMsg is msgError: a code and its message.

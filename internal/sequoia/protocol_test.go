@@ -1,6 +1,7 @@
 package sequoia
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"runtime"
@@ -26,50 +27,46 @@ func TestHelloRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestExecRoundTrip(t *testing.T) {
-	in := execMsg{
-		SQL: "INSERT INTO kv (k, v) VALUES ($k, $v)",
-		Named: map[string]sqlmini.Value{
-			"k": sqlmini.NewString("key"),
-			"v": sqlmini.NewInt(42),
-		},
-	}
-	out, err := decodeExec(in.encode())
-	if err != nil {
+// statement is a msgExec payload as the driver encodes it.
+func statement(t testing.TB, sql string, args ...any) []byte {
+	t.Helper()
+	e := wire.NewEncoder(64)
+	if err := sqlmini.EncodeStatement(e, sql, args); err != nil {
 		t.Fatal(err)
 	}
-	if out.SQL != in.SQL || len(out.Named) != 2 {
-		t.Fatalf("out = %+v", out)
-	}
-	if out.Named["k"].Str() != "key" || out.Named["v"].Int() != 42 {
-		t.Fatalf("named = %v", out.Named)
-	}
+	return e.Bytes()
+}
 
-	in2 := execMsg{SQL: "SELECT 1", Positional: []sqlmini.Value{sqlmini.NewBool(true), sqlmini.Null}}
-	out2, err := decodeExec(in2.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out2.Positional) != 2 || !out2.Positional[0].Bool() || !out2.Positional[1].IsNull() {
-		t.Fatalf("positional = %v", out2.Positional)
+// TestExecRoundTrip: the controller reads the SQL, and keeps the
+// argument block in the bytes the driver wrote, to relay as it stands.
+func TestExecRoundTrip(t *testing.T) {
+	for _, args := range [][]any{{sqlmini.Args{"k": "key", "v": 42}}, {"key", 42}, nil} {
+		sql := "INSERT INTO kv (k, v) VALUES ($k, $v)"
+		b := statement(t, sql, args...)
+		var m execMsg
+		if err := m.decode(b); err != nil {
+			t.Fatal(err)
+		}
+		if m.SQL != sql || !bytes.Equal(m.Args, b[4+len(sql):]) {
+			t.Fatalf("decoded %q %x from %x", m.SQL, []byte(m.Args), b)
+		}
 	}
 }
 
 func TestResultRoundTrip(t *testing.T) {
-	cols := []string{"a", "b"}
-	rows := [][]sqlmini.Value{
+	in := &sqlmini.Result{Cols: []string{"a", "b"}, Rows: [][]sqlmini.Value{
 		{sqlmini.NewInt(1), sqlmini.NewString("x")},
 		{sqlmini.Null, sqlmini.NewBool(true)},
-	}
-	gc, gr, aff, err := decodeResult(encodeResult(cols, rows, 7))
+	}, Affected: 7}
+	got, err := sqlmini.DecodeResult(wire.NewDecoder(wire.Marshal(in)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gc) != 2 || gc[0] != "a" || aff != 7 || len(gr) != 2 {
-		t.Fatalf("cols=%v aff=%d rows=%d", gc, aff, len(gr))
+	if len(got.Cols) != 2 || got.Cols[0] != "a" || got.Affected != 7 || len(got.Rows) != 2 || got.Versions != nil {
+		t.Fatalf("decoded %+v", got)
 	}
-	if gr[0][0].Int() != 1 || !gr[1][1].Bool() || !gr[1][0].IsNull() {
-		t.Fatalf("rows = %v", gr)
+	if got.Rows[0][0].Int() != 1 || !got.Rows[1][1].Bool() || !got.Rows[1][0].IsNull() {
+		t.Fatalf("rows = %v", got.Rows)
 	}
 }
 
@@ -89,8 +86,8 @@ func TestDecodeTruncated(t *testing.T) {
 	if err := wire.Unmarshal(full[:3], &helloMsg{}); err == nil {
 		t.Fatal("truncated hello accepted")
 	}
-	e := execMsg{SQL: "SELECT 1"}.encode()
-	if _, err := decodeExec(e[:2]); err == nil {
+	e := statement(t, "SELECT 1")
+	if err := (&execMsg{}).decode(e[:2]); err == nil {
 		t.Fatal("truncated exec accepted")
 	}
 }
@@ -137,35 +134,35 @@ func TestDecodeResultColumnCountChecked(t *testing.T) {
 		0xff, 0xff, 0xff, 0xf0, // claiming 0xFFFFFFF0 columns
 		0, 0, 0, 0, 0,
 	}
-	if _, _, _, err := decodeResult(b); !errors.Is(err, wire.ErrShortBuffer) {
+	if _, err := sqlmini.DecodeResult(wire.NewDecoder(b)); !errors.Is(err, wire.ErrShortBuffer) {
 		t.Fatalf("err = %v, want wire.ErrShortBuffer", err)
 	}
 }
 
 // TestDecodeExecNamedCountChecked: a 16-byte exec claiming 0x7FFFFFF0
-// named arguments is refused before the argument map is sized.
+// named arguments is refused before anything is sized from the count.
 func TestDecodeExecNamedCountChecked(t *testing.T) {
 	b := []byte{
 		0, 0, 0, 0, // empty SQL
 		0x7f, 0xff, 0xff, 0xf0, // claiming 0x7FFFFFF0 named arguments
 		0, 0, 0, 0, 0, 0, 0, 0,
 	}
-	if _, err := decodeExec(b); !errors.Is(err, wire.ErrShortBuffer) {
+	if err := (&execMsg{}).decode(b); !errors.Is(err, wire.ErrShortBuffer) {
 		t.Fatalf("err = %v, want wire.ErrShortBuffer", err)
 	}
 }
 
 // FuzzSequoiaFrames feeds arbitrary bytes to every decoder either side
-// of a controller session runs on its peer's input: hello, exec, result
-// and error. None may panic, and none may size an allocation from a
+// of a controller session runs on its peer's input: hello, exec and
+// result (the shared dbms payload decoders), and error. None may panic, and none may size an allocation from a
 // count the payload cannot back, so what one payload makes the decoders
 // allocate stays within a constant factor of its length.
 func FuzzSequoiaFrames(f *testing.F) {
 	for _, seed := range [][]byte{
 		wire.Marshal(&helloMsg{ProtocolVersion: 1, Database: "db", User: "u", Password: "p", ClientInfo: "sequoia"}),
-		execMsg{SQL: "SELECT $k", Named: map[string]sqlmini.Value{"k": sqlmini.NewInt(1)}}.encode(),
-		execMsg{SQL: "SELECT 1", Positional: []sqlmini.Value{sqlmini.NewString("x")}}.encode(),
-		encodeResult([]string{"n"}, [][]sqlmini.Value{{sqlmini.NewInt(3)}}, 1),
+		statement(f, "SELECT $k", sqlmini.Args{"k": sqlmini.NewInt(1)}),
+		statement(f, "SELECT 1", sqlmini.NewString("x")),
+		wire.Marshal(&sqlmini.Result{Cols: []string{"n"}, Rows: [][]sqlmini.Value{{sqlmini.NewInt(3)}}, Affected: 1}),
 		wire.Marshal(&errorMsg{Code: codeQueryError, Message: "boom"}),
 		{0xff, 0xff, 0xff, 0xff},
 		{0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xf0, 0, 0, 0, 0, 0},
@@ -175,8 +172,8 @@ func FuzzSequoiaFrames(f *testing.F) {
 	}
 	decoders := []func([]byte) error{
 		func(b []byte) error { return wire.Unmarshal(b, &helloMsg{}) },
-		func(b []byte) error { _, err := decodeExec(b); return err },
-		func(b []byte) error { _, _, _, err := decodeResult(b); return err },
+		func(b []byte) error { return (&execMsg{}).decode(b) },
+		func(b []byte) error { _, err := sqlmini.DecodeResult(wire.NewDecoder(b)); return err },
 		func(b []byte) error { return wire.Unmarshal(b, &errorMsg{}) },
 	}
 	var before, after runtime.MemStats

@@ -508,7 +508,12 @@ func decodeValue(d *wire.Decoder) (Value, error) {
 	case TypeInteger, TypeBigint:
 		return Coerce(NewInt(d.Int64()), t)
 	case TypeBoolean:
-		return NewBool(d.Int64() != 0), nil
+		switch b := d.Int64(); b {
+		case 0, 1:
+			return NewBool(b == 1), nil
+		default:
+			return Null, fmt.Errorf("BOOLEAN payload %d is neither 0 nor 1", b)
+		}
 	case TypeVarchar:
 		return NewString(d.String()), nil
 	case TypeBlob:

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 )
@@ -29,26 +30,26 @@ func Writing(e *Encoder) Walker { return Walker{e: e} }
 // Reading returns a Walker that reads each field from d.
 func Reading(d *Decoder) Walker { return Walker{d: d} }
 
-// Marshal encodes m into a payload of its own, allocated at its exact
-// size. It goes through the Message interface, so m is heap allocated:
-// a hot path calls Fields with Writing on a pooled or reused Encoder
-// instead.
+// Marshal encodes m into a payload of its own, in a 64-byte buffer that
+// a larger payload grows. Marshal is small enough to inline, so where
+// m's type is known the call to Fields is static and m stays on the
+// stack.
 func Marshal(m Message) []byte {
-	e := GetEncoder(64)
-	m.Fields(Writing(e))
-	b := append([]byte(nil), e.Bytes()...)
-	PutEncoder(e)
-	return b
+	e := Encoder{buf: make([]byte, 0, 64)}
+	m.Fields(Walker{e: &e})
+	return e.buf
 }
 
 // Unmarshal decodes payload b into m. Bytes behind the last field m
 // declares are left unread: a frame grows by trailing fields, which an
 // older reader skips. Strings equal to m's current ones keep them (see
-// Walker.String).
+// Walker.String). Like Marshal it inlines, so where m's type is known
+// m stays on the stack, and so does the Decoder unless Fields hands the
+// Walker to a function value (Slice, Value and Nested do).
 func Unmarshal(b []byte, m Message) error {
-	d := NewDecoder(b)
-	m.Fields(Reading(d))
-	return d.Err()
+	d := Decoder{buf: b}
+	m.Fields(Walker{d: &d})
+	return d.err
 }
 
 // Uint8 walks one byte.
@@ -156,7 +157,9 @@ func Int32[T ~int | ~int32](w Walker, v *T) {
 // Slice walks a count-prefixed slice, each element by elem. Reading
 // takes the count through Decoder.Count, each element at least
 // minElemBytes of the payload, and refuses a count above limit before
-// the slice is sized; a zero count reads as nil.
+// the slice is sized. It reads into *s's own array when that has room
+// for the count, so a message decoded over one still held starts its
+// slices at nil; a zero count leaves *s empty, and nil if it was nil.
 func Slice[T any](w Walker, s *[]T, minElemBytes, limit int, elem func(Walker, *T)) {
 	if w.e != nil {
 		w.e.Uint32(uint32(len(*s)))
@@ -165,16 +168,59 @@ func Slice[T any](w Walker, s *[]T, minElemBytes, limit int, elem func(Walker, *
 		}
 		return
 	}
-	*s = nil
 	n := w.d.Count(minElemBytes)
 	if n > limit {
 		w.d.fail(fmt.Errorf("wire: count %d exceeds its limit of %d", n, limit))
-		return
+		n = 0
 	}
-	if n > 0 {
+	if n > cap(*s) {
 		*s = make([]T, n)
+	} else {
+		*s = (*s)[:n]
 	}
 	for i := 0; i < n && w.d.err == nil; i++ {
 		elem(w, &(*s)[i])
 	}
+}
+
+// Value walks one field of a type wire does not know (a SQL value) by
+// that type's own codec: enc appends it, dec reads it, and an error
+// dec returns becomes the Decoder's.
+func Value[T any](w Walker, v *T, enc func(*Encoder, T), dec func(*Decoder) (T, error)) {
+	if w.e != nil {
+		enc(w.e, *v)
+		return
+	}
+	x, err := dec(w.d)
+	if err != nil {
+		w.d.fail(err)
+	}
+	*v = x
+}
+
+// Nested walks a length-prefixed field: a payload of its own, which
+// fields declares (a batch's result sets). Writing reserves the 4-byte
+// length and fills it in behind the body. Reading runs fields over
+// exactly the body's bytes and refuses a body they leave bytes of, so a
+// nested payload, too, has one encoding.
+func Nested[T any](w Walker, v *T, fields func(Walker, *T)) {
+	if w.e != nil {
+		at := len(w.e.buf)
+		w.e.Uint32(0)
+		fields(w, v)
+		binary.BigEndian.PutUint32(w.e.buf[at:], uint32(len(w.e.buf)-at-4))
+		return
+	}
+	d := w.d
+	n := d.Count(1)
+	if d.err != nil {
+		return
+	}
+	end, whole := d.off+n, d.buf
+	d.buf = d.buf[:end]
+	fields(w, v)
+	if d.err == nil && d.off != end {
+		d.fail(fmt.Errorf("wire: %d bytes of a nested payload left unread", end-d.off))
+	}
+	d.buf = whole
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"strings"
@@ -116,5 +117,74 @@ func TestWalkerSliceCounts(t *testing.T) {
 		if err := d.Err(); err == nil || !strings.Contains(err.Error(), tc.want) || elems != nil {
 			t.Fatalf("%s: %d elements, err %v; want a refusal naming %q", tc.name, len(elems), err, tc.want)
 		}
+	}
+}
+
+// walkNested holds a nested payload and a value walked by its own
+// codec: an int16 carried in four bytes, which refuses a negative one.
+type walkNested struct {
+	Inner uint16
+	V     int16
+	After uint8
+}
+
+func encodeInt16(e *Encoder, v int16) { e.Uint32(uint32(v)) }
+
+func decodeInt16(d *Decoder) (int16, error) {
+	v := int32(d.Uint32())
+	if v < 0 {
+		return 0, errors.New("negative")
+	}
+	return int16(v), nil
+}
+
+func (m *walkNested) Fields(w Walker) {
+	Nested(w, &m.Inner, Walker.Uint16)
+	Value(w, &m.V, encodeInt16, decodeInt16)
+	w.Uint8(&m.After)
+}
+
+// TestWalkerNestedAndValue: a nested payload goes behind its 4-byte
+// length and must be read in full; a value's own codec runs both ways,
+// and its decoding error becomes the Decoder's.
+func TestWalkerNestedAndValue(t *testing.T) {
+	in := walkNested{Inner: 0x0102, V: 7, After: 9}
+	b := Marshal(&in)
+	const want = "00000002" + "0102" + "00000007" + "09"
+	if got := hex.EncodeToString(b); got != want {
+		t.Fatalf("encoded %s, want %s", got, want)
+	}
+	var out walkNested
+	if err := Unmarshal(b, &out); err != nil || out != in {
+		t.Fatalf("round trip: %+v, %v; want %+v", out, err, in)
+	}
+	for n := 0; n < len(b); n++ {
+		if err := Unmarshal(b[:n], &walkNested{}); !errors.Is(err, ErrShortBuffer) {
+			t.Fatalf("a %d-byte truncation: err %v", n, err)
+		}
+	}
+	// A body its fields do not read in full is refused.
+	long, _ := hex.DecodeString("00000003" + "010203" + "00000007" + "09")
+	if err := Unmarshal(long, &walkNested{}); err == nil || !strings.Contains(err.Error(), "left unread") {
+		t.Fatalf("a nested payload with a byte left over: err %v", err)
+	}
+	b[6] = 0x80 // V's top byte: negative
+	if err := Unmarshal(b, &walkNested{}); err == nil || err.Error() != "negative" {
+		t.Fatalf("the value codec's refusal: err %v", err)
+	}
+}
+
+// TestWalkerSliceReadsInPlace: a slice reads into its own array when
+// that has room, and a zero count leaves it empty but not nil.
+func TestWalkerSliceReadsInPlace(t *testing.T) {
+	var buf [4]uint32
+	m := walkAll{Elems: buf[:0]}
+	if err := Unmarshal(Marshal(&walkAll{Elems: []uint32{1, 2}}), &m); err != nil ||
+		len(m.Elems) != 2 || &m.Elems[0] != &buf[0] || buf[1] != 2 {
+		t.Fatalf("decoded %v (err %v) beside its array %v", m.Elems, err, buf)
+	}
+	m.Elems = buf[:0]
+	if err := Unmarshal(Marshal(&walkAll{}), &m); err != nil || m.Elems == nil || len(m.Elems) != 0 {
+		t.Fatalf("a zero count read as %#v, %v", m.Elems, err)
 	}
 }

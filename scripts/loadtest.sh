@@ -22,7 +22,8 @@
 #                    scaled failover test in check mode, the "cluster" scenario
 #                    in full runs (`make loadtest CLUSTER=3`)
 #   LOAD_P99_PCT     compare: max allowed p99 regression in percent (default 50)
-#   LOAD_RATE_PCT    compare: max allowed statements/sec drop in percent (default 35)
+#   LOAD_RATE_PCT    compare: max allowed requests/sec drop in percent (default 35);
+#                    requests, not statements: a cheaper renewal must not fail it
 #   TAIL_BASELINE    baseline path (default BENCH_tail.json)
 #
 # The wide default thresholds are deliberate: latency tails on a shared
@@ -78,7 +79,9 @@ run_full() {
         -duration "$DURATION" -seed "$seed" -cluster "$CLUSTER" -out "$out"
 }
 
-# compare_tails OLD NEW — per-scenario p99/statement-rate gate. The
+# compare_tails OLD NEW — per-scenario p99/request-rate gate. The rate
+# is requests per second: statements per request fall when a request
+# gets cheaper, which is no regression, and tests pin them exactly. The
 # JSON is the indented line-oriented shape cmd/experiments writes, so
 # plain awk can walk it without jq.
 compare_tails() {
@@ -90,15 +93,15 @@ compare_tails() {
             }
             if (match(line, /"p99_us": [0-9.e+]+/))
                 p99s[scen] = substr(line, RSTART + 10, RLENGTH - 10)
-            if (match(line, /"statements_per_sec": [0-9.e+]+/))
-                rates[scen] = substr(line, RSTART + 22, RLENGTH - 22)
+            if (match(line, /"requests_per_sec": [0-9.e+]+/))
+                rates[scen] = substr(line, RSTART + 20, RLENGTH - 20)
         }
         close(file)
     }
     BEGIN {
         load(old_file, oldp, oldr); load(new_file, newp, newr)
         printf "%-10s %12s %12s %9s %14s %14s %9s\n", \
-            "scenario", "old p99us", "new p99us", "delta", "old stmt/s", "new stmt/s", "delta"
+            "scenario", "old p99us", "new p99us", "delta", "old req/s", "new req/s", "delta"
         bad = 0
         for (scen in newp) {
             if (!(scen in oldp)) {
@@ -113,7 +116,7 @@ compare_tails() {
                 printf "FAIL: %s p99 regressed %+.1f%% (limit +%s%%)\n", scen, dp, p99_pct; bad = 1
             }
             if (dr < -(rate_pct + 0)) {
-                printf "FAIL: %s statement rate dropped %+.1f%% (limit -%s%%)\n", scen, dr, rate_pct; bad = 1
+                printf "FAIL: %s request rate dropped %+.1f%% (limit -%s%%)\n", scen, dr, rate_pct; bad = 1
             }
         }
         exit bad
@@ -134,7 +137,7 @@ compare)
     trap 'rm -f "$NEW"' EXIT
     run_full "$NEW"
     echo
-    echo "== tail comparison vs $BASELINE (limits: p99 +${P99_PCT}%, stmt/s -${RATE_PCT}%)"
+    echo "== tail comparison vs $BASELINE (limits: p99 +${P99_PCT}%, req/s -${RATE_PCT}%)"
     compare_tails "$BASELINE" "$NEW"
     ;;
 run)

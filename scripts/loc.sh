@@ -9,7 +9,8 @@
 # side and the protocol declarations:
 #
 #   scripts/loc.sh lease-client: internal/core/{bootloader,renew,loadclient}.go \
-#       protocol: internal/{core,dbms,cluster,sequoia}/protocol.go internal/wire/walk.go
+#       protocol: internal/{core,dbms,cluster,sequoia}/protocol.go internal/wire/walk.go \
+#           internal/sqlmini/codec.go
 #
 # Run by `make loc`; CI's check job appends the output to its step
 # summary, so a simplicity PR's before/after claim is one command.
