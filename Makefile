@@ -13,6 +13,7 @@
 #   make bench-smoke     # every Go benchmark of the root module once, so their assertions run (off the tier-1 path)
 #   make bench-module-check  # vet + test + drivolint the separate bench/ module (drivobench)
 #   make loc             # non-test Go code lines per package (what ROADMAP "non-test lines" means)
+#   make leaserow        # a held lease row's live heap by allocation site (docs/ARCHITECTURE.md's budget)
 #   make traffic         # code that no program runs, from coverage builds of every program (off the tier-1 path)
 #   make bench           # run the perf-tracked benchmark set
 #   make bench-baseline  # tier1 + benches, refresh BENCH_baseline.json
@@ -24,7 +25,7 @@
 # BENCH_FILTER ('.'' = full suite, includes slow lease-traffic sweeps),
 # BENCH_PKGS.
 
-.PHONY: check check-race check-386 tier1 race lint drivolint doclint chaos examples fuzz-smoke bench-smoke bench-module-check loc traffic bench bench-baseline bench-compare loadtest loadtest-baseline
+.PHONY: check check-race check-386 tier1 race lint drivolint doclint chaos examples fuzz-smoke bench-smoke bench-module-check loc leaserow traffic bench bench-baseline bench-compare loadtest loadtest-baseline
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
@@ -140,6 +141,19 @@ loc:
 	scripts/loc.sh lease-client: internal/core/bootloader.go internal/core/renew.go internal/core/loadclient.go \
 		protocol: internal/core/protocol.go internal/dbms/protocol.go internal/cluster/protocol.go \
 		internal/sequoia/protocol.go internal/wire/walk.go internal/sqlmini/codec.go
+
+# leaserow prints what a lease row costs to hold, by allocation site:
+# TestLeaseRowLiveHeap's per-row total, then the heap profile it writes
+# of its 10 000 grant INSERTs, held live, read by line in bytes and in
+# objects. docs/ARCHITECTURE.md's "What a lease costs to hold" is read
+# from it. The test binary and profile go to a temp dir.
+leaserow:
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	go test -count=1 -run '^TestLeaseRowLiveHeap$$' -memprofilerate 1 -v -o "$$dir/core.test" \
+		./internal/core/ -args -leaserow.heapprofile "$$dir/rows.prof" | grep 'lease row holds'; \
+	for idx in inuse_space inuse_objects; do \
+		go tool pprof -sample_index=$$idx -lines -top "$$dir/core.test" "$$dir/rows.prof"; \
+	done
 
 # traffic builds drivobench, the examples, cmd/experiments, drivolutiond,
 # drivoctl and drivolint with coverage over repro/..., runs each once,

@@ -42,21 +42,21 @@ func (s *Server) grant(req Request, isTLS bool) (Offer, *ProtocolError) {
 	if validated {
 		cat, perr = s.catalogSnapshot()
 	}
-	var g *grantInfo
+	var g grantInfo
 	if perr == nil {
 		g, perr = s.matchOn(cat, req, req.LeaseID)
 	}
-	refusal := s.refusal(req, isTLS, g, perr)
+	refusal := s.refusal(req, isTLS, &g, perr)
 	if refusal != nil && !validated {
 		fresh, ferr := s.catalogSnapshot()
 		switch {
 		case ferr != nil:
-			g, perr = nil, ferr
+			g, perr = grantInfo{}, ferr
 		case fresh != cat:
 			cat = fresh
 			g, perr = s.matchOn(fresh, req, req.LeaseID)
 		}
-		refusal = s.refusal(req, isTLS, g, perr)
+		refusal = s.refusal(req, isTLS, &g, perr)
 	}
 	if refusal != nil {
 		return Offer{}, refusal
@@ -65,9 +65,9 @@ func (s *Server) grant(req Request, isTLS bool) (Offer, *ProtocolError) {
 		g.leaseTime = s.jitterLease(g.leaseTime)
 	}
 	if req.LeaseID == 0 {
-		return s.bootstrap(cat, req, isTLS, g)
+		return s.bootstrap(cat, req, isTLS, &g)
 	}
-	return s.renew(cat, req, isTLS, g, perr)
+	return s.renew(cat, req, isTLS, &g, perr)
 }
 
 // refusal is the answer a matched request gets without touching a
@@ -105,13 +105,13 @@ func (s *Server) refusal(req Request, isTLS bool, g *grantInfo, perr *ProtocolEr
 // first) and matches on the fresh one. refusal is the fresh answer when
 // it touches no lease row; otherwise g carries jittered terms. own is
 // as for matchOn.
-func (s *Server) redo(req Request, isTLS bool, own uint64) (g *grantInfo, perr, refusal *ProtocolError) {
+func (s *Server) redo(req Request, isTLS bool, own uint64) (g grantInfo, perr, refusal *ProtocolError) {
 	s.redos.Add(1)
 	fresh, perr := s.reloadCatalog()
 	if perr == nil {
 		g, perr = s.matchOn(fresh, req, own)
 	}
-	if refusal = s.refusal(req, isTLS, g, perr); refusal == nil && perr == nil {
+	if refusal = s.refusal(req, isTLS, &g, perr); refusal == nil && perr == nil {
 		g.leaseTime = s.jitterLease(g.leaseTime)
 	}
 	return g, perr, refusal
@@ -134,7 +134,8 @@ func (s *Server) bootstrap(cat *catalog, req Request, isTLS bool, g *grantInfo) 
 	// The new row is the client's own lease: the fresh match's license
 	// check must not count it against the client. Every answer to a
 	// bootstrap other than a grant is a refusal.
-	g, _, perr := s.redo(req, isTLS, id)
+	fresh, _, perr := s.redo(req, isTLS, id)
+	g = &fresh
 	if perr == nil {
 		res, err = s.extendLease(id, g, s.clock().Add(g.leaseTime), true)
 		if err == nil && res.Affected == 0 {
@@ -175,10 +176,11 @@ func (s *Server) renew(cat *catalog, req Request, isTLS bool, g *grantInfo, perr
 		return Offer{}, &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 	}
 	if stale || !s.catalogHeld(cat, res) {
-		var refusal *ProtocolError
-		if g, perr, refusal = s.redo(req, isTLS, req.LeaseID); refusal != nil {
+		fresh, ferr, refusal := s.redo(req, isTLS, req.LeaseID)
+		if refusal != nil {
 			return Offer{}, refusal
 		}
+		g, perr = &fresh, ferr
 	}
 	return s.renewRead(req, lease, g, perr, renewed)
 }

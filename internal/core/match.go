@@ -107,10 +107,10 @@ type fetcher interface {
 
 // match resolves a request to a driver + lease terms on the current
 // catalog: the DISCOVER path.
-func (s *Server) match(req Request) (*grantInfo, *ProtocolError) {
+func (s *Server) match(req Request) (grantInfo, *ProtocolError) {
 	cat, perr := s.catalogSnapshot()
 	if perr != nil {
-		return nil, perr
+		return grantInfo{}, perr
 	}
 	return s.matchOn(cat, req, req.LeaseID)
 }
@@ -118,7 +118,7 @@ func (s *Server) match(req Request) (*grantInfo, *ProtocolError) {
 // matchOn decides req over a validated catalog, or through SQL when cat
 // is nil (the store cannot report versions: Figure 2's legacy database
 // over a v1 session).
-func (s *Server) matchOn(cat *catalog, req Request, own uint64) (*grantInfo, *ProtocolError) {
+func (s *Server) matchOn(cat *catalog, req Request, own uint64) (grantInfo, *ProtocolError) {
 	if cat != nil {
 		return s.decide(cat, req, own)
 	}
@@ -133,12 +133,12 @@ func (s *Server) matchOn(cat *catalog, req Request, own uint64) (*grantInfo, *Pr
 // is held (take). own is the lease whose row the license-mode check does
 // not count against the client: the renewing lease, or a bootstrap's own
 // new row when it is matched again (Server.bootstrap).
-func (s *Server) decide(f fetcher, req Request, own uint64) (*grantInfo, *ProtocolError) {
+func (s *Server) decide(f fetcher, req Request, own uint64) (grantInfo, *ProtocolError) {
 	now := s.clock()
 	for i := 0; ; {
 		p, next, err := f.permission(req, now, i)
 		if err != nil {
-			return nil, internalError(err)
+			return grantInfo{}, internalError(err)
 		}
 		if p == nil {
 			break
@@ -146,7 +146,7 @@ func (s *Server) decide(f fetcher, req Request, own uint64) (*grantInfo, *Protoc
 		i = next
 		ent, err := f.driver(p.DriverID)
 		if err != nil {
-			return nil, internalError(err)
+			return grantInfo{}, internalError(err)
 		}
 		if ent == nil || !driverMatchesRequest(&ent.meta, req, false) {
 			continue // try the next permission row
@@ -159,7 +159,7 @@ func (s *Server) decide(f fetcher, req Request, own uint64) (*grantInfo, *Protoc
 		}
 		terms := grantInfo{leaseTime: p.LeaseTime, renew: p.RenewPolicy,
 			expiration: p.ExpirationPolicy, transfer: p.TransferMethod}
-		if g, perr := s.take(ent, terms, req, own, p.DriverOptions); g != nil || perr != nil {
+		if g, ok, perr := s.take(ent, terms, req, own, p.DriverOptions); ok || perr != nil {
 			return g, perr
 		}
 	}
@@ -170,13 +170,13 @@ func (s *Server) decide(f fetcher, req Request, own uint64) (*grantInfo, *Protoc
 		for i := 0; ; {
 			ent, next, err := f.preferred(req, fallback, i)
 			if err != nil {
-				return nil, internalError(err)
+				return grantInfo{}, internalError(err)
 			}
 			if ent == nil {
 				break
 			}
 			i, matched = next, true
-			if g, perr := s.take(ent, defaults, req, own, ""); g != nil || perr != nil {
+			if g, ok, perr := s.take(ent, defaults, req, own, ""); ok || perr != nil {
 				return g, perr
 			}
 		}
@@ -186,31 +186,32 @@ func (s *Server) decide(f fetcher, req Request, own uint64) (*grantInfo, *Protoc
 			break
 		}
 	}
-	return nil, noDriverError(req)
+	return grantInfo{}, noDriverError(req)
 }
 
 // take grants ent under terms, a zero lease time meaning the server's
-// default, or returns (nil, nil) when license mode finds ent held by
-// another lease.
-func (s *Server) take(ent *catalogEntry, terms grantInfo, req Request, own uint64, options string) (*grantInfo, *ProtocolError) {
+// default, or returns ok=false and no error when license mode finds
+// ent held by another lease. The grant travels by value: it stays on
+// the stack of the request it answers.
+func (s *Server) take(ent *catalogEntry, terms grantInfo, req Request, own uint64, options string) (g grantInfo, ok bool, perr *ProtocolError) {
 	if s.licenseMode {
 		free, err := s.driverLeaseFree(ent.meta.DriverID, own)
 		if err != nil {
-			return nil, internalError(err)
+			return grantInfo{}, false, internalError(err)
 		}
 		if !free {
-			return nil, nil
+			return grantInfo{}, false, nil
 		}
 	}
-	g := terms
+	g = terms
 	g.driverID, g.format = ent.meta.DriverID, ent.meta.Format
 	if g.leaseTime <= 0 {
 		g.leaseTime = s.defaultLease
 	}
 	if perr := s.finishGrant(&g, ent, req, options); perr != nil {
-		return nil, perr
+		return grantInfo{}, false, perr
 	}
-	return &g, nil
+	return g, true, nil
 }
 
 func noDriverError(req Request) *ProtocolError {

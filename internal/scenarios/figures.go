@@ -110,7 +110,8 @@ func F2() (*Report, error) {
 		return r, err
 	}
 	defer ext.Stop()
-	if _, err := ext.AddDriver(s.Image(dbver.V(1, 0, 0), 1, 512), dbver.FormatImage); err != nil {
+	drvID, err := ext.AddDriver(s.Image(dbver.V(1, 0, 0), 1, 512), dbver.FormatImage)
+	if err != nil {
 		return r, err
 	}
 	// Confirm the driver row physically lives in the legacy database.
@@ -121,9 +122,12 @@ func F2() (*Report, error) {
 	}
 	inLegacy := res.Rows[0][0].Int() == 1
 
-	b := core.NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64,
-		[]string{ext.Addr()}, s.RT, core.WithCredentials("app", "app-pw"),
-		core.WithDialTimeout(2*time.Second))
+	boot := func() *core.Bootloader {
+		return core.NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64,
+			[]string{ext.Addr()}, s.RT, core.WithCredentials("app", "app-pw"),
+			core.WithDialTimeout(2*time.Second))
+	}
+	b := boot()
 	defer b.Close()
 	c, err := b.Connect(s.AppURL(), nil)
 	if err != nil {
@@ -132,11 +136,43 @@ func F2() (*Report, error) {
 	defer c.Close()
 	_, qerr := c.Query("SELECT count(*) FROM items")
 
+	// A distribution row valid from an hour ago to an hour from now: the
+	// external server, version-blind over the legacy session, matches the
+	// next client through Sample code 2's SQL, date window and all, where
+	// the first matched through Sample code 1, and grants the row's term.
+	const windowLease = 7 * time.Minute
+	now := time.Now()
+	if _, err := ext.SetPermission(core.Permission{
+		DriverID: drvID, StartDate: now.Add(-time.Hour), EndDate: now.Add(time.Hour),
+		LeaseTime: windowLease, RenewPolicy: core.RenewUpgrade, ExpirationPolicy: core.AfterClose,
+		TransferMethod: core.TransferAny,
+	}); err != nil {
+		return r, err
+	}
+	b2 := boot()
+	defer b2.Close()
+	c2, err := b2.Connect(s.AppURL(), nil)
+	if err != nil {
+		return r, err
+	}
+	defer c2.Close()
+	leases, err := ext.Leases()
+	if err != nil {
+		return r, err
+	}
+	windowed := false
+	for _, l := range leases {
+		if l.LeaseID == b2.LeaseID() {
+			windowed = l.ExpiresAt.Sub(l.GrantedAt) == windowLease
+		}
+	}
+
 	r.logf("step 1: bootloader queries the external Drivolution server")
 	r.logf("step 2: server fetches driver from legacy DB via its legacy driver (driver row in legacy DB: %v)", mark(inLegacy))
 	r.logf("step 3: server returns driver to bootloader (driver v%s loaded)", b.Version())
 	r.logf("step 4: bootloader installs driver and connects to the database (query: %v)", mark(qerr == nil))
-	r.Pass = inLegacy && qerr == nil
+	r.logf("permission row dated around now -> the next client's lease runs its %v term (Sample code 2 date window) %v", windowLease, mark(windowed))
+	r.Pass = inLegacy && qerr == nil && windowed
 	return r, nil
 }
 

@@ -14,11 +14,12 @@ import (
 // row bucket, run under -race: one writer (standing in for the
 // table-latch holder) files rows into a hash index and an ordered index
 // while readers look them up lock-free. Each round files its rows under
-// a key of its own, so it starts from a fresh entry and group that hold
-// their first row inline and are published by a slot or link store;
-// it grows that bucket to many rows, re-files present rows (a no-op),
-// removes rows — the inline one first, while others remain — and ends
-// by removing every row, which drops the entry and unlinks the group.
+// a key of its own, so it starts from a fresh group that holds its
+// first row inline and is published by a link store, and from a probe
+// run of slots published one by one; it grows them to many rows,
+// re-files present rows (a no-op), removes rows — the inline one first,
+// while others remain — and ends by removing every row, which
+// tombstones the slots and unlinks the group.
 // Rows enter in id order and a removed row never returns, so every
 // bucket a reader can observe must list strictly increasing ids
 // (duplicate-free, insertion order, no unwritten slot), and an id
@@ -32,11 +33,11 @@ func TestRowBucketLockFreeReaders(t *testing.T) {
 	rows := make([]*Row, pool)
 	idOf := make(map[*Row]int, pool)
 	for i := range rows {
-		rows[i] = &Row{}
+		rows[i] = testRow(NewInt(int64(i / per))) // round i/per's key
 		idOf[rows[i]] = i
 	}
 	var (
-		h       = newHashIndex([]int{0})
+		h       = newHashIndex(0)
 		sl      = newSkipList([]int{0})
 		round   atomic.Int64 // the key being filed under
 		removed [pool]atomic.Bool
@@ -77,7 +78,7 @@ func TestRowBucketLockFreeReaders(t *testing.T) {
 			for !done.Load() {
 				k := int(round.Load())
 				key := []Value{NewInt(int64(k))}
-				if !valid(k, h.lookup(key)) || !valid(k, sl.lookupEqual(key, nil)) {
+				if !valid(k, h.lookup(key[0], writerView, nil)) || !valid(k, sl.lookupEqual(key, nil)) {
 					return
 				}
 				runtime.Gosched()
@@ -96,7 +97,7 @@ func TestRowBucketLockFreeReaders(t *testing.T) {
 		var node *skipNode
 		var present []int
 		file := func(id int, fresh bool) {
-			h.insert(key, rows[id], fresh)
+			h.insert(rows[id].curVals(), rows[id], fresh)
 			if n := sl.insert(key, rows[id], fresh); node != nil && n != node {
 				t.Fatal("a key's second row started a second group")
 			} else {
@@ -118,16 +119,16 @@ func TestRowBucketLockFreeReaders(t *testing.T) {
 					i, dropped = 0, true
 				}
 				removed[present[i]].Store(true)
-				h.remove(key, rows[present[i]])
+				h.remove(rows[present[i]].curVals(), rows[present[i]])
 				sl.remove(node, rows[present[i]])
 				present = append(present[:i], present[i+1:]...)
-				if len(present) > 0 && (node.owner != sl || len(h.lookup(key)) != len(present)) {
-					t.Fatalf("round %d: %d rows left, but the group is unlinked or the entry lost some", k, len(present))
+				if len(present) > 0 && (node.owner != sl || len(h.lookup(key[0], writerView, nil)) != len(present)) {
+					t.Fatalf("round %d: %d rows left, but the group is unlinked or the hash index lost some", k, len(present))
 				}
 			}
 		}
-		if node.owner != nil || h.lookup(key) != nil {
-			t.Fatalf("round %d: the last removal left its group linked or its entry filed", k)
+		if node.owner != nil || h.lookup(key[0], writerView, nil) != nil {
+			t.Fatalf("round %d: the last removal left its group linked or a row filed", k)
 		}
 	}
 	stop()
@@ -135,19 +136,24 @@ func TestRowBucketLockFreeReaders(t *testing.T) {
 		t.Fatal("no reader ever saw a bucket of more than one row")
 	}
 	if h.live != 0 || sl.size != 0 {
-		t.Fatalf("%d entries and %d groups left once every row was removed", h.live, sl.size)
+		t.Fatalf("%d rows filed and %d groups left once every row was removed", h.live, sl.size)
 	}
 	skipLinksConsistent(t, sl)
 }
 
-// bucketOf returns the rows index ix files under grp = key.
+// bucketOf returns the rows index ix files under grp = key, whatever
+// version of them any reader sees.
 func bucketOf(t *testing.T, db *DB, ix string, key int64) []*Row {
 	t.Helper()
 	tbl, err := db.lookupTable("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tbl.indexNamed(ix).lookup([]Value{NewInt(key)})
+	if sx := tbl.indexNamed(ix); sx.kind == IndexOrdered {
+		return sx.skip.lookupEqual([]Value{NewInt(key)}, nil)
+	} else {
+		return filedUnder(sx.hash, NewInt(key))
+	}
 }
 
 // bucketDB builds t(id, grp) with a hash and an ordered index on grp
@@ -315,8 +321,43 @@ func TestGCQueueDropsProcessedItems(t *testing.T) {
 		t.Fatalf("%d items still queued after a full GC round", len(q))
 	}
 	for i, it := range q[:cap(q)] {
-		if it.row != nil || it.vals != nil {
+		if it.row != nil || it.ver != nil {
 			t.Fatalf("slot %d of the drained queue still references a row", i)
 		}
+	}
+}
+
+// TestGCQueueShrinks: a GC round gives back the backing array a sweep
+// grew. A 5 000-row DELETE queues an unlink hint per row; the round
+// that drains them must leave the queue's capacity under the floor,
+// not the sweep's peak. (The reaper's DELETE left ≈120 kB of hint
+// array held between sweeps.)
+func TestGCQueueShrinks(t *testing.T) {
+	db := NewDB()
+	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, x INTEGER)")
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO t (id, x) VALUES ")
+	for i := 0; i < 5000; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "(%d, %d)", i, i)
+	}
+	db.MustExec(sb.String())
+	tbl, err := db.lookupTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := db.readers.acquire() // hold the round off until every hint is queued
+	db.readers.publish(slot, db.commits.Load())
+	db.MustExec("DELETE FROM t")
+	grown := cap(tbl.gc.queue)
+	db.readers.release(slot)
+	db.gcAll()
+	if c := cap(tbl.gc.queue); grown < 5000 || c > gcQueueFloor {
+		t.Fatalf("the DELETE grew the queue to %d, and one round left a capacity of %d, want at most %d", grown, c, gcQueueFloor)
+	}
+	if res := db.MustExec("SELECT COUNT(*) FROM t"); res.Rows[0][0].Int() != 0 {
+		t.Fatalf("%v rows left after the DELETE", res.Rows[0][0])
 	}
 }

@@ -66,15 +66,19 @@ type Table struct {
 	rows      atomic.Pointer[rowArr]
 	watermark atomic.Uint64
 
-	// pk is the PRIMARY KEY column index (-1 if none); pkIx holds the
-	// canonical key → rows buckets for O(1) uniqueness checks and
-	// point lookups.
+	// pk is the PRIMARY KEY column index (-1 if none); pkIx files every
+	// row under its key for O(1) uniqueness checks and point lookups.
 	pk   int
 	pkIx *hashIndex
 
 	// indexes is the published secondary-index set (CREATE INDEX),
 	// copy-on-write under ddlMu + latch.
 	indexes atomic.Pointer[[]*secondaryIndex]
+
+	// nh is the number of handle slots a new live version carries: one
+	// per secondary index up to the last ordered one, whose handles are
+	// the only ones recorded. Guarded by latch.
+	nh int
 
 	// gc queues deferred version-chain pruning and stale index-entry
 	// removal; guarded by latch.
@@ -587,7 +591,7 @@ func (db *DB) execInsert(t *Table, st *InsertStmt, env *evalEnv, tx *undoLog, w 
 		if len(exprRow) != len(cols) {
 			return nil, fmt.Errorf("sqlmini: INSERT into %q: %d values for %d columns", st.Table, len(exprRow), len(cols))
 		}
-		vals := make([]Value, len(t.Cols)) // unset columns default to NULL
+		row, vals := t.newRow() // unset columns default to NULL
 		for i, e := range exprRow {
 			v, err := env.eval(e, nil, nil)
 			if err != nil {
@@ -605,7 +609,7 @@ func (db *DB) execInsert(t *Table, st *InsertStmt, env *evalEnv, tx *undoLog, w 
 			// prefix visible and bumps the table version.
 			return nil, err
 		}
-		row := newRow(vals, w.commit(t))
+		row.cur().setFrom(w.commit(t))
 		arr := t.rows.Load()
 		if na := arr.append(row); na != arr {
 			t.rows.Store(na)
@@ -743,7 +747,7 @@ func (db *DB) execSelect(t *Table, vw tableView, st *SelectStmt, env *evalEnv) (
 	var source []*Row
 	var p *indexPlan
 	if selectPlannable(st) {
-		source, p = db.planRows(t, st.Where, env)
+		source, p = db.planRows(vw, st.Where, env)
 	} else {
 		source = t.rowsSnapshot()
 	}
@@ -895,7 +899,7 @@ func selectColName(item SelectItem) string {
 // statement (UPDATE/DELETE), deduplicated so SET clauses can't apply
 // twice to a row reached through two index groups.
 func (db *DB) writerCandidates(t *Table, where Expr, env *evalEnv) ([]*Row, *indexPlan) {
-	source, p := db.planRows(t, where, env)
+	source, p := db.planRows(tableView{t: t, writer: true}, where, env)
 	if p == nil || !p.dedup || len(source) < 2 {
 		return source, p
 	}
@@ -922,7 +926,8 @@ func (db *DB) execUpdate(t *Table, st *UpdateStmt, env *evalEnv, tx *undoLog, w 
 	affected := 0
 	source, p := db.writerCandidates(t, st.Where, env)
 	for _, r := range source {
-		vals := r.curVals()
+		old := r.cur()
+		vals := r.valsOf(old)
 		if vals == nil {
 			continue // dead for this writer: invisible
 		}
@@ -939,8 +944,8 @@ func (db *DB) execUpdate(t *Table, st *UpdateStmt, env *evalEnv, tx *undoLog, w 
 				continue
 			}
 		}
-		newVals := make([]Value, len(vals))
-		copy(newVals, vals)
+		nv := t.nextVersion(vals)
+		newVals := r.valsOf(nv)
 		for i, a := range st.Set {
 			v, err := env.eval(a.Expr, t, vals)
 			if err != nil {
@@ -959,7 +964,8 @@ func (db *DB) execUpdate(t *Table, st *UpdateStmt, env *evalEnv, tx *undoLog, w 
 			tx.recordUpdate(t, r, vals)
 		}
 		c := w.commit(t)
-		t.indexUpdate(r, r.push(newVals, c), vals, c)
+		r.push(t, nv, c)
+		t.indexUpdate(r, nv, old, c)
 		t.gc.enqueue(gcItem{c: c, row: r}) // prune hint: the chain grew
 		affected++
 	}
@@ -1002,7 +1008,7 @@ func (db *DB) execDelete(t *Table, st *DeleteStmt, env *evalEnv, tx *undoLog, w 
 			tx.recordDelete(t, d.r, d.vals)
 		}
 		c := w.commit(t)
-		d.r.push(nil, c)
+		d.r.push(t, newTombstone(), c)
 		t.gc.enqueue(gcItem{c: c, row: d.r, unlink: true})
 	}
 	return &Result{Affected: len(deleted)}, nil

@@ -70,7 +70,7 @@ func TestRenewalGCRemovesByHandle(t *testing.T) {
 			continue
 		}
 		hints++
-		key, _ := tupleOf(nil, it.skip.cols, it.vals)
+		key, _ := tupleOf(nil, it.skip.cols, it.row.valsOf(it.ver))
 		n := it.node
 		if n == nil || n.owner != it.skip || cmpKey(n.key(), key) != 0 || !slices.Contains(n.rows.load(), it.row) {
 			t.Fatalf("hint %d for key %v: handle %p is not a linked group holding its row", hints, key, n)
@@ -140,24 +140,97 @@ func TestGCSkipsUnlinkedHandle(t *testing.T) {
 }
 
 // TestIndexHandleSizes: the allocations a lease row keeps for its
-// index entries stay in their size classes on 64-bit — a row version in
-// 64 bytes, its primary key's hash entry and a skiplist node in 48, and
-// the two-column level-one group its (driver_id, expires_at) node is
-// filed in, node, key and link together, in 96. The entry and the node
-// fit only while a bucket holds its first row inline and a node reaches
-// its key and links by pointer and count, not through slice headers.
+// index entries stay in their size classes on 64-bit — a hash slot in
+// 16 bytes, a skiplist node in 48, and the two-column level-one group
+// its (driver_id, expires_at) node is filed in, node, key and link
+// together, in 96. The node fits only while a bucket holds its first
+// row inline and a node reaches its key and links by pointer and
+// count, not through slice headers. A version's header and its handles
+// have exactly a Value's size and layout, a pointer word first, on
+// every architecture: the block is allocated as a []Value, so that is
+// the layout the collector scans it by.
 func TestIndexHandleSizes(t *testing.T) {
 	for _, c := range []struct {
 		what      string
 		size, max uintptr
 	}{
-		{"rowVersion", unsafe.Sizeof(rowVersion{}), 64},
-		{"hashEntry", unsafe.Sizeof(hashEntry{}), 48},
+		{"hashSlot", unsafe.Sizeof(hashSlot{}), 16},
 		{"skipNode", unsafe.Sizeof(skipNode{}), 48},
 		{"a two-column level-one group", unsafe.Sizeof(group[[2]Value, [1]skipLink]{}), 96},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s is %d bytes, want at most %d", c.what, c.size, c.max)
 		}
+	}
+	var v Value
+	var h rowVersion
+	var n handle
+	if unsafe.Sizeof(h) != unsafe.Sizeof(v) || unsafe.Sizeof(n) != unsafe.Sizeof(v) ||
+		unsafe.Offsetof(h.prev) != unsafe.Offsetof(v.p) || unsafe.Offsetof(n.node) != unsafe.Offsetof(v.p) ||
+		unsafe.Offsetof(h.stamp) != unsafe.Offsetof(v.w) {
+		t.Errorf("a version header (%d B) or handle (%d B) is not laid out as a %d-byte Value", unsafe.Sizeof(h), unsafe.Sizeof(n), unsafe.Sizeof(v))
+	}
+}
+
+// TestCreateIndexWidensVersions: an ordered index created over a
+// populated table gives new versions a handle slot more, and its
+// backfill moves each row's newest live version that files a key — a
+// deleted row's too, below its tombstone — into a wider copy that
+// records the new handle.
+// A reader holding a snapshot from before reads the same rows
+// throughout, and once it is gone every entry is dropped through the
+// handles the copies recorded.
+func TestCreateIndexWidensVersions(t *testing.T) {
+	db := NewDB()
+	db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, a INTEGER, b INTEGER)")
+	db.MustExec("CREATE INDEX t_a ON t (a)") // a hash index: no handle slot
+	for i := 0; i < 40; i++ {
+		db.MustExec("INSERT INTO t (id, a, b) VALUES (?, ?, ?)", i, i%3, i)
+	}
+	db.MustExec("UPDATE t SET b = b + 100 WHERE a = 1")
+	db.MustExec("UPDATE t SET b = NULL WHERE id = 5")
+	tbl, err := db.lookupTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := db.readers.acquire()
+	held := tbl.watermark.Load()
+	db.readers.publish(slot, held)
+	db.MustExec("DELETE FROM t WHERE a = 2")
+	const all = "SELECT id FROM t WHERE id >= 0 ORDER BY id"
+	before := selectAt(t, db, held, all)
+	if tbl.nh != 0 {
+		t.Fatalf("a table with a hash index only carries %d handle slots", tbl.nh)
+	}
+
+	db.MustExec("CREATE INDEX t_b ON t (b) USING ORDERED")
+	if tbl.nh != 2 {
+		t.Fatalf("the ordered index is at position 1, but versions carry %d handle slots", tbl.nh)
+	}
+	ix := tbl.indexNamed("t_b")
+	for _, r := range tbl.rowsSnapshot() {
+		v := r.live()
+		n := r.node(v, 1)
+		switch {
+		case r.valsOf(v)[2].IsNull(): // nothing to record: the version stays as it was
+			if n != nil {
+				t.Fatalf("row %v: a NULL key recorded a handle", r.valsOf(v)[0])
+			}
+		case r.nh != 2:
+			t.Fatalf("row %v: its newest live version has %d handle slots", r.valsOf(v)[0], r.nh)
+		case n == nil || n.owner != ix.skip || !slices.Contains(n.rows.load(), r):
+			t.Fatalf("row %v: no linked handle holding the row", r.valsOf(v)[0])
+		}
+	}
+	if got := selectAt(t, db, held, all); !slices.Equal(got, before) {
+		t.Fatalf("the held snapshot read %v before CREATE INDEX and %v after", before, got)
+	}
+
+	db.MustExec("UPDATE t SET b = b + 1000")
+	db.readers.release(slot)
+	db.gcAll()
+	indexConsistent(t, db, "t")
+	if ix.skip.size != 27 { // 40 rows, the 13 with a = 2 deleted (row 5, whose b is NULL, among them)
+		t.Fatalf("%d groups left, want one per live row (27)", ix.skip.size)
 	}
 }

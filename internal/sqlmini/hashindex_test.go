@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,7 @@ import (
 )
 
 // hashKeyPool holds keys of every Value type, chosen so that distinct
-// values share a tupleKey across types: the integer 3, the VARCHAR "3"
+// values print the same (Value.Str) across types: the integer 3, the VARCHAR "3"
 // and the BLOB "3" are one key; "03", "-0" and the out-of-range
 // "9223372036854775808" are not integers and stay strings.
 var hashKeyPool = []Value{
@@ -26,170 +27,186 @@ var hashKeyPool = []Value{
 	NewTime(time.Unix(0, 0)), NewTime(time.Unix(5, 0)),
 }
 
-// hashRef is the map FuzzHashIndex holds a hashIndex to: each key's
-// rows in insertion order, keyed by tupleKey, with the tuple that first
-// filed the key.
-type hashRef map[string]*hashRefKey
-
-type hashRefKey struct {
-	key  []Value
-	rows []*Row
+// testRow returns a published row holding vals in one version, stamped
+// at commit 1.
+func testRow(vals ...Value) *Row {
+	r := &Row{ncol: uint32(len(vals))}
+	v := newVersion(len(vals), 0)
+	v.setFrom(1)
+	copy(valueSlots(v, len(vals)), vals)
+	r.v.Store(v)
+	return r
 }
 
-func (ref hashRef) rows(key []Value) []*Row {
-	if e := ref[tupleKey(key)]; e != nil {
-		return e.rows
-	}
-	return nil
-}
+// writerView reads every row's current version.
+var writerView = tableView{writer: true}
 
-func (ref hashRef) add(key []Value, r *Row) {
-	ks := tupleKey(key)
-	if ref[ks] == nil {
-		ref[ks] = &hashRefKey{key: key}
-	}
-	if e := ref[ks]; !slices.Contains(e.rows, r) {
-		e.rows = append(e.rows, r)
-	}
-}
-
-func (ref hashRef) remove(key []Value, r *Row) {
-	ks := tupleKey(key)
-	if e := ref[ks]; e != nil {
-		e.rows = slices.DeleteFunc(slices.Clone(e.rows), func(x *Row) bool { return x == r })
-		if len(e.rows) == 0 {
-			delete(ref, ks)
-		}
-	}
-}
-
-// hashConsistent checks h against ref exactly — the same keys, each
-// with the same rows in the same order, through both each and lookup —
-// and the table's bookkeeping: the live and used counts, the load
-// ceiling every probe relies on, and the shrink floor.
-func hashConsistent(t *testing.T, h *hashIndex, ref hashRef, probes [][]Value) {
+// hashConsistent checks one hash index of tbl against a scan of the
+// table, through every view in views: a probe of each key in probes
+// returns, each once, exactly the rows whose version in the view holds
+// a key that prints the same — the reference is Value.Str equality, so
+// an integer probe must meet the VARCHAR that spells it. It also checks
+// the table's bookkeeping: no row filed twice under one hash, the live
+// and used counts, the load ceiling every probe relies on, and the
+// shrink floor.
+func hashConsistent(t *testing.T, tbl *Table, h *hashIndex, views []tableView, probes []Value) {
 	t.Helper()
-	seen := map[string]bool{}
-	h.each(func(key string, rows []*Row) {
-		if seen[key] {
-			t.Fatalf("key %q filed twice", key)
+	type pair struct {
+		hash uint64
+		row  *Row
+	}
+	filed := map[pair]bool{}
+	for _, s := range hashRows(h) {
+		if filed[pair(s)] {
+			t.Fatalf("column %d: a row is filed twice under one hash", h.col)
 		}
-		seen[key] = true
-		if e := ref[key]; e == nil || !slices.Equal(rows, e.rows) {
-			t.Fatalf("key %q is not filed in the reference as it is in the index", key)
-		}
-	})
-	if len(seen) != len(ref) || h.live != len(ref) {
-		t.Fatalf("%d keys filed, live count %d, reference %d", len(seen), h.live, len(ref))
+		filed[pair(s)] = true
 	}
 	tab := h.tab.Load()
 	used := 0
 	for i := range tab.slots {
-		if tab.slots[i].Load() != nil {
+		if tab.slots[i].row.Load() != nil {
 			used++
 		}
 	}
 	n := len(tab.slots)
 	switch {
+	case len(filed) != h.live:
+		t.Fatalf("column %d: %d slots hold rows, live count %d", h.col, len(filed), h.live)
 	case used != h.used:
-		t.Fatalf("%d slots in use, counted %d", used, h.used)
+		t.Fatalf("column %d: %d slots in use, counted %d", h.col, used, h.used)
 	case used > n/4*3:
-		t.Fatalf("%d of %d slots in use, over the load ceiling", used, n)
+		t.Fatalf("column %d: %d of %d slots in use, over the load ceiling", h.col, used, n)
 	case n > hashMinSlots && h.live < n/8:
-		t.Fatalf("%d live keys in %d slots, under the shrink floor", h.live, n)
+		t.Fatalf("column %d: %d live slots of %d, under the shrink floor", h.col, h.live, n)
 	}
-	for _, key := range probes {
-		if got, want := h.lookup(key), ref.rows(key); !slices.Equal(got, want) {
-			t.Fatalf("lookup(%v) = %d rows, reference %d", key, len(got), len(want))
+	for _, vw := range views {
+		for _, key := range probes {
+			var want []*Row
+			for _, r := range tbl.rowsSnapshot() {
+				if vals := vw.valsOf(r); vals != nil && !vals[h.col].IsNull() && vals[h.col].Str() == key.Str() {
+					want = append(want, r)
+				}
+			}
+			got := h.lookup(key, vw, nil)
+			seen := map[*Row]bool{}
+			for _, r := range got {
+				if seen[r] || !slices.Contains(want, r) {
+					t.Fatalf("column %d, snapshot %d: lookup(%v) returned a row twice or one the scan does not", h.col, vw.s, key)
+				}
+				seen[r] = true
+			}
+			if len(got) != len(want) {
+				t.Fatalf("column %d, snapshot %d: lookup(%v) = %d rows, the scan %d", h.col, vw.s, key, len(got), len(want))
+			}
 		}
 	}
 }
 
-// FuzzHashIndex runs fresh and non-fresh inserts, removals, lookups,
-// FIFO churn (the reaper's pattern: integer keys filed in order, the
-// oldest removed, leaving tombstones) and remove-everything shrinks on
-// a one-column and a two-column hash index against hashRef, and checks
-// both indexes after every step. Keys come from hashKeyPool, so every
-// probe also runs across types (an integer against a VARCHAR or BLOB
-// key that prints the same). The seed corpus runs as part of plain `go
-// test`.
+// FuzzHashIndex runs statements against a table with an integer
+// PRIMARY KEY and a hash-indexed VARCHAR column and checks both hash
+// indexes after every step through every live view: the writer's, the
+// latest snapshot's and those of up to three held readers. The steps
+// are INSERTs, key-changing UPDATEs of either column (run while a
+// reader holds an older snapshot, they leave a row findable under its
+// old key there and its new key elsewhere), DELETEs, a delete and
+// re-insert of one key, transactions that change and delete rows and
+// roll back (with a GC round before the rollback, or not), FIFO churn
+// (the reaper's pattern: integer keys filed in order, the oldest
+// deleted, leaving tombstones), GC rounds, and holding or releasing a
+// snapshot. Keys come from hashKeyPool, so every probe also runs
+// across types. The seed corpus runs as part of plain `go test`.
 func FuzzHashIndex(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 0, 0, 3, 0, 0, 0, 14, 0, 1, 3, 9, 0, 0, 2, 1, 0, 0, 3, 24, 0, 0})
-	f.Add([]byte{4, 63, 8, 0, 4, 63, 31, 0, 3, 7, 0, 0, 4, 40, 2, 0, 5, 0, 0, 0})
-	f.Add([]byte{4, 63, 31, 0, 5, 0, 0, 0}) // grow, then shrink by removals alone
-	f.Add([]byte{0x80, 1, 14, 0, 0x80, 14, 1, 1, 0x81, 24, 3, 2, 0x83, 3, 24, 0, 0x82, 1, 14, 0, 0x85, 0, 0, 0})
-	f.Add([]byte{0, 7, 0, 0, 0, 8, 0, 0, 1, 0, 0, 1, 2, 7, 0, 0, 3, 8, 0, 0, 4, 60, 0, 0, 4, 60, 0, 0, 5, 0, 0, 0, 0, 15, 0, 0})
-	// one key's bucket: its inline row, then four rows, the inline one
-	// removed first, back down to none, and a fresh entry for the key
-	f.Add([]byte{1, 3, 0, 0, 3, 3, 0, 0, 1, 3, 0, 1, 1, 3, 0, 2, 1, 3, 0, 3, 3, 3, 0, 0, 2, 3, 0, 0, 3, 3, 0, 0,
-		2, 3, 0, 2, 2, 3, 0, 1, 3, 3, 0, 0, 2, 3, 0, 3, 3, 3, 0, 0, 1, 3, 0, 0, 1, 3, 0, 1, 3, 3, 0, 0})
-	f.Add([]byte{0x81, 3, 5, 0, 0x81, 3, 5, 1, 0x81, 3, 5, 2, 0x82, 3, 5, 0, 0x83, 3, 5, 0, 0x82, 3, 5, 2, 0x82, 3, 5, 1, 0x83, 3, 5, 0})
+	f.Add([]byte{0, 1, 0, 0, 0, 3, 1, 0, 0, 7, 2, 0, 5, 0, 0, 0, 1, 14, 1, 0, 2, 9, 2, 0, 6, 3, 0, 0})
+	f.Add([]byte{4, 63, 8, 0, 4, 63, 31, 0, 7, 0, 0, 0, 4, 40, 2, 0, 7, 0, 0, 0})
+	f.Add([]byte{0, 3, 1, 0, 5, 0, 0, 0, 1, 7, 1, 0, 2, 20, 1, 0, 5, 0, 0, 0, 1, 3, 1, 0, 5, 1, 0, 0, 7, 0, 0, 0, 5, 1, 0, 0, 7, 0, 0, 0})
+	f.Add([]byte{0, 1, 1, 0, 0, 2, 2, 0, 3, 3, 1, 0, 3, 3, 1, 0, 3, 3, 1, 0, 7, 0, 0, 0, 3, 3, 1, 0})
+	f.Add([]byte{0, 1, 4, 0, 0, 2, 5, 0, 6, 4, 1, 0, 6, 5, 2, 1, 7, 0, 0, 0})
+	f.Add([]byte{0, 1, 7, 0, 5, 0, 0, 0, 6, 7, 1, 1, 2, 3, 1, 0, 6, 7, 3, 0, 5, 1, 0, 0, 7, 0, 0, 0})
+	f.Add([]byte{4, 63, 31, 0, 4, 0, 0, 0, 7, 0, 0, 0}) // grow, then shrink by deletes alone
+	f.Add([]byte{0, 9, 13, 0, 0, 10, 13, 0, 5, 0, 0, 0, 1, 15, 9, 0, 3, 9, 1, 0, 0, 9, 13, 0, 7, 0, 0, 0, 5, 1, 0, 0, 7, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		one, two := newHashIndex([]int{0}), newHashIndex([]int{0, 1})
-		refs := map[*hashIndex]hashRef{one: {}, two: {}}
-		rows := make([]*Row, 8)
-		for i := range rows {
-			rows[i] = &Row{}
+		db := NewDB()
+		db.MustExec("CREATE TABLE t (id INTEGER NOT NULL PRIMARY KEY, k VARCHAR)")
+		db.MustExec("CREATE INDEX t_k ON t (k)")
+		tbl, err := db.lookupTable("t")
+		if err != nil {
+			t.Fatal(err)
 		}
-		var fifo [][2]any // churned (key, row) pairs, oldest first
-		next := int64(1 << 40)
-		probes := [][]Value{}
-		for _, a := range hashKeyPool {
-			probes = append(probes, []Value{a})
-			for _, b := range hashKeyPool[:4] {
-				probes = append(probes, []Value{a, b})
+		kIx := tbl.indexNamed("t_k").hash
+		keyOf := func(b byte) any { // a NULL in every eighth
+			if b%8 == 7 {
+				return nil
 			}
+			return hashKeyPool[int(b)%len(hashKeyPool)]
 		}
+		var (
+			held  []int // reader slots holding snapshots
+			fifo  []int64
+			next  = int64(1000)
+			probe []Value
+		)
+		probe = append(probe, hashKeyPool...)
+		for id := range int64(20) {
+			probe = append(probe, NewInt(id))
+		}
+		defer func() {
+			for _, slot := range held {
+				db.readers.release(slot)
+			}
+		}()
 		for ; len(ops) >= 4; ops = ops[4:] {
-			h, key := one, []Value{hashKeyPool[int(ops[1])%len(hashKeyPool)]}
-			if ops[0]&0x80 != 0 {
-				h, key = two, append(key, hashKeyPool[int(ops[2])%len(hashKeyPool)])
-			}
-			ref := refs[h]
-			r := rows[int(ops[3])%len(rows)]
-			switch ops[0] & 7 {
-			case 0: // fresh insert
-				r = &Row{}
-				rows = append(rows, r)
-				h.insert(key, r, true)
-				ref.add(key, r)
-			case 1: // re-registration: add if absent
-				h.insert(key, r, false)
-				ref.add(key, r)
-			case 2:
-				h.remove(key, r)
-				ref.remove(key, r)
-			case 3:
-				if got, want := h.lookup(key), ref.rows(key); !slices.Equal(got, want) {
-					t.Fatalf("lookup(%v) = %d rows, reference %d", key, len(got), len(want))
-				}
-			case 4: // FIFO churn on the one-column index
+			id, k := int64(ops[1]%20), keyOf(ops[2])
+			switch ops[0] % 8 {
+			case 0:
+				db.Exec("INSERT INTO t (id, k) VALUES (?, ?)", id, k) //nolint:errcheck // duplicates refused
+			case 1: // a key-changing update of k
+				db.MustExec("UPDATE t SET k = ? WHERE id = ?", k, id)
+			case 2: // a key-changing update of the primary key
+				db.Exec("UPDATE t SET id = ? WHERE id = ?", int64(ops[2]%20), id) //nolint:errcheck // duplicates refused
+			case 3: // a delete and re-insert of one key
+				db.MustExec("DELETE FROM t WHERE id = ?", id)
+				db.MustExec("INSERT INTO t (id, k) VALUES (?, ?)", id, k)
+			case 4: // FIFO churn
 				for range int(ops[1]) % 64 {
-					k, r := []Value{NewInt(next)}, &Row{}
+					db.MustExec("INSERT INTO t (id, k) VALUES (?, ?)", next, strconv.FormatInt(next, 10))
+					fifo = append(fifo, next)
 					next++
-					one.insert(k, r, true)
-					refs[one].add(k, r)
-					fifo = append(fifo, [2]any{k, r})
 					for len(fifo) > int(ops[2])%32 {
-						k, r := fifo[0][0].([]Value), fifo[0][1].(*Row)
+						db.MustExec("DELETE FROM t WHERE id = ?", fifo[0])
 						fifo = fifo[1:]
-						one.remove(k, r)
-						refs[one].remove(k, r)
 					}
 				}
-			case 5: // remove everything: the table shrinks back
-				for _, e := range ref {
-					for _, r := range e.rows {
-						h.remove(e.key, r)
+			case 5: // hold a snapshot, or release the oldest held
+				if ops[1]%2 == 1 || len(held) == 3 {
+					if len(held) > 0 {
+						db.readers.release(held[0])
+						held = held[1:]
 					}
+				} else if slot := db.readers.acquire(); slot >= 0 {
+					db.readers.publish(slot, tbl.watermark.Load())
+					held = append(held, slot)
 				}
-				clear(ref)
-				if h == one {
-					fifo = nil
+			case 6: // a transaction that rolls back
+				s := db.NewSession()
+				s.Exec("BEGIN")                                              //nolint:errcheck
+				s.Exec("UPDATE t SET k = ? WHERE id = ?", k, id)             //nolint:errcheck
+				s.Exec("UPDATE t SET id = ? WHERE id = ?", id+20, (id+1)%20) //nolint:errcheck
+				s.Exec("DELETE FROM t WHERE id = ?", (id+2)%20)              //nolint:errcheck
+				s.Exec("INSERT INTO t (id, k) VALUES (?, ?)", (id+3)%20, k)  //nolint:errcheck
+				if ops[3]%2 == 1 {
+					db.gcAll()
 				}
+				s.Exec("ROLLBACK") //nolint:errcheck
+			case 7:
+				db.gcAll()
 			}
-			hashConsistent(t, one, refs[one], probes)
-			hashConsistent(t, two, refs[two], probes)
+			views := []tableView{writerView, {s: tbl.watermark.Load()}}
+			for _, slot := range held {
+				views = append(views, tableView{s: db.readers.slots[slot].Load() - 2})
+			}
+			hashConsistent(t, tbl, tbl.pkIx, views, probe)
+			hashConsistent(t, tbl, kIx, views, probe)
 		}
 	})
 }
@@ -204,13 +221,13 @@ func FuzzHashIndex(f *testing.F) {
 // key is either absent or holds its own row.
 func TestHashIndexLockFreeReaders(t *testing.T) {
 	const stable, churn, rounds = 64, 3000, 8
-	h := newHashIndex([]int{0})
+	h := newHashIndex(0)
 	rowOf := map[int64]*Row{}
 	for k := range int64(stable + churn) {
-		rowOf[k] = &Row{}
+		rowOf[k] = testRow(NewInt(k))
 	}
 	for k := range int64(stable) {
-		h.insert([]Value{NewInt(k)}, rowOf[k], true)
+		h.insert(rowOf[k].curVals(), rowOf[k], true)
 	}
 	var (
 		done atomic.Bool
@@ -222,12 +239,12 @@ func TestHashIndexLockFreeReaders(t *testing.T) {
 			defer wg.Done()
 			for i := int64(g); !done.Load(); i++ {
 				k := i % stable
-				if got := h.lookup([]Value{NewInt(k)}); len(got) != 1 || got[0] != rowOf[k] {
+				if got := h.lookup(NewInt(k), writerView, nil); len(got) != 1 || got[0] != rowOf[k] {
 					t.Errorf("stable key %d: %d rows", k, len(got))
 					return
 				}
 				k = stable + i%churn
-				if got := h.lookup([]Value{NewString(NewInt(k).Str())}); len(got) > 1 || len(got) == 1 && got[0] != rowOf[k] {
+				if got := h.lookup(NewString(NewInt(k).Str()), writerView, nil); len(got) > 1 || len(got) == 1 && got[0] != rowOf[k] {
 					t.Errorf("churned key %d: %d rows, or another key's", k, len(got))
 					return
 				}
@@ -237,15 +254,16 @@ func TestHashIndexLockFreeReaders(t *testing.T) {
 	grown, shrunk := 0, 0
 	for range rounds {
 		for k := int64(stable); k < stable+churn; k++ { // grow
-			h.insert([]Value{NewInt(k)}, rowOf[k], true)
+			r := rowOf[k]
+			h.insert(r.curVals(), r, true)
 			if k%3 == 0 { // tombstones amid the growth
-				h.remove([]Value{NewInt(k)}, rowOf[k])
-				h.insert([]Value{NewInt(k)}, rowOf[k], true)
+				h.remove(r.curVals(), r)
+				h.insert(r.curVals(), r, true)
 			}
 		}
 		grown = max(grown, len(h.tab.Load().slots))
 		for k := int64(stable); k < stable+churn; k++ { // shrink
-			h.remove([]Value{NewInt(k)}, rowOf[k])
+			h.remove(rowOf[k].curVals(), rowOf[k])
 		}
 		shrunk = len(h.tab.Load().slots)
 	}
@@ -258,36 +276,33 @@ func TestHashIndexLockFreeReaders(t *testing.T) {
 
 // TestHashKeyArms: an integer key whose value spells a string key's
 // word — the string's type above its length — is never that string's
-// key, not even on one probe sequence with one hash, and no two
-// strings of one length are one key unless their bytes are.
+// key, and no two strings of one length are one key unless their bytes
+// are.
 func TestHashKeyArms(t *testing.T) {
 	for _, s := range []string{"", "abc", "lease-0001"} {
-		str := hashKeyOf([]Value{NewString(s)})
+		str := hashKeyOf(NewString(s))
 		word := int64(uint64(TypeVarchar)<<lenBits | uint64(len(s)))
-		num := hashKeyOf([]Value{NewInt(word)})
+		num := hashKeyOf(NewInt(word))
 		if str.isInt() || !num.isInt() || str.w != num.w {
 			t.Fatalf("%q: keys %+v and %+v are not one word in two arms", s, str, num)
 		}
 		if str.equal(num) || num.equal(str) {
 			t.Fatalf("%q: the integer %d is taken for the string", s, word)
 		}
-		if !str.equal(hashKeyOf([]Value{NewString(strings.Clone(s))})) {
+		if !str.equal(hashKeyOf(NewString(strings.Clone(s)))) {
 			t.Fatalf("%q: a copy of the string is another key", s)
 		}
-		h := newHashIndex([]int{0})
-		r := &Row{}
-		h.insert([]Value{NewInt(word)}, r, true)
-		if _, e := h.find(h.tab.Load(), str, h.hashOf(num)); e != nil {
-			t.Fatalf("%q: found under the integer's hash", s)
-		}
-		if got := h.lookup([]Value{NewString(s)}); len(got) != 0 {
+		h := newHashIndex(0)
+		r := testRow(NewInt(word))
+		h.insert(r.curVals(), r, true)
+		if got := h.lookup(NewString(s), writerView, nil); len(got) != 0 {
 			t.Fatalf("%q: lookup returned the integer key's %d rows", s, len(got))
 		}
-		if got := h.lookup([]Value{NewInt(word)}); len(got) != 1 || got[0] != r {
+		if got := h.lookup(NewInt(word), writerView, nil); len(got) != 1 || got[0] != r {
 			t.Fatalf("%q: the integer key lost its row", s)
 		}
 	}
-	if hashKeyOf([]Value{NewString("abc")}).equal(hashKeyOf([]Value{NewString("abd")})) {
+	if hashKeyOf(NewString("abc")).equal(hashKeyOf(NewString("abd"))) {
 		t.Fatal(`"abc" and "abd" are one key`)
 	}
 }

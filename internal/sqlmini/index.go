@@ -4,37 +4,32 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"slices"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"unsafe"
 )
 
 // Indexes. Every table with a PRIMARY KEY column keeps a hash index
-// from the key's canonical string to the rows that ever held it, so
-// uniqueness checks and equality point-lookups are O(1) instead of a
-// full scan. Tables may additionally carry secondary indexes (declared
-// with CREATE INDEX) in one of two kinds:
+// over the key, so uniqueness checks and equality point-lookups are
+// O(1) instead of a full scan. Tables may additionally carry secondary
+// indexes (declared with CREATE INDEX) in one of two kinds:
 //
 //   - hash (the default, single-column): a lock-free-readable
-//     open-addressing table from a column's canonical key to the bucket
-//     of rows holding that value, in insertion order. Serves equality
-//     point-lookups.
+//     open-addressing table whose slots each hold one row and the hash
+//     of a key it carried. Serves equality point-lookups.
 //   - ordered (single- or multi-column): a skiplist of key groups over
-//     the column tuple, each group holding its rows in insertion
-//     order. Serves equality seeks in O(log n) and, through the
-//     planner, range scans — including composite plans that pin a
+//     the column tuple, each group holding its rows in insertion order
+//     in a rowBucket. Serves equality seeks in O(log n) and, through
+//     the planner, range scans — including composite plans that pin a
 //     prefix of the columns by equality and range over the next one.
-//
-// Both kinds keep the rows of one key in a rowBucket: an append-only
-// array published by length, so adding a row to a key costs O(1)
-// however many rows already share it.
 //
 // MVCC index contract: entries are inserted eagerly (INSERT, UPDATE
 // key moves, rollback re-registration) but removed lazily — a key
 // change keeps the old entry because readers at older snapshots still
-// reach the row through it. Index lookups therefore return a superset
-// of the matching rows; execution always filters candidates by version
+// reach the row through it. A hash probe matches a row by the key of
+// the version its caller sees, so it returns exactly the rows holding
+// the key in that view; an ordered index's lookups return a superset of
+// the matching rows. Execution always filters candidates by version
 // visibility and the statement's predicate, and range/multi-group
 // gathers deduplicate (one row can legitimately sit in two groups).
 // The deferred-GC queue (mvcc.go) drops entries once no live version
@@ -62,7 +57,7 @@ func (t *Table) pkCol() int {
 func (t *Table) initIndex() {
 	t.pk = t.pkCol()
 	if t.pk >= 0 {
-		t.pkIx = newHashIndex([]int{t.pk})
+		t.pkIx = newHashIndex(t.pk)
 	}
 	if t.rows.Load() == nil {
 		t.rows.Store(newRowArr(8))
@@ -78,24 +73,6 @@ func (t *Table) loadIndexes() []*secondaryIndex { return *t.indexes.Load() }
 
 // storeIndexes publishes a new secondary-index set (DDL only).
 func (t *Table) storeIndexes(ixs []*secondaryIndex) { t.indexes.Store(&ixs) }
-
-// tupleKey canonicalizes a key tuple for hashing. Values are stored
-// post-coercion, so one column holds one type and Str() is injective
-// within it: single-column keys are their Str() (the hot path), longer
-// tuples length-prefix each part so no byte sequence is ambiguous.
-func tupleKey(key []Value) string {
-	if len(key) == 1 {
-		return key[0].Str()
-	}
-	var sb strings.Builder
-	for _, v := range key {
-		p := v.Str()
-		sb.WriteString(strconv.Itoa(len(p)))
-		sb.WriteByte(':')
-		sb.WriteString(p)
-	}
-	return sb.String()
-}
 
 // tupleOf appends vals projected through cols to dst; ok=false when a
 // component is NULL (NULL tuples are not indexed — no equality or range
@@ -123,10 +100,10 @@ func tupleEqualAt(a, b []Value, cols []int) bool {
 
 // keyMoved reports what an update did to a row's tuple under cols:
 // whether the old and new tuples are indexed at all (no NULL
-// component) and whether the row has to change bucket. The columns are
+// component) and whether the row has to be filed anew. The columns are
 // compared where they sit, so a key that stayed put costs no
 // allocation. Stored values are uniformly typed per column, where
-// Compare equality and canonical-string equality (hash buckets) agree.
+// Compare equality and canonical-string equality (hash keys) agree.
 func keyMoved(cols []int, oldVals, newVals []Value) (oldOK, newOK, moved bool) {
 	oldOK, newOK = true, true
 	for _, ci := range cols {
@@ -139,18 +116,17 @@ func keyMoved(cols []int, oldVals, newVals []Value) (oldOK, newOK, moved bool) {
 	return oldOK, newOK, moved && (oldOK || newOK)
 }
 
-// rowBucket holds the rows filed under one key — a hash bucket or an
-// ordered-index group — in insertion order. A bucket of one row holds
-// it inline, in row, which the writer fills before the entry or group
-// that embeds the bucket is published and never writes again: the
-// store that publishes the owner orders it for every reader. A second
-// row moves the rows to more, an append-only array published by
-// length, which from then on holds them all. The single writer (table
-// latch held) writes the slot just past the published length and then
-// publishes a header one longer, so readers, who Load a header
-// lock-free, hold an immutable prefix. No reader can hold a header
-// covering the slot being written, because a header never shrinks in
-// place: removal copies the survivors to a fresh array.
+// rowBucket holds the rows filed under one ordered-index group, in
+// insertion order. A bucket of one row holds it inline, in row, which
+// the writer fills before the group that embeds the bucket is published
+// and never writes again: the store that publishes the group orders it
+// for every reader. A second row moves the rows to more, an append-only
+// array published by length, which from then on holds them all. The
+// single writer (table latch held) writes the slot just past the
+// published length and then publishes a header one longer, so readers,
+// who Load a header lock-free, hold an immutable prefix. No reader can
+// hold a header covering the slot being written, because a header never
+// shrinks in place: removal copies the survivors to a fresh array.
 type rowBucket struct {
 	row  [1]*Row
 	more atomic.Pointer[[]*Row]
@@ -203,19 +179,20 @@ func (b *rowBucket) remove(r *Row) (emptied bool) {
 	return false
 }
 
-// hashKey is a hash index key: tupleKey(key) held as the BIGINT it
-// spells when it spells one canonically (strconv.FormatInt's form), and
-// as a VARCHAR otherwise. The split is a function of the string, so
-// two keys are equal exactly when their tupleKeys are — an integer
-// probe still meets the "3" of a VARCHAR column — and the
-// integer keys every lease statement probes with never format.
+// hashKey is a hash index key: the key's canonical string (Value.Str)
+// held as the BIGINT it spells when it spells one canonically
+// (strconv.FormatInt's form), and as a VARCHAR otherwise. The split is
+// a function of the string, so two keys are equal exactly when their
+// strings are — an integer probe still meets the "3" of a VARCHAR
+// column — and the integer keys every lease statement probes with
+// never format.
 type hashKey Value
 
-func hashKeyOf(key []Value) hashKey {
-	if len(key) == 1 && intType(key[0].typ()) {
-		return hashKey(NewInt(int64(key[0].w)))
+func hashKeyOf(v Value) hashKey {
+	if intType(v.typ()) {
+		return hashKey(NewInt(int64(v.w)))
 	}
-	s := tupleKey(key)
+	s := v.Str()
 	if i, ok := canonicalInt(s); ok {
 		return hashKey(NewInt(i))
 	}
@@ -238,14 +215,6 @@ func (k hashKey) equal(o hashKey) bool {
 		return true
 	}
 	return !k.isInt() && !o.isInt() && Value(k).str() == Value(o).str()
-}
-
-// String returns the key's tupleKey.
-func (k hashKey) String() string {
-	if k.isInt() {
-		return strconv.FormatInt(int64(k.w), 10)
-	}
-	return Value(k).str()
 }
 
 // canonicalInt parses s if strconv.FormatInt would print it: an
@@ -273,51 +242,61 @@ func canonicalInt(s string) (int64, bool) {
 	return 0, false
 }
 
-// hashEntry is one key of a hash index and its rows, in one allocation:
-// the key, its hash and the rowBucket with its first row inline.
-// Everything but the bucket's overflow array is immutable once the
-// entry is published.
-type hashEntry struct {
+// hashSlot is one slot of a hash table: a row and the hash of the key
+// it is filed under. The writer fills a nil slot, hash first, and
+// publishes it by the row store; hash is never written again, and the
+// slot goes nil → row → hashTomb and no further, so a reader that loads
+// a row reads the hash filed with it, never another row's.
+type hashSlot struct {
 	hash uint64
-	key  hashKey
-	rows rowBucket
+	row  atomic.Pointer[Row]
 }
 
-// hashTomb marks a slot whose entry was removed, so probe sequences
-// that ran through it still reach the entries beyond.
-var hashTomb = new(hashEntry)
+// hashTomb marks a slot whose row was removed, so probe sequences that
+// ran through it still reach the slots beyond.
+var hashTomb = new(Row)
 
 // hashTable is one published slot array: a power of two long, never
 // more than three quarters non-nil, so every probe meets a nil slot.
 type hashTable struct {
-	slots []atomic.Pointer[hashEntry]
+	slots []hashSlot
 }
 
-// hashIndex is a concurrent non-unique hash index: an open-addressing
-// table, probed linearly, of pointers to one hashEntry per key. Keys
-// hash with a per-index maphash seed, so keys a client chooses cannot
-// be aimed at one probe sequence. Readers load the published table and
-// probe it lock-free. The single writer (table latch held) fills nil
-// or tombstoned slots in place and tombstones removed entries, so
-// within one table a slot goes only nil → entry ⇄ tombstone, and a
-// probe that found a key once finds it while its entry stays. Growth,
-// tombstone clean-up and shrinking all rehash into a fresh table sized
-// from the live count and publish it; the old table is never written
-// again, so a reader still on it sees every entry the table held.
+// hashIndex is a concurrent non-unique hash index over one column: an
+// open-addressing table, probed linearly, with one slot per (key, row)
+// pair filed — the key's hash and the row, not the key. A probe
+// compares its key with the key in the version of the row its caller
+// sees (tableView), so a row whose key an UPDATE changed is found under
+// its old key by a snapshot that sees the old version and under its new
+// key by one that sees the new, through two slots; GC drops the old one
+// once no reader can see that version. A row is filed once per hash:
+// one slot serves every version whose key hashes alike. Keys hash with
+// a per-index maphash seed, so keys a client chooses cannot be aimed at
+// one probe sequence.
+//
+// Readers load the published table and probe it lock-free. The single
+// writer (table latch held) files a row into the first nil slot of its
+// probe sequence — after every row filed there before it, so a key's
+// rows come back in insertion order — and tombstones removed slots;
+// tombstones are reused only by a rehash. So a probe that found a row
+// once finds it while its slot stays. Growth, tombstone clean-up and
+// shrinking all rehash into a fresh table sized from the live count and
+// publish it; the old table is never written again, so a reader still
+// on it sees every slot the table held.
 type hashIndex struct {
-	cols []int
+	col  int
 	seed maphash.Seed
 	tab  atomic.Pointer[hashTable]
-	live int // entries filed; writer-only
+	live int // slots holding a row; writer-only
 	used int // non-nil slots in the published table; writer-only
 }
 
 // hashMinSlots is the size of a new or fully shrunk table.
 const hashMinSlots = 8
 
-func newHashIndex(cols []int) *hashIndex {
-	h := &hashIndex{cols: cols, seed: maphash.MakeSeed()}
-	h.tab.Store(&hashTable{slots: make([]atomic.Pointer[hashEntry], hashMinSlots)})
+func newHashIndex(col int) *hashIndex {
+	h := &hashIndex{col: col, seed: maphash.MakeSeed()}
+	h.tab.Store(&hashTable{slots: make([]hashSlot, hashMinSlots)})
 	return h
 }
 
@@ -330,118 +309,127 @@ func (h *hashIndex) hashOf(k hashKey) uint64 {
 	return maphash.Bytes(h.seed, b[:])
 }
 
-// find returns key k's slot in tab and its entry, or the first free
-// (nil or tombstoned) slot on k's probe sequence and a nil entry.
-// Lock-free.
-func (h *hashIndex) find(tab *hashTable, k hashKey, hv uint64) (int, *hashEntry) {
+// slotHash returns the hash a row with values vals is filed under, and
+// false when its key is NULL, which is not filed.
+func (h *hashIndex) slotHash(vals []Value) (uint64, bool) {
+	if vals[h.col].IsNull() {
+		return 0, false
+	}
+	return h.hashOf(hashKeyOf(vals[h.col])), true
+}
+
+// lookup appends to out the rows whose version in vw holds key, each
+// once, and returns it. Lock-free.
+func (h *hashIndex) lookup(key Value, vw tableView, out []*Row) []*Row {
+	k := hashKeyOf(key)
+	hv := h.hashOf(k)
+	tab := h.tab.Load()
 	mask := uint64(len(tab.slots) - 1)
-	free := -1
 	for i := hv & mask; ; i = (i + 1) & mask {
-		switch e := tab.slots[i].Load(); {
-		case e == nil:
-			if free < 0 {
-				free = int(i)
-			}
-			return free, nil
-		case e == hashTomb:
-			if free < 0 {
-				free = int(i)
-			}
-		case e.hash == hv && e.key.equal(k):
-			return int(i), e
+		s := &tab.slots[i]
+		r := s.row.Load()
+		switch {
+		case r == nil:
+			return out
+		case r == hashTomb || s.hash != hv:
+			continue
+		}
+		if vals := vw.valsOf(r); vals != nil && !vals[h.col].IsNull() && hashKeyOf(vals[h.col]).equal(k) {
+			out = append(out, r)
 		}
 	}
 }
 
-// lookup returns the bucket for key; the slice is immutable. Lock-free.
-func (h *hashIndex) lookup(key []Value) []*Row {
-	k := hashKeyOf(key)
-	if _, e := h.find(h.tab.Load(), k, h.hashOf(k)); e != nil {
-		return e.rows.load()
-	}
-	return nil
-}
-
-// insert adds r to key's bucket (see rowBucket.add for fresh), filing a
-// new entry when the key has none. Caller holds the latch.
-func (h *hashIndex) insert(key []Value, r *Row, fresh bool) {
-	k := hashKeyOf(key)
-	hv := h.hashOf(k)
-	tab := h.tab.Load()
-	i, e := h.find(tab, k, hv)
-	if e != nil {
-		e.rows.add(r, fresh)
+// insert files r under the key in vals (no-op on a NULL key). fresh
+// says r was allocated by this statement and so cannot be filed yet;
+// otherwise (update, rollback re-registration, A→B→A key cycles,
+// backfill) insert is a no-op when r is already filed under the key's
+// hash. Caller holds the latch.
+func (h *hashIndex) insert(vals []Value, r *Row, fresh bool) {
+	hv, ok := h.slotHash(vals)
+	if !ok {
 		return
 	}
-	e = &hashEntry{hash: hv, key: k}
-	e.rows.row[0] = r // before the slot store publishes e
-	if tab.slots[i].Load() == nil {
-		h.used++
+	tab := h.tab.Load()
+	mask := uint64(len(tab.slots) - 1)
+	i := hv & mask
+	for ; ; i = (i + 1) & mask {
+		s := &tab.slots[i]
+		x := s.row.Load()
+		if x == nil {
+			break
+		}
+		if !fresh && x == r && s.hash == hv {
+			return
+		}
 	}
-	tab.slots[i].Store(e)
+	tab.slots[i].hash = hv // before the row store publishes it
+	tab.slots[i].row.Store(r)
+	h.used++
 	h.live++
 	if h.used > len(tab.slots)/4*3 {
 		h.rehash()
 	}
 }
 
-// remove drops r from the bucket of vals' tuple, and the entry with its
-// last row (a NULL tuple was never filed: nothing to drop). Caller
-// holds the latch.
+// remove drops r's slot under the key in vals (a NULL key was never
+// filed: nothing to drop). Caller holds the latch.
 func (h *hashIndex) remove(vals []Value, r *Row) {
-	var buf [4]Value
-	key, ok := tupleOf(buf[:0], h.cols, vals)
+	hv, ok := h.slotHash(vals)
 	if !ok {
 		return
 	}
-	k := hashKeyOf(key)
 	tab := h.tab.Load()
-	i, e := h.find(tab, k, h.hashOf(k))
-	if e == nil || !e.rows.remove(r) {
+	mask := uint64(len(tab.slots) - 1)
+	for i := hv & mask; ; i = (i + 1) & mask {
+		s := &tab.slots[i]
+		switch x := s.row.Load(); {
+		case x == nil:
+			return
+		case x != r || s.hash != hv:
+			continue
+		}
+		s.row.Store(hashTomb)
+		h.live--
+		if len(tab.slots) > hashMinSlots && h.live < len(tab.slots)/8 {
+			h.rehash()
+		}
 		return
-	}
-	tab.slots[i].Store(hashTomb)
-	h.live--
-	if len(tab.slots) > hashMinSlots && h.live < len(tab.slots)/8 {
-		h.rehash()
 	}
 }
 
 // rehash publishes a fresh table of the smallest power of two at least
-// twice the live count, holding the live entries and no tombstones.
-// Caller holds the latch.
+// twice the live count, holding the live slots and no tombstones. It
+// copies from a nil slot onwards, so no probe run is split across the
+// array's end, and every run's rows keep their order. Caller holds the
+// latch.
 func (h *hashIndex) rehash() {
 	n := hashMinSlots
 	for n < 2*h.live {
 		n *= 2
 	}
-	t := &hashTable{slots: make([]atomic.Pointer[hashEntry], n)}
+	t := &hashTable{slots: make([]hashSlot, n)}
 	mask := uint64(n - 1)
-	old := h.tab.Load()
-	for i := range old.slots {
-		e := old.slots[i].Load()
-		if e == nil || e == hashTomb {
+	old := h.tab.Load().slots
+	start := 0
+	for old[start].row.Load() != nil {
+		start++
+	}
+	for k := range old {
+		s := &old[(start+k)%len(old)]
+		r := s.row.Load()
+		if r == nil || r == hashTomb {
 			continue
 		}
-		j := e.hash & mask
-		for t.slots[j].Load() != nil {
+		j := s.hash & mask
+		for t.slots[j].row.Load() != nil {
 			j = (j + 1) & mask
 		}
-		t.slots[j].Store(e)
+		t.slots[j].hash = s.hash
+		t.slots[j].row.Store(r)
 	}
 	h.used = h.live
 	h.tab.Store(t)
-}
-
-// each visits every (tupleKey, bucket) pair; writer-side helper for
-// consistency checks.
-func (h *hashIndex) each(fn func(key string, rows []*Row)) {
-	tab := h.tab.Load()
-	for i := range tab.slots {
-		if e := tab.slots[i].Load(); e != nil && e != hashTomb {
-			fn(e.key.String(), e.rows.load())
-		}
-	}
 }
 
 // secondaryIndex is one non-unique index, hash (single-column) or
@@ -461,7 +449,7 @@ func newSecondaryIndex(name string, cols []int, kind IndexKind) *secondaryIndex 
 	if kind == IndexOrdered {
 		ix.skip = newSkipList(ix.cols)
 	} else {
-		ix.hash = newHashIndex(ix.cols)
+		ix.hash = newHashIndex(ix.cols[0])
 	}
 	return ix
 }
@@ -476,30 +464,20 @@ func (ix *secondaryIndex) colNames(t *Table) []string {
 }
 
 // insertFor registers vals' key for r (no-op on a NULL component; see
-// rowBucket.add for fresh) and returns the skiplist node that now holds
-// r — nil for a hash index or a NULL tuple. Caller holds the latch.
+// hashIndex.insert and rowBucket.add for fresh) and returns the skiplist
+// node that now holds r — nil for a hash index or a NULL tuple. Caller
+// holds the latch.
 func (ix *secondaryIndex) insertFor(vals []Value, r *Row, fresh bool) *skipNode {
+	if ix.kind == IndexHash {
+		ix.hash.insert(vals, r, fresh)
+		return nil
+	}
 	var buf [4]Value
 	key, ok := tupleOf(buf[:0], ix.cols, vals)
 	if !ok {
 		return nil
 	}
-	if ix.kind == IndexHash {
-		ix.hash.insert(key, r, fresh)
-		return nil
-	}
 	return ix.skip.insert(key, r, fresh)
-}
-
-// lookup returns the candidate rows for an equality probe on the full
-// tuple. The result may be a superset (stale entries) and, for ordered
-// indexes, may contain duplicates across adjacent groups; callers
-// filter and deduplicate. Lock-free.
-func (ix *secondaryIndex) lookup(key []Value) []*Row {
-	if ix.kind == IndexHash {
-		return ix.hash.lookup(key)
-	}
-	return ix.skip.lookupEqual(key, nil)
 }
 
 // indexOn returns the first secondary index whose leading column is
@@ -547,34 +525,43 @@ func (t *Table) indexWithCols(cols []int) *secondaryIndex {
 // addIndex creates a secondary index over cols and backfills it from
 // every live version of every row — not just the current ones — so
 // readers at older snapshots can still find rows whose key has since
-// moved. The newest live version records its handle; an older version
-// whose tuple its successor does not share gets the deferred-removal
-// hint indexUpdate would have left, handle included, stamped with the
-// table's watermark (no earlier than the commit that superseded it, and
-// no earlier than anything queued), so GC drops it once no reader can
-// need it. Caller holds ddlMu and the table latch; name/columns are
-// validated.
+// moved. An ordered index widens the table's versions by a handle
+// slot; the newest live version records its handle, moving into a
+// wider copy first when it predates the index (Table.widen). An older
+// version whose tuple its successor does not share gets the
+// deferred-removal hint indexUpdate would have left, handle included,
+// stamped with the table's watermark (no earlier than the commit that
+// superseded it, and no earlier than anything queued), so GC drops it
+// once no reader can need it. Caller holds ddlMu and the table latch;
+// name/columns are validated.
 func (t *Table) addIndex(name string, cols []int, kind IndexKind) {
 	ix := newSecondaryIndex(name, cols, kind)
 	ixs := append(slices.Clone(t.loadIndexes()), ix)
 	pos := len(ixs) - 1
+	if kind == IndexOrdered {
+		t.nh = len(ixs)
+	}
 	c := t.watermark.Load()
 	for _, r := range t.rows.Load().snapshot() {
-		var newer *rowVersion
+		var newer []Value
 		for v := r.v.Load(); v != nil; v = v.prev.Load() {
-			if v.vals == nil {
+			vals := r.valsOf(v)
+			if vals == nil {
 				continue
 			}
-			n := ix.insertFor(v.vals, r, false)
+			n := ix.insertFor(vals, r, false)
 			switch {
 			case newer == nil:
 				if n != nil {
-					v.setNode(pos, n, len(ixs))
+					if int(r.nh) <= pos {
+						v = t.widen(r, v)
+					}
+					r.handles(v)[pos].node = n
 				}
-			case !tupleEqualAt(v.vals, newer.vals, ix.cols):
-				t.gc.enqueue(gcItem{c: c, row: r, hash: ix.hash, skip: ix.skip, node: n, vals: v.vals})
+			case !tupleEqualAt(vals, newer, ix.cols):
+				t.gc.enqueue(gcItem{c: c, row: r, hash: ix.hash, skip: ix.skip, node: n, ver: v})
 			}
-			newer = v
+			newer = vals
 		}
 	}
 	t.storeIndexes(ixs)
@@ -582,57 +569,57 @@ func (t *Table) addIndex(name string, cols []int, kind IndexKind) {
 
 // indexInsert registers a row's newest version under its keys in the PK
 // and all secondary indexes, recording the version's handles. fresh
-// marks a row this statement allocated (INSERT), which no bucket can
+// marks a row this statement allocated (INSERT), which no index can
 // hold yet; rollback passes false to re-register values whose entries
 // GC may or may not have dropped. Caller holds the latch and has
 // checked uniqueness.
 func (t *Table) indexInsert(r *Row, fresh bool) {
 	v := r.cur()
-	if t.pk >= 0 && !v.vals[t.pk].IsNull() {
-		t.pkIx.insert(v.vals[t.pk:t.pk+1], r, fresh)
+	vals := r.valsOf(v)
+	if t.pkIx != nil {
+		t.pkIx.insert(vals, r, fresh)
 	}
-	ixs := t.loadIndexes()
-	for i, ix := range ixs {
-		if n := ix.insertFor(v.vals, r, fresh); n != nil {
-			v.setNode(i, n, len(ixs))
+	for i, ix := range t.loadIndexes() {
+		if n := ix.insertFor(vals, r, fresh); n != nil {
+			r.handles(v)[i].node = n
 		}
 	}
 }
 
-// indexUpdate registers a row's new keys after an update pushed nv,
-// which took over the superseded version's handles. Old entries stay
-// for older snapshots; each changed key enqueues a deferred removal
-// hint for GC, which aliases the (immutable) old version's values
-// instead of copying the key out and carries the old entry's handle.
-// Caller holds the latch; c is the statement's commit number.
-func (t *Table) indexUpdate(r *Row, nv *rowVersion, oldVals []Value, c uint64) {
-	newVals := nv.vals
-	if t.pk >= 0 {
-		if oldOK, newOK, moved := keyMoved(t.pkIx.cols, oldVals, newVals); moved {
+// indexUpdate registers a row's new keys after an update pushed nv over
+// old, taking over old's handles. Old entries stay for older
+// snapshots; each changed key enqueues a deferred removal hint for GC,
+// which names the (immutable) old version instead of copying the key
+// out and carries the old entry's handle. Caller holds the latch; c is
+// the statement's commit number.
+func (t *Table) indexUpdate(r *Row, nv, old *rowVersion, c uint64) {
+	newVals, oldVals := r.valsOf(nv), r.valsOf(old)
+	if t.pkIx != nil {
+		pk := [1]int{t.pk}
+		if oldOK, newOK, moved := keyMoved(pk[:], oldVals, newVals); moved {
 			if newOK {
-				t.pkIx.insert(newVals[t.pk:t.pk+1], r, false)
+				t.pkIx.insert(newVals, r, false)
 			}
 			if oldOK {
-				t.gc.enqueue(gcItem{c: c, row: r, hash: t.pkIx, vals: oldVals})
+				t.gc.enqueue(gcItem{c: c, row: r, hash: t.pkIx, ver: old})
 			}
 		}
 	}
-	ixs := t.loadIndexes()
-	for i, ix := range ixs {
+	for i, ix := range t.loadIndexes() {
 		oldOK, newOK, moved := keyMoved(ix.cols, oldVals, newVals)
 		if !moved {
 			continue
 		}
-		old := nv.node(i)
-		var n *skipNode
+		var n, prev *skipNode
 		if newOK {
 			n = ix.insertFor(newVals, r, false)
 		}
-		if n != nil || old != nil {
-			nv.setNode(i, n, len(ixs))
+		if ix.kind == IndexOrdered {
+			hs := r.handles(nv)
+			prev, hs[i].node = hs[i].node, n
 		}
 		if oldOK {
-			t.gc.enqueue(gcItem{c: c, row: r, hash: ix.hash, skip: ix.skip, node: old, vals: oldVals})
+			t.gc.enqueue(gcItem{c: c, row: r, hash: ix.hash, skip: ix.skip, node: prev, ver: old})
 		}
 	}
 }
@@ -644,20 +631,11 @@ func (t *Table) lookupPKCurrent(v Value) (*Row, bool) {
 	if t.pk < 0 || v.IsNull() {
 		return nil, false
 	}
-	for _, r := range t.pkIx.lookup([]Value{v}) {
-		vals := r.curVals()
-		if vals != nil && Equal(vals[t.pk], v) {
+	var buf [1]*Row
+	for _, r := range t.pkIx.lookup(v, tableView{t: t, writer: true}, buf[:0]) {
+		if vals := r.curVals(); vals != nil && Equal(vals[t.pk], v) {
 			return r, true
 		}
 	}
 	return nil, false
-}
-
-// pkCandidates returns the PK bucket for a probe (a superset: stale
-// entries and dead rows filter out downstream). Lock-free.
-func (t *Table) pkCandidates(v Value) []*Row {
-	if t.pk < 0 || v.IsNull() {
-		return nil
-	}
-	return t.pkIx.lookup([]Value{v})
 }

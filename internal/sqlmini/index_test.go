@@ -33,74 +33,74 @@ func indexConsistent(t *testing.T, db *DB, table string) {
 		}
 	}
 	if tbl.pk >= 0 {
-		seen := map[string]bool{}
-		for _, lr := range live {
-			v := lr.vals[tbl.pk]
-			if v.IsNull() {
-				continue
-			}
-			key := v.Str()
-			n := 0
-			for _, br := range tbl.pkIx.lookup([]Value{v}) {
-				if br == lr.r {
-					n++
-				}
-			}
-			if n != 1 {
-				t.Fatalf("row with key %q appears %d times in the PK index", key, n)
-			}
-			seen[key] = true
-		}
-		tbl.pkIx.each(func(key string, rows []*Row) {
-			if !seen[key] {
-				t.Fatalf("stale PK index entry %q", key)
-			}
-			if len(rows) != 1 {
-				t.Fatalf("PK bucket %q holds %d rows", key, len(rows))
-			}
-		})
+		hashSettled(t, "primary key", tbl.pkIx, live)
 	}
 	for _, ix := range tbl.loadIndexes() {
-		secondaryConsistent(t, live, ix)
+		if ix.kind == IndexOrdered {
+			orderedConsistent(t, live, ix)
+		} else {
+			hashSettled(t, ix.name, ix.hash, live)
+		}
 	}
 }
 
-// secondaryConsistent verifies one secondary index against a full scan:
-// every fully-non-NULL row appears exactly once in exactly its key's
-// bucket/group, and no settled bucket/group holds anything else.
-// Ordered indexes additionally must keep their groups strictly sorted.
-func secondaryConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
+// hashSettled verifies a settled hash index against a full scan: every
+// live row with a non-NULL key is found once by its key, and every slot
+// holds a live row filed under the hash of its current key, so no
+// stale slot is left and each row has one.
+func hashSettled(t *testing.T, name string, h *hashIndex, live []liveRow) {
 	t.Helper()
-	if ix.kind == IndexOrdered {
-		orderedConsistent(t, live, ix)
-		return
-	}
-	want := map[string]int{} // key → row count from the scan
+	writer := tableView{writer: true}
+	filed := 0
 	for _, lr := range live {
-		key, ok := tupleOf(nil, ix.cols, lr.vals)
-		if !ok {
+		key := lr.vals[h.col]
+		if key.IsNull() {
 			continue
 		}
-		ks := tupleKey(key)
-		want[ks]++
-		found := 0
-		for _, br := range ix.hash.lookup(key) {
-			if br == lr.r {
-				found++
+		filed++
+		n := 0
+		for _, r := range h.lookup(key, writer, nil) {
+			if r == lr.r {
+				n++
 			}
 		}
-		if found != 1 {
-			t.Fatalf("index %q: row with key %q appears %d times in its bucket", ix.name, ks, found)
+		if n != 1 {
+			t.Fatalf("index %s: row with key %v is found %d times by its key", name, key, n)
 		}
 	}
-	ix.hash.each(func(key string, bucket []*Row) {
-		if len(bucket) == 0 {
-			t.Fatalf("index %q: empty bucket %q left behind", ix.name, key)
+	slots := 0
+	for _, s := range hashRows(h) {
+		vals := s.row.curVals()
+		if vals == nil || s.row.unlinked {
+			t.Fatalf("index %s: a dead row is still filed after GC", name)
 		}
-		if len(bucket) != want[key] {
-			t.Fatalf("index %q: bucket %q has %d rows, scan found %d", ix.name, key, len(bucket), want[key])
+		if hv, ok := h.slotHash(vals); !ok || hv != s.hash {
+			t.Fatalf("index %s: row with key %v is filed under a stale hash", name, vals[h.col])
 		}
-	})
+		slots++
+	}
+	if slots != filed || h.live != filed {
+		t.Fatalf("index %s: %d slots hold rows (live count %d), scan found %d keyed rows", name, slots, h.live, filed)
+	}
+}
+
+// hashRow is one filled slot of a hash table.
+type hashRow struct {
+	hash uint64
+	row  *Row
+}
+
+// hashRows returns the rows the published table of h holds, with the
+// hash each is filed under, in slot order.
+func hashRows(h *hashIndex) []hashRow {
+	var out []hashRow
+	tab := h.tab.Load()
+	for i := range tab.slots {
+		if r := tab.slots[i].row.Load(); r != nil && r != hashTomb {
+			out = append(out, hashRow{tab.slots[i].hash, r})
+		}
+	}
+	return out
 }
 
 // orderedConsistent verifies an ordered index: the skiplist's links

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"sync/atomic"
+	"unsafe"
 )
 
 // MVCC storage: every row is an immutable version chain. Writers (under
@@ -18,43 +19,58 @@ import (
 // watermark once, at statement end, so multi-row statements become
 // visible atomically.
 
-// rowVersion is one immutable version of a row. vals is nil exactly
-// when the version is a tombstone. prev links to the version it
-// superseded; the garbage collector cuts the link once no reader can
-// need it, so readers load it atomically.
+// rowVersion is the header of one immutable version of a row. A live
+// version is one allocation, a []Value block laid out as
 //
-// nodes are the row's ordered-index handles, aligned with the table's
-// loadIndexes(): nodes[i] is the skiplist node that files the row under
-// this version's tuple in index i (nil for a hash index or a NULL
-// tuple). They are writer-only (table latch held) and are kept on the
-// newest live version alone: a live version superseding another takes
-// its array over (push), patching only the slots whose key moved, and
+//	[ header | values × ncol | handles × nh ]
+//
+// so its commit stamp, its prev link, its values and its index handles
+// sit together; a tombstone is the header alone. The header and a
+// handle have Value's layout — a pointer word, then a scalar word — so
+// the collector scans the block as the []Value it was allocated as.
+// prev links to the version this one superseded; the garbage collector
+// cuts the link once no reader can need it, so readers load it
+// atomically. Everything else is written before the version is
+// published and never again, except the handles.
+//
+// The handles are the row's ordered-index handles, aligned with the
+// table's loadIndexes(): handle i is the skiplist node that files the
+// row under this version's tuple in index i (nil for a hash index or a
+// NULL tuple). They are writer-only (table latch held) and are kept on
+// the newest live version alone: a live version superseding another
+// takes them over (push), patching only the slots whose key moved, and
 // the moved key's old handle travels in its GC hint (indexUpdate).
 type rowVersion struct {
-	vals  []Value
-	from  uint64 // commit number that created this version
 	prev  atomic.Pointer[rowVersion]
-	nodes []*skipNode
+	stamp uint64 // the creating commit number << 1, | 1 for a tombstone
 }
 
-// node returns the version's handle for index position i, if any.
-func (v *rowVersion) node(i int) *skipNode {
-	if i < len(v.nodes) {
-		return v.nodes[i]
-	}
-	return nil
+// handle is one index handle slot of a version, padded to a Value.
+type handle struct {
+	node *skipNode
+	_    uint64
 }
 
-// setNode records n as the handle for position i of a table with count
-// secondary indexes, growing the array as needed. Caller holds the latch.
-func (v *rowVersion) setNode(i int, n *skipNode, count int) {
-	if len(v.nodes) < count {
-		nodes := make([]*skipNode, count)
-		copy(nodes, v.nodes)
-		v.nodes = nodes
-	}
-	v.nodes[i] = n
+const valueSize = unsafe.Sizeof(Value{})
+
+// newVersion allocates an unpublished, unstamped live version block of
+// ncol NULL values and nh empty handles.
+func newVersion(ncol, nh int) *rowVersion {
+	b := make([]Value, 1+ncol+nh)
+	return (*rowVersion)(unsafe.Pointer(&b[0]))
 }
+
+// newTombstone allocates an unpublished tombstone.
+func newTombstone() *rowVersion { return &rowVersion{stamp: 1} }
+
+// from returns the commit number that created the version.
+func (v *rowVersion) from() uint64 { return v.stamp >> 1 }
+
+// setFrom stamps an unpublished version with its commit number.
+func (v *rowVersion) setFrom(c uint64) { v.stamp = c<<1 | v.stamp&1 }
+
+// dead reports whether the version is a tombstone.
+func (v *rowVersion) dead() bool { return v.stamp&1 != 0 }
 
 // Row is a stored row. Identity (the pointer) is stable for the row's
 // lifetime, which the undo log relies on. The version chain head is the
@@ -62,17 +78,72 @@ func (v *rowVersion) setNode(i int, n *skipNode, count int) {
 type Row struct {
 	v atomic.Pointer[rowVersion]
 
+	// ncol is the number of values in each of the row's live versions,
+	// its table's column count; immutable.
+	ncol uint32
+
+	// nh is the number of handle slots in the row's newest live version;
+	// writer-only.
+	nh uint16
+
 	// unlinked marks a row physically removed from the table's row list
 	// and indexes by GC; guarded by the table latch. Rollback checks it
 	// to re-link a row it must resurrect.
 	unlinked bool
 }
 
-// newRow allocates a live row created at commit from.
-func newRow(vals []Value, from uint64) *Row {
-	r := &Row{}
-	r.v.Store(&rowVersion{vals: vals, from: from})
-	return r
+// valueSlots returns the ncol values of the live version block v.
+func valueSlots(v *rowVersion, ncol int) []Value {
+	return unsafe.Slice((*Value)(unsafe.Add(unsafe.Pointer(v), valueSize)), ncol)
+}
+
+// handleSlots returns the nh handles of the live version block v,
+// which holds ncol values.
+func handleSlots(v *rowVersion, ncol, nh int) []handle {
+	if nh == 0 {
+		return nil
+	}
+	return unsafe.Slice((*handle)(unsafe.Add(unsafe.Pointer(v), uintptr(1+ncol)*valueSize)), nh)
+}
+
+// valsOf returns the values of v, one of r's versions, nil for a
+// tombstone. The slice's capacity ends at the values.
+func (r *Row) valsOf(v *rowVersion) []Value {
+	if v.dead() {
+		return nil
+	}
+	return valueSlots(v, int(r.ncol))
+}
+
+// handles returns the handles of r's newest live version v. Caller
+// holds the latch.
+func (r *Row) handles(v *rowVersion) []handle { return handleSlots(v, int(r.ncol), int(r.nh)) }
+
+// node returns the handle for index position i of r's newest live
+// version v, if any. Caller holds the latch.
+func (r *Row) node(v *rowVersion, i int) *skipNode {
+	if hs := r.handles(v); i < len(hs) {
+		return hs[i].node
+	}
+	return nil
+}
+
+// newRow allocates an unpublished live row of t whose first version's
+// values, returned, start NULL for the caller to fill in place; the
+// caller stamps the version (setFrom) before publishing the row.
+func (t *Table) newRow() (*Row, []Value) {
+	r := &Row{ncol: uint32(len(t.Cols)), nh: uint16(t.nh)}
+	v := newVersion(len(t.Cols), t.nh)
+	r.v.Store(v)
+	return r, r.valsOf(v)
+}
+
+// nextVersion allocates an unpublished live version in t's layout
+// holding a copy of vals, for the caller to change in place and push.
+func (t *Table) nextVersion(vals []Value) *rowVersion {
+	nv := newVersion(len(t.Cols), t.nh)
+	copy(valueSlots(nv, len(t.Cols)), vals)
+	return nv
 }
 
 // cur returns the chain head (writer view). Callers on the write path
@@ -80,29 +151,55 @@ func newRow(vals []Value, from uint64) *Row {
 func (r *Row) cur() *rowVersion { return r.v.Load() }
 
 // curVals returns the current values, nil if the row is dead.
-func (r *Row) curVals() []Value { return r.v.Load().vals }
+func (r *Row) curVals() []Value { return r.valsOf(r.v.Load()) }
 
 // live returns the newest live version: the head, or the newest one
 // below the tombstone heading a deleted row. Caller holds the latch.
 func (r *Row) live() *rowVersion {
 	v := r.v.Load()
-	for v != nil && v.vals == nil {
+	for v != nil && v.dead() {
 		v = v.prev.Load()
 	}
 	return v
 }
 
-// push prepends a new version (a tombstone when vals is nil) and
-// returns it. A live version superseding a live one takes over its
-// index handles. Caller holds the table latch.
-func (r *Row) push(vals []Value, from uint64) *rowVersion {
+// push stamps nv, a tombstone or a version of t's layout, with commit c
+// and prepends it. A live version superseding a live one takes over its
+// index handles; one superseding a tombstone starts with none, for
+// indexInsert to record. Caller holds the table latch.
+func (r *Row) push(t *Table, nv *rowVersion, c uint64) {
 	old := r.v.Load()
-	nv := &rowVersion{vals: vals, from: from}
-	if vals != nil && old.vals != nil {
-		nv.nodes, old.nodes = old.nodes, nil
+	nv.setFrom(c)
+	if !nv.dead() {
+		if !old.dead() {
+			hs := r.handles(old)
+			copy(handleSlots(nv, int(r.ncol), t.nh), hs)
+			clear(hs)
+		}
+		r.nh = uint16(t.nh)
 	}
 	nv.prev.Store(old)
 	r.v.Store(nv)
+}
+
+// widen moves r's newest live version v, built before CREATE INDEX
+// gave t more handle slots, into a copy in t's layout, which takes v's
+// place in the chain, and returns the copy. A reader that holds v keeps
+// reading the same values. Caller holds the latch.
+func (t *Table) widen(r *Row, v *rowVersion) *rowVersion {
+	nv := t.nextVersion(r.valsOf(v))
+	nv.stamp = v.stamp
+	copy(handleSlots(nv, int(r.ncol), t.nh), r.handles(v))
+	nv.prev.Store(v.prev.Load())
+	if p := r.v.Load(); p == v {
+		r.v.Store(nv)
+	} else {
+		for p.prev.Load() != v {
+			p = p.prev.Load()
+		}
+		p.prev.Store(nv)
+	}
+	r.nh = uint16(t.nh)
 	return nv
 }
 
@@ -110,13 +207,13 @@ func (r *Row) push(vals []Value, from uint64) *rowVersion {
 // s, or nil if the row is invisible at s (not yet inserted, or deleted).
 func (r *Row) visible(s uint64) []Value {
 	v := r.v.Load()
-	for v != nil && v.from > s {
+	for v != nil && v.from() > s {
 		v = v.prev.Load()
 	}
 	if v == nil {
 		return nil
 	}
-	return v.vals
+	return r.valsOf(v)
 }
 
 // rowArr is a table's published row list: a slice whose first n entries
@@ -227,13 +324,13 @@ type gcItem struct {
 
 	// Entry-removal hint: the row may no longer need the entry it held in
 	// this index (hash or skip, matching the index kind) while it carried
-	// vals — the superseded version's values, aliased, never written. An
-	// ordered index's entry comes with its node, the superseded version's
-	// handle.
+	// ver's values — ver is the superseded version, never written again.
+	// An ordered index's entry comes with its node, the superseded
+	// version's handle.
 	hash *hashIndex
 	skip *skipList
 	node *skipNode
-	vals []Value
+	ver  *rowVersion
 
 	// unlink: the row may be fully dead (newest version a tombstone) and
 	// eligible for physical removal from the row list and all indexes.
@@ -247,6 +344,10 @@ type gcState struct {
 }
 
 func (g *gcState) enqueue(it gcItem) { g.queue = append(g.queue, it) }
+
+// gcQueueFloor is the queue capacity a table keeps whatever a round
+// leaves in it: twice what maybeGCLocked lets queue before a round.
+const gcQueueFloor = 256
 
 // gcTableLocked processes the mature queue prefix for t. Caller holds
 // t's latch; floor is a safe reclamation floor (readerSlots.floor).
@@ -279,12 +380,19 @@ func (t *Table) gcTableLocked(floor uint64) {
 		}
 	}
 	// Zero the vacated tail: a processed item left in the backing array
-	// would keep its row and that row's superseded values reachable until
-	// the queue grew over it again — after a sweep that deletes a
-	// thousand leases, a thousand dead rows.
+	// would keep its row and that row's superseded version reachable
+	// until the queue grew over it again — after a sweep that deletes a
+	// thousand leases, a thousand dead rows. A round that leaves the
+	// queue under a quarter full gives a backing array grown past the
+	// floor back whole: the reaper's DELETE queues a hint per row it
+	// deletes, and an array that once held them all would be held for
+	// good. The copy costs what the drained items did.
 	n := copy(g.queue, g.queue[i:])
 	clear(g.queue[n:])
 	g.queue = g.queue[:n]
+	if c := cap(g.queue); c > gcQueueFloor && n < c/4 {
+		g.queue = append([]gcItem(nil), g.queue...)
+	}
 	if unlinkedAny {
 		t.compactRowsLocked()
 	}
@@ -295,33 +403,26 @@ func (t *Table) gcTableLocked(floor uint64) {
 // the pending unlink item, which reads the newest live version below it.
 func (t *Table) gcPrune(r *Row, floor uint64) {
 	v := r.v.Load()
-	for v.from > floor {
+	for v.from() > floor {
 		p := v.prev.Load()
 		if p == nil {
 			return
 		}
 		v = p
 	}
-	if v.vals == nil {
+	if v.dead() {
 		return
 	}
 	v.prev.Store(nil)
 }
 
-// chainHasKey reports whether a live version of r newer than the
-// superseded one carries vals' tuple under cols. vals aliases the
-// superseded version's values, which is how the walk recognises it:
-// versions from there down are invisible to every reader once the hint
-// is mature, so they cannot keep the entry.
-func chainHasKey(r *Row, cols []int, vals []Value) bool {
-	for v := r.v.Load(); v != nil; v = v.prev.Load() {
-		if v.vals == nil {
-			continue
-		}
-		if &v.vals[0] == &vals[0] {
-			return false
-		}
-		if tupleEqualAt(v.vals, vals, cols) {
+// chainHas reports whether a live version of r newer than ver, the
+// superseded one, satisfies keeps. Versions from ver down are invisible
+// to every reader once the hint is mature, so they cannot keep the
+// entry.
+func chainHas(r *Row, ver *rowVersion, keeps func(vals []Value) bool) bool {
+	for v := r.v.Load(); v != nil && v != ver; v = v.prev.Load() {
+		if vals := r.valsOf(v); vals != nil && keeps(vals) {
 			return true
 		}
 	}
@@ -329,14 +430,24 @@ func chainHasKey(r *Row, cols []int, vals []Value) bool {
 }
 
 // gcDropEntry removes a stale index entry if no newer live version
-// still carries the key; an entry a newer version shares is left to
-// that version's own hint or, for the newest live version, to gcUnlink.
+// still needs it; an entry a newer version shares is left to that
+// version's own hint or, for the newest live version, to gcUnlink. A
+// hash slot is shared by every version whose key hashes alike, so it
+// stays while any newer version's key hashes to its hash.
 func (t *Table) gcDropEntry(it gcItem) {
-	if it.hash != nil {
-		if !chainHasKey(it.row, it.hash.cols, it.vals) {
-			it.hash.remove(it.vals, it.row)
+	old := it.row.valsOf(it.ver)
+	if h := it.hash; h != nil {
+		hv, ok := h.slotHash(old)
+		if ok && !chainHas(it.row, it.ver, func(vals []Value) bool {
+			nv, ok := h.slotHash(vals)
+			return ok && nv == hv
+		}) {
+			h.remove(old, it.row)
 		}
-	} else if !chainHasKey(it.row, it.skip.cols, it.vals) {
+		return
+	}
+	cols := it.skip.cols
+	if !chainHas(it.row, it.ver, func(vals []Value) bool { return tupleEqualAt(vals, old, cols) }) {
 		it.skip.remove(it.node, it.row)
 	}
 }
@@ -349,18 +460,19 @@ func (t *Table) gcDropEntry(it gcItem) {
 // row was resurrected (rollback) after the hint was enqueued.
 func (t *Table) gcUnlink(r *Row, floor uint64) bool {
 	head := r.v.Load()
-	if head.vals != nil || head.from > floor || r.unlinked {
-		return r.unlinked && head.vals == nil
+	if !head.dead() || head.from() > floor || r.unlinked {
+		return r.unlinked && head.dead()
 	}
 	v := r.live()
+	vals := r.valsOf(v)
 	if t.pkIx != nil {
-		t.pkIx.remove(v.vals, r)
+		t.pkIx.remove(vals, r)
 	}
 	for i, ix := range t.loadIndexes() {
 		if ix.kind == IndexOrdered {
-			ix.skip.remove(v.node(i), r)
+			ix.skip.remove(r.node(v, i), r)
 		} else {
-			ix.hash.remove(v.vals, r)
+			ix.hash.remove(vals, r)
 		}
 	}
 	r.unlinked = true

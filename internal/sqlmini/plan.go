@@ -97,7 +97,7 @@ type planCheck struct {
 }
 
 // indexPlan is a resolved index access path for one execution: an
-// equality lookup (PK, hash bucket, or ordered-group seek over the full
+// equality lookup (PK, hash probe, or ordered-group seek over the full
 // tuple), a range scan over an ordered index (optionally under an
 // equality prefix), a skip scan over a composite ordered index's second
 // column, or a provably empty result.
@@ -132,6 +132,9 @@ type indexPlan struct {
 	// dedup: the candidate gather may yield one row twice (ordered
 	// multi-group windows); execution must deduplicate by row identity.
 	dedup bool
+
+	// hits holds a hash probe's candidates while they are one row.
+	hits [1]*Row
 }
 
 // verify applies the residual-free checks to a candidate's visible
@@ -513,13 +516,15 @@ func (sp *stmtPlan) finish(p *indexPlan, consumed *bitSet) {
 }
 
 // planRows resolves the candidate row set for a statement filtered by
-// where. A nil plan means no index qualified and the caller got the
-// published row snapshot (the scan path). Index candidates are a
-// superset of the matching rows (MVCC entries are removed lazily);
-// callers filter by visibility plus the residual WHERE — or the plan's
-// checks when it is residual-free — and deduplicate when plan.dedup is
-// set. All gathers here are lock-free.
-func (db *DB) planRows(t *Table, where Expr, env *evalEnv) ([]*Row, *indexPlan) {
+// where and reading vw's table through vw. A nil plan means no index
+// qualified and the caller got the published row snapshot (the scan
+// path). A hash probe returns the rows whose version in vw holds its
+// key; ordered candidates are a superset of the matching rows (MVCC
+// entries are removed lazily). Callers filter by visibility plus the
+// residual WHERE — or the plan's checks when it is residual-free — and
+// deduplicate when plan.dedup is set. All gathers here are lock-free.
+func (db *DB) planRows(vw tableView, where Expr, env *evalEnv) ([]*Row, *indexPlan) {
+	t := vw.t
 	var sp *stmtPlan
 	if prep := env.prep; prep != nil && prep.t == t && prep.seq == db.schemaSeq.Load() {
 		sp = prep
@@ -534,9 +539,9 @@ func (db *DB) planRows(t *Table, where Expr, env *evalEnv) ([]*Row, *indexPlan) 
 	case p.empty:
 		return nil, p
 	case p.pk:
-		return t.pkCandidates(p.key), p
+		return t.pkIx.lookup(p.key, vw, p.hits[:0]), p
 	case p.ix.kind == IndexHash:
-		return p.ix.hash.lookup([]Value{p.key}), p
+		return p.ix.hash.lookup(p.key, vw, p.hits[:0]), p
 	case !p.rng && p.prefix.len() == len(p.ix.cols):
 		return p.ix.skip.lookupEqual(p.prefix.all(), nil), p
 	case p.skipScan:

@@ -29,16 +29,15 @@ func (u *undoLog) recordInsert(t *Table, r *Row) {
 	u.entries = append(u.entries, undoEntry{kind: undoInsert, table: t, row: r})
 }
 
+// recordUpdate and recordDelete keep old, the values of the version the
+// statement supersedes: a version never changes its values, so the log
+// aliases them instead of copying.
 func (u *undoLog) recordUpdate(t *Table, r *Row, old []Value) {
-	saved := make([]Value, len(old))
-	copy(saved, old)
-	u.entries = append(u.entries, undoEntry{kind: undoUpdate, table: t, row: r, oldVals: saved})
+	u.entries = append(u.entries, undoEntry{kind: undoUpdate, table: t, row: r, oldVals: old})
 }
 
 func (u *undoLog) recordDelete(t *Table, r *Row, old []Value) {
-	saved := make([]Value, len(old))
-	copy(saved, old)
-	u.entries = append(u.entries, undoEntry{kind: undoDelete, table: t, row: r, oldVals: saved})
+	u.entries = append(u.entries, undoEntry{kind: undoDelete, table: t, row: r, oldVals: old})
 }
 
 // lockEntryTables latches every distinct table the log touched, in
@@ -92,10 +91,10 @@ func (u *undoLog) applyEntries(c uint64) {
 		switch e.kind {
 		case undoInsert:
 			t.gc.enqueue(gcItem{c: c, row: e.row, unlink: true})
-			e.row.push(nil, c)
+			e.row.push(t, newTombstone(), c)
 		case undoUpdate:
-			cur := e.row.curVals()
-			if e.row.unlinked || cur == nil {
+			cur := e.row.cur()
+			if e.row.unlinked || cur.dead() {
 				// The row was deleted (and possibly physically removed)
 				// by another session after our update; restoring values
 				// would resurrect it against that session's committed
@@ -104,7 +103,9 @@ func (u *undoLog) applyEntries(c uint64) {
 			}
 			// Register restored keys (GC may have dropped their entries)
 			// and queue removal hints for the keys being reverted away.
-			t.indexUpdate(e.row, e.row.push(e.oldVals, c), cur, c)
+			nv := t.nextVersion(e.oldVals)
+			e.row.push(t, nv, c)
+			t.indexUpdate(e.row, nv, cur, c)
 			t.gc.enqueue(gcItem{c: c, row: e.row})
 		case undoDelete:
 			if e.row.unlinked {
@@ -116,7 +117,7 @@ func (u *undoLog) applyEntries(c uint64) {
 					t.rows.Store(na)
 				}
 			}
-			e.row.push(e.oldVals, c)
+			e.row.push(t, t.nextVersion(e.oldVals), c)
 			t.indexInsert(e.row, false) // GC may have dropped the entries
 			t.gc.enqueue(gcItem{c: c, row: e.row})
 		}
