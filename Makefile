@@ -146,11 +146,14 @@ loc:
 # TestLeaseRowLiveHeap's per-row total, then the heap profile it writes
 # of its 10 000 grant INSERTs, held live, read by line in bytes and in
 # objects. docs/ARCHITECTURE.md's "What a lease costs to hold" is read
-# from it. The test binary and profile go to a temp dir.
+# from it. The test binary and profile go to a temp dir. The test's
+# output goes to a file, not through a pipe, so a failing bound fails
+# the target (sh has no pipefail): on failure the whole output prints.
 leaserow:
 	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	go test -count=1 -run '^TestLeaseRowLiveHeap$$' -memprofilerate 1 -v -o "$$dir/core.test" \
-		./internal/core/ -args -leaserow.heapprofile "$$dir/rows.prof" | grep 'lease row holds'; \
+		./internal/core/ -args -leaserow.heapprofile "$$dir/rows.prof" > "$$dir/out" || { cat "$$dir/out"; exit 1; }; \
+	grep 'lease row holds' "$$dir/out"; \
 	for idx in inuse_space inuse_objects; do \
 		go tool pprof -sample_index=$$idx -lines -top "$$dir/core.test" "$$dir/rows.prof"; \
 	done

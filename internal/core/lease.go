@@ -390,14 +390,17 @@ func (s *Server) renewRead(req Request, lease Lease, g *grantInfo, matchErr *Pro
 // with the new expiry, so an entry whose recorded expiry has passed
 // provably belongs to an expired lease — which is what lets the expiry
 // sweep reclaim staged blobs entirely in memory, with no SQL read-back.
+// The expiry is kept as Unix nanoseconds, not a time.Time: a 32-byte
+// value where the Time would make it 48, in a map that holds one entry
+// per client a fleet-wide upgrade has not yet seen renew.
 type pendingTransfer struct {
 	blob      []byte
-	expiresAt time.Time
+	expiresAt int64 // Unix nanoseconds
 }
 
 func (s *Server) stageTransfer(leaseID uint64, blob []byte, expiresAt time.Time) {
 	s.pendingMu.Lock()
-	s.pending[leaseID] = pendingTransfer{blob: blob, expiresAt: expiresAt}
+	s.pending[leaseID] = pendingTransfer{blob: blob, expiresAt: expiresAt.UnixNano()}
 	s.pendingPeak = max(s.pendingPeak, len(s.pending))
 	s.pendingMu.Unlock()
 }
@@ -596,9 +599,10 @@ func (s *Server) ReapExpiredLeases() (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	cutoff := now.UnixNano()
 	s.pendingMu.Lock()
 	for id, p := range s.pending {
-		if !p.expiresAt.After(now) {
+		if p.expiresAt <= cutoff {
 			delete(s.pending, id)
 		}
 	}

@@ -98,7 +98,7 @@ func TestRowBucketLockFreeReaders(t *testing.T) {
 		var present []int
 		file := func(id int, fresh bool) {
 			h.insert(rows[id].curVals(), rows[id], fresh)
-			if n := sl.insert(key, rows[id], fresh); node != nil && n != node {
+			if n := sl.insert(key, rows[id].cur(), rows[id], fresh); node != nil && n != node {
 				t.Fatal("a key's second row started a second group")
 			} else {
 				node = n
@@ -122,12 +122,12 @@ func TestRowBucketLockFreeReaders(t *testing.T) {
 				h.remove(rows[present[i]].curVals(), rows[present[i]])
 				sl.remove(node, rows[present[i]])
 				present = append(present[:i], present[i+1:]...)
-				if len(present) > 0 && (node.owner != sl || len(h.lookup(key[0], writerView, nil)) != len(present)) {
+				if len(present) > 0 && (!node.linked || len(h.lookup(key[0], writerView, nil)) != len(present)) {
 					t.Fatalf("round %d: %d rows left, but the group is unlinked or the hash index lost some", k, len(present))
 				}
 			}
 		}
-		if node.owner != nil || h.lookup(key[0], writerView, nil) != nil {
+		if node.linked || h.lookup(key[0], writerView, nil) != nil {
 			t.Fatalf("round %d: the last removal left its group linked or a row filed", k)
 		}
 	}

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -72,7 +73,7 @@ func TestRenewalGCRemovesByHandle(t *testing.T) {
 		hints++
 		key, _ := tupleOf(nil, it.skip.cols, it.row.valsOf(it.ver))
 		n := it.node
-		if n == nil || n.owner != it.skip || cmpKey(n.key(), key) != 0 || !slices.Contains(n.rows.load(), it.row) {
+		if n == nil || !n.linked || it.skip.cmpKey(n, key) != 0 || !slices.Contains(n.rows.load(), it.row) {
 			t.Fatalf("hint %d for key %v: handle %p is not a linked group holding its row", hints, key, n)
 		}
 	}
@@ -139,27 +140,88 @@ func TestGCSkipsUnlinkedHandle(t *testing.T) {
 	indexConsistent(t, db, "leases")
 }
 
+// TestGroupKeyRetainsNoVersion: an update that leaves a row's indexed
+// tuples as they were — the sweep's released = TRUE — keeps no
+// superseded version live once GC has run. 10 000 lease rows, each
+// released by its own statement and then collected, hold no more live
+// heap per row than before, give or take half a version block: an
+// index group that went on reading its key from the version it was
+// filed by would keep a whole block per row.
+func TestGroupKeyRetainsNoVersion(t *testing.T) {
+	const rows = 10000
+	base := time.Unix(1_700_000_000, 0)
+	db := leaseTableDB(t, rows, base)
+	tbl, err := db.lookupTable("leases")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, err := db.Prepare("UPDATE leases SET released = TRUE WHERE lease_id = $id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		db.gcAll()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	for i := 1; i <= rows; i++ {
+		if res, err := release.Exec(Args{"id": int64(i)}); err != nil || res.Affected != 1 {
+			t.Fatalf("release %d: %v, %v", i, res, err)
+		}
+	}
+	after := heap()
+	runtime.KeepAlive(db)
+	block := int64(len(tbl.Cols)+tbl.nh+1) * int64(valueSize)
+	grew := (after - before) / rows
+	t.Logf("releasing a row changed its live heap by %d bytes (version block %d)", grew, block)
+	if grew > block/2 {
+		t.Fatalf("a released row holds %d more bytes of live heap, want under half its %d-byte version block", grew, block)
+	}
+	indexConsistent(t, db, "leases")
+}
+
 // TestIndexHandleSizes: the allocations a lease row keeps for its
 // index entries stay in their size classes on 64-bit — a hash slot in
-// 16 bytes, a skiplist node in 48, and the two-column level-one group
-// its (driver_id, expires_at) node is filed in, node, key and link
-// together, in 96. The node fits only while a bucket holds its first
-// row inline and a node reaches its key and links by pointer and
-// count, not through slice headers. A version's header and its handles
-// have exactly a Value's size and layout, a pointer word first, on
-// every architecture: the block is allocated as a []Value, so that is
-// the layout the collector scans it by.
+// 16 bytes, a skiplist node in 32, and a group, the node and its links
+// in one block, in 48 at level one and 64 at level two, whatever its
+// key's width: a node holds no key, and reaches its links by offset.
+// The node fits only while a bucket holds its first row inline. Every
+// level's block has its links right after the node, where link looks
+// for them. A version's header and its handles have exactly a Value's
+// size and layout, a pointer word first, on every architecture: the
+// block is allocated as a []Value, so that is the layout the collector
+// scans it by.
 func TestIndexHandleSizes(t *testing.T) {
 	for _, c := range []struct {
 		what      string
 		size, max uintptr
 	}{
 		{"hashSlot", unsafe.Sizeof(hashSlot{}), 16},
-		{"skipNode", unsafe.Sizeof(skipNode{}), 48},
-		{"a two-column level-one group", unsafe.Sizeof(group[[2]Value, [1]skipLink]{}), 96},
+		{"skipNode", unsafe.Sizeof(skipNode{}), 32},
+		{"a level-one group", unsafe.Sizeof(group[[1]skipLink]{}), 48},
+		{"a level-two group", unsafe.Sizeof(group[[2]skipLink]{}), 64},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s is %d bytes, want at most %d", c.what, c.size, c.max)
+		}
+	}
+	if g := (group[[1]skipLink]{}); unsafe.Offsetof(g.links) != nodeSize {
+		t.Errorf("a group's links start at byte %d, not right after its %d-byte node", unsafe.Offsetof(g.links), nodeSize)
+	}
+	for lvl := 1; lvl <= skipMaxLevel; lvl++ {
+		const nodes = 64
+		keep := make([]*skipNode, nodes)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = newNodeOf[lvl-1]()
+		}
+		runtime.ReadMemStats(&after)
+		if per, want := (after.TotalAlloc-before.TotalAlloc)/nodes, uint64(nodeSize+uintptr(lvl)*linkSize); per < want {
+			t.Errorf("a level-%d node is allocated in %d bytes, too few for its %d links", lvl, per, lvl)
 		}
 	}
 	var v Value
@@ -218,7 +280,7 @@ func TestCreateIndexWidensVersions(t *testing.T) {
 			}
 		case r.nh != 2:
 			t.Fatalf("row %v: its newest live version has %d handle slots", r.valsOf(v)[0], r.nh)
-		case n == nil || n.owner != ix.skip || !slices.Contains(n.rows.load(), r):
+		case n == nil || !n.linked || !slices.Contains(n.rows.load(), r):
 			t.Fatalf("row %v: no linked handle holding the row", r.valsOf(v)[0])
 		}
 	}

@@ -463,11 +463,12 @@ func (ix *secondaryIndex) colNames(t *Table) []string {
 	return out
 }
 
-// insertFor registers vals' key for r (no-op on a NULL component; see
-// hashIndex.insert and rowBucket.add for fresh) and returns the skiplist
-// node that now holds r — nil for a hash index or a NULL tuple. Caller
-// holds the latch.
-func (ix *secondaryIndex) insertFor(vals []Value, r *Row, fresh bool) *skipNode {
+// insertFor files r under the key of v, one of r's live versions
+// (no-op on a NULL component; see hashIndex.insert and rowBucket.add for
+// fresh) and returns the skiplist node that now holds r — nil for a hash
+// index or a NULL tuple. Caller holds the latch.
+func (ix *secondaryIndex) insertFor(r *Row, v *rowVersion, fresh bool) *skipNode {
+	vals := r.valsOf(v)
 	if ix.kind == IndexHash {
 		ix.hash.insert(vals, r, fresh)
 		return nil
@@ -477,7 +478,7 @@ func (ix *secondaryIndex) insertFor(vals []Value, r *Row, fresh bool) *skipNode 
 	if !ok {
 		return nil
 	}
-	return ix.skip.insert(key, r, fresh)
+	return ix.skip.insert(key, v, r, fresh)
 }
 
 // indexOn returns the first secondary index whose leading column is
@@ -527,7 +528,8 @@ func (t *Table) indexWithCols(cols []int) *secondaryIndex {
 // readers at older snapshots can still find rows whose key has since
 // moved. An ordered index widens the table's versions by a handle
 // slot; the newest live version records its handle, moving into a
-// wider copy first when it predates the index (Table.widen). An older
+// wider copy first when it predates the index (Table.widen), which the
+// group then reads its key from. An older
 // version whose tuple its successor does not share gets the
 // deferred-removal hint indexUpdate would have left, handle included,
 // stamped with the table's watermark (no earlier than the commit that
@@ -549,12 +551,13 @@ func (t *Table) addIndex(name string, cols []int, kind IndexKind) {
 			if vals == nil {
 				continue
 			}
-			n := ix.insertFor(vals, r, false)
+			n := ix.insertFor(r, v, false)
 			switch {
 			case newer == nil:
 				if n != nil {
 					if int(r.nh) <= pos {
 						v = t.widen(r, v)
+						n.ver.Store(v)
 					}
 					r.handles(v)[pos].node = n
 				}
@@ -571,8 +574,10 @@ func (t *Table) addIndex(name string, cols []int, kind IndexKind) {
 // and all secondary indexes, recording the version's handles. fresh
 // marks a row this statement allocated (INSERT), which no index can
 // hold yet; rollback passes false to re-register values whose entries
-// GC may or may not have dropped. Caller holds the latch and has
-// checked uniqueness.
+// GC may or may not have dropped, and a group still in place is
+// re-pointed at the newest version, which holds its key, so it stops
+// reading (and keeping) the one the rolled-back DELETE superseded.
+// Caller holds the latch and has checked uniqueness.
 func (t *Table) indexInsert(r *Row, fresh bool) {
 	v := r.cur()
 	vals := r.valsOf(v)
@@ -580,8 +585,11 @@ func (t *Table) indexInsert(r *Row, fresh bool) {
 		t.pkIx.insert(vals, r, fresh)
 	}
 	for i, ix := range t.loadIndexes() {
-		if n := ix.insertFor(vals, r, fresh); n != nil {
+		if n := ix.insertFor(r, v, fresh); n != nil {
 			r.handles(v)[i].node = n
+			if !fresh {
+				n.ver.Store(v)
+			}
 		}
 	}
 }
@@ -590,8 +598,11 @@ func (t *Table) indexInsert(r *Row, fresh bool) {
 // old, taking over old's handles. Old entries stay for older
 // snapshots; each changed key enqueues a deferred removal hint for GC,
 // which names the (immutable) old version instead of copying the key
-// out and carries the old entry's handle. Caller holds the latch; c is
-// the statement's commit number.
+// out and carries the old entry's handle. A group whose key did not
+// move is re-pointed at nv, so it does not keep old alive once the
+// chain lets go of it; a moved key's group keeps reading old, the
+// version that holds its key. Caller holds the latch; c is the
+// statement's commit number.
 func (t *Table) indexUpdate(r *Row, nv, old *rowVersion, c uint64) {
 	newVals, oldVals := r.valsOf(nv), r.valsOf(old)
 	if t.pkIx != nil {
@@ -608,11 +619,14 @@ func (t *Table) indexUpdate(r *Row, nv, old *rowVersion, c uint64) {
 	for i, ix := range t.loadIndexes() {
 		oldOK, newOK, moved := keyMoved(ix.cols, oldVals, newVals)
 		if !moved {
+			if n := r.node(nv, i); n != nil {
+				n.ver.Store(nv)
+			}
 			continue
 		}
 		var n, prev *skipNode
 		if newOK {
-			n = ix.insertFor(newVals, r, false)
+			n = ix.insertFor(r, nv, false)
 		}
 		if ix.kind == IndexOrdered {
 			hs := r.handles(nv)

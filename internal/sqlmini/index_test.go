@@ -116,7 +116,7 @@ func orderedConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
 		if len(rows) == 0 {
 			t.Fatalf("index %q: empty group %v left behind", ix.name, key)
 		}
-		if prevKey != nil && cmpKey(prevKey, key) >= 0 {
+		if prevKey != nil && cmpTuples(prevKey, key) >= 0 {
 			t.Fatalf("index %q: groups out of order (%v vs %v)", ix.name, prevKey, key)
 		}
 		prevKey = key
@@ -126,7 +126,7 @@ func orderedConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
 				t.Fatalf("index %q: dead row left in group %v after GC", ix.name, key)
 			}
 			bk, ok := tupleOf(nil, ix.cols, vals)
-			if !ok || cmpKey(key, bk) != 0 {
+			if !ok || cmpTuples(key, bk) != 0 {
 				t.Fatalf("index %q: row with key %v filed under group key %v", ix.name, bk, key)
 			}
 		}
@@ -154,6 +154,21 @@ func orderedConsistent(t *testing.T, live []liveRow, ix *secondaryIndex) {
 	}
 }
 
+// cmpTuples orders two tuples of one index's columns, over b's
+// positions, as skipList.cmpKey orders a group's key against a probe.
+func cmpTuples(a, b []Value) int {
+	for i := range b {
+		c, ok := comparePtr(&a[i], &b[i])
+		if !ok {
+			return 0
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 // skipLinksConsistent checks a skiplist's links at every level: each
 // node a forward link reaches is marked linked into sl and its back
 // link names the node that reached it, keys strictly increase along
@@ -165,14 +180,14 @@ func skipLinksConsistent(t testing.TB, sl *skipList) {
 	for lvl := 0; lvl < skipMaxLevel; lvl++ {
 		prev := sl.head
 		for n := sl.head.next(lvl); n != nil; prev, n = n, n.next(lvl) {
-			if n.owner != sl {
-				t.Fatalf("level %d: group %v is linked but not marked linked", lvl, n.key())
+			if !n.linked {
+				t.Fatalf("level %d: group %v is linked but not marked linked", lvl, sl.key(n))
 			}
-			if n.links()[lvl].prev != prev {
-				t.Fatalf("level %d: group %v has a back link to the wrong node", lvl, n.key())
+			if n.link(lvl).prev != prev {
+				t.Fatalf("level %d: group %v has a back link to the wrong node", lvl, sl.key(n))
 			}
-			if prev != sl.head && cmpKey(prev.key(), n.key()) >= 0 {
-				t.Fatalf("level %d: groups out of order (%v vs %v)", lvl, prev.key(), n.key())
+			if prev != sl.head && cmpTuples(sl.key(prev), sl.key(n)) >= 0 {
+				t.Fatalf("level %d: groups out of order (%v vs %v)", lvl, sl.key(prev), sl.key(n))
 			}
 			if lvl == 0 {
 				groups++

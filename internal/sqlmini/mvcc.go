@@ -31,7 +31,9 @@ import (
 // prev links to the version this one superseded; the garbage collector
 // cuts the link once no reader can need it, so readers load it
 // atomically. Everything else is written before the version is
-// published and never again, except the handles.
+// published and never again, except the handles: an ordered index's
+// groups read their keys from the values of a version they point at
+// (skipNode), lock-free.
 //
 // The handles are the row's ordered-index handles, aligned with the
 // table's loadIndexes(): handle i is the skiplist node that files the
@@ -93,8 +95,12 @@ type Row struct {
 }
 
 // valueSlots returns the ncol values of the live version block v.
-func valueSlots(v *rowVersion, ncol int) []Value {
-	return unsafe.Slice((*Value)(unsafe.Add(unsafe.Pointer(v), valueSize)), ncol)
+func valueSlots(v *rowVersion, ncol int) []Value { return unsafe.Slice(v.col(0), ncol) }
+
+// col returns the value of column ci of the live version block v, which
+// holds more than ci values.
+func (v *rowVersion) col(ci int) *Value {
+	return (*Value)(unsafe.Add(unsafe.Pointer(v), uintptr(1+ci)*valueSize))
 }
 
 // handleSlots returns the nh handles of the live version block v,
@@ -184,12 +190,20 @@ func (r *Row) push(t *Table, nv *rowVersion, c uint64) {
 
 // widen moves r's newest live version v, built before CREATE INDEX
 // gave t more handle slots, into a copy in t's layout, which takes v's
-// place in the chain, and returns the copy. A reader that holds v keeps
-// reading the same values. Caller holds the latch.
+// place in the chain, and returns the copy. The groups v's handles name
+// read their keys from the copy from then on, so nothing holds v but a
+// reader that already does, and keeps reading the same values. Caller
+// holds the latch.
 func (t *Table) widen(r *Row, v *rowVersion) *rowVersion {
 	nv := t.nextVersion(r.valsOf(v))
 	nv.stamp = v.stamp
-	copy(handleSlots(nv, int(r.ncol), t.nh), r.handles(v))
+	hs := handleSlots(nv, int(r.ncol), t.nh)
+	copy(hs, r.handles(v))
+	for _, h := range hs {
+		if h.node != nil {
+			h.node.ver.Store(nv)
+		}
+	}
 	nv.prev.Store(v.prev.Load())
 	if p := r.v.Load(); p == v {
 		r.v.Store(nv)
@@ -372,7 +386,7 @@ func (t *Table) gcTableLocked(floor uint64) {
 			// index entries. Pruning first can cut a newer version that
 			// shared this key; this hint then empties the group, and that
 			// version's later hint carries a handle to an unlinked node,
-			// which skipList.remove's owner check skips.
+			// which skipList.remove's linked check skips.
 			t.gcPrune(it.row, floor)
 			t.gcDropEntry(it)
 		default:

@@ -35,30 +35,73 @@ import (
 
 const skipMaxLevel = 24
 
-// maxIndexCols bounds an index's columns: a node counts its key in a
-// byte.
+// maxIndexCols bounds an index's columns; CREATE INDEX refuses more.
 const maxIndexCols = 255
 
-// skipNode is one group. Its key and links sit in the same allocation
-// (group), so the node addresses each by a pointer and a count rather
-// than a slice header; key and links read them back. Both are written
-// before the node is linked and are immutable after.
+// skipNode is one group. It holds no key of its own: ver is a live
+// version that files one of the group's rows under the group's key, and
+// the key is that version's values at the list's columns (skipList.key).
+// A version's values never change once it is published, and the
+// collector keeps the block alive while the node points at it, so a
+// lock-free reader compares against the same key whichever version it
+// loads. The writer moves ver only to a version whose tuple is the
+// group's key — a newer version of a row whose key an update left
+// where it was (indexUpdate, Table.widen, a rolled-back delete's
+// re-registration) — never to one whose key moved, which keeps the old
+// version and so the old key. A one-row group empties and is unlinked
+// when its row's old entry goes to GC, so it holds no version longer
+// than the removal hint does. A group of several rows whose reading row
+// moves away or is deleted goes on reading that row's superseded
+// version, and keeps that block alive — with any older versions its
+// prev link still reaches — until the group empties or an update that
+// keeps the key of a row still in it re-points it.
+//
+// The node's links follow it in the same allocation (group), so a
+// node of level l is one block of 32 + 16·l bytes on 64-bit, reached
+// through link. level and the bucket's inline row are written before
+// the node is linked and are immutable after; linked is writer-only.
 type skipNode struct {
 	rows  rowBucket
-	keyp  *Value    // the tuple's first value
-	linkp *skipLink // level 0's link
-	// owner is the list the node is linked into, nil once unlinked;
-	// writer-only. A handle (rowVersion.nodes, gcItem.node) is usable
-	// only while its node is still linked into the index's own list.
-	owner       *skipList
-	nkey, level uint8
+	ver   atomic.Pointer[rowVersion]
+	level uint8
+	// linked says the node is linked into its list; writer-only. A
+	// handle (rowVersion's, gcItem.node) is usable only while it is.
+	linked bool
 }
 
-// key returns the node's immutable tuple.
-func (n *skipNode) key() []Value { return unsafe.Slice(n.keyp, n.nkey) }
+// group is a node allocated together with its links, L being an array
+// of them.
+type group[L any] struct {
+	node  skipNode
+	links L
+}
 
-// links returns one link per level of the node.
-func (n *skipNode) links() []skipLink { return unsafe.Slice(n.linkp, n.level) }
+const (
+	nodeSize = unsafe.Sizeof(skipNode{})
+	linkSize = unsafe.Sizeof(skipLink{})
+)
+
+// newNode allocates a node whose links are L, unlinked and empty.
+func newNode[L any]() *skipNode { return &new(group[L]).node }
+
+// newNodeOf[l-1] allocates a node with l links, in one block.
+var newNodeOf = [skipMaxLevel]func() *skipNode{
+	newNode[[1]skipLink], newNode[[2]skipLink], newNode[[3]skipLink], newNode[[4]skipLink],
+	newNode[[5]skipLink], newNode[[6]skipLink], newNode[[7]skipLink], newNode[[8]skipLink],
+	newNode[[9]skipLink], newNode[[10]skipLink], newNode[[11]skipLink], newNode[[12]skipLink],
+	newNode[[13]skipLink], newNode[[14]skipLink], newNode[[15]skipLink], newNode[[16]skipLink],
+	newNode[[17]skipLink], newNode[[18]skipLink], newNode[[19]skipLink], newNode[[20]skipLink],
+	newNode[[21]skipLink], newNode[[22]skipLink], newNode[[23]skipLink], newNode[[24]skipLink],
+}
+
+// link returns the node's link at lvl, which is below its level.
+func (n *skipNode) link(lvl int) *skipLink {
+	return (*skipLink)(unsafe.Add(unsafe.Pointer(n), nodeSize+uintptr(lvl)*linkSize))
+}
+
+// links returns one link per level of the node. Writer-only: readers
+// use link, and never read level.
+func (n *skipNode) links() []skipLink { return unsafe.Slice(n.link(0), n.level) }
 
 // skipLink is one level of a node: the forward link readers follow and
 // the writer-only back link to the level's predecessor.
@@ -68,7 +111,7 @@ type skipLink struct {
 }
 
 // next loads the node's successor at lvl. Lock-free.
-func (n *skipNode) next(lvl int) *skipNode { return n.links()[lvl].next.Load() }
+func (n *skipNode) next(lvl int) *skipNode { return n.link(lvl).next.Load() }
 
 type skipList struct {
 	cols []int // indexed column positions (tuple order)
@@ -81,8 +124,9 @@ type skipList struct {
 }
 
 func newSkipList(cols []int) *skipList {
-	links := make([]skipLink, skipMaxLevel)
-	sl := &skipList{cols: cols, head: &skipNode{linkp: &links[0], level: skipMaxLevel}, rnd: 0x9e3779b97f4a7c15}
+	head := newNodeOf[skipMaxLevel-1]()
+	head.level = skipMaxLevel
+	sl := &skipList{cols: cols, head: head, rnd: 0x9e3779b97f4a7c15}
 	for i := range sl.last {
 		sl.last[i] = sl.head
 	}
@@ -106,15 +150,22 @@ func (sl *skipList) randLevel() int {
 	return lvl
 }
 
-// cmpKey orders a node key against a probe tuple, comparing only the
+// cmpKey orders n's key against a probe tuple, comparing only the
 // probe's positions (a shorter probe matches on its prefix). Caller
 // guarantees per-position order compatibility (orderedProbeOK), so a
 // failed Compare cannot occur between a stored key and a vetted probe;
 // it is treated as equal-rank which keeps the walk safe regardless.
-// Values are compared in place: a walk takes tens of steps.
-func cmpKey(nodeKey, probe []Value) int {
+// The key's values are compared where they sit, in the version n reads
+// them from: a walk takes tens of steps.
+func (sl *skipList) cmpKey(n *skipNode, probe []Value) int {
+	return cmpCols(n.ver.Load(), sl.cols, probe)
+}
+
+// cmpCols orders the live version v's values at cols against probe,
+// over the probe's positions, as cmpKey does.
+func cmpCols(v *rowVersion, cols []int, probe []Value) int {
 	for i := range probe {
-		c, ok := comparePtr(&nodeKey[i], &probe[i])
+		c, ok := comparePtr(v.col(cols[i]), &probe[i])
 		if !ok {
 			return 0
 		}
@@ -126,48 +177,53 @@ func cmpKey(nodeKey, probe []Value) int {
 }
 
 // seekGE returns the first node whose key compares >= probe on the
-// probe's prefix. Lock-free.
+// probe's prefix. Lock-free. It returns the level-0 successor it
+// compared, not a fresh load of it: a group filed since, between the
+// last node below probe and that successor, may sort below probe, and
+// a caller handed it would stop there and miss the groups it wants.
 func (sl *skipList) seekGE(probe []Value) *skipNode {
-	x := sl.head
+	x, nxt := sl.head, (*skipNode)(nil)
 	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
 		for {
-			nxt := x.next(lvl)
-			if nxt == nil || cmpKey(nxt.key(), probe) >= 0 {
+			nxt = x.next(lvl)
+			if nxt == nil || sl.cmpKey(nxt, probe) >= 0 {
 				break
 			}
 			x = nxt
 		}
 	}
-	return x.next(0)
+	return nxt
 }
 
 // seekGT returns the first node whose key compares > probe on the
-// probe's prefix. Lock-free.
+// probe's prefix. Lock-free; see seekGE for why it returns the
+// successor it compared.
 func (sl *skipList) seekGT(probe []Value) *skipNode {
-	x := sl.head
+	x, nxt := sl.head, (*skipNode)(nil)
 	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
 		for {
-			nxt := x.next(lvl)
-			if nxt == nil || cmpKey(nxt.key(), probe) > 0 {
+			nxt = x.next(lvl)
+			if nxt == nil || sl.cmpKey(nxt, probe) > 0 {
 				break
 			}
 			x = nxt
 		}
 	}
-	return x.next(0)
+	return nxt
 }
 
-// insert adds r under key, creating the group (with its own copy of
-// key) if needed, and returns the group's node — the handle a later
-// removal passes to remove. A key at or after the last group needs no
-// walk: its predecessors are the last nodes. See rowBucket.add for
-// fresh. Caller holds the latch.
-func (sl *skipList) insert(key []Value, r *Row, fresh bool) *skipNode {
+// insert files r under key, the tuple of v, one of r's live versions,
+// creating the group if needed, and returns the group's node — the
+// handle a later removal passes to remove. A new group reads its key
+// from v; an existing one keeps the version it reads from. A key at or
+// after the last group needs no walk: its predecessors are the last
+// nodes. See rowBucket.add for fresh. Caller holds the latch.
+func (sl *skipList) insert(key []Value, v *rowVersion, r *Row, fresh bool) *skipNode {
 	var update [skipMaxLevel]*skipNode
 	tail := sl.last[0]
 	c := -1 // an empty list: every key is past its end
 	if tail != sl.head {
-		c = cmpKey(tail.key(), key)
+		c = sl.cmpKey(tail, key)
 	}
 	switch {
 	case c < 0:
@@ -180,75 +236,38 @@ func (sl *skipList) insert(key []Value, r *Row, fresh bool) *skipNode {
 		for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
 			for {
 				nxt := x.next(lvl)
-				if nxt == nil || cmpKey(nxt.key(), key) >= 0 {
+				if nxt == nil || sl.cmpKey(nxt, key) >= 0 {
 					break
 				}
 				x = nxt
 			}
 			update[lvl] = x
 		}
-		if n := x.next(0); n != nil && cmpKey(n.key(), key) == 0 {
+		if n := x.next(0); n != nil && sl.cmpKey(n, key) == 0 {
 			n.rows.add(r, fresh)
 			return n
 		}
 	}
 	lvl := sl.randLevel()
-	n := newGroup(key, lvl, r)
-	n.owner = sl
+	n := newNodeOf[lvl-1]()
+	n.level, n.linked = uint8(lvl), true
+	n.ver.Store(v)
+	n.rows.row[0] = r
 	links := n.links()
 	for i := range links {
 		succ := update[i].next(i)
 		links[i].next.Store(succ)
 		links[i].prev = update[i]
 		if succ != nil {
-			succ.links()[i].prev = n
+			succ.link(i).prev = n
 		} else {
 			sl.last[i] = n
 		}
 	}
 	for i := range links { // link bottom-up: readers above always find the levels below
-		update[i].links()[i].next.Store(n)
+		update[i].link(i).next.Store(n)
 	}
 	sl.size++
-	return n
-}
-
-// group is a skiplist node allocated together with its key copy and
-// its links.
-type group[K, L any] struct {
-	node  skipNode
-	key   K
-	links L
-}
-
-// newGroup builds an unlinked node holding a copy of key and r alone,
-// with lvl links. A one- or two-column key at level one or two — every
-// index this repository declares, and fifteen groups in sixteen — is
-// one allocation; any other shape allocates its key and links apart.
-func newGroup(key []Value, lvl int, r *Row) *skipNode {
-	var n *skipNode
-	var k []Value
-	var links []skipLink
-	switch {
-	case len(key) == 1 && lvl == 1:
-		g := new(group[[1]Value, [1]skipLink])
-		n, k, links = &g.node, g.key[:], g.links[:]
-	case len(key) == 1 && lvl == 2:
-		g := new(group[[1]Value, [2]skipLink])
-		n, k, links = &g.node, g.key[:], g.links[:]
-	case len(key) == 2 && lvl == 1:
-		g := new(group[[2]Value, [1]skipLink])
-		n, k, links = &g.node, g.key[:], g.links[:]
-	case len(key) == 2 && lvl == 2:
-		g := new(group[[2]Value, [2]skipLink])
-		n, k, links = &g.node, g.key[:], g.links[:]
-	default:
-		n, k, links = new(skipNode), make([]Value, len(key)), make([]skipLink, lvl)
-	}
-	copy(k, key)
-	n.keyp, n.nkey = &k[0], uint8(len(k)) // at most maxIndexCols
-	n.linkp, n.level = &links[0], uint8(lvl)
-	n.rows.row[0] = r
 	return n
 }
 
@@ -260,11 +279,11 @@ func newGroup(key []Value, lvl int, r *Row) *skipNode {
 // not file (a NULL in an indexed column). A group is unlinked only once
 // it has emptied, and insert never adds a row to an unlinked node, so
 // if r is still filed under that key it sits in a newer group, filed
-// by a newer version whose own handle removes it. The owner check is
+// by a newer version whose own handle removes it. The linked check is
 // not optional: rowBucket.remove leaves the last row in place in an
 // unlinked node, so a second unlink of it would corrupt the list.
 func (sl *skipList) remove(n *skipNode, r *Row) {
-	if n != nil && n.owner == sl && n.rows.remove(r) {
+	if n != nil && n.linked && n.rows.remove(r) {
 		sl.unlink(n)
 	}
 }
@@ -277,21 +296,21 @@ func (sl *skipList) unlink(n *skipNode) {
 	links := n.links()
 	for lvl := len(links) - 1; lvl >= 0; lvl-- {
 		prev, succ := links[lvl].prev, links[lvl].next.Load()
-		prev.links()[lvl].next.Store(succ)
+		prev.link(lvl).next.Store(succ)
 		if succ != nil {
-			succ.links()[lvl].prev = prev
+			succ.link(lvl).prev = prev
 		} else {
 			sl.last[lvl] = prev
 		}
 	}
-	n.owner = nil
+	n.linked = false
 	sl.size--
 }
 
 // lookupEqual gathers the rows of every group comparing equal to probe.
 // Lock-free; out is appended to and returned.
 func (sl *skipList) lookupEqual(probe []Value, out []*Row) []*Row {
-	for n := sl.seekGE(probe); n != nil && cmpKey(n.key(), probe) == 0; n = n.next(0) {
+	for n := sl.seekGE(probe); n != nil && sl.cmpKey(n, probe) == 0; n = n.next(0) {
 		out = append(out, n.rows.load()...)
 	}
 	return out
@@ -322,11 +341,11 @@ func (sl *skipList) rangeRows(prefix []Value, lo Value, loStrict bool, hi Value,
 		hiProbe = append(append(make([]Value, 0, len(prefix)+1), prefix...), hi)
 	}
 	for n := start; n != nil; n = n.next(0) {
-		if len(prefix) > 0 && cmpKey(n.key(), prefix) != 0 {
+		if len(prefix) > 0 && sl.cmpKey(n, prefix) != 0 {
 			break
 		}
 		if hiProbe != nil {
-			c := cmpKey(n.key(), hiProbe)
+			c := sl.cmpKey(n, hiProbe)
 			if c > 0 || (hiStrict && c == 0) {
 				break
 			}
@@ -350,7 +369,7 @@ func (sl *skipList) skipRows(lo Value, loStrict bool, hi Value, hiStrict bool, o
 	var probe [2]Value
 	hiProbe := [1]Value{hi}
 	for n := sl.head.next(0); n != nil; {
-		lead := n.key()[:1]
+		lead := [1]Value{*n.ver.Load().col(sl.cols[0])}
 		if !lo.IsNull() {
 			probe[0], probe[1] = lead[0], lo
 			if loStrict {
@@ -359,26 +378,18 @@ func (sl *skipList) skipRows(lo Value, loStrict bool, hi Value, hiStrict bool, o
 				n = sl.seekGE(probe[:])
 			}
 		}
-		for ; n != nil && cmpKey(n.key(), lead) == 0; n = n.next(0) {
+		for ; n != nil && sl.cmpKey(n, lead[:]) == 0; n = n.next(0) {
 			if !hi.IsNull() {
-				if c := cmpKey(n.key()[1:], hiProbe[:]); c > 0 || (hiStrict && c == 0) {
-					n = sl.seekGT(lead)
+				if c := cmpCols(n.ver.Load(), sl.cols[1:], hiProbe[:]); c > 0 || (hiStrict && c == 0) {
+					n = sl.seekGT(lead[:])
 					break
 				}
 			}
 			out = append(out, n.rows.load()...)
 		}
-		for n != nil && cmpKey(n.key(), lead) <= 0 {
+		for n != nil && sl.cmpKey(n, lead[:]) <= 0 {
 			n = n.next(0) // a group filed under lead mid-seek
 		}
 	}
 	return out
-}
-
-// each visits every (key, rows) group in order; writer-side helper for
-// consistency checks and rebuilds.
-func (sl *skipList) each(fn func(key []Value, rows []*Row)) {
-	for n := sl.head.next(0); n != nil; n = n.next(0) {
-		fn(n.key(), n.rows.load())
-	}
 }

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -136,10 +137,22 @@ func fuzzConjunct(r *fuzzReader) string {
 // planned on one copy and as a forced full scan on another (the WHERE
 // wrapped as `(w) OR FALSE`, which no plan claims and which keeps w's
 // truth value), and every query also runs both ways on the planned
-// copy: affected counts and result sets must agree. Updates move rows
+// copy, at the latest snapshot and at every snapshot a reader holds
+// there: affected counts and result sets must agree. Updates move rows
 // between index groups, so stale MVCC groups — a row under its old and
-// its new key — are there for the gathers to deduplicate and re-check.
-// The seed corpus runs as part of plain `go test`.
+// its new key — are there for the gathers to deduplicate and re-check;
+// updates that keep every key re-point groups at new versions. The
+// planned copy alone also holds and releases snapshots, rolls back
+// transactions that make each kind of change (a GC round before the
+// rollback, or not), runs GC rounds and creates an ordered index over
+// its populated table; both copies move away the row a group of several
+// reads its key from. After every step the planned copy's ordered
+// indexes must be in order, each group's key filed by its rows, no row
+// twice in a group or left there once unlinked (groupsFileTheirKeys);
+// after a GC round with no snapshot held, every index must hold exactly
+// the live rows under their current keys (indexConsistent). The seed
+// corpus runs as part of plain
+// `go test`.
 func FuzzPlannerMatchesScan(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 0, 2, 3, 1, 0, 0, 4, 4, 4, 2, 3, 1, 1, 2, 8, 3, 0, 1, 1, 2, 2, 8})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 2, 2, 2, 2, 0, 3, 0, 3, 1, 1, 3, 0, 2, 2, 4, 2, 1, 8, 3, 1, 0, 1, 8})
@@ -151,37 +164,37 @@ func FuzzPlannerMatchesScan(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 3, 1, 1, 0, 1, 0, 2, 2, 0, 1, 4, 0, 0, 0, 2, 1, 1, 1, 0, 3, 2, 0, 0,
 		3, 0, 1, 1, 0, 8, 3, 1, 0, 2, 2, 1, 4, 0, 2, 1, 1, 0, 1, 3, 2, 1, 0, 2, 3, 0, 3, 1, 0, 8,
 		2, 0, 0, 0, 2, 4, 2, 3, 0, 0, 3, 2, 1})
+	// Rows under shared keys, a held snapshot, key-keeping and
+	// key-moving updates, a group's reading row moved away, a rolled-back
+	// transaction, an index created over the rows, and queries at both
+	// snapshots.
+	f.Add([]byte{0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 2, 2, 2, 2, 5, 0, 4, 1, 0, 2, 2, 1, 0, 7, 1,
+		1, 1, 0, 1, 0, 3, 3, 1, 6, 1, 0, 3, 2, 0, 1, 1, 0, 1, 8, 3, 1, 0, 8, 2, 0, 9, 3, 1, 0, 8, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := fuzzReader(data)
 		planned, scanned := skipScanDB(t), skipScanDB(t)
+		tbl, err := planned.lookupTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held []int // the planned copy's reader slots holding snapshots
+		defer func() {
+			for _, slot := range held {
+				planned.readers.release(slot)
+			}
+		}()
 		nextID := 0
 		for steps := 0; len(r) > 0 && steps < 64; steps++ {
-			op := r.next() % 4
+			op := r.next() % 10
 			var where []string
-			if op != 0 {
+			if op >= 1 && op <= 4 || op == 6 {
 				for n := 1 + r.next()%3; n > 0; n-- {
 					where = append(where, fuzzConjunct(&r))
 				}
 			}
 			w := strings.Join(where, " AND ")
 			forced := "(" + w + ") OR FALSE"
-			switch op {
-			case 0:
-				nextID++
-				ins := fmt.Sprintf("INSERT INTO t (id, a, b, c, d) VALUES (%d, %d, %s, %s, %s)",
-					nextID, r.next()%4, fuzzVal(r.next()), fuzzVal(r.next()), fuzzVal(r.next()))
-				planned.MustExec(ins)
-				scanned.MustExec(ins)
-			case 1, 2:
-				stmt := "DELETE FROM t WHERE "
-				if op == 1 {
-					col := []string{"a", "b", "c", "d"}[r.next()%4]
-					val := fuzzVal(r.next())
-					if col == "a" && val == "NULL" {
-						val = "0"
-					}
-					stmt = fmt.Sprintf("UPDATE t SET %s = %s WHERE ", col, val)
-				}
+			both := func(stmt string) {
 				rp, ep := planned.Exec(stmt + w)
 				rs, es := scanned.Exec(stmt + forced)
 				if ep != nil || es != nil {
@@ -190,6 +203,23 @@ func FuzzPlannerMatchesScan(f *testing.F) {
 				if rp.Affected != rs.Affected {
 					t.Fatalf("%s: affected %d planned, %d by scan", stmt+w, rp.Affected, rs.Affected)
 				}
+			}
+			switch op {
+			case 0:
+				nextID++
+				ins := fmt.Sprintf("INSERT INTO t (id, a, b, c, d) VALUES (%d, %d, %s, %s, %s)",
+					nextID, r.next()%4, fuzzVal(r.next()), fuzzVal(r.next()), fuzzVal(r.next()))
+				planned.MustExec(ins)
+				scanned.MustExec(ins)
+			case 1:
+				col := []string{"a", "b", "c", "d"}[r.next()%4]
+				val := fuzzVal(r.next())
+				if col == "a" && val == "NULL" {
+					val = "0"
+				}
+				both(fmt.Sprintf("UPDATE t SET %s = %s WHERE ", col, val))
+			case 2:
+				both("DELETE FROM t WHERE ")
 			case 3:
 				q := "SELECT id, a, b, c, d FROM t WHERE "
 				if plan, err := planned.Explain(q + forced); err != nil || plan != "full scan on t" {
@@ -207,7 +237,59 @@ func FuzzPlannerMatchesScan(f *testing.F) {
 					plan, _ := planned.Explain(q + w)
 					t.Fatalf("%s (%s):\nplanned:\n%s\nscan:\n%s", q+w, plan, canon(got), canon(want))
 				}
+				for _, slot := range held {
+					s := planned.readers.slots[slot].Load() - 2
+					got, want := selectAt(t, planned, s, q+w), selectAt(t, planned, s, q+forced)
+					slices.Sort(got)
+					slices.Sort(want)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s at held snapshot %d: planned %v, scan %v", q+w, s, got, want)
+					}
+				}
+			case 4: // keeps every key
+				both("UPDATE t SET b = b, c = c WHERE ")
+			case 5: // hold a snapshot, or release the oldest held
+				if r.next()%2 == 1 || len(held) == 3 {
+					if len(held) > 0 {
+						planned.readers.release(held[0])
+						held = held[1:]
+					}
+				} else if slot := planned.readers.acquire(); slot >= 0 {
+					planned.readers.publish(slot, tbl.watermark.Load())
+					held = append(held, slot)
+				}
+			case 6: // a transaction that rolls back
+				s := planned.NewSession()
+				s.Exec("BEGIN")                                                                         //nolint:errcheck
+				s.Exec(fmt.Sprintf("UPDATE t SET b = %s WHERE ", fuzzVal(r.next())) + w)                //nolint:errcheck
+				s.Exec("UPDATE t SET c = c WHERE " + w)                                                 //nolint:errcheck
+				s.Exec(fmt.Sprintf("DELETE FROM t WHERE id = %d", r.next()%(nextID+1)))                 //nolint:errcheck
+				s.Exec(fmt.Sprintf("INSERT INTO t (id, a, b, c, d) VALUES (%d, 1, 1, 1, 1)", nextID+1)) //nolint:errcheck
+				if r.next()%2 == 1 {
+					planned.gcAll()
+				}
+				s.Exec("ROLLBACK") //nolint:errcheck
+			case 7: // move away the row a group of several reads its key from
+				ab := tbl.indexNamed("t_ab").skip
+				for n := ab.head.next(0); n != nil; n = n.next(0) {
+					if rows := n.rows.load(); len(rows) > 1 {
+						if vals := readerOf(n, rows).curVals(); vals != nil {
+							stmt := fmt.Sprintf("UPDATE t SET b = %s WHERE id = %d", fuzzVal(r.next()), vals[0].Int())
+							planned.MustExec(stmt)
+							scanned.MustExec(stmt)
+						}
+						break
+					}
+				}
+			case 8:
+				planned.MustExec("CREATE INDEX IF NOT EXISTS t_ba ON t (b, a) USING ORDERED")
+			case 9:
+				planned.gcAll()
+				if len(held) == 0 { // nothing pins an old version: every index is settled
+					indexConsistent(t, planned, "t")
+				}
 			}
+			groupsFileTheirKeys(t, tbl)
 		}
 		got := planned.MustExec("SELECT * FROM t")
 		want := scanned.MustExec("SELECT * FROM t")
