@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -449,18 +448,19 @@ func (b *Bootloader) discover(database string) (string, error) {
 // renewal (Table 4) — against one server, following up to two cluster
 // redirect hops: a non-owning member answers msgRedirect naming the
 // shard owner rather than proxying, and the bootloader repeats the
-// request there. It returns the offer, the (possibly empty) driver
-// blob, and the address that actually answered — the owner after
+// request there. It returns the offer, the Verifier the transferred
+// image went through (nil when nothing was transferred) for install to
+// read, and the address that actually answered — the owner after
 // redirects — so the caller records the right home for steady-state
 // renewal traffic. A redirect with no address (the answering member
 // lost its cluster majority) surfaces as a *Redirect error, which the
 // renewal layer treats like any other failed server: keep the driver,
 // try the other servers.
-func (b *Bootloader) fetch(addr, database string, leaseID uint64, checksum string) (Offer, []byte, string, error) {
+func (b *Bootloader) fetch(addr, database string, leaseID uint64, checksum string) (Offer, *driverimg.Verifier, string, error) {
 	b.connMu.Lock()
 	defer b.connMu.Unlock()
 	for hop := 0; ; hop++ {
-		offer, blob, err := b.fetchLocked(addr, b.request(database, leaseID, checksum))
+		offer, img, err := b.fetchLocked(addr, b.request(database, leaseID, checksum))
 		if err != nil && hop < 2 {
 			var re *Redirect // declared here: errors.As moves it to the heap
 			if errors.As(err, &re) && re.Addr != "" && re.Addr != addr {
@@ -468,14 +468,14 @@ func (b *Bootloader) fetch(addr, database string, leaseID uint64, checksum strin
 				continue
 			}
 		}
-		return offer, blob, addr, err
+		return offer, img, addr, err
 	}
 }
 
 // fetchLocked runs one fetch against exactly one server; caller holds
 // connMu. It reuses the cached client when that is connected to addr,
 // and leaves b.srv holding a client only while it is usable.
-func (b *Bootloader) fetchLocked(addr string, req Request) (Offer, []byte, error) {
+func (b *Bootloader) fetchLocked(addr string, req Request) (Offer, *driverimg.Verifier, error) {
 	if b.srv != nil && b.srv.addr != addr {
 		b.dropServerLocked() // failover: talking to a different server now
 	}
@@ -501,19 +501,17 @@ func (b *Bootloader) fetchLocked(addr string, req Request) (Offer, []byte, error
 		}
 		offer, err = b.srv.Request(req)
 	}
-	var blob []byte
+	var img *driverimg.Verifier
 	if err == nil && offer.HasDriver && offer.DriverChecksum != req.CurrentChecksum {
-		// The image-sized buffer of a bootstrap or an upgrade: chunks
-		// land in it straight off the connection, and the decoded
-		// image's payload and signature alias it (driverimg.Decode)
-		// until install recycles it. An OFFER of the content the REQUEST
-		// says it runs (a recovered lease) needs no transfer.
-		blob = getImageBuf(int(offer.Size))
-		if _, err = b.srv.fetchFile(offer.LeaseID, blob); err != nil {
-			putImageBuf(blob)
+		// A bootstrap or an upgrade: the image is checked as its chunks
+		// come off the connection and kept nowhere (install reads the
+		// verdict). An OFFER of the content the REQUEST says it runs (a
+		// recovered lease) needs no transfer.
+		img = driverimg.NewVerifier(int(offer.Size), b.trustKey)
+		if _, err = b.srv.fetchFile(offer.LeaseID, int64(offer.Size), img); err != nil {
 			err = fmt.Errorf("drivolution: transfer: %w", err)
 		} else {
-			b.addMetric(func(m *Metrics) { m.BytesFetched += int64(len(blob)) })
+			b.addMetric(func(m *Metrics) { m.BytesFetched += int64(offer.Size) })
 		}
 	}
 	if b.srv.poisoned {
@@ -522,47 +520,7 @@ func (b *Bootloader) fetchLocked(addr string, req Request) (Offer, []byte, error
 	if err != nil {
 		return Offer{}, nil, err
 	}
-	return offer, blob, nil
-}
-
-// Image transfer buffers are recycled: fetchLocked takes one and
-// install gives it back once Decode, VerifyEncoded and Runtime.Load are
-// done with it. That is sound because a factory keeps none of an
-// image's bytes (driverimg.Factory), and because fileSink accepts only
-// a stream that fills every byte of the buffer, so no byte of an
-// earlier image survives into the next.
-//
-// The buffer given back last waits in imageBuf, where the next transfer
-// finds it on whichever P it runs (a sync.Pool keeps a buffer in the
-// private slot of the P that put it, out of other Ps' reach), so
-// back-to-back bootstraps share one buffer. A buffer it displaces, when
-// transfers overlap, goes to imageBufs, which the GC empties while no
-// transfer asks for one. A process thus keeps one idle buffer, the size
-// of the last image it installed.
-var (
-	imageBuf  atomic.Pointer[[]byte]
-	imageBufs sync.Pool // of *[]byte
-)
-
-// getImageBuf returns a buffer of n bytes, recycled when one large
-// enough is at hand.
-func getImageBuf(n int) []byte {
-	p := imageBuf.Swap(nil)
-	if p == nil {
-		p, _ = imageBufs.Get().(*[]byte)
-	}
-	if p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]byte, n)
-}
-
-// putImageBuf gives b back for the next transfer; nothing may read it
-// afterwards.
-func putImageBuf(b []byte) {
-	if old := imageBuf.Swap(&b); old != nil {
-		imageBufs.Put(old)
-	}
+	return offer, img, nil
 }
 
 // dropServerLocked closes the cached lease client; caller holds connMu.
@@ -573,23 +531,16 @@ func (b *Bootloader) dropServerLocked() {
 	}
 }
 
-// install decodes, verifies, and loads a driver blob (the paper's
-// "recheck_time = ...; decode(...); load(...)" from Table 3), then
-// recycles blob, whatever the outcome.
-func (b *Bootloader) install(offer Offer, blob []byte, addr string) (*loadedDriver, error) {
-	defer putImageBuf(blob)
-	img, err := driverimg.Decode(blob)
+// install reads the verdict on a transferred image and loads it (the
+// paper's "recheck_time = ...; decode(...); load(...)" from Table 3):
+// the framing, then the signature and checksum, which v took in as the
+// image arrived, then the manifest, which is all a factory gets.
+func (b *Bootloader) install(offer Offer, v *driverimg.Verifier, addr string) (*loadedDriver, error) {
+	img, err := v.Close()
 	if err != nil {
 		return nil, fmt.Errorf("drivolution: decode driver: %w", err)
 	}
-	// One SHA-256 pass over the canonical bytes, where they lie in blob,
-	// is both the checksum and what the signature is checked over.
-	var sum string
-	if b.trustKey != nil {
-		sum, err = driverimg.VerifyEncoded(blob, b.trustKey)
-	} else {
-		sum, err = driverimg.EncodedChecksum(blob)
-	}
+	sum, err := v.Sum()
 	if err != nil {
 		return nil, fmt.Errorf("drivolution: reject driver %s: %w", img.Manifest.ID(), err)
 	}
@@ -621,14 +572,14 @@ func (b *Bootloader) bootstrap(database string) (*loadedDriver, error) {
 	if err != nil {
 		return nil, err
 	}
-	offer, blob, served, err := b.fetch(addr, database, 0, "")
+	offer, img, served, err := b.fetch(addr, database, 0, "")
 	if err != nil {
 		return nil, err
 	}
 	if !offer.HasDriver {
 		return nil, fmt.Errorf("drivolution: server %s offered no driver data on bootstrap", served)
 	}
-	return b.install(offer, blob, served)
+	return b.install(offer, img, served)
 }
 
 // Close gives the lease back, stops renewal goroutines and

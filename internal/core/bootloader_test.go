@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/tls"
 	"encoding/binary"
@@ -471,11 +472,11 @@ func TestTLSTransfer(t *testing.T) {
 	if err != nil || !up.HasDriver || lc.pushed == nil {
 		t.Fatalf("upgrade renewal over TLS: offer %+v, err %v, file pushed %v", up, err, lc.pushed != nil)
 	}
-	blob := make([]byte, up.Size)
-	if _, err := lc.fetchFile(up.LeaseID, blob); err != nil {
+	var blob bytes.Buffer
+	if _, err := lc.fetchFile(up.LeaseID, int64(up.Size), &blob); err != nil {
 		t.Fatal(err)
 	}
-	if sum, err := driverimg.EncodedChecksum(blob); err != nil || sum != up.DriverChecksum {
+	if sum, err := driverimg.EncodedChecksum(blob.Bytes()); err != nil || sum != up.DriverChecksum {
 		t.Fatalf("pushed file's checksum %s (%v), offered %s", sum, err, up.DriverChecksum)
 	}
 	if err := b.ForceRenew("prod"); err != nil || b.Version() != dbver.V(2, 0, 0) {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
+	"weak"
 
 	"repro/internal/wire"
 )
@@ -220,20 +222,23 @@ func (c *LeaseClient) Discover(req Request) (Offer, error) {
 // cost; it does not run drivers). The checksum of what would have been
 // installed is already in the Offer that staged the transfer.
 func (c *LeaseClient) FetchFile(leaseID uint64) (int, error) {
-	return c.fetchFile(leaseID, nil)
+	return c.fetchFile(leaseID, -1, nil)
 }
 
 // fetchFile reads the file staged for leaseID and returns the byte
 // count: the one pushed behind the lease's OFFER if there is one, else
-// through FILE_REQUEST → FILE_DATA*. dst is the whole file's
-// destination, sized from the Offer that staged the transfer: each
-// chunk's data is read off the connection straight into its place in
-// dst. A nil dst discards the data unread. The stream is held to the
-// file size before any data is read (see fileSink.frame) — a pushed
-// file's to its OFFER's Size, a requested one's to len(dst) or, when
-// discarding, to the first chunk's Total — so a server cannot make the
-// client take in more than it was offered.
-func (c *LeaseClient) fetchFile(leaseID uint64, dst []byte) (int, error) {
+// through FILE_REQUEST → FILE_DATA*. Each chunk's data goes from the
+// connection through a pooled scratch to dst (a
+// bootloader's: the driverimg.Verifier that checks the image as it
+// arrives); a nil dst discards it. The stream is
+// held to the file size before any data is read (see fileSink.frame) —
+// a pushed file's to its OFFER's Size, a requested one's to total or,
+// when total is -1, to the first chunk's Total — so a server cannot
+// make the client take in more than it was offered. dst's Write errors
+// are not the transfer's: a file dst refuses is still read to its end,
+// so the connection stays on a frame boundary, and dst keeps its own
+// verdict (a Verifier reports it when closed).
+func (c *LeaseClient) fetchFile(leaseID uint64, total int64, dst io.Writer) (int, error) {
 	if p := c.pushed; p != nil && p.leaseID == leaseID && !c.poisoned {
 		c.pushed = nil
 		return c.recvFile(dst, int64(p.size), true)
@@ -241,19 +246,63 @@ func (c *LeaseClient) fetchFile(leaseID uint64, dst []byte) (int, error) {
 	if err := c.send(msgFileRequest, wire.Marshal(&fileRequest{LeaseID: leaseID})); err != nil {
 		return 0, err
 	}
-	total := int64(len(dst))
-	if dst == nil {
-		total = -1 // learned from the first chunk
-	}
 	return c.recvFile(dst, total, false)
+}
+
+// transferScratch sizes the scratch a FILE_DATA stream's data is read
+// through: a chunk's data takes one read per transferScratch, and the
+// process keeps one scratch per transfer in flight. 16 KiB reads a
+// 256 KiB chunk in sixteen reads, and a scratch the GC took back costs
+// the next transfer a sixteenth of its image to allocate again.
+const transferScratch = 16 << 10
+
+// chunkBufs holds the scratches FILE_DATA streams are read through.
+// The one given back last waits in idle, held only weakly, where the
+// next transfer finds it on whichever P it runs (a sync.Pool keeps a
+// buffer in the private slot of the P that put it, out of other Ps'
+// reach); one given back while idle holds another, when transfers
+// overlap, goes to the pool. The GC frees both once no transfer needs
+// them, so a process keeps no scratch at rest.
+var chunkBufs struct {
+	sync.Mutex
+	idle weak.Pointer[[transferScratch]byte]
+	pool sync.Pool // of *[transferScratch]byte
+}
+
+func getChunkBuf() *[transferScratch]byte {
+	chunkBufs.Lock()
+	buf := chunkBufs.idle.Value()
+	chunkBufs.idle = weak.Pointer[[transferScratch]byte]{}
+	chunkBufs.Unlock()
+	if buf == nil {
+		buf, _ = chunkBufs.pool.Get().(*[transferScratch]byte)
+	}
+	if buf == nil {
+		buf = new([transferScratch]byte)
+	}
+	return buf
+}
+
+func putChunkBuf(buf *[transferScratch]byte) {
+	idle := weak.Make(buf)
+	chunkBufs.Lock()
+	if chunkBufs.idle.Value() == nil {
+		chunkBufs.idle, buf = idle, nil
+	}
+	chunkBufs.Unlock()
+	if buf != nil {
+		chunkBufs.pool.Put(buf)
+	}
 }
 
 // recvFile reads one FILE_DATA stream into dst (nil: discard), held to
 // total bytes (-1: the first chunk's Total). answered reports that the
 // exchange's reply already arrived — a pushed file follows its OFFER —
 // so no failure inside the stream is "no reply".
-func (c *LeaseClient) recvFile(dst []byte, total int64, answered bool) (int, error) {
-	sink := fileSink{c: c, dst: dst, total: total}
+func (c *LeaseClient) recvFile(dst io.Writer, total int64, answered bool) (int, error) {
+	buf := getChunkBuf()
+	defer putChunkBuf(buf)
+	sink := fileSink{c: c, dst: dst, buf: buf[:], total: total}
 	recv := sink.frame
 	for first := true; ; first = false {
 		sink.replied = false
@@ -280,8 +329,9 @@ func (c *LeaseClient) recvFile(dst []byte, total int64, answered bool) (int, err
 // fileSink is the receiving end of one FILE_DATA stream.
 type fileSink struct {
 	c       *LeaseClient
-	dst     []byte // nil: discard
-	total   int64  // file size the stream is held to; -1 until known
+	dst     io.Writer // nil: discard
+	buf     []byte    // the scratch each chunk's data is read through
+	total   int64     // file size the stream is held to; -1 until known
 	got     int64
 	replied bool // a frame header arrived on the current receive
 	last    bool
@@ -291,8 +341,8 @@ type fileSink struct {
 // callback). A FILE_DATA chunk must name the expected file size as its
 // Total, start where the previous chunk ended, end within the file,
 // and — if it is the last — complete it; only then is its data read,
-// directly into dst. Any other frame goes through the client's frame
-// classifier.
+// through the scratch, into dst. Any other frame goes through the
+// client's frame classifier.
 func (s *fileSink) frame(typ uint16, size int, body io.Reader) error {
 	s.replied = true
 	if typ != msgFileData {
@@ -303,12 +353,12 @@ func (s *fileSink) frame(typ uint16, size int, body io.Reader) error {
 		_, err = s.c.payload(wire.Frame{Type: typ, Payload: p}, msgFileData)
 		return err
 	}
-	var hb [fileChunkHeadLen]byte
-	if _, err := io.ReadFull(body, hb[:]); err != nil {
+	hb := s.buf[:fileChunkHeadLen] // read through the scratch too: a local array would escape
+	if _, err := io.ReadFull(body, hb); err != nil {
 		return fmt.Errorf("core: read FILE_DATA head: %w", err)
 	}
 	var h fileChunkHead
-	d := wire.NewDecoder(hb[:])
+	d := wire.NewDecoder(hb)
 	h.Fields(wire.Reading(d))
 	if err := d.Err(); err != nil {
 		return err
@@ -331,10 +381,15 @@ func (s *fileSink) frame(typ uint16, size int, body io.Reader) error {
 	case !h.Last && h.Len == 0:
 		return fmt.Errorf("core: empty FILE_DATA chunk at offset %d", h.Offset)
 	}
-	if s.dst != nil {
-		if _, err := io.ReadFull(body, s.dst[s.got:s.got+int64(h.Len)]); err != nil {
+	for left := int(h.Len); left > 0; {
+		n, err := io.ReadFull(body, s.buf[:min(left, len(s.buf))])
+		if err != nil {
 			return fmt.Errorf("wire: read payload: %w", err)
 		}
+		if s.dst != nil {
+			_, _ = s.dst.Write(s.buf[:n]) // a refused file is read on; dst keeps its verdict
+		}
+		left -= n
 	}
 	s.got += int64(h.Len)
 	s.last = h.Last

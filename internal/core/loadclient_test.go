@@ -233,11 +233,11 @@ func TestTransferBoundedByOffer(t *testing.T) {
 				}
 			})
 			c := dialTestClient(t, addr, 2*time.Second)
-			dst := make([]byte, offered)
-			n, err := c.fetchFile(7, dst)
+			var dst bytes.Buffer
+			n, err := c.fetchFile(7, offered, &dst)
 			if tc.wantErr == "" {
-				if err != nil || n != offered || string(dst) != "abcdefgh" {
-					t.Fatalf("n=%d err=%v dst=%q, want the 8 offered bytes", n, err, dst)
+				if err != nil || n != offered || dst.String() != "abcdefgh" {
+					t.Fatalf("n=%d err=%v dst=%q, want the 8 offered bytes", n, err, dst.Bytes())
 				}
 				return
 			}
@@ -270,7 +270,7 @@ func TestTransferBoundedByOffer(t *testing.T) {
 		})
 		c := dialTestClient(t, addr, 30*time.Second)
 		start := time.Now()
-		_, err := c.fetchFile(7, make([]byte, offered))
+		_, err := c.fetchFile(7, offered, new(bytes.Buffer))
 		var ne net.Error
 		if err == nil || (errors.As(err, &ne) && ne.Timeout()) || !strings.Contains(err.Error(), "size mismatch") {
 			t.Fatalf("err = %v, want an immediate size-mismatch refusal", err)
@@ -283,14 +283,15 @@ func TestTransferBoundedByOffer(t *testing.T) {
 
 // FuzzFileSink drives fileSink.frame with arbitrary FILE_DATA chunk
 // heads and frame lengths against an offered size, in its three modes:
-// into an offer-sized destination (mode 0), discarding a pushed file
-// held to its OFFER (1), discarding a requested file held to its first
-// chunk's Total (2). Each record of stream is a 13-byte chunk head and
-// the frame's payload length; the frame's data is a byte that names
-// the frame. Whatever arrives, the sink reads no data it refuses and
-// none at all when discarding, never takes the stream past the size it
-// holds it to, and accepts a chunk only where the previous one ended,
-// with its data landing exactly there.
+// into a destination held to the offer (mode 0), discarding a pushed
+// file held to its OFFER (1), discarding a requested file held to its
+// first chunk's Total (2). Each record of stream is a 13-byte chunk
+// head and the frame's payload length; the frame's data is a byte that
+// names the frame, read through a scratch smaller than most chunks.
+// Whatever arrives, the sink reads no data of a chunk it refuses and
+// all of one it accepts, never takes the stream past the size it holds
+// it to, and accepts a chunk only where the previous one ended, with
+// its data landing exactly there.
 func FuzzFileSink(f *testing.F) {
 	const recLen = fileChunkHeadLen + 4
 	rec := func(off, total uint32, last bool, n, frameLen uint32) []byte {
@@ -307,10 +308,11 @@ func FuzzFileSink(f *testing.F) {
 	f.Add(uint16(8), uint8(0), rec(0, 8, true, 8, 20))                                     // frame disagrees
 	f.Add(uint16(0), uint8(2), rec(0, 0, true, 0, fileChunkHeadLen))                       // empty file
 	f.Fuzz(func(t *testing.T, offered uint16, mode uint8, stream []byte) {
-		sink := fileSink{c: &LeaseClient{}, total: int64(offered)}
+		sink := fileSink{c: &LeaseClient{}, buf: make([]byte, 16), total: int64(offered)}
+		var dst bytes.Buffer
 		switch mode % 3 {
 		case 0:
-			sink.dst = make([]byte, offered)
+			sink.dst = &dst
 		case 2:
 			sink.total = -1
 		}
@@ -323,11 +325,14 @@ func FuzzFileSink(f *testing.F) {
 			body := &io.LimitedReader{R: io.MultiReader(bytes.NewReader(head), fillReader(k)), N: int64(size)}
 			from := sink.got
 			err := sink.frame(msgFileData, size, body)
-			if data := int64(size) - body.N - min(fileChunkHeadLen, int64(size)); data > 0 && (err != nil || sink.dst == nil) {
-				t.Fatalf("read %d data bytes of a chunk it refused (%v) or was discarding", data, err)
+			if data := int64(size) - body.N - min(fileChunkHeadLen, int64(size)); data > 0 && err != nil {
+				t.Fatalf("read %d data bytes of a chunk it refused (%v)", data, err)
 			}
 			if err != nil {
 				return // the client is poisoned: nothing further is read
+			}
+			if body.N != 0 {
+				t.Fatalf("left %d bytes of an accepted chunk unread", body.N)
 			}
 			if herr != nil {
 				t.Fatalf("accepted a chunk whose head does not decode: %v", herr)
@@ -338,7 +343,7 @@ func FuzzFileSink(f *testing.F) {
 			if sink.total >= 0 && sink.got > sink.total || sink.last && sink.got != sink.total {
 				t.Fatalf("stream at %d of %d, last=%v", sink.got, sink.total, sink.last)
 			}
-			if sink.dst != nil && !bytes.Equal(sink.dst[from:sink.got], bytes.Repeat([]byte{k}, int(h.Len))) {
+			if sink.dst != nil && !bytes.Equal(dst.Bytes()[from:sink.got], bytes.Repeat([]byte{k}, int(h.Len))) {
 				t.Fatalf("chunk %d's data did not land at %d", k, from)
 			}
 		}
@@ -460,7 +465,7 @@ func TestPushedFileCutPoisons(t *testing.T) {
 func TestPushedFileHeldToOffer(t *testing.T) {
 	const offered, huge = 8, 32 << 20
 	for name, fetch := range map[string]func(c *LeaseClient) error{
-		"dst":     func(c *LeaseClient) error { _, err := c.fetchFile(7, make([]byte, offered)); return err },
+		"dst":     func(c *LeaseClient) error { _, err := c.fetchFile(7, offered, new(bytes.Buffer)); return err },
 		"discard": func(c *LeaseClient) error { _, err := c.FetchFile(7); return err },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -96,7 +96,7 @@ func (b *Bootloader) renewOnce(database string) error {
 		return ErrNoDriverAvailable
 	}
 
-	offer, blob, addr, err := b.fetch(serverAddr, database, leaseID, checksum)
+	offer, img, addr, err := b.fetch(serverAddr, database, leaseID, checksum)
 	if err != nil {
 		var pe *ProtocolError
 		if !errors.As(err, &pe) {
@@ -109,8 +109,8 @@ func (b *Bootloader) renewOnce(database string) error {
 				if alt == serverAddr {
 					continue
 				}
-				if o, bl2, served, e2 := b.fetch(alt, database, leaseID, checksum); e2 == nil || errors.As(e2, &pe) {
-					offer, blob, err, addr = o, bl2, e2, served
+				if o, img2, served, e2 := b.fetch(alt, database, leaseID, checksum); e2 == nil || errors.As(e2, &pe) {
+					offer, img, err, addr = o, img2, e2, served
 					break
 				}
 			}
@@ -121,7 +121,7 @@ func (b *Bootloader) renewOnce(database string) error {
 			// died. DHCP-style recovery: request a fresh lease there. The
 			// REQUEST carries the running checksum, so an OFFER of the
 			// same content is kept below, with no transfer.
-			offer, blob, addr, err = b.fetch(addr, database, 0, checksum)
+			offer, img, addr, err = b.fetch(addr, database, 0, checksum)
 		}
 		switch {
 		case err == nil:
@@ -160,7 +160,7 @@ func (b *Bootloader) renewOnce(database string) error {
 
 	// UPGRADE: load the new driver, route new connections to it, and
 	// transition existing connections per the expiration policy.
-	newLD, err := b.install(offer, blob, addr)
+	newLD, err := b.install(offer, img, addr)
 	if err != nil {
 		return err
 	}

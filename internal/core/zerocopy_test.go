@@ -7,11 +7,13 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dbver"
+	"repro/internal/driverimg"
 	"repro/internal/faultnet"
 	"repro/internal/wire"
 )
@@ -20,14 +22,14 @@ import (
 // copy of the image creeping back in fails here before any benchmark
 // is run: one whole bootstrap of a signed 256 KiB image — server and
 // bootloader in this process, REQUEST through Close — may allocate at
-// most 0.10 times the encoded image. The bootloader's destination blob
-// is not among them: it is recycled from one bootstrap to the next
-// (imageBuf), and the four connection ends a bootstrap opens buffer
-// only what their frames need. (It was 0.31 times while each
-// wire.Conn held an 8 KiB bufio reader and writer, 1.33 times while
-// each bootstrap allocated its blob afresh, and 6.7 times with the
-// frame buffer, the chunk decode, the append, Decode's payload and two
-// canonical encodings.)
+// most 0.10 times the encoded image. The bootloader has no image-sized
+// buffer to allocate: the image goes through a driverimg.Verifier, read
+// through a 16 KiB scratch that sequential transfers share, and the
+// four connection ends a bootstrap opens buffer only what their frames
+// need. (It was 0.31 times while each wire.Conn held an 8 KiB bufio
+// reader and writer, 1.33 times while each bootstrap allocated its blob
+// afresh, and 6.7 times with the frame buffer, the chunk decode, the
+// append, Decode's payload and two canonical encodings.)
 func TestBootstrapAllocBytes(t *testing.T) {
 	pub, priv, err := ed25519.GenerateKey(nil)
 	if err != nil {
@@ -65,63 +67,13 @@ func TestBootstrapAllocBytes(t *testing.T) {
 	}
 }
 
-// TestRecycledBufferNeverLeaks: the buffer a driver image was
-// transferred into is reused for the next image, so neither may keep
-// anything of the other. Bootloader 1 loads driver A; its buffer is
-// scribbled over and handed to bootloader 2's transfer of driver B, an
-// image of the same size whose manifest carries a pinned URL, so every
-// later field lies at another offset than in A. B must verify against
-// its own checksum, and A, whose bytes are gone, must still connect
-// with the credentials its image's options carried.
-func TestRecycledBufferNeverLeaks(t *testing.T) {
-	f := newFixture(t, 1)
-	url := f.appURL()
-	imgA := f.driverImage(dbver.V(1, 0, 0), 1, 64<<10+len(url))
-	imgB := f.driverImage(dbver.V(2, 0, 0), 1, 64<<10)
-	imgB.Manifest.PinnedURL = url
-	encB := imgB.Encode()
-	if len(encB) != len(imgA.Encode()) {
-		t.Fatalf("images of %d and %d bytes, want one size", len(imgA.Encode()), len(encB))
-	}
-	f.addDriver(t, imgA)
-	b1 := f.bootloader(t)
-	mustConnect(t, b1, url)
-
-	p := imageBuf.Swap(nil)
-	if p == nil {
-		t.Fatal("bootstrap left no transfer buffer to recycle")
-	}
-	recycled := *p
-	for i := range recycled {
-		recycled[i] = 0xA5
-	}
-	f.addDriver(t, imgB)
-	imageBuf.Store(p)
-
-	b2 := f.bootloader(t)
-	mustConnect(t, b2, url)
-	if b2.Version() != dbver.V(2, 0, 0) || b2.CurrentChecksum() != imgB.Checksum() {
-		t.Fatalf("second bootloader runs %v (%s), want 2.0.0 (%s)", b2.Version(), b2.CurrentChecksum(), imgB.Checksum())
-	}
-	if !bytes.Equal(recycled, encB) {
-		t.Fatal("the second transfer did not land in the recycled buffer")
-	}
-
-	c := mustConnect(t, b1, url)
-	if _, err := c.Query("SELECT name FROM items WHERE id = 1"); err != nil {
-		t.Fatalf("driver A after its transfer buffer was reused: %v", err)
-	}
-	if b1.Version() != dbver.V(1, 0, 0) {
-		t.Fatalf("first bootloader runs %v, want 1.0.0", b1.Version())
-	}
-}
-
-// TestRecycledBuffersConcurrentBootstraps: bootstraps that overlap
-// never share a transfer buffer. Eight goroutines bootstrap four
-// different images of one size over and over, each through a fresh
-// bootloader; a buffer handed to two transfers at once would mix their
-// bytes and fail a checksum (and, under -race, report the race).
-func TestRecycledBuffersConcurrentBootstraps(t *testing.T) {
+// TestConcurrentBootstrapsDistinctImages: bootstraps that overlap
+// never share the scratch their images are read through (chunkBufs). Eight
+// goroutines bootstrap four different images of one size over and
+// over, each through a fresh bootloader; a scratch handed to two
+// transfers at once would mix their bytes and fail a checksum (and,
+// under -race, report the race).
+func TestConcurrentBootstrapsDistinctImages(t *testing.T) {
 	f := newFixture(t, 1)
 	const images = 4
 	sums := make(map[dbver.Version]string, images)
@@ -153,6 +105,127 @@ func TestRecycledBuffersConcurrentBootstraps(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestBootstrapLeavesNoImageBehind: a process that has bootstrapped and
+// closed its bootloaders keeps nothing of the images they installed.
+// One bootstrap of a small driver warms the server, the catalog and
+// the connection paths; then eight of a signed 256 KiB driver, each
+// closed, must grow the live heap, after two collections (which also
+// empty the sync.Pools), by less than 0.05 times the image. (While
+// the bootloader recycled its transfer buffer, one buffer the size of
+// the last image stayed behind.)
+func TestBootstrapLeavesNoImageBehind(t *testing.T) {
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFixture(t, 1, WithSigningKey(priv))
+	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 1<<10))
+	img := f.driverImage(dbver.V(2, 0, 0), 1, 256<<10)
+	f.addDriver(t, img)
+	encoded := int64(len(img.Encode()))
+	bootstrap := func(opts ...BootloaderOption) {
+		// Not f.bootloader, whose cleanup would keep every Bootloader.
+		b := NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64, []string{f.drv.Addr()}, f.rt,
+			append(opts, WithCredentials("app", "app-pw"), WithTrustKey(pub))...)
+		c, err := b.Connect(f.appURL(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query("SELECT 1"); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		b.Close()
+	}
+	liveHeap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	bootstrap(WithPreferredVersion(dbver.V(1, 0, 0)))
+	before := liveHeap()
+	for i := 0; i < 8; i++ {
+		bootstrap()
+	}
+	growth := liveHeap() - before
+	t.Logf("8 closed bootstraps of a %d-byte image grew the live heap by %d bytes (%.3fx)",
+		encoded, growth, float64(growth)/float64(encoded))
+	if growth >= encoded/20 {
+		t.Fatalf("8 closed bootstraps of a %d-byte image left %d bytes of live heap, want under 0.05x the image",
+			encoded, growth)
+	}
+}
+
+// readCountingConn counts the reads a net.Conn serves.
+type readCountingConn struct {
+	net.Conn
+	reads int
+}
+
+func (c *readCountingConn) Read(b []byte) (int, error) {
+	c.reads++
+	return c.Conn.Read(b)
+}
+
+// TestTransferReads pins what a transfer costs in reads of the
+// connection, over a net.Pipe (each server write is read in as few
+// reads as the reader's buffers allow, whatever the timing). A
+// requested 256 KiB image, two chunks, takes 19: each chunk's head in
+// one read through the Conn's small buffer, the first chunk's 256 KiB
+// of data in 16 through the 16 KiB scratch, and the second chunk's few
+// bytes in one. A pushed 16 KiB file (16 499 bytes encoded), whose
+// chunk head arrived with its OFFER, takes two: FetchFile's discard
+// reads through the same scratch (through io.Discard's 8 KiB buffer it
+// took three).
+func TestTransferReads(t *testing.T) {
+	f := newFixture(t, 1)
+	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 256<<10))
+	srvEnd, cliEnd := net.Pipe()
+	go f.drv.serveConn(srvEnd)
+	cc := &readCountingConn{Conn: cliEnd}
+	lc := &LeaseClient{conn: wire.NewConn(cc), timeout: 5 * time.Second}
+	defer lc.Close()
+
+	req := catalogRequest()
+	boot, err := lc.Request(req)
+	if err != nil || !boot.HasDriver {
+		t.Fatalf("bootstrap: offer %+v, err %v", boot, err)
+	}
+	reads := cc.reads
+	img := driverimg.NewVerifier(int(boot.Size), nil)
+	if n, err := lc.fetchFile(boot.LeaseID, int64(boot.Size), img); err != nil || n != int(boot.Size) {
+		t.Fatalf("requested transfer: %d of %d bytes, err %v", n, boot.Size, err)
+	}
+	if n := cc.reads - reads; n > 19 {
+		t.Fatalf("a requested %d-byte transfer took %d reads, want at most 19", boot.Size, n)
+	}
+	if _, err := img.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := img.Sum(); err != nil || sum != boot.DriverChecksum {
+		t.Fatalf("streamed checksum %s (%v), offered %s", sum, err, boot.DriverChecksum)
+	}
+
+	req.LeaseID, req.CurrentChecksum = boot.LeaseID, boot.DriverChecksum
+	if _, err := lc.Request(req); err != nil {
+		t.Fatal(err)
+	}
+	f.addDriver(t, f.driverImage(dbver.V(2, 0, 0), 1, 16<<10))
+	up, err := lc.Request(req)
+	if err != nil || !up.HasDriver || lc.pushed == nil {
+		t.Fatalf("upgrade renewal: offer %+v, err %v, pushed %v", up, err, lc.pushed != nil)
+	}
+	reads = cc.reads
+	if n, err := lc.FetchFile(up.LeaseID); err != nil || n != int(up.Size) {
+		t.Fatalf("pushed file: %d of %d bytes, err %v", n, up.Size, err)
+	}
+	if n := cc.reads - reads; n > 2 {
+		t.Fatalf("discarding a pushed %d-byte file took %d reads, want at most 2", up.Size, n)
+	}
 }
 
 // TestInstalledDriverDropsItsImage: an installed driver keeps what its
@@ -395,5 +468,83 @@ func TestTransferGoldenBytes(t *testing.T) {
 				t.Fatalf("FILE_DATA stream differs from the protocol's encoding at byte %d of %d", i, len(want))
 			}
 		}
+	}
+}
+
+// TestRejectedImageKeepsLeaseConn: an image that fails its check as it
+// streams in fails the install with the error a whole-blob check gave —
+// a decode error for bad framing, a rejection for a bad signature, a
+// mismatch for the wrong checksum — and is still read to its end, so
+// the bootloader's lease connection stays usable: the next bootstrap
+// goes out on the same connection.
+func TestRejectedImageKeepsLeaseConn(t *testing.T) {
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, otherPriv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFixture(t, 1)
+	signed := func(key ed25519.PrivateKey) (blob []byte, sum string) {
+		img := f.driverImage(dbver.V(1, 0, 0), 1, 64<<10)
+		img.Sign(key)
+		return img.Encode(), img.Checksum()
+	}
+	good, goodSum := signed(priv)
+	forged, forgedSum := signed(otherPriv)
+	cases := []struct {
+		name, sum, want string
+		blob            []byte
+	}{
+		{"bad signature", forgedSum, "reject driver", forged},
+		{"checksum mismatch", "00" + goodSum[2:], "checksum mismatch", good},
+		{"truncated", goodSum, "decode driver", good[:len(good)-10]},
+		{"trailing bytes", goodSum, "3 trailing bytes", append(bytes.Clone(good), 1, 2, 3)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var conns, requests int
+			var mu sync.Mutex
+			addr := scriptedServer(t, func(nc net.Conn, _ <-chan struct{}) {
+				mu.Lock()
+				conns++
+				mu.Unlock()
+				conn := wire.NewConn(nc)
+				for {
+					if fr, err := conn.Recv(); err != nil || fr.Type != msgRequest {
+						return
+					}
+					mu.Lock()
+					requests++
+					mu.Unlock()
+					o := Offer{LeaseID: 7, LeaseTime: time.Minute, HasDriver: true,
+						DriverChecksum: tc.sum, Size: uint32(len(tc.blob))}
+					if conn.Send(msgOffer, wire.Marshal(&o)) != nil {
+						return
+					}
+					if fr, err := conn.Recv(); err != nil || fr.Type != msgFileRequest {
+						return
+					}
+					n := len(tc.blob)
+					conn.Send(msgFileData, fileChunk{Offset: 0, Total: uint32(n), Last: false, Data: tc.blob[:n/2]}.encode())
+					conn.Send(msgFileData, fileChunk{Offset: uint32(n / 2), Total: uint32(n), Last: true, Data: tc.blob[n/2:]}.encode())
+				}
+			})
+			b := NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64, []string{addr}, f.rt,
+				WithCredentials("app", "app-pw"), WithTrustKey(pub), WithDialTimeout(2*time.Second))
+			defer b.Close()
+			for i := 0; i < 2; i++ {
+				if _, err := b.Connect(f.appURL(), nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("bootstrap %d: err = %v, want one mentioning %q", i, err, tc.want)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if conns != 1 || requests != 2 {
+				t.Fatalf("two refused bootstraps took %d connections for %d REQUESTs, want 1 for 2", conns, requests)
+			}
+		})
 	}
 }

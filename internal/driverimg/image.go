@@ -126,15 +126,55 @@ func (img *Image) Encode() []byte {
 // the image is in use, and must treat the two slices as read-only;
 // replacing them (Sign, Assemble) is fine.
 func Decode(blob []byte) (*Image, error) {
-	if _, err := canonicalEnd(blob); err != nil { // version and framing
-		return nil, err
+	m, off, end, err := readHead(blob, len(blob))
+	if err == nil {
+		err = tailErr(len(blob), end, binary.BigEndian.Uint32(blob[end:]))
 	}
-	d := wire.NewDecoder(blob[1:])
-	m, err := decodeManifest(d)
 	if err != nil {
 		return nil, err
 	}
-	return &Image{Manifest: m, Payload: d.Bytes32View(), Signature: d.Bytes32View()}, nil
+	return &Image{Manifest: m, Payload: blob[off:end:end], Signature: blob[end+4 : len(blob) : len(blob)]}, nil
+}
+
+// readHead reads the head of an encoded image of size bytes from b, its
+// first len(b) bytes: the version byte, the manifest and the payload's
+// length prefix. It returns the manifest and the offsets where the
+// payload starts and ends; the canonical (signed) range is [1:end), and
+// the signature's length prefix follows it. An error wrapping
+// wire.ErrShortBuffer means b ends inside the head: more bytes of the
+// same image may complete it. Any other error is final.
+func readHead(b []byte, size int) (m Manifest, off, end int, err error) {
+	if len(b) == 0 {
+		return m, 0, 0, fmt.Errorf("driverimg: encoded image: empty blob")
+	}
+	if b[0] != imageVersion {
+		return m, 0, 0, fmt.Errorf("driverimg: unsupported image version %d", b[0])
+	}
+	d := wire.NewDecoder(b[1:])
+	m = decodeManifest(d)
+	n := d.Uint32()
+	if err := d.Err(); err != nil {
+		return m, 0, 0, fmt.Errorf("driverimg: encoded image: %w", err)
+	}
+	off = len(b) - d.Remaining()
+	if uint64(off)+uint64(n)+4 > uint64(size) { // the payload and the signature's length prefix
+		return m, 0, 0, fmt.Errorf("driverimg: encoded image: a %d-byte payload at offset %d overruns the image's %d bytes", n, off, size)
+	}
+	return m, off, off + int(n), nil
+}
+
+// tailErr checks the signature field behind the canonical range of an
+// image of size bytes: its length prefix, sigLen, read at end, must
+// claim exactly the bytes that are left.
+func tailErr(size, end int, sigLen uint32) error {
+	switch left := uint64(size - end - 4); {
+	case uint64(sigLen) > left:
+		return fmt.Errorf("driverimg: encoded image: %w: a %d-byte signature at offset %d of %d",
+			wire.ErrShortBuffer, sigLen, end+4, size)
+	case uint64(sigLen) < left:
+		return fmt.Errorf("driverimg: encoded image: %d trailing bytes", left-uint64(sigLen))
+	}
+	return nil
 }
 
 func encodeManifest(e *wire.Encoder, m Manifest) {
@@ -163,7 +203,9 @@ func encodeManifest(e *wire.Encoder, m Manifest) {
 	e.StringSlice(pkgs)
 }
 
-func decodeManifest(d *wire.Decoder) (Manifest, error) {
+// decodeManifest reads a manifest, the field order encodeManifest
+// writes. The decoder's error is sticky; the caller checks it.
+func decodeManifest(d *wire.Decoder) Manifest {
 	var m Manifest
 	m.Kind = d.String()
 	m.API.Name = d.String()
@@ -183,18 +225,14 @@ func decodeManifest(d *wire.Decoder) (Manifest, error) {
 		}
 	}
 	m.Packages = d.StringSlice()
-	if err := d.Err(); err != nil {
-		return m, fmt.Errorf("driverimg: decode manifest: %w", err)
-	}
-	return m, nil
+	return m
 }
 
 // digest streams the canonical encoding — the manifest, then the
 // length-prefixed payload — through SHA-256 and returns its length and
 // hash, without building it: an image that exists only in memory
 // (built, assembled, pre-configured) costs no image-sized copy. An
-// encoded image is hashed where it lies, by EncodedChecksum and
-// VerifyEncoded.
+// encoded image is hashed as it passes through a Verifier.
 func (img *Image) digest() (int, [sha256.Size]byte) {
 	e := wire.NewEncoder(256)
 	encodeManifest(e, img.Manifest)
@@ -227,80 +265,19 @@ func (img *Image) Checksum() string {
 }
 
 // EncodedChecksum computes Checksum directly from an encoded image blob,
-// without decoding it into an Image. The canonical (signed) byte range
-// of an encoded image is everything between the version byte and the
-// signature, so the checksum is a bounds-checked walk over the field
-// length prefixes plus one hash — no manifest maps, no payload copy.
-// Grant-path caches use this to checksum stored binary_code BLOBs once
-// per catalog load. The walk also validates the framing, so a blob that
-// Decode would reject errors here too.
+// without decoding it into an Image: one write of blob through a
+// Verifier, which hashes the canonical byte range — everything between
+// the version byte and the signature — where it lies, with no payload
+// copy. Grant-path caches use this to checksum stored binary_code
+// BLOBs once per catalog load. The Verifier checks the framing too, so
+// a blob that Decode would reject errors here as well.
 func EncodedChecksum(blob []byte) (string, error) {
-	end, err := canonicalEnd(blob)
-	if err != nil {
+	v := NewVerifier(len(blob), nil)
+	_, _ = v.Write(blob) // a Write error is sticky: Close reports it
+	if _, err := v.Close(); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(blob[1:end])
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// VerifyEncoded is the install check: it returns the blob's Checksum
-// once the signature is a valid ed25519 signature by pub over
-// signedMessage, hashing the canonical byte range once, where it lies.
-// An unsigned image fails verification.
-func VerifyEncoded(blob []byte, pub ed25519.PublicKey) (string, error) {
-	end, err := canonicalEnd(blob)
-	if err != nil {
-		return "", err
-	}
-	sig := blob[end+4:] // past the signature's length prefix; canonicalEnd checked it fills the rest
-	if len(sig) == 0 {
-		return "", fmt.Errorf("driverimg: image is unsigned")
-	}
-	canon := blob[1:end]
-	sum := sha256.Sum256(canon)
-	if !ed25519.Verify(pub, signedMessage(len(canon), &sum), sig) {
-		return "", fmt.Errorf("driverimg: signature verification failed")
-	}
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// canonicalEnd walks an encoded image and returns the offset just past
-// the payload (the end of the signature-covered range), validating the
-// version byte and that exactly one signature field follows. Fields are
-// stepped over as views: nothing is copied or allocated.
-func canonicalEnd(blob []byte) (int, error) {
-	if len(blob) == 0 {
-		return 0, fmt.Errorf("driverimg: encoded image: empty blob")
-	}
-	if blob[0] != imageVersion {
-		return 0, fmt.Errorf("driverimg: unsupported image version %d", blob[0])
-	}
-	d := wire.NewDecoder(blob[1:])
-	d.Bytes32View() // Kind
-	d.Bytes32View() // API.Name
-	d.Uint64()      // API major/minor
-	d.Bytes32View() // Platform
-	d.Uint64()      // Version major/minor
-	d.Uint32()      // Version micro
-	d.Uint16()      // ProtocolVersion
-	d.Bytes32View() // PinnedURL
-	for n := d.Count(8); n > 0; n-- {
-		d.Bytes32View() // option key
-		d.Bytes32View() // option value
-	}
-	for n := d.Count(4); n > 0; n-- {
-		d.Bytes32View() // package name
-	}
-	d.Bytes32View() // Payload
-	end := len(blob) - d.Remaining()
-	d.Bytes32View() // Signature
-	if err := d.Err(); err != nil {
-		return 0, fmt.Errorf("driverimg: encoded image: %w", err)
-	}
-	if n := d.Remaining(); n != 0 {
-		return 0, fmt.Errorf("driverimg: encoded image: %d trailing bytes", n)
-	}
-	return end, nil
+	return v.Sum()
 }
 
 // Sign signs the image with the given ed25519 private key, replacing any

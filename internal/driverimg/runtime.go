@@ -12,11 +12,11 @@ import (
 // driver family (the simulated DBMS's native protocol, the Sequoia
 // controller protocol, ...) registers one factory under its Kind.
 //
-// img.Payload and img.Signature are valid only until the factory
-// returns: a bootloader decodes an image where it received it (Decode
-// aliases both) and reuses that buffer for the next image once Load is
-// done. A factory keeps what it builds from them, or copies them; both
-// shipped factories keep only Manifest.Clone() (WrapDriver).
+// A factory gets the manifest and no payload bytes: a bootloader checks
+// an image as it streams in (Verifier) and keeps none of it, so the
+// img it loads has a nil Payload and Signature. A factory builds its
+// driver from the manifest; both shipped factories keep only
+// Manifest.Clone() (WrapDriver).
 type Factory func(img *Image) (client.Driver, error)
 
 // Runtime is the dynamic "code" loader: it turns driver images into live

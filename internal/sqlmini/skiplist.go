@@ -119,6 +119,11 @@ type skipList struct {
 	// last is each level's last node, head while the level is empty;
 	// writer-only.
 	last [skipMaxLevel]*skipNode
+	// top is the number of levels any group has been linked at, raised
+	// by insert once a taller group is linked at every level; seeks
+	// start below it, not at skipMaxLevel. It never falls: a level an
+	// unlink empties costs a seek one nil link.
+	top  atomic.Int32
 	rnd  uint64 // xorshift64 state; writer-only (under the latch)
 	size int    // group count; writer-only
 }
@@ -183,7 +188,7 @@ func cmpCols(v *rowVersion, cols []int, probe []Value) int {
 // a caller handed it would stop there and miss the groups it wants.
 func (sl *skipList) seekGE(probe []Value) *skipNode {
 	x, nxt := sl.head, (*skipNode)(nil)
-	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
+	for lvl := int(sl.top.Load()) - 1; lvl >= 0; lvl-- {
 		for {
 			nxt = x.next(lvl)
 			if nxt == nil || sl.cmpKey(nxt, probe) >= 0 {
@@ -200,7 +205,7 @@ func (sl *skipList) seekGE(probe []Value) *skipNode {
 // successor it compared.
 func (sl *skipList) seekGT(probe []Value) *skipNode {
 	x, nxt := sl.head, (*skipNode)(nil)
-	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
+	for lvl := int(sl.top.Load()) - 1; lvl >= 0; lvl-- {
 		for {
 			nxt = x.next(lvl)
 			if nxt == nil || sl.cmpKey(nxt, probe) > 0 {
@@ -266,6 +271,9 @@ func (sl *skipList) insert(key []Value, v *rowVersion, r *Row, fresh bool) *skip
 	}
 	for i := range links { // link bottom-up: readers above always find the levels below
 		update[i].link(i).next.Store(n)
+	}
+	if int32(lvl) > sl.top.Load() { // published once n is linked at every level
+		sl.top.Store(int32(lvl))
 	}
 	sl.size++
 	return n

@@ -542,3 +542,28 @@ func BenchmarkSkipListInsertRandom(b *testing.B) {
 		sl.remove(sl.insert(r.curVals(), r.cur(), r, true), r)
 	}
 }
+
+// BenchmarkSkipListSeek runs seekGE for random keys over 20 000
+// one-row groups, steady_renew's lease count: about 7 levels at p = ¼,
+// so a seek that started at skipMaxLevel would first load 16 head links
+// that are always nil.
+func BenchmarkSkipListSeek(b *testing.B) {
+	const groups = 20000
+	sl := newSkipList([]int{0})
+	for k := range groups {
+		r := testRow(NewInt(int64(2 * k)))
+		sl.insert(r.curVals(), r.cur(), r, true)
+	}
+	rng := rand.New(rand.NewSource(1))
+	probes := make([][]Value, 4096)
+	for i := range probes {
+		probes[i] = []Value{NewInt(int64(rng.Intn(2 * groups)))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sl.seekGE(probes[i%len(probes)]) == nil && i%len(probes) == 0 {
+			b.Fatal("no group at or after a key inside the list")
+		}
+	}
+}
